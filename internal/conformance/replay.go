@@ -165,9 +165,16 @@ func (d *decoder) next() (routing.TraceEvent, bool, error) {
 // Capture runs a scenario with a Log attached as its tracer and returns
 // the log, fingerprint filled.
 func Capture(cfg scenario.Config) (*Log, error) {
+	log, _, err := capture(cfg)
+	return log, err
+}
+
+// capture is Capture that also hands back the finished network, for
+// tests that pin the collector beside the fingerprint.
+func capture(cfg scenario.Config) (*Log, *routing.Network, error) {
 	nw, gen, inst, err := scenario.BuildInstrumented(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	log := &Log{}
 	nw.SetTracer(log)
@@ -185,7 +192,7 @@ func Capture(cfg scenario.Config) (*Log, error) {
 		Dropped:     col.DataDropped,
 		Transmitted: col.DataTransmitted,
 	}
-	return log, nil
+	return log, nw, nil
 }
 
 // Divergence describes where two logs first disagree. Index is the

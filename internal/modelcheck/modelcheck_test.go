@@ -114,6 +114,17 @@ func TestEncoderDeterminism(t *testing.T) {
 	}
 }
 
+// wantExploration pins an exploration's exact size. The search is
+// deterministic, so a change to the protocols or to their model-state
+// encoding that merges or splits states moves the counts.
+func wantExploration(t *testing.T, res *Result, states, transitions, depth int) {
+	t.Helper()
+	if res.States != states || res.Transitions != transitions || res.Depth != depth {
+		t.Errorf("explored (states, transitions, depth) = (%d, %d, %d), want (%d, %d, %d)",
+			res.States, res.Transitions, res.Depth, states, transitions, depth)
+	}
+}
+
 // TestLDRLine3Clean is the checker's positive verdict at the van
 // Glabbeek regime: on the 3-node line with a crash-reboot and a message
 // loss in the budget, LDR's bounded state space contains no loop or
@@ -133,9 +144,7 @@ func TestLDRLine3Clean(t *testing.T) {
 	if res.Truncated {
 		t.Fatal("exploration truncated; the verdict is not exhaustive")
 	}
-	if res.States < 1000 {
-		t.Fatalf("only %d states explored; the abstraction is likely not exercising the protocol", res.States)
-	}
+	wantExploration(t, res, 7428, 26251, 12)
 }
 
 // TestLDRVolatileLine3Clean explores the regime the paper's §5 storage
@@ -157,6 +166,7 @@ func TestLDRVolatileLine3Clean(t *testing.T) {
 	if res.Truncated {
 		t.Fatal("exploration truncated; the verdict is not exhaustive")
 	}
+	wantExploration(t, res, 2521, 7442, 12)
 }
 
 // TestLDRPaw4Clean keeps one 4-node topology in the fast suite (the paw:
@@ -179,6 +189,7 @@ func TestLDRPaw4Clean(t *testing.T) {
 	if res.Truncated {
 		t.Fatal("exploration truncated; the verdict is not exhaustive")
 	}
+	wantExploration(t, res, 14056, 45854, 10)
 }
 
 // TestAODVLine3Violation is the checker's negative control and the
@@ -201,6 +212,7 @@ func TestAODVLine3Violation(t *testing.T) {
 		t.Fatal("expected AODV loop violation on line3, found none")
 	}
 	t.Logf("witness:\n%s", res.Violation)
+	wantExploration(t, res, 2506, 6477, 8)
 
 	// The BFS finds a minimal-length schedule; the known construction
 	// needs a crash plus one message suppression, nothing more.
