@@ -17,25 +17,18 @@ import (
 
 	"github.com/manetlab/ldr/internal/metrics"
 	"github.com/manetlab/ldr/internal/routing"
+	"github.com/manetlab/ldr/internal/routing/ondemand"
 	"github.com/manetlab/ldr/internal/runpool"
 	"github.com/manetlab/ldr/internal/sim"
 )
 
 // Config carries AODV's protocol constants (draft-10 defaults).
 type Config struct {
-	ActiveRouteTimeout time.Duration
-	MyRouteTimeout     time.Duration
-	NodeTraversalTime  time.Duration
-	NetDiameter        int
-	TTLStart           int
-	TTLIncrement       int
-	TTLThreshold       int
-	RREQRetries        int
-	RREQCacheLife      time.Duration
-	MaxQueuedPerDest   int
-	BroadcastJitter    time.Duration
-	DestinationOnly    bool // D flag: only the destination may answer
-	GratuitousRREP     bool // notify the destination on intermediate replies
+	ondemand.Config // the timers, ring schedule and hardening LDR shares
+
+	MyRouteTimeout  time.Duration
+	DestinationOnly bool // D flag: only the destination may answer
+	GratuitousRREP  bool // notify the destination on intermediate replies
 
 	// UseHello enables periodic HELLO beacons for neighbor liveness in
 	// place of relying solely on MAC-layer feedback (draft-10 §8.4).
@@ -48,49 +41,18 @@ type Config struct {
 	// packet and pushing a RERR all the way upstream (draft-10 §8.12).
 	LocalRepair   bool
 	MaxRepairHops int
-
-	// Per-neighbor control hardening (internal/adversary): RREQs and
-	// RERRs arriving from one neighbor faster than these token-bucket
-	// rates are discarded on receipt, bounding the reach of a control
-	// storm to the attacker's own links. The defaults sit far above any
-	// benign per-neighbor rate (a neighbor relays each flood once), so
-	// honest discovery is untouched; zero disables a limiter.
-	RREQRatePerNeighbor float64 // sustained RREQs/sec accepted per neighbor
-	RREQRateBurst       int     // bucket depth for RREQ bursts
-	RERRRatePerNeighbor float64 // sustained RERRs/sec accepted per neighbor
-	RERRRateBurst       int     // bucket depth for RERR bursts
-
-	// AdaptiveTimeout derives route lifetimes from observed discovery
-	// round-trip times (routing.RTTEstimator) in place of the constant
-	// ActiveRouteTimeout, which stays as the pre-sample fallback — the
-	// adaptive delay-based timeout scheme from the AODV literature.
-	AdaptiveTimeout bool
 }
 
 // DefaultConfig returns the draft-10 defaults used in the paper's
 // simulations.
 func DefaultConfig() Config {
 	return Config{
-		ActiveRouteTimeout: 3 * time.Second,
-		MyRouteTimeout:     6 * time.Second,
-		NodeTraversalTime:  40 * time.Millisecond,
-		NetDiameter:        35,
-		TTLStart:           2,
-		TTLIncrement:       2,
-		TTLThreshold:       7,
-		RREQRetries:        2,
-		RREQCacheLife:      6 * time.Second,
-		MaxQueuedPerDest:   16,
-		BroadcastJitter:    10 * time.Millisecond,
+		Config:         ondemand.DefaultConfig(),
+		MyRouteTimeout: 6 * time.Second,
 
 		HelloInterval:    time.Second,
 		AllowedHelloLoss: 2,
 		MaxRepairHops:    3,
-
-		RREQRatePerNeighbor: 20,
-		RREQRateBurst:       40,
-		RERRRatePerNeighbor: 10,
-		RERRRateBurst:       20,
 	}
 }
 
@@ -181,14 +143,6 @@ type reqKey struct {
 	id     uint32
 }
 
-type discovery struct {
-	id      uint32
-	ttl     int
-	retries int
-	timer   sim.Timer
-	sentAt  time.Duration // when the latest RREQ attempt left, for RTT
-}
-
 // AODV is one node's protocol instance.
 type AODV struct {
 	node *routing.Node
@@ -197,18 +151,12 @@ type AODV struct {
 	ownSeq     uint32
 	routes     map[routing.NodeID]*entry
 	reqSeen    map[reqKey]time.Duration
-	pending    map[routing.NodeID][]*routing.DataPacket
-	active     map[routing.NodeID]*discovery
 	lastHeard  map[routing.NodeID]time.Duration // hello liveness per neighbor
 	repairing  map[routing.NodeID]bool          // destinations under local repair
 	helloTimer sim.Timer
-	nextReqID  uint32
-	stopped    bool
 
-	rreqLimiter *routing.RateLimiter
-	rerrLimiter *routing.RateLimiter
-
-	rtt *routing.RTTEstimator // nil unless cfg.AdaptiveTimeout
+	ondemand.Discoveries // active discoveries and the data buffered behind them
+	ondemand.Limits      // per-neighbour RREQ/RERR admission, route lifetimes
 
 	// Free lists for outgoing control messages (recycled by the node
 	// layer once the carrying frame is released) and a scratch buffer
@@ -236,31 +184,12 @@ func New(node *routing.Node, cfg Config) *AODV {
 		cfg:       cfg,
 		routes:    make(map[routing.NodeID]*entry),
 		reqSeen:   make(map[reqKey]time.Duration),
-		pending:   make(map[routing.NodeID][]*routing.DataPacket),
-		active:    make(map[routing.NodeID]*discovery),
 		lastHeard: make(map[routing.NodeID]time.Duration),
 		repairing: make(map[routing.NodeID]bool),
-
-		rreqLimiter: routing.NewRateLimiter(cfg.RREQRatePerNeighbor, cfg.RREQRateBurst),
-		rerrLimiter: routing.NewRateLimiter(cfg.RERRRatePerNeighbor, cfg.RERRRateBurst),
+		Limits:    ondemand.NewLimits(node, cfg.Config),
 	}
-	if cfg.AdaptiveTimeout {
-		a.rtt = routing.NewRTTEstimator()
-	}
+	a.Discoveries = ondemand.NewDiscoveries(node, a)
 	return a
-}
-
-// RTT exposes the adaptive-timeout estimator (nil when disabled), for
-// tests and experiment diagnostics.
-func (a *AODV) RTT() *routing.RTTEstimator { return a.rtt }
-
-// lifetime returns the route lifetime for a path of hops hops: adaptive
-// when enabled and samples exist, the constant otherwise.
-func (a *AODV) lifetime(hops int) time.Duration {
-	if a.rtt == nil {
-		return a.cfg.ActiveRouteTimeout
-	}
-	return a.rtt.Lifetime(hops, a.cfg.ActiveRouteTimeout)
 }
 
 // Start implements routing.Protocol.
@@ -272,10 +201,7 @@ func (a *AODV) Start() {
 
 // Stop implements routing.Protocol.
 func (a *AODV) Stop() {
-	a.stopped = true
-	for _, d := range a.active {
-		d.timer.Cancel()
-	}
+	a.Discoveries.Stop()
 	a.helloTimer.Cancel()
 }
 
@@ -284,44 +210,21 @@ func (a *AODV) Stop() {
 // memory, and this loss is the premise of the van Glabbeek et al. loop
 // construction ("Sequence Numbers Do Not Guarantee Loop Freedom"): the
 // rebooted node must solicit with UnknownSeq set, so a neighbor holding a
-// stale route *through* it may answer and close a cycle. Only nextReqID
-// survives, as a stand-in for the randomized RREQ ID real implementations
-// pick at boot; keeping it monotone stops neighbors' reqSeen caches from
-// eating the first post-reboot discovery, which is a simulation artifact
-// rather than protocol behaviour.
+// stale route *through* it may answer and close a cycle. Only the
+// request-ID counter survives, as a stand-in for the randomized RREQ ID
+// real implementations pick at boot; keeping it monotone stops neighbors'
+// reqSeen caches from eating the first post-reboot discovery, which is a
+// simulation artifact rather than protocol behaviour.
 func (a *AODV) Reset() {
-	for _, d := range a.active {
-		d.timer.Cancel()
-	}
+	a.Discoveries.Reset()
+	a.Limits.Reset()
 	a.helloTimer.Cancel()
 	a.helloTimer = sim.Timer{}
-	for _, q := range a.pending {
-		for _, pkt := range q {
-			a.node.DropData(pkt, routing.DropReset)
-		}
-	}
 	a.ownSeq = 0
 	a.routes = make(map[routing.NodeID]*entry)
 	a.reqSeen = make(map[reqKey]time.Duration)
-	a.pending = make(map[routing.NodeID][]*routing.DataPacket)
-	a.active = make(map[routing.NodeID]*discovery)
 	a.lastHeard = make(map[routing.NodeID]time.Duration)
 	a.repairing = make(map[routing.NodeID]bool)
-	a.rreqLimiter.Reset()
-	a.rerrLimiter.Reset()
-	if a.rtt != nil {
-		a.rtt.Reset()
-	}
-}
-
-// WalkHeldData implements routing.HeldDataWalker: the only data packets
-// AODV holds are those buffered while route discovery runs.
-func (a *AODV) WalkHeldData(fn func(*routing.DataPacket)) {
-	for _, q := range a.pending {
-		for _, pkt := range q {
-			fn(pkt)
-		}
-	}
 }
 
 // --- data plane ---
@@ -347,13 +250,13 @@ func (a *AODV) sendOrQueue(pkt *routing.DataPacket) {
 	now := a.node.Now()
 	e := a.routes[pkt.Dst]
 	if e.active(now) {
-		e.refresh(now, a.lifetime(e.hops))
+		e.refresh(now, a.Lifetime(e.hops))
 		a.node.SendData(e.next, pkt)
 		return
 	}
 	if pkt.Src == a.node.ID() {
-		a.queuePacket(pkt)
-		a.solicit(pkt.Dst)
+		a.Push(pkt)
+		a.Solicit(pkt.Dst, a.initialTTL(pkt.Dst))
 		return
 	}
 	dst := pkt.Dst
@@ -368,31 +271,11 @@ func (a *AODV) sendOrQueue(pkt *routing.DataPacket) {
 	a.sendRERR(a.rerrBuf)
 }
 
-func (a *AODV) queuePacket(pkt *routing.DataPacket) {
-	q := a.pending[pkt.Dst]
-	if len(q) >= a.cfg.MaxQueuedPerDest {
-		a.node.DropData(q[0], routing.DropQueueOverflow)
-		q = q[1:]
-	}
-	a.pending[pkt.Dst] = append(q, pkt)
-}
-
 func (a *AODV) flushPending(dst routing.NodeID) {
 	delete(a.repairing, dst)
-	q := a.pending[dst]
-	if len(q) == 0 {
-		return
-	}
-	delete(a.pending, dst)
-	for _, pkt := range q {
+	for _, pkt := range a.Take(dst) {
 		a.sendOrQueue(pkt)
 	}
-}
-
-// DataFailed implements routing.DataFailureHandler: the MAC exhausted its
-// retries toward next, returning the packet's ownership to the protocol.
-func (a *AODV) DataFailed(next routing.NodeID, pkt *routing.DataPacket) {
-	a.linkFailure(next, pkt)
 }
 
 // RecycleMessage implements routing.MessageRecycler: the node layer hands
@@ -433,30 +316,17 @@ func (a *AODV) sendRREP(to routing.NodeID, p RREP) {
 // invalidate every route through next with the usual seqno bump and RERR,
 // so upstream nodes stop soliciting answers across a dead reverse path.
 func (a *AODV) rrepFailed(next routing.NodeID) {
-	if a.stopped {
+	if a.Stopped() {
 		return
 	}
-	broken := a.rerrBuf[:0]
-	for dst, e := range a.routes {
-		if e.valid && e.next == next {
-			e.seq++
-			e.valid = false
-			broken = append(broken, RERRDest{Dst: dst, Seq: e.seq})
-		}
-	}
-	a.rerrBuf = broken[:0]
-	if len(broken) > 0 {
-		a.sendRERR(broken)
-	}
+	a.sendRERR(a.invalidateVia(next))
 }
 
-// linkFailure invalidates routes through the broken next hop. AODV
-// increments each invalidated destination's stored sequence number — the
-// mechanism whose side effects the LDR paper analyzes.
-func (a *AODV) linkFailure(next routing.NodeID, pkt *routing.DataPacket) {
-	if a.stopped {
-		return
-	}
+// invalidateVia invalidates every valid route through the broken next
+// hop and returns the list to report (in a.rerrBuf). AODV increments each
+// invalidated destination's stored sequence number — the mechanism whose
+// side effects the LDR paper analyzes.
+func (a *AODV) invalidateVia(next routing.NodeID) []RERRDest {
 	broken := a.rerrBuf[:0]
 	for dst, e := range a.routes {
 		if e.valid && e.next == next {
@@ -466,13 +336,25 @@ func (a *AODV) linkFailure(next routing.NodeID, pkt *routing.DataPacket) {
 		}
 	}
 	a.rerrBuf = broken[:0]
+	return broken
+}
+
+// DataFailed implements routing.DataFailureHandler: the MAC exhausted its
+// retries toward next, returning the packet's ownership to the protocol.
+// Routes through next are invalidated and reported; locally originated
+// traffic triggers rediscovery.
+func (a *AODV) DataFailed(next routing.NodeID, pkt *routing.DataPacket) {
+	if a.Stopped() {
+		return
+	}
+	broken := a.invalidateVia(next)
 	if pkt.Src != a.node.ID() && a.cfg.LocalRepair && a.canRepair(pkt.Dst) {
 		// Local repair: hold the RERR, buffer the packet, and try a
 		// small-TTL rediscovery from here (the stored seq was already
 		// incremented above, so stale upstream state cannot answer).
-		a.queuePacket(pkt)
+		a.Push(pkt)
 		a.repairing[pkt.Dst] = true
-		a.solicit(pkt.Dst)
+		a.Solicit(pkt.Dst, a.initialTTL(pkt.Dst))
 		// Report the other broken destinations normally.
 		var others []RERRDest
 		for _, b := range broken {
@@ -480,17 +362,13 @@ func (a *AODV) linkFailure(next routing.NodeID, pkt *routing.DataPacket) {
 				others = append(others, b)
 			}
 		}
-		if len(others) > 0 {
-			a.sendRERR(others)
-		}
+		a.sendRERR(others)
 		return
 	}
-	if len(broken) > 0 {
-		a.sendRERR(broken)
-	}
+	a.sendRERR(broken)
 	if pkt.Src == a.node.ID() {
-		a.queuePacket(pkt)
-		a.solicit(pkt.Dst)
+		a.Push(pkt)
+		a.Solicit(pkt.Dst, a.initialTTL(pkt.Dst))
 	} else {
 		a.node.DropData(pkt, routing.DropLinkBreak)
 	}
@@ -505,19 +383,6 @@ func (a *AODV) canRepair(dst routing.NodeID) bool {
 
 // --- route discovery ---
 
-func (a *AODV) solicit(dst routing.NodeID) {
-	if a.stopped || dst == a.node.ID() {
-		return
-	}
-	if _, ok := a.active[dst]; ok {
-		return
-	}
-	a.nextReqID++
-	d := &discovery{id: a.nextReqID, ttl: a.initialTTL(dst)}
-	a.active[dst] = d
-	a.broadcastRREQ(dst, d)
-}
-
 func (a *AODV) initialTTL(dst routing.NodeID) int {
 	if e := a.routes[dst]; e != nil && e.hops > 0 {
 		ttl := e.hops + a.cfg.TTLIncrement
@@ -529,7 +394,9 @@ func (a *AODV) initialTTL(dst routing.NodeID) int {
 	return a.cfg.TTLStart
 }
 
-func (a *AODV) broadcastRREQ(dst routing.NodeID, d *discovery) {
+// SendRequest implements ondemand.Requester: one RREQ for dst, answered
+// within a round trip across the ring.
+func (a *AODV) SendRequest(dst routing.NodeID, d *ondemand.Discovery) time.Duration {
 	// "When node A sends a route request for a destination, it increases
 	// the sequence number for itself as well."
 	a.ownSeq++
@@ -538,58 +405,38 @@ func (a *AODV) broadcastRREQ(dst routing.NodeID, d *discovery) {
 		UnknownSeq: true,
 		Origin:     a.node.ID(),
 		OriginSeq:  a.ownSeq,
-		ReqID:      d.id,
-		TTL:        d.ttl,
+		ReqID:      d.ID,
+		TTL:        d.TTL,
 	}
 	if e := a.routes[dst]; e != nil && e.haveSeq {
 		q.DstSeq = e.seq
 		q.UnknownSeq = false
 	}
 	a.node.Metrics().CountControlInitiate(metrics.RREQ)
-	d.sentAt = a.node.Now()
 	a.sendRREQ(routing.BroadcastID, q)
-
-	timeout := 2 * time.Duration(d.ttl) * a.cfg.NodeTraversalTime
-	d.timer = a.node.Schedule(timeout, func() { a.discoveryTimeout(dst, d) })
+	return a.cfg.RingWait(d)
 }
 
-func (a *AODV) discoveryTimeout(dst routing.NodeID, d *discovery) {
-	if a.stopped || a.active[dst] != d {
-		return
-	}
-	if d.ttl >= a.cfg.NetDiameter || (a.repairing[dst] && d.retries > 0) {
-		d.retries++
-		if d.retries > a.cfg.RREQRetries || a.repairing[dst] {
-			delete(a.active, dst)
-			for _, pkt := range a.pending[dst] {
-				a.node.DropData(pkt, routing.DropNoRoute)
-			}
-			delete(a.pending, dst)
-			if a.repairing[dst] {
-				// Repair failed: emit the deferred RERR.
-				delete(a.repairing, dst)
-				if e := a.routes[dst]; e != nil {
-					a.sendRERR([]RERRDest{{Dst: dst, Seq: e.seq}})
-				}
-			}
-			return
+// NextAttempt implements ondemand.Requester: the expanding-ring schedule,
+// except that a local repair gets the ring but none of the network-wide
+// retries — when the ring is spent the repair has failed and the RERR it
+// deferred goes out.
+func (a *AODV) NextAttempt(dst routing.NodeID, d *ondemand.Discovery) bool {
+	if a.repairing[dst] && (d.TTL >= a.cfg.NetDiameter || d.Retries > 0) {
+		delete(a.repairing, dst)
+		if e := a.routes[dst]; e != nil {
+			a.sendRERR([]RERRDest{{Dst: dst, Seq: e.seq}})
 		}
-	} else {
-		d.ttl += a.cfg.TTLIncrement
-		if d.ttl > a.cfg.TTLThreshold {
-			d.ttl = a.cfg.NetDiameter
-		}
+		return false
 	}
-	a.nextReqID++
-	d.id = a.nextReqID
-	a.broadcastRREQ(dst, d)
+	return a.cfg.NextRing(d)
 }
 
 // --- control plane ---
 
 // HandleControl implements routing.Protocol.
 func (a *AODV) HandleControl(from routing.NodeID, msg routing.Message) {
-	if a.stopped {
+	if a.Stopped() {
 		return
 	}
 	// The wire carries pooled pointers; tests and the adversary layer may
@@ -620,8 +467,7 @@ func (a *AODV) handleRREQ(from routing.NodeID, q RREQ) {
 		return
 	}
 	now := a.node.Now()
-	if !a.rreqLimiter.Allow(from, now) {
-		a.node.Metrics().RREQSuppressed++
+	if !a.AllowRREQ(from, now) {
 		return
 	}
 	key := reqKey{origin: q.Origin, id: q.ReqID}
@@ -686,7 +532,7 @@ func (a *AODV) handleRREQ(from routing.NodeID, q RREQ) {
 	rq := q
 	jitter := time.Duration(a.node.RNG().Float64() * float64(a.cfg.BroadcastJitter))
 	a.node.Schedule(jitter, func() {
-		if a.stopped {
+		if a.Stopped() {
 			return
 		}
 		a.sendRREQ(routing.BroadcastID, rq)
@@ -731,15 +577,13 @@ func (a *AODV) handleRREP(from routing.NodeID, p RREP) {
 	}
 
 	if p.Origin == me {
-		if d, ok := a.active[p.Dst]; ok && usable {
-			if a.rtt != nil {
+		if usable {
+			if rtt, ok := a.Finish(p.Dst); ok {
 				// One discovery round trip over HopCount+1 hops. A reply
 				// racing a ring retry measures against the latest attempt,
 				// slightly under-reporting — harmless for a windowed mean.
-				a.rtt.Observe(now-d.sentAt, p.HopCount+1)
+				a.ObserveRTT(rtt, p.HopCount+1)
 			}
-			d.timer.Cancel()
-			delete(a.active, p.Dst)
 		}
 		return
 	}
@@ -754,13 +598,12 @@ func (a *AODV) handleRREP(from routing.NodeID, p RREP) {
 	if e := a.routes[p.Dst]; e != nil {
 		e.precursor(rev.next)
 	}
-	rev.refresh(now, a.lifetime(rev.hops))
+	rev.refresh(now, a.Lifetime(rev.hops))
 	a.sendRREP(rev.next, fwd)
 }
 
 func (a *AODV) handleRERR(from routing.NodeID, e RERR) {
-	if !a.rerrLimiter.Allow(from, a.node.Now()) {
-		a.node.Metrics().RERRSuppressed++
+	if !a.AllowRERR(from, a.node.Now()) {
 		return
 	}
 	propagate := a.rerrBuf[:0]
@@ -775,14 +618,16 @@ func (a *AODV) handleRERR(from routing.NodeID, e RERR) {
 		}
 	}
 	a.rerrBuf = propagate[:0]
-	if len(propagate) > 0 {
-		a.sendRERR(propagate)
-	}
+	a.sendRERR(propagate)
 }
 
-// sendRERR copies the broken-destination list into a pooled RERR; the
-// caller's slice (typically a.rerrBuf) is free for reuse on return.
+// sendRERR copies a non-empty broken-destination list into a pooled
+// RERR; the caller's slice (typically a.rerrBuf) is free for reuse on
+// return.
 func (a *AODV) sendRERR(broken []RERRDest) {
+	if len(broken) == 0 {
+		return
+	}
 	a.node.Metrics().CountControlInitiate(metrics.RERR)
 	m := a.rerrPool.Get()
 	m.Unreachable = append(m.Unreachable[:0], broken...)
@@ -791,59 +636,51 @@ func (a *AODV) sendRERR(broken []RERRDest) {
 
 // --- routing table updates ---
 
-// installReverse creates/updates the reverse route to a RREQ origin.
+// accept is the one place AODV accepts or refuses a route (draft-10
+// §8.7): a route is taken when dst is unknown, when its sequence number
+// is newer, or when it is equally new and the current route is unusable
+// or longer. An accepted route is written into the returned entry except
+// for its expiry, which the two callers set differently; a refused one
+// returns nil.
+func (a *AODV) accept(dst routing.NodeID, seq uint32, hops int, via routing.NodeID, now time.Duration) *entry {
+	e := a.routes[dst]
+	if e == nil {
+		e = &entry{precursors: make(map[routing.NodeID]struct{})}
+		a.routes[dst] = e
+	} else if better := !e.haveSeq || seq > e.seq || (seq == e.seq && (!e.active(now) || hops < e.hops)); !better {
+		return nil
+	}
+	e.seq, e.haveSeq = seq, true
+	e.hops = hops
+	e.next = via
+	e.valid = true
+	return e
+}
+
+// installReverse creates/updates the reverse route to a RREQ origin. An
+// existing route's expiry is only ever extended.
 func (a *AODV) installReverse(origin routing.NodeID, seq uint32, hops int, via routing.NodeID) {
 	if origin == a.node.ID() {
 		return
 	}
 	now := a.node.Now()
-	d := hops + 1
-	e := a.routes[origin]
-	if e == nil {
-		a.routes[origin] = &entry{
-			seq: seq, haveSeq: true, hops: d, next: via, valid: true,
-			expiry:     now + a.lifetime(d),
-			precursors: make(map[routing.NodeID]struct{}),
-		}
-		return
-	}
-	if !e.haveSeq || seq > e.seq || (seq == e.seq && (!e.active(now) || d < e.hops)) {
-		e.seq, e.haveSeq = seq, true
-		e.hops = d
-		e.next = via
-		e.valid = true
-		e.refresh(now, a.lifetime(d))
+	if e := a.accept(origin, seq, hops+1, via, now); e != nil {
+		e.refresh(now, a.Lifetime(hops+1))
 	}
 }
 
-// installForward applies the RREP acceptance rule (draft-10 §8.7): accept
-// if the sequence number is newer, or equally new with an invalid or
-// longer current route.
+// installForward installs the route a RREP advertises, with the lifetime
+// the RREP carries, and reports whether it was accepted.
 func (a *AODV) installForward(p RREP, via routing.NodeID) bool {
 	now := a.node.Now()
-	d := p.HopCount + 1
 	life := p.Lifetime
 	if life <= 0 {
 		life = a.cfg.ActiveRouteTimeout
 	}
-	e := a.routes[p.Dst]
+	e := a.accept(p.Dst, p.DstSeq, p.HopCount+1, via, now)
 	if e == nil {
-		a.routes[p.Dst] = &entry{
-			seq: p.DstSeq, haveSeq: true, hops: d, next: via, valid: true,
-			expiry:     now + life,
-			precursors: make(map[routing.NodeID]struct{}),
-		}
-		return true
-	}
-	accept := !e.haveSeq || p.DstSeq > e.seq ||
-		(p.DstSeq == e.seq && (!e.active(now) || d < e.hops))
-	if !accept {
 		return false
 	}
-	e.seq, e.haveSeq = p.DstSeq, true
-	e.hops = d
-	e.next = via
-	e.valid = true
 	e.expiry = now + life
 	return true
 }

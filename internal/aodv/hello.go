@@ -51,7 +51,7 @@ func (a *AODV) startHello() {
 }
 
 func (a *AODV) helloTick() {
-	if a.stopped {
+	if a.Stopped() {
 		return
 	}
 	now := a.node.Now()
@@ -89,17 +89,6 @@ func (a *AODV) checkNeighborLiveness(now time.Duration) {
 			continue
 		}
 		delete(a.lastHeard, nb)
-		broken := a.rerrBuf[:0]
-		for dst, e := range a.routes {
-			if e.valid && e.next == nb {
-				e.seq++
-				e.valid = false
-				broken = append(broken, RERRDest{Dst: dst, Seq: e.seq})
-			}
-		}
-		a.rerrBuf = broken[:0]
-		if len(broken) > 0 {
-			a.sendRERR(broken)
-		}
+		a.sendRERR(a.invalidateVia(nb))
 	}
 }

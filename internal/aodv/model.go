@@ -77,24 +77,7 @@ func (a *AODV) AppendModelState(out []byte, mapID func(routing.NodeID) routing.N
 		out = binary.AppendUvarint(out, uint64(q.id))
 	}
 
-	out = routing.AppendPendingModelState(out, a.pending, mapID)
-
-	type arow struct {
-		dst routing.NodeID
-		d   *discovery
-	}
-	arows := make([]arow, 0, len(a.active))
-	for dst, d := range a.active {
-		arows = append(arows, arow{mapID(dst), d})
-	}
-	sort.Slice(arows, func(i, j int) bool { return arows[i].dst < arows[j].dst })
-	out = binary.AppendUvarint(out, uint64(len(arows)))
-	for _, r := range arows {
-		out = binary.AppendVarint(out, int64(r.dst))
-		out = binary.AppendUvarint(out, uint64(r.d.id))
-		out = binary.AppendVarint(out, int64(r.d.ttl))
-		out = binary.AppendVarint(out, int64(r.d.retries))
-	}
+	out = a.AppendDiscoveryState(out, mapID)
 
 	out = appendIDSet(out, a.repairing, mapID)
 	heard := make([]routing.NodeID, 0, len(a.lastHeard))
@@ -107,7 +90,6 @@ func (a *AODV) AppendModelState(out []byte, mapID func(routing.NodeID) routing.N
 		out = binary.AppendVarint(out, int64(nb))
 	}
 
-	out = binary.AppendUvarint(out, uint64(a.nextReqID))
 	return out
 }
 

@@ -5,24 +5,16 @@ import (
 
 	"github.com/manetlab/ldr/internal/metrics"
 	"github.com/manetlab/ldr/internal/routing"
+	"github.com/manetlab/ldr/internal/routing/ondemand"
 	"github.com/manetlab/ldr/internal/runpool"
-	"github.com/manetlab/ldr/internal/sim"
 )
 
 // Config tunes LDR's timers and the paper's §4 optimizations. The zero
 // value is not valid; use DefaultConfig.
 type Config struct {
-	ActiveRouteTimeout time.Duration // route lifetime without use
-	NodeTraversalTime  time.Duration // per-hop latency estimate for RREQ timers
-	NetDiameter        int           // maximum network diameter in hops
-	TTLStart           int           // expanding-ring initial TTL
-	TTLIncrement       int           // expanding-ring step
-	TTLThreshold       int           // ring TTL beyond which the flood goes network-wide
-	RREQRetries        int           // network-wide retries after the ring fails
-	LocalAddTTL        int           // slack added to distance-derived TTLs
-	RREQCacheLife      time.Duration // engaged-state retention
-	MaxQueuedPerDest   int           // data packets buffered awaiting a route
-	BroadcastJitter    time.Duration // random delay before relaying a flood
+	ondemand.Config // the timers, ring schedule and hardening AODV shares
+
+	LocalAddTTL int // slack added to distance-derived TTLs
 
 	// The paper's suggested optimizations (§4), each independently
 	// switchable for the ablation benchmarks.
@@ -43,42 +35,14 @@ type Config struct {
 	Multipath        bool
 	MaxAltSuccessors int
 	AltLifetime      time.Duration
-
-	// Per-neighbor control hardening (internal/adversary): RREQs and
-	// RERRs arriving from one neighbor faster than these token-bucket
-	// rates are discarded on receipt, so a compromised neighbor's control
-	// storm is contained to its own links. The defaults are far above
-	// benign per-neighbor rates; zero disables a limiter. Dropping
-	// solicitations never threatens loop freedom — LDR is loss-tolerant
-	// by design (a lost RREQ just retries) — it only bounds work.
-	RREQRatePerNeighbor float64 // sustained RREQs/sec accepted per neighbor
-	RREQRateBurst       int     // bucket depth for RREQ bursts
-	RERRRatePerNeighbor float64 // sustained RERRs/sec accepted per neighbor
-	RERRRateBurst       int     // bucket depth for RERR bursts
-
-	// AdaptiveTimeout derives route lifetimes from observed discovery
-	// round-trip times (routing.RTTEstimator) instead of the constant
-	// ActiveRouteTimeout, which stays as the pre-sample fallback. Purely
-	// a performance knob: lifetimes only bound how long a route already
-	// admitted by NDC keeps being used, so loop freedom is untouched.
-	AdaptiveTimeout bool
 }
 
 // DefaultConfig returns the configuration used for the paper-reproduction
 // experiments, with all optimizations enabled.
 func DefaultConfig() Config {
 	return Config{
-		ActiveRouteTimeout: 3 * time.Second,
-		NodeTraversalTime:  40 * time.Millisecond,
-		NetDiameter:        35,
-		TTLStart:           2,
-		TTLIncrement:       2,
-		TTLThreshold:       7,
-		RREQRetries:        2,
-		LocalAddTTL:        2,
-		RREQCacheLife:      6 * time.Second,
-		MaxQueuedPerDest:   16,
-		BroadcastJitter:    10 * time.Millisecond,
+		Config:      ondemand.DefaultConfig(),
+		LocalAddTTL: 2,
 
 		MultipleRREPs:   true,
 		RequestAsError:  true,
@@ -90,11 +54,6 @@ func DefaultConfig() Config {
 		Multipath:        false, // the paper's LDR is single-path
 		MaxAltSuccessors: 2,
 		AltLifetime:      10 * time.Second,
-
-		RREQRatePerNeighbor: 20,
-		RREQRateBurst:       40,
-		RERRRatePerNeighbor: 10,
-		RERRRateBurst:       20,
 	}
 }
 
@@ -120,15 +79,6 @@ type reqState struct {
 	altHops []routing.NodeID // multipath: extra reverse hops already answered
 }
 
-// discovery is the active-state record at the origin of a computation.
-type discovery struct {
-	id      uint32
-	ttl     int
-	retries int // network-wide attempts used
-	timer   sim.Timer
-	sentAt  time.Duration // when the latest RREQ attempt left, for RTT
-}
-
 // LDR is one node's instance of the labeled distance routing protocol.
 type LDR struct {
 	node *routing.Node
@@ -137,16 +87,9 @@ type LDR struct {
 	ownSeq  Seqno
 	routes  table
 	reqSeen map[reqKey]*reqState
-	pending map[routing.NodeID][]*routing.DataPacket // data awaiting routes
-	active  map[routing.NodeID]*discovery            // per-destination computations
 
-	nextReqID uint32
-	stopped   bool
-
-	rreqLimiter *routing.RateLimiter
-	rerrLimiter *routing.RateLimiter
-
-	rtt *routing.RTTEstimator // nil unless cfg.AdaptiveTimeout
+	ondemand.Discoveries // active computations and the data buffered behind them
+	ondemand.Limits      // per-neighbour RREQ/RERR admission, route lifetimes
 
 	// Free lists for outgoing control messages (recycled by the node
 	// layer once the carrying frame is released) and a scratch buffer
@@ -175,29 +118,15 @@ func New(node *routing.Node, cfg Config) *LDR {
 		ownSeq:  NewSeqno(1, 0),
 		routes:  make(table),
 		reqSeen: make(map[reqKey]*reqState),
-		pending: make(map[routing.NodeID][]*routing.DataPacket),
-		active:  make(map[routing.NodeID]*discovery),
-
-		rreqLimiter: routing.NewRateLimiter(cfg.RREQRatePerNeighbor, cfg.RREQRateBurst),
-		rerrLimiter: routing.NewRateLimiter(cfg.RERRRatePerNeighbor, cfg.RERRRateBurst),
+		Limits:  ondemand.NewLimits(node, cfg.Config),
 	}
-	if cfg.AdaptiveTimeout {
-		l.rtt = routing.NewRTTEstimator()
-	}
+	l.Discoveries = ondemand.NewDiscoveries(node, l)
 	return l
 }
 
 // Start implements routing.Protocol. LDR is purely reactive: nothing
 // happens until data needs a route.
 func (l *LDR) Start() {}
-
-// Stop implements routing.Protocol.
-func (l *LDR) Stop() {
-	l.stopped = true
-	for _, d := range l.active {
-		d.timer.Cancel()
-	}
-}
 
 // Reset implements routing.Resetter: a crash discards everything volatile
 // — successors, alternates, the engaged-computation cache, buffered data,
@@ -214,58 +143,20 @@ func (l *LDR) Stop() {
 // upstream node) that regression re-creates exactly the post-reboot loop
 // AODV exhibits (see internal/fault). Keeping the labels makes every
 // post-reboot acceptance pass NDC against pre-crash state, so the global
-// ordering criterion survives the crash. nextReqID also survives: request
-// IDs need only be unique per origin, and reusing pre-crash IDs would
-// collide with neighbors' engaged-computation caches for up to the RREQ
-// cache lifetime.
+// ordering criterion survives the crash. The request-ID counter also
+// survives (see ondemand.Discoveries.Reset).
 func (l *LDR) Reset() {
-	for _, d := range l.active {
-		d.timer.Cancel()
-	}
-	for _, q := range l.pending {
-		for _, pkt := range q {
-			l.node.DropData(pkt, routing.DropReset)
-		}
-	}
+	l.Discoveries.Reset()
+	l.Limits.Reset()
 	for _, e := range l.routes {
 		e.invalidate()
 		e.alts = nil
 	}
 	l.reqSeen = make(map[reqKey]*reqState)
-	l.pending = make(map[routing.NodeID][]*routing.DataPacket)
-	l.active = make(map[routing.NodeID]*discovery)
-	l.rreqLimiter.Reset()
-	l.rerrLimiter.Reset()
-	if l.rtt != nil {
-		l.rtt.Reset()
-	}
 }
 
 // OwnSeq exposes the node's own sequence number (for tests and Fig. 7).
 func (l *LDR) OwnSeq() Seqno { return l.ownSeq }
-
-// RTT exposes the adaptive-timeout estimator (nil when disabled), for
-// tests and experiment diagnostics.
-func (l *LDR) RTT() *routing.RTTEstimator { return l.rtt }
-
-// lifetime returns the route lifetime for a path of hops hops: adaptive
-// when enabled and samples exist, the constant otherwise.
-func (l *LDR) lifetime(hops int) time.Duration {
-	if l.rtt == nil {
-		return l.cfg.ActiveRouteTimeout
-	}
-	return l.rtt.Lifetime(hops, l.cfg.ActiveRouteTimeout)
-}
-
-// WalkHeldData implements routing.HeldDataWalker: the only data packets
-// LDR holds are those buffered while route discovery runs.
-func (l *LDR) WalkHeldData(fn func(*routing.DataPacket)) {
-	for _, q := range l.pending {
-		for _, pkt := range q {
-			fn(pkt)
-		}
-	}
-}
 
 // --- data plane ---
 
@@ -297,13 +188,13 @@ func (l *LDR) sendOrQueue(pkt *routing.DataPacket) {
 	now := l.node.Now()
 	e := l.routes.get(pkt.Dst)
 	if e.active(now) {
-		e.refresh(now, l.lifetime(e.dist))
+		e.refresh(now, l.Lifetime(e.dist))
 		l.node.SendData(e.next, pkt)
 		return
 	}
 	if pkt.Src == l.node.ID() {
-		l.queuePacket(pkt)
-		l.solicit(pkt.Dst)
+		l.Push(pkt)
+		l.Solicit(pkt.Dst, l.initialTTL(pkt.Dst))
 		return
 	}
 	dst := pkt.Dst
@@ -312,34 +203,11 @@ func (l *LDR) sendOrQueue(pkt *routing.DataPacket) {
 	l.sendRERR(l.rerrBuf)
 }
 
-func (l *LDR) queuePacket(pkt *routing.DataPacket) {
-	q := l.pending[pkt.Dst]
-	if len(q) >= l.cfg.MaxQueuedPerDest {
-		l.node.DropData(q[0], routing.DropQueueOverflow)
-		q = q[1:]
-	}
-	l.pending[pkt.Dst] = append(q, pkt)
-}
-
 // flushPending drains the buffered packets for dst after a route appears.
 func (l *LDR) flushPending(dst routing.NodeID) {
-	q := l.pending[dst]
-	if len(q) == 0 {
-		return
-	}
-	delete(l.pending, dst)
-	for _, pkt := range q {
+	for _, pkt := range l.Take(dst) {
 		l.sendOrQueue(pkt)
 	}
-}
-
-// DataFailed implements routing.DataFailureHandler: the MAC exhausted its
-// retries toward next, returning the packet's ownership to the protocol.
-func (l *LDR) DataFailed(next routing.NodeID, pkt *routing.DataPacket) {
-	if l.stopped {
-		return
-	}
-	l.linkFailure(next, pkt)
 }
 
 // RecycleMessage implements routing.MessageRecycler: the node layer hands
@@ -378,39 +246,23 @@ func (l *LDR) sendRREP(to routing.NodeID, p RREP) {
 // invalidate with a RERR — minus the packet salvage (there is no data
 // packet here). Labels are untouched, so NDC feasibility is unaffected.
 func (l *LDR) rrepFailed(next routing.NodeID) {
-	if l.stopped {
+	if l.Stopped() {
 		return
 	}
-	broken := l.rerrBuf[:0]
-	for dst, e := range l.routes {
-		e.dropAlt(next)
-		if e.valid && e.next == next {
-			if l.cfg.Multipath && e.promoteAlt(l.node.Now(), l.lifetime(e.dist), l.cfg.AltLifetime) {
-				continue // failover without rediscovery or RERR
-			}
-			e.invalidate()
-			broken = append(broken, RERRDest{Dst: dst, Seq: e.seq})
-		}
-	}
-	l.rerrBuf = broken[:0]
-	if len(broken) > 0 {
-		l.sendRERR(broken)
-	}
+	l.invalidateVia(next)
 }
 
-// linkFailure handles a MAC-layer unicast failure toward next: every route
-// through next is invalidated (keeping sn and fd — LDR's reset discipline
-// means no sequence numbers are touched), a RERR is issued, and any
-// locally originated traffic triggers rediscovery.
-func (l *LDR) linkFailure(next routing.NodeID, pkt *routing.DataPacket) {
-	if l.stopped {
-		return
-	}
+// invalidateVia runs the route-state transitions of a broken link to
+// next: fallback successors through it are dropped, and every route
+// through it fails over to an alternate or is invalidated (keeping sn and
+// fd — LDR's reset discipline means no sequence numbers are touched) and
+// reported in one RERR.
+func (l *LDR) invalidateVia(next routing.NodeID) {
 	broken := l.rerrBuf[:0]
 	for dst, e := range l.routes {
 		e.dropAlt(next)
 		if e.valid && e.next == next {
-			if l.cfg.Multipath && e.promoteAlt(l.node.Now(), l.lifetime(e.dist), l.cfg.AltLifetime) {
+			if l.cfg.Multipath && e.promoteAlt(l.node.Now(), l.Lifetime(e.dist), l.cfg.AltLifetime) {
 				continue // failover without rediscovery or RERR
 			}
 			e.invalidate()
@@ -418,9 +270,18 @@ func (l *LDR) linkFailure(next routing.NodeID, pkt *routing.DataPacket) {
 		}
 	}
 	l.rerrBuf = broken[:0]
-	if len(broken) > 0 {
-		l.sendRERR(broken)
+	l.sendRERR(broken)
+}
+
+// DataFailed implements routing.DataFailureHandler: the MAC exhausted its
+// retries toward next, returning the packet's ownership to the protocol.
+// Every route through next is invalidated and reported, and locally
+// originated traffic triggers rediscovery.
+func (l *LDR) DataFailed(next routing.NodeID, pkt *routing.DataPacket) {
+	if l.Stopped() {
+		return
 	}
+	l.invalidateVia(next)
 	if e := l.routes.get(pkt.Dst); l.cfg.Multipath && e.active(l.node.Now()) {
 		// A fallback successor took over; resend along it immediately.
 		l.sendOrQueue(pkt)
@@ -428,28 +289,14 @@ func (l *LDR) linkFailure(next routing.NodeID, pkt *routing.DataPacket) {
 	}
 	if pkt.Src == l.node.ID() {
 		// Buffer the packet and reacquire the route.
-		l.queuePacket(pkt)
-		l.solicit(pkt.Dst)
+		l.Push(pkt)
+		l.Solicit(pkt.Dst, l.initialTTL(pkt.Dst))
 	} else {
 		l.node.DropData(pkt, routing.DropLinkBreak)
 	}
 }
 
 // --- route discovery: Procedure 1 (Initiate Solicitation) ---
-
-// solicit starts (or joins) the route computation for dst.
-func (l *LDR) solicit(dst routing.NodeID) {
-	if l.stopped || dst == l.node.ID() {
-		return
-	}
-	if _, ok := l.active[dst]; ok {
-		return // already active for dst; at most one computation each
-	}
-	l.nextReqID++
-	d := &discovery{id: l.nextReqID, ttl: l.initialTTL(dst)}
-	l.active[dst] = d
-	l.broadcastRREQ(dst, d)
-}
 
 // initialTTL applies the optimal-TTL optimization: a node that recently
 // had a route needs to reach only slightly past the old distance.
@@ -486,17 +333,19 @@ func (l *LDR) answerDist(e *entry) int {
 	return ad
 }
 
-func (l *LDR) broadcastRREQ(dst routing.NodeID, d *discovery) {
+// SendRequest implements ondemand.Requester: one RREQ for dst carrying
+// this node's labels, answered within a round trip across the ring.
+func (l *LDR) SendRequest(dst routing.NodeID, d *ondemand.Discovery) time.Duration {
 	e := l.routes.get(dst)
 	q := RREQ{
 		Dst:       dst,
 		Origin:    l.node.ID(),
 		OriginSeq: l.ownSeq,
-		ReqID:     d.id,
+		ReqID:     d.ID,
 		FD:        Infinity,
 		AnsDist:   l.answerDist(e),
 		Dist:      0,
-		TTL:       d.ttl,
+		TTL:       d.TTL,
 	}
 	if e != nil {
 		q.HaveDstSeq = true
@@ -504,45 +353,21 @@ func (l *LDR) broadcastRREQ(dst routing.NodeID, d *discovery) {
 		q.FD = e.fd
 	}
 	l.node.Metrics().CountControlInitiate(metrics.RREQ)
-	d.sentAt = l.node.Now()
 	l.sendRREQ(routing.BroadcastID, q)
-
-	timeout := 2 * time.Duration(d.ttl) * l.cfg.NodeTraversalTime
-	d.timer = l.node.Schedule(timeout, func() { l.discoveryTimeout(dst, d) })
+	return l.cfg.RingWait(d)
 }
 
-// discoveryTimeout implements the expanding-ring retry schedule. After the
-// final attempt the buffered packets are dropped and the computation ends.
-func (l *LDR) discoveryTimeout(dst routing.NodeID, d *discovery) {
-	if l.stopped || l.active[dst] != d {
-		return
-	}
-	if d.ttl >= l.cfg.NetDiameter {
-		d.retries++
-		if d.retries > l.cfg.RREQRetries {
-			delete(l.active, dst)
-			for _, pkt := range l.pending[dst] {
-				l.node.DropData(pkt, routing.DropNoRoute)
-			}
-			delete(l.pending, dst)
-			return
-		}
-	} else {
-		d.ttl += l.cfg.TTLIncrement
-		if d.ttl > l.cfg.TTLThreshold {
-			d.ttl = l.cfg.NetDiameter
-		}
-	}
-	l.nextReqID++
-	d.id = l.nextReqID
-	l.broadcastRREQ(dst, d)
+// NextAttempt implements ondemand.Requester with the expanding-ring
+// schedule, unmodified.
+func (l *LDR) NextAttempt(_ routing.NodeID, d *ondemand.Discovery) bool {
+	return l.cfg.NextRing(d)
 }
 
 // --- control plane ---
 
 // HandleControl implements routing.Protocol.
 func (l *LDR) HandleControl(from routing.NodeID, msg routing.Message) {
-	if l.stopped {
+	if l.Stopped() {
 		return
 	}
 	// The wire carries pooled pointers; tests and the adversary layer may
@@ -571,8 +396,7 @@ func (l *LDR) handleRREQ(from routing.NodeID, q RREQ) {
 		return
 	}
 	now := l.node.Now()
-	if !l.rreqLimiter.Allow(from, now) {
-		l.node.Metrics().RREQSuppressed++
+	if !l.AllowRREQ(from, now) {
 		return
 	}
 	key := reqKey{origin: q.Origin, id: q.ReqID}
@@ -655,7 +479,7 @@ func (l *LDR) handleRREQ(from routing.NodeID, q RREQ) {
 	rq := l.updateInvariants(q, e)
 	jitter := time.Duration(l.node.RNG().Float64() * float64(l.cfg.BroadcastJitter))
 	l.node.Schedule(jitter, func() {
-		if l.stopped {
+		if l.Stopped() {
 			return
 		}
 		l.sendRREQ(routing.BroadcastID, rq)
@@ -822,15 +646,13 @@ func (l *LDR) handleRREP(from routing.NodeID, p RREP) {
 	if p.Origin == me {
 		// Terminus: the computation (me, ReqID) ends in success if the
 		// advertisement was feasible here.
-		if d, ok := l.active[p.Dst]; ok && accepted {
-			if l.rtt != nil {
+		if accepted {
+			if rtt, ok := l.Finish(p.Dst); ok {
 				// One discovery round trip over p.Dist+1 hops. A reply
 				// racing a ring retry measures against the latest attempt,
 				// slightly under-reporting — harmless for a windowed mean.
-				l.rtt.Observe(now-d.sentAt, p.Dist+1)
+				l.ObserveRTT(rtt, p.Dist+1)
 			}
-			d.timer.Cancel()
-			delete(l.active, p.Dst)
 		}
 		if p.N && accepted {
 			// Reverse path incomplete: raise our own number so relays can
@@ -882,8 +704,7 @@ func (l *LDR) handleRREP(from routing.NodeID, p RREP) {
 // handleRERR invalidates routes whose next hop reported them broken and
 // propagates the error for entries that actually changed.
 func (l *LDR) handleRERR(from routing.NodeID, e RERR) {
-	if !l.rerrLimiter.Allow(from, l.node.Now()) {
-		l.node.Metrics().RERRSuppressed++
+	if !l.AllowRERR(from, l.node.Now()) {
 		return
 	}
 	propagate := l.rerrBuf[:0]
@@ -894,7 +715,7 @@ func (l *LDR) handleRERR(from routing.NodeID, e RERR) {
 		}
 		ent.dropAlt(from)
 		if ent.valid && ent.next == from && ent.seq <= u.Seq {
-			if l.cfg.Multipath && ent.promoteAlt(l.node.Now(), l.lifetime(ent.dist), l.cfg.AltLifetime) {
+			if l.cfg.Multipath && ent.promoteAlt(l.node.Now(), l.Lifetime(ent.dist), l.cfg.AltLifetime) {
 				continue
 			}
 			ent.invalidate()
@@ -902,14 +723,16 @@ func (l *LDR) handleRERR(from routing.NodeID, e RERR) {
 		}
 	}
 	l.rerrBuf = propagate[:0]
-	if len(propagate) > 0 {
-		l.sendRERR(propagate)
-	}
+	l.sendRERR(propagate)
 }
 
-// sendRERR copies the broken-destination list into a pooled RERR; the
-// caller's slice (typically l.rerrBuf) is free for reuse on return.
+// sendRERR copies a non-empty broken-destination list into a pooled
+// RERR; the caller's slice (typically l.rerrBuf) is free for reuse on
+// return.
 func (l *LDR) sendRERR(broken []RERRDest) {
+	if len(broken) == 0 {
+		return
+	}
 	l.node.Metrics().CountControlInitiate(metrics.RERR)
 	m := l.rerrPool.Get()
 	m.Unreachable = append(m.Unreachable[:0], broken...)
@@ -926,7 +749,7 @@ func (l *LDR) acceptAdvertisement(dst routing.NodeID, advSeq Seqno, advDist int,
 	now := l.node.Now()
 	e := l.routes.get(dst)
 	if e == nil {
-		l.routes[dst] = newEntry(advSeq, advDist, via, 1, now, l.lifetime(advDist+1))
+		l.routes[dst] = newEntry(advSeq, advDist, via, 1, now, l.Lifetime(advDist+1))
 		return true
 	}
 	if !e.ndc(advSeq, advDist) {
@@ -949,7 +772,7 @@ func (l *LDR) acceptAdvertisement(dst routing.NodeID, advSeq Seqno, advDist int,
 		}
 		return false
 	}
-	e.update(advSeq, advDist, via, 1, now, l.lifetime(advDist+1))
+	e.update(advSeq, advDist, via, 1, now, l.Lifetime(advDist+1))
 	return true
 }
 

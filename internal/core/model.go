@@ -25,8 +25,9 @@ var (
 // explore that regime directly. (Within the budgets explored so far the
 // request-as-error discipline still prevents the van Glabbeek
 // construction even without stable storage — the stale-route reply that
-// seeds AODV's loop is answered with an RERR leg here.) nextReqID
-// survives for the same simulation-artifact reason it survives Reset.
+// seeds AODV's loop is answered with an RERR leg here.) The request-ID
+// counter survives for the same simulation-artifact reason it survives
+// Reset.
 func (l *LDR) ResetVolatile() {
 	l.Reset()
 	l.routes = make(table)
@@ -121,27 +122,7 @@ func (l *LDR) AppendModelState(out []byte, mapID func(routing.NodeID) routing.No
 		}
 	}
 
-	out = routing.AppendPendingModelState(out, l.pending, mapID)
-
-	type arow struct {
-		dst routing.NodeID
-		d   *discovery
-	}
-	arows := make([]arow, 0, len(l.active))
-	for dst, d := range l.active {
-		arows = append(arows, arow{mapID(dst), d})
-	}
-	sort.Slice(arows, func(i, j int) bool { return arows[i].dst < arows[j].dst })
-	out = binary.AppendUvarint(out, uint64(len(arows)))
-	for _, a := range arows {
-		out = binary.AppendVarint(out, int64(a.dst))
-		out = binary.AppendUvarint(out, uint64(a.d.id))
-		out = binary.AppendVarint(out, int64(a.d.ttl))
-		out = binary.AppendVarint(out, int64(a.d.retries))
-	}
-
-	out = binary.AppendUvarint(out, uint64(l.nextReqID))
-	return out
+	return l.AppendDiscoveryState(out, mapID)
 }
 
 func appendBool(out []byte, b bool) []byte {

@@ -20,8 +20,8 @@ import (
 
 	"github.com/manetlab/ldr/internal/metrics"
 	"github.com/manetlab/ldr/internal/routing"
+	"github.com/manetlab/ldr/internal/routing/ondemand"
 	"github.com/manetlab/ldr/internal/runpool"
-	"github.com/manetlab/ldr/internal/sim"
 )
 
 // Config parameterizes DSR.
@@ -31,7 +31,6 @@ type Config struct {
 	CacheLifetime    time.Duration // path expiry
 	ReplyFromCache   bool          // intermediate nodes answer from cache
 	MaxSalvage       int           // salvage attempts per packet (draft 7)
-	MaxQueuedPerDest int
 	DiscoveryTimeout time.Duration // per-attempt reply wait
 	MaxRetries       int           // discovery attempts before giving up
 	BackoffBase      time.Duration // inter-attempt backoff (draft 7: exponential)
@@ -53,7 +52,6 @@ func DefaultConfig() Config {
 		CacheLifetime:    300 * time.Second,
 		ReplyFromCache:   true,
 		MaxSalvage:       0,
-		MaxQueuedPerDest: 16,
 		DiscoveryTimeout: 500 * time.Millisecond,
 		MaxRetries:       4,
 		BackoffBase:      500 * time.Millisecond,
@@ -135,23 +133,15 @@ type reqKey struct {
 	id     uint32
 }
 
-type discovery struct {
-	id      uint32
-	retries int
-	timer   sim.Timer
-}
-
 // DSR is one node's protocol instance.
 type DSR struct {
 	node *routing.Node
 	cfg  Config
 
-	cache     *pathCache
-	reqSeen   map[reqKey]struct{}
-	pending   map[routing.NodeID][]*routing.DataPacket
-	active    map[routing.NodeID]*discovery
-	nextReqID uint32
-	stopped   bool
+	cache   *pathCache
+	reqSeen map[reqKey]struct{}
+
+	ondemand.Discoveries // active discoveries and the data buffered behind them
 
 	// Run-local message pools: wire messages are pooled pointers recycled
 	// by the sending node once the MAC releases the frame.
@@ -169,14 +159,14 @@ var (
 
 // New builds a DSR instance bound to a node.
 func New(node *routing.Node, cfg Config) *DSR {
-	return &DSR{
+	d := &DSR{
 		node:    node,
 		cfg:     cfg,
 		cache:   newPathCache(node.ID(), cfg.CacheCapacity, cfg.CacheLifetime),
 		reqSeen: make(map[reqKey]struct{}),
-		pending: make(map[routing.NodeID][]*routing.DataPacket),
-		active:  make(map[routing.NodeID]*discovery),
 	}
+	d.Discoveries = ondemand.NewDiscoveries(node, d)
+	return d
 }
 
 // Start implements routing.Protocol.
@@ -214,43 +204,16 @@ func (d *DSR) onOverhear(from routing.NodeID, data *routing.DataPacket, msg rout
 	}
 }
 
-// Stop implements routing.Protocol.
-func (d *DSR) Stop() {
-	d.stopped = true
-	for _, disc := range d.active {
-		disc.timer.Cancel()
-	}
-}
-
 // Reset implements routing.Resetter: a crash empties the route cache,
 // the duplicate-request memory, buffered data, and active discoveries.
 // DSR keeps no sequence numbers, so nothing needs stable storage; only
-// nextReqID survives (see the note on AODV's Reset). Stale delete
-// closures scheduled against the old reqSeen map fire harmlessly against
-// the fresh one.
+// the request-ID counter survives (see the note on AODV's Reset). Stale
+// delete closures scheduled against the old reqSeen map fire harmlessly
+// against the fresh one.
 func (d *DSR) Reset() {
-	for _, disc := range d.active {
-		disc.timer.Cancel()
-	}
-	for _, q := range d.pending {
-		for _, pkt := range q {
-			d.node.DropData(pkt, routing.DropReset)
-		}
-	}
+	d.Discoveries.Reset()
 	d.cache = newPathCache(d.node.ID(), d.cfg.CacheCapacity, d.cfg.CacheLifetime)
 	d.reqSeen = make(map[reqKey]struct{})
-	d.pending = make(map[routing.NodeID][]*routing.DataPacket)
-	d.active = make(map[routing.NodeID]*discovery)
-}
-
-// WalkHeldData implements routing.HeldDataWalker: the only data packets
-// DSR holds are those buffered while route discovery runs.
-func (d *DSR) WalkHeldData(fn func(*routing.DataPacket)) {
-	for _, q := range d.pending {
-		for _, pkt := range q {
-			fn(pkt)
-		}
-	}
 }
 
 // --- data plane ---
@@ -264,8 +227,8 @@ func (d *DSR) Originate(pkt *routing.DataPacket) {
 		d.transmitAlongRoute(pkt)
 		return
 	}
-	d.queuePacket(pkt)
-	d.solicit(pkt.Dst)
+	d.Push(pkt)
+	d.Solicit(pkt.Dst, ring0TTL)
 }
 
 // HandleData implements routing.Protocol.
@@ -302,16 +265,11 @@ func (d *DSR) transmitAlongRoute(pkt *routing.DataPacket) {
 }
 
 // DataFailed implements routing.DataFailureHandler: the MAC exhausted its
-// retries on the next hop, so route maintenance takes the packet back.
-// Note linkFailure's (pkt, next) argument order.
+// retries on the next hop, so route maintenance takes the packet back:
+// purge the link, notify the origin, and (draft 7) salvage the packet
+// from the local cache.
 func (d *DSR) DataFailed(next routing.NodeID, pkt *routing.DataPacket) {
-	d.linkFailure(pkt, next)
-}
-
-// linkFailure implements route maintenance: purge the link, notify the
-// origin, and (draft 7) salvage the packet from the local cache.
-func (d *DSR) linkFailure(pkt *routing.DataPacket, next routing.NodeID) {
-	if d.stopped {
+	if d.Stopped() {
 		return
 	}
 	me := d.node.ID()
@@ -332,8 +290,8 @@ func (d *DSR) linkFailure(pkt *routing.DataPacket, next routing.NodeID) {
 		}
 	}
 	if pkt.Src == me {
-		d.queuePacket(pkt)
-		d.solicit(pkt.Dst)
+		d.Push(pkt)
+		d.Solicit(pkt.Dst, ring0TTL)
 		return
 	}
 	d.node.DropData(pkt, routing.DropLinkBreak)
@@ -395,27 +353,15 @@ func (d *DSR) RecycleMessage(msg routing.Message) {
 	}
 }
 
-func (d *DSR) queuePacket(pkt *routing.DataPacket) {
-	q := d.pending[pkt.Dst]
-	if len(q) >= d.cfg.MaxQueuedPerDest {
-		d.node.DropData(q[0], routing.DropQueueOverflow)
-		q = q[1:]
-	}
-	d.pending[pkt.Dst] = append(q, pkt)
-}
-
 func (d *DSR) flushPending(dst routing.NodeID) {
-	q := d.pending[dst]
-	if len(q) == 0 {
+	if d.Len(dst) == 0 {
 		return
 	}
-	now := d.node.Now()
-	route := d.cache.find(dst, now)
+	route := d.cache.find(dst, d.node.Now())
 	if route == nil {
 		return
 	}
-	delete(d.pending, dst)
-	for _, pkt := range q {
+	for _, pkt := range d.Take(dst) {
 		pkt.SourceRoute = append([]routing.NodeID(nil), route...)
 		pkt.SRIndex = 0
 		d.transmitAlongRoute(pkt)
@@ -424,69 +370,49 @@ func (d *DSR) flushPending(dst routing.NodeID) {
 
 // --- route discovery ---
 
-func (d *DSR) solicit(dst routing.NodeID) {
-	if d.stopped || dst == d.node.ID() {
-		return
-	}
-	if _, ok := d.active[dst]; ok {
-		return
-	}
-	d.nextReqID++
-	disc := &discovery{id: d.nextReqID}
-	d.active[dst] = disc
-	d.broadcastRREQ(dst, disc)
-}
+// ring0TTL is the radius of a discovery's first attempt: a
+// non-propagating request only neighbors hear. Every later attempt
+// floods network-wide.
+const ring0TTL = 1
 
-func (d *DSR) broadcastRREQ(dst routing.NodeID, disc *discovery) {
+// SendRequest implements ondemand.Requester: one RREQ whose route record
+// starts here. Retries wait out a backoff on top of the reply wait.
+func (d *DSR) SendRequest(dst routing.NodeID, disc *ondemand.Discovery) time.Duration {
 	me := d.node.ID()
-	ttl := 1 // non-propagating ring-0 request first
-	if disc.retries > 0 {
-		ttl = d.cfg.NetDiameter
-	}
 	q := RREQ{
 		Target: dst,
 		Origin: me,
-		ReqID:  disc.id,
+		ReqID:  disc.ID,
 		Route:  []routing.NodeID{me},
-		TTL:    ttl,
+		TTL:    disc.TTL,
 	}
 	d.node.Metrics().CountControlInitiate(metrics.RREQ)
 	d.emitRREQ(routing.BroadcastID, q)
 
 	wait := d.cfg.DiscoveryTimeout
-	if disc.retries > 0 {
+	if disc.Retries > 0 {
 		backoff := d.cfg.BackoffBase
 		if d.cfg.DraftVariant >= 7 {
-			backoff <<= uint(disc.retries - 1) // exponential backoff
+			backoff <<= uint(disc.Retries - 1) // exponential backoff
 		}
 		wait += backoff
 	}
-	disc.timer = d.node.Schedule(wait, func() { d.discoveryTimeout(dst, disc) })
+	return wait
 }
 
-func (d *DSR) discoveryTimeout(dst routing.NodeID, disc *discovery) {
-	if d.stopped || d.active[dst] != disc {
-		return
-	}
-	disc.retries++
-	if disc.retries > d.cfg.MaxRetries {
-		delete(d.active, dst)
-		for _, pkt := range d.pending[dst] {
-			d.node.DropData(pkt, routing.DropNoRoute)
-		}
-		delete(d.pending, dst)
-		return
-	}
-	d.nextReqID++
-	disc.id = d.nextReqID
-	d.broadcastRREQ(dst, disc)
+// NextAttempt implements ondemand.Requester: up to MaxRetries
+// network-wide floods follow the ring-0 request.
+func (d *DSR) NextAttempt(_ routing.NodeID, disc *ondemand.Discovery) bool {
+	disc.Retries++
+	disc.TTL = d.cfg.NetDiameter
+	return disc.Retries <= d.cfg.MaxRetries
 }
 
 // --- control plane ---
 
 // HandleControl implements routing.Protocol.
 func (d *DSR) HandleControl(from routing.NodeID, msg routing.Message) {
-	if d.stopped {
+	if d.Stopped() {
 		return
 	}
 	// The wire path delivers pooled pointer messages (read-only, valid
@@ -550,7 +476,7 @@ func (d *DSR) handleRREQ(q RREQ) {
 	rq.Route = route
 	jitter := time.Duration(d.node.RNG().Float64() * float64(d.cfg.BroadcastJitter))
 	d.node.Schedule(jitter, func() {
-		if d.stopped {
+		if d.Stopped() {
 			return
 		}
 		d.emitRREQ(routing.BroadcastID, rq)
@@ -586,10 +512,7 @@ func (d *DSR) handleRREP(p RREP) {
 	if p.Origin == me {
 		d.cache.add(p.Route, now)
 		d.node.Metrics().RREPUsable++
-		if disc, ok := d.active[p.Target]; ok {
-			disc.timer.Cancel()
-			delete(d.active, p.Target)
-		}
+		d.Finish(p.Target)
 		d.flushPending(p.Target)
 		return
 	}

@@ -5,8 +5,6 @@
 package routing
 
 import (
-	"encoding/binary"
-	"sort"
 	"strconv"
 	"time"
 
@@ -161,34 +159,6 @@ type VolatileResetter interface {
 // MAPPED identifiers, so two symmetric states serialize to equal bytes.
 type ModelStater interface {
 	AppendModelState(out []byte, mapID func(NodeID) NodeID) []byte
-}
-
-// AppendPendingModelState serializes a protocol's pending-data map
-// (destination → queued packets, in queue order) for a ModelStater
-// encoding, sorted by the mapped destination. LDR and AODV share the
-// map shape and both use this helper.
-func AppendPendingModelState(out []byte, pending map[NodeID][]*DataPacket, mapID func(NodeID) NodeID) []byte {
-	type prow struct {
-		dst NodeID
-		q   []*DataPacket
-	}
-	rows := make([]prow, 0, len(pending))
-	for dst, q := range pending {
-		rows = append(rows, prow{mapID(dst), q})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].dst < rows[j].dst })
-	out = binary.AppendUvarint(out, uint64(len(rows)))
-	for _, r := range rows {
-		out = binary.AppendVarint(out, int64(r.dst))
-		out = binary.AppendUvarint(out, uint64(len(r.q)))
-		for _, pkt := range r.q {
-			out = binary.AppendVarint(out, int64(mapID(pkt.Src)))
-			out = binary.AppendUvarint(out, pkt.ID)
-			out = binary.AppendVarint(out, int64(pkt.TTL))
-			out = binary.AppendVarint(out, int64(pkt.Bytes))
-		}
-	}
-	return out
 }
 
 // ModelEnv replaces the MAC/radio transport and the protocol's timers
