@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check ci-quick ci-full build test vet race fuzz-smoke fuzz-radio chaos adversary modelcheck modelcheck-smoke modelcheck-seed resume-smoke bench bench-sweep bench-smoke bench-chaos bench-adversary bench-modelcheck bench-gate bench-all profile examples experiments clean
+.PHONY: all check ci-quick ci-full build test vet race fuzz-smoke fuzz-radio chaos adversary modelcheck modelcheck-smoke modelcheck-seed resume-smoke bench bench-sweep bench-smoke bench-chaos bench-adversary bench-modelcheck bench-gate bench-all bench-compare loc profile examples experiments clean
 
 all: check
 
@@ -141,7 +141,7 @@ bench-sweep:
 # loop, MAC queue, and LDR round trip, plus a single tiny sweep cell.
 # Part of `make check` so steady-state allocation creep fails CI quickly.
 bench-smoke:
-	$(GO) test -run 'Alloc|ZeroAlloc' ./internal/sim/ ./internal/mac/ ./internal/core/ ./internal/routing/
+	$(GO) test -run 'Alloc|ZeroAlloc' ./internal/sim/ ./internal/mac/ ./internal/core/ ./internal/routing/...
 	$(GO) test -run '^$$' -bench 'ScheduleTransient|SweepSerial' -benchtime 10x \
 		./internal/sim/ ./internal/sweep/
 
@@ -169,6 +169,33 @@ bench-gate: bench-sweep bench-modelcheck
 # benches, at reduced scale.
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
+
+# The refactoring oracle as one command: run the repository benchmark
+# (benchmark/, BENCHMARK.json) on BASE, checked out into a temporary git
+# worktree, and on this tree, then compare — scenario.digest and every
+# exact counter must match, every end-to-end metric must stay inside its
+# bound. No CI job gates on it: a deliberate behaviour fix legitimately
+# moves the digest.
+#   make bench-compare BASE=<ref> [SEED=1] [SCALE=full|tiny]
+SEED ?= 1
+SCALE ?= full
+bench-compare:
+	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<ref> [SEED=1] [SCALE=full|tiny]" >&2; exit 2; }
+	@d=$$(mktemp -d) && trap 'git worktree remove --force "$$d/base"; rm -rf "$$d"' EXIT && \
+	git worktree add --quiet --detach "$$d/base" $(BASE) && \
+	(cd "$$d/base" && $(GO) run ./benchmark -workload all -seed $(SEED) -scale $(SCALE) -out "$$d/base.json") && \
+	$(GO) run ./benchmark -workload all -seed $(SEED) -scale $(SCALE) -out "$$d/head.json" && \
+	$(GO) run ./benchmark -compare "$$d/base.json" "$$d/head.json"
+
+# Non-test, non-generated Go lines per package: ROADMAP aim 2 counts net
+# deleted lines as a success metric, and this is the count it means.
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./... | \
+	while read pkg files; do \
+		[ -n "$$files" ] || continue; \
+		n=$$(grep -L '^// Code generated .* DO NOT EDIT' $$files | xargs cat | wc -l); \
+		printf '%6d %s\n' $$n $$pkg; \
+	done
 
 examples:
 	$(GO) run ./examples/quickstart

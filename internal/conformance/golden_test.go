@@ -24,6 +24,11 @@ type goldenCell struct {
 	Trace       string      `json:"trace_sha256,omitempty"`
 }
 
+func sha256Hex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
 // goldenSpecs is the pinned matrix: every protocol under no faults, the
 // crash-heavy reboot profile and one-way links, plus RTT-adaptive
 // lifetimes for the two protocols that have them. The strip is sparser
@@ -75,11 +80,9 @@ func TestGoldenFingerprints(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		sum := sha256.Sum256(blob)
-		cell := goldenCell{Fingerprint: log.Fingerprint, Collector: hex.EncodeToString(sum[:])}
+		cell := goldenCell{Fingerprint: log.Fingerprint, Collector: sha256Hex(blob)}
 		if spec.Profile == "none" {
-			sum = sha256.Sum256(log.Bytes())
-			cell.Trace = hex.EncodeToString(sum[:])
+			cell.Trace = sha256Hex(log.Bytes())
 		}
 		got[name] = cell
 	}

@@ -76,13 +76,6 @@ func (p *Pending) WalkHeldData(fn func(*routing.DataPacket)) {
 	}
 }
 
-// dropAll empties the buffer, accounting every packet as DropReset.
-func (p *Pending) dropAll() {
-	for _, dst := range p.dsts() {
-		p.Drop(dst, routing.DropReset)
-	}
-}
-
 // appendState serializes the buffer for a routing.ModelStater encoding:
 // destinations sorted by their mapped identifier, packets in queue order.
 func (p *Pending) appendState(out []byte, mapID func(routing.NodeID) routing.NodeID) []byte {
@@ -223,7 +216,9 @@ func (ds *Discoveries) Reset() {
 		d.timer.Cancel()
 	}
 	clear(ds.active)
-	ds.dropAll()
+	for _, dst := range ds.dsts() {
+		ds.Drop(dst, routing.DropReset)
+	}
 }
 
 // AppendDiscoveryState serializes the buffered data, the active
