@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check ci-quick ci-full build test vet race fuzz-smoke fuzz-radio chaos adversary modelcheck modelcheck-smoke modelcheck-seed resume-smoke bench bench-sweep bench-smoke bench-chaos bench-adversary bench-modelcheck bench-gate bench-all bench-compare loc profile examples experiments clean
+.PHONY: all check ci-quick ci-full build test vet flags-check race fuzz-smoke fuzz-radio chaos adversary modelcheck modelcheck-smoke modelcheck-seed resume-smoke bench bench-sweep bench-smoke bench-chaos bench-adversary bench-modelcheck bench-gate bench-all bench-compare loc profile examples experiments clean
 
 all: check
 
@@ -11,7 +11,7 @@ check: build vet test race fuzz-smoke adversary modelcheck-smoke bench-smoke res
 # Tiered CI entry points (.github/workflows/ci.yml): ci-quick gates every
 # push, ci-full gates pull requests, and the scheduled nightly job runs
 # `make chaos modelcheck fuzz-radio resume-smoke` directly.
-ci-quick: build vet test
+ci-quick: build vet test flags-check
 
 ci-full: race fuzz-smoke adversary modelcheck-smoke bench-smoke resume-smoke
 
@@ -23,6 +23,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# "No knob added, none lost" as a command: every command's flag names,
+# read from its own -h, must equal the committed scripts/flags.golden.
+# After a deliberate flag change: sh scripts/flags.sh > scripts/flags.golden
+flags-check:
+	GO="$(GO)" sh scripts/flags.sh | diff scripts/flags.golden -
 
 # The sweep engine and its callers are the only concurrent code; -race on
 # the whole module keeps them honest. The generous -timeout is for
