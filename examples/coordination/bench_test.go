@@ -5,7 +5,7 @@
 // at most one expanding-ring discovery. The benchmark breaks the same
 // link in the same ring topology under each scheme and reports the
 // control actions required.
-package ldr_test
+package main
 
 import (
 	"math"
@@ -13,13 +13,13 @@ import (
 	"time"
 
 	"github.com/manetlab/ldr/internal/core"
-	"github.com/manetlab/ldr/internal/dual"
+	"github.com/manetlab/ldr/examples/coordination/dual"
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/mobility"
 	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 	"github.com/manetlab/ldr/internal/sim"
-	"github.com/manetlab/ldr/internal/tora"
+	"github.com/manetlab/ldr/examples/coordination/tora"
 )
 
 const coordRingSize = 16

@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
-	"github.com/manetlab/ldr/internal/dual"
+	"github.com/manetlab/ldr/examples/coordination/dual"
 	"github.com/manetlab/ldr/internal/rng"
 	"github.com/manetlab/ldr/internal/sim"
 )

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/manetlab/ldr/internal/dual"
+	"github.com/manetlab/ldr/examples/coordination/dual"
 	"github.com/manetlab/ldr/internal/sim"
 )
 

@@ -23,13 +23,13 @@ import (
 	"time"
 
 	"github.com/manetlab/ldr/internal/core"
-	"github.com/manetlab/ldr/internal/dual"
+	"github.com/manetlab/ldr/examples/coordination/dual"
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/mobility"
 	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 	"github.com/manetlab/ldr/internal/sim"
-	"github.com/manetlab/ldr/internal/tora"
+	"github.com/manetlab/ldr/examples/coordination/tora"
 )
 
 const ringSize = 16

@@ -3,7 +3,7 @@ package tora_test
 import (
 	"fmt"
 
-	"github.com/manetlab/ldr/internal/tora"
+	"github.com/manetlab/ldr/examples/coordination/tora"
 )
 
 // Example shows link reversal re-orienting a ring after a cut: the nodes

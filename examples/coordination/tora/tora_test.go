@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 
 	"github.com/manetlab/ldr/internal/rng"
-	"github.com/manetlab/ldr/internal/tora"
+	"github.com/manetlab/ldr/examples/coordination/tora"
 )
 
 // ring builds a cycle of n nodes with destination 0.
