@@ -43,13 +43,9 @@ func runCell(b *testing.B, cfg ldr.ScenarioConfig) {
 	b.ReportMetric(netLoad/n, "ctrl/data")
 }
 
+// cell is the experiments' own cell constructor at the bench scale.
 func cell(proto ldr.ProtocolName, nodes, flows int, pause time.Duration) ldr.ScenarioConfig {
-	cfg := ldr.Scenario50(proto, flows, pause, 1)
-	if nodes == 100 {
-		cfg = ldr.Scenario100(proto, flows, pause, 1)
-	}
-	cfg.SimTime = benchSimTime
-	return cfg
+	return experiments.Options{SimTime: benchSimTime}.Cell(proto, nodes, flows, pause, 1)
 }
 
 // BenchmarkTable1 reproduces Table 1's per-protocol summary rows: each

@@ -6,10 +6,11 @@
 //	ldrbench -exp all                        # reduced scale (minutes)
 //	ldrbench -exp table1 -simtime 900s -trials 10   # the paper's full setup
 //
-// Experiments: table1, fig2, fig3, fig4, fig5, fig6, fig7, ablation, all.
-// The bounded model-check sweep (-exp modelcheck) runs only when named —
-// it is exhaustive rather than statistical, so "all" (the paper set)
-// excludes it.
+// Experiments: the names in experiments.Registry, or "all" for the paper
+// set. The extras (modelcheck, mobility, radio) run only when named —
+// the bounded model-check sweep is exhaustive rather than statistical,
+// and the other two come from the follow-on literature. See also
+// cmd/ldrcheck for the budget-tunable model-check front end.
 //
 // Output is deterministic: byte-identical for the same flags at any
 // -workers setting.
@@ -30,90 +31,46 @@ import (
 	"strings"
 	"time"
 
-	"github.com/manetlab/ldr/internal/conformance"
+	"github.com/manetlab/ldr/internal/cli"
 	"github.com/manetlab/ldr/internal/experiments"
-	"github.com/manetlab/ldr/internal/resilience"
-	"github.com/manetlab/ldr/internal/scenario"
-	"github.com/manetlab/ldr/internal/sweep"
-	"github.com/manetlab/ldr/internal/traffic"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "ldrbench:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main(run) }
 
 func run() error {
+	var shared cli.Experiment
+	shared.Seed, shared.Trials, shared.SimTime = 1, 3, 300*time.Second
+	shared.Bind(flag.CommandLine)
 	var (
-		exp     = flag.String("exp", "all", "experiment: table1|fig2|fig3|fig4|fig5|fig6|fig7|ablation|all, or modelcheck|mobility|radio (not in all)")
-		trials  = flag.Int("trials", 3, "trials (seeds) per configuration; paper: 10")
-		simTime = flag.Duration("simtime", 300*time.Second, "simulated time per run; paper: 900s")
-		seed    = flag.Int64("seed", 1, "base random seed")
-		protos  = flag.String("protocols", "", "comma-separated protocol subset (default: ldr,aodv,dsr,olsr)")
-		workers = flag.Int("workers", 0, "concurrent scenario cells; 0 = GOMAXPROCS, 1 = serial (output is identical either way)")
+		exp     = flag.String("exp", "all", "experiment: "+strings.Join(experiments.Names(), "|")+`; "all" is the paper set, everything listed before it`)
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write an allocation profile to this file at exit")
-
-		mobilityModel = flag.String("mobility", "", "mobility model for every cell: waypoint|manhattan|gaussmarkov (default: each experiment's own; -exp mobility sweeps all)")
-		trafficPat    = flag.String("traffic", "", "traffic pattern for every cell: cbr|bursty|reqresp (default cbr)")
-		radioProf     = flag.String("radio", "", "radio profile for every cell: uniform|mixed|asym (default uniform disk; -exp radio sweeps all)")
-		densityProf   = flag.String("density", "", "placement-density profile for every cell: uniform|gradient|hotspot (default uniform; -exp radio sweeps all)")
-		adaptive      = flag.Bool("adaptive-timeout", false, "derive LDR/AODV route lifetimes from observed RTTs instead of constants")
 	)
-	var ef resilience.ExecFlags
-	ef.Register(flag.CommandLine)
-	flag.Usage = func() {
-		w := flag.CommandLine.Output()
-		fmt.Fprintf(w, "usage: ldrbench [flags]\n\n")
-		fmt.Fprintf(w, "Regenerate the tables and figures of the LDR paper's evaluation (§4):\n")
-		fmt.Fprintf(w, "each experiment sweeps the paper's scenario parameters, aggregates\n")
-		fmt.Fprintf(w, "repeated trials into mean ± 95%% CI, and prints the rows the paper\n")
-		fmt.Fprintf(w, "reports. Output is byte-identical at any -workers setting.\n\nFlags:\n")
-		flag.PrintDefaults()
-		fmt.Fprintf(w, "\nExamples:\n")
-		fmt.Fprintf(w, "  ldrbench -exp table1 -simtime 900s -trials 10   # the paper's full setup\n")
-		fmt.Fprintf(w, "  ldrbench -exp fig3 -protocols ldr,aodv\n")
-		fmt.Fprintf(w, "  ldrbench -exp mobility                          # waypoint vs manhattan vs gaussmarkov\n")
-		fmt.Fprintf(w, "  ldrbench -exp table1 -traffic bursty -adaptive-timeout\n")
-		fmt.Fprintf(w, "  ldrbench -exp radio                             # uniform vs mixed vs asym power, density profiles\n")
-		fmt.Fprintf(w, "  ldrbench -exp fig3 -radio asym -density gradient\n")
-		fmt.Fprintf(w, "  ldrbench -exp table1 -journal /tmp/t1.journal           # kill-safe; ^C prints the resume command\n")
-		fmt.Fprintf(w, "  ldrbench -exp table1 -journal /tmp/t1.journal -resume   # continue a killed sweep\n")
-		fmt.Fprintf(w, "  ldrbench -exp all -journal DIR -cell-timeout 2m -keep-going\n")
+	if err := cli.Parse(
+		"Regenerate the tables and figures of the LDR paper's evaluation (§4):\n"+
+			"each experiment sweeps the paper's scenario parameters, aggregates\n"+
+			"repeated trials into mean ± 95% CI, and prints the rows the paper\n"+
+			"reports. Output is byte-identical at any -workers setting.",
+		"ldrbench -exp table1 -simtime 900s -trials 10   # the paper's full setup",
+		"ldrbench -exp fig3 -protocols ldr,aodv",
+		"ldrbench -exp mobility                          # waypoint vs manhattan vs gaussmarkov",
+		"ldrbench -exp table1 -traffic bursty -adaptive-timeout",
+		"ldrbench -exp radio                             # uniform vs mixed vs asym power, density profiles",
+		"ldrbench -exp fig3 -radio asym -density gradient",
+		"ldrbench -exp table1 -journal /tmp/t1.journal           # kill-safe; ^C prints the resume command",
+		"ldrbench -exp table1 -journal /tmp/t1.journal -resume   # continue a killed sweep",
+		"ldrbench -exp all -journal DIR -cell-timeout 2m -keep-going",
+	); err != nil {
+		return err
 	}
-	flag.Parse()
-
-	if flag.NArg() > 0 {
-		return fmt.Errorf("unexpected argument %q (ldrbench takes only flags)", flag.Arg(0))
-	}
-	if *trials < 1 {
-		return fmt.Errorf("-trials must be at least 1 (got %d)", *trials)
-	}
-	if *simTime <= 0 {
-		return fmt.Errorf("-simtime must be positive (got %v)", *simTime)
-	}
-	if *workers < 0 {
-		return fmt.Errorf("-workers must be ≥ 0 (got %d; 0 means GOMAXPROCS)", *workers)
-	}
-	if !scenario.ValidMobility(*mobilityModel) {
-		return fmt.Errorf("-mobility must be one of %v (got %q)", scenario.Mobilities(), *mobilityModel)
-	}
-	if !traffic.ValidPattern(*trafficPat) {
-		return fmt.Errorf("-traffic must be one of %v (got %q)", traffic.Patterns(), *trafficPat)
-	}
-	if !scenario.ValidRadio(*radioProf) {
-		return fmt.Errorf("-radio must be one of %v (got %q)", scenario.Radios(), *radioProf)
-	}
-	if !scenario.ValidDensity(*densityProf) {
-		return fmt.Errorf("-density must be one of %v (got %q)", scenario.Densities(), *densityProf)
-	}
-	journal, err := ef.OpenJournal()
+	experiment, err := experiments.Find(*exp)
 	if err != nil {
 		return err
 	}
-	resilience.HandleSignals(journal, os.Stderr)
+	opts, err := shared.Options()
+	if err != nil {
+		return err
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -142,98 +99,5 @@ func run() error {
 		}()
 	}
 
-	var prog sweep.Progress
-	opts := experiments.Options{
-		Trials:          *trials,
-		SimTime:         *simTime,
-		Out:             os.Stdout,
-		BaseSeed:        *seed,
-		Workers:         *workers,
-		Mobility:        *mobilityModel,
-		TrafficPattern:  *trafficPat,
-		Radio:           *radioProf,
-		Density:         *densityProf,
-		AdaptiveTimeout: *adaptive,
-		Progress:        &prog,
-		Exec: sweep.ExecOptions{
-			Journal:     journal,
-			CellTimeout: ef.CellTimeout,
-			KeepGoing:   ef.KeepGoing,
-		},
-	}
-	if journal != nil {
-		opts.Exec.OnFailure = conformance.QuarantineEmitter(journal.Dir(), func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "ldrbench: "+format+"\n", args...)
-		})
-	}
-	// On a degraded keep-going run, render whatever completed, then leave
-	// a machine-readable manifest next to the journal records.
-	report := func(err error) error {
-		return sweep.ReportFailures(os.Stderr, "ldrbench", journal, "metrics", prog.Total(), err)
-	}
-	if *protos != "" {
-		for _, p := range strings.Split(*protos, ",") {
-			name := scenario.ProtocolName(strings.TrimSpace(p))
-			// Resolve now for a clean error before any simulation runs.
-			if _, err := scenario.Factory(name, nil); err != nil {
-				return err
-			}
-			opts.Protocols = append(opts.Protocols, name)
-		}
-	}
-
-	type experiment struct {
-		name string
-		fn   func(experiments.Options) error
-	}
-	all := []experiment{
-		{"table1", experiments.Table1},
-		{"fig2", func(o experiments.Options) error {
-			return experiments.DeliveryFigure(o, "Fig 2", 50, 10)
-		}},
-		{"fig3", func(o experiments.Options) error {
-			return experiments.DeliveryFigure(o, "Fig 3", 50, 30)
-		}},
-		{"fig4", func(o experiments.Options) error {
-			return experiments.DeliveryFigure(o, "Fig 4", 100, 10)
-		}},
-		{"fig5", func(o experiments.Options) error {
-			return experiments.DeliveryFigure(o, "Fig 5", 100, 30)
-		}},
-		{"fig6", experiments.Fig6},
-		{"fig7", experiments.Fig7},
-		{"ablation", experiments.Ablation},
-	}
-	// Extra experiments that run only when named: modelcheck is a
-	// bounded-exhaustive state-space sweep (minutes on one core) rather
-	// than a statistical one, and mobility is a cross-model comparison
-	// from the follow-on MANET literature, so "all" — the
-	// paper-regeneration set — excludes them. See also cmd/ldrcheck for
-	// the budget-tunable model-check front end.
-	extra := []experiment{
-		{"modelcheck", experiments.ModelCheck},
-		{"mobility", experiments.Mobility},
-		{"radio", experiments.Radio},
-	}
-
-	if *exp == "all" {
-		for _, e := range all {
-			start := time.Now()
-			if err := e.fn(opts); err != nil {
-				return report(fmt.Errorf("%s: %w", e.name, err))
-			}
-			fmt.Printf("[%s done in %v]\n", e.name, time.Since(start).Round(time.Second))
-		}
-		return nil
-	}
-	for _, e := range append(all, extra...) {
-		if e.name == *exp {
-			return report(e.fn(opts))
-		}
-	}
-	names := make([]string, 0, len(all)+len(extra)+1)
-	for _, e := range append(all, extra...) {
-		names = append(names, e.name)
-	}
-	return fmt.Errorf("unknown experiment %q (have %s, all)", *exp, strings.Join(names, ", "))
+	return shared.Finish("metrics", experiment.Run(opts))
 }

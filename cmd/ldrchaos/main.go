@@ -39,169 +39,82 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
 	"github.com/manetlab/ldr/internal/adversary"
-	"github.com/manetlab/ldr/internal/conformance"
+	"github.com/manetlab/ldr/internal/cli"
 	"github.com/manetlab/ldr/internal/experiments"
 	"github.com/manetlab/ldr/internal/fault"
-	"github.com/manetlab/ldr/internal/resilience"
-	"github.com/manetlab/ldr/internal/scenario"
-	"github.com/manetlab/ldr/internal/sweep"
-	"github.com/manetlab/ldr/internal/traffic"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "ldrchaos:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main(run) }
 
 func run() error {
+	var shared cli.Experiment
+	shared.Seed, shared.Trials, shared.SimTime = 1, 3, 120*time.Second
+	shared.Bind(flag.CommandLine)
 	var (
 		profiles = flag.String("profiles", "", "comma-separated fault profiles (default: all of "+strings.Join(fault.ProfileNames(), ",")+")")
 		adv      = flag.String("adversary", "", "run the Byzantine-node suite instead: comma-separated adversary profiles, or \"all\" for "+strings.Join(adversary.ProfileNames(), ","))
-		protos   = flag.String("protocols", "", "comma-separated protocol subset (default: ldr,aodv,dsr,olsr)")
-		trials   = flag.Int("trials", 3, "trials (seeds) per cell; must be ≥ 1")
-		simTime  = flag.Duration("simtime", 120*time.Second, "simulated time per run; must be > 0")
-		seed     = flag.Int64("seed", 1, "base random seed")
 		audit    = flag.Duration("audit", 100*time.Millisecond, "invariant-audit snapshot cadence; must be > 0")
-		workers  = flag.Int("workers", 0, "concurrent cells; 0 = GOMAXPROCS, 1 = serial (output identical either way)")
-
-		mobilityModel = flag.String("mobility", "", "mobility model for every cell: waypoint|manhattan|gaussmarkov (default waypoint)")
-		trafficPat    = flag.String("traffic", "", "traffic pattern for every cell: cbr|bursty|reqresp (default cbr)")
-		radioProf     = flag.String("radio", "", "radio profile for every cell: uniform|mixed|asym (default uniform disk)")
-		densityProf   = flag.String("density", "", "placement-density profile for every cell: uniform|gradient|hotspot (default uniform)")
-		adaptive      = flag.Bool("adaptive-timeout", false, "derive LDR/AODV route lifetimes from observed RTTs instead of constants")
 	)
-	var ef resilience.ExecFlags
-	ef.Register(flag.CommandLine)
-	flag.Usage = func() {
-		w := flag.CommandLine.Output()
-		fmt.Fprintf(w, "usage: ldrchaos [flags]\n\n")
-		fmt.Fprintf(w, "Run the fault-injection suite: every protocol under every fault profile\n")
-		fmt.Fprintf(w, "(crash/reboot, link flapping, partitions, lossy delivery) with the\n")
-		fmt.Fprintf(w, "continuous loopcheck auditor scoring invariant violations throughout.\n")
-		fmt.Fprintf(w, "With -adversary, run the Byzantine-node suite instead: compromised nodes\n")
-		fmt.Fprintf(w, "blackhole, forge sequence numbers, replay stale labels, and flood storms,\n")
-		fmt.Fprintf(w, "each attacked run paired with an attack-free baseline on the same seed.\n")
-		fmt.Fprintf(w, "Output is byte-identical for the same flags at any -workers setting.\n\nFlags:\n")
-		flag.PrintDefaults()
-		fmt.Fprintf(w, "\nExamples:\n")
-		fmt.Fprintf(w, "  ldrchaos -profiles reboot,mayhem -trials 5\n")
-		fmt.Fprintf(w, "  ldrchaos -protocols ldr,aodv -simtime 900s -trials 10\n")
-		fmt.Fprintf(w, "  ldrchaos -adversary all\n")
-		fmt.Fprintf(w, "  ldrchaos -adversary seqno-forge,storm -protocols ldr,aodv\n")
-		fmt.Fprintf(w, "  ldrchaos -profiles reboot -mobility manhattan -traffic bursty -adaptive-timeout\n")
-		fmt.Fprintf(w, "  ldrchaos -profiles mayhem -radio mixed -density gradient  # one-way links under faults\n")
-		fmt.Fprintf(w, "  ldrchaos -journal /tmp/chaos.journal                      # kill-safe; ^C prints the resume command\n")
-		fmt.Fprintf(w, "  ldrchaos -journal /tmp/chaos.journal -resume              # continue a killed sweep\n")
-		fmt.Fprintf(w, "  ldrchaos -journal DIR -cell-timeout 2m -keep-going        # quarantine wedged/panicking cells\n")
-	}
-	flag.Parse()
-
-	if flag.NArg() > 0 {
-		return fmt.Errorf("unexpected argument %q (ldrchaos takes only flags)", flag.Arg(0))
-	}
-	if *trials < 1 {
-		return fmt.Errorf("-trials must be at least 1 (got %d)", *trials)
-	}
-	if *simTime <= 0 {
-		return fmt.Errorf("-simtime must be positive (got %v)", *simTime)
+	if err := cli.Parse(
+		"Run the fault-injection suite: every protocol under every fault profile\n"+
+			"(crash/reboot, link flapping, partitions, lossy delivery) with the\n"+
+			"continuous loopcheck auditor scoring invariant violations throughout.\n"+
+			"With -adversary, run the Byzantine-node suite instead: compromised nodes\n"+
+			"blackhole, forge sequence numbers, replay stale labels, and flood storms,\n"+
+			"each attacked run paired with an attack-free baseline on the same seed.\n"+
+			"Output is byte-identical for the same flags at any -workers setting.",
+		"ldrchaos -profiles reboot,mayhem -trials 5",
+		"ldrchaos -protocols ldr,aodv -simtime 900s -trials 10",
+		"ldrchaos -adversary all",
+		"ldrchaos -adversary seqno-forge,storm -protocols ldr,aodv",
+		"ldrchaos -profiles reboot -mobility manhattan -traffic bursty -adaptive-timeout",
+		"ldrchaos -profiles mayhem -radio mixed -density gradient  # one-way links under faults",
+		"ldrchaos -journal /tmp/chaos.journal                      # kill-safe; ^C prints the resume command",
+		"ldrchaos -journal /tmp/chaos.journal -resume              # continue a killed sweep",
+		"ldrchaos -journal DIR -cell-timeout 2m -keep-going        # quarantine wedged/panicking cells",
+	); err != nil {
+		return err
 	}
 	if *audit <= 0 {
 		return fmt.Errorf("-audit must be positive (got %v)", *audit)
 	}
-	if *workers < 0 {
-		return fmt.Errorf("-workers must be ≥ 0 (got %d; 0 means GOMAXPROCS)", *workers)
+	if *profiles != "" && *adv != "" {
+		return errors.New("-profiles and -adversary are mutually exclusive (fault suite vs Byzantine suite)")
 	}
-	if !scenario.ValidMobility(*mobilityModel) {
-		return fmt.Errorf("-mobility must be one of %v (got %q)", scenario.Mobilities(), *mobilityModel)
-	}
-	if !traffic.ValidPattern(*trafficPat) {
-		return fmt.Errorf("-traffic must be one of %v (got %q)", traffic.Patterns(), *trafficPat)
-	}
-	if !scenario.ValidRadio(*radioProf) {
-		return fmt.Errorf("-radio must be one of %v (got %q)", scenario.Radios(), *radioProf)
-	}
-	if !scenario.ValidDensity(*densityProf) {
-		return fmt.Errorf("-density must be one of %v (got %q)", scenario.Densities(), *densityProf)
-	}
-	journal, err := ef.OpenJournal()
+	faultProfiles, err := cli.List(*profiles, func(name string) error {
+		_, err := fault.Profile(name, 50, shared.SimTime)
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	resilience.HandleSignals(journal, os.Stderr)
-
-	var prog sweep.Progress
-	opts := experiments.Options{
-		Trials:          *trials,
-		SimTime:         *simTime,
-		Out:             os.Stdout,
-		BaseSeed:        *seed,
-		Workers:         *workers,
-		AuditCadence:    *audit,
-		Mobility:        *mobilityModel,
-		TrafficPattern:  *trafficPat,
-		Radio:           *radioProf,
-		Density:         *densityProf,
-		AdaptiveTimeout: *adaptive,
-		Progress:        &prog,
-		Exec: sweep.ExecOptions{
-			Journal:     journal,
-			CellTimeout: ef.CellTimeout,
-			KeepGoing:   ef.KeepGoing,
-		},
-	}
-	if journal != nil {
-		opts.Exec.OnFailure = conformance.QuarantineEmitter(journal.Dir(), func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "ldrchaos: "+format+"\n", args...)
+	var advProfiles []string
+	if *adv != "all" {
+		advProfiles, err = cli.List(*adv, func(name string) error {
+			_, err := adversary.Profile(name, 50, shared.SimTime)
+			return err
 		})
-	}
-	if *profiles != "" && *adv != "" {
-		return fmt.Errorf("-profiles and -adversary are mutually exclusive (fault suite vs Byzantine suite)")
-	}
-	if *profiles != "" {
-		for _, p := range strings.Split(*profiles, ",") {
-			name := strings.TrimSpace(p)
-			// Resolve now for a clean error before any simulation runs.
-			if _, err := fault.Profile(name, 50, *simTime); err != nil {
-				return err
-			}
-			opts.FaultProfiles = append(opts.FaultProfiles, name)
+		if err != nil {
+			return err
 		}
 	}
-	if *adv != "" && *adv != "all" {
-		for _, p := range strings.Split(*adv, ",") {
-			name := strings.TrimSpace(p)
-			// Resolve now for a clean error before any simulation runs.
-			if _, err := adversary.Profile(name, 50, *simTime); err != nil {
-				return err
-			}
-			opts.AdversaryProfiles = append(opts.AdversaryProfiles, name)
-		}
+	opts, err := shared.Options()
+	if err != nil {
+		return err
 	}
-	if *protos != "" {
-		for _, p := range strings.Split(*protos, ",") {
-			name := scenario.ProtocolName(strings.TrimSpace(p))
-			// Resolve now for a clean error before any simulation runs.
-			if _, err := scenario.Factory(name, nil); err != nil {
-				return err
-			}
-			opts.Protocols = append(opts.Protocols, name)
-		}
-	}
-	// On a degraded keep-going run, render whatever completed, then leave
-	// a machine-readable manifest next to the journal records.
+	opts.AuditCadence = *audit
+	opts.FaultProfiles = faultProfiles
+	opts.AdversaryProfiles = advProfiles
+
 	if *adv != "" {
-		err := experiments.Adversary(opts)
-		return sweep.ReportFailures(os.Stderr, "ldrchaos", journal, "adversary", prog.Total(), err)
+		return shared.Finish("adversary", experiments.Adversary(opts))
 	}
-	err = experiments.Chaos(opts)
-	return sweep.ReportFailures(os.Stderr, "ldrchaos", journal, "chaos", prog.Total(), err)
+	return shared.Finish("chaos", experiments.Chaos(opts))
 }

@@ -28,17 +28,13 @@ import (
 	"os"
 	"strings"
 
+	"github.com/manetlab/ldr/internal/cli"
 	"github.com/manetlab/ldr/internal/modelcheck"
 	"github.com/manetlab/ldr/internal/routing"
 	"github.com/manetlab/ldr/internal/scenario"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "ldrcheck:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main(run) }
 
 func run() error {
 	var (
@@ -56,24 +52,17 @@ func run() error {
 		emit      = flag.String("emit", "", "write the first violation's conformance-replay seed to this file ('-' = stdout)")
 		quiet     = flag.Bool("q", false, "suppress progress; print only results")
 	)
-	flag.Usage = func() {
-		w := flag.CommandLine.Output()
-		fmt.Fprintf(w, "usage: ldrcheck [flags]\n\n")
-		fmt.Fprintf(w, "Exhaustively explore a protocol's bounded state space on a small\n")
-		fmt.Fprintf(w, "topology — every message interleaving, loss, duplication, and crash\n")
-		fmt.Fprintf(w, "schedule within the budgets — checking loop freedom and (sn, fd)\n")
-		fmt.Fprintf(w, "ordering at every reachable state. A violation prints as a minimal\n")
-		fmt.Fprintf(w, "action trace and (with -emit) a conformance seed that replays it\n")
-		fmt.Fprintf(w, "under the full MAC/radio simulator.\n\nFlags:\n")
-		flag.PrintDefaults()
-		fmt.Fprintf(w, "\nExamples:\n")
-		fmt.Fprintf(w, "  ldrcheck -topology sweep -resets 1 -drops 1\n")
-		fmt.Fprintf(w, "  ldrcheck -protocol aodv -resets 1 -drops 1 -expect-violation -emit seed.json\n")
-	}
-	flag.Parse()
-
-	if flag.NArg() > 0 {
-		return fmt.Errorf("unexpected argument %q (ldrcheck takes only flags)", flag.Arg(0))
+	if err := cli.Parse(
+		"Exhaustively explore a protocol's bounded state space on a small\n"+
+			"topology — every message interleaving, loss, duplication, and crash\n"+
+			"schedule within the budgets — checking loop freedom and (sn, fd)\n"+
+			"ordering at every reachable state. A violation prints as a minimal\n"+
+			"action trace and (with -emit) a conformance seed that replays it\n"+
+			"under the full MAC/radio simulator.",
+		"ldrcheck -topology sweep -resets 1 -drops 1",
+		"ldrcheck -protocol aodv -resets 1 -drops 1 -expect-violation -emit seed.json",
+	); err != nil {
+		return err
 	}
 	if _, err := scenario.Factory(scenario.ProtocolName(*proto), nil); err != nil {
 		return err

@@ -41,87 +41,67 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"github.com/manetlab/ldr/internal/adversary"
+	"github.com/manetlab/ldr/internal/cli"
 	"github.com/manetlab/ldr/internal/conformance"
 	"github.com/manetlab/ldr/internal/fault"
-	"github.com/manetlab/ldr/internal/resilience"
 	"github.com/manetlab/ldr/internal/scenario"
 	"github.com/manetlab/ldr/internal/sweep"
-	"github.com/manetlab/ldr/internal/traffic"
 )
 
-// trafficNames renders the candidate traffic patterns for flag help and
-// error text.
-func trafficNames() string {
-	names := make([]string, 0, len(traffic.Patterns()))
-	for _, p := range traffic.Patterns() {
-		names = append(names, string(p))
-	}
-	return strings.Join(names, ",")
-}
-
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "ldrfuzz:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main(run) }
 
 func run() error {
+	shared := cli.Run{Seed: 1}
+	shared.Bind(flag.CommandLine)
+	var harness cli.Harness
+	harness.Bind(flag.CommandLine)
+	allOf := func(what string, names []string) string {
+		return "comma-separated " + what + " (default: all of " + strings.Join(names, ",") + ")"
+	}
 	var (
 		runs       = flag.Int("runs", 32, "scenarios to generate (≥ 1)")
-		seed       = flag.Int64("seed", 1, "generator seed (nonzero)")
-		workers    = flag.Int("workers", 0, "concurrent runs; 0 = GOMAXPROCS, 1 = serial (findings identical either way)")
-		protocols  = flag.String("protocols", "", "comma-separated protocol subset (default: ldr,aodv,dsr,olsr)")
-		profiles   = flag.String("profiles", "", "comma-separated fault profiles (default: all of "+strings.Join(fault.ProfileNames(), ",")+")")
-		advs       = flag.String("adversaries", "", "comma-separated adversary profiles (default: all of "+strings.Join(adversary.ProfileNames(), ",")+")")
-		mobilities = flag.String("mobilities", "", "comma-separated mobility models to draw from (default: all of "+strings.Join(scenario.Mobilities(), ",")+")")
-		traffics   = flag.String("traffics", "", "comma-separated traffic patterns to draw from (default: all of "+trafficNames()+")")
-		radios     = flag.String("radios", "", "comma-separated radio profiles to draw from (default: all of "+strings.Join(scenario.Radios(), ",")+")")
-		densities  = flag.String("densities", "", "comma-separated placement-density profiles to draw from (default: all of "+strings.Join(scenario.Densities(), ",")+")")
+		profiles   = flag.String("profiles", "", allOf("fault profiles", fault.ProfileNames()))
+		advs       = flag.String("adversaries", "", allOf("adversary profiles", adversary.ProfileNames()))
+		mobilities = flag.String("mobilities", "", allOf("mobility models to draw from", scenario.Mobilities()))
+		traffics   = flag.String("traffics", "", allOf("traffic patterns to draw from", scenario.Traffics()))
+		radios     = flag.String("radios", "", allOf("radio profiles to draw from", scenario.Radios()))
+		densities  = flag.String("densities", "", allOf("placement-density profiles to draw from", scenario.Densities()))
 		maxNodes   = flag.Int("max-nodes", 30, "node-count upper bound (≥ 8)")
 		maxSimTime = flag.Duration("max-simtime", 45*time.Second, "simulated-length upper bound (≥ 5s)")
 		shrink     = flag.Bool("shrink", true, "minimize findings into small reproducers")
 		quiet      = flag.Bool("q", false, "suppress progress; print only the findings JSON")
 	)
-	var ef resilience.ExecFlags
-	ef.Register(flag.CommandLine)
-	flag.Usage = func() {
-		w := flag.CommandLine.Output()
-		fmt.Fprintf(w, "usage: ldrfuzz [flags]\n\n")
-		fmt.Fprintf(w, "Fuzz randomized ad hoc network scenarios through the conformance\n")
-		fmt.Fprintf(w, "harness (packet conservation, at-most-once delivery, control ledgers,\n")
-		fmt.Fprintf(w, "LDR loop freedom), drawing both a fault profile and a Byzantine\n")
-		fmt.Fprintf(w, "adversary profile per scenario, and shrink any violation into a minimal\n")
-		fmt.Fprintf(w, "reproducer. Findings are printed as JSON specs for\n")
-		fmt.Fprintf(w, "internal/conformance/testdata/ (or internal/adversary/testdata/ when\n")
-		fmt.Fprintf(w, "the adversary is what survives shrinking) and make the exit status 1.\n\nFlags:\n")
-		flag.PrintDefaults()
-		fmt.Fprintf(w, "\nExamples:\n")
-		fmt.Fprintf(w, "  ldrfuzz -runs 200 -seed 7\n")
-		fmt.Fprintf(w, "  ldrfuzz -protocols ldr -profiles mayhem -shrink=false\n")
-		fmt.Fprintf(w, "  ldrfuzz -adversaries seqno-forge,byzantine -profiles none\n")
-		fmt.Fprintf(w, "  ldrfuzz -mobilities manhattan,gaussmarkov -traffics bursty,reqresp\n")
-		fmt.Fprintf(w, "  ldrfuzz -radios mixed,asym -densities gradient,hotspot   # heterogeneous-radio hunt\n")
-		fmt.Fprintf(w, "  ldrfuzz -runs 500 -journal /tmp/fuzz.journal             # kill-safe campaign; resume with -resume\n")
-		fmt.Fprintf(w, "  ldrfuzz -journal DIR -cell-timeout 1m -keep-going        # quarantine wedged/panicking runs\n")
+	if err := cli.Parse(
+		"Fuzz randomized ad hoc network scenarios through the conformance\n"+
+			"harness (packet conservation, at-most-once delivery, control ledgers,\n"+
+			"LDR loop freedom), drawing both a fault profile and a Byzantine\n"+
+			"adversary profile per scenario, and shrink any violation into a minimal\n"+
+			"reproducer. Findings are printed as JSON specs for\n"+
+			"internal/conformance/testdata/ (or internal/adversary/testdata/ when\n"+
+			"the adversary is what survives shrinking) and make the exit status 1.",
+		"ldrfuzz -runs 200 -seed 7",
+		"ldrfuzz -protocols ldr -profiles mayhem -shrink=false",
+		"ldrfuzz -adversaries seqno-forge,byzantine -profiles none",
+		"ldrfuzz -mobilities manhattan,gaussmarkov -traffics bursty,reqresp",
+		"ldrfuzz -radios mixed,asym -densities gradient,hotspot   # heterogeneous-radio hunt",
+		"ldrfuzz -runs 500 -journal /tmp/fuzz.journal             # kill-safe campaign; resume with -resume",
+		"ldrfuzz -journal DIR -cell-timeout 1m -keep-going        # quarantine wedged/panicking runs",
+	); err != nil {
+		return err
 	}
-	flag.Parse()
-
-	if flag.NArg() > 0 {
-		return fmt.Errorf("unexpected argument %q (ldrfuzz takes only flags)", flag.Arg(0))
+	if err := shared.Validate(); err != nil {
+		return err
 	}
 	if *runs < 1 {
 		return fmt.Errorf("-runs must be at least 1 (got %d)", *runs)
 	}
-	if *seed == 0 {
-		return fmt.Errorf("-seed must be nonzero")
-	}
-	if *workers < 0 {
-		return fmt.Errorf("-workers must be ≥ 0 (got %d; 0 means GOMAXPROCS)", *workers)
+	if shared.Seed == 0 {
+		return errors.New("-seed must be nonzero")
 	}
 	if *maxNodes < 8 {
 		return fmt.Errorf("-max-nodes must be at least 8 (got %d)", *maxNodes)
@@ -129,114 +109,67 @@ func run() error {
 	if *maxSimTime < 5*time.Second {
 		return fmt.Errorf("-max-simtime must be at least 5s (got %v)", *maxSimTime)
 	}
-	journal, err := ef.OpenJournal()
-	if err != nil {
-		return err
-	}
-	resilience.HandleSignals(journal, os.Stderr)
 
 	var prog sweep.Progress
 	opts := conformance.Options{
 		Runs:       *runs,
-		Seed:       *seed,
-		Workers:    *workers,
+		Seed:       shared.Seed,
+		Workers:    shared.Workers,
 		MaxNodes:   *maxNodes,
 		MaxSimTime: *maxSimTime,
 		Shrink:     *shrink,
 		Progress:   &prog,
-		Exec: sweep.ExecOptions{
-			Journal:     journal,
-			CellTimeout: ef.CellTimeout,
-			KeepGoing:   ef.KeepGoing,
-		},
-	}
-	if journal != nil {
-		opts.Exec.OnFailure = conformance.QuarantineEmitter(journal.Dir(), func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "ldrfuzz: "+format+"\n", args...)
-		})
 	}
 	if !*quiet {
-		opts.Log = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "ldrfuzz: "+format+"\n", args...)
+		opts.Log = cli.Logf
+	}
+	// Every list is resolved now, for a clean error before anything runs.
+	var err error
+	list := func(dst *[]string, value string, resolve func(name string) error) {
+		if err == nil {
+			*dst, err = cli.List(value, resolve)
 		}
 	}
-	if *protocols != "" {
-		for _, p := range strings.Split(*protocols, ",") {
-			name := strings.TrimSpace(p)
-			// Resolve now for a clean error before any simulation runs.
-			if _, err := scenario.Factory(scenario.ProtocolName(name), nil); err != nil {
-				return err
+	drawnFrom := func(flagName string, have []string) func(string) error {
+		return func(name string) error {
+			if !slices.Contains(have, name) {
+				return fmt.Errorf("-%s: must be drawn from %v (got %q)", flagName, have, name)
 			}
-			opts.Protocols = append(opts.Protocols, name)
+			return nil
 		}
 	}
-	if *profiles != "" {
-		for _, p := range strings.Split(*profiles, ",") {
-			name := strings.TrimSpace(p)
-			if name != "none" {
-				if _, err := fault.Profile(name, 50, time.Minute); err != nil {
-					return err
-				}
-			}
-			opts.Profiles = append(opts.Profiles, name)
+	list(&opts.Profiles, *profiles, func(name string) error {
+		if name == "none" {
+			return nil
 		}
+		_, err := fault.Profile(name, 50, time.Minute)
+		return err
+	})
+	list(&opts.Adversaries, *advs, func(name string) error {
+		_, err := adversary.Profile(name, 50, time.Minute)
+		return err
+	})
+	list(&opts.Mobilities, *mobilities, drawnFrom("mobilities", scenario.Mobilities()))
+	list(&opts.Traffics, *traffics, drawnFrom("traffics", scenario.Traffics()))
+	list(&opts.Radios, *radios, drawnFrom("radios", scenario.Radios()))
+	list(&opts.Densities, *densities, drawnFrom("densities", scenario.Densities()))
+	if err != nil {
+		return err
 	}
-	if *advs != "" {
-		for _, p := range strings.Split(*advs, ",") {
-			name := strings.TrimSpace(p)
-			// Resolve now for a clean error before any simulation runs.
-			if _, err := adversary.Profile(name, 50, time.Minute); err != nil {
-				return err
-			}
-			opts.Adversaries = append(opts.Adversaries, name)
-		}
+	if opts.Exec, err = harness.Open(); err != nil {
+		return err
 	}
-	if *mobilities != "" {
-		for _, m := range strings.Split(*mobilities, ",") {
-			name := strings.TrimSpace(m)
-			if name == "" || !scenario.ValidMobility(name) {
-				return fmt.Errorf("-mobilities: must be drawn from %v (got %q)", scenario.Mobilities(), name)
-			}
-			opts.Mobilities = append(opts.Mobilities, name)
-		}
-	}
-	if *traffics != "" {
-		for _, p := range strings.Split(*traffics, ",") {
-			name := strings.TrimSpace(p)
-			if name == "" || !traffic.ValidPattern(name) {
-				return fmt.Errorf("-traffics: must be drawn from [%s] (got %q)", trafficNames(), name)
-			}
-			opts.Traffics = append(opts.Traffics, name)
-		}
-	}
-	if *radios != "" {
-		for _, r := range strings.Split(*radios, ",") {
-			name := strings.TrimSpace(r)
-			if name == "" || !scenario.ValidRadio(name) {
-				return fmt.Errorf("-radios: must be drawn from %v (got %q)", scenario.Radios(), name)
-			}
-			opts.Radios = append(opts.Radios, name)
-		}
-	}
-	if *densities != "" {
-		for _, d := range strings.Split(*densities, ",") {
-			name := strings.TrimSpace(d)
-			if name == "" || !scenario.ValidDensity(name) {
-				return fmt.Errorf("-densities: must be drawn from %v (got %q)", scenario.Densities(), name)
-			}
-			opts.Densities = append(opts.Densities, name)
-		}
-	}
+	opts.Protocols = harness.Protocols
 
 	findings, err := conformance.Fuzz(opts)
-	err = sweep.ReportFailures(os.Stderr, "ldrfuzz", journal, "fuzz", *runs, err)
+	err = harness.Finish("fuzz", *runs, err)
 	var fs sweep.Failures
 	degraded := errors.As(err, &fs)
 	if err != nil && !degraded {
 		return err
 	}
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "ldrfuzz: %d runs, %d findings\n", *runs, len(findings))
+		cli.Logf("%d runs, %d findings", *runs, len(findings))
 	}
 	if len(findings) > 0 {
 		enc := json.NewEncoder(os.Stdout)

@@ -11,8 +11,9 @@
 // one line per seed plus a mean ± 95% CI summary.
 //
 // Flags are validated before anything runs: nonsensical values
-// (-trials 0, -workers -1, zero nodes, an unknown protocol) are rejected
-// with a clear error rather than silently misbehaving.
+// (-trials 0, -workers -1, zero nodes, an unknown protocol, a stray
+// positional argument) are rejected with a clear error rather than
+// silently misbehaving.
 //
 // ^C does not kill the simulation mid-event: the run stops at its next
 // event boundary and the metrics accumulated so far are printed, with the
@@ -24,73 +25,50 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
+	"github.com/manetlab/ldr/internal/cli"
 	"github.com/manetlab/ldr/internal/mobility"
 	"github.com/manetlab/ldr/internal/scenario"
 	"github.com/manetlab/ldr/internal/stats"
 	"github.com/manetlab/ldr/internal/sweep"
-	"github.com/manetlab/ldr/internal/traffic"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "ldrsim:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main(run) }
 
 func run() error {
+	var shared cli.Scale
+	shared.Seed, shared.Trials, shared.SimTime = 1, 1, 300*time.Second
+	shared.Bind(flag.CommandLine)
 	var (
-		proto   = flag.String("proto", "ldr", "routing protocol: ldr|aodv|dsr|dsr7|olsr|olsr-nojitter")
-		nodes   = flag.Int("nodes", 50, "number of nodes (≥ 2)")
-		width   = flag.Float64("width", 1500, "terrain width (m)")
-		height  = flag.Float64("height", 300, "terrain height (m)")
-		flows   = flag.Int("flows", 10, "concurrent CBR flows (≥ 1)")
-		pause   = flag.Duration("pause", 60*time.Second, "random-waypoint pause time")
-		speed   = flag.Float64("maxspeed", 20, "maximum node speed (m/s)")
-		simTime = flag.Duration("simtime", 300*time.Second, "simulated duration (> 0)")
-		seed    = flag.Int64("seed", 1, "random seed")
-		trials  = flag.Int("trials", 1, "number of seeds to run, seed..seed+trials-1 (≥ 1)")
-		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent runs when trials > 1 (≥ 1; results are identical at any setting)")
-
-		mobilityModel = flag.String("mobility", "waypoint", "mobility model: waypoint|manhattan|gaussmarkov")
-		trafficPat    = flag.String("traffic", "cbr", "traffic pattern: cbr|bursty|reqresp")
-		radioProf     = flag.String("radio", "uniform", "radio profile: uniform|mixed|asym (per-node transmit-power classes)")
-		densityProf   = flag.String("density", "uniform", "placement-density profile: uniform|gradient|hotspot")
-		adaptive      = flag.Bool("adaptive-timeout", false, "derive LDR/AODV route lifetimes from observed RTTs instead of constants")
+		proto  = flag.String("proto", "ldr", "routing protocol: ldr|aodv|dsr|dsr7|olsr|olsr-nojitter")
+		nodes  = flag.Int("nodes", 50, "number of nodes (≥ 2)")
+		width  = flag.Float64("width", 1500, "terrain width (m)")
+		height = flag.Float64("height", 300, "terrain height (m)")
+		flows  = flag.Int("flows", 10, "concurrent CBR flows (≥ 1)")
+		pause  = flag.Duration("pause", 60*time.Second, "random-waypoint pause time")
+		speed  = flag.Float64("maxspeed", 20, "maximum node speed (m/s)")
 	)
-	flag.Usage = func() {
-		w := flag.CommandLine.Output()
-		fmt.Fprintf(w, "usage: ldrsim [flags]\n\n")
-		fmt.Fprintf(w, "Run one ad hoc network simulation (or -trials seeds of it) and print\n")
-		fmt.Fprintf(w, "its metrics. cmd/ldrbench regenerates the paper's tables; cmd/ldrchaos\n")
-		fmt.Fprintf(w, "runs the fault-injection suite.\n\nFlags:\n")
-		flag.PrintDefaults()
-		fmt.Fprintf(w, "\nExamples:\n")
-		fmt.Fprintf(w, "  ldrsim -proto ldr -nodes 50 -flows 10 -pause 60s -simtime 300s -seed 1\n")
-		fmt.Fprintf(w, "  ldrsim -proto aodv -trials 10 -workers 4\n")
-		fmt.Fprintf(w, "  ldrsim -proto ldr -mobility manhattan -traffic bursty -adaptive-timeout\n")
-		fmt.Fprintf(w, "  ldrsim -proto olsr -radio asym -density gradient  # one-way links, uneven placement\n")
+	if err := cli.Parse(
+		"Run one ad hoc network simulation (or -trials seeds of it) and print\n"+
+			"its metrics. cmd/ldrbench regenerates the paper's tables; cmd/ldrchaos\n"+
+			"runs the fault-injection suite.",
+		"ldrsim -proto ldr -nodes 50 -flows 10 -pause 60s -simtime 300s -seed 1",
+		"ldrsim -proto aodv -trials 10 -workers 4",
+		"ldrsim -proto ldr -mobility manhattan -traffic bursty -adaptive-timeout",
+		"ldrsim -proto olsr -radio asym -density gradient  # one-way links, uneven placement",
+	); err != nil {
+		return err
 	}
-	flag.Parse()
-
-	if *trials < 1 {
-		return fmt.Errorf("-trials must be at least 1 (got %d)", *trials)
-	}
-	if *workers < 1 {
-		return fmt.Errorf("-workers must be at least 1 (got %d)", *workers)
+	if err := shared.Validate(); err != nil {
+		return err
 	}
 	if *nodes < 2 {
 		return fmt.Errorf("-nodes must be at least 2 (got %d)", *nodes)
 	}
 	if *flows < 1 {
 		return fmt.Errorf("-flows must be at least 1 (got %d)", *flows)
-	}
-	if *simTime <= 0 {
-		return fmt.Errorf("-simtime must be positive (got %v)", *simTime)
 	}
 	if *width <= 0 || *height <= 0 {
 		return fmt.Errorf("terrain must be positive (got %.0f x %.0f m)", *width, *height)
@@ -100,18 +78,6 @@ func run() error {
 	}
 	if *speed <= 0 {
 		return fmt.Errorf("-maxspeed must be positive (got %.1f)", *speed)
-	}
-	if !scenario.ValidMobility(*mobilityModel) {
-		return fmt.Errorf("-mobility must be one of %v (got %q)", scenario.Mobilities(), *mobilityModel)
-	}
-	if !traffic.ValidPattern(*trafficPat) {
-		return fmt.Errorf("-traffic must be one of %v (got %q)", traffic.Patterns(), *trafficPat)
-	}
-	if !scenario.ValidRadio(*radioProf) {
-		return fmt.Errorf("-radio must be one of %v (got %q)", scenario.Radios(), *radioProf)
-	}
-	if !scenario.ValidDensity(*densityProf) {
-		return fmt.Errorf("-density must be one of %v (got %q)", scenario.Densities(), *densityProf)
 	}
 
 	// Stop at the next event boundary on ^C/SIGTERM and report the
@@ -127,25 +93,15 @@ func run() error {
 		ctl.Interrupt()
 	}()
 
-	cfg := scenario.Config{
-		Protocol:        scenario.ProtocolName(*proto),
-		Nodes:           *nodes,
-		Terrain:         mobility.Terrain{Width: *width, Height: *height},
-		Flows:           *flows,
-		PauseTime:       *pause,
-		MinSpeed:        1,
-		MaxSpeed:        *speed,
-		SimTime:         *simTime,
-		Seed:            *seed,
-		Mobility:        *mobilityModel,
-		TrafficPattern:  traffic.Pattern(*trafficPat),
-		Radio:           *radioProf,
-		Density:         *densityProf,
-		AdaptiveTimeout: *adaptive,
-	}
+	cfg := scenario.Nodes50(scenario.ProtocolName(*proto), *flows, *pause, shared.Seed)
+	cfg.Nodes = *nodes
+	cfg.Terrain = mobility.Terrain{Width: *width, Height: *height}
+	cfg.MaxSpeed = *speed
+	cfg.SimTime = shared.SimTime
+	shared.Axes.Apply(&cfg)
 
-	if *trials > 1 {
-		return runTrials(cfg, *trials, *workers, ctl)
+	if shared.Trials > 1 {
+		return runTrials(cfg, shared.Trials, shared.Workers, ctl)
 	}
 
 	start := time.Now()

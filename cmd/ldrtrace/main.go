@@ -9,22 +9,17 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
+	"github.com/manetlab/ldr/internal/cli"
 	"github.com/manetlab/ldr/internal/loopcheck"
 	"github.com/manetlab/ldr/internal/routing"
 	"github.com/manetlab/ldr/internal/scenario"
 	"github.com/manetlab/ldr/internal/topology"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "ldrtrace:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main(run) }
 
 func run() error {
 	var (
@@ -38,21 +33,14 @@ func run() error {
 		seed     = flag.Int64("seed", 1, "random seed")
 		packets  = flag.Int("packets", 0, "also print the paths of the last N traced packets (≥ 0)")
 	)
-	flag.Usage = func() {
-		w := flag.CommandLine.Output()
-		fmt.Fprintf(w, "usage: ldrtrace [flags]\n\n")
-		fmt.Fprintf(w, "Run one scenario while periodically dumping every node's routes toward\n")
-		fmt.Fprintf(w, "-dest (with LDR's sequence-number and feasible-distance labels) and\n")
-		fmt.Fprintf(w, "checking the loop-freedom invariants live. Debugging companion to ldrsim.\n\nFlags:\n")
-		flag.PrintDefaults()
-		fmt.Fprintf(w, "\nExamples:\n")
-		fmt.Fprintf(w, "  ldrtrace -proto ldr -nodes 20 -dest 3 -interval 5s -simtime 60s\n")
-		fmt.Fprintf(w, "  ldrtrace -proto aodv -packets 10\n")
-	}
-	flag.Parse()
-
-	if flag.NArg() > 0 {
-		return fmt.Errorf("unexpected argument %q (ldrtrace takes only flags)", flag.Arg(0))
+	if err := cli.Parse(
+		"Run one scenario while periodically dumping every node's routes toward\n"+
+			"-dest (with LDR's sequence-number and feasible-distance labels) and\n"+
+			"checking the loop-freedom invariants live. Debugging companion to ldrsim.",
+		"ldrtrace -proto ldr -nodes 20 -dest 3 -interval 5s -simtime 60s",
+		"ldrtrace -proto aodv -packets 10",
+	); err != nil {
+		return err
 	}
 	if _, err := scenario.Factory(scenario.ProtocolName(*proto), nil); err != nil {
 		return err

@@ -12,14 +12,14 @@ import (
 	"testing"
 	"time"
 
-	"github.com/manetlab/ldr/internal/core"
 	"github.com/manetlab/ldr/examples/coordination/dual"
+	"github.com/manetlab/ldr/examples/coordination/tora"
+	"github.com/manetlab/ldr/internal/core"
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/mobility"
 	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 	"github.com/manetlab/ldr/internal/sim"
-	"github.com/manetlab/ldr/examples/coordination/tora"
 )
 
 const coordRingSize = 16

@@ -5,8 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/manetlab/ldr/internal/rng"
 	"github.com/manetlab/ldr/examples/coordination/tora"
+	"github.com/manetlab/ldr/internal/rng"
 )
 
 // ring builds a cycle of n nodes with destination 0.

@@ -103,36 +103,24 @@ func (s Spec) Config() (scenario.Config, error) {
 		maxSpeed = s.MaxSpeed
 	}
 	cfg := scenario.Config{
-		Protocol:        scenario.ProtocolName(s.Protocol),
-		Nodes:           s.Nodes,
-		Terrain:         terrain,
-		Flows:           s.Flows,
-		PauseTime:       time.Duration(s.PauseSec * float64(time.Second)),
-		MinSpeed:        minSpeed,
-		MaxSpeed:        maxSpeed,
-		SimTime:         simTime,
-		Seed:            s.Seed,
-		Mobility:        s.Mobility,
-		TrafficPattern:  traffic.Pattern(s.Traffic),
-		Radio:           s.Radio,
-		Density:         s.Density,
-		AdaptiveTimeout: s.Adaptive,
+		Protocol:  scenario.ProtocolName(s.Protocol),
+		Nodes:     s.Nodes,
+		Terrain:   terrain,
+		Flows:     s.Flows,
+		PauseTime: time.Duration(s.PauseSec * float64(time.Second)),
+		MinSpeed:  minSpeed,
+		MaxSpeed:  maxSpeed,
+		SimTime:   simTime,
+		Seed:      s.Seed,
 	}
 	if _, err := scenario.Factory(cfg.Protocol, nil); err != nil {
 		return scenario.Config{}, err
 	}
-	if !scenario.ValidMobility(s.Mobility) {
-		return scenario.Config{}, fmt.Errorf("conformance: unknown mobility %q", s.Mobility)
+	axes := scenario.Axes{Mobility: s.Mobility, TrafficPattern: s.Traffic, Radio: s.Radio, Density: s.Density, AdaptiveTimeout: s.Adaptive}
+	if err := axes.Validate(); err != nil {
+		return scenario.Config{}, fmt.Errorf("conformance: %w", err)
 	}
-	if !traffic.ValidPattern(s.Traffic) {
-		return scenario.Config{}, fmt.Errorf("conformance: unknown traffic pattern %q", s.Traffic)
-	}
-	if !scenario.ValidRadio(s.Radio) {
-		return scenario.Config{}, fmt.Errorf("conformance: unknown radio profile %q", s.Radio)
-	}
-	if !scenario.ValidDensity(s.Density) {
-		return scenario.Config{}, fmt.Errorf("conformance: unknown density profile %q", s.Density)
-	}
+	axes.Apply(&cfg)
 	if s.Profile != "" && s.Profile != "none" {
 		plan, err := fault.Profile(s.Profile, s.Nodes, simTime)
 		if err != nil {
@@ -265,9 +253,7 @@ func (o *Options) defaults() {
 		o.Mobilities = scenario.Mobilities()
 	}
 	if len(o.Traffics) == 0 {
-		for _, p := range traffic.Patterns() {
-			o.Traffics = append(o.Traffics, string(p))
-		}
+		o.Traffics = scenario.Traffics()
 	}
 	if len(o.Radios) == 0 {
 		o.Radios = scenario.Radios()

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/manetlab/ldr/internal/core"
 	"github.com/manetlab/ldr/internal/scenario"
@@ -40,59 +39,26 @@ func Variants() []LDRVariant {
 
 // Ablation measures each LDR variant (plus OLSR with and without the FIFO
 // jitter queue) on the 50-node, 10-flow, constant-motion scenario — the
-// regime where discovery efficiency matters most. Rows are enumerated as
-// one flat cell list, simulated in parallel via internal/sweep, and
-// rendered in enumeration order.
+// regime where discovery efficiency matters most.
 func Ablation(o Options) error {
 	o = o.Defaults()
-	const pause = 0 * time.Second
-
-	base := func(seed int64) scenario.Config {
-		sc := scenario.Nodes50(scenario.LDR, 10, pause, seed)
-		sc.SimTime = o.SimTime
-		return sc
-	}
-
-	var names []string
-	var cfgs []scenario.Config
-	addRow := func(name string, mutate func(*scenario.Config)) {
-		names = append(names, name)
-		for _, seed := range o.trialSeeds() {
-			sc := base(seed)
-			mutate(&sc)
-			cfgs = append(cfgs, sc)
-		}
+	cols := []column{colDelivery, colLatency, colNetLoad, colRREQLoad}
+	sec := section[runMetrics]{header: ciHeader(fmt.Sprintf(
+		"\nAblation — 50 nodes, 10 flows, pause 0 s, %v sim, %d trials\n", o.SimTime, o.Trials), "variant", 16, cols)}
+	addRow := func(name string, proto scenario.ProtocolName, edit ...func(*scenario.Config)) {
+		sec.rows = append(sec.rows, ciRow(name, 16, cols, o.trials(proto, 50, 10, 0, edit...)))
 	}
 
 	for _, v := range Variants() {
-		cfg := core.DefaultConfig()
-		v.Mutate(&cfg)
-		ldrCfg := cfg
-		addRow(v.Name, func(sc *scenario.Config) { sc.LDRConfig = &ldrCfg })
+		ldrCfg := core.DefaultConfig()
+		v.Mutate(&ldrCfg)
+		addRow(v.Name, scenario.LDR, func(cfg *scenario.Config) { cfg.LDRConfig = &ldrCfg })
 	}
 	for _, proto := range []scenario.ProtocolName{scenario.OLSR, scenario.OLSRJ} {
-		proto := proto
-		addRow(string(proto), func(sc *scenario.Config) { sc.Protocol = proto })
+		addRow(string(proto), proto)
 	}
 	// MAC-level ablation: LDR with RTS/CTS virtual carrier sensing.
-	addRow("ldr+rtscts", func(sc *scenario.Config) { sc.RTSCTS = true })
+	addRow("ldr+rtscts", scenario.LDR, func(cfg *scenario.Config) { cfg.RTSCTS = true })
 
-	ms, err := runAll(cfgs, o)
-	if ms == nil {
-		return err
-	}
-
-	fmt.Fprintf(o.Out, "\nAblation — 50 nodes, 10 flows, pause 0 s, %v sim, %d trials\n", o.SimTime, o.Trials)
-	fmt.Fprintf(o.Out, "%-16s %16s %16s %16s %16s\n",
-		"variant", "delivery %", "latency ms", "net load", "rreq load")
-	for i, name := range names {
-		printAblationRow(o, name, ms[i*o.Trials:(i+1)*o.Trials])
-	}
-	return err
-}
-
-func printAblationRow(o Options, name string, samples []runMetrics) {
-	row := summarizeRuns(samples)
-	fmt.Fprintf(o.Out, "%-16s %s %s %s %s\n", name,
-		ci(row.delivery), ci(row.latency), ci(row.netLoad), ci(row.rreqLoad))
+	return runTable(o, "metrics", measureRun, []section[runMetrics]{sec})
 }

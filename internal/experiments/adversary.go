@@ -2,11 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"github.com/manetlab/ldr/internal/adversary"
 	"github.com/manetlab/ldr/internal/metrics"
 	"github.com/manetlab/ldr/internal/scenario"
-	"github.com/manetlab/ldr/internal/sweep"
+	"github.com/manetlab/ldr/internal/stats"
 )
 
 // advMetrics is the per-run measurement vector for the Adversary table.
@@ -27,11 +28,7 @@ type advMetrics struct {
 	Suppr    uint64  `json:"suppr"`     // RREQs + RERRs discarded by receive rate limiting
 }
 
-func advRun(cfg scenario.Config, ctls ...*scenario.Control) (advMetrics, error) {
-	res, err := scenario.RunWithControl(cfg, ctls...)
-	if err != nil {
-		return advMetrics{}, err
-	}
+func measureAdversary(res scenario.Result) advMetrics {
 	c := res.Collector
 	return advMetrics{
 		Delivery: 100 * c.DeliveryRatio(),
@@ -44,7 +41,7 @@ func advRun(cfg scenario.Config, ctls ...*scenario.Control) (advMetrics, error) 
 		Storm:    res.Adversary.StormRREQs + res.Adversary.StormRERRs,
 		FeasRej:  c.FeasibilityRejections,
 		Suppr:    c.RREQSuppressed + c.RERRSuppressed,
-	}, nil
+	}
 }
 
 // Adversary runs the attack-impact comparison: every protocol under every
@@ -58,83 +55,58 @@ func advRun(cfg scenario.Config, ctls ...*scenario.Control) (advMetrics, error) 
 // the AODV failure mode under seqno-forge that LDR's feasibility condition
 // (NDC) refuses, visible in the feas_rej column.
 //
-// Cells fan out across Options.Workers and are aggregated in enumeration
-// order, so the rendered table is byte-identical at any worker count.
+// The rendered table is byte-identical at any worker count.
 func Adversary(o Options) error {
 	o = o.Defaults()
-
-	type cellKey struct {
-		profile string
-		proto   scenario.ProtocolName
-	}
-	var cfgs []scenario.Config
-	var keys []cellKey
+	var secs []section[advMetrics]
 	for _, profile := range o.AdversaryProfiles {
 		plan, err := adversary.Profile(profile, 50, o.SimTime)
 		if err != nil {
 			return err
 		}
+		sec := section[advMetrics]{header: profileHeader(o, "Adversary", profile, fmt.Sprintf(
+			"%-8s %16s %16s %7s %9s %7s %8s %7s %8s %7s %6s %6s",
+			"proto", "delivery %", "baseline %", "caf",
+			"advdrop", "forged", "replay", "storm", "feasrej", "suppr", "loops", "order"))}
 		for _, proto := range o.Protocols {
-			keys = append(keys, cellKey{profile, proto})
+			// Baseline first, attacked second: the row consumes pairs.
+			var cells []scenario.Config
 			for _, seed := range o.trialSeeds() {
-				// Baseline first, attacked second: advAgg consumes pairs.
-				base := scenario.Nodes50(proto, 10, 0, seed)
-				base.SimTime = o.SimTime
+				base := o.Cell(proto, 50, 10, 0, seed)
 				base.AuditCadence = o.AuditCadence
-				o.applyDiversity(&base)
-				cfgs = append(cfgs, base)
-
 				attacked := base
 				if len(plan.Compromises) > 0 {
-					p := plan
-					attacked.AdversaryPlan = &p
+					attacked.AdversaryPlan = &plan
 				}
-				cfgs = append(cfgs, attacked)
+				cells = append(cells, base, attacked)
 			}
+			sec.rows = append(sec.rows, row[advMetrics]{cells, func(w io.Writer, ms []advMetrics) {
+				var baseline, attacked []advMetrics
+				var cafs []float64
+				var agg advMetrics
+				for ; len(ms) > 0; ms = ms[2:] {
+					b, a := ms[0], ms[1]
+					baseline, attacked = append(baseline, b), append(attacked, a)
+					if b.CtrlTx > 0 {
+						cafs = append(cafs, float64(a.CtrlTx)/float64(b.CtrlTx))
+					}
+					agg.Loops += a.Loops
+					agg.Ordering += a.Ordering
+					agg.AdvDrops += a.AdvDrops
+					agg.Forged += a.Forged
+					agg.Replayed += a.Replayed
+					agg.Storm += a.Storm
+					agg.FeasRej += a.FeasRej
+					agg.Suppr += a.Suppr
+				}
+				delivery := func(m advMetrics) float64 { return m.Delivery }
+				fmt.Fprintf(w, "%-8s %s %s %7.2f %9d %7d %8d %7d %8d %7d %6d %6d\n", proto,
+					ci(summarize(attacked, delivery)), ci(summarize(baseline, delivery)), stats.Mean(cafs),
+					agg.AdvDrops, agg.Forged, agg.Replayed, agg.Storm,
+					agg.FeasRej, agg.Suppr, agg.Loops, agg.Ordering)
+			}})
 		}
+		secs = append(secs, sec)
 	}
-
-	ms, err := sweep.RunCells(cfgs, o.execOptions("adversary"), func(i int, ctl *scenario.Control) (advMetrics, error) {
-		return advRun(cfgs[i], ctl, o.Exec.Control)
-	})
-	if ms == nil {
-		return err
-	}
-
-	idx := 0
-	lastProfile := ""
-	for _, k := range keys {
-		if k.profile != lastProfile {
-			lastProfile = k.profile
-			fmt.Fprintf(o.Out, "\nAdversary — profile %s (50 nodes, 10 flows, %v sim, audit every %v, %d trials)\n",
-				k.profile, o.SimTime, o.AuditCadence, o.Trials)
-			fmt.Fprintf(o.Out, "%-8s %16s %16s %7s %9s %7s %8s %7s %8s %7s %6s %6s\n",
-				"proto", "delivery %", "baseline %", "caf",
-				"advdrop", "forged", "replay", "storm", "feasrej", "suppr", "loops", "order")
-		}
-		var attacked, baseline, cafs []float64
-		agg := advMetrics{}
-		for t := 0; t < o.Trials; t++ {
-			b, a := ms[idx], ms[idx+1]
-			idx += 2
-			baseline = append(baseline, b.Delivery)
-			attacked = append(attacked, a.Delivery)
-			if b.CtrlTx > 0 {
-				cafs = append(cafs, float64(a.CtrlTx)/float64(b.CtrlTx))
-			}
-			agg.Loops += a.Loops
-			agg.Ordering += a.Ordering
-			agg.AdvDrops += a.AdvDrops
-			agg.Forged += a.Forged
-			agg.Replayed += a.Replayed
-			agg.Storm += a.Storm
-			agg.FeasRej += a.FeasRej
-			agg.Suppr += a.Suppr
-		}
-		fmt.Fprintf(o.Out, "%-8s %s %s %7.2f %9d %7d %8d %7d %8d %7d %6d %6d\n",
-			k.proto, ciOf(attacked), ciOf(baseline), mean(cafs),
-			agg.AdvDrops, agg.Forged, agg.Replayed, agg.Storm,
-			agg.FeasRej, agg.Suppr, agg.Loops, agg.Ordering)
-	}
-	return err
+	return runTable(o, "adversary", measureAdversary, secs)
 }

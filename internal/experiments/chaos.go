@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"github.com/manetlab/ldr/internal/fault"
 	"github.com/manetlab/ldr/internal/scenario"
-	"github.com/manetlab/ldr/internal/stats"
-	"github.com/manetlab/ldr/internal/sweep"
 )
 
 // chaosMetrics is the per-run measurement vector for the Chaos table:
@@ -24,11 +23,7 @@ type chaosMetrics struct {
 	Crashes  int     `json:"crashes"`  // node crashes the injector executed
 }
 
-func chaosRun(cfg scenario.Config, ctls ...*scenario.Control) (chaosMetrics, error) {
-	res, err := scenario.RunWithControl(cfg, ctls...)
-	if err != nil {
-		return chaosMetrics{}, err
-	}
+func measureChaos(res scenario.Result) chaosMetrics {
 	c := res.Collector
 	return chaosMetrics{
 		Delivery: 100 * c.DeliveryRatio(),
@@ -37,7 +32,14 @@ func chaosRun(cfg scenario.Config, ctls ...*scenario.Control) (chaosMetrics, err
 		Ordering: c.OrderingViolations,
 		Audits:   c.AuditSnapshots,
 		Crashes:  res.Faults.Crashes,
-	}, nil
+	}
+}
+
+// profileHeader titles one profile's section of the Chaos and Adversary
+// tables, which share their 50-node, 10-flow audited rig.
+func profileHeader(o Options, table, profile, columns string) string {
+	return fmt.Sprintf("\n%s — profile %s (50 nodes, 10 flows, %v sim, audit every %v, %d trials)\n%s\n",
+		table, profile, o.SimTime, o.AuditCadence, o.Trials, columns)
 }
 
 // Chaos runs the fault-injection comparison: every protocol under every
@@ -51,80 +53,40 @@ func chaosRun(cfg scenario.Config, ctls ...*scenario.Control) (chaosMetrics, err
 // loop), so its violation columns are structurally zero; OLSR's are
 // transient artifacts of link-state convergence.
 //
-// Cells fan out across Options.Workers via the PR-1 worker pool and are
-// aggregated in enumeration order, so the rendered table is
-// byte-identical at any worker count.
+// The rendered table is byte-identical at any worker count.
 func Chaos(o Options) error {
 	o = o.Defaults()
-	pauses := []time.Duration{0, o.SimTime}
-
-	type cellKey struct {
-		profile string
-		pause   time.Duration
-		proto   scenario.ProtocolName
-	}
-	var cfgs []scenario.Config
-	var keys []cellKey
+	var secs []section[chaosMetrics]
 	for _, profile := range o.FaultProfiles {
 		plan, err := fault.Profile(profile, 50, o.SimTime)
 		if err != nil {
 			return err
 		}
-		for _, pause := range pauses {
+		sec := section[chaosMetrics]{header: profileHeader(o, "Chaos", profile, fmt.Sprintf(
+			"%-8s %8s %16s %12s %8s %8s %8s %8s",
+			"proto", "pause_s", "delivery %", "net load", "loops", "order", "audits", "crashes"))}
+		for _, pause := range []time.Duration{0, o.SimTime} {
 			for _, proto := range o.Protocols {
-				keys = append(keys, cellKey{profile, pause, proto})
-				for _, seed := range o.trialSeeds() {
-					cfg := scenario.Nodes50(proto, 10, pause, seed)
-					cfg.SimTime = o.SimTime
+				cells := o.trials(proto, 50, 10, pause, func(cfg *scenario.Config) {
 					cfg.FaultPlan = &plan
 					cfg.AuditCadence = o.AuditCadence
-					o.applyDiversity(&cfg)
-					cfgs = append(cfgs, cfg)
-				}
+				})
+				sec.rows = append(sec.rows, row[chaosMetrics]{cells, func(w io.Writer, ms []chaosMetrics) {
+					var agg chaosMetrics
+					for _, m := range ms {
+						agg.Loops += m.Loops
+						agg.Ordering += m.Ordering
+						agg.Audits += m.Audits
+						agg.Crashes += m.Crashes
+					}
+					fmt.Fprintf(w, "%-8s %8.0f %s %12.3f %8d %8d %8d %8d\n", proto, pause.Seconds(),
+						ci(summarize(ms, func(m chaosMetrics) float64 { return m.Delivery })),
+						summarize(ms, func(m chaosMetrics) float64 { return m.NetLoad }).Mean,
+						agg.Loops, agg.Ordering, agg.Audits, agg.Crashes)
+				}})
 			}
 		}
+		secs = append(secs, sec)
 	}
-
-	ms, err := sweep.RunCells(cfgs, o.execOptions("chaos"), func(i int, ctl *scenario.Control) (chaosMetrics, error) {
-		return chaosRun(cfgs[i], ctl, o.Exec.Control)
-	})
-	if ms == nil {
-		return err
-	}
-
-	idx := 0
-	lastProfile := ""
-	for _, k := range keys {
-		if k.profile != lastProfile {
-			lastProfile = k.profile
-			fmt.Fprintf(o.Out, "\nChaos — profile %s (50 nodes, 10 flows, %v sim, audit every %v, %d trials)\n",
-				k.profile, o.SimTime, o.AuditCadence, o.Trials)
-			fmt.Fprintf(o.Out, "%-8s %8s %16s %12s %8s %8s %8s %8s\n",
-				"proto", "pause_s", "delivery %", "net load", "loops", "order", "audits", "crashes")
-		}
-		agg := chaosMetrics{}
-		var delivery, netLoad []float64
-		for t := 0; t < o.Trials; t++ {
-			m := ms[idx]
-			idx++
-			delivery = append(delivery, m.Delivery)
-			netLoad = append(netLoad, m.NetLoad)
-			agg.Loops += m.Loops
-			agg.Ordering += m.Ordering
-			agg.Audits += m.Audits
-			agg.Crashes += m.Crashes
-		}
-		fmt.Fprintf(o.Out, "%-8s %8.0f %s %12.3f %8d %8d %8d %8d\n",
-			k.proto, k.pause.Seconds(), ciOf(delivery), mean(netLoad),
-			agg.Loops, agg.Ordering, agg.Audits, agg.Crashes)
-	}
-	return err
-}
-
-func ciOf(xs []float64) string {
-	return ci(stats.Summarize(xs))
-}
-
-func mean(xs []float64) float64 {
-	return stats.Summarize(xs).Mean
+	return runTable(o, "chaos", measureChaos, secs)
 }

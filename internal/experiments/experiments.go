@@ -8,23 +8,25 @@
 // completing in minutes on a laptop; passing 900 s and 10 trials
 // reproduces the paper's full setup.
 //
-// Every experiment first enumerates its full list of scenario cells,
-// fans them out across Options.Workers goroutines via internal/sweep,
-// then aggregates and renders serially in enumeration order — so the
-// rendered output is byte-identical whatever the worker count.
+// Every statistical experiment is a literal over one table runner
+// (table.go): it enumerates sections of rows of cells, built by the one
+// cell constructor Options.Cell, and says how a row prints. The runner
+// fans the cells out across Options.Workers goroutines via
+// internal/sweep and renders serially in enumeration order — so the
+// output is byte-identical whatever the worker count. Registry names the
+// experiments cmd/ldrbench dispatches on.
 package experiments
 
 import (
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"github.com/manetlab/ldr/internal/adversary"
 	"github.com/manetlab/ldr/internal/fault"
 	"github.com/manetlab/ldr/internal/scenario"
-	"github.com/manetlab/ldr/internal/stats"
 	"github.com/manetlab/ldr/internal/sweep"
-	"github.com/manetlab/ldr/internal/traffic"
 )
 
 // Options control experiment scale and output.
@@ -52,18 +54,13 @@ type Options struct {
 	// Chaos experiment; zero selects 100 ms.
 	AuditCadence time.Duration
 
-	// Mobility, TrafficPattern, Radio, Density, and AdaptiveTimeout apply
-	// the scenario-diversity axes to every cell of the experiment being
-	// run (""/false select the paper's waypoint + CBR + uniform-disk +
-	// uniform-placement + constant-timeout setup), so the chaos and
-	// adversary matrices compose with the new models. The Mobility
-	// experiment sweeps models itself and ignores o.Mobility; the Radio
-	// experiment likewise sweeps radio and density profiles.
-	Mobility        string
-	TrafficPattern  string
-	Radio           string
-	Density         string
-	AdaptiveTimeout bool
+	// Axes apply the scenario-diversity axes to every cell of the
+	// experiment being run (the zero value is the paper's waypoint + CBR
+	// + uniform-disk + uniform-placement + constant-timeout setup), so
+	// every table composes with the newer models. The Mobility
+	// experiment sweeps models itself and overrides Axes.Mobility; the
+	// Radio experiment likewise sweeps radio and density profiles.
+	scenario.Axes
 
 	// Progress, when non-nil, receives live cell counters for the sweep
 	// currently running (see sweep.Progress).
@@ -109,28 +106,41 @@ func (o Options) Defaults() Options {
 	return o
 }
 
-func (o Options) sweepOptions() sweep.Options {
-	return sweep.Options{Workers: o.Workers, Progress: o.Progress}
+// Cell is the one constructor every experiment's cells come from: the
+// paper's scenario skeleton for the node count (100 selects the larger
+// terrain; anything else rescales the 50-node one), stamped with the
+// experiment's run length and scenario-diversity axes.
+func (o Options) Cell(proto scenario.ProtocolName, nodes, flows int, pause time.Duration, seed int64) scenario.Config {
+	cfg := scenario.Nodes50(proto, flows, pause, seed)
+	if nodes == 100 {
+		cfg = scenario.Nodes100(proto, flows, pause, seed)
+	}
+	cfg.Nodes = nodes
+	cfg.SimTime = o.SimTime
+	o.Axes.Apply(&cfg)
+	return cfg
 }
 
-// execOptions is sweepOptions plus the resilience layer, with the journal
-// scope pinned to the experiment's payload type so a "metrics" record can
-// never be decoded as a "chaos" one from a shared journal directory.
-func (o Options) execOptions(scope string) sweep.Options {
-	so := o.sweepOptions()
-	so.Exec = o.Exec
-	so.Exec.Scope = scope
-	return so
+// trialSeeds yields the seed list for one configuration cell.
+func (o Options) trialSeeds() []int64 {
+	seeds := make([]int64, o.Trials)
+	for i := range seeds {
+		seeds[i] = o.BaseSeed + int64(i)
+	}
+	return seeds
 }
 
-// applyDiversity stamps the options' scenario-diversity axes onto one
-// cell config.
-func (o Options) applyDiversity(cfg *scenario.Config) {
-	cfg.Mobility = o.Mobility
-	cfg.TrafficPattern = traffic.Pattern(o.TrafficPattern)
-	cfg.Radio = o.Radio
-	cfg.Density = o.Density
-	cfg.AdaptiveTimeout = o.AdaptiveTimeout
+// trials is the usual block of a row: the same cell at every trial
+// seed, each passed through the edits (a fault plan, an LDR variant, ...).
+func (o Options) trials(proto scenario.ProtocolName, nodes, flows int, pause time.Duration, edit ...func(*scenario.Config)) []scenario.Config {
+	cfgs := make([]scenario.Config, o.Trials)
+	for i, seed := range o.trialSeeds() {
+		cfgs[i] = o.Cell(proto, nodes, flows, pause, seed)
+		for _, e := range edit {
+			e(&cfgs[i])
+		}
+	}
+	return cfgs
 }
 
 // runMetrics is the per-run measurement vector (Table 1's columns). The
@@ -147,11 +157,7 @@ type runMetrics struct {
 	Seqno    float64 `json:"seqno"`     // mean destination sequence number
 }
 
-func run(cfg scenario.Config, ctls ...*scenario.Control) (runMetrics, error) {
-	res, err := scenario.RunWithControl(cfg, ctls...)
-	if err != nil {
-		return runMetrics{}, err
-	}
+func measureRun(res scenario.Result) runMetrics {
 	c := res.Collector
 	return runMetrics{
 		Delivery: 100 * c.DeliveryRatio(),
@@ -161,218 +167,74 @@ func run(cfg scenario.Config, ctls ...*scenario.Control) (runMetrics, error) {
 		RREPInit: c.RREPInitPerRREQ(),
 		RREPRecv: c.RREPRecvPerRREQ(),
 		Seqno:    c.MeanSeqno(),
-	}, nil
-}
-
-// runAll executes every cell across the worker pool and returns per-cell
-// metrics in input order, journaled under the "metrics" scope when
-// Options.Exec carries a journal. Under Exec.KeepGoing both the partial
-// metrics (failed cells zero-valued) and the sweep.Failures error are
-// returned; callers render the partial table and propagate the error.
-func runAll(cfgs []scenario.Config, o Options) ([]runMetrics, error) {
-	return sweep.RunCells(cfgs, o.execOptions("metrics"), func(i int, ctl *scenario.Control) (runMetrics, error) {
-		return run(cfgs[i], ctl, o.Exec.Control)
-	})
-}
-
-// trialSeeds yields the seed list for one configuration cell.
-func (o Options) trialSeeds() []int64 {
-	seeds := make([]int64, o.Trials)
-	for i := range seeds {
-		seeds[i] = o.BaseSeed + int64(i)
 	}
-	return seeds
 }
 
-// Table1 reproduces the paper's Table 1: for each flow count, every
-// metric averaged over all pause times and both the 50- and 100-node
-// scenarios, reported as mean ± 95% CI per protocol.
-func Table1(o Options) error {
-	o = o.Defaults()
-	pauses := scenario.PauseTimes(o.SimTime)
-	flowCounts := []int{10, 30}
+// Experiment is one name cmd/ldrbench's -exp accepts.
+type Experiment struct {
+	Name string
+	Run  func(Options) error
+}
 
-	// Enumerate the full table as one flat cell list so the sweep can
-	// keep every worker busy across protocol and flow sections; each
-	// (flows, proto) row is a contiguous block of perRow cells.
-	perRow := len(pauses) * o.Trials * 2
-	var cfgs []scenario.Config
-	for _, flows := range flowCounts {
-		for _, proto := range o.Protocols {
-			for _, pause := range pauses {
-				for _, seed := range o.trialSeeds() {
-					for _, build := range []func(scenario.ProtocolName, int, time.Duration, int64) scenario.Config{
-						scenario.Nodes50, scenario.Nodes100,
-					} {
-						cfg := build(proto, flows, pause, seed)
-						cfg.SimTime = o.SimTime
-						o.applyDiversity(&cfg)
-						cfgs = append(cfgs, cfg)
-					}
-				}
-			}
+// paper is the paper-regeneration set, in the order "all" runs it.
+func paper() []Experiment {
+	fig := func(id string, nodes, flows int) func(Options) error {
+		return func(o Options) error { return DeliveryFigure(o, id, nodes, flows) }
+	}
+	return []Experiment{
+		{"table1", Table1},
+		{"fig2", fig("Fig 2", 50, 10)},
+		{"fig3", fig("Fig 3", 50, 30)},
+		{"fig4", fig("Fig 4", 100, 10)},
+		{"fig5", fig("Fig 5", 100, 30)},
+		{"fig6", Fig6},
+		{"fig7", Fig7},
+		{"ablation", Ablation},
+	}
+}
+
+// Registry lists every experiment: the paper set, "all" (that set in
+// one run), then the ones that run only when named — modelcheck is
+// bounded-exhaustive rather than statistical (minutes on one core), and
+// the mobility and radio comparisons come from the follow-on literature.
+// Chaos and Adversary are not here: cmd/ldrchaos fronts them with its
+// own scale defaults.
+func Registry() []Experiment {
+	return append(paper(),
+		Experiment{"all", all},
+		Experiment{"modelcheck", ModelCheck},
+		Experiment{"mobility", Mobility},
+		Experiment{"radio", Radio})
+}
+
+// all regenerates the paper's evaluation, reporting each experiment's
+// wall time as it finishes.
+func all(o Options) error {
+	for _, e := range paper() {
+		start := time.Now()
+		if err := e.Run(o); err != nil {
+			return fmt.Errorf("%s: %w", e.Name, err)
+		}
+		fmt.Fprintf(o.Defaults().Out, "[%s done in %v]\n", e.Name, time.Since(start).Round(time.Second))
+	}
+	return nil
+}
+
+// Names lists the registry's names in order, for flag help.
+func Names() []string {
+	var names []string
+	for _, e := range Registry() {
+		names = append(names, e.Name)
+	}
+	return names
+}
+
+// Find resolves an -exp value.
+func Find(name string) (Experiment, error) {
+	for _, e := range Registry() {
+		if e.Name == name {
+			return e, nil
 		}
 	}
-	ms, err := runAll(cfgs, o)
-	if ms == nil {
-		return err
-	}
-
-	idx := 0
-	for _, flows := range flowCounts {
-		fmt.Fprintf(o.Out, "\nTable 1 — %d flows (mean ± 95%% CI over pause times × {50,100} nodes × %d trials, %v sim)\n",
-			flows, o.Trials, o.SimTime)
-		fmt.Fprintf(o.Out, "%-8s %16s %16s %16s %16s %16s %16s\n",
-			"proto", "delivery %", "latency ms", "net load", "rreq load", "rrep init", "rrep recv")
-		for _, proto := range o.Protocols {
-			row := summarizeRuns(ms[idx : idx+perRow])
-			idx += perRow
-			fmt.Fprintf(o.Out, "%-8s %s %s %s %s %s %s\n", proto,
-				ci(row.delivery), ci(row.latency), ci(row.netLoad),
-				ci(row.rreqLoad), ci(row.rrepInit), ci(row.rrepRecv))
-		}
-	}
-	return err
-}
-
-type summaries struct {
-	delivery, latency, netLoad, rreqLoad, rrepInit, rrepRecv, seqno stats.Summary
-}
-
-func summarizeRuns(ms []runMetrics) summaries {
-	col := func(f func(runMetrics) float64) stats.Summary {
-		xs := make([]float64, len(ms))
-		for i, m := range ms {
-			xs[i] = f(m)
-		}
-		return stats.Summarize(xs)
-	}
-	return summaries{
-		delivery: col(func(m runMetrics) float64 { return m.Delivery }),
-		latency:  col(func(m runMetrics) float64 { return m.Latency }),
-		netLoad:  col(func(m runMetrics) float64 { return m.NetLoad }),
-		rreqLoad: col(func(m runMetrics) float64 { return m.RREQLoad }),
-		rrepInit: col(func(m runMetrics) float64 { return m.RREPInit }),
-		rrepRecv: col(func(m runMetrics) float64 { return m.RREPRecv }),
-		seqno:    col(func(m runMetrics) float64 { return m.Seqno }),
-	}
-}
-
-func ci(s stats.Summary) string {
-	return fmt.Sprintf("%8.2f ±%5.2f", s.Mean, s.CI95)
-}
-
-// DeliveryFigure reproduces Figs. 2–5: delivery ratio vs pause time for
-// one (node count, flow count) cell, one series per protocol.
-func DeliveryFigure(o Options, id string, nodes, flows int) error {
-	o = o.Defaults()
-	pauses := scenario.PauseTimes(o.SimTime)
-
-	var cfgs []scenario.Config
-	for _, pause := range pauses {
-		for _, proto := range o.Protocols {
-			for _, seed := range o.trialSeeds() {
-				cfg := cell(proto, nodes, flows, pause, seed)
-				cfg.SimTime = o.SimTime
-				o.applyDiversity(&cfg)
-				cfgs = append(cfgs, cfg)
-			}
-		}
-	}
-	ms, err := runAll(cfgs, o)
-	if ms == nil {
-		return err
-	}
-
-	fmt.Fprintf(o.Out, "\n%s — delivery ratio vs pause time (%d nodes, %d flows, %v sim, %d trials)\n",
-		id, nodes, flows, o.SimTime, o.Trials)
-	fmt.Fprintf(o.Out, "%-8s", "pause_s")
-	for _, proto := range o.Protocols {
-		fmt.Fprintf(o.Out, " %18s", proto)
-	}
-	fmt.Fprintln(o.Out)
-
-	idx := 0
-	for _, pause := range pauses {
-		fmt.Fprintf(o.Out, "%-8.0f", pause.Seconds())
-		for range o.Protocols {
-			xs := make([]float64, o.Trials)
-			for t := 0; t < o.Trials; t++ {
-				xs[t] = ms[idx].Delivery
-				idx++
-			}
-			s := stats.Summarize(xs)
-			fmt.Fprintf(o.Out, "    %7.2f ±%5.2f", s.Mean, s.CI95)
-		}
-		fmt.Fprintln(o.Out)
-	}
-	return err
-}
-
-func cell(proto scenario.ProtocolName, nodes, flows int, pause time.Duration, seed int64) scenario.Config {
-	if nodes == 100 {
-		return scenario.Nodes100(proto, flows, pause, seed)
-	}
-	cfg := scenario.Nodes50(proto, flows, pause, seed)
-	cfg.Nodes = nodes
-	return cfg
-}
-
-// Fig6 reproduces the QualNet cross-check: the Fig. 3 scenario (50 nodes,
-// 30 flows) re-run with the draft-7 DSR variant against AODV — DSR
-// improves slightly but keeps its downward mobility trend.
-func Fig6(o Options) error {
-	o.Protocols = []scenario.ProtocolName{scenario.AODV, scenario.DSR, scenario.DSR7}
-	return DeliveryFigure(o, "Fig 6 (QualNet cross-check: DSR draft 3 vs draft 7)", 50, 30)
-}
-
-// Fig7 reproduces the mean destination sequence number comparison between
-// LDR and AODV at low (10-flow) and high (30-flow) load. The paper's
-// headline: LDR's means stay below ~1.5 while AODV's grow by orders of
-// magnitude, because only LDR destinations control their own numbers.
-func Fig7(o Options) error {
-	o = o.Defaults()
-	pauses := scenario.PauseTimes(o.SimTime)
-	flowCounts := []int{10, 30}
-	protos := []scenario.ProtocolName{scenario.LDR, scenario.AODV}
-
-	var cfgs []scenario.Config
-	for _, pause := range pauses {
-		for _, flows := range flowCounts {
-			for _, proto := range protos {
-				for _, seed := range o.trialSeeds() {
-					cfg := scenario.Nodes50(proto, flows, pause, seed)
-					cfg.SimTime = o.SimTime
-					o.applyDiversity(&cfg)
-					cfgs = append(cfgs, cfg)
-				}
-			}
-		}
-	}
-	ms, err := runAll(cfgs, o)
-	if ms == nil {
-		return err
-	}
-
-	fmt.Fprintf(o.Out, "\nFig 7 — mean destination sequence number (50 nodes, %v sim, %d trials)\n",
-		o.SimTime, o.Trials)
-	fmt.Fprintf(o.Out, "%-8s %18s %18s %18s %18s\n",
-		"pause_s", "ldr-10f", "aodv-10f", "ldr-30f", "aodv-30f")
-	idx := 0
-	for _, pause := range pauses {
-		fmt.Fprintf(o.Out, "%-8.0f", pause.Seconds())
-		for range flowCounts {
-			for range protos {
-				xs := make([]float64, o.Trials)
-				for t := 0; t < o.Trials; t++ {
-					xs[t] = ms[idx].Seqno
-					idx++
-				}
-				s := stats.Summarize(xs)
-				fmt.Fprintf(o.Out, "    %7.2f ±%5.2f", s.Mean, s.CI95)
-			}
-		}
-		fmt.Fprintln(o.Out)
-	}
-	return err
+	return Experiment{}, fmt.Errorf("unknown experiment %q (have %s)", name, strings.Join(Names(), ", "))
 }

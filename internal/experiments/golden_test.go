@@ -32,7 +32,7 @@ const goldenPath = "testdata/render.golden"
 // regenerates the file after a deliberate change.
 func TestRenderGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("renders nine experiments (~35 s)")
+		t.Skip("renders ten tables (~40 s)")
 	}
 	const simTime = 8 * time.Second
 	base := experiments.Options{Trials: 2, SimTime: simTime, Workers: *goldenWorkers}
@@ -51,23 +51,29 @@ func TestRenderGolden(t *testing.T) {
 	faulted.FaultPlan = &plan
 
 	var out strings.Builder
+	body := map[string]string{} // experiment name → its rendered table
 	for _, e := range []struct {
 		name  string
 		fn    func(experiments.Options) error
 		scope string // journal the run and pin first's record
 		first scenario.Config
 	}{
-		{"table1", experiments.Table1, "metrics", firstCell},
-		{"fig2", func(o experiments.Options) error {
+		{name: "table1", fn: experiments.Table1, scope: "metrics", first: firstCell},
+		{name: "fig2", fn: func(o experiments.Options) error {
 			return experiments.DeliveryFigure(o, "Fig 2", 50, 10)
-		}, "", scenario.Config{}},
-		{"fig6", experiments.Fig6, "", scenario.Config{}},
-		{"fig7", experiments.Fig7, "", scenario.Config{}},
-		{"ablation", experiments.Ablation, "", scenario.Config{}},
-		{"mobility", experiments.Mobility, "", scenario.Config{}},
-		{"radio", experiments.Radio, "", scenario.Config{}},
-		{"chaos", experiments.Chaos, "chaos", faulted},
-		{"adversary", experiments.Adversary, "adversary", audited},
+		}},
+		{name: "fig6", fn: experiments.Fig6},
+		{name: "fig7", fn: experiments.Fig7},
+		{name: "ablation", fn: experiments.Ablation},
+		{name: "mobility", fn: experiments.Mobility},
+		{name: "radio", fn: experiments.Radio},
+		{name: "chaos", fn: experiments.Chaos, scope: "chaos", first: faulted},
+		{name: "adversary", fn: experiments.Adversary, scope: "adversary", first: audited},
+		// Ablation once ignored the scenario axes; pin that it no longer does.
+		{name: "ablation+axes", fn: func(o experiments.Options) error {
+			o.Axes = scenario.Axes{Mobility: scenario.Manhattan, TrafficPattern: "bursty", Radio: scenario.RadioAsym}
+			return experiments.Ablation(o)
+		}},
 	} {
 		o := base
 		o.Out = &out
@@ -79,9 +85,11 @@ func TestRenderGolden(t *testing.T) {
 			o.Exec = sweep.ExecOptions{Journal: j}
 		}
 		fmt.Fprintf(&out, "=== %s\n", e.name)
+		start := out.Len()
 		if err := e.fn(o); err != nil {
 			t.Fatalf("%s: %v", e.name, err)
 		}
+		body[e.name] = out.String()[start:]
 		if j == nil {
 			continue
 		}
@@ -94,6 +102,10 @@ func TestRenderGolden(t *testing.T) {
 			t.Fatalf("%s: first cell's key %s is not in the %q journal", e.name, key, e.scope)
 		}
 		fmt.Fprintf(&out, "journal %s %s %s\n", e.scope, key, payload)
+	}
+
+	if body["ablation"] == body["ablation+axes"] {
+		t.Fatal("Ablation renders the same bytes with and without the scenario axes set")
 	}
 
 	if *updateGolden {

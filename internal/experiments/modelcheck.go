@@ -69,7 +69,7 @@ func ModelCheck(o Options) error {
 	}
 
 	results := make([]*modelcheck.Result, len(cells))
-	err := sweep.Each(len(cells), o.sweepOptions(), func(i int) error {
+	err := sweep.Each(len(cells), sweep.Options{Workers: o.Workers, Progress: o.Progress}, func(i int) error {
 		c := cells[i]
 		sc := &modelcheck.Scenario{Graph: c.graph, Protocol: c.proto, Seed: o.BaseSeed}
 		res, err := modelcheck.Check(sc, c.opts)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 )
@@ -20,7 +21,7 @@ func HandleSignals(j *Journal, out io.Writer) {
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		sig := <-ch
-		prog := progName(os.Args[0])
+		prog := filepath.Base(os.Args[0])
 		if j != nil {
 			_ = j.Sync()
 			fmt.Fprintf(out, "\n%s: %v; journal %s holds %d completed cell(s), all durable\n",
@@ -32,14 +33,6 @@ func HandleSignals(j *Journal, out io.Writer) {
 		}
 		os.Exit(130)
 	}()
-}
-
-// progName trims the directory from a program path for log prefixes.
-func progName(p string) string {
-	if i := strings.LastIndexByte(p, '/'); i >= 0 {
-		return p[i+1:]
-	}
-	return p
 }
 
 // ResumeCommand renders the exact command line that resumes the current

@@ -9,6 +9,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/manetlab/ldr/internal/adversary"
@@ -53,16 +54,6 @@ const (
 // and fuzzer draws.
 func Mobilities() []string { return []string{Waypoint, Manhattan, GaussMarkov} }
 
-// ValidMobility reports whether name selects a known mobility model
-// ("" selects random waypoint).
-func ValidMobility(name string) bool {
-	switch name {
-	case "", Waypoint, Manhattan, GaussMarkov:
-		return true
-	}
-	return false
-}
-
 // Radio names the selectable transmit-power profiles. Classes are
 // assigned per node id (i % len(classes), see radio.Config.Classes), so
 // a profile is a pure function of the node count — no randomness drawn.
@@ -76,20 +67,12 @@ const (
 // fuzzer draws.
 func Radios() []string { return []string{RadioUniform, RadioMixed, RadioAsym} }
 
-// ValidRadio reports whether name selects a known radio profile
-// ("" selects the uniform disk).
-func ValidRadio(name string) bool {
-	switch name {
-	case "", RadioUniform, RadioMixed, RadioAsym:
-		return true
-	}
-	return false
-}
-
 // RadioClasses maps a radio profile name to its transmit-power classes;
 // nil means the uniform single-disk medium.
-func RadioClasses(name string) []radio.Class {
+func RadioClasses(name string) ([]radio.Class, error) {
 	switch name {
+	case "", RadioUniform:
+		return nil, nil
 	case RadioMixed:
 		// Weak, default, and strong radios interleaved: plenty of
 		// one-way links without stranding whole regions.
@@ -97,7 +80,7 @@ func RadioClasses(name string) []radio.Class {
 			{Range: 200, CSRange: 450},
 			{Range: 275, CSRange: 550},
 			{Range: 350, CSRange: 650},
-		}
+		}, nil
 	case RadioAsym:
 		// Every other node is a long-range transmitter the short-range
 		// half can hear but never answer — the starkest asymmetric-link
@@ -105,9 +88,10 @@ func RadioClasses(name string) []radio.Class {
 		return []radio.Class{
 			{Range: 375, CSRange: 650},
 			{Range: 150, CSRange: 450},
-		}
+		}, nil
+	default:
+		return nil, fmt.Errorf("scenario: unknown radio profile %q", name)
 	}
-	return nil
 }
 
 // Density names the selectable node-placement warps (see
@@ -122,16 +106,6 @@ const (
 
 // Densities lists the valid density profile names.
 func Densities() []string { return []string{DensityUniform, DensityGradient, DensityHotspot} }
-
-// ValidDensity reports whether name selects a known density profile
-// ("" selects uniform placement).
-func ValidDensity(name string) bool {
-	switch name {
-	case "", DensityUniform, DensityGradient, DensityHotspot:
-		return true
-	}
-	return false
-}
 
 // Config describes one simulation run.
 type Config struct {
@@ -317,14 +291,15 @@ func BuildInstrumented(cfg Config) (*routing.Network, *traffic.Generator, *Instr
 	if cfg.RadioConfig != nil {
 		radioCfg = *cfg.RadioConfig
 	}
-	if !ValidRadio(cfg.Radio) {
-		return nil, nil, nil, fmt.Errorf("scenario: unknown radio profile %q", cfg.Radio)
+	cls, err := RadioClasses(cfg.Radio)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	if cls := RadioClasses(cfg.Radio); cls != nil {
+	if cls != nil {
 		radioCfg.Classes = cls
 	}
 	nw := routing.NewNetwork(cfg.Nodes, model, radioCfg, macCfg, cfg.Seed, factory)
-	if !traffic.ValidPattern(string(cfg.TrafficPattern)) {
+	if p := cfg.TrafficPattern; p != "" && !slices.Contains(traffic.Patterns(), p) {
 		return nil, nil, nil, fmt.Errorf("scenario: unknown traffic pattern %q", cfg.TrafficPattern)
 	}
 	trafficCfg := traffic.DefaultConfig(cfg.Flows, cfg.SimTime)

@@ -36,15 +36,6 @@ const (
 // draws.
 func Patterns() []Pattern { return []Pattern{CBR, Bursty, RequestResponse} }
 
-// ValidPattern reports whether name is a known pattern ("" selects CBR).
-func ValidPattern(name string) bool {
-	switch Pattern(name) {
-	case "", CBR, Bursty, RequestResponse:
-		return true
-	}
-	return false
-}
-
 // Config parameterizes the workload.
 type Config struct {
 	Pattern      Pattern       // generation pattern; "" selects CBR
