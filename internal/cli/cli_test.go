@@ -93,3 +93,20 @@ func TestReadmeDocumentsEverySharedFlag(t *testing.T) {
 		}
 	})
 }
+
+// TestParseRejectsPositionalArguments: ldrsim used to run with a stray
+// argument after its flags; every command now goes through Parse.
+func TestParseRejectsPositionalArguments(t *testing.T) {
+	oldArgs, oldFlags := os.Args, flag.CommandLine
+	defer func() { os.Args, flag.CommandLine = oldArgs, oldFlags }()
+	flag.CommandLine = flag.NewFlagSet("ldrsim", flag.ContinueOnError)
+	flag.Int("nodes", 50, "")
+	os.Args = []string{"ldrsim", "-nodes", "10", "bogus"}
+	if err := Parse("intro"); err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+		t.Fatalf("Parse accepted a positional argument: %v", err)
+	}
+	os.Args = []string{"ldrsim", "-nodes", "10"}
+	if err := Parse("intro"); err != nil {
+		t.Fatal(err)
+	}
+}
