@@ -85,11 +85,13 @@ modelcheck:
 	$(GO) run ./cmd/ldrcheck -protocol aodv -resets 1 -drops 1 -expect-violation -emit /tmp/aodv-line3-loop.json -q
 	$(GO) test ./internal/modelcheck/ -run 'TestAODVLine3Violation|TestWitnessBridge' -v
 
-# Fast model-check smoke under the race detector: LDR clean at the van
-# Glabbeek budget, the rediscovered AODV loop, and the committed-seed
-# bridge replays, all on the 3-node line. Part of `make check`.
+# Fast model-check smoke under the race detector: all five pinned
+# explorations (LDR clean at the van Glabbeek budget, under volatile
+# resets and on the 4-node paw; the rediscovered AODV loop; the
+# committed-seed bridge replays) plus the restore-equals-replay check the
+# search rests on. Part of `make check`.
 modelcheck-smoke:
-	$(GO) test -race -timeout 30m ./internal/modelcheck/ -run 'TestLDRLine3Clean|TestAODVLine3Violation|TestWitnessBridge'
+	$(GO) test -race -timeout 30m ./internal/modelcheck/ -run 'TestLDRLine3Clean|TestLDRVolatileLine3Clean|TestLDRPaw4Clean|TestAODVLine3Violation|TestWitnessBridge|TestSnapshotEqualsReplay'
 
 # Regenerate the committed van Glabbeek witness seed from scratch (the
 # checker re-derives the schedule; the file only changes if the witness

@@ -80,24 +80,21 @@ func run() error {
 	}
 
 	var graphs []modelcheck.Graph
+	var err error
 	switch *topo {
-	case "sweep", "sweep3", "sweep4":
-		for _, n := range []int{3, 4} {
-			if *topo == "sweep3" && n != 3 || *topo == "sweep4" && n != 4 {
-				continue
-			}
-			gs, err := modelcheck.ConnectedGraphs(n)
-			if err != nil {
-				return err
-			}
-			graphs = append(graphs, gs...)
-		}
+	case "sweep":
+		graphs, err = modelcheck.SweepGraphs(3, 4)
+	case "sweep3":
+		graphs, err = modelcheck.SweepGraphs(3)
+	case "sweep4":
+		graphs, err = modelcheck.SweepGraphs(4)
 	default:
-		g, err := modelcheck.NamedTopology(*topo)
-		if err != nil {
-			return err
-		}
+		var g modelcheck.Graph
+		g, err = modelcheck.NamedTopology(*topo)
 		graphs = []modelcheck.Graph{g}
+	}
+	if err != nil {
+		return err
 	}
 
 	var flowList []modelcheck.Flow

@@ -166,6 +166,7 @@ type AODV struct {
 	rerrPool  runpool.Pool[RERR]
 	helloPool runpool.Pool[Hello]
 	rerrBuf   []RERRDest
+	enc       encScratch // AppendModelState's scratch (model.go)
 }
 
 var (

@@ -6,10 +6,14 @@ package aodv
 // which is the premise of the van Glabbeek loop the checker rediscovers.
 
 import (
+	"cmp"
 	"encoding/binary"
-	"sort"
+	"slices"
+	"time"
 
 	"github.com/manetlab/ldr/internal/routing"
+	"github.com/manetlab/ldr/internal/routing/ondemand"
+	"github.com/manetlab/ldr/internal/sim"
 )
 
 var _ routing.ModelStater = (*AODV)(nil)
@@ -24,20 +28,17 @@ var _ routing.ModelStater = (*AODV)(nil)
 // the model's frozen clock. The per-neighbor rate limiters are omitted
 // (their buckets cannot empty within a bounded exploration).
 func (a *AODV) AppendModelState(out []byte, mapID func(routing.NodeID) routing.NodeID) []byte {
+	sc := &a.enc
 	out = append(out, 'A')
 	out = binary.AppendUvarint(out, uint64(a.ownSeq))
 
-	type rrow struct {
-		dst routing.NodeID
-		e   *entry
-	}
-	rows := make([]rrow, 0, len(a.routes))
+	sc.routes = sc.routes[:0]
 	for dst, e := range a.routes {
-		rows = append(rows, rrow{mapID(dst), e})
+		sc.routes = append(sc.routes, routeRow{mapID(dst), e})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].dst < rows[j].dst })
-	out = binary.AppendUvarint(out, uint64(len(rows)))
-	for _, r := range rows {
+	slices.SortFunc(sc.routes, func(x, y routeRow) int { return cmp.Compare(x.dst, y.dst) })
+	out = binary.AppendUvarint(out, uint64(len(sc.routes)))
+	for _, r := range sc.routes {
 		e := r.e
 		out = binary.AppendVarint(out, int64(r.dst))
 		out = appendFlag(out, e.valid)
@@ -46,66 +47,123 @@ func (a *AODV) AppendModelState(out []byte, mapID func(routing.NodeID) routing.N
 		out = binary.AppendVarint(out, int64(e.hops))
 		out = binary.AppendVarint(out, int64(mapID(e.next)))
 		out = binary.AppendVarint(out, int64(e.expiry))
-		pre := make([]routing.NodeID, 0, len(e.precursors))
+		sc.ids = sc.ids[:0]
 		for p := range e.precursors {
-			pre = append(pre, mapID(p))
+			sc.ids = append(sc.ids, mapID(p))
 		}
-		sort.Slice(pre, func(i, j int) bool { return pre[i] < pre[j] })
-		out = binary.AppendUvarint(out, uint64(len(pre)))
-		for _, p := range pre {
-			out = binary.AppendVarint(out, int64(p))
-		}
+		out = appendSortedIDs(out, sc.ids)
 	}
 
-	type qrow struct {
-		origin routing.NodeID
-		id     uint32
-	}
-	qrows := make([]qrow, 0, len(a.reqSeen))
+	sc.reqs = sc.reqs[:0]
 	for k := range a.reqSeen {
-		qrows = append(qrows, qrow{mapID(k.origin), k.id})
+		sc.reqs = append(sc.reqs, reqKey{mapID(k.origin), k.id})
 	}
-	sort.Slice(qrows, func(i, j int) bool {
-		if qrows[i].origin != qrows[j].origin {
-			return qrows[i].origin < qrows[j].origin
-		}
-		return qrows[i].id < qrows[j].id
-	})
-	out = binary.AppendUvarint(out, uint64(len(qrows)))
-	for _, q := range qrows {
+	slices.SortFunc(sc.reqs, compareReqKey)
+	out = binary.AppendUvarint(out, uint64(len(sc.reqs)))
+	for _, q := range sc.reqs {
 		out = binary.AppendVarint(out, int64(q.origin))
 		out = binary.AppendUvarint(out, uint64(q.id))
 	}
 
 	out = a.AppendDiscoveryState(out, mapID)
 
-	out = appendIDSet(out, a.repairing, mapID)
-	heard := make([]routing.NodeID, 0, len(a.lastHeard))
-	for nb := range a.lastHeard {
-		heard = append(heard, mapID(nb))
-	}
-	sort.Slice(heard, func(i, j int) bool { return heard[i] < heard[j] })
-	out = binary.AppendUvarint(out, uint64(len(heard)))
-	for _, nb := range heard {
-		out = binary.AppendVarint(out, int64(nb))
-	}
-
-	return out
-}
-
-func appendIDSet(out []byte, set map[routing.NodeID]bool, mapID func(routing.NodeID) routing.NodeID) []byte {
-	ids := make([]routing.NodeID, 0, len(set))
-	for id, on := range set {
+	sc.ids = sc.ids[:0]
+	for id, on := range a.repairing {
 		if on {
-			ids = append(ids, mapID(id))
+			sc.ids = append(sc.ids, mapID(id))
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	out = appendSortedIDs(out, sc.ids)
+	sc.ids = sc.ids[:0]
+	for nb := range a.lastHeard {
+		sc.ids = append(sc.ids, mapID(nb))
+	}
+	return appendSortedIDs(out, sc.ids)
+}
+
+// appendSortedIDs sorts ids in place and emits them as a counted set.
+func appendSortedIDs(out []byte, ids []routing.NodeID) []byte {
+	slices.Sort(ids)
 	out = binary.AppendUvarint(out, uint64(len(ids)))
 	for _, id := range ids {
 		out = binary.AppendVarint(out, int64(id))
 	}
 	return out
+}
+
+// encScratch is AppendModelState's working storage, kept on the instance
+// so that encoding a state allocates nothing.
+type encScratch struct {
+	routes []routeRow
+	reqs   []reqKey // origins mapped
+	ids    []routing.NodeID
+}
+
+type routeRow struct {
+	dst routing.NodeID // mapped
+	e   *entry
+}
+
+func compareReqKey(a, b reqKey) int {
+	return cmp.Or(cmp.Compare(a.origin, b.origin), cmp.Compare(a.id, b.id))
+}
+
+// modelState is an AODV instance's saved state: every field a handler,
+// Reset or Start writes. node and cfg are fixed by New; the message
+// pools, rerrBuf and enc are free lists and scratch.
+type modelState struct {
+	ownSeq     uint32
+	routes     []routing.Saved[routing.NodeID, entry]
+	reqSeen    []routing.Saved[reqKey, time.Duration]
+	lastHeard  []routing.Saved[routing.NodeID, time.Duration]
+	repairing  []routing.Saved[routing.NodeID, bool]
+	helloTimer sim.Timer // a handle; zero under a routing.ModelEnv
+	disc       ondemand.DiscoveryState
+	limits     ondemand.LimitsState
+}
+
+// copyEntry deep-copies a table row, reusing dst's precursor set.
+func copyEntry(dst, src *entry) {
+	pre := dst.precursors
+	*dst = *src
+	if pre == nil {
+		pre = make(map[routing.NodeID]struct{}, len(src.precursors))
+	}
+	clear(pre)
+	for p := range src.precursors {
+		pre[p] = struct{}{}
+	}
+	dst.precursors = pre
+}
+
+// SaveModelState implements routing.ModelStater.
+func (a *AODV) SaveModelState(store any) any {
+	s, _ := store.(*modelState)
+	if s == nil {
+		s = new(modelState)
+	}
+	s.ownSeq = a.ownSeq
+	s.routes = routing.SavePtrMap(s.routes, a.routes, cmp.Compare[routing.NodeID], copyEntry)
+	s.reqSeen = routing.SaveMap(s.reqSeen, a.reqSeen, compareReqKey)
+	s.lastHeard = routing.SaveMap(s.lastHeard, a.lastHeard, cmp.Compare[routing.NodeID])
+	s.repairing = routing.SaveMap(s.repairing, a.repairing, cmp.Compare[routing.NodeID])
+	s.helloTimer = a.helloTimer
+	a.SaveDiscoveryState(&s.disc)
+	a.SaveLimitsState(&s.limits)
+	return s
+}
+
+// RestoreModelState implements routing.ModelStater.
+func (a *AODV) RestoreModelState(store any) {
+	s := store.(*modelState)
+	a.ownSeq = s.ownSeq
+	routing.RestorePtrMap(a.routes, s.routes, cmp.Compare[routing.NodeID], copyEntry)
+	routing.RestoreMap(a.reqSeen, s.reqSeen)
+	routing.RestoreMap(a.lastHeard, s.lastHeard)
+	routing.RestoreMap(a.repairing, s.repairing)
+	a.helloTimer = s.helloTimer
+	a.RestoreDiscoveryState(&s.disc)
+	a.RestoreLimitsState(&s.limits)
 }
 
 func appendFlag(out []byte, b bool) []byte {

@@ -99,6 +99,7 @@ type LDR struct {
 	rrepPool runpool.Pool[RREP]
 	rerrPool runpool.Pool[RERR]
 	rerrBuf  []RERRDest
+	enc      encScratch // AppendModelState's scratch (model.go)
 }
 
 var (

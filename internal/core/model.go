@@ -6,10 +6,12 @@ package core
 // internal/modelcheck.
 
 import (
+	"cmp"
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"github.com/manetlab/ldr/internal/routing"
+	"github.com/manetlab/ldr/internal/routing/ondemand"
 )
 
 var (
@@ -45,20 +47,17 @@ func (l *LDR) ResetVolatile() {
 // per-neighbor rate limiters are deliberately omitted (their buckets
 // cannot empty within any bounded exploration's horizon).
 func (l *LDR) AppendModelState(out []byte, mapID func(routing.NodeID) routing.NodeID) []byte {
+	sc := &l.enc
 	out = append(out, 'L')
 	out = binary.AppendUvarint(out, uint64(l.ownSeq))
 
-	type rrow struct {
-		dst routing.NodeID
-		e   *entry
-	}
-	rows := make([]rrow, 0, len(l.routes))
+	sc.routes = sc.routes[:0]
 	for dst, e := range l.routes {
-		rows = append(rows, rrow{mapID(dst), e})
+		sc.routes = append(sc.routes, routeRow{mapID(dst), e})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].dst < rows[j].dst })
-	out = binary.AppendUvarint(out, uint64(len(rows)))
-	for _, r := range rows {
+	slices.SortFunc(sc.routes, func(x, y routeRow) int { return cmp.Compare(x.dst, y.dst) })
+	out = binary.AppendUvarint(out, uint64(len(sc.routes)))
+	for _, r := range sc.routes {
 		e := r.e
 		out = binary.AppendVarint(out, int64(r.dst))
 		out = appendBool(out, e.valid)
@@ -67,62 +66,121 @@ func (l *LDR) AppendModelState(out []byte, mapID func(routing.NodeID) routing.No
 		out = binary.AppendVarint(out, int64(e.fd))
 		out = binary.AppendVarint(out, int64(mapID(e.next)))
 		out = binary.AppendVarint(out, int64(e.expiry))
-		alts := make([]altSuccessor, len(e.alts))
-		for i, a := range e.alts {
-			alts[i] = altSuccessor{next: mapID(a.next), advDist: a.advDist, heard: a.heard}
+		sc.alts = sc.alts[:0]
+		for _, a := range e.alts {
+			sc.alts = append(sc.alts, altSuccessor{next: mapID(a.next), advDist: a.advDist, heard: a.heard})
 		}
-		sort.Slice(alts, func(i, j int) bool {
-			if alts[i].next != alts[j].next {
-				return alts[i].next < alts[j].next
-			}
-			return alts[i].advDist < alts[j].advDist
+		slices.SortFunc(sc.alts, func(a, b altSuccessor) int {
+			return cmp.Or(cmp.Compare(a.next, b.next), cmp.Compare(a.advDist, b.advDist))
 		})
-		out = binary.AppendUvarint(out, uint64(len(alts)))
-		for _, a := range alts {
+		out = binary.AppendUvarint(out, uint64(len(sc.alts)))
+		for _, a := range sc.alts {
 			out = binary.AppendVarint(out, int64(a.next))
 			out = binary.AppendVarint(out, int64(a.advDist))
 			out = binary.AppendVarint(out, int64(a.heard))
 		}
 	}
 
-	type qrow struct {
-		origin routing.NodeID
-		id     uint32
-		st     *reqState
-	}
-	qrows := make([]qrow, 0, len(l.reqSeen))
+	sc.reqs = sc.reqs[:0]
 	for k, st := range l.reqSeen {
-		qrows = append(qrows, qrow{mapID(k.origin), k.id, st})
+		sc.reqs = append(sc.reqs, reqRow{reqKey{mapID(k.origin), k.id}, st})
 	}
-	sort.Slice(qrows, func(i, j int) bool {
-		if qrows[i].origin != qrows[j].origin {
-			return qrows[i].origin < qrows[j].origin
-		}
-		return qrows[i].id < qrows[j].id
-	})
-	out = binary.AppendUvarint(out, uint64(len(qrows)))
-	for _, q := range qrows {
+	slices.SortFunc(sc.reqs, func(a, b reqRow) int { return compareReqKey(a.key, b.key) })
+	out = binary.AppendUvarint(out, uint64(len(sc.reqs)))
+	for _, q := range sc.reqs {
 		st := q.st
-		out = binary.AppendVarint(out, int64(q.origin))
-		out = binary.AppendUvarint(out, uint64(q.id))
+		out = binary.AppendVarint(out, int64(q.key.origin))
+		out = binary.AppendUvarint(out, uint64(q.key.id))
 		out = binary.AppendVarint(out, int64(mapID(st.lastHop)))
 		out = appendBool(out, st.relayed)
 		out = appendBool(out, st.unicastFwd)
 		out = appendBool(out, st.replied)
 		out = binary.AppendUvarint(out, uint64(st.relayedSeq))
 		out = binary.AppendVarint(out, int64(st.relayedDist))
-		hops := make([]routing.NodeID, len(st.altHops))
-		for i, h := range st.altHops {
-			hops[i] = mapID(h)
+		sc.hops = sc.hops[:0]
+		for _, h := range st.altHops {
+			sc.hops = append(sc.hops, mapID(h))
 		}
-		sort.Slice(hops, func(i, j int) bool { return hops[i] < hops[j] })
-		out = binary.AppendUvarint(out, uint64(len(hops)))
-		for _, h := range hops {
+		slices.Sort(sc.hops)
+		out = binary.AppendUvarint(out, uint64(len(sc.hops)))
+		for _, h := range sc.hops {
 			out = binary.AppendVarint(out, int64(h))
 		}
 	}
 
 	return l.AppendDiscoveryState(out, mapID)
+}
+
+// encScratch is AppendModelState's working storage, kept on the instance
+// so that encoding a state allocates nothing.
+type encScratch struct {
+	routes []routeRow
+	alts   []altSuccessor
+	reqs   []reqRow
+	hops   []routing.NodeID
+}
+
+type routeRow struct {
+	dst routing.NodeID // mapped
+	e   *entry
+}
+
+type reqRow struct {
+	key reqKey // origin mapped
+	st  *reqState
+}
+
+func compareReqKey(a, b reqKey) int {
+	return cmp.Or(cmp.Compare(a.origin, b.origin), cmp.Compare(a.id, b.id))
+}
+
+// modelState is an LDR instance's saved state: every field a handler,
+// Reset, ResetVolatile or Start writes. node and cfg are fixed by New;
+// the message pools, rerrBuf and enc are free lists and scratch.
+type modelState struct {
+	ownSeq  Seqno
+	routes  []routing.Saved[routing.NodeID, entry]
+	reqSeen []routing.Saved[reqKey, reqState]
+	disc    ondemand.DiscoveryState
+	limits  ondemand.LimitsState
+}
+
+// copyEntry and copyReqState deep-copy a table row and an engaged-state
+// record, reusing dst's slice storage.
+func copyEntry(dst, src *entry) {
+	alts := dst.alts
+	*dst = *src
+	dst.alts = append(alts[:0], src.alts...)
+}
+
+func copyReqState(dst, src *reqState) {
+	hops := dst.altHops
+	*dst = *src
+	dst.altHops = append(hops[:0], src.altHops...)
+}
+
+// SaveModelState implements routing.ModelStater.
+func (l *LDR) SaveModelState(store any) any {
+	s, _ := store.(*modelState)
+	if s == nil {
+		s = new(modelState)
+	}
+	s.ownSeq = l.ownSeq
+	s.routes = routing.SavePtrMap(s.routes, l.routes, cmp.Compare[routing.NodeID], copyEntry)
+	s.reqSeen = routing.SavePtrMap(s.reqSeen, l.reqSeen, compareReqKey, copyReqState)
+	l.SaveDiscoveryState(&s.disc)
+	l.SaveLimitsState(&s.limits)
+	return s
+}
+
+// RestoreModelState implements routing.ModelStater.
+func (l *LDR) RestoreModelState(store any) {
+	s := store.(*modelState)
+	l.ownSeq = s.ownSeq
+	routing.RestorePtrMap(l.routes, s.routes, cmp.Compare[routing.NodeID], copyEntry)
+	routing.RestorePtrMap(l.reqSeen, s.reqSeen, compareReqKey, copyReqState)
+	l.RestoreDiscoveryState(&s.disc)
+	l.RestoreLimitsState(&s.limits)
 }
 
 func appendBool(out []byte, b bool) []byte {

@@ -52,13 +52,9 @@ func ModelCheck(o Options) error {
 		}
 	}
 
-	var graphs []modelcheck.Graph
-	for _, n := range []int{3, 4} {
-		gs, err := modelcheck.ConnectedGraphs(n)
-		if err != nil {
-			return err
-		}
-		graphs = append(graphs, gs...)
+	graphs, err := modelcheck.SweepGraphs(3, 4)
+	if err != nil {
+		return err
 	}
 
 	var cells []mcCell
@@ -69,7 +65,7 @@ func ModelCheck(o Options) error {
 	}
 
 	results := make([]*modelcheck.Result, len(cells))
-	err := sweep.Each(len(cells), sweep.Options{Workers: o.Workers, Progress: o.Progress}, func(i int) error {
+	err = sweep.Each(len(cells), sweep.Options{Workers: o.Workers, Progress: o.Progress}, func(i int) error {
 		c := cells[i]
 		sc := &modelcheck.Scenario{Graph: c.graph, Protocol: c.proto, Seed: o.BaseSeed}
 		res, err := modelcheck.Check(sc, c.opts)

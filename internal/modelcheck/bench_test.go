@@ -1,10 +1,11 @@
 package modelcheck
 
 // Exploration-throughput benchmarks, recorded as BENCH_modelcheck.json
-// by `make bench-modelcheck`. The dominant cost is state
-// re-materialization (protocol state is not copyable, so every expansion
-// replays its action prefix), so states/sec is the number to watch; the
-// state counts themselves are exact and double as a symmetry-reduction
+// by `make bench-modelcheck`. A transition is one apply, one loop check,
+// one canonical encoding and one in-place restore (snapshot.go), in
+// roughly equal parts, so states/sec is the number to watch and B/op
+// guards against a return to per-state world construction; the state
+// counts themselves are exact and double as a symmetry-reduction
 // regression guard.
 
 import "testing"

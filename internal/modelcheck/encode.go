@@ -12,10 +12,13 @@ package modelcheck
 // information and states differing only by it must collide.
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
-	"sort"
+	"slices"
 
 	"github.com/manetlab/ldr/internal/aodv"
 	"github.com/manetlab/ldr/internal/core"
@@ -26,19 +29,47 @@ import (
 type stateKey [16]byte
 
 // encoder canonicalizes and hashes world states, reusing its buffers
-// across calls. Not safe for concurrent use.
+// across calls: a warm key allocates nothing. Not safe for concurrent
+// use.
 type encoder struct {
-	n     int
-	autos [][]int // automorphism group, identity included
-	inv   []int   // scratch: inverse permutation
-	buf   []byte  // candidate serialization under one automorphism
-	best  []byte  // minimal serialization so far
-	item  []byte  // scratch for one pending item
-	items [][]byte
+	n      int
+	autos  [][]int                               // automorphism group, identity included
+	mapIDs []func(routing.NodeID) routing.NodeID // autos as relabelings, built once
+	inv    []int                                 // scratch: inverse permutation
+	buf    []byte                                // candidate serialization under one automorphism
+	best   []byte                                // minimal serialization so far
+	rows   []linkRow                             // scratch: the non-empty links
+	items  []byte                                // scratch: one link's items, back to back
+	spans  []span                                // scratch: where each item sits in items
+	dests  []rerrDest                            // scratch: one RERR's destinations
+	hash   hash.Hash
+	sum    stateKey
+}
+
+// linkRow is a non-empty directed link with its relabeled endpoints.
+type linkRow struct {
+	mf, mt   int
+	from, to int
+}
+
+type span struct{ lo, hi int }
+
+type rerrDest struct {
+	dst routing.NodeID
+	seq uint64
 }
 
 func newEncoder(n int, autos [][]int) *encoder {
-	return &encoder{n: n, autos: autos, inv: make([]int, n)}
+	e := &encoder{n: n, autos: autos, inv: make([]int, n), hash: fnv.New128a()}
+	for _, perm := range autos {
+		e.mapIDs = append(e.mapIDs, func(id routing.NodeID) routing.NodeID {
+			if int(id) < 0 || int(id) >= n {
+				return id // BroadcastID and other sentinels pass through
+			}
+			return routing.NodeID(perm[id])
+		})
+	}
+	return e
 }
 
 // key returns the canonical hash of w given the remaining budgets
@@ -46,39 +77,23 @@ func newEncoder(n int, autos [][]int) *encoder {
 // states with different allowances are distinct).
 func (e *encoder) key(w *world, b budgets) stateKey {
 	e.best = e.best[:0]
-	for ai, perm := range e.autos {
-		e.buf = e.encodeUnder(e.buf[:0], w, b, perm)
-		if ai == 0 || lessBytes(e.buf, e.best) {
+	for ai := range e.autos {
+		e.buf = e.encodeUnder(e.buf[:0], w, b, ai)
+		if ai == 0 || bytes.Compare(e.buf, e.best) < 0 {
 			e.best = append(e.best[:0], e.buf...)
 		}
 	}
-	h := fnv.New128a()
-	h.Write(e.best)
-	var k stateKey
-	h.Sum(k[:0])
-	return k
+	e.hash.Reset()
+	e.hash.Write(e.best)
+	e.hash.Sum(e.sum[:0])
+	return e.sum
 }
 
-func lessBytes(a, b []byte) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
-
-// encodeUnder serializes w relabeled by perm.
-func (e *encoder) encodeUnder(out []byte, w *world, b budgets, perm []int) []byte {
-	n := e.n
+// encodeUnder serializes w relabeled by the ai-th automorphism.
+func (e *encoder) encodeUnder(out []byte, w *world, b budgets, ai int) []byte {
+	n, perm, mapID := e.n, e.autos[ai], e.mapIDs[ai]
 	for i, p := range perm {
 		e.inv[p] = i
-	}
-	mapID := func(id routing.NodeID) routing.NodeID {
-		if int(id) < 0 || int(id) >= n {
-			return id // BroadcastID and other sentinels pass through
-		}
-		return routing.NodeID(perm[id])
 	}
 
 	// Context: origination progress and remaining budgets.
@@ -91,47 +106,38 @@ func (e *encoder) encodeUnder(out []byte, w *world, b budgets, perm []int) []byt
 	// Node states, in mapped-identifier order: position p holds the state
 	// of the node that perm maps to p.
 	for p := 0; p < n; p++ {
-		ms, ok := w.nw.Nodes[e.inv[p]].Protocol().(routing.ModelStater)
-		if !ok {
-			panic(fmt.Sprintf("modelcheck: protocol %T does not implement routing.ModelStater", w.nw.Nodes[e.inv[p]].Protocol()))
-		}
-		out = ms.AppendModelState(out, mapID)
+		out = w.staters[e.inv[p]].AppendModelState(out, mapID)
 	}
 
 	// Pending multisets, links sorted by mapped (from, to), items sorted
 	// by their serialized form.
-	type lrow struct {
-		mf, mt   int
-		from, to int
-	}
-	var rows []lrow
+	e.rows = e.rows[:0]
 	for from := 0; from < n; from++ {
 		for to := 0; to < n; to++ {
 			if len(w.pending[from*n+to]) > 0 {
-				rows = append(rows, lrow{mf: perm[from], mt: perm[to], from: from, to: to})
+				e.rows = append(e.rows, linkRow{mf: perm[from], mt: perm[to], from: from, to: to})
 			}
 		}
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].mf != rows[j].mf {
-			return rows[i].mf < rows[j].mf
-		}
-		return rows[i].mt < rows[j].mt
+	slices.SortFunc(e.rows, func(a, b linkRow) int {
+		return cmp.Or(cmp.Compare(a.mf, b.mf), cmp.Compare(a.mt, b.mt))
 	})
-	out = binary.AppendUvarint(out, uint64(len(rows)))
-	for _, r := range rows {
+	out = binary.AppendUvarint(out, uint64(len(e.rows)))
+	for _, r := range e.rows {
 		out = binary.AppendUvarint(out, uint64(r.mf))
 		out = binary.AppendUvarint(out, uint64(r.mt))
-		q := w.pending[r.from*n+r.to]
-		e.items = e.items[:0]
-		for _, m := range q {
-			e.item = encodeItem(e.item[:0], m, mapID)
-			e.items = append(e.items, append([]byte(nil), e.item...))
+		e.items, e.spans = e.items[:0], e.spans[:0]
+		for _, m := range w.pending[r.from*n+r.to] {
+			lo := len(e.items)
+			e.items = e.encodeItem(e.items, m, mapID)
+			e.spans = append(e.spans, span{lo, len(e.items)})
 		}
-		sort.Slice(e.items, func(i, j int) bool { return lessBytes(e.items[i], e.items[j]) })
-		out = binary.AppendUvarint(out, uint64(len(e.items)))
-		for _, it := range e.items {
-			out = append(out, it...)
+		slices.SortFunc(e.spans, func(a, b span) int {
+			return bytes.Compare(e.items[a.lo:a.hi], e.items[b.lo:b.hi])
+		})
+		out = binary.AppendUvarint(out, uint64(len(e.spans)))
+		for _, sp := range e.spans {
+			out = append(out, e.items[sp.lo:sp.hi]...)
 		}
 	}
 	return out
@@ -141,7 +147,7 @@ func (e *encoder) encodeUnder(out []byte, w *world, b budgets, perm []int) []byt
 // Every behaviour-relevant field of every message type the two modeled
 // protocols emit is covered; an unknown type panics rather than silently
 // aliasing distinct states.
-func encodeItem(out []byte, m linkMsg, mapID func(routing.NodeID) routing.NodeID) []byte {
+func (e *encoder) encodeItem(out []byte, m linkMsg, mapID func(routing.NodeID) routing.NodeID) []byte {
 	if m.pkt != nil {
 		p := m.pkt
 		out = append(out, 0)
@@ -168,9 +174,9 @@ func encodeItem(out []byte, m linkMsg, mapID func(routing.NodeID) routing.NodeID
 	case core.RREP:
 		return encodeCoreRREP(out, q, mapID)
 	case *core.RERR:
-		return encodeCoreRERR(out, *q, mapID)
+		return e.encodeCoreRERR(out, *q, mapID)
 	case core.RERR:
-		return encodeCoreRERR(out, q, mapID)
+		return e.encodeCoreRERR(out, q, mapID)
 	case *aodv.RREQ:
 		return encodeAODVRREQ(out, *q, mapID)
 	case aodv.RREQ:
@@ -180,9 +186,9 @@ func encodeItem(out []byte, m linkMsg, mapID func(routing.NodeID) routing.NodeID
 	case aodv.RREP:
 		return encodeAODVRREP(out, q, mapID)
 	case *aodv.RERR:
-		return encodeAODVRERR(out, *q, mapID)
+		return e.encodeAODVRERR(out, *q, mapID)
 	case aodv.RERR:
-		return encodeAODVRERR(out, q, mapID)
+		return e.encodeAODVRERR(out, q, mapID)
 	case *aodv.Hello:
 		return encodeAODVHello(out, *q, mapID)
 	case aodv.Hello:
@@ -221,19 +227,20 @@ func encodeCoreRREP(out []byte, p core.RREP, mapID func(routing.NodeID) routing.
 	return out
 }
 
-func encodeCoreRERR(out []byte, e core.RERR, mapID func(routing.NodeID) routing.NodeID) []byte {
-	out = append(out, 3)
-	type dest struct {
-		dst routing.NodeID
-		seq uint64
+func (e *encoder) encodeCoreRERR(out []byte, r core.RERR, mapID func(routing.NodeID) routing.NodeID) []byte {
+	e.dests = e.dests[:0]
+	for _, u := range r.Unreachable {
+		e.dests = append(e.dests, rerrDest{mapID(u.Dst), uint64(u.Seq)})
 	}
-	ds := make([]dest, 0, len(e.Unreachable))
-	for _, u := range e.Unreachable {
-		ds = append(ds, dest{mapID(u.Dst), uint64(u.Seq)})
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i].dst < ds[j].dst })
-	out = binary.AppendUvarint(out, uint64(len(ds)))
-	for _, d := range ds {
+	return e.appendDests(append(out, 3))
+}
+
+// appendDests emits e.dests as a counted list in ascending destination
+// order.
+func (e *encoder) appendDests(out []byte) []byte {
+	slices.SortFunc(e.dests, func(a, b rerrDest) int { return cmp.Compare(a.dst, b.dst) })
+	out = binary.AppendUvarint(out, uint64(len(e.dests)))
+	for _, d := range e.dests {
 		out = binary.AppendVarint(out, int64(d.dst))
 		out = binary.AppendUvarint(out, d.seq)
 	}
@@ -263,23 +270,12 @@ func encodeAODVRREP(out []byte, p aodv.RREP, mapID func(routing.NodeID) routing.
 	return out
 }
 
-func encodeAODVRERR(out []byte, e aodv.RERR, mapID func(routing.NodeID) routing.NodeID) []byte {
-	out = append(out, 6)
-	type dest struct {
-		dst routing.NodeID
-		seq uint64
+func (e *encoder) encodeAODVRERR(out []byte, r aodv.RERR, mapID func(routing.NodeID) routing.NodeID) []byte {
+	e.dests = e.dests[:0]
+	for _, u := range r.Unreachable {
+		e.dests = append(e.dests, rerrDest{mapID(u.Dst), uint64(u.Seq)})
 	}
-	ds := make([]dest, 0, len(e.Unreachable))
-	for _, u := range e.Unreachable {
-		ds = append(ds, dest{mapID(u.Dst), uint64(u.Seq)})
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i].dst < ds[j].dst })
-	out = binary.AppendUvarint(out, uint64(len(ds)))
-	for _, d := range ds {
-		out = binary.AppendVarint(out, int64(d.dst))
-		out = binary.AppendUvarint(out, d.seq)
-	}
-	return out
+	return e.appendDests(append(out, 6))
 }
 
 func encodeAODVHello(out []byte, h aodv.Hello, mapID func(routing.NodeID) routing.NodeID) []byte {

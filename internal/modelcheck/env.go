@@ -7,15 +7,19 @@ package modelcheck
 // deliver, drop, or duplicate them one at a time. Short timers (the
 // broadcast-jitter relay delay) run as immediate FIFO microtasks drained
 // after every top-level step; long timers (discovery timeouts, cache
-// expiry) park on the node's simulator queue, which the model never
-// advances — at the model's frozen clock they are unreachable, which is
-// part of the abstraction (see DESIGN.md for the soundness discussion).
+// expiry) are discarded — at the model's frozen clock they are
+// unreachable, which is part of the abstraction (see DESIGN.md for the
+// soundness discussion) — so nothing ever sits on a node's simulator
+// queue.
 //
-// The world is not copyable — protocol state lives in unexported maps —
-// so the search engine reconstructs any state by replaying its action
-// prefix from a fresh world. Everything here is deterministic: per-node
-// RNG streams are seeded identically on every rebuild, map iteration
-// never reaches an emission path, and microtasks run in schedule order.
+// An exploration has ONE world. The search engine moves it from state to
+// state with apply and takes it back with save/restore (snapshot.go);
+// no second world is built and no action prefix is replayed. That is
+// exact because everything here is deterministic — map iteration never
+// reaches an emission path, microtasks run in schedule order — and
+// because a snapshot covers every field an action can write: the
+// protocols' (routing.ModelStater), the node layer's, and the world's
+// own.
 
 import (
 	"fmt"
@@ -26,7 +30,6 @@ import (
 	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 	"github.com/manetlab/ldr/internal/scenario"
-	"github.com/manetlab/ldr/internal/sim"
 )
 
 // ActionKind enumerates the checker's transition types.
@@ -104,10 +107,10 @@ type emission struct {
 	explicit bool // an explicit Drop action removed it (vs merely in flight)
 }
 
-// microDelayMax separates microtask timers from parked ones: the
+// microDelayMax separates microtask timers from discarded ones: the
 // broadcast-jitter relay delay (10 ms) and anything comparably immediate
 // runs inline; discovery timeouts (≥160 ms) and cache lifetimes (seconds)
-// park. The gap between 10 ms and 160 ms is wide enough that the
+// never fire. The gap between 10 ms and 160 ms is wide enough that the
 // threshold is not load-bearing.
 const microDelayMax = 50 * time.Millisecond
 
@@ -123,8 +126,9 @@ type world struct {
 	nbrs    [][]int // graph adjacency, from topo
 	adj     []bool  // n*n adjacency matrix
 	nw      *routing.Network
-	pending [][]linkMsg // n*n directed slots; only adjacent pairs used
-	micro   []func()
+	staters []routing.ModelStater // each node's protocol, asserted once
+	pending [][]linkMsg           // n*n directed slots; only adjacent pairs used
+	micro   []func()              // empty between actions
 
 	slot     int // index of the action currently being applied
 	curRoot  int // causal root slot for emissions during the current step
@@ -141,7 +145,8 @@ var _ routing.ModelEnv = (*world)(nil)
 // newWorld builds the initial state: a fresh network with every node's
 // ModelEnv installed before its protocol starts, then the start-time
 // microtask cascade drained. Deterministic: equal scenarios produce
-// byte-identical worlds.
+// byte-identical worlds. A protocol without the checker's state hooks is
+// an error.
 func newWorld(sc *Scenario) (*world, error) {
 	factory, err := scenario.Factory(scenario.ProtocolName(sc.Protocol), sc.LDRConfig)
 	if err != nil {
@@ -164,7 +169,13 @@ func newWorld(sc *Scenario) (*world, error) {
 	// network constructor wants a mobility model.
 	w.nw = routing.NewNetwork(n, mobility.NewStatic(make([]mobility.Point, n)),
 		radio.DefaultConfig(), mac.DefaultConfig(), sc.Seed, factory)
-	for _, node := range w.nw.Nodes {
+	w.staters = make([]routing.ModelStater, n)
+	for i, node := range w.nw.Nodes {
+		ms, ok := node.Protocol().(routing.ModelStater)
+		if !ok {
+			return nil, fmt.Errorf("modelcheck: protocol %q does not implement routing.ModelStater (have: ldr, aodv)", sc.Protocol)
+		}
+		w.staters[i] = ms
 		node.SetModelEnv(w)
 	}
 	w.nw.Start()
@@ -215,31 +226,32 @@ func (w *world) ModelSendData(from, next routing.NodeID, pkt *routing.DataPacket
 }
 
 // ModelSchedule implements routing.ModelEnv: immediate timers become
-// microtasks, long timers park on the node's never-advanced simulator.
-func (w *world) ModelSchedule(delay time.Duration, fn func()) (sim.Timer, bool) {
+// microtasks, long timers are dropped. Parking them on the node's
+// never-advanced simulator would grow that queue by one closure per
+// discovery attempt for as long as the exploration's one world lives.
+func (w *world) ModelSchedule(delay time.Duration, fn func()) {
 	if delay <= microDelayMax {
 		w.micro = append(w.micro, fn)
-		return sim.Timer{}, true
 	}
-	return sim.Timer{}, false
 }
 
 // drain runs queued microtasks FIFO until quiescence.
 func (w *world) drain() {
-	for steps := 0; len(w.micro) > 0; steps++ {
-		if steps > microCap {
+	for i := 0; i < len(w.micro); i++ {
+		if i > microCap {
 			panic("modelcheck: microtask cascade did not quiesce")
 		}
-		fn := w.micro[0]
-		w.micro = w.micro[1:]
+		fn := w.micro[i]
+		w.micro[i] = nil
 		fn()
 	}
+	w.micro = w.micro[:0]
 }
 
 // apply executes one action and drains the resulting cascade. The caller
 // guarantees the action is enabled (indices in range, budgets respected);
-// apply panics otherwise, because a mis-replayed trace means the engine's
-// reconstruction is broken and no result can be trusted.
+// apply panics otherwise, because it means the world is not in the state
+// the engine believes it restored, and no result can be trusted.
 func (w *world) apply(a Action) {
 	n := w.sc.Graph.N
 	w.curRoot = w.slot
@@ -314,14 +326,13 @@ type budgets struct {
 	drops, dups, resets, vresets int
 }
 
-// enabled enumerates every action applicable in the current state, in a
-// fixed deterministic order: delivers (links sorted by (from, to), queue
-// order), then drops, dups, resets, volatile resets, and finally the next
-// origination. The engine relies on this order being a pure function of
-// the state so that reconstruction by prefix replay stays aligned.
-func (w *world) enabled(b budgets) []Action {
+// enabled appends to acts every action applicable in the current state,
+// in a fixed deterministic order: delivers (links sorted by (from, to),
+// queue order), then drops, dups, resets, volatile resets, and finally
+// the next origination. The order is a pure function of the state, which
+// is what makes the search, its counts and its witnesses reproducible.
+func (w *world) enabled(acts []Action, b budgets) []Action {
 	n := w.sc.Graph.N
-	var acts []Action
 	forEachPending := func(kind ActionKind) {
 		for from := 0; from < n; from++ {
 			for to := 0; to < n; to++ {

@@ -14,10 +14,17 @@
 // discovery timeouts and cache expiry never fire (the model's clock is
 // frozen at zero). See DESIGN.md for the soundness argument and its
 // caveats.
+//
+// The search keeps one live network per exploration. A transition is one
+// action applied to it and one in-place restore of the parent's saved
+// state (snapshot.go); the saved states form a stack along the current
+// path of the search tree, so memory beyond the visited-key set is
+// O(depth), not O(states).
 package modelcheck
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/manetlab/ldr/internal/core"
@@ -124,8 +131,8 @@ func (w *Witness) String() string {
 
 // rec is one discovered state, stored as a back-pointer into the state
 // arena plus the action that produced it; traces are reconstructed by
-// walking parents. Worlds are never stored — protocol state is not
-// copyable, so states are re-materialized by replaying their prefix.
+// walking parents. Worlds are not stored per state: the cursor takes its
+// one world to a state's trace when the state is expanded.
 type rec struct {
 	parent int32
 	depth  int32
@@ -163,27 +170,14 @@ func (o Options) remaining(u used) budgets {
 	}
 }
 
-// materialize rebuilds the world at the end of trace by replaying it
-// from a fresh initial state. Determinism of newWorld and apply makes
-// this exact.
-func materialize(sc *Scenario, trace []Action) (*world, error) {
-	w, err := newWorld(sc)
-	if err != nil {
-		return nil, err
-	}
-	for _, a := range trace {
-		w.apply(a)
-	}
-	return w, nil
-}
-
-// traceOf reconstructs the action trace leading to state idx.
-func traceOf(recs []rec, idx int32) []Action {
+// traceOf reconstructs the action trace leading to state idx into
+// trace's storage.
+func traceOf(trace []Action, recs []rec, idx int32) []Action {
 	var n int
 	for i := idx; recs[i].parent >= 0; i = recs[i].parent {
 		n++
 	}
-	trace := make([]Action, n)
+	trace = slices.Grow(trace[:0], n)[:n]
 	for i := idx; recs[i].parent >= 0; i = recs[i].parent {
 		n--
 		trace[n] = recs[i].action
@@ -197,12 +191,8 @@ func traceOf(recs []rec, idx int32) []Action {
 func Supports(protocol string) bool {
 	g := Graph{N: 2, Edges: [][2]int{{0, 1}}, Name: "pair"}
 	sc := &Scenario{Graph: g, Protocol: protocol, Seed: 1, Flows: []Flow{{Src: 0, Dst: 1}}}
-	w, err := newWorld(sc)
-	if err != nil {
-		return false
-	}
-	_, ok := w.nw.Nodes[0].Protocol().(routing.ModelStater)
-	return ok
+	_, err := newWorld(sc)
+	return err == nil
 }
 
 // Check explores the scenario's bounded state space breadth-first and
@@ -223,6 +213,19 @@ func Check(sc *Scenario, opts Options) (*Result, error) {
 		}
 	}
 
+	cur, err := newCursor(sc)
+	if err != nil {
+		return nil, err
+	}
+	return explore(cur, opts, start), nil
+}
+
+// explore is Check's search, over the world cur holds in its initial
+// state.
+func explore(cur *cursor, opts Options, start time.Time) *Result {
+	w := cur.w
+	sc := w.sc
+
 	// Symmetry: states are identified under graph automorphisms that fix
 	// every flow endpoint (those nodes have distinguishable roles).
 	var pinned []int
@@ -233,26 +236,20 @@ func Check(sc *Scenario, opts Options) (*Result, error) {
 	checker := loopcheck.NewChecker()
 
 	res := &Result{Scenario: sc}
-	w0, err := materialize(sc, nil)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := w0.nw.Nodes[0].Protocol().(routing.ModelStater); !ok {
-		return nil, fmt.Errorf("modelcheck: protocol %q does not implement routing.ModelStater (have: ldr, aodv)", sc.Protocol)
-	}
 	var tbuf [][]routing.RouteEntry
-	tbuf = w0.tables(tbuf)
+	tbuf = w.tables(tbuf)
 	if v := checker.CheckTables(tbuf); len(v) > 0 {
 		res.States, res.Elapsed = 1, time.Since(start)
-		res.Violation = newWitness(sc, nil, v, w0)
-		return res, nil
+		res.Violation = newWitness(sc, nil, v, w)
+		return res
 	}
 
 	recs := []rec{{parent: -1}}
-	visited := map[stateKey]struct{}{enc.key(w0, opts.remaining(used{})): {}}
+	visited := map[stateKey]struct{}{enc.key(w, opts.remaining(used{})): {}}
 	queue := []int32{0}
 	res.States = 1
 
+	var trace, acts []Action
 	for head := 0; head < len(queue); head++ {
 		idx := queue[head]
 		depth := int(recs[idx].depth)
@@ -262,24 +259,18 @@ func Check(sc *Scenario, opts Options) (*Result, error) {
 		if depth >= opts.MaxDepth {
 			continue
 		}
-		trace := traceOf(recs, idx)
+		trace = traceOf(trace, recs, idx)
 		rem := opts.remaining(countUsed(trace))
-		parent, err := materialize(sc, trace)
-		if err != nil {
-			return nil, err
-		}
-		acts := parent.enabled(rem)
+		cur.seek(trace)
+		acts = w.enabled(acts[:0], rem)
 		for _, a := range acts {
-			child, err := materialize(sc, append(trace[:len(trace):len(trace)], a))
-			if err != nil {
-				return nil, err
-			}
+			w.apply(a)
 			res.Transitions++
-			tbuf = child.tables(tbuf)
+			tbuf = w.tables(tbuf)
 			if v := checker.CheckTables(tbuf); len(v) > 0 {
 				res.Elapsed = time.Since(start)
-				res.Violation = newWitness(sc, append(trace[:len(trace):len(trace)], a), v, child)
-				return res, nil
+				res.Violation = newWitness(sc, append(slices.Clone(trace), a), v, w)
+				return res
 			}
 			crem := rem
 			switch a.Kind {
@@ -292,7 +283,8 @@ func Check(sc *Scenario, opts Options) (*Result, error) {
 			case ActResetVolatile:
 				crem.vresets--
 			}
-			k := enc.key(child, crem)
+			k := enc.key(w, crem)
+			cur.back()
 			if _, ok := visited[k]; ok {
 				continue
 			}
@@ -325,7 +317,7 @@ func Check(sc *Scenario, opts Options) (*Result, error) {
 			Elapsed:     res.Elapsed,
 		})
 	}
-	return res, nil
+	return res
 }
 
 // newWitness captures everything Spec building needs from the violating

@@ -46,13 +46,9 @@ func TestNamedTopology(t *testing.T) {
 // 4-node graphs) and every named 5-node shape has a unit-disk layout
 // under the simulator's default radio range.
 func TestLayoutsRealizeSweepDomain(t *testing.T) {
-	var graphs []Graph
-	for _, n := range []int{3, 4} {
-		gs, err := ConnectedGraphs(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		graphs = append(graphs, gs...)
+	graphs, err := SweepGraphs(3, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, name := range []string{"line5", "ring5"} {
 		g, err := NamedTopology(name)
@@ -103,11 +99,7 @@ func TestEncoderDeterminism(t *testing.T) {
 	enc := newEncoder(g.N, automorphisms(g, []int{0, 1, 2}))
 	var keys []stateKey
 	for i := 0; i < 3; i++ {
-		w, err := materialize(sc, trace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys = append(keys, enc.key(w, budgets{}))
+		keys = append(keys, enc.key(materialize(t, sc, trace), budgets{}))
 	}
 	if keys[0] != keys[1] || keys[1] != keys[2] {
 		t.Fatalf("same trace produced distinct state keys: %x %x %x", keys[0], keys[1], keys[2])

@@ -189,6 +189,21 @@ func ConnectedGraphs(n int) ([]Graph, error) {
 	return out, nil
 }
 
+// SweepGraphs concatenates ConnectedGraphs over sizes: the one list of
+// topologies a sweep covers (SweepGraphs(3, 4) for ldrcheck's sweep mode
+// and the model-check experiment).
+func SweepGraphs(sizes ...int) ([]Graph, error) {
+	var out []Graph
+	for _, n := range sizes {
+		gs, err := ConnectedGraphs(n)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, gs...)
+	}
+	return out, nil
+}
+
 // namedTopologies are the CLI aliases for common shapes.
 var namedTopologies = map[string]Graph{
 	"line3": {N: 3, Edges: [][2]int{{0, 1}, {1, 2}}, Name: "line3"},

@@ -70,6 +70,16 @@ func (r *Source) Split(name string) *Source {
 	return child
 }
 
+// State returns the generator's four state words; SetState puts them
+// back. Together they rewind a stream to an earlier point of its own
+// sequence (the bounded model checker's snapshots). The shared draw
+// counter is a diagnostic and is not rewound.
+func (r *Source) State() [4]uint64 { return r.s }
+
+// SetState overwrites the generator's state words with ones State
+// returned.
+func (r *Source) SetState(s [4]uint64) { r.s = s }
+
 // Draws returns the number of random words drawn so far across this
 // stream and every stream split from it (transitively).
 func (r *Source) Draws() uint64 { return *r.draws }

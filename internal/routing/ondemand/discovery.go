@@ -21,6 +21,25 @@ const MaxQueuedPerDest = 16
 type Pending struct {
 	node *routing.Node
 	q    map[routing.NodeID][]*routing.DataPacket // allocated on first Push
+
+	rows []stateRow // scratch of the state encoding
+}
+
+// stateRow is one destination of a map being encoded: its identifier as
+// the map holds it and as the encoding relabels it.
+type stateRow struct {
+	dst, mapped routing.NodeID
+}
+
+// sortedRows returns rows[:0] refilled with one row per key of m, in
+// ascending order of the mapped identifier.
+func sortedRows[V any](rows []stateRow, m map[routing.NodeID]V, mapID func(routing.NodeID) routing.NodeID) []stateRow {
+	rows = rows[:0]
+	for dst := range m {
+		rows = append(rows, stateRow{dst, mapID(dst)})
+	}
+	slices.SortFunc(rows, func(a, b stateRow) int { return cmp.Compare(a.mapped, b.mapped) })
+	return rows
 }
 
 // Push appends pkt to its destination's queue. A full queue drops its
@@ -79,20 +98,13 @@ func (p *Pending) WalkHeldData(fn func(*routing.DataPacket)) {
 // appendState serializes the buffer for a routing.ModelStater encoding:
 // destinations sorted by their mapped identifier, packets in queue order.
 func (p *Pending) appendState(out []byte, mapID func(routing.NodeID) routing.NodeID) []byte {
-	type row struct {
-		dst routing.NodeID
-		q   []*routing.DataPacket
-	}
-	rows := make([]row, 0, len(p.q))
-	for dst, q := range p.q {
-		rows = append(rows, row{mapID(dst), q})
-	}
-	slices.SortFunc(rows, func(a, b row) int { return cmp.Compare(a.dst, b.dst) })
-	out = binary.AppendUvarint(out, uint64(len(rows)))
-	for _, r := range rows {
-		out = binary.AppendVarint(out, int64(r.dst))
-		out = binary.AppendUvarint(out, uint64(len(r.q)))
-		for _, pkt := range r.q {
+	p.rows = sortedRows(p.rows, p.q, mapID)
+	out = binary.AppendUvarint(out, uint64(len(p.rows)))
+	for _, r := range p.rows {
+		q := p.q[r.dst]
+		out = binary.AppendVarint(out, int64(r.mapped))
+		out = binary.AppendUvarint(out, uint64(len(q)))
+		for _, pkt := range q {
 			out = binary.AppendVarint(out, int64(mapID(pkt.Src)))
 			out = binary.AppendUvarint(out, pkt.ID)
 			out = binary.AppendVarint(out, int64(pkt.TTL))
@@ -228,21 +240,72 @@ func (ds *Discoveries) Reset() {
 func (ds *Discoveries) AppendDiscoveryState(out []byte, mapID func(routing.NodeID) routing.NodeID) []byte {
 	out = ds.appendState(out, mapID)
 
-	type row struct {
-		dst routing.NodeID
-		d   *Discovery
-	}
-	rows := make([]row, 0, len(ds.active))
-	for dst, d := range ds.active {
-		rows = append(rows, row{mapID(dst), d})
-	}
-	slices.SortFunc(rows, func(a, b row) int { return cmp.Compare(a.dst, b.dst) })
-	out = binary.AppendUvarint(out, uint64(len(rows)))
-	for _, r := range rows {
-		out = binary.AppendVarint(out, int64(r.dst))
-		out = binary.AppendUvarint(out, uint64(r.d.ID))
-		out = binary.AppendVarint(out, int64(r.d.TTL))
-		out = binary.AppendVarint(out, int64(r.d.Retries))
+	ds.rows = sortedRows(ds.rows, ds.active, mapID)
+	out = binary.AppendUvarint(out, uint64(len(ds.rows)))
+	for _, r := range ds.rows {
+		d := ds.active[r.dst]
+		out = binary.AppendVarint(out, int64(r.mapped))
+		out = binary.AppendUvarint(out, uint64(d.ID))
+		out = binary.AppendVarint(out, int64(d.TTL))
+		out = binary.AppendVarint(out, int64(d.Retries))
 	}
 	return binary.AppendUvarint(out, uint64(ds.nextID))
+}
+
+// DiscoveryState is a Discoveries with its buffered data, saved (see
+// routing.ModelStater).
+type DiscoveryState struct {
+	queues  []savedQueue         // Pending.q in ascending destination order
+	pkts    []routing.DataPacket // the queued packets, queue after queue
+	active  []routing.Saved[routing.NodeID, Discovery]
+	nextID  uint32
+	stopped bool
+}
+
+type savedQueue struct {
+	dst routing.NodeID
+	n   int
+}
+
+// SaveDiscoveryState copies the buffered packets, the active
+// computations, the request-ID counter and the stopped flag into s's
+// storage, for the embedding protocol's SaveModelState. Attempt timers
+// are copied as handles: under a routing.ModelEnv they are all zero.
+func (ds *Discoveries) SaveDiscoveryState(s *DiscoveryState) {
+	s.queues = s.queues[:0]
+	n := 0
+	for dst, q := range ds.q {
+		s.queues = append(s.queues, savedQueue{dst, len(q)})
+		n += len(q)
+	}
+	slices.SortFunc(s.queues, func(a, b savedQueue) int { return cmp.Compare(a.dst, b.dst) })
+	s.pkts = routing.Resize(s.pkts, n)
+	i := 0
+	for _, sq := range s.queues {
+		for _, pkt := range ds.q[sq.dst] {
+			routing.CopyDataPacket(&s.pkts[i], pkt)
+			i++
+		}
+	}
+	s.active = routing.SavePtrMap(s.active, ds.active, cmp.Compare[routing.NodeID], nil)
+	s.nextID, s.stopped = ds.nextID, ds.stopped
+}
+
+// RestoreDiscoveryState puts back what SaveDiscoveryState copied out of
+// this table (its lazily made maps exist whenever a saved state has
+// entries for them). The buffered packets come back as fresh unpooled
+// copies; the ones held before are let go without a drop being accounted.
+func (ds *Discoveries) RestoreDiscoveryState(s *DiscoveryState) {
+	clear(ds.q)
+	pkts := s.pkts
+	for _, sq := range s.queues {
+		q := make([]*routing.DataPacket, sq.n)
+		for i := range q {
+			q[i] = new(routing.DataPacket)
+			routing.CopyDataPacket(q[i], &pkts[i])
+		}
+		ds.q[sq.dst], pkts = q, pkts[sq.n:]
+	}
+	routing.RestorePtrMap(ds.active, s.active, cmp.Compare[routing.NodeID], nil)
+	ds.nextID, ds.stopped = s.nextID, s.stopped
 }

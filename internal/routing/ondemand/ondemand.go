@@ -164,3 +164,25 @@ func (l *Limits) Reset() {
 		l.rtt.Reset()
 	}
 }
+
+// LimitsState is a Limits saved (see routing.ModelStater): both sets of
+// buckets and the RTT window.
+type LimitsState struct {
+	rreq, rerr routing.RateLimiterState
+	rtt        routing.RTTState
+}
+
+// SaveLimitsState copies the admission and lifetime state into s's
+// storage, for the embedding protocol's SaveModelState.
+func (l *Limits) SaveLimitsState(s *LimitsState) {
+	l.rreq.SaveModelState(&s.rreq)
+	l.rerr.SaveModelState(&s.rerr)
+	l.rtt.SaveModelState(&s.rtt)
+}
+
+// RestoreLimitsState puts back what SaveLimitsState copied out.
+func (l *Limits) RestoreLimitsState(s *LimitsState) {
+	l.rreq.RestoreModelState(&s.rreq)
+	l.rerr.RestoreModelState(&s.rerr)
+	l.rtt.RestoreModelState(&s.rtt)
+}

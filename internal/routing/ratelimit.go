@@ -1,6 +1,9 @@
 package routing
 
-import "time"
+import (
+	"cmp"
+	"time"
+)
 
 // RateLimiter is a per-neighbor token bucket over virtual time, the
 // hardening primitive behind RREQ rate limiting and RERR damping: a
@@ -66,4 +69,26 @@ func (r *RateLimiter) Reset() {
 		return
 	}
 	clear(r.buckets)
+}
+
+// RateLimiterState is a RateLimiter's buckets, saved in ascending source
+// order (see ModelStater for why a model checker saves state its state
+// encoding leaves out).
+type RateLimiterState []Saved[NodeID, tokenBucket]
+
+// SaveModelState copies the per-neighbor buckets into s's storage; a nil
+// limiter saves as empty.
+func (r *RateLimiter) SaveModelState(s *RateLimiterState) {
+	if r == nil {
+		*s = (*s)[:0]
+		return
+	}
+	*s = SavePtrMap(*s, r.buckets, cmp.Compare[NodeID], nil)
+}
+
+// RestoreModelState puts back the buckets SaveModelState copied out.
+func (r *RateLimiter) RestoreModelState(s *RateLimiterState) {
+	if r != nil {
+		RestorePtrMap(r.buckets, *s, cmp.Compare[NodeID], nil)
+	}
 }

@@ -146,28 +146,54 @@ type VolatileResetter interface {
 	ResetVolatile()
 }
 
-// ModelStater is implemented by protocols whose complete protocol-level
-// state can be serialized deterministically, which is what the bounded
-// model checker memoizes states on. The encoding must cover everything
-// that influences future behaviour (tables with labels, duplicate
-// caches, pending buffers, active discoveries, counters) and nothing
-// that does not.
+// ModelStater is implemented by protocols the bounded model checker can
+// drive: their complete protocol-level state can be serialized
+// deterministically, which is what the checker memoizes states on, and
+// saved and put back in place, which is how the checker backtracks on its
+// one live network instead of rebuilding one per state.
 //
+// AppendModelState's encoding must cover everything that influences
+// future behaviour (tables with labels, duplicate caches, pending
+// buffers, active discoveries, counters) and nothing that does not.
 // mapID relabels node identifiers — the checker canonicalizes states
 // under topology automorphisms by re-encoding through a permutation.
 // Implementations must emit map- and set-valued state sorted by the
 // MAPPED identifiers, so two symmetric states serialize to equal bytes.
+//
+// SaveModelState and RestoreModelState cover MORE than the encoding:
+// every field a handler, a reset or Start can write, including state
+// the encoding leaves out because it cannot matter within a bounded
+// exploration (rate-limiter buckets, the RTT window, timestamps). The
+// encoding decides which states are the same; the snapshot has to make
+// the one reused instance indistinguishable from a freshly built one
+// that replayed the same actions, or state would leak from one explored
+// branch into the next. What is exempt is what New fixes for good (node,
+// configuration), free lists and scratch buffers.
+// modelcheck.TestModelStateFieldCoverage lists every field as one or the
+// other and fails on a field in neither list.
+//
+// SaveModelState copies the state into store and returns it: store is a
+// value an earlier call on the same protocol type returned, whose
+// storage is reused, or nil, for which new storage is allocated. Equal
+// states save to reflect.DeepEqual values (maps are saved in ascending
+// key order). RestoreModelState puts back a state saved from this same
+// instance, leaving store unchanged and sharing no memory with it, so one
+// saved state can be restored any number of times. Both are methods of
+// this interface, not of a further optional one, so that a decorator that
+// embeds ModelStater forwards them without knowing them.
 type ModelStater interface {
 	AppendModelState(out []byte, mapID func(NodeID) NodeID) []byte
+	SaveModelState(store any) any
+	RestoreModelState(store any)
 }
 
 // ModelEnv replaces the MAC/radio transport and the protocol's timers
 // when a node runs inside the bounded model checker: outgoing traffic is
 // captured into per-link pending multisets instead of being framed onto
 // the medium, and timers either run as deterministic immediate microtasks
-// (broadcast jitter) or are parked on the node's never-run simulator
-// queue (discovery timeouts, cache expiry), where Cancel still works.
-// See internal/modelcheck for the only implementation.
+// (broadcast jitter) or are discarded (discovery timeouts, cache expiry:
+// unreachable at the model's frozen clock). Nothing reaches the node's
+// simulator queue. See internal/modelcheck for the only implementation.
 type ModelEnv interface {
 	// ModelSendControl captures an outgoing control message. The message
 	// object belongs to the environment until consumed; it is never
@@ -177,11 +203,10 @@ type ModelEnv interface {
 	// receives an unpooled deep copy owning a fresh reference chain; the
 	// sender's own reference has already been released.
 	ModelSendData(from, next NodeID, pkt *DataPacket)
-	// ModelSchedule intercepts a protocol timer. handled=true means the
-	// environment queued fn as an immediate microtask (the returned zero
-	// Timer is safely cancellable); handled=false falls through to the
-	// node's simulator queue, which the model never advances.
-	ModelSchedule(delay time.Duration, fn func()) (t sim.Timer, handled bool)
+	// ModelSchedule takes over a protocol timer: the environment runs fn
+	// as an immediate microtask or never. Either way the protocol gets the
+	// zero Timer, which is safely cancellable and never pending.
+	ModelSchedule(delay time.Duration, fn func())
 }
 
 // Resetter is implemented by protocols whose volatile state can be wiped
@@ -272,9 +297,8 @@ func (n *Node) Now() time.Duration { return n.sim.Now() }
 // Schedule runs fn after delay of virtual time.
 func (n *Node) Schedule(delay time.Duration, fn func()) sim.Timer {
 	if n.menv != nil {
-		if t, handled := n.menv.ModelSchedule(delay, fn); handled {
-			return t
-		}
+		n.menv.ModelSchedule(delay, fn)
+		return sim.Timer{}
 	}
 	return n.sim.Schedule(delay, fn)
 }

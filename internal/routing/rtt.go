@@ -95,3 +95,30 @@ func (e *RTTEstimator) Reset() {
 	e.next = 0
 	e.Samples = 0
 }
+
+// RTTState is an RTTEstimator's sample window and counters, saved.
+type RTTState struct {
+	window  []float64
+	next    int
+	samples uint64
+}
+
+// SaveModelState copies the samples into s's storage; a nil estimator
+// saves as empty.
+func (e *RTTEstimator) SaveModelState(s *RTTState) {
+	if e == nil {
+		*s = RTTState{window: s.window[:0]}
+		return
+	}
+	*s = RTTState{window: append(s.window[:0], e.window...), next: e.next, samples: e.Samples}
+}
+
+// RestoreModelState puts back the samples SaveModelState copied out.
+func (e *RTTEstimator) RestoreModelState(s *RTTState) {
+	if e == nil {
+		return
+	}
+	e.window = append(e.window[:0], s.window...)
+	e.next = s.next
+	e.Samples = s.samples
+}
