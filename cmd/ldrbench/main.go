@@ -54,7 +54,7 @@ func run() error {
 		"ldrbench -exp table1 -simtime 900s -trials 10   # the paper's full setup",
 		"ldrbench -exp fig3 -protocols ldr,aodv",
 		"ldrbench -exp mobility                          # waypoint vs manhattan vs gaussmarkov",
-		"ldrbench -exp table1 -traffic bursty -adaptive-timeout",
+		"ldrbench -exp table1 -traffic bursty",
 		"ldrbench -exp radio                             # uniform vs mixed vs asym power, density profiles",
 		"ldrbench -exp fig3 -radio asym -density gradient",
 		"ldrbench -exp table1 -journal /tmp/t1.journal           # kill-safe; ^C prints the resume command",

@@ -74,7 +74,7 @@ func run() error {
 		"ldrchaos -protocols ldr,aodv -simtime 900s -trials 10",
 		"ldrchaos -adversary all",
 		"ldrchaos -adversary seqno-forge,storm -protocols ldr,aodv",
-		"ldrchaos -profiles reboot -mobility manhattan -traffic bursty -adaptive-timeout",
+		"ldrchaos -profiles reboot -mobility manhattan -traffic bursty",
 		"ldrchaos -profiles mayhem -radio mixed -density gradient  # one-way links under faults",
 		"ldrchaos -journal /tmp/chaos.journal                      # kill-safe; ^C prints the resume command",
 		"ldrchaos -journal /tmp/chaos.journal -resume              # continue a killed sweep",

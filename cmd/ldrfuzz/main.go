@@ -7,9 +7,8 @@
 // model (waypoint, Manhattan grid, Gauss-Markov), a traffic pattern
 // (CBR, bursty, request-response), a radio profile (uniform disk, mixed
 // transmit-power classes, asym long/short — the latter two produce
-// one-way links), a placement-density profile (uniform, gradient,
-// hotspot), and whether adaptive RTT-derived route timeouts are on, so
-// the fuzzer hunts for invariant breaks across the whole
+// one-way links) and a placement-density profile (uniform, gradient,
+// hotspot), so the fuzzer hunts for invariant breaks across the whole
 // scenario-diversity matrix. Violating scenarios are greedily
 // shrunk (drop flows, drop faults, drop the adversary, reset the
 // diversity axes, shorten simtime) into minimal reproducers and printed as

@@ -56,7 +56,7 @@ func run() error {
 			"runs the fault-injection suite.",
 		"ldrsim -proto ldr -nodes 50 -flows 10 -pause 60s -simtime 300s -seed 1",
 		"ldrsim -proto aodv -trials 10 -workers 4",
-		"ldrsim -proto ldr -mobility manhattan -traffic bursty -adaptive-timeout",
+		"ldrsim -proto ldr -mobility manhattan -traffic bursty",
 		"ldrsim -proto olsr -radio asym -density gradient  # one-way links, uneven placement",
 	); err != nil {
 		return err

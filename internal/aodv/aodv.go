@@ -19,42 +19,12 @@ import (
 	"github.com/manetlab/ldr/internal/routing"
 	"github.com/manetlab/ldr/internal/routing/ondemand"
 	"github.com/manetlab/ldr/internal/runpool"
-	"github.com/manetlab/ldr/internal/sim"
 )
 
-// Config carries AODV's protocol constants (draft-10 defaults).
-type Config struct {
-	ondemand.Config // the timers, ring schedule and hardening LDR shares
-
-	MyRouteTimeout  time.Duration
-	DestinationOnly bool // D flag: only the destination may answer
-	GratuitousRREP  bool // notify the destination on intermediate replies
-
-	// UseHello enables periodic HELLO beacons for neighbor liveness in
-	// place of relying solely on MAC-layer feedback (draft-10 §8.4).
-	UseHello         bool
-	HelloInterval    time.Duration
-	AllowedHelloLoss int
-
-	// LocalRepair lets a relay close to the destination repair a broken
-	// route in place with a small-TTL discovery instead of dropping the
-	// packet and pushing a RERR all the way upstream (draft-10 §8.12).
-	LocalRepair   bool
-	MaxRepairHops int
-}
-
-// DefaultConfig returns the draft-10 defaults used in the paper's
-// simulations.
-func DefaultConfig() Config {
-	return Config{
-		Config:         ondemand.DefaultConfig(),
-		MyRouteTimeout: 6 * time.Second,
-
-		HelloInterval:    time.Second,
-		AllowedHelloLoss: 2,
-		MaxRepairHops:    3,
-	}
-}
+// myRouteTimeout is the lifetime a destination grants the route to
+// itself in its own replies (draft-10 MY_ROUTE_TIMEOUT). The timers and
+// the ring schedule are the constants LDR shares (package ondemand).
+const myRouteTimeout = 6 * time.Second
 
 // RREQ is an AODV route request.
 type RREQ struct {
@@ -114,7 +84,6 @@ const (
 	rrepWireSize    = 1 + 4 + 4 + 4 + 1 + 4
 	rerrWireBase    = 1 + 2
 	rerrWirePerDest = 4 + 4
-	helloWireSize   = 1 + 4 + 4
 )
 
 // entry is one AODV routing-table row.
@@ -146,27 +115,22 @@ type reqKey struct {
 // AODV is one node's protocol instance.
 type AODV struct {
 	node *routing.Node
-	cfg  Config
 
-	ownSeq     uint32
-	routes     map[routing.NodeID]*entry
-	reqSeen    map[reqKey]time.Duration
-	lastHeard  map[routing.NodeID]time.Duration // hello liveness per neighbor
-	repairing  map[routing.NodeID]bool          // destinations under local repair
-	helloTimer sim.Timer
+	ownSeq  uint32
+	routes  map[routing.NodeID]*entry
+	reqSeen map[reqKey]time.Duration
 
 	ondemand.Discoveries // active discoveries and the data buffered behind them
-	ondemand.Limits      // per-neighbour RREQ/RERR admission, route lifetimes
+	ondemand.Limits      // per-neighbour RREQ/RERR admission
 
 	// Free lists for outgoing control messages (recycled by the node
 	// layer once the carrying frame is released) and a scratch buffer
 	// for assembling RERR destination lists.
-	rreqPool  runpool.Pool[RREQ]
-	rrepPool  runpool.Pool[RREP]
-	rerrPool  runpool.Pool[RERR]
-	helloPool runpool.Pool[Hello]
-	rerrBuf   []RERRDest
-	enc       encScratch // AppendModelState's scratch (model.go)
+	rreqPool runpool.Pool[RREQ]
+	rrepPool runpool.Pool[RREP]
+	rerrPool runpool.Pool[RERR]
+	rerrBuf  []RERRDest
+	enc      encScratch // AppendModelState's scratch (model.go)
 }
 
 var (
@@ -179,32 +143,20 @@ var (
 )
 
 // New builds an AODV instance bound to a node.
-func New(node *routing.Node, cfg Config) *AODV {
+func New(node *routing.Node) *AODV {
 	a := &AODV{
-		node:      node,
-		cfg:       cfg,
-		routes:    make(map[routing.NodeID]*entry),
-		reqSeen:   make(map[reqKey]time.Duration),
-		lastHeard: make(map[routing.NodeID]time.Duration),
-		repairing: make(map[routing.NodeID]bool),
-		Limits:    ondemand.NewLimits(node, cfg.Config),
+		node:    node,
+		routes:  make(map[routing.NodeID]*entry),
+		reqSeen: make(map[reqKey]time.Duration),
+		Limits:  ondemand.NewLimits(node),
 	}
 	a.Discoveries = ondemand.NewDiscoveries(node, a)
 	return a
 }
 
-// Start implements routing.Protocol.
-func (a *AODV) Start() {
-	if a.cfg.UseHello {
-		a.startHello()
-	}
-}
-
-// Stop implements routing.Protocol.
-func (a *AODV) Stop() {
-	a.Discoveries.Stop()
-	a.helloTimer.Cancel()
-}
+// Start implements routing.Protocol. AODV is purely reactive here: link
+// breaks are learned from MAC-layer feedback, as in the paper's setup.
+func (a *AODV) Start() {}
 
 // Reset implements routing.Resetter: a crash loses everything, including
 // the node's own sequence number — draft-10 AODV keeps it in volatile
@@ -219,13 +171,9 @@ func (a *AODV) Stop() {
 func (a *AODV) Reset() {
 	a.Discoveries.Reset()
 	a.Limits.Reset()
-	a.helloTimer.Cancel()
-	a.helloTimer = sim.Timer{}
 	a.ownSeq = 0
 	a.routes = make(map[routing.NodeID]*entry)
 	a.reqSeen = make(map[reqKey]time.Duration)
-	a.lastHeard = make(map[routing.NodeID]time.Duration)
-	a.repairing = make(map[routing.NodeID]bool)
 }
 
 // --- data plane ---
@@ -251,7 +199,7 @@ func (a *AODV) sendOrQueue(pkt *routing.DataPacket) {
 	now := a.node.Now()
 	e := a.routes[pkt.Dst]
 	if e.active(now) {
-		e.refresh(now, a.Lifetime(e.hops))
+		e.refresh(now, ondemand.ActiveRouteTimeout)
 		a.node.SendData(e.next, pkt)
 		return
 	}
@@ -273,7 +221,6 @@ func (a *AODV) sendOrQueue(pkt *routing.DataPacket) {
 }
 
 func (a *AODV) flushPending(dst routing.NodeID) {
-	delete(a.repairing, dst)
 	for _, pkt := range a.Take(dst) {
 		a.sendOrQueue(pkt)
 	}
@@ -290,8 +237,6 @@ func (a *AODV) RecycleMessage(msg routing.Message) {
 	case *RERR:
 		m.Unreachable = m.Unreachable[:0] // keep capacity for reuse
 		a.rerrPool.Put(m)
-	case *Hello:
-		a.helloPool.Put(m)
 	}
 }
 
@@ -348,25 +293,7 @@ func (a *AODV) DataFailed(next routing.NodeID, pkt *routing.DataPacket) {
 	if a.Stopped() {
 		return
 	}
-	broken := a.invalidateVia(next)
-	if pkt.Src != a.node.ID() && a.cfg.LocalRepair && a.canRepair(pkt.Dst) {
-		// Local repair: hold the RERR, buffer the packet, and try a
-		// small-TTL rediscovery from here (the stored seq was already
-		// incremented above, so stale upstream state cannot answer).
-		a.Push(pkt)
-		a.repairing[pkt.Dst] = true
-		a.Solicit(pkt.Dst, a.initialTTL(pkt.Dst))
-		// Report the other broken destinations normally.
-		var others []RERRDest
-		for _, b := range broken {
-			if b.Dst != pkt.Dst {
-				others = append(others, b)
-			}
-		}
-		a.sendRERR(others)
-		return
-	}
-	a.sendRERR(broken)
+	a.sendRERR(a.invalidateVia(next))
 	if pkt.Src == a.node.ID() {
 		a.Push(pkt)
 		a.Solicit(pkt.Dst, a.initialTTL(pkt.Dst))
@@ -375,24 +302,17 @@ func (a *AODV) DataFailed(next routing.NodeID, pkt *routing.DataPacket) {
 	}
 }
 
-// canRepair limits local repair to destinations that were recently close
-// (draft-10 bounds the repair to MAX_REPAIR_TTL).
-func (a *AODV) canRepair(dst routing.NodeID) bool {
-	e := a.routes[dst]
-	return e != nil && e.hops > 0 && e.hops <= a.cfg.MaxRepairHops
-}
-
 // --- route discovery ---
 
 func (a *AODV) initialTTL(dst routing.NodeID) int {
 	if e := a.routes[dst]; e != nil && e.hops > 0 {
-		ttl := e.hops + a.cfg.TTLIncrement
-		if ttl > a.cfg.NetDiameter {
-			ttl = a.cfg.NetDiameter
+		ttl := e.hops + ondemand.TTLIncrement
+		if ttl > ondemand.NetDiameter {
+			ttl = ondemand.NetDiameter
 		}
 		return ttl
 	}
-	return a.cfg.TTLStart
+	return ondemand.TTLStart
 }
 
 // SendRequest implements ondemand.Requester: one RREQ for dst, answered
@@ -415,22 +335,12 @@ func (a *AODV) SendRequest(dst routing.NodeID, d *ondemand.Discovery) time.Durat
 	}
 	a.node.Metrics().CountControlInitiate(metrics.RREQ)
 	a.sendRREQ(routing.BroadcastID, q)
-	return a.cfg.RingWait(d)
+	return ondemand.RingWait(d)
 }
 
-// NextAttempt implements ondemand.Requester: the expanding-ring schedule,
-// except that a local repair gets the ring but none of the network-wide
-// retries — when the ring is spent the repair has failed and the RERR it
-// deferred goes out.
-func (a *AODV) NextAttempt(dst routing.NodeID, d *ondemand.Discovery) bool {
-	if a.repairing[dst] && (d.TTL >= a.cfg.NetDiameter || d.Retries > 0) {
-		delete(a.repairing, dst)
-		if e := a.routes[dst]; e != nil {
-			a.sendRERR([]RERRDest{{Dst: dst, Seq: e.seq}})
-		}
-		return false
-	}
-	return a.cfg.NextRing(d)
+// NextAttempt implements ondemand.Requester: the expanding-ring schedule.
+func (a *AODV) NextAttempt(_ routing.NodeID, d *ondemand.Discovery) bool {
+	return ondemand.NextRing(d)
 }
 
 // --- control plane ---
@@ -449,16 +359,12 @@ func (a *AODV) HandleControl(from routing.NodeID, msg routing.Message) {
 		a.handleRREP(from, *m)
 	case *RERR:
 		a.handleRERR(from, *m)
-	case *Hello:
-		a.handleHello(from, *m)
 	case RREQ:
 		a.handleRREQ(from, m)
 	case RREP:
 		a.handleRREP(from, m)
 	case RERR:
 		a.handleRERR(from, m)
-	case Hello:
-		a.handleHello(from, m)
 	}
 }
 
@@ -476,7 +382,7 @@ func (a *AODV) handleRREQ(from routing.NodeID, q RREQ) {
 		return
 	}
 	a.reqSeen[key] = now
-	a.node.Schedule(a.cfg.RREQCacheLife, func() {
+	a.node.Schedule(ondemand.RREQCacheLife, func() {
 		if t, ok := a.reqSeen[key]; ok && now == t {
 			delete(a.reqSeen, key)
 		}
@@ -494,13 +400,13 @@ func (a *AODV) handleRREQ(from routing.NodeID, q RREQ) {
 			DstSeq:   a.ownSeq,
 			Origin:   q.Origin,
 			HopCount: 0,
-			Lifetime: a.cfg.MyRouteTimeout,
+			Lifetime: myRouteTimeout,
 		}, q.Origin)
 		return
 	}
 
 	e := a.routes[q.Dst]
-	canAnswer := !a.cfg.DestinationOnly && e.active(now) && e.haveSeq &&
+	canAnswer := e.active(now) && e.haveSeq &&
 		(!q.UnknownSeq && e.seq >= q.DstSeq || q.UnknownSeq)
 	if canAnswer {
 		// Intermediate reply: the sequence-number ordering guarantees no
@@ -514,9 +420,6 @@ func (a *AODV) handleRREQ(from routing.NodeID, q RREQ) {
 			HopCount: e.hops,
 			Lifetime: e.expiry - now,
 		}, q.Origin)
-		if a.cfg.GratuitousRREP {
-			a.gratuitousRREP(q, e, now)
-		}
 		return
 	}
 
@@ -531,7 +434,7 @@ func (a *AODV) handleRREQ(from routing.NodeID, q RREQ) {
 		q.UnknownSeq = false
 	}
 	rq := q
-	jitter := time.Duration(a.node.RNG().Float64() * float64(a.cfg.BroadcastJitter))
+	jitter := time.Duration(a.node.RNG().Float64() * float64(ondemand.BroadcastJitter))
 	a.node.Schedule(jitter, func() {
 		if a.Stopped() {
 			return
@@ -550,20 +453,6 @@ func (a *AODV) reply(p RREP, origin routing.NodeID) {
 	a.sendRREP(rev.next, p)
 }
 
-// gratuitousRREP tells the destination about the origin when an
-// intermediate node short-circuits discovery, so reverse traffic works.
-func (a *AODV) gratuitousRREP(q RREQ, e *entry, now time.Duration) {
-	g := RREP{
-		Dst:      q.Origin,
-		DstSeq:   q.OriginSeq,
-		Origin:   q.Dst,
-		HopCount: q.HopCount,
-		Lifetime: a.cfg.ActiveRouteTimeout,
-	}
-	a.node.Metrics().CountControlInitiate(metrics.RREP)
-	a.sendRREP(e.next, g)
-}
-
 func (a *AODV) handleRREP(from routing.NodeID, p RREP) {
 	me := a.node.ID()
 	now := a.node.Now()
@@ -579,12 +468,7 @@ func (a *AODV) handleRREP(from routing.NodeID, p RREP) {
 
 	if p.Origin == me {
 		if usable {
-			if rtt, ok := a.Finish(p.Dst); ok {
-				// One discovery round trip over HopCount+1 hops. A reply
-				// racing a ring retry measures against the latest attempt,
-				// slightly under-reporting — harmless for a windowed mean.
-				a.ObserveRTT(rtt, p.HopCount+1)
-			}
+			a.Finish(p.Dst)
 		}
 		return
 	}
@@ -599,7 +483,7 @@ func (a *AODV) handleRREP(from routing.NodeID, p RREP) {
 	if e := a.routes[p.Dst]; e != nil {
 		e.precursor(rev.next)
 	}
-	rev.refresh(now, a.Lifetime(rev.hops))
+	rev.refresh(now, ondemand.ActiveRouteTimeout)
 	a.sendRREP(rev.next, fwd)
 }
 
@@ -666,7 +550,7 @@ func (a *AODV) installReverse(origin routing.NodeID, seq uint32, hops int, via r
 	}
 	now := a.node.Now()
 	if e := a.accept(origin, seq, hops+1, via, now); e != nil {
-		e.refresh(now, a.Lifetime(hops+1))
+		e.refresh(now, ondemand.ActiveRouteTimeout)
 	}
 }
 
@@ -676,7 +560,7 @@ func (a *AODV) installForward(p RREP, via routing.NodeID) bool {
 	now := a.node.Now()
 	life := p.Lifetime
 	if life <= 0 {
-		life = a.cfg.ActiveRouteTimeout
+		life = ondemand.ActiveRouteTimeout
 	}
 	e := a.accept(p.Dst, p.DstSeq, p.HopCount+1, via, now)
 	if e == nil {

@@ -16,7 +16,7 @@ import (
 func buildNet(model mobility.Model, seed int64) *routing.Network {
 	return routing.NewNetwork(model.NumNodes(), model, radio.DefaultConfig(), mac.DefaultConfig(), seed,
 		func(node *routing.Node) routing.Protocol {
-			return aodv.New(node, aodv.DefaultConfig())
+			return aodv.New(node)
 		})
 }
 
@@ -40,7 +40,7 @@ func TestRouteBreakInflatesStoredSequenceNumbers(t *testing.T) {
 	}
 	nw := routing.NewNetwork(3, mobility.NewScript(tracks), radio.DefaultConfig(), mac.DefaultConfig(), 4,
 		func(node *routing.Node) routing.Protocol {
-			return aodv.New(node, aodv.DefaultConfig())
+			return aodv.New(node)
 		})
 	nw.Start()
 	for ts := time.Second; ts < 10*time.Second; ts += 250 * time.Millisecond {
@@ -91,7 +91,7 @@ func TestIntermediateReplySuppressedAfterBreak(t *testing.T) {
 	}
 	nw := routing.NewNetwork(4, mobility.NewScript(tracks), radio.DefaultConfig(), mac.DefaultConfig(), 6,
 		func(node *routing.Node) routing.Protocol {
-			return aodv.New(node, aodv.DefaultConfig())
+			return aodv.New(node)
 		})
 	nw.Start()
 	for ts := time.Second; ts < 20*time.Second; ts += 250 * time.Millisecond {

@@ -14,7 +14,7 @@ import (
 func chain(n int, seed int64) *routing.Network {
 	return routing.NewNetwork(n, mobility.Line(n, 250), radio.DefaultConfig(), mac.DefaultConfig(), seed,
 		func(node *routing.Node) routing.Protocol {
-			return aodv.New(node, aodv.DefaultConfig())
+			return aodv.New(node)
 		})
 }
 

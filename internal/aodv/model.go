@@ -13,7 +13,6 @@ import (
 
 	"github.com/manetlab/ldr/internal/routing"
 	"github.com/manetlab/ldr/internal/routing/ondemand"
-	"github.com/manetlab/ldr/internal/sim"
 )
 
 var _ routing.ModelStater = (*AODV)(nil)
@@ -21,12 +20,12 @@ var _ routing.ModelStater = (*AODV)(nil)
 // AppendModelState implements routing.ModelStater: own sequence number,
 // the full routing table (invalid entries included — their stored
 // sequence numbers gate RERR propagation and future installs), the
-// RREQ duplicate cache, buffered data, active discoveries, repair and
-// hello-liveness sets, and the request-ID counter, all sorted under the
-// mapped identifiers. Expiry durations are included — AODV propagates
-// remaining lifetimes in RREPs, so they are behaviour-relevant even at
-// the model's frozen clock. The per-neighbor rate limiters are omitted
-// (their buckets cannot empty within a bounded exploration).
+// RREQ duplicate cache, buffered data, active discoveries and the
+// request-ID counter, all sorted under the mapped identifiers. Expiry
+// durations are included — AODV propagates remaining lifetimes in RREPs,
+// so they are behaviour-relevant even at the model's frozen clock. The
+// per-neighbor rate limiters are omitted (their buckets cannot empty
+// within a bounded exploration).
 func (a *AODV) AppendModelState(out []byte, mapID func(routing.NodeID) routing.NodeID) []byte {
 	sc := &a.enc
 	out = append(out, 'A')
@@ -65,20 +64,7 @@ func (a *AODV) AppendModelState(out []byte, mapID func(routing.NodeID) routing.N
 		out = binary.AppendUvarint(out, uint64(q.id))
 	}
 
-	out = a.AppendDiscoveryState(out, mapID)
-
-	sc.ids = sc.ids[:0]
-	for id, on := range a.repairing {
-		if on {
-			sc.ids = append(sc.ids, mapID(id))
-		}
-	}
-	out = appendSortedIDs(out, sc.ids)
-	sc.ids = sc.ids[:0]
-	for nb := range a.lastHeard {
-		sc.ids = append(sc.ids, mapID(nb))
-	}
-	return appendSortedIDs(out, sc.ids)
+	return a.AppendDiscoveryState(out, mapID)
 }
 
 // appendSortedIDs sorts ids in place and emits them as a counted set.
@@ -108,18 +94,15 @@ func compareReqKey(a, b reqKey) int {
 	return cmp.Or(cmp.Compare(a.origin, b.origin), cmp.Compare(a.id, b.id))
 }
 
-// modelState is an AODV instance's saved state: every field a handler,
-// Reset or Start writes. node and cfg are fixed by New; the message
-// pools, rerrBuf and enc are free lists and scratch.
+// modelState is an AODV instance's saved state: every field a handler or
+// Reset writes. node is fixed by New; the message pools, rerrBuf and enc
+// are free lists and scratch.
 type modelState struct {
-	ownSeq     uint32
-	routes     []routing.Saved[routing.NodeID, entry]
-	reqSeen    []routing.Saved[reqKey, time.Duration]
-	lastHeard  []routing.Saved[routing.NodeID, time.Duration]
-	repairing  []routing.Saved[routing.NodeID, bool]
-	helloTimer sim.Timer // a handle; zero under a routing.ModelEnv
-	disc       ondemand.DiscoveryState
-	limits     ondemand.LimitsState
+	ownSeq  uint32
+	routes  []routing.Saved[routing.NodeID, entry]
+	reqSeen []routing.Saved[reqKey, time.Duration]
+	disc    ondemand.DiscoveryState
+	limits  ondemand.LimitsState
 }
 
 // copyEntry deep-copies a table row, reusing dst's precursor set.
@@ -145,9 +128,6 @@ func (a *AODV) SaveModelState(store any) any {
 	s.ownSeq = a.ownSeq
 	s.routes = routing.SavePtrMap(s.routes, a.routes, cmp.Compare[routing.NodeID], copyEntry)
 	s.reqSeen = routing.SaveMap(s.reqSeen, a.reqSeen, compareReqKey)
-	s.lastHeard = routing.SaveMap(s.lastHeard, a.lastHeard, cmp.Compare[routing.NodeID])
-	s.repairing = routing.SaveMap(s.repairing, a.repairing, cmp.Compare[routing.NodeID])
-	s.helloTimer = a.helloTimer
 	a.SaveDiscoveryState(&s.disc)
 	a.SaveLimitsState(&s.limits)
 	return s
@@ -159,9 +139,6 @@ func (a *AODV) RestoreModelState(store any) {
 	a.ownSeq = s.ownSeq
 	routing.RestorePtrMap(a.routes, s.routes, cmp.Compare[routing.NodeID], copyEntry)
 	routing.RestoreMap(a.reqSeen, s.reqSeen)
-	routing.RestoreMap(a.lastHeard, s.lastHeard)
-	routing.RestoreMap(a.repairing, s.repairing)
-	a.helloTimer = s.helloTimer
 	a.RestoreDiscoveryState(&s.disc)
 	a.RestoreLimitsState(&s.limits)
 }

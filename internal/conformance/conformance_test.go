@@ -2,7 +2,9 @@ package conformance
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -139,6 +141,53 @@ func TestRegressionSeeds(t *testing.T) {
 		if violates(s, r) {
 			t.Errorf("%s (%s): still violating", filepath.Base(path), s)
 		}
+	}
+}
+
+// TestLoadSpecRejectsUnknownKeys: a seed carrying a key the Spec does not
+// have — a retired axis, a typo — would replay a different scenario than
+// it names, so it must fail to load with the key in the message, as must
+// anything after the object. Every committed seed still loads.
+func TestLoadSpecRejectsUnknownKeys(t *testing.T) {
+	seeds, err := filepath.Glob(filepath.Join("..", "*", "testdata", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := 0
+	for _, path := range seeds {
+		if filepath.Base(path) == "golden.json" {
+			continue // TestGoldenFingerprints' data, not a Spec
+		}
+		if _, err := LoadSpec(path); err != nil {
+			t.Errorf("committed seed no longer loads: %v", err)
+		}
+		loaded++
+	}
+	if loaded < 6 {
+		t.Errorf("found %d committed seeds under internal/*/testdata, want the conformance, adversary and modelcheck ones", loaded)
+	}
+
+	const ok = `"protocol": "ldr", "nodes": 8, "flows": 1, "simtime_sec": 2, "seed": 1, "profile": "none"`
+	for _, c := range []struct{ name, body, want string }{
+		{"retired axis", `{` + ok + `, "adaptive": true}`, `"adaptive"`},
+		{"misspelt axis", `{` + ok + `, "mobilty": "manhattan"}`, `"mobilty"`},
+		{"misspelt script key", `{` + ok + `, "script": {"postions": []}}`, `"postions"`},
+		{"trailing data", `{` + ok + `} {}`, "trailing data"},
+	} {
+		path := filepath.Join(t.TempDir(), "seed.json")
+		if err := os.WriteFile(path, []byte(c.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadSpec(path); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: LoadSpec error = %v, want one naming %s", c.name, err, c.want)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "seed.json")
+	if err := os.WriteFile(path, []byte(`{`+ok+"}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSpec(path); err != nil {
+		t.Errorf("a well-formed spec with a trailing newline: %v", err)
 	}
 }
 

@@ -37,7 +37,6 @@ type Spec struct {
 	Traffic    string  `json:"traffic,omitempty"`   // traffic pattern ("" → cbr)
 	Radio      string  `json:"radio,omitempty"`     // scenario.Radios entry ("" → uniform disk)
 	Density    string  `json:"density,omitempty"`   // scenario.Densities entry ("" → uniform placement)
-	Adaptive   bool    `json:"adaptive,omitempty"`  // RTT-derived route timeouts
 	AuditMS    int     `json:"audit_ms"`
 	Note       string  `json:"note,omitempty"`
 
@@ -76,9 +75,6 @@ func (s Spec) String() string {
 	if s.Density != "" && s.Density != scenario.DensityUniform {
 		axes += " density=" + s.Density
 	}
-	if s.Adaptive {
-		axes += " adaptive"
-	}
 	return fmt.Sprintf("%s/%s%s nodes=%d flows=%d pause=%.0fs sim=%.0fs seed=%d%s",
 		s.Protocol, s.Profile, adv, s.Nodes, s.Flows, s.PauseSec, s.SimTimeSec, s.Seed, axes)
 }
@@ -116,7 +112,7 @@ func (s Spec) Config() (scenario.Config, error) {
 	if _, err := scenario.Factory(cfg.Protocol, nil); err != nil {
 		return scenario.Config{}, err
 	}
-	axes := scenario.Axes{Mobility: s.Mobility, TrafficPattern: s.Traffic, Radio: s.Radio, Density: s.Density, AdaptiveTimeout: s.Adaptive}
+	axes := scenario.Axes{Mobility: s.Mobility, TrafficPattern: s.Traffic, Radio: s.Radio, Density: s.Density}
 	if err := axes.Validate(); err != nil {
 		return scenario.Config{}, fmt.Errorf("conformance: %w", err)
 	}
@@ -147,14 +143,23 @@ func (s Spec) Config() (scenario.Config, error) {
 }
 
 // LoadSpec reads a Spec from a JSON file (a committed regression seed).
+// A key the Spec does not have is an error naming it, as is anything
+// after the object: a seed carrying a retired or misspelt axis would
+// otherwise replay a different scenario than it names.
 func LoadSpec(path string) (Spec, error) {
-	raw, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return Spec{}, err
 	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
 	var s Spec
-	if err := json.Unmarshal(raw, &s); err != nil {
+	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("conformance: %s: %w", path, err)
+	}
+	if dec.More() {
+		return Spec{}, fmt.Errorf("conformance: %s: trailing data after the spec", path)
 	}
 	return s, nil
 }
@@ -292,14 +297,13 @@ func genSpec(o *Options, src *rng.Source) Spec {
 	traf := o.Traffics[src.Intn(len(o.Traffics))]
 	rad := o.Radios[src.Intn(len(o.Radios))]
 	dens := o.Densities[src.Intn(len(o.Densities))]
-	adaptive := src.Intn(2) == 1
 	audit := 50 + src.Intn(150)
 	return Spec{
 		Protocol: proto, Nodes: nodes, Flows: flows,
 		PauseSec: pause, SimTimeSec: simt, Seed: seed,
 		Profile: profile, Adversary: adv,
 		Mobility: mob, Traffic: traf,
-		Radio: rad, Density: dens, Adaptive: adaptive,
+		Radio: rad, Density: dens,
 		AuditMS: audit,
 	}
 }
@@ -385,9 +389,9 @@ func Fuzz(o Options) ([]Finding, error) {
 
 // Shrink greedily minimizes a violating spec while it keeps violating:
 // halve the flow count, then drop the fault profile, then drop the
-// adversary profile, then revert mobility/traffic/radio/density/
-// adaptive-timeout to their waypoint/CBR/uniform/uniform/constant
-// defaults, then halve the simulated time (floor 2 s). Each accepted step re-verifies the violation, so the
+// adversary profile, then revert mobility/traffic/radio/density to
+// their waypoint/CBR/uniform/uniform defaults, then halve the simulated
+// time (floor 2 s). Each accepted step re-verifies the violation, so the
 // result is always a genuine reproducer. logf may be nil.
 func Shrink(s Spec, logf func(string, ...any)) (Spec, Report, error) {
 	if logf == nil {
@@ -445,11 +449,6 @@ func Shrink(s Spec, logf func(string, ...any)) (Spec, Report, error) {
 	if best.Density != "" && best.Density != scenario.DensityUniform {
 		cand := best
 		cand.Density = ""
-		try(cand)
-	}
-	if best.Adaptive {
-		cand := best
-		cand.Adaptive = false
 		try(cand)
 	}
 	for best.SimTimeSec > 2 {

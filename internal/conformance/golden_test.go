@@ -30,12 +30,8 @@ func sha256Hex(b []byte) string {
 }
 
 // goldenSpecs is the pinned matrix: every protocol under no faults, the
-// crash-heavy reboot profile and one-way links, plus RTT-adaptive
-// lifetimes for the two protocols that have them. The strip is sparser
-// than Spec's default so discoveries retry, give up and rediscover, and
-// the adaptive cells run bursty traffic on a seed where the idle gaps
-// outlast the adaptive lifetimes (under CBR every route is refreshed
-// before either lifetime expires and the cell equals the plain one).
+// crash-heavy reboot profile and one-way links. The strip is sparser
+// than Spec's default so discoveries retry, give up and rediscover.
 // Audited, so the collector also pins the loop-check counters.
 func goldenSpecs() map[string]Spec {
 	specs := make(map[string]Spec)
@@ -51,11 +47,6 @@ func goldenSpecs() map[string]Spec {
 		asym := base
 		asym.Radio = "asym"
 		specs[proto+"/asym"] = asym
-		if proto == "ldr" || proto == "aodv" {
-			adaptive := base
-			adaptive.Adaptive, adaptive.Traffic, adaptive.Seed = true, "bursty", 103
-			specs[proto+"/adaptive"] = adaptive
-		}
 	}
 	return specs
 }

@@ -44,7 +44,6 @@ func SpecFromConfig(cfg scenario.Config) (Spec, error) {
 		Traffic:    string(cfg.TrafficPattern),
 		Radio:      cfg.Radio,
 		Density:    cfg.Density,
-		Adaptive:   cfg.AdaptiveTimeout,
 		TerrainW:   cfg.Terrain.Width,
 		TerrainH:   cfg.Terrain.Height,
 		MinSpeed:   cfg.MinSpeed,

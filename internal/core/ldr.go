@@ -9,51 +9,44 @@ import (
 	"github.com/manetlab/ldr/internal/runpool"
 )
 
-// Config tunes LDR's timers and the paper's §4 optimizations. The zero
-// value is not valid; use DefaultConfig.
+// Config holds what an experiment varies about LDR: the paper's §4
+// optimizations and the multipath extension, each switched by an ablation
+// row, and the first ring's radius. Every other timer and bound is a
+// constant (below, and in package ondemand). The zero value is not valid;
+// use DefaultConfig.
 type Config struct {
-	ondemand.Config // the timers, ring schedule and hardening AODV shares
+	TTLStart int // expanding-ring initial TTL (the no-ring ablation floods at once)
 
-	LocalAddTTL int // slack added to distance-derived TTLs
+	MultipleRREPs   bool // relay later RREPs carrying stronger invariants
+	RequestAsError  bool // treat a successor's RREQ as evidence of a broken route
+	ReducedDistance bool // advertise an answering distance below fd
+	MinLifetime     bool // do not answer with a nearly expired route
+	OptimalTTL      bool // derive the initial ring TTL from known distance
 
-	// The paper's suggested optimizations (§4), each independently
-	// switchable for the ablation benchmarks.
-	MultipleRREPs   bool    // relay later RREPs carrying stronger invariants
-	RequestAsError  bool    // treat a successor's RREQ as evidence of a broken route
-	ReducedDistance bool    // advertise an answering distance below fd
-	ReducedFactor   float64 // answering-distance factor (paper: 0.8)
-	MinLifetime     bool    // do not answer with a nearly expired route
-	OptimalTTL      bool    // derive the initial ring TTL from known distance
-
-	// Multipath keeps up to MaxAltSuccessors additional loop-free
+	// Multipath keeps up to maxAltSuccessors additional loop-free
 	// successors per destination and fails over to them on link breaks
 	// without rediscovery (the labeled-distance multipath extension).
-	// AltLifetime bounds how long a recorded alternate may be promoted:
-	// loop-freedom never decays (the alternate's advertised distance was
-	// below fd, and fd is non-increasing at a fixed sequence number), but
-	// an old alternate is increasingly likely to have lost its own route.
-	Multipath        bool
-	MaxAltSuccessors int
-	AltLifetime      time.Duration
+	Multipath bool
 }
+
+const (
+	localAddTTL   = 2   // slack added to distance-derived TTLs
+	reducedFactor = 0.8 // answering-distance factor (paper: 0.8)
+)
 
 // DefaultConfig returns the configuration used for the paper-reproduction
 // experiments, with all optimizations enabled.
 func DefaultConfig() Config {
 	return Config{
-		Config:      ondemand.DefaultConfig(),
-		LocalAddTTL: 2,
+		TTLStart: ondemand.TTLStart,
 
 		MultipleRREPs:   true,
 		RequestAsError:  true,
 		ReducedDistance: true,
-		ReducedFactor:   0.8,
 		MinLifetime:     true,
 		OptimalTTL:      true,
 
-		Multipath:        false, // the paper's LDR is single-path
-		MaxAltSuccessors: 2,
-		AltLifetime:      10 * time.Second,
+		Multipath: false, // the paper's LDR is single-path
 	}
 }
 
@@ -89,7 +82,7 @@ type LDR struct {
 	reqSeen map[reqKey]*reqState
 
 	ondemand.Discoveries // active computations and the data buffered behind them
-	ondemand.Limits      // per-neighbour RREQ/RERR admission, route lifetimes
+	ondemand.Limits      // per-neighbour RREQ/RERR admission
 
 	// Free lists for outgoing control messages (recycled by the node
 	// layer once the carrying frame is released) and a scratch buffer
@@ -119,7 +112,7 @@ func New(node *routing.Node, cfg Config) *LDR {
 		ownSeq:  NewSeqno(1, 0),
 		routes:  make(table),
 		reqSeen: make(map[reqKey]*reqState),
-		Limits:  ondemand.NewLimits(node, cfg.Config),
+		Limits:  ondemand.NewLimits(node),
 	}
 	l.Discoveries = ondemand.NewDiscoveries(node, l)
 	return l
@@ -189,7 +182,7 @@ func (l *LDR) sendOrQueue(pkt *routing.DataPacket) {
 	now := l.node.Now()
 	e := l.routes.get(pkt.Dst)
 	if e.active(now) {
-		e.refresh(now, l.Lifetime(e.dist))
+		e.refresh(now, ondemand.ActiveRouteTimeout)
 		l.node.SendData(e.next, pkt)
 		return
 	}
@@ -263,7 +256,7 @@ func (l *LDR) invalidateVia(next routing.NodeID) {
 	for dst, e := range l.routes {
 		e.dropAlt(next)
 		if e.valid && e.next == next {
-			if l.cfg.Multipath && e.promoteAlt(l.node.Now(), l.Lifetime(e.dist), l.cfg.AltLifetime) {
+			if l.cfg.Multipath && e.promoteAlt(l.node.Now()) {
 				continue // failover without rediscovery or RERR
 			}
 			e.invalidate()
@@ -304,12 +297,12 @@ func (l *LDR) DataFailed(next routing.NodeID, pkt *routing.DataPacket) {
 func (l *LDR) initialTTL(dst routing.NodeID) int {
 	e := l.routes.get(dst)
 	if l.cfg.OptimalTTL && e != nil && e.dist < Infinity {
-		ttl := e.dist - l.answerDist(e) + l.cfg.LocalAddTTL
+		ttl := e.dist - l.answerDist(e) + localAddTTL
 		if ttl < l.cfg.TTLStart {
 			ttl = l.cfg.TTLStart
 		}
-		if ttl > l.cfg.NetDiameter {
-			ttl = l.cfg.NetDiameter
+		if ttl > ondemand.NetDiameter {
+			ttl = ondemand.NetDiameter
 		}
 		return ttl
 	}
@@ -327,7 +320,7 @@ func (l *LDR) answerDist(e *entry) int {
 	if !l.cfg.ReducedDistance || fd >= Infinity {
 		return fd
 	}
-	ad := int(l.cfg.ReducedFactor * float64(fd))
+	ad := int(reducedFactor * float64(fd))
 	if ad < 1 {
 		ad = 1
 	}
@@ -355,13 +348,13 @@ func (l *LDR) SendRequest(dst routing.NodeID, d *ondemand.Discovery) time.Durati
 	}
 	l.node.Metrics().CountControlInitiate(metrics.RREQ)
 	l.sendRREQ(routing.BroadcastID, q)
-	return l.cfg.RingWait(d)
+	return ondemand.RingWait(d)
 }
 
 // NextAttempt implements ondemand.Requester with the expanding-ring
 // schedule, unmodified.
 func (l *LDR) NextAttempt(_ routing.NodeID, d *ondemand.Discovery) bool {
-	return l.cfg.NextRing(d)
+	return ondemand.NextRing(d)
 }
 
 // --- control plane ---
@@ -422,9 +415,9 @@ func (l *LDR) handleRREQ(from routing.NodeID, q RREQ) {
 		}
 		return
 	}
-	st = &reqState{lastHop: from, expires: now + l.cfg.RREQCacheLife}
+	st = &reqState{lastHop: from, expires: now + ondemand.RREQCacheLife}
 	l.reqSeen[key] = st
-	l.node.Schedule(l.cfg.RREQCacheLife, func() { l.expireReq(key) })
+	l.node.Schedule(ondemand.RREQCacheLife, func() { l.expireReq(key) })
 
 	// The RREQ advertises a route back to its origin; try to install it.
 	// The unicast reset leg (D bit) is NOT an advertisement: it travels
@@ -467,7 +460,7 @@ func (l *LDR) handleRREQ(from routing.NodeID, q RREQ) {
 		st.unicastFwd = true
 		uq := l.updateInvariants(q, e)
 		uq.D = true
-		uq.TTL = e.dist + l.cfg.LocalAddTTL
+		uq.TTL = e.dist + localAddTTL
 		l.forwardUnicastRREQ(uq)
 		return
 	}
@@ -478,7 +471,7 @@ func (l *LDR) handleRREQ(from routing.NodeID, q RREQ) {
 		return
 	}
 	rq := l.updateInvariants(q, e)
-	jitter := time.Duration(l.node.RNG().Float64() * float64(l.cfg.BroadcastJitter))
+	jitter := time.Duration(l.node.RNG().Float64() * float64(ondemand.BroadcastJitter))
 	l.node.Schedule(jitter, func() {
 		if l.Stopped() {
 			return
@@ -499,7 +492,7 @@ func (l *LDR) sdc(e *entry, q RREQ, now time.Duration) bool {
 	if !e.active(now) {
 		return false
 	}
-	if l.cfg.MinLifetime && e.expiry-now < l.cfg.ActiveRouteTimeout/3 {
+	if l.cfg.MinLifetime && e.expiry-now < ondemand.ActiveRouteTimeout/3 {
 		return false
 	}
 	if !q.HaveDstSeq {
@@ -579,7 +572,7 @@ func (l *LDR) destinationReply(q RREQ, st *reqState) {
 		Origin:   q.Origin,
 		ReqID:    q.ReqID,
 		Dist:     0,
-		Lifetime: l.cfg.ActiveRouteTimeout,
+		Lifetime: ondemand.ActiveRouteTimeout,
 		N:        q.N,
 	}
 	l.node.Metrics().CountControlInitiate(metrics.RREP)
@@ -589,7 +582,7 @@ func (l *LDR) destinationReply(q RREQ, st *reqState) {
 // maybeAltReply sends an additional destination RREP along an alternate
 // reverse hop for the same computation (multipath extension).
 func (l *LDR) maybeAltReply(q RREQ, st *reqState, from routing.NodeID) {
-	if from == st.lastHop || len(st.altHops) >= l.cfg.MaxAltSuccessors {
+	if from == st.lastHop || len(st.altHops) >= maxAltSuccessors {
 		return
 	}
 	for _, h := range st.altHops {
@@ -604,7 +597,7 @@ func (l *LDR) maybeAltReply(q RREQ, st *reqState, from routing.NodeID) {
 		Origin:   q.Origin,
 		ReqID:    q.ReqID,
 		Dist:     0,
-		Lifetime: l.cfg.ActiveRouteTimeout,
+		Lifetime: ondemand.ActiveRouteTimeout,
 		N:        q.N,
 	}
 	l.node.Metrics().CountControlInitiate(metrics.RREP)
@@ -648,12 +641,7 @@ func (l *LDR) handleRREP(from routing.NodeID, p RREP) {
 		// Terminus: the computation (me, ReqID) ends in success if the
 		// advertisement was feasible here.
 		if accepted {
-			if rtt, ok := l.Finish(p.Dst); ok {
-				// One discovery round trip over p.Dist+1 hops. A reply
-				// racing a ring retry measures against the latest attempt,
-				// slightly under-reporting — harmless for a windowed mean.
-				l.ObserveRTT(rtt, p.Dist+1)
-			}
+			l.Finish(p.Dst)
 		}
 		if p.N && accepted {
 			// Reverse path incomplete: raise our own number so relays can
@@ -716,7 +704,7 @@ func (l *LDR) handleRERR(from routing.NodeID, e RERR) {
 		}
 		ent.dropAlt(from)
 		if ent.valid && ent.next == from && ent.seq <= u.Seq {
-			if l.cfg.Multipath && ent.promoteAlt(l.node.Now(), l.Lifetime(ent.dist), l.cfg.AltLifetime) {
+			if l.cfg.Multipath && ent.promoteAlt(l.node.Now()) {
 				continue
 			}
 			ent.invalidate()
@@ -750,7 +738,7 @@ func (l *LDR) acceptAdvertisement(dst routing.NodeID, advSeq Seqno, advDist int,
 	now := l.node.Now()
 	e := l.routes.get(dst)
 	if e == nil {
-		l.routes[dst] = newEntry(advSeq, advDist, via, 1, now, l.Lifetime(advDist+1))
+		l.routes[dst] = newEntry(advSeq, advDist, via, 1, now, ondemand.ActiveRouteTimeout)
 		return true
 	}
 	if !e.ndc(advSeq, advDist) {
@@ -769,11 +757,11 @@ func (l *LDR) acceptAdvertisement(dst routing.NodeID, advSeq Seqno, advDist int,
 		if l.cfg.Multipath {
 			// The advertisement is loop-free even though it loses the
 			// primary selection: remember it as a fallback successor.
-			e.rememberAlt(via, advSeq, advDist, now, l.cfg.MaxAltSuccessors)
+			e.rememberAlt(via, advSeq, advDist, now)
 		}
 		return false
 	}
-	e.update(advSeq, advDist, via, 1, now, l.Lifetime(advDist+1))
+	e.update(advSeq, advDist, via, 1, now, ondemand.ActiveRouteTimeout)
 	return true
 }
 

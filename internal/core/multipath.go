@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"github.com/manetlab/ldr/internal/routing"
+	"github.com/manetlab/ldr/internal/routing/ondemand"
 )
 
 // Multipath support: the labeled-distance invariant admits more than one
@@ -19,6 +20,16 @@ import (
 // NDC but lose the primary-selection stability rule, and are promoted on
 // link failure if their label still beats the entry's feasible distance.
 
+const (
+	// maxAltSuccessors is how many alternates an entry keeps.
+	maxAltSuccessors = 2
+	// altLifetime bounds how long a recorded alternate may be promoted:
+	// loop-freedom never decays (the alternate's advertised distance was
+	// below fd, and fd is non-increasing at a fixed sequence number), but
+	// an old alternate is increasingly likely to have lost its own route.
+	altLifetime = 10 * time.Second
+)
+
 // altSuccessor is a recorded fallback next hop.
 type altSuccessor struct {
 	next    routing.NodeID
@@ -28,10 +39,10 @@ type altSuccessor struct {
 
 // rememberAlt records via as an alternate successor for e if its
 // advertisement is loop-free (advDist < fd) at the entry's current
-// sequence number. The best maxAlts alternates by advertised distance are
-// retained.
-func (e *entry) rememberAlt(via routing.NodeID, advSeq Seqno, advDist int, now time.Duration, maxAlts int) {
-	if maxAlts <= 0 || via == e.next {
+// sequence number. The best maxAltSuccessors alternates by advertised
+// distance are retained.
+func (e *entry) rememberAlt(via routing.NodeID, advSeq Seqno, advDist int, now time.Duration) {
+	if via == e.next {
 		return
 	}
 	if advSeq != e.seq || advDist >= e.fd {
@@ -45,7 +56,7 @@ func (e *entry) rememberAlt(via routing.NodeID, advSeq Seqno, advDist int, now t
 		}
 	}
 	a := altSuccessor{next: via, advDist: advDist, heard: now}
-	if len(e.alts) < maxAlts {
+	if len(e.alts) < maxAltSuccessors {
 		e.alts = append(e.alts, a)
 		return
 	}
@@ -76,10 +87,10 @@ func (e *entry) dropAlt(via routing.NodeID) {
 // entry's own feasible distance, so the ordering criterion survives: the
 // new successor's advertised distance is below fd, exactly as if the
 // advertisement had just been accepted.
-func (e *entry) promoteAlt(now, lifetime, maxAge time.Duration) bool {
+func (e *entry) promoteAlt(now time.Duration) bool {
 	best := -1
 	for i, a := range e.alts {
-		if now-a.heard > maxAge || a.advDist >= e.fd {
+		if now-a.heard > altLifetime || a.advDist >= e.fd {
 			continue
 		}
 		if best < 0 || a.advDist < e.alts[best].advDist {
@@ -98,7 +109,7 @@ func (e *entry) promoteAlt(now, lifetime, maxAge time.Duration) bool {
 		e.fd = d
 	}
 	e.valid = true
-	e.expiry = now + lifetime
+	e.expiry = now + ondemand.ActiveRouteTimeout
 	return true
 }
 

@@ -24,40 +24,29 @@ import (
 	"github.com/manetlab/ldr/internal/runpool"
 )
 
-// Config parameterizes DSR.
+// Config holds what differs between the two DSR generations the paper
+// evaluates; everything else is a constant, below or — the network
+// diameter, the relay jitter and the duplicate-request window — shared
+// with the other on-demand protocols in package ondemand.
 type Config struct {
-	DraftVariant     int           // 3 (GloMoSim) or 7 (QualNet)
-	CacheCapacity    int           // cached source routes
-	CacheLifetime    time.Duration // path expiry
-	ReplyFromCache   bool          // intermediate nodes answer from cache
-	MaxSalvage       int           // salvage attempts per packet (draft 7)
-	DiscoveryTimeout time.Duration // per-attempt reply wait
-	MaxRetries       int           // discovery attempts before giving up
-	BackoffBase      time.Duration // inter-attempt backoff (draft 7: exponential)
-	NetDiameter      int
-	BroadcastJitter  time.Duration
-	ReqCacheLife     time.Duration // RREQ duplicate-suppression window
-
-	// Promiscuous enables overhearing: routes are learned from source
-	// routes carried in traffic addressed to other nodes (one of the DSR
-	// drafts' classic optimizations).
-	Promiscuous bool
+	DraftVariant int           // 3 (GloMoSim) or 7 (QualNet)
+	MaxSalvage   int           // salvage attempts per packet (draft 7)
+	BackoffBase  time.Duration // inter-attempt backoff (draft 7: exponential)
 }
+
+const (
+	cacheCapacity    = 64                     // cached source routes
+	cacheLifetime    = 300 * time.Second      // path expiry
+	discoveryTimeout = 500 * time.Millisecond // per-attempt reply wait
+	maxRetries       = 4                      // discovery attempts before giving up
+)
 
 // DefaultConfig returns the draft-3 configuration used for Figs. 2–5.
 func DefaultConfig() Config {
 	return Config{
-		DraftVariant:     3,
-		CacheCapacity:    64,
-		CacheLifetime:    300 * time.Second,
-		ReplyFromCache:   true,
-		MaxSalvage:       0,
-		DiscoveryTimeout: 500 * time.Millisecond,
-		MaxRetries:       4,
-		BackoffBase:      500 * time.Millisecond,
-		NetDiameter:      35,
-		BroadcastJitter:  10 * time.Millisecond,
-		ReqCacheLife:     6 * time.Second,
+		DraftVariant: 3,
+		MaxSalvage:   0,
+		BackoffBase:  500 * time.Millisecond,
 	}
 }
 
@@ -162,47 +151,15 @@ func New(node *routing.Node, cfg Config) *DSR {
 	d := &DSR{
 		node:    node,
 		cfg:     cfg,
-		cache:   newPathCache(node.ID(), cfg.CacheCapacity, cfg.CacheLifetime),
+		cache:   newPathCache(node.ID(), cacheCapacity, cacheLifetime),
 		reqSeen: make(map[reqKey]struct{}),
 	}
 	d.Discoveries = ondemand.NewDiscoveries(node, d)
 	return d
 }
 
-// Start implements routing.Protocol.
-func (d *DSR) Start() {
-	if d.cfg.Promiscuous {
-		d.node.SetPromiscuous(d.onOverhear)
-	}
-}
-
-// onOverhear learns routes from traffic between other nodes: an overheard
-// source-routed packet proves the transmitter is a neighbor, so the route
-// from the transmitter onward is reachable through it.
-func (d *DSR) onOverhear(from routing.NodeID, data *routing.DataPacket, msg routing.Message) {
-	me := d.node.ID()
-	now := d.node.Now()
-	learn := func(route []routing.NodeID, at int) {
-		if at < 0 || at >= len(route) || route[at] != from || hasNode(route, me) {
-			return
-		}
-		d.cache.add(append([]routing.NodeID{me}, route[at:]...), now)
-	}
-	switch {
-	case data != nil && len(data.SourceRoute) > 0:
-		learn(data.SourceRoute, data.SRIndex)
-	case msg != nil:
-		// The reply travels the reversed route; the transmitter sits at
-		// Index on the reversed path, i.e. len-1-Index on the forward
-		// route, from where the route continues to the target.
-		switch p := msg.(type) {
-		case *RREP:
-			learn(p.Route, len(p.Route)-1-p.Index)
-		case RREP:
-			learn(p.Route, len(p.Route)-1-p.Index)
-		}
-	}
-}
+// Start implements routing.Protocol. DSR is purely reactive.
+func (d *DSR) Start() {}
 
 // Reset implements routing.Resetter: a crash empties the route cache,
 // the duplicate-request memory, buffered data, and active discoveries.
@@ -212,7 +169,7 @@ func (d *DSR) onOverhear(from routing.NodeID, data *routing.DataPacket, msg rout
 // against the fresh one.
 func (d *DSR) Reset() {
 	d.Discoveries.Reset()
-	d.cache = newPathCache(d.node.ID(), d.cfg.CacheCapacity, d.cfg.CacheLifetime)
+	d.cache = newPathCache(d.node.ID(), cacheCapacity, cacheLifetime)
 	d.reqSeen = make(map[reqKey]struct{})
 }
 
@@ -389,7 +346,7 @@ func (d *DSR) SendRequest(dst routing.NodeID, disc *ondemand.Discovery) time.Dur
 	d.node.Metrics().CountControlInitiate(metrics.RREQ)
 	d.emitRREQ(routing.BroadcastID, q)
 
-	wait := d.cfg.DiscoveryTimeout
+	wait := discoveryTimeout
 	if disc.Retries > 0 {
 		backoff := d.cfg.BackoffBase
 		if d.cfg.DraftVariant >= 7 {
@@ -400,12 +357,12 @@ func (d *DSR) SendRequest(dst routing.NodeID, disc *ondemand.Discovery) time.Dur
 	return wait
 }
 
-// NextAttempt implements ondemand.Requester: up to MaxRetries
+// NextAttempt implements ondemand.Requester: up to maxRetries
 // network-wide floods follow the ring-0 request.
 func (d *DSR) NextAttempt(_ routing.NodeID, disc *ondemand.Discovery) bool {
 	disc.Retries++
-	disc.TTL = d.cfg.NetDiameter
-	return disc.Retries <= d.cfg.MaxRetries
+	disc.TTL = ondemand.NetDiameter
+	return disc.Retries <= maxRetries
 }
 
 // --- control plane ---
@@ -444,7 +401,7 @@ func (d *DSR) handleRREQ(q RREQ) {
 		return
 	}
 	d.reqSeen[key] = struct{}{}
-	d.node.Schedule(d.cfg.ReqCacheLife, func() { delete(d.reqSeen, key) })
+	d.node.Schedule(ondemand.RREQCacheLife, func() { delete(d.reqSeen, key) })
 	now := d.node.Now()
 
 	// Learn the reverse of the accumulated record (symmetric links).
@@ -457,14 +414,13 @@ func (d *DSR) handleRREQ(q RREQ) {
 		return
 	}
 
-	if d.cfg.ReplyFromCache {
-		if tail := d.cache.find(q.Target, now); tail != nil {
-			// Splice accumulated record + cached remainder, rejecting
-			// routes that would visit a node twice.
-			if spliced := splice(route, tail); spliced != nil {
-				d.reply(RREP{Origin: q.Origin, Target: q.Target, ReqID: q.ReqID, Route: spliced})
-				return
-			}
+	// Intermediate nodes answer from their cache.
+	if tail := d.cache.find(q.Target, now); tail != nil {
+		// Splice accumulated record + cached remainder, rejecting
+		// routes that would visit a node twice.
+		if spliced := splice(route, tail); spliced != nil {
+			d.reply(RREP{Origin: q.Origin, Target: q.Target, ReqID: q.ReqID, Route: spliced})
+			return
 		}
 	}
 
@@ -474,7 +430,7 @@ func (d *DSR) handleRREQ(q RREQ) {
 	rq := q
 	rq.TTL--
 	rq.Route = route
-	jitter := time.Duration(d.node.RNG().Float64() * float64(d.cfg.BroadcastJitter))
+	jitter := time.Duration(d.node.RNG().Float64() * float64(ondemand.BroadcastJitter))
 	d.node.Schedule(jitter, func() {
 		if d.Stopped() {
 			return

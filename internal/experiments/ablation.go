@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/manetlab/ldr/internal/core"
+	"github.com/manetlab/ldr/internal/routing/ondemand"
 	"github.com/manetlab/ldr/internal/scenario"
 )
 
@@ -26,7 +27,7 @@ func Variants() []LDRVariant {
 		{Name: "no-optimal-ttl", Mutate: func(c *core.Config) { c.OptimalTTL = false }},
 		{Name: "no-ring", Mutate: func(c *core.Config) {
 			// Disable the expanding ring: first attempt floods network-wide.
-			c.TTLStart = c.NetDiameter
+			c.TTLStart = ondemand.NetDiameter
 			c.OptimalTTL = false
 		}},
 		{Name: "ldr+multipath", Mutate: func(c *core.Config) {

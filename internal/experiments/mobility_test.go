@@ -35,7 +35,6 @@ func TestMobilityComposesWithDiversityAxes(t *testing.T) {
 	o := tiny(scenario.LDR)
 	o.Out = &buf
 	o.TrafficPattern = "bursty"
-	o.AdaptiveTimeout = true
 	if err := experiments.Mobility(o); err != nil {
 		t.Fatal(err)
 	}

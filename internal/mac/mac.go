@@ -118,10 +118,6 @@ func (f *Frame) release() {
 // DeliverFunc receives frames addressed to this node (or broadcast).
 type DeliverFunc func(from int, f *Frame)
 
-// PromiscuousFunc receives decoded frames addressed to OTHER nodes, when
-// promiscuous mode is enabled (DSR's overhearing optimizations use this).
-type PromiscuousFunc func(from int, f *Frame)
-
 type airKind uint8
 
 const (
@@ -205,7 +201,6 @@ type MAC struct {
 	navUntil time.Duration
 
 	lastSeq map[int]uint32 // receiver-side dedup: last data seq per source
-	promisc PromiscuousFunc
 
 	airPool runpool.Pool[airFrame] // recycled air frames, run-local
 
@@ -248,10 +243,6 @@ func (m *MAC) ID() int { return m.id }
 
 // Stats returns a copy of the interface counters.
 func (m *MAC) Stats() Stats { return m.stats }
-
-// SetPromiscuous installs a tap for frames addressed to other nodes.
-// Pass nil to disable.
-func (m *MAC) SetPromiscuous(fn PromiscuousFunc) { m.promisc = fn }
 
 // QueueLen returns the number of frames waiting in the interface queue.
 func (m *MAC) QueueLen() int { return len(m.queue) }
@@ -622,10 +613,6 @@ func (m *MAC) onRadio(from int, payload any) {
 		if af.dst == BroadcastAddr {
 			m.stats.Delivered++
 			m.deliver(from, af.frame)
-			return
-		}
-		if m.promisc != nil {
-			m.promisc(from, af.frame)
 		}
 	}
 }

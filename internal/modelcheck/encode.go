@@ -189,10 +189,6 @@ func (e *encoder) encodeItem(out []byte, m linkMsg, mapID func(routing.NodeID) r
 		return e.encodeAODVRERR(out, *q, mapID)
 	case aodv.RERR:
 		return e.encodeAODVRERR(out, q, mapID)
-	case *aodv.Hello:
-		return encodeAODVHello(out, *q, mapID)
-	case aodv.Hello:
-		return encodeAODVHello(out, q, mapID)
 	}
 	panic(fmt.Sprintf("modelcheck: cannot encode message type %T", m.msg))
 }
@@ -276,13 +272,6 @@ func (e *encoder) encodeAODVRERR(out []byte, r aodv.RERR, mapID func(routing.Nod
 		e.dests = append(e.dests, rerrDest{mapID(u.Dst), uint64(u.Seq)})
 	}
 	return e.appendDests(append(out, 6))
-}
-
-func encodeAODVHello(out []byte, h aodv.Hello, mapID func(routing.NodeID) routing.NodeID) []byte {
-	out = append(out, 7)
-	out = binary.AppendVarint(out, int64(mapID(h.Origin)))
-	out = binary.AppendUvarint(out, uint64(h.Seq))
-	return out
 }
 
 func encFlag(out []byte, b bool) []byte {

@@ -209,8 +209,8 @@ func modelStateFields(t *testing.T) map[reflect.Type]fieldLists {
 		field(ldr, "reqSeen").Elem().Elem(): { // core.reqState; altHops is deep-copied
 			[]string{"lastHop", "expires", "relayed", "relayedSeq", "relayedDist", "unicastFwd", "replied", "altHops"}, nil},
 		av: {
-			[]string{"ownSeq", "routes", "reqSeen", "lastHeard", "repairing", "helloTimer", "Discoveries", "Limits"},
-			[]string{"node", "cfg", "rreqPool", "rrepPool", "rerrPool", "helloPool", "rerrBuf", "enc"}},
+			[]string{"ownSeq", "routes", "reqSeen", "Discoveries", "Limits"},
+			[]string{"node", "rreqPool", "rrepPool", "rerrPool", "rerrBuf", "enc"}},
 		field(av, "routes").Elem().Elem(): { // aodv.entry; precursors is deep-copied
 			[]string{"seq", "haveSeq", "hops", "next", "valid", "expiry", "precursors"}, nil},
 		reflect.TypeFor[ondemand.Discoveries](): {
@@ -220,18 +220,15 @@ func modelStateFields(t *testing.T) map[reflect.Type]fieldLists {
 			[]string{"q"},
 			[]string{"node", "rows"}},
 		reflect.TypeFor[ondemand.Discovery](): {
-			[]string{"ID", "TTL", "Retries", "sentAt", "timer"}, nil},
+			[]string{"ID", "TTL", "Retries", "timer"}, nil},
 		reflect.TypeFor[ondemand.Limits](): {
-			[]string{"rreq", "rerr", "rtt"},
-			[]string{"node", "fallback"}},
+			[]string{"rreq", "rerr"},
+			[]string{"node"}},
 		limiter: {
 			[]string{"buckets"},
 			[]string{"rate", "burst"}},
 		field(limiter, "buckets").Elem().Elem(): { // routing.tokenBucket
 			[]string{"tokens", "last"}, nil},
-		reflect.TypeFor[routing.RTTEstimator](): {
-			[]string{"window", "next", "Samples"},
-			[]string{"mult", "min", "max"}},
 		node: {
 			// The MAC is never reached under a ModelEnv; the collector is
 			// written by the protocols and never read.

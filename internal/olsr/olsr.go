@@ -37,31 +37,27 @@ const (
 	LinkMPR                      // bidirectional and selected as our MPR
 )
 
-// Config parameterizes OLSR.
+// Config holds the one thing an experiment varies about OLSR: the
+// paper's FIFO jitter queue (the ablation's olsr-nojitter row turns it
+// off). The intervals are the RFC-3626 defaults, as constants.
 type Config struct {
-	HelloInterval time.Duration
-	TCInterval    time.Duration
-	NeighborHold  time.Duration // link expiry (3 × hello)
-	TopologyHold  time.Duration // TC tuple expiry (3 × TC)
-	DupHold       time.Duration // duplicate-set retention
-	JitterQueue   bool          // the paper's FIFO jitter queue
-	MaxJitter     time.Duration // uniform inter-packet jitter bound
-	NetDiameter   int
+	JitterQueue bool
 }
 
-// DefaultConfig returns RFC-3626 default intervals with the paper's
-// jitter-queue fix enabled.
+const (
+	helloInterval = 2 * time.Second
+	tcInterval    = 5 * time.Second
+	neighborHold  = 6 * time.Second       // link expiry (3 × hello)
+	topologyHold  = 15 * time.Second      // TC tuple expiry (3 × TC)
+	dupHold       = 30 * time.Second      // duplicate-set retention
+	maxJitter     = 15 * time.Millisecond // uniform inter-packet jitter bound
+	netDiameter   = 35
+)
+
+// DefaultConfig returns the configuration with the paper's jitter-queue
+// fix enabled.
 func DefaultConfig() Config {
-	return Config{
-		HelloInterval: 2 * time.Second,
-		TCInterval:    5 * time.Second,
-		NeighborHold:  6 * time.Second,
-		TopologyHold:  15 * time.Second,
-		DupHold:       30 * time.Second,
-		JitterQueue:   true,
-		MaxJitter:     15 * time.Millisecond,
-		NetDiameter:   35,
-	}
+	return Config{JitterQueue: true}
 }
 
 // HelloNeighbor is one entry in a HELLO message.
@@ -182,8 +178,8 @@ func New(node *routing.Node, cfg Config) *OLSR {
 // Start implements routing.Protocol: begins the HELLO/TC emission cycle,
 // desynchronized across nodes by a random initial phase.
 func (o *OLSR) Start() {
-	helloPhase := time.Duration(o.node.RNG().Float64() * float64(o.cfg.HelloInterval))
-	tcPhase := o.cfg.HelloInterval + time.Duration(o.node.RNG().Float64()*float64(o.cfg.TCInterval))
+	helloPhase := time.Duration(o.node.RNG().Float64() * float64(helloInterval))
+	tcPhase := helloInterval + time.Duration(o.node.RNG().Float64()*float64(tcInterval))
 	o.helloTimer = o.node.Schedule(helloPhase, o.sendHello)
 	o.tcTimer = o.node.Schedule(tcPhase, o.sendTC)
 	o.sweeper = o.node.Schedule(time.Second, o.sweep)
@@ -253,7 +249,7 @@ func (o *OLSR) sendHello() {
 	sort.Slice(h.Neighbors, func(i, j int) bool { return h.Neighbors[i].ID < h.Neighbors[j].ID })
 	o.node.Metrics().CountControlInitiate(metrics.Hello)
 	o.queue.push(h)
-	o.helloTimer = o.node.Schedule(o.cfg.HelloInterval, o.sendHello)
+	o.helloTimer = o.node.Schedule(helloInterval, o.sendHello)
 }
 
 func (o *OLSR) sendTC() {
@@ -268,7 +264,7 @@ func (o *OLSR) sendTC() {
 			Origin:    o.node.ID(),
 			Seq:       o.msgSeq,
 			ANSN:      o.ansn,
-			TTL:       o.cfg.NetDiameter,
+			TTL:       netDiameter,
 			Selectors: selectors[:0],
 		}
 		for id := range o.selectors {
@@ -278,7 +274,7 @@ func (o *OLSR) sendTC() {
 		o.node.Metrics().CountControlInitiate(metrics.TC)
 		o.queue.push(tc)
 	}
-	o.tcTimer = o.node.Schedule(o.cfg.TCInterval, o.sendTC)
+	o.tcTimer = o.node.Schedule(tcInterval, o.sendTC)
 }
 
 // sweep expires links, two-hop tuples, selectors, topology, and duplicate
@@ -363,7 +359,7 @@ func (o *OLSR) handleHello(from routing.NodeID, h Hello) {
 		o.links[from] = l
 		o.dirty = true
 	}
-	l.expiry = now + o.cfg.NeighborHold
+	l.expiry = now + neighborHold
 
 	heardUs := false
 	selectedUs := false
@@ -382,7 +378,7 @@ func (o *OLSR) handleHello(from routing.NodeID, h Hello) {
 		if _, ok := o.selectors[from]; !ok {
 			o.ansn++
 		}
-		o.selectors[from] = now + o.cfg.NeighborHold
+		o.selectors[from] = now + neighborHold
 	} else if _, ok := o.selectors[from]; ok {
 		delete(o.selectors, from)
 		o.ansn++
@@ -402,7 +398,7 @@ func (o *OLSR) handleHello(from routing.NodeID, h Hello) {
 			if _, ok := set[n.ID]; !ok {
 				o.dirty = true
 			}
-			set[n.ID] = now + o.cfg.NeighborHold
+			set[n.ID] = now + neighborHold
 		}
 	}
 }
@@ -422,7 +418,7 @@ func (o *OLSR) handleTC(from routing.NodeID, tc TC) {
 
 	key := dupKey{origin: tc.Origin, seq: tc.Seq}
 	_, isDup := o.dup[key]
-	o.dup[key] = now + o.cfg.DupHold
+	o.dup[key] = now + dupHold
 
 	if !isDup {
 		set := o.topology[tc.Origin]
@@ -457,7 +453,7 @@ func (o *OLSR) handleTC(from routing.NodeID, tc TC) {
 				tset[tc.Origin] = topoTuple{
 					lastHop: tc.Origin,
 					ansn:    tc.ANSN,
-					expiry:  now + o.cfg.TopologyHold,
+					expiry:  now + topologyHold,
 				}
 			}
 			o.dirty = true
@@ -785,7 +781,7 @@ func (q *jitterQueue) kick() {
 		return
 	}
 	q.busy = true
-	jitter := time.Duration(q.o.node.RNG().Float64() * float64(q.o.cfg.MaxJitter))
+	jitter := time.Duration(q.o.node.RNG().Float64() * float64(maxJitter))
 	q.o.node.Schedule(jitter, q.pop)
 }
 

@@ -121,7 +121,6 @@ type Discovery struct {
 	ID      uint32 // request ID of the latest attempt, unique per origin
 	TTL     int    // flood radius of the latest attempt
 	Retries int    // attempts used beyond the schedule's first phase
-	sentAt  time.Duration
 	timer   sim.Timer
 }
 
@@ -175,7 +174,6 @@ func (ds *Discoveries) Solicit(dst routing.NodeID, ttl int) {
 func (ds *Discoveries) attempt(dst routing.NodeID, d *Discovery) {
 	ds.nextID++
 	d.ID = ds.nextID
-	d.sentAt = ds.node.Now()
 	wait := ds.req.SendRequest(dst, d)
 	d.timer = ds.node.Schedule(wait, func() { ds.timeout(dst, d) })
 }
@@ -195,16 +193,13 @@ func (ds *Discoveries) timeout(dst routing.NodeID, d *Discovery) {
 	ds.attempt(dst, d)
 }
 
-// Finish ends dst's computation in success. It reports the round-trip
-// time of the latest attempt, or false when none was active.
-func (ds *Discoveries) Finish(dst routing.NodeID) (rtt time.Duration, ok bool) {
-	d := ds.active[dst]
-	if d == nil {
-		return 0, false
+// Finish ends dst's computation in success; without an active one it
+// does nothing.
+func (ds *Discoveries) Finish(dst routing.NodeID) {
+	if d := ds.active[dst]; d != nil {
+		d.timer.Cancel()
+		delete(ds.active, dst)
 	}
-	d.timer.Cancel()
-	delete(ds.active, dst)
-	return ds.node.Now() - d.sentAt, true
 }
 
 // Stopped reports whether Stop has been called.

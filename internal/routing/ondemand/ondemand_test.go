@@ -17,7 +17,6 @@ import (
 // RREQ, and follows the shared ring schedule.
 type stub struct {
 	Discoveries
-	cfg  Config
 	ttls []int
 	ids  []uint32
 }
@@ -28,17 +27,17 @@ func (s *stub) HandleData(routing.NodeID, *routing.DataPacket) {}
 
 func (s *stub) Originate(pkt *routing.DataPacket) {
 	s.Push(pkt)
-	s.Solicit(pkt.Dst, s.cfg.TTLStart)
+	s.Solicit(pkt.Dst, TTLStart)
 }
 
 func (s *stub) SendRequest(_ routing.NodeID, d *Discovery) time.Duration {
 	s.ttls = append(s.ttls, d.TTL)
 	s.ids = append(s.ids, d.ID)
-	return s.cfg.RingWait(d)
+	return RingWait(d)
 }
 
 func (s *stub) NextAttempt(_ routing.NodeID, d *Discovery) bool {
-	return s.cfg.NextRing(d)
+	return NextRing(d)
 }
 
 // drops records the (destination, reason) of every drop event in order.
@@ -61,7 +60,7 @@ func isolated(n int) (*routing.Network, []*stub, *drops) {
 	stubs := make([]*stub, 0, n)
 	nw := routing.NewNetwork(n, mobility.Line(n, 1000), radio.DefaultConfig(), mac.DefaultConfig(), 1,
 		func(node *routing.Node) routing.Protocol {
-			s := &stub{cfg: DefaultConfig()}
+			s := &stub{}
 			s.Discoveries = NewDiscoveries(node, s)
 			stubs = append(stubs, s)
 			return s
@@ -155,12 +154,14 @@ func TestStaleTimerIsNoOp(t *testing.T) {
 	s := stubs[0]
 	nw.Nodes[0].OriginateData(1, 64)
 	stale := s.active[1]
-	if _, ok := s.Finish(1); !ok {
+	if stale == nil {
 		t.Fatal("no active discovery to finish")
 	}
-	if _, ok := s.Finish(1); ok {
-		t.Fatal("a finished discovery finished twice")
+	s.Finish(1)
+	if s.active[1] != nil {
+		t.Fatal("Finish left the discovery active")
 	}
+	s.Finish(1) // finishing twice is a no-op
 	nw.Nodes[0].OriginateData(1, 64)
 
 	s.timeout(1, stale)

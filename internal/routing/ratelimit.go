@@ -9,9 +9,7 @@ import (
 // hardening primitive behind RREQ rate limiting and RERR damping: a
 // compromised neighbor flooding control packets exhausts its own bucket
 // while every other neighbor's stays full, so the storm is contained to
-// one link without throttling honest discovery. A nil limiter allows
-// everything, so protocols can hold one pointer and skip the feature
-// when the configured rate is zero.
+// one link without throttling honest discovery.
 type RateLimiter struct {
 	rate    float64 // tokens replenished per second of virtual time
 	burst   float64 // bucket capacity
@@ -24,13 +22,8 @@ type tokenBucket struct {
 }
 
 // NewRateLimiter returns a limiter granting each source up to burst
-// immediate tokens, replenished at rate per second. A non-positive rate
-// or burst disables limiting: nil is returned and nil.Allow always
-// grants.
+// immediate tokens, replenished at rate per second.
 func NewRateLimiter(rate float64, burst int) *RateLimiter {
-	if rate <= 0 || burst <= 0 {
-		return nil
-	}
 	return &RateLimiter{
 		rate:    rate,
 		burst:   float64(burst),
@@ -41,9 +34,6 @@ func NewRateLimiter(rate float64, burst int) *RateLimiter {
 // Allow takes one token from the source's bucket, reporting whether one
 // was available at virtual time now.
 func (r *RateLimiter) Allow(from NodeID, now time.Duration) bool {
-	if r == nil {
-		return true
-	}
 	b := r.buckets[from]
 	if b == nil {
 		b = &tokenBucket{tokens: r.burst, last: now}
@@ -65,9 +55,6 @@ func (r *RateLimiter) Allow(from NodeID, now time.Duration) bool {
 // Reset empties the limiter's per-neighbor state (a crash loses it with
 // the rest of volatile memory).
 func (r *RateLimiter) Reset() {
-	if r == nil {
-		return
-	}
 	clear(r.buckets)
 }
 
@@ -76,19 +63,12 @@ func (r *RateLimiter) Reset() {
 // encoding leaves out).
 type RateLimiterState []Saved[NodeID, tokenBucket]
 
-// SaveModelState copies the per-neighbor buckets into s's storage; a nil
-// limiter saves as empty.
+// SaveModelState copies the per-neighbor buckets into s's storage.
 func (r *RateLimiter) SaveModelState(s *RateLimiterState) {
-	if r == nil {
-		*s = (*s)[:0]
-		return
-	}
 	*s = SavePtrMap(*s, r.buckets, cmp.Compare[NodeID], nil)
 }
 
 // RestoreModelState puts back the buckets SaveModelState copied out.
 func (r *RateLimiter) RestoreModelState(s *RateLimiterState) {
-	if r != nil {
-		RestorePtrMap(r.buckets, *s, cmp.Compare[NodeID], nil)
-	}
+	RestorePtrMap(r.buckets, *s, cmp.Compare[NodeID], nil)
 }

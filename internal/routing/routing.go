@@ -65,7 +65,7 @@ type DataPacket struct {
 // Message is a protocol control message. Size is the on-air size in bytes
 // and Kind classifies the message for load accounting.
 //
-// A received message (HandleControl, promiscuous taps) is shared with
+// A received message (HandleControl) is shared with
 // every other receiver of the broadcast and with the sender's pool: it is
 // read-only and must not be retained past the call. Protocols that relay
 // a message re-send a fresh copy.
@@ -163,7 +163,7 @@ type VolatileResetter interface {
 // SaveModelState and RestoreModelState cover MORE than the encoding:
 // every field a handler, a reset or Start can write, including state
 // the encoding leaves out because it cannot matter within a bounded
-// exploration (rate-limiter buckets, the RTT window, timestamps). The
+// exploration (rate-limiter buckets, timestamps). The
 // encoding decides which states are the same; the snapshot has to make
 // the one reused instance indistinguishable from a freshly built one
 // that replayed the same actions, or state would leak from one explored
@@ -347,10 +347,9 @@ func (n *Node) newPacket() *DataPacket {
 	return pkt
 }
 
-// copyPacket clones src into a fresh pooled packet for a receiver (or
-// promiscuous tap): every broadcast receiver must get its own copy, since
-// mutating shared state (TTL, source-route index) would corrupt the other
-// receivers. The clone starts a new ownership chain at this hop.
+// copyPacket clones src into a fresh pooled packet for a receiver: every
+// broadcast receiver must get its own copy, since mutating shared state
+// (TTL, source-route index) would corrupt the other receivers. The clone starts a new ownership chain at this hop.
 func (n *Node) copyPacket(src *DataPacket) *DataPacket {
 	cp := n.pktPool.Get()
 	sr := cp.SourceRoute
@@ -386,35 +385,6 @@ func CloneDataPacket(pkt *DataPacket) *DataPacket {
 	cp.refs = 1
 	cp.pooled = false
 	return &cp
-}
-
-// PromiscuousFunc receives overheard traffic: frames addressed to other
-// nodes that this node's radio decoded anyway. Exactly one of data/msg is
-// non-nil per call.
-type PromiscuousFunc func(from NodeID, data *DataPacket, msg Message)
-
-// SetPromiscuous installs an overhearing tap (nil disables). The overheard
-// packet is this node's own copy; mutating it is safe, but it is only
-// valid for the duration of the call — the node reclaims it afterwards.
-func (n *Node) SetPromiscuous(fn PromiscuousFunc) {
-	if fn == nil {
-		n.mac.SetPromiscuous(nil)
-		return
-	}
-	n.mac.SetPromiscuous(func(from int, f *mac.Frame) {
-		nf, ok := f.Payload.(*netFrame)
-		if !ok {
-			return
-		}
-		switch {
-		case nf.msg != nil:
-			fn(NodeID(from), nil, nf.msg)
-		case nf.data != nil:
-			cp := n.copyPacket(nf.data)
-			fn(NodeID(from), cp, nil)
-			n.releasePacket(cp)
-		}
-	})
 }
 
 // SendControl transmits a control message. to may be BroadcastID. The

@@ -12,15 +12,14 @@ import (
 
 // Axes are the scenario-diversity axes a command or experiment applies
 // to every cell it builds. The zero value is the paper's setup: random
-// waypoint, CBR, the uniform 275 m disk, uniform placement and constant
-// route timeouts. This is the one place the five are declared as flags,
-// validated, and stamped onto a Config.
+// waypoint, CBR, the uniform 275 m disk and uniform placement. This is
+// the one place the four are declared as flags, validated, and stamped
+// onto a Config.
 type Axes struct {
-	Mobility        string
-	TrafficPattern  string
-	Radio           string
-	Density         string
-	AdaptiveTimeout bool
+	Mobility       string
+	TrafficPattern string
+	Radio          string
+	Density        string
 }
 
 // Traffics lists the valid traffic pattern names, like Mobilities.
@@ -42,8 +41,6 @@ func (a *Axes) Bind(fs *flag.FlagSet) {
 	fs.StringVar(&a.TrafficPattern, "traffic", a.TrafficPattern, choice("traffic pattern", Traffics()))
 	fs.StringVar(&a.Radio, "radio", a.Radio, choice("radio profile (per-node transmit-power classes)", Radios()))
 	fs.StringVar(&a.Density, "density", a.Density, choice("placement-density profile", Densities()))
-	fs.BoolVar(&a.AdaptiveTimeout, "adaptive-timeout", a.AdaptiveTimeout,
-		"derive LDR/AODV route lifetimes from observed RTTs instead of constants")
 }
 
 // Validate rejects a profile name its axis does not know ("" selects
@@ -68,5 +65,4 @@ func (a Axes) Apply(cfg *Config) {
 	cfg.TrafficPattern = traffic.Pattern(a.TrafficPattern)
 	cfg.Radio = a.Radio
 	cfg.Density = a.Density
-	cfg.AdaptiveTimeout = a.AdaptiveTimeout
 }

@@ -143,12 +143,6 @@ type Config struct {
 	// internal/traffic for the bursty and request-response patterns.
 	TrafficPattern traffic.Pattern
 
-	// AdaptiveTimeout switches LDR and AODV from constant route
-	// lifetimes to RTT-derived ones (routing.RTTEstimator). Ignored by
-	// DSR and OLSR, which have no timeout-driven route expiry of the
-	// same shape, so protocol sweeps can set it unconditionally.
-	AdaptiveTimeout bool
-
 	// RTSCTS enables the MAC's RTS/CTS virtual carrier sensing (off in
 	// the paper's setup; exposed for the MAC-level ablation).
 	RTSCTS bool
@@ -275,7 +269,7 @@ func Build(cfg Config) (*routing.Network, *traffic.Generator, error) {
 // auditor requested by the config, already scheduled (they start firing
 // when the simulation runs).
 func BuildInstrumented(cfg Config) (*routing.Network, *traffic.Generator, *Instruments, error) {
-	factory, err := FactoryFor(cfg)
+	factory, err := Factory(cfg.Protocol, cfg.LDRConfig)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -448,28 +442,6 @@ func buildMovement(cfg Config, src *rng.Source) (mobility.Model, error) {
 	}
 }
 
-// FactoryFor resolves the protocol factory for a full scenario config,
-// layering config-level protocol options (AdaptiveTimeout) on top of
-// Factory's per-protocol defaults.
-func FactoryFor(cfg Config) (routing.ProtocolFactory, error) {
-	if cfg.AdaptiveTimeout {
-		switch cfg.Protocol {
-		case LDR:
-			c := core.DefaultConfig()
-			if cfg.LDRConfig != nil {
-				c = *cfg.LDRConfig
-			}
-			c.AdaptiveTimeout = true
-			return func(n *routing.Node) routing.Protocol { return core.New(n, c) }, nil
-		case AODV:
-			c := aodv.DefaultConfig()
-			c.AdaptiveTimeout = true
-			return func(n *routing.Node) routing.Protocol { return aodv.New(n, c) }, nil
-		}
-	}
-	return Factory(cfg.Protocol, cfg.LDRConfig)
-}
-
 // Factory returns the protocol constructor for a name. ldrCfg overrides
 // the LDR configuration and may be nil.
 func Factory(name ProtocolName, ldrCfg *core.Config) (routing.ProtocolFactory, error) {
@@ -481,7 +453,7 @@ func Factory(name ProtocolName, ldrCfg *core.Config) (routing.ProtocolFactory, e
 		}
 		return func(n *routing.Node) routing.Protocol { return core.New(n, cfg) }, nil
 	case AODV:
-		return func(n *routing.Node) routing.Protocol { return aodv.New(n, aodv.DefaultConfig()) }, nil
+		return func(n *routing.Node) routing.Protocol { return aodv.New(n) }, nil
 	case DSR:
 		return func(n *routing.Node) routing.Protocol { return dsr.New(n, dsr.DefaultConfig()) }, nil
 	case DSR7:

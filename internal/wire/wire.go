@@ -33,7 +33,6 @@ const (
 	TypeDSRRERR
 	TypeOLSRHello
 	TypeOLSRTC
-	TypeAODVHello
 )
 
 // Errors returned by decoding.
