@@ -128,7 +128,7 @@ const (
 )
 
 // airFrame is what actually crosses the radio. Air frames are pooled per
-// MAC and reference counted: the radio takes a reference per reception
+// MAC and reference counted: the radio takes a reference per transmission
 // (and per fault-delayed delivery), so the frame body stays readable
 // until the last receiver is done, then returns to its owner's pool.
 type airFrame struct {

@@ -126,7 +126,7 @@ func (m *Medium) blocked(a, b int) bool {
 // uncorrupted reception and invokes the receiver zero, one, or two
 // times. A delayed copy re-reads the receiver callback at fire time, so
 // delivery to a node detached mid-delay is dropped, not crashed.
-func (m *Medium) deliverFaulty(f *faults, rc *reception) {
+func (m *Medium) deliverFaulty(f *faults, tx *transmission, rc *reception) {
 	copies := 1
 	if f.drop > 0 && f.src.Float64() < f.drop {
 		copies = 0
@@ -141,11 +141,11 @@ func (m *Medium) deliverFaulty(f *faults, rc *reception) {
 			delay = time.Duration(f.src.Float64() * float64(f.delayMax))
 		}
 		if delay <= 0 {
-			m.nodes[rc.dst].rx(int(rc.from), rc.payload)
+			m.nodes[rc.dst].rx(int(tx.from), tx.payload)
 			continue
 		}
 		m.FaultStats.Delayed++
-		from, dst, payload := int(rc.from), int(rc.dst), rc.payload
+		from, dst, payload := int(tx.from), int(rc.dst), tx.payload
 		if f.pending == nil {
 			f.pending = make(map[uint64]any)
 		}

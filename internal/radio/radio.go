@@ -19,6 +19,12 @@
 // an O(N) scan over all nodes, and node positions are computed at most
 // once per transmit instant and cached, so the per-frame cost scales with
 // the local node density rather than the network size.
+//
+// A transmission costs the event queue three events however many nodes
+// hear it: the sender's end-of-airtime idle check, one event in which the
+// signal starts at every receiver, and one in which it ends at every
+// receiver (see Transmit for why that is the same schedule as one start
+// and one end event per receiver).
 package radio
 
 import (
@@ -26,6 +32,7 @@ import (
 	"time"
 
 	"github.com/manetlab/ldr/internal/mobility"
+	"github.com/manetlab/ldr/internal/runpool"
 	"github.com/manetlab/ldr/internal/sim"
 )
 
@@ -84,9 +91,10 @@ type ReceiverFunc func(from int, payload any)
 
 // Releasable is implemented by payloads whose lifetime is reference
 // counted (pooled MAC air frames). The medium takes a reference for every
-// reception it creates and for every delivery the fault hook defers, and
-// drops it when the reception ends (or the deferred delivery fires), so a
-// pooled payload is never recycled while the radio can still read it.
+// transmission somebody hears and for every delivery the fault hook
+// defers, and drops it when the transmission's last reception has ended
+// (or the deferred delivery fires), so a pooled payload is never recycled
+// while the radio can still read it.
 // Payloads that do not implement Releasable are managed by the garbage
 // collector as before.
 type Releasable interface {
@@ -148,7 +156,7 @@ type Medium struct {
 
 	cand []int32 // scratch receiver-candidate buffer, reused per call
 
-	rcFree []*reception // reception free list
+	txPool runpool.Pool[transmission]
 
 	// Pre-bound event callbacks, so the hot path schedules no closures.
 	startFn func(any, uint64)
@@ -181,12 +189,22 @@ type nodeState struct {
 	idleSpare []idleWait
 }
 
+// transmission is one frame in the air: the pooled record its start and
+// end events carry. Receptions live by value in recs, in candidate order;
+// nodeState.active points into the slice, which is safe because pointers
+// are taken only once Transmit has finished appending and every one is
+// dropped again before the record returns to the pool.
+type transmission struct {
+	from    int32
+	payload any
+	recs    []reception
+}
+
+// reception is one transmission as sensed at one node.
 type reception struct {
-	from      int32
 	dst       int32
 	decodable bool
 	corrupted bool
-	payload   any
 }
 
 // New builds a medium over the given mobility model. Positions are sampled
@@ -247,8 +265,8 @@ func New(s *sim.Simulator, model mobility.Model, cfg Config) *Medium {
 	for i := range m.posTime {
 		m.posTime[i] = -1 // sentinel: no position cached yet
 	}
-	m.startFn = m.signalStart
-	m.endFn = m.signalEnd
+	m.startFn = m.startAll
+	m.endFn = m.endAll
 	m.idleFn = m.idleAt
 	return m
 }
@@ -325,27 +343,26 @@ func (m *Medium) AirTime(bits int) time.Duration {
 	return time.Duration(float64(bits) / m.cfg.BitRate * float64(time.Second))
 }
 
-// newReception draws a reception from the free list.
-func (m *Medium) newReception(from, dst int, decodable bool, payload any) *reception {
-	var rc *reception
-	if n := len(m.rcFree); n > 0 {
-		rc = m.rcFree[n-1]
-		m.rcFree[n-1] = nil
-		m.rcFree = m.rcFree[:n-1]
-	} else {
-		rc = &reception{}
-	}
-	rc.from = int32(from)
-	rc.dst = int32(dst)
-	rc.decodable = decodable
-	rc.corrupted = false
-	rc.payload = payload
-	return rc
-}
-
 // Transmit puts a frame on the air from node src and returns its airtime.
 // The MAC is responsible for carrier sensing before calling Transmit; the
 // radio faithfully transmits (and collides) regardless.
+//
+// The whole receiver set rides on two events: one at now+PropDelay that
+// starts the signal at every receiver in candidate order, one at
+// now+PropDelay+air that ends it at every receiver in the same order.
+// That is the schedule one start and one end event per receiver would
+// produce, not an approximation of it. Such events would all be created
+// inside this call, so they would hold a contiguous block of sequence
+// numbers and sit at the same two instants; no other event can sort
+// between two members of the block, and anything a callback schedules
+// while the block runs gets a later sequence number and so fires after
+// all of it. Every MAC rx, idle waiter, collision mark and delivery-fault
+// draw therefore happens at the same virtual time in the same order
+// (pinned by TestBatchedDeliveryMatchesPerReceiverEvents). The two things
+// that do differ: sim.Halt and sim.Interrupt take effect between
+// transmissions, not between receivers, and a zero-airtime frame starts
+// everywhere before it ends anywhere, where per-receiver events would
+// alternate — no caller transmits zero bits.
 func (m *Medium) Transmit(src, bits int, payload any) time.Duration {
 	now := m.sim.Now()
 	air := m.AirTime(bits)
@@ -365,6 +382,7 @@ func (m *Medium) Transmit(src, bits int, payload any) time.Duration {
 	m.maybeRefresh()
 	srcPos := m.position(src)
 	m.cand = m.grid.appendCandidates(srcPos, m.cand[:0])
+	tx := m.txPool.Get()
 	for _, c := range m.cand {
 		i := int(c)
 		if i == src || m.nodes[i].rx == nil {
@@ -378,16 +396,44 @@ func (m *Medium) Transmit(src, bits int, payload any) time.Duration {
 		if d > m.csRange[src] {
 			continue
 		}
-		rc := m.newReception(src, i, d <= m.txRange[src], payload)
-		ref(payload) // the reception reads the payload until it ends
-		m.sim.ScheduleTransient(m.cfg.PropDelay, m.startFn, rc, 0)
-		m.sim.ScheduleTransient(m.cfg.PropDelay+air, m.endFn, rc, 0)
+		tx.recs = append(tx.recs, reception{dst: int32(c), decodable: d <= m.txRange[src]})
 	}
+	if len(tx.recs) == 0 {
+		m.txPool.Put(tx)
+		return air
+	}
+	tx.from = int32(src)
+	tx.payload = payload
+	ref(payload) // the receptions read the payload until they end
+	m.sim.ScheduleTransient(m.cfg.PropDelay, m.startFn, tx, 0)
+	m.sim.ScheduleTransient(m.cfg.PropDelay+air, m.endFn, tx, 0)
 	return air
 }
 
-func (m *Medium) signalStart(arg any, _ uint64) {
-	rc := arg.(*reception)
+// startAll is the pre-bound transient callback for a transmission's
+// signal reaching its receivers.
+func (m *Medium) startAll(arg any, _ uint64) {
+	tx := arg.(*transmission)
+	for i := range tx.recs {
+		m.signalStart(&tx.recs[i])
+	}
+}
+
+// endAll is the pre-bound transient callback for a transmission's signal
+// ending at its receivers. Afterwards no active list points into the
+// record, so it drops the payload reference and recycles itself.
+func (m *Medium) endAll(arg any, _ uint64) {
+	tx := arg.(*transmission)
+	for i := range tx.recs {
+		m.signalEnd(tx, &tx.recs[i])
+	}
+	unref(tx.payload)
+	tx.payload = nil
+	tx.recs = tx.recs[:0]
+	m.txPool.Put(tx)
+}
+
+func (m *Medium) signalStart(rc *reception) {
 	st := &m.nodes[rc.dst]
 	st.signals++
 	if rc.decodable {
@@ -409,8 +455,7 @@ func (m *Medium) signalStart(arg any, _ uint64) {
 	}
 }
 
-func (m *Medium) signalEnd(arg any, _ uint64) {
-	rc := arg.(*reception)
+func (m *Medium) signalEnd(tx *transmission, rc *reception) {
 	st := &m.nodes[rc.dst]
 	st.signals--
 	if rc.decodable {
@@ -422,18 +467,13 @@ func (m *Medium) signalEnd(arg any, _ uint64) {
 		}
 		if !rc.corrupted && st.txUntil <= m.sim.Now() && st.rx != nil {
 			if f := m.flt; f != nil && f.src != nil {
-				m.deliverFaulty(f, rc)
+				m.deliverFaulty(f, tx, rc)
 			} else {
-				st.rx(int(rc.from), rc.payload)
+				st.rx(int(tx.from), tx.payload)
 			}
 		}
 	}
 	m.checkIdle(int(rc.dst))
-	// The reception's start and end have both fired and it is off every
-	// active list: drop its payload reference and recycle it.
-	unref(rc.payload)
-	rc.payload = nil
-	m.rcFree = append(m.rcFree, rc)
 }
 
 func (m *Medium) checkIdle(id int) {
