@@ -105,7 +105,7 @@ func TestTransientEventsAreRecycled(t *testing.T) {
 	if s.pool.Len() != 0 {
 		t.Fatal("pooled event was not reused")
 	}
-	if s.queue[0] != recycled {
+	if s.queue[0].ev != recycled {
 		t.Fatal("scheduled event is not the pooled one")
 	}
 	s.RunAll()
@@ -180,7 +180,7 @@ func TestTransientNegativeDelayClamped(t *testing.T) {
 	s := New()
 	fired := false
 	s.ScheduleTransient(-time.Second, func(any, uint64) { fired = true }, nil, 0)
-	if s.queue.peek().at != 0 {
+	if s.queue[0].at != 0 {
 		t.Fatal("negative delay not clamped to now")
 	}
 	s.RunAll()

@@ -19,7 +19,6 @@
 package sim
 
 import (
-	"container/heap"
 	"sync/atomic"
 	"time"
 
@@ -75,10 +74,8 @@ func (t Timer) Cancel() {
 	if !t.Pending() {
 		return
 	}
-	ev := t.ev
-	s := ev.owner
-	heap.Remove(&s.queue, ev.index)
-	s.recycle(ev)
+	s := t.ev.owner
+	s.recycle(s.queue.remove(t.ev.index))
 }
 
 // Simulator is a discrete-event simulation engine.
@@ -150,7 +147,7 @@ func (s *Simulator) At(t time.Duration, fn func()) Timer {
 	}
 	ev := s.get(t)
 	ev.fn = fn
-	heap.Push(&s.queue, ev)
+	s.queue.push(ev)
 	return Timer{ev: ev, gen: ev.gen}
 }
 
@@ -179,8 +176,8 @@ func (s *Simulator) Every(start, interval, until time.Duration, fn func()) {
 // Schedule, but returns no handle: the event cannot be cancelled or
 // observed. Because no Timer escapes, there is nothing for the caller to
 // misuse and the event struct is recycled the moment it fires, so
-// high-frequency callers (the radio schedules three of these per frame
-// per receiver) pay no per-call allocation once the pool is warm.
+// high-frequency callers (the radio schedules three of these per frame)
+// pay no per-call allocation once the pool is warm.
 //
 // The payload is split in two on purpose: arg carries a pointer without
 // allocating, and u carries a small scalar (an epoch, a node index)
@@ -193,16 +190,16 @@ func (s *Simulator) ScheduleTransient(delay time.Duration, fn func(any, uint64),
 	ev.afn = fn
 	ev.arg = arg
 	ev.u = u
-	heap.Push(&s.queue, ev)
+	s.queue.push(ev)
 }
 
 // Step executes the next event, advancing the clock. It returns false if
 // the queue is empty or the simulator has been halted.
 func (s *Simulator) Step() bool {
-	if s.halted || s.queue.Len() == 0 {
+	if s.halted || len(s.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&s.queue).(*Event)
+	ev := s.queue.remove(0)
 	s.now = ev.at
 	s.fired++
 	// Copy the callback out and recycle before invoking: a fired event
@@ -225,13 +222,8 @@ func (s *Simulator) Step() bool {
 // last event) — or wherever the last event left it if the run was
 // interrupted, so partial metrics report the virtual time they cover.
 func (s *Simulator) Run(until time.Duration) {
-	for !s.halted && s.queue.Len() > 0 {
+	for !s.halted && len(s.queue) > 0 && s.queue[0].at <= until {
 		if s.interrupted.Load() {
-			return
-		}
-		next := s.queue.peek()
-		if next.at > until {
-			s.now = until
 			return
 		}
 		s.Step()
@@ -239,6 +231,7 @@ func (s *Simulator) Run(until time.Duration) {
 	if s.interrupted.Load() {
 		return
 	}
+	// Only ever forwards: a deadline already behind the clock leaves it be.
 	if s.now < until {
 		s.now = until
 	}
@@ -269,40 +262,102 @@ func (s *Simulator) Interrupt() { s.interrupted.Store(true) }
 func (s *Simulator) Interrupted() bool { return s.interrupted.Load() }
 
 // Pending returns the number of events still queued.
-func (s *Simulator) Pending() int { return s.queue.Len() }
+func (s *Simulator) Pending() int { return len(s.queue) }
 
-// eventQueue is a binary min-heap ordered by (time, insertion sequence).
-type eventQueue []*Event
+// eventQueue is a 4-ary min-heap ordered by (time, insertion sequence).
+// The key travels in the slice entry beside the event pointer, so sifting
+// compares neighbouring memory and never dereferences an event; the four
+// children of a node share a cache line pair, and the tree is half as deep
+// as a binary heap's. (at, seq) is a total order — seq is unique — so the
+// pop order is the sorted order whatever the heap's shape: swapping the
+// heap implementation cannot reorder a run.
+//
+// Every move writes the event's index back, which is what lets
+// Timer.Cancel remove from the middle in O(log n).
+type eventQueue []entry
 
-func (q eventQueue) Len() int { return len(q) }
+type entry struct {
+	at  time.Duration
+	seq uint64
+	ev  *Event
+}
 
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (a entry) before(b entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+// set stores e at position i and records the position on its event.
+func (q eventQueue) set(i int, e entry) {
+	q[i] = e
+	e.ev.index = i
 }
 
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
+func (q *eventQueue) push(ev *Event) {
+	*q = append(*q, entry{})
+	q.up(len(*q)-1, entry{at: ev.at, seq: ev.seq, ev: ev})
 }
 
-func (q *eventQueue) Pop() any {
+// remove takes the event at position i out of the heap; position 0 is the
+// earliest event.
+func (q *eventQueue) remove(i int) *Event {
 	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+	ev := old[i].ev
+	n := len(old) - 1
+	last := old[n]
+	old[n] = entry{}
+	*q = old[:n]
+	if i < n {
+		// Refill the hole with the last entry: it may belong above the hole
+		// (only possible when removing from the middle) or below it.
+		if i > 0 && last.before(old[(i-1)/4]) {
+			q.up(i, last)
+		} else {
+			q.down(i, last)
+		}
+	}
 	ev.index = -1
-	*q = old[:n-1]
 	return ev
 }
 
-func (q eventQueue) peek() *Event { return q[0] }
+// up places e at or above position i, moving larger parents down.
+func (q eventQueue) up(i int, e entry) {
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.before(q[p]) {
+			break
+		}
+		q.set(i, q[p])
+		i = p
+	}
+	q.set(i, e)
+}
+
+// down places e at or below position i, moving the smallest child up.
+func (q eventQueue) down(i int, e entry) {
+	n := len(q)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		m := c
+		for j := c + 1; j < end; j++ {
+			if q[j].before(q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(e) {
+			break
+		}
+		q.set(i, q[m])
+		i = m
+	}
+	q.set(i, e)
+}

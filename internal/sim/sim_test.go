@@ -69,6 +69,24 @@ func TestRunStopsAtDeadline(t *testing.T) {
 	}
 }
 
+// TestRunNeverMovesClockBackwards: a deadline already behind the clock is a
+// no-op even while a later event is still queued (that branch used to set
+// the clock to the deadline unconditionally).
+func TestRunNeverMovesClockBackwards(t *testing.T) {
+	s := sim.New()
+	s.Schedule(20*time.Second, func() {})
+	s.Run(10 * time.Second)
+	s.Run(5 * time.Second)
+	if s.Now() != 10*time.Second {
+		t.Fatalf("clock = %v after Run(10s), Run(5s); want 10s", s.Now())
+	}
+	s.RunAll()
+	s.Run(5 * time.Second)
+	if s.Now() != 20*time.Second {
+		t.Fatalf("clock = %v after draining and Run(5s); want 20s", s.Now())
+	}
+}
+
 func TestRunIncludesEventsExactlyAtDeadline(t *testing.T) {
 	s := sim.New()
 	fired := false
