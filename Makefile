@@ -40,9 +40,13 @@ race:
 # small randomized sweep (all protocols × fault profiles) under the race
 # detector, then the same sweep again via the ldrfuzz binary, which must
 # exit 0. Matches TestFuzzSmoke's bounds so failures reproduce in-test.
+# Last, 20 s of native fuzzing of the event queue against its
+# scan-for-minimum model (a failing input lands in
+# internal/sim/testdata/fuzz/ and then fails plain `go test` too).
 fuzz-smoke:
 	$(GO) test -race -timeout 30m ./internal/conformance/ -run 'TestRegressionSeeds|TestFuzzSmoke'
 	$(GO) run ./cmd/ldrfuzz -runs 8 -seed 42 -max-nodes 20 -max-simtime 12s -q
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEventQueue -fuzztime 20s
 
 # Heterogeneous-radio fuzz axis (nightly): randomized scenarios drawn
 # only from the profiles that produce one-way links and uneven placement,
@@ -131,7 +135,7 @@ bench-chaos:
 		./internal/fault/ | tee /dev/stderr | /tmp/benchjson -o BENCH_chaos.json
 
 # Sweep + radio hot-path benchmarks, recorded as BENCH_sweep.json
-# (events/sec, cells/sec, ns/op, allocs/op per benchmark).
+# (cells/sec, ns/op, B/op, allocs/op per benchmark).
 bench:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	$(GO) test -bench 'Sweep|Transmit|Neighbors' -benchmem \

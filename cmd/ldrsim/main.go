@@ -186,7 +186,7 @@ func runTrials(cfg scenario.Config, trials, workers int, ctl *scenario.Control) 
 	sd, sl, sn := stats.Summarize(delivery), stats.Summarize(latency), stats.Summarize(load)
 	fmt.Printf("%-8s %6.2f ±%4.2f %6.3f ±%4.2f %8.3f ±%4.2f\n", "mean", sd.Mean, sd.CI95, sl.Mean, sl.CI95, sn.Mean, sn.CI95)
 	wall := time.Since(start).Seconds()
-	fmt.Printf("sim events       %d (%.1fs wall, %.0f events/s)\n", events, wall, float64(events)/wall)
+	fmt.Printf("sim events       %d (%.1fs wall)\n", events, wall)
 	if interrupted || ran < trials {
 		fmt.Printf("INTERRUPTED      %d of %d trials ran (some partial); re-run with -seed %d -trials %d for the full sweep\n",
 			ran, trials, cfg.Seed, trials)

@@ -3,7 +3,9 @@
 // The simulator maintains a virtual clock and a priority queue of events.
 // Events scheduled for the same instant fire in scheduling order, which —
 // together with the seeded streams in package rng — makes every run fully
-// reproducible from its scenario seed.
+// reproducible from its scenario seed. The queue is a 4-ary heap whose
+// entries carry their (time, sequence) key inline (see eventQueue); that
+// key is a total order, so the firing order does not depend on the heap.
 //
 // The engine is intentionally single-threaded: all protocol, MAC, and radio
 // code runs inside event callbacks on one goroutine. No locking is needed
@@ -267,10 +269,9 @@ func (s *Simulator) Pending() int { return len(s.queue) }
 // eventQueue is a 4-ary min-heap ordered by (time, insertion sequence).
 // The key travels in the slice entry beside the event pointer, so sifting
 // compares neighbouring memory and never dereferences an event; the four
-// children of a node share a cache line pair, and the tree is half as deep
+// children of a node are 96 contiguous bytes, and the tree is half as deep
 // as a binary heap's. (at, seq) is a total order — seq is unique — so the
-// pop order is the sorted order whatever the heap's shape: swapping the
-// heap implementation cannot reorder a run.
+// pop order is the sorted order whatever the heap's shape.
 //
 // Every move writes the event's index back, which is what lets
 // Timer.Cancel remove from the middle in O(log n).

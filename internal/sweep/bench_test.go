@@ -30,21 +30,14 @@ func benchCells() []scenario.Config {
 func benchSweep(b *testing.B, workers int) {
 	cfgs := benchCells()
 	b.ReportAllocs()
-	var events uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := sweep.Run(cfgs, sweep.Options{Workers: workers})
-		if err != nil {
+		if _, err := sweep.Run(cfgs, sweep.Options{Workers: workers}); err != nil {
 			b.Fatal(err)
 		}
-		for _, r := range results {
-			events += r.Events
-		}
 	}
-	secs := b.Elapsed().Seconds()
-	if secs > 0 {
+	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(b.N*len(cfgs))/secs, "cells/sec")
-		b.ReportMetric(float64(events)/secs, "events/sec")
 	}
 }
 
@@ -69,7 +62,6 @@ func BenchmarkSweepMaxProcs(b *testing.B) { benchSweep(b, 0) }
 func BenchmarkSweepJournaled(b *testing.B) {
 	cfgs := benchCells()
 	b.ReportAllocs()
-	var events uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -79,20 +71,14 @@ func BenchmarkSweepJournaled(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		results, err := sweep.Run(cfgs, sweep.Options{
+		if _, err := sweep.Run(cfgs, sweep.Options{
 			Workers: 4,
 			Exec:    sweep.ExecOptions{Journal: j},
-		})
-		if err != nil {
+		}); err != nil {
 			b.Fatal(err)
 		}
-		for _, r := range results {
-			events += r.Events
-		}
 	}
-	secs := b.Elapsed().Seconds()
-	if secs > 0 {
+	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(b.N*len(cfgs))/secs, "cells/sec")
-		b.ReportMetric(float64(events)/secs, "events/sec")
 	}
 }
