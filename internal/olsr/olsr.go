@@ -421,13 +421,15 @@ func (o *OLSR) handleTC(from routing.NodeID, tc TC) {
 	o.dup[key] = now + dupHold
 
 	if !isDup {
-		set := o.topology[tc.Origin]
-		// Discard stale information per ANSN; tc.Origin is the lastHop of
-		// every advertised selector.
+		// Discard stale information per ANSN (RFC 3626 §9.5 step 2): the
+		// comparison is against the tuples this originator installed
+		// (T_last_addr == originator), not the tuples that name it as a
+		// destination — those carry other nodes' counters. Every tuple of
+		// one originator shares its ANSN, so the first one found decides.
 		fresh := true
-		for _, tup := range set {
-			if seqGreater(tup.ansn, tc.ANSN) {
-				fresh = false
+		for _, tset := range o.topology {
+			if tup, ok := tset[tc.Origin]; ok {
+				fresh = !seqGreater(tup.ansn, tc.ANSN)
 				break
 			}
 		}

@@ -146,3 +146,31 @@ func TestDuplicateTCNotReprocessed(t *testing.T) {
 	})
 	nw.Sim.Run(time.Second)
 }
+
+// TestTCStalenessComparesOriginatorsOwnANSN pins RFC 3626 §9.5 step 2: a
+// TC is stale only against the ANSN its own originator last advertised
+// (T_last_addr == originator). The counters of other nodes that happen to
+// advertise that originator as a selector say nothing about it.
+func TestTCStalenessComparesOriginatorsOwnANSN(t *testing.T) {
+	const a, b = 7, 8
+	nw, p := isolated(8)
+	nw.Start()
+	nw.Sim.Schedule(0, func() {
+		p.HandleControl(1, hello(1, 0, a, b))
+		// B advertises A, with a counter far ahead of A's own.
+		p.HandleControl(1, olsr.TC{Origin: b, Seq: 1, ANSN: 9, Selectors: []routing.NodeID{a}, TTL: 10})
+		p.HandleControl(1, olsr.TC{Origin: a, Seq: 1, ANSN: 3, Selectors: []routing.NodeID{20}, TTL: 10})
+		if next, hops, ok := p.RouteTo(20); !ok || next != 1 || hops != 3 {
+			t.Errorf("A's TC (ANSN 3) refused because B advertises A with ANSN 9: route = (%d,%d,%v)", next, hops, ok)
+		}
+		// A's own older advertisement is what the check is for.
+		p.HandleControl(1, olsr.TC{Origin: a, Seq: 2, ANSN: 2, Selectors: []routing.NodeID{21}, TTL: 10})
+		if _, _, ok := p.RouteTo(21); ok {
+			t.Error("A's TC with ANSN 2 accepted after ANSN 3")
+		}
+		if _, _, ok := p.RouteTo(20); !ok {
+			t.Error("stale TC displaced A's current advertisement")
+		}
+	})
+	nw.Sim.Run(time.Second)
+}
