@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check ci-quick ci-full build test vet flags-check race fuzz-smoke fuzz-radio chaos adversary modelcheck modelcheck-smoke modelcheck-seed resume-smoke bench bench-sweep bench-smoke bench-chaos bench-adversary bench-modelcheck bench-gate bench-all bench-compare loc profile examples experiments clean
+.PHONY: all check ci-quick ci-full build test vet flags-check race fuzz-smoke fuzz-radio chaos adversary modelcheck modelcheck-smoke modelcheck-seed resume-smoke bench bench-sweep bench-smoke bench-chaos bench-adversary bench-modelcheck bench-gate bench-all bench-compare loc profile profile-cell examples experiments clean
 
 all: check
 
@@ -40,13 +40,15 @@ race:
 # small randomized sweep (all protocols × fault profiles) under the race
 # detector, then the same sweep again via the ldrfuzz binary, which must
 # exit 0. Matches TestFuzzSmoke's bounds so failures reproduce in-test.
-# Last, 20 s of native fuzzing of the event queue against its
-# scan-for-minimum model (a failing input lands in
-# internal/sim/testdata/fuzz/ and then fails plain `go test` too).
+# Last, 20 s each of native fuzzing of the event queue against its
+# scan-for-minimum model and of OLSR's id-indexed link state against the
+# map implementation it replaced (a failing input lands in the package's
+# testdata/fuzz/ and then fails plain `go test` too).
 fuzz-smoke:
 	$(GO) test -race -timeout 30m ./internal/conformance/ -run 'TestRegressionSeeds|TestFuzzSmoke'
 	$(GO) run ./cmd/ldrfuzz -runs 8 -seed 42 -max-nodes 20 -max-simtime 12s -q
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEventQueue -fuzztime 20s
+	$(GO) test ./internal/olsr -run '^$$' -fuzz FuzzOLSRState -fuzztime 20s
 
 # Heterogeneous-radio fuzz axis (nightly): randomized scenarios drawn
 # only from the profiles that produce one-way links and uneven placement,
@@ -134,26 +136,27 @@ bench-chaos:
 	$(GO) test -run '^$$' -bench AuditOverhead -benchtime 3x \
 		./internal/fault/ | tee /dev/stderr | /tmp/benchjson -o BENCH_chaos.json
 
-# Sweep + radio hot-path benchmarks, recorded as BENCH_sweep.json
+# Sweep, radio and OLSR hot-path benchmarks, recorded as BENCH_sweep.json
 # (cells/sec, ns/op, B/op, allocs/op per benchmark).
+BENCH_SWEEP = -bench 'Sweep|Transmit|Neighbors|Recompute100|SelectMPRs100' -benchmem \
+	./internal/sweep/ ./internal/radio/ ./internal/olsr/
 bench:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	$(GO) test -bench 'Sweep|Transmit|Neighbors' -benchmem \
-		./internal/sweep/ ./internal/radio/ | tee /dev/stderr | /tmp/benchjson -o BENCH_sweep.json
+	$(GO) test -run '^$$' $(BENCH_SWEEP) | tee /dev/stderr | /tmp/benchjson -o BENCH_sweep.json
 
 # Same benchmarks, gated against the committed BENCH_sweep.json: any
 # benchmark whose B/op or allocs/op regressed more than 10% fails the
 # target (non-zero exit) and leaves the committed baseline untouched.
 bench-sweep:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	$(GO) test -bench 'Sweep|Transmit|Neighbors' -benchmem \
-		./internal/sweep/ ./internal/radio/ | tee /dev/stderr | /tmp/benchjson -o BENCH_sweep.json -maxregress 10
+	$(GO) test -run '^$$' $(BENCH_SWEEP) | tee /dev/stderr | /tmp/benchjson -o BENCH_sweep.json -maxregress 10
 
 # Fast allocation-regression smoke: the zero-alloc guards on the event
-# loop, MAC queue, and LDR round trip, plus a single tiny sweep cell.
+# loop, MAC queue, LDR round trip and OLSR's warm link-state paths, plus a
+# single tiny sweep cell.
 # Part of `make check` so steady-state allocation creep fails CI quickly.
 bench-smoke:
-	$(GO) test -run 'Alloc|ZeroAlloc' ./internal/sim/ ./internal/mac/ ./internal/core/ ./internal/routing/...
+	$(GO) test -run 'Alloc|ZeroAlloc' ./internal/sim/ ./internal/mac/ ./internal/core/ ./internal/routing/... ./internal/olsr/
 	$(GO) test -run '^$$' -bench 'ScheduleTransient|SweepSerial' -benchtime 10x \
 		./internal/sim/ ./internal/sweep/
 

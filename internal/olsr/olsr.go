@@ -18,7 +18,7 @@
 package olsr
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/manetlab/ldr/internal/metrics"
@@ -104,21 +104,65 @@ const (
 	tcWirePerSel    = 4
 )
 
-type linkState struct {
+// All link state is held in slices indexed by NodeID and grown on first
+// sight (grow): every id in this repository is a small non-negative
+// integer, a Network numbers its nodes 0..n-1. The zero value of each
+// record means "no such tuple", so growing and Reset are plain zeroing.
+// Ids stored inside the records are int32 to halve what they occupy.
+
+// neighbor is the link tuple toward one one-hop neighbor and the two-hop
+// tuples learned from its HELLOs, which live and die with the link.
+type neighbor struct {
+	link      bool // a HELLO was heard within neighborHold
 	symmetric bool
 	isMPR     bool // we selected this neighbor as MPR
 	expiry    time.Duration
+	twoHop    []held // by node id, ascending, never ours; released with the link
 }
 
-type topoTuple struct {
-	lastHop routing.NodeID // TC origin
-	ansn    uint16
-	expiry  time.Duration
+// held is a tuple that is nothing but a key and an expiry: a two-hop
+// tuple under its neighbor (key: the two-hop node's id) or a duplicate
+// tuple under its originator (key: the message sequence number).
+type held struct {
+	key    int32
+	expiry time.Duration
 }
 
-type dupKey struct {
-	origin routing.NodeID
-	seq    uint16
+// dropExpired removes, in place, the tuples whose holding time has run
+// out. Most sweeps find none, so nothing is written until one is found.
+func dropExpired(ts []held, now time.Duration) []held {
+	for i := range ts {
+		if ts[i].expiry <= now {
+			live := ts[:i]
+			for _, t := range ts[i+1:] {
+				if t.expiry > now {
+					live = append(live, t)
+				}
+			}
+			return live
+		}
+	}
+	return ts
+}
+
+// originator is what one TC originator has told us: its topology set and
+// the duplicate tuples of its recent messages. Every tuple a TC installs
+// shares the TC's ANSN and expiry and a fresh TC replaces the whole set,
+// so the set is one record: the last hop is the index, dests the
+// advertised selectors other than us in the order the TC listed them
+// (recompute does not care, see there). No dests means no tuples: ansn is
+// then meaningless, as it was when the last tuple left the map this
+// replaces.
+type originator struct {
+	ansn   uint16
+	expiry time.Duration
+	dests  []int32 // released when the set expires
+	dup    []held  // by sequence number, in arrival order
+}
+
+// route is one routing-table entry; hops == 0 means no route.
+type route struct {
+	next, hops int32
 }
 
 // OLSR is one node's protocol instance.
@@ -126,14 +170,17 @@ type OLSR struct {
 	node *routing.Node
 	cfg  Config
 
-	links     map[routing.NodeID]*linkState
-	twoHop    map[routing.NodeID]map[routing.NodeID]time.Duration // neighbor → its neighbors → expiry
-	selectors map[routing.NodeID]time.Duration                    // neighbors that chose us as MPR
-	topology  map[routing.NodeID]map[routing.NodeID]topoTuple     // dest → lastHop → tuple
-	dup       map[dupKey]time.Duration
+	nbrs     []neighbor
+	selUntil []time.Duration // MPR-selector tuple expiry per neighbor; 0 = not a selector
+	nSel     int             // live selector tuples
+	origs    []originator
+	routes   []route
 
-	routes     map[routing.NodeID]routing.NodeID // dest → next hop
-	hops       map[routing.NodeID]int
+	// Scratch reused across calls, so a warm recompute or MPR selection
+	// allocates nothing.
+	ids     []int32 // recompute's queue; recomputeMPRs' symmetric neighbors
+	reached []int32 // recomputeMPRs: neighbors reaching each uncovered two-hop node
+
 	dirty      bool
 	ansn       uint16
 	msgSeq     uint16
@@ -160,19 +207,24 @@ var (
 
 // New builds an OLSR instance bound to a node.
 func New(node *routing.Node, cfg Config) *OLSR {
-	o := &OLSR{
-		node:      node,
-		cfg:       cfg,
-		links:     make(map[routing.NodeID]*linkState),
-		twoHop:    make(map[routing.NodeID]map[routing.NodeID]time.Duration),
-		selectors: make(map[routing.NodeID]time.Duration),
-		topology:  make(map[routing.NodeID]map[routing.NodeID]topoTuple),
-		dup:       make(map[dupKey]time.Duration),
-		routes:    make(map[routing.NodeID]routing.NodeID),
-		hops:      make(map[routing.NodeID]int),
-	}
-	o.queue = newJitterQueue(o, cfg)
+	o := &OLSR{node: node, cfg: cfg}
+	o.queue = newJitterQueue(o)
 	return o
+}
+
+// grow extends every id-indexed slice to cover id. It may move them, so
+// callers grow to the largest id of a message before taking any pointer
+// into them.
+func (o *OLSR) grow(id routing.NodeID) {
+	n := int(id) + 1
+	if n <= len(o.nbrs) {
+		return
+	}
+	o.nbrs = append(o.nbrs, make([]neighbor, n-len(o.nbrs))...)
+	o.selUntil = append(o.selUntil, make([]time.Duration, n-len(o.selUntil))...)
+	o.origs = append(o.origs, make([]originator, n-len(o.origs))...)
+	o.routes = append(o.routes, make([]route, n-len(o.routes))...)
+	o.reached = append(o.reached, make([]int32, n-len(o.reached))...)
 }
 
 // Start implements routing.Protocol: begins the HELLO/TC emission cycle,
@@ -205,13 +257,11 @@ func (o *OLSR) Reset() {
 	o.tcTimer.Cancel()
 	o.sweeper.Cancel()
 	o.helloTimer, o.tcTimer, o.sweeper = sim.Timer{}, sim.Timer{}, sim.Timer{}
-	clear(o.links)
-	clear(o.twoHop)
-	clear(o.selectors)
-	clear(o.topology)
-	clear(o.dup)
+	clear(o.nbrs)
+	clear(o.selUntil)
+	o.nSel = 0
+	clear(o.origs)
 	clear(o.routes)
-	clear(o.hops)
 	o.dirty = false
 	o.queue.reset()
 }
@@ -236,7 +286,11 @@ func (o *OLSR) sendHello() {
 	h := o.helloPool.Get()
 	neighbors := h.Neighbors
 	*h = Hello{Origin: o.node.ID(), Neighbors: neighbors[:0]}
-	for id, l := range o.links {
+	for id := range o.nbrs {
+		l := &o.nbrs[id]
+		if !l.link {
+			continue
+		}
 		code := LinkAsym
 		switch {
 		case l.symmetric && l.isMPR:
@@ -244,9 +298,8 @@ func (o *OLSR) sendHello() {
 		case l.symmetric:
 			code = LinkSym
 		}
-		h.Neighbors = append(h.Neighbors, HelloNeighbor{ID: id, Code: code})
+		h.Neighbors = append(h.Neighbors, HelloNeighbor{ID: routing.NodeID(id), Code: code})
 	}
-	sort.Slice(h.Neighbors, func(i, j int) bool { return h.Neighbors[i].ID < h.Neighbors[j].ID })
 	o.node.Metrics().CountControlInitiate(metrics.Hello)
 	o.queue.push(h)
 	o.helloTimer = o.node.Schedule(helloInterval, o.sendHello)
@@ -256,7 +309,7 @@ func (o *OLSR) sendTC() {
 	if o.stopped {
 		return
 	}
-	if len(o.selectors) > 0 {
+	if o.nSel > 0 {
 		o.msgSeq++
 		tc := o.tcPool.Get()
 		selectors := tc.Selectors
@@ -267,64 +320,59 @@ func (o *OLSR) sendTC() {
 			TTL:       netDiameter,
 			Selectors: selectors[:0],
 		}
-		for id := range o.selectors {
-			tc.Selectors = append(tc.Selectors, id)
+		for id, until := range o.selUntil {
+			if until != 0 {
+				tc.Selectors = append(tc.Selectors, routing.NodeID(id))
+			}
 		}
-		sortNodeIDs(tc.Selectors)
 		o.node.Metrics().CountControlInitiate(metrics.TC)
 		o.queue.push(tc)
 	}
 	o.tcTimer = o.node.Schedule(tcInterval, o.sendTC)
 }
 
-// sweep expires links, two-hop tuples, selectors, topology, and duplicate
-// entries once per second.
+// sweep is the once-per-second expiry tick.
 func (o *OLSR) sweep() {
 	if o.stopped {
 		return
 	}
-	now := o.node.Now()
-	for id, l := range o.links {
+	o.expire(o.node.Now())
+	o.sweeper = o.node.Schedule(time.Second, o.sweep)
+}
+
+// expire removes the links, two-hop tuples, selectors, topology sets and
+// duplicate tuples whose holding time has run out.
+func (o *OLSR) expire(now time.Duration) {
+	for id := range o.nbrs {
+		l := &o.nbrs[id]
+		if !l.link {
+			continue
+		}
 		if l.expiry <= now {
-			delete(o.links, id)
-			delete(o.twoHop, id)
+			*l = neighbor{}
+			o.dirty = true
+			continue
+		}
+		if live := dropExpired(l.twoHop, now); len(live) != len(l.twoHop) {
+			l.twoHop = live
 			o.dirty = true
 		}
 	}
-	for n, set := range o.twoHop {
-		for th, exp := range set {
-			if exp <= now {
-				delete(set, th)
-				o.dirty = true
-			}
-		}
-		if len(set) == 0 {
-			delete(o.twoHop, n)
-		}
-	}
-	for id, exp := range o.selectors {
-		if exp <= now {
-			delete(o.selectors, id)
+	for id, until := range o.selUntil {
+		if until != 0 && until <= now {
+			o.selUntil[id] = 0
+			o.nSel--
 			o.ansn++
 		}
 	}
-	for dst, set := range o.topology {
-		for last, tup := range set {
-			if tup.expiry <= now {
-				delete(set, last)
-				o.dirty = true
-			}
+	for id := range o.origs {
+		og := &o.origs[id]
+		if len(og.dests) > 0 && og.expiry <= now {
+			og.dests = nil
+			o.dirty = true
 		}
-		if len(set) == 0 {
-			delete(o.topology, dst)
-		}
+		og.dup = dropExpired(og.dup, now)
 	}
-	for k, exp := range o.dup {
-		if exp <= now {
-			delete(o.dup, k)
-		}
-	}
-	o.sweeper = o.node.Schedule(time.Second, o.sweep)
 }
 
 // --- control plane ---
@@ -353,109 +401,108 @@ func (o *OLSR) handleHello(from routing.NodeID, h Hello) {
 	now := o.node.Now()
 	me := o.node.ID()
 
-	l := o.links[from]
-	if l == nil {
-		l = &linkState{}
-		o.links[from] = l
-		o.dirty = true
-	}
-	l.expiry = now + neighborHold
-
 	heardUs := false
 	selectedUs := false
+	top := from
 	for _, n := range h.Neighbors {
 		if n.ID == me {
 			heardUs = true
 			selectedUs = n.Code == LinkMPR
 		}
+		top = max(top, n.ID)
 	}
+	o.grow(top)
+
+	l := &o.nbrs[from]
+	if !l.link {
+		l.link = true
+		o.dirty = true
+	}
+	l.expiry = now + neighborHold
 	if heardUs != l.symmetric {
 		l.symmetric = heardUs
 		o.dirty = true
 	}
 
-	if selectedUs {
-		if _, ok := o.selectors[from]; !ok {
+	if wasSelector := o.selUntil[from] != 0; selectedUs {
+		if !wasSelector {
+			o.nSel++
 			o.ansn++
 		}
-		o.selectors[from] = now + neighborHold
-	} else if _, ok := o.selectors[from]; ok {
-		delete(o.selectors, from)
+		o.selUntil[from] = now + neighborHold
+	} else if wasSelector {
+		o.selUntil[from] = 0
+		o.nSel--
 		o.ansn++
 	}
 
 	// Two-hop neighborhood: symmetric neighbors of a symmetric neighbor.
+	// A HELLO lists them ascending, as the set is kept, so one cursor walks
+	// both; an entry out of order just sends the cursor back to the start.
 	if l.symmetric {
-		set := o.twoHop[from]
-		if set == nil {
-			set = make(map[routing.NodeID]time.Duration)
-			o.twoHop[from] = set
-		}
+		i := 0
 		for _, n := range h.Neighbors {
-			if n.ID == me || n.Code == LinkAsym {
+			if n.ID == me || n.ID < 0 || n.Code == LinkAsym {
 				continue
 			}
-			if _, ok := set[n.ID]; !ok {
+			id := int32(n.ID)
+			if i > 0 && l.twoHop[i-1].key >= id {
+				i = 0
+			}
+			for i < len(l.twoHop) && l.twoHop[i].key < id {
+				i++
+			}
+			if i == len(l.twoHop) || l.twoHop[i].key != id {
+				l.twoHop = slices.Insert(l.twoHop, i, held{key: id})
 				o.dirty = true
 			}
-			set[n.ID] = now + neighborHold
+			l.twoHop[i].expiry = now + neighborHold
+			i++
 		}
 	}
 }
 
 func (o *OLSR) handleTC(from routing.NodeID, tc TC) {
 	me := o.node.ID()
-	if tc.Origin == me {
+	if tc.Origin == me || tc.Origin < 0 {
 		return
 	}
 	now := o.node.Now()
 
 	// Only process TCs arriving over a symmetric link (RFC 3626 §9.2).
-	l := o.links[from]
-	if l == nil || !l.symmetric {
+	if int(from) >= len(o.nbrs) || !o.nbrs[from].symmetric {
 		return
 	}
 
-	key := dupKey{origin: tc.Origin, seq: tc.Seq}
-	_, isDup := o.dup[key]
-	o.dup[key] = now + dupHold
+	o.grow(tc.Origin)
+	og := &o.origs[tc.Origin]
 
-	if !isDup {
-		// Discard stale information per ANSN (RFC 3626 §9.5 step 2): the
-		// comparison is against the tuples this originator installed
-		// (T_last_addr == originator), not the tuples that name it as a
-		// destination — those carry other nodes' counters. Every tuple of
-		// one originator shares its ANSN, so the first one found decides.
-		fresh := true
-		for _, tset := range o.topology {
-			if tup, ok := tset[tc.Origin]; ok {
-				fresh = !seqGreater(tup.ansn, tc.ANSN)
-				break
-			}
+	isDup := false
+	for i := range og.dup {
+		if og.dup[i].key == int32(tc.Seq) {
+			og.dup[i].expiry = now + dupHold
+			isDup = true
+			break
 		}
-		if fresh {
-			// Rebuild the origin's advertised set.
-			for dst, tset := range o.topology {
-				if _, ok := tset[tc.Origin]; ok {
-					delete(tset, tc.Origin)
-					if len(tset) == 0 {
-						delete(o.topology, dst)
-					}
-				}
-			}
+	}
+	if !isDup {
+		og.dup = append(og.dup, held{key: int32(tc.Seq), expiry: now + dupHold})
+		// Discard stale information per ANSN (RFC 3626 §9.5 step 2): the
+		// comparison is against the set this originator last advertised
+		// (T_last_addr == originator), never against the counters of other
+		// nodes that advertise it as a selector.
+		if len(og.dests) == 0 || !seqGreater(og.ansn, tc.ANSN) {
+			top := tc.Origin
 			for _, sel := range tc.Selectors {
-				if sel == me {
-					continue
-				}
-				tset := o.topology[sel]
-				if tset == nil {
-					tset = make(map[routing.NodeID]topoTuple)
-					o.topology[sel] = tset
-				}
-				tset[tc.Origin] = topoTuple{
-					lastHop: tc.Origin,
-					ansn:    tc.ANSN,
-					expiry:  now + topologyHold,
+				top = max(top, sel)
+			}
+			o.grow(top)
+			og = &o.origs[tc.Origin]
+			og.ansn, og.expiry = tc.ANSN, now+topologyHold
+			og.dests = og.dests[:0]
+			for _, sel := range tc.Selectors {
+				if sel != me && sel >= 0 {
+					og.dests = append(og.dests, int32(sel))
 				}
 			}
 			o.dirty = true
@@ -463,10 +510,7 @@ func (o *OLSR) handleTC(from routing.NodeID, tc TC) {
 	}
 
 	// MPR forwarding: relay only if the sender selected us as MPR.
-	if isDup || tc.TTL <= 1 {
-		return
-	}
-	if _, selected := o.selectors[from]; !selected {
+	if isDup || tc.TTL <= 1 || o.selUntil[from] == 0 {
 		return
 	}
 	// The incoming tc's Selectors alias the sender's pooled message, which
@@ -477,7 +521,7 @@ func (o *OLSR) handleTC(from routing.NodeID, tc TC) {
 	*fwd = tc
 	fwd.Selectors = append(selectors[:0], tc.Selectors...)
 	fwd.TTL--
-	o.queue.pushForward(fwd)
+	o.queue.push(fwd)
 }
 
 // RecycleMessage implements routing.MessageRecycler.
@@ -492,12 +536,6 @@ func (o *OLSR) RecycleMessage(msg routing.Message) {
 	}
 }
 
-// sortNodeIDs sorts in place; wire formats and BFS expansion use it so no
-// observable behaviour depends on map iteration order.
-func sortNodeIDs(ids []routing.NodeID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
-
 // seqGreater compares 16-bit sequence numbers with wraparound.
 func seqGreater(a, b uint16) bool {
 	return (a > b && a-b <= 32768) || (a < b && b-a > 32768)
@@ -510,142 +548,143 @@ func seqGreater(a, b uint16) bool {
 // take the neighbor covering the most uncovered two-hop nodes.
 func (o *OLSR) recomputeMPRs() {
 	now := o.node.Now()
-	// Uncovered two-hop set (excluding me and direct neighbors).
-	uncovered := make(map[routing.NodeID]struct{})
-	reach := make(map[routing.NodeID][]routing.NodeID) // neighbor → two-hops
-	for n, l := range o.links {
-		if !l.symmetric {
-			continue
-		}
-		for th, exp := range o.twoHop[n] {
-			if exp <= now || th == o.node.ID() {
-				continue
-			}
-			if ln, direct := o.links[th]; direct && ln.symmetric {
-				continue
-			}
-			uncovered[th] = struct{}{}
-			reach[n] = append(reach[n], th)
+	// reached[id] is -1 for a symmetric neighbor, which is never a strict
+	// two-hop node; otherwise the number of symmetric neighbors whose live
+	// two-hop tuples reach id, zeroed once an MPR covers it.
+	reached := o.reached
+	clear(reached)
+	sym := o.ids[:0] // the symmetric neighbors, ascending
+	for n := range o.nbrs {
+		l := &o.nbrs[n]
+		l.isMPR = false
+		if l.symmetric {
+			sym = append(sym, int32(n))
+			reached[n] = -1
 		}
 	}
-	mpr := make(map[routing.NodeID]bool)
-	// Mandatory: sole providers.
-	counts := make(map[routing.NodeID]int) // two-hop → #neighbors reaching it
-	for _, ths := range reach {
-		for _, th := range ths {
-			counts[th]++
+	o.ids = sym[:0]
+	uncovered := 0
+	for _, n := range sym {
+		for _, h := range o.nbrs[n].twoHop {
+			if h.expiry > now && reached[h.key] >= 0 {
+				if reached[h.key] == 0 {
+					uncovered++
+				}
+				reached[h.key]++
+			}
 		}
 	}
-	for n, ths := range reach {
-		for _, th := range ths {
-			if counts[th] == 1 {
-				mpr[n] = true
+	// Mandatory: sole providers. All of them are found before any covers,
+	// because covering zeroes the counts the search reads.
+	for _, n := range sym {
+		l := &o.nbrs[n]
+		for _, h := range l.twoHop {
+			if h.expiry > now && reached[h.key] == 1 {
+				l.isMPR = true
 				break
 			}
 		}
 	}
-	cover := func(n routing.NodeID) {
-		for _, th := range reach[n] {
-			delete(uncovered, th)
+	cover := func(l *neighbor) {
+		for _, h := range l.twoHop {
+			if h.expiry > now && reached[h.key] > 0 {
+				reached[h.key] = 0
+				uncovered--
+			}
 		}
 	}
-	for n := range mpr {
-		cover(n)
+	for _, n := range sym {
+		if l := &o.nbrs[n]; l.isMPR {
+			cover(l)
+		}
 	}
-	// Greedy: highest coverage first; ties broken by lowest ID for
-	// determinism.
-	for len(uncovered) > 0 {
-		best := routing.NodeID(-1)
+	// Greedy: highest coverage first; the ascending walk breaks ties by
+	// lowest ID.
+	for uncovered > 0 {
+		var best *neighbor
 		bestCount := 0
-		for n := range reach {
-			if mpr[n] {
+		for _, n := range sym {
+			l := &o.nbrs[n]
+			if l.isMPR {
 				continue
 			}
 			c := 0
-			for _, th := range reach[n] {
-				if _, ok := uncovered[th]; ok {
+			for _, h := range l.twoHop {
+				if h.expiry > now && reached[h.key] > 0 {
 					c++
 				}
 			}
-			if c > bestCount || (c == bestCount && c > 0 && (best < 0 || n < best)) {
-				best = n
-				bestCount = c
+			if c > bestCount {
+				best, bestCount = l, c
 			}
 		}
-		if best < 0 || bestCount == 0 {
+		if best == nil {
 			break
 		}
-		mpr[best] = true
+		best.isMPR = true
 		cover(best)
-	}
-	for n, l := range o.links {
-		l.isMPR = mpr[n]
 	}
 }
 
 // --- routing table (shortest path over the partial topology graph) ---
 
-// recompute rebuilds the routing table with a BFS over: symmetric links,
-// two-hop tuples, and TC topology edges.
+// recompute rebuilds the routing table with a BFS over unit edges:
+// symmetric links, two-hop tuples, and TC topology edges.
+//
+// Equal-cost destinations keep the first hop the BFS reaches first, and
+// that must not vary from run to run. Seeding the queue with the
+// symmetric neighbors in ascending id order is what fixes it: the nodes
+// at each distance then sit in the queue in runs of ascending first hop,
+// so a node takes the lowest-id first hop among its shortest paths
+// whatever order one node's own edges are walked in, and neither edge list
+// needs sorting or merging. TestFlatStateMatchesMapReference checks this
+// against a reference that sorts every expansion.
 func (o *OLSR) recompute() {
 	now := o.node.Now()
-	me := o.node.ID()
-	o.routes = make(map[routing.NodeID]routing.NodeID)
-	o.hops = make(map[routing.NodeID]int)
-
-	type qe struct {
-		node routing.NodeID
-		next routing.NodeID // first hop on the path
-		dist int
-	}
-	// Expansion order must not depend on map iteration order: equal-cost
-	// destinations keep whichever first hop the BFS reaches first, and a
-	// run-to-run change there changes forwarding (and so the whole
-	// simulation). Seed and expand in sorted NodeID order.
-	var queue []qe
-	neigh := make([]routing.NodeID, 0, len(o.links))
-	for n, l := range o.links {
-		if l.symmetric {
-			neigh = append(neigh, n)
+	clear(o.routes)
+	queue := o.ids[:0]
+	for n := range o.nbrs {
+		if o.nbrs[n].symmetric {
+			o.routes[n] = route{next: int32(n), hops: 1}
+			queue = append(queue, int32(n))
 		}
 	}
-	sortNodeIDs(neigh)
-	for _, n := range neigh {
-		o.routes[n] = n
-		o.hops[n] = 1
-		queue = append(queue, qe{node: n, next: n, dist: 1})
-	}
-	var targets []routing.NodeID
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		targets = targets[:0]
-		// Two-hop tuples extend one hop past direct neighbors.
-		for th, exp := range o.twoHop[cur.node] {
-			if exp > now {
-				targets = append(targets, th)
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
+		via := route{next: o.routes[cur].next, hops: o.routes[cur].hops + 1}
+		// Two-hop tuples extend one hop past direct neighbors. Neither edge
+		// list can name us: handleHello and handleTC leave our id out.
+		for _, h := range o.nbrs[cur].twoHop {
+			if h.expiry > now && o.routes[h.key].hops == 0 {
+				o.routes[h.key] = via
+				queue = append(queue, h.key)
 			}
 		}
 		// Topology tuples: lastHop → dest edges from TCs.
-		for dst, tset := range o.topology {
-			if tup, ok := tset[cur.node]; ok && tup.expiry > now {
-				targets = append(targets, dst)
+		if og := &o.origs[cur]; og.expiry > now {
+			for _, to := range og.dests {
+				if o.routes[to].hops == 0 {
+					o.routes[to] = via
+					queue = append(queue, to)
+				}
 			}
-		}
-		sortNodeIDs(targets)
-		for _, to := range targets {
-			if to == me {
-				continue
-			}
-			if _, seen := o.routes[to]; seen {
-				continue
-			}
-			o.routes[to] = cur.next
-			o.hops[to] = cur.dist + 1
-			queue = append(queue, qe{node: to, next: cur.next, dist: cur.dist + 1})
 		}
 	}
+	o.ids = queue[:0]
 	o.dirty = false
+}
+
+// lookup reads the routing table, recomputing it first if link state
+// changed since the last read.
+func (o *OLSR) lookup(dst routing.NodeID) (next routing.NodeID, hops int, ok bool) {
+	if o.dirty {
+		o.recompute()
+	}
+	if dst < 0 || int(dst) >= len(o.routes) || o.routes[dst].hops == 0 {
+		return 0, 0, false
+	}
+	r := o.routes[dst]
+	return routing.NodeID(r.next), int(r.hops), true
 }
 
 // --- data plane ---
@@ -668,10 +707,7 @@ func (o *OLSR) HandleData(_ routing.NodeID, pkt *routing.DataPacket) {
 }
 
 func (o *OLSR) forward(pkt *routing.DataPacket) {
-	if o.dirty {
-		o.recompute()
-	}
-	next, ok := o.routes[pkt.Dst]
+	next, _, ok := o.lookup(pkt.Dst)
 	if !ok {
 		o.node.DropData(pkt, routing.DropNoRoute)
 		return
@@ -696,11 +732,11 @@ func (o *OLSR) DataFailed(next routing.NodeID, pkt *routing.DataPacket) {
 // linkFailure drops the link immediately rather than waiting out the
 // HELLO hold time, then retries the packet once over a recomputed table.
 func (o *OLSR) linkFailure(next routing.NodeID, pkt *routing.DataPacket) {
-	delete(o.links, next)
-	delete(o.twoHop, next)
+	if int(next) < len(o.nbrs) {
+		o.nbrs[next] = neighbor{}
+	}
 	o.dirty = true
-	o.recompute()
-	if alt, ok := o.routes[pkt.Dst]; ok && alt != next {
+	if alt, _, ok := o.lookup(pkt.Dst); ok && alt != next {
 		pkt.Retried = true
 		o.node.SendData(alt, pkt)
 		return
@@ -712,37 +748,37 @@ func (o *OLSR) linkFailure(next routing.NodeID, pkt *routing.DataPacket) {
 
 // SnapshotTable implements routing.TableSnapshotter.
 func (o *OLSR) SnapshotTable() []routing.RouteEntry {
-	return o.AppendTable(make([]routing.RouteEntry, 0, len(o.routes)))
+	return o.AppendTable(nil)
 }
 
-// AppendTable implements routing.TableAppender.
+// AppendTable implements routing.TableAppender: entries in ascending
+// destination order.
 func (o *OLSR) AppendTable(out []routing.RouteEntry) []routing.RouteEntry {
 	if o.dirty {
 		o.recompute()
 	}
-	for dst, next := range o.routes {
-		out = append(out, routing.RouteEntry{
-			Dst: dst, Next: next, Metric: o.hops[dst], Valid: true,
-		})
+	for dst, r := range o.routes {
+		if r.hops != 0 {
+			out = append(out, routing.RouteEntry{
+				Dst: routing.NodeID(dst), Next: routing.NodeID(r.next), Metric: int(r.hops), Valid: true,
+			})
+		}
 	}
 	return out
 }
 
 // RouteTo exposes (next hop, hop count, ok) for tests and examples.
 func (o *OLSR) RouteTo(dst routing.NodeID) (routing.NodeID, int, bool) {
-	if o.dirty {
-		o.recompute()
-	}
-	next, ok := o.routes[dst]
-	return next, o.hops[dst], ok
+	return o.lookup(dst)
 }
 
-// MPRs returns the node's currently selected multipoint relays (tests).
+// MPRs returns the node's currently selected multipoint relays in
+// ascending order (tests).
 func (o *OLSR) MPRs() []routing.NodeID {
 	var out []routing.NodeID
-	for n, l := range o.links {
-		if l.isMPR {
-			out = append(out, n)
+	for n := range o.nbrs {
+		if o.nbrs[n].isMPR {
+			out = append(out, routing.NodeID(n))
 		}
 	}
 	return out
@@ -760,11 +796,11 @@ type jitterQueue struct {
 	busy  bool
 }
 
-func newJitterQueue(o *OLSR, _ Config) *jitterQueue {
+func newJitterQueue(o *OLSR) *jitterQueue {
 	return &jitterQueue{o: o}
 }
 
-// push enqueues a locally originated broadcast message.
+// push enqueues a broadcast message, our own or a relayed flood.
 func (q *jitterQueue) push(msg routing.Message) {
 	if !q.o.cfg.JitterQueue {
 		q.o.node.SendControl(routing.BroadcastID, msg, nil)
@@ -773,10 +809,6 @@ func (q *jitterQueue) push(msg routing.Message) {
 	q.queue = append(q.queue, msg)
 	q.kick()
 }
-
-// pushForward enqueues a flooded (relayed) message; identical to push,
-// named for call-site clarity.
-func (q *jitterQueue) pushForward(msg routing.Message) { q.push(msg) }
 
 func (q *jitterQueue) kick() {
 	if q.busy || len(q.queue) == 0 {
