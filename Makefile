@@ -169,6 +169,22 @@ profile:
 	@echo "profiles written: profiles/ldrbench.cpu.pprof profiles/ldrbench.mem.pprof"
 	@echo "inspect: go tool pprof -top profiles/ldrbench.mem.pprof"
 
+# CPU profile of one cell — "where did the cell go" without a throwaway
+# main.go. The defaults are the dense100 OLSR cell of the repository
+# benchmark; the paper's terrain follows NODES (1500×300 m at 50,
+# 2200×600 m at 100). Prints the top of the profile and leaves the binary
+# and the profile in profiles/ for `go tool pprof -list`.
+#   make profile-cell PROTO=olsr NODES=100 SIMTIME=330s
+PROTO ?= olsr
+NODES ?= 100
+SIMTIME ?= 330s
+profile-cell:
+	mkdir -p profiles
+	$(GO) build -o profiles/ldrsim ./cmd/ldrsim
+	profiles/ldrsim -proto $(PROTO) -nodes $(NODES) $(if $(filter 100,$(NODES)),-width 2200 -height 600) \
+		-flows 10 -pause 0s -simtime $(SIMTIME) -cpuprofile profiles/cell.cpu.pprof
+	$(GO) tool pprof -top -nodecount 30 profiles/ldrsim profiles/cell.cpu.pprof
+
 # Every benchmark family gated against its committed BENCH_*.json
 # baseline: a >10% B/op or allocs/op regression in any of the four fails
 # the target and leaves that committed baseline untouched. This is CI's

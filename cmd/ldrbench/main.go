@@ -24,10 +24,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
-	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -41,11 +37,9 @@ func run() error {
 	var shared cli.Experiment
 	shared.Seed, shared.Trials, shared.SimTime = 1, 3, 300*time.Second
 	shared.Bind(flag.CommandLine)
-	var (
-		exp     = flag.String("exp", "all", "experiment: "+strings.Join(experiments.Names(), "|")+`; "all" is the paper set, everything listed before it`)
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	)
+	var prof cli.Profile
+	prof.Bind(flag.CommandLine)
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(experiments.Names(), "|")+`; "all" is the paper set, everything listed before it`)
 	if err := cli.Parse(
 		"Regenerate the tables and figures of the LDR paper's evaluation (§4):\n"+
 			"each experiment sweeps the paper's scenario parameters, aggregates\n"+
@@ -72,32 +66,11 @@ func run() error {
 		return err
 	}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
+	stop, err := prof.Start()
+	if err != nil {
+		return err
 	}
-	if *memProf != "" {
-		f, err := os.Create(*memProf)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			// alloc_space/alloc_objects cover the whole run even though the
-			// snapshot is taken at exit; GC first so inuse numbers are live.
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "ldrbench: memprofile:", err)
-			}
-			f.Close()
-		}()
-	}
+	defer stop()
 
 	return shared.Finish("metrics", experiment.Run(opts))
 }

@@ -41,6 +41,8 @@ func run() error {
 	var shared cli.Scale
 	shared.Seed, shared.Trials, shared.SimTime = 1, 1, 300*time.Second
 	shared.Bind(flag.CommandLine)
+	var prof cli.Profile
+	prof.Bind(flag.CommandLine)
 	var (
 		proto  = flag.String("proto", "ldr", "routing protocol: ldr|aodv|dsr|dsr7|olsr|olsr-nojitter")
 		nodes  = flag.Int("nodes", 50, "number of nodes (≥ 2)")
@@ -58,6 +60,7 @@ func run() error {
 		"ldrsim -proto aodv -trials 10 -workers 4",
 		"ldrsim -proto ldr -mobility manhattan -traffic bursty",
 		"ldrsim -proto olsr -radio asym -density gradient  # one-way links, uneven placement",
+		"ldrsim -proto olsr -nodes 100 -width 2200 -height 600 -pause 0s -cpuprofile cell.pprof  # make profile-cell",
 	); err != nil {
 		return err
 	}
@@ -79,6 +82,12 @@ func run() error {
 	if *speed <= 0 {
 		return fmt.Errorf("-maxspeed must be positive (got %.1f)", *speed)
 	}
+
+	stop, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer stop()
 
 	// Stop at the next event boundary on ^C/SIGTERM and report the
 	// partial metrics; a second signal falls through to the default

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -74,6 +76,58 @@ func List(value string, resolve func(name string) error) ([]string, error) {
 		names = append(names, name)
 	}
 	return names, nil
+}
+
+// Profile is -cpuprofile and -memprofile (ldrsim for one cell, ldrbench
+// for a whole table).
+type Profile struct {
+	cpu, mem string
+}
+
+func (p *Profile) Bind(fs *flag.FlagSet) {
+	fs.StringVar(&p.cpu, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&p.mem, "memprofile", "", "write an allocation profile to this file at exit")
+}
+
+// Start begins the CPU profile, if one was asked for. The stop function
+// it returns ends it and writes the allocation profile; call it once, on
+// the way out.
+func (p *Profile) Start() (stop func(), err error) {
+	var cpu *os.File
+	if p.cpu != "" {
+		if cpu, err = os.Create(p.cpu); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				Logf("cpuprofile: %v", err)
+			}
+		}
+		if p.mem == "" {
+			return
+		}
+		f, err := os.Create(p.mem)
+		if err != nil {
+			Logf("memprofile: %v", err)
+			return
+		}
+		// alloc_space/alloc_objects cover the whole run even though the
+		// snapshot is taken at exit; GC first so inuse numbers are live.
+		runtime.GC()
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			Logf("memprofile: %v", err)
+		}
+		if err := f.Close(); err != nil {
+			Logf("memprofile: %v", err)
+		}
+	}, nil
 }
 
 // Run is -seed and -workers, which every scenario-running command
