@@ -150,9 +150,9 @@ func dropExpired(ts []held, now time.Duration) []held {
 // shares the TC's ANSN and expiry and a fresh TC replaces the whole set,
 // so the set is one record: the last hop is the index, dests the
 // advertised selectors other than us in the order the TC listed them
-// (recompute does not care, see there). No dests means no tuples: ansn is
-// then meaningless, as it was when the last tuple left the map this
-// replaces.
+// (recompute does not care, see there). No dests means the originator has
+// no tuples here, and ansn is then meaningless: a TC is stale only against
+// tuples that exist.
 type originator struct {
 	ansn   uint16
 	expiry time.Duration
@@ -179,7 +179,7 @@ type OLSR struct {
 	// Scratch reused across calls, so a warm recompute or MPR selection
 	// allocates nothing.
 	ids     []int32 // recompute's queue; recomputeMPRs' symmetric neighbors
-	reached []int32 // recomputeMPRs: neighbors reaching each uncovered two-hop node
+	reached []int32 // recomputeMPRs' per-id coverage counts
 
 	dirty      bool
 	ansn       uint16
@@ -442,7 +442,7 @@ func (o *OLSR) handleHello(from routing.NodeID, h Hello) {
 	if l.symmetric {
 		i := 0
 		for _, n := range h.Neighbors {
-			if n.ID == me || n.ID < 0 || n.Code == LinkAsym {
+			if n.ID == me || n.Code == LinkAsym {
 				continue
 			}
 			id := int32(n.ID)
@@ -464,7 +464,7 @@ func (o *OLSR) handleHello(from routing.NodeID, h Hello) {
 
 func (o *OLSR) handleTC(from routing.NodeID, tc TC) {
 	me := o.node.ID()
-	if tc.Origin == me || tc.Origin < 0 {
+	if tc.Origin == me {
 		return
 	}
 	now := o.node.Now()
@@ -501,7 +501,7 @@ func (o *OLSR) handleTC(from routing.NodeID, tc TC) {
 			og.ansn, og.expiry = tc.ANSN, now+topologyHold
 			og.dests = og.dests[:0]
 			for _, sel := range tc.Selectors {
-				if sel != me && sel >= 0 {
+				if sel != me {
 					og.dests = append(og.dests, int32(sel))
 				}
 			}
