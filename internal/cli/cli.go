@@ -89,44 +89,43 @@ func (p *Profile) Bind(fs *flag.FlagSet) {
 	fs.StringVar(&p.mem, "memprofile", "", "write an allocation profile to this file at exit")
 }
 
-// Start begins the CPU profile, if one was asked for. The stop function
-// it returns ends it and writes the allocation profile; call it once, on
-// the way out.
+// Start creates the profile files that were asked for, so that a bad path
+// fails before the run rather than after it, and begins the CPU profile.
+// The stop function it returns ends it and writes the allocation profile;
+// call it once, on the way out.
 func (p *Profile) Start() (stop func(), err error) {
-	var cpu *os.File
+	var cpu, mem *os.File
 	if p.cpu != "" {
 		if cpu, err = os.Create(p.cpu); err != nil {
 			return nil, err
 		}
-		if err := pprof.StartCPUProfile(cpu); err != nil {
-			cpu.Close()
+	}
+	if p.mem != "" {
+		if mem, err = os.Create(p.mem); err != nil {
 			return nil, err
 		}
 	}
+	if cpu != nil {
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			return nil, err
+		}
+	}
+	finish := func(name string, f *os.File, write func() error) {
+		if f == nil {
+			return
+		}
+		if err := errors.Join(write(), f.Close()); err != nil {
+			Logf("%s: %v", name, err)
+		}
+	}
 	return func() {
-		if cpu != nil {
-			pprof.StopCPUProfile()
-			if err := cpu.Close(); err != nil {
-				Logf("cpuprofile: %v", err)
-			}
-		}
-		if p.mem == "" {
-			return
-		}
-		f, err := os.Create(p.mem)
-		if err != nil {
-			Logf("memprofile: %v", err)
-			return
-		}
-		// alloc_space/alloc_objects cover the whole run even though the
-		// snapshot is taken at exit; GC first so inuse numbers are live.
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			Logf("memprofile: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			Logf("memprofile: %v", err)
-		}
+		finish("cpuprofile", cpu, func() error { pprof.StopCPUProfile(); return nil })
+		finish("memprofile", mem, func() error {
+			// alloc_space/alloc_objects cover the whole run even though the
+			// snapshot is taken at exit; GC first so inuse numbers are live.
+			runtime.GC()
+			return pprof.WriteHeapProfile(mem)
+		})
 	}, nil
 }
 
