@@ -128,7 +128,7 @@ type DSR struct {
 	cfg  Config
 
 	cache   *pathCache
-	reqSeen map[reqKey]struct{}
+	reqSeen map[reqKey]time.Duration // (origin, id) → when the entry expires
 
 	ondemand.Discoveries // active discoveries and the data buffered behind them
 
@@ -152,7 +152,7 @@ func New(node *routing.Node, cfg Config) *DSR {
 		node:    node,
 		cfg:     cfg,
 		cache:   newPathCache(node.ID(), cacheCapacity, cacheLifetime),
-		reqSeen: make(map[reqKey]struct{}),
+		reqSeen: make(map[reqKey]time.Duration),
 	}
 	d.Discoveries = ondemand.NewDiscoveries(node, d)
 	return d
@@ -164,13 +164,14 @@ func (d *DSR) Start() {}
 // Reset implements routing.Resetter: a crash empties the route cache,
 // the duplicate-request memory, buffered data, and active discoveries.
 // DSR keeps no sequence numbers, so nothing needs stable storage; only
-// the request-ID counter survives (see the note on AODV's Reset). Stale
-// delete closures scheduled against the old reqSeen map fire harmlessly
-// against the fresh one.
+// the request-ID counter survives (see the note on AODV's Reset). Expiry
+// timers armed before the crash still fire, against the fresh reqSeen
+// map; each checks the entry's own expiry time, so it cannot evict an
+// entry learned again after the reboot.
 func (d *DSR) Reset() {
 	d.Discoveries.Reset()
 	d.cache = newPathCache(d.node.ID(), cacheCapacity, cacheLifetime)
-	d.reqSeen = make(map[reqKey]struct{})
+	d.reqSeen = make(map[reqKey]time.Duration)
 }
 
 // --- data plane ---
@@ -400,9 +401,13 @@ func (d *DSR) handleRREQ(q RREQ) {
 	if _, seen := d.reqSeen[key]; seen {
 		return
 	}
-	d.reqSeen[key] = struct{}{}
-	d.node.Schedule(ondemand.RREQCacheLife, func() { delete(d.reqSeen, key) })
 	now := d.node.Now()
+	d.reqSeen[key] = now + ondemand.RREQCacheLife
+	d.node.Schedule(ondemand.RREQCacheLife, func() {
+		if exp, ok := d.reqSeen[key]; ok && exp <= d.node.Now() {
+			delete(d.reqSeen, key)
+		}
+	})
 
 	// Learn the reverse of the accumulated record (symmetric links).
 	d.cache.add(append([]routing.NodeID{me}, reverse(q.Route)...), now)

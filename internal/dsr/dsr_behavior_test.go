@@ -174,3 +174,44 @@ func (p *probe) HandleData(from routing.NodeID, pkt *routing.DataPacket) {
 	}
 	p.inner.HandleData(from, pkt)
 }
+
+// TestDuplicateRequestMemorySurvivesStaleExpiryTimer: the expiry timer
+// armed when a request was first seen outlives a crash, and fires against
+// the map the rebooted node filled afresh. It must not evict the entry
+// the node learned again after the reboot: that entry has its own cache
+// life to run, and until it ends a further copy is a duplicate.
+func TestDuplicateRequestMemorySurvivesStaleExpiryTimer(t *testing.T) {
+	// 0 and 1 are neighbours; the target 2 is out of everyone's range, so
+	// node 1 answers nothing from its cache and every copy it accepts is
+	// rebroadcast exactly once.
+	pts := []mobility.Point{{X: 0}, {X: 200}, {X: 5000}}
+	nw := buildNet(mobility.NewStatic(pts), 4, dsr.DefaultConfig())
+	nw.Start()
+	d := dsrAt(nw, 1)
+	req := dsr.RREQ{Origin: 0, ReqID: 7, Target: 2, Route: []routing.NodeID{0}, TTL: 5}
+	relayed := func() uint64 { return nw.Collector.ControlTransmitted(metrics.RREQ) }
+
+	nw.Sim.At(0, func() { d.HandleControl(0, req) }) // first sight: expiry timer for t=6s
+	nw.Sim.At(time.Second, func() {
+		if got := relayed(); got != 1 {
+			t.Errorf("first copy relayed %d times, want 1", got)
+		}
+		d.Reset()
+	})
+	nw.Sim.At(2*time.Second, func() { d.HandleControl(0, req) }) // re-learned: good until t=8s
+	nw.Sim.At(7*time.Second, func() {
+		if got := relayed(); got != 2 {
+			t.Errorf("copy after the reboot relayed %d times in total, want 2", got)
+		}
+		d.HandleControl(0, req) // the pre-crash timer fired a second ago
+	})
+	nw.Sim.At(9*time.Second, func() { d.HandleControl(0, req) }) // the entry's own life is over
+	nw.Sim.Run(7500 * time.Millisecond)
+	if got := relayed(); got != 2 {
+		t.Errorf("a copy inside the re-learned entry's cache life was relayed (%d in total, want 2): the pre-crash timer evicted it", got)
+	}
+	nw.Sim.Run(10 * time.Second)
+	if got := relayed(); got != 3 {
+		t.Errorf("%d relays after the entry's own expiry, want 3: the guard must not keep entries forever", got)
+	}
+}
