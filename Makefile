@@ -185,16 +185,14 @@ profile-cell:
 		-flows 10 -pause 0s -simtime $(SIMTIME) -cpuprofile profiles/cell.cpu.pprof
 	$(GO) tool pprof -top -nodecount 30 profiles/ldrsim profiles/cell.cpu.pprof
 
-# Every benchmark family gated against its committed BENCH_*.json
-# baseline: a >10% B/op or allocs/op regression in any of the four fails
-# the target and leaves that committed baseline untouched. This is CI's
-# bench-gate job.
-bench-gate: bench-sweep bench-modelcheck
-	$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	$(GO) test -run '^$$' -bench AttackImpact -benchtime 2x \
-		./internal/adversary/ | tee /dev/stderr | /tmp/benchjson -o BENCH_adversary.json -maxregress 10
-	$(GO) test -run '^$$' -bench AuditOverhead -benchtime 3x \
-		./internal/fault/ | tee /dev/stderr | /tmp/benchjson -o BENCH_chaos.json -maxregress 10
+# CI's bench-gate job. Two families are gated against their committed
+# BENCH_*.json baseline (sweep/radio/OLSR and modelcheck: a >10% B/op or
+# allocs/op regression fails the target and leaves the baseline
+# untouched). The adversary and chaos families record delivery, overhead
+# and ns/op figures only — no B/op or allocs/op, so there is nothing for
+# -maxregress to compare — and are re-run here so that they still build,
+# run and pass their own in-benchmark assertions; they gate nothing else.
+bench-gate: bench-sweep bench-modelcheck bench-adversary bench-chaos
 
 # One benchmark per paper table/figure plus the engine and coordination
 # benches, at reduced scale.

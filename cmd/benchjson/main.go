@@ -46,8 +46,9 @@ func main() {
 		fmt.Fprintf(w, "metrics (ns/op, B/op, allocs/op) and custom b.ReportMetric units are\n")
 		fmt.Fprintf(w, "all captured; non-benchmark lines are ignored.\n\n")
 		fmt.Fprintf(w, "With -maxregress, the existing -o file is the committed baseline: if\n")
-		fmt.Fprintf(w, "any benchmark's B/op or allocs/op grew by more than PCT%%, the baseline\n")
-		fmt.Fprintf(w, "is left untouched and benchjson exits non-zero.\n\nFlags:\n")
+		fmt.Fprintf(w, "any benchmark's B/op or allocs/op grew by more than PCT%%, or if no\n")
+		fmt.Fprintf(w, "benchmark reports either unit on both sides (a gate that compared\n")
+		fmt.Fprintf(w, "nothing), the baseline is left untouched and benchjson exits non-zero.\n\nFlags:\n")
 		flag.PrintDefaults()
 		fmt.Fprintf(w, "\nExamples:\n")
 		fmt.Fprintf(w, "  go test -bench Sweep -benchmem ./internal/sweep/ | benchjson -o BENCH_sweep.json\n")
@@ -76,7 +77,13 @@ func main() {
 
 	if *maxRegress > 0 {
 		if base, err := loadReport(*out); err == nil {
-			if regressions := compare(base, rep, *maxRegress); len(regressions) > 0 {
+			regressions, compared := compare(base, rep, *maxRegress)
+			if compared == 0 {
+				fmt.Fprintf(os.Stderr, "benchjson: -maxregress compared nothing: no benchmark in both %s and stdin reports B/op or allocs/op (run the benchmarks with -benchmem); %s left untouched\n",
+					*out, *out)
+				os.Exit(1)
+			}
+			if len(regressions) > 0 {
 				for _, r := range regressions {
 					fmt.Fprintln(os.Stderr, "benchjson: regression:", r)
 				}
@@ -120,15 +127,15 @@ func loadReport(path string) (*Report, error) {
 }
 
 // compare flags every benchmark present in both reports whose B/op or
-// allocs/op grew by more than maxPct percent over the baseline. Benchmark
-// names include the GOMAXPROCS suffix, so baselines only gate runs on
-// comparable machines.
-func compare(base, cur *Report, maxPct float64) []string {
+// allocs/op grew by more than maxPct percent over the baseline, and
+// counts the (benchmark, unit) pairs it could compare at all — zero means
+// the gate checked nothing. Benchmark names include the GOMAXPROCS
+// suffix, so baselines only gate runs on comparable machines.
+func compare(base, cur *Report, maxPct float64) (regressions []string, compared int) {
 	baseline := make(map[string]map[string]float64, len(base.Results))
 	for _, r := range base.Results {
 		baseline[r.Name] = r.Metrics
 	}
-	var regressions []string
 	for _, r := range cur.Results {
 		old, ok := baseline[r.Name]
 		if !ok {
@@ -140,13 +147,14 @@ func compare(base, cur *Report, maxPct float64) []string {
 			if !okOld || !okNew || was <= 0 {
 				continue
 			}
+			compared++
 			if growth := (now - was) / was * 100; growth > maxPct {
 				regressions = append(regressions, fmt.Sprintf(
 					"%s %s %.0f -> %.0f (+%.1f%%)", r.Name, unit, was, now, growth))
 			}
 		}
 	}
-	return regressions
+	return regressions, compared
 }
 
 func parse(sc *bufio.Scanner) (*Report, error) {

@@ -2,9 +2,86 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// TestMain lets the test binary stand in for the command: re-executed
+// with BENCHJSON_BE_MAIN set it runs main, so tests see real exit codes.
+func TestMain(m *testing.M) {
+	if os.Getenv("BENCHJSON_BE_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// benchjson runs the command on stdin with args and returns its exit
+// code and stderr.
+func benchjson(t *testing.T, stdin string, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "BENCHJSON_BE_MAIN=1")
+	cmd.Stdin = strings.NewReader(stdin)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); ok {
+		return ee.ExitCode(), stderr.String()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 0, stderr.String()
+}
+
+// TestMaxRegressFailsWhenNothingCompared: a gate whose two sides share no
+// B/op or allocs/op figure (the benchmarks ran without -benchmem) checked
+// nothing and must say so with a failing exit, not pass; the baseline
+// stays as committed. With the figures present the same gate passes,
+// rewrites the baseline, and still catches a regression.
+func TestMaxRegressFailsWhenNothingCompared(t *testing.T) {
+	const (
+		timeOnly = "BenchmarkAuditOverhead-4 3 1000 ns/op 41.5 audit-overhead-%\n"
+		withMem  = "BenchmarkAuditOverhead-4 3 1000 ns/op 2048 B/op 10 allocs/op\n"
+		fatter   = "BenchmarkAuditOverhead-4 3 1000 ns/op 4096 B/op 10 allocs/op\n"
+	)
+	file := filepath.Join(t.TempDir(), "BENCH.json")
+	if code, stderr := benchjson(t, timeOnly, "-o", file); code != 0 {
+		t.Fatalf("recording a baseline: exit %d: %s", code, stderr)
+	}
+	before, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	code, stderr := benchjson(t, timeOnly, "-o", file, "-maxregress", "10")
+	if code == 0 || !strings.Contains(stderr, "compared nothing") {
+		t.Errorf("gate with no memory figures on either side: exit %d, stderr %q; want a failure that says nothing was compared", code, stderr)
+	}
+	code, _ = benchjson(t, withMem, "-o", file, "-maxregress", "10")
+	if code == 0 {
+		t.Error("gate with memory figures on one side only passed")
+	}
+	if after, _ := os.ReadFile(file); !bytes.Equal(before, after) {
+		t.Error("a failed gate rewrote the baseline")
+	}
+
+	if code, stderr := benchjson(t, withMem, "-o", file); code != 0 {
+		t.Fatalf("re-recording the baseline: exit %d: %s", code, stderr)
+	}
+	if code, stderr := benchjson(t, withMem, "-o", file, "-maxregress", "10"); code != 0 {
+		t.Errorf("gate with equal memory figures: exit %d: %s", code, stderr)
+	}
+	code, stderr = benchjson(t, fatter, "-o", file, "-maxregress", "10")
+	if code == 0 || !strings.Contains(stderr, "regression") {
+		t.Errorf("gate with doubled B/op: exit %d, stderr %q; want a regression failure", code, stderr)
+	}
+}
 
 func TestParse(t *testing.T) {
 	in := `goos: linux

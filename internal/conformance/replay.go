@@ -1,9 +1,9 @@
 // Record/replay: the full routing.TraceEvent stream of a run is encoded
 // to a compact varint log, together with a fingerprint of the run's
 // random-draw and event counts. Two runs of the same scenario must
-// produce byte-identical logs — across sweep worker counts, across grid
-// fast-path settings — and when they do not, Diff pins the divergence to
-// the first event that differs.
+// produce byte-identical logs — across sweep worker counts, across
+// repeated runs in one process — and when they do not, Diff pins the
+// divergence to the first event that differs.
 
 package conformance
 

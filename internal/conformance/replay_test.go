@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/manetlab/ldr/internal/fault"
 	"github.com/manetlab/ldr/internal/metrics"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 	"github.com/manetlab/ldr/internal/scenario"
 	"github.com/manetlab/ldr/internal/sweep"
@@ -150,37 +150,37 @@ func TestCaptureWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestGridFastPathInvariance: shrinking the spatial grid's staleness
-// window changes how receiver candidates are found but must not change
-// a single delivered frame — the second nondeterminism probe (same
-// seed, with/without the grid fast path's amortization).
-func TestGridFastPathInvariance(t *testing.T) {
-	base := replayConfig(11)
-	a, err := Capture(base)
+// TestLossyTraceHasOneAnswer: under delivery faults a seed names one run.
+// The fault stream is drawn once per reception, so the order in which a
+// transmission visits its receivers decides which frame each draw lands
+// on. While the radio found receivers through a spatial hash, that order
+// was the buckets' insertion history, and this very cell — 50 nodes,
+// seed 3, 60 s, "lossy" — delivered 240 packets with the hash's default
+// 100 ms re-bucketing window and 249 with a 2 ms one (first divergence
+// at trace event 2776): the result depended on a performance setting.
+// Receivers are now visited in ascending node id, a function of the
+// scenario alone, and there is no setting left to vary, so the test pins
+// the one answer id order yields; only a deliberate change to the
+// reception order, the fault draws or LDR itself may move it.
+func TestLossyTraceHasOneAnswer(t *testing.T) {
+	cfg := scenario.Nodes50(scenario.LDR, 10, 0, 3)
+	cfg.SimTime = 60 * time.Second
+	plan, err := fault.Profile("lossy", cfg.Nodes, cfg.SimTime)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight := radio.DefaultConfig()
-	tight.GridWindow = 2 * time.Millisecond // re-bucket ~50× more often
-	withOverride := base
-	withOverride.RadioConfig = &tight
-	b, err := Capture(withOverride)
+	cfg.FaultPlan = &plan
+	log, err := Capture(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := diffEvents(a, b); d != nil {
-		t.Fatalf("grid window changed the packet trace: %v", d)
+	want := Fingerprint{
+		TraceEvents: 7458, SimEvents: 2063163, RNGDraws: 3778993,
+		Initiated: 2360, Delivered: 221, Dropped: 1976, Transmitted: 2901,
 	}
-}
-
-// diffEvents compares only the event streams, ignoring fingerprints:
-// the grid-window probe legitimately changes how often positions are
-// recomputed (and so simulator event counts) without being allowed to
-// change any packet event.
-func diffEvents(a, b *Log) *Divergence {
-	ca, cb := *a, *b
-	ca.Fingerprint, cb.Fingerprint = Fingerprint{}, Fingerprint{}
-	return Diff(&ca, &cb)
+	if log.Fingerprint != want {
+		t.Errorf("lossy cell diverged from the id-order run:\n got  %+v\n want %+v", log.Fingerprint, want)
+	}
 }
 
 // TestDiffPinpointsFirstDivergence: synthetic logs differing at a known

@@ -2,9 +2,10 @@
 // journaled sweep panics (or hangs past its watchdog grace), the sweep's
 // failure hook lands here: the cell's scenario.Config is folded back
 // into a portable Spec — the same JSON format ldrfuzz and ldrcheck emit
-// and `ldrfuzz -replay` consumes — and written durably next to the
-// journal, so the failure replays standalone without re-running the
-// sweep.
+// and LoadSpec reads — and written durably next to the journal, so the
+// failure replays standalone (LoadSpec + CheckSpec; dropping the file
+// into testdata/ makes TestRegressionSeeds do exactly that) without
+// re-running the sweep.
 
 package conformance
 
@@ -110,9 +111,6 @@ func SpecFromConfig(cfg scenario.Config) (Spec, error) {
 	if cfg.LDRConfig != nil {
 		lost = append(lost, "LDR parameter overrides")
 	}
-	if cfg.RadioConfig != nil {
-		lost = append(lost, "radio parameter overrides")
-	}
 	for _, l := range lost {
 		if s.Note != "" {
 			s.Note += "; "
@@ -128,7 +126,8 @@ func SpecFromConfig(cfg scenario.Config) (Spec, error) {
 // EmitReproducer writes spec as a standalone JSON seed under dir, named
 // by content hash (repro-<12 hex>.json), with the full durable-write
 // protocol. The file is in the same format as committed regression seeds
-// and replays via LoadSpec + CheckSpec or `ldrfuzz -replay`.
+// and replays via LoadSpec + CheckSpec, which is what TestRegressionSeeds
+// runs on every file in testdata/; no command has a replay flag.
 func EmitReproducer(dir string, spec Spec) (string, error) {
 	blob, err := json.MarshalIndent(spec, "", "  ")
 	if err != nil {

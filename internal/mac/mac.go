@@ -73,10 +73,10 @@ func DefaultConfig() Config {
 
 // FrameHandler receives a frame's completion events without per-frame
 // closures: one handler instance (the network layer) serves every frame
-// it sends. FrameSent/FrameFailed mirror OnSent/OnFail; FrameReleased
-// fires once the MAC and radio are completely done with the frame — no
-// queued, in-flight, or fault-delayed reference remains — and is where a
-// pooling network layer reclaims the frame and its payload.
+// it sends. FrameReleased fires once the MAC and radio are completely
+// done with the frame — no queued, in-flight, or fault-delayed reference
+// remains — and is where a pooling network layer reclaims the frame and
+// its payload.
 type FrameHandler interface {
 	FrameSent(f *Frame)     // frame left the interface (broadcast) or was ACKed (unicast)
 	FrameFailed(f *Frame)   // unicast retry limit exhausted or queue overflow
@@ -84,17 +84,13 @@ type FrameHandler interface {
 }
 
 // Frame is one network-layer packet handed to the MAC for transmission.
-// Completion is reported through Handler when set, else through the
-// OnSent/OnFail closures (Handler avoids the per-frame closure
-// allocations on the hot path; the closures remain for tests and simple
-// callers).
+// Completion is reported through Handler when set; a frame without one
+// is fire-and-forget.
 type Frame struct {
 	To      int          // destination MAC address, BroadcastAddr for broadcast
 	Bytes   int          // network-layer size in bytes (MAC adds HeaderBytes)
 	Payload any          // opaque network-layer packet
 	Handler FrameHandler // optional completion/release target
-	OnSent  func()       // optional: frame left the interface (broadcast) or was ACKed (unicast)
-	OnFail  func()       // optional: unicast retry limit exhausted
 
 	// Failed reports how the frame completed (set before FrameFailed and
 	// FrameReleased fire); a frame wiped by Reset is also marked failed.
@@ -281,11 +277,10 @@ func (m *MAC) Down() bool { return m.down }
 // Reset models a power-cycle: the interface queue, any in-flight
 // exchange, backoff state, NAV, and the receiver's duplicate-suppression
 // memory are discarded, and every pending timer or scheduled continuation
-// is disarmed. Dropped frames invoke no OnSent/OnFail/FrameSent/
-// FrameFailed callbacks — the state that would have handled them died
-// with the node — but their queue references are dropped so the frames
-// still reach FrameReleased (marked Failed) once the radio is done with
-// them.
+// is disarmed. Dropped frames invoke no FrameSent/FrameFailed callbacks
+// — the state that would have handled them died with the node — but
+// their queue references are dropped so the frames still reach
+// FrameReleased (marked Failed) once the radio is done with them.
 func (m *MAC) Reset() {
 	m.epoch++
 	m.ackTimer.Cancel()
@@ -323,8 +318,6 @@ func (m *MAC) Send(f *Frame) {
 		f.Failed = true
 		if f.Handler != nil {
 			f.Handler.FrameFailed(f)
-		} else if f.OnFail != nil {
-			f.OnFail()
 		}
 		f.release()
 		return
@@ -541,15 +534,11 @@ func (m *MAC) completeHead(ok bool) {
 	if ok {
 		if f.Handler != nil {
 			f.Handler.FrameSent(f)
-		} else if f.OnSent != nil {
-			f.OnSent()
 		}
 	} else {
 		f.Failed = true
 		if f.Handler != nil {
 			f.Handler.FrameFailed(f)
-		} else if f.OnFail != nil {
-			f.OnFail()
 		}
 	}
 	f.release()

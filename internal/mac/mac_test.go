@@ -38,19 +38,28 @@ func newRig(pts []mobility.Point) *rig {
 	return r
 }
 
+// recorder is the tests' mac.FrameHandler: it counts one or more frames'
+// completion events and notes when the last one was sent.
+type recorder struct {
+	s                      *sim.Simulator
+	sent, failed, released int
+	sentAt                 time.Duration
+}
+
+func (r *recorder) FrameSent(*mac.Frame)     { r.sent++; r.sentAt = r.s.Now() }
+func (r *recorder) FrameFailed(*mac.Frame)   { r.failed++ }
+func (r *recorder) FrameReleased(*mac.Frame) { r.released++ }
+
 func TestBroadcastReachesAllNeighbors(t *testing.T) {
 	r := newRig([]mobility.Point{{X: 0}, {X: 200}, {X: 250}, {X: 900}})
-	sent := false
+	rec := &recorder{s: r.s}
 	r.s.Schedule(0, func() {
-		r.macs[0].Send(&mac.Frame{
-			To: mac.BroadcastAddr, Bytes: 100, Payload: "bc",
-			OnSent: func() { sent = true },
-		})
+		r.macs[0].Send(&mac.Frame{To: mac.BroadcastAddr, Bytes: 100, Payload: "bc", Handler: rec})
 	})
 	r.s.RunAll()
 
-	if !sent {
-		t.Fatal("OnSent never fired for broadcast")
+	if rec.sent != 1 || rec.failed != 0 || rec.released != 1 {
+		t.Fatalf("broadcast completion events = %+v, want one FrameSent then one FrameReleased", *rec)
 	}
 	for _, id := range []int{1, 2} {
 		if len(r.received[id]) != 1 {
@@ -64,18 +73,14 @@ func TestBroadcastReachesAllNeighbors(t *testing.T) {
 
 func TestUnicastAckedAndDelivered(t *testing.T) {
 	r := newRig([]mobility.Point{{X: 0}, {X: 200}, {X: 250}})
-	var acked bool
+	rec := &recorder{s: r.s}
 	r.s.Schedule(0, func() {
-		r.macs[0].Send(&mac.Frame{
-			To: 1, Bytes: 512, Payload: "uni",
-			OnSent: func() { acked = true },
-			OnFail: func() { t.Error("unexpected OnFail") },
-		})
+		r.macs[0].Send(&mac.Frame{To: 1, Bytes: 512, Payload: "uni", Handler: rec})
 	})
 	r.s.RunAll()
 
-	if !acked {
-		t.Fatal("unicast never acknowledged")
+	if rec.sent != 1 || rec.failed != 0 || rec.released != 1 {
+		t.Fatalf("acknowledged unicast completion events = %+v, want one FrameSent, no FrameFailed", *rec)
 	}
 	if len(r.received[1]) != 1 || r.received[1][0].Payload != "uni" {
 		t.Fatalf("destination received %v", r.received[1])
@@ -92,18 +97,14 @@ func TestUnicastAckedAndDelivered(t *testing.T) {
 func TestUnicastToAbsentNodeFails(t *testing.T) {
 	// Node 1 exists but is out of range: no ACK can ever come back.
 	r := newRig([]mobility.Point{{X: 0}, {X: 5000}})
-	failed := false
+	rec := &recorder{s: r.s}
 	r.s.Schedule(0, func() {
-		r.macs[0].Send(&mac.Frame{
-			To: 1, Bytes: 512, Payload: "lost",
-			OnSent: func() { t.Error("unexpected OnSent") },
-			OnFail: func() { failed = true },
-		})
+		r.macs[0].Send(&mac.Frame{To: 1, Bytes: 512, Payload: "lost", Handler: rec})
 	})
 	r.s.RunAll()
 
-	if !failed {
-		t.Fatal("OnFail never fired for unreachable destination")
+	if rec.failed != 1 || rec.sent != 0 || rec.released != 1 {
+		t.Fatalf("unreachable unicast completion events = %+v, want one FrameFailed, no FrameSent", *rec)
 	}
 	st := r.macs[0].Stats()
 	wantAttempts := uint64(mac.DefaultConfig().RetryLimit + 1)
@@ -118,21 +119,18 @@ func TestUnicastToAbsentNodeFails(t *testing.T) {
 func TestQueueOverflowDrops(t *testing.T) {
 	cfgQ := mac.DefaultConfig().QueueCap
 	r := newRig([]mobility.Point{{X: 0}, {X: 5000}})
-	drops := 0
+	rec := &recorder{s: r.s}
 	r.s.Schedule(0, func() {
 		for i := 0; i < cfgQ+10; i++ {
-			r.macs[0].Send(&mac.Frame{
-				To: 1, Bytes: 100, Payload: i,
-				OnFail: func() { drops++ },
-			})
+			r.macs[0].Send(&mac.Frame{To: 1, Bytes: 100, Payload: i, Handler: rec})
 		}
 	})
 	r.s.Run(time.Second)
 	if r.macs[0].Stats().QueueDrops != 10 {
 		t.Fatalf("queue drops = %d, want 10", r.macs[0].Stats().QueueDrops)
 	}
-	if drops < 10 {
-		t.Fatalf("OnFail fired %d times, want ≥ 10 immediate drops", drops)
+	if rec.failed < 10 {
+		t.Fatalf("FrameFailed fired %d times, want ≥ 10 immediate drops", rec.failed)
 	}
 }
 

@@ -44,13 +44,13 @@ func newRTSRigCS(pts []mobility.Point, enabled bool, csRange float64) *rtsRig {
 
 func TestRTSCTSUnicastSucceeds(t *testing.T) {
 	r := newRTSRig([]mobility.Point{{X: 0}, {X: 200}}, true)
-	acked := false
+	rec := &recorder{s: r.s}
 	r.s.Schedule(0, func() {
-		r.macs[0].Send(&mac.Frame{To: 1, Bytes: 512, Payload: "x", OnSent: func() { acked = true }})
+		r.macs[0].Send(&mac.Frame{To: 1, Bytes: 512, Payload: "x", Handler: rec})
 	})
 	r.s.RunAll()
-	if !acked || r.received[1] != 1 {
-		t.Fatalf("acked=%v received=%d", acked, r.received[1])
+	if rec.sent != 1 || r.received[1] != 1 {
+		t.Fatalf("acked=%d received=%d", rec.sent, r.received[1])
 	}
 	if r.macs[0].Stats().RTSSent == 0 {
 		t.Fatal("no RTS was sent despite RTS/CTS being enabled")
@@ -93,7 +93,7 @@ func TestNAVDefersThirdParty(t *testing.T) {
 	// defer its transmission past the end of the 0→1 exchange.
 	pts := []mobility.Point{{X: 0}, {X: 250}, {X: 500}}
 	r := newRTSRigCS(pts, true, 275)
-	var thirdPartyDone time.Duration
+	thirdParty := &recorder{s: r.s}
 	r.s.Schedule(0, func() {
 		r.macs[0].Send(&mac.Frame{To: 1, Bytes: 512, Payload: "big"})
 	})
@@ -101,8 +101,7 @@ func TestNAVDefersThirdParty(t *testing.T) {
 	// backoff 670 µs + RTS + SIFS + CTS ≈ 1.0 ms) and ends no earlier
 	// than 2.8 ms after it started.
 	r.s.Schedule(1200*time.Microsecond, func() {
-		r.macs[2].Send(&mac.Frame{To: 1, Bytes: 100, Payload: "later",
-			OnSent: func() { thirdPartyDone = r.s.Now() }})
+		r.macs[2].Send(&mac.Frame{To: 1, Bytes: 100, Payload: "later", Handler: thirdParty})
 	})
 	r.s.RunAll()
 
@@ -112,8 +111,8 @@ func TestNAVDefersThirdParty(t *testing.T) {
 	if got := r.macs[2].Stats().Retries; got != 0 {
 		t.Fatalf("third party needed %d retries; NAV should have prevented the collision", got)
 	}
-	if thirdPartyDone < 2500*time.Microsecond {
-		t.Fatalf("third party finished at %v, inside the NAV window", thirdPartyDone)
+	if thirdParty.sent != 1 || thirdParty.sentAt < 2500*time.Microsecond {
+		t.Fatalf("third party finished at %v (sent=%d), inside the NAV window", thirdParty.sentAt, thirdParty.sent)
 	}
 }
 

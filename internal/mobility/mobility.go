@@ -61,8 +61,9 @@ type WaypointConfig struct {
 // function of (seed, node, time): legs are advanced lazily on Position
 // queries, and neither the order of queries across nodes nor how often a
 // node is queried changes where anyone ends up. This query-pattern
-// invariance is what allows the radio's spatial grid to skip position
-// lookups for far-away nodes without perturbing the simulation.
+// invariance is what makes it harmless that the radio asks for every
+// node's position on every transmission while analysis tools, fault
+// hooks and tests ask for whichever nodes they like in between.
 type Waypoint struct {
 	cfg   WaypointConfig
 	nodes []waypointState

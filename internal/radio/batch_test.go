@@ -109,7 +109,7 @@ func newBatchWorld(t *testing.T, model, oracle mobility.Model, cfg radio.Config,
 
 	// Bursts of kicks a few hundred microseconds apart (frames last 0.4 to
 	// 0.9 ms, so they overlap, collide and queue behind each other), the
-	// bursts seconds apart so that moving nodes change cells in between.
+	// bursts seconds apart so that moving nodes change neighbours in between.
 	// Links go down and come back between bursts.
 	r := rng.New(seed + 1000)
 	for burst := 0; burst < 12; burst++ {

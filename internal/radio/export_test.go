@@ -5,7 +5,7 @@ import "time"
 // TransmitPerReceiver is the reference schedule Transmit is checked
 // against: the same frame, sender bookkeeping and receiver scan, but every
 // receiver gets a one-reception record with its own start and its own end
-// event, created in candidate order. The signal handling itself
+// event, created in ascending id. The signal handling itself
 // (signalStart, signalEnd, checkIdle, deliverFaulty) is shared; only the
 // grouping of receptions into events differs.
 func (m *Medium) TransmitPerReceiver(src, bits int, payload any) time.Duration {
@@ -23,11 +23,8 @@ func (m *Medium) TransmitPerReceiver(src, bits int, payload any) time.Duration {
 	}
 	m.sim.ScheduleTransient(air, m.idleFn, nil, uint64(src))
 
-	m.maybeRefresh()
 	srcPos := m.position(src)
-	m.cand = m.grid.appendCandidates(srcPos, m.cand[:0])
-	for _, c := range m.cand {
-		i := int(c)
+	for i := range m.nodes {
 		if i == src || m.nodes[i].rx == nil {
 			continue
 		}
@@ -42,7 +39,7 @@ func (m *Medium) TransmitPerReceiver(src, bits int, payload any) time.Duration {
 		tx := &transmission{
 			from:    int32(src),
 			payload: payload,
-			recs:    []reception{{dst: c, decodable: d <= m.txRange[src]}},
+			recs:    []reception{{dst: int32(i), decodable: d <= m.txRange[src]}},
 		}
 		ref(payload)
 		m.sim.ScheduleTransient(m.cfg.PropDelay, m.startFn, tx, 0)

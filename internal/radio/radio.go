@@ -15,10 +15,12 @@
 // The paper's simulations use "the MAC layer with a 275 m transmission
 // range" at 2 Mb/s; those are the defaults here.
 //
-// Receiver lookup is a uniform spatial-hash grid (see grid.go) instead of
-// an O(N) scan over all nodes, and node positions are computed at most
-// once per transmit instant and cached, so the per-frame cost scales with
-// the local node density rather than the network size.
+// Receiver lookup is one exact scan over the nodes in ascending id, so a
+// transmission's receptions — and every collision mark, MAC rx and
+// delivery-fault draw they cause — are in id order by construction. Node
+// positions are computed at most once per instant and cached. The scan is
+// O(N) per frame; every experiment in this repository runs at most 100
+// nodes (EXPERIMENTS.md records where a spatial index would start to pay).
 //
 // A transmission costs the event queue three events however many nodes
 // hear it: the sender's end-of-airtime idle check, one event in which the
@@ -28,7 +30,6 @@
 package radio
 
 import (
-	"sort"
 	"time"
 
 	"github.com/manetlab/ldr/internal/mobility"
@@ -60,17 +61,6 @@ type Config struct {
 	// stream. Empty keeps the uniform disk, byte-identical to a medium
 	// built before classes existed.
 	Classes []Class
-
-	// GridWindow bounds how stale a node's spatial-grid bucket may get:
-	// every node is re-bucketed at least once per window of virtual time.
-	// GridSlack pads the grid cell size beyond CSRange so the 3×3 cell
-	// lookup stays exhaustive while buckets age; it must be at least
-	// (max node speed) × GridWindow. The defaults (100 ms, 50 m) are
-	// exhaustive for node speeds up to 500 m/s. Zero values select the
-	// defaults. Receiver sets are exact regardless — candidates are
-	// always re-checked against exact positions.
-	GridWindow time.Duration
-	GridSlack  float64
 }
 
 // DefaultConfig matches the paper's simulation setup: 275 m transmission
@@ -150,12 +140,6 @@ type Medium struct {
 	pos     []mobility.Point
 	posTime []time.Duration
 
-	grid      *grid
-	gridTime  time.Duration // time of the last full re-bucketing
-	gridFresh bool
-
-	cand []int32 // scratch receiver-candidate buffer, reused per call
-
 	txPool runpool.Pool[transmission]
 
 	// Pre-bound event callbacks, so the hot path schedules no closures.
@@ -190,7 +174,7 @@ type nodeState struct {
 }
 
 // transmission is one frame in the air: the pooled record its start and
-// end events carry. Receptions live by value in recs, in candidate order;
+// end events carry. Receptions live by value in recs, in ascending dst;
 // nodeState.active points into the slice, which is safe because pointers
 // are taken only once Transmit has finished appending and every one is
 // dropped again before the record returns to the pool.
@@ -222,27 +206,7 @@ func New(s *sim.Simulator, model mobility.Model, cfg Config) *Medium {
 			cfg.Classes[i].CSRange = cfg.Classes[i].Range
 		}
 	}
-	if cfg.GridWindow <= 0 {
-		cfg.GridWindow = 100 * time.Millisecond
-	}
-	if cfg.GridSlack <= 0 {
-		cfg.GridSlack = 50
-	}
 	n := model.NumNodes()
-	// The grid's 3×3 lookup is exhaustive only if cells are at least as
-	// wide as the largest range any transmitter reaches, so with mixed
-	// classes the cell size must come from the class *maximum* — sizing
-	// it from a class minimum (or the global default) would silently drop
-	// far receivers of the strongest transmitters.
-	maxCS := cfg.CSRange
-	if len(cfg.Classes) > 0 {
-		maxCS = cfg.Classes[0].CSRange
-		for _, c := range cfg.Classes[1:] {
-			if c.CSRange > maxCS {
-				maxCS = c.CSRange
-			}
-		}
-	}
 	m := &Medium{
 		sim:     s,
 		model:   model,
@@ -252,7 +216,6 @@ func New(s *sim.Simulator, model mobility.Model, cfg Config) *Medium {
 		csRange: make([]float64, n),
 		pos:     make([]mobility.Point, n),
 		posTime: make([]time.Duration, n),
-		grid:    newGrid(n, maxCS+cfg.GridSlack),
 	}
 	for i := 0; i < n; i++ {
 		r, c := cfg.Range, cfg.CSRange
@@ -284,31 +247,14 @@ func (m *Medium) Attach(id int, rx ReceiverFunc) {
 }
 
 // position returns node id's position at the current instant, computing
-// it at most once per instant and keeping the node's grid bucket fresh.
+// it at most once per instant.
 func (m *Medium) position(id int) mobility.Point {
 	now := m.sim.Now()
 	if m.posTime[id] != now {
 		m.pos[id] = m.model.Position(id, now)
 		m.posTime[id] = now
-		m.grid.update(id, m.pos[id])
 	}
 	return m.pos[id]
-}
-
-// maybeRefresh re-buckets every node once the grid's staleness window has
-// elapsed, bounding how far any bucket can lag its node's true position.
-// Amortized cost: one O(N) position pass per GridWindow of virtual time,
-// versus one per transmission before the grid existed.
-func (m *Medium) maybeRefresh() {
-	now := m.sim.Now()
-	if m.gridFresh && now-m.gridTime <= m.cfg.GridWindow {
-		return
-	}
-	for i := range m.nodes {
-		m.position(i)
-	}
-	m.gridTime = now
-	m.gridFresh = true
 }
 
 // Busy reports whether node id currently senses the channel busy (a signal
@@ -348,7 +294,7 @@ func (m *Medium) AirTime(bits int) time.Duration {
 // radio faithfully transmits (and collides) regardless.
 //
 // The whole receiver set rides on two events: one at now+PropDelay that
-// starts the signal at every receiver in candidate order, one at
+// starts the signal at every receiver in ascending id, one at
 // now+PropDelay+air that ends it at every receiver in the same order.
 // That is the schedule one start and one end event per receiver would
 // produce, not an approximation of it. Such events would all be created
@@ -379,12 +325,9 @@ func (m *Medium) Transmit(src, bits int, payload any) time.Duration {
 	}
 	m.sim.ScheduleTransient(air, m.idleFn, nil, uint64(src))
 
-	m.maybeRefresh()
 	srcPos := m.position(src)
-	m.cand = m.grid.appendCandidates(srcPos, m.cand[:0])
 	tx := m.txPool.Get()
-	for _, c := range m.cand {
-		i := int(c)
+	for i := range m.nodes {
 		if i == src || m.nodes[i].rx == nil {
 			continue
 		}
@@ -396,7 +339,7 @@ func (m *Medium) Transmit(src, bits int, payload any) time.Duration {
 		if d > m.csRange[src] {
 			continue
 		}
-		tx.recs = append(tx.recs, reception{dst: int32(c), decodable: d <= m.txRange[src]})
+		tx.recs = append(tx.recs, reception{dst: int32(i), decodable: d <= m.txRange[src]})
 	}
 	if len(tx.recs) == 0 {
 		m.txPool.Put(tx)
@@ -527,16 +470,10 @@ func (m *Medium) ReachableFrom(id int) []int {
 }
 
 // ReachableFromAppend appends id's out-neighbors to out (in ascending id
-// order) and returns the extended slice. Candidates come from the grid,
-// whose cells are sized from the maximum class range, so the scan stays
-// exhaustive for the strongest transmitter.
+// order) and returns the extended slice.
 func (m *Medium) ReachableFromAppend(id int, out []int) []int {
-	m.maybeRefresh()
 	p := m.position(id)
-	base := len(out)
-	m.cand = m.grid.appendCandidates(p, m.cand[:0])
-	for _, c := range m.cand {
-		i := int(c)
+	for i := range m.nodes {
 		if i == id {
 			continue
 		}
@@ -544,7 +481,6 @@ func (m *Medium) ReachableFromAppend(id int, out []int) []int {
 			out = append(out, i)
 		}
 	}
-	sort.Ints(out[base:])
 	return out
 }
 
@@ -561,12 +497,8 @@ func (m *Medium) Neighbors(id int) []int {
 // oracles) to reuse one buffer across calls instead of allocating per
 // query. Under uniform ranges this is exactly the old within-Range set.
 func (m *Medium) NeighborsAppend(id int, out []int) []int {
-	m.maybeRefresh()
 	p := m.position(id)
-	base := len(out)
-	m.cand = m.grid.appendCandidates(p, m.cand[:0])
-	for _, c := range m.cand {
-		i := int(c)
+	for i := range m.nodes {
 		if i == id {
 			continue
 		}
@@ -574,6 +506,5 @@ func (m *Medium) NeighborsAppend(id int, out []int) []int {
 			out = append(out, i)
 		}
 	}
-	sort.Ints(out[base:])
 	return out
 }

@@ -483,8 +483,6 @@ func (n *Node) FrameReleased(f *mac.Frame) {
 	n.nfPool.Put(nf)
 	f.Payload = nil
 	f.Handler = nil
-	f.OnSent = nil
-	f.OnFail = nil
 	f.Failed = false
 	n.framePool.Put(f)
 }

@@ -128,9 +128,7 @@ type Config struct {
 
 	// Radio selects a named heterogeneous transmit-power profile ("" or
 	// "uniform" → the paper's single 275 m disk). Non-uniform profiles
-	// assign radio.Config.Classes per node id, making links directional;
-	// they compose with RadioConfig (the classes are stamped onto
-	// whichever base config runs).
+	// assign radio.Config.Classes per node id, making links directional.
 	Radio string
 
 	// Density selects a named node-placement warp ("" or "uniform" → the
@@ -171,11 +169,6 @@ type Config struct {
 	// ordering violations are scored into the collector (AuditSnapshots,
 	// LoopViolations, OrderingViolations).
 	AuditCadence time.Duration
-
-	// RadioConfig overrides the radio medium configuration (nil selects
-	// radio.DefaultConfig). The conformance replay tests use it to pit
-	// grid fast-path settings against each other on one seed.
-	RadioConfig *radio.Config
 
 	// Positions, when non-empty, replaces the random-waypoint model with
 	// static nodes at these coordinates (len must equal Nodes). Scripted
@@ -282,9 +275,6 @@ func BuildInstrumented(cfg Config) (*routing.Network, *traffic.Generator, *Instr
 	macCfg := mac.DefaultConfig()
 	macCfg.RTSCTSEnabled = cfg.RTSCTS
 	radioCfg := radio.DefaultConfig()
-	if cfg.RadioConfig != nil {
-		radioCfg = *cfg.RadioConfig
-	}
 	cls, err := RadioClasses(cfg.Radio)
 	if err != nil {
 		return nil, nil, nil, err

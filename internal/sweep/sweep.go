@@ -17,7 +17,8 @@
 //     ExecOptions.KeepGoing the sweep instead finishes every cell and
 //     returns the full failure set as a Failures error.
 //
-// Workers ≤ 1 degenerates to a plain serial loop with no goroutines.
+// One worker is the same pool with one goroutine: cells run in index
+// order, off the caller's goroutine like at any other worker count.
 //
 // RunCells layers crash-safety on top (see internal/resilience): a
 // content-addressed journal that lets a killed sweep resume where it
@@ -326,9 +327,6 @@ func eachWorker(n int, opt Options, fn func(i, w int) error) error {
 	if n == 0 {
 		return nil
 	}
-	if workers == 1 {
-		return eachSerial(n, opt, fn)
-	}
 
 	var (
 		next atomic.Int64 // next unclaimed index
@@ -378,29 +376,6 @@ func eachWorker(n int, opt Options, fn func(i, w int) error) error {
 		return failures
 	}
 	return firstErr
-}
-
-func eachSerial(n int, opt Options, fn func(i, w int) error) error {
-	var failures Failures
-	for i := 0; i < n; i++ {
-		if opt.Exec.Control.Interrupted() {
-			break
-		}
-		if opt.Progress != nil {
-			opt.Progress.started.Add(1)
-		}
-		err := runIndex(opt, fn, i, 0)
-		if err != nil {
-			if !opt.Exec.KeepGoing {
-				return err
-			}
-			failures = append(failures, asCellError(i, err))
-		}
-	}
-	if len(failures) > 0 {
-		return failures
-	}
-	return nil
 }
 
 // runIndex runs one cell with heartbeats, the panic net, and progress
