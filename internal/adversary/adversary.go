@@ -46,7 +46,7 @@ const (
 	// routing protocol keeps choosing the node) but silently discards
 	// every transit data packet.
 	Blackhole Behavior = iota + 1
-	// Grayhole drops transit data selectively: with probability DropProb
+	// Grayhole drops transit data selectively: with probability dropProb
 	// per packet, or deterministically for half the flows (PerFlow).
 	Grayhole
 	// SeqnoInflate answers overheard route requests with forged replies
@@ -83,70 +83,46 @@ func (b Behavior) String() string {
 	}
 }
 
+// The attack parameters every profile uses.
+const (
+	dropProb = 0.5 // Grayhole: per-packet drop probability
+
+	// forgedSeq is the absolute sequence number SeqnoInflate and Storm
+	// forge into replies and storm requests — enormous but far from uint32
+	// wraparound; for LDR it becomes the timestamp half of the packed
+	// Seqno, equally dominant. maxHopLie bounds the lying hop counts,
+	// drawn uniformly from [0, maxHopLie]: the *same* forged number with
+	// *varying* distances is what bends AODV's equal-seqno acceptance into
+	// honest-node loops.
+	forgedSeq = 1 << 30
+	maxHopLie = 4
+
+	replayBurst = 4 // StaleReplay: messages re-broadcast per tick
+)
+
 // Compromise turns some nodes Byzantine with one behavior. Victims are
 // the explicit Nodes list or Count random picks; At delays activation
-// (zero activates at simulation start). Zero-valued knobs select the
-// defaults in parentheses.
+// (zero activates at simulation start).
 type Compromise struct {
 	Behavior Behavior
 	Nodes    []int         // explicit victims; empty → Count random picks
-	Count    int           // random victims when Nodes is empty (1)
+	Count    int           // random victims when Nodes is empty
 	At       time.Duration // activation time
 
-	// Grayhole.
-	DropProb float64 // per-packet drop probability (0.5)
-	PerFlow  bool    // instead drop a deterministic half of the flows
-
-	// SeqnoInflate and Storm forgery. ForgedSeq is the absolute sequence
-	// number forged into replies and storm requests (1<<30 — enormous but
-	// far from uint32 wraparound); for LDR it becomes the timestamp half
-	// of the packed Seqno, equally dominant. MaxHopLie bounds the lying
-	// hop counts, drawn uniformly from [0, MaxHopLie] (4): the *same*
-	// forged number with *varying* distances is what bends AODV's
-	// equal-seqno acceptance into honest-node loops.
-	ForgedSeq uint32
-	MaxHopLie int
+	// Grayhole: drop a deterministic half of the flows instead of each
+	// packet with dropProb. No profile sets it; it stays until the
+	// committed AODV loop seed is re-searched, because the salt it needs
+	// is drawn first from every wrapper's stream and the seed depends on
+	// what follows (TestAODVSeqnoForgeryLoopRegression).
+	PerFlow bool
 
 	// StaleReplay.
-	ReplayEvery time.Duration // replay cadence (500 ms)
-	ReplayAge   time.Duration // minimum recorded age before replay (2 s)
-	ReplayBurst int           // messages re-broadcast per tick (4)
+	ReplayEvery time.Duration // replay cadence
+	ReplayAge   time.Duration // minimum recorded age before replay
 
 	// Storm.
-	StormEvery time.Duration // burst cadence (200 ms)
-	StormBurst int           // forged RREQs per burst, plus one RERR (8)
-}
-
-// withDefaults resolves the zero-valued knobs.
-func (c Compromise) withDefaults() Compromise {
-	if c.Count <= 0 {
-		c.Count = 1
-	}
-	if c.DropProb <= 0 {
-		c.DropProb = 0.5
-	}
-	if c.ForgedSeq == 0 {
-		c.ForgedSeq = 1 << 30
-	}
-	if c.MaxHopLie <= 0 {
-		c.MaxHopLie = 4
-	}
-	if c.ReplayEvery <= 0 {
-		c.ReplayEvery = 500 * time.Millisecond
-	}
-	if c.ReplayAge <= 0 {
-		c.ReplayAge = 2 * time.Second
-	}
-	if c.ReplayBurst <= 0 {
-		c.ReplayBurst = 4
-	}
-	if c.StormEvery <= 0 {
-		c.StormEvery = 200 * time.Millisecond
-	}
-	if c.StormBurst <= 0 {
-		c.StormBurst = 8
-	}
-	return c
+	StormEvery time.Duration // burst cadence
+	StormBurst int           // forged RREQs per burst, plus one RERR
 }
 
 // Plan is a named, declarative compromise schedule, the adversarial
@@ -204,7 +180,6 @@ func NewEngine(nw *routing.Network, plan Plan, src *rng.Source, until time.Durat
 // network starts (wrapping swaps the node's bound protocol).
 func (e *Engine) Install() {
 	for i, c := range e.plan.Compromises {
-		c = c.withDefaults()
 		stream := e.src.Split("compromise" + strconv.Itoa(i))
 		for _, id := range e.victims(c, stream) {
 			if id < 0 || id >= len(e.nw.Nodes) {

@@ -36,7 +36,6 @@ func Profile(name string, nodes int, simTime time.Duration) (Plan, error) {
 			Behavior: Grayhole,
 			Count:    tenth,
 			At:       warmup,
-			DropProb: 0.5,
 		}}}, nil
 
 	case "seqno-forge":
@@ -61,6 +60,7 @@ func Profile(name string, nodes int, simTime time.Duration) (Plan, error) {
 			Count:      tenth,
 			At:         warmup,
 			StormEvery: max(simTime/150, 100*time.Millisecond),
+			StormBurst: 8,
 		}}}, nil
 
 	case "byzantine":

@@ -159,12 +159,12 @@ func (w *wrapped) HandleData(from routing.NodeID, pkt *routing.DataPacket) {
 
 // grayDrop decides a grayhole discard: per-flow (a deterministic half of
 // all (src, dst) pairs, chosen by a seeded salt) or per-packet with
-// DropProb.
+// dropProb.
 func (w *wrapped) grayDrop(c *Compromise, pkt *routing.DataPacket) bool {
 	if c.PerFlow {
 		return (int(pkt.Src)+int(pkt.Dst)+w.flowSalt)%2 == 0
 	}
-	return w.src.Float64() < c.DropProb
+	return w.src.Float64() < dropProb
 }
 
 // HandleControl records replay material, forges inflated-seqno replies
@@ -175,10 +175,8 @@ func (w *wrapped) HandleControl(from routing.NodeID, msg routing.Message) {
 	if w.active(StaleReplay) != nil || w.active(Storm) != nil {
 		w.record(msg)
 	}
-	if c := w.active(SeqnoInflate); c != nil {
-		if w.forger.forgeReply(w, from, msg, c) {
-			w.eng.Stats.ForgedRREPs++
-		}
+	if w.active(SeqnoInflate) != nil && w.forger.forgeReply(w, from, msg) {
+		w.eng.Stats.ForgedRREPs++
 	}
 	w.inner.HandleControl(from, msg)
 }
@@ -266,7 +264,7 @@ func (w *wrapped) stormTick(c *Compromise) {
 	w.forger.storm(w, c)
 }
 
-// replayTick re-broadcasts up to ReplayBurst recorded messages that
+// replayTick re-broadcasts up to replayBurst recorded messages that
 // have aged past ReplayAge: expired LDR (sn, fd) labels, dead AODV
 // routes, stale OLSR topology. Each replay counts an initiation before
 // transmission, keeping the control ledgers balanced.
@@ -277,7 +275,7 @@ func (w *wrapped) replayTick(c *Compromise) {
 	now := w.node.Now()
 	sent := 0
 	for _, rec := range w.recorded {
-		if sent >= c.ReplayBurst {
+		if sent >= replayBurst {
 			break
 		}
 		if now-rec.at < c.ReplayAge {
@@ -346,7 +344,7 @@ type forger interface {
 	// forgeReply answers an overheard route request with a forged,
 	// inflated-seqno reply unicast back to the relay that delivered it,
 	// reporting whether a reply was sent.
-	forgeReply(w *wrapped, from routing.NodeID, msg routing.Message, c *Compromise) bool
+	forgeReply(w *wrapped, from routing.NodeID, msg routing.Message) bool
 	// storm emits one burst of forged control traffic.
 	storm(w *wrapped, c *Compromise)
 }
@@ -363,7 +361,7 @@ type forger interface {
 // refuses any advertisement that does not beat the stored label.
 type aodvForger struct{}
 
-func (aodvForger) forgeReply(w *wrapped, from routing.NodeID, msg routing.Message, c *Compromise) bool {
+func (aodvForger) forgeReply(w *wrapped, from routing.NodeID, msg routing.Message) bool {
 	var q aodv.RREQ
 	switch m := msg.(type) {
 	case *aodv.RREQ:
@@ -378,9 +376,9 @@ func (aodvForger) forgeReply(w *wrapped, from routing.NodeID, msg routing.Messag
 	}
 	p := aodv.RREP{
 		Dst:      q.Dst,
-		DstSeq:   c.ForgedSeq,
+		DstSeq:   forgedSeq,
 		Origin:   q.Origin,
-		HopCount: w.src.Intn(c.MaxHopLie + 1),
+		HopCount: w.src.Intn(maxHopLie + 1),
 		Lifetime: 9 * time.Second,
 	}
 	w.node.Metrics().CountControlInitiate(metrics.RREP)
@@ -399,9 +397,9 @@ func (aodvForger) storm(w *wrapped, c *Compromise) {
 		w.stormReqID++
 		q := aodv.RREQ{
 			Dst:       dst,
-			DstSeq:    c.ForgedSeq, // unanswerable: nobody honest holds this
+			DstSeq:    forgedSeq, // unanswerable: nobody honest holds this
 			Origin:    me,
-			OriginSeq: c.ForgedSeq,
+			OriginSeq: forgedSeq,
 			ReqID:     w.stormReqID,
 			TTL:       stormTTL,
 		}
@@ -409,7 +407,7 @@ func (aodvForger) storm(w *wrapped, c *Compromise) {
 		w.node.SendControl(routing.BroadcastID, q, nil)
 		w.eng.Stats.StormRREQs++
 	}
-	e := aodv.RERR{Unreachable: []aodv.RERRDest{{Dst: w.randOther(n), Seq: c.ForgedSeq}}}
+	e := aodv.RERR{Unreachable: []aodv.RERRDest{{Dst: w.randOther(n), Seq: forgedSeq}}}
 	w.node.Metrics().CountControlInitiate(metrics.RERR)
 	w.node.SendControl(routing.BroadcastID, e, nil)
 	w.eng.Stats.StormRERRs++
@@ -423,7 +421,7 @@ func (aodvForger) storm(w *wrapped, c *Compromise) {
 // defense.
 type ldrForger struct{}
 
-func (ldrForger) forgeReply(w *wrapped, from routing.NodeID, msg routing.Message, c *Compromise) bool {
+func (ldrForger) forgeReply(w *wrapped, from routing.NodeID, msg routing.Message) bool {
 	var q core.RREQ
 	switch m := msg.(type) {
 	case *core.RREQ:
@@ -438,10 +436,10 @@ func (ldrForger) forgeReply(w *wrapped, from routing.NodeID, msg routing.Message
 	}
 	p := core.RREP{
 		Dst:      q.Dst,
-		DstSeq:   core.NewSeqno(c.ForgedSeq, 0),
+		DstSeq:   core.NewSeqno(forgedSeq, 0),
 		Origin:   q.Origin,
 		ReqID:    q.ReqID,
-		Dist:     w.src.Intn(c.MaxHopLie + 1),
+		Dist:     w.src.Intn(maxHopLie + 1),
 		Lifetime: 10 * time.Second,
 	}
 	w.node.Metrics().CountControlInitiate(metrics.RREP)
@@ -455,7 +453,7 @@ func (ldrForger) storm(w *wrapped, c *Compromise) {
 	if n < 2 {
 		return
 	}
-	forged := core.NewSeqno(c.ForgedSeq, 0)
+	forged := core.NewSeqno(forgedSeq, 0)
 	for i := 0; i < c.StormBurst; i++ {
 		dst := w.randOther(n)
 		w.stormReqID++
@@ -486,7 +484,7 @@ func (ldrForger) storm(w *wrapped, c *Compromise) {
 // of fabricating messages.
 type genericForger struct{}
 
-func (genericForger) forgeReply(*wrapped, routing.NodeID, routing.Message, *Compromise) bool {
+func (genericForger) forgeReply(*wrapped, routing.NodeID, routing.Message) bool {
 	return false
 }
 

@@ -7,22 +7,20 @@ import (
 	"github.com/manetlab/ldr/internal/routing"
 )
 
+// maxRecords caps the retained violation samples (counters are always
+// exact).
+const maxRecords = 16
+
 // AuditConfig parameterizes the continuous invariant auditor.
 type AuditConfig struct {
-	// Cadence is the virtual-time period between table snapshots.
-	// Zero selects 100 ms — fine enough to catch the transient loops
-	// that matter (they persist for seconds once formed) while keeping
-	// the audit itself a small fraction of run cost.
+	// Cadence is the virtual-time period between table snapshots, the
+	// first one Cadence in. Only Start reads it (zero schedules nothing);
+	// CheckNow drives the auditor by hand.
 	Cadence time.Duration
-	// Start is the first snapshot instant; zero selects one Cadence in.
-	Start time.Duration
 	// Until is the last instant a snapshot may fire (required: it bounds
 	// the self-rescheduling chain so the auditor cannot keep a drained
 	// event queue alive).
 	Until time.Duration
-	// MaxRecords caps the retained violation samples (counters are
-	// always exact). Zero selects 16.
-	MaxRecords int
 }
 
 // Record is one retained violation sample with its detection time.
@@ -35,7 +33,7 @@ type Record struct {
 // scores violations into the network's metrics collector: each detected
 // successor-graph cycle increments LoopViolations, each broken
 // (seq, fd) ordering edge increments OrderingViolations, and every sweep
-// increments AuditSnapshots. The first MaxRecords violations are kept
+// increments AuditSnapshots. The first maxRecords violations are kept
 // verbatim for diagnosis. The underlying loopcheck.Checker reuses its
 // buffers, so a clean sweep allocates nothing once warm.
 type Auditor struct {
@@ -50,21 +48,12 @@ type Auditor struct {
 // NewAuditor builds an auditor for the network. Call Start before the
 // simulation runs, or drive it manually with CheckNow.
 func NewAuditor(nw *routing.Network, cfg AuditConfig) *Auditor {
-	if cfg.Cadence <= 0 {
-		cfg.Cadence = 100 * time.Millisecond
-	}
-	if cfg.Start <= 0 {
-		cfg.Start = cfg.Cadence
-	}
-	if cfg.MaxRecords <= 0 {
-		cfg.MaxRecords = 16
-	}
 	return &Auditor{nw: nw, cfg: cfg, checker: loopcheck.NewChecker()}
 }
 
 // Start schedules the periodic sweeps up to cfg.Until.
 func (a *Auditor) Start() {
-	a.nw.Sim.Every(a.cfg.Start, a.cfg.Cadence, a.cfg.Until, func() { a.CheckNow() })
+	a.nw.Sim.Every(a.cfg.Cadence, a.cfg.Cadence, a.cfg.Until, func() { a.CheckNow() })
 }
 
 // CheckNow runs one sweep immediately and returns the number of
@@ -79,7 +68,7 @@ func (a *Auditor) CheckNow() int {
 		} else {
 			col.OrderingViolations++
 		}
-		if len(a.Records) < a.cfg.MaxRecords {
+		if len(a.Records) < maxRecords {
 			a.Records = append(a.Records, Record{At: a.nw.Sim.Now(), V: v})
 		}
 	}

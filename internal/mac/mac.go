@@ -28,48 +28,32 @@ import (
 // BroadcastAddr is the link-layer broadcast address.
 const BroadcastAddr = -1
 
-// Config parameterizes the MAC.
-type Config struct {
-	SlotTime    time.Duration // backoff slot
-	DIFS        time.Duration // distributed inter-frame space
-	SIFS        time.Duration // short inter-frame space (ACK turnaround)
-	CWMin       int           // initial contention window (slots - 1)
-	CWMax       int           // maximum contention window
-	RetryLimit  int           // unicast retransmission limit
-	QueueCap    int           // interface queue capacity (frames)
-	HeaderBytes int           // MAC+PHY overhead added to every frame
-	AckBytes    int           // ACK frame size on the air
+// 802.11 DCF parameters for a 2 Mb/s DSSS PHY — the paper's one MAC.
+const (
+	SlotTime    = 20 * time.Microsecond // backoff slot
+	DIFS        = 50 * time.Microsecond // distributed inter-frame space
+	SIFS        = 10 * time.Microsecond // short inter-frame space (ACK turnaround)
+	CWMin       = 31                    // initial contention window (slots - 1)
+	CWMax       = 1023                  // maximum contention window
+	RetryLimit  = 7                     // unicast retransmission limit
+	QueueCap    = 64                    // interface queue capacity (frames)
+	HeaderBytes = 58                    // 34 B MAC header + 24 B PHY preamble/PLCP, added to every frame
+	AckBytes    = 38                    // 14 B ACK + PHY overhead
+	RTSBytes    = 44                    // 20 B RTS + PHY overhead
+	CTSBytes    = 38                    // 14 B CTS + PHY overhead
+)
 
-	// RTS/CTS virtual carrier sensing. When enabled, unicast frames whose
-	// network-layer size is at least RTSThreshold bytes are preceded by an
-	// RTS/CTS handshake; overhearing nodes set their network-allocation
-	// vector (NAV) for the advertised exchange duration, which suppresses
+// Config is what a scenario varies about the MAC.
+type Config struct {
+	// RTSCTSEnabled precedes every unicast frame with an RTS/CTS
+	// handshake; overhearing nodes set their network-allocation vector
+	// (NAV) for the advertised exchange duration, which suppresses
 	// hidden-terminal collisions at the cost of extra control frames.
 	RTSCTSEnabled bool
-	RTSThreshold  int // bytes; 0 means every unicast frame
-	RTSBytes      int // RTS frame size on the air
-	CTSBytes      int // CTS frame size on the air
 }
 
-// DefaultConfig returns 802.11-like DCF parameters for a 2 Mb/s DSSS PHY.
-func DefaultConfig() Config {
-	return Config{
-		SlotTime:    20 * time.Microsecond,
-		DIFS:        50 * time.Microsecond,
-		SIFS:        10 * time.Microsecond,
-		CWMin:       31,
-		CWMax:       1023,
-		RetryLimit:  7,
-		QueueCap:    64,
-		HeaderBytes: 58, // 34 B MAC header + 24 B PHY preamble/PLCP
-		AckBytes:    38, // 14 B ACK + PHY overhead
-
-		RTSCTSEnabled: false, // basic access, as in the paper's setup
-		RTSThreshold:  0,
-		RTSBytes:      44, // 20 B RTS + PHY overhead
-		CTSBytes:      38, // 14 B CTS + PHY overhead
-	}
-}
+// DefaultConfig is basic access, as in the paper's setup.
+func DefaultConfig() Config { return Config{} }
 
 // FrameHandler receives a frame's completion events without per-frame
 // closures: one handler instance (the network layer) serves every frame
@@ -225,7 +209,7 @@ func New(id int, s *sim.Simulator, medium *radio.Medium, cfg Config, src *rng.So
 		cfg:     cfg,
 		rng:     src,
 		deliver: deliver,
-		cw:      cfg.CWMin,
+		cw:      CWMin,
 		lastSeq: make(map[int]uint32),
 	}
 	m.ackTimeoutFn = m.ackTimeout
@@ -297,7 +281,7 @@ func (m *MAC) Reset() {
 	m.queue = m.queue[:0]
 	m.inFlight = false
 	m.retries = 0
-	m.cw = m.cfg.CWMin
+	m.cw = CWMin
 	m.navUntil = 0
 	clear(m.lastSeq)
 }
@@ -313,7 +297,7 @@ func (m *MAC) Send(f *Frame) {
 		f.release()
 		return
 	}
-	if len(m.queue) >= m.cfg.QueueCap {
+	if len(m.queue) >= QueueCap {
 		m.stats.QueueDrops++
 		f.Failed = true
 		if f.Handler != nil {
@@ -333,7 +317,7 @@ func (m *MAC) kick() {
 	}
 	m.inFlight = true
 	m.retries = 0
-	m.cw = m.cfg.CWMin
+	m.cw = CWMin
 	m.seq++
 	m.attempt()
 }
@@ -410,7 +394,7 @@ func (m *MAC) attempt() {
 		m.sim.ScheduleTransient(wait, attemptTr, m, ep)
 		return
 	}
-	backoff := m.cfg.DIFS + time.Duration(m.rng.Intn(m.cw+1))*m.cfg.SlotTime
+	backoff := DIFS + time.Duration(m.rng.Intn(m.cw+1))*SlotTime
 	m.sim.ScheduleTransient(backoff, backoffTr, m, ep)
 }
 
@@ -425,7 +409,7 @@ func (m *MAC) transmitHead() {
 
 // useRTS reports whether the head frame warrants an RTS/CTS handshake.
 func (m *MAC) useRTS(f *Frame) bool {
-	return m.cfg.RTSCTSEnabled && f.To != BroadcastAddr && f.Bytes >= m.cfg.RTSThreshold
+	return m.cfg.RTSCTSEnabled && f.To != BroadcastAddr
 }
 
 // newAir draws an air frame from the pool, owned by this MAC with one
@@ -447,19 +431,19 @@ func (m *MAC) newAir(kind airKind, dst int, seq uint32, bits int) *airFrame {
 
 // sendRTS begins the RTS/CTS handshake for the head frame.
 func (m *MAC) sendRTS(f *Frame) {
-	dataAir := m.medium.AirTime((f.Bytes + m.cfg.HeaderBytes) * 8)
-	ctsAir := m.medium.AirTime(m.cfg.CTSBytes * 8)
-	ackAir := m.medium.AirTime(m.cfg.AckBytes * 8)
+	dataAir := m.medium.AirTime((f.Bytes + HeaderBytes) * 8)
+	ctsAir := m.medium.AirTime(CTSBytes * 8)
+	ackAir := m.medium.AirTime(AckBytes * 8)
 	// Duration field: everything after the RTS itself.
-	dur := m.cfg.SIFS + ctsAir + m.cfg.SIFS + dataAir + m.cfg.SIFS + ackAir
-	rts := m.newAir(airRTS, f.To, m.seq, m.cfg.RTSBytes*8)
+	dur := SIFS + ctsAir + SIFS + dataAir + SIFS + ackAir
+	rts := m.newAir(airRTS, f.To, m.seq, RTSBytes*8)
 	rts.dur = dur
 	rtsAir := m.medium.Transmit(m.id, rts.bits, rts)
 	rts.Unref()
 	m.stats.RTSSent++
 
 	m.awaitCTS = true
-	timeout := rtsAir + m.cfg.SIFS + ctsAir + 4*m.cfg.SlotTime
+	timeout := rtsAir + SIFS + ctsAir + 4*SlotTime
 	m.ctsTimer = m.sim.Schedule(timeout, m.ctsTimeoutFn)
 }
 
@@ -477,20 +461,20 @@ func (m *MAC) ctsTimeout() {
 func (m *MAC) retryHead() {
 	m.retries++
 	m.stats.Retries++
-	if m.retries > m.cfg.RetryLimit {
+	if m.retries > RetryLimit {
 		m.stats.Failures++
 		m.completeHead(false)
 		return
 	}
-	if m.cw < m.cfg.CWMax {
-		m.cw = min(2*(m.cw+1)-1, m.cfg.CWMax)
+	if m.cw < CWMax {
+		m.cw = min(2*(m.cw+1)-1, CWMax)
 	}
 	m.attempt()
 }
 
 // transmitData puts the head frame's data on the air.
 func (m *MAC) transmitData(f *Frame) {
-	af := m.newAir(airData, f.To, m.seq, (f.Bytes+m.cfg.HeaderBytes)*8)
+	af := m.newAir(airData, f.To, m.seq, (f.Bytes+HeaderBytes)*8)
 	af.retried = m.retries > 0
 	af.frame = f
 	f.refs++ // the air frame reads f until its last reception ends
@@ -507,8 +491,8 @@ func (m *MAC) transmitData(f *Frame) {
 	// Unicast: wait for the ACK.
 	m.awaitAck = true
 	m.awaitAckSeq = m.seq
-	ackAir := m.medium.AirTime(m.cfg.AckBytes * 8)
-	timeout := air + m.cfg.SIFS + ackAir + 4*m.cfg.SlotTime
+	ackAir := m.medium.AirTime(AckBytes * 8)
+	timeout := air + SIFS + ackAir + 4*SlotTime
 	m.ackTimer = m.sim.Schedule(timeout, m.ackTimeoutFn)
 }
 
@@ -558,9 +542,9 @@ func (m *MAC) onRadio(from int, payload any) {
 		if af.dst == m.id {
 			// Answer with CTS after SIFS; the CTS re-advertises the
 			// remaining duration for third parties.
-			cts := m.newAir(airCTS, af.src, af.seq, m.cfg.CTSBytes*8)
+			cts := m.newAir(airCTS, af.src, af.seq, CTSBytes*8)
 			cts.dur = af.dur
-			m.sim.ScheduleTransient(m.cfg.SIFS, txAirTr, cts, 0)
+			m.sim.ScheduleTransient(SIFS, txAirTr, cts, 0)
 			return
 		}
 		m.setNAV(af.dur)
@@ -570,7 +554,7 @@ func (m *MAC) onRadio(from int, payload any) {
 			m.ctsTimer.Cancel()
 			f := m.queue[0]
 			ep := m.epoch
-			m.sim.Schedule(m.cfg.SIFS, func() {
+			m.sim.Schedule(SIFS, func() {
 				if m.epoch == ep && m.inFlight && len(m.queue) > 0 && m.queue[0] == f {
 					m.transmitData(f)
 				}
@@ -615,6 +599,6 @@ func (m *MAC) setNAV(dur time.Duration) {
 }
 
 func (m *MAC) sendAck(af *airFrame) {
-	ack := m.newAir(airAck, af.src, af.seq, m.cfg.AckBytes*8)
-	m.sim.ScheduleTransient(m.cfg.SIFS, txAirTr, ack, 0)
+	ack := m.newAir(airAck, af.src, af.seq, AckBytes*8)
+	m.sim.ScheduleTransient(SIFS, txAirTr, ack, 0)
 }

@@ -107,7 +107,7 @@ func TestUnicastToAbsentNodeFails(t *testing.T) {
 		t.Fatalf("unreachable unicast completion events = %+v, want one FrameFailed, no FrameSent", *rec)
 	}
 	st := r.macs[0].Stats()
-	wantAttempts := uint64(mac.DefaultConfig().RetryLimit + 1)
+	wantAttempts := uint64(mac.RetryLimit + 1)
 	if st.Sent != wantAttempts {
 		t.Fatalf("sent %d attempts, want %d (retry limit + 1)", st.Sent, wantAttempts)
 	}
@@ -117,11 +117,10 @@ func TestUnicastToAbsentNodeFails(t *testing.T) {
 }
 
 func TestQueueOverflowDrops(t *testing.T) {
-	cfgQ := mac.DefaultConfig().QueueCap
 	r := newRig([]mobility.Point{{X: 0}, {X: 5000}})
 	rec := &recorder{s: r.s}
 	r.s.Schedule(0, func() {
-		for i := 0; i < cfgQ+10; i++ {
+		for i := 0; i < mac.QueueCap+10; i++ {
 			r.macs[0].Send(&mac.Frame{To: 1, Bytes: 100, Payload: i, Handler: rec})
 		}
 	})

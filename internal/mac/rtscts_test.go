@@ -26,11 +26,9 @@ func newRTSRig(pts []mobility.Point, enabled bool) *rtsRig {
 // to the decodable range creates true hidden terminals on a 250 m chain.
 func newRTSRigCS(pts []mobility.Point, enabled bool, csRange float64) *rtsRig {
 	s := sim.New()
-	radioCfg := radio.DefaultConfig()
-	radioCfg.CSRange = csRange
+	radioCfg := radio.Config{Classes: []radio.Class{{Range: radio.DefaultRange, CSRange: csRange}}}
 	medium := radio.New(s, mobility.NewStatic(pts), radioCfg)
-	cfg := mac.DefaultConfig()
-	cfg.RTSCTSEnabled = enabled
+	cfg := mac.Config{RTSCTSEnabled: enabled}
 	r := &rtsRig{s: s, received: make(map[int]int)}
 	root := rng.New(7)
 	for i := range pts {
@@ -127,30 +125,5 @@ func TestBroadcastSkipsRTS(t *testing.T) {
 	}
 	if r.received[1] != 1 {
 		t.Fatal("broadcast not delivered")
-	}
-}
-
-func TestRTSThresholdExemptsSmallFrames(t *testing.T) {
-	s := sim.New()
-	medium := radio.New(s, mobility.NewStatic([]mobility.Point{{X: 0}, {X: 200}}), radio.DefaultConfig())
-	cfg := mac.DefaultConfig()
-	cfg.RTSCTSEnabled = true
-	cfg.RTSThreshold = 256
-	root := rng.New(8)
-	delivered := 0
-	m0 := mac.New(0, s, medium, cfg, root.Split("a"), func(int, *mac.Frame) {})
-	mac.New(1, s, medium, cfg, root.Split("b"), func(int, *mac.Frame) { delivered++ })
-
-	s.Schedule(0, func() {
-		m0.Send(&mac.Frame{To: 1, Bytes: 100, Payload: "small"}) // below threshold
-		m0.Send(&mac.Frame{To: 1, Bytes: 512, Payload: "big"})   // above
-	})
-	s.RunAll()
-
-	if delivered != 2 {
-		t.Fatalf("delivered %d frames", delivered)
-	}
-	if got := m0.Stats().RTSSent; got != 1 {
-		t.Fatalf("RTS count = %d, want 1 (only the big frame)", got)
 	}
 }

@@ -12,11 +12,9 @@ import (
 
 func manhattanModel(n int, seed int64) *mobility.Manhattan {
 	return mobility.NewManhattan(n, mobility.ManhattanConfig{
-		Terrain:      mobility.Terrain{Width: 1500, Height: 300},
-		MinSpeed:     1,
-		MaxSpeed:     20,
-		TurnProb:     0.25,
-		SpeedClasses: []float64{1, 0.5},
+		Terrain:  mobility.Terrain{Width: 1500, Height: 300},
+		MinSpeed: 1,
+		MaxSpeed: 20,
 	}, rng.New(seed))
 }
 
@@ -24,7 +22,7 @@ func gaussMarkovModel(n int, seed int64) *mobility.GaussMarkov {
 	return mobility.NewGaussMarkov(n, mobility.GaussMarkovConfig{
 		Terrain:   mobility.Terrain{Width: 1500, Height: 300},
 		MeanSpeed: 10,
-		Alpha:     0.75,
+		MaxSpeed:  20,
 	}, rng.New(seed))
 }
 
@@ -87,8 +85,7 @@ func TestManhattanRespectsSpeedBound(t *testing.T) {
 }
 
 // TestManhattanQueryPatternInvariance: querying a node densely or
-// sparsely must not change where it ends up — the invariance the radio
-// grid's lookup skipping relies on.
+// sparsely must not change where it ends up.
 func TestManhattanQueryPatternInvariance(t *testing.T) {
 	dense := manhattanModel(4, 5)
 	sparse := manhattanModel(4, 5)
@@ -106,18 +103,15 @@ func TestManhattanQueryPatternInvariance(t *testing.T) {
 }
 
 // TestManhattanTerrainProperty checks the street invariant across random
-// grid shapes, turn probabilities, and pauses.
+// terrains (and so grid shapes), speed ranges, and pauses.
 func TestManhattanTerrainProperty(t *testing.T) {
-	f := func(w, h uint16, sx, sy uint8, turn uint8, seed int64) bool {
+	f := func(w, h uint16, lo, hi, pause uint8, seed int64) bool {
 		terrain := mobility.Terrain{Width: float64(w%2000) + 50, Height: float64(h%2000) + 50}
 		m := mobility.NewManhattan(3, mobility.ManhattanConfig{
 			Terrain:  terrain,
-			StreetsX: int(sx%6) + 2,
-			StreetsY: int(sy%6) + 2,
-			MinSpeed: 1,
-			MaxSpeed: 20,
-			TurnProb: float64(turn) / 255,
-			Pause:    time.Duration(turn%3) * time.Second,
+			MinSpeed: float64(lo%10) + 1,
+			MaxSpeed: float64(lo%10) + 1 + float64(hi%30),
+			Pause:    time.Duration(pause%3) * time.Second,
 		}, rng.New(seed))
 		for step := 0; step < 100; step++ {
 			at := time.Duration(step) * time.Second
@@ -154,7 +148,7 @@ func TestGaussMarkovStaysInsideTerrain(t *testing.T) {
 func TestGaussMarkovVelocityBounded(t *testing.T) {
 	m := gaussMarkovModel(8, 2)
 	const dt = 250 * time.Millisecond
-	maxStep := 20.0 * dt.Seconds() // MaxSpeed defaults to 2×MeanSpeed = 20
+	maxStep := 20.0 * dt.Seconds() // MaxSpeed is 20
 	for id := 0; id < 8; id++ {
 		prev := m.Position(id, 0)
 		for step := 1; step < 2000; step++ {
@@ -206,14 +200,14 @@ func TestGaussMarkovQueryPatternInvariance(t *testing.T) {
 }
 
 // TestGaussMarkovTerrainProperty checks containment across random
-// terrain shapes and memory parameters.
+// terrain shapes and speeds.
 func TestGaussMarkovTerrainProperty(t *testing.T) {
-	f := func(w, h uint16, alpha uint8, seed int64) bool {
+	f := func(w, h uint16, mean, over uint8, seed int64) bool {
 		terrain := mobility.Terrain{Width: float64(w%2000) + 50, Height: float64(h%2000) + 50}
 		m := mobility.NewGaussMarkov(3, mobility.GaussMarkovConfig{
 			Terrain:   terrain,
-			MeanSpeed: 10,
-			Alpha:     float64(alpha%100) / 100,
+			MeanSpeed: float64(mean%20) + 1,
+			MaxSpeed:  float64(mean%20) + 1 + float64(over%20),
 		}, rng.New(seed))
 		for step := 0; step < 100; step++ {
 			at := time.Duration(step) * time.Second

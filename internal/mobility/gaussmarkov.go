@@ -17,77 +17,41 @@ import (
 	"github.com/manetlab/ldr/internal/rng"
 )
 
-// GaussMarkovConfig parameterizes the Gauss-Markov model.
-type GaussMarkovConfig struct {
-	Terrain Terrain
-	// Alpha is the memory parameter in [0, 1]: higher means smoother,
-	// more predictable motion. Zero selects 0.75.
-	Alpha float64
-	// MeanSpeed is the asymptotic mean speed in m/s (zero selects 10).
-	MeanSpeed float64
-	// MaxSpeed clamps the evolved speed (zero selects 2×MeanSpeed).
-	// Speeds are also floored at 0: the process never runs backward.
-	MaxSpeed float64
-	// SpeedStdDev and DirStdDev scale the Gaussian innovations of the
-	// speed (m/s) and direction (radians) processes. Zeros select
-	// MeanSpeed/4 and 0.4 rad.
-	SpeedStdDev, DirStdDev float64
-	// Step is the discretization interval at which velocity is
-	// re-drawn; positions interpolate linearly in between. Zero
-	// selects 1 s.
-	Step time.Duration
-	// Margin is the edge width (m) inside which the mean direction is
-	// forced toward the terrain interior. Zero selects 10% of the
-	// smaller terrain dimension.
-	Margin float64
-}
+// The process parameters every run uses.
+const (
+	gmAlpha     = 0.75        // memory in [0, 1]: higher is smoother, more predictable motion
+	gmDirStdDev = 0.4         // Gaussian innovation of the direction process, radians
+	gmStep      = time.Second // interval at which velocity is re-drawn; positions interpolate linearly in between
+)
 
-func (c GaussMarkovConfig) withDefaults() GaussMarkovConfig {
-	if c.Alpha <= 0 {
-		c.Alpha = 0.75
-	}
-	if c.Alpha > 1 {
-		c.Alpha = 1
-	}
-	if c.MeanSpeed <= 0 {
-		c.MeanSpeed = 10
-	}
-	if c.MaxSpeed <= 0 {
-		c.MaxSpeed = 2 * c.MeanSpeed
-	}
-	if c.SpeedStdDev <= 0 {
-		c.SpeedStdDev = c.MeanSpeed / 4
-	}
-	if c.DirStdDev <= 0 {
-		c.DirStdDev = 0.4
-	}
-	if c.Step <= 0 {
-		c.Step = time.Second
-	}
-	if c.Margin <= 0 {
-		m := c.Terrain.Width
-		if c.Terrain.Height < m {
-			m = c.Terrain.Height
-		}
-		c.Margin = 0.1 * m
-	}
-	return c
+// GaussMarkovConfig is what a scenario varies about the Gauss-Markov
+// model. The speed innovation is MeanSpeed/4, and the edge margin inside
+// which the mean direction is forced toward the terrain interior is 10%
+// of the smaller terrain dimension.
+type GaussMarkovConfig struct {
+	Terrain   Terrain
+	MeanSpeed float64 // asymptotic mean speed, m/s
+	// MaxSpeed clamps the evolved speed. Speeds are also floored at 0:
+	// the process never runs backward.
+	MaxSpeed float64
 }
 
 // GaussMarkov implements the Gauss-Markov model.
 //
-// State advances in fixed Step increments, lazily per node on Position
+// State advances in fixed gmStep increments, lazily per node on Position
 // queries (which the simulator issues with non-decreasing times), so a
 // node's trajectory is a pure function of (seed, node, time) regardless
 // of the query pattern — the same invariance Waypoint and Manhattan
-// provide, which the radio grid's lookup skipping relies on.
+// provide.
 type GaussMarkov struct {
-	cfg   GaussMarkovConfig
-	nodes []gmState
+	cfg         GaussMarkovConfig
+	speedStdDev float64 // Gaussian innovation of the speed process, m/s
+	margin      float64 // edge width (m) that steers toward the interior
+	nodes       []gmState
 }
 
 type gmState struct {
-	step       int64   // completed steps (pos/speed/dir are at step*Step)
+	step       int64   // completed steps (pos/speed/dir are at step*gmStep)
 	pos        Point   // position at the last step boundary
 	next       Point   // position at the next step boundary
 	speed, dir float64 // velocity over [step, step+1)
@@ -99,8 +63,12 @@ var _ Model = (*GaussMarkov)(nil)
 // NewGaussMarkov places n nodes uniformly with stationary-distribution
 // initial velocities.
 func NewGaussMarkov(n int, cfg GaussMarkovConfig, src *rng.Source) *GaussMarkov {
-	cfg = cfg.withDefaults()
-	g := &GaussMarkov{cfg: cfg, nodes: make([]gmState, n)}
+	g := &GaussMarkov{
+		cfg:         cfg,
+		speedStdDev: cfg.MeanSpeed / 4,
+		margin:      0.1 * min(cfg.Terrain.Width, cfg.Terrain.Height),
+		nodes:       make([]gmState, n),
+	}
 	for i := range g.nodes {
 		st := &g.nodes[i]
 		st.rng = src.Split("gaussmarkov" + strconv.Itoa(i))
@@ -108,7 +76,7 @@ func NewGaussMarkov(n int, cfg GaussMarkovConfig, src *rng.Source) *GaussMarkov 
 			X: st.rng.Float64() * cfg.Terrain.Width,
 			Y: st.rng.Float64() * cfg.Terrain.Height,
 		}
-		st.speed = clampSpeed(cfg.MeanSpeed+cfg.SpeedStdDev*gaussian(st.rng), cfg.MaxSpeed)
+		st.speed = clampSpeed(cfg.MeanSpeed+g.speedStdDev*gaussian(st.rng), cfg.MaxSpeed)
 		st.dir = st.rng.Float64() * 2 * math.Pi
 		g.advanceTarget(st)
 	}
@@ -121,11 +89,11 @@ func (g *GaussMarkov) NumNodes() int { return len(g.nodes) }
 // Position implements Model.
 func (g *GaussMarkov) Position(id int, at time.Duration) Point {
 	st := &g.nodes[id]
-	step := int64(at / g.cfg.Step)
+	step := int64(at / gmStep)
 	for st.step < step {
 		g.nextStep(st)
 	}
-	frac := float64(at-time.Duration(st.step)*g.cfg.Step) / float64(g.cfg.Step)
+	frac := float64(at-time.Duration(st.step)*gmStep) / float64(gmStep)
 	if frac < 0 {
 		frac = 0
 	}
@@ -153,14 +121,14 @@ func (g *GaussMarkov) nextStep(st *gmState) {
 	st.step++
 
 	c := g.cfg
-	k := math.Sqrt(1 - c.Alpha*c.Alpha)
+	k := math.Sqrt(1 - gmAlpha*gmAlpha)
 	// Two unconditional Gaussian draws per step keep the stream position
 	// a pure function of the step count.
 	w1 := gaussian(st.rng)
 	w2 := gaussian(st.rng)
-	st.speed = clampSpeed(c.Alpha*st.speed+(1-c.Alpha)*c.MeanSpeed+k*c.SpeedStdDev*w1, c.MaxSpeed)
+	st.speed = clampSpeed(gmAlpha*st.speed+(1-gmAlpha)*c.MeanSpeed+k*g.speedStdDev*w1, c.MaxSpeed)
 	meanDir := g.meanDirection(st)
-	st.dir = c.Alpha*st.dir + (1-c.Alpha)*meanDir + k*c.DirStdDev*w2
+	st.dir = gmAlpha*st.dir + (1-gmAlpha)*meanDir + k*gmDirStdDev*w2
 
 	g.advanceTarget(st)
 }
@@ -170,8 +138,8 @@ func (g *GaussMarkov) nextStep(st *gmState) {
 // center inside the margin (the standard edge-avoidance steering).
 func (g *GaussMarkov) meanDirection(st *gmState) float64 {
 	c := g.cfg
-	nearEdge := st.pos.X < c.Margin || st.pos.X > c.Terrain.Width-c.Margin ||
-		st.pos.Y < c.Margin || st.pos.Y > c.Terrain.Height-c.Margin
+	nearEdge := st.pos.X < g.margin || st.pos.X > c.Terrain.Width-g.margin ||
+		st.pos.Y < g.margin || st.pos.Y > c.Terrain.Height-g.margin
 	if !nearEdge {
 		return st.dir
 	}
@@ -183,7 +151,7 @@ func (g *GaussMarkov) meanDirection(st *gmState) float64 {
 // nodes never leave the terrain.
 func (g *GaussMarkov) advanceTarget(st *gmState) {
 	c := g.cfg
-	dt := c.Step.Seconds()
+	dt := gmStep.Seconds()
 	x := st.pos.X + st.speed*math.Cos(st.dir)*dt
 	y := st.pos.Y + st.speed*math.Sin(st.dir)*dt
 	reflectedX := false
@@ -201,7 +169,7 @@ func (g *GaussMarkov) advanceTarget(st *gmState) {
 
 // reflect folds v into [0, max], reporting whether a boundary was hit.
 // One fold suffices: a single step never travels a full terrain span
-// because MaxSpeed·Step is far below the terrain size in any sane
+// because MaxSpeed·gmStep is far below the terrain size in any sane
 // configuration, and repeated folding would still terminate (v strictly
 // decreases), so loop for robustness.
 func reflect(v, max float64) (float64, bool) {

@@ -2,7 +2,7 @@ package mobility
 
 // Manhattan-grid mobility: nodes are constrained to a street grid laid
 // over the terrain and move from intersection to intersection, turning
-// with configurable probabilities. The model follows the ETSI urban
+// with a fixed probability. The model follows the ETSI urban
 // vehicular pattern used by the MANET comparison literature ("Simulation
 // Analysis of Routing Protocols using Manhattan Grid Mobility Model in
 // MANET"): street-constrained movement concentrates nodes on shared
@@ -16,59 +16,37 @@ import (
 	"github.com/manetlab/ldr/internal/rng"
 )
 
-// ManhattanConfig parameterizes the street grid.
-type ManhattanConfig struct {
-	Terrain Terrain
-	// StreetsX and StreetsY are the number of vertical and horizontal
-	// streets (≥ 2 each; the terrain edges are always streets). Zero
-	// selects a density of roughly one street every 150 m.
-	StreetsX, StreetsY int
-	MinSpeed, MaxSpeed float64 // m/s base speed, drawn per leg
-	// TurnProb is the probability of leaving the current heading at an
+// The street grid every run uses.
+const (
+	// streetSpacing is the target distance between parallel streets, in
+	// meters; the terrain edges are always streets, so each axis has at
+	// least two.
+	streetSpacing = 150
+	// turnProb is the probability of leaving the current heading at an
 	// intersection where a turn is possible; the remainder continues
 	// straight. Turns split evenly between the available left/right
 	// options. U-turns happen only at dead ends (terrain edges).
-	TurnProb float64
-	// Pause is an optional fixed stop at every intersection (a traffic
-	// light stand-in). Zero keeps nodes moving.
+	turnProb = 0.25
+)
+
+// speedClasses are per-street speed multipliers, full-speed avenues
+// alternating with slower side streets: street i (counting vertical
+// streets west→east, then horizontal streets south→north) uses
+// speedClasses[i % len].
+var speedClasses = [...]float64{1, 0.6}
+
+// ManhattanConfig is what a scenario varies about the street grid.
+type ManhattanConfig struct {
+	Terrain            Terrain
+	MinSpeed, MaxSpeed float64 // m/s base speed, drawn per leg
+	// Pause is a fixed stop at every intersection (a traffic light
+	// stand-in). Zero keeps nodes moving.
 	Pause time.Duration
-	// SpeedClasses are per-street speed multipliers: street i (counting
-	// vertical streets west→east, then horizontal streets south→north)
-	// uses SpeedClasses[i % len]. This models avenues vs side streets.
-	// Empty means every street has class 1.0.
-	SpeedClasses []float64
 }
 
-// withDefaults fills unset fields.
-func (c ManhattanConfig) withDefaults() ManhattanConfig {
-	if c.StreetsX <= 1 {
-		c.StreetsX = int(c.Terrain.Width/150) + 1
-		if c.StreetsX < 2 {
-			c.StreetsX = 2
-		}
-	}
-	if c.StreetsY <= 1 {
-		c.StreetsY = int(c.Terrain.Height/150) + 1
-		if c.StreetsY < 2 {
-			c.StreetsY = 2
-		}
-	}
-	if c.MinSpeed <= 0 {
-		c.MinSpeed = 1
-	}
-	if c.MaxSpeed < c.MinSpeed {
-		c.MaxSpeed = c.MinSpeed
-	}
-	if c.TurnProb < 0 {
-		c.TurnProb = 0
-	}
-	if c.TurnProb > 1 {
-		c.TurnProb = 1
-	}
-	if len(c.SpeedClasses) == 0 {
-		c.SpeedClasses = []float64{1}
-	}
-	return c
+// streets returns the number of parallel streets across a terrain span.
+func streets(span float64) int {
+	return max(int(span/streetSpacing)+1, 2)
 }
 
 // heading is a cardinal movement direction on the grid.
@@ -86,10 +64,10 @@ const (
 // Like Waypoint, trajectories are advanced lazily leg by leg on Position
 // queries and every node draws from its own split stream, so a node's
 // position is a pure function of (seed, node, time): neither the order of
-// queries across nodes nor the query cadence changes anyone's path. This
-// keeps the radio grid's position-lookup skipping sound.
+// queries across nodes nor the query cadence changes anyone's path.
 type Manhattan struct {
 	cfg    ManhattanConfig
+	nx, ny int     // vertical and horizontal street counts
 	dx, dy float64 // street spacing
 	nodes  []manhattanState
 }
@@ -109,18 +87,26 @@ var _ Model = (*Manhattan)(nil)
 // NewManhattan places n nodes at random intersections with random
 // feasible headings.
 func NewManhattan(n int, cfg ManhattanConfig, src *rng.Source) *Manhattan {
-	cfg = cfg.withDefaults()
+	if cfg.MinSpeed <= 0 {
+		cfg.MinSpeed = 1
+	}
+	if cfg.MaxSpeed < cfg.MinSpeed {
+		cfg.MaxSpeed = cfg.MinSpeed
+	}
+	nx, ny := streets(cfg.Terrain.Width), streets(cfg.Terrain.Height)
 	m := &Manhattan{
 		cfg:   cfg,
-		dx:    cfg.Terrain.Width / float64(cfg.StreetsX-1),
-		dy:    cfg.Terrain.Height / float64(cfg.StreetsY-1),
+		nx:    nx,
+		ny:    ny,
+		dx:    cfg.Terrain.Width / float64(nx-1),
+		dy:    cfg.Terrain.Height / float64(ny-1),
 		nodes: make([]manhattanState, n),
 	}
 	for i := range m.nodes {
 		st := &m.nodes[i]
 		st.rng = src.Split("manhattan" + strconv.Itoa(i))
-		st.ix = st.rng.Intn(cfg.StreetsX)
-		st.iy = st.rng.Intn(cfg.StreetsY)
+		st.ix = st.rng.Intn(nx)
+		st.iy = st.rng.Intn(ny)
 		st.dir = m.randomFeasibleHeading(st)
 		p := m.intersection(st.ix, st.iy)
 		st.from, st.to = p, p
@@ -157,11 +143,11 @@ func (m *Manhattan) intersection(ix, iy int) Point {
 func (m *Manhattan) feasible(ix, iy int, d heading) bool {
 	switch d {
 	case east:
-		return ix+1 < m.cfg.StreetsX
+		return ix+1 < m.nx
 	case west:
 		return ix > 0
 	case north:
-		return iy+1 < m.cfg.StreetsY
+		return iy+1 < m.ny
 	default: // south
 		return iy > 0
 	}
@@ -204,7 +190,7 @@ func reverse(d heading) heading {
 }
 
 // chooseHeading picks the next leg's direction at the current
-// intersection: continue straight with probability 1-TurnProb, otherwise
+// intersection: continue straight with probability 1-turnProb, otherwise
 // turn onto a feasible cross street; dead ends force a turn or U-turn.
 // Draws are unconditional (one uniform plus one coin) so the stream
 // position after a leg never depends on the intersection's geometry.
@@ -216,7 +202,7 @@ func (m *Manhattan) chooseHeading(st *manhattanState) heading {
 	rOK := m.feasible(st.ix, st.iy, r)
 	straightOK := m.feasible(st.ix, st.iy, st.dir)
 
-	wantTurn := turnRoll < m.cfg.TurnProb
+	wantTurn := turnRoll < turnProb
 	if straightOK && !wantTurn {
 		return st.dir
 	}
@@ -243,7 +229,7 @@ func (m *Manhattan) streetIndex(st *manhattanState, d heading) int {
 	if d == north || d == south {
 		return st.ix
 	}
-	return m.cfg.StreetsX + st.iy
+	return m.nx + st.iy
 }
 
 // nextLeg advances st to its next intersection-to-intersection segment.
@@ -260,11 +246,8 @@ func (m *Manhattan) nextLeg(st *manhattanState) {
 	case south:
 		niy--
 	}
-	class := m.cfg.SpeedClasses[m.streetIndex(st, st.dir)%len(m.cfg.SpeedClasses)]
+	class := speedClasses[m.streetIndex(st, st.dir)%len(speedClasses)]
 	speed := st.rng.Range(m.cfg.MinSpeed, m.cfg.MaxSpeed) * class
-	if speed <= 0 {
-		speed = m.cfg.MinSpeed
-	}
 	st.from = m.intersection(st.ix, st.iy)
 	st.to = m.intersection(nix, niy)
 	st.ix, st.iy = nix, niy

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"github.com/manetlab/ldr/internal/mobility"
+	"github.com/manetlab/ldr/internal/radio"
 )
 
 // Graph is an undirected topology over nodes 0..N-1.
@@ -341,17 +342,16 @@ func Layout(g Graph) ([]mobility.Point, error) {
 // default radio range, with a safety margin on both sides so MAC-level
 // behaviour is unambiguous.
 func layoutMatches(g Graph, pts []mobility.Point) bool {
-	const radioRange = 275.0 // radio.DefaultConfig().Range, pinned by test
 	const margin = 15.0
 	for a := 0; a < g.N; a++ {
 		for b := a + 1; b < g.N; b++ {
 			dx, dy := pts[a].X-pts[b].X, pts[a].Y-pts[b].Y
 			d := math.Sqrt(dx*dx + dy*dy)
 			if g.Adjacent(a, b) {
-				if d > radioRange-margin {
+				if d > radio.DefaultRange-margin {
 					return false
 				}
-			} else if d < radioRange+margin {
+			} else if d < radio.DefaultRange+margin {
 				return false
 			}
 		}

@@ -42,8 +42,8 @@ func (m *Medium) TransmitPerReceiver(src, bits int, payload any) time.Duration {
 			recs:    []reception{{dst: int32(i), decodable: d <= m.txRange[src]}},
 		}
 		ref(payload)
-		m.sim.ScheduleTransient(m.cfg.PropDelay, m.startFn, tx, 0)
-		m.sim.ScheduleTransient(m.cfg.PropDelay+air, m.endFn, tx, 0)
+		m.sim.ScheduleTransient(PropDelay, m.startFn, tx, 0)
+		m.sim.ScheduleTransient(PropDelay+air, m.endFn, tx, 0)
 	}
 	return air
 }

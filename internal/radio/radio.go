@@ -3,10 +3,10 @@
 // The propagation model is a per-transmitter disk: a frame transmitted by
 // a node is decodable by every node within the *transmitter's* decodable
 // range and causes interference at every node within the transmitter's
-// carrier-sense range. With a single global Range/CSRange (the default)
-// this is the classic symmetric unit disk; with per-class ranges
-// (Config.Classes) links become directional — a long-range node's frames
-// reach a short-range node that can never answer. Two signals overlapping
+// carrier-sense range. With one class (the default) this is the classic
+// symmetric unit disk; with several (Config.Classes) links become
+// directional — a long-range node's frames reach a short-range node that
+// can never answer. Two signals overlapping
 // in time at a receiver corrupt each other, as does receiving while
 // transmitting. This reproduces the contention behaviour that drives the
 // relative protocol performance in the LDR paper without modelling an
@@ -47,32 +47,27 @@ type Class struct {
 	CSRange float64 // carrier-sense/interference range, meters
 }
 
-// Config parameterizes the medium.
-type Config struct {
-	Range     float64       // decodable range, meters
-	CSRange   float64       // carrier-sense/interference range, meters
-	BitRate   float64       // channel rate, bits per second
-	PropDelay time.Duration // fixed propagation delay
+// The paper's radio: a 275 m transmission range on a 2 Mb/s channel,
+// interference out to twice the decodable range.
+const (
+	DefaultRange   = 275.0            // decodable range, meters
+	DefaultCSRange = 550.0            // carrier-sense/interference range, meters
+	BitRate        = 2e6              // channel rate, bits per second
+	PropDelay      = time.Microsecond // fixed propagation delay
+)
 
-	// Classes, when non-empty, assigns heterogeneous transmit power:
-	// node i sends with Classes[i % len(Classes)] instead of the global
-	// Range/CSRange. The assignment is a pure function of the node id so
-	// enabling classes draws no randomness and cannot perturb any seeded
-	// stream. Empty keeps the uniform disk, byte-identical to a medium
-	// built before classes existed.
+// Config is what a scenario varies about the medium.
+type Config struct {
+	// Classes assigns transmit power: node i sends with
+	// Classes[i % len(Classes)]. The assignment is a pure function of the
+	// node id, so it draws no randomness and cannot perturb any seeded
+	// stream. Empty is the one class {DefaultRange, DefaultCSRange} — the
+	// paper's uniform disk.
 	Classes []Class
 }
 
-// DefaultConfig matches the paper's simulation setup: 275 m transmission
-// range, 2 Mb/s channel, interference out to twice the decodable range.
-func DefaultConfig() Config {
-	return Config{
-		Range:     275,
-		CSRange:   550,
-		BitRate:   2e6,
-		PropDelay: time.Microsecond,
-	}
-}
+// DefaultConfig is the paper's uniform disk.
+func DefaultConfig() Config { return Config{} }
 
 // ReceiverFunc is invoked for every frame successfully decoded at a node.
 // Addressing and ACKing are the MAC's concern; the radio delivers any
@@ -127,9 +122,9 @@ type Medium struct {
 	cfg   Config
 	nodes []nodeState
 
-	// Per-node transmit ranges, resolved once from cfg.Classes (or filled
-	// uniformly from cfg.Range/CSRange), so the hot path indexes a slice
-	// instead of re-deriving class membership per frame.
+	// Per-node transmit ranges, resolved once from cfg.Classes, so the hot
+	// path indexes a slice instead of re-deriving class membership per
+	// frame.
 	txRange []float64
 	csRange []float64
 
@@ -195,12 +190,12 @@ type reception struct {
 // from the model at transmission start; a frame's receiver set is fixed at
 // that instant (frames are microseconds long, far below node motion scale).
 func New(s *sim.Simulator, model mobility.Model, cfg Config) *Medium {
-	if cfg.CSRange < cfg.Range {
-		cfg.CSRange = cfg.Range
-	}
-	// Clamp per-class carrier sense on a private copy (the caller's slice
-	// stays untouched), mirroring the global clamp above.
+	// A private copy (the caller's slice stays untouched) with the default
+	// class filled in and carrier sense reaching at least as far as decoding.
 	cfg.Classes = append([]Class(nil), cfg.Classes...)
+	if len(cfg.Classes) == 0 {
+		cfg.Classes = []Class{{Range: DefaultRange, CSRange: DefaultCSRange}}
+	}
 	for i := range cfg.Classes {
 		if cfg.Classes[i].CSRange < cfg.Classes[i].Range {
 			cfg.Classes[i].CSRange = cfg.Classes[i].Range
@@ -218,12 +213,8 @@ func New(s *sim.Simulator, model mobility.Model, cfg Config) *Medium {
 		posTime: make([]time.Duration, n),
 	}
 	for i := 0; i < n; i++ {
-		r, c := cfg.Range, cfg.CSRange
-		if len(cfg.Classes) > 0 {
-			cl := cfg.Classes[i%len(cfg.Classes)]
-			r, c = cl.Range, cl.CSRange
-		}
-		m.txRange[i], m.csRange[i] = r, c
+		cl := cfg.Classes[i%len(cfg.Classes)]
+		m.txRange[i], m.csRange[i] = cl.Range, cl.CSRange
 	}
 	for i := range m.posTime {
 		m.posTime[i] = -1 // sentinel: no position cached yet
@@ -286,7 +277,7 @@ func (m *Medium) idleAt(_ any, u uint64) { m.checkIdle(int(u)) }
 
 // AirTime returns how long a frame of the given size occupies the channel.
 func (m *Medium) AirTime(bits int) time.Duration {
-	return time.Duration(float64(bits) / m.cfg.BitRate * float64(time.Second))
+	return time.Duration(float64(bits) / BitRate * float64(time.Second))
 }
 
 // Transmit puts a frame on the air from node src and returns its airtime.
@@ -348,8 +339,8 @@ func (m *Medium) Transmit(src, bits int, payload any) time.Duration {
 	tx.from = int32(src)
 	tx.payload = payload
 	ref(payload) // the receptions read the payload until they end
-	m.sim.ScheduleTransient(m.cfg.PropDelay, m.startFn, tx, 0)
-	m.sim.ScheduleTransient(m.cfg.PropDelay+air, m.endFn, tx, 0)
+	m.sim.ScheduleTransient(PropDelay, m.startFn, tx, 0)
+	m.sim.ScheduleTransient(PropDelay+air, m.endFn, tx, 0)
 	return air
 }
 
@@ -495,7 +486,7 @@ func (m *Medium) Neighbors(id int) []int {
 // with to out (in ascending id order) and returns the extended slice,
 // allowing callers that poll connectivity (loop checkers, topology
 // oracles) to reuse one buffer across calls instead of allocating per
-// query. Under uniform ranges this is exactly the old within-Range set.
+// query.
 func (m *Medium) NeighborsAppend(id int, out []int) []int {
 	p := m.position(id)
 	for i := range m.nodes {

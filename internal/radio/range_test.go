@@ -21,11 +21,11 @@ import (
 // list, the oracle comparison is what they check.
 
 // classRanges resolves node i's transmit/carrier-sense ranges exactly as
-// the medium documents: Classes[i % len(Classes)] when classes are set,
-// the global Range/CSRange otherwise, with carrier sense clamped to at
-// least the decodable range.
+// the medium documents: Classes[i % len(Classes)], the one default class
+// when the list is empty, with carrier sense clamped to at least the
+// decodable range.
 func classRanges(cfg radio.Config, i int) (tx, cs float64) {
-	tx, cs = cfg.Range, cfg.CSRange
+	tx, cs = radio.DefaultRange, radio.DefaultCSRange
 	if len(cfg.Classes) > 0 {
 		cl := cfg.Classes[i%len(cfg.Classes)]
 		tx, cs = cl.Range, cl.CSRange
@@ -79,7 +79,7 @@ func checkTransmits(t *testing.T, model, oracle mobility.Model, cfg radio.Config
 
 	const bits = 8192 // ≈4 ms airtime at 2 Mb/s, well under gap
 	air := m.AirTime(bits)
-	if air+cfg.PropDelay >= gap {
+	if air+radio.PropDelay >= gap {
 		t.Fatalf("frames overlap: air %v ≥ gap %v", air, gap)
 	}
 
@@ -94,7 +94,7 @@ func checkTransmits(t *testing.T, model, oracle mobility.Model, cfg radio.Config
 		})
 		// Probe carrier sense mid-flight: just after the signal arrives
 		// everywhere (prop delay + 1ns beats the same-instant start events).
-		s.At(at+cfg.PropDelay+time.Nanosecond, func() {
+		s.At(at+radio.PropDelay+time.Nanosecond, func() {
 			_, senses := oracleSets(oracle, cfg, src, at)
 			for i := 0; i < n; i++ {
 				if i == src {
@@ -110,7 +110,7 @@ func checkTransmits(t *testing.T, model, oracle mobility.Model, cfg radio.Config
 			}
 		})
 		// After the frame lands, the decoded set must match the oracle.
-		s.At(at+cfg.PropDelay+air+time.Nanosecond, func() {
+		s.At(at+radio.PropDelay+air+time.Nanosecond, func() {
 			inRange, _ := oracleSets(oracle, cfg, src, at)
 			for i := 0; i < n; i++ {
 				if i == src {
@@ -148,7 +148,7 @@ func TestGridMatchesBruteForceRandomStatic(t *testing.T) {
 
 func TestGridMatchesBruteForceBoundaryStraddlers(t *testing.T) {
 	cfg := radio.DefaultConfig()
-	pitch := cfg.CSRange + 50 // lattice pitch: neighbouring clusters just out of carrier sense
+	pitch := radio.DefaultCSRange + 50 // lattice pitch: neighbouring clusters just out of carrier sense
 	eps := 1e-9
 	// Clusters of nodes a nanometre apart on a lattice, each with receivers
 	// placed exactly on, and just outside, the decode and carrier-sense
@@ -162,10 +162,10 @@ func TestGridMatchesBruteForceBoundaryStraddlers(t *testing.T) {
 				mobility.Point{X: cx + eps, Y: cy},
 				mobility.Point{X: cx, Y: cy - eps},
 				mobility.Point{X: cx, Y: cy + eps},
-				mobility.Point{X: cx + cfg.Range, Y: cy},         // exactly decodable
-				mobility.Point{X: cx + cfg.CSRange, Y: cy},       // exactly at CS edge
-				mobility.Point{X: cx + cfg.CSRange + eps, Y: cy}, // just outside
-				mobility.Point{X: cx - cfg.Range/2, Y: cy + 10},  // interior
+				mobility.Point{X: cx + radio.DefaultRange, Y: cy},         // exactly decodable
+				mobility.Point{X: cx + radio.DefaultCSRange, Y: cy},       // exactly at CS edge
+				mobility.Point{X: cx + radio.DefaultCSRange + eps, Y: cy}, // just outside
+				mobility.Point{X: cx - radio.DefaultRange/2, Y: cy + 10},  // interior
 			)
 		}
 	}
@@ -177,20 +177,16 @@ func TestGridMatchesBruteForceBoundaryStraddlers(t *testing.T) {
 }
 
 // mixedConfig is the regression geometry for heterogeneous ranges: the
-// global Range/CSRange belong to the *weakest* class, while the strongest
-// class transmits far past it. If a receiver set is ever cut from the
-// global or a non-maximum range instead of the transmitter's own class,
-// the strong class's far receivers go missing and these oracle
-// comparisons fail.
+// strongest class transmits far past the weakest. If a receiver set is
+// ever cut from the default or a non-maximum range instead of the
+// transmitter's own class, the strong class's far receivers go missing
+// and these oracle comparisons fail.
 func mixedConfig() radio.Config {
-	cfg := radio.DefaultConfig()
-	cfg.Range, cfg.CSRange = 150, 300
-	cfg.Classes = []radio.Class{
+	return radio.Config{Classes: []radio.Class{
 		{Range: 150, CSRange: 300},
 		{Range: 275, CSRange: 550},
 		{Range: 450, CSRange: 900},
-	}
-	return cfg
+	}}
 }
 
 func TestGridMatchesBruteForceMixedRangesStatic(t *testing.T) {
@@ -386,11 +382,10 @@ func TestNeighborsMatchesBruteForce(t *testing.T) {
 // the transmitter-range set, Neighbors only keeps mutually decodable
 // links.
 func TestDirectionalQueriesMixedRanges(t *testing.T) {
-	cfg := radio.DefaultConfig()
-	cfg.Classes = []radio.Class{
+	cfg := radio.Config{Classes: []radio.Class{
 		{Range: 400, CSRange: 800}, // node 0: long
 		{Range: 150, CSRange: 300}, // node 1: short
-	}
+	}}
 	// 250 m apart: within 0's range, beyond 1's.
 	pts := []mobility.Point{{X: 0, Y: 0}, {X: 250, Y: 0}}
 	s := sim.New()

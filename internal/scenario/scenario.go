@@ -68,7 +68,7 @@ const (
 func Radios() []string { return []string{RadioUniform, RadioMixed, RadioAsym} }
 
 // RadioClasses maps a radio profile name to its transmit-power classes;
-// nil means the uniform single-disk medium.
+// nil is the medium's one default class, the uniform disk.
 func RadioClasses(name string) ([]radio.Class, error) {
 	switch name {
 	case "", RadioUniform:
@@ -186,7 +186,7 @@ type Config struct {
 type TrafficEvent struct {
 	At       time.Duration
 	Src, Dst routing.NodeID
-	Bytes    int // 0 → 512
+	Bytes    int // 0 → traffic.PacketBytes
 }
 
 // Nodes50 is the paper's 50-node scenario skeleton.
@@ -272,23 +272,16 @@ func BuildInstrumented(cfg Config) (*routing.Network, *traffic.Generator, *Instr
 		return nil, nil, nil, err
 	}
 
-	macCfg := mac.DefaultConfig()
-	macCfg.RTSCTSEnabled = cfg.RTSCTS
-	radioCfg := radio.DefaultConfig()
 	cls, err := RadioClasses(cfg.Radio)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if cls != nil {
-		radioCfg.Classes = cls
-	}
-	nw := routing.NewNetwork(cfg.Nodes, model, radioCfg, macCfg, cfg.Seed, factory)
+	nw := routing.NewNetwork(cfg.Nodes, model, radio.Config{Classes: cls}, mac.Config{RTSCTSEnabled: cfg.RTSCTS}, cfg.Seed, factory)
 	if p := cfg.TrafficPattern; p != "" && !slices.Contains(traffic.Patterns(), p) {
 		return nil, nil, nil, fmt.Errorf("scenario: unknown traffic pattern %q", cfg.TrafficPattern)
 	}
-	trafficCfg := traffic.DefaultConfig(cfg.Flows, cfg.SimTime)
-	trafficCfg.Pattern = cfg.TrafficPattern
-	gen := traffic.NewGenerator(nw.Sim, nw.Nodes, trafficCfg, root.Split("traffic"))
+	gen := traffic.NewGenerator(nw.Sim, nw.Nodes,
+		traffic.Config{Pattern: cfg.TrafficPattern, Flows: cfg.Flows, Stop: cfg.SimTime}, root.Split("traffic"))
 	if len(cfg.Traffic) > 0 {
 		if cfg.Flows != 0 {
 			return nil, nil, nil, fmt.Errorf("scenario: scripted traffic requires Flows=0 (have %d)", cfg.Flows)
@@ -300,7 +293,7 @@ func BuildInstrumented(cfg Config) (*routing.Network, *traffic.Generator, *Instr
 			ev := ev
 			bytes := ev.Bytes
 			if bytes == 0 {
-				bytes = 512
+				bytes = traffic.PacketBytes
 			}
 			nw.Sim.Schedule(ev.At, func() { nw.Nodes[ev.Src].OriginateData(ev.Dst, bytes) })
 		}
@@ -415,17 +408,13 @@ func buildMovement(cfg Config, src *rng.Source) (mobility.Model, error) {
 			Terrain:  cfg.Terrain,
 			MinSpeed: cfg.MinSpeed,
 			MaxSpeed: cfg.MaxSpeed,
-			TurnProb: 0.25,
 			Pause:    cfg.PauseTime,
-			// Alternate full-speed avenues with slower side streets.
-			SpeedClasses: []float64{1, 0.6},
 		}, src), nil
 	case GaussMarkov:
 		return mobility.NewGaussMarkov(cfg.Nodes, mobility.GaussMarkovConfig{
 			Terrain:   cfg.Terrain,
 			MeanSpeed: (cfg.MinSpeed + cfg.MaxSpeed) / 2,
 			MaxSpeed:  cfg.MaxSpeed,
-			Alpha:     0.75,
 		}, src), nil
 	default:
 		return nil, fmt.Errorf("scenario: unknown mobility model %q", cfg.Mobility)

@@ -36,41 +36,32 @@ const (
 // draws.
 func Patterns() []Pattern { return []Pattern{CBR, Bursty, RequestResponse} }
 
-// Config parameterizes the workload.
-type Config struct {
-	Pattern      Pattern       // generation pattern; "" selects CBR
-	Flows        int           // concurrent flows
-	PacketBytes  int           // payload size (requests, CBR packets)
-	Interval     time.Duration // inter-packet gap within a flow / burst
-	MeanFlowLife time.Duration // mean of the exponential flow length
-	Start        time.Duration // workload warm-up offset
-	Stop         time.Duration // no packets are originated after this time
+// The paper's workload (§4) and the two patterns built on it.
+const (
+	PacketBytes  = 512                    // payload size (requests, CBR packets)
+	Interval     = 250 * time.Millisecond // inter-packet gap within a flow / burst: 4 pkt/s
+	MeanFlowLife = 100 * time.Second      // mean of the exponential flow length
+	Start        = time.Second            // workload warm-up offset
 
-	// Bursty pattern: flows alternate exponential on periods (sending at
-	// Interval) and off periods (silent). Zeros select 2 s on, 3 s off.
-	MeanBurst, MeanGap time.Duration
+	// Bursty: flows alternate exponential on periods (sending at Interval)
+	// and silent off periods.
+	MeanBurst = 2 * time.Second
+	MeanGap   = 3 * time.Second
 
-	// RequestResponse pattern: the source issues PacketBytes-sized
-	// requests at Interval; each request's destination originates a
+	// RequestResponse: each request's destination originates a
 	// ResponseBytes reply after ResponseDelay. The reply is scheduled
 	// unconditionally (an application-level model: whether the request
 	// arrived is invisible to the generator), which keeps origination
-	// events a pure function of the seed. Zeros select 1024 B and 30 ms.
-	ResponseBytes int
-	ResponseDelay time.Duration
-}
+	// events a pure function of the seed.
+	ResponseBytes = 1024
+	ResponseDelay = 30 * time.Millisecond
+)
 
-// DefaultConfig matches the paper: 512-byte packets at 4 pkt/s per flow,
-// exponential flow lengths with a 100 s mean.
-func DefaultConfig(flows int, stop time.Duration) Config {
-	return Config{
-		Flows:        flows,
-		PacketBytes:  512,
-		Interval:     250 * time.Millisecond,
-		MeanFlowLife: 100 * time.Second,
-		Start:        time.Second,
-		Stop:         stop,
-	}
+// Config is what a scenario varies about the workload.
+type Config struct {
+	Pattern Pattern       // generation pattern; "" selects CBR
+	Flows   int           // concurrent flows
+	Stop    time.Duration // no packets are originated after this time
 }
 
 // Generator drives the CBR flows over a network.
@@ -85,21 +76,6 @@ type Generator struct {
 
 // NewGenerator builds a generator. Call Start to install the flows.
 func NewGenerator(s *sim.Simulator, nodes []*routing.Node, cfg Config, src *rng.Source) *Generator {
-	if cfg.Pattern == "" {
-		cfg.Pattern = CBR
-	}
-	if cfg.MeanBurst <= 0 {
-		cfg.MeanBurst = 2 * time.Second
-	}
-	if cfg.MeanGap <= 0 {
-		cfg.MeanGap = 3 * time.Second
-	}
-	if cfg.ResponseBytes <= 0 {
-		cfg.ResponseBytes = 1024
-	}
-	if cfg.ResponseDelay <= 0 {
-		cfg.ResponseDelay = 30 * time.Millisecond
-	}
 	return &Generator{sim: s, nodes: nodes, cfg: cfg, rng: src}
 }
 
@@ -108,8 +84,8 @@ func NewGenerator(s *sim.Simulator, nodes []*routing.Node, cfg Config, src *rng.
 // synchronized-origination artifact of starting all flows at once.
 func (g *Generator) Start() {
 	for i := 0; i < g.cfg.Flows; i++ {
-		stagger := time.Duration(g.rng.Float64() * float64(g.cfg.Interval))
-		g.sim.At(g.cfg.Start+stagger, g.startFlow)
+		stagger := time.Duration(g.rng.Float64() * float64(Interval))
+		g.sim.At(Start+stagger, g.startFlow)
 	}
 }
 
@@ -123,7 +99,7 @@ func (g *Generator) startFlow() {
 	if dst >= src {
 		dst++
 	}
-	life := time.Duration(g.rng.ExpFloat64() * float64(g.cfg.MeanFlowLife))
+	life := time.Duration(g.rng.ExpFloat64() * float64(MeanFlowLife))
 	end := now + life
 	if end > g.cfg.Stop {
 		end = g.cfg.Stop
@@ -146,14 +122,14 @@ func (g *Generator) tick(src, dst int, end time.Duration) {
 		g.startFlow()
 		return
 	}
-	g.nodes[src].OriginateData(routing.NodeID(dst), g.cfg.PacketBytes)
-	g.sim.Schedule(g.cfg.Interval, func() { g.tick(src, dst, end) })
+	g.nodes[src].OriginateData(routing.NodeID(dst), PacketBytes)
+	g.sim.Schedule(Interval, func() { g.tick(src, dst, end) })
 }
 
 // burstOn begins an on period: pick its exponential length, then send at
 // the CBR interval until it expires, after which burstOff idles the flow.
 func (g *Generator) burstOn(src, dst int, end time.Duration) {
-	burstEnd := g.sim.Now() + time.Duration(g.rng.ExpFloat64()*float64(g.cfg.MeanBurst))
+	burstEnd := g.sim.Now() + time.Duration(g.rng.ExpFloat64()*float64(MeanBurst))
 	if burstEnd > end {
 		burstEnd = end
 	}
@@ -170,14 +146,14 @@ func (g *Generator) burstTick(src, dst int, end, burstEnd time.Duration) {
 		g.burstOff(src, dst, end)
 		return
 	}
-	g.nodes[src].OriginateData(routing.NodeID(dst), g.cfg.PacketBytes)
-	g.sim.Schedule(g.cfg.Interval, func() { g.burstTick(src, dst, end, burstEnd) })
+	g.nodes[src].OriginateData(routing.NodeID(dst), PacketBytes)
+	g.sim.Schedule(Interval, func() { g.burstTick(src, dst, end, burstEnd) })
 }
 
 // burstOff idles the flow for an exponential gap, long enough for routes
 // to go stale, then starts the next burst.
 func (g *Generator) burstOff(src, dst int, end time.Duration) {
-	gap := time.Duration(g.rng.ExpFloat64() * float64(g.cfg.MeanGap))
+	gap := time.Duration(g.rng.ExpFloat64() * float64(MeanGap))
 	g.sim.Schedule(gap, func() {
 		if g.sim.Now() >= end {
 			g.startFlow()
@@ -198,11 +174,11 @@ func (g *Generator) reqTick(src, dst int, end time.Duration) {
 		g.startFlow()
 		return
 	}
-	g.nodes[src].OriginateData(routing.NodeID(dst), g.cfg.PacketBytes)
-	g.sim.Schedule(g.cfg.ResponseDelay, func() {
+	g.nodes[src].OriginateData(routing.NodeID(dst), PacketBytes)
+	g.sim.Schedule(ResponseDelay, func() {
 		if g.sim.Now() < g.cfg.Stop {
-			g.nodes[dst].OriginateData(routing.NodeID(src), g.cfg.ResponseBytes)
+			g.nodes[dst].OriginateData(routing.NodeID(src), ResponseBytes)
 		}
 	})
-	g.sim.Schedule(g.cfg.Interval, func() { g.reqTick(src, dst, end) })
+	g.sim.Schedule(Interval, func() { g.reqTick(src, dst, end) })
 }

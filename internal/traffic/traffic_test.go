@@ -36,7 +36,7 @@ func testNetwork(n int) (*routing.Network, []*sinkProtocol) {
 
 func TestOfferedLoadMatchesConfiguration(t *testing.T) {
 	nw, sinks := testNetwork(10)
-	cfg := traffic.DefaultConfig(5, 60*time.Second)
+	cfg := traffic.Config{Flows: 5, Stop: 60 * time.Second}
 	gen := traffic.NewGenerator(nw.Sim, nw.Nodes, cfg, rng.New(2))
 	gen.Start()
 	nw.Sim.Run(60 * time.Second)
@@ -59,7 +59,7 @@ func TestOfferedLoadMatchesConfiguration(t *testing.T) {
 
 func TestFlowsNeverSendToSelf(t *testing.T) {
 	nw, sinks := testNetwork(4)
-	gen := traffic.NewGenerator(nw.Sim, nw.Nodes, traffic.DefaultConfig(8, 120*time.Second), rng.New(3))
+	gen := traffic.NewGenerator(nw.Sim, nw.Nodes, traffic.Config{Flows: 8, Stop: 120 * time.Second}, rng.New(3))
 	gen.Start()
 	nw.Sim.Run(120 * time.Second)
 
@@ -80,7 +80,7 @@ func TestFlowsNeverSendToSelf(t *testing.T) {
 
 func TestNoPacketsAfterStop(t *testing.T) {
 	nw, sinks := testNetwork(6)
-	cfg := traffic.DefaultConfig(3, 30*time.Second)
+	cfg := traffic.Config{Flows: 3, Stop: 30 * time.Second}
 	gen := traffic.NewGenerator(nw.Sim, nw.Nodes, cfg, rng.New(4))
 	gen.Start()
 	nw.Sim.Run(90 * time.Second)
@@ -96,29 +96,25 @@ func TestNoPacketsAfterStop(t *testing.T) {
 
 func TestFlowsRestartToKeepLoadConstant(t *testing.T) {
 	nw, _ := testNetwork(8)
-	cfg := traffic.DefaultConfig(2, 600*time.Second)
-	// Short flows force many restarts within the run.
-	cfg.MeanFlowLife = 5 * time.Second
-	gen := traffic.NewGenerator(nw.Sim, nw.Nodes, cfg, rng.New(5))
+	// Thirty mean flow lifetimes, so every flow slot restarts many times.
+	const stop = 30 * traffic.MeanFlowLife
+	gen := traffic.NewGenerator(nw.Sim, nw.Nodes, traffic.Config{Flows: 2, Stop: stop}, rng.New(5))
 	gen.Start()
-	nw.Sim.Run(600 * time.Second)
+	nw.Sim.Run(stop)
 
-	if gen.FlowsStarted < 50 {
-		t.Fatalf("only %d flows started over 600s with 5s mean life", gen.FlowsStarted)
+	if gen.FlowsStarted < 30 {
+		t.Fatalf("only %d flows started over %v with a %v mean life", gen.FlowsStarted, stop, traffic.MeanFlowLife)
 	}
-	// Offered load must stay ≈ 2 flows × 4 pkt/s × 600 s = 4800.
+	// Offered load must stay ≈ 2 flows × 4 pkt/s × 3000 s = 24000.
 	got := float64(nw.Collector.DataInitiated)
-	if got < 4800*0.85 || got > 4800*1.15 {
-		t.Fatalf("initiated %v packets, want ≈ 4800 despite flow churn", got)
+	if got < 24000*0.85 || got > 24000*1.15 {
+		t.Fatalf("initiated %v packets, want ≈ 24000 despite flow churn", got)
 	}
 }
 
 func TestBurstyDutyCycleReducesLoad(t *testing.T) {
 	nw, _ := testNetwork(10)
-	cfg := traffic.DefaultConfig(5, 300*time.Second)
-	cfg.Pattern = traffic.Bursty
-	cfg.MeanBurst = 2 * time.Second
-	cfg.MeanGap = 3 * time.Second
+	cfg := traffic.Config{Pattern: traffic.Bursty, Flows: 5, Stop: 300 * time.Second}
 	gen := traffic.NewGenerator(nw.Sim, nw.Nodes, cfg, rng.New(6))
 	gen.Start()
 	nw.Sim.Run(300 * time.Second)
@@ -134,8 +130,7 @@ func TestBurstyDutyCycleReducesLoad(t *testing.T) {
 
 func TestRequestResponseGeneratesReplies(t *testing.T) {
 	nw, sinks := testNetwork(10)
-	cfg := traffic.DefaultConfig(3, 60*time.Second)
-	cfg.Pattern = traffic.RequestResponse
+	cfg := traffic.Config{Pattern: traffic.RequestResponse, Flows: 3, Stop: 60 * time.Second}
 	gen := traffic.NewGenerator(nw.Sim, nw.Nodes, cfg, rng.New(7))
 	gen.Start()
 	nw.Sim.Run(60 * time.Second)
@@ -177,8 +172,7 @@ func TestRequestResponseGeneratesReplies(t *testing.T) {
 func TestPatternsStopOriginatingAtStop(t *testing.T) {
 	for _, pat := range traffic.Patterns() {
 		nw, sinks := testNetwork(6)
-		cfg := traffic.DefaultConfig(3, 30*time.Second)
-		cfg.Pattern = pat
+		cfg := traffic.Config{Pattern: pat, Flows: 3, Stop: 30 * time.Second}
 		gen := traffic.NewGenerator(nw.Sim, nw.Nodes, cfg, rng.New(8))
 		gen.Start()
 		nw.Sim.Run(90 * time.Second)
@@ -197,8 +191,7 @@ func TestPatternsDeterministic(t *testing.T) {
 		counts := [2]uint64{}
 		for trial := 0; trial < 2; trial++ {
 			nw, _ := testNetwork(8)
-			cfg := traffic.DefaultConfig(4, 60*time.Second)
-			cfg.Pattern = pat
+			cfg := traffic.Config{Pattern: pat, Flows: 4, Stop: 60 * time.Second}
 			gen := traffic.NewGenerator(nw.Sim, nw.Nodes, cfg, rng.New(9))
 			gen.Start()
 			nw.Sim.Run(60 * time.Second)
