@@ -43,13 +43,11 @@ func run() error {
 	shared.Bind(flag.CommandLine)
 	var prof cli.Profile
 	prof.Bind(flag.CommandLine)
+	cell := cli.Cell{Proto: "ldr", Nodes: 50, Flows: 10, Pause: 60 * time.Second}
+	cell.Bind(flag.CommandLine)
 	var (
-		proto  = flag.String("proto", "ldr", "routing protocol: ldr|aodv|dsr|dsr7|olsr|olsr-nojitter")
-		nodes  = flag.Int("nodes", 50, "number of nodes (≥ 2)")
 		width  = flag.Float64("width", 1500, "terrain width (m)")
 		height = flag.Float64("height", 300, "terrain height (m)")
-		flows  = flag.Int("flows", 10, "concurrent CBR flows (≥ 1)")
-		pause  = flag.Duration("pause", 60*time.Second, "random-waypoint pause time")
 		speed  = flag.Float64("maxspeed", 20, "maximum node speed (m/s)")
 	)
 	if err := cli.Parse(
@@ -67,17 +65,11 @@ func run() error {
 	if err := shared.Validate(); err != nil {
 		return err
 	}
-	if *nodes < 2 {
-		return fmt.Errorf("-nodes must be at least 2 (got %d)", *nodes)
-	}
-	if *flows < 1 {
-		return fmt.Errorf("-flows must be at least 1 (got %d)", *flows)
+	if err := cell.Validate(); err != nil {
+		return err
 	}
 	if *width <= 0 || *height <= 0 {
 		return fmt.Errorf("terrain must be positive (got %.0f x %.0f m)", *width, *height)
-	}
-	if *pause < 0 {
-		return fmt.Errorf("-pause must not be negative (got %v)", *pause)
 	}
 	if *speed <= 0 {
 		return fmt.Errorf("-maxspeed must be positive (got %.1f)", *speed)
@@ -102,8 +94,7 @@ func run() error {
 		ctl.Interrupt()
 	}()
 
-	cfg := scenario.Nodes50(scenario.ProtocolName(*proto), *flows, *pause, shared.Seed)
-	cfg.Nodes = *nodes
+	cfg := cell.Config(shared.Seed)
 	cfg.Terrain = mobility.Terrain{Width: *width, Height: *height}
 	cfg.MaxSpeed = *speed
 	cfg.SimTime = shared.SimTime

@@ -22,11 +22,9 @@ import (
 func main() { cli.Main(run) }
 
 func run() error {
+	cell := cli.Cell{Proto: "ldr", Nodes: 20, Flows: 5}
+	cell.Bind(flag.CommandLine)
 	var (
-		proto    = flag.String("proto", "ldr", "routing protocol: ldr|aodv|dsr|dsr7|olsr")
-		nodes    = flag.Int("nodes", 20, "number of nodes")
-		flows    = flag.Int("flows", 5, "concurrent CBR flows")
-		pause    = flag.Duration("pause", 0, "random-waypoint pause time")
 		simTime  = flag.Duration("simtime", 60*time.Second, "simulated duration")
 		interval = flag.Duration("interval", 5*time.Second, "dump interval")
 		dest     = flag.Int("dest", 0, "destination whose successor graph to dump")
@@ -42,17 +40,8 @@ func run() error {
 	); err != nil {
 		return err
 	}
-	if _, err := scenario.Factory(scenario.ProtocolName(*proto), nil); err != nil {
+	if err := cell.Validate(); err != nil {
 		return err
-	}
-	if *nodes < 2 {
-		return fmt.Errorf("-nodes must be at least 2 (got %d)", *nodes)
-	}
-	if *flows < 1 {
-		return fmt.Errorf("-flows must be at least 1 (got %d)", *flows)
-	}
-	if *pause < 0 {
-		return fmt.Errorf("-pause must be ≥ 0 (got %v)", *pause)
 	}
 	if *simTime <= 0 {
 		return fmt.Errorf("-simtime must be positive (got %v)", *simTime)
@@ -60,15 +49,14 @@ func run() error {
 	if *interval <= 0 {
 		return fmt.Errorf("-interval must be positive (got %v)", *interval)
 	}
-	if *dest < 0 || *dest >= *nodes {
-		return fmt.Errorf("-dest must name a node in [0,%d) (got %d)", *nodes, *dest)
+	if *dest < 0 || *dest >= cell.Nodes {
+		return fmt.Errorf("-dest must name a node in [0,%d) (got %d)", cell.Nodes, *dest)
 	}
 	if *packets < 0 {
 		return fmt.Errorf("-packets must be ≥ 0 (got %d)", *packets)
 	}
 
-	cfg := scenario.Nodes50(scenario.ProtocolName(*proto), *flows, *pause, *seed)
-	cfg.Nodes = *nodes
+	cfg := cell.Config(*seed)
 	cfg.SimTime = *simTime
 
 	nw, gen, err := scenario.Build(cfg)

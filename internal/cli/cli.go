@@ -149,6 +149,55 @@ func (r *Run) Validate() error {
 	return nil
 }
 
+// Cell is -proto, -nodes, -flows and -pause: the one cell ldrsim and
+// ldrtrace run.
+type Cell struct {
+	Proto string
+	Nodes int
+	Flows int
+	Pause time.Duration
+}
+
+// cellProtocols are the names -proto's help lists. Validate asks
+// scenario.Factory, so a protocol registered at run time is accepted too.
+var cellProtocols = []scenario.ProtocolName{
+	scenario.LDR, scenario.AODV, scenario.DSR, scenario.DSR7, scenario.OLSR, scenario.OLSRJ,
+}
+
+func (c *Cell) Bind(fs *flag.FlagSet) {
+	names := make([]string, len(cellProtocols))
+	for i, p := range cellProtocols {
+		names[i] = string(p)
+	}
+	fs.StringVar(&c.Proto, "proto", c.Proto, "routing protocol: "+strings.Join(names, "|"))
+	fs.IntVar(&c.Nodes, "nodes", c.Nodes, "number of nodes (≥ 2)")
+	fs.IntVar(&c.Flows, "flows", c.Flows, "concurrent CBR flows (≥ 1)")
+	fs.DurationVar(&c.Pause, "pause", c.Pause, "random-waypoint pause time (≥ 0)")
+}
+
+func (c *Cell) Validate() error {
+	if _, err := scenario.Factory(scenario.ProtocolName(c.Proto), nil); err != nil {
+		return err
+	}
+	if c.Nodes < 2 {
+		return fmt.Errorf("-nodes must be at least 2 (got %d)", c.Nodes)
+	}
+	if c.Flows < 1 {
+		return fmt.Errorf("-flows must be at least 1 (got %d)", c.Flows)
+	}
+	if c.Pause < 0 {
+		return fmt.Errorf("-pause must not be negative (got %v)", c.Pause)
+	}
+	return nil
+}
+
+// Config is the paper's 50-node scenario skeleton resized to the cell.
+func (c *Cell) Config(seed int64) scenario.Config {
+	cfg := scenario.Nodes50(scenario.ProtocolName(c.Proto), c.Flows, c.Pause, seed)
+	cfg.Nodes = c.Nodes
+	return cfg
+}
+
 // Scale adds -trials, -simtime and the scenario axes: one scenario shape
 // repeated across seeds (ldrsim, ldrbench, ldrchaos).
 type Scale struct {
