@@ -112,47 +112,54 @@ type packetKey struct {
 	id  uint64
 }
 
-// Collector accumulates the counters for one simulation run.
+// Collector accumulates the counters for one simulation run. Its JSON
+// form is the journal's cell record (internal/resilience) and what the
+// repository benchmark hashes into its digest, so field order and names
+// are a file format: every counter is an integer, and float64 values
+// (SeqnoSum) round-trip losslessly through encoding/json's shortest-form
+// formatting, which is what lets a sweep resumed from its journal render
+// byte-identical tables.
 type Collector struct {
 	// Data plane.
-	DataInitiated   uint64        // CBR packets handed to the network layer
-	DataDelivered   uint64        // CBR packets received at their destination
-	DataTransmitted uint64        // hop-wise data transmissions
-	DataDropped     uint64        // packets dropped (no route, TTL, queue)
-	TotalLatency    time.Duration // sum of end-to-end latencies of delivered packets
+	DataInitiated   uint64        `json:"data_initiated"`   // CBR packets handed to the network layer
+	DataDelivered   uint64        `json:"data_delivered"`   // CBR packets received at their destination
+	DataTransmitted uint64        `json:"data_transmitted"` // hop-wise data transmissions
+	DataDropped     uint64        `json:"data_dropped"`     // packets dropped (no route, TTL, queue)
+	TotalLatency    time.Duration `json:"total_latency"`    // sum of end-to-end latencies of delivered packets
 
-	// Control plane, indexed by ControlKind.
-	ctrlTransmitted [numKinds]uint64
-	ctrlInitiated   [numKinds]uint64
-	ctrlDropped     [numKinds]uint64
+	// Control plane, indexed by ControlKind; read them through
+	// ControlTransmitted, ControlInitiated and ControlDropped.
+	CtrlTransmitted [numKinds]uint64 `json:"ctrl_transmitted"`
+	CtrlInitiated   [numKinds]uint64 `json:"ctrl_initiated"`
+	CtrlDropped     [numKinds]uint64 `json:"ctrl_dropped"`
 
 	// RREPUsable counts hop-wise usable RREP receptions: a RREP counts once
 	// at every node along its path that can use it to install or improve a
 	// route (the paper's "RREP Recv" numerator).
-	RREPUsable uint64
+	RREPUsable uint64 `json:"rrep_usable"`
 
 	// Latency distribution of delivered packets (p50/p95/p99 reporting).
-	Latency LatencyHistogram
+	Latency LatencyHistogram `json:"latency"`
 
 	// Path-length accounting for delivered packets: HopsSum/DataDelivered
 	// is the mean path length, comparable against the topology oracle's
 	// shortest paths for a stretch measure.
-	HopsSum uint64
+	HopsSum uint64 `json:"hops_sum"`
 
 	// Destination sequence number samples (Fig. 7). Protocols that use
 	// destination sequence numbers record the counter value of every
 	// routing-table entry at the end of the run.
-	SeqnoSum   float64
-	SeqnoCount uint64
+	SeqnoSum   float64 `json:"seqno_sum"`
+	SeqnoCount uint64  `json:"seqno_count"`
 
 	// Continuous invariant auditing (internal/fault): table snapshots
 	// taken by the loopcheck auditor and the violations they exposed.
 	// A loop violation is a cycle in some destination's successor graph;
 	// an ordering violation is a (seq, fd) label pair breaking the
 	// paper's Theorem 2 criterion along a successor edge.
-	AuditSnapshots     uint64
-	LoopViolations     uint64
-	OrderingViolations uint64
+	AuditSnapshots     uint64 `json:"audit_snapshots"`
+	LoopViolations     uint64 `json:"loop_violations"`
+	OrderingViolations uint64 `json:"ordering_violations"`
 
 	// Packet-conservation ledger: every initiated data packet is tracked
 	// by (Src, ID) until its first terminal event — delivery or drop —
@@ -160,8 +167,8 @@ type Collector struct {
 	// duplicated by the radio fault hook arriving after the original, or
 	// a stale copy dropped after delivery) land in DuplicateDeliveries /
 	// LateDrops instead of inflating the paper's metrics.
-	DuplicateDeliveries uint64 // deliveries suppressed: packet already terminal
-	LateDrops           uint64 // drops suppressed: packet already terminal
+	DuplicateDeliveries uint64 `json:"duplicate_deliveries"` // deliveries suppressed: packet already terminal
+	LateDrops           uint64 `json:"late_drops"`           // drops suppressed: packet already terminal
 
 	// Adversary-resilience counters (internal/adversary). A feasibility
 	// rejection is an advertisement LDR's NDC refused — under seqno
@@ -170,13 +177,18 @@ type Collector struct {
 	// per-neighbor rate limiters before processing. All three are
 	// receive-side events, so they never unbalance the control ledgers
 	// (initiated/transmitted/dropped are all sender-side).
-	FeasibilityRejections uint64 // LDR NDC refusals of advertisements
-	RREQSuppressed        uint64 // RREQs discarded by receive rate limiting
-	RERRSuppressed        uint64 // RERRs discarded by receive damping
+	FeasibilityRejections uint64 `json:"feasibility_rejections"` // LDR NDC refusals of advertisements
+	RREQSuppressed        uint64 `json:"rreq_suppressed"`        // RREQs discarded by receive rate limiting
+	RERRSuppressed        uint64 `json:"rerr_suppressed"`        // RERRs discarded by receive damping
 
-	dropByReason [numReasons]uint64
-	fates        map[packetKey]PacketFate
-	inFlight     int64 // initiated packets with no terminal event yet
+	// DropByReason is indexed by DropReason (read it through DroppedBy);
+	// InFlightCount is the gauge behind InFlight. The per-packet fates map
+	// is not serialized: it exists to dedup terminal events during the run
+	// and is dead weight once the run has ended, so a journaled collector
+	// reports FateNone for every packet.
+	DropByReason  [numReasons]uint64       `json:"drop_by_reason"`
+	fates         map[packetKey]PacketFate `json:"-"`
+	InFlightCount int64                    `json:"in_flight"` // initiated packets with no terminal event yet
 }
 
 // NewCollector returns an empty collector.
@@ -201,7 +213,7 @@ func (c *Collector) setFate(src int, id uint64, f PacketFate) {
 func (c *Collector) NoteInitiated(src int, id uint64) {
 	c.DataInitiated++
 	c.setFate(src, id, FateInFlight)
-	c.inFlight++
+	c.InFlightCount++
 }
 
 // NoteDelivered records an end-to-end delivery of packet (src, id). It
@@ -216,7 +228,7 @@ func (c *Collector) NoteDelivered(src int, id uint64) bool {
 		c.DuplicateDeliveries++
 		return false
 	case FateInFlight:
-		c.inFlight--
+		c.InFlightCount--
 	}
 	c.setFate(src, id, FateDelivered)
 	c.DataDelivered++
@@ -233,14 +245,14 @@ func (c *Collector) NoteDropped(src int, id uint64, reason DropReason) bool {
 		c.LateDrops++
 		return false
 	case FateInFlight:
-		c.inFlight--
+		c.InFlightCount--
 	}
 	c.setFate(src, id, FateDropped)
 	c.DataDropped++
 	if reason < numReasons {
-		c.dropByReason[reason]++
+		c.DropByReason[reason]++
 	} else {
-		c.dropByReason[DropOther]++
+		c.DropByReason[DropOther]++
 	}
 	return true
 }
@@ -253,24 +265,24 @@ func (c *Collector) FateOf(src int, id uint64) PacketFate { return c.fate(src, i
 // conservation equation: DataInitiated == DataDelivered + DataDropped +
 // InFlight (it can go negative only if packets bypass NoteInitiated,
 // which scenario runs never do).
-func (c *Collector) InFlight() int64 { return c.inFlight }
+func (c *Collector) InFlight() int64 { return c.InFlightCount }
 
 // DroppedBy returns the drop count for one reason.
 func (c *Collector) DroppedBy(reason DropReason) uint64 {
 	if reason >= numReasons {
 		reason = DropOther
 	}
-	return c.dropByReason[reason]
+	return c.DropByReason[reason]
 }
 
 // CountControlTransmit records one hop-wise control transmission.
 func (c *Collector) CountControlTransmit(k ControlKind) {
-	c.ctrlTransmitted[kindIndex(k)]++
+	c.CtrlTransmitted[kindIndex(k)]++
 }
 
 // CountControlInitiate records the first transmission of a control packet.
 func (c *Collector) CountControlInitiate(k ControlKind) {
-	c.ctrlInitiated[kindIndex(k)]++
+	c.CtrlInitiated[kindIndex(k)]++
 }
 
 // CountControlDrop records a control packet discarded before it reached
@@ -279,7 +291,7 @@ func (c *Collector) CountControlInitiate(k ControlKind) {
 // vanish without a transmit, a drop, or a queue slot accounting for
 // them.
 func (c *Collector) CountControlDrop(k ControlKind) {
-	c.ctrlDropped[kindIndex(k)]++
+	c.CtrlDropped[kindIndex(k)]++
 }
 
 // ObserveSeqno records one destination sequence-number sample.
@@ -290,23 +302,23 @@ func (c *Collector) ObserveSeqno(v float64) {
 
 // ControlTransmitted returns the hop-wise transmission count for a kind.
 func (c *Collector) ControlTransmitted(k ControlKind) uint64 {
-	return c.ctrlTransmitted[kindIndex(k)]
+	return c.CtrlTransmitted[kindIndex(k)]
 }
 
 // ControlInitiated returns the initiation count for a kind.
 func (c *Collector) ControlInitiated(k ControlKind) uint64 {
-	return c.ctrlInitiated[kindIndex(k)]
+	return c.CtrlInitiated[kindIndex(k)]
 }
 
 // ControlDropped returns the pre-transmission discard count for a kind.
 func (c *Collector) ControlDropped(k ControlKind) uint64 {
-	return c.ctrlDropped[kindIndex(k)]
+	return c.CtrlDropped[kindIndex(k)]
 }
 
 // TotalControlTransmitted sums hop-wise transmissions over all kinds.
 func (c *Collector) TotalControlTransmitted() uint64 {
 	var sum uint64
-	for _, v := range c.ctrlTransmitted {
+	for _, v := range c.CtrlTransmitted {
 		sum += v
 	}
 	return sum
