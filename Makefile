@@ -200,18 +200,18 @@ bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
 # The refactoring oracle as one command: run the repository benchmark
-# (benchmark/, BENCHMARK.json) on BASE, checked out into a temporary git
-# worktree, and on this tree, then compare — scenario.digest and every
-# exact counter must match, every end-to-end metric must stay inside its
-# bound. No CI job gates on it: a deliberate behaviour fix legitimately
-# moves the digest.
+# (benchmark/, BENCHMARK.json) on BASE, unpacked with `git archive` into a
+# temporary directory (under TMPDIR; nothing is added to .git), and on
+# this tree, then compare — scenario.digest and every exact counter must
+# match, every end-to-end metric must stay inside its bound. No CI job
+# gates on it: a deliberate behaviour fix legitimately moves the digest.
 #   make bench-compare BASE=<ref> [SEED=1] [SCALE=full|tiny]
 SEED ?= 1
 SCALE ?= full
 bench-compare:
 	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<ref> [SEED=1] [SCALE=full|tiny]" >&2; exit 2; }
-	@d=$$(mktemp -d) && trap 'git worktree remove --force "$$d/base"; rm -rf "$$d"' EXIT && \
-	git worktree add --quiet --detach "$$d/base" $(BASE) && \
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && mkdir "$$d/base" && \
+	git archive $(BASE) | tar -x -C "$$d/base" && \
 	(cd "$$d/base" && $(GO) run ./benchmark -workload all -seed $(SEED) -scale $(SCALE) -out "$$d/base.json") && \
 	$(GO) run ./benchmark -workload all -seed $(SEED) -scale $(SCALE) -out "$$d/head.json" && \
 	$(GO) run ./benchmark -compare "$$d/base.json" "$$d/head.json"

@@ -38,8 +38,8 @@ type Options struct {
 	Protocols []scenario.ProtocolName
 
 	// Workers is the number of scenario cells simulated concurrently.
-	// Zero selects GOMAXPROCS; 1 forces the serial path. Output is
-	// byte-identical at every setting.
+	// Zero selects GOMAXPROCS. Output is byte-identical at every
+	// setting.
 	Workers int
 
 	// FaultProfiles selects the fault profiles the Chaos experiment
