@@ -16,8 +16,10 @@
 // enumeration name n<nodes>-<k>, or sweep / sweep3 / sweep4 for every
 // non-isomorphic connected graph of that size.
 //
-// Exit status is 1 when a violation is found, so the command can gate
-// CI; -expect-violation inverts that (0 iff a violation is found), for
+// Exit status is 1 when a violation is found, or when an exploration hit
+// -max-states before exhausting its bounds (a truncated search that found
+// nothing has proved nothing), so the command can gate CI;
+// -expect-violation inverts that (0 iff a violation is found), for
 // pinning known-unsound protocols like AODV under reboots.
 package main
 
@@ -128,6 +130,7 @@ func run() error {
 	}
 
 	violations := 0
+	var truncated []string // cells cut short without a violation
 	for _, g := range graphs {
 		sc := &modelcheck.Scenario{Graph: g, Protocol: *proto, Seed: *seed, Flows: flowList}
 		res, err := modelcheck.Check(sc, opts)
@@ -137,6 +140,9 @@ func run() error {
 		status := "ok"
 		if res.Truncated {
 			status = "TRUNCATED (raise -max-states)"
+			if res.Violation == nil {
+				truncated = append(truncated, g.String())
+			}
 		}
 		if res.Violation != nil {
 			status = "VIOLATION"
@@ -164,6 +170,10 @@ func run() error {
 	}
 	if violations > 0 {
 		return fmt.Errorf("%d violating topolog%s", violations, map[bool]string{true: "y", false: "ies"}[violations == 1])
+	}
+	if len(truncated) > 0 {
+		return fmt.Errorf("%s on %s: truncated at the state cap with no violation found, which proves nothing (raise -max-states)",
+			*proto, strings.Join(truncated, ", "))
 	}
 	return nil
 }

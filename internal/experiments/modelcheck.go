@@ -8,6 +8,8 @@ package experiments
 
 import (
 	"fmt"
+	"io"
+	"strings"
 
 	"github.com/manetlab/ldr/internal/modelcheck"
 	"github.com/manetlab/ldr/internal/scenario"
@@ -36,7 +38,9 @@ func mcOptions(n int) modelcheck.Options {
 // ModelCheck runs the sweep and renders one row per cell: distinct
 // states, transitions, and the verdict. LDR must come out clean on every
 // topology; AODV's line violations are the van Glabbeek result and are
-// reported, not failed. Only protocols with model-checker state hooks
+// reported, not failed. A cell cut short at the state cap without a
+// violation has proved nothing, and fails the sweep by name once the
+// table is out. Only protocols with model-checker state hooks
 // (ldr, aodv) participate; others in Options.Protocols are skipped with
 // a note.
 func ModelCheck(o Options) error {
@@ -78,33 +82,47 @@ func ModelCheck(o Options) error {
 	if err != nil {
 		return err
 	}
+	err = renderModelCheck(o.Out, protos, len(graphs), cells, results)
+	for _, p := range skipped {
+		fmt.Fprintf(o.Out, "%s: skipped (no model-checker state hooks)\n", p)
+	}
+	return err
+}
 
-	fmt.Fprintf(o.Out, "\nModel check: bounded-exhaustive exploration, loopcheck invariants at every state\n")
-	fmt.Fprintf(o.Out, "%-8s %-28s %5s %5s %6s %9s %12s  %s\n",
+// renderModelCheck prints the sweep's table and per-protocol tallies, and
+// gives its verdict: an LDR violation fails it, and so does a cell of
+// either protocol that was cut short without finding one.
+func renderModelCheck(out io.Writer, protos []string, graphs int, cells []mcCell, results []*modelcheck.Result) error {
+	fmt.Fprintf(out, "\nModel check: bounded-exhaustive exploration, loopcheck invariants at every state\n")
+	fmt.Fprintf(out, "%-8s %-28s %5s %5s %6s %9s %12s  %s\n",
 		"proto", "graph", "depth", "drops", "resets", "states", "transitions", "result")
 	violations := map[string]int{}
+	var truncated []string
 	for i, c := range cells {
 		res := results[i]
 		verdict := "clean"
 		if res.Truncated {
 			verdict = "truncated"
+			if res.Violation == nil {
+				truncated = append(truncated, fmt.Sprintf("%s on %s", c.proto, c.graph))
+			}
 		}
 		if res.Violation != nil {
 			verdict = fmt.Sprintf("VIOLATION in %d steps", len(res.Violation.Trace))
 			violations[c.proto]++
 		}
-		fmt.Fprintf(o.Out, "%-8s %-28s %5d %5d %6d %9d %12d  %s\n",
+		fmt.Fprintf(out, "%-8s %-28s %5d %5d %6d %9d %12d  %s\n",
 			c.proto, c.graph, c.opts.MaxDepth, c.opts.MaxDrops, c.opts.MaxResets,
 			res.States, res.Transitions, verdict)
 	}
 	for _, p := range protos {
-		fmt.Fprintf(o.Out, "%s: %d/%d topologies violating\n", p, violations[p], len(graphs))
-	}
-	for _, p := range skipped {
-		fmt.Fprintf(o.Out, "%s: skipped (no model-checker state hooks)\n", p)
+		fmt.Fprintf(out, "%s: %d/%d topologies violating\n", p, violations[p], graphs)
 	}
 	if violations[string(scenario.LDR)] > 0 {
 		return fmt.Errorf("experiments: LDR violated loop freedom in the model-check sweep")
+	}
+	if len(truncated) > 0 {
+		return fmt.Errorf("experiments: model-check sweep truncated at the state cap, proving nothing for: %s", strings.Join(truncated, "; "))
 	}
 	return nil
 }
