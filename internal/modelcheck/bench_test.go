@@ -2,11 +2,17 @@ package modelcheck
 
 // Exploration-throughput benchmarks, recorded as BENCH_modelcheck.json
 // by `make bench-modelcheck`. A transition is one apply, one loop check,
-// one canonical encoding and one in-place restore (snapshot.go), in
-// roughly equal parts, so states/sec is the number to watch and B/op
-// guards against a return to per-state world construction; the state
-// counts themselves are exact and double as a symmetry-reduction
-// regression guard.
+// one canonical key and one in-place restore (snapshot.go), each of the
+// one node the action wrote. By the CPU profile of LDR on the 3-node
+// graphs at depth 14 (notes/perf-PR21.md) the key is two fifths of it —
+// the written node's AppendModelState 15 %, the pending items 8 %, the
+// hash 4 %, the rest copying cached bytes and the visited-set probe —
+// restoring the written node and links a sixth, the handlers, saving on
+// seek, and the table snapshot with its loop check between a fifteenth
+// and a tenth each. So states/sec is the number to watch, and B/op guards
+// against a return to per-state world construction or whole-world
+// records; the state counts themselves are exact and double as a
+// symmetry-reduction regression guard.
 
 import "testing"
 

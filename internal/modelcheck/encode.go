@@ -5,19 +5,23 @@ package modelcheck
 // budgets). Two states are identified when some automorphism of the
 // topology that fixes every flow endpoint maps one onto the other; the
 // canonical form is the lexicographically minimal serialization over the
-// automorphism group, and the BFS memoizes its 128-bit FNV-1a hash.
+// automorphism group, and the BFS memoizes a 128-bit hash of it (hashKey).
 //
 // Per-link queues are serialized as sorted multisets: the checker can
 // deliver any pending item in any order, so queue position carries no
 // information and states differing only by it must collide.
+//
+// A node's part of the serialization is a function of that node's state
+// and the automorphism alone, so it is taken once per saved state and
+// automorphism and cached on the saved record (snapshot.go): the key of a
+// successor encodes the one node the action wrote and copies the rest.
 
 import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"hash"
-	"hash/fnv"
+	"math/bits"
 	"slices"
 
 	"github.com/manetlab/ldr/internal/aodv"
@@ -26,30 +30,21 @@ import (
 )
 
 // stateKey is the 128-bit memoization key of a canonical state.
-type stateKey [16]byte
+type stateKey [2]uint64
 
-// encoder canonicalizes and hashes world states, reusing its buffers
-// across calls: a warm key allocates nothing. Not safe for concurrent
-// use.
+// encoder holds the automorphism group states are identified under and
+// the scratch a canonical serialization is built in, reused across calls:
+// a warm key allocates nothing. Not safe for concurrent use.
 type encoder struct {
 	n      int
 	autos  [][]int                               // automorphism group, identity included
 	mapIDs []func(routing.NodeID) routing.NodeID // autos as relabelings, built once
-	inv    []int                                 // scratch: inverse permutation
+	invs   [][]int                               // autos' inverse permutations
 	buf    []byte                                // candidate serialization under one automorphism
 	best   []byte                                // minimal serialization so far
-	rows   []linkRow                             // scratch: the non-empty links
 	items  []byte                                // scratch: one link's items, back to back
 	spans  []span                                // scratch: where each item sits in items
 	dests  []rerrDest                            // scratch: one RERR's destinations
-	hash   hash.Hash
-	sum    stateKey
-}
-
-// linkRow is a non-empty directed link with its relabeled endpoints.
-type linkRow struct {
-	mf, mt   int
-	from, to int
 }
 
 type span struct{ lo, hi int }
@@ -60,7 +55,7 @@ type rerrDest struct {
 }
 
 func newEncoder(n int, autos [][]int) *encoder {
-	e := &encoder{n: n, autos: autos, inv: make([]int, n), hash: fnv.New128a()}
+	e := &encoder{n: n, autos: autos}
 	for _, perm := range autos {
 		e.mapIDs = append(e.mapIDs, func(id routing.NodeID) routing.NodeID {
 			if int(id) < 0 || int(id) >= n {
@@ -68,33 +63,49 @@ func newEncoder(n int, autos [][]int) *encoder {
 			}
 			return routing.NodeID(perm[id])
 		})
+		inv := make([]int, n)
+		for i, p := range perm {
+			inv[p] = i
+		}
+		e.invs = append(e.invs, inv)
 	}
 	return e
 }
 
-// key returns the canonical hash of w given the remaining budgets
-// (budgets gate which actions are enabled, so two protocol-identical
-// states with different allowances are distinct).
-func (e *encoder) key(w *world, b budgets) stateKey {
-	e.best = e.best[:0]
-	for ai := range e.autos {
-		e.buf = e.encodeUnder(e.buf[:0], w, b, ai)
-		if ai == 0 || bytes.Compare(e.buf, e.best) < 0 {
-			e.best = append(e.best[:0], e.buf...)
-		}
+// flowAutomorphisms is the group a scenario's states are identified
+// under: the graph automorphisms that fix every flow endpoint (those
+// nodes have distinguishable roles).
+func flowAutomorphisms(sc *Scenario) [][]int {
+	var pinned []int
+	for _, f := range sc.Flows {
+		pinned = append(pinned, int(f.Src), int(f.Dst))
 	}
-	e.hash.Reset()
-	e.hash.Write(e.best)
-	e.hash.Sum(e.sum[:0])
-	return e.sum
+	return automorphisms(sc.Graph, pinned)
 }
 
-// encodeUnder serializes w relabeled by the ai-th automorphism.
-func (e *encoder) encodeUnder(out []byte, w *world, b budgets, ai int) []byte {
-	n, perm, mapID := e.n, e.autos[ai], e.mapIDs[ai]
-	for i, p := range perm {
-		e.inv[p] = i
+// key returns the canonical hash of the world's present state given the
+// remaining budgets (budgets gate which actions are enabled, so two
+// protocol-identical states with different allowances are distinct).
+func (c *cursor) key(b budgets) stateKey { return hashKey(c.canonical(b)) }
+
+// canonical returns the lex-min serialization of the world's present
+// state, valid until the next call.
+func (c *cursor) canonical(b budgets) []byte {
+	e := c.enc
+	for ai := range e.autos {
+		e.buf = c.encodeUnder(e.buf[:0], b, ai)
+		if ai == 0 || bytes.Compare(e.buf, e.best) < 0 {
+			e.buf, e.best = e.best, e.buf
+		}
 	}
+	return e.best
+}
+
+// encodeUnder serializes the world's present state relabeled by the ai-th
+// automorphism.
+func (c *cursor) encodeUnder(out []byte, b budgets, ai int) []byte {
+	w, e := c.w, c.enc
+	n, inv, mapID := e.n, e.invs[ai], e.mapIDs[ai]
 
 	// Context: origination progress and remaining budgets.
 	out = binary.AppendUvarint(out, uint64(w.nextFlow))
@@ -104,43 +115,102 @@ func (e *encoder) encodeUnder(out []byte, w *world, b budgets, ai int) []byte {
 	out = binary.AppendUvarint(out, uint64(b.vresets))
 
 	// Node states, in mapped-identifier order: position p holds the state
-	// of the node that perm maps to p.
+	// of the node that perm maps to p. A node written since the sought
+	// state was saved is encoded as it stands; any other still is what its
+	// saved record holds, so the bytes are taken once per record.
+	base := c.base()
 	for p := 0; p < n; p++ {
-		out = w.staters[e.inv[p]].AppendModelState(out, mapID)
+		i := inv[p]
+		if w.dirtyNodes&(1<<i) != 0 {
+			out = w.staters[i].AppendModelState(out, mapID)
+			continue
+		}
+		r := base.nodes[i]
+		if r.enc == nil {
+			r.enc = make([][]byte, len(e.autos))
+		}
+		if len(r.enc[ai]) == 0 {
+			r.enc[ai] = w.staters[i].AppendModelState(r.enc[ai], mapID)
+		}
+		out = append(out, r.enc[ai]...)
 	}
 
-	// Pending multisets, links sorted by mapped (from, to), items sorted
-	// by their serialized form.
-	e.rows = e.rows[:0]
-	for from := 0; from < n; from++ {
-		for to := 0; to < n; to++ {
-			if len(w.pending[from*n+to]) > 0 {
-				e.rows = append(e.rows, linkRow{mf: perm[from], mt: perm[to], from: from, to: to})
+	// Pending multisets, links in ascending order of mapped (from, to),
+	// items sorted by their serialized form.
+	var links uint32
+	for li, q := range w.pending {
+		if len(q) > 0 {
+			links |= 1 << li
+		}
+	}
+	out = binary.AppendUvarint(out, uint64(bits.OnesCount32(links)))
+	for mf := 0; mf < n; mf++ {
+		for mt := 0; mt < n; mt++ {
+			li := inv[mf]*n + inv[mt]
+			if links&(1<<li) == 0 {
+				continue
+			}
+			out = binary.AppendUvarint(out, uint64(mf))
+			out = binary.AppendUvarint(out, uint64(mt))
+			e.items, e.spans = e.items[:0], e.spans[:0]
+			for _, m := range w.pending[li] {
+				lo := len(e.items)
+				e.items = e.encodeItem(e.items, m, mapID)
+				e.spans = append(e.spans, span{lo, len(e.items)})
+			}
+			slices.SortFunc(e.spans, func(a, b span) int {
+				return bytes.Compare(e.items[a.lo:a.hi], e.items[b.lo:b.hi])
+			})
+			out = binary.AppendUvarint(out, uint64(len(e.spans)))
+			for _, sp := range e.spans {
+				out = append(out, e.items[sp.lo:sp.hi]...)
 			}
 		}
 	}
-	slices.SortFunc(e.rows, func(a, b linkRow) int {
-		return cmp.Or(cmp.Compare(a.mf, b.mf), cmp.Compare(a.mt, b.mt))
-	})
-	out = binary.AppendUvarint(out, uint64(len(e.rows)))
-	for _, r := range e.rows {
-		out = binary.AppendUvarint(out, uint64(r.mf))
-		out = binary.AppendUvarint(out, uint64(r.mt))
-		e.items, e.spans = e.items[:0], e.spans[:0]
-		for _, m := range w.pending[r.from*n+r.to] {
-			lo := len(e.items)
-			e.items = e.encodeItem(e.items, m, mapID)
-			e.spans = append(e.spans, span{lo, len(e.items)})
-		}
-		slices.SortFunc(e.spans, func(a, b span) int {
-			return bytes.Compare(e.items[a.lo:a.hi], e.items[b.lo:b.hi])
-		})
-		out = binary.AppendUvarint(out, uint64(len(e.spans)))
-		for _, sp := range e.spans {
-			out = append(out, e.items[sp.lo:sp.hi]...)
-		}
-	}
 	return out
+}
+
+// hashKey hashes a canonical serialization to its 128-bit key, eight bytes
+// at a time through two 64-bit lanes that share nothing but the input:
+// each lane is the xxHash64 accumulator round (multiply, rotate, multiply)
+// under its own pair of odd constants and its own rotation, closed by the
+// MurmurHash3 finalizer over the lane and the length. The constants are
+// fixed, so a key is a function of the bytes alone, in every process: a
+// visited set, or a witness search resumed from one, can be compared
+// across runs.
+func hashKey(b []byte) stateKey {
+	const (
+		p1, p2 = 0x9e3779b185ebca87, 0xc2b2ae3d27d4eb4f // xxHash64's primes 1 and 2
+		q1, q2 = 0x87c37b91114253d5, 0x4cf5ad432745937f // MurmurHash3 x64's c1 and c2
+	)
+	h1, h2 := uint64(p1), uint64(q1)
+	n := uint64(len(b))
+	for ; len(b) >= 8; b = b[8:] {
+		v := binary.LittleEndian.Uint64(b)
+		h1 = bits.RotateLeft64(h1+v*p2, 31) * p1
+		h2 = bits.RotateLeft64(h2+v*q2, 29) * q1
+	}
+	if len(b) > 0 {
+		// The tail, zero-padded to a word; the length below tells a padded
+		// tail from real zero bytes.
+		var tail [8]byte
+		copy(tail[:], b)
+		v := binary.LittleEndian.Uint64(tail[:])
+		h1 = bits.RotateLeft64(h1+v*p2, 31) * p1
+		h2 = bits.RotateLeft64(h2+v*q2, 29) * q1
+	}
+	return stateKey{fmix64(h1 ^ n), fmix64(h2 ^ n*q2)}
+}
+
+// fmix64 is MurmurHash3's 64-bit finalizer: every input bit reaches every
+// output bit.
+func fmix64(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }
 
 // encodeItem serializes one pending link item under the relabeling.

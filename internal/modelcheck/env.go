@@ -20,6 +20,16 @@ package modelcheck
 // because a snapshot covers every field an action can write: the
 // protocols' (routing.ModelStater), the node layer's, and the world's
 // own.
+//
+// Locality. An action runs the code of at most one node — deliver the
+// receiver's handler, reset and originate the named node's, drop and dup
+// nobody's — and that code writes its own node's state and appends to its
+// own out-links. The world enforces the second half (a send whose sender
+// is not the acting node panics), keeps a record of what has been written
+// since the engine last saved or restored (dirtyNodes, dirtyLinks), and
+// the engine saves, restores, encodes and table-snapshots only that.
+// TestActionTouchesOneNode checks the first half against whole-world
+// saves.
 
 import (
 	"fmt"
@@ -126,9 +136,21 @@ type world struct {
 	nbrs    [][]int // graph adjacency, from topo
 	adj     []bool  // n*n adjacency matrix
 	nw      *routing.Network
-	staters []routing.ModelStater // each node's protocol, asserted once
-	pending [][]linkMsg           // n*n directed slots; only adjacent pairs used
-	micro   []func()              // empty between actions
+	pending [][]linkMsg // n*n directed slots; only adjacent pairs used
+	micro   []func()    // empty between actions
+
+	// Each node's protocol under the interfaces the engine calls, asserted
+	// once. vresetters is nil when the protocol has no volatile reset.
+	staters    []routing.ModelStater
+	tablers    []routing.TableAppender
+	vresetters []routing.VolatileResetter
+
+	// actor is the node whose code the current (or latest) action runs, -1
+	// for an action that runs none. dirtyNodes and dirtyLinks are bit sets,
+	// by node and by pending slot, of what has been written since the
+	// cursor last saved or restored the world.
+	actor                  int
+	dirtyNodes, dirtyLinks uint32
 
 	slot     int // index of the action currently being applied
 	curRoot  int // causal root slot for emissions during the current step
@@ -160,6 +182,7 @@ func newWorld(sc *Scenario) (*world, error) {
 		pending: make([][]linkMsg, n*n),
 		slot:    -1,
 		curRoot: -1,
+		actor:   -1,
 	}
 	for _, e := range sc.Graph.Edges {
 		w.adj[e[0]*n+e[1]] = true
@@ -170,18 +193,42 @@ func newWorld(sc *Scenario) (*world, error) {
 	w.nw = routing.NewNetwork(n, mobility.NewStatic(make([]mobility.Point, n)),
 		radio.DefaultConfig(), mac.DefaultConfig(), sc.Seed, factory)
 	w.staters = make([]routing.ModelStater, n)
+	w.tablers = make([]routing.TableAppender, n)
 	for i, node := range w.nw.Nodes {
 		ms, ok := node.Protocol().(routing.ModelStater)
 		if !ok {
 			return nil, fmt.Errorf("modelcheck: protocol %q does not implement routing.ModelStater (have: ldr, aodv)", sc.Protocol)
 		}
 		w.staters[i] = ms
+		w.tablers[i], _ = node.Protocol().(routing.TableAppender)
+		if vr, ok := node.Protocol().(routing.VolatileResetter); ok {
+			w.vresetters = append(w.vresetters, vr) // one factory: all nodes or none
+		}
 		node.SetModelEnv(w)
 	}
-	w.nw.Start()
-	w.drain()
+	for i, node := range w.nw.Nodes {
+		w.act(i)
+		node.Protocol().Start()
+		w.drain()
+	}
 	w.slot = 0
 	return w, nil
+}
+
+// act makes node i the acting node: what the rest of the current action
+// sends must come from it, and its state counts as written.
+func (w *world) act(i int) {
+	w.actor = i
+	w.dirtyNodes |= 1 << i
+}
+
+// appendTable appends node i's routing table to buf (nothing, for a
+// protocol that exposes none).
+func (w *world) appendTable(buf []routing.RouteEntry, i int) []routing.RouteEntry {
+	if w.tablers[i] == nil {
+		return buf
+	}
+	return w.tablers[i].AppendTable(buf)
 }
 
 func (w *world) adjacent(a, b routing.NodeID) bool {
@@ -192,8 +239,20 @@ func (w *world) adjacent(a, b routing.NodeID) bool {
 	return w.adj[int(a)*n+int(b)]
 }
 
+// sending panics unless from is the acting node: the engine's dirty-node
+// save and restore, and any reduction that commutes the actions of
+// distinct nodes, rest on a node's code writing nothing but its own state
+// and its own out-links.
+func (w *world) sending(from routing.NodeID) {
+	if int(from) != w.actor {
+		panic(fmt.Sprintf("modelcheck: node %d sends while node %d acts", from, w.actor))
+	}
+}
+
 func (w *world) push(from, to routing.NodeID, m linkMsg) {
-	w.pending[int(from)*w.sc.Graph.N+int(to)] = append(w.pending[int(from)*w.sc.Graph.N+int(to)], m)
+	li := int(from)*w.sc.Graph.N + int(to)
+	w.pending[li] = append(w.pending[li], m)
+	w.dirtyLinks |= 1 << li
 }
 
 // ModelSendControl implements routing.ModelEnv. A broadcast fans out to
@@ -202,6 +261,7 @@ func (w *world) push(from, to routing.NodeID, m linkMsg) {
 // by contract and the protocol's pools never get the object back (no
 // frame is ever released under the model).
 func (w *world) ModelSendControl(from, to routing.NodeID, msg routing.Message) {
+	w.sending(from)
 	if to == routing.BroadcastID {
 		for _, nb := range w.nbrs[from] {
 			w.push(from, routing.NodeID(nb), linkMsg{msg: msg, root: w.curRoot})
@@ -218,6 +278,7 @@ func (w *world) ModelSendControl(from, to routing.NodeID, msg routing.Message) {
 // ModelSendData implements routing.ModelEnv. The packet is already an
 // unpooled deep copy owned by the environment.
 func (w *world) ModelSendData(from, next routing.NodeID, pkt *routing.DataPacket) {
+	w.sending(from)
 	if w.adjacent(from, next) {
 		w.push(from, next, linkMsg{pkt: pkt, root: w.curRoot})
 		return
@@ -255,6 +316,7 @@ func (w *world) drain() {
 func (w *world) apply(a Action) {
 	n := w.sc.Graph.N
 	w.curRoot = w.slot
+	w.actor = -1
 	switch a.Kind {
 	case ActDeliver, ActDrop, ActDup:
 		li := int(a.From)*n + int(a.To)
@@ -263,8 +325,10 @@ func (w *world) apply(a Action) {
 			panic(fmt.Sprintf("modelcheck: %v out of range (queue %d)", a, len(q)))
 		}
 		m := q[a.Index]
+		w.dirtyLinks |= 1 << li
 		switch a.Kind {
 		case ActDeliver:
+			w.act(int(a.To))
 			// The handler's own emissions inherit the delivered message's
 			// causal root: under the full simulator, delivery and reaction
 			// both happen at the root emission's instant.
@@ -288,18 +352,19 @@ func (w *world) apply(a Action) {
 			w.pending[li] = append(q, cp)
 		}
 	case ActReset:
+		w.act(int(a.Node))
 		node := w.nw.Nodes[a.Node]
 		node.Crash()
 		node.SetDown(false)
 		node.Protocol().Start()
 	case ActResetVolatile:
-		node := w.nw.Nodes[a.Node]
-		vr, ok := node.Protocol().(routing.VolatileResetter)
-		if !ok {
+		if w.vresetters == nil {
 			panic(fmt.Sprintf("modelcheck: %v on protocol without VolatileResetter", a))
 		}
+		w.act(int(a.Node))
+		node := w.nw.Nodes[a.Node]
 		node.SetDown(true)
-		vr.ResetVolatile()
+		w.vresetters[a.Node].ResetVolatile()
 		node.SetDown(false)
 		node.Protocol().Start()
 	case ActOriginate:
@@ -308,6 +373,7 @@ func (w *world) apply(a Action) {
 		}
 		f := w.sc.Flows[a.Flow]
 		w.nextFlow++
+		w.act(int(f.Src))
 		w.nw.Nodes[f.Src].OriginateData(f.Dst, originateBytes)
 	default:
 		panic(fmt.Sprintf("modelcheck: unknown action %v", a))
@@ -354,34 +420,13 @@ func (w *world) enabled(acts []Action, b budgets) []Action {
 			acts = append(acts, Action{Kind: ActReset, Node: routing.NodeID(i)})
 		}
 	}
-	if b.vresets > 0 {
-		if _, ok := w.nw.Nodes[0].Protocol().(routing.VolatileResetter); ok {
-			for i := 0; i < n; i++ {
-				acts = append(acts, Action{Kind: ActResetVolatile, Node: routing.NodeID(i)})
-			}
+	if b.vresets > 0 && w.vresetters != nil {
+		for i := 0; i < n; i++ {
+			acts = append(acts, Action{Kind: ActResetVolatile, Node: routing.NodeID(i)})
 		}
 	}
 	if w.nextFlow < len(w.sc.Flows) {
 		acts = append(acts, Action{Kind: ActOriginate, Flow: w.nextFlow})
 	}
 	return acts
-}
-
-// tables snapshots every node's routing table for the invariant check,
-// reusing buf (a [][]RouteEntry whose inner slices are reused).
-func (w *world) tables(buf [][]routing.RouteEntry) [][]routing.RouteEntry {
-	n := w.sc.Graph.N
-	if cap(buf) < n {
-		buf = make([][]routing.RouteEntry, n)
-	}
-	buf = buf[:n]
-	for i, node := range w.nw.Nodes {
-		ta, ok := node.Protocol().(routing.TableAppender)
-		if !ok {
-			buf[i] = buf[i][:0]
-			continue
-		}
-		buf[i] = ta.AppendTable(buf[i][:0])
-	}
-	return buf
 }

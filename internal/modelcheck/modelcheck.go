@@ -16,10 +16,10 @@
 // caveats.
 //
 // The search keeps one live network per exploration. A transition is one
-// action applied to it and one in-place restore of the parent's saved
-// state (snapshot.go); the saved states form a stack along the current
-// path of the search tree, so memory beyond the visited-key set is
-// O(depth), not O(states).
+// action applied to it and one in-place restore, from the parent's saved
+// state, of the one node and the few links the action wrote (snapshot.go);
+// the saved states form a stack along the current path of the search
+// tree, so memory beyond the visited-key set is O(depth), not O(states).
 package modelcheck
 
 import (
@@ -132,11 +132,29 @@ func (w *Witness) String() string {
 // rec is one discovered state, stored as a back-pointer into the state
 // arena plus the action that produced it; traces are reconstructed by
 // walking parents. Worlds are not stored per state: the cursor takes its
-// one world to a state's trace when the state is expanded.
+// one world to a state's trace when the state is expanded. The arena is
+// in discovery order, which is the breadth-first queue.
 type rec struct {
 	parent int32
 	depth  int32
-	action Action
+	action packedAction
+}
+
+// packedAction is an Action in 12 bytes, for the arena: node identifiers
+// are below maxNodes, and a queue position or a flow index is far below
+// 2^31.
+type packedAction struct {
+	kind           ActionKind
+	from, to, node uint8
+	index, flow    int32
+}
+
+func pack(a Action) packedAction {
+	return packedAction{kind: a.Kind, from: uint8(a.From), to: uint8(a.To), node: uint8(a.Node), index: int32(a.Index), flow: int32(a.Flow)}
+}
+
+func (p packedAction) unpack() Action {
+	return Action{Kind: p.kind, From: routing.NodeID(p.from), To: routing.NodeID(p.to), Node: routing.NodeID(p.node), Index: int(p.index), Flow: int(p.flow)}
 }
 
 // used counts budget consumption along a trace.
@@ -144,19 +162,17 @@ type used struct {
 	drops, dups, resets, vresets int
 }
 
-func countUsed(trace []Action) used {
-	var u used
-	for _, a := range trace {
-		switch a.Kind {
-		case ActDrop:
-			u.drops++
-		case ActDup:
-			u.dups++
-		case ActReset:
-			u.resets++
-		case ActResetVolatile:
-			u.vresets++
-		}
+// after is u with action a's consumption added.
+func (u used) after(a Action) used {
+	switch a.Kind {
+	case ActDrop:
+		u.drops++
+	case ActDup:
+		u.dups++
+	case ActReset:
+		u.resets++
+	case ActResetVolatile:
+		u.vresets++
 	}
 	return u
 }
@@ -171,18 +187,19 @@ func (o Options) remaining(u used) budgets {
 }
 
 // traceOf reconstructs the action trace leading to state idx into
-// trace's storage.
-func traceOf(trace []Action, recs []rec, idx int32) []Action {
-	var n int
-	for i := idx; recs[i].parent >= 0; i = recs[i].parent {
-		n++
-	}
+// trace's storage, counting the budgets it uses on the way. (The counts
+// are not kept in rec: sixteen more bytes a state, for a loop of at most
+// depth steps per expansion.)
+func traceOf(trace []Action, recs []rec, idx int32) ([]Action, used) {
+	n := int(recs[idx].depth)
 	trace = slices.Grow(trace[:0], n)[:n]
+	var u used
 	for i := idx; recs[i].parent >= 0; i = recs[i].parent {
 		n--
-		trace[n] = recs[i].action
+		trace[n] = recs[i].action.unpack()
+		u = u.after(trace[n])
 	}
-	return trace
+	return trace, u
 }
 
 // Supports reports whether the named protocol implements the state
@@ -197,12 +214,16 @@ func Supports(protocol string) bool {
 
 // Check explores the scenario's bounded state space breadth-first and
 // returns the first invariant violation found (at minimal action depth)
-// or the exhaustive count of clean reachable states.
+// or the exhaustive count of clean reachable states. sc is not written:
+// when it names no flows, the result's Scenario is a copy that carries
+// DefaultFlows.
 func Check(sc *Scenario, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
 	if sc.Flows == nil {
-		sc.Flows = DefaultFlows(sc.Graph)
+		withFlows := *sc
+		withFlows.Flows = DefaultFlows(sc.Graph)
+		sc = &withFlows
 	}
 	if sc.Graph.N < 2 || sc.Graph.N > maxNodes {
 		return nil, fmt.Errorf("modelcheck: graph size %d out of range [2, %d]", sc.Graph.N, maxNodes)
@@ -213,7 +234,7 @@ func Check(sc *Scenario, opts Options) (*Result, error) {
 		}
 	}
 
-	cur, err := newCursor(sc)
+	cur, err := newCursor(sc, flowAutomorphisms(sc))
 	if err != nil {
 		return nil, err
 	}
@@ -225,33 +246,21 @@ func Check(sc *Scenario, opts Options) (*Result, error) {
 func explore(cur *cursor, opts Options, start time.Time) *Result {
 	w := cur.w
 	sc := w.sc
-
-	// Symmetry: states are identified under graph automorphisms that fix
-	// every flow endpoint (those nodes have distinguishable roles).
-	var pinned []int
-	for _, f := range sc.Flows {
-		pinned = append(pinned, int(f.Src), int(f.Dst))
-	}
-	enc := newEncoder(sc.Graph.N, automorphisms(sc.Graph, pinned))
 	checker := loopcheck.NewChecker()
 
 	res := &Result{Scenario: sc}
-	var tbuf [][]routing.RouteEntry
-	tbuf = w.tables(tbuf)
-	if v := checker.CheckTables(tbuf); len(v) > 0 {
+	if v := checker.CheckTables(cur.tables()); len(v) > 0 {
 		res.States, res.Elapsed = 1, time.Since(start)
 		res.Violation = newWitness(sc, nil, v, w)
 		return res
 	}
 
 	recs := []rec{{parent: -1}}
-	visited := map[stateKey]struct{}{enc.key(w, opts.remaining(used{})): {}}
-	queue := []int32{0}
+	visited := map[stateKey]struct{}{cur.key(opts.remaining(used{})): {}}
 	res.States = 1
 
 	var trace, acts []Action
-	for head := 0; head < len(queue); head++ {
-		idx := queue[head]
+	for idx := int32(0); int(idx) < len(recs); idx++ {
 		depth := int(recs[idx].depth)
 		if depth > res.Depth {
 			res.Depth = depth
@@ -259,31 +268,19 @@ func explore(cur *cursor, opts Options, start time.Time) *Result {
 		if depth >= opts.MaxDepth {
 			continue
 		}
-		trace = traceOf(trace, recs, idx)
-		rem := opts.remaining(countUsed(trace))
+		var spent used
+		trace, spent = traceOf(trace, recs, idx)
 		cur.seek(trace)
-		acts = w.enabled(acts[:0], rem)
+		acts = w.enabled(acts[:0], opts.remaining(spent))
 		for _, a := range acts {
 			w.apply(a)
 			res.Transitions++
-			tbuf = w.tables(tbuf)
-			if v := checker.CheckTables(tbuf); len(v) > 0 {
+			if v := checker.CheckTables(cur.tables()); len(v) > 0 {
 				res.Elapsed = time.Since(start)
 				res.Violation = newWitness(sc, append(slices.Clone(trace), a), v, w)
 				return res
 			}
-			crem := rem
-			switch a.Kind {
-			case ActDrop:
-				crem.drops--
-			case ActDup:
-				crem.dups--
-			case ActReset:
-				crem.resets--
-			case ActResetVolatile:
-				crem.vresets--
-			}
-			k := enc.key(w, crem)
+			k := cur.key(opts.remaining(spent.after(a)))
 			cur.back()
 			if _, ok := visited[k]; ok {
 				continue
@@ -293,14 +290,13 @@ func explore(cur *cursor, opts Options, start time.Time) *Result {
 				continue
 			}
 			visited[k] = struct{}{}
-			recs = append(recs, rec{parent: idx, depth: int32(depth + 1), action: a})
-			queue = append(queue, int32(len(recs)-1))
+			recs = append(recs, rec{parent: idx, depth: int32(depth + 1), action: pack(a)})
 			res.States++
 		}
-		if opts.Progress != nil && (head+1)%opts.ProgressEvery == 0 {
+		if opts.Progress != nil && (int(idx)+1)%opts.ProgressEvery == 0 {
 			opts.Progress(Progress{
 				States:      res.States,
-				Frontier:    len(queue) - head - 1,
+				Frontier:    len(recs) - int(idx) - 1,
 				Transitions: res.Transitions,
 				Depth:       depth,
 				Elapsed:     time.Since(start),

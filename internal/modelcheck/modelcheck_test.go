@@ -2,6 +2,7 @@ package modelcheck
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -85,9 +86,27 @@ func TestCheckRejectsUnsupportedProtocol(t *testing.T) {
 	}
 }
 
-// TestEncoderDeterminism guards state-key stability: materializing the
-// same trace twice must produce identical keys (the BFS relies on this
-// to dedupe), even though the encoder walks Go maps internally.
+// TestCheckLeavesScenarioAlone: Check used to write DefaultFlows into the
+// caller's Scenario; the flows it explored are on the result's copy.
+func TestCheckLeavesScenarioAlone(t *testing.T) {
+	g, _ := NamedTopology("line3")
+	sc := &Scenario{Graph: g, Protocol: "ldr", Seed: 1}
+	res, err := Check(sc, Options{MaxDepth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Flows != nil {
+		t.Errorf("Check wrote %v into the caller's Scenario.Flows", sc.Flows)
+	}
+	if len(res.Scenario.Flows) != g.N-1 {
+		t.Errorf("Result.Scenario.Flows = %v, want the %d default flows", res.Scenario.Flows, g.N-1)
+	}
+}
+
+// TestEncoderDeterminism guards state-key stability: bringing three
+// fresh worlds to the same trace must produce identical keys (the BFS
+// relies on this to dedupe), even though the encoder walks Go maps
+// internally.
 func TestEncoderDeterminism(t *testing.T) {
 	g, _ := NamedTopology("line3")
 	sc := &Scenario{Graph: g, Protocol: "ldr", Seed: 1, Flows: DefaultFlows(g)}
@@ -96,10 +115,14 @@ func TestEncoderDeterminism(t *testing.T) {
 		{Kind: ActDeliver, From: 0, To: 1},
 		{Kind: ActDeliver, From: 1, To: 2},
 	}
-	enc := newEncoder(g.N, automorphisms(g, []int{0, 1, 2}))
 	var keys []stateKey
 	for i := 0; i < 3; i++ {
-		keys = append(keys, enc.key(materialize(t, sc, trace), budgets{}))
+		cur, err := newCursor(sc, flowAutomorphisms(sc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur.seek(trace)
+		keys = append(keys, cur.key(budgets{}))
 	}
 	if keys[0] != keys[1] || keys[1] != keys[2] {
 		t.Fatalf("same trace produced distinct state keys: %x %x %x", keys[0], keys[1], keys[2])
@@ -225,5 +248,90 @@ func TestAODVLine3Violation(t *testing.T) {
 	t.Logf("replay: loops=%d violations=%d", rep.Collector.LoopViolations, rep.Total)
 	if rep.Collector.LoopViolations == 0 {
 		t.Fatal("witness replay under the full simulator produced no loop")
+	}
+}
+
+// TestKeysDoNotCollide runs the pinned explorations, and the benchmark's
+// two graphs at its tiny scale, with the visited set keyed by the
+// canonical bytes themselves instead of their hash: the hash-keyed search
+// must find the same number of states over the same number of
+// transitions, and no two byte strings may share a key. A byte string
+// reached again — by another path, so from other saved records and
+// another live node — must hash to the key it had.
+func TestKeysDoNotCollide(t *testing.T) {
+	type cell struct {
+		topo, proto string
+		opts        Options
+	}
+	cells := []cell{
+		{"line3", "ldr", Options{MaxDepth: 12, MaxResets: 1, MaxDrops: 1}},
+		{"line3", "ldr", Options{MaxDepth: 12, MaxVResets: 1}},
+		{"n4-1", "ldr", Options{MaxDepth: 10, MaxResets: 1}},
+		{"line3", "aodv", Options{MaxDepth: 12, MaxResets: 1, MaxDrops: 1}},
+		{"n3-0", "ldr", Options{MaxDepth: 6, MaxResets: 1, MaxDrops: 1}},
+		{"n3-1", "ldr", Options{MaxDepth: 6, MaxResets: 1, MaxDrops: 1}},
+	}
+	for _, c := range cells {
+		g, err := NamedTopology(c.topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := &Scenario{Graph: g, Protocol: c.proto, Seed: 1, Flows: DefaultFlows(g)}
+		res, err := Check(sc, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := newCursor(sc, flowAutomorphisms(sc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := c.opts.withDefaults()
+		keyOf := map[string]stateKey{}
+		bytesOf := map[stateKey]string{}
+		// visit reports whether the world's present state is new.
+		visit := func(rem budgets) bool {
+			b, k := string(cur.canonical(rem)), cur.key(rem)
+			if k != hashKey([]byte(b)) {
+				t.Fatalf("%s %s: key %x is not the hash of the canonical bytes", c.proto, g, k)
+			}
+			if prev, ok := keyOf[b]; ok {
+				if prev != k {
+					t.Fatalf("%s %s: bytes %x hashed to %x, and now to %x", c.proto, g, b, prev, k)
+				}
+				return false
+			}
+			if other, ok := bytesOf[k]; ok {
+				t.Fatalf("%s %s: key %x for both %x and %x", c.proto, g, k, other, b)
+			}
+			keyOf[b], bytesOf[k] = k, b
+			return true
+		}
+		visit(opts.remaining(used{}))
+		traces := [][]Action{nil}
+		transitions := 0
+	search:
+		for idx := 0; idx < len(traces); idx++ {
+			trace := traces[idx]
+			if len(trace) >= opts.MaxDepth {
+				continue
+			}
+			cur.seek(trace)
+			for _, a := range cur.w.enabled(nil, opts.remaining(usedBy(trace))) {
+				cur.w.apply(a)
+				transitions++
+				if transitions == res.Transitions && res.Violation != nil {
+					break search // the search stopped at this state, before keying it
+				}
+				child := append(slices.Clone(trace), a)
+				if visit(opts.remaining(usedBy(child))) {
+					traces = append(traces, child)
+				}
+				cur.back()
+			}
+		}
+		if len(traces) != res.States || transitions != res.Transitions {
+			t.Errorf("%s %s: keyed by bytes the search finds (states, transitions) = (%d, %d), keyed by hash (%d, %d)",
+				c.proto, g, len(traces), transitions, res.States, res.Transitions)
+		}
 	}
 }

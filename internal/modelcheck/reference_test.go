@@ -1,0 +1,200 @@
+package modelcheck
+
+// The whole-world reference. Until the search learned that an action
+// writes one node, a transition saved, restored, encoded and
+// table-snapshotted all n of them; that code is kept here (the encoding
+// without its scratch reuse) as what the per-node versions in snapshot.go
+// and encode.go are compared against (TestSnapshotEqualsReplay,
+// TestActionTouchesOneNode, TestKeysDoNotCollide). It knows nothing of
+// dirty sets, shared records or cached encodings: every call reads the
+// whole live world.
+
+import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
+	"slices"
+
+	"github.com/manetlab/ldr/internal/routing"
+)
+
+// fullSnapshot is one saved state of a whole world. Its storage is reused
+// from one save to the next.
+type fullSnapshot struct {
+	nodes   []routing.NodeModelState
+	protos  []any                // each protocol's routing.ModelStater store
+	pending [][]linkMsg          // as world.pending; packets point into pkts
+	pkts    []routing.DataPacket // copies of the queued data packets
+
+	slot, curRoot, nextFlow, lostUnicasts int
+	delLen, dropLen                       int
+}
+
+// save copies the world's state into s, or into a new snapshot when s is
+// nil, and returns it.
+func (w *world) save(s *fullSnapshot) *fullSnapshot {
+	if s == nil {
+		n := w.sc.Graph.N
+		s = &fullSnapshot{
+			nodes:   make([]routing.NodeModelState, n),
+			protos:  make([]any, n),
+			pending: make([][]linkMsg, n*n),
+		}
+	}
+	for i, node := range w.nw.Nodes {
+		node.SaveModelState(&s.nodes[i])
+		s.protos[i] = w.staters[i].SaveModelState(s.protos[i])
+	}
+	npkts := 0
+	for _, q := range w.pending {
+		for _, m := range q {
+			if m.pkt != nil {
+				npkts++
+			}
+		}
+	}
+	s.pkts = routing.Resize(s.pkts, npkts)
+	next := 0
+	for li, q := range w.pending {
+		sq := append(s.pending[li][:0], q...)
+		for i := range sq {
+			if sq[i].pkt != nil {
+				routing.CopyDataPacket(&s.pkts[next], sq[i].pkt)
+				sq[i].pkt = &s.pkts[next]
+				next++
+			}
+		}
+		s.pending[li] = sq
+	}
+	s.slot, s.curRoot, s.nextFlow, s.lostUnicasts = w.slot, w.curRoot, w.nextFlow, w.lostUnicasts
+	s.delLen, s.dropLen = len(w.delLog), len(w.dropLog)
+	return s
+}
+
+// restore puts the world back into the state s holds.
+func (w *world) restore(s *fullSnapshot) {
+	for i, node := range w.nw.Nodes {
+		node.RestoreModelState(&s.nodes[i])
+		w.staters[i].RestoreModelState(s.protos[i])
+	}
+	for li, sq := range s.pending {
+		q := append(w.pending[li][:0], sq...)
+		for i := range q {
+			if q[i].pkt != nil {
+				cp := new(routing.DataPacket)
+				routing.CopyDataPacket(cp, q[i].pkt)
+				q[i].pkt = cp
+			}
+		}
+		w.pending[li] = q
+	}
+	w.slot, w.curRoot, w.nextFlow, w.lostUnicasts = s.slot, s.curRoot, s.nextFlow, s.lostUnicasts
+	w.delLog, w.dropLog = w.delLog[:s.delLen], w.dropLog[:s.dropLen]
+}
+
+// tables snapshots every node's routing table.
+func (w *world) tables() [][]routing.RouteEntry {
+	tabs := make([][]routing.RouteEntry, w.sc.Graph.N)
+	for i := range tabs {
+		tabs[i] = w.appendTable(nil, i)
+	}
+	return tabs
+}
+
+// refCursor is the cursor over whole-world snapshots: one world, a stack
+// of saved states along its path, everything restored on every move.
+type refCursor struct {
+	w     *world
+	trace []Action
+	snaps []*fullSnapshot
+}
+
+func newRefCursor(sc *Scenario) (*refCursor, error) {
+	w, err := newWorld(sc)
+	if err != nil {
+		return nil, err
+	}
+	return &refCursor{w: w, snaps: []*fullSnapshot{w.save(nil)}}, nil
+}
+
+func (c *refCursor) seek(trace []Action) {
+	k := 0
+	for k < len(trace) && k < len(c.trace) && trace[k] == c.trace[k] {
+		k++
+	}
+	c.w.restore(c.snaps[k])
+	c.trace = append(c.trace[:k], trace[k:]...)
+	for k < len(trace) {
+		c.w.apply(trace[k])
+		k++
+		if k == len(c.snaps) {
+			c.snaps = append(c.snaps, nil)
+		}
+		c.snaps[k] = c.w.save(c.snaps[k])
+	}
+}
+
+func (c *refCursor) back() { c.w.restore(c.snaps[len(c.trace)]) }
+
+// refEncodeUnder serializes w relabeled by e's ai-th automorphism, every
+// node encoded from the live world and the links put in order by sorting.
+func (e *encoder) refEncodeUnder(w *world, b budgets, ai int) []byte {
+	n, perm, mapID := e.n, e.autos[ai], e.mapIDs[ai]
+	inv := make([]int, n)
+	for i, p := range perm {
+		inv[p] = i
+	}
+
+	var out []byte
+	out = binary.AppendUvarint(out, uint64(w.nextFlow))
+	out = binary.AppendUvarint(out, uint64(b.drops))
+	out = binary.AppendUvarint(out, uint64(b.dups))
+	out = binary.AppendUvarint(out, uint64(b.resets))
+	out = binary.AppendUvarint(out, uint64(b.vresets))
+
+	for p := 0; p < n; p++ {
+		out = w.staters[inv[p]].AppendModelState(out, mapID)
+	}
+
+	type linkRow struct {
+		mf, mt   int
+		from, to int
+	}
+	var rows []linkRow
+	for from := 0; from < n; from++ {
+		for to := 0; to < n; to++ {
+			if len(w.pending[from*n+to]) > 0 {
+				rows = append(rows, linkRow{mf: perm[from], mt: perm[to], from: from, to: to})
+			}
+		}
+	}
+	slices.SortFunc(rows, func(a, b linkRow) int {
+		return cmp.Or(cmp.Compare(a.mf, b.mf), cmp.Compare(a.mt, b.mt))
+	})
+	out = binary.AppendUvarint(out, uint64(len(rows)))
+	for _, r := range rows {
+		out = binary.AppendUvarint(out, uint64(r.mf))
+		out = binary.AppendUvarint(out, uint64(r.mt))
+		var items [][]byte
+		for _, m := range w.pending[r.from*n+r.to] {
+			items = append(items, e.encodeItem(nil, m, mapID))
+		}
+		slices.SortFunc(items, bytes.Compare)
+		out = binary.AppendUvarint(out, uint64(len(items)))
+		for _, it := range items {
+			out = append(out, it...)
+		}
+	}
+	return out
+}
+
+// refCanonical is the lex-min of refEncodeUnder over the group.
+func (e *encoder) refCanonical(w *world, b budgets) []byte {
+	var best []byte
+	for ai := range e.autos {
+		if enc := e.refEncodeUnder(w, b, ai); ai == 0 || bytes.Compare(enc, best) < 0 {
+			best = enc
+		}
+	}
+	return best
+}

@@ -1,6 +1,7 @@
 package modelcheck
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math/rand"
@@ -33,79 +34,127 @@ func materialize(t testing.TB, sc *Scenario, trace []Action) *world {
 // walkOpts turns every fault-flavoured action on.
 var walkOpts = Options{MaxDrops: 1, MaxDups: 1, MaxResets: 1, MaxVResets: 1}
 
-// TestSnapshotEqualsReplay is the restore ≡ replay invariant: a world the
-// cursor brought to a trace — restoring saved states, applying the rest,
-// after any amount of wandering through other branches on the same world
-// — is indistinguishable from a fresh world that replayed the trace: same
-// canonical key, same enabled actions, same routing tables, and an equal
-// full save, which covers what the key leaves out.
-func TestSnapshotEqualsReplay(t *testing.T) {
+func usedBy(trace []Action) used {
+	var u used
+	for _, a := range trace {
+		u = u.after(a)
+	}
+	return u
+}
+
+// sweepScenarios is ldr and aodv on every connected 3- and 4-node graph.
+func sweepScenarios(t *testing.T) []*Scenario {
 	graphs, err := SweepGraphs(3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fields := modelStateFields(t)
-	const walks, steps = 12, 10
+	var out []*Scenario
 	for _, proto := range []string{"ldr", "aodv"} {
 		for _, g := range graphs {
-			t.Run(proto+"/"+g.Name, func(t *testing.T) {
-				sc := &Scenario{Graph: g, Protocol: proto, Seed: 1, Flows: DefaultFlows(g)}
-				cur, err := newCursor(sc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				enc := newEncoder(g.N, automorphisms(g, nil))
-				rnd := rand.New(rand.NewSource(int64(len(g.Edges))*31 + int64(g.N)))
-				var seen [][]Action // traces visited so far, to wander back to
-				for walk := 0; walk < walks; walk++ {
-					var trace []Action
-					for step := 0; step < steps; step++ {
-						if len(seen) > 0 && rnd.Intn(3) == 0 {
-							cur.seek(seen[rnd.Intn(len(seen))])
-						}
-						cur.seek(trace)
-						rem := walkOpts.remaining(countUsed(trace))
-						sameWorld(t, enc, fields, rem, cur.w, materialize(t, sc, trace), trace)
-						acts := cur.w.enabled(nil, rem)
-						if len(acts) == 0 {
-							break
-						}
-						// One transition the way the search makes it: apply on
-						// top of the sought state, look, go back.
-						a := acts[rnd.Intn(len(acts))]
-						trace = append(trace, a)
-						cur.w.apply(a)
-						sameWorld(t, enc, fields, walkOpts.remaining(countUsed(trace)), cur.w, materialize(t, sc, trace), trace)
-						cur.back()
-						if t.Failed() {
-							t.FailNow()
-						}
-						seen = append(seen, slices.Clone(trace))
-					}
-				}
-			})
+			out = append(out, &Scenario{Graph: g, Protocol: proto, Seed: 1, Flows: DefaultFlows(g)})
 		}
+	}
+	return out
+}
+
+// TestSnapshotEqualsReplay is the restore ≡ replay invariant: a world the
+// cursor brought to a trace — restoring the saved records of the nodes and
+// links written since, applying the rest, after any amount of wandering
+// through other branches on the same world — is indistinguishable from a
+// fresh world that replayed the trace, and from a world that got there on
+// whole-world snapshots (reference_test.go): the same canonical bytes
+// under every automorphism, whether taken through the saved records'
+// caches or from the whole live world, the same key, enabled actions and
+// routing tables, and an equal full save, which covers what the encoding
+// leaves out. The walk takes every state's key, so every record's caches
+// are full by the time the record is saved over or shared.
+func TestSnapshotEqualsReplay(t *testing.T) {
+	fields := modelStateFields(t)
+	const walks, steps = 12, 10
+	for _, sc := range sweepScenarios(t) {
+		g := sc.Graph
+		t.Run(sc.Protocol+"/"+g.Name, func(t *testing.T) {
+			cur, err := newCursor(sc, automorphisms(g, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := newRefCursor(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := func(trace []Action) {
+				t.Helper()
+				rem := walkOpts.remaining(usedBy(trace))
+				sameWorld(t, fields, rem, cur, materialize(t, sc, trace), trace, "replay")
+				sameWorld(t, fields, rem, cur, ref.w, trace, "whole-world restore")
+				if t.Failed() {
+					t.FailNow()
+				}
+			}
+			rnd := rand.New(rand.NewSource(int64(len(g.Edges))*31 + int64(g.N)))
+			var seen [][]Action // traces visited so far, to wander back to
+			for walk := 0; walk < walks; walk++ {
+				var trace []Action
+				for step := 0; step < steps; step++ {
+					if len(seen) > 0 && rnd.Intn(3) == 0 {
+						other := seen[rnd.Intn(len(seen))]
+						cur.seek(other)
+						ref.seek(other)
+						same(other)
+					}
+					cur.seek(trace)
+					ref.seek(trace)
+					same(trace)
+					acts := cur.w.enabled(nil, walkOpts.remaining(usedBy(trace)))
+					if len(acts) == 0 {
+						break
+					}
+					// One transition the way the search makes it: apply on
+					// top of the sought state, look, go back.
+					a := acts[rnd.Intn(len(acts))]
+					trace = append(trace, a)
+					cur.w.apply(a)
+					ref.w.apply(a)
+					same(trace)
+					cur.back()
+					ref.back()
+					seen = append(seen, slices.Clone(trace))
+				}
+			}
+		})
 	}
 }
 
-// sameWorld compares a world reached by save/restore with the replayed
-// oracle: what the search observes (key, enabled actions, tables), every
-// saved field of the two live worlds, and their full saves.
-func sameWorld(t *testing.T, enc *encoder, fields map[reflect.Type]fieldLists, rem budgets, got, want *world, trace []Action) {
+// sameWorld compares the cursor's world with an oracle for the same trace:
+// what the search observes (canonical bytes, key, enabled actions,
+// tables), every saved field of the two live worlds, and their full saves.
+func sameWorld(t *testing.T, fields map[reflect.Type]fieldLists, rem budgets, cur *cursor, want *world, trace []Action, oracle string) {
 	t.Helper()
-	if gk, wk := enc.key(got, rem), enc.key(want, rem); gk != wk {
-		t.Errorf("after %v: canonical key %x, replay gives %x", trace, gk, wk)
+	got, enc := cur.w, cur.enc
+	for ai := range enc.autos {
+		gb, wb := cur.encodeUnder(nil, rem, ai), enc.refEncodeUnder(want, rem, ai)
+		if !bytes.Equal(gb, wb) {
+			t.Errorf("after %v, automorphism %d: canonical bytes %x, %s gives %x", trace, ai, gb, oracle, wb)
+		}
+		if lb := enc.refEncodeUnder(got, rem, ai); !bytes.Equal(gb, lb) {
+			t.Errorf("after %v, automorphism %d: bytes through the saved records %x, the live world encodes to %x", trace, ai, gb, lb)
+		}
+	}
+	if gk, wk := cur.key(rem), hashKey(enc.refCanonical(want, rem)); gk != wk {
+		t.Errorf("after %v: canonical key %x, %s gives %x", trace, gk, oracle, wk)
 	}
 	if ga, wa := got.enabled(nil, rem), want.enabled(nil, rem); !slices.Equal(ga, wa) {
-		t.Errorf("after %v: enabled %v, replay gives %v", trace, ga, wa)
+		t.Errorf("after %v: enabled %v, %s gives %v", trace, ga, oracle, wa)
 	}
-	gt, wt := got.tables(nil), want.tables(nil)
+	gt, lt, wt := cur.tables(), got.tables(), want.tables()
 	for i := range gt {
-		sortTable(gt[i])
+		gti := slices.Clone(gt[i]) // the cursor's own storage: leave its order alone
+		sortTable(gti)
+		sortTable(lt[i])
 		sortTable(wt[i])
-	}
-	if !reflect.DeepEqual(gt, wt) {
-		t.Errorf("after %v: tables %v, replay gives %v", trace, gt, wt)
+		if !slices.Equal(gti, wt[i]) || !slices.Equal(gti, lt[i]) {
+			t.Errorf("after %v: node %d's table %v, live %v, %s gives %v", trace, i, gti, lt[i], oracle, wt[i])
+		}
 	}
 	// The live objects, field by field over the saved lists: this does not
 	// go through save, so it sees a field that save and restore both skip.
@@ -115,10 +164,10 @@ func sameWorld(t *testing.T, enc *encoder, fields map[reflect.Type]fieldLists, r
 		diffs = diffSaved(diffs, fmt.Sprintf("proto[%d]", i), reflect.ValueOf(got.staters[i]), reflect.ValueOf(want.staters[i]), fields)
 	}
 	for _, d := range diffs {
-		t.Errorf("after %v: %s", trace, d)
+		t.Errorf("after %v, against %s: %s", trace, oracle, d)
 	}
 	if !reflect.DeepEqual(got.save(nil), want.save(nil)) {
-		t.Errorf("after %v: a full save differs from the replayed world's", trace)
+		t.Errorf("after %v: a full save differs from the one %s gives", trace, oracle)
 	}
 }
 
@@ -244,9 +293,12 @@ func modelStateFields(t *testing.T) map[reflect.Type]fieldLists {
 			[]string{"refs", "pooled"}},
 		reflect.TypeFor[world](): {
 			[]string{"pending", "slot", "curRoot", "nextFlow", "delLog", "dropLog", "lostUnicasts"},
-			// nw and staters are saved node by node and protocol by protocol;
-			// micro is empty between actions.
-			[]string{"sc", "nbrs", "adj", "nw", "staters", "micro"}},
+			// nw and the per-interface views of its protocols are saved node by
+			// node and protocol by protocol; micro is empty between actions;
+			// actor is set by every apply before anything reads it; the dirty
+			// sets say how the world differs from a saved state and are no
+			// part of one.
+			[]string{"sc", "nbrs", "adj", "nw", "staters", "tablers", "vresetters", "micro", "actor", "dirtyNodes", "dirtyLinks"}},
 	}
 }
 
@@ -277,7 +329,8 @@ func TestModelStateFieldCoverage(t *testing.T) {
 // TestEncoderKeyDoesNotAllocate guards the encoder's scratch reuse: once
 // warm, a state key costs no allocation — on a graph with a non-trivial
 // automorphism group, with control messages and data packets pending and
-// routes installed.
+// routes installed, one action ahead of the sought state, so that one
+// node is encoded as it stands and the others come from their records.
 func TestEncoderKeyDoesNotAllocate(t *testing.T) {
 	g, err := NamedTopology("ring4")
 	if err != nil {
@@ -285,17 +338,24 @@ func TestEncoderKeyDoesNotAllocate(t *testing.T) {
 	}
 	for _, proto := range []string{"ldr", "aodv"} {
 		sc := &Scenario{Graph: g, Protocol: proto, Seed: 1, Flows: []Flow{{Src: 0, Dst: 2}, {Src: 0, Dst: 2}}}
-		w := materialize(t, sc, []Action{
+		cur, err := newCursor(sc, flowAutomorphisms(sc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cur.enc.autos) < 2 {
+			t.Fatalf("ring4 with 0 and 2 pinned should keep the 1<->3 swap, has %d automorphisms", len(cur.enc.autos))
+		}
+		cur.seek([]Action{
 			{Kind: ActOriginate, Flow: 0},
 			{Kind: ActDeliver, From: 0, To: 1},
 			{Kind: ActDeliver, From: 1, To: 2},
 			{Kind: ActDeliver, From: 2, To: 1},
 			{Kind: ActDeliver, From: 1, To: 0, Index: 1}, // past the relayed RREQ: the RREP
 			{Kind: ActOriginate, Flow: 1},
-			{Kind: ActReset, Node: 3},
 		})
+		cur.w.apply(Action{Kind: ActReset, Node: 3})
 		var msgs, pkts int
-		for _, q := range w.pending {
+		for _, q := range cur.w.pending {
 			for _, m := range q {
 				if m.pkt != nil {
 					pkts++
@@ -307,14 +367,10 @@ func TestEncoderKeyDoesNotAllocate(t *testing.T) {
 		if msgs == 0 || pkts == 0 {
 			t.Fatalf("%s: the state should have both kinds of pending item, has %d messages and %d packets", proto, msgs, pkts)
 		}
-		enc := newEncoder(g.N, automorphisms(g, []int{0, 2}))
-		if len(enc.autos) < 2 {
-			t.Fatalf("ring4 with 0 and 2 pinned should keep the 1<->3 swap, has %d automorphisms", len(enc.autos))
-		}
 		b := budgets{drops: 1}
-		enc.key(w, b)
-		if n := testing.AllocsPerRun(100, func() { enc.key(w, b) }); n != 0 {
-			t.Errorf("%s: a warm encoder.key allocates %v times, want 0", proto, n)
+		cur.key(b)
+		if n := testing.AllocsPerRun(100, func() { cur.key(b) }); n != 0 {
+			t.Errorf("%s: a warm key allocates %v times, want 0", proto, n)
 		}
 	}
 }
@@ -326,7 +382,7 @@ func TestEncoderKeyDoesNotAllocate(t *testing.T) {
 func TestCheckLeavesNoParkedTimers(t *testing.T) {
 	g, _ := NamedTopology("line3")
 	sc := &Scenario{Graph: g, Protocol: "ldr", Seed: 1, Flows: DefaultFlows(g)}
-	cur, err := newCursor(sc)
+	cur, err := newCursor(sc, flowAutomorphisms(sc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,5 +392,81 @@ func TestCheckLeavesNoParkedTimers(t *testing.T) {
 	}
 	if n := cur.w.nw.Sim.Pending(); n != 0 {
 		t.Errorf("%d events on the simulator queue after %d transitions, want 0", n, res.Transitions)
+	}
+}
+
+// actorOf is the node whose code an action runs, -1 for none, worked out
+// from the action alone.
+func actorOf(sc *Scenario, a Action) int {
+	switch a.Kind {
+	case ActDeliver:
+		return int(a.To)
+	case ActReset, ActResetVolatile:
+		return int(a.Node)
+	case ActOriginate:
+		return int(sc.Flows[a.Flow].Src)
+	}
+	return -1
+}
+
+// TestActionTouchesOneNode is the locality the dirty-node save, restore
+// and encoding rest on, and the commutation lemma a partial-order
+// reduction would need: an action changes the state of the one node whose
+// code it runs (deliver the receiver, reset and originate the node named,
+// drop and dup none), the link it names, and that node's out-links —
+// nothing else, by whole-world saves taken before and after — and the
+// world's own record of what was written covers every change.
+func TestActionTouchesOneNode(t *testing.T) {
+	const walks, steps = 12, 10
+	for _, sc := range sweepScenarios(t) {
+		g := sc.Graph
+		t.Run(sc.Protocol+"/"+g.Name, func(t *testing.T) {
+			n := g.N
+			rnd := rand.New(rand.NewSource(int64(len(g.Edges))*31 + int64(n)))
+			for walk := 0; walk < walks; walk++ {
+				w := materialize(t, sc, nil)
+				var trace []Action
+				for step := 0; step < steps; step++ {
+					acts := w.enabled(nil, walkOpts.remaining(usedBy(trace)))
+					if len(acts) == 0 {
+						break
+					}
+					a := acts[rnd.Intn(len(acts))]
+					trace = append(trace, a)
+					before := w.save(nil)
+					w.dirtyNodes, w.dirtyLinks = 0, 0
+					w.apply(a)
+					after := w.save(nil)
+
+					actor := actorOf(sc, a)
+					if w.actor != actor {
+						t.Fatalf("after %v: the world recorded node %d as acting, want %d", trace, w.actor, actor)
+					}
+					for i := 0; i < n; i++ {
+						changed := !reflect.DeepEqual(before.nodes[i], after.nodes[i]) || !reflect.DeepEqual(before.protos[i], after.protos[i])
+						if changed && i != actor {
+							t.Errorf("after %v: node %d's state changed, and node %d acted", trace, i, actor)
+						}
+						if changed && w.dirtyNodes&(1<<i) == 0 {
+							t.Errorf("after %v: node %d's state changed and is not in the dirty set %b", trace, i, w.dirtyNodes)
+						}
+					}
+					onLink := a.Kind == ActDeliver || a.Kind == ActDrop || a.Kind == ActDup
+					for li := range before.pending {
+						from, to := li/n, li%n
+						changed := !reflect.DeepEqual(before.pending[li], after.pending[li])
+						if changed && from != actor && !(onLink && from == int(a.From) && to == int(a.To)) {
+							t.Errorf("after %v: link %d->%d changed, and node %d acted", trace, from, to, actor)
+						}
+						if changed && w.dirtyLinks&(1<<li) == 0 {
+							t.Errorf("after %v: link %d->%d changed and is not in the dirty set %b", trace, from, to, w.dirtyLinks)
+						}
+					}
+					if t.Failed() {
+						t.FailNow()
+					}
+				}
+			}
+		})
 	}
 }
