@@ -153,11 +153,11 @@ bench-sweep:
 	$(GO) test -run '^$$' $(BENCH_SWEEP) | tee /dev/stderr | /tmp/benchjson -o BENCH_sweep.json -maxregress 10
 
 # Fast allocation-regression smoke: the zero-alloc guards on the event
-# loop, MAC queue, LDR round trip and OLSR's warm link-state paths, plus a
-# single tiny sweep cell.
+# loop, the radio's fault-delayed delivery, MAC queue, LDR round trip and
+# OLSR's warm link-state paths, plus a single tiny sweep cell.
 # Part of `make check` so steady-state allocation creep fails CI quickly.
 bench-smoke:
-	$(GO) test -run 'Alloc|ZeroAlloc' ./internal/sim/ ./internal/mac/ ./internal/core/ ./internal/routing/... ./internal/olsr/
+	$(GO) test -run 'Alloc|ZeroAlloc' ./internal/sim/ ./internal/radio/ ./internal/mac/ ./internal/core/ ./internal/routing/... ./internal/olsr/
 	$(GO) test -run '^$$' -bench 'ScheduleTransient|SweepSerial' -benchtime 10x \
 		./internal/sim/ ./internal/sweep/
 

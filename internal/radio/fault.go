@@ -8,7 +8,9 @@
 // as if an obstacle absorbed the signal. Delivery faults act at the
 // radio/MAC boundary instead — the frame occupies the channel normally
 // (it collides, it defers other senders) and is then dropped, duplicated,
-// or delayed at the moment it would be handed to the receiver's MAC.
+// or delayed at the moment it would be handed to the receiver's MAC. A
+// delayed copy is a pooled record on a transient event (see deferred), so
+// a warm lossy medium allocates nothing per delivery.
 
 package radio
 
@@ -16,6 +18,7 @@ import (
 	"time"
 
 	"github.com/manetlab/ldr/internal/rng"
+	"github.com/manetlab/ldr/internal/runpool"
 )
 
 // faults bundles every active fault hook; see the file comment.
@@ -28,12 +31,22 @@ type faults struct {
 	delayMax time.Duration // uniform extra delivery latency bound
 	src      *rng.Source   // stream for the delivery-fault draws
 
-	// pending holds the payloads of delay-deferred deliveries between the
-	// fault draw and the scheduled hand-off. Without this registry a
-	// delayed frame exists only inside its event closure, invisible to
-	// the conformance auditor's packet census.
-	pending map[uint64]any
-	pendSeq uint64
+	// pending registers every delay-deferred delivery between its fault
+	// draw and its hand-off, so that the conformance auditor's packet
+	// census sees the frame (ForEachPendingDelivery); records come from
+	// pool and fire through the one pre-bound handOffFn.
+	pending   []*deferred
+	pool      runpool.Pool[deferred]
+	handOffFn func(any, uint64)
+}
+
+// deferred is one delayed delivery: what the hand-off event carries.
+// slot is the record's index in faults.pending, kept current by the
+// swap-remove there.
+type deferred struct {
+	from, dst int32
+	slot      int32
+	payload   any
 }
 
 // FaultStats counts fault-hook activity, for diagnostics and tests.
@@ -46,7 +59,7 @@ type FaultStats struct {
 
 func (m *Medium) faultState() *faults {
 	if m.flt == nil {
-		m.flt = &faults{}
+		m.flt = &faults{handOffFn: m.handOff}
 	}
 	return m.flt
 }
@@ -124,8 +137,7 @@ func (m *Medium) blocked(a, b int) bool {
 
 // deliverFaulty applies the delivery-fault draws to one decodable,
 // uncorrupted reception and invokes the receiver zero, one, or two
-// times. A delayed copy re-reads the receiver callback at fire time, so
-// delivery to a node detached mid-delay is dropped, not crashed.
+// times: one draw for drop, one for dup, then one delay per copy.
 func (m *Medium) deliverFaulty(f *faults, tx *transmission, rc *reception) {
 	copies := 1
 	if f.drop > 0 && f.src.Float64() < f.drop {
@@ -145,24 +157,36 @@ func (m *Medium) deliverFaulty(f *faults, tx *transmission, rc *reception) {
 			continue
 		}
 		m.FaultStats.Delayed++
-		from, dst, payload := int(tx.from), int(rc.dst), tx.payload
-		if f.pending == nil {
-			f.pending = make(map[uint64]any)
-		}
-		key := f.pendSeq
-		f.pendSeq++
-		f.pending[key] = payload
+		d := f.pool.Get()
+		d.from, d.dst, d.payload = tx.from, rc.dst, tx.payload
+		d.slot = int32(len(f.pending))
+		f.pending = append(f.pending, d)
 		// The deferred delivery outlives the reception, so it holds its own
 		// payload reference until the hand-off fires.
-		ref(payload)
-		m.sim.Schedule(delay, func() {
-			delete(f.pending, key)
-			if rx := m.nodes[dst].rx; rx != nil {
-				rx(from, payload)
-			}
-			unref(payload)
-		})
+		ref(d.payload)
+		m.sim.ScheduleTransient(delay, f.handOffFn, d, 0)
 	}
+}
+
+// handOff is the pre-bound transient callback for a deferred delivery.
+// The record leaves the census before the receiver runs, and the receiver
+// callback is read now, not when the delay was drawn, so delivery to a
+// node detached mid-delay is dropped, not crashed.
+func (m *Medium) handOff(arg any, _ uint64) {
+	d := arg.(*deferred)
+	f := m.flt
+	last := f.pending[len(f.pending)-1]
+	last.slot = d.slot
+	f.pending[d.slot] = last
+	f.pending[len(f.pending)-1] = nil
+	f.pending = f.pending[:len(f.pending)-1]
+
+	if rx := m.nodes[d.dst].rx; rx != nil {
+		rx(int(d.from), d.payload)
+	}
+	unref(d.payload)
+	d.payload = nil
+	f.pool.Put(d)
 }
 
 // ForEachPendingDelivery invokes fn for the payload of every delivery
@@ -172,7 +196,7 @@ func (m *Medium) ForEachPendingDelivery(fn func(payload any)) {
 	if m.flt == nil {
 		return
 	}
-	for _, p := range m.flt.pending {
-		fn(p)
+	for _, d := range m.flt.pending {
+		fn(d.payload)
 	}
 }
