@@ -107,18 +107,13 @@ func (e *entry) refresh(now, lifetime time.Duration) {
 	}
 }
 
-type reqKey struct {
-	origin routing.NodeID
-	id     uint32
-}
-
 // AODV is one node's protocol instance.
 type AODV struct {
 	node *routing.Node
 
 	ownSeq  uint32
 	routes  map[routing.NodeID]*entry
-	reqSeen map[reqKey]time.Duration
+	reqSeen ondemand.Seen[struct{}] // RREQ duplicate cache
 
 	ondemand.Discoveries // active discoveries and the data buffered behind them
 	ondemand.Limits      // per-neighbour RREQ/RERR admission
@@ -145,10 +140,9 @@ var (
 // New builds an AODV instance bound to a node.
 func New(node *routing.Node) *AODV {
 	a := &AODV{
-		node:    node,
-		routes:  make(map[routing.NodeID]*entry),
-		reqSeen: make(map[reqKey]time.Duration),
-		Limits:  ondemand.NewLimits(node),
+		node:   node,
+		routes: make(map[routing.NodeID]*entry),
+		Limits: ondemand.NewLimits(node),
 	}
 	a.Discoveries = ondemand.NewDiscoveries(node, a)
 	return a
@@ -173,7 +167,7 @@ func (a *AODV) Reset() {
 	a.Limits.Reset()
 	a.ownSeq = 0
 	a.routes = make(map[routing.NodeID]*entry)
-	a.reqSeen = make(map[reqKey]time.Duration)
+	a.reqSeen.Reset()
 }
 
 // --- data plane ---
@@ -377,16 +371,11 @@ func (a *AODV) handleRREQ(from routing.NodeID, q RREQ) {
 	if !a.AllowRREQ(from, now) {
 		return
 	}
-	key := reqKey{origin: q.Origin, id: q.ReqID}
-	if _, seen := a.reqSeen[key]; seen {
+	key := ondemand.ReqKey{Origin: q.Origin, ID: q.ReqID}
+	if a.reqSeen.Get(key, now) != nil {
 		return
 	}
-	a.reqSeen[key] = now
-	a.node.Schedule(ondemand.RREQCacheLife, func() {
-		if t, ok := a.reqSeen[key]; ok && now == t {
-			delete(a.reqSeen, key)
-		}
-	})
+	a.reqSeen.Add(key, now)
 
 	a.installReverse(q.Origin, q.OriginSeq, q.HopCount, from)
 

@@ -9,7 +9,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"slices"
-	"time"
 
 	"github.com/manetlab/ldr/internal/routing"
 	"github.com/manetlab/ldr/internal/routing/ondemand"
@@ -54,14 +53,14 @@ func (a *AODV) AppendModelState(out []byte, mapID func(routing.NodeID) routing.N
 	}
 
 	sc.reqs = sc.reqs[:0]
-	for k := range a.reqSeen {
-		sc.reqs = append(sc.reqs, reqKey{mapID(k.origin), k.id})
-	}
-	slices.SortFunc(sc.reqs, compareReqKey)
+	a.reqSeen.Each(a.node.Now(), func(k ondemand.ReqKey, _ *struct{}) {
+		sc.reqs = append(sc.reqs, ondemand.ReqKey{Origin: mapID(k.Origin), ID: k.ID})
+	})
+	slices.SortFunc(sc.reqs, ondemand.CompareReqKey)
 	out = binary.AppendUvarint(out, uint64(len(sc.reqs)))
 	for _, q := range sc.reqs {
-		out = binary.AppendVarint(out, int64(q.origin))
-		out = binary.AppendUvarint(out, uint64(q.id))
+		out = binary.AppendVarint(out, int64(q.Origin))
+		out = binary.AppendUvarint(out, uint64(q.ID))
 	}
 
 	return a.AppendDiscoveryState(out, mapID)
@@ -81,7 +80,7 @@ func appendSortedIDs(out []byte, ids []routing.NodeID) []byte {
 // so that encoding a state allocates nothing.
 type encScratch struct {
 	routes []routeRow
-	reqs   []reqKey // origins mapped
+	reqs   []ondemand.ReqKey // origins mapped
 	ids    []routing.NodeID
 }
 
@@ -90,17 +89,13 @@ type routeRow struct {
 	e   *entry
 }
 
-func compareReqKey(a, b reqKey) int {
-	return cmp.Or(cmp.Compare(a.origin, b.origin), cmp.Compare(a.id, b.id))
-}
-
 // modelState is an AODV instance's saved state: every field a handler or
 // Reset writes. node is fixed by New; the message pools, rerrBuf and enc
 // are free lists and scratch.
 type modelState struct {
 	ownSeq  uint32
 	routes  []routing.Saved[routing.NodeID, entry]
-	reqSeen []routing.Saved[reqKey, time.Duration]
+	reqSeen ondemand.SeenState[struct{}]
 	disc    ondemand.DiscoveryState
 	limits  ondemand.LimitsState
 }
@@ -127,7 +122,7 @@ func (a *AODV) SaveModelState(store any) any {
 	}
 	s.ownSeq = a.ownSeq
 	s.routes = routing.SavePtrMap(s.routes, a.routes, cmp.Compare[routing.NodeID], copyEntry)
-	s.reqSeen = routing.SaveMap(s.reqSeen, a.reqSeen, compareReqKey)
+	a.reqSeen.SaveState(&s.reqSeen, nil)
 	a.SaveDiscoveryState(&s.disc)
 	a.SaveLimitsState(&s.limits)
 	return s
@@ -138,7 +133,7 @@ func (a *AODV) RestoreModelState(store any) {
 	s := store.(*modelState)
 	a.ownSeq = s.ownSeq
 	routing.RestorePtrMap(a.routes, s.routes, cmp.Compare[routing.NodeID], copyEntry)
-	routing.RestoreMap(a.reqSeen, s.reqSeen)
+	a.reqSeen.RestoreState(&s.reqSeen, nil)
 	a.RestoreDiscoveryState(&s.disc)
 	a.RestoreLimitsState(&s.limits)
 }

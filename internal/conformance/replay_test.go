@@ -175,7 +175,7 @@ func TestLossyTraceHasOneAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Fingerprint{
-		TraceEvents: 7458, SimEvents: 2063163, RNGDraws: 3778993,
+		TraceEvents: 7458, SimEvents: 2026866, RNGDraws: 3778993,
 		Initiated: 2360, Delivered: 221, Dropped: 1976, Transmitted: 2901,
 	}
 	if log.Fingerprint != want {

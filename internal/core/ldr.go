@@ -50,18 +50,11 @@ func DefaultConfig() Config {
 	}
 }
 
-// reqKey identifies a route computation (A, ID_A).
-type reqKey struct {
-	origin routing.NodeID
-	id     uint32
-}
-
-// reqState is the engaged-state record for one computation: the reverse
-// path hop plus bookkeeping for reply relaying (Theorem 3's computation
-// tree is exactly this cache).
+// reqState is the engaged-state record for one computation (A, ID_A):
+// the reverse path hop plus bookkeeping for reply relaying (Theorem 3's
+// computation tree is exactly this cache).
 type reqState struct {
 	lastHop routing.NodeID
-	expires time.Duration
 
 	relayed     bool  // at least one RREP relayed
 	relayedSeq  Seqno // strongest invariants relayed so far
@@ -79,7 +72,7 @@ type LDR struct {
 
 	ownSeq  Seqno
 	routes  table
-	reqSeen map[reqKey]*reqState
+	reqSeen ondemand.Seen[reqState]
 
 	ondemand.Discoveries // active computations and the data buffered behind them
 	ondemand.Limits      // per-neighbour RREQ/RERR admission
@@ -107,12 +100,11 @@ var (
 // New builds an LDR instance bound to a node.
 func New(node *routing.Node, cfg Config) *LDR {
 	l := &LDR{
-		node:    node,
-		cfg:     cfg,
-		ownSeq:  NewSeqno(1, 0),
-		routes:  make(table),
-		reqSeen: make(map[reqKey]*reqState),
-		Limits:  ondemand.NewLimits(node),
+		node:   node,
+		cfg:    cfg,
+		ownSeq: NewSeqno(1, 0),
+		routes: make(table),
+		Limits: ondemand.NewLimits(node),
 	}
 	l.Discoveries = ondemand.NewDiscoveries(node, l)
 	return l
@@ -146,7 +138,7 @@ func (l *LDR) Reset() {
 		e.invalidate()
 		e.alts = nil
 	}
-	l.reqSeen = make(map[reqKey]*reqState)
+	l.reqSeen.Reset()
 }
 
 // OwnSeq exposes the node's own sequence number (for tests and Fig. 7).
@@ -393,8 +385,8 @@ func (l *LDR) handleRREQ(from routing.NodeID, q RREQ) {
 	if !l.AllowRREQ(from, now) {
 		return
 	}
-	key := reqKey{origin: q.Origin, id: q.ReqID}
-	st := l.reqSeen[key]
+	key := ondemand.ReqKey{Origin: q.Origin, ID: q.ReqID}
+	st := l.reqSeen.Get(key, now)
 	if st != nil {
 		// Already engaged: a node enters a computation at most once
 		// (Theorem 3). The only second touch allowed is relaying the
@@ -415,9 +407,8 @@ func (l *LDR) handleRREQ(from routing.NodeID, q RREQ) {
 		}
 		return
 	}
-	st = &reqState{lastHop: from, expires: now + ondemand.RREQCacheLife}
-	l.reqSeen[key] = st
-	l.node.Schedule(ondemand.RREQCacheLife, func() { l.expireReq(key) })
+	st = l.reqSeen.Add(key, now)
+	st.lastHop = from
 
 	// The RREQ advertises a route back to its origin; try to install it.
 	// The unicast reset leg (D bit) is NOT an advertisement: it travels
@@ -606,7 +597,7 @@ func (l *LDR) maybeAltReply(q RREQ, st *reqState, from routing.NodeID) {
 
 // sendReply issues an SDC advertisement from an intermediate node.
 func (l *LDR) sendReply(q RREQ, e *entry, now time.Duration) {
-	st := l.reqSeen[reqKey{origin: q.Origin, id: q.ReqID}]
+	st := l.reqSeen.Get(ondemand.ReqKey{Origin: q.Origin, ID: q.ReqID}, now)
 	if st == nil {
 		return
 	}
@@ -651,8 +642,7 @@ func (l *LDR) handleRREP(from routing.NodeID, p RREP) {
 		return
 	}
 
-	key := reqKey{origin: p.Origin, id: p.ReqID}
-	st := l.reqSeen[key]
+	st := l.reqSeen.Get(ondemand.ReqKey{Origin: p.Origin, ID: p.ReqID}, now)
 	if st == nil {
 		return // not engaged in this computation; nowhere to relay
 	}
@@ -771,12 +761,6 @@ func (l *LDR) seqFor(dst routing.NodeID) Seqno {
 		return e.seq
 	}
 	return 0
-}
-
-func (l *LDR) expireReq(key reqKey) {
-	if st := l.reqSeen[key]; st != nil && st.expires <= l.node.Now() {
-		delete(l.reqSeen, key)
-	}
 }
 
 // --- observability ---

@@ -82,15 +82,15 @@ func (l *LDR) AppendModelState(out []byte, mapID func(routing.NodeID) routing.No
 	}
 
 	sc.reqs = sc.reqs[:0]
-	for k, st := range l.reqSeen {
-		sc.reqs = append(sc.reqs, reqRow{reqKey{mapID(k.origin), k.id}, st})
-	}
-	slices.SortFunc(sc.reqs, func(a, b reqRow) int { return compareReqKey(a.key, b.key) })
+	l.reqSeen.Each(l.node.Now(), func(k ondemand.ReqKey, st *reqState) {
+		sc.reqs = append(sc.reqs, reqRow{ondemand.ReqKey{Origin: mapID(k.Origin), ID: k.ID}, st})
+	})
+	slices.SortFunc(sc.reqs, func(a, b reqRow) int { return ondemand.CompareReqKey(a.key, b.key) })
 	out = binary.AppendUvarint(out, uint64(len(sc.reqs)))
 	for _, q := range sc.reqs {
 		st := q.st
-		out = binary.AppendVarint(out, int64(q.key.origin))
-		out = binary.AppendUvarint(out, uint64(q.key.id))
+		out = binary.AppendVarint(out, int64(q.key.Origin))
+		out = binary.AppendUvarint(out, uint64(q.key.ID))
 		out = binary.AppendVarint(out, int64(mapID(st.lastHop)))
 		out = appendBool(out, st.relayed)
 		out = appendBool(out, st.unicastFwd)
@@ -126,12 +126,8 @@ type routeRow struct {
 }
 
 type reqRow struct {
-	key reqKey // origin mapped
+	key ondemand.ReqKey // origin mapped
 	st  *reqState
-}
-
-func compareReqKey(a, b reqKey) int {
-	return cmp.Or(cmp.Compare(a.origin, b.origin), cmp.Compare(a.id, b.id))
 }
 
 // modelState is an LDR instance's saved state: every field a handler,
@@ -140,7 +136,7 @@ func compareReqKey(a, b reqKey) int {
 type modelState struct {
 	ownSeq  Seqno
 	routes  []routing.Saved[routing.NodeID, entry]
-	reqSeen []routing.Saved[reqKey, reqState]
+	reqSeen ondemand.SeenState[reqState]
 	disc    ondemand.DiscoveryState
 	limits  ondemand.LimitsState
 }
@@ -167,7 +163,7 @@ func (l *LDR) SaveModelState(store any) any {
 	}
 	s.ownSeq = l.ownSeq
 	s.routes = routing.SavePtrMap(s.routes, l.routes, cmp.Compare[routing.NodeID], copyEntry)
-	s.reqSeen = routing.SavePtrMap(s.reqSeen, l.reqSeen, compareReqKey, copyReqState)
+	l.reqSeen.SaveState(&s.reqSeen, copyReqState)
 	l.SaveDiscoveryState(&s.disc)
 	l.SaveLimitsState(&s.limits)
 	return s
@@ -178,7 +174,7 @@ func (l *LDR) RestoreModelState(store any) {
 	s := store.(*modelState)
 	l.ownSeq = s.ownSeq
 	routing.RestorePtrMap(l.routes, s.routes, cmp.Compare[routing.NodeID], copyEntry)
-	routing.RestorePtrMap(l.reqSeen, s.reqSeen, compareReqKey, copyReqState)
+	l.reqSeen.RestoreState(&s.reqSeen, copyReqState)
 	l.RestoreDiscoveryState(&s.disc)
 	l.RestoreLimitsState(&s.limits)
 }

@@ -117,18 +117,13 @@ const (
 	wirePerHop   = 4
 )
 
-type reqKey struct {
-	origin routing.NodeID
-	id     uint32
-}
-
 // DSR is one node's protocol instance.
 type DSR struct {
 	node *routing.Node
 	cfg  Config
 
 	cache   *pathCache
-	reqSeen map[reqKey]time.Duration // (origin, id) → when the entry expires
+	reqSeen ondemand.Seen[struct{}] // RREQ duplicate cache
 
 	ondemand.Discoveries // active discoveries and the data buffered behind them
 
@@ -149,10 +144,9 @@ var (
 // New builds a DSR instance bound to a node.
 func New(node *routing.Node, cfg Config) *DSR {
 	d := &DSR{
-		node:    node,
-		cfg:     cfg,
-		cache:   newPathCache(node.ID(), cacheCapacity, cacheLifetime),
-		reqSeen: make(map[reqKey]time.Duration),
+		node:  node,
+		cfg:   cfg,
+		cache: newPathCache(node.ID(), cacheCapacity, cacheLifetime),
 	}
 	d.Discoveries = ondemand.NewDiscoveries(node, d)
 	return d
@@ -164,14 +158,11 @@ func (d *DSR) Start() {}
 // Reset implements routing.Resetter: a crash empties the route cache,
 // the duplicate-request memory, buffered data, and active discoveries.
 // DSR keeps no sequence numbers, so nothing needs stable storage; only
-// the request-ID counter survives (see the note on AODV's Reset). Expiry
-// timers armed before the crash still fire, against the fresh reqSeen
-// map; each checks the entry's own expiry time, so it cannot evict an
-// entry learned again after the reboot.
+// the request-ID counter survives (see the note on AODV's Reset).
 func (d *DSR) Reset() {
 	d.Discoveries.Reset()
 	d.cache = newPathCache(d.node.ID(), cacheCapacity, cacheLifetime)
-	d.reqSeen = make(map[reqKey]time.Duration)
+	d.reqSeen.Reset()
 }
 
 // --- data plane ---
@@ -397,17 +388,12 @@ func (d *DSR) handleRREQ(q RREQ) {
 	if q.Origin == me || hasNode(q.Route, me) {
 		return
 	}
-	key := reqKey{origin: q.Origin, id: q.ReqID}
-	if _, seen := d.reqSeen[key]; seen {
+	key := ondemand.ReqKey{Origin: q.Origin, ID: q.ReqID}
+	now := d.node.Now()
+	if d.reqSeen.Get(key, now) != nil {
 		return
 	}
-	now := d.node.Now()
-	d.reqSeen[key] = now + ondemand.RREQCacheLife
-	d.node.Schedule(ondemand.RREQCacheLife, func() {
-		if exp, ok := d.reqSeen[key]; ok && exp <= d.node.Now() {
-			delete(d.reqSeen, key)
-		}
-	})
+	d.reqSeen.Add(key, now)
 
 	// Learn the reverse of the accumulated record (symmetric links).
 	d.cache.add(append([]routing.NodeID{me}, reverse(q.Route)...), now)

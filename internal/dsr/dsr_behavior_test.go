@@ -175,11 +175,12 @@ func (p *probe) HandleData(from routing.NodeID, pkt *routing.DataPacket) {
 	p.inner.HandleData(from, pkt)
 }
 
-// TestDuplicateRequestMemorySurvivesStaleExpiryTimer: the expiry timer
-// armed when a request was first seen outlives a crash, and fires against
-// the map the rebooted node filled afresh. It must not evict the entry
-// the node learned again after the reboot: that entry has its own cache
-// life to run, and until it ends a further copy is a duplicate.
+// TestDuplicateRequestMemorySurvivesStaleExpiryTimer: a request seen
+// before a crash and learned again after the reboot is remembered for a
+// whole cache life from the second sighting, not until a life after the
+// first. While every entry had an expiry timer, the one armed before the
+// crash fired against the refilled cache and evicted the new entry (hence
+// the name); the cache has no timers now, and this pins what they owed.
 func TestDuplicateRequestMemorySurvivesStaleExpiryTimer(t *testing.T) {
 	// 0 and 1 are neighbours; the target 2 is out of everyone's range, so
 	// node 1 answers nothing from its cache and every copy it accepts is
@@ -191,7 +192,7 @@ func TestDuplicateRequestMemorySurvivesStaleExpiryTimer(t *testing.T) {
 	req := dsr.RREQ{Origin: 0, ReqID: 7, Target: 2, Route: []routing.NodeID{0}, TTL: 5}
 	relayed := func() uint64 { return nw.Collector.ControlTransmitted(metrics.RREQ) }
 
-	nw.Sim.At(0, func() { d.HandleControl(0, req) }) // first sight: expiry timer for t=6s
+	nw.Sim.At(0, func() { d.HandleControl(0, req) }) // first sight: would expire at t=6s
 	nw.Sim.At(time.Second, func() {
 		if got := relayed(); got != 1 {
 			t.Errorf("first copy relayed %d times, want 1", got)
@@ -203,15 +204,15 @@ func TestDuplicateRequestMemorySurvivesStaleExpiryTimer(t *testing.T) {
 		if got := relayed(); got != 2 {
 			t.Errorf("copy after the reboot relayed %d times in total, want 2", got)
 		}
-		d.HandleControl(0, req) // the pre-crash timer fired a second ago
+		d.HandleControl(0, req) // the pre-crash entry would have expired a second ago
 	})
 	nw.Sim.At(9*time.Second, func() { d.HandleControl(0, req) }) // the entry's own life is over
 	nw.Sim.Run(7500 * time.Millisecond)
 	if got := relayed(); got != 2 {
-		t.Errorf("a copy inside the re-learned entry's cache life was relayed (%d in total, want 2): the pre-crash timer evicted it", got)
+		t.Errorf("a copy inside the re-learned entry's cache life was relayed (%d in total, want 2): its life was counted from before the crash", got)
 	}
 	nw.Sim.Run(10 * time.Second)
 	if got := relayed(); got != 3 {
-		t.Errorf("%d relays after the entry's own expiry, want 3: the guard must not keep entries forever", got)
+		t.Errorf("%d relays after the entry's own expiry, want 3: entries must not be kept forever", got)
 	}
 }

@@ -248,6 +248,8 @@ func modelStateFields(t *testing.T) map[reflect.Type]fieldLists {
 		return f.Type
 	}
 	ldr, av := reflect.TypeFor[core.LDR](), reflect.TypeFor[aodv.AODV]()
+	ldrSeen, avSeen := field(ldr, "reqSeen"), field(av, "reqSeen") // ondemand.Seen of each protocol's value type
+	ldrSeenEntry, avSeenEntry := field(ldrSeen, "m").Elem().Elem(), field(avSeen, "m").Elem().Elem()
 	node, limiter := reflect.TypeFor[routing.Node](), reflect.TypeFor[routing.RateLimiter]()
 	return map[reflect.Type]fieldLists{
 		ldr: {
@@ -255,11 +257,15 @@ func modelStateFields(t *testing.T) map[reflect.Type]fieldLists {
 			[]string{"node", "cfg", "rreqPool", "rrepPool", "rerrPool", "rerrBuf", "enc"}},
 		field(ldr, "routes").Elem().Elem(): { // core.entry; alts is deep-copied
 			[]string{"seq", "dist", "fd", "next", "valid", "expiry", "alts"}, nil},
-		field(ldr, "reqSeen").Elem().Elem(): { // core.reqState; altHops is deep-copied
-			[]string{"lastHop", "expires", "relayed", "relayedSeq", "relayedDist", "unicastFwd", "replied", "altHops"}, nil},
+		ldrSeen:      {[]string{"m", "sweepAt"}, nil},
+		ldrSeenEntry: {[]string{"expires", "val"}, nil},
+		field(ldrSeenEntry, "val"): { // core.reqState; altHops is deep-copied
+			[]string{"lastHop", "relayed", "relayedSeq", "relayedDist", "unicastFwd", "replied", "altHops"}, nil},
 		av: {
 			[]string{"ownSeq", "routes", "reqSeen", "Discoveries", "Limits"},
 			[]string{"node", "rreqPool", "rrepPool", "rerrPool", "rerrBuf", "enc"}},
+		avSeen:      {[]string{"m", "sweepAt"}, nil},
+		avSeenEntry: {[]string{"expires", "val"}, nil},
 		field(av, "routes").Elem().Elem(): { // aodv.entry; precursors is deep-copied
 			[]string{"seq", "haveSeq", "hops", "next", "valid", "expiry", "precursors"}, nil},
 		reflect.TypeFor[ondemand.Discoveries](): {

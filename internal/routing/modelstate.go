@@ -52,34 +52,17 @@ func Resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Saved is one entry of a map saved by SaveMap or SavePtrMap.
+// Saved is one entry of a map saved by SavePtrMap.
 type Saved[K comparable, V any] struct {
 	Key K
 	Val V
 }
 
-// SaveMap copies m into dst's storage in ascending key order.
-func SaveMap[K comparable, V any](dst []Saved[K, V], m map[K]V, cmpKey func(a, b K) int) []Saved[K, V] {
-	dst = dst[:0]
-	for k, v := range m {
-		dst = append(dst, Saved[K, V]{k, v})
-	}
-	slices.SortFunc(dst, func(a, b Saved[K, V]) int { return cmpKey(a.Key, b.Key) })
-	return dst
-}
-
-// RestoreMap makes m hold exactly the entries SaveMap copied out.
-func RestoreMap[K comparable, V any](m map[K]V, src []Saved[K, V]) {
-	clear(m)
-	for _, e := range src {
-		m[e.Key] = e.Val
-	}
-}
-
-// SavePtrMap is SaveMap for a map of pointers: the pointed-to values are
-// copied with cp, which must leave dst sharing no memory with src and may
-// reuse what dst already holds (slots of dst keep their values' storage
-// from one save to the next). A nil cp assigns.
+// SavePtrMap copies a map of pointers into dst's storage in ascending key
+// order: the pointed-to values are copied with cp, which must leave dst
+// sharing no memory with src and may reuse what dst already holds (slots
+// of dst keep their values' storage from one save to the next). A nil cp
+// assigns.
 func SavePtrMap[K comparable, V any](dst []Saved[K, V], m map[K]*V, cmpKey func(a, b K) int, cp func(dst, src *V)) []Saved[K, V] {
 	dst = Resize(dst, len(m))
 	i := 0
