@@ -111,9 +111,8 @@ modelcheck-seed:
 # recorded as BENCH_modelcheck.json and gated against the committed
 # baseline: >10% B/op or allocs/op regression fails the target.
 bench-modelcheck:
-	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	$(GO) test -run '^$$' -bench 'CheckLDRLine3|CheckAODVLine3' -benchtime 2x -benchmem \
-		./internal/modelcheck/ | tee /dev/stderr | /tmp/benchjson -o BENCH_modelcheck.json -maxregress 10
+		./internal/modelcheck/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_modelcheck.json -maxregress 10
 
 # The Byzantine-node suite under the race detector: LDR's loop-freedom
 # property under every attack profile, the committed AODV forged-seqno
@@ -126,31 +125,27 @@ adversary:
 # control amplification, accounted adversary drops, NDC rejections),
 # recorded as BENCH_adversary.json.
 bench-adversary:
-	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	$(GO) test -run '^$$' -bench AttackImpact -benchtime 2x \
-		./internal/adversary/ | tee /dev/stderr | /tmp/benchjson -o BENCH_adversary.json
+		./internal/adversary/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_adversary.json
 
 # Audit-hook overhead on the 50-node scenario (the <10% acceptance bar),
 # recorded as BENCH_chaos.json.
 bench-chaos:
-	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	$(GO) test -run '^$$' -bench AuditOverhead -benchtime 3x \
-		./internal/fault/ | tee /dev/stderr | /tmp/benchjson -o BENCH_chaos.json
+		./internal/fault/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_chaos.json
 
 # Sweep, radio and OLSR hot-path benchmarks, recorded as BENCH_sweep.json
 # (cells/sec, ns/op, B/op, allocs/op per benchmark).
 BENCH_SWEEP = -bench 'Sweep|Transmit|Neighbors|Recompute100|SelectMPRs100' -benchmem \
 	./internal/sweep/ ./internal/radio/ ./internal/olsr/
 bench:
-	$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	$(GO) test -run '^$$' $(BENCH_SWEEP) | tee /dev/stderr | /tmp/benchjson -o BENCH_sweep.json
+	$(GO) test -run '^$$' $(BENCH_SWEEP) | tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_sweep.json
 
 # Same benchmarks, gated against the committed BENCH_sweep.json: any
 # benchmark whose B/op or allocs/op regressed more than 10% fails the
 # target (non-zero exit) and leaves the committed baseline untouched.
 bench-sweep:
-	$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	$(GO) test -run '^$$' $(BENCH_SWEEP) | tee /dev/stderr | /tmp/benchjson -o BENCH_sweep.json -maxregress 10
+	$(GO) test -run '^$$' $(BENCH_SWEEP) | tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_sweep.json -maxregress 10
 
 # Fast allocation-regression smoke: the zero-alloc guards on the event
 # loop, the radio's fault-delayed delivery, MAC queue, LDR round trip and
@@ -173,18 +168,24 @@ profile:
 # CPU profile of one cell — "where did the cell go" without a throwaway
 # main.go. The defaults are the dense100 OLSR cell of the repository
 # benchmark; the paper's terrain follows NODES (1500×300 m at 50,
-# 2200×600 m at 100). Prints the top of the profile and leaves the binary
+# 2200×600 m at 100). With FAULT set it is the audited chaos cells of that
+# fault profile and PROTO instead (50 nodes, pause 0 and static, serial),
+# through ldrchaos. Prints the top of the profile and leaves the binary
 # and the profile in profiles/ for `go tool pprof -list`.
 #   make profile-cell PROTO=olsr NODES=100 SIMTIME=330s
+#   make profile-cell FAULT=lossy PROTO=ldr SIMTIME=30s
 PROTO ?= olsr
 NODES ?= 100
 SIMTIME ?= 330s
+FAULT ?=
+PROFILE_CMD = $(if $(FAULT),ldrchaos,ldrsim)
+PROFILE_CELL = $(if $(FAULT),-profiles $(FAULT) -protocols $(PROTO) -trials 1 -workers 1,\
+	-proto $(PROTO) -nodes $(NODES) $(if $(filter 100,$(NODES)),-width 2200 -height 600) -flows 10 -pause 0s)
 profile-cell:
 	mkdir -p profiles
-	$(GO) build -o profiles/ldrsim ./cmd/ldrsim
-	profiles/ldrsim -proto $(PROTO) -nodes $(NODES) $(if $(filter 100,$(NODES)),-width 2200 -height 600) \
-		-flows 10 -pause 0s -simtime $(SIMTIME) -cpuprofile profiles/cell.cpu.pprof
-	$(GO) tool pprof -top -nodecount 30 profiles/ldrsim profiles/cell.cpu.pprof
+	$(GO) build -o profiles/$(PROFILE_CMD) ./cmd/$(PROFILE_CMD)
+	profiles/$(PROFILE_CMD) $(PROFILE_CELL) -simtime $(SIMTIME) -cpuprofile profiles/cell.cpu.pprof
+	$(GO) tool pprof -top -nodecount 30 profiles/$(PROFILE_CMD) profiles/cell.cpu.pprof
 
 # CI's bench-gate job. Two families are gated against their committed
 # BENCH_*.json baseline (sweep/radio/OLSR and modelcheck: a >10% B/op or

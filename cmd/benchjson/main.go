@@ -19,9 +19,12 @@ import (
 	"strings"
 )
 
-// Result is one benchmark line.
+// Result is one benchmark line. Name is the benchmark's name without the
+// "-N" suffix `go test` appends at GOMAXPROCS N > 1, which is kept apart
+// so that a run gates against a baseline recorded at another N.
 type Result struct {
 	Name       string             `json:"name"`
+	GOMAXPROCS int                `json:"gomaxprocs,omitempty"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
 }
@@ -129,8 +132,8 @@ func loadReport(path string) (*Report, error) {
 // compare flags every benchmark present in both reports whose B/op or
 // allocs/op grew by more than maxPct percent over the baseline, and
 // counts the (benchmark, unit) pairs it could compare at all — zero means
-// the gate checked nothing. Benchmark names include the GOMAXPROCS
-// suffix, so baselines only gate runs on comparable machines.
+// the gate checked nothing. Benchmarks pair up by bare name, whatever
+// GOMAXPROCS either side ran at: B/op and allocs/op do not depend on it.
 func compare(base, cur *Report, maxPct float64) (regressions []string, compared int) {
 	baseline := make(map[string]map[string]float64, len(base.Results))
 	for _, r := range base.Results {
@@ -184,7 +187,10 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 //
 //	BenchmarkName-8   120   9843215 ns/op   1024 B/op   12 allocs/op   321.5 cells/sec
 //
-// i.e. name, iteration count, then (value, unit) pairs.
+// i.e. name, iteration count, then (value, unit) pairs. The name's "-8"
+// goes to GOMAXPROCS; `go test` writes none at GOMAXPROCS=1, so a
+// sub-benchmark called "n-50" run there would read as "n" at 50 — no
+// benchmark of this repository ends in a hyphen and digits.
 func parseBench(line string) (Result, bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 {
@@ -195,6 +201,11 @@ func parseBench(line string) (Result, bool) {
 		return Result{}, false
 	}
 	r := Result{Name: f[0], Iterations: iters, Metrics: map[string]float64{}}
+	if i := strings.LastIndexByte(r.Name, '-'); i > 0 {
+		if procs, err := strconv.Atoi(r.Name[i+1:]); err == nil && procs > 0 {
+			r.Name, r.GOMAXPROCS = r.Name[:i], procs
+		}
+	}
 	for i := 2; i+1 < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {

@@ -104,7 +104,7 @@ ok  	github.com/manetlab/ldr/internal/sweep	3.211s
 		t.Fatalf("got %d results, want 2", len(rep.Results))
 	}
 	r := rep.Results[0]
-	if r.Name != "BenchmarkSweepSerial-4" || r.Iterations != 2 {
+	if r.Name != "BenchmarkSweepSerial" || r.GOMAXPROCS != 4 || r.Iterations != 2 {
 		t.Fatalf("result 0 = %+v", r)
 	}
 	want := map[string]float64{
@@ -114,6 +114,47 @@ ok  	github.com/manetlab/ldr/internal/sweep	3.211s
 	for unit, v := range want {
 		if r.Metrics[unit] != v {
 			t.Errorf("metric %s = %v, want %v", unit, r.Metrics[unit], v)
+		}
+	}
+}
+
+// TestGateMatchesAcrossGOMAXPROCS: `go test` appends "-N" to a benchmark's
+// name at GOMAXPROCS N > 1 and nothing at 1. The gate must pair a run with
+// its baseline under either spelling on either side — keyed by the raw
+// name, a 2-core host compared nothing against the committed suffix-less
+// baselines — and sub-benchmark names keep their slashes.
+func TestGateMatchesAcrossGOMAXPROCS(t *testing.T) {
+	const (
+		bare     = "BenchmarkSweepSerial 3 1000 ns/op 2048 B/op 10 allocs/op\nBenchmarkAttackImpact/storm/ldr 1 9 ns/op 64 B/op 1 allocs/op\n"
+		suffixed = "BenchmarkSweepSerial-2 3 1000 ns/op 2048 B/op 10 allocs/op\nBenchmarkAttackImpact/storm/ldr-2 1 9 ns/op 64 B/op 1 allocs/op\n"
+		fatter   = "BenchmarkSweepSerial-16 3 1000 ns/op 4096 B/op 10 allocs/op\nBenchmarkAttackImpact/storm/ldr-16 1 9 ns/op 64 B/op 1 allocs/op\n"
+	)
+	for _, tc := range []struct{ name, base, run string }{
+		{"baseline at 1, run at 2", bare, suffixed},
+		{"baseline at 2, run at 1", suffixed, bare},
+	} {
+		file := filepath.Join(t.TempDir(), "BENCH.json")
+		if code, stderr := benchjson(t, tc.base, "-o", file); code != 0 {
+			t.Fatalf("%s: recording the baseline: exit %d: %s", tc.name, code, stderr)
+		}
+		if code, stderr := benchjson(t, tc.run, "-o", file, "-maxregress", "10"); code != 0 {
+			t.Errorf("%s: gate with equal figures: exit %d: %s", tc.name, code, stderr)
+		}
+		code, stderr := benchjson(t, fatter, "-o", file, "-maxregress", "10")
+		if code == 0 || !strings.Contains(stderr, "BenchmarkSweepSerial B/op 2048 -> 4096") {
+			t.Errorf("%s: gate with doubled B/op at yet another GOMAXPROCS: exit %d, stderr %q; want that regression named", tc.name, code, stderr)
+		}
+	}
+
+	for line, want := range map[string]Result{
+		"BenchmarkX-8 5 12 ns/op":         {Name: "BenchmarkX", GOMAXPROCS: 8},
+		"BenchmarkX 5 12 ns/op":           {Name: "BenchmarkX"},
+		"BenchmarkX/a-b/ldr-2 5 12 ns/op": {Name: "BenchmarkX/a-b/ldr", GOMAXPROCS: 2},
+		"BenchmarkX/a-b 5 12 ns/op":       {Name: "BenchmarkX/a-b"},
+		"BenchmarkX-0 5 12 ns/op":         {Name: "BenchmarkX-0"},
+	} {
+		if got, ok := parseBench(line); !ok || got.Name != want.Name || got.GOMAXPROCS != want.GOMAXPROCS {
+			t.Errorf("parseBench(%q) = %q at GOMAXPROCS %d, want %q at %d", line, got.Name, got.GOMAXPROCS, want.Name, want.GOMAXPROCS)
 		}
 	}
 }

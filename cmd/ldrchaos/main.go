@@ -57,6 +57,8 @@ func run() error {
 	var shared cli.Experiment
 	shared.Seed, shared.Trials, shared.SimTime = 1, 3, 120*time.Second
 	shared.Bind(flag.CommandLine)
+	var prof cli.Profile
+	prof.Bind(flag.CommandLine)
 	var (
 		profiles = flag.String("profiles", "", "comma-separated fault profiles (default: all of "+strings.Join(fault.ProfileNames(), ",")+")")
 		adv      = flag.String("adversary", "", "run the Byzantine-node suite instead: comma-separated adversary profiles, or \"all\" for "+strings.Join(adversary.ProfileNames(), ","))
@@ -79,6 +81,7 @@ func run() error {
 		"ldrchaos -journal /tmp/chaos.journal                      # kill-safe; ^C prints the resume command",
 		"ldrchaos -journal /tmp/chaos.journal -resume              # continue a killed sweep",
 		"ldrchaos -journal DIR -cell-timeout 2m -keep-going        # quarantine wedged/panicking cells",
+		"ldrchaos -profiles lossy -protocols ldr -trials 1 -workers 1 -cpuprofile cell.pprof  # make profile-cell FAULT=lossy",
 	); err != nil {
 		return err
 	}
@@ -112,6 +115,12 @@ func run() error {
 	opts.AuditCadence = *audit
 	opts.FaultProfiles = faultProfiles
 	opts.AdversaryProfiles = advProfiles
+
+	stop, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer stop()
 
 	if *adv != "" {
 		return shared.Finish("adversary", experiments.Adversary(opts))

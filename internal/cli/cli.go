@@ -79,7 +79,7 @@ func List(value string, resolve func(name string) error) ([]string, error) {
 }
 
 // Profile is -cpuprofile and -memprofile (ldrsim for one cell, ldrbench
-// for a whole table).
+// and ldrchaos for a whole table).
 type Profile struct {
 	cpu, mem string
 }

@@ -51,7 +51,9 @@ func bound(t *testing.T, args ...string) *Experiment {
 }
 
 // TestRejectedCommandLineLeavesNothingBehind: whichever shared flag is
-// wrong, Options fails before the journal directory is created.
+// wrong, Options fails before the journal directory is created
+// (cmd/ldrchaos's test of the same name runs a whole command, profile
+// files included).
 func TestRejectedCommandLineLeavesNothingBehind(t *testing.T) {
 	for _, bad := range [][]string{
 		{"-protocols", "ldr,nope"},

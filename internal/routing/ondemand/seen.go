@@ -80,9 +80,6 @@ func (c *Seen[V]) Each(now time.Duration, fn func(ReqKey, *V)) {
 	}
 }
 
-// Len is the number of entries held, dead ones not yet swept included.
-func (c *Seen[V]) Len() int { return len(c.m) }
-
 // Reset forgets everything (crash/reboot).
 func (c *Seen[V]) Reset() { clear(c.m) }
 

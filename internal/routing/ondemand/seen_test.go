@@ -97,10 +97,10 @@ func TestSeenMatchesTimerDrivenCache(t *testing.T) {
 							recent++
 						}
 					}
-					if c.Len() > recent || c.Len() < len(ref.m) {
-						t.Fatalf("at %v: %d entries held, %d live, %d added within two cache lives", now, c.Len(), len(ref.m), recent)
+					if len(c.m) > recent || len(c.m) < len(ref.m) {
+						t.Fatalf("at %v: %d entries held, %d live, %d added within two cache lives", now, len(c.m), len(ref.m), recent)
 					}
-					most = max(most, c.Len()-len(ref.m))
+					most = max(most, len(c.m)-len(ref.m))
 					return
 				}
 				dups++
@@ -181,8 +181,8 @@ func TestSeenSaveRestoreZeroAlloc(t *testing.T) {
 	c.Add(ReqKey{Origin: 2, ID: 1}, 0)
 	c.Get(ReqKey{Origin: 1, ID: 3}, 0).replied = true
 	c.RestoreState(&st, copyEngaged)
-	if c.Len() != 8 || c.Get(ReqKey{Origin: 1, ID: 3}, 0).replied || c.Get(ReqKey{Origin: 2, ID: 1}, 0) != nil {
-		t.Fatalf("restore did not put the saved cache back: %d entries", c.Len())
+	if len(c.m) != 8 || c.Get(ReqKey{Origin: 1, ID: 3}, 0).replied || c.Get(ReqKey{Origin: 2, ID: 1}, 0) != nil {
+		t.Fatalf("restore did not put the saved cache back: %d entries", len(c.m))
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		c.SaveState(&st, copyEngaged)
