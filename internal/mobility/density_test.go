@@ -107,7 +107,7 @@ func TestWarpLeavesInnerModelUntouched(t *testing.T) {
 			if got != want {
 				t.Fatalf("inner model diverged at node %d t=%v: %+v vs %+v", id, at, got, want)
 			}
-			_ = warp(got)
+			_ = warp.Map(got)
 		}
 	}
 }

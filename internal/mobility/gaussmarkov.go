@@ -86,6 +86,16 @@ func NewGaussMarkov(n int, cfg GaussMarkovConfig, src *rng.Source) *GaussMarkov 
 // NumNodes implements Model.
 func (g *GaussMarkov) NumNodes() int { return len(g.nodes) }
 
+// SpeedBound implements Model: the evolved speed is clamped to it, and
+// reflecting off the boundary lengthens no step.
+func (g *GaussMarkov) SpeedBound() float64 { return g.cfg.MaxSpeed }
+
+// LegEnd implements Model: the velocity is re-drawn at the next step
+// boundary.
+func (g *GaussMarkov) LegEnd(id int) time.Duration {
+	return time.Duration(g.nodes[id].step+1)*gmStep - time.Nanosecond
+}
+
 // Position implements Model.
 func (g *GaussMarkov) Position(id int, at time.Duration) Point {
 	st := &g.nodes[id]

@@ -118,6 +118,12 @@ func NewManhattan(n int, cfg ManhattanConfig, src *rng.Source) *Manhattan {
 // NumNodes implements Model.
 func (m *Manhattan) NumNodes() int { return len(m.nodes) }
 
+// SpeedBound implements Model: no street's speed class exceeds 1.
+func (m *Manhattan) SpeedBound() float64 { return m.cfg.MaxSpeed }
+
+// LegEnd implements Model: Position draws the next leg only past the pause.
+func (m *Manhattan) LegEnd(id int) time.Duration { return m.nodes[id].pauseUntil }
+
 // Position implements Model.
 func (m *Manhattan) Position(id int, at time.Duration) Point {
 	st := &m.nodes[id]

@@ -29,11 +29,45 @@ func (p Point) Dist(q Point) float64 {
 // Model yields node positions over time. Queries must be issued with
 // non-decreasing times per node; the simulator guarantees this because all
 // queries happen at the current virtual time.
+//
+// SpeedBound and LegEnd are a promise that lets a caller keep a position
+// instead of asking again: after Position(id, t1), for every t2 in
+// [t1, LegEnd(id)], Position(id, t2) draws from no random stream and lies
+// within Slack(SpeedBound(), t2-t1) of Position(id, t1). Past LegEnd the
+// caller has to ask, which is also what keeps every stream where asking at
+// every instant would have left it.
 type Model interface {
 	// Position returns the position of node id at virtual time at.
 	Position(id int, at time.Duration) Point
 	// NumNodes returns the number of nodes the model covers.
 	NumNodes() int
+	// SpeedBound returns a speed in m/s that no node exceeds at any time,
+	// +Inf when the model cannot name one.
+	SpeedBound() float64
+	// LegEnd returns the last instant of the leg node id's latest Position
+	// query left it on; Forever when its trajectory needs no further draw.
+	LegEnd(id int) time.Duration
+}
+
+// Forever is the LegEnd of a node whose trajectory is fixed for good.
+const Forever = time.Duration(math.MaxInt64)
+
+// Margin is the part of Slack that does not grow with time, in meters: a
+// micrometre, six orders of magnitude above the rounding of a coordinate
+// on any terrain used here. It is what sends a comparison of squared
+// distances that floating point could decide either way back to the exact
+// computation, also for nodes that never move.
+const Margin = 1e-6
+
+// Slack bounds how far a node can be, dt into a leg, from where it was:
+// bound meters per second, for one nanosecond longer than dt, plus Margin.
+// The nanosecond is real: Waypoint and Manhattan truncate a leg's duration
+// to whole nanoseconds, so a node covers its leg in up to a nanosecond less
+// than its drawn speed allows and runs ahead of SpeedBound by up to one
+// nanosecond of travel (20 nm at 20 m/s). An infinite bound gives an
+// infinite slack.
+func Slack(bound float64, dt time.Duration) float64 {
+	return bound*float64(dt+time.Nanosecond)*1e-9 + Margin
 }
 
 // Terrain is the rectangular simulation area, in meters.
@@ -61,9 +95,10 @@ type WaypointConfig struct {
 // function of (seed, node, time): legs are advanced lazily on Position
 // queries, and neither the order of queries across nodes nor how often a
 // node is queried changes where anyone ends up. This query-pattern
-// invariance is what makes it harmless that the radio asks for every
-// node's position on every transmission while analysis tools, fault
-// hooks and tests ask for whichever nodes they like in between.
+// invariance is what makes it harmless that the radio asks for a node's
+// position only when the answer could change who hears a frame or when the
+// node's leg has ended (see Model), while analysis tools, fault hooks and
+// tests ask for whichever nodes they like in between.
 type Waypoint struct {
 	cfg   WaypointConfig
 	nodes []waypointState
@@ -106,6 +141,12 @@ func NewWaypoint(n int, cfg WaypointConfig, src *rng.Source) *Waypoint {
 
 // NumNodes implements Model.
 func (w *Waypoint) NumNodes() int { return len(w.nodes) }
+
+// SpeedBound implements Model: every leg's speed is drawn at or below it.
+func (w *Waypoint) SpeedBound() float64 { return w.cfg.MaxSpeed }
+
+// LegEnd implements Model: Position draws the next leg only past the pause.
+func (w *Waypoint) LegEnd(id int) time.Duration { return w.nodes[id].pauseUntil }
 
 // Position implements Model.
 func (w *Waypoint) Position(id int, at time.Duration) Point {
@@ -160,6 +201,12 @@ func NewStatic(pts []Point) *Static {
 // NumNodes implements Model.
 func (s *Static) NumNodes() int { return len(s.pts) }
 
+// SpeedBound implements Model.
+func (s *Static) SpeedBound() float64 { return 0 }
+
+// LegEnd implements Model.
+func (s *Static) LegEnd(int) time.Duration { return Forever }
+
 // Position implements Model.
 func (s *Static) Position(id int, _ time.Duration) Point { return s.pts[id] }
 
@@ -191,6 +238,7 @@ func Grid(n, cols int, spacing float64) *Static {
 // the paper's Figure 1 example and for partition/heal demonstrations.
 type Script struct {
 	tracks [][]ScriptLeg
+	bound  float64 // fastest leg of any track, m/s
 }
 
 // ScriptLeg is one segment of a scripted trajectory: the node is at Pos at
@@ -206,11 +254,27 @@ var _ Model = (*Script)(nil)
 // non-empty; the node holds its first position before the first leg and its
 // last position after the final leg.
 func NewScript(tracks [][]ScriptLeg) *Script {
-	return &Script{tracks: tracks}
+	s := &Script{tracks: tracks}
+	for _, track := range tracks {
+		for i := 1; i < len(track); i++ {
+			// A jump in zero time is an infinite speed, also in the arithmetic.
+			if d := track[i-1].Pos.Dist(track[i].Pos); d > 0 {
+				s.bound = max(s.bound, d/(track[i].At-track[i-1].At).Seconds())
+			}
+		}
+	}
+	return s
 }
 
 // NumNodes implements Model.
 func (s *Script) NumNodes() int { return len(s.tracks) }
+
+// SpeedBound implements Model: the fastest scripted leg, +Inf if a track
+// jumps.
+func (s *Script) SpeedBound() float64 { return s.bound }
+
+// LegEnd implements Model: a script draws nothing.
+func (s *Script) LegEnd(int) time.Duration { return Forever }
 
 // Position implements Model.
 func (s *Script) Position(id int, at time.Duration) Point {

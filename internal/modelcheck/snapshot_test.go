@@ -282,7 +282,7 @@ func modelStateFields(t *testing.T) map[reflect.Type]fieldLists {
 		limiter: {
 			[]string{"buckets"},
 			[]string{"rate", "burst"}},
-		field(limiter, "buckets").Elem().Elem(): { // routing.tokenBucket
+		field(limiter, "buckets").Elem(): { // routing.tokenBucket
 			[]string{"tokens", "last"}, nil},
 		node: {
 			// The MAC is never reached under a ModelEnv; the collector is

@@ -10,18 +10,18 @@ import (
 	"github.com/manetlab/ldr/internal/sim"
 )
 
-// benchMedium builds a 100-node random-waypoint medium matching the
-// paper's dense scenario (2200 m × 600 m, speeds 1–20 m/s, constant
-// motion), with every node attached.
-func benchMedium() (*sim.Simulator, *radio.Medium) {
+// benchMedium builds an n-node random-waypoint medium on the paper's
+// terrain for that many nodes (speeds 1–20 m/s, constant motion), with
+// every node attached.
+func benchMedium(n int) (*sim.Simulator, *radio.Medium) {
 	s := sim.New()
-	model := mobility.NewWaypoint(100, mobility.WaypointConfig{
-		Terrain:  mobility.Terrain{Width: 2200, Height: 600},
-		MinSpeed: 1,
-		MaxSpeed: 20,
-	}, rng.New(1))
+	terrain := mobility.Terrain{Width: 1500, Height: 300}
+	if n > 50 {
+		terrain = mobility.Terrain{Width: 2200, Height: 600}
+	}
+	model := mobility.NewWaypoint(n, mobility.WaypointConfig{Terrain: terrain, MinSpeed: 1, MaxSpeed: 20}, rng.New(1))
 	m := radio.New(s, model, radio.DefaultConfig())
-	for i := 0; i < model.NumNodes(); i++ {
+	for i := 0; i < n; i++ {
 		m.Attach(i, func(int, any) {})
 	}
 	return s, m
@@ -31,7 +31,7 @@ func benchMedium() (*sim.Simulator, *radio.Medium) {
 // (receiver-set computation plus the signal start/end events), the radio
 // hot path every MAC transmission pays.
 func BenchmarkTransmit(b *testing.B) {
-	s, m := benchMedium()
+	s, m := benchMedium(100)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.Transmit(i%100, 4096+512*8, nil)
@@ -43,7 +43,7 @@ func BenchmarkTransmit(b *testing.B) {
 // contention regime): eight senders put frames on the air in the same
 // microsecond window before the queue drains.
 func BenchmarkTransmitBurst(b *testing.B) {
-	s, m := benchMedium()
+	s, m := benchMedium(100)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		base := i * 8
@@ -60,11 +60,21 @@ func BenchmarkTransmitBurst(b *testing.B) {
 // BenchmarkNeighbors measures the observability helper with a
 // caller-provided buffer (allocs/op should be zero once warm).
 func BenchmarkNeighbors(b *testing.B) {
-	s, m := benchMedium()
+	s, m := benchMedium(100)
 	_ = s
 	b.ReportAllocs()
 	var buf []int
 	for i := 0; i < b.N; i++ {
 		buf = m.NeighborsAppend(i%100, buf[:0])
+	}
+}
+
+// BenchmarkTransmit50 is BenchmarkTransmit on the paper's 50-node strip.
+func BenchmarkTransmit50(b *testing.B) {
+	s, m := benchMedium(50)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m.Transmit(i%50, 4096+512*8, nil)
+		s.RunAll()
 	}
 }

@@ -2,28 +2,43 @@ package radio
 
 import "time"
 
-// TransmitPerReceiver is the reference schedule Transmit is checked
-// against: the same frame, sender bookkeeping and receiver scan, but every
-// receiver gets a one-reception record with its own start and its own end
-// event, created in ascending id. The signal handling itself
-// (signalStart, signalEnd, checkIdle, deliverFaulty) is shared; only the
-// grouping of receptions into events differs.
-func (m *Medium) TransmitPerReceiver(src, bits int, payload any) time.Duration {
+// PerReceiver is the medium as Transmit and the signal handling are checked
+// against it: the code they replaced, kept whole. Its Transmit measures
+// every node exactly, every receiver gets a one-reception record with its
+// own start and its own end event, created in ascending id, and a node
+// keeps the list of every decodable reception in the air with a corrupted
+// mark on each, searched when one ends. The counters, the sender and idle
+// bookkeeping (checkIdle) and the delivery (deliverFaulty) are the
+// medium's own; a world driven through a PerReceiver never calls
+// Medium.Transmit.
+type PerReceiver struct {
+	m      *Medium
+	active [][]*refReception // per node: decodable receptions in the air there
+}
+
+// refReception is one receiver's record: a transmission of one reception.
+type refReception struct {
+	tx        transmission
+	corrupted bool
+}
+
+// PerReceiver returns the reference over m.
+func (m *Medium) PerReceiver() *PerReceiver {
+	return &PerReceiver{m: m, active: make([][]*refReception, len(m.nodes))}
+}
+
+// Transmit is the reference for Medium.Transmit.
+func (r *PerReceiver) Transmit(src, bits int, payload any) time.Duration {
+	m := r.m
 	now := m.sim.Now()
 	air := m.AirTime(bits)
 	m.Transmissions++
 
-	sender := &m.nodes[src]
-	sender.txUntil = now + air
-	for _, rc := range sender.active {
-		if !rc.corrupted {
-			rc.corrupted = true
-			m.Corrupted++
-		}
-	}
+	m.nodes[src].txUntil = now + air
+	r.corrupt(src)
 	m.sim.ScheduleTransient(air, m.idleFn, nil, uint64(src))
 
-	srcPos := m.position(src)
+	srcPos := m.model.Position(src, now)
 	for i := range m.nodes {
 		if i == src || m.nodes[i].rx == nil {
 			continue
@@ -32,20 +47,71 @@ func (m *Medium) TransmitPerReceiver(src, bits int, payload any) time.Duration {
 			m.FaultStats.Blocked++
 			continue
 		}
-		d := srcPos.Dist(m.position(i))
+		d := srcPos.Dist(m.model.Position(i, now))
 		if d > m.csRange[src] {
 			continue
 		}
-		tx := &transmission{
+		rc := &refReception{tx: transmission{
 			from:    int32(src),
 			payload: payload,
 			recs:    []reception{{dst: int32(i), decodable: d <= m.txRange[src]}},
-		}
+		}}
 		ref(payload)
-		m.sim.ScheduleTransient(PropDelay, m.startFn, tx, 0)
-		m.sim.ScheduleTransient(PropDelay+air, m.endFn, tx, 0)
+		m.sim.ScheduleTransient(PropDelay, r.signalStart, rc, 0)
+		m.sim.ScheduleTransient(PropDelay+air, r.signalEnd, rc, 0)
 	}
 	return air
+}
+
+// corrupt marks every decodable reception in the air at node as lost.
+func (r *PerReceiver) corrupt(node int) {
+	for _, rc := range r.active[node] {
+		if !rc.corrupted {
+			rc.corrupted = true
+			r.m.Corrupted++
+		}
+	}
+}
+
+func (r *PerReceiver) signalStart(arg any, _ uint64) {
+	m, rc := r.m, arg.(*refReception)
+	dst, decodable := int(rc.tx.recs[0].dst), rc.tx.recs[0].decodable
+	st := &m.nodes[dst]
+	st.signals++
+	if decodable {
+		r.active[dst] = append(r.active[dst], rc)
+	}
+	if st.signals > 1 {
+		r.corrupt(dst)
+	}
+	if st.txUntil > m.sim.Now() && decodable && !rc.corrupted {
+		rc.corrupted = true
+		m.Corrupted++
+	}
+}
+
+func (r *PerReceiver) signalEnd(arg any, _ uint64) {
+	m, rc := r.m, arg.(*refReception)
+	dst := int(rc.tx.recs[0].dst)
+	st := &m.nodes[dst]
+	st.signals--
+	if rc.tx.recs[0].decodable {
+		for i, a := range r.active[dst] {
+			if a == rc {
+				r.active[dst] = append(r.active[dst][:i], r.active[dst][i+1:]...)
+				break
+			}
+		}
+		if !rc.corrupted && st.txUntil <= m.sim.Now() && st.rx != nil {
+			if f := m.flt; f != nil && f.src != nil {
+				m.deliverFaulty(f, &rc.tx, &rc.tx.recs[0])
+			} else {
+				st.rx(int(rc.tx.from), rc.tx.payload)
+			}
+		}
+	}
+	m.checkIdle(dst)
+	unref(rc.tx.payload)
 }
 
 // Receiver returns the callback attached for node id, so a test can wrap
@@ -82,14 +148,9 @@ func (r *ReferenceFaults) endAll(arg any, _ uint64) {
 		rc := &tx.recs[i]
 		st := &m.nodes[rc.dst]
 		st.signals--
-		if rc.decodable {
-			for i, a := range st.active {
-				if a == rc {
-					st.active = append(st.active[:i], st.active[i+1:]...)
-					break
-				}
-			}
-			if !rc.corrupted && st.txUntil <= m.sim.Now() && st.rx != nil {
+		if st.clean == rc {
+			st.clean = nil
+			if st.rx != nil {
 				if f := m.flt; f != nil && f.src != nil {
 					r.deliver(f, tx, rc)
 				} else {

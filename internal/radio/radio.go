@@ -17,9 +17,12 @@
 //
 // Receiver lookup is one exact scan over the nodes in ascending id, so a
 // transmission's receptions — and every collision mark, MAC rx and
-// delivery-fault draw they cause — are in id order by construction. Node
-// positions are computed at most once per instant and cached. The scan is
-// O(N) per frame; every experiment in this repository runs at most 100
+// delivery-fault draw they cause — are in id order by construction. The
+// scan keeps each node's last computed position and asks the mobility
+// model again only when the motion since could change how the node hears
+// the frame, or when the node's leg has ended (see Transmit); the receiver
+// set is the one asking for every position at every frame gives. The scan
+// is O(N) per frame; every experiment in this repository runs at most 100
 // nodes (EXPERIMENTS.md records where a spatial index would start to pay).
 //
 // A transmission costs the event queue three events however many nodes
@@ -128,12 +131,10 @@ type Medium struct {
 	txRange []float64
 	csRange []float64
 
-	// Position cache: pos[i] is node i's position at virtual time
-	// posTime[i]. Every lookup in one transmit instant hits the cache, so
-	// Position is computed once per node per instant, not once per
-	// (sender, receiver) pair.
-	pos     []mobility.Point
-	posTime []time.Duration
+	// kept[i] is the last position computed for node i; bound is
+	// model.SpeedBound().
+	kept  []keptPos
+	bound float64
 
 	txPool runpool.Pool[transmission]
 
@@ -155,11 +156,25 @@ type Medium struct {
 	FaultStats FaultStats
 }
 
+// keptPos is a node's position at virtual time at. Through legEnd the
+// model promises the node is within mobility.Slack(bound, now-at) of it
+// (mobility.Model); legEnd starts at -1, nothing kept yet.
+type keptPos struct {
+	mobility.Point
+	at, legEnd time.Duration
+}
+
 type nodeState struct {
 	rx      ReceiverFunc
 	signals int           // overlapping signals currently sensed
 	txUntil time.Duration // end of this node's own transmission
-	active  []*reception  // decodable receptions currently in the air here
+
+	// clean is the one reception here that can still be decoded, if any: a
+	// frame survives only if it is alone on the channel for its whole
+	// airtime, so a second signal or the node's own transmission corrupts
+	// it and clears the pointer, and no other can become clean before it
+	// has ended.
+	clean *reception
 
 	// onIdle holds one-shot channel-idle waiters; idleSpare is the
 	// detached buffer from the previous checkIdle, kept so the two swap
@@ -170,7 +185,7 @@ type nodeState struct {
 
 // transmission is one frame in the air: the pooled record its start and
 // end events carry. Receptions live by value in recs, in ascending dst;
-// nodeState.active points into the slice, which is safe because pointers
+// nodeState.clean points into the slice, which is safe because pointers
 // are taken only once Transmit has finished appending and every one is
 // dropped again before the record returns to the pool.
 type transmission struct {
@@ -183,7 +198,6 @@ type transmission struct {
 type reception struct {
 	dst       int32
 	decodable bool
-	corrupted bool
 }
 
 // New builds a medium over the given mobility model. Positions are sampled
@@ -209,15 +223,13 @@ func New(s *sim.Simulator, model mobility.Model, cfg Config) *Medium {
 		nodes:   make([]nodeState, n),
 		txRange: make([]float64, n),
 		csRange: make([]float64, n),
-		pos:     make([]mobility.Point, n),
-		posTime: make([]time.Duration, n),
+		kept:    make([]keptPos, n),
+		bound:   model.SpeedBound(),
 	}
 	for i := 0; i < n; i++ {
 		cl := cfg.Classes[i%len(cfg.Classes)]
 		m.txRange[i], m.csRange[i] = cl.Range, cl.CSRange
-	}
-	for i := range m.posTime {
-		m.posTime[i] = -1 // sentinel: no position cached yet
+		m.kept[i].at, m.kept[i].legEnd = -1, -1
 	}
 	m.startFn = m.startAll
 	m.endFn = m.endAll
@@ -238,14 +250,13 @@ func (m *Medium) Attach(id int, rx ReceiverFunc) {
 }
 
 // position returns node id's position at the current instant, computing
-// it at most once per instant.
+// it at most once per instant, and keeps it.
 func (m *Medium) position(id int) mobility.Point {
-	now := m.sim.Now()
-	if m.posTime[id] != now {
-		m.pos[id] = m.model.Position(id, now)
-		m.posTime[id] = now
+	k, now := &m.kept[id], m.sim.Now()
+	if k.at != now {
+		*k = keptPos{m.model.Position(id, now), now, m.model.LegEnd(id)}
 	}
-	return m.pos[id]
+	return k.Point
 }
 
 // Busy reports whether node id currently senses the channel busy (a signal
@@ -284,6 +295,18 @@ func (m *Medium) AirTime(bits int) time.Duration {
 // The MAC is responsible for carrier sensing before calling Transmit; the
 // radio faithfully transmits (and collides) regardless.
 //
+// How a node hears the frame — not at all, sensed only, decodable — is
+// what comparing its exact distance from src with the sender's two ranges
+// says. Most nodes are decided from the position kept for them: the node is
+// within slack of it (mobility.Slack), so when the kept distance is more
+// than slack away from both ranges it falls on the same side of both as
+// the exact one, and comparing squares gives the answer without a root.
+// Only a node that could be on the other side of a range, or whose leg has
+// ended, is looked up and measured — which also keeps the mobility streams
+// where looking every node up would leave them, since a model draws only
+// past a leg's end. A model with no speed bound has infinite slack and
+// every node is measured.
+//
 // The whole receiver set rides on two events: one at now+PropDelay that
 // starts the signal at every receiver in ascending id, one at
 // now+PropDelay+air that ends it at every receiver in the same order.
@@ -308,16 +331,20 @@ func (m *Medium) Transmit(src, bits int, payload any) time.Duration {
 	sender := &m.nodes[src]
 	sender.txUntil = now + air
 	// Receiving while transmitting corrupts anything arriving here.
-	for _, rc := range sender.active {
-		if !rc.corrupted {
-			rc.corrupted = true
-			m.Corrupted++
-		}
+	if sender.clean != nil {
+		sender.clean = nil
+		m.Corrupted++
 	}
 	m.sim.ScheduleTransient(air, m.idleFn, nil, uint64(src))
 
 	srcPos := m.position(src)
+	txR, csR := m.txRange[src], m.csRange[src]
+	tx2, cs2 := txR*txR, csR*csR
 	tx := m.txPool.Get()
+	if cap(tx.recs) < len(m.nodes) {
+		tx.recs = make([]reception, 0, len(m.nodes))
+	}
+	recs, n := tx.recs[:len(m.nodes)], 0
 	for i := range m.nodes {
 		if i == src || m.nodes[i].rx == nil {
 			continue
@@ -326,12 +353,28 @@ func (m *Medium) Transmit(src, bits int, payload any) time.Duration {
 			m.FaultStats.Blocked++
 			continue
 		}
-		d := srcPos.Dist(m.position(i))
-		if d > m.csRange[src] {
-			continue
+		k := &m.kept[i]
+		dx, dy := srcPos.X-k.X, srcPos.Y-k.Y
+		d2 := dx*dx + dy*dy
+		sensed, decodable := d2 <= cs2, d2 <= tx2
+		// The kept distance is within slack of a range r when
+		// (r-slack)² ≤ d2 ≤ (r+slack)², which for slack ≤ r is
+		// (d2 - r² - slack²)² ≤ 4·r²·slack².
+		slack := mobility.Slack(m.bound, now-k.at)
+		s2 := slack * slack
+		if t, c := d2-s2-tx2, d2-s2-cs2; now > k.legEnd || slack > txR ||
+			t*t <= 4*tx2*s2 || c*c <= 4*cs2*s2 {
+			d := srcPos.Dist(m.position(i))
+			sensed, decodable = d <= csR, d <= txR
 		}
-		tx.recs = append(tx.recs, reception{dst: int32(i), decodable: d <= m.txRange[src]})
+		// Written whether or not the node hears the frame and kept only if
+		// it does: whether it does is a coin toss no branch predictor wins.
+		recs[n] = reception{dst: int32(i), decodable: decodable}
+		if sensed {
+			n++
+		}
 	}
+	tx.recs = recs[:n]
 	if len(tx.recs) == 0 {
 		m.txPool.Put(tx)
 		return air
@@ -354,7 +397,7 @@ func (m *Medium) startAll(arg any, _ uint64) {
 }
 
 // endAll is the pre-bound transient callback for a transmission's signal
-// ending at its receivers. Afterwards no active list points into the
+// ending at its receivers. Afterwards no node's clean points into the
 // record, so it drops the payload reference and recycles itself.
 func (m *Medium) endAll(arg any, _ uint64) {
 	tx := arg.(*transmission)
@@ -370,36 +413,31 @@ func (m *Medium) endAll(arg any, _ uint64) {
 func (m *Medium) signalStart(rc *reception) {
 	st := &m.nodes[rc.dst]
 	st.signals++
-	if rc.decodable {
-		st.active = append(st.active, rc)
-	}
 	if st.signals > 1 {
-		// Collision: every decodable reception currently in the air at this
-		// node is lost, including the one that just began.
-		for _, r := range st.active {
-			if !r.corrupted {
-				r.corrupted = true
-				m.Corrupted++
-			}
+		// Collision: the reception that was clean until now is lost, and so
+		// is the one that just began.
+		if st.clean != nil {
+			st.clean = nil
+			m.Corrupted++
 		}
-	}
-	if st.txUntil > m.sim.Now() && rc.decodable && !rc.corrupted {
-		rc.corrupted = true
-		m.Corrupted++
+		if rc.decodable {
+			m.Corrupted++
+		}
+	} else if rc.decodable {
+		if st.txUntil > m.sim.Now() {
+			m.Corrupted++
+		} else {
+			st.clean = rc
+		}
 	}
 }
 
 func (m *Medium) signalEnd(tx *transmission, rc *reception) {
 	st := &m.nodes[rc.dst]
 	st.signals--
-	if rc.decodable {
-		for i, r := range st.active {
-			if r == rc {
-				st.active = append(st.active[:i], st.active[i+1:]...)
-				break
-			}
-		}
-		if !rc.corrupted && st.txUntil <= m.sim.Now() && st.rx != nil {
+	if st.clean == rc {
+		st.clean = nil
+		if st.rx != nil {
 			if f := m.flt; f != nil && f.src != nil {
 				m.deliverFaulty(f, tx, rc)
 			} else {
