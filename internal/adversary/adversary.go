@@ -139,8 +139,8 @@ type Stats struct {
 	DataDropped uint64 // transit data blackholed/grayholed (accounted drops)
 	ForgedRREPs uint64 // inflated-seqno replies forged
 	Replayed    uint64 // stale recorded messages re-broadcast
-	StormRREQs  uint64 // forged route requests flooded
-	StormRERRs  uint64 // forged route errors flooded
+	StormRREQs  uint64 // forged route requests flooded; for DSR and OLSR, re-broadcast recorded RREPs and TCs
+	StormRERRs  uint64 // forged route errors flooded; for DSR, re-broadcast recorded RERRs
 }
 
 // Engine executes a Plan against a network: it wraps the chosen nodes'

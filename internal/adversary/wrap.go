@@ -1,6 +1,8 @@
 package adversary
 
 import (
+	"fmt"
+	"slices"
 	"time"
 
 	"github.com/manetlab/ldr/internal/aodv"
@@ -196,9 +198,9 @@ func (w *wrapped) DataFailed(next routing.NodeID, pkt *routing.DataPacket) {
 }
 
 // RecycleMessage delegates wire-message recycling to the inner protocol's
-// pools. The wrapper's own sends (forged and replayed messages) are plain
-// values, which every recycler ignores, so only the inner protocol's
-// pooled pointers ever come back through here.
+// pools. The wrapper's own sends (forged, replayed and storm messages) are
+// pointers of the inner protocol's message types, which its pools adopt
+// like the ones they handed out.
 func (w *wrapped) RecycleMessage(msg routing.Message) {
 	if r, ok := w.inner.(routing.MessageRecycler); ok {
 		r.RecycleMessage(msg)
@@ -208,7 +210,8 @@ func (w *wrapped) RecycleMessage(msg routing.Message) {
 // record retains replies, errors, and topology messages — the messages
 // that carry route state worth replaying after it goes stale. The wire
 // path delivers pooled pointers that the sender recycles once the frame
-// completes, so the wrapper must deep-clone what it keeps.
+// completes, so the wrapper must deep-clone what it keeps. What it keeps
+// is never sent itself: every send is a fresh clone (send).
 func (w *wrapped) record(msg routing.Message) {
 	switch msg.Kind() {
 	case metrics.RREP, metrics.RERR, metrics.TC:
@@ -222,37 +225,47 @@ func (w *wrapped) record(msg routing.Message) {
 	w.recorded = append(w.recorded, recorded{at: w.node.Now(), msg: cloneMessage(msg)})
 }
 
-// cloneMessage deep-copies a pooled pointer message into a self-contained
-// value; value messages (from tests or other wrappers) are already safe
-// copies and pass through unchanged.
+// cloneMessage deep-copies a recordable message into a fresh one that
+// shares no memory with it.
 func cloneMessage(msg routing.Message) routing.Message {
 	switch m := msg.(type) {
 	case *core.RREP:
-		return *m
+		cp := *m
+		return &cp
 	case *core.RERR:
 		cp := *m
-		cp.Unreachable = append([]core.RERRDest(nil), m.Unreachable...)
-		return cp
+		cp.Unreachable = slices.Clone(m.Unreachable)
+		return &cp
 	case *aodv.RREP:
-		return *m
+		cp := *m
+		return &cp
 	case *aodv.RERR:
 		cp := *m
-		cp.Unreachable = append([]aodv.RERRDest(nil), m.Unreachable...)
-		return cp
+		cp.Unreachable = slices.Clone(m.Unreachable)
+		return &cp
 	case *dsr.RREP:
 		cp := *m
-		cp.Route = append([]routing.NodeID(nil), m.Route...)
-		return cp
+		cp.Route = slices.Clone(m.Route)
+		return &cp
 	case *dsr.RERR:
 		cp := *m
-		cp.Route = append([]routing.NodeID(nil), m.Route...)
-		return cp
+		cp.Route = slices.Clone(m.Route)
+		return &cp
 	case *olsr.TC:
 		cp := *m
-		cp.Selectors = append([]routing.NodeID(nil), m.Selectors...)
-		return cp
+		cp.Selectors = slices.Clone(m.Selectors)
+		return &cp
 	}
-	return msg
+	panic(fmt.Sprintf("adversary: cannot clone %T", msg))
+}
+
+// send broadcasts a fresh clone of a recorded message. The inner
+// protocol's pool adopts and reuses the copy once its frame is released,
+// so sending the recorded object itself would let that reuse overwrite
+// the record.
+func (w *wrapped) send(msg routing.Message) {
+	w.node.Metrics().CountControlInitiate(msg.Kind())
+	w.node.SendControl(routing.BroadcastID, cloneMessage(msg), nil)
 }
 
 // --- attack timers ---
@@ -281,8 +294,7 @@ func (w *wrapped) replayTick(c *Compromise) {
 		if now-rec.at < c.ReplayAge {
 			continue
 		}
-		w.node.Metrics().CountControlInitiate(rec.msg.Kind())
-		w.node.SendControl(routing.BroadcastID, rec.msg, nil)
+		w.send(rec.msg)
 		w.eng.Stats.Replayed++
 		sent++
 	}
@@ -362,19 +374,11 @@ type forger interface {
 type aodvForger struct{}
 
 func (aodvForger) forgeReply(w *wrapped, from routing.NodeID, msg routing.Message) bool {
-	var q aodv.RREQ
-	switch m := msg.(type) {
-	case *aodv.RREQ:
-		q = *m
-	case aodv.RREQ:
-		q = m
-	default:
+	q, ok := msg.(*aodv.RREQ)
+	if !ok || q.Dst == w.node.ID() || q.Origin == w.node.ID() {
 		return false
 	}
-	if q.Dst == w.node.ID() || q.Origin == w.node.ID() {
-		return false
-	}
-	p := aodv.RREP{
+	p := &aodv.RREP{
 		Dst:      q.Dst,
 		DstSeq:   forgedSeq,
 		Origin:   q.Origin,
@@ -395,7 +399,7 @@ func (aodvForger) storm(w *wrapped, c *Compromise) {
 	for i := 0; i < c.StormBurst; i++ {
 		dst := w.randOther(n)
 		w.stormReqID++
-		q := aodv.RREQ{
+		q := &aodv.RREQ{
 			Dst:       dst,
 			DstSeq:    forgedSeq, // unanswerable: nobody honest holds this
 			Origin:    me,
@@ -407,7 +411,7 @@ func (aodvForger) storm(w *wrapped, c *Compromise) {
 		w.node.SendControl(routing.BroadcastID, q, nil)
 		w.eng.Stats.StormRREQs++
 	}
-	e := aodv.RERR{Unreachable: []aodv.RERRDest{{Dst: w.randOther(n), Seq: forgedSeq}}}
+	e := &aodv.RERR{Unreachable: []aodv.RERRDest{{Dst: w.randOther(n), Seq: forgedSeq}}}
 	w.node.Metrics().CountControlInitiate(metrics.RERR)
 	w.node.SendControl(routing.BroadcastID, e, nil)
 	w.eng.Stats.StormRERRs++
@@ -422,19 +426,11 @@ func (aodvForger) storm(w *wrapped, c *Compromise) {
 type ldrForger struct{}
 
 func (ldrForger) forgeReply(w *wrapped, from routing.NodeID, msg routing.Message) bool {
-	var q core.RREQ
-	switch m := msg.(type) {
-	case *core.RREQ:
-		q = *m
-	case core.RREQ:
-		q = m
-	default:
+	q, ok := msg.(*core.RREQ)
+	if !ok || q.Dst == w.node.ID() || q.Origin == w.node.ID() {
 		return false
 	}
-	if q.Dst == w.node.ID() || q.Origin == w.node.ID() {
-		return false
-	}
-	p := core.RREP{
+	p := &core.RREP{
 		Dst:      q.Dst,
 		DstSeq:   core.NewSeqno(forgedSeq, 0),
 		Origin:   q.Origin,
@@ -457,7 +453,7 @@ func (ldrForger) storm(w *wrapped, c *Compromise) {
 	for i := 0; i < c.StormBurst; i++ {
 		dst := w.randOther(n)
 		w.stormReqID++
-		q := core.RREQ{
+		q := &core.RREQ{
 			Dst:        dst,
 			DstSeq:     forged, // unanswerable by honest state
 			HaveDstSeq: true,
@@ -472,7 +468,7 @@ func (ldrForger) storm(w *wrapped, c *Compromise) {
 		w.node.SendControl(routing.BroadcastID, q, nil)
 		w.eng.Stats.StormRREQs++
 	}
-	e := core.RERR{Unreachable: []core.RERRDest{{Dst: w.randOther(n), Seq: forged}}}
+	e := &core.RERR{Unreachable: []core.RERRDest{{Dst: w.randOther(n), Seq: forged}}}
 	w.node.Metrics().CountControlInitiate(metrics.RERR)
 	w.node.SendControl(routing.BroadcastID, e, nil)
 	w.eng.Stats.StormRERRs++
@@ -491,8 +487,7 @@ func (genericForger) forgeReply(*wrapped, routing.NodeID, routing.Message) bool 
 func (genericForger) storm(w *wrapped, c *Compromise) {
 	for i := 0; i < len(w.recorded) && i < c.StormBurst; i++ {
 		msg := w.recorded[i].msg
-		w.node.Metrics().CountControlInitiate(msg.Kind())
-		w.node.SendControl(routing.BroadcastID, msg, nil)
+		w.send(msg)
 		if msg.Kind() == metrics.RERR {
 			w.eng.Stats.StormRERRs++
 		} else {

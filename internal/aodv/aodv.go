@@ -39,11 +39,11 @@ type RREQ struct {
 }
 
 // Kind implements routing.Message.
-func (RREQ) Kind() metrics.ControlKind { return metrics.RREQ }
+func (*RREQ) Kind() metrics.ControlKind { return metrics.RREQ }
 
 // Size implements routing.Message: arithmetic wire size, pinned to
 // len(Marshal()) by the wire tests.
-func (RREQ) Size() int { return rreqWireSize }
+func (*RREQ) Size() int { return rreqWireSize }
 
 // RREP is an AODV route reply.
 type RREP struct {
@@ -55,10 +55,10 @@ type RREP struct {
 }
 
 // Kind implements routing.Message.
-func (RREP) Kind() metrics.ControlKind { return metrics.RREP }
+func (*RREP) Kind() metrics.ControlKind { return metrics.RREP }
 
 // Size implements routing.Message.
-func (RREP) Size() int { return rrepWireSize }
+func (*RREP) Size() int { return rrepWireSize }
 
 // RERRDest names one newly unreachable destination.
 type RERRDest struct {
@@ -72,10 +72,10 @@ type RERR struct {
 }
 
 // Kind implements routing.Message.
-func (RERR) Kind() metrics.ControlKind { return metrics.RERR }
+func (*RERR) Kind() metrics.ControlKind { return metrics.RERR }
 
 // Size implements routing.Message.
-func (e RERR) Size() int { return rerrWireBase + rerrWirePerDest*len(e.Unreachable) }
+func (e *RERR) Size() int { return rerrWireBase + rerrWirePerDest*len(e.Unreachable) }
 
 // Wire sizes of the fixed-layout encodings (type byte included); pinned
 // against Marshal by the wire round-trip tests.
@@ -234,14 +234,8 @@ func (a *AODV) RecycleMessage(msg routing.Message) {
 	}
 }
 
-// sendRREQ, sendRREP: wrap a handler-built value in a pooled message for
-// the wire. The pooled object belongs to the frame until recycled.
-func (a *AODV) sendRREQ(to routing.NodeID, q RREQ) {
-	m := a.rreqPool.Get()
-	*m = q
-	a.node.SendControl(to, m, nil)
-}
-
+// sendRREP wraps a handler-built value in a pooled message for the wire.
+// The pooled object belongs to the frame until recycled.
 func (a *AODV) sendRREP(to routing.NodeID, p RREP) {
 	m := a.rrepPool.Get()
 	*m = p
@@ -315,7 +309,8 @@ func (a *AODV) SendRequest(dst routing.NodeID, d *ondemand.Discovery) time.Durat
 	// "When node A sends a route request for a destination, it increases
 	// the sequence number for itself as well."
 	a.ownSeq++
-	q := RREQ{
+	q := a.rreqPool.Get()
+	*q = RREQ{
 		Dst:        dst,
 		UnknownSeq: true,
 		Origin:     a.node.ID(),
@@ -328,7 +323,7 @@ func (a *AODV) SendRequest(dst routing.NodeID, d *ondemand.Discovery) time.Durat
 		q.UnknownSeq = false
 	}
 	a.node.Metrics().CountControlInitiate(metrics.RREQ)
-	a.sendRREQ(routing.BroadcastID, q)
+	a.node.SendControl(routing.BroadcastID, q, nil)
 	return ondemand.RingWait(d)
 }
 
@@ -344,8 +339,6 @@ func (a *AODV) HandleControl(from routing.NodeID, msg routing.Message) {
 	if a.Stopped() {
 		return
 	}
-	// The wire carries pooled pointers; tests and the adversary layer may
-	// still construct value messages directly.
 	switch m := msg.(type) {
 	case *RREQ:
 		a.handleRREQ(from, *m)
@@ -353,12 +346,6 @@ func (a *AODV) HandleControl(from routing.NodeID, msg routing.Message) {
 		a.handleRREP(from, *m)
 	case *RERR:
 		a.handleRERR(from, *m)
-	case RREQ:
-		a.handleRREQ(from, m)
-	case RREP:
-		a.handleRREP(from, m)
-	case RERR:
-		a.handleRERR(from, m)
 	}
 }
 
@@ -422,14 +409,9 @@ func (a *AODV) handleRREQ(from routing.NodeID, q RREQ) {
 		q.DstSeq = e.seq
 		q.UnknownSeq = false
 	}
-	rq := q
-	jitter := time.Duration(a.node.RNG().Float64() * float64(ondemand.BroadcastJitter))
-	a.node.Schedule(jitter, func() {
-		if a.Stopped() {
-			return
-		}
-		a.sendRREQ(routing.BroadcastID, rq)
-	})
+	m := a.rreqPool.Get()
+	*m = q
+	a.Relay(m)
 }
 
 // reply unicasts a RREP toward origin along the reverse route.

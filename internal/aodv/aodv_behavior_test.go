@@ -141,7 +141,7 @@ func TestDestinationAdoptsRequestedSeq(t *testing.T) {
 	nw.Start()
 	dest := aodvAt(nw, 1)
 	nw.Sim.Schedule(0, func() {
-		dest.HandleControl(0, aodv.RREQ{
+		dest.HandleControl(0, &aodv.RREQ{
 			Dst:       1,
 			DstSeq:    41, // an upstream node inflated this across breaks
 			Origin:    0,

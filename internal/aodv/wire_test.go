@@ -43,21 +43,16 @@ func TestRERRRoundTrip(t *testing.T) {
 }
 
 func TestSizesMatchEncodings(t *testing.T) {
-	msgs := []routing.Message{
-		RREQ{TTL: 3},
-		RREP{},
-		RERR{Unreachable: make([]RERRDest, 2)},
+	msgs := []interface {
+		routing.Message
+		Marshal() []byte
+	}{
+		&RREQ{TTL: 3},
+		&RREP{},
+		&RERR{Unreachable: make([]RERRDest, 2)},
 	}
 	for _, m := range msgs {
-		var enc []byte
-		switch v := m.(type) {
-		case RREQ:
-			enc = v.Marshal()
-		case RREP:
-			enc = v.Marshal()
-		case RERR:
-			enc = v.Marshal()
-		}
+		enc := m.Marshal()
 		if m.Size() != len(enc) {
 			t.Fatalf("%T.Size() = %d, encoding is %d bytes", m, m.Size(), len(enc))
 		}

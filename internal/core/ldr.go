@@ -356,8 +356,6 @@ func (l *LDR) HandleControl(from routing.NodeID, msg routing.Message) {
 	if l.Stopped() {
 		return
 	}
-	// The wire carries pooled pointers; tests and the adversary layer may
-	// still construct value messages directly.
 	switch m := msg.(type) {
 	case *RREQ:
 		l.handleRREQ(from, *m)
@@ -365,12 +363,6 @@ func (l *LDR) HandleControl(from routing.NodeID, msg routing.Message) {
 		l.handleRREP(from, *m)
 	case *RERR:
 		l.handleRERR(from, *m)
-	case RREQ:
-		l.handleRREQ(from, m)
-	case RREP:
-		l.handleRREP(from, m)
-	case RERR:
-		l.handleRERR(from, m)
 	}
 }
 
@@ -443,7 +435,7 @@ func (l *LDR) handleRREQ(from routing.NodeID, q RREQ) {
 	if l.sdc(e, q, now) {
 		if !q.T {
 			st.replied = true
-			l.sendReply(q, e, now)
+			l.sendReply(q, e, st, now)
 			return
 		}
 		// SDC holds but a reset is required: unicast the request the rest
@@ -461,14 +453,9 @@ func (l *LDR) handleRREQ(from routing.NodeID, q RREQ) {
 	if q.TTL <= 0 {
 		return
 	}
-	rq := l.updateInvariants(q, e)
-	jitter := time.Duration(l.node.RNG().Float64() * float64(ondemand.BroadcastJitter))
-	l.node.Schedule(jitter, func() {
-		if l.Stopped() {
-			return
-		}
-		l.sendRREQ(routing.BroadcastID, rq)
-	})
+	m := l.rreqPool.Get()
+	*m = l.updateInvariants(q, e)
+	l.Relay(m)
 }
 
 // sdc evaluates the Start Distance Condition at this node for a
@@ -557,7 +544,13 @@ func (l *LDR) destinationReply(q RREQ, st *reqState) {
 		// only across reboots); jump past it before answering.
 		l.ownSeq = NewSeqno(q.DstSeq.Timestamp(), q.DstSeq.Counter()).Next(now)
 	}
-	p := RREP{
+	l.replyAsDestination(q, st.lastHop)
+}
+
+// replyAsDestination answers q with this node's own labels, toward to.
+func (l *LDR) replyAsDestination(q RREQ, to routing.NodeID) {
+	l.node.Metrics().CountControlInitiate(metrics.RREP)
+	l.sendRREP(to, RREP{
 		Dst:      l.node.ID(),
 		DstSeq:   l.ownSeq,
 		Origin:   q.Origin,
@@ -565,9 +558,7 @@ func (l *LDR) destinationReply(q RREQ, st *reqState) {
 		Dist:     0,
 		Lifetime: ondemand.ActiveRouteTimeout,
 		N:        q.N,
-	}
-	l.node.Metrics().CountControlInitiate(metrics.RREP)
-	l.sendRREP(st.lastHop, p)
+	})
 }
 
 // maybeAltReply sends an additional destination RREP along an alternate
@@ -582,25 +573,12 @@ func (l *LDR) maybeAltReply(q RREQ, st *reqState, from routing.NodeID) {
 		}
 	}
 	st.altHops = append(st.altHops, from)
-	p := RREP{
-		Dst:      l.node.ID(),
-		DstSeq:   l.ownSeq,
-		Origin:   q.Origin,
-		ReqID:    q.ReqID,
-		Dist:     0,
-		Lifetime: ondemand.ActiveRouteTimeout,
-		N:        q.N,
-	}
-	l.node.Metrics().CountControlInitiate(metrics.RREP)
-	l.sendRREP(from, p)
+	l.replyAsDestination(q, from)
 }
 
-// sendReply issues an SDC advertisement from an intermediate node.
-func (l *LDR) sendReply(q RREQ, e *entry, now time.Duration) {
-	st := l.reqSeen.Get(ondemand.ReqKey{Origin: q.Origin, ID: q.ReqID}, now)
-	if st == nil {
-		return
-	}
+// sendReply issues an SDC advertisement from an intermediate node engaged
+// in q's computation as st.
+func (l *LDR) sendReply(q RREQ, e *entry, st *reqState, now time.Duration) {
 	p := RREP{
 		Dst:      q.Dst,
 		DstSeq:   e.seq,

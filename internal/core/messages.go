@@ -9,8 +9,9 @@ import (
 
 // RREQ is an LDR route request: simultaneously a solicitation for a route
 // to Dst and an advertisement of a route back to Origin (paper §2, Table 1
-// notation). Handlers work on their own value copy; the wire carries
-// pooled pointers that the sending node recycles after transmission.
+// notation). Only *RREQ is a routing.Message: the wire carries pooled
+// pointers that the sending node recycles after transmission, and
+// handlers work on their own value copy.
 type RREQ struct {
 	Dst        routing.NodeID
 	DstSeq     Seqno // sn#: requested sequence number for Dst
@@ -30,13 +31,13 @@ type RREQ struct {
 }
 
 // Kind implements routing.Message.
-func (RREQ) Kind() metrics.ControlKind { return metrics.RREQ }
+func (*RREQ) Kind() metrics.ControlKind { return metrics.RREQ }
 
 // Size implements routing.Message: the length of the real encoding
 // (fixed AODV-style fields plus the labeled-distance extension), computed
 // arithmetically so the hot send path does not marshal; wire tests pin it
 // to len(Marshal()).
-func (RREQ) Size() int { return rreqWireSize }
+func (*RREQ) Size() int { return rreqWireSize }
 
 // RREP is an LDR route reply: an advertisement of a route to Dst,
 // forwarded hop-by-hop along the reverse path recorded by the RREQ flood.
@@ -51,10 +52,10 @@ type RREP struct {
 }
 
 // Kind implements routing.Message.
-func (RREP) Kind() metrics.ControlKind { return metrics.RREP }
+func (*RREP) Kind() metrics.ControlKind { return metrics.RREP }
 
 // Size implements routing.Message.
-func (RREP) Size() int { return rrepWireSize }
+func (*RREP) Size() int { return rrepWireSize }
 
 // RERRDest names one unreachable destination inside a RERR.
 type RERRDest struct {
@@ -71,10 +72,10 @@ type RERR struct {
 }
 
 // Kind implements routing.Message.
-func (RERR) Kind() metrics.ControlKind { return metrics.RERR }
+func (*RERR) Kind() metrics.ControlKind { return metrics.RERR }
 
 // Size implements routing.Message.
-func (e RERR) Size() int { return rerrWireBase + rerrWirePerDest*len(e.Unreachable) }
+func (e *RERR) Size() int { return rerrWireBase + rerrWirePerDest*len(e.Unreachable) }
 
 // Wire sizes of the fixed-layout encodings (type byte included); pinned
 // against Marshal by the wire round-trip tests.

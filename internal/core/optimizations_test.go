@@ -34,7 +34,7 @@ func TestRequestAsErrorInvalidatesRoute(t *testing.T) {
 		}
 		// Craft node 1's solicitation for destination 2 as node 0 hears it.
 		nw.Sim.Schedule(0, func() {
-			p.HandleControl(1, core.RREQ{
+			p.HandleControl(1, &core.RREQ{
 				Dst:        2,
 				HaveDstSeq: false,
 				Origin:     1,
@@ -84,14 +84,14 @@ func TestMultipleRREPsRelayOnlyStronger(t *testing.T) {
 		t.Skip("no engaged computation found to replay against")
 	}
 	nw.Sim.Schedule(0, func() {
-		equal := core.RREP{Dst: 2, DstSeq: currentSeq(relay, 2), Origin: 0, ReqID: reqID, Dist: 1, Lifetime: time.Second}
+		equal := &core.RREP{Dst: 2, DstSeq: currentSeq(relay, 2), Origin: 0, ReqID: reqID, Dist: 1, Lifetime: time.Second}
 		relay.HandleControl(2, equal) // same invariants as already relayed
 	})
 	nw.Sim.Run(5100 * time.Millisecond)
 	afterEqual := countRREPs()
 
 	nw.Sim.Schedule(0, func() {
-		stronger := core.RREP{Dst: 2, DstSeq: currentSeq(relay, 2) + 1, Origin: 0, ReqID: reqID, Dist: 0, Lifetime: time.Second}
+		stronger := &core.RREP{Dst: 2, DstSeq: currentSeq(relay, 2) + 1, Origin: 0, ReqID: reqID, Dist: 0, Lifetime: time.Second}
 		relay.HandleControl(2, stronger)
 	})
 	nw.Sim.Run(5200 * time.Millisecond)

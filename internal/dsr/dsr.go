@@ -70,12 +70,12 @@ type RREQ struct {
 }
 
 // Kind implements routing.Message.
-func (RREQ) Kind() metrics.ControlKind { return metrics.RREQ }
+func (*RREQ) Kind() metrics.ControlKind { return metrics.RREQ }
 
 // Size implements routing.Message: computed arithmetically from the wire
 // layout so the hot send path does not marshal; the wire round-trip tests
 // pin it to len(Marshal()).
-func (q RREQ) Size() int { return rreqWireBase + wirePerHop*len(q.Route) }
+func (q *RREQ) Size() int { return rreqWireBase + wirePerHop*len(q.Route) }
 
 // RREP carries the complete discovered route back to the origin. It is
 // source-routed along the reversed request record.
@@ -88,10 +88,10 @@ type RREP struct {
 }
 
 // Kind implements routing.Message.
-func (RREP) Kind() metrics.ControlKind { return metrics.RREP }
+func (*RREP) Kind() metrics.ControlKind { return metrics.RREP }
 
 // Size implements routing.Message.
-func (p RREP) Size() int { return rrepWireBase + wirePerHop*len(p.Route) }
+func (p *RREP) Size() int { return rrepWireBase + wirePerHop*len(p.Route) }
 
 // RERR reports a broken source-route link to the packet's origin. It is
 // source-routed back along the failed packet's traversed prefix.
@@ -103,10 +103,10 @@ type RERR struct {
 }
 
 // Kind implements routing.Message.
-func (RERR) Kind() metrics.ControlKind { return metrics.RERR }
+func (*RERR) Kind() metrics.ControlKind { return metrics.RERR }
 
 // Size implements routing.Message.
-func (e RERR) Size() int { return rerrWireBase + wirePerHop*len(e.Route) }
+func (e *RERR) Size() int { return rerrWireBase + wirePerHop*len(e.Route) }
 
 // Wire sizes of the fixed-layout prefixes (type byte and route-length
 // count included); pinned against Marshal by the wire round-trip tests.
@@ -260,17 +260,9 @@ func (d *DSR) sendRERR(pkt *routing.DataPacket, next routing.NodeID) {
 	d.emitRERR(ret[1], e)
 }
 
-// emitRREQ, emitRREP, and emitRERR copy a message value into a pooled
-// wire message (reusing its route capacity) and hand it to the MAC; the
-// node recycles it via RecycleMessage once the frame is released.
-func (d *DSR) emitRREQ(to routing.NodeID, q RREQ) {
-	m := d.rreqPool.Get()
-	route := m.Route
-	*m = q
-	m.Route = append(route[:0], q.Route...)
-	d.node.SendControl(to, m, nil)
-}
-
+// emitRREP and emitRERR copy a message value into a pooled wire message
+// (reusing its route capacity) and hand it to the MAC; the node recycles
+// it via RecycleMessage once the frame is released.
 func (d *DSR) emitRREP(to routing.NodeID, p RREP) {
 	m := d.rrepPool.Get()
 	route := m.Route
@@ -328,15 +320,16 @@ const ring0TTL = 1
 // starts here. Retries wait out a backoff on top of the reply wait.
 func (d *DSR) SendRequest(dst routing.NodeID, disc *ondemand.Discovery) time.Duration {
 	me := d.node.ID()
-	q := RREQ{
+	q := d.rreqPool.Get()
+	*q = RREQ{
 		Target: dst,
 		Origin: me,
 		ReqID:  disc.ID,
-		Route:  []routing.NodeID{me},
+		Route:  append(q.Route[:0], me),
 		TTL:    disc.TTL,
 	}
 	d.node.Metrics().CountControlInitiate(metrics.RREQ)
-	d.emitRREQ(routing.BroadcastID, q)
+	d.node.SendControl(routing.BroadcastID, q, nil)
 
 	wait := discoveryTimeout
 	if disc.Retries > 0 {
@@ -364,22 +357,14 @@ func (d *DSR) HandleControl(from routing.NodeID, msg routing.Message) {
 	if d.Stopped() {
 		return
 	}
-	// The wire path delivers pooled pointer messages (read-only, valid
-	// only during the call); tests and the adversary layer may still hand
-	// in plain values.
+	// A received message is read-only and valid only during the call.
 	switch m := msg.(type) {
 	case *RREQ:
 		d.handleRREQ(*m)
-	case RREQ:
-		d.handleRREQ(m)
 	case *RREP:
 		d.handleRREP(*m)
-	case RREP:
-		d.handleRREP(m)
 	case *RERR:
 		d.handleRERR(*m)
-	case RERR:
-		d.handleRERR(m)
 	}
 }
 
@@ -418,16 +403,10 @@ func (d *DSR) handleRREQ(q RREQ) {
 	if q.TTL <= 1 {
 		return
 	}
-	rq := q
-	rq.TTL--
-	rq.Route = route
-	jitter := time.Duration(d.node.RNG().Float64() * float64(ondemand.BroadcastJitter))
-	d.node.Schedule(jitter, func() {
-		if d.Stopped() {
-			return
-		}
-		d.emitRREQ(routing.BroadcastID, rq)
-	})
+	m := d.rreqPool.Get()
+	*m = RREQ{Target: q.Target, Origin: q.Origin, ReqID: q.ReqID,
+		Route: append(m.Route[:0], route...), TTL: q.TTL - 1}
+	d.Relay(m)
 }
 
 // reply sends a RREP source-routed along the reversed discovered route.

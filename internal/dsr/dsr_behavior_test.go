@@ -189,7 +189,7 @@ func TestDuplicateRequestMemorySurvivesStaleExpiryTimer(t *testing.T) {
 	nw := buildNet(mobility.NewStatic(pts), 4, dsr.DefaultConfig())
 	nw.Start()
 	d := dsrAt(nw, 1)
-	req := dsr.RREQ{Origin: 0, ReqID: 7, Target: 2, Route: []routing.NodeID{0}, TTL: 5}
+	req := &dsr.RREQ{Origin: 0, ReqID: 7, Target: 2, Route: []routing.NodeID{0}, TTL: 5}
 	relayed := func() uint64 { return nw.Collector.ControlTransmitted(metrics.RREQ) }
 
 	nw.Sim.At(0, func() { d.HandleControl(0, req) }) // first sight: would expire at t=6s

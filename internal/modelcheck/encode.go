@@ -236,34 +236,22 @@ func (e *encoder) encodeItem(out []byte, m linkMsg, mapID func(routing.NodeID) r
 	}
 	switch q := m.msg.(type) {
 	case *core.RREQ:
-		return encodeCoreRREQ(out, *q, mapID)
-	case core.RREQ:
 		return encodeCoreRREQ(out, q, mapID)
 	case *core.RREP:
-		return encodeCoreRREP(out, *q, mapID)
-	case core.RREP:
 		return encodeCoreRREP(out, q, mapID)
 	case *core.RERR:
-		return e.encodeCoreRERR(out, *q, mapID)
-	case core.RERR:
 		return e.encodeCoreRERR(out, q, mapID)
 	case *aodv.RREQ:
-		return encodeAODVRREQ(out, *q, mapID)
-	case aodv.RREQ:
 		return encodeAODVRREQ(out, q, mapID)
 	case *aodv.RREP:
-		return encodeAODVRREP(out, *q, mapID)
-	case aodv.RREP:
 		return encodeAODVRREP(out, q, mapID)
 	case *aodv.RERR:
-		return e.encodeAODVRERR(out, *q, mapID)
-	case aodv.RERR:
 		return e.encodeAODVRERR(out, q, mapID)
 	}
 	panic(fmt.Sprintf("modelcheck: cannot encode message type %T", m.msg))
 }
 
-func encodeCoreRREQ(out []byte, q core.RREQ, mapID func(routing.NodeID) routing.NodeID) []byte {
+func encodeCoreRREQ(out []byte, q *core.RREQ, mapID func(routing.NodeID) routing.NodeID) []byte {
 	out = append(out, 1)
 	out = binary.AppendVarint(out, int64(mapID(q.Dst)))
 	out = binary.AppendUvarint(out, uint64(q.DstSeq))
@@ -281,7 +269,7 @@ func encodeCoreRREQ(out []byte, q core.RREQ, mapID func(routing.NodeID) routing.
 	return out
 }
 
-func encodeCoreRREP(out []byte, p core.RREP, mapID func(routing.NodeID) routing.NodeID) []byte {
+func encodeCoreRREP(out []byte, p *core.RREP, mapID func(routing.NodeID) routing.NodeID) []byte {
 	out = append(out, 2)
 	out = binary.AppendVarint(out, int64(mapID(p.Dst)))
 	out = binary.AppendUvarint(out, uint64(p.DstSeq))
@@ -293,7 +281,7 @@ func encodeCoreRREP(out []byte, p core.RREP, mapID func(routing.NodeID) routing.
 	return out
 }
 
-func (e *encoder) encodeCoreRERR(out []byte, r core.RERR, mapID func(routing.NodeID) routing.NodeID) []byte {
+func (e *encoder) encodeCoreRERR(out []byte, r *core.RERR, mapID func(routing.NodeID) routing.NodeID) []byte {
 	e.dests = e.dests[:0]
 	for _, u := range r.Unreachable {
 		e.dests = append(e.dests, rerrDest{mapID(u.Dst), uint64(u.Seq)})
@@ -313,7 +301,7 @@ func (e *encoder) appendDests(out []byte) []byte {
 	return out
 }
 
-func encodeAODVRREQ(out []byte, q aodv.RREQ, mapID func(routing.NodeID) routing.NodeID) []byte {
+func encodeAODVRREQ(out []byte, q *aodv.RREQ, mapID func(routing.NodeID) routing.NodeID) []byte {
 	out = append(out, 4)
 	out = binary.AppendVarint(out, int64(mapID(q.Dst)))
 	out = binary.AppendUvarint(out, uint64(q.DstSeq))
@@ -326,7 +314,7 @@ func encodeAODVRREQ(out []byte, q aodv.RREQ, mapID func(routing.NodeID) routing.
 	return out
 }
 
-func encodeAODVRREP(out []byte, p aodv.RREP, mapID func(routing.NodeID) routing.NodeID) []byte {
+func encodeAODVRREP(out []byte, p *aodv.RREP, mapID func(routing.NodeID) routing.NodeID) []byte {
 	out = append(out, 5)
 	out = binary.AppendVarint(out, int64(mapID(p.Dst)))
 	out = binary.AppendUvarint(out, uint64(p.DstSeq))
@@ -336,7 +324,7 @@ func encodeAODVRREP(out []byte, p aodv.RREP, mapID func(routing.NodeID) routing.
 	return out
 }
 
-func (e *encoder) encodeAODVRERR(out []byte, r aodv.RERR, mapID func(routing.NodeID) routing.NodeID) []byte {
+func (e *encoder) encodeAODVRERR(out []byte, r *aodv.RERR, mapID func(routing.NodeID) routing.NodeID) []byte {
 	e.dests = e.dests[:0]
 	for _, u := range r.Unreachable {
 		e.dests = append(e.dests, rerrDest{mapID(u.Dst), uint64(u.Seq)})

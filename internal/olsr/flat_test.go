@@ -110,21 +110,21 @@ func driveBoth(t testing.TB, data []byte) {
 		switch op % 16 {
 		case 0, 1, 2, 3, 4, 5, 6:
 			from := routing.NodeID(1 + next()%(ids-1))
-			h := Hello{Origin: from}
+			h := &Hello{Origin: from}
 			for n := next() % 7; n > 0; n-- {
 				h.Neighbors = append(h.Neighbors, HelloNeighbor{ID: id(), Code: LinkCode(1 + next()%3)})
 			}
-			desc = fmt.Sprintf("hello from %d: %+v", from, h)
+			desc = fmt.Sprintf("hello from %d: %+v", from, *h)
 			flat.HandleControl(from, h)
 			ref.HandleControl(from, h)
 		case 7, 8, 9, 10:
 			from := routing.NodeID(1 + next()%(ids-1))
 			b := next()
-			tc := TC{Origin: id(), Seq: uint16(b % 8), ANSN: ansns[int(b/8)%len(ansns)], TTL: 1 + int(b/64)}
+			tc := &TC{Origin: id(), Seq: uint16(b % 8), ANSN: ansns[int(b/8)%len(ansns)], TTL: 1 + int(b/64)}
 			for n := next() % 6; n > 0; n-- {
 				tc.Selectors = append(tc.Selectors, id())
 			}
-			desc = fmt.Sprintf("tc from %d: %+v", from, tc)
+			desc = fmt.Sprintf("tc from %d: %+v", from, *tc)
 			flat.HandleControl(from, tc)
 			ref.HandleControl(from, tc)
 		case 11, 12, 13:
@@ -342,14 +342,14 @@ func warm100(tb testing.TB) *OLSR {
 			return o
 		})
 	for _, n := range neighborsOf(0) {
-		h := Hello{Origin: n}
+		h := &Hello{Origin: n}
 		for _, nn := range neighborsOf(int(n)) {
 			h.Neighbors = append(h.Neighbors, HelloNeighbor{ID: nn, Code: LinkSym})
 		}
 		o.HandleControl(n, h)
 	}
 	for a := 1; a < 100; a++ {
-		o.HandleControl(1, TC{Origin: routing.NodeID(a), Seq: 1, ANSN: 1, Selectors: neighborsOf(a), TTL: 1})
+		o.HandleControl(1, &TC{Origin: routing.NodeID(a), Seq: 1, ANSN: 1, Selectors: neighborsOf(a), TTL: 1})
 	}
 	o.recomputeMPRs()
 	if n := len(o.AppendTable(nil)); n != 99 {

@@ -73,12 +73,12 @@ type Hello struct {
 }
 
 // Kind implements routing.Message.
-func (Hello) Kind() metrics.ControlKind { return metrics.Hello }
+func (*Hello) Kind() metrics.ControlKind { return metrics.Hello }
 
 // Size implements routing.Message: computed arithmetically from the wire
 // layout so the periodic send path does not marshal; the wire round-trip
 // tests pin it to len(Marshal()).
-func (h Hello) Size() int { return helloWireBase + helloWirePerNbr*len(h.Neighbors) }
+func (h *Hello) Size() int { return helloWireBase + helloWirePerNbr*len(h.Neighbors) }
 
 // TC advertises the origin's MPR selector set; flooded via MPRs.
 type TC struct {
@@ -90,10 +90,10 @@ type TC struct {
 }
 
 // Kind implements routing.Message.
-func (TC) Kind() metrics.ControlKind { return metrics.TC }
+func (*TC) Kind() metrics.ControlKind { return metrics.TC }
 
 // Size implements routing.Message.
-func (t TC) Size() int { return tcWireBase + tcWirePerSel*len(t.Selectors) }
+func (t *TC) Size() int { return tcWireBase + tcWirePerSel*len(t.Selectors) }
 
 // Wire sizes of the fixed-layout prefixes (type byte and entry-count
 // fields included); pinned against Marshal by the wire round-trip tests.
@@ -382,22 +382,16 @@ func (o *OLSR) HandleControl(from routing.NodeID, msg routing.Message) {
 	if o.stopped {
 		return
 	}
-	// The wire path delivers pooled pointer messages (read-only, valid
-	// only during the call); tests and the adversary layer may still hand
-	// in plain values.
+	// A received message is read-only and valid only during the call.
 	switch m := msg.(type) {
 	case *Hello:
-		o.handleHello(from, *m)
-	case Hello:
 		o.handleHello(from, m)
 	case *TC:
-		o.handleTC(from, *m)
-	case TC:
 		o.handleTC(from, m)
 	}
 }
 
-func (o *OLSR) handleHello(from routing.NodeID, h Hello) {
+func (o *OLSR) handleHello(from routing.NodeID, h *Hello) {
 	now := o.node.Now()
 	me := o.node.ID()
 
@@ -462,7 +456,7 @@ func (o *OLSR) handleHello(from routing.NodeID, h Hello) {
 	}
 }
 
-func (o *OLSR) handleTC(from routing.NodeID, tc TC) {
+func (o *OLSR) handleTC(from routing.NodeID, tc *TC) {
 	me := o.node.ID()
 	if tc.Origin == me {
 		return
@@ -518,7 +512,7 @@ func (o *OLSR) handleTC(from routing.NodeID, tc TC) {
 	// so the relayed copy must own its selector list.
 	fwd := o.tcPool.Get()
 	selectors := fwd.Selectors
-	*fwd = tc
+	*fwd = *tc
 	fwd.Selectors = append(selectors[:0], tc.Selectors...)
 	fwd.TTL--
 	o.queue.push(fwd)

@@ -23,8 +23,8 @@ func isolated(seed int64) (*routing.Network, *olsr.OLSR) {
 }
 
 // hello crafts a HELLO from `from` listing the given symmetric neighbors.
-func hello(from routing.NodeID, sym ...routing.NodeID) olsr.Hello {
-	h := olsr.Hello{Origin: from}
+func hello(from routing.NodeID, sym ...routing.NodeID) *olsr.Hello {
+	h := &olsr.Hello{Origin: from}
 	for _, n := range sym {
 		h.Neighbors = append(h.Neighbors, olsr.HelloNeighbor{ID: n, Code: olsr.LinkSym})
 	}
@@ -69,7 +69,7 @@ func TestTopologyRouteViaTC(t *testing.T) {
 		p.HandleControl(1, hello(1, 0))
 		p.HandleControl(1, hello(1, 0, 7))
 		// Node 7 (2 hops away) advertises selector 9 via a TC relayed to us.
-		p.HandleControl(1, olsr.TC{Origin: 7, Seq: 1, ANSN: 1, Selectors: []routing.NodeID{9}, TTL: 10})
+		p.HandleControl(1, &olsr.TC{Origin: 7, Seq: 1, ANSN: 1, Selectors: []routing.NodeID{9}, TTL: 10})
 		next, hops, ok := p.RouteTo(9)
 		if !ok || next != 1 || hops != 3 {
 			t.Errorf("TC-derived route = (%d,%d,%v), want via 1 in 3 hops", next, hops, ok)
@@ -83,7 +83,7 @@ func TestTCIgnoredFromAsymmetricLink(t *testing.T) {
 	nw.Start()
 	nw.Sim.Schedule(0, func() {
 		// No HELLO exchange: link to node 1 is not symmetric.
-		p.HandleControl(1, olsr.TC{Origin: 7, Seq: 1, ANSN: 1, Selectors: []routing.NodeID{9}, TTL: 10})
+		p.HandleControl(1, &olsr.TC{Origin: 7, Seq: 1, ANSN: 1, Selectors: []routing.NodeID{9}, TTL: 10})
 		if _, _, ok := p.RouteTo(9); ok {
 			t.Error("TC over an asymmetric link installed topology")
 		}
@@ -132,10 +132,10 @@ func TestDuplicateTCNotReprocessed(t *testing.T) {
 	nw.Start()
 	nw.Sim.Schedule(0, func() {
 		p.HandleControl(1, hello(1, 0, 7))
-		tc := olsr.TC{Origin: 7, Seq: 5, ANSN: 2, Selectors: []routing.NodeID{9}, TTL: 10}
+		tc := &olsr.TC{Origin: 7, Seq: 5, ANSN: 2, Selectors: []routing.NodeID{9}, TTL: 10}
 		p.HandleControl(1, tc)
 		// A duplicate with different content must be ignored (same Seq).
-		dup := olsr.TC{Origin: 7, Seq: 5, ANSN: 3, Selectors: []routing.NodeID{13}, TTL: 10}
+		dup := &olsr.TC{Origin: 7, Seq: 5, ANSN: 3, Selectors: []routing.NodeID{13}, TTL: 10}
 		p.HandleControl(1, dup)
 		if _, _, ok := p.RouteTo(13); ok {
 			t.Error("duplicate TC was processed")
@@ -158,13 +158,13 @@ func TestTCStalenessComparesOriginatorsOwnANSN(t *testing.T) {
 	nw.Sim.Schedule(0, func() {
 		p.HandleControl(1, hello(1, 0, a, b))
 		// B advertises A, with a counter far ahead of A's own.
-		p.HandleControl(1, olsr.TC{Origin: b, Seq: 1, ANSN: 9, Selectors: []routing.NodeID{a}, TTL: 10})
-		p.HandleControl(1, olsr.TC{Origin: a, Seq: 1, ANSN: 3, Selectors: []routing.NodeID{20}, TTL: 10})
+		p.HandleControl(1, &olsr.TC{Origin: b, Seq: 1, ANSN: 9, Selectors: []routing.NodeID{a}, TTL: 10})
+		p.HandleControl(1, &olsr.TC{Origin: a, Seq: 1, ANSN: 3, Selectors: []routing.NodeID{20}, TTL: 10})
 		if next, hops, ok := p.RouteTo(20); !ok || next != 1 || hops != 3 {
 			t.Errorf("A's TC (ANSN 3) refused because B advertises A with ANSN 9: route = (%d,%d,%v)", next, hops, ok)
 		}
 		// A's own older advertisement is what the check is for.
-		p.HandleControl(1, olsr.TC{Origin: a, Seq: 2, ANSN: 2, Selectors: []routing.NodeID{21}, TTL: 10})
+		p.HandleControl(1, &olsr.TC{Origin: a, Seq: 2, ANSN: 2, Selectors: []routing.NodeID{21}, TTL: 10})
 		if _, _, ok := p.RouteTo(21); ok {
 			t.Error("A's TC with ANSN 2 accepted after ANSN 3")
 		}

@@ -177,10 +177,10 @@ func (o *refOLSR) sweep() {
 
 func (o *refOLSR) HandleControl(from routing.NodeID, msg routing.Message) {
 	switch m := msg.(type) {
-	case Hello:
-		o.handleHello(from, m)
-	case TC:
-		o.handleTC(from, m)
+	case *Hello:
+		o.handleHello(from, *m)
+	case *TC:
+		o.handleTC(from, *m)
 	}
 }
 

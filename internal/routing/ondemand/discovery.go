@@ -202,6 +202,18 @@ func (ds *Discoveries) Finish(dst routing.NodeID) {
 	}
 }
 
+// Relay re-broadcasts a flood after a random delay of up to
+// BroadcastJitter, unless the protocol stops first. m is the filled,
+// pooled message to send; it belongs to the wait until then.
+func (ds *Discoveries) Relay(m routing.Message) {
+	jitter := time.Duration(ds.node.RNG().Float64() * float64(BroadcastJitter))
+	ds.node.Schedule(jitter, func() {
+		if !ds.stopped {
+			ds.node.SendControl(routing.BroadcastID, m, nil)
+		}
+	})
+}
+
 // Stopped reports whether Stop has been called.
 func (ds *Discoveries) Stopped() bool { return ds.stopped }
 

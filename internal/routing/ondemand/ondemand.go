@@ -3,8 +3,9 @@
 // (Pending), the table of route discoveries in progress with their retry
 // timers and give-up handling (Discoveries), the constants AODV and LDR
 // share, and the per-neighbour admission state built from them (Limits);
-// and the one relay-side piece that is the same in all three, the RREQ
-// duplicate cache (Seen). Protocols embed these by value and call them.
+// and the two relay-side pieces that are the same in all three, the RREQ
+// duplicate cache (Seen) and the jittered flood relay (Discoveries.Relay).
+// Protocols embed these by value and call them.
 //
 // What is deliberately not here: route tables, the rules that accept or
 // refuse a route (LDR's NDC, AODV's sequence-number rule, DSR's path

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/manetlab/ldr/internal/mac"
+	"github.com/manetlab/ldr/internal/metrics"
 	"github.com/manetlab/ldr/internal/mobility"
 	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
@@ -182,6 +183,36 @@ func TestWalkVisitsAscendingDestinations(t *testing.T) {
 	stubs[0].WalkHeldData(func(pkt *routing.DataPacket) { got = append(got, pkt.Dst) })
 	if want := []routing.NodeID{1, 2, 2, 3}; !slices.Equal(got, want) {
 		t.Errorf("walk visited %v, want %v", got, want)
+	}
+}
+
+// probe is the least control message a relay can carry.
+type probe struct{}
+
+func (*probe) Kind() metrics.ControlKind { return metrics.RREQ }
+func (*probe) Size() int                 { return 24 }
+
+// TestRelayJittersOnceAndNotAfterStop: a relay draws its delay when it is
+// asked for, sends within BroadcastJitter, and sends nothing when the
+// protocol stops during the wait.
+func TestRelayJittersOnceAndNotAfterStop(t *testing.T) {
+	nw, stubs, _ := isolated(2)
+	sent := func() uint64 { return nw.Collector.ControlTransmitted(metrics.RREQ) }
+	rng := nw.Nodes[0].RNG()
+	before := rng.Draws()
+	stubs[0].Relay(&probe{})
+	if got := rng.Draws() - before; got != 1 || sent() != 0 {
+		t.Fatalf("asking for a relay drew %d numbers and sent %d messages, want 1 and 0", got, sent())
+	}
+	nw.Sim.Run(BroadcastJitter)
+	if sent() != 1 {
+		t.Fatalf("%d messages sent within BroadcastJitter, want 1", sent())
+	}
+	stubs[1].Relay(&probe{})
+	stubs[1].Stop()
+	nw.Sim.Run(time.Second)
+	if sent() != 1 {
+		t.Errorf("a protocol stopped during the wait relayed anyway")
 	}
 }
 

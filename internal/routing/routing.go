@@ -65,10 +65,13 @@ type DataPacket struct {
 // Message is a protocol control message. Size is the on-air size in bytes
 // and Kind classifies the message for load accounting.
 //
-// A received message (HandleControl) is shared with
-// every other receiver of the broadcast and with the sender's pool: it is
-// read-only and must not be retained past the call. Protocols that relay
-// a message re-send a fresh copy.
+// Only a pointer is a message: every protocol declares Kind and Size on
+// its message types' pointer receivers, so a value does not satisfy the
+// interface and each message has one form, the object the sender drew
+// from its pool (see MessageRecycler). A received message (HandleControl)
+// is shared with every other receiver of the broadcast and with the
+// sender's pool: it is read-only and must not be retained past the call.
+// Protocols that relay a message re-send a fresh copy.
 type Message interface {
 	Kind() metrics.ControlKind
 	Size() int
