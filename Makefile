@@ -42,16 +42,17 @@ race:
 # exit 0. Matches TestFuzzSmoke's bounds so failures reproduce in-test.
 # Last, 20 s each of native fuzzing of the event queue against its
 # scan-for-minimum model, of OLSR's id-indexed link state against the
-# map implementation it replaced, and of the radio's receiver scan (which
+# map implementation it replaced, of the radio's receiver scan (which
 # keeps positions) against brute force and the scan that looked every node
-# up (a failing input lands in the package's testdata/fuzz/ and then fails
-# plain `go test` too).
+# up, and of LoadSpec on hostile seed files (a failing input lands in the
+# package's testdata/fuzz/ and then fails plain `go test` too).
 fuzz-smoke:
 	$(GO) test -race -timeout 30m ./internal/conformance/ -run 'TestRegressionSeeds|TestFuzzSmoke'
 	$(GO) run ./cmd/ldrfuzz -runs 8 -seed 42 -max-nodes 20 -max-simtime 12s -q
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEventQueue -fuzztime 20s
 	$(GO) test ./internal/olsr -run '^$$' -fuzz FuzzOLSRState -fuzztime 20s
 	$(GO) test ./internal/radio -run '^$$' -fuzz FuzzReceiverSet -fuzztime 20s
+	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzLoadSpec -fuzztime 20s
 
 # Heterogeneous-radio fuzz axis (nightly): randomized scenarios drawn
 # only from the profiles that produce one-way links and uneven placement,

@@ -346,12 +346,9 @@ func (w *wrapped) ReportSeqnos(col *metrics.Collector) {
 	}
 }
 
-// Unwrap exposes the inner protocol for tests.
-func (w *wrapped) Unwrap() routing.Protocol { return w.inner }
-
 // --- protocol-specific forgery ---
 
-// forger adapts the forging behaviors to one protocol's wire formats.
+// forger adapts the forging behaviors to one protocol's message types.
 type forger interface {
 	// forgeReply answers an overheard route request with a forged,
 	// inflated-seqno reply unicast back to the relay that delivered it,

@@ -41,8 +41,7 @@ type RREQ struct {
 // Kind implements routing.Message.
 func (*RREQ) Kind() metrics.ControlKind { return metrics.RREQ }
 
-// Size implements routing.Message: arithmetic wire size, pinned to
-// len(Marshal()) by the wire tests.
+// Size implements routing.Message: the bytes on air.
 func (*RREQ) Size() int { return rreqWireSize }
 
 // RREP is an AODV route reply.
@@ -77,8 +76,8 @@ func (*RERR) Kind() metrics.ControlKind { return metrics.RERR }
 // Size implements routing.Message.
 func (e *RERR) Size() int { return rerrWireBase + rerrWirePerDest*len(e.Unreachable) }
 
-// Wire sizes of the fixed-layout encodings (type byte included); pinned
-// against Marshal by the wire round-trip tests.
+// Wire sizes of the fixed-layout messages (type byte included); each
+// field's width is listed in scenario.TestMessageLayouts.
 const (
 	rreqWireSize    = 1 + 1 + 4 + 4 + 4 + 4 + 4 + 1 + 1
 	rrepWireSize    = 1 + 4 + 4 + 4 + 1 + 4

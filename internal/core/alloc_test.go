@@ -13,8 +13,8 @@ import (
 // the two RREPs' failure closures, the one relay's closure and the test's
 // own scheduling closure. AllocsPerRun reports a whole number, so with
 // half an allocation of margin one more object per round fails: the
-// relayed RREQ boxed or drawn outside the pool again, or per-packet
-// marshalling.
+// relayed RREQ boxed or drawn outside the pool again, or a per-packet
+// copy of a message.
 const ldrRoundTripAllocCeiling = 9.5
 
 // TestLDRRREQRoundTripAllocBound runs repeated discovery+delivery rounds

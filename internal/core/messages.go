@@ -33,10 +33,8 @@ type RREQ struct {
 // Kind implements routing.Message.
 func (*RREQ) Kind() metrics.ControlKind { return metrics.RREQ }
 
-// Size implements routing.Message: the length of the real encoding
-// (fixed AODV-style fields plus the labeled-distance extension), computed
-// arithmetically so the hot send path does not marshal; wire tests pin it
-// to len(Marshal()).
+// Size implements routing.Message: the bytes on air of the fixed
+// AODV-style fields plus the labeled-distance extension.
 func (*RREQ) Size() int { return rreqWireSize }
 
 // RREP is an LDR route reply: an advertisement of a route to Dst,
@@ -77,8 +75,8 @@ func (*RERR) Kind() metrics.ControlKind { return metrics.RERR }
 // Size implements routing.Message.
 func (e *RERR) Size() int { return rerrWireBase + rerrWirePerDest*len(e.Unreachable) }
 
-// Wire sizes of the fixed-layout encodings (type byte included); pinned
-// against Marshal by the wire round-trip tests.
+// Wire sizes of the fixed-layout messages (type byte included); each
+// field's width is listed in scenario.TestMessageLayouts.
 const (
 	rreqWireSize    = 1 + 1 + 4 + 8 + 4 + 8 + 4 + 4 + 4 + 4 + 1
 	rrepWireSize    = 1 + 1 + 4 + 8 + 4 + 4 + 4 + 4

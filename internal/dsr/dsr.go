@@ -72,9 +72,8 @@ type RREQ struct {
 // Kind implements routing.Message.
 func (*RREQ) Kind() metrics.ControlKind { return metrics.RREQ }
 
-// Size implements routing.Message: computed arithmetically from the wire
-// layout so the hot send path does not marshal; the wire round-trip tests
-// pin it to len(Marshal()).
+// Size implements routing.Message: the bytes on air, growing by one node
+// id per recorded hop.
 func (q *RREQ) Size() int { return rreqWireBase + wirePerHop*len(q.Route) }
 
 // RREP carries the complete discovered route back to the origin. It is
@@ -109,7 +108,8 @@ func (*RERR) Kind() metrics.ControlKind { return metrics.RERR }
 func (e *RERR) Size() int { return rerrWireBase + wirePerHop*len(e.Route) }
 
 // Wire sizes of the fixed-layout prefixes (type byte and route-length
-// count included); pinned against Marshal by the wire round-trip tests.
+// count included); each field's width is listed in
+// scenario.TestMessageLayouts.
 const (
 	rreqWireBase = 1 + 4 + 4 + 4 + 1 + 2
 	rrepWireBase = 1 + 4 + 4 + 4 + 2 + 2
@@ -479,9 +479,6 @@ func (d *DSR) handleRERR(e RERR) {
 }
 
 // --- helpers ---
-
-// CacheLen exposes the number of cached routes (for tests).
-func (d *DSR) CacheLen() int { return d.cache.len() }
 
 // CachedRoute exposes the cached route to dst, if any (for tests).
 func (d *DSR) CachedRoute(dst routing.NodeID) []routing.NodeID {

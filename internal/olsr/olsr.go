@@ -75,9 +75,8 @@ type Hello struct {
 // Kind implements routing.Message.
 func (*Hello) Kind() metrics.ControlKind { return metrics.Hello }
 
-// Size implements routing.Message: computed arithmetically from the wire
-// layout so the periodic send path does not marshal; the wire round-trip
-// tests pin it to len(Marshal()).
+// Size implements routing.Message: the bytes on air, growing by one
+// (id, link code) pair per neighbor.
 func (h *Hello) Size() int { return helloWireBase + helloWirePerNbr*len(h.Neighbors) }
 
 // TC advertises the origin's MPR selector set; flooded via MPRs.
@@ -96,7 +95,8 @@ func (*TC) Kind() metrics.ControlKind { return metrics.TC }
 func (t *TC) Size() int { return tcWireBase + tcWirePerSel*len(t.Selectors) }
 
 // Wire sizes of the fixed-layout prefixes (type byte and entry-count
-// fields included); pinned against Marshal by the wire round-trip tests.
+// fields included); each field's width is listed in
+// scenario.TestMessageLayouts.
 const (
 	helloWireBase   = 1 + 4 + 2
 	helloWirePerNbr = 4 + 1

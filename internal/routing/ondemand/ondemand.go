@@ -9,7 +9,7 @@
 //
 // What is deliberately not here: route tables, the rules that accept or
 // refuse a route (LDR's NDC, AODV's sequence-number rule, DSR's path
-// cache), the RREQ/RREP/RERR handlers, wire formats and message pools.
+// cache), the RREQ/RREP/RERR handlers, message types and message pools.
 // Those differ in substance between the protocols, and shared code for
 // them would have to branch on its caller.
 package ondemand

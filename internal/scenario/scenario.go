@@ -262,6 +262,9 @@ func Build(cfg Config) (*routing.Network, *traffic.Generator, error) {
 // auditor requested by the config, already scheduled (they start firing
 // when the simulation runs).
 func BuildInstrumented(cfg Config) (*routing.Network, *traffic.Generator, *Instruments, error) {
+	if err := cfg.checkNodes(); err != nil {
+		return nil, nil, nil, err
+	}
 	factory, err := Factory(cfg.Protocol, cfg.LDRConfig)
 	if err != nil {
 		return nil, nil, nil, err
@@ -287,9 +290,6 @@ func BuildInstrumented(cfg Config) (*routing.Network, *traffic.Generator, *Instr
 			return nil, nil, nil, fmt.Errorf("scenario: scripted traffic requires Flows=0 (have %d)", cfg.Flows)
 		}
 		for _, ev := range cfg.Traffic {
-			if int(ev.Src) < 0 || int(ev.Src) >= cfg.Nodes || int(ev.Dst) < 0 || int(ev.Dst) >= cfg.Nodes {
-				return nil, nil, nil, fmt.Errorf("scenario: traffic event %d->%d out of range", ev.Src, ev.Dst)
-			}
 			ev := ev
 			bytes := ev.Bytes
 			if bytes == 0 {
@@ -315,6 +315,31 @@ func BuildInstrumented(cfg Config) (*routing.Network, *traffic.Generator, *Instr
 		inst.Auditor.Start()
 	}
 	return nw, gen, inst, nil
+}
+
+// checkNodes rejects a negative node count, and a traffic event or
+// scripted fault naming a node outside [0, Nodes): the network would
+// panic on it, and a config read from disk must fail with an error.
+func (cfg Config) checkNodes() error {
+	if cfg.Nodes < 0 {
+		return fmt.Errorf("scenario: negative node count %d", cfg.Nodes)
+	}
+	inRange := func(id int) bool { return id >= 0 && id < cfg.Nodes }
+	for _, ev := range cfg.Traffic {
+		if !inRange(int(ev.Src)) || !inRange(int(ev.Dst)) {
+			return fmt.Errorf("scenario: traffic event %d->%d out of range", ev.Src, ev.Dst)
+		}
+	}
+	if cfg.FaultPlan != nil {
+		for _, spec := range cfg.FaultPlan.Specs {
+			for _, id := range spec.Nodes {
+				if !inRange(id) {
+					return fmt.Errorf("scenario: %v fault on node %d out of range", spec.Kind, id)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // Run executes the scenario to completion and returns its metrics.
