@@ -98,11 +98,12 @@ modelcheck:
 # Fast model-check smoke under the race detector: all five pinned
 # explorations (LDR clean at the van Glabbeek budget, under volatile
 # resets and on the 4-node paw; the rediscovered AODV loop; the
-# committed-seed bridge replays) plus the two checks the search rests on:
-# restore equals replay, and an action touches one node. Part of
-# `make check`.
+# committed-seed bridge replays) plus the checks the search rests on:
+# restore equals replay, an action touches one node, independent actions
+# commute, the sleep sets keep every state of the unreduced search, and
+# the default flows leave no symmetry to reduce. Part of `make check`.
 modelcheck-smoke:
-	$(GO) test -race -timeout 30m ./internal/modelcheck/ -run 'TestLDRLine3Clean|TestLDRVolatileLine3Clean|TestLDRPaw4Clean|TestAODVLine3Violation|TestWitnessBridge|TestSnapshotEqualsReplay|TestActionTouchesOneNode'
+	$(GO) test -race -timeout 30m ./internal/modelcheck/ -run 'TestLDRLine3Clean|TestLDRVolatileLine3Clean|TestLDRPaw4Clean|TestAODVLine3Violation|TestWitnessBridge|TestSnapshotEqualsReplay|TestActionTouchesOneNode|TestReductionKeepsEveryState|TestIndependentActionsCommute|TestDefaultFlowsPinEveryNode'
 
 # Regenerate the committed van Glabbeek witness seed from scratch (the
 # checker re-derives the schedule; the file only changes if the witness

@@ -42,7 +42,7 @@ type encoder struct {
 	invs   [][]int                               // autos' inverse permutations
 	buf    []byte                                // candidate serialization under one automorphism
 	best   []byte                                // minimal serialization so far
-	items  []byte                                // scratch: one link's items, back to back
+	items  []byte                                // scratch: one link's items, back to back, or one item's identity (sleep.go)
 	spans  []span                                // scratch: where each item sits in items
 	dests  []rerrDest                            // scratch: one RERR's destinations
 }

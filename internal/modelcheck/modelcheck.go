@@ -20,6 +20,8 @@
 // state, of the one node and the few links the action wrote (snapshot.go);
 // the saved states form a stack along the current path of the search
 // tree, so memory beyond the visited-key set is O(depth), not O(states).
+// Sleep sets (sleep.go) leave out the transitions that can only lead back
+// to a state already found; the states found are the same.
 package modelcheck
 
 import (
@@ -238,12 +240,15 @@ func Check(sc *Scenario, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return explore(cur, opts, start), nil
+	res, _ := explore(cur, opts, start)
+	return res, nil
 }
 
 // explore is Check's search, over the world cur holds in its initial
-// state.
-func explore(cur *cursor, opts Options, start time.Time) *Result {
+// state, with sleep-set reduction (sleep.go): it finds the states the
+// search without it finds (reference_test.go), in the same order, over
+// fewer transitions. It also returns the arena of discovered states.
+func explore(cur *cursor, opts Options, start time.Time) (*Result, []rec) {
 	w := cur.w
 	sc := w.sc
 	checker := loopcheck.NewChecker()
@@ -252,15 +257,25 @@ func explore(cur *cursor, opts Options, start time.Time) *Result {
 	if v := checker.CheckTables(cur.tables()); len(v) > 0 {
 		res.States, res.Elapsed = 1, time.Since(start)
 		res.Violation = newWitness(sc, nil, v, w)
-		return res
+		return res, nil
 	}
 
 	recs := []rec{{parent: -1}}
 	visited := map[stateKey]struct{}{cur.key(opts.remaining(used{})): {}}
 	res.States = 1
 
+	// The layer being expanded and the one being discovered; the initial
+	// state's sleep set is empty.
+	var layers [2]sleepLayer
+	this, next := &layers[0], &layers[1]
+	next.first = 1
 	var trace, acts []Action
+	var explored []actionID
 	for idx := int32(0); int(idx) < len(recs); idx++ {
+		if idx == next.first {
+			this, next = next, this
+			next.reset(int32(len(recs)))
+		}
 		depth := int(recs[idx].depth)
 		if depth > res.Depth {
 			res.Depth = depth
@@ -271,17 +286,28 @@ func explore(cur *cursor, opts Options, start time.Time) *Result {
 		var spent used
 		trace, spent = traceOf(trace, recs, idx)
 		cur.seek(trace)
+		sleep := this.of(idx)
 		acts = w.enabled(acts[:0], opts.remaining(spent))
+		explored = slices.Grow(explored[:0], len(acts))
 		for _, a := range acts {
+			// An action named like one explored here leads where that one
+			// led, and one asleep to a state already visited — as long as
+			// the state cap has refused none. Once it has, nothing sleeps,
+			// and the rest of the search is the unreduced one.
+			id := cur.id(a)
+			if slices.Contains(explored, id) || !res.Truncated && slices.Contains(sleep, id) {
+				continue
+			}
 			w.apply(a)
 			res.Transitions++
 			if v := checker.CheckTables(cur.tables()); len(v) > 0 {
 				res.Elapsed = time.Since(start)
 				res.Violation = newWitness(sc, append(slices.Clone(trace), a), v, w)
-				return res
+				return res, recs
 			}
 			k := cur.key(opts.remaining(spent.after(a)))
 			cur.back()
+			explored = append(explored, id)
 			if _, ok := visited[k]; ok {
 				continue
 			}
@@ -291,6 +317,9 @@ func explore(cur *cursor, opts Options, start time.Time) *Result {
 			}
 			visited[k] = struct{}{}
 			recs = append(recs, rec{parent: idx, depth: int32(depth + 1), action: pack(a)})
+			if depth+1 < opts.MaxDepth {
+				next.add(sleep, explored[:len(explored)-1], id)
+			}
 			res.States++
 		}
 		if opts.Progress != nil && (int(idx)+1)%opts.ProgressEvery == 0 {
@@ -313,7 +342,7 @@ func explore(cur *cursor, opts Options, start time.Time) *Result {
 			Elapsed:     res.Elapsed,
 		})
 	}
-	return res
+	return res, recs
 }
 
 // newWitness captures everything Spec building needs from the violating

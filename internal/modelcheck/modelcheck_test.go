@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/manetlab/ldr/internal/conformance"
+	"github.com/manetlab/ldr/internal/loopcheck"
 )
 
 func TestConnectedGraphCounts(t *testing.T) {
@@ -131,7 +132,9 @@ func TestEncoderDeterminism(t *testing.T) {
 
 // wantExploration pins an exploration's exact size. The search is
 // deterministic, so a change to the protocols or to their model-state
-// encoding that merges or splits states moves the counts.
+// encoding that merges or splits states moves the counts, and a change to
+// the sleep sets' independence relation or action identity moves the
+// transitions. TestReductionKeepsEveryState pins the unreduced triples.
 func wantExploration(t *testing.T, res *Result, states, transitions, depth int) {
 	t.Helper()
 	if res.States != states || res.Transitions != transitions || res.Depth != depth {
@@ -159,7 +162,7 @@ func TestLDRLine3Clean(t *testing.T) {
 	if res.Truncated {
 		t.Fatal("exploration truncated; the verdict is not exhaustive")
 	}
-	wantExploration(t, res, 7428, 26251, 12)
+	wantExploration(t, res, 7428, 13107, 12)
 }
 
 // TestLDRVolatileLine3Clean explores the regime the paper's §5 storage
@@ -181,7 +184,7 @@ func TestLDRVolatileLine3Clean(t *testing.T) {
 	if res.Truncated {
 		t.Fatal("exploration truncated; the verdict is not exhaustive")
 	}
-	wantExploration(t, res, 2521, 7442, 12)
+	wantExploration(t, res, 2521, 4058, 12)
 }
 
 // TestLDRPaw4Clean keeps one 4-node topology in the fast suite (the paw:
@@ -204,7 +207,7 @@ func TestLDRPaw4Clean(t *testing.T) {
 	if res.Truncated {
 		t.Fatal("exploration truncated; the verdict is not exhaustive")
 	}
-	wantExploration(t, res, 14056, 45854, 10)
+	wantExploration(t, res, 14056, 20017, 10)
 }
 
 // TestAODVLine3Violation is the checker's negative control and the
@@ -227,7 +230,7 @@ func TestAODVLine3Violation(t *testing.T) {
 		t.Fatal("expected AODV loop violation on line3, found none")
 	}
 	t.Logf("witness:\n%s", res.Violation)
-	wantExploration(t, res, 2506, 6477, 8)
+	wantExploration(t, res, 2506, 3369, 8)
 
 	// The BFS finds a minimal-length schedule; the known construction
 	// needs a crash plus one message suppression, nothing more.
@@ -252,12 +255,14 @@ func TestAODVLine3Violation(t *testing.T) {
 }
 
 // TestKeysDoNotCollide runs the pinned explorations, and the benchmark's
-// two graphs at its tiny scale, with the visited set keyed by the
-// canonical bytes themselves instead of their hash: the hash-keyed search
-// must find the same number of states over the same number of
-// transitions, and no two byte strings may share a key. A byte string
-// reached again — by another path, so from other saved records and
-// another live node — must hash to the key it had.
+// two graphs at its tiny scale, without sleep sets and with the visited
+// set keyed by the canonical bytes themselves instead of their hash,
+// stopping at its own first loopcheck violation: Check must find as many
+// states, as deep, with a violation where this search finds one, and no
+// two byte strings may share a key. A byte string reached again — by
+// another path, so from other saved records and another live node — must
+// hash to the key it had. Nor may two item encodings met on the way share
+// the hash the sleep sets name an item's actions by.
 func TestKeysDoNotCollide(t *testing.T) {
 	type cell struct {
 		topo, proto string
@@ -306,21 +311,33 @@ func TestKeysDoNotCollide(t *testing.T) {
 			keyOf[b], bytesOf[k] = k, b
 			return true
 		}
+		// itemOf is every item encoding met, by the hash in its actions' IDs.
+		itemOf := map[uint64]string{}
+		checker := loopcheck.NewChecker()
 		visit(opts.remaining(used{}))
 		traces := [][]Action{nil}
-		transitions := 0
+		depth, violated := 0, false
 	search:
 		for idx := 0; idx < len(traces); idx++ {
 			trace := traces[idx]
+			depth = max(depth, len(trace))
 			if len(trace) >= opts.MaxDepth {
 				continue
 			}
 			cur.seek(trace)
 			for _, a := range cur.w.enabled(nil, opts.remaining(usedBy(trace))) {
+				if a.Kind == ActDeliver {
+					item := string(cur.enc.encodeItem(nil, cur.w.pending[int(a.From)*g.N+int(a.To)][a.Index], sameID))
+					h := uint64(cur.id(a)) & idLow
+					if other, ok := itemOf[h]; ok && other != item {
+						t.Fatalf("%s %s: items %x and %x share the identity hash %x", c.proto, g, other, item, h)
+					}
+					itemOf[h] = item
+				}
 				cur.w.apply(a)
-				transitions++
-				if transitions == res.Transitions && res.Violation != nil {
-					break search // the search stopped at this state, before keying it
+				if len(checker.CheckTables(cur.tables())) > 0 {
+					violated = true
+					break search // the search stops at this state, before keying it
 				}
 				child := append(slices.Clone(trace), a)
 				if visit(opts.remaining(usedBy(child))) {
@@ -329,9 +346,9 @@ func TestKeysDoNotCollide(t *testing.T) {
 				cur.back()
 			}
 		}
-		if len(traces) != res.States || transitions != res.Transitions {
-			t.Errorf("%s %s: keyed by bytes the search finds (states, transitions) = (%d, %d), keyed by hash (%d, %d)",
-				c.proto, g, len(traces), transitions, res.States, res.Transitions)
+		if len(traces) != res.States || depth != res.Depth || violated != (res.Violation != nil) {
+			t.Errorf("%s %s: keyed by bytes the search finds (states, depth, violation) = (%d, %d, %v), keyed by hash (%d, %d, %v)",
+				c.proto, g, len(traces), depth, violated, res.States, res.Depth, res.Violation != nil)
 		}
 	}
 }

@@ -1,22 +1,85 @@
 package modelcheck
 
-// The whole-world reference. Until the search learned that an action
-// writes one node, a transition saved, restored, encoded and
-// table-snapshotted all n of them; that code is kept here (the encoding
-// without its scratch reuse) as what the per-node versions in snapshot.go
-// and encode.go are compared against (TestSnapshotEqualsReplay,
-// TestActionTouchesOneNode, TestKeysDoNotCollide). It knows nothing of
-// dirty sets, shared records or cached encodings: every call reads the
-// whole live world.
+// The references. Until the search learned that an action writes one
+// node, a transition saved, restored, encoded and table-snapshotted all n
+// of them; that code is kept here (the encoding without its scratch reuse)
+// as what the per-node versions in snapshot.go and encode.go are compared
+// against (TestSnapshotEqualsReplay, TestActionTouchesOneNode,
+// TestKeysDoNotCollide). It knows nothing of dirty sets, shared records or
+// cached encodings: every call reads the whole live world.
+//
+// Until it learned sleep sets, the search took every enabled action of
+// every state it expanded; that search is refExplore, which
+// TestReductionKeepsEveryState compares explore against.
 
 import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
 	"slices"
+	"time"
 
+	"github.com/manetlab/ldr/internal/loopcheck"
 	"github.com/manetlab/ldr/internal/routing"
 )
+
+// refExplore is the unreduced search. Besides the result and the arena it
+// returns every discovered state's key, in discovery order.
+func refExplore(cur *cursor, opts Options, start time.Time) (*Result, []rec, []stateKey) {
+	w := cur.w
+	sc := w.sc
+	checker := loopcheck.NewChecker()
+
+	res := &Result{Scenario: sc}
+	if v := checker.CheckTables(cur.tables()); len(v) > 0 {
+		res.States, res.Elapsed = 1, time.Since(start)
+		res.Violation = newWitness(sc, nil, v, w)
+		return res, nil, nil
+	}
+
+	recs := []rec{{parent: -1}}
+	keys := []stateKey{cur.key(opts.remaining(used{}))}
+	visited := map[stateKey]struct{}{keys[0]: {}}
+	res.States = 1
+
+	var trace []Action
+	for idx := int32(0); int(idx) < len(recs); idx++ {
+		depth := int(recs[idx].depth)
+		if depth > res.Depth {
+			res.Depth = depth
+		}
+		if depth >= opts.MaxDepth {
+			continue
+		}
+		var spent used
+		trace, spent = traceOf(trace, recs, idx)
+		cur.seek(trace)
+		for _, a := range w.enabled(nil, opts.remaining(spent)) {
+			w.apply(a)
+			res.Transitions++
+			if v := checker.CheckTables(cur.tables()); len(v) > 0 {
+				res.Elapsed = time.Since(start)
+				res.Violation = newWitness(sc, append(slices.Clone(trace), a), v, w)
+				return res, recs, keys
+			}
+			k := cur.key(opts.remaining(spent.after(a)))
+			cur.back()
+			if _, ok := visited[k]; ok {
+				continue
+			}
+			if res.States >= opts.MaxStates {
+				res.Truncated = true
+				continue
+			}
+			visited[k] = struct{}{}
+			recs = append(recs, rec{parent: idx, depth: int32(depth + 1), action: pack(a)})
+			keys = append(keys, k)
+			res.States++
+		}
+	}
+	res.Elapsed = time.Since(start)
+	return res, recs, keys
+}
 
 // fullSnapshot is one saved state of a whole world. Its storage is reused
 // from one save to the next.

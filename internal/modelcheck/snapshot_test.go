@@ -392,7 +392,7 @@ func TestCheckLeavesNoParkedTimers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := explore(cur, Options{MaxDepth: 9, MaxResets: 1, MaxDrops: 1}.withDefaults(), time.Now())
+	res, _ := explore(cur, Options{MaxDepth: 9, MaxResets: 1, MaxDrops: 1}.withDefaults(), time.Now())
 	if res.Violation != nil || res.Transitions == 0 {
 		t.Fatalf("exploration: %d transitions, violation %v", res.Transitions, res.Violation)
 	}
