@@ -20,19 +20,19 @@ var _ routing.ModelStater = (*AODV)(nil)
 // the full routing table (invalid entries included — their stored
 // sequence numbers gate RERR propagation and future installs), the
 // RREQ duplicate cache, buffered data, active discoveries and the
-// request-ID counter, all sorted under the mapped identifiers. Expiry
-// durations are included — AODV propagates remaining lifetimes in RREPs,
-// so they are behaviour-relevant even at the model's frozen clock. The
-// per-neighbor rate limiters are omitted (their buckets cannot empty
-// within a bounded exploration).
-func (a *AODV) AppendModelState(out []byte, mapID func(routing.NodeID) routing.NodeID) []byte {
+// request-ID counter, all in ascending key order. Expiry durations are
+// included — AODV propagates remaining lifetimes in RREPs, so they are
+// behaviour-relevant even at the model's frozen clock. The per-neighbor
+// rate limiters are omitted (their buckets cannot empty within a bounded
+// exploration).
+func (a *AODV) AppendModelState(out []byte) []byte {
 	sc := &a.enc
 	out = append(out, 'A')
 	out = binary.AppendUvarint(out, uint64(a.ownSeq))
 
 	sc.routes = sc.routes[:0]
 	for dst, e := range a.routes {
-		sc.routes = append(sc.routes, routeRow{mapID(dst), e})
+		sc.routes = append(sc.routes, routeRow{dst, e})
 	}
 	slices.SortFunc(sc.routes, func(x, y routeRow) int { return cmp.Compare(x.dst, y.dst) })
 	out = binary.AppendUvarint(out, uint64(len(sc.routes)))
@@ -43,18 +43,18 @@ func (a *AODV) AppendModelState(out []byte, mapID func(routing.NodeID) routing.N
 		out = appendFlag(out, e.haveSeq)
 		out = binary.AppendUvarint(out, uint64(e.seq))
 		out = binary.AppendVarint(out, int64(e.hops))
-		out = binary.AppendVarint(out, int64(mapID(e.next)))
+		out = binary.AppendVarint(out, int64(e.next))
 		out = binary.AppendVarint(out, int64(e.expiry))
 		sc.ids = sc.ids[:0]
 		for p := range e.precursors {
-			sc.ids = append(sc.ids, mapID(p))
+			sc.ids = append(sc.ids, p)
 		}
 		out = appendSortedIDs(out, sc.ids)
 	}
 
 	sc.reqs = sc.reqs[:0]
 	a.reqSeen.Each(a.node.Now(), func(k ondemand.ReqKey, _ *struct{}) {
-		sc.reqs = append(sc.reqs, ondemand.ReqKey{Origin: mapID(k.Origin), ID: k.ID})
+		sc.reqs = append(sc.reqs, k)
 	})
 	slices.SortFunc(sc.reqs, ondemand.CompareReqKey)
 	out = binary.AppendUvarint(out, uint64(len(sc.reqs)))
@@ -63,7 +63,7 @@ func (a *AODV) AppendModelState(out []byte, mapID func(routing.NodeID) routing.N
 		out = binary.AppendUvarint(out, uint64(q.ID))
 	}
 
-	return a.AppendDiscoveryState(out, mapID)
+	return a.AppendDiscoveryState(out)
 }
 
 // appendSortedIDs sorts ids in place and emits them as a counted set.
@@ -80,12 +80,12 @@ func appendSortedIDs(out []byte, ids []routing.NodeID) []byte {
 // so that encoding a state allocates nothing.
 type encScratch struct {
 	routes []routeRow
-	reqs   []ondemand.ReqKey // origins mapped
+	reqs   []ondemand.ReqKey
 	ids    []routing.NodeID
 }
 
 type routeRow struct {
-	dst routing.NodeID // mapped
+	dst routing.NodeID
 	e   *entry
 }
 

@@ -37,23 +37,25 @@ func (l *LDR) ResetVolatile() {
 }
 
 // AppendModelState implements routing.ModelStater. Everything that can
-// influence future protocol behaviour is emitted, in sorted order under
-// the mapped identifiers: own sequence number, the full routing table
+// influence future protocol behaviour is emitted, map-valued state in
+// ascending key order: own sequence number, the full routing table
 // (invalid entries included — their labels persist and gate NDC), the
 // engaged-computation cache, buffered data, active discoveries, and the
-// request-ID counter. Expiry times are included verbatim: the model runs
-// at a frozen clock, so they are deterministic durations, and AODV-style
-// lifetime propagation makes them behaviour-relevant in general. The
-// per-neighbor rate limiters are deliberately omitted (their buckets
-// cannot empty within any bounded exploration's horizon).
-func (l *LDR) AppendModelState(out []byte, mapID func(routing.NodeID) routing.NodeID) []byte {
+// request-ID counter. An entry's alternates are emitted in slice order:
+// rememberAlt and promoteAlt break ties in advertised distance by
+// position, so their order is state. Expiry times are included verbatim:
+// the model runs at a frozen clock, so they are deterministic durations,
+// and AODV-style lifetime propagation makes them behaviour-relevant in
+// general. The per-neighbor rate limiters are deliberately omitted (their
+// buckets cannot empty within any bounded exploration's horizon).
+func (l *LDR) AppendModelState(out []byte) []byte {
 	sc := &l.enc
 	out = append(out, 'L')
 	out = binary.AppendUvarint(out, uint64(l.ownSeq))
 
 	sc.routes = sc.routes[:0]
 	for dst, e := range l.routes {
-		sc.routes = append(sc.routes, routeRow{mapID(dst), e})
+		sc.routes = append(sc.routes, routeRow{dst, e})
 	}
 	slices.SortFunc(sc.routes, func(x, y routeRow) int { return cmp.Compare(x.dst, y.dst) })
 	out = binary.AppendUvarint(out, uint64(len(sc.routes)))
@@ -64,17 +66,10 @@ func (l *LDR) AppendModelState(out []byte, mapID func(routing.NodeID) routing.No
 		out = binary.AppendUvarint(out, uint64(e.seq))
 		out = binary.AppendVarint(out, int64(e.dist))
 		out = binary.AppendVarint(out, int64(e.fd))
-		out = binary.AppendVarint(out, int64(mapID(e.next)))
+		out = binary.AppendVarint(out, int64(e.next))
 		out = binary.AppendVarint(out, int64(e.expiry))
-		sc.alts = sc.alts[:0]
+		out = binary.AppendUvarint(out, uint64(len(e.alts)))
 		for _, a := range e.alts {
-			sc.alts = append(sc.alts, altSuccessor{next: mapID(a.next), advDist: a.advDist, heard: a.heard})
-		}
-		slices.SortFunc(sc.alts, func(a, b altSuccessor) int {
-			return cmp.Or(cmp.Compare(a.next, b.next), cmp.Compare(a.advDist, b.advDist))
-		})
-		out = binary.AppendUvarint(out, uint64(len(sc.alts)))
-		for _, a := range sc.alts {
 			out = binary.AppendVarint(out, int64(a.next))
 			out = binary.AppendVarint(out, int64(a.advDist))
 			out = binary.AppendVarint(out, int64(a.heard))
@@ -83,7 +78,7 @@ func (l *LDR) AppendModelState(out []byte, mapID func(routing.NodeID) routing.No
 
 	sc.reqs = sc.reqs[:0]
 	l.reqSeen.Each(l.node.Now(), func(k ondemand.ReqKey, st *reqState) {
-		sc.reqs = append(sc.reqs, reqRow{ondemand.ReqKey{Origin: mapID(k.Origin), ID: k.ID}, st})
+		sc.reqs = append(sc.reqs, reqRow{k, st})
 	})
 	slices.SortFunc(sc.reqs, func(a, b reqRow) int { return ondemand.CompareReqKey(a.key, b.key) })
 	out = binary.AppendUvarint(out, uint64(len(sc.reqs)))
@@ -91,16 +86,15 @@ func (l *LDR) AppendModelState(out []byte, mapID func(routing.NodeID) routing.No
 		st := q.st
 		out = binary.AppendVarint(out, int64(q.key.Origin))
 		out = binary.AppendUvarint(out, uint64(q.key.ID))
-		out = binary.AppendVarint(out, int64(mapID(st.lastHop)))
+		out = binary.AppendVarint(out, int64(st.lastHop))
 		out = appendBool(out, st.relayed)
 		out = appendBool(out, st.unicastFwd)
 		out = appendBool(out, st.replied)
 		out = binary.AppendUvarint(out, uint64(st.relayedSeq))
 		out = binary.AppendVarint(out, int64(st.relayedDist))
-		sc.hops = sc.hops[:0]
-		for _, h := range st.altHops {
-			sc.hops = append(sc.hops, mapID(h))
-		}
+		// Unlike alts, altHops is a set: only its members and its length
+		// are read.
+		sc.hops = append(sc.hops[:0], st.altHops...)
 		slices.Sort(sc.hops)
 		out = binary.AppendUvarint(out, uint64(len(sc.hops)))
 		for _, h := range sc.hops {
@@ -108,25 +102,24 @@ func (l *LDR) AppendModelState(out []byte, mapID func(routing.NodeID) routing.No
 		}
 	}
 
-	return l.AppendDiscoveryState(out, mapID)
+	return l.AppendDiscoveryState(out)
 }
 
 // encScratch is AppendModelState's working storage, kept on the instance
 // so that encoding a state allocates nothing.
 type encScratch struct {
 	routes []routeRow
-	alts   []altSuccessor
 	reqs   []reqRow
 	hops   []routing.NodeID
 }
 
 type routeRow struct {
-	dst routing.NodeID // mapped
+	dst routing.NodeID
 	e   *entry
 }
 
 type reqRow struct {
-	key ondemand.ReqKey // origin mapped
+	key ondemand.ReqKey
 	st  *reqState
 }
 

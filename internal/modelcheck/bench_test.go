@@ -2,7 +2,7 @@ package modelcheck
 
 // Exploration-throughput benchmarks, recorded as BENCH_modelcheck.json
 // by `make bench-modelcheck`. A transition is one apply, one loop check,
-// one canonical key and one in-place restore (snapshot.go), each of the
+// one state key and one in-place restore (snapshot.go), each of the
 // one node the action wrote. By the CPU profile of LDR on the 3-node
 // graphs at depth 14 (notes/perf-PR21.md) the key is two fifths of it —
 // the written node's AppendModelState 15 %, the pending items 8 %, the
@@ -15,8 +15,7 @@ package modelcheck
 // reduction's figure and trans/sec alone no longer measures speed.
 // states/sec is the number to watch, and B/op guards against a return to
 // per-state world construction or whole-world records; the state counts
-// themselves are exact and double as a symmetry-reduction regression
-// guard.
+// themselves are exact and double as a state-encoding regression guard.
 
 import "testing"
 

@@ -1,20 +1,17 @@
 package modelcheck
 
-// Canonical state encoding. A state is (per-node protocol state,
-// per-link pending multisets, origination progress, remaining fault
-// budgets). Two states are identified when some automorphism of the
-// topology that fixes every flow endpoint maps one onto the other; the
-// canonical form is the lexicographically minimal serialization over the
-// automorphism group, and the BFS memoizes a 128-bit hash of it (hashKey).
+// State encoding. A state is (per-node protocol state, per-link pending
+// multisets, origination progress, remaining fault budgets); it has one
+// serialization, and the BFS memoizes a 128-bit hash of it (hashKey).
 //
 // Per-link queues are serialized as sorted multisets: the checker can
 // deliver any pending item in any order, so queue position carries no
 // information and states differing only by it must collide.
 //
 // A node's part of the serialization is a function of that node's state
-// and the automorphism alone, so it is taken once per saved state and
-// automorphism and cached on the saved record (snapshot.go): the key of a
-// successor encodes the one node the action wrote and copies the rest.
+// alone, so it is taken once per saved state and cached on the saved
+// record (snapshot.go): the key of a successor encodes the one node the
+// action wrote and copies the rest.
 
 import (
 	"bytes"
@@ -29,22 +26,16 @@ import (
 	"github.com/manetlab/ldr/internal/routing"
 )
 
-// stateKey is the 128-bit memoization key of a canonical state.
+// stateKey is the 128-bit memoization key of a state.
 type stateKey [2]uint64
 
-// encoder holds the automorphism group states are identified under and
-// the scratch a canonical serialization is built in, reused across calls:
-// a warm key allocates nothing. Not safe for concurrent use.
+// encoder holds the scratch a serialization is built in, reused across
+// calls: a warm key allocates nothing. Not safe for concurrent use.
 type encoder struct {
-	n      int
-	autos  [][]int                               // automorphism group, identity included
-	mapIDs []func(routing.NodeID) routing.NodeID // autos as relabelings, built once
-	invs   [][]int                               // autos' inverse permutations
-	buf    []byte                                // candidate serialization under one automorphism
-	best   []byte                                // minimal serialization so far
-	items  []byte                                // scratch: one link's items, back to back, or one item's identity (sleep.go)
-	spans  []span                                // scratch: where each item sits in items
-	dests  []rerrDest                            // scratch: one RERR's destinations
+	buf   []byte     // the state's serialization
+	items []byte     // scratch: one link's items, back to back, or one item's identity (sleep.go)
+	spans []span     // scratch: where each item sits in items
+	dests []rerrDest // scratch: one RERR's destinations
 }
 
 type span struct{ lo, hi int }
@@ -54,89 +45,42 @@ type rerrDest struct {
 	seq uint64
 }
 
-func newEncoder(n int, autos [][]int) *encoder {
-	e := &encoder{n: n, autos: autos}
-	for _, perm := range autos {
-		e.mapIDs = append(e.mapIDs, func(id routing.NodeID) routing.NodeID {
-			if int(id) < 0 || int(id) >= n {
-				return id // BroadcastID and other sentinels pass through
-			}
-			return routing.NodeID(perm[id])
-		})
-		inv := make([]int, n)
-		for i, p := range perm {
-			inv[p] = i
-		}
-		e.invs = append(e.invs, inv)
-	}
-	return e
-}
-
-// flowAutomorphisms is the group a scenario's states are identified
-// under: the graph automorphisms that fix every flow endpoint (those
-// nodes have distinguishable roles).
-func flowAutomorphisms(sc *Scenario) [][]int {
-	var pinned []int
-	for _, f := range sc.Flows {
-		pinned = append(pinned, int(f.Src), int(f.Dst))
-	}
-	return automorphisms(sc.Graph, pinned)
-}
-
-// key returns the canonical hash of the world's present state given the
-// remaining budgets (budgets gate which actions are enabled, so two
+// key returns the hash of the world's present state given the remaining
+// budgets (budgets gate which actions are enabled, so two
 // protocol-identical states with different allowances are distinct).
-func (c *cursor) key(b budgets) stateKey { return hashKey(c.canonical(b)) }
+func (c *cursor) key(b budgets) stateKey { return hashKey(c.encode(b)) }
 
-// canonical returns the lex-min serialization of the world's present
-// state, valid until the next call.
-func (c *cursor) canonical(b budgets) []byte {
-	e := c.enc
-	for ai := range e.autos {
-		e.buf = c.encodeUnder(e.buf[:0], b, ai)
-		if ai == 0 || bytes.Compare(e.buf, e.best) < 0 {
-			e.buf, e.best = e.best, e.buf
-		}
-	}
-	return e.best
-}
-
-// encodeUnder serializes the world's present state relabeled by the ai-th
-// automorphism.
-func (c *cursor) encodeUnder(out []byte, b budgets, ai int) []byte {
+// encode returns the serialization of the world's present state, valid
+// until the next call.
+func (c *cursor) encode(b budgets) []byte {
 	w, e := c.w, c.enc
-	n, inv, mapID := e.n, e.invs[ai], e.mapIDs[ai]
+	n := w.sc.Graph.N
 
 	// Context: origination progress and remaining budgets.
-	out = binary.AppendUvarint(out, uint64(w.nextFlow))
+	out := binary.AppendUvarint(e.buf[:0], uint64(w.nextFlow))
 	out = binary.AppendUvarint(out, uint64(b.drops))
 	out = binary.AppendUvarint(out, uint64(b.dups))
 	out = binary.AppendUvarint(out, uint64(b.resets))
 	out = binary.AppendUvarint(out, uint64(b.vresets))
 
-	// Node states, in mapped-identifier order: position p holds the state
-	// of the node that perm maps to p. A node written since the sought
+	// Node states in identifier order. A node written since the sought
 	// state was saved is encoded as it stands; any other still is what its
 	// saved record holds, so the bytes are taken once per record.
 	base := c.base()
-	for p := 0; p < n; p++ {
-		i := inv[p]
+	for i := 0; i < n; i++ {
 		if w.dirtyNodes&(1<<i) != 0 {
-			out = w.staters[i].AppendModelState(out, mapID)
+			out = w.staters[i].AppendModelState(out)
 			continue
 		}
 		r := base.nodes[i]
-		if r.enc == nil {
-			r.enc = make([][]byte, len(e.autos))
+		if !r.encOK {
+			r.enc, r.encOK = w.staters[i].AppendModelState(r.enc[:0]), true
 		}
-		if len(r.enc[ai]) == 0 {
-			r.enc[ai] = w.staters[i].AppendModelState(r.enc[ai], mapID)
-		}
-		out = append(out, r.enc[ai]...)
+		out = append(out, r.enc...)
 	}
 
-	// Pending multisets, links in ascending order of mapped (from, to),
-	// items sorted by their serialized form.
+	// Pending multisets, links in ascending (from, to), items sorted by
+	// their serialized form.
 	var links uint32
 	for li, q := range w.pending {
 		if len(q) > 0 {
@@ -144,34 +88,30 @@ func (c *cursor) encodeUnder(out []byte, b budgets, ai int) []byte {
 		}
 	}
 	out = binary.AppendUvarint(out, uint64(bits.OnesCount32(links)))
-	for mf := 0; mf < n; mf++ {
-		for mt := 0; mt < n; mt++ {
-			li := inv[mf]*n + inv[mt]
-			if links&(1<<li) == 0 {
-				continue
-			}
-			out = binary.AppendUvarint(out, uint64(mf))
-			out = binary.AppendUvarint(out, uint64(mt))
-			e.items, e.spans = e.items[:0], e.spans[:0]
-			for _, m := range w.pending[li] {
-				lo := len(e.items)
-				e.items = e.encodeItem(e.items, m, mapID)
-				e.spans = append(e.spans, span{lo, len(e.items)})
-			}
-			slices.SortFunc(e.spans, func(a, b span) int {
-				return bytes.Compare(e.items[a.lo:a.hi], e.items[b.lo:b.hi])
-			})
-			out = binary.AppendUvarint(out, uint64(len(e.spans)))
-			for _, sp := range e.spans {
-				out = append(out, e.items[sp.lo:sp.hi]...)
-			}
+	for rest := links; rest != 0; rest &= rest - 1 {
+		li := bits.TrailingZeros32(rest)
+		out = binary.AppendUvarint(out, uint64(li/n))
+		out = binary.AppendUvarint(out, uint64(li%n))
+		e.items, e.spans = e.items[:0], e.spans[:0]
+		for _, m := range w.pending[li] {
+			lo := len(e.items)
+			e.items = e.encodeItem(e.items, m)
+			e.spans = append(e.spans, span{lo, len(e.items)})
+		}
+		slices.SortFunc(e.spans, func(a, b span) int {
+			return bytes.Compare(e.items[a.lo:a.hi], e.items[b.lo:b.hi])
+		})
+		out = binary.AppendUvarint(out, uint64(len(e.spans)))
+		for _, sp := range e.spans {
+			out = append(out, e.items[sp.lo:sp.hi]...)
 		}
 	}
+	e.buf = out
 	return out
 }
 
-// hashKey hashes a canonical serialization to its 128-bit key, eight bytes
-// at a time through two 64-bit lanes that share nothing but the input:
+// hashKey hashes a serialization to its 128-bit key, eight bytes at a
+// time through two 64-bit lanes that share nothing but the input:
 // each lane is the xxHash64 accumulator round (multiply, rotate, multiply)
 // under its own pair of odd constants and its own rotation, closed by the
 // MurmurHash3 finalizer over the lane and the length. The constants are
@@ -213,16 +153,15 @@ func fmix64(h uint64) uint64 {
 	return h
 }
 
-// encodeItem serializes one pending link item under the relabeling.
-// Every behaviour-relevant field of every message type the two modeled
-// protocols emit is covered; an unknown type panics rather than silently
-// aliasing distinct states.
-func (e *encoder) encodeItem(out []byte, m linkMsg, mapID func(routing.NodeID) routing.NodeID) []byte {
+// encodeItem serializes one pending link item. Every behaviour-relevant
+// field of every message type the two modeled protocols emit is covered;
+// an unknown type panics rather than silently aliasing distinct states.
+func (e *encoder) encodeItem(out []byte, m linkMsg) []byte {
 	if m.pkt != nil {
 		p := m.pkt
 		out = append(out, 0)
-		out = binary.AppendVarint(out, int64(mapID(p.Src)))
-		out = binary.AppendVarint(out, int64(mapID(p.Dst)))
+		out = binary.AppendVarint(out, int64(p.Src))
+		out = binary.AppendVarint(out, int64(p.Dst))
 		out = binary.AppendUvarint(out, p.ID)
 		out = binary.AppendVarint(out, int64(p.TTL))
 		out = binary.AppendVarint(out, int64(p.Bytes))
@@ -230,33 +169,33 @@ func (e *encoder) encodeItem(out []byte, m linkMsg, mapID func(routing.NodeID) r
 		out = binary.AppendVarint(out, int64(p.Salvaged))
 		out = binary.AppendUvarint(out, uint64(len(p.SourceRoute)))
 		for _, h := range p.SourceRoute {
-			out = binary.AppendVarint(out, int64(mapID(h)))
+			out = binary.AppendVarint(out, int64(h))
 		}
 		return out
 	}
 	switch q := m.msg.(type) {
 	case *core.RREQ:
-		return encodeCoreRREQ(out, q, mapID)
+		return encodeCoreRREQ(out, q)
 	case *core.RREP:
-		return encodeCoreRREP(out, q, mapID)
+		return encodeCoreRREP(out, q)
 	case *core.RERR:
-		return e.encodeCoreRERR(out, q, mapID)
+		return e.encodeCoreRERR(out, q)
 	case *aodv.RREQ:
-		return encodeAODVRREQ(out, q, mapID)
+		return encodeAODVRREQ(out, q)
 	case *aodv.RREP:
-		return encodeAODVRREP(out, q, mapID)
+		return encodeAODVRREP(out, q)
 	case *aodv.RERR:
-		return e.encodeAODVRERR(out, q, mapID)
+		return e.encodeAODVRERR(out, q)
 	}
 	panic(fmt.Sprintf("modelcheck: cannot encode message type %T", m.msg))
 }
 
-func encodeCoreRREQ(out []byte, q *core.RREQ, mapID func(routing.NodeID) routing.NodeID) []byte {
+func encodeCoreRREQ(out []byte, q *core.RREQ) []byte {
 	out = append(out, 1)
-	out = binary.AppendVarint(out, int64(mapID(q.Dst)))
+	out = binary.AppendVarint(out, int64(q.Dst))
 	out = binary.AppendUvarint(out, uint64(q.DstSeq))
 	out = encFlag(out, q.HaveDstSeq)
-	out = binary.AppendVarint(out, int64(mapID(q.Origin)))
+	out = binary.AppendVarint(out, int64(q.Origin))
 	out = binary.AppendUvarint(out, uint64(q.OriginSeq))
 	out = binary.AppendUvarint(out, uint64(q.ReqID))
 	out = binary.AppendVarint(out, int64(q.FD))
@@ -269,11 +208,11 @@ func encodeCoreRREQ(out []byte, q *core.RREQ, mapID func(routing.NodeID) routing
 	return out
 }
 
-func encodeCoreRREP(out []byte, p *core.RREP, mapID func(routing.NodeID) routing.NodeID) []byte {
+func encodeCoreRREP(out []byte, p *core.RREP) []byte {
 	out = append(out, 2)
-	out = binary.AppendVarint(out, int64(mapID(p.Dst)))
+	out = binary.AppendVarint(out, int64(p.Dst))
 	out = binary.AppendUvarint(out, uint64(p.DstSeq))
-	out = binary.AppendVarint(out, int64(mapID(p.Origin)))
+	out = binary.AppendVarint(out, int64(p.Origin))
 	out = binary.AppendUvarint(out, uint64(p.ReqID))
 	out = binary.AppendVarint(out, int64(p.Dist))
 	out = binary.AppendVarint(out, int64(p.Lifetime))
@@ -281,10 +220,10 @@ func encodeCoreRREP(out []byte, p *core.RREP, mapID func(routing.NodeID) routing
 	return out
 }
 
-func (e *encoder) encodeCoreRERR(out []byte, r *core.RERR, mapID func(routing.NodeID) routing.NodeID) []byte {
+func (e *encoder) encodeCoreRERR(out []byte, r *core.RERR) []byte {
 	e.dests = e.dests[:0]
 	for _, u := range r.Unreachable {
-		e.dests = append(e.dests, rerrDest{mapID(u.Dst), uint64(u.Seq)})
+		e.dests = append(e.dests, rerrDest{u.Dst, uint64(u.Seq)})
 	}
 	return e.appendDests(append(out, 3))
 }
@@ -301,12 +240,12 @@ func (e *encoder) appendDests(out []byte) []byte {
 	return out
 }
 
-func encodeAODVRREQ(out []byte, q *aodv.RREQ, mapID func(routing.NodeID) routing.NodeID) []byte {
+func encodeAODVRREQ(out []byte, q *aodv.RREQ) []byte {
 	out = append(out, 4)
-	out = binary.AppendVarint(out, int64(mapID(q.Dst)))
+	out = binary.AppendVarint(out, int64(q.Dst))
 	out = binary.AppendUvarint(out, uint64(q.DstSeq))
 	out = encFlag(out, q.UnknownSeq)
-	out = binary.AppendVarint(out, int64(mapID(q.Origin)))
+	out = binary.AppendVarint(out, int64(q.Origin))
 	out = binary.AppendUvarint(out, uint64(q.OriginSeq))
 	out = binary.AppendUvarint(out, uint64(q.ReqID))
 	out = binary.AppendVarint(out, int64(q.HopCount))
@@ -314,20 +253,20 @@ func encodeAODVRREQ(out []byte, q *aodv.RREQ, mapID func(routing.NodeID) routing
 	return out
 }
 
-func encodeAODVRREP(out []byte, p *aodv.RREP, mapID func(routing.NodeID) routing.NodeID) []byte {
+func encodeAODVRREP(out []byte, p *aodv.RREP) []byte {
 	out = append(out, 5)
-	out = binary.AppendVarint(out, int64(mapID(p.Dst)))
+	out = binary.AppendVarint(out, int64(p.Dst))
 	out = binary.AppendUvarint(out, uint64(p.DstSeq))
-	out = binary.AppendVarint(out, int64(mapID(p.Origin)))
+	out = binary.AppendVarint(out, int64(p.Origin))
 	out = binary.AppendVarint(out, int64(p.HopCount))
 	out = binary.AppendVarint(out, int64(p.Lifetime))
 	return out
 }
 
-func (e *encoder) encodeAODVRERR(out []byte, r *aodv.RERR, mapID func(routing.NodeID) routing.NodeID) []byte {
+func (e *encoder) encodeAODVRERR(out []byte, r *aodv.RERR) []byte {
 	e.dests = e.dests[:0]
 	for _, u := range r.Unreachable {
-		e.dests = append(e.dests, rerrDest{mapID(u.Dst), uint64(u.Seq)})
+		e.dests = append(e.dests, rerrDest{u.Dst, uint64(u.Seq)})
 	}
 	return e.appendDests(append(out, 6))
 }

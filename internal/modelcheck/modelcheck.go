@@ -236,7 +236,7 @@ func Check(sc *Scenario, opts Options) (*Result, error) {
 		}
 	}
 
-	cur, err := newCursor(sc, flowAutomorphisms(sc))
+	cur, err := newCursor(sc)
 	if err != nil {
 		return nil, err
 	}

@@ -118,7 +118,7 @@ func TestEncoderDeterminism(t *testing.T) {
 	}
 	var keys []stateKey
 	for i := 0; i < 3; i++ {
-		cur, err := newCursor(sc, flowAutomorphisms(sc))
+		cur, err := newCursor(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func TestAODVLine3Violation(t *testing.T) {
 
 // TestKeysDoNotCollide runs the pinned explorations, and the benchmark's
 // two graphs at its tiny scale, without sleep sets and with the visited
-// set keyed by the canonical bytes themselves instead of their hash,
+// set keyed by the encoded bytes themselves instead of their hash,
 // stopping at its own first loopcheck violation: Check must find as many
 // states, as deep, with a violation where this search finds one, and no
 // two byte strings may share a key. A byte string reached again — by
@@ -286,7 +286,7 @@ func TestKeysDoNotCollide(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cur, err := newCursor(sc, flowAutomorphisms(sc))
+		cur, err := newCursor(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,9 +295,9 @@ func TestKeysDoNotCollide(t *testing.T) {
 		bytesOf := map[stateKey]string{}
 		// visit reports whether the world's present state is new.
 		visit := func(rem budgets) bool {
-			b, k := string(cur.canonical(rem)), cur.key(rem)
+			b, k := string(cur.encode(rem)), cur.key(rem)
 			if k != hashKey([]byte(b)) {
-				t.Fatalf("%s %s: key %x is not the hash of the canonical bytes", c.proto, g, k)
+				t.Fatalf("%s %s: key %x is not the hash of the encoded bytes", c.proto, g, k)
 			}
 			if prev, ok := keyOf[b]; ok {
 				if prev != k {
@@ -327,7 +327,7 @@ func TestKeysDoNotCollide(t *testing.T) {
 			cur.seek(trace)
 			for _, a := range cur.w.enabled(nil, opts.remaining(usedBy(trace))) {
 				if a.Kind == ActDeliver {
-					item := string(cur.enc.encodeItem(nil, cur.w.pending[int(a.From)*g.N+int(a.To)][a.Index], sameID))
+					item := string(cur.enc.encodeItem(nil, cur.w.pending[int(a.From)*g.N+int(a.To)][a.Index]))
 					h := uint64(cur.id(a)) & idLow
 					if other, ok := itemOf[h]; ok && other != item {
 						t.Fatalf("%s %s: items %x and %x share the identity hash %x", c.proto, g, other, item, h)

@@ -14,7 +14,6 @@ package modelcheck
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"slices"
 	"time"
@@ -199,15 +198,11 @@ func (c *refCursor) seek(trace []Action) {
 
 func (c *refCursor) back() { c.w.restore(c.snaps[len(c.trace)]) }
 
-// refEncodeUnder serializes w relabeled by e's ai-th automorphism, every
-// node encoded from the live world and the links put in order by sorting.
-func (e *encoder) refEncodeUnder(w *world, b budgets, ai int) []byte {
-	n, perm, mapID := e.n, e.autos[ai], e.mapIDs[ai]
-	inv := make([]int, n)
-	for i, p := range perm {
-		inv[p] = i
-	}
-
+// refEncode serializes w: every node encoded from the live world, every
+// link counted and walked in a nested loop, its items sorted as whole
+// byte strings.
+func (e *encoder) refEncode(w *world, b budgets) []byte {
+	n := w.sc.Graph.N
 	var out []byte
 	out = binary.AppendUvarint(out, uint64(w.nextFlow))
 	out = binary.AppendUvarint(out, uint64(b.drops))
@@ -215,49 +210,34 @@ func (e *encoder) refEncodeUnder(w *world, b budgets, ai int) []byte {
 	out = binary.AppendUvarint(out, uint64(b.resets))
 	out = binary.AppendUvarint(out, uint64(b.vresets))
 
-	for p := 0; p < n; p++ {
-		out = w.staters[inv[p]].AppendModelState(out, mapID)
+	for i := 0; i < n; i++ {
+		out = w.staters[i].AppendModelState(out)
 	}
 
-	type linkRow struct {
-		mf, mt   int
-		from, to int
+	links := 0
+	for _, q := range w.pending {
+		if len(q) > 0 {
+			links++
+		}
 	}
-	var rows []linkRow
+	out = binary.AppendUvarint(out, uint64(links))
 	for from := 0; from < n; from++ {
 		for to := 0; to < n; to++ {
-			if len(w.pending[from*n+to]) > 0 {
-				rows = append(rows, linkRow{mf: perm[from], mt: perm[to], from: from, to: to})
+			var items [][]byte
+			for _, m := range w.pending[from*n+to] {
+				items = append(items, e.encodeItem(nil, m))
+			}
+			if len(items) == 0 {
+				continue
+			}
+			slices.SortFunc(items, bytes.Compare)
+			out = binary.AppendUvarint(out, uint64(from))
+			out = binary.AppendUvarint(out, uint64(to))
+			out = binary.AppendUvarint(out, uint64(len(items)))
+			for _, it := range items {
+				out = append(out, it...)
 			}
 		}
 	}
-	slices.SortFunc(rows, func(a, b linkRow) int {
-		return cmp.Or(cmp.Compare(a.mf, b.mf), cmp.Compare(a.mt, b.mt))
-	})
-	out = binary.AppendUvarint(out, uint64(len(rows)))
-	for _, r := range rows {
-		out = binary.AppendUvarint(out, uint64(r.mf))
-		out = binary.AppendUvarint(out, uint64(r.mt))
-		var items [][]byte
-		for _, m := range w.pending[r.from*n+r.to] {
-			items = append(items, e.encodeItem(nil, m, mapID))
-		}
-		slices.SortFunc(items, bytes.Compare)
-		out = binary.AppendUvarint(out, uint64(len(items)))
-		for _, it := range items {
-			out = append(out, it...)
-		}
-	}
 	return out
-}
-
-// refCanonical is the lex-min of refEncodeUnder over the group.
-func (e *encoder) refCanonical(w *world, b budgets) []byte {
-	var best []byte
-	for ai := range e.autos {
-		if enc := e.refEncodeUnder(w, b, ai); ai == 0 || bytes.Compare(enc, best) < 0 {
-			best = enc
-		}
-	}
-	return best
 }

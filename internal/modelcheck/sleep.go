@@ -16,16 +16,12 @@ package modelcheck
 //     one state may order a link's items differently, and Action.Index
 //     cannot be compared across them.
 //   - A sleep set is inherited from the state's first discoverer only:
-//     the parent its trace goes through, so the concrete state the
-//     search expands, whatever symmetric image another path reached.
-
-import "github.com/manetlab/ldr/internal/routing"
+//     the parent its trace goes through.
 
 // actionID names an action by content: its kind, the link it names, the
 // node whose code it runs and, for an action on a pending item, a 48-bit
-// hash of the item's encoding under the identity relabelling (for an
-// originate, the flow index). Two enabled actions with one ID lead to
-// one state.
+// hash of the item's encoding (for an originate, the flow index). Two
+// enabled actions with one ID lead to one state.
 //
 //	bits 60–63 kind · 54–59 link+1 (0: none) · 48–53 actor+1 (0: none) · 0–47 item hash or flow
 type actionID uint64
@@ -61,16 +57,13 @@ func independent(a, b actionID) bool {
 	return true
 }
 
-// sameID is the identity relabelling.
-func sameID(id routing.NodeID) routing.NodeID { return id }
-
 // id names action a, enabled in the world's present state.
 func (c *cursor) id(a Action) actionID {
 	w := c.w
 	switch a.Kind {
 	case ActDeliver, ActDrop, ActDup:
 		li := int(a.From)*w.sc.Graph.N + int(a.To)
-		c.enc.items = c.enc.encodeItem(c.enc.items[:0], w.pending[li][a.Index], sameID)
+		c.enc.items = c.enc.encodeItem(c.enc.items[:0], w.pending[li][a.Index])
 		actor := -1
 		if a.Kind == ActDeliver {
 			actor = int(a.To)

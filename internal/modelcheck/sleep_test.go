@@ -15,7 +15,7 @@ import (
 // discovered states.
 func keysOf(t *testing.T, sc *Scenario, opts Options, recs []rec) []stateKey {
 	t.Helper()
-	cur, err := newCursor(sc, flowAutomorphisms(sc))
+	cur, err := newCursor(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,10 +37,16 @@ func keysOf(t *testing.T, sc *Scenario, opts Options, recs []rec) []stateKey {
 // transitions. The cells are the four pinned explorations (the reference
 // keeps their pinned triples), every connected 3- and 4-node graph under
 // both protocols with a loss and a crash or a duplicate and a volatile
-// crash at depth 8, LDR with Multipath on two 3-node graphs (which must
-// come out clean), the AODV line cut short by the state cap, and a K4
-// scenario with one flow, whose two automorphisms make the concrete state
-// a search expands only one of the images other paths reach.
+// crash at depth 8, LDR with Multipath on two 3-node graphs and on K2,3
+// (which must come out clean), the AODV line cut short by the state cap,
+// and K4 with a custom flow.
+//
+// K2,3 (0–{1,2,3}–4, the one flow 0→4) is the first graph on which an
+// entry holds two alternates. Without a fault the search closes at depth
+// 18 with 4,234 states; with one crash, bounded at depth 16, it finds
+// 50,438. An encoding that sorted the alternates merged states in which
+// promoteAlt picks different successors, and visited only 4,018 and
+// 49,304.
 func TestReductionKeepsEveryState(t *testing.T) {
 	type cell struct {
 		sc   *Scenario
@@ -70,11 +76,17 @@ func TestReductionKeepsEveryState(t *testing.T) {
 	}
 	multipath := core.DefaultConfig()
 	multipath.Multipath = true
+	k23 := &Scenario{
+		Graph:    Graph{N: 5, Edges: [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 4}, {2, 4}, {3, 4}}, Name: "k23"},
+		Protocol: "ldr", LDRConfig: &multipath, Flows: []Flow{{Src: 0, Dst: 4}}, Seed: 1,
+	}
 	cells = append(cells,
 		cell{sc: newScenario("line3", "ldr", nil, &multipath), opts: Options{MaxDepth: 12, MaxResets: 1, MaxDrops: 1}},
 		cell{sc: newScenario("n3-1", "ldr", nil, &multipath), opts: Options{MaxDepth: 12, MaxResets: 1, MaxDrops: 1}},
 		cell{sc: newScenario("line3", "aodv", nil, nil), opts: Options{MaxDepth: 12, MaxResets: 1, MaxDrops: 1, MaxStates: 1000}},
 		cell{sc: newScenario("n4-5", "ldr", []Flow{{Src: 0, Dst: 1}}, nil), opts: Options{MaxDepth: 9, MaxResets: 1, MaxDrops: 1}},
+		cell{sc: k23, opts: Options{MaxDepth: 18}, ref: [3]int{4234, 15316, 18}},
+		cell{sc: k23, opts: Options{MaxDepth: 16, MaxResets: 1}, ref: [3]int{50438, 199273, 16}},
 	)
 
 	for _, c := range cells {
@@ -83,12 +95,12 @@ func TestReductionKeepsEveryState(t *testing.T) {
 			name += "/multipath"
 		}
 		opts := c.opts.withDefaults()
-		cur, err := newCursor(c.sc, flowAutomorphisms(c.sc))
+		cur, err := newCursor(c.sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, recs := explore(cur, opts, time.Now())
-		ref, err := newCursor(c.sc, flowAutomorphisms(c.sc))
+		ref, err := newCursor(c.sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,31 +154,19 @@ func TestReductionKeepsEveryState(t *testing.T) {
 	}
 }
 
-// identityGroup is the trivial automorphism group: keys under it tell
-// apart any two states that are not equal up to queue order.
-func identityGroup(n int) [][]int {
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	return [][]int{perm}
-}
-
 // TestIndependentActionsCommute checks the independence relation and the
 // action identity the sleep sets rest on, on random walks over every
 // connected 3- and 4-node graph with every fault budget on: for every
 // pair of enabled actions the relation calls independent, each one's
 // identity is still enabled after the other, and the two orders reach
-// equal states (keys under the trivial group, so equal up to queue order
-// and not merely symmetric). Two enabled actions with one identity reach
-// one state; two of a kind on one link whose items encode alike have one
-// identity.
+// equal keys. Two enabled actions with one identity reach one state; two
+// of a kind on one link whose items encode alike have one identity.
 func TestIndependentActionsCommute(t *testing.T) {
 	const walks, steps = 12, 10
 	for _, sc := range sweepScenarios(t) {
 		g := sc.Graph
 		t.Run(sc.Protocol+"/"+g.Name, func(t *testing.T) {
-			cur, err := newCursor(sc, identityGroup(g.N))
+			cur, err := newCursor(sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,7 +202,7 @@ func TestIndependentActionsCommute(t *testing.T) {
 					for i, a := range acts {
 						ids[i] = cur.id(a)
 						if a.Kind == ActDeliver || a.Kind == ActDrop || a.Kind == ActDup {
-							items[i] = cur.enc.encodeItem(nil, cur.w.pending[int(a.From)*g.N+int(a.To)][a.Index], sameID)
+							items[i] = cur.enc.encodeItem(nil, cur.w.pending[int(a.From)*g.N+int(a.To)][a.Index])
 						}
 					}
 					for i, a := range acts {
@@ -250,39 +250,5 @@ func TestIndependentActionsCommute(t *testing.T) {
 				t.Fatal("no independent pair was met")
 			}
 		})
-	}
-}
-
-// TestDefaultFlowsPinEveryNode: DefaultFlows makes every node a flow
-// endpoint, so on every graph of the sweep — each of which has a
-// non-trivial automorphism group of its own — the states are identified
-// under the identity alone. The symmetry reduction only acts on a
-// scenario with fewer endpoints, such as K4 with the one flow 0→1, where
-// the swap of 2 and 3 survives; that scenario is where the sleep sets
-// meet a concrete state that other paths reach only as a symmetric image
-// (TestReductionKeepsEveryState runs it).
-func TestDefaultFlowsPinEveryNode(t *testing.T) {
-	graphs, err := SweepGraphs(3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range graphs {
-		sc := &Scenario{Graph: g, Flows: DefaultFlows(g)}
-		if n := len(automorphisms(g, nil)); n < 2 {
-			t.Errorf("%s: %d graph automorphisms, want at least 2", g, n)
-		}
-		if n := len(flowAutomorphisms(sc)); n != 1 {
-			t.Errorf("%s with the default flows: %d automorphisms, want 1", g, n)
-		}
-	}
-	k4, err := NamedTopology("n4-5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(automorphisms(k4, nil)); n != 24 {
-		t.Errorf("%s: %d graph automorphisms, want 24", k4, n)
-	}
-	if n := len(flowAutomorphisms(&Scenario{Graph: k4, Flows: []Flow{{Src: 0, Dst: 1}}})); n != 2 {
-		t.Errorf("%s with the one flow 0->1: %d automorphisms, want 2", k4, n)
 	}
 }

@@ -42,10 +42,10 @@ type nodeRec struct {
 	node  routing.NodeModelState
 	proto any // the protocol's routing.ModelStater store
 
-	// Filled on first use, dropped when the record is saved over. enc[ai]
-	// is the protocol's AppendModelState bytes under the encoder's ai-th
-	// automorphism, empty while not taken.
-	enc     [][]byte
+	// Filled on first use, dropped when the record is saved over: the
+	// protocol's AppendModelState bytes and its AppendTable rows.
+	enc     []byte
+	encOK   bool
 	table   []routing.RouteEntry
 	tableOK bool
 }
@@ -105,10 +105,7 @@ func (s *snapshot) save(w *world, prev *snapshot) {
 		r := &s.ownNodes[i]
 		w.nw.Nodes[i].SaveModelState(&r.node)
 		r.proto = w.staters[i].SaveModelState(r.proto)
-		for ai := range r.enc {
-			r.enc[ai] = r.enc[ai][:0]
-		}
-		r.tableOK = false
+		r.encOK, r.tableOK = false, false
 		s.nodes[i] = r
 	}
 	for m := w.dirtyLinks; m != 0; m &= m - 1 {
@@ -183,9 +180,9 @@ func (s *snapshot) restore(w *world) {
 // ever points at a record that was saved over after it.
 //
 // Between a seek and the next back the world may be some actions ahead of
-// the sought state. The cursor's views (tables, and the canonical key in
-// encode.go) are of the world as it stands: a node written since is read
-// live, any other through the sought state's record and its caches.
+// the sought state. The cursor's views (tables, and the key in encode.go)
+// are of the world as it stands: a node written since is read live, any
+// other through the sought state's record and its caches.
 type cursor struct {
 	w     *world
 	enc   *encoder
@@ -197,8 +194,7 @@ type cursor struct {
 }
 
 // newCursor builds the scenario's world and saves its initial state.
-// States are identified under autos (encode.go).
-func newCursor(sc *Scenario, autos [][]int) (*cursor, error) {
+func newCursor(sc *Scenario) (*cursor, error) {
 	w, err := newWorld(sc)
 	if err != nil {
 		return nil, err
@@ -206,7 +202,7 @@ func newCursor(sc *Scenario, autos [][]int) (*cursor, error) {
 	n := sc.Graph.N
 	c := &cursor{
 		w:       w,
-		enc:     newEncoder(n, autos),
+		enc:     new(encoder),
 		snaps:   []*snapshot{newSnapshot(n)},
 		tabs:    make([][]routing.RouteEntry, n),
 		scratch: make([][]routing.RouteEntry, n),
@@ -236,7 +232,7 @@ func (c *cursor) seek(trace []Action) {
 		c.w.apply(trace[k])
 		k++
 		if k == len(c.snaps) {
-			c.snaps = append(c.snaps, newSnapshot(c.enc.n))
+			c.snaps = append(c.snaps, newSnapshot(c.w.sc.Graph.N))
 		}
 		c.snaps[k].save(c.w, c.snaps[k-1])
 	}

@@ -62,11 +62,10 @@ func sweepScenarios(t *testing.T) []*Scenario {
 // links written since, applying the rest, after any amount of wandering
 // through other branches on the same world — is indistinguishable from a
 // fresh world that replayed the trace, and from a world that got there on
-// whole-world snapshots (reference_test.go): the same canonical bytes
-// under every automorphism, whether taken through the saved records'
-// caches or from the whole live world, the same key, enabled actions and
-// routing tables, and an equal full save, which covers what the encoding
-// leaves out. The walk takes every state's key, so every record's caches
+// whole-world snapshots (reference_test.go): the same encoding, whether
+// taken through the saved records' caches or from the whole live world,
+// the same key, enabled actions and routing tables, and an equal full
+// save, which covers what the encoding leaves out. The walk takes every state's key, so every record's caches
 // are full by the time the record is saved over or shared.
 func TestSnapshotEqualsReplay(t *testing.T) {
 	fields := modelStateFields(t)
@@ -74,7 +73,7 @@ func TestSnapshotEqualsReplay(t *testing.T) {
 	for _, sc := range sweepScenarios(t) {
 		g := sc.Graph
 		t.Run(sc.Protocol+"/"+g.Name, func(t *testing.T) {
-			cur, err := newCursor(sc, automorphisms(g, nil))
+			cur, err := newCursor(sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,22 +125,20 @@ func TestSnapshotEqualsReplay(t *testing.T) {
 }
 
 // sameWorld compares the cursor's world with an oracle for the same trace:
-// what the search observes (canonical bytes, key, enabled actions,
-// tables), every saved field of the two live worlds, and their full saves.
+// what the search observes (encoding, key, enabled actions, tables), every
+// saved field of the two live worlds, and their full saves.
 func sameWorld(t *testing.T, fields map[reflect.Type]fieldLists, rem budgets, cur *cursor, want *world, trace []Action, oracle string) {
 	t.Helper()
 	got, enc := cur.w, cur.enc
-	for ai := range enc.autos {
-		gb, wb := cur.encodeUnder(nil, rem, ai), enc.refEncodeUnder(want, rem, ai)
-		if !bytes.Equal(gb, wb) {
-			t.Errorf("after %v, automorphism %d: canonical bytes %x, %s gives %x", trace, ai, gb, oracle, wb)
-		}
-		if lb := enc.refEncodeUnder(got, rem, ai); !bytes.Equal(gb, lb) {
-			t.Errorf("after %v, automorphism %d: bytes through the saved records %x, the live world encodes to %x", trace, ai, gb, lb)
-		}
+	gb, wb := slices.Clone(cur.encode(rem)), enc.refEncode(want, rem)
+	if !bytes.Equal(gb, wb) {
+		t.Errorf("after %v: encoding %x, %s gives %x", trace, gb, oracle, wb)
 	}
-	if gk, wk := cur.key(rem), hashKey(enc.refCanonical(want, rem)); gk != wk {
-		t.Errorf("after %v: canonical key %x, %s gives %x", trace, gk, oracle, wk)
+	if lb := enc.refEncode(got, rem); !bytes.Equal(gb, lb) {
+		t.Errorf("after %v: encoding through the saved records %x, the live world encodes to %x", trace, gb, lb)
+	}
+	if gk, wk := cur.key(rem), hashKey(wb); gk != wk {
+		t.Errorf("after %v: key %x, %s gives %x", trace, gk, oracle, wk)
 	}
 	if ga, wa := got.enabled(nil, rem), want.enabled(nil, rem); !slices.Equal(ga, wa) {
 		t.Errorf("after %v: enabled %v, %s gives %v", trace, ga, oracle, wa)
@@ -273,7 +270,7 @@ func modelStateFields(t *testing.T) map[reflect.Type]fieldLists {
 			[]string{"req"}},
 		reflect.TypeFor[ondemand.Pending](): {
 			[]string{"q"},
-			[]string{"node", "rows"}},
+			[]string{"node", "keys"}},
 		reflect.TypeFor[ondemand.Discovery](): {
 			[]string{"ID", "TTL", "Retries", "timer"}, nil},
 		reflect.TypeFor[ondemand.Limits](): {
@@ -333,10 +330,10 @@ func TestModelStateFieldCoverage(t *testing.T) {
 }
 
 // TestEncoderKeyDoesNotAllocate guards the encoder's scratch reuse: once
-// warm, a state key costs no allocation — on a graph with a non-trivial
-// automorphism group, with control messages and data packets pending and
-// routes installed, one action ahead of the sought state, so that one
-// node is encoded as it stands and the others come from their records.
+// warm, a state key costs no allocation — with control messages and data
+// packets pending and routes installed, one action ahead of the sought
+// state, so that one node is encoded as it stands and the others come
+// from their records.
 func TestEncoderKeyDoesNotAllocate(t *testing.T) {
 	g, err := NamedTopology("ring4")
 	if err != nil {
@@ -344,12 +341,9 @@ func TestEncoderKeyDoesNotAllocate(t *testing.T) {
 	}
 	for _, proto := range []string{"ldr", "aodv"} {
 		sc := &Scenario{Graph: g, Protocol: proto, Seed: 1, Flows: []Flow{{Src: 0, Dst: 2}, {Src: 0, Dst: 2}}}
-		cur, err := newCursor(sc, flowAutomorphisms(sc))
+		cur, err := newCursor(sc)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if len(cur.enc.autos) < 2 {
-			t.Fatalf("ring4 with 0 and 2 pinned should keep the 1<->3 swap, has %d automorphisms", len(cur.enc.autos))
 		}
 		cur.seek([]Action{
 			{Kind: ActOriginate, Flow: 0},
@@ -388,7 +382,7 @@ func TestEncoderKeyDoesNotAllocate(t *testing.T) {
 func TestCheckLeavesNoParkedTimers(t *testing.T) {
 	g, _ := NamedTopology("line3")
 	sc := &Scenario{Graph: g, Protocol: "ldr", Seed: 1, Flows: DefaultFlows(g)}
-	cur, err := newCursor(sc, flowAutomorphisms(sc))
+	cur, err := newCursor(sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,8 @@ package modelcheck
 
 // Small-topology machinery: enumeration of every non-isomorphic connected
 // graph on 3–5 nodes (the checker's sweep domain), named topologies for
-// the CLI, automorphism groups (the state-level symmetry reduction), and
-// unit-disk layouts realizing each graph under the simulator's radio
-// range (witness replay needs real coordinates).
+// the CLI, and unit-disk layouts realizing each graph under the
+// simulator's radio range (witness replay needs real coordinates).
 
 import (
 	"fmt"
@@ -240,32 +239,6 @@ func NamedTopology(name string) (Graph, error) {
 	}
 	sort.Strings(names)
 	return Graph{}, fmt.Errorf("modelcheck: unknown topology %q (have %s, or n<nodes>-<k>)", name, strings.Join(names, ", "))
-}
-
-// automorphisms returns every permutation of the nodes that preserves
-// adjacency AND fixes each pinned node (origination sources and
-// destinations must keep their roles for two states to be symmetric).
-// The identity is always included; for role-pinned scenarios on
-// asymmetric graphs it is usually the whole group.
-func automorphisms(g Graph, pinned []int) [][]int {
-	isPinned := make([]bool, g.N)
-	for _, p := range pinned {
-		isPinned[p] = true
-	}
-	want := g.bitmask()
-	var out [][]int
-	for _, perm := range permutations(g.N) {
-		ok := true
-		for i := 0; i < g.N && ok; i++ {
-			if isPinned[i] && perm[i] != i {
-				ok = false
-			}
-		}
-		if ok && relabel(g, perm).bitmask() == want {
-			out = append(out, perm)
-		}
-	}
-	return out
 }
 
 // Layout places the graph's nodes on the plane so that adjacent pairs

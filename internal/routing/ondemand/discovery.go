@@ -22,24 +22,18 @@ type Pending struct {
 	node *routing.Node
 	q    map[routing.NodeID][]*routing.DataPacket // allocated on first Push
 
-	rows []stateRow // scratch of the state encoding
+	keys []routing.NodeID // scratch of the state encoding
 }
 
-// stateRow is one destination of a map being encoded: its identifier as
-// the map holds it and as the encoding relabels it.
-type stateRow struct {
-	dst, mapped routing.NodeID
-}
-
-// sortedRows returns rows[:0] refilled with one row per key of m, in
-// ascending order of the mapped identifier.
-func sortedRows[V any](rows []stateRow, m map[routing.NodeID]V, mapID func(routing.NodeID) routing.NodeID) []stateRow {
-	rows = rows[:0]
-	for dst := range m {
-		rows = append(rows, stateRow{dst, mapID(dst)})
+// sortedKeys returns keys[:0] refilled with the keys of m in ascending
+// order.
+func sortedKeys[V any](keys []routing.NodeID, m map[routing.NodeID]V) []routing.NodeID {
+	keys = keys[:0]
+	for k := range m {
+		keys = append(keys, k)
 	}
-	slices.SortFunc(rows, func(a, b stateRow) int { return cmp.Compare(a.mapped, b.mapped) })
-	return rows
+	slices.Sort(keys)
+	return keys
 }
 
 // Push appends pkt to its destination's queue. A full queue drops its
@@ -76,12 +70,7 @@ func (p *Pending) Drop(dst routing.NodeID, reason routing.DropReason) {
 
 // dsts returns the buffered destinations in ascending order.
 func (p *Pending) dsts() []routing.NodeID {
-	out := make([]routing.NodeID, 0, len(p.q))
-	for dst := range p.q {
-		out = append(out, dst)
-	}
-	slices.Sort(out)
-	return out
+	return sortedKeys(make([]routing.NodeID, 0, len(p.q)), p.q)
 }
 
 // WalkHeldData implements routing.HeldDataWalker for the embedding
@@ -96,16 +85,16 @@ func (p *Pending) WalkHeldData(fn func(*routing.DataPacket)) {
 }
 
 // appendState serializes the buffer for a routing.ModelStater encoding:
-// destinations sorted by their mapped identifier, packets in queue order.
-func (p *Pending) appendState(out []byte, mapID func(routing.NodeID) routing.NodeID) []byte {
-	p.rows = sortedRows(p.rows, p.q, mapID)
-	out = binary.AppendUvarint(out, uint64(len(p.rows)))
-	for _, r := range p.rows {
-		q := p.q[r.dst]
-		out = binary.AppendVarint(out, int64(r.mapped))
+// destinations in ascending order, packets in queue order.
+func (p *Pending) appendState(out []byte) []byte {
+	p.keys = sortedKeys(p.keys, p.q)
+	out = binary.AppendUvarint(out, uint64(len(p.keys)))
+	for _, dst := range p.keys {
+		q := p.q[dst]
+		out = binary.AppendVarint(out, int64(dst))
 		out = binary.AppendUvarint(out, uint64(len(q)))
 		for _, pkt := range q {
-			out = binary.AppendVarint(out, int64(mapID(pkt.Src)))
+			out = binary.AppendVarint(out, int64(pkt.Src))
 			out = binary.AppendUvarint(out, pkt.ID)
 			out = binary.AppendVarint(out, int64(pkt.TTL))
 			out = binary.AppendVarint(out, int64(pkt.Bytes))
@@ -242,16 +231,15 @@ func (ds *Discoveries) Reset() {
 
 // AppendDiscoveryState serializes the buffered data, the active
 // computations and the request-ID counter for the embedding protocol's
-// routing.ModelStater encoding, map-valued state sorted by the mapped
-// identifiers.
-func (ds *Discoveries) AppendDiscoveryState(out []byte, mapID func(routing.NodeID) routing.NodeID) []byte {
-	out = ds.appendState(out, mapID)
+// routing.ModelStater encoding, map-valued state in ascending key order.
+func (ds *Discoveries) AppendDiscoveryState(out []byte) []byte {
+	out = ds.appendState(out)
 
-	ds.rows = sortedRows(ds.rows, ds.active, mapID)
-	out = binary.AppendUvarint(out, uint64(len(ds.rows)))
-	for _, r := range ds.rows {
-		d := ds.active[r.dst]
-		out = binary.AppendVarint(out, int64(r.mapped))
+	ds.keys = sortedKeys(ds.keys, ds.active)
+	out = binary.AppendUvarint(out, uint64(len(ds.keys)))
+	for _, dst := range ds.keys {
+		d := ds.active[dst]
+		out = binary.AppendVarint(out, int64(dst))
 		out = binary.AppendUvarint(out, uint64(d.ID))
 		out = binary.AppendVarint(out, int64(d.TTL))
 		out = binary.AppendVarint(out, int64(d.Retries))

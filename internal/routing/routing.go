@@ -158,10 +158,10 @@ type VolatileResetter interface {
 // AppendModelState's encoding must cover everything that influences
 // future behaviour (tables with labels, duplicate caches, pending
 // buffers, active discoveries, counters) and nothing that does not.
-// mapID relabels node identifiers — the checker canonicalizes states
-// under topology automorphisms by re-encoding through a permutation.
-// Implementations must emit map- and set-valued state sorted by the
-// MAPPED identifiers, so two symmetric states serialize to equal bytes.
+// Implementations must emit map- and set-valued state in ascending key
+// order, so that equal states serialize to equal bytes, and a sequence
+// whose order the protocol reads (a tie broken by position) in that
+// order, so that states that behave differently do not.
 //
 // SaveModelState and RestoreModelState cover MORE than the encoding:
 // every field a handler, a reset or Start can write, including state
@@ -185,7 +185,7 @@ type VolatileResetter interface {
 // this interface, not of a further optional one, so that a decorator that
 // embeds ModelStater forwards them without knowing them.
 type ModelStater interface {
-	AppendModelState(out []byte, mapID func(NodeID) NodeID) []byte
+	AppendModelState(out []byte) []byte
 	SaveModelState(store any) any
 	RestoreModelState(store any)
 }
