@@ -30,8 +30,9 @@ test:
 flags-check:
 	GO="$(GO)" sh scripts/flags.sh | diff scripts/flags.golden -
 
-# The sweep engine and its callers are the only concurrent code; -race on
-# the whole module keeps them honest. The generous -timeout is for
+# The sweep engine and its callers run cells concurrently; -race on them
+# keeps that honest. The model checker's workers, the other concurrent
+# code, are raced by modelcheck-smoke. The generous -timeout is for
 # single-core boxes, where the race detector's slowdown is at its worst.
 race:
 	$(GO) test -race -timeout 60m ./internal/sweep/ ./internal/experiments/ ./internal/scenario/
@@ -44,8 +45,9 @@ race:
 # scan-for-minimum model, of OLSR's id-indexed link state against the
 # map implementation it replaced, of the radio's receiver scan (which
 # keeps positions) against brute force and the scan that looked every node
-# up, and of LoadSpec on hostile seed files (a failing input lands in the
-# package's testdata/fuzz/ and then fails plain `go test` too).
+# up, of LoadSpec on hostile seed files, and of the journal's Open and Put
+# on hostile record files (a failing input lands in the package's
+# testdata/fuzz/ and then fails plain `go test` too).
 fuzz-smoke:
 	$(GO) test -race -timeout 30m ./internal/conformance/ -run 'TestRegressionSeeds|TestFuzzSmoke'
 	$(GO) run ./cmd/ldrfuzz -runs 8 -seed 42 -max-nodes 20 -max-simtime 12s -q
@@ -53,6 +55,7 @@ fuzz-smoke:
 	$(GO) test ./internal/olsr -run '^$$' -fuzz FuzzOLSRState -fuzztime 20s
 	$(GO) test ./internal/radio -run '^$$' -fuzz FuzzReceiverSet -fuzztime 20s
 	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzLoadSpec -fuzztime 20s
+	$(GO) test ./internal/resilience -run '^$$' -fuzz FuzzJournalRecord -fuzztime 20s
 
 # Heterogeneous-radio fuzz axis (nightly): randomized scenarios drawn
 # only from the profiles that produce one-way links and uneven placement,
@@ -100,10 +103,13 @@ modelcheck:
 # resets and on the 4-node paw; the rediscovered AODV loop; the
 # committed-seed bridge replays) plus the checks the search rests on:
 # restore equals replay, an action touches one node, independent actions
-# commute, and the sleep sets keep every state of the unreduced search.
+# commute, the sleep sets keep every state of the unreduced search, and
+# the search is the same at one, two and three workers, whose handlers
+# run one at a time and whose panics reach the caller. The race detector
+# watches the workers here.
 # Part of `make check`.
 modelcheck-smoke:
-	$(GO) test -race -timeout 30m ./internal/modelcheck/ -run 'TestLDRLine3Clean|TestLDRVolatileLine3Clean|TestLDRPaw4Clean|TestAODVLine3Violation|TestWitnessBridge|TestSnapshotEqualsReplay|TestActionTouchesOneNode|TestReductionKeepsEveryState|TestIndependentActionsCommute'
+	$(GO) test -race -timeout 30m ./internal/modelcheck/ -run 'TestLDRLine3Clean|TestLDRVolatileLine3Clean|TestLDRPaw4Clean|TestAODVLine3Violation|TestWitnessBridge|TestSnapshotEqualsReplay|TestActionTouchesOneNode|TestReductionKeepsEveryState|TestIndependentActionsCommute|TestExploreIndependentOfWorkers|TestHandlersRunOneAtATime|TestWorkerPanicReachesTheCaller|TestProgressEndsWithTheResult'
 
 # Regenerate the committed van Glabbeek witness seed from scratch (the
 # checker re-derives the schedule; the file only changes if the witness

@@ -1,7 +1,10 @@
 package modelcheck
 
 // Exploration-throughput benchmarks, recorded as BENCH_modelcheck.json
-// by `make bench-modelcheck`. A transition is one apply, one loop check,
+// by `make bench-modelcheck`. Check splits a layer across GOMAXPROCS
+// workers only if it fills four rounds (modelcheck.go), and no layer of
+// the 3-node line does, so both run on one world at any GOMAXPROCS: they
+// measure the one-worker search. A transition is one apply, one loop check,
 // one state key and one in-place restore (snapshot.go), each of the
 // one node the action wrote. By the CPU profile of LDR on the 3-node
 // graphs at depth 14 (notes/perf-PR21.md) the key is two fifths of it —

@@ -12,14 +12,18 @@ package modelcheck
 // soundness discussion) — so nothing ever sits on a node's simulator
 // queue.
 //
-// An exploration has ONE world. The search engine moves it from state to
-// state with apply and takes it back with save/restore (snapshot.go);
-// no second world is built and no action prefix is replayed. That is
-// exact because everything here is deterministic — map iteration never
-// reaches an emission path, microtasks run in schedule order — and
-// because a snapshot covers every field an action can write: the
-// protocols' (routing.ModelStater), the node layer's, and the world's
-// own.
+// A cursor has one world. The search engine moves it from state to state
+// with apply and takes it back with save/restore (snapshot.go); no action
+// prefix is replayed from a fresh world. That is exact because everything
+// here is deterministic — map iteration never reaches an emission path,
+// microtasks run in schedule order — and because a snapshot covers every
+// field an action can write: the protocols' (routing.ModelStater), the
+// node layer's, and the world's own. So worlds built from one scenario
+// are interchangeable, and an exploration builds one per worker
+// (modelcheck.go). They share nothing but the protocol factory, which may
+// share state across the instances it builds, so every world of an
+// exploration runs protocol code — construction, Start and each apply —
+// under one lock (handlers).
 //
 // Locality. An action runs the code of at most one node — deliver the
 // receiver's handler, reset and originate the named node's, drop and dup
@@ -33,6 +37,7 @@ package modelcheck
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/manetlab/ldr/internal/mac"
@@ -160,6 +165,8 @@ type world struct {
 	dropLog []emission // every explicit Drop, with the victim's root slot
 
 	lostUnicasts int // unicasts addressed to non-neighbors (sent into the void)
+
+	handlers *sync.Mutex // held while protocol code runs; one per exploration
 }
 
 var _ routing.ModelEnv = (*world)(nil)
@@ -168,22 +175,25 @@ var _ routing.ModelEnv = (*world)(nil)
 // ModelEnv installed before its protocol starts, then the start-time
 // microtask cascade drained. Deterministic: equal scenarios produce
 // byte-identical worlds. A protocol without the checker's state hooks is
-// an error.
-func newWorld(sc *Scenario) (*world, error) {
+// an error. The protocol code runs under handlers.
+func newWorld(sc *Scenario, handlers *sync.Mutex) (*world, error) {
 	factory, err := scenario.Factory(scenario.ProtocolName(sc.Protocol), sc.LDRConfig)
 	if err != nil {
 		return nil, err
 	}
 	n := sc.Graph.N
 	w := &world{
-		sc:      sc,
-		nbrs:    sc.Graph.Neighbors(),
-		adj:     make([]bool, n*n),
-		pending: make([][]linkMsg, n*n),
-		slot:    -1,
-		curRoot: -1,
-		actor:   -1,
+		sc:       sc,
+		nbrs:     sc.Graph.Neighbors(),
+		adj:      make([]bool, n*n),
+		pending:  make([][]linkMsg, n*n),
+		slot:     -1,
+		curRoot:  -1,
+		actor:    -1,
+		handlers: handlers,
 	}
+	handlers.Lock()
+	defer handlers.Unlock()
 	for _, e := range sc.Graph.Edges {
 		w.adj[e[0]*n+e[1]] = true
 		w.adj[e[1]*n+e[0]] = true
@@ -289,7 +299,7 @@ func (w *world) ModelSendData(from, next routing.NodeID, pkt *routing.DataPacket
 // ModelSchedule implements routing.ModelEnv: immediate timers become
 // microtasks, long timers are dropped. Parking them on the node's
 // never-advanced simulator would grow that queue by one closure per
-// discovery attempt for as long as the exploration's one world lives.
+// discovery attempt for as long as the world lives.
 func (w *world) ModelSchedule(delay time.Duration, fn func()) {
 	if delay <= microDelayMax {
 		w.micro = append(w.micro, fn)
@@ -314,6 +324,8 @@ func (w *world) drain() {
 // apply panics otherwise, because it means the world is not in the state
 // the engine believes it restored, and no result can be trusted.
 func (w *world) apply(a Action) {
+	w.handlers.Lock()
+	defer w.handlers.Unlock()
 	n := w.sc.Graph.N
 	w.curRoot = w.slot
 	w.actor = -1

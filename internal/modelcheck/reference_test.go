@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"slices"
+	"sync"
 	"time"
 
 	"github.com/manetlab/ldr/internal/loopcheck"
@@ -172,7 +173,7 @@ type refCursor struct {
 }
 
 func newRefCursor(sc *Scenario) (*refCursor, error) {
-	w, err := newWorld(sc)
+	w, err := newWorld(sc, new(sync.Mutex))
 	if err != nil {
 		return nil, err
 	}

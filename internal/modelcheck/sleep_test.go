@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -30,16 +31,28 @@ func keysOf(t *testing.T, sc *Scenario, opts Options, recs []rec) []stateKey {
 	return keys
 }
 
-// TestReductionKeepsEveryState runs the search with sleep sets against the
-// search without them (refExplore): the same states, each at the same
-// depth, found in the same order through the same parent and action, the
-// same truncation, the same violation and witness, and no more
-// transitions. The cells are the four pinned explorations (the reference
-// keeps their pinned triples), every connected 3- and 4-node graph under
-// both protocols with a loss and a crash or a duplicate and a volatile
-// crash at depth 8, LDR with Multipath on two 3-node graphs and on K2,3
-// (which must come out clean), the AODV line cut short by the state cap,
-// and K4 with a custom flow.
+// reductionCell is one exploration TestReductionKeepsEveryState and
+// TestExploreIndependentOfWorkers run.
+type reductionCell struct {
+	sc   *Scenario
+	opts Options
+	ref  [3]int // the reference's pinned (states, transitions, depth), if any
+}
+
+func (c reductionCell) name() string {
+	name := fmt.Sprintf("%s/%s/%+v", c.sc.Protocol, c.sc.Graph.Name, c.opts)
+	if c.sc.LDRConfig != nil {
+		name += "/multipath"
+	}
+	return name
+}
+
+// reductionCells are the four pinned explorations (the reference keeps
+// their pinned triples), every connected 3- and 4-node graph under both
+// protocols with a loss and a crash or a duplicate and a volatile crash at
+// depth 8, LDR with Multipath on two 3-node graphs and on K2,3 (which must
+// come out clean), the AODV line cut short by the state cap, and K4 with a
+// custom flow.
 //
 // K2,3 (0–{1,2,3}–4, the one flow 0→4) is the first graph on which an
 // entry holds two alternates. Without a fault the search closes at depth
@@ -47,12 +60,7 @@ func keysOf(t *testing.T, sc *Scenario, opts Options, recs []rec) []stateKey {
 // 50,438. An encoding that sorted the alternates merged states in which
 // promoteAlt picks different successors, and visited only 4,018 and
 // 49,304.
-func TestReductionKeepsEveryState(t *testing.T) {
-	type cell struct {
-		sc   *Scenario
-		opts Options
-		ref  [3]int // the reference's pinned (states, transitions, depth), if any
-	}
+func reductionCells(t *testing.T) []reductionCell {
 	newScenario := func(topo, proto string, flows []Flow, cfg *core.Config) *Scenario {
 		g, err := NamedTopology(topo)
 		if err != nil {
@@ -63,7 +71,7 @@ func TestReductionKeepsEveryState(t *testing.T) {
 		}
 		return &Scenario{Graph: g, Protocol: proto, LDRConfig: cfg, Flows: flows, Seed: 1}
 	}
-	cells := []cell{
+	cells := []reductionCell{
 		{newScenario("line3", "ldr", nil, nil), Options{MaxDepth: 12, MaxResets: 1, MaxDrops: 1}, [3]int{7428, 26251, 12}},
 		{newScenario("line3", "ldr", nil, nil), Options{MaxDepth: 12, MaxVResets: 1}, [3]int{2521, 7442, 12}},
 		{newScenario("n4-1", "ldr", nil, nil), Options{MaxDepth: 10, MaxResets: 1}, [3]int{14056, 45854, 10}},
@@ -71,8 +79,8 @@ func TestReductionKeepsEveryState(t *testing.T) {
 	}
 	for _, sc := range sweepScenarios(t) {
 		cells = append(cells,
-			cell{sc: sc, opts: Options{MaxDepth: 8, MaxDrops: 1, MaxResets: 1}},
-			cell{sc: sc, opts: Options{MaxDepth: 8, MaxDups: 1, MaxVResets: 1}})
+			reductionCell{sc: sc, opts: Options{MaxDepth: 8, MaxDrops: 1, MaxResets: 1}},
+			reductionCell{sc: sc, opts: Options{MaxDepth: 8, MaxDups: 1, MaxVResets: 1}})
 	}
 	multipath := core.DefaultConfig()
 	multipath.Multipath = true
@@ -80,26 +88,30 @@ func TestReductionKeepsEveryState(t *testing.T) {
 		Graph:    Graph{N: 5, Edges: [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 4}, {2, 4}, {3, 4}}, Name: "k23"},
 		Protocol: "ldr", LDRConfig: &multipath, Flows: []Flow{{Src: 0, Dst: 4}}, Seed: 1,
 	}
-	cells = append(cells,
-		cell{sc: newScenario("line3", "ldr", nil, &multipath), opts: Options{MaxDepth: 12, MaxResets: 1, MaxDrops: 1}},
-		cell{sc: newScenario("n3-1", "ldr", nil, &multipath), opts: Options{MaxDepth: 12, MaxResets: 1, MaxDrops: 1}},
-		cell{sc: newScenario("line3", "aodv", nil, nil), opts: Options{MaxDepth: 12, MaxResets: 1, MaxDrops: 1, MaxStates: 1000}},
-		cell{sc: newScenario("n4-5", "ldr", []Flow{{Src: 0, Dst: 1}}, nil), opts: Options{MaxDepth: 9, MaxResets: 1, MaxDrops: 1}},
-		cell{sc: k23, opts: Options{MaxDepth: 18}, ref: [3]int{4234, 15316, 18}},
-		cell{sc: k23, opts: Options{MaxDepth: 16, MaxResets: 1}, ref: [3]int{50438, 199273, 16}},
+	return append(cells,
+		reductionCell{sc: newScenario("line3", "ldr", nil, &multipath), opts: Options{MaxDepth: 12, MaxResets: 1, MaxDrops: 1}},
+		reductionCell{sc: newScenario("n3-1", "ldr", nil, &multipath), opts: Options{MaxDepth: 12, MaxResets: 1, MaxDrops: 1}},
+		reductionCell{sc: newScenario("line3", "aodv", nil, nil), opts: Options{MaxDepth: 12, MaxResets: 1, MaxDrops: 1, MaxStates: 1000}},
+		reductionCell{sc: newScenario("n4-5", "ldr", []Flow{{Src: 0, Dst: 1}}, nil), opts: Options{MaxDepth: 9, MaxResets: 1, MaxDrops: 1}},
+		reductionCell{sc: k23, opts: Options{MaxDepth: 18}, ref: [3]int{4234, 15316, 18}},
+		reductionCell{sc: k23, opts: Options{MaxDepth: 16, MaxResets: 1}, ref: [3]int{50438, 199273, 16}},
 	)
+}
 
-	for _, c := range cells {
-		name := fmt.Sprintf("%s/%s/%+v", c.sc.Protocol, c.sc.Graph.Name, c.opts)
-		if c.sc.LDRConfig != nil {
-			name += "/multipath"
-		}
+// TestReductionKeepsEveryState runs the search with sleep sets against the
+// search without them (refExplore) on every reduction cell: the same
+// states, each at the same depth, found in the same order through the same
+// parent and action, the same truncation, the same violation and witness,
+// and no more transitions.
+func TestReductionKeepsEveryState(t *testing.T) {
+	for _, c := range reductionCells(t) {
+		name := c.name()
 		opts := c.opts.withDefaults()
 		cur, err := newCursor(c.sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, recs := explore(cur, opts, time.Now())
+		got, recs := explore(cur, opts, runtime.GOMAXPROCS(0), time.Now())
 		ref, err := newCursor(c.sc)
 		if err != nil {
 			t.Fatal(err)

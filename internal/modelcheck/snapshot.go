@@ -1,7 +1,8 @@
 package modelcheck
 
 // Saving and restoring a world in place, and the cursor that walks one
-// world over the search tree with a stack of saved states.
+// world over the search tree with a stack of saved states. Each worker of
+// an exploration has a cursor of its own (modelcheck.go).
 //
 // Completeness rule: a snapshot holds every field an action can write,
 // whether or not the state encoding (encode.go) includes it. The encoding
@@ -31,6 +32,7 @@ package modelcheck
 
 import (
 	"math/bits"
+	"sync"
 
 	"github.com/manetlab/ldr/internal/routing"
 )
@@ -165,13 +167,12 @@ func (s *snapshot) restore(w *world) {
 	w.delLog, w.dropLog = w.delLog[:s.delLen], w.dropLog[:s.dropLen]
 }
 
-// cursor is an exploration's one world together with the saved states of
-// the path that led to where it stands. Moving to another state of the
-// search tree restores the deepest saved state the two paths share and
-// applies only the rest; breadth-first order visits the tree's states in
-// trie order, so that rest is short (1.8 actions per expansion on the
-// 3-node graphs at depth 14) and the stack never holds more than the
-// depth bound plus one.
+// cursor is a world together with the saved states of the path that led
+// to where it stands. Moving to another state of the search tree restores
+// the deepest saved state the two paths share and applies only the rest;
+// breadth-first order visits the tree's states in trie order, so that
+// rest is short (1.8 actions per expansion on the 3-node graphs at depth
+// 14) and the stack never holds more than the depth bound plus one.
 //
 // Sharing is safe because of the order slots are written in: snaps[k] is
 // saved over only by a seek whose trace parts from the cursor's before
@@ -195,7 +196,13 @@ type cursor struct {
 
 // newCursor builds the scenario's world and saves its initial state.
 func newCursor(sc *Scenario) (*cursor, error) {
-	w, err := newWorld(sc)
+	return openCursor(sc, new(sync.Mutex))
+}
+
+// openCursor is newCursor for a world whose protocol code runs under
+// handlers, the lock of an exploration's other worlds.
+func openCursor(sc *Scenario, handlers *sync.Mutex) (*cursor, error) {
+	w, err := newWorld(sc, handlers)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,7 +22,7 @@ import (
 // save/restore is checked against, and exists only here.
 func materialize(t testing.TB, sc *Scenario, trace []Action) *world {
 	t.Helper()
-	w, err := newWorld(sc)
+	w, err := newWorld(sc, new(sync.Mutex))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,8 +301,8 @@ func modelStateFields(t *testing.T) map[reflect.Type]fieldLists {
 			// node and protocol by protocol; micro is empty between actions;
 			// actor is set by every apply before anything reads it; the dirty
 			// sets say how the world differs from a saved state and are no
-			// part of one.
-			[]string{"sc", "nbrs", "adj", "nw", "staters", "tablers", "vresetters", "micro", "actor", "dirtyNodes", "dirtyLinks"}},
+			// part of one; handlers is the exploration's lock.
+			[]string{"sc", "nbrs", "adj", "nw", "staters", "tablers", "vresetters", "micro", "actor", "dirtyNodes", "dirtyLinks", "handlers"}},
 	}
 }
 
@@ -375,8 +376,8 @@ func TestEncoderKeyDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestCheckLeavesNoParkedTimers: the one world of an exploration lives
-// for every transition of it, so a timer left on a node's never-advanced
+// TestCheckLeavesNoParkedTimers: a worker's world lives for every
+// transition the worker makes, so a timer left on a node's never-advanced
 // simulator queue per discovery attempt would be a leak proportional to
 // the exploration.
 func TestCheckLeavesNoParkedTimers(t *testing.T) {
@@ -386,7 +387,7 @@ func TestCheckLeavesNoParkedTimers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _ := explore(cur, Options{MaxDepth: 9, MaxResets: 1, MaxDrops: 1}.withDefaults(), time.Now())
+	res, _ := explore(cur, Options{MaxDepth: 9, MaxResets: 1, MaxDrops: 1}.withDefaults(), 1, time.Now())
 	if res.Violation != nil || res.Transitions == 0 {
 		t.Fatalf("exploration: %d transitions, violation %v", res.Transitions, res.Violation)
 	}

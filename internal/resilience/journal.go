@@ -26,6 +26,7 @@
 package resilience
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -188,6 +189,11 @@ func (j *Journal) Get(key string) ([]byte, bool) {
 // reaches disk is never corrupt, because its bytes are fsynced before
 // the rename makes it visible. Re-putting an existing key is a no-op.
 // Write failures surface on Sync.
+//
+// The payload must be JSON as json.Marshal writes it: the envelope carries
+// it compacted and HTML-escaped, so any other form would reopen as other
+// bytes, fail its checksum and re-run the cell on every resume. Put
+// refuses such a payload.
 func (j *Journal) Put(key string, payload []byte) error {
 	sum := sha256.Sum256(payload)
 	blob, err := json.Marshal(record{
@@ -198,6 +204,10 @@ func (j *Journal) Put(key string, payload []byte) error {
 	})
 	if err != nil {
 		return fmt.Errorf("resilience: encoding record: %w", err)
+	}
+	var carried record
+	if err := json.Unmarshal(blob, &carried); err != nil || !bytes.Equal(carried.Payload, payload) {
+		return fmt.Errorf("resilience: payload is not compact JSON, so it would not reopen as written")
 	}
 
 	j.mu.Lock()

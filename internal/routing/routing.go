@@ -133,7 +133,10 @@ type TableSnapshotter interface {
 // TableAppender is the allocation-free variant of TableSnapshotter:
 // entries are appended to the caller's buffer. Continuous auditors (the
 // fault subsystem snapshots every table many times per simulated second)
-// use it to reuse one buffer across snapshots.
+// use it to reuse one buffer across snapshots. The bounded model checker
+// calls it concurrently on distinct instances (a network per worker),
+// never on one instance at once, so it must write nothing that instances
+// share.
 type TableAppender interface {
 	AppendTable(out []RouteEntry) []RouteEntry
 }
@@ -152,8 +155,8 @@ type VolatileResetter interface {
 // ModelStater is implemented by protocols the bounded model checker can
 // drive: their complete protocol-level state can be serialized
 // deterministically, which is what the checker memoizes states on, and
-// saved and put back in place, which is how the checker backtracks on its
-// one live network instead of rebuilding one per state.
+// saved and put back in place, which is how the checker backtracks on a
+// live network instead of rebuilding one per state.
 //
 // AppendModelState's encoding must cover everything that influences
 // future behaviour (tables with labels, duplicate caches, pending
@@ -184,6 +187,13 @@ type VolatileResetter interface {
 // saved state can be restored any number of times. Both are methods of
 // this interface, not of a further optional one, so that a decorator that
 // embeds ModelStater forwards them without knowing them.
+//
+// The checker expands states on several workers, each with a network of
+// its own, so all three methods are called concurrently on distinct
+// instances, never on one instance at once: they must write nothing that
+// instances share. The protocol's handlers, Start and reset are not: the
+// checker runs them under one lock per exploration, so a factory may share
+// state across the instances it builds.
 type ModelStater interface {
 	AppendModelState(out []byte) []byte
 	SaveModelState(store any) any
