@@ -45,9 +45,10 @@ race:
 # scan-for-minimum model, of OLSR's id-indexed link state against the
 # map implementation it replaced, of the radio's receiver scan (which
 # keeps positions) against brute force and the scan that looked every node
-# up, of LoadSpec on hostile seed files, and of the journal's Open and Put
-# on hostile record files (a failing input lands in the package's
-# testdata/fuzz/ and then fails plain `go test` too).
+# up, of LoadSpec on hostile seed files, of the journal's Open and Put
+# on hostile record files, and of benchjson's parse on hostile `go test`
+# output (a failing input lands in the package's testdata/fuzz/ and then
+# fails plain `go test` too).
 fuzz-smoke:
 	$(GO) test -race -timeout 30m ./internal/conformance/ -run 'TestRegressionSeeds|TestFuzzSmoke'
 	$(GO) run ./cmd/ldrfuzz -runs 8 -seed 42 -max-nodes 20 -max-simtime 12s -q
@@ -56,6 +57,7 @@ fuzz-smoke:
 	$(GO) test ./internal/radio -run '^$$' -fuzz FuzzReceiverSet -fuzztime 20s
 	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzLoadSpec -fuzztime 20s
 	$(GO) test ./internal/resilience -run '^$$' -fuzz FuzzJournalRecord -fuzztime 20s
+	$(GO) test ./cmd/benchjson -run '^$$' -fuzz FuzzParse -fuzztime 20s
 
 # Heterogeneous-radio fuzz axis (nightly): randomized scenarios drawn
 # only from the profiles that produce one-way links and uneven placement,

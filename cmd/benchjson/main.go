@@ -14,9 +14,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Result is one benchmark line. Name is the benchmark's name without the
@@ -164,6 +166,9 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 	rep := &Report{}
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
+		if !utf8.ValidString(line) {
+			continue // `go test` writes UTF-8; JSON would not keep these bytes
+		}
 		switch {
 		case strings.HasPrefix(line, "goos:"):
 			rep.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
@@ -187,7 +192,8 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 //
 //	BenchmarkName-8   120   9843215 ns/op   1024 B/op   12 allocs/op   321.5 cells/sec
 //
-// i.e. name, iteration count, then (value, unit) pairs. The name's "-8"
+// i.e. name, iteration count, then (value, unit) pairs; a line with a
+// value that is not a finite number is skipped. The name's "-8"
 // goes to GOMAXPROCS; `go test` writes none at GOMAXPROCS=1, so a
 // sub-benchmark called "n-50" run there would read as "n" at 50 — no
 // benchmark of this repository ends in a hyphen and digits.
@@ -207,8 +213,10 @@ func parseBench(line string) (Result, bool) {
 		}
 	}
 	for i := 2; i+1 < len(f); i += 2 {
+		// JSON has no NaN or ±Inf: such a value would fail the report's
+		// encoding, and a NaN baseline would pass any -maxregress gate.
 		v, err := strconv.ParseFloat(f[i], 64)
-		if err != nil {
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			return Result{}, false
 		}
 		r.Metrics[f[i+1]] = v

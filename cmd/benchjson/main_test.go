@@ -3,9 +3,11 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -83,8 +85,9 @@ func TestMaxRegressFailsWhenNothingCompared(t *testing.T) {
 	}
 }
 
-func TestParse(t *testing.T) {
-	in := `goos: linux
+// goTestOutput is what `go test -bench -benchmem` prints, with the lines
+// around the benchmarks that parse records or ignores.
+const goTestOutput = `goos: linux
 goarch: amd64
 pkg: github.com/manetlab/ldr/internal/sweep
 cpu: Imaginary CPU @ 2.00GHz
@@ -93,7 +96,9 @@ BenchmarkSweepWorkers4-4        8	 153086419 ns/op	  52.3 cells/sec	 7338268 eve
 PASS
 ok  	github.com/manetlab/ldr/internal/sweep	3.211s
 `
-	rep, err := parse(bufio.NewScanner(strings.NewReader(in)))
+
+func TestParse(t *testing.T) {
+	rep, err := parse(bufio.NewScanner(strings.NewReader(goTestOutput)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,9 +169,44 @@ func TestParseBenchRejectsMalformed(t *testing.T) {
 		"BenchmarkX",
 		"BenchmarkX notanumber 12 ns/op",
 		"BenchmarkX 5 garbage ns/op",
+		"BenchmarkX-2 10 NaN ns/op",
+		"BenchmarkX 5 +Inf ns/op",
+		"BenchmarkX 5 12 ns/op -inf B/op",
+		"BenchmarkX 5 12 ns/op 1e999 B/op",
 	} {
 		if _, ok := parseBench(line); ok {
 			t.Errorf("parseBench(%q) accepted malformed input", line)
 		}
 	}
+	// Before non-finite values were skipped, this failed in the JSON
+	// encoder ("unsupported value: NaN") instead.
+	if code, stderr := benchjson(t, "BenchmarkX-2 10 NaN ns/op\n"); code == 0 || !strings.Contains(stderr, "no benchmark lines") {
+		t.Errorf("a NaN-only input: exit %d, stderr %q; want no benchmark lines found", code, stderr)
+	}
+}
+
+// FuzzParse: whatever arrives on stdin, parse must not panic, and a report
+// it returns must come back equal from the JSON round trip that writing it
+// out and reading it back as a -maxregress baseline puts it through.
+func FuzzParse(f *testing.F) {
+	f.Add(goTestOutput)
+	f.Add("BenchmarkX-2 10 NaN ns/op\nBenchmarkY 3 1 ns/op\n")
+	f.Add("BenchmarkX/a-b/ldr-2 5 12 ns/op 0x1p-2 B/op -0 allocs/op odd\ngoos:\tlinux \n")
+	f.Fuzz(func(t *testing.T, in string) {
+		rep, err := parse(bufio.NewScanner(strings.NewReader(in)))
+		if err != nil {
+			return // a line past the scanner's limit: main reports it
+		}
+		blob, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatalf("report does not encode: %v\n%+v", err, rep)
+		}
+		var back Report
+		if err := json.Unmarshal(blob, &back); err != nil {
+			t.Fatalf("report does not decode: %v\n%s", err, blob)
+		}
+		if !reflect.DeepEqual(*rep, back) {
+			t.Fatalf("round trip changed the report:\n%+v\n%+v", *rep, back)
+		}
+	})
 }

@@ -105,7 +105,7 @@ func TestTransientEventsAreRecycled(t *testing.T) {
 	if s.pool.Len() != 0 {
 		t.Fatal("pooled event was not reused")
 	}
-	if s.queue[0].ev != recycled {
+	if s.queue.min() != recycled {
 		t.Fatal("scheduled event is not the pooled one")
 	}
 	s.RunAll()
@@ -127,6 +127,56 @@ func TestScheduleZeroAllocsWhenWarm(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("Schedule allocates %.1f/op with a warm pool", allocs)
+	}
+}
+
+// TestScheduleAcrossRingZeroAllocsWhenWarm: the ring's buckets are lists
+// through the events themselves, so once the pool and the far heap's slice
+// are warm, filling every bucket and the far heap allocates nothing.
+func TestScheduleAcrossRingZeroAllocsWhenWarm(t *testing.T) {
+	s := New()
+	fn := func() {}
+	fill := func() {
+		for k := 0; k <= ringSize; k++ { // k = ringSize is past the horizon
+			s.Schedule(time.Duration(k)<<bucketShift, fn)
+			s.Schedule(time.Duration(k)<<bucketShift+time.Hour, fn).Cancel()
+		}
+	}
+	fill()
+	for i, w := range s.queue.ring.occupied {
+		if w != ^uint64(0) {
+			t.Fatalf("occupancy word %d = %#x, want every bucket used (test setup)", i, w)
+		}
+	}
+	if len(s.queue.far) != 1 {
+		t.Fatalf("far heap holds %d events, want 1 (test setup)", len(s.queue.far))
+	}
+	s.RunAll()
+	allocs := testing.AllocsPerRun(100, func() {
+		fill()
+		s.RunAll()
+	})
+	if allocs > 0 {
+		t.Fatalf("scheduling into every bucket and the far heap allocates %.1f/op when warm", allocs)
+	}
+}
+
+var sinkSim *Simulator
+
+// TestNewAllocatesOnlyTheSimulator: a simulator that never schedules —
+// the model checker builds one per world — allocates the struct and
+// nothing else; the ring comes with the first event.
+func TestNewAllocatesOnlyTheSimulator(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		sinkSim = New()
+		sinkSim.Run(time.Second)
+		sinkSim.Step()
+	})
+	if allocs != 1 {
+		t.Fatalf("New plus a run with nothing queued allocates %.1f/op, want 1", allocs)
+	}
+	if sinkSim.queue.ring != nil {
+		t.Fatal("a simulator that never scheduled has a ring")
 	}
 }
 
@@ -180,7 +230,7 @@ func TestTransientNegativeDelayClamped(t *testing.T) {
 	s := New()
 	fired := false
 	s.ScheduleTransient(-time.Second, func(any, uint64) { fired = true }, nil, 0)
-	if s.queue[0].at != 0 {
+	if s.queue.min().at != 0 {
 		t.Fatal("negative delay not clamped to now")
 	}
 	s.RunAll()

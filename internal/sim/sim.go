@@ -3,9 +3,11 @@
 // The simulator maintains a virtual clock and a priority queue of events.
 // Events scheduled for the same instant fire in scheduling order, which —
 // together with the seeded streams in package rng — makes every run fully
-// reproducible from its scenario seed. The queue is a 4-ary heap whose
-// entries carry their (time, sequence) key inline (see eventQueue); that
-// key is a total order, so the firing order does not depend on the heap.
+// reproducible from its scenario seed. The queue has two tiers (see
+// eventQueue): events due within about 33 ms of the last one fired sit in
+// a ring of time buckets, each a list sorted by (time, sequence), and
+// later ones in a 4-ary heap on the same key. That key is a total order,
+// so the firing order does not depend on which tier holds an event.
 //
 // The engine is intentionally single-threaded: all protocol, MAC, and radio
 // code runs inside event callbacks on one goroutine. No locking is needed
@@ -42,7 +44,9 @@ type Event struct {
 	arg any
 	u   uint64
 
-	index int        // position in the heap, -1 once removed
+	index int    // position in the far heap, inRing, or notQueued
+	prev  *Event // neighbours in a ring bucket's list
+	next  *Event
 	owner *Simulator // simulator holding the event while queued
 }
 
@@ -57,7 +61,7 @@ type Timer struct {
 
 // Pending reports whether the timer's event is still scheduled.
 func (t Timer) Pending() bool {
-	return t.ev != nil && t.ev.gen == t.gen && t.ev.index >= 0
+	return t.ev != nil && t.ev.gen == t.gen && t.ev.index != notQueued
 }
 
 // Time returns the virtual time at which the event fires, or zero if the
@@ -77,7 +81,8 @@ func (t Timer) Cancel() {
 		return
 	}
 	s := t.ev.owner
-	s.recycle(s.queue.remove(t.ev.index))
+	s.queue.remove(t.ev)
+	s.recycle(t.ev)
 }
 
 // Simulator is a discrete-event simulation engine.
@@ -198,10 +203,20 @@ func (s *Simulator) ScheduleTransient(delay time.Duration, fn func(any, uint64),
 // Step executes the next event, advancing the clock. It returns false if
 // the queue is empty or the simulator has been halted.
 func (s *Simulator) Step() bool {
-	if s.halted || len(s.queue) == 0 {
+	if s.halted {
 		return false
 	}
-	ev := s.queue.remove(0)
+	ev := s.queue.min()
+	if ev == nil {
+		return false
+	}
+	s.fire(ev)
+	return true
+}
+
+// fire takes ev, the earliest queued event, off the queue and runs it.
+func (s *Simulator) fire(ev *Event) {
+	s.queue.take(ev)
 	s.now = ev.at
 	s.fired++
 	// Copy the callback out and recycle before invoking: a fired event
@@ -215,7 +230,6 @@ func (s *Simulator) Step() bool {
 	} else if afn != nil {
 		afn(arg, u)
 	}
-	return true
 }
 
 // Run executes events until the clock would pass `until`, the queue
@@ -224,11 +238,12 @@ func (s *Simulator) Step() bool {
 // last event) — or wherever the last event left it if the run was
 // interrupted, so partial metrics report the virtual time they cover.
 func (s *Simulator) Run(until time.Duration) {
-	for !s.halted && len(s.queue) > 0 && s.queue[0].at <= until {
-		if s.interrupted.Load() {
-			return
+	for !s.halted && !s.interrupted.Load() {
+		ev := s.queue.min()
+		if ev == nil || ev.at > until {
+			break
 		}
-		s.Step()
+		s.fire(ev)
 	}
 	if s.interrupted.Load() {
 		return
@@ -264,101 +279,4 @@ func (s *Simulator) Interrupt() { s.interrupted.Store(true) }
 func (s *Simulator) Interrupted() bool { return s.interrupted.Load() }
 
 // Pending returns the number of events still queued.
-func (s *Simulator) Pending() int { return len(s.queue) }
-
-// eventQueue is a 4-ary min-heap ordered by (time, insertion sequence).
-// The key travels in the slice entry beside the event pointer, so sifting
-// compares neighbouring memory and never dereferences an event; the four
-// children of a node are 96 contiguous bytes, and the tree is half as deep
-// as a binary heap's. (at, seq) is a total order — seq is unique — so the
-// pop order is the sorted order whatever the heap's shape.
-//
-// Every move writes the event's index back, which is what lets
-// Timer.Cancel remove from the middle in O(log n).
-type eventQueue []entry
-
-type entry struct {
-	at  time.Duration
-	seq uint64
-	ev  *Event
-}
-
-func (a entry) before(b entry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// set stores e at position i and records the position on its event.
-func (q eventQueue) set(i int, e entry) {
-	q[i] = e
-	e.ev.index = i
-}
-
-func (q *eventQueue) push(ev *Event) {
-	*q = append(*q, entry{})
-	q.up(len(*q)-1, entry{at: ev.at, seq: ev.seq, ev: ev})
-}
-
-// remove takes the event at position i out of the heap; position 0 is the
-// earliest event.
-func (q *eventQueue) remove(i int) *Event {
-	old := *q
-	ev := old[i].ev
-	n := len(old) - 1
-	last := old[n]
-	old[n] = entry{}
-	*q = old[:n]
-	if i < n {
-		// Refill the hole with the last entry: it may belong above the hole
-		// (only possible when removing from the middle) or below it.
-		if i > 0 && last.before(old[(i-1)/4]) {
-			q.up(i, last)
-		} else {
-			q.down(i, last)
-		}
-	}
-	ev.index = -1
-	return ev
-}
-
-// up places e at or above position i, moving larger parents down.
-func (q eventQueue) up(i int, e entry) {
-	for i > 0 {
-		p := (i - 1) / 4
-		if !e.before(q[p]) {
-			break
-		}
-		q.set(i, q[p])
-		i = p
-	}
-	q.set(i, e)
-}
-
-// down places e at or below position i, moving the smallest child up.
-func (q eventQueue) down(i int, e entry) {
-	n := len(q)
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		m := c
-		for j := c + 1; j < end; j++ {
-			if q[j].before(q[m]) {
-				m = j
-			}
-		}
-		if !q[m].before(e) {
-			break
-		}
-		q.set(i, q[m])
-		i = m
-	}
-	q.set(i, e)
-}
+func (s *Simulator) Pending() int { return s.queue.near + len(s.queue.far) }
