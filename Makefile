@@ -42,8 +42,9 @@ race:
 # detector, then the same sweep again via the ldrfuzz binary, which must
 # exit 0. Matches TestFuzzSmoke's bounds so failures reproduce in-test.
 # Last, 20 s each of native fuzzing of the event queue against its
-# scan-for-minimum model, of OLSR's id-indexed link state against the
-# map implementation it replaced, of the radio's receiver scan (which
+# scan-for-minimum model, of OLSR's id-indexed link state and of the
+# on-demand duplicate cache, buffers and discoveries against the map
+# implementations they replaced, of the radio's receiver scan (which
 # keeps positions) against brute force and the scan that looked every node
 # up, of LoadSpec on hostile seed files, of the journal's Open and Put
 # on hostile record files, and of benchjson's parse on hostile `go test`
@@ -54,6 +55,7 @@ fuzz-smoke:
 	$(GO) run ./cmd/ldrfuzz -runs 8 -seed 42 -max-nodes 20 -max-simtime 12s -q
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEventQueue -fuzztime 20s
 	$(GO) test ./internal/olsr -run '^$$' -fuzz FuzzOLSRState -fuzztime 20s
+	$(GO) test ./internal/routing/ondemand -run '^$$' -fuzz FuzzOnDemandState -fuzztime 20s
 	$(GO) test ./internal/radio -run '^$$' -fuzz FuzzReceiverSet -fuzztime 20s
 	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzLoadSpec -fuzztime 20s
 	$(GO) test ./internal/resilience -run '^$$' -fuzz FuzzJournalRecord -fuzztime 20s
@@ -161,11 +163,12 @@ bench-sweep:
 	$(GO) test -run '^$$' $(BENCH_SWEEP) | tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_sweep.json -maxregress 10
 
 # Fast allocation-regression smoke: the zero-alloc guards on the event
-# loop, the radio's fault-delayed delivery, MAC queue, LDR round trip and
-# OLSR's warm link-state paths, plus a single tiny sweep cell.
+# loop, the radio's fault-delayed delivery, MAC queue, LDR round trip,
+# LDR's and AODV's warm model-state save/encode/restore and OLSR's warm
+# link-state paths, plus a single tiny sweep cell.
 # Part of `make check` so steady-state allocation creep fails CI quickly.
 bench-smoke:
-	$(GO) test -run 'Alloc|ZeroAlloc' ./internal/sim/ ./internal/radio/ ./internal/mac/ ./internal/core/ ./internal/routing/... ./internal/olsr/
+	$(GO) test -run 'Alloc|ZeroAlloc' ./internal/sim/ ./internal/radio/ ./internal/mac/ ./internal/core/ ./internal/aodv/ ./internal/routing/... ./internal/olsr/
 	$(GO) test -run '^$$' -bench 'ScheduleTransient|SweepSerial' -benchtime 10x \
 		./internal/sim/ ./internal/sweep/
 

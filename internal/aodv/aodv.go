@@ -13,6 +13,7 @@
 package aodv
 
 import (
+	"slices"
 	"time"
 
 	"github.com/manetlab/ldr/internal/metrics"
@@ -85,15 +86,17 @@ const (
 	rerrWirePerDest = 4 + 4
 )
 
-// entry is one AODV routing-table row.
+// entry is one AODV routing-table row. Every entry has a sequence number
+// from the route that created it, so a slot with haveSeq false holds no
+// entry.
 type entry struct {
 	seq        uint32
 	haveSeq    bool
+	valid      bool
 	hops       int
 	next       routing.NodeID
-	valid      bool
 	expiry     time.Duration
-	precursors map[routing.NodeID]struct{}
+	precursors []routing.NodeID // a set, ascending
 }
 
 func (e *entry) active(now time.Duration) bool {
@@ -111,7 +114,7 @@ type AODV struct {
 	node *routing.Node
 
 	ownSeq  uint32
-	routes  map[routing.NodeID]*entry
+	routes  []entry                 // one slot per node by destination id, from the first entry
 	reqSeen ondemand.Seen[struct{}] // RREQ duplicate cache
 
 	ondemand.Discoveries // active discoveries and the data buffered behind them
@@ -124,7 +127,6 @@ type AODV struct {
 	rrepPool runpool.Pool[RREP]
 	rerrPool runpool.Pool[RERR]
 	rerrBuf  []RERRDest
-	enc      encScratch // AppendModelState's scratch (model.go)
 }
 
 var (
@@ -140,7 +142,6 @@ var (
 func New(node *routing.Node) *AODV {
 	a := &AODV{
 		node:   node,
-		routes: make(map[routing.NodeID]*entry),
 		Limits: ondemand.NewLimits(node),
 	}
 	a.Discoveries = ondemand.NewDiscoveries(node, a)
@@ -165,7 +166,7 @@ func (a *AODV) Reset() {
 	a.Discoveries.Reset()
 	a.Limits.Reset()
 	a.ownSeq = 0
-	a.routes = make(map[routing.NodeID]*entry)
+	clear(a.routes)
 	a.reqSeen.Reset()
 }
 
@@ -190,7 +191,7 @@ func (a *AODV) HandleData(from routing.NodeID, pkt *routing.DataPacket) {
 
 func (a *AODV) sendOrQueue(pkt *routing.DataPacket) {
 	now := a.node.Now()
-	e := a.routes[pkt.Dst]
+	e := a.route(pkt.Dst)
 	if e.active(now) {
 		e.refresh(now, ondemand.ActiveRouteTimeout)
 		a.node.SendData(e.next, pkt)
@@ -256,16 +257,17 @@ func (a *AODV) rrepFailed(next routing.NodeID) {
 }
 
 // invalidateVia invalidates every valid route through the broken next
-// hop and returns the list to report (in a.rerrBuf). AODV increments each
-// invalidated destination's stored sequence number — the mechanism whose
-// side effects the LDR paper analyzes.
+// hop and returns the list to report (in a.rerrBuf), in ascending
+// destination order. AODV increments each invalidated destination's
+// stored sequence number — the mechanism whose side effects the LDR paper
+// analyzes.
 func (a *AODV) invalidateVia(next routing.NodeID) []RERRDest {
 	broken := a.rerrBuf[:0]
-	for dst, e := range a.routes {
-		if e.valid && e.next == next {
+	for dst := range a.routes {
+		if e := &a.routes[dst]; e.valid && e.next == next {
 			e.seq++
 			e.valid = false
-			broken = append(broken, RERRDest{Dst: dst, Seq: e.seq})
+			broken = append(broken, RERRDest{Dst: routing.NodeID(dst), Seq: e.seq})
 		}
 	}
 	a.rerrBuf = broken[:0]
@@ -292,7 +294,7 @@ func (a *AODV) DataFailed(next routing.NodeID, pkt *routing.DataPacket) {
 // --- route discovery ---
 
 func (a *AODV) initialTTL(dst routing.NodeID) int {
-	if e := a.routes[dst]; e != nil && e.hops > 0 {
+	if e := a.route(dst); e != nil && e.hops > 0 {
 		ttl := e.hops + ondemand.TTLIncrement
 		if ttl > ondemand.NetDiameter {
 			ttl = ondemand.NetDiameter
@@ -317,7 +319,7 @@ func (a *AODV) SendRequest(dst routing.NodeID, d *ondemand.Discovery) time.Durat
 		ReqID:      d.ID,
 		TTL:        d.TTL,
 	}
-	if e := a.routes[dst]; e != nil && e.haveSeq {
+	if e := a.route(dst); e != nil {
 		q.DstSeq = e.seq
 		q.UnknownSeq = false
 	}
@@ -380,8 +382,8 @@ func (a *AODV) handleRREQ(from routing.NodeID, q RREQ) {
 		return
 	}
 
-	e := a.routes[q.Dst]
-	canAnswer := e.active(now) && e.haveSeq &&
+	e := a.route(q.Dst)
+	canAnswer := e.active(now) &&
 		(!q.UnknownSeq && e.seq >= q.DstSeq || q.UnknownSeq)
 	if canAnswer {
 		// Intermediate reply: the sequence-number ordering guarantees no
@@ -404,7 +406,7 @@ func (a *AODV) handleRREQ(from routing.NodeID, q RREQ) {
 	}
 	q.HopCount++
 	// Relays advertise the highest destination sequence number they know.
-	if e != nil && e.haveSeq && (q.UnknownSeq || e.seq > q.DstSeq) {
+	if e != nil && (q.UnknownSeq || e.seq > q.DstSeq) {
 		q.DstSeq = e.seq
 		q.UnknownSeq = false
 	}
@@ -415,7 +417,7 @@ func (a *AODV) handleRREQ(from routing.NodeID, q RREQ) {
 
 // reply unicasts a RREP toward origin along the reverse route.
 func (a *AODV) reply(p RREP, origin routing.NodeID) {
-	rev := a.routes[origin]
+	rev := a.route(origin)
 	if !rev.active(a.node.Now()) {
 		return
 	}
@@ -444,13 +446,13 @@ func (a *AODV) handleRREP(from routing.NodeID, p RREP) {
 	}
 
 	// Forward along the reverse route toward the origin.
-	rev := a.routes[p.Origin]
+	rev := a.route(p.Origin)
 	if !rev.active(now) {
 		return
 	}
 	fwd := p
 	fwd.HopCount++
-	if e := a.routes[p.Dst]; e != nil {
+	if e := a.route(p.Dst); e != nil {
 		e.precursor(rev.next)
 	}
 	rev.refresh(now, ondemand.ActiveRouteTimeout)
@@ -463,7 +465,7 @@ func (a *AODV) handleRERR(from routing.NodeID, e RERR) {
 	}
 	propagate := a.rerrBuf[:0]
 	for _, u := range e.Unreachable {
-		ent := a.routes[u.Dst]
+		ent := a.route(u.Dst)
 		if ent != nil && ent.valid && ent.next == from {
 			if u.Seq > ent.seq {
 				ent.seq = u.Seq
@@ -491,6 +493,14 @@ func (a *AODV) sendRERR(broken []RERRDest) {
 
 // --- routing table updates ---
 
+// route returns the entry for dst, or nil.
+func (a *AODV) route(dst routing.NodeID) *entry {
+	if uint(dst) >= uint(len(a.routes)) || !a.routes[dst].haveSeq {
+		return nil
+	}
+	return &a.routes[dst]
+}
+
 // accept is the one place AODV accepts or refuses a route (draft-10
 // §8.7): a route is taken when dst is unknown, when its sequence number
 // is newer, or when it is equally new and the current route is unusable
@@ -498,11 +508,11 @@ func (a *AODV) sendRERR(broken []RERRDest) {
 // for its expiry, which the two callers set differently; a refused one
 // returns nil.
 func (a *AODV) accept(dst routing.NodeID, seq uint32, hops int, via routing.NodeID, now time.Duration) *entry {
-	e := a.routes[dst]
+	e := a.route(dst)
 	if e == nil {
-		e = &entry{precursors: make(map[routing.NodeID]struct{})}
-		a.routes[dst] = e
-	} else if better := !e.haveSeq || seq > e.seq || (seq == e.seq && (!e.active(now) || hops < e.hops)); !better {
+		a.routes = routing.Grow(a.routes, dst, a.node.NumNodes())
+		e = &a.routes[dst]
+	} else if better := seq > e.seq || (seq == e.seq && (!e.active(now) || hops < e.hops)); !better {
 		return nil
 	}
 	e.seq, e.haveSeq = seq, true
@@ -541,10 +551,9 @@ func (a *AODV) installForward(p RREP, via routing.NodeID) bool {
 }
 
 func (e *entry) precursor(n routing.NodeID) {
-	if e.precursors == nil {
-		e.precursors = make(map[routing.NodeID]struct{})
+	if i, found := slices.BinarySearch(e.precursors, n); !found {
+		e.precursors = slices.Insert(e.precursors, i, n)
 	}
-	e.precursors[n] = struct{}{}
 }
 
 // --- observability ---
@@ -557,9 +566,13 @@ func (a *AODV) SnapshotTable() []routing.RouteEntry {
 // AppendTable implements routing.TableAppender.
 func (a *AODV) AppendTable(out []routing.RouteEntry) []routing.RouteEntry {
 	now := a.node.Now()
-	for dst, e := range a.routes {
+	for dst := range a.routes {
+		e := &a.routes[dst]
+		if !e.haveSeq {
+			continue
+		}
 		out = append(out, routing.RouteEntry{
-			Dst:    dst,
+			Dst:    routing.NodeID(dst),
 			Next:   e.next,
 			Metric: e.hops,
 			SeqNo:  uint64(e.seq),
@@ -573,16 +586,16 @@ func (a *AODV) AppendTable(out []routing.RouteEntry) []routing.RouteEntry {
 // node's own (Fig. 7: AODV's numbers inflate with mobility; LDR's do not).
 func (a *AODV) ReportSeqnos(col *metrics.Collector) {
 	col.ObserveSeqno(float64(a.ownSeq))
-	for _, e := range a.routes {
-		if e.haveSeq {
-			col.ObserveSeqno(float64(e.seq))
+	for i := range a.routes {
+		if a.routes[i].haveSeq {
+			col.ObserveSeqno(float64(a.routes[i].seq))
 		}
 	}
 }
 
 // RouteTo exposes (next hop, hop count, ok) for tests and examples.
 func (a *AODV) RouteTo(dst routing.NodeID) (routing.NodeID, int, bool) {
-	e := a.routes[dst]
+	e := a.route(dst)
 	if !e.active(a.node.Now()) {
 		return 0, 0, false
 	}

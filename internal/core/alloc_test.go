@@ -3,19 +3,24 @@ package core_test
 import (
 	"testing"
 	"time"
+
+	"github.com/manetlab/ldr/internal/core"
+	"github.com/manetlab/ldr/internal/mobility"
+	"github.com/manetlab/ldr/internal/routing"
 )
 
 // ldrRoundTripAllocCeiling bounds one full LDR round trip on a warm
 // 3-node chain: an expired route, a fresh RREQ flood, the destination's
 // RREP, and the queued data packet's delivery. Discovery legitimately
-// allocates nine objects per round: the two duplicate-cache entries, the
-// discovery record and its timer closure, the buffered packet's queue,
-// the two RREPs' failure closures, the one relay's closure and the test's
-// own scheduling closure. AllocsPerRun reports a whole number, so with
-// half an allocation of margin one more object per round fails: the
-// relayed RREQ boxed or drawn outside the pool again, or a per-packet
-// copy of a message.
-const ldrRoundTripAllocCeiling = 9.5
+// allocates six objects per round: the discovery's timer closure, the
+// buffered packet's queue, the two RREPs' failure closures, the one
+// relay's closure and the test's own scheduling closure; the duplicate
+// caches and the discovery table reuse their slots. AllocsPerRun reports
+// a whole number, so with half an allocation of margin one more object
+// per round fails: the relayed RREQ boxed or drawn outside the pool
+// again, a per-packet copy of a message, or a cache entry or discovery
+// record on the heap again.
+const ldrRoundTripAllocCeiling = 6.5
 
 // TestLDRRREQRoundTripAllocBound runs repeated discovery+delivery rounds
 // and fails when a round's average heap allocations exceed the ceiling.
@@ -46,5 +51,42 @@ func TestLDRRREQRoundTripAllocBound(t *testing.T) {
 	if nw.Collector.DataDelivered < nw.Collector.DataInitiated-1 {
 		t.Fatalf("rounds stopped delivering: %d of %d",
 			nw.Collector.DataDelivered, nw.Collector.DataInitiated)
+	}
+}
+
+// TestModelStateZeroAlloc: once warm, an LDR instance that buffers no
+// data saves, encodes and restores its state without allocating — here
+// with routes, alternates and engaged state with alternate reverse hops,
+// alternated with the empty state a volatile reset leaves.
+func TestModelStateZeroAlloc(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Multipath = true
+	// A diamond: 0 reaches 3 through 1 and through 2.
+	nw := buildNet(mobility.NewStatic([]mobility.Point{{X: 0}, {X: 200, Y: 100}, {X: 200, Y: -100}, {X: 400}}), 3, cfg)
+	nw.Start()
+	keepTraffic(nw, 0, 3, 0, time.Second, 100*time.Millisecond)
+	nw.Sim.Run(2 * time.Second)
+	if len(ldrAt(nw, 0).AltSuccessors(3)) == 0 {
+		t.Fatal("node 0 holds no alternate toward 3; the state should exercise them")
+	}
+	for id := range nw.Nodes {
+		l := ldrAt(nw, id)
+		l.WalkHeldData(func(*routing.DataPacket) { t.Fatalf("node %d buffers data", id) })
+		full := l.SaveModelState(nil)
+		l.ResetVolatile()
+		empty := l.SaveModelState(nil)
+		var enc []byte
+		cycle := func() {
+			l.RestoreModelState(full)
+			enc = l.AppendModelState(enc[:0])
+			full = l.SaveModelState(full)
+			l.RestoreModelState(empty)
+			enc = l.AppendModelState(enc[:0])
+			empty = l.SaveModelState(empty)
+		}
+		cycle()
+		if n := testing.AllocsPerRun(100, cycle); n != 0 {
+			t.Errorf("node %d: a warm save, encode and restore allocate %v times, want 0", id, n)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"github.com/manetlab/ldr/internal/metrics"
@@ -56,13 +57,13 @@ func DefaultConfig() Config {
 type reqState struct {
 	lastHop routing.NodeID
 
-	relayed     bool  // at least one RREP relayed
 	relayedSeq  Seqno // strongest invariants relayed so far
 	relayedDist int
+	relayed     bool // at least one RREP relayed
 	unicastFwd  bool // the unicast reset leg has passed through here
 	replied     bool // this node answered (destination or SDC reply)
 
-	altHops []routing.NodeID // multipath: extra reverse hops already answered
+	altHops []routing.NodeID // multipath: extra reverse hops already answered, ascending
 }
 
 // LDR is one node's instance of the labeled distance routing protocol.
@@ -85,7 +86,6 @@ type LDR struct {
 	rrepPool runpool.Pool[RREP]
 	rerrPool runpool.Pool[RERR]
 	rerrBuf  []RERRDest
-	enc      encScratch // AppendModelState's scratch (model.go)
 }
 
 var (
@@ -103,7 +103,6 @@ func New(node *routing.Node, cfg Config) *LDR {
 		node:   node,
 		cfg:    cfg,
 		ownSeq: NewSeqno(1, 0),
-		routes: make(table),
 		Limits: ondemand.NewLimits(node),
 	}
 	l.Discoveries = ondemand.NewDiscoveries(node, l)
@@ -134,9 +133,9 @@ func (l *LDR) Start() {}
 func (l *LDR) Reset() {
 	l.Discoveries.Reset()
 	l.Limits.Reset()
-	for _, e := range l.routes {
-		e.invalidate()
-		e.alts = nil
+	for i := range l.routes {
+		l.routes[i].invalidate()
+		l.routes[i].alts = nil
 	}
 	l.reqSeen.Reset()
 }
@@ -242,17 +241,18 @@ func (l *LDR) rrepFailed(next routing.NodeID) {
 // next: fallback successors through it are dropped, and every route
 // through it fails over to an alternate or is invalidated (keeping sn and
 // fd — LDR's reset discipline means no sequence numbers are touched) and
-// reported in one RERR.
+// reported in one RERR, in ascending destination order.
 func (l *LDR) invalidateVia(next routing.NodeID) {
 	broken := l.rerrBuf[:0]
-	for dst, e := range l.routes {
+	for dst := range l.routes {
+		e := &l.routes[dst]
 		e.dropAlt(next)
 		if e.valid && e.next == next {
 			if l.cfg.Multipath && e.promoteAlt(l.node.Now()) {
 				continue // failover without rediscovery or RERR
 			}
 			e.invalidate()
-			broken = append(broken, RERRDest{Dst: dst, Seq: e.seq})
+			broken = append(broken, RERRDest{Dst: routing.NodeID(dst), Seq: e.seq})
 		}
 	}
 	l.rerrBuf = broken[:0]
@@ -567,12 +567,11 @@ func (l *LDR) maybeAltReply(q RREQ, st *reqState, from routing.NodeID) {
 	if from == st.lastHop || len(st.altHops) >= maxAltSuccessors {
 		return
 	}
-	for _, h := range st.altHops {
-		if h == from {
-			return
-		}
+	i, found := slices.BinarySearch(st.altHops, from)
+	if found {
+		return
 	}
-	st.altHops = append(st.altHops, from)
+	st.altHops = slices.Insert(st.altHops, i, from)
 	l.replyAsDestination(q, from)
 }
 
@@ -706,6 +705,7 @@ func (l *LDR) acceptAdvertisement(dst routing.NodeID, advSeq Seqno, advDist int,
 	now := l.node.Now()
 	e := l.routes.get(dst)
 	if e == nil {
+		l.routes = routing.Grow(l.routes, dst, l.node.NumNodes())
 		l.routes[dst] = newEntry(advSeq, advDist, via, 1, now, ondemand.ActiveRouteTimeout)
 		return true
 	}
@@ -751,9 +751,13 @@ func (l *LDR) SnapshotTable() []routing.RouteEntry {
 // AppendTable implements routing.TableAppender.
 func (l *LDR) AppendTable(out []routing.RouteEntry) []routing.RouteEntry {
 	now := l.node.Now()
-	for dst, e := range l.routes {
+	for dst := range l.routes {
+		e := &l.routes[dst]
+		if !e.known {
+			continue
+		}
 		out = append(out, routing.RouteEntry{
-			Dst:    dst,
+			Dst:    routing.NodeID(dst),
 			Next:   e.next,
 			Metric: e.dist,
 			SeqNo:  uint64(e.seq),
@@ -768,8 +772,10 @@ func (l *LDR) AppendTable(out []routing.RouteEntry) []routing.RouteEntry {
 // sequence number plus the node's own, feeding Fig. 7.
 func (l *LDR) ReportSeqnos(col *metrics.Collector) {
 	col.ObserveSeqno(float64(l.ownSeq.Counter()))
-	for _, e := range l.routes {
-		col.ObserveSeqno(float64(e.seq.Counter()))
+	for i := range l.routes {
+		if l.routes[i].known {
+			col.ObserveSeqno(float64(l.routes[i].seq.Counter()))
+		}
 	}
 }
 

@@ -6,9 +6,7 @@ package core
 // internal/modelcheck.
 
 import (
-	"cmp"
 	"encoding/binary"
-	"slices"
 
 	"github.com/manetlab/ldr/internal/routing"
 	"github.com/manetlab/ldr/internal/routing/ondemand"
@@ -32,36 +30,40 @@ var (
 // Reset.
 func (l *LDR) ResetVolatile() {
 	l.Reset()
-	l.routes = make(table)
+	clear(l.routes)
 	l.ownSeq = NewSeqno(1, 0)
 }
 
 // AppendModelState implements routing.ModelStater. Everything that can
-// influence future protocol behaviour is emitted, map-valued state in
-// ascending key order: own sequence number, the full routing table
-// (invalid entries included — their labels persist and gate NDC), the
-// engaged-computation cache, buffered data, active discoveries, and the
-// request-ID counter. An entry's alternates are emitted in slice order:
-// rememberAlt and promoteAlt break ties in advertised distance by
-// position, so their order is state. Expiry times are included verbatim:
-// the model runs at a frozen clock, so they are deterministic durations,
-// and AODV-style lifetime propagation makes them behaviour-relevant in
-// general. The per-neighbor rate limiters are deliberately omitted (their
-// buckets cannot empty within any bounded exploration's horizon).
+// influence future protocol behaviour is emitted, keyed state in
+// ascending key order, which is the order it is stored in: own sequence
+// number, the full routing table (invalid entries included — their labels
+// persist and gate NDC), the engaged-computation cache, buffered data,
+// active discoveries, and the request-ID counter. An entry's alternates
+// are emitted in slice order: rememberAlt and promoteAlt break ties in
+// advertised distance by position, so their order is state. Expiry times
+// are included verbatim: the model runs at a frozen clock, so they are
+// deterministic durations, and AODV-style lifetime propagation makes them
+// behaviour-relevant in general. The per-neighbor rate limiters are
+// deliberately omitted (their buckets cannot empty within any bounded
+// exploration's horizon).
 func (l *LDR) AppendModelState(out []byte) []byte {
-	sc := &l.enc
 	out = append(out, 'L')
 	out = binary.AppendUvarint(out, uint64(l.ownSeq))
 
-	sc.routes = sc.routes[:0]
-	for dst, e := range l.routes {
-		sc.routes = append(sc.routes, routeRow{dst, e})
+	n := 0
+	for i := range l.routes {
+		if l.routes[i].known {
+			n++
+		}
 	}
-	slices.SortFunc(sc.routes, func(x, y routeRow) int { return cmp.Compare(x.dst, y.dst) })
-	out = binary.AppendUvarint(out, uint64(len(sc.routes)))
-	for _, r := range sc.routes {
-		e := r.e
-		out = binary.AppendVarint(out, int64(r.dst))
+	out = binary.AppendUvarint(out, uint64(n))
+	for dst := range l.routes {
+		e := &l.routes[dst]
+		if !e.known {
+			continue
+		}
+		out = binary.AppendVarint(out, int64(dst))
 		out = appendBool(out, e.valid)
 		out = binary.AppendUvarint(out, uint64(e.seq))
 		out = binary.AppendVarint(out, int64(e.dist))
@@ -76,62 +78,42 @@ func (l *LDR) AppendModelState(out []byte) []byte {
 		}
 	}
 
-	sc.reqs = sc.reqs[:0]
-	l.reqSeen.Each(l.node.Now(), func(k ondemand.ReqKey, st *reqState) {
-		sc.reqs = append(sc.reqs, reqRow{k, st})
-	})
-	slices.SortFunc(sc.reqs, func(a, b reqRow) int { return ondemand.CompareReqKey(a.key, b.key) })
-	out = binary.AppendUvarint(out, uint64(len(sc.reqs)))
-	for _, q := range sc.reqs {
-		st := q.st
-		out = binary.AppendVarint(out, int64(q.key.Origin))
-		out = binary.AppendUvarint(out, uint64(q.key.ID))
-		out = binary.AppendVarint(out, int64(st.lastHop))
-		out = appendBool(out, st.relayed)
-		out = appendBool(out, st.unicastFwd)
-		out = appendBool(out, st.replied)
-		out = binary.AppendUvarint(out, uint64(st.relayedSeq))
-		out = binary.AppendVarint(out, int64(st.relayedDist))
-		// Unlike alts, altHops is a set: only its members and its length
-		// are read.
-		sc.hops = append(sc.hops[:0], st.altHops...)
-		slices.Sort(sc.hops)
-		out = binary.AppendUvarint(out, uint64(len(sc.hops)))
-		for _, h := range sc.hops {
-			out = binary.AppendVarint(out, int64(h))
-		}
-	}
-
+	out = l.reqSeen.AppendState(out, l.node.Now(), appendReqState)
 	return l.AppendDiscoveryState(out)
 }
 
-// encScratch is AppendModelState's working storage, kept on the instance
-// so that encoding a state allocates nothing.
-type encScratch struct {
-	routes []routeRow
-	reqs   []reqRow
-	hops   []routing.NodeID
-}
-
-type routeRow struct {
-	dst routing.NodeID
-	e   *entry
-}
-
-type reqRow struct {
-	key ondemand.ReqKey
-	st  *reqState
+func appendReqState(out []byte, st *reqState) []byte {
+	out = binary.AppendVarint(out, int64(st.lastHop))
+	out = appendBool(out, st.relayed)
+	out = appendBool(out, st.unicastFwd)
+	out = appendBool(out, st.replied)
+	out = binary.AppendUvarint(out, uint64(st.relayedSeq))
+	out = binary.AppendVarint(out, int64(st.relayedDist))
+	out = binary.AppendUvarint(out, uint64(len(st.altHops)))
+	for _, h := range st.altHops {
+		out = binary.AppendVarint(out, int64(h))
+	}
+	return out
 }
 
 // modelState is an LDR instance's saved state: every field a handler,
 // Reset, ResetVolatile or Start writes. node and cfg are fixed by New;
-// the message pools, rerrBuf and enc are free lists and scratch.
+// the message pools and rerrBuf are free lists and scratch.
 type modelState struct {
 	ownSeq  Seqno
-	routes  []routing.Saved[routing.NodeID, entry]
+	routes  table
 	reqSeen ondemand.SeenState[reqState]
 	disc    ondemand.DiscoveryState
 	limits  ondemand.LimitsState
+}
+
+// copyTable makes dst an entry-for-entry copy of src, length included,
+// reusing dst's storage.
+func copyTable(dst *table, src table) {
+	*dst = routing.Resize(*dst, len(src))
+	for i := range src {
+		copyEntry(&(*dst)[i], &src[i])
+	}
 }
 
 // copyEntry and copyReqState deep-copy a table row and an engaged-state
@@ -155,7 +137,7 @@ func (l *LDR) SaveModelState(store any) any {
 		s = new(modelState)
 	}
 	s.ownSeq = l.ownSeq
-	s.routes = routing.SavePtrMap(s.routes, l.routes, cmp.Compare[routing.NodeID], copyEntry)
+	copyTable(&s.routes, l.routes)
 	l.reqSeen.SaveState(&s.reqSeen, copyReqState)
 	l.SaveDiscoveryState(&s.disc)
 	l.SaveLimitsState(&s.limits)
@@ -166,7 +148,7 @@ func (l *LDR) SaveModelState(store any) any {
 func (l *LDR) RestoreModelState(store any) {
 	s := store.(*modelState)
 	l.ownSeq = s.ownSeq
-	routing.RestorePtrMap(l.routes, s.routes, cmp.Compare[routing.NodeID], copyEntry)
+	copyTable(&l.routes, s.routes)
 	l.reqSeen.RestoreState(&s.reqSeen, copyReqState)
 	l.RestoreDiscoveryState(&s.disc)
 	l.RestoreLimitsState(&s.limits)

@@ -20,11 +20,11 @@ func TestModelStateKeepsAlternateOrder(t *testing.T) {
 	l := nw.Nodes[0].Protocol().(*LDR)
 	var enc [2][]byte
 	for i, order := range [2][]routing.NodeID{{1, 2}, {2, 1}} {
-		e := &entry{seq: NewSeqno(1, 1), dist: 3, fd: 3, next: 3, valid: true}
+		l.routes = table{4: {known: true, seq: NewSeqno(1, 1), dist: 3, fd: 3, next: 3, valid: true}}
+		e := &l.routes[4]
 		for _, via := range order {
 			e.rememberAlt(via, e.seq, 2, 0)
 		}
-		l.routes = table{4: e}
 		enc[i] = l.AppendModelState(nil)
 		if !e.promoteAlt(0) || e.next != order[0] {
 			t.Fatalf("alternates %v at one advertised distance: promoted %d, want the first, %d", order, e.next, order[0])

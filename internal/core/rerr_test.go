@@ -1,0 +1,61 @@
+package core_test
+
+import (
+	"slices"
+	"testing"
+	"time"
+
+	"github.com/manetlab/ldr/internal/core"
+	"github.com/manetlab/ldr/internal/mac"
+	"github.com/manetlab/ldr/internal/mobility"
+	"github.com/manetlab/ldr/internal/radio"
+	"github.com/manetlab/ldr/internal/routing"
+)
+
+// rerrTap is a silent neighbour that records the destination list of
+// every RERR it hears, copied while the pooled message is still valid.
+type rerrTap struct{ heard [][]routing.NodeID }
+
+func (*rerrTap) Start()                                         {}
+func (*rerrTap) Stop()                                          {}
+func (*rerrTap) Originate(*routing.DataPacket)                  {}
+func (*rerrTap) HandleData(routing.NodeID, *routing.DataPacket) {}
+func (r *rerrTap) HandleControl(_ routing.NodeID, msg routing.Message) {
+	if m, ok := msg.(*core.RERR); ok {
+		var dsts []routing.NodeID
+		for _, u := range m.Unreachable {
+			dsts = append(dsts, u.Dst)
+		}
+		r.heard = append(r.heard, dsts)
+	}
+}
+
+// TestRERRListsDestinationsAscending: when the MAC gives up on a next hop,
+// the RERR that reports every route through it lists the destinations in
+// ascending order, so its content is the same on every run.
+func TestRERRListsDestinationsAscending(t *testing.T) {
+	const n, next = 12, 11 // node 0 runs LDR; node 11 is the next hop that fails
+	tap := &rerrTap{}
+	nw := routing.NewNetwork(n, mobility.NewStatic(make([]mobility.Point, n)), radio.DefaultConfig(), mac.DefaultConfig(), 1,
+		func(node *routing.Node) routing.Protocol {
+			if node.ID() == 0 {
+				return core.New(node, core.DefaultConfig())
+			}
+			if node.ID() == 1 {
+				return tap
+			}
+			return &rerrTap{}
+		})
+	nw.Start()
+	l := ldrAt(nw, 0)
+	for _, dst := range []routing.NodeID{7, 3, 10, 1, 9, 5, 2, 8, 4, 6} {
+		l.HandleControl(next, &core.RREP{Dst: dst, DstSeq: core.NewSeqno(1, 1), Origin: 5, ReqID: 1, Dist: 1, Lifetime: time.Minute})
+	}
+	l.DataFailed(next, &routing.DataPacket{Src: 5, Dst: 4, ID: 1, TTL: 8})
+	nw.Sim.Run(time.Second)
+
+	want := []routing.NodeID{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	if len(tap.heard) != 1 || !slices.Equal(tap.heard[0], want) {
+		t.Errorf("RERRs heard %v, want one listing %v", tap.heard, want)
+	}
+}

@@ -20,18 +20,26 @@ type entry struct {
 	dist   int
 	fd     int
 	next   routing.NodeID
-	valid  bool
 	expiry time.Duration  // lifetime bound while valid
 	alts   []altSuccessor // loop-free fallback successors (multipath mode)
+	valid  bool
+	known  bool // the slot holds an entry
 }
 
-// table maps destinations to entries. A node never holds an entry for
-// itself (its distance to itself is zero and its own sequence number is
-// tracked separately).
-type table map[routing.NodeID]*entry
+// table holds one slot per node of the network, indexed by destination
+// id and allocated at the first entry, so walking it visits destinations
+// in ascending order. A node never holds an entry for itself (its
+// distance to itself is zero and its own sequence number is tracked
+// separately).
+type table []entry
 
 // get returns the entry for dst, or nil.
-func (t table) get(dst routing.NodeID) *entry { return t[dst] }
+func (t table) get(dst routing.NodeID) *entry {
+	if uint(dst) >= uint(len(t)) || !t[dst].known {
+		return nil
+	}
+	return &t[dst]
+}
 
 // active reports whether the entry is usable at time now: valid and not
 // past its lifetime.
@@ -91,10 +99,11 @@ func (e *entry) update(advSeq Seqno, advDist int, via routing.NodeID, linkCost i
 	e.expiry = now + lifetime
 }
 
-// newEntry installs a first-contact route (the "no information" NDC case).
-func newEntry(advSeq Seqno, advDist int, via routing.NodeID, linkCost int, now, lifetime time.Duration) *entry {
+// newEntry is a first-contact route (the "no information" NDC case).
+func newEntry(advSeq Seqno, advDist int, via routing.NodeID, linkCost int, now, lifetime time.Duration) entry {
 	d := advDist + linkCost
-	return &entry{
+	return entry{
+		known:  true,
 		seq:    advSeq,
 		dist:   d,
 		fd:     d,

@@ -6,16 +6,17 @@ package modelcheck
 // the 3-node line does, so both run on one world at any GOMAXPROCS: they
 // measure the one-worker search. A transition is one apply, one loop check,
 // one state key and one in-place restore (snapshot.go), each of the
-// one node the action wrote. By the CPU profile of LDR on the 3-node
-// graphs at depth 14 (notes/perf-PR21.md) the key is two fifths of it —
-// the written node's AppendModelState 15 %, the pending items 8 %, the
-// hash 4 %, the rest copying cached bytes and the visited-set probe —
-// restoring the written node and links a sixth, the handlers, saving on
-// seek, and the table snapshot with its loop check between a fifteenth
-// and a tenth each. The work is per state, not per transition: sleep sets
-// (sleep.go) leave out about half the transitions, the ones that only
-// lead back into the visited set, so how many are made per state is the
-// reduction's figure and trans/sec alone no longer measures speed.
+// one node the action wrote. By the CPU profile of BenchmarkCheckLDRLine3
+// on one CPU the key is a fifth of it — the pending items 7 %, the
+// written node's AppendModelState 6 %, the hash 7 % — restoring the
+// written node and links 16 % (LDR's own restore 10 %), applying actions
+// 12 % (the handlers 5 %), saving on seek 9 %, merging a layer's results
+// 8 %, and the loop check with its table snapshot 10 %. LDR's own save,
+// restore, encoding, table snapshot and reset together are a quarter.
+// The work is per state, not per transition: sleep sets (sleep.go) leave
+// out about half the transitions, the ones that only lead back into the
+// visited set, so how many are made per state is the reduction's figure
+// and trans/sec alone no longer measures speed.
 // states/sec is the number to watch, and B/op guards against a return to
 // per-state world construction or whole-world records; the state counts
 // themselves are exact and double as a state-encoding regression guard.

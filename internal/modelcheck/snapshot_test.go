@@ -247,31 +247,31 @@ func modelStateFields(t *testing.T) map[reflect.Type]fieldLists {
 	}
 	ldr, av := reflect.TypeFor[core.LDR](), reflect.TypeFor[aodv.AODV]()
 	ldrSeen, avSeen := field(ldr, "reqSeen"), field(av, "reqSeen") // ondemand.Seen of each protocol's value type
-	ldrSeenEntry, avSeenEntry := field(ldrSeen, "m").Elem().Elem(), field(avSeen, "m").Elem().Elem()
+	ldrSeenEntry, avSeenEntry := field(ldrSeen, "byOrigin").Elem().Elem(), field(avSeen, "byOrigin").Elem().Elem()
 	node, limiter := reflect.TypeFor[routing.Node](), reflect.TypeFor[routing.RateLimiter]()
 	return map[reflect.Type]fieldLists{
 		ldr: {
 			[]string{"ownSeq", "routes", "reqSeen", "Discoveries", "Limits"},
-			[]string{"node", "cfg", "rreqPool", "rrepPool", "rerrPool", "rerrBuf", "enc"}},
-		field(ldr, "routes").Elem().Elem(): { // core.entry; alts is deep-copied
-			[]string{"seq", "dist", "fd", "next", "valid", "expiry", "alts"}, nil},
-		ldrSeen:      {[]string{"m", "sweepAt"}, nil},
-		ldrSeenEntry: {[]string{"expires", "val"}, nil},
+			[]string{"node", "cfg", "rreqPool", "rrepPool", "rerrPool", "rerrBuf"}},
+		field(ldr, "routes").Elem(): { // core.entry; alts is deep-copied
+			[]string{"known", "seq", "dist", "fd", "next", "valid", "expiry", "alts"}, nil},
+		ldrSeen:      {[]string{"byOrigin", "sweepAt"}, nil},
+		ldrSeenEntry: {[]string{"id", "expires", "val"}, nil},
 		field(ldrSeenEntry, "val"): { // core.reqState; altHops is deep-copied
 			[]string{"lastHop", "relayed", "relayedSeq", "relayedDist", "unicastFwd", "replied", "altHops"}, nil},
 		av: {
 			[]string{"ownSeq", "routes", "reqSeen", "Discoveries", "Limits"},
-			[]string{"node", "rreqPool", "rrepPool", "rerrPool", "rerrBuf", "enc"}},
-		avSeen:      {[]string{"m", "sweepAt"}, nil},
-		avSeenEntry: {[]string{"expires", "val"}, nil},
-		field(av, "routes").Elem().Elem(): { // aodv.entry; precursors is deep-copied
+			[]string{"node", "rreqPool", "rrepPool", "rerrPool", "rerrBuf"}},
+		avSeen:      {[]string{"byOrigin", "sweepAt"}, nil},
+		avSeenEntry: {[]string{"id", "expires", "val"}, nil},
+		field(av, "routes").Elem(): { // aodv.entry; precursors is deep-copied
 			[]string{"seq", "haveSeq", "hops", "next", "valid", "expiry", "precursors"}, nil},
 		reflect.TypeFor[ondemand.Discoveries](): {
 			[]string{"Pending", "active", "nextID", "stopped"},
 			[]string{"req"}},
 		reflect.TypeFor[ondemand.Pending](): {
 			[]string{"q"},
-			[]string{"node", "keys"}},
+			[]string{"node"}},
 		reflect.TypeFor[ondemand.Discovery](): {
 			[]string{"ID", "TTL", "Retries", "timer"}, nil},
 		reflect.TypeFor[ondemand.Limits](): {
@@ -286,7 +286,7 @@ func modelStateFields(t *testing.T) map[reflect.Type]fieldLists {
 			// The MAC is never reached under a ModelEnv; the collector is
 			// written by the protocols and never read.
 			[]string{"nextPktID", "down", "rng"},
-			[]string{"id", "sim", "mac", "col", "proto", "tracer", "dataFail", "recycler", "menv", "framePool", "nfPool", "pktPool"}},
+			[]string{"id", "nodes", "sim", "mac", "col", "proto", "tracer", "dataFail", "recycler", "menv", "framePool", "nfPool", "pktPool"}},
 		field(node, "rng").Elem(): { // rng.Source; draws is a diagnostic shared by the whole split tree
 			[]string{"s"},
 			[]string{"seed", "draws"}},

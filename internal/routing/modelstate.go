@@ -1,11 +1,9 @@
 package routing
 
 // What a ModelStater's SaveModelState / RestoreModelState are built from:
-// the node layer's own saved state, a packet copy that reuses storage,
-// and map save/restore in ascending key order. See ModelStater for the
-// contract.
-
-import "slices"
+// the node layer's own saved state, a packet copy that reuses storage, and
+// the growth of the slices indexed by node id that protocols keep their
+// per-node state in. See ModelStater for the contract.
 
 // NodeModelState is the part of a Node a protocol handler, a crash or an
 // origination can change under a ModelEnv: the packet-ID counter, the
@@ -52,56 +50,14 @@ func Resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Saved is one entry of a map saved by SavePtrMap.
-type Saved[K comparable, V any] struct {
-	Key K
-	Val V
-}
-
-// SavePtrMap copies a map of pointers into dst's storage in ascending key
-// order: the pointed-to values are copied with cp, which must leave dst
-// sharing no memory with src and may reuse what dst already holds (slots
-// of dst keep their values' storage from one save to the next). A nil cp
-// assigns.
-func SavePtrMap[K comparable, V any](dst []Saved[K, V], m map[K]*V, cmpKey func(a, b K) int, cp func(dst, src *V)) []Saved[K, V] {
-	dst = Resize(dst, len(m))
-	i := 0
-	for k, v := range m {
-		dst[i].Key = k
-		if cp == nil {
-			dst[i].Val = *v
-		} else {
-			cp(&dst[i].Val, v)
-		}
-		i++
+// Grow returns s extended with zero values to cover index id; when it has
+// to grow, it grows to at least n, the number of nodes, so that a slice
+// indexed by node id is allocated once (n = 0 grows to id+1). It may move
+// s, so a caller grows to the largest id it will index before taking any
+// pointer into s.
+func Grow[T any](s []T, id NodeID, n int) []T {
+	if int(id) >= len(s) {
+		s = append(s, make([]T, max(int(id)+1, n)-len(s))...)
 	}
-	slices.SortFunc(dst, func(a, b Saved[K, V]) int { return cmpKey(a.Key, b.Key) })
-	return dst
-}
-
-// RestorePtrMap makes m hold exactly the entries SavePtrMap copied out,
-// with the same cmpKey and cp. Values m already points to are overwritten
-// in place, so nothing may hold such a pointer across a restore expecting
-// the old value; missing ones are allocated, surplus keys deleted.
-func RestorePtrMap[K comparable, V any](m map[K]*V, src []Saved[K, V], cmpKey func(a, b K) int, cp func(dst, src *V)) {
-	for i := range src {
-		p := m[src[i].Key]
-		if p == nil {
-			p = new(V)
-			m[src[i].Key] = p
-		}
-		if cp == nil {
-			*p = src[i].Val
-		} else {
-			cp(p, &src[i].Val)
-		}
-	}
-	if len(m) == len(src) {
-		return
-	}
-	for k := range m {
-		if _, ok := slices.BinarySearchFunc(src, k, func(e Saved[K, V], k K) int { return cmpKey(e.Key, k) }); !ok {
-			delete(m, k)
-		}
-	}
+	return s
 }

@@ -1,9 +1,7 @@
 package ondemand
 
 import (
-	"cmp"
 	"encoding/binary"
-	"slices"
 	"time"
 
 	"github.com/manetlab/ldr/internal/routing"
@@ -15,49 +13,43 @@ import (
 const MaxQueuedPerDest = 16
 
 // Pending buffers the data packets an origin holds while it discovers a
-// route, one bounded FIFO per destination. Whole-buffer operations visit
-// destinations in ascending NodeID and packets in queue order, so the
-// drop events of a crash replay identically.
+// route, one bounded FIFO per destination, indexed by destination id.
+// Whole-buffer operations visit destinations in ascending NodeID and
+// packets in queue order, so the drop events of a crash replay
+// identically.
 type Pending struct {
 	node *routing.Node
-	q    map[routing.NodeID][]*routing.DataPacket // allocated on first Push
-
-	keys []routing.NodeID // scratch of the state encoding
-}
-
-// sortedKeys returns keys[:0] refilled with the keys of m in ascending
-// order.
-func sortedKeys[V any](keys []routing.NodeID, m map[routing.NodeID]V) []routing.NodeID {
-	keys = keys[:0]
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
+	q    [][]*routing.DataPacket // grown on first Push to a destination
 }
 
 // Push appends pkt to its destination's queue. A full queue drops its
 // head first, accounted as DropQueueOverflow.
 func (p *Pending) Push(pkt *routing.DataPacket) {
+	p.q = routing.Grow(p.q, pkt.Dst, 0)
 	q := p.q[pkt.Dst]
 	if len(q) >= MaxQueuedPerDest {
 		p.node.DropData(q[0], routing.DropQueueOverflow)
 		q = q[1:]
 	}
-	if p.q == nil {
-		p.q = make(map[routing.NodeID][]*routing.DataPacket)
-	}
 	p.q[pkt.Dst] = append(q, pkt)
 }
 
 // Len returns the number of packets buffered for dst.
-func (p *Pending) Len(dst routing.NodeID) int { return len(p.q[dst]) }
+func (p *Pending) Len(dst routing.NodeID) int {
+	if int(dst) >= len(p.q) {
+		return 0
+	}
+	return len(p.q[dst])
+}
 
 // Take removes and returns dst's queue, for the caller to send. Packets
 // the caller pushes back land in a fresh queue.
 func (p *Pending) Take(dst routing.NodeID) []*routing.DataPacket {
+	if int(dst) >= len(p.q) {
+		return nil
+	}
 	q := p.q[dst]
-	delete(p.q, dst)
+	p.q[dst] = nil
 	return q
 }
 
@@ -68,29 +60,32 @@ func (p *Pending) Drop(dst routing.NodeID, reason routing.DropReason) {
 	}
 }
 
-// dsts returns the buffered destinations in ascending order.
-func (p *Pending) dsts() []routing.NodeID {
-	return sortedKeys(make([]routing.NodeID, 0, len(p.q)), p.q)
-}
-
 // WalkHeldData implements routing.HeldDataWalker for the embedding
 // protocol: the only data packets an on-demand protocol holds are those
 // buffered while route discovery runs.
 func (p *Pending) WalkHeldData(fn func(*routing.DataPacket)) {
-	for _, dst := range p.dsts() {
-		for _, pkt := range p.q[dst] {
+	for _, q := range p.q {
+		for _, pkt := range q {
 			fn(pkt)
 		}
 	}
 }
 
 // appendState serializes the buffer for a routing.ModelStater encoding:
-// destinations in ascending order, packets in queue order.
+// non-empty queues in ascending destination order, packets in queue
+// order.
 func (p *Pending) appendState(out []byte) []byte {
-	p.keys = sortedKeys(p.keys, p.q)
-	out = binary.AppendUvarint(out, uint64(len(p.keys)))
-	for _, dst := range p.keys {
-		q := p.q[dst]
+	n := 0
+	for _, q := range p.q {
+		if len(q) > 0 {
+			n++
+		}
+	}
+	out = binary.AppendUvarint(out, uint64(n))
+	for dst, q := range p.q {
+		if len(q) == 0 {
+			continue
+		}
 		out = binary.AppendVarint(out, int64(dst))
 		out = binary.AppendUvarint(out, uint64(len(q)))
 		for _, pkt := range q {
@@ -105,7 +100,8 @@ func (p *Pending) appendState(out []byte) []byte {
 
 // Discovery is the origin-side record of one route computation in
 // progress. TTL and Retries belong to the protocol's retry schedule (see
-// Requester); the table owns the rest.
+// Requester); the table owns the rest. A zero ID marks a destination
+// with no computation: IDs start at one.
 type Discovery struct {
 	ID      uint32 // request ID of the latest attempt, unique per origin
 	TTL     int    // flood radius of the latest attempt
@@ -135,7 +131,7 @@ type Discoveries struct {
 	Pending
 
 	req     Requester
-	active  map[routing.NodeID]*Discovery // allocated on first Solicit
+	active  []Discovery // indexed by destination, grown on first Solicit
 	nextID  uint32
 	stopped bool
 }
@@ -145,37 +141,44 @@ func NewDiscoveries(node *routing.Node, req Requester) Discoveries {
 	return Discoveries{Pending: Pending{node: node}, req: req}
 }
 
+// running returns dst's active computation, or nil.
+func (ds *Discoveries) running(dst routing.NodeID) *Discovery {
+	if int(dst) >= len(ds.active) || ds.active[dst].ID == 0 {
+		return nil
+	}
+	return &ds.active[dst]
+}
+
 // Solicit starts the route computation for dst with a first attempt of
 // radius ttl, unless one is already active (at most one per destination).
 func (ds *Discoveries) Solicit(dst routing.NodeID, ttl int) {
-	if ds.stopped || dst == ds.node.ID() || ds.active[dst] != nil {
+	if ds.stopped || dst == ds.node.ID() || ds.running(dst) != nil {
 		return
 	}
-	if ds.active == nil {
-		ds.active = make(map[routing.NodeID]*Discovery)
-	}
-	d := &Discovery{TTL: ttl}
-	ds.active[dst] = d
+	ds.active = routing.Grow(ds.active, dst, 0)
+	d := &ds.active[dst]
+	*d = Discovery{TTL: ttl}
 	ds.attempt(dst, d)
 }
 
 // attempt sends one RREQ under a fresh request ID and arms its timer.
 func (ds *Discoveries) attempt(dst routing.NodeID, d *Discovery) {
 	ds.nextID++
-	d.ID = ds.nextID
+	id := ds.nextID
+	d.ID = id
 	wait := ds.req.SendRequest(dst, d)
-	d.timer = ds.node.Schedule(wait, func() { ds.timeout(dst, d) })
+	d.timer = ds.node.Schedule(wait, func() { ds.timeout(dst, id) })
 }
 
-// timeout fires when an attempt went unanswered. A timer that outlived
-// its discovery (finished, reset, or replaced by a new one for dst) does
-// nothing.
-func (ds *Discoveries) timeout(dst routing.NodeID, d *Discovery) {
-	if ds.active[dst] != d {
+// timeout fires when attempt id went unanswered. A timer that outlived
+// its attempt (finished, reset, or followed by another) does nothing.
+func (ds *Discoveries) timeout(dst routing.NodeID, id uint32) {
+	d := ds.running(dst)
+	if d == nil || d.ID != id {
 		return
 	}
 	if !ds.req.NextAttempt(dst, d) {
-		delete(ds.active, dst)
+		*d = Discovery{}
 		ds.Drop(dst, routing.DropNoRoute)
 		return
 	}
@@ -185,9 +188,9 @@ func (ds *Discoveries) timeout(dst routing.NodeID, d *Discovery) {
 // Finish ends dst's computation in success; without an active one it
 // does nothing.
 func (ds *Discoveries) Finish(dst routing.NodeID) {
-	if d := ds.active[dst]; d != nil {
+	if d := ds.running(dst); d != nil {
 		d.timer.Cancel()
-		delete(ds.active, dst)
+		*d = Discovery{}
 	}
 }
 
@@ -210,8 +213,8 @@ func (ds *Discoveries) Stopped() bool { return ds.stopped }
 // every attempt timer is cancelled and no further discovery starts.
 func (ds *Discoveries) Stop() {
 	ds.stopped = true
-	for _, d := range ds.active {
-		d.timer.Cancel()
+	for i := range ds.active {
+		ds.active[i].timer.Cancel()
 	}
 }
 
@@ -220,25 +223,32 @@ func (ds *Discoveries) Stop() {
 // request-ID counter survives — IDs need only be unique per origin, and
 // reusing pre-crash ones would collide with neighbours' duplicate caches.
 func (ds *Discoveries) Reset() {
-	for _, d := range ds.active {
-		d.timer.Cancel()
+	for i := range ds.active {
+		ds.active[i].timer.Cancel()
 	}
 	clear(ds.active)
-	for _, dst := range ds.dsts() {
-		ds.Drop(dst, routing.DropReset)
+	for dst := range ds.q {
+		ds.Drop(routing.NodeID(dst), routing.DropReset)
 	}
 }
 
 // AppendDiscoveryState serializes the buffered data, the active
 // computations and the request-ID counter for the embedding protocol's
-// routing.ModelStater encoding, map-valued state in ascending key order.
+// routing.ModelStater encoding, each in ascending destination order.
 func (ds *Discoveries) AppendDiscoveryState(out []byte) []byte {
 	out = ds.appendState(out)
 
-	ds.keys = sortedKeys(ds.keys, ds.active)
-	out = binary.AppendUvarint(out, uint64(len(ds.keys)))
-	for _, dst := range ds.keys {
-		d := ds.active[dst]
+	n := 0
+	for i := range ds.active {
+		if ds.active[i].ID != 0 {
+			n++
+		}
+	}
+	out = binary.AppendUvarint(out, uint64(n))
+	for dst, d := range ds.active {
+		if d.ID == 0 {
+			continue
+		}
 		out = binary.AppendVarint(out, int64(dst))
 		out = binary.AppendUvarint(out, uint64(d.ID))
 		out = binary.AppendVarint(out, int64(d.TTL))
@@ -250,16 +260,11 @@ func (ds *Discoveries) AppendDiscoveryState(out []byte) []byte {
 // DiscoveryState is a Discoveries with its buffered data, saved (see
 // routing.ModelStater).
 type DiscoveryState struct {
-	queues  []savedQueue         // Pending.q in ascending destination order
+	queues  []int                // the length of each of Pending.q's queues
 	pkts    []routing.DataPacket // the queued packets, queue after queue
-	active  []routing.Saved[routing.NodeID, Discovery]
+	active  []Discovery
 	nextID  uint32
 	stopped bool
-}
-
-type savedQueue struct {
-	dst routing.NodeID
-	n   int
 }
 
 // SaveDiscoveryState copies the buffered packets, the active
@@ -267,40 +272,42 @@ type savedQueue struct {
 // storage, for the embedding protocol's SaveModelState. Attempt timers
 // are copied as handles: under a routing.ModelEnv they are all zero.
 func (ds *Discoveries) SaveDiscoveryState(s *DiscoveryState) {
-	s.queues = s.queues[:0]
+	s.queues = routing.Resize(s.queues, len(ds.q))
 	n := 0
 	for dst, q := range ds.q {
-		s.queues = append(s.queues, savedQueue{dst, len(q)})
+		s.queues[dst] = len(q)
 		n += len(q)
 	}
-	slices.SortFunc(s.queues, func(a, b savedQueue) int { return cmp.Compare(a.dst, b.dst) })
 	s.pkts = routing.Resize(s.pkts, n)
 	i := 0
-	for _, sq := range s.queues {
-		for _, pkt := range ds.q[sq.dst] {
+	for _, q := range ds.q {
+		for _, pkt := range q {
 			routing.CopyDataPacket(&s.pkts[i], pkt)
 			i++
 		}
 	}
-	s.active = routing.SavePtrMap(s.active, ds.active, cmp.Compare[routing.NodeID], nil)
+	s.active = append(s.active[:0], ds.active...)
 	s.nextID, s.stopped = ds.nextID, ds.stopped
 }
 
 // RestoreDiscoveryState puts back what SaveDiscoveryState copied out of
-// this table (its lazily made maps exist whenever a saved state has
-// entries for them). The buffered packets come back as fresh unpooled
-// copies; the ones held before are let go without a drop being accounted.
+// this table, slice lengths included. The buffered packets come back as
+// fresh unpooled copies; the ones held before are let go without a drop
+// being accounted.
 func (ds *Discoveries) RestoreDiscoveryState(s *DiscoveryState) {
-	clear(ds.q)
+	ds.q = routing.Resize(ds.q, len(s.queues))
 	pkts := s.pkts
-	for _, sq := range s.queues {
-		q := make([]*routing.DataPacket, sq.n)
-		for i := range q {
-			q[i] = new(routing.DataPacket)
-			routing.CopyDataPacket(q[i], &pkts[i])
+	for dst, n := range s.queues {
+		var q []*routing.DataPacket
+		if n > 0 {
+			q = make([]*routing.DataPacket, n)
+			for i := range q {
+				q[i] = new(routing.DataPacket)
+				routing.CopyDataPacket(q[i], &pkts[i])
+			}
 		}
-		ds.q[sq.dst], pkts = q, pkts[sq.n:]
+		ds.q[dst], pkts = q, pkts[n:]
 	}
-	routing.RestorePtrMap(ds.active, s.active, cmp.Compare[routing.NodeID], nil)
+	ds.active = append(ds.active[:0], s.active...)
 	ds.nextID, ds.stopped = s.nextID, s.stopped
 }

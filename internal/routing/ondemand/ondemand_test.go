@@ -154,12 +154,13 @@ func TestStaleTimerIsNoOp(t *testing.T) {
 	nw, stubs, dropped := isolated(2)
 	s := stubs[0]
 	nw.Nodes[0].OriginateData(1, 64)
-	stale := s.active[1]
-	if stale == nil {
+	d := s.running(1)
+	if d == nil {
 		t.Fatal("no active discovery to finish")
 	}
+	stale := d.ID
 	s.Finish(1)
-	if s.active[1] != nil {
+	if s.running(1) != nil {
 		t.Fatal("Finish left the discovery active")
 	}
 	s.Finish(1) // finishing twice is a no-op
@@ -169,7 +170,7 @@ func TestStaleTimerIsNoOp(t *testing.T) {
 	if want := []int{2, 2}; !slices.Equal(s.ttls, want) {
 		t.Errorf("attempt TTLs = %v, want %v: the replaced discovery's timer advanced its successor", s.ttls, want)
 	}
-	if s.active[1] == nil || s.active[1] == stale || len(*dropped) != 0 {
+	if d := s.running(1); d == nil || d.ID == stale || len(*dropped) != 0 {
 		t.Errorf("the stale timer ended the running discovery (dropped %v)", *dropped)
 	}
 }
@@ -217,8 +218,8 @@ func TestRelayJittersOnceAndNotAfterStop(t *testing.T) {
 }
 
 // TestDiscoveryStateIgnoresMapOrder: buffered data and discoveries for
-// several destinations live in maps, which Go iterates in a different
-// order each time; the model-state encoding of one state must not change.
+// several destinations, added out of order, encode to one byte string
+// every time; no map iteration order may enter the model-state encoding.
 func TestDiscoveryStateIgnoresMapOrder(t *testing.T) {
 	nw, stubs, _ := isolated(5)
 	for _, dst := range []routing.NodeID{3, 1, 4, 2, 3} {

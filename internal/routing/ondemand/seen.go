@@ -2,6 +2,8 @@ package ondemand
 
 import (
 	"cmp"
+	"encoding/binary"
+	"slices"
 	"time"
 
 	"github.com/manetlab/ldr/internal/routing"
@@ -14,103 +16,146 @@ type ReqKey struct {
 	ID     uint32
 }
 
-// CompareReqKey orders keys by origin, then request ID.
-func CompareReqKey(a, b ReqKey) int {
-	return cmp.Or(cmp.Compare(a.Origin, b.Origin), cmp.Compare(a.ID, b.ID))
-}
-
 // Seen is the RREQ duplicate cache: a computation a node has entered is
 // remembered for exactly RREQCacheLife, so that every later copy of the
 // same flood is recognised ("a node enters a computation at most once").
 // V is what the protocol keeps per computation — LDR its engaged state,
 // AODV and DSR nothing. The zero value is ready to use.
 //
+// The cache is one short list per origin, indexed by origin id and kept in
+// ascending request ID, so every walk visits keys in (origin, ID) order.
 // No entry has a timer. An entry whose life is over is absent to Get from
 // that instant on, which is what an expiry timer armed at Add would give:
 // armed a whole cache life earlier, it fires before anything else
-// scheduled for the same instant. The memory of dead entries is returned
-// by a sweep of the whole map that Add runs at most once per cache life,
-// so each entry is visited at most twice, and right after any Add the map
-// holds nothing first seen more than two cache lives before it.
+// scheduled for the same instant. Add drops the dead entries of the list
+// it adds to, and those of every list in a sweep it runs at most once per
+// cache life, so right after any Add the cache holds nothing first seen
+// more than two cache lives before it. A list keeps its storage as
+// entries leave it.
 type Seen[V any] struct {
-	m       map[ReqKey]*seenEntry[V] // allocated on first Add
-	sweepAt time.Duration            // the earliest instant of the next sweep
+	byOrigin [][]seenEntry[V] // grown on first sight of an origin
+	sweepAt  time.Duration    // the earliest instant of the next sweep
 }
 
 type seenEntry[V any] struct {
+	id      uint32
 	expires time.Duration
 	val     V
+}
+
+// find returns where id is, or would be inserted, in an origin's list.
+func find[V any](l []seenEntry[V], id uint32) (int, bool) {
+	return slices.BinarySearchFunc(l, id, func(e seenEntry[V], id uint32) int { return cmp.Compare(e.id, id) })
+}
+
+// live drops the entries of l that are dead at now, in place.
+func live[V any](l []seenEntry[V], now time.Duration) []seenEntry[V] {
+	return slices.DeleteFunc(l, func(e seenEntry[V]) bool { return e.expires <= now })
 }
 
 // Get returns what is kept for key, or nil when key was not first seen
 // within the last RREQCacheLife before now.
 func (c *Seen[V]) Get(key ReqKey, now time.Duration) *V {
-	if e := c.m[key]; e != nil && now < e.expires {
-		return &e.val
+	if int(key.Origin) >= len(c.byOrigin) {
+		return nil
+	}
+	l := c.byOrigin[key.Origin]
+	if i, ok := find(l, key.ID); ok && now < l[i].expires {
+		return &l[i].val
 	}
 	return nil
 }
 
 // Add remembers key from now on, for RREQCacheLife, and returns its zero
-// V for the caller to fill.
+// V for the caller to fill. The pointer is valid until the next Add.
 func (c *Seen[V]) Add(key ReqKey, now time.Duration) *V {
 	if now >= c.sweepAt {
-		for k, e := range c.m {
-			if e.expires <= now {
-				delete(c.m, k)
-			}
+		for o := range c.byOrigin {
+			c.byOrigin[o] = live(c.byOrigin[o], now)
 		}
 		c.sweepAt = now + RREQCacheLife
 	}
-	if c.m == nil {
-		c.m = make(map[ReqKey]*seenEntry[V])
-	}
-	e := &seenEntry[V]{expires: now + RREQCacheLife}
-	c.m[key] = e
-	return &e.val
-}
-
-// Each calls fn for every computation Get would find at now, in no
-// particular order.
-func (c *Seen[V]) Each(now time.Duration, fn func(ReqKey, *V)) {
-	for k, e := range c.m {
-		if now < e.expires {
-			fn(k, &e.val)
+	if n := len(c.byOrigin); int(key.Origin) >= n {
+		// Lists a restore cut off keep their storage when they come back.
+		c.byOrigin = routing.Resize(c.byOrigin, int(key.Origin)+1)
+		for o := n; o < len(c.byOrigin); o++ {
+			c.byOrigin[o] = c.byOrigin[o][:0]
 		}
 	}
+	l := live(c.byOrigin[key.Origin], now)
+	i, ok := find(l, key.ID)
+	if !ok {
+		l = slices.Insert(l, i, seenEntry[V]{})
+	}
+	l[i] = seenEntry[V]{id: key.ID, expires: now + RREQCacheLife}
+	c.byOrigin[key.Origin] = l
+	return &l[i].val
+}
+
+// AppendState serializes the computations Get would find at now, for the
+// embedding protocol's routing.ModelStater encoding: their count, then
+// each key in ascending (origin, request ID) order followed by what val
+// appends for its value (nil appends nothing).
+func (c *Seen[V]) AppendState(out []byte, now time.Duration, val func(out []byte, v *V) []byte) []byte {
+	n := 0
+	for _, l := range c.byOrigin {
+		for i := range l {
+			if now < l[i].expires {
+				n++
+			}
+		}
+	}
+	out = binary.AppendUvarint(out, uint64(n))
+	for o, l := range c.byOrigin {
+		for i := range l {
+			if now >= l[i].expires {
+				continue
+			}
+			out = binary.AppendVarint(out, int64(o))
+			out = binary.AppendUvarint(out, uint64(l[i].id))
+			if val != nil {
+				out = val(out, &l[i].val)
+			}
+		}
+	}
+	return out
 }
 
 // Reset forgets everything (crash/reboot).
-func (c *Seen[V]) Reset() { clear(c.m) }
+func (c *Seen[V]) Reset() {
+	for o, l := range c.byOrigin {
+		clear(l)
+		c.byOrigin[o] = l[:0]
+	}
+}
 
 // SeenState is a Seen saved (see routing.ModelStater).
-type SeenState[V any] struct {
-	entries []routing.Saved[ReqKey, seenEntry[V]]
-	sweepAt time.Duration
-}
+type SeenState[V any] struct{ c Seen[V] }
 
 // SaveState copies the cache into s's storage, for the embedding
-// protocol's SaveModelState. cp deep-copies a V as routing.SavePtrMap
-// asks; nil assigns.
-func (c *Seen[V]) SaveState(s *SeenState[V], cp func(dst, src *V)) {
-	s.entries = routing.SavePtrMap(s.entries, c.m, CompareReqKey, entryCopier(cp))
-	s.sweepAt = c.sweepAt
-}
+// protocol's SaveModelState. cp deep-copies a V into dst, reusing what dst
+// holds and sharing nothing with src; nil assigns.
+func (c *Seen[V]) SaveState(s *SeenState[V], cp func(dst, src *V)) { s.c.copyFrom(c, cp) }
 
 // RestoreState puts back what SaveState copied out of this cache, with
 // the same cp.
-func (c *Seen[V]) RestoreState(s *SeenState[V], cp func(dst, src *V)) {
-	routing.RestorePtrMap(c.m, s.entries, CompareReqKey, entryCopier(cp))
-	c.sweepAt = s.sweepAt
-}
+func (c *Seen[V]) RestoreState(s *SeenState[V], cp func(dst, src *V)) { c.copyFrom(&s.c, cp) }
 
-// entryCopier lifts a copy of V to a copy of the entry holding it.
-func entryCopier[V any](cp func(dst, src *V)) func(dst, src *seenEntry[V]) {
-	if cp == nil {
-		return nil
+// copyFrom makes c an entry-for-entry copy of src, list lengths included,
+// in the storage c already holds.
+func (c *Seen[V]) copyFrom(src *Seen[V], cp func(dst, src *V)) {
+	c.byOrigin = routing.Resize(c.byOrigin, len(src.byOrigin))
+	for o, sl := range src.byOrigin {
+		l := routing.Resize(c.byOrigin[o], len(sl))
+		for i := range sl {
+			l[i].id, l[i].expires = sl[i].id, sl[i].expires
+			if cp == nil {
+				l[i].val = sl[i].val
+			} else {
+				cp(&l[i].val, &sl[i].val)
+			}
+		}
+		c.byOrigin[o] = l
 	}
-	return func(dst, src *seenEntry[V]) {
-		dst.expires = src.expires
-		cp(&dst.val, &src.val)
-	}
+	c.sweepAt = src.sweepAt
 }

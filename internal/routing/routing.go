@@ -161,7 +161,7 @@ type VolatileResetter interface {
 // AppendModelState's encoding must cover everything that influences
 // future behaviour (tables with labels, duplicate caches, pending
 // buffers, active discoveries, counters) and nothing that does not.
-// Implementations must emit map- and set-valued state in ascending key
+// Implementations must emit keyed and set-valued state in ascending key
 // order, so that equal states serialize to equal bytes, and a sequence
 // whose order the protocol reads (a tie broken by position) in that
 // order, so that states that behave differently do not.
@@ -181,10 +181,10 @@ type VolatileResetter interface {
 // SaveModelState copies the state into store and returns it: store is a
 // value an earlier call on the same protocol type returned, whose
 // storage is reused, or nil, for which new storage is allocated. Equal
-// states save to reflect.DeepEqual values (maps are saved in ascending
-// key order). RestoreModelState puts back a state saved from this same
-// instance, leaving store unchanged and sharing no memory with it, so one
-// saved state can be restored any number of times. Both are methods of
+// states save to reflect.DeepEqual values. RestoreModelState puts back a
+// state saved from this same instance, slice lengths included, leaving
+// store unchanged and sharing no memory with it, so one saved state can be
+// restored any number of times. Both are methods of
 // this interface, not of a further optional one, so that a decorator that
 // embeds ModelStater forwards them without knowing them.
 //
@@ -242,6 +242,7 @@ type Resetter interface {
 // free lists instead of being reallocated per transmission.
 type Node struct {
 	id     NodeID
+	nodes  int // in the network: every NodeID is below it
 	sim    *sim.Simulator
 	mac    *mac.MAC
 	col    *metrics.Collector
@@ -282,10 +283,11 @@ type netFrame struct {
 // NewNode wires a node's network layer to a fresh MAC on the medium.
 func NewNode(id NodeID, s *sim.Simulator, medium *radio.Medium, macCfg mac.Config, col *metrics.Collector, src *rng.Source) *Node {
 	n := &Node{
-		id:  id,
-		sim: s,
-		col: col,
-		rng: src,
+		id:    id,
+		nodes: medium.Model().NumNodes(),
+		sim:   s,
+		col:   col,
+		rng:   src,
 	}
 	n.mac = mac.New(int(id), s, medium, macCfg, src.Split("mac"), n.deliverFrame)
 	return n
@@ -303,6 +305,10 @@ func (n *Node) Protocol() Protocol { return n.proto }
 
 // ID returns the node identifier.
 func (n *Node) ID() NodeID { return n.id }
+
+// NumNodes returns the number of nodes in the network; every NodeID is
+// below it, so a per-destination table can be one slot per node.
+func (n *Node) NumNodes() int { return n.nodes }
 
 // Now returns the current virtual time.
 func (n *Node) Now() time.Duration { return n.sim.Now() }
