@@ -107,13 +107,14 @@ modelcheck:
 # resets and on the 4-node paw; the rediscovered AODV loop; the
 # committed-seed bridge replays) plus the checks the search rests on:
 # restore equals replay, an action touches one node, independent actions
-# commute, the sleep sets keep every state of the unreduced search, and
-# the search is the same at one, two and three workers, whose handlers
-# run one at a time and whose panics reach the caller. The race detector
-# watches the workers here.
+# commute, the sleep sets keep every state of the unreduced search, state
+# keys are equal iff serializations are, a warm key allocates nothing, the
+# visited table agrees with a map, and the search is the same at one, two
+# and three workers, whose handlers run one at a time and whose panics
+# reach the caller. The race detector watches the workers here.
 # Part of `make check`.
 modelcheck-smoke:
-	$(GO) test -race -timeout 30m ./internal/modelcheck/ -run 'TestLDRLine3Clean|TestLDRVolatileLine3Clean|TestLDRPaw4Clean|TestAODVLine3Violation|TestWitnessBridge|TestSnapshotEqualsReplay|TestActionTouchesOneNode|TestReductionKeepsEveryState|TestIndependentActionsCommute|TestExploreIndependentOfWorkers|TestHandlersRunOneAtATime|TestWorkerPanicReachesTheCaller|TestProgressEndsWithTheResult'
+	$(GO) test -race -timeout 30m ./internal/modelcheck/ -run 'TestLDRLine3Clean|TestLDRVolatileLine3Clean|TestLDRPaw4Clean|TestAODVLine3Violation|TestWitnessBridge|TestSnapshotEqualsReplay|TestActionTouchesOneNode|TestReductionKeepsEveryState|TestIndependentActionsCommute|TestKeysDoNotCollide|TestEncoderKeyDoesNotAllocate|TestKeySetMatchesMap|TestExploreIndependentOfWorkers|TestHandlersRunOneAtATime|TestWorkerPanicReachesTheCaller|TestProgressEndsWithTheResult'
 
 # Regenerate the committed van Glabbeek witness seed from scratch (the
 # checker re-derives the schedule; the file only changes if the witness

@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"github.com/manetlab/ldr/internal/cli"
@@ -105,11 +106,11 @@ func run() error {
 			return fmt.Errorf("-flows cannot be combined with a sweep (flows are per-topology)")
 		}
 		for _, part := range strings.Split(*flows, ",") {
-			var src, dst int
-			if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d>%d", &src, &dst); err != nil {
-				return fmt.Errorf("bad flow %q (want src>dst, e.g. 0>2)", part)
+			f, err := parseFlow(strings.TrimSpace(part))
+			if err != nil {
+				return err
 			}
-			flowList = append(flowList, modelcheck.Flow{Src: routing.NodeID(src), Dst: routing.NodeID(dst)})
+			flowList = append(flowList, f)
 		}
 	}
 
@@ -123,8 +124,8 @@ func run() error {
 	}
 	if !*quiet {
 		opts.Progress = func(p modelcheck.Progress) {
-			rate := float64(p.Transitions) / p.Elapsed.Seconds()
-			fmt.Fprintf(os.Stderr, "ldrcheck: states=%d frontier=%d transitions=%d depth=%d elapsed=%v (%.0f trans/s)\n",
+			rate := float64(p.States) / p.Elapsed.Seconds()
+			fmt.Fprintf(os.Stderr, "ldrcheck: states=%d frontier=%d transitions=%d depth=%d elapsed=%v (%.0f states/s)\n",
 				p.States, p.Frontier, p.Transitions, p.Depth, p.Elapsed.Round(10_000_000), rate)
 		}
 	}
@@ -176,6 +177,18 @@ func run() error {
 			*proto, strings.Join(truncated, ", "))
 	}
 	return nil
+}
+
+// parseFlow reads one flow, which must be exactly src>dst in decimal node
+// ids: anything before, between or after them is an error naming the flow.
+func parseFlow(s string) (modelcheck.Flow, error) {
+	src, dst, ok := strings.Cut(s, ">")
+	a, errA := strconv.ParseUint(src, 10, 8)
+	b, errB := strconv.ParseUint(dst, 10, 8)
+	if !ok || errA != nil || errB != nil {
+		return modelcheck.Flow{}, fmt.Errorf("bad flow %q (want src>dst, e.g. 0>2)", s)
+	}
+	return modelcheck.Flow{Src: routing.NodeID(a), Dst: routing.NodeID(b)}, nil
 }
 
 // emitSeed writes the witness's conformance-replay spec as JSON.

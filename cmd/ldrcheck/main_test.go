@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -44,5 +45,28 @@ func TestExitStatus(t *testing.T) {
 		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)
 		}
+	}
+}
+
+// TestFlowsMustBeExact: each -flows entry is exactly src>dst. The parser
+// used to stop reading at the second number, so 0>2>1 explored 0>2, and
+// 1>0junk explored 1>0, both exiting 0.
+func TestFlowsMustBeExact(t *testing.T) {
+	for _, tc := range []struct{ flows, bad string }{
+		{"0>2>1", "0>2>1"},
+		{"0>2,1>0junk", "1>0junk"},
+		{"0>2,>1", ">1"},
+		{"0>2,1", "1"},
+		{"0>+2", "0>+2"},
+		{"0>-1", "0>-1"},
+		{"0 >2", "0 >2"},
+	} {
+		err := runWith(t, "-flows", tc.flows, "-depth", "1")
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("bad flow %q", tc.bad)) {
+			t.Errorf("-flows %q: error %v, want one naming flow %q", tc.flows, err, tc.bad)
+		}
+	}
+	if err := runWith(t, "-flows", "0>2, 1>0", "-depth", "1"); err != nil {
+		t.Errorf("-flows \"0>2, 1>0\": %v, want exit 0", err)
 	}
 }

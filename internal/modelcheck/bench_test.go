@@ -7,12 +7,13 @@ package modelcheck
 // measure the one-worker search. A transition is one apply, one loop check,
 // one state key and one in-place restore (snapshot.go), each of the
 // one node the action wrote. By the CPU profile of BenchmarkCheckLDRLine3
-// on one CPU the key is a fifth of it — the pending items 7 %, the
-// written node's AppendModelState 6 %, the hash 7 % — restoring the
-// written node and links 16 % (LDR's own restore 10 %), applying actions
-// 12 % (the handlers 5 %), saving on seek 9 %, merging a layer's results
-// 8 %, and the loop check with its table snapshot 10 %. LDR's own save,
-// restore, encoding, table snapshot and reset together are a quarter.
+// on one CPU: restoring the written node and links 20 % (LDR's own restore
+// 11 %), applying actions 17 % (the handlers 8 %, hashing what they queue
+// 2 %), the key 16 % (most of it the written node's
+// AppendModelState and its hash), saving on seek 13 %, the loop check
+// with its table snapshot 9 %, merging a layer's results 7 %, and the
+// visited set 5 %. LDR's own save, restore, encoding, table snapshot and
+// reset together are a quarter.
 // The work is per state, not per transition: sleep sets (sleep.go) leave
 // out about half the transitions, the ones that only lead back into the
 // visited set, so how many are made per state is the reduction's figure

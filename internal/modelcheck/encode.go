@@ -1,20 +1,35 @@
 package modelcheck
 
-// State encoding. A state is (per-node protocol state, per-link pending
+// State keys. A state is (per-node protocol state, per-link pending
 // multisets, origination progress, remaining fault budgets); it has one
-// serialization, and the BFS memoizes a 128-bit hash of it (hashKey).
+// serialization (refEncode, reference_test.go), and the search memoizes a
+// 128-bit key of it. The key is not taken over the serialization but
+// composed from hashes of its parts, each taken once, in the style of
+// incremental state hashing (Nguyen & Ruys, "Incremental Hashing for
+// SPIN", SPIN 2008):
 //
-// Per-link queues are serialized as sorted multisets: the checker can
-// deliver any pending item in any order, so queue position carries no
-// information and states differing only by it must collide.
+//   - a pending item's hash is hashKey of its encodeItem bytes, taken when
+//     the world queues the item (world.hashed) and carried with it into a
+//     saved record, back out of one and into a duplicate;
+//   - a node's hash is hashKey of its AppendModelState bytes, cached on the
+//     saved record (snapshot.go), so a successor's key encodes the one node
+//     the action wrote and copies the rest;
+//   - a link's items are summed lane by lane. Addition commutes, so the sum
+//     hashes the link's multiset: the checker can deliver any pending item
+//     in any order, so queue position carries no information, and states
+//     differing only by it must collide.
 //
-// A node's part of the serialization is a function of that node's state
-// alone, so it is taken once per saved state and cached on the saved
-// record (snapshot.go): the key of a successor encodes the one node the
-// action wrote and copies the rest.
+// The key is hashKey over the flow cursor and budgets, the n node hashes
+// in id order and, for each non-empty link, its index, its count and its
+// sum. Two states share a key iff their serializations are equal, up to a
+// collision of 128-bit hashes (refKey, TestKeysDoNotCollide).
+//
+// An item's hash stays valid because what it hashes cannot change while
+// the item is queued: control messages are read-only once sent, and a
+// queued data packet is a copy the environment owns.
+// TestSnapshotEqualsReplay checks every queued item's hash at every step.
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -26,88 +41,85 @@ import (
 	"github.com/manetlab/ldr/internal/routing"
 )
 
-// stateKey is the 128-bit memoization key of a state.
+// stateKey is the 128-bit memoization key of a state, and the hash of a
+// node's or a pending item's serialization.
 type stateKey [2]uint64
 
-// encoder holds the scratch a serialization is built in, reused across
-// calls: a warm key allocates nothing. Not safe for concurrent use.
+// encoder holds the scratch serializations and keys are built in, reused
+// across calls: a warm key allocates nothing. Each world has one. Not safe
+// for concurrent use.
 type encoder struct {
-	buf   []byte     // the state's serialization
-	items []byte     // scratch: one link's items, back to back, or one item's identity (sleep.go)
-	spans []span     // scratch: where each item sits in items
-	dests []rerrDest // scratch: one RERR's destinations
+	buf   []byte     // one node's or one item's serialization
+	parts []byte     // what a state's key is the hash of
+	dests []rerrDest // one RERR's destinations
 }
-
-type span struct{ lo, hi int }
 
 type rerrDest struct {
 	dst routing.NodeID
 	seq uint64
 }
 
-// key returns the hash of the world's present state given the remaining
+// key returns the key of the world's present state given the remaining
 // budgets (budgets gate which actions are enabled, so two
 // protocol-identical states with different allowances are distinct).
-func (c *cursor) key(b budgets) stateKey { return hashKey(c.encode(b)) }
+func (c *cursor) key(b budgets) stateKey {
+	w, e := c.w, &c.w.enc
+	out := appendContext(e.parts[:0], w.nextFlow, b)
 
-// encode returns the serialization of the world's present state, valid
-// until the next call.
-func (c *cursor) encode(b budgets) []byte {
-	w, e := c.w, c.enc
-	n := w.sc.Graph.N
-
-	// Context: origination progress and remaining budgets.
-	out := binary.AppendUvarint(e.buf[:0], uint64(w.nextFlow))
-	out = binary.AppendUvarint(out, uint64(b.drops))
-	out = binary.AppendUvarint(out, uint64(b.dups))
-	out = binary.AppendUvarint(out, uint64(b.resets))
-	out = binary.AppendUvarint(out, uint64(b.vresets))
-
-	// Node states in identifier order. A node written since the sought
-	// state was saved is encoded as it stands; any other still is what its
-	// saved record holds, so the bytes are taken once per record.
+	// Node hashes in identifier order. A node written since the sought
+	// state was saved is hashed as it stands; any other still is what its
+	// saved record holds, so its hash is taken once per record.
 	base := c.base()
-	for i := 0; i < n; i++ {
+	for i, st := range w.staters {
 		if w.dirtyNodes&(1<<i) != 0 {
-			out = w.staters[i].AppendModelState(out)
+			out = appendKey(out, e.hashNode(st))
 			continue
 		}
 		r := base.nodes[i]
-		if !r.encOK {
-			r.enc, r.encOK = w.staters[i].AppendModelState(r.enc[:0]), true
+		if !r.hashOK {
+			r.hash, r.hashOK = e.hashNode(st), true
 		}
-		out = append(out, r.enc...)
+		out = appendKey(out, r.hash)
 	}
 
-	// Pending multisets, links in ascending (from, to), items sorted by
-	// their serialized form.
-	var links uint32
+	// Pending multisets, links in ascending (from, to).
 	for li, q := range w.pending {
-		if len(q) > 0 {
-			links |= 1 << li
+		if len(q) == 0 {
+			continue
 		}
+		var sum stateKey
+		for _, m := range q {
+			sum[0] += m.hash[0]
+			sum[1] += m.hash[1]
+		}
+		out = binary.AppendUvarint(out, uint64(li))
+		out = binary.AppendUvarint(out, uint64(len(q)))
+		out = appendKey(out, sum)
 	}
-	out = binary.AppendUvarint(out, uint64(bits.OnesCount32(links)))
-	for rest := links; rest != 0; rest &= rest - 1 {
-		li := bits.TrailingZeros32(rest)
-		out = binary.AppendUvarint(out, uint64(li/n))
-		out = binary.AppendUvarint(out, uint64(li%n))
-		e.items, e.spans = e.items[:0], e.spans[:0]
-		for _, m := range w.pending[li] {
-			lo := len(e.items)
-			e.items = e.encodeItem(e.items, m)
-			e.spans = append(e.spans, span{lo, len(e.items)})
-		}
-		slices.SortFunc(e.spans, func(a, b span) int {
-			return bytes.Compare(e.items[a.lo:a.hi], e.items[b.lo:b.hi])
-		})
-		out = binary.AppendUvarint(out, uint64(len(e.spans)))
-		for _, sp := range e.spans {
-			out = append(out, e.items[sp.lo:sp.hi]...)
-		}
-	}
-	e.buf = out
-	return out
+	e.parts = out
+	return hashKey(out)
+}
+
+// hashNode returns the hash of a node's AppendModelState bytes.
+func (e *encoder) hashNode(st routing.ModelStater) stateKey {
+	e.buf = st.AppendModelState(e.buf[:0])
+	return hashKey(e.buf)
+}
+
+// appendContext appends what a state holds besides its nodes and links:
+// origination progress and the remaining budgets.
+func appendContext(out []byte, nextFlow int, b budgets) []byte {
+	out = binary.AppendUvarint(out, uint64(nextFlow))
+	out = binary.AppendUvarint(out, uint64(b.drops))
+	out = binary.AppendUvarint(out, uint64(b.dups))
+	out = binary.AppendUvarint(out, uint64(b.resets))
+	return binary.AppendUvarint(out, uint64(b.vresets))
+}
+
+// appendKey appends k's sixteen bytes.
+func appendKey(out []byte, k stateKey) []byte {
+	out = binary.LittleEndian.AppendUint64(out, k[0])
+	return binary.LittleEndian.AppendUint64(out, k[1])
 }
 
 // hashKey hashes a serialization to its 128-bit key, eight bytes at a

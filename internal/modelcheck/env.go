@@ -107,11 +107,13 @@ type Flow struct {
 // everything its handler emits happens, under the full simulator, at the
 // root action's virtual time — the whole cascade is quasi-instantaneous
 // there — so the witness builder maps roots, not emission slots, back to
-// simulator time.
+// simulator time. hash is the hash of the item's encoding, taken when it
+// was queued (encode.go).
 type linkMsg struct {
 	msg  routing.Message
 	pkt  *routing.DataPacket
 	root int
+	hash stateKey
 }
 
 // emission records one link crossing (delivered, dropped, or still
@@ -167,6 +169,8 @@ type world struct {
 	lostUnicasts int // unicasts addressed to non-neighbors (sent into the void)
 
 	handlers *sync.Mutex // held while protocol code runs; one per exploration
+
+	enc encoder // scratch for queued items' hashes and the cursor's keys
 }
 
 var _ routing.ModelEnv = (*world)(nil)
@@ -259,6 +263,14 @@ func (w *world) sending(from routing.NodeID) {
 	}
 }
 
+// hashed returns m with its hash.
+func (w *world) hashed(m linkMsg) linkMsg {
+	w.enc.buf = w.enc.encodeItem(w.enc.buf[:0], m)
+	m.hash = hashKey(w.enc.buf)
+	return m
+}
+
+// push queues the hashed item m on the link from -> to.
 func (w *world) push(from, to routing.NodeID, m linkMsg) {
 	li := int(from)*w.sc.Graph.N + int(to)
 	w.pending[li] = append(w.pending[li], m)
@@ -269,17 +281,18 @@ func (w *world) push(from, to routing.NodeID, m linkMsg) {
 // every neighbor; the message object is shared between their queue
 // entries, which is safe because received control messages are read-only
 // by contract and the protocol's pools never get the object back (no
-// frame is ever released under the model).
+// frame is ever released under the model). So is the hash, taken once.
 func (w *world) ModelSendControl(from, to routing.NodeID, msg routing.Message) {
 	w.sending(from)
 	if to == routing.BroadcastID {
+		m := w.hashed(linkMsg{msg: msg, root: w.curRoot})
 		for _, nb := range w.nbrs[from] {
-			w.push(from, routing.NodeID(nb), linkMsg{msg: msg, root: w.curRoot})
+			w.push(from, routing.NodeID(nb), m)
 		}
 		return
 	}
 	if w.adjacent(from, to) {
-		w.push(from, to, linkMsg{msg: msg, root: w.curRoot})
+		w.push(from, to, w.hashed(linkMsg{msg: msg, root: w.curRoot}))
 		return
 	}
 	w.lostUnicasts++
@@ -290,7 +303,7 @@ func (w *world) ModelSendControl(from, to routing.NodeID, msg routing.Message) {
 func (w *world) ModelSendData(from, next routing.NodeID, pkt *routing.DataPacket) {
 	w.sending(from)
 	if w.adjacent(from, next) {
-		w.push(from, next, linkMsg{pkt: pkt, root: w.curRoot})
+		w.push(from, next, w.hashed(linkMsg{pkt: pkt, root: w.curRoot}))
 		return
 	}
 	w.lostUnicasts++
@@ -357,7 +370,7 @@ func (w *world) apply(a Action) {
 			w.pending[li] = append(q[:a.Index], q[a.Index+1:]...)
 			w.dropLog = append(w.dropLog, emission{from: a.From, to: a.To, root: m.root, explicit: true})
 		case ActDup:
-			cp := m // same airing, same causal root: a radio-level duplicate
+			cp := m // same airing, same causal root, same hash: a radio-level duplicate
 			if m.pkt != nil {
 				cp.pkt = routing.CloneDataPacket(m.pkt)
 			}

@@ -314,7 +314,7 @@ func explore(cur *cursor, opts Options, workers int, start time.Time) (*Result, 
 	}
 
 	s.recs = []rec{{parent: -1}}
-	s.visited = map[stateKey]struct{}{cur.key(opts.remaining(used{})): {}}
+	s.visited.add(cur.key(opts.remaining(used{})))
 	res.States = 1
 
 	// The layer being expanded and the one being discovered; the initial
@@ -356,7 +356,7 @@ type search struct {
 	res   *Result
 
 	recs       []rec
-	visited    map[stateKey]struct{}
+	visited    keySet
 	this, next sleepLayer // the sleep sets of the layer being expanded and of the one being discovered
 
 	handlers *sync.Mutex // every world's protocol code runs under it
@@ -382,7 +382,7 @@ type worker struct {
 type round struct {
 	opts      Options
 	recs      []rec
-	visited   map[stateKey]struct{}
+	visited   *keySet
 	sleep     sleepLayer // the sleep sets of the layer being expanded
 	truncated bool       // the state cap has refused a state, so nothing sleeps
 
@@ -468,7 +468,7 @@ func (s *search) expand(lo, hi int32, resume int) []chunk {
 // begin sets r up to expand the parents from lo to hi into its chunks.
 func (s *search) begin(r *round, lo, hi int32, resume int) {
 	r.opts = s.opts
-	r.recs, r.visited, r.sleep, r.truncated = s.recs, s.visited, s.this, s.res.Truncated
+	r.recs, r.visited, r.sleep, r.truncated = s.recs, &s.visited, s.this, s.res.Truncated
 	r.lo, r.resume, r.workers = lo, resume, s.workers
 	for w := range s.workers {
 		wk := &s.workers[w]
@@ -557,7 +557,7 @@ func (wk *worker) expand(r *round, c *chunk, idx int32, resume int) bool {
 		}
 		k := cur.key(r.opts.remaining(spent.after(a)))
 		cur.back()
-		if _, ok := r.visited[k]; !ok {
+		if !r.visited.has(k) {
 			wk.cands = append(wk.cands, cand{action: pack(a), key: k, pos: int32(pos), nth: int32(len(wk.ids) - first)})
 		}
 		wk.ids = append(wk.ids, id)
@@ -594,7 +594,7 @@ func (s *search) merge(chunks []chunk) (lo int32, resume int, done bool) {
 			depth := s.recs[idx].depth
 			sleep, explored := s.this.of(idx), wk.ids[from.ids:e.ids]
 			for _, cd := range wk.cands[from.cands:e.cands] {
-				if _, ok := s.visited[cd.key]; ok {
+				if s.visited.has(cd.key) {
 					continue
 				}
 				if res.States >= opts.MaxStates {
@@ -605,7 +605,7 @@ func (s *search) merge(chunks []chunk) (lo int32, resume int, done bool) {
 					}
 					continue
 				}
-				s.visited[cd.key] = struct{}{}
+				s.visited.add(cd.key)
 				s.recs = append(s.recs, rec{parent: idx, depth: depth + 1, action: cd.action})
 				if int(depth)+1 < opts.MaxDepth {
 					s.next.add(sleep, explored[:cd.nth], explored[cd.nth])

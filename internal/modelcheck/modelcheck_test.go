@@ -256,13 +256,14 @@ func TestAODVLine3Violation(t *testing.T) {
 
 // TestKeysDoNotCollide runs the pinned explorations, and the benchmark's
 // two graphs at its tiny scale, without sleep sets and with the visited
-// set keyed by the encoded bytes themselves instead of their hash,
-// stopping at its own first loopcheck violation: Check must find as many
-// states, as deep, with a violation where this search finds one, and no
-// two byte strings may share a key. A byte string reached again — by
-// another path, so from other saved records and another live node — must
-// hash to the key it had. Nor may two item encodings met on the way share
-// the hash the sleep sets name an item's actions by.
+// set keyed by the serialization itself (refEncode) instead of the
+// state's key, stopping at its own first loopcheck violation: Check must
+// find as many states, as deep, with a violation where this search finds
+// one, and no two serializations may share a key. A serialization reached
+// again — by another path, so from other saved records, another live node
+// and other queue orders — must have the key it had. Nor may two item
+// encodings met on the way share the hash the sleep sets name an item's
+// actions by.
 func TestKeysDoNotCollide(t *testing.T) {
 	type cell struct {
 		topo, proto string
@@ -295,13 +296,10 @@ func TestKeysDoNotCollide(t *testing.T) {
 		bytesOf := map[stateKey]string{}
 		// visit reports whether the world's present state is new.
 		visit := func(rem budgets) bool {
-			b, k := string(cur.encode(rem)), cur.key(rem)
-			if k != hashKey([]byte(b)) {
-				t.Fatalf("%s %s: key %x is not the hash of the encoded bytes", c.proto, g, k)
-			}
+			b, k := string(refEncode(cur.w, rem)), cur.key(rem)
 			if prev, ok := keyOf[b]; ok {
 				if prev != k {
-					t.Fatalf("%s %s: bytes %x hashed to %x, and now to %x", c.proto, g, b, prev, k)
+					t.Fatalf("%s %s: serialization %x had key %x, and now %x", c.proto, g, b, prev, k)
 				}
 				return false
 			}
@@ -327,7 +325,7 @@ func TestKeysDoNotCollide(t *testing.T) {
 			cur.seek(trace)
 			for _, a := range cur.w.enabled(nil, opts.remaining(usedBy(trace))) {
 				if a.Kind == ActDeliver {
-					item := string(cur.enc.encodeItem(nil, cur.w.pending[int(a.From)*g.N+int(a.To)][a.Index]))
+					item := string(new(encoder).encodeItem(nil, cur.w.pending[int(a.From)*g.N+int(a.To)][a.Index]))
 					h := uint64(cur.id(a)) & idLow
 					if other, ok := itemOf[h]; ok && other != item {
 						t.Fatalf("%s %s: items %x and %x share the identity hash %x", c.proto, g, other, item, h)

@@ -6,7 +6,11 @@ package modelcheck
 // as what the per-node versions in snapshot.go and encode.go are compared
 // against (TestSnapshotEqualsReplay, TestActionTouchesOneNode,
 // TestKeysDoNotCollide). It knows nothing of dirty sets, shared records or
-// cached encodings: every call reads the whole live world.
+// cached hashes: every call reads the whole live world.
+//
+// refEncode is the serialization a state's identity is defined by, and
+// refKey composes the key from its parts without the hashes encode.go
+// caches on records and carries with queued items.
 //
 // Until it learned sleep sets, the search took every enabled action of
 // every state it expanded; that search is refExplore, which
@@ -199,46 +203,82 @@ func (c *refCursor) seek(trace []Action) {
 
 func (c *refCursor) back() { c.w.restore(c.snaps[len(c.trace)]) }
 
-// refEncode serializes w: every node encoded from the live world, every
-// link counted and walked in a nested loop, its items sorted as whole
-// byte strings.
-func (e *encoder) refEncode(w *world, b budgets) []byte {
+// refParts are the parts of w's serialization, every node encoded from
+// the live world and every link walked in a nested loop: the context
+// (origination progress and budgets), each node's bytes in id order, and
+// each non-empty link's items, sorted as whole byte strings.
+type refParts struct {
+	context []byte
+	nodes   [][]byte
+	links   []refLink
+}
+
+type refLink struct {
+	from, to int
+	items    [][]byte
+}
+
+func refPartsOf(w *world, b budgets) refParts {
 	n := w.sc.Graph.N
-	var out []byte
-	out = binary.AppendUvarint(out, uint64(w.nextFlow))
-	out = binary.AppendUvarint(out, uint64(b.drops))
-	out = binary.AppendUvarint(out, uint64(b.dups))
-	out = binary.AppendUvarint(out, uint64(b.resets))
-	out = binary.AppendUvarint(out, uint64(b.vresets))
-
+	var e encoder
+	p := refParts{context: appendContext(nil, w.nextFlow, b)}
 	for i := 0; i < n; i++ {
-		out = w.staters[i].AppendModelState(out)
+		p.nodes = append(p.nodes, w.staters[i].AppendModelState(nil))
 	}
-
-	links := 0
-	for _, q := range w.pending {
-		if len(q) > 0 {
-			links++
-		}
-	}
-	out = binary.AppendUvarint(out, uint64(links))
 	for from := 0; from < n; from++ {
 		for to := 0; to < n; to++ {
 			var items [][]byte
 			for _, m := range w.pending[from*n+to] {
 				items = append(items, e.encodeItem(nil, m))
 			}
-			if len(items) == 0 {
-				continue
-			}
-			slices.SortFunc(items, bytes.Compare)
-			out = binary.AppendUvarint(out, uint64(from))
-			out = binary.AppendUvarint(out, uint64(to))
-			out = binary.AppendUvarint(out, uint64(len(items)))
-			for _, it := range items {
-				out = append(out, it...)
+			if len(items) > 0 {
+				slices.SortFunc(items, bytes.Compare)
+				p.links = append(p.links, refLink{from, to, items})
 			}
 		}
 	}
+	return p
+}
+
+// refEncode is w's serialization: the context, the nodes, the count of
+// non-empty links and each one's (from, to), item count and items.
+func refEncode(w *world, b budgets) []byte {
+	p := refPartsOf(w, b)
+	out := slices.Clone(p.context)
+	for _, node := range p.nodes {
+		out = append(out, node...)
+	}
+	out = binary.AppendUvarint(out, uint64(len(p.links)))
+	for _, l := range p.links {
+		out = binary.AppendUvarint(out, uint64(l.from))
+		out = binary.AppendUvarint(out, uint64(l.to))
+		out = binary.AppendUvarint(out, uint64(len(l.items)))
+		for _, it := range l.items {
+			out = append(out, it...)
+		}
+	}
 	return out
+}
+
+// refKey is w's state key, composed from refEncode's parts: hashKey over
+// the context, each node's hash, and each non-empty link's index, item
+// count and sum of its items' hashes.
+func refKey(w *world, b budgets) stateKey {
+	p := refPartsOf(w, b)
+	out := slices.Clone(p.context)
+	for _, node := range p.nodes {
+		out = appendKey(out, hashKey(node))
+	}
+	for _, l := range p.links {
+		var sum stateKey
+		for _, it := range l.items {
+			h := hashKey(it)
+			sum[0] += h[0]
+			sum[1] += h[1]
+		}
+		out = binary.AppendUvarint(out, uint64(l.from*w.sc.Graph.N+l.to))
+		out = binary.AppendUvarint(out, uint64(len(l.items)))
+		out = appendKey(out, sum)
+	}
+	return hashKey(out)
 }

@@ -24,6 +24,8 @@ package modelcheck
 // enabled actions with one ID lead to one state.
 //
 //	bits 60–63 kind · 54–59 link+1 (0: none) · 48–53 actor+1 (0: none) · 0–47 item hash or flow
+//
+// The item hash is the first word of the hash the item was queued with.
 type actionID uint64
 
 const idLow = 1<<48 - 1
@@ -63,12 +65,11 @@ func (c *cursor) id(a Action) actionID {
 	switch a.Kind {
 	case ActDeliver, ActDrop, ActDup:
 		li := int(a.From)*w.sc.Graph.N + int(a.To)
-		c.enc.items = c.enc.encodeItem(c.enc.items[:0], w.pending[li][a.Index])
 		actor := -1
 		if a.Kind == ActDeliver {
 			actor = int(a.To)
 		}
-		return newActionID(a.Kind, li, actor, hashKey(c.enc.items)[0])
+		return newActionID(a.Kind, li, actor, w.pending[li][a.Index].hash[0])
 	case ActReset, ActResetVolatile:
 		return newActionID(a.Kind, -1, int(a.Node), 0)
 	case ActOriginate:

@@ -214,7 +214,7 @@ func TestIndependentActionsCommute(t *testing.T) {
 					for i, a := range acts {
 						ids[i] = cur.id(a)
 						if a.Kind == ActDeliver || a.Kind == ActDrop || a.Kind == ActDup {
-							items[i] = cur.enc.encodeItem(nil, cur.w.pending[int(a.From)*g.N+int(a.To)][a.Index])
+							items[i] = new(encoder).encodeItem(nil, cur.w.pending[int(a.From)*g.N+int(a.To)][a.Index])
 						}
 					}
 					for i, a := range acts {

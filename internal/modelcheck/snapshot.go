@@ -38,21 +38,21 @@ import (
 )
 
 // nodeRec is one node's saved state, with what the search derives from it
-// cached beside it: the state is saved once and then looked at — encoded,
+// cached beside it: the state is saved once and then looked at — hashed,
 // its table checked — from every successor in which another node acted.
 type nodeRec struct {
 	node  routing.NodeModelState
 	proto any // the protocol's routing.ModelStater store
 
-	// Filled on first use, dropped when the record is saved over: the
-	// protocol's AppendModelState bytes and its AppendTable rows.
-	enc     []byte
-	encOK   bool
+	// Filled on first use, dropped when the record is saved over: the hash
+	// of the protocol's AppendModelState bytes and its AppendTable rows.
+	hash    stateKey
+	hashOK  bool
 	table   []routing.RouteEntry
 	tableOK bool
 }
 
-// linkRec is one directed link's saved queue.
+// linkRec is one directed link's saved queue. Its items keep their hashes.
 type linkRec struct {
 	q    []linkMsg            // packets point into pkts
 	pkts []routing.DataPacket // copies of the queued data packets
@@ -107,7 +107,7 @@ func (s *snapshot) save(w *world, prev *snapshot) {
 		r := &s.ownNodes[i]
 		w.nw.Nodes[i].SaveModelState(&r.node)
 		r.proto = w.staters[i].SaveModelState(r.proto)
-		r.encOK, r.tableOK = false, false
+		r.hashOK, r.tableOK = false, false
 		s.nodes[i] = r
 	}
 	for m := w.dirtyLinks; m != 0; m &= m - 1 {
@@ -186,7 +186,6 @@ func (s *snapshot) restore(w *world) {
 // other through the sought state's record and its caches.
 type cursor struct {
 	w     *world
-	enc   *encoder
 	trace []Action    // the path from the initial state to the sought state
 	snaps []*snapshot // snaps[i] is the state after trace[:i]; further slots are spare storage
 
@@ -209,7 +208,6 @@ func openCursor(sc *Scenario, handlers *sync.Mutex) (*cursor, error) {
 	n := sc.Graph.N
 	c := &cursor{
 		w:       w,
-		enc:     new(encoder),
 		snaps:   []*snapshot{newSnapshot(n)},
 		tabs:    make([][]routing.RouteEntry, n),
 		scratch: make([][]routing.RouteEntry, n),

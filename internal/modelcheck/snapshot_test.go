@@ -63,11 +63,13 @@ func sweepScenarios(t *testing.T) []*Scenario {
 // links written since, applying the rest, after any amount of wandering
 // through other branches on the same world — is indistinguishable from a
 // fresh world that replayed the trace, and from a world that got there on
-// whole-world snapshots (reference_test.go): the same encoding, whether
-// taken through the saved records' caches or from the whole live world,
-// the same key, enabled actions and routing tables, and an equal full
-// save, which covers what the encoding leaves out. The walk takes every state's key, so every record's caches
-// are full by the time the record is saved over or shared.
+// whole-world snapshots (reference_test.go): the same serialization, the
+// same key, whether taken through the saved records' caches or from the
+// whole live world, the same enabled actions and routing tables, and an
+// equal full save, which covers what the serialization leaves out. Every
+// queued item carries the hash of its encoding as it stands. The walk
+// takes every state's key, so every record's caches are full by the time
+// the record is saved over or shared.
 func TestSnapshotEqualsReplay(t *testing.T) {
 	fields := modelStateFields(t)
 	const walks, steps = 12, 10
@@ -126,20 +128,30 @@ func TestSnapshotEqualsReplay(t *testing.T) {
 }
 
 // sameWorld compares the cursor's world with an oracle for the same trace:
-// what the search observes (encoding, key, enabled actions, tables), every
-// saved field of the two live worlds, and their full saves.
+// what the search observes (serialization, key, item hashes, enabled
+// actions, tables), every saved field of the two live worlds, and their
+// full saves.
 func sameWorld(t *testing.T, fields map[reflect.Type]fieldLists, rem budgets, cur *cursor, want *world, trace []Action, oracle string) {
 	t.Helper()
-	got, enc := cur.w, cur.enc
-	gb, wb := slices.Clone(cur.encode(rem)), enc.refEncode(want, rem)
-	if !bytes.Equal(gb, wb) {
-		t.Errorf("after %v: encoding %x, %s gives %x", trace, gb, oracle, wb)
+	got := cur.w
+	if gb, wb := refEncode(got, rem), refEncode(want, rem); !bytes.Equal(gb, wb) {
+		t.Errorf("after %v: serialization %x, %s gives %x", trace, gb, oracle, wb)
 	}
-	if lb := enc.refEncode(got, rem); !bytes.Equal(gb, lb) {
-		t.Errorf("after %v: encoding through the saved records %x, the live world encodes to %x", trace, gb, lb)
+	gk := cur.key(rem)
+	if wk := refKey(want, rem); gk != wk {
+		t.Errorf("after %v: key %x through the saved records, %s gives %x", trace, gk, oracle, wk)
 	}
-	if gk, wk := cur.key(rem), hashKey(wb); gk != wk {
-		t.Errorf("after %v: key %x, %s gives %x", trace, gk, oracle, wk)
+	if lk := refKey(got, rem); gk != lk {
+		t.Errorf("after %v: key %x through the saved records, the live world's is %x", trace, gk, lk)
+	}
+	for _, w := range []*world{got, want} {
+		for li, q := range w.pending {
+			for i, m := range q {
+				if h := hashKey(new(encoder).encodeItem(nil, m)); m.hash != h {
+					t.Errorf("after %v: item %d of link %d queued with hash %x, encodes to %x", trace, i, li, m.hash, h)
+				}
+			}
+		}
 	}
 	if ga, wa := got.enabled(nil, rem), want.enabled(nil, rem); !slices.Equal(ga, wa) {
 		t.Errorf("after %v: enabled %v, %s gives %v", trace, ga, oracle, wa)
@@ -301,8 +313,8 @@ func modelStateFields(t *testing.T) map[reflect.Type]fieldLists {
 			// node and protocol by protocol; micro is empty between actions;
 			// actor is set by every apply before anything reads it; the dirty
 			// sets say how the world differs from a saved state and are no
-			// part of one; handlers is the exploration's lock.
-			[]string{"sc", "nbrs", "adj", "nw", "staters", "tablers", "vresetters", "micro", "actor", "dirtyNodes", "dirtyLinks", "handlers"}},
+			// part of one; handlers is the exploration's lock; enc is scratch.
+			[]string{"sc", "nbrs", "adj", "nw", "staters", "tablers", "vresetters", "micro", "actor", "dirtyNodes", "dirtyLinks", "handlers", "enc"}},
 	}
 }
 
@@ -333,7 +345,7 @@ func TestModelStateFieldCoverage(t *testing.T) {
 // TestEncoderKeyDoesNotAllocate guards the encoder's scratch reuse: once
 // warm, a state key costs no allocation — with control messages and data
 // packets pending and routes installed, one action ahead of the sought
-// state, so that one node is encoded as it stands and the others come
+// state, so that one node is hashed as it stands and the others come
 // from their records.
 func TestEncoderKeyDoesNotAllocate(t *testing.T) {
 	g, err := NamedTopology("ring4")
