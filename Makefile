@@ -46,10 +46,11 @@ race:
 # on-demand duplicate cache, buffers and discoveries against the map
 # implementations they replaced, of the radio's receiver scan (which
 # keeps positions) against brute force and the scan that looked every node
-# up, of LoadSpec on hostile seed files, of the journal's Open and Put
-# on hostile record files, and of benchjson's parse on hostile `go test`
-# output (a failing input lands in the package's testdata/fuzz/ and then
-# fails plain `go test` too).
+# up, of the radio's batched, bitset-tracked and addressed delivery
+# against per-receiver events, of LoadSpec on hostile seed files, of the
+# journal's Open and Put on hostile record files, and of benchjson's parse
+# on hostile `go test` output (a failing input lands in the package's
+# testdata/fuzz/ and then fails plain `go test` too).
 fuzz-smoke:
 	$(GO) test -race -timeout 30m ./internal/conformance/ -run 'TestRegressionSeeds|TestFuzzSmoke'
 	$(GO) run ./cmd/ldrfuzz -runs 8 -seed 42 -max-nodes 20 -max-simtime 12s -q
@@ -57,6 +58,7 @@ fuzz-smoke:
 	$(GO) test ./internal/olsr -run '^$$' -fuzz FuzzOLSRState -fuzztime 20s
 	$(GO) test ./internal/routing/ondemand -run '^$$' -fuzz FuzzOnDemandState -fuzztime 20s
 	$(GO) test ./internal/radio -run '^$$' -fuzz FuzzReceiverSet -fuzztime 20s
+	$(GO) test ./internal/radio -run '^$$' -fuzz FuzzBatchedDelivery -fuzztime 20s
 	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzLoadSpec -fuzztime 20s
 	$(GO) test ./internal/resilience -run '^$$' -fuzz FuzzJournalRecord -fuzztime 20s
 	$(GO) test ./cmd/benchjson -run '^$$' -fuzz FuzzParse -fuzztime 20s
@@ -164,9 +166,10 @@ bench-sweep:
 	$(GO) test -run '^$$' $(BENCH_SWEEP) | tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_sweep.json -maxregress 10
 
 # Fast allocation-regression smoke: the zero-alloc guards on the event
-# loop, the radio's fault-delayed delivery, MAC queue, LDR round trip,
-# LDR's and AODV's warm model-state save/encode/restore and OLSR's warm
-# link-state paths, plus a single tiny sweep cell.
+# loop, the radio's fault-delayed delivery, MAC queue and RTS/CTS
+# exchange, LDR round trip, LDR's and AODV's warm model-state
+# save/encode/restore and OLSR's warm link-state paths, plus a single tiny
+# sweep cell.
 # Part of `make check` so steady-state allocation creep fails CI quickly.
 bench-smoke:
 	$(GO) test -run 'Alloc|ZeroAlloc' ./internal/sim/ ./internal/radio/ ./internal/mac/ ./internal/core/ ./internal/aodv/ ./internal/routing/... ./internal/olsr/

@@ -61,6 +61,35 @@ func TestMACBroadcastAllocsWhenWarm(t *testing.T) {
 	}
 }
 
+// TestMACRTSCTSZeroAllocsWhenWarm does the same for a unicast behind an
+// RTS/CTS handshake: the CTS's answer, the data a SIFS later, is a
+// package-level continuation like every other.
+func TestMACRTSCTSZeroAllocsWhenWarm(t *testing.T) {
+	s := sim.New()
+	medium := radio.New(s, mobility.NewStatic([]mobility.Point{{X: 0}, {X: 200}}), radio.DefaultConfig())
+	root := rng.New(8)
+	deliver := func(int, *mac.Frame) {}
+	cfg := mac.Config{RTSCTSEnabled: true}
+	sender := mac.New(0, s, medium, cfg, root.Split("a"), deliver)
+	mac.New(1, s, medium, cfg, root.Split("b"), deliver)
+
+	f := &mac.Frame{}
+	cycle := func() {
+		*f = mac.Frame{To: 1, Bytes: 256}
+		sender.Send(f)
+		s.RunAll()
+	}
+	for i := 0; i < 64; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Fatalf("warm RTS/CTS unicast cycle allocates %.1f per op, want 0", avg)
+	}
+	if st := sender.Stats(); st.RTSSent < 264 || st.Acked < 264 {
+		t.Fatalf("stats %+v: want every cycle an RTS and an ACK", st)
+	}
+}
+
 func BenchmarkMACUnicastCycle(b *testing.B) {
 	s := sim.New()
 	medium := radio.New(s, mobility.NewStatic([]mobility.Point{{X: 0}, {X: 200}}), radio.DefaultConfig())

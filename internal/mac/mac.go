@@ -141,7 +141,18 @@ func (af *airFrame) Unref() {
 	af.owner.airPool.Put(af)
 }
 
+// Addressee implements radio.Addressed. Data and ACKs matter only at
+// their destination (onRadio drops them anywhere else, and a broadcast's
+// BroadcastAddr is everyone); an RTS or CTS sets every overhearer's NAV.
+func (af *airFrame) Addressee() int {
+	if af.kind == airRTS || af.kind == airCTS {
+		return BroadcastAddr
+	}
+	return af.dst
+}
+
 var _ radio.Releasable = (*airFrame)(nil)
+var _ radio.Addressed = (*airFrame)(nil)
 
 // Stats are per-interface MAC counters.
 type Stats struct {
@@ -357,6 +368,16 @@ func bcastDoneTr(arg any, u uint64) {
 	}
 }
 
+// ctsDataTr sends the head frame's data a SIFS after its CTS arrived,
+// unless the interface was power-cycled or the exchange ended since: u
+// carries the epoch in its high half and the exchange's seq in its low.
+func ctsDataTr(arg any, u uint64) {
+	m := arg.(*MAC)
+	if uint64(m.epoch) == u>>32 && m.inFlight && len(m.queue) > 0 && m.seq == uint32(u) {
+		m.transmitData(m.queue[0])
+	}
+}
+
 // txAirTr transmits a pooled air frame after an inter-frame space (ACK
 // and CTS responses), then drops the scheduling reference.
 func txAirTr(arg any, _ uint64) {
@@ -552,13 +573,7 @@ func (m *MAC) onRadio(from int, payload any) {
 		if af.dst == m.id && m.awaitCTS {
 			m.awaitCTS = false
 			m.ctsTimer.Cancel()
-			f := m.queue[0]
-			ep := m.epoch
-			m.sim.Schedule(SIFS, func() {
-				if m.epoch == ep && m.inFlight && len(m.queue) > 0 && m.queue[0] == f {
-					m.transmitData(f)
-				}
-			})
+			m.sim.ScheduleTransient(SIFS, ctsDataTr, m, uint64(m.epoch)<<32|uint64(m.seq))
 			return
 		}
 		m.setNAV(af.dur)

@@ -48,14 +48,42 @@ func BenchmarkTransmitBurst(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		base := i * 8
 		for j := 0; j < 8; j++ {
-			src := (base + j) % 100
-			s.Schedule(time.Duration(j)*time.Microsecond, func() {
-				m.Transmit(src, 4096, nil)
-			})
+			s.ScheduleTransient(time.Duration(j)*time.Microsecond, burstTransmit, m, uint64((base+j)%100))
 		}
 		s.RunAll()
 	}
 }
+
+// burstTransmit sends BenchmarkTransmitBurst's frame from node u.
+func burstTransmit(arg any, u uint64) { arg.(*radio.Medium).Transmit(int(u), 4096, nil) }
+
+// unicast is a payload that names the node it is for.
+type unicast int
+
+func (u unicast) Addressee() int { return int(u) }
+
+// benchTransmitAddressed is BenchmarkTransmit with every frame a unicast
+// to a node that could decode its sender when the run began, as a MAC's
+// data frames and ACKs are: the other clean receptions end unseen.
+func benchTransmitAddressed(b *testing.B, n int) {
+	s, m := benchMedium(n)
+	payloads := make([]any, n) // boxed once, so sending one allocates nothing
+	for i := range payloads {
+		to := (i + 1) % n
+		if near := m.ReachableFrom(i); len(near) > 0 {
+			to = near[len(near)/2]
+		}
+		payloads[i] = unicast(to)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m.Transmit(i%n, 4096+512*8, payloads[i%n])
+		s.RunAll()
+	}
+}
+
+func BenchmarkTransmitAddressed(b *testing.B)   { benchTransmitAddressed(b, 100) }
+func BenchmarkTransmitAddressed50(b *testing.B) { benchTransmitAddressed(b, 50) }
 
 // BenchmarkNeighbors measures the observability helper with a
 // caller-provided buffer (allocs/op should be zero once warm).

@@ -1,30 +1,41 @@
 package radio
 
-import "time"
+import (
+	"fmt"
+	"slices"
+	"time"
+)
 
 // PerReceiver is the medium as Transmit and the signal handling are checked
 // against it: the code they replaced, kept whole. Its Transmit measures
 // every node exactly, every receiver gets a one-reception record with its
 // own start and its own end event, created in ascending id, and a node
-// keeps the list of every decodable reception in the air with a corrupted
-// mark on each, searched when one ends. The counters, the sender and idle
-// bookkeeping (checkIdle) and the delivery (deliverFaulty) are the
-// medium's own; a world driven through a PerReceiver never calls
-// Medium.Transmit.
+// keeps a count of the signals it senses and the list of every decodable
+// reception in the air with a corrupted mark on each, searched when one
+// ends; carrier sense and idle waiters (Busy, NotifyIdle) read that count.
+// Every clean reception is delivered, addressed or not. The counters, the
+// nodes' own transmit times and the delivery (deliverFaulty) are the
+// medium's; a world driven through a PerReceiver calls none of
+// Medium.Transmit, Busy and NotifyIdle.
 type PerReceiver struct {
-	m      *Medium
-	active [][]*refReception // per node: decodable receptions in the air there
+	m       *Medium
+	signals []int             // per node: signals sensed there
+	active  [][]*refReception // per node: decodable receptions in the air there
+	onIdle  [][]idleWait      // per node: waiters for an idle channel
 }
 
-// refReception is one receiver's record: a transmission of one reception.
+// refReception is one receiver's record of one transmission.
 type refReception struct {
-	tx        transmission
+	from, dst int
+	decodable bool
+	payload   any
 	corrupted bool
 }
 
 // PerReceiver returns the reference over m.
 func (m *Medium) PerReceiver() *PerReceiver {
-	return &PerReceiver{m: m, active: make([][]*refReception, len(m.nodes))}
+	n := len(m.nodes)
+	return &PerReceiver{m: m, signals: make([]int, n), active: make([][]*refReception, n), onIdle: make([][]idleWait, n)}
 }
 
 // Transmit is the reference for Medium.Transmit.
@@ -36,7 +47,7 @@ func (r *PerReceiver) Transmit(src, bits int, payload any) time.Duration {
 
 	m.nodes[src].txUntil = now + air
 	r.corrupt(src)
-	m.sim.ScheduleTransient(air, m.idleFn, nil, uint64(src))
+	m.sim.ScheduleTransient(air, r.idleAt, nil, uint64(src))
 
 	srcPos := m.model.Position(src, now)
 	for i := range m.nodes {
@@ -51,16 +62,39 @@ func (r *PerReceiver) Transmit(src, bits int, payload any) time.Duration {
 		if d > m.csRange[src] {
 			continue
 		}
-		rc := &refReception{tx: transmission{
-			from:    int32(src),
-			payload: payload,
-			recs:    []reception{{dst: int32(i), decodable: d <= m.txRange[src]}},
-		}}
+		rc := &refReception{from: src, dst: i, decodable: d <= m.txRange[src], payload: payload}
 		ref(payload)
 		m.sim.ScheduleTransient(PropDelay, r.signalStart, rc, 0)
 		m.sim.ScheduleTransient(PropDelay+air, r.signalEnd, rc, 0)
 	}
 	return air
+}
+
+// Busy is the reference for Medium.Busy.
+func (r *PerReceiver) Busy(id int) bool {
+	return r.signals[id] > 0 || r.m.nodes[id].txUntil > r.m.sim.Now()
+}
+
+// NotifyIdle is the reference for Medium.NotifyIdle.
+func (r *PerReceiver) NotifyIdle(id int, w IdleWaiter, u uint64) {
+	if !r.Busy(id) {
+		r.m.sim.ScheduleTransient(0, idleNowFn, w, u)
+		return
+	}
+	r.onIdle[id] = append(r.onIdle[id], idleWait{w: w, u: u})
+}
+
+func (r *PerReceiver) idleAt(_ any, u uint64) { r.checkIdle(int(u)) }
+
+func (r *PerReceiver) checkIdle(id int) {
+	if r.Busy(id) || len(r.onIdle[id]) == 0 {
+		return
+	}
+	cbs := r.onIdle[id]
+	r.onIdle[id] = nil
+	for _, w := range cbs {
+		w.w.ChannelIdle(w.u)
+	}
 }
 
 // corrupt marks every decodable reception in the air at node as lost.
@@ -75,16 +109,14 @@ func (r *PerReceiver) corrupt(node int) {
 
 func (r *PerReceiver) signalStart(arg any, _ uint64) {
 	m, rc := r.m, arg.(*refReception)
-	dst, decodable := int(rc.tx.recs[0].dst), rc.tx.recs[0].decodable
-	st := &m.nodes[dst]
-	st.signals++
-	if decodable {
-		r.active[dst] = append(r.active[dst], rc)
+	r.signals[rc.dst]++
+	if rc.decodable {
+		r.active[rc.dst] = append(r.active[rc.dst], rc)
 	}
-	if st.signals > 1 {
-		r.corrupt(dst)
+	if r.signals[rc.dst] > 1 {
+		r.corrupt(rc.dst)
 	}
-	if st.txUntil > m.sim.Now() && decodable && !rc.corrupted {
+	if m.nodes[rc.dst].txUntil > m.sim.Now() && rc.decodable && !rc.corrupted {
 		rc.corrupted = true
 		m.Corrupted++
 	}
@@ -92,26 +124,63 @@ func (r *PerReceiver) signalStart(arg any, _ uint64) {
 
 func (r *PerReceiver) signalEnd(arg any, _ uint64) {
 	m, rc := r.m, arg.(*refReception)
-	dst := int(rc.tx.recs[0].dst)
-	st := &m.nodes[dst]
-	st.signals--
-	if rc.tx.recs[0].decodable {
-		for i, a := range r.active[dst] {
+	st := &m.nodes[rc.dst]
+	r.signals[rc.dst]--
+	if rc.decodable {
+		for i, a := range r.active[rc.dst] {
 			if a == rc {
-				r.active[dst] = append(r.active[dst][:i], r.active[dst][i+1:]...)
+				r.active[rc.dst] = append(r.active[rc.dst][:i], r.active[rc.dst][i+1:]...)
 				break
 			}
 		}
-		if !rc.corrupted && st.txUntil <= m.sim.Now() && st.rx != nil {
+		if !rc.corrupted && m.nodes[rc.dst].txUntil <= m.sim.Now() && st.rx != nil {
 			if f := m.flt; f != nil && f.src != nil {
-				m.deliverFaulty(f, &rc.tx, &rc.tx.recs[0])
+				m.deliverFaulty(f, rc.from, rc.dst, rc.payload)
 			} else {
-				st.rx(int(rc.tx.from), rc.tx.payload)
+				st.rx(rc.from, rc.payload)
 			}
 		}
 	}
-	m.checkIdle(dst)
-	unref(rc.tx.payload)
+	r.checkIdle(rc.dst)
+	unref(rc.payload)
+}
+
+// CheckSets reports the first way the medium's node bitsets disagree,
+// between events, with what they stand for: a waiter bit is set exactly
+// where idle waiters are registered, and a clean bit only where one frame
+// in the air is sensed, that frame is decodable there, and the node is not
+// transmitting. No bit is set beyond the last node.
+func (m *Medium) CheckSets() error {
+	for i := 0; i < len(m.clean)*64; i++ {
+		w, b := i>>6, uint64(1)<<(i&63)
+		waiting, clean := m.waiters[w]&b != 0, m.clean[w]&b != 0
+		if i >= len(m.nodes) {
+			if waiting || clean {
+				return fmt.Errorf("bit %d set beyond %d nodes (waiter %v, clean %v)", i, len(m.nodes), waiting, clean)
+			}
+			continue
+		}
+		if waiting != (len(m.nodes[i].onIdle) > 0) {
+			return fmt.Errorf("node %d: waiter bit %v with %d waiters", i, waiting, len(m.nodes[i].onIdle))
+		}
+		if !clean {
+			continue
+		}
+		var sensed, decodable int
+		for _, tx := range m.active {
+			if tx.sensed[w]&b != 0 {
+				sensed++
+			}
+			if tx.decodable[w]&b != 0 {
+				decodable++
+			}
+		}
+		if sensed != 1 || decodable != 1 || m.nodes[i].txUntil > m.sim.Now() {
+			return fmt.Errorf("node %d clean with %d frames sensed, %d decodable, transmitting until %v at %v",
+				i, sensed, decodable, m.nodes[i].txUntil, m.sim.Now())
+		}
+	}
+	return nil
 }
 
 // Receiver returns the callback attached for node id, so a test can wrap
@@ -139,34 +208,29 @@ func (m *Medium) UseReferenceFaults() *ReferenceFaults {
 	return r
 }
 
-// endAll is Medium.endAll and signalEnd with the reference deliver in
-// place of deliverFaulty.
+// endAll is Medium.endAll with the reference deliver in place of
+// deliverFaulty.
 func (r *ReferenceFaults) endAll(arg any, _ uint64) {
 	m := r.m
 	tx := arg.(*transmission)
-	for i := range tx.recs {
-		rc := &tx.recs[i]
-		st := &m.nodes[rc.dst]
-		st.signals--
-		if st.clean == rc {
-			st.clean = nil
-			if st.rx != nil {
-				if f := m.flt; f != nil && f.src != nil {
-					r.deliver(f, tx, rc)
-				} else {
-					st.rx(int(tx.from), tx.payload)
-				}
+	i, last := slices.Index(m.active, tx), len(m.active)-1
+	m.active[i], m.active[last] = m.active[last], nil
+	m.active = m.active[:last]
+	m.ending, m.passed = tx, -1
+	for j, clean := m.nextEnd(tx); j >= 0; j, clean = m.nextEnd(tx) {
+		if clean && m.nodes[j].rx != nil {
+			if f := m.flt; f != nil && f.src != nil {
+				r.deliver(f, int(tx.from), j, tx.payload)
+			} else {
+				m.nodes[j].rx(int(tx.from), tx.payload)
 			}
 		}
-		m.checkIdle(int(rc.dst))
+		m.checkIdle(j)
 	}
-	unref(tx.payload)
-	tx.payload = nil
-	tx.recs = tx.recs[:0]
-	m.txPool.Put(tx)
+	m.retire(tx)
 }
 
-func (r *ReferenceFaults) deliver(f *faults, tx *transmission, rc *reception) {
+func (r *ReferenceFaults) deliver(f *faults, from, dst int, payload any) {
 	m := r.m
 	copies := 1
 	if f.drop > 0 && f.src.Float64() < f.drop {
@@ -182,11 +246,10 @@ func (r *ReferenceFaults) deliver(f *faults, tx *transmission, rc *reception) {
 			delay = time.Duration(f.src.Float64() * float64(f.delayMax))
 		}
 		if delay <= 0 {
-			m.nodes[rc.dst].rx(int(tx.from), tx.payload)
+			m.nodes[dst].rx(from, payload)
 			continue
 		}
 		m.FaultStats.Delayed++
-		from, dst, payload := int(tx.from), int(rc.dst), tx.payload
 		key := r.seq
 		r.seq++
 		r.pending[key] = payload

@@ -1,7 +1,7 @@
 // Fault-injection hooks for the medium: link blackout, network
 // partition, and message-level drop/duplicate/delay. All state lives
 // behind a single pointer that is nil in a fault-free simulation, so the
-// hot paths (Transmit, signalEnd) pay one nil check and nothing else.
+// hot paths (Transmit, endAll) pay one nil check and nothing else.
 //
 // Blackouts and partitions act at the physical layer: a blocked receiver
 // gets neither the decodable frame nor its interference energy, exactly
@@ -138,7 +138,7 @@ func (m *Medium) blocked(a, b int) bool {
 // deliverFaulty applies the delivery-fault draws to one decodable,
 // uncorrupted reception and invokes the receiver zero, one, or two
 // times: one draw for drop, one for dup, then one delay per copy.
-func (m *Medium) deliverFaulty(f *faults, tx *transmission, rc *reception) {
+func (m *Medium) deliverFaulty(f *faults, from, dst int, payload any) {
 	copies := 1
 	if f.drop > 0 && f.src.Float64() < f.drop {
 		copies = 0
@@ -153,12 +153,12 @@ func (m *Medium) deliverFaulty(f *faults, tx *transmission, rc *reception) {
 			delay = time.Duration(f.src.Float64() * float64(f.delayMax))
 		}
 		if delay <= 0 {
-			m.nodes[rc.dst].rx(int(tx.from), tx.payload)
+			m.nodes[dst].rx(from, payload)
 			continue
 		}
 		m.FaultStats.Delayed++
 		d := f.pool.Get()
-		d.from, d.dst, d.payload = tx.from, rc.dst, tx.payload
+		d.from, d.dst, d.payload = int32(from), int32(dst), payload
 		d.slot = int32(len(f.pending))
 		f.pending = append(f.pending, d)
 		// The deferred delivery outlives the reception, so it holds its own

@@ -30,9 +30,19 @@
 // signal starts at every receiver, and one in which it ends at every
 // receiver (see Transmit for why that is the same schedule as one start
 // and one end event per receiver).
+//
+// A transmission carries the bitsets of the nodes that sense it and that
+// can decode it; the medium keeps the frames in the air, the nodes holding
+// a still-decodable reception (clean) and the nodes with an idle waiter.
+// A start and an end are word operations on these sets and visit only the
+// nodes where something happens. A payload that names its addressee
+// (Addressed) ends with a callback there alone while no delivery faults
+// are installed: a MAC drops a data frame or ACK meant for another node.
 package radio
 
 import (
+	"math/bits"
+	"slices"
 	"time"
 
 	"github.com/manetlab/ldr/internal/mobility"
@@ -74,7 +84,8 @@ func DefaultConfig() Config { return Config{} }
 
 // ReceiverFunc is invoked for every frame successfully decoded at a node.
 // Addressing and ACKing are the MAC's concern; the radio delivers any
-// uncorrupted frame that arrives within decodable range.
+// uncorrupted frame that arrives within decodable range (an Addressed one
+// only at its addressee, while no delivery faults are installed).
 type ReceiverFunc func(from int, payload any)
 
 // Releasable is implemented by payloads whose lifetime is reference
@@ -102,6 +113,14 @@ func unref(payload any) {
 	if r, ok := payload.(Releasable); ok {
 		r.Unref()
 	}
+}
+
+// Addressed is implemented by payloads meant for one node: while no
+// delivery faults are installed, a clean reception of one ends with a
+// callback at its addressee only, and unseen elsewhere. A negative
+// Addressee means every node that decodes the frame.
+type Addressed interface {
+	Addressee() int
 }
 
 // IdleWaiter is the channel-idle callback target: w.ChannelIdle(u) runs
@@ -138,6 +157,16 @@ type Medium struct {
 
 	txPool runpool.Pool[transmission]
 
+	// The frames in the air, and one bit per node: clean marks a node
+	// holding a reception it can still decode, waiters a node with an idle
+	// waiter. While a frame's end walks its nodes it is ending, out of
+	// active, and has reached every node up to passed.
+	active  []*transmission
+	clean   []uint64
+	waiters []uint64
+	ending  *transmission
+	passed  int
+
 	// Pre-bound event callbacks, so the hot path schedules no closures.
 	startFn func(any, uint64)
 	endFn   func(any, uint64)
@@ -166,15 +195,7 @@ type keptPos struct {
 
 type nodeState struct {
 	rx      ReceiverFunc
-	signals int           // overlapping signals currently sensed
 	txUntil time.Duration // end of this node's own transmission
-
-	// clean is the one reception here that can still be decoded, if any: a
-	// frame survives only if it is alone on the channel for its whole
-	// airtime, so a second signal or the node's own transmission corrupts
-	// it and clears the pointer, and no other can become clean before it
-	// has ended.
-	clean *reception
 
 	// onIdle holds one-shot channel-idle waiters; idleSpare is the
 	// detached buffer from the previous checkIdle, kept so the two swap
@@ -184,20 +205,14 @@ type nodeState struct {
 }
 
 // transmission is one frame in the air: the pooled record its start and
-// end events carry. Receptions live by value in recs, in ascending dst;
-// nodeState.clean points into the slice, which is safe because pointers
-// are taken only once Transmit has finished appending and every one is
-// dropped again before the record returns to the pool.
+// end events carry, with one bit per node that senses it and per node that
+// can decode it (a subset). The bitsets go back to the pool zeroed and
+// stay with the record.
 type transmission struct {
-	from    int32
-	payload any
-	recs    []reception
-}
-
-// reception is one transmission as sensed at one node.
-type reception struct {
-	dst       int32
-	decodable bool
+	from              int32
+	to                int32 // the payload's addressee; -1, every receiver
+	payload           any
+	sensed, decodable []uint64
 }
 
 // New builds a medium over the given mobility model. Positions are sampled
@@ -225,6 +240,8 @@ func New(s *sim.Simulator, model mobility.Model, cfg Config) *Medium {
 		csRange: make([]float64, n),
 		kept:    make([]keptPos, n),
 		bound:   model.SpeedBound(),
+		clean:   make([]uint64, (n+63)/64),
+		waiters: make([]uint64, (n+63)/64),
 	}
 	for i := 0; i < n; i++ {
 		cl := cfg.Classes[i%len(cfg.Classes)]
@@ -262,8 +279,18 @@ func (m *Medium) position(id int) mobility.Point {
 // Busy reports whether node id currently senses the channel busy (a signal
 // in the air within carrier-sense range, or its own transmission).
 func (m *Medium) Busy(id int) bool {
-	st := &m.nodes[id]
-	return st.signals > 0 || st.txUntil > m.sim.Now()
+	if m.nodes[id].txUntil > m.sim.Now() {
+		return true
+	}
+	w, b := id>>6, uint64(1)<<(id&63)
+	for _, tx := range m.active {
+		if tx.sensed[w]&b != 0 {
+			return true
+		}
+	}
+	// The frame whose end is being walked is still in the air where the
+	// walk has not yet been.
+	return m.ending != nil && id > m.passed && m.ending.sensed[w]&b != 0
 }
 
 // NotifyIdle registers a one-shot waiter invoked (as w.ChannelIdle(u))
@@ -276,6 +303,7 @@ func (m *Medium) NotifyIdle(id int, w IdleWaiter, u uint64) {
 	}
 	st := &m.nodes[id]
 	st.onIdle = append(st.onIdle, idleWait{w: w, u: u})
+	m.waiters[id>>6] |= 1 << (id & 63)
 }
 
 // idleNowFn fires an already-idle NotifyIdle registration; package-level
@@ -328,11 +356,10 @@ func (m *Medium) Transmit(src, bits int, payload any) time.Duration {
 	air := m.AirTime(bits)
 	m.Transmissions++
 
-	sender := &m.nodes[src]
-	sender.txUntil = now + air
+	m.nodes[src].txUntil = now + air
 	// Receiving while transmitting corrupts anything arriving here.
-	if sender.clean != nil {
-		sender.clean = nil
+	if w, b := src>>6, uint64(1)<<(src&63); m.clean[w]&b != 0 {
+		m.clean[w] &^= b
 		m.Corrupted++
 	}
 	m.sim.ScheduleTransient(air, m.idleFn, nil, uint64(src))
@@ -341,10 +368,10 @@ func (m *Medium) Transmit(src, bits int, payload any) time.Duration {
 	txR, csR := m.txRange[src], m.csRange[src]
 	tx2, cs2 := txR*txR, csR*csR
 	tx := m.txPool.Get()
-	if cap(tx.recs) < len(m.nodes) {
-		tx.recs = make([]reception, 0, len(m.nodes))
+	if tx.sensed == nil {
+		tx.sensed, tx.decodable = make([]uint64, len(m.clean)), make([]uint64, len(m.clean))
 	}
-	recs, n := tx.recs[:len(m.nodes)], 0
+	var heard uint64
 	for i := range m.nodes {
 		if i == src || m.nodes[i].rx == nil {
 			continue
@@ -367,19 +394,21 @@ func (m *Medium) Transmit(src, bits int, payload any) time.Duration {
 			d := srcPos.Dist(m.position(i))
 			sensed, decodable = d <= csR, d <= txR
 		}
-		// Written whether or not the node hears the frame and kept only if
-		// it does: whether it does is a coin toss no branch predictor wins.
-		recs[n] = reception{dst: int32(i), decodable: decodable}
-		if sensed {
-			n++
-		}
+		// Both bits are written whether or not the node hears the frame:
+		// whether it does is a coin toss no branch predictor wins.
+		s, d := bit(sensed), bit(decodable)
+		tx.sensed[i>>6] |= s << (i & 63)
+		tx.decodable[i>>6] |= d << (i & 63)
+		heard |= s
 	}
-	tx.recs = recs[:n]
-	if len(tx.recs) == 0 {
+	if heard == 0 {
 		m.txPool.Put(tx)
 		return air
 	}
-	tx.from = int32(src)
+	tx.from, tx.to = int32(src), -1
+	if a, ok := payload.(Addressed); ok {
+		tx.to = int32(max(a.Addressee(), -1))
+	}
 	tx.payload = payload
 	ref(payload) // the receptions read the payload until they end
 	m.sim.ScheduleTransient(PropDelay, m.startFn, tx, 0)
@@ -387,75 +416,120 @@ func (m *Medium) Transmit(src, bits int, payload any) time.Duration {
 	return air
 }
 
+// bit is 1 for true, without a branch.
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // startAll is the pre-bound transient callback for a transmission's
-// signal reaching its receivers.
+// signal reaching its receivers. Where another frame in the air is sensed
+// too, both are lost: the clean reception there, if any, and this frame
+// if it is decodable. Elsewhere this frame becomes the node's clean
+// reception, unless the node is transmitting.
 func (m *Medium) startAll(arg any, _ uint64) {
 	tx := arg.(*transmission)
-	for i := range tx.recs {
-		m.signalStart(&tx.recs[i])
-	}
-}
-
-// endAll is the pre-bound transient callback for a transmission's signal
-// ending at its receivers. Afterwards no node's clean points into the
-// record, so it drops the payload reference and recycles itself.
-func (m *Medium) endAll(arg any, _ uint64) {
-	tx := arg.(*transmission)
-	for i := range tx.recs {
-		m.signalEnd(tx, &tx.recs[i])
-	}
-	unref(tx.payload)
-	tx.payload = nil
-	tx.recs = tx.recs[:0]
-	m.txPool.Put(tx)
-}
-
-func (m *Medium) signalStart(rc *reception) {
-	st := &m.nodes[rc.dst]
-	st.signals++
-	if st.signals > 1 {
-		// Collision: the reception that was clean until now is lost, and so
-		// is the one that just began.
-		if st.clean != nil {
-			st.clean = nil
-			m.Corrupted++
+	now := m.sim.Now()
+	for w, sensed := range tx.sensed {
+		if sensed == 0 {
+			continue
 		}
-		if rc.decodable {
-			m.Corrupted++
+		var others uint64
+		for _, o := range m.active {
+			others |= o.sensed[w]
 		}
-	} else if rc.decodable {
-		if st.txUntil > m.sim.Now() {
-			m.Corrupted++
-		} else {
-			st.clean = rc
-		}
-	}
-}
-
-func (m *Medium) signalEnd(tx *transmission, rc *reception) {
-	st := &m.nodes[rc.dst]
-	st.signals--
-	if st.clean == rc {
-		st.clean = nil
-		if st.rx != nil {
-			if f := m.flt; f != nil && f.src != nil {
-				m.deliverFaulty(f, tx, rc)
+		m.Corrupted += uint64(bits.OnesCount64(m.clean[w]&sensed) + bits.OnesCount64(tx.decodable[w]&others))
+		m.clean[w] &^= sensed
+		for alone := tx.decodable[w] &^ others; alone != 0; alone &= alone - 1 {
+			if m.nodes[w<<6|bits.TrailingZeros64(alone)].txUntil > now {
+				m.Corrupted++
 			} else {
-				st.rx(int(tx.from), tx.payload)
+				m.clean[w] |= alone & -alone
 			}
 		}
 	}
-	m.checkIdle(int(rc.dst))
+	m.active = append(m.active, tx)
+}
+
+// endAll is the pre-bound transient callback for a transmission's signal
+// ending at its receivers: in ascending id, each node the end has
+// something to do at (nextEnd) gets its reception, then its idle check,
+// as one end event per receiver would have it. The frame leaves the air
+// first, but counts as sensed (Busy) where the end has not been yet.
+func (m *Medium) endAll(arg any, _ uint64) {
+	tx := arg.(*transmission)
+	i, last := slices.Index(m.active, tx), len(m.active)-1
+	m.active[i], m.active[last] = m.active[last], nil
+	m.active = m.active[:last]
+	m.ending, m.passed = tx, -1
+	for j, clean := m.nextEnd(tx); j >= 0; j, clean = m.nextEnd(tx) {
+		if clean && m.nodes[j].rx != nil {
+			if f := m.flt; f != nil && f.src != nil {
+				m.deliverFaulty(f, int(tx.from), j, tx.payload)
+			} else {
+				m.nodes[j].rx(int(tx.from), tx.payload)
+			}
+		}
+		m.checkIdle(j)
+	}
+	m.retire(tx)
+}
+
+// nextEnd moves tx's end past m.passed to the next node it has something
+// to do at, and reports whether that node gets the frame. Those are the
+// nodes holding a clean reception of tx — only its addressee, if it has
+// one and no delivery faults are installed — and the nodes sensing it
+// that have an idle waiter; both sets are read afresh on every call,
+// because a callback may transmit or register a waiter. Every clean
+// reception of tx the end reaches on the way, the next node's included,
+// ends there.
+func (m *Medium) nextEnd(tx *transmission) (int, bool) {
+	to := int(tx.to)
+	if f := m.flt; f != nil && f.src != nil {
+		to = -1 // every clean reception draws its delivery faults
+	}
+	from := m.passed + 1
+	for w := from >> 6; w < len(tx.sensed); w++ {
+		ahead := ^uint64(0)
+		if w == from>>6 {
+			ahead <<= from & 63
+		}
+		give := tx.decodable[w] & m.clean[w]
+		if to >= 0 {
+			give &= bit(to>>6 == w) << (to & 63)
+		}
+		if hit := (give | tx.sensed[w]&m.waiters[w]) & ahead; hit != 0 {
+			j := w<<6 | bits.TrailingZeros64(hit)
+			m.clean[w] &^= tx.decodable[w] & ahead & (2<<(j&63) - 1)
+			m.passed = j
+			return j, give>>(j&63)&1 != 0
+		}
+		m.clean[w] &^= tx.decodable[w] & ahead
+	}
+	m.passed = len(m.nodes)
+	return -1, false
+}
+
+// retire ends tx's walk, drops the payload reference and recycles the
+// record.
+func (m *Medium) retire(tx *transmission) {
+	m.ending = nil
+	unref(tx.payload)
+	tx.payload = nil
+	for w := range tx.sensed {
+		tx.sensed[w], tx.decodable[w] = 0, 0
+	}
+	m.txPool.Put(tx)
 }
 
 func (m *Medium) checkIdle(id int) {
 	st := &m.nodes[id]
-	if st.signals > 0 || st.txUntil > m.sim.Now() {
+	if len(st.onIdle) == 0 || m.Busy(id) {
 		return
 	}
-	if len(st.onIdle) == 0 {
-		return
-	}
+	m.waiters[id>>6] &^= 1 << (id & 63)
 	// Detach before invoking — a waiter may re-register during the loop —
 	// and keep the detached buffer as the next registration list, so the
 	// two buffers alternate and neither ever reallocates once warm.
