@@ -37,12 +37,13 @@ flags-check:
 race:
 	$(GO) test -race -timeout 60m ./internal/sweep/ ./internal/experiments/ ./internal/scenario/
 
-# Bounded conformance fuzz: replay the committed regression seeds and a
-# small randomized sweep (all protocols × fault profiles) under the race
-# detector, then the same sweep again via the ldrfuzz binary, which must
-# exit 0. Matches TestFuzzSmoke's bounds so failures reproduce in-test.
-# Last, 20 s each of native fuzzing of the event queue against its
-# scan-for-minimum model, of OLSR's id-indexed link state and of the
+# Bounded conformance fuzz: replay the committed regression seeds and
+# FuzzScenario's seed corpus (every protocol × fault profile, and each
+# non-default radio and density) under the race detector, then 20 s of
+# native fuzzing of FuzzScenario, whose failing input is minimised toward
+# the default axes and fewest flows. Then 20 s each of native fuzzing of
+# the event queue against its scan-for-minimum model, of OLSR's
+# id-indexed link state and of the
 # on-demand duplicate cache, buffers and discoveries against the map
 # implementations they replaced, of the radio's receiver scan (which
 # keeps positions) against brute force and the scan that looked every node
@@ -52,8 +53,8 @@ race:
 # on hostile `go test` output (a failing input lands in the package's
 # testdata/fuzz/ and then fails plain `go test` too).
 fuzz-smoke:
-	$(GO) test -race -timeout 30m ./internal/conformance/ -run 'TestRegressionSeeds|TestFuzzSmoke'
-	$(GO) run ./cmd/ldrfuzz -runs 8 -seed 42 -max-nodes 20 -max-simtime 12s -q
+	$(GO) test -race -timeout 30m ./internal/conformance/ -run 'TestRegressionSeeds|FuzzScenario'
+	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzScenario -fuzztime 20s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEventQueue -fuzztime 20s
 	$(GO) test ./internal/olsr -run '^$$' -fuzz FuzzOLSRState -fuzztime 20s
 	$(GO) test ./internal/routing/ondemand -run '^$$' -fuzz FuzzOnDemandState -fuzztime 20s
@@ -63,14 +64,14 @@ fuzz-smoke:
 	$(GO) test ./internal/resilience -run '^$$' -fuzz FuzzJournalRecord -fuzztime 20s
 	$(GO) test ./cmd/benchjson -run '^$$' -fuzz FuzzParse -fuzztime 20s
 
-# Heterogeneous-radio fuzz axis (nightly): randomized scenarios drawn
-# only from the profiles that produce one-way links and uneven placement,
-# so the MAC ACK-exhaustion and hello-gating paths stay under continuous
-# conservation/census audit.
+# Heterogeneous-radio fuzz axis (nightly): the one-way-link and
+# uneven-placement regressions under the race detector, then 5 min of
+# FuzzScenario, whose corpus holds the mixed/asym radio and
+# gradient/hotspot density seeds, so the MAC ACK-exhaustion and
+# hello-gating paths stay under continuous conservation/census audit.
 fuzz-radio:
 	$(GO) test -race -timeout 30m ./internal/conformance/ -run 'TestHeteroRadioChaosClean|TestAsymAckExhaustAccounted|TestOLSRAsymNoBlackhole'
-	$(GO) run ./cmd/ldrfuzz -runs 24 -seed 7 -max-nodes 24 -max-simtime 15s \
-		-radios mixed,asym -densities gradient,hotspot -q
+	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzScenario -fuzztime 5m
 
 # The fault-injection suite under the race detector: the van Glabbeek
 # loop reproduction, the per-profile LDR invariant properties, and the

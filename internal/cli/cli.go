@@ -228,8 +228,8 @@ func (s *Scale) Validate() error {
 }
 
 // Harness is -protocols and the resilience flags — journaled resumable
-// sweeps, per-cell watchdogs, keep-going quarantine (ldrbench, ldrchaos,
-// ldrfuzz).
+// sweeps, per-cell watchdogs, keep-going quarantine (ldrbench and
+// ldrchaos).
 type Harness struct {
 	Protocols []string // set by Open; nil = the default four
 

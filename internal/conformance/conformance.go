@@ -1,5 +1,5 @@
 // Package conformance audits packet conservation during simulation runs
-// and provides the record/replay and fuzzing machinery built on it.
+// and provides the record/replay and scenario-spec machinery built on it.
 //
 // The paper's evaluation (§4) is a comparison of per-run counters —
 // delivery ratio, network load, latency — so the counters themselves
@@ -346,31 +346,21 @@ type CheckConfig struct {
 
 // Report is the outcome of a checked run.
 type Report struct {
-	Config      scenario.Config
-	Collector   *metrics.Collector
-	Violations  []Violation // retained records (capped)
-	Total       uint64      // exact violation count
-	Checks      uint64      // audits performed
-	Events      uint64      // simulator events executed
-	Interrupted bool        // run stopped early by a Control
+	Config     scenario.Config
+	Collector  *metrics.Collector
+	Violations []Violation // retained records (capped)
+	Total      uint64      // exact violation count
+	Checks     uint64      // audits performed
+	Events     uint64      // simulator events executed
 }
 
 // Check runs one scenario under the conservation harness and reports
 // every violation it detected.
 func Check(cfg scenario.Config, cc CheckConfig) (Report, error) {
-	return CheckControlled(cfg, cc, nil)
-}
-
-// CheckControlled is Check with an optional remote stop: the Control is
-// bound to the run's simulator, so a sweep watchdog or signal handler
-// can interrupt a checked run at an event boundary. A nil Control is
-// Check.
-func CheckControlled(cfg scenario.Config, cc CheckConfig, ctl *scenario.Control) (Report, error) {
 	nw, gen, _, err := scenario.BuildInstrumented(cfg)
 	if err != nil {
 		return Report{}, err
 	}
-	ctl.Bind(nw.Sim)
 	h := NewHarness(nw)
 	if len(cc.Tracers) == 0 {
 		nw.SetTracer(h.Ledger())
@@ -386,12 +376,11 @@ func CheckControlled(cfg scenario.Config, cc CheckConfig, ctl *scenario.Control)
 	nw.Stop()
 	h.Finish()
 	return Report{
-		Config:      cfg,
-		Collector:   nw.Collector,
-		Violations:  h.led.Violations(),
-		Total:       h.led.ViolationTotal(),
-		Checks:      h.Checks,
-		Events:      nw.Sim.EventsFired(),
-		Interrupted: nw.Sim.Interrupted(),
+		Config:     cfg,
+		Collector:  nw.Collector,
+		Violations: h.led.Violations(),
+		Total:      h.led.ViolationTotal(),
+		Checks:     h.Checks,
+		Events:     nw.Sim.EventsFired(),
 	}, nil
 }

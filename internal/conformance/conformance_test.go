@@ -191,25 +191,6 @@ func TestLoadSpecRejectsUnknownKeys(t *testing.T) {
 	}
 }
 
-// TestFuzzSmoke is the bounded sweep wired into `make fuzz-smoke`: a
-// handful of small random scenarios across all protocols and profiles
-// must produce zero findings.
-func TestFuzzSmoke(t *testing.T) {
-	findings, err := Fuzz(Options{
-		Runs:       8,
-		Seed:       42,
-		Workers:    4,
-		MaxNodes:   20,
-		MaxSimTime: 12 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
-		t.Errorf("finding: %s (%d violations)", f.Spec, f.Total)
-	}
-}
-
 // TestLedgerFlagsLifecycleViolations unit-tests the ledger's event
 // grammar directly.
 func TestLedgerFlagsLifecycleViolations(t *testing.T) {
@@ -249,14 +230,5 @@ func TestLedgerFlagsLifecycleViolations(t *testing.T) {
 	}
 	if l.ViolationTotal() != 4 {
 		t.Fatalf("ViolationTotal = %d, want 4", l.ViolationTotal())
-	}
-}
-
-// TestShrinkRejectsCleanSpec guards the shrinker's contract: it must
-// refuse to "minimize" a spec that does not violate anything.
-func TestShrinkRejectsCleanSpec(t *testing.T) {
-	s := matrixSpec(scenario.LDR, "none")
-	if _, _, err := Shrink(s, nil); err == nil {
-		t.Fatal("Shrink accepted a non-violating spec")
 	}
 }

@@ -17,21 +17,24 @@ func twoNodes(faults ...ScriptFault) Spec {
 }
 
 // hostileSpecs are specs a seed file can carry that name nodes the
-// network will not have.
+// network will not have, or draw random flows among fewer than two.
 var hostileSpecs = []struct {
 	name string
 	spec Spec
 }{
 	{"negative node count", Spec{Protocol: "ldr", Nodes: -3, SimTimeSec: 5, Seed: 1}},
 	{"negative count, profile", Spec{Protocol: "ldr", Nodes: -3, SimTimeSec: 5, Seed: 1, Profile: "reboot"}},
+	{"random flows, no nodes", Spec{Protocol: "ldr", Nodes: 0, Flows: 1, SimTimeSec: 3, Seed: 1}},
+	{"random flows, one node", Spec{Protocol: "ldr", Nodes: 1, Flows: 1, SimTimeSec: 3, Seed: 1}},
 	{"crash past the last node", twoNodes(ScriptFault{Kind: "crash", AtMS: 100, Nodes: []int{9}})},
 	{"crash on a negative node", twoNodes(ScriptFault{Kind: "crash", AtMS: 100, Nodes: []int{-1}})},
 	{"linkdown past the last node", twoNodes(ScriptFault{Kind: "linkdown", AtMS: 100, Nodes: []int{0, 9}})},
 }
 
 // TestHostileSpecIsAnError: CheckSpec on a spec whose node count is
-// negative, or whose scripted fault names a node outside [0, Nodes),
-// returns an error instead of panicking inside the network.
+// negative, whose random flows have fewer than two nodes to pick from, or
+// whose scripted fault names a node outside [0, Nodes), returns an error
+// instead of panicking inside the network.
 func TestHostileSpecIsAnError(t *testing.T) {
 	for _, c := range hostileSpecs {
 		t.Run(c.name, func(t *testing.T) {

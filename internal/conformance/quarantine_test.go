@@ -160,64 +160,6 @@ func TestSpecFromConfigRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFuzzJournalResume: a journaled fuzz sweep killed after a partial
-// pass resumes to identical findings, loading completed cells from the
-// journal instead of re-simulating them.
-func TestFuzzJournalResume(t *testing.T) {
-	dir := t.TempDir()
-	base := Options{
-		Runs:        6,
-		Seed:        11,
-		Workers:     2,
-		MaxNodes:    10,
-		MaxSimTime:  6 * time.Second,
-		Profiles:    []string{"none"},
-		Adversaries: []string{"none"},
-		Mobilities:  []string{scenario.Waypoint},
-		Radios:      []string{scenario.RadioUniform},
-		Densities:   []string{scenario.DensityUniform},
-	}
-
-	ref, err := Fuzz(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// First journaled pass ("the run that got killed").
-	j, err := resilience.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := base
-	o.Exec = sweep.ExecOptions{Journal: j}
-	if _, err := Fuzz(o); err != nil {
-		t.Fatal(err)
-	}
-	if j.Len() != base.Runs {
-		t.Fatalf("journal holds %d records, want %d", j.Len(), base.Runs)
-	}
-
-	// Resume in a "fresh process": all cells load, findings identical.
-	j2, err := resilience.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prog sweep.Progress
-	o = base
-	o.Exec = sweep.ExecOptions{Journal: j2}
-	o.Progress = &prog
-	got, err := Fuzz(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prog.Loaded() != base.Runs {
-		t.Fatalf("resume loaded %d of %d cells", prog.Loaded(), base.Runs)
-	}
-	if !reflect.DeepEqual(got, ref) {
-		t.Fatalf("resumed findings differ:\n have %+v\n want %+v", got, ref)
-	}
-}
-
 // TestEmitReproducerDurable: the emitted seed is content-addressed,
 // valid JSON, and idempotent.
 func TestEmitReproducerDurable(t *testing.T) {

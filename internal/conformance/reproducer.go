@@ -1,11 +1,11 @@
 // Reproducer emission for quarantined sweep cells. When a cell of a
 // journaled sweep panics (or hangs past its watchdog grace), the sweep's
 // failure hook lands here: the cell's scenario.Config is folded back
-// into a portable Spec — the same JSON format ldrfuzz and ldrcheck emit
-// and LoadSpec reads — and written durably next to the journal, so the
-// failure replays standalone (LoadSpec + CheckSpec; dropping the file
-// into testdata/ makes TestRegressionSeeds do exactly that) without
-// re-running the sweep.
+// into a portable Spec — the same JSON format FuzzScenario and ldrcheck
+// emit and LoadSpec reads — and written durably next to the journal, so
+// the failure replays standalone (LoadSpec + CheckSpec; dropping the
+// file into testdata/ makes TestRegressionSeeds do exactly that)
+// without re-running the sweep.
 
 package conformance
 

@@ -1,4 +1,4 @@
-// Scripted replay specs. A Script pins everything the fuzzer normally
+// Scripted replay specs. A Script pins everything a seeded spec
 // randomizes — node positions, origination times, and fault timing — so
 // a spec can replay an exact schedule rather than a seeded distribution.
 // The bounded model checker (internal/modelcheck) emits its violation

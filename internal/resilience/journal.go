@@ -2,7 +2,7 @@
 //
 // The paper's §5 argument is that LDR survives node crashes because its
 // (sn, fd) labels persist in stable storage. This package is the same
-// idea applied to the harness itself: a nightly chaos or fuzz sweep that
+// idea applied to the harness itself: a nightly chaos sweep that
 // is SIGKILLed, hangs, or panics at cell 900/1000 must not lose the 899
 // finished cells. It provides
 //

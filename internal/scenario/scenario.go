@@ -317,12 +317,16 @@ func BuildInstrumented(cfg Config) (*routing.Network, *traffic.Generator, *Instr
 	return nw, gen, inst, nil
 }
 
-// checkNodes rejects a negative node count, and a traffic event or
-// scripted fault naming a node outside [0, Nodes): the network would
-// panic on it, and a config read from disk must fail with an error.
+// checkNodes rejects a negative node count, random flows among fewer
+// than two nodes, and a traffic event or scripted fault naming a node
+// outside [0, Nodes): the network would panic on it, and a config read
+// from disk must fail with an error.
 func (cfg Config) checkNodes() error {
 	if cfg.Nodes < 0 {
 		return fmt.Errorf("scenario: negative node count %d", cfg.Nodes)
+	}
+	if cfg.Flows > 0 && cfg.Nodes < 2 {
+		return fmt.Errorf("scenario: %d random flows need at least two nodes (have %d)", cfg.Flows, cfg.Nodes)
 	}
 	inRange := func(id int) bool { return id >= 0 && id < cfg.Nodes }
 	for _, ev := range cfg.Traffic {
