@@ -75,16 +75,16 @@ fuzz-radio:
 
 # The fault-injection suite under the race detector: the van Glabbeek
 # loop reproduction, the per-profile LDR invariant properties, and the
-# chaos sweep's worker-count determinism. The closing ldrchaos run is
-# journaled with a watchdog and keep-going quarantine — the crash-safe
-# mode the nightly job exercises end to end; its journal (and failure
-# manifest plus reproducers, if any cell was quarantined) survives in
-# the printed directory for post-mortem.
+# chaos sweep's worker-count determinism. The closing `ldrbench -exp
+# chaos` run is journaled with a watchdog and keep-going quarantine —
+# the crash-safe mode the nightly job exercises end to end; its journal
+# (and failure manifest plus reproducers, if any cell was quarantined)
+# survives in the printed directory for post-mortem.
 chaos:
 	$(GO) test -race -timeout 60m ./internal/fault/ -run .
 	$(GO) test -race -timeout 60m ./internal/experiments/ -run Chaos
 	d=$$(mktemp -d)/journal; echo "chaos journal: $$d"; \
-	$(GO) run ./cmd/ldrchaos -trials 2 -simtime 60s -journal $$d -cell-timeout 10m -keep-going
+	$(GO) run ./cmd/ldrbench -exp chaos -trials 2 -simtime 60s -journal $$d -cell-timeout 10m -keep-going
 
 # Crash-safety smoke: SIGKILL a journaled chaos sweep mid-flight, resume
 # it from the journal, and require output byte-identical to an
@@ -191,7 +191,7 @@ profile:
 # benchmark; the paper's terrain follows NODES (1500×300 m at 50,
 # 2200×600 m at 100). With FAULT set it is the audited chaos cells of that
 # fault profile and PROTO instead (50 nodes, pause 0 and static, serial),
-# through ldrchaos. Prints the top of the profile and leaves the binary
+# through `ldrbench -exp chaos`. Prints the top of the profile and leaves the binary
 # and the profile in profiles/ for `go tool pprof -list`.
 #   make profile-cell PROTO=olsr NODES=100 SIMTIME=330s
 #   make profile-cell FAULT=lossy PROTO=ldr SIMTIME=30s
@@ -199,8 +199,8 @@ PROTO ?= olsr
 NODES ?= 100
 SIMTIME ?= 330s
 FAULT ?=
-PROFILE_CMD = $(if $(FAULT),ldrchaos,ldrsim)
-PROFILE_CELL = $(if $(FAULT),-profiles $(FAULT) -protocols $(PROTO) -trials 1 -workers 1,\
+PROFILE_CMD = $(if $(FAULT),ldrbench,ldrsim)
+PROFILE_CELL = $(if $(FAULT),-exp chaos -profiles $(FAULT) -protocols $(PROTO) -trials 1 -workers 1,\
 	-proto $(PROTO) -nodes $(NODES) $(if $(filter 100,$(NODES)),-width 2200 -height 600) -flows 10 -pause 0s)
 profile-cell:
 	mkdir -p profiles

@@ -7,10 +7,28 @@
 //	ldrbench -exp table1 -simtime 900s -trials 10   # the paper's full setup
 //
 // Experiments: the names in experiments.Registry, or "all" for the paper
-// set. The extras (modelcheck, mobility, radio) run only when named —
-// the bounded model-check sweep is exhaustive rather than statistical,
-// and the other two come from the follow-on literature. See also
-// cmd/ldrcheck for the budget-tunable model-check front end.
+// set. The extras (modelcheck, mobility, radio, chaos, adversary) run
+// only when named — the bounded model-check sweep is exhaustive rather
+// than statistical, the mobility and radio comparisons come from the
+// follow-on literature, and chaos and adversary are the fault-injection
+// and Byzantine-node suites. See also cmd/ldrcheck for the budget-tunable
+// model-check front end.
+//
+// Chaos runs every protocol under every fault profile — node crash and
+// reboot with volatile state loss, link flapping, partitions, lossy
+// delivery — with the continuous loopcheck auditor scoring routing-loop
+// and label-ordering violations throughout. The "reboot" profile is the
+// regime of van Glabbeek et al.'s AODV-loop construction: rebooted AODV
+// nodes lose their sequence numbers and can pull stale routes into
+// persistent loops, while LDR's persisted destination sequence numbers
+// and feasible-distance labels keep its count at zero. Adversary runs
+// compromised nodes that blackhole data, forge sequence numbers, replay
+// stale labels and flood control storms (see internal/adversary), each
+// attacked run paired with an attack-free baseline on the same seed.
+// -profiles picks their profiles (default: all of them):
+//
+//	ldrbench -exp chaos -profiles reboot,mayhem -simtime 120s -trials 5
+//	ldrbench -exp adversary -profiles seqno-forge,storm -protocols ldr,aodv -simtime 120s
 //
 // Output is deterministic: byte-identical for the same flags at any
 // -workers setting.
@@ -23,12 +41,15 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"strings"
 	"time"
 
+	"github.com/manetlab/ldr/internal/adversary"
 	"github.com/manetlab/ldr/internal/cli"
 	"github.com/manetlab/ldr/internal/experiments"
+	"github.com/manetlab/ldr/internal/fault"
 )
 
 func main() { cli.Main(run) }
@@ -40,11 +61,15 @@ func run() error {
 	var prof cli.Profile
 	prof.Bind(flag.CommandLine)
 	exp := flag.String("exp", "all", "experiment: "+strings.Join(experiments.Names(), "|")+`; "all" is the paper set, everything listed before it`)
+	profiles := flag.String("profiles", "", "comma-separated profiles for -exp chaos ("+strings.Join(fault.ProfileNames(), ",")+
+		") or -exp adversary ("+strings.Join(adversary.ProfileNames(), ",")+"); default: all of them")
 	if err := cli.Parse(
 		"Regenerate the tables and figures of the LDR paper's evaluation (§4):\n"+
 			"each experiment sweeps the paper's scenario parameters, aggregates\n"+
 			"repeated trials into mean ± 95% CI, and prints the rows the paper\n"+
-			"reports. Output is byte-identical at any -workers setting.",
+			"reports. Output is byte-identical at any -workers setting. With -exp\n"+
+			"chaos or adversary, run the fault-injection or Byzantine-node suite:\n"+
+			"every protocol under every -profiles entry, audited for loops throughout.",
 		"ldrbench -exp table1 -simtime 900s -trials 10   # the paper's full setup",
 		"ldrbench -exp fig3 -protocols ldr,aodv",
 		"ldrbench -exp mobility                          # waypoint vs manhattan vs gaussmarkov",
@@ -54,6 +79,11 @@ func run() error {
 		"ldrbench -exp table1 -journal /tmp/t1.journal           # kill-safe; ^C prints the resume command",
 		"ldrbench -exp table1 -journal /tmp/t1.journal -resume   # continue a killed sweep",
 		"ldrbench -exp all -journal DIR -cell-timeout 2m -keep-going",
+		"ldrbench -exp chaos -profiles reboot,mayhem -simtime 120s -trials 5",
+		"ldrbench -exp chaos -profiles mayhem -radio mixed -density gradient -simtime 120s  # one-way links under faults",
+		"ldrbench -exp adversary -profiles seqno-forge,storm -protocols ldr,aodv -simtime 120s",
+		"ldrbench -exp chaos -simtime 120s -journal DIR -cell-timeout 2m -keep-going      # quarantine wedged/panicking cells",
+		"ldrbench -exp chaos -profiles lossy -protocols ldr -trials 1 -workers 1 -cpuprofile cell.pprof  # make profile-cell FAULT=lossy",
 	); err != nil {
 		return err
 	}
@@ -61,10 +91,15 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	selected, err := cli.List(*profiles, experiment.CheckProfile)
+	if err != nil {
+		return err
+	}
 	opts, err := shared.Options()
 	if err != nil {
 		return err
 	}
+	opts.Profiles = selected
 
 	stop, err := prof.Start()
 	if err != nil {
@@ -72,5 +107,5 @@ func run() error {
 	}
 	defer stop()
 
-	return shared.Finish("metrics", experiment.Run(opts))
+	return shared.Finish(cmp.Or(experiment.Scope, "metrics"), experiment.Run(opts))
 }

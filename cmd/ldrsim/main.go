@@ -52,8 +52,8 @@ func run() error {
 	)
 	if err := cli.Parse(
 		"Run one ad hoc network simulation (or -trials seeds of it) and print\n"+
-			"its metrics. cmd/ldrbench regenerates the paper's tables; cmd/ldrchaos\n"+
-			"runs the fault-injection suite.",
+			"its metrics. cmd/ldrbench regenerates the paper's tables, and with\n"+
+			"-exp chaos or adversary runs the fault-injection or Byzantine-node suite.",
 		"ldrsim -proto ldr -nodes 50 -flows 10 -pause 60s -simtime 300s -seed 1",
 		"ldrsim -proto aodv -trials 10 -workers 4",
 		"ldrsim -proto ldr -mobility manhattan -traffic bursty",

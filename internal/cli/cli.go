@@ -1,5 +1,6 @@
 // Package cli binds, once, every flag two or more commands share, and
-// turns the parsed values into the options the harnesses take. A command
+// ldrbench's experiment surface, and turns the parsed values into the
+// options the harnesses take. A command
 // presets its defaults on the struct for its flag groups, calls Bind,
 // declares its own flags beside them, calls Parse, checks its own flags,
 // and then asks for options — which validates the shared flags before
@@ -79,7 +80,7 @@ func List(value string, resolve func(name string) error) ([]string, error) {
 }
 
 // Profile is -cpuprofile and -memprofile (ldrsim for one cell, ldrbench
-// and ldrchaos for a whole table).
+// for a whole table).
 type Profile struct {
 	cpu, mem string
 }
@@ -199,7 +200,7 @@ func (c *Cell) Config(seed int64) scenario.Config {
 }
 
 // Scale adds -trials, -simtime and the scenario axes: one scenario shape
-// repeated across seeds (ldrsim, ldrbench, ldrchaos).
+// repeated across seeds (ldrsim, ldrbench).
 type Scale struct {
 	Run
 	Trials  int
@@ -227,11 +228,12 @@ func (s *Scale) Validate() error {
 	return s.Axes.Validate()
 }
 
-// Harness is -protocols and the resilience flags — journaled resumable
-// sweeps, per-cell watchdogs, keep-going quarantine (ldrbench and
-// ldrchaos).
-type Harness struct {
-	Protocols []string // set by Open; nil = the default four
+// Experiment is Scale plus -protocols and the resilience flags —
+// journaled resumable sweeps, per-cell watchdogs, keep-going quarantine:
+// ldrbench's surface, as experiments.Options.
+type Experiment struct {
+	Scale
+	Protocols []string // set by Options; nil = the default four
 
 	protocols   string
 	journalDir  string
@@ -239,82 +241,64 @@ type Harness struct {
 	cellTimeout time.Duration
 	keepGoing   bool
 	journal     *resilience.Journal
+	progress    sweep.Progress
 }
 
-func (h *Harness) Bind(fs *flag.FlagSet) {
-	fs.StringVar(&h.protocols, "protocols", "", "comma-separated protocol subset (default: ldr,aodv,dsr,olsr)")
-	fs.StringVar(&h.journalDir, "journal", "",
+func (e *Experiment) Bind(fs *flag.FlagSet) {
+	e.Scale.Bind(fs)
+	fs.StringVar(&e.protocols, "protocols", "", "comma-separated protocol subset (default: ldr,aodv,dsr,olsr)")
+	fs.StringVar(&e.journalDir, "journal", "",
 		"journal directory: completed cells are durably recorded there, so a killed sweep resumes with -resume instead of starting over")
-	fs.BoolVar(&h.resume, "resume", false,
+	fs.BoolVar(&e.resume, "resume", false,
 		"resume the sweep recorded in -journal, loading completed cells instead of re-running them")
-	fs.DurationVar(&h.cellTimeout, "cell-timeout", 0,
+	fs.DurationVar(&e.cellTimeout, "cell-timeout", 0,
 		"per-cell watchdog base deadline, scaled by cell size (0 = no watchdog); a hung cell is interrupted and reported instead of wedging the sweep")
-	fs.BoolVar(&h.keepGoing, "keep-going", false,
+	fs.BoolVar(&e.keepGoing, "keep-going", false,
 		"quarantine failing cells and finish the sweep; failures land in the journal's manifest.json with auto-emitted reproducers")
 }
 
-// Open resolves -protocols and validates the resilience flags, and only
+// open resolves -protocols and validates the resilience flags, and only
 // then opens the journal and installs the signal handler. A journal that
 // already holds records requires an explicit -resume, so stale records
 // from an earlier sweep are never silently mistaken for this one's.
-func (h *Harness) Open() (sweep.ExecOptions, error) {
+func (e *Experiment) open() (sweep.ExecOptions, error) {
 	var err error
-	h.Protocols, err = List(h.protocols, func(name string) error {
+	e.Protocols, err = List(e.protocols, func(name string) error {
 		_, err := scenario.Factory(scenario.ProtocolName(name), nil)
 		return err
 	})
 	if err != nil {
 		return sweep.ExecOptions{}, err
 	}
-	if h.cellTimeout < 0 {
-		return sweep.ExecOptions{}, fmt.Errorf("-cell-timeout must not be negative (got %v)", h.cellTimeout)
+	if e.cellTimeout < 0 {
+		return sweep.ExecOptions{}, fmt.Errorf("-cell-timeout must not be negative (got %v)", e.cellTimeout)
 	}
-	if h.resume && h.journalDir == "" {
+	if e.resume && e.journalDir == "" {
 		return sweep.ExecOptions{}, errors.New("-resume requires -journal DIR (there is nothing to resume from)")
 	}
-	exec := sweep.ExecOptions{CellTimeout: h.cellTimeout, KeepGoing: h.keepGoing}
-	if h.journalDir != "" {
-		if h.journal, err = resilience.Open(h.journalDir); err != nil {
+	exec := sweep.ExecOptions{CellTimeout: e.cellTimeout, KeepGoing: e.keepGoing}
+	if e.journalDir != "" {
+		if e.journal, err = resilience.Open(e.journalDir); err != nil {
 			return sweep.ExecOptions{}, err
 		}
-		if n := h.journal.Len(); !h.resume && n > 0 {
+		if n := e.journal.Len(); !e.resume && n > 0 {
 			return sweep.ExecOptions{}, fmt.Errorf("journal %s already holds %d completed cell(s); pass -resume to continue that sweep, or point -journal at an empty directory",
-				h.journal.Dir(), n)
+				e.journal.Dir(), n)
 		}
-		exec.Journal = h.journal
-		exec.OnFailure = conformance.QuarantineEmitter(h.journal.Dir(), Logf)
+		exec.Journal = e.journal
+		exec.OnFailure = conformance.QuarantineEmitter(e.journal.Dir(), Logf)
 	}
-	resilience.HandleSignals(h.journal, os.Stderr)
+	resilience.HandleSignals(e.journal, os.Stderr)
 	return exec, nil
 }
 
-// Finish is the exit path: on a degraded keep-going sweep it summarizes
-// the quarantined cells and leaves the failure manifest next to the
-// journal records; any other error (or nil) passes through.
-func (h *Harness) Finish(scope string, cells int, err error) error {
-	return sweep.ReportFailures(os.Stderr, prog(), h.journal, scope, cells, err)
-}
-
-// Experiment is Scale plus Harness, the whole shared surface of ldrbench
-// and ldrchaos, as experiments.Options.
-type Experiment struct {
-	Scale
-	Harness
-	progress sweep.Progress
-}
-
-func (e *Experiment) Bind(fs *flag.FlagSet) {
-	e.Scale.Bind(fs)
-	e.Harness.Bind(fs)
-}
-
-// Options validates the shared flags, opens the harness, and returns the
+// Options validates the shared flags, opens the journal, and returns the
 // experiment options they describe, rendering to standard output.
 func (e *Experiment) Options() (experiments.Options, error) {
 	if err := e.Scale.Validate(); err != nil {
 		return experiments.Options{}, err
 	}
-	exec, err := e.Open()
+	exec, err := e.open()
 	if err != nil {
 		return experiments.Options{}, err
 	}
@@ -334,7 +318,10 @@ func (e *Experiment) Options() (experiments.Options, error) {
 	return opts, nil
 }
 
-// Finish is Harness.Finish with the cell count of the last sweep run.
+// Finish is the exit path: on a degraded keep-going sweep it summarizes
+// the quarantined cells of the last sweep run and leaves the failure
+// manifest next to the journal records; any other error (or nil) passes
+// through.
 func (e *Experiment) Finish(scope string, err error) error {
-	return e.Harness.Finish(scope, e.progress.Total(), err)
+	return sweep.ReportFailures(os.Stderr, prog(), e.journal, scope, e.progress.Total(), err)
 }

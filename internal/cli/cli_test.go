@@ -36,7 +36,7 @@ func TestListSplitsTrimsAndResolves(t *testing.T) {
 	}
 }
 
-// bound is the flag surface of ldrbench and ldrchaos on a private FlagSet.
+// bound is the flag surface of ldrbench on a private FlagSet.
 func bound(t *testing.T, args ...string) *Experiment {
 	t.Helper()
 	e := &Experiment{}
@@ -52,8 +52,8 @@ func bound(t *testing.T, args ...string) *Experiment {
 
 // TestRejectedCommandLineLeavesNothingBehind: whichever shared flag is
 // wrong, Options fails before the journal directory is created
-// (cmd/ldrchaos's test of the same name runs a whole command, profile
-// files included).
+// (cmd/ldrbench's test of the same name runs a whole command, -profiles
+// and profile files included).
 func TestRejectedCommandLineLeavesNothingBehind(t *testing.T) {
 	for _, bad := range [][]string{
 		{"-protocols", "ldr,nope"},

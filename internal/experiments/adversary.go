@@ -59,7 +59,7 @@ func measureAdversary(res scenario.Result) advMetrics {
 func Adversary(o Options) error {
 	o = o.Defaults()
 	var secs []section[advMetrics]
-	for _, profile := range o.AdversaryProfiles {
+	for _, profile := range o.profiles(adversary.ProfileNames()) {
 		plan, err := adversary.Profile(profile, 50, o.SimTime)
 		if err != nil {
 			return err
@@ -73,7 +73,7 @@ func Adversary(o Options) error {
 			var cells []scenario.Config
 			for _, seed := range o.trialSeeds() {
 				base := o.Cell(proto, 50, 10, 0, seed)
-				base.AuditCadence = o.AuditCadence
+				base.AuditCadence = auditCadence
 				attacked := base
 				if len(plan.Compromises) > 0 {
 					attacked.AdversaryPlan = &plan

@@ -35,11 +35,24 @@ func measureChaos(res scenario.Result) chaosMetrics {
 	}
 }
 
+// auditCadence is the continuous-audit snapshot period of every Chaos
+// and Adversary cell.
+const auditCadence = 100 * time.Millisecond
+
+// profiles is Options.Profiles, or all of an experiment's names when
+// none are selected.
+func (o Options) profiles(all []string) []string {
+	if len(o.Profiles) == 0 {
+		return all
+	}
+	return o.Profiles
+}
+
 // profileHeader titles one profile's section of the Chaos and Adversary
 // tables, which share their 50-node, 10-flow audited rig.
 func profileHeader(o Options, table, profile, columns string) string {
 	return fmt.Sprintf("\n%s — profile %s (50 nodes, 10 flows, %v sim, audit every %v, %d trials)\n%s\n",
-		table, profile, o.SimTime, o.AuditCadence, o.Trials, columns)
+		table, profile, o.SimTime, auditCadence, o.Trials, columns)
 }
 
 // Chaos runs the fault-injection comparison: every protocol under every
@@ -57,7 +70,7 @@ func profileHeader(o Options, table, profile, columns string) string {
 func Chaos(o Options) error {
 	o = o.Defaults()
 	var secs []section[chaosMetrics]
-	for _, profile := range o.FaultProfiles {
+	for _, profile := range o.profiles(fault.ProfileNames()) {
 		plan, err := fault.Profile(profile, 50, o.SimTime)
 		if err != nil {
 			return err
@@ -69,7 +82,7 @@ func Chaos(o Options) error {
 			for _, proto := range o.Protocols {
 				cells := o.trials(proto, 50, 10, pause, func(cfg *scenario.Config) {
 					cfg.FaultPlan = &plan
-					cfg.AuditCadence = o.AuditCadence
+					cfg.AuditCadence = auditCadence
 				})
 				sec.rows = append(sec.rows, row[chaosMetrics]{cells, func(w io.Writer, ms []chaosMetrics) {
 					var agg chaosMetrics

@@ -3,7 +3,6 @@ package experiments_test
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/manetlab/ldr/internal/experiments"
 	"github.com/manetlab/ldr/internal/scenario"
@@ -15,8 +14,7 @@ func chaosTiny(workers int) (experiments.Options, *strings.Builder) {
 	o := tiny(scenario.LDR, scenario.AODV)
 	o.Out = &buf
 	o.Workers = workers
-	o.FaultProfiles = []string{"reboot"}
-	o.AuditCadence = 100 * time.Millisecond
+	o.Profiles = []string{"reboot"}
 	return o, &buf
 }
 

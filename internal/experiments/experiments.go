@@ -20,6 +20,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -42,17 +44,10 @@ type Options struct {
 	// setting.
 	Workers int
 
-	// FaultProfiles selects the fault profiles the Chaos experiment
-	// sweeps (nil = all built-ins, see fault.ProfileNames).
-	FaultProfiles []string
-
-	// AdversaryProfiles selects the attack profiles the Adversary
-	// experiment sweeps (nil = all built-ins, see adversary.ProfileNames).
-	AdversaryProfiles []string
-
-	// AuditCadence is the continuous-audit snapshot period used by the
-	// Chaos experiment; zero selects 100 ms.
-	AuditCadence time.Duration
+	// Profiles selects the profiles an experiment that takes them
+	// sweeps, resolved against its own names: fault.ProfileNames for
+	// Chaos, adversary.ProfileNames for Adversary (nil = all of them).
+	Profiles []string
 
 	// Axes apply the scenario-diversity axes to every cell of the
 	// experiment being run (the zero value is the paper's waypoint + CBR
@@ -93,15 +88,6 @@ func (o Options) Defaults() Options {
 	}
 	if len(o.Protocols) == 0 {
 		o.Protocols = scenario.AllProtocols
-	}
-	if len(o.FaultProfiles) == 0 {
-		o.FaultProfiles = fault.ProfileNames()
-	}
-	if len(o.AdversaryProfiles) == 0 {
-		o.AdversaryProfiles = adversary.ProfileNames()
-	}
-	if o.AuditCadence == 0 {
-		o.AuditCadence = 100 * time.Millisecond
 	}
 	return o
 }
@@ -174,6 +160,12 @@ func measureRun(res scenario.Result) runMetrics {
 type Experiment struct {
 	Name string
 	Run  func(Options) error
+	// Profiles are the names Options.Profiles may select from; nil for
+	// an experiment that takes none.
+	Profiles []string
+	// Scope is the journal scope of the experiment's cells, which a
+	// failure manifest names; empty means "metrics".
+	Scope string
 }
 
 // paper is the paper-regeneration set, in the order "all" runs it.
@@ -182,40 +174,54 @@ func paper() []Experiment {
 		return func(o Options) error { return DeliveryFigure(o, id, nodes, flows) }
 	}
 	return []Experiment{
-		{"table1", Table1},
-		{"fig2", fig("Fig 2", 50, 10)},
-		{"fig3", fig("Fig 3", 50, 30)},
-		{"fig4", fig("Fig 4", 100, 10)},
-		{"fig5", fig("Fig 5", 100, 30)},
-		{"fig6", Fig6},
-		{"fig7", Fig7},
-		{"ablation", Ablation},
+		{Name: "table1", Run: Table1},
+		{Name: "fig2", Run: fig("Fig 2", 50, 10)},
+		{Name: "fig3", Run: fig("Fig 3", 50, 30)},
+		{Name: "fig4", Run: fig("Fig 4", 100, 10)},
+		{Name: "fig5", Run: fig("Fig 5", 100, 30)},
+		{Name: "fig6", Run: Fig6},
+		{Name: "fig7", Run: Fig7},
+		{Name: "ablation", Run: Ablation},
 	}
 }
 
 // Registry lists every experiment: the paper set, "all" (that set in
 // one run), then the ones that run only when named — modelcheck is
-// bounded-exhaustive rather than statistical (minutes on one core), and
-// the mobility and radio comparisons come from the follow-on literature.
-// Chaos and Adversary are not here: cmd/ldrchaos fronts them with its
-// own scale defaults.
+// bounded-exhaustive rather than statistical (minutes on one core), the
+// mobility and radio comparisons come from the follow-on literature, and
+// chaos and adversary sweep fault and attack profiles under the
+// continuous invariant audit.
 func Registry() []Experiment {
 	return append(paper(),
-		Experiment{"all", all},
-		Experiment{"modelcheck", ModelCheck},
-		Experiment{"mobility", Mobility},
-		Experiment{"radio", Radio})
+		Experiment{Name: "all", Run: all},
+		Experiment{Name: "modelcheck", Run: ModelCheck},
+		Experiment{Name: "mobility", Run: Mobility},
+		Experiment{Name: "radio", Run: Radio},
+		Experiment{Name: "chaos", Run: Chaos, Profiles: fault.ProfileNames(), Scope: "chaos"},
+		Experiment{Name: "adversary", Run: Adversary, Profiles: adversary.ProfileNames(), Scope: "adversary"})
 }
 
 // all regenerates the paper's evaluation, reporting each experiment's
-// wall time as it finishes.
+// wall time on standard error as it finishes, so the tables on
+// Options.Out stay byte-identical from run to run.
 func all(o Options) error {
 	for _, e := range paper() {
 		start := time.Now()
 		if err := e.Run(o); err != nil {
 			return fmt.Errorf("%s: %w", e.Name, err)
 		}
-		fmt.Fprintf(o.Defaults().Out, "[%s done in %v]\n", e.Name, time.Since(start).Round(time.Second))
+		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", e.Name, time.Since(start).Round(time.Second))
+	}
+	return nil
+}
+
+// CheckProfile rejects a name Options.Profiles cannot select for e.
+func (e Experiment) CheckProfile(name string) error {
+	if e.Profiles == nil {
+		return fmt.Errorf("experiment %s takes no profiles", e.Name)
+	}
+	if !slices.Contains(e.Profiles, name) {
+		return fmt.Errorf("experiment %s: unknown profile %q (have %s)", e.Name, name, strings.Join(e.Profiles, ", "))
 	}
 	return nil
 }

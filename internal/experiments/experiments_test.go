@@ -152,3 +152,27 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 		})
 	}
 }
+
+// TestAllOutputIsRepeatable: "all" reports each experiment's wall time
+// on standard error, so two runs of the paper set render the same bytes.
+func TestAllOutputIsRepeatable(t *testing.T) {
+	all, err := experiments.Find("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outs [2]strings.Builder
+	for i := range outs {
+		o := tiny(scenario.LDR)
+		o.SimTime = 3 * time.Second
+		o.Out = &outs[i]
+		if err := all.Run(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if outs[0].String() != outs[1].String() {
+		t.Fatalf("two runs of all differ:\n--- first ---\n%s\n--- second ---\n%s", outs[0].String(), outs[1].String())
+	}
+	if strings.Contains(outs[0].String(), "done in") {
+		t.Fatalf("all wrote a wall time to its table output:\n%s", outs[0].String())
+	}
+}

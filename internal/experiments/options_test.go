@@ -91,7 +91,7 @@ func TestEveryOptionHasAUser(t *testing.T) {
 			"MaxSpeed":  "ldrsim -maxspeed: scenario.buildMovement",
 		}},
 		{fault.AuditConfig{}, nil, map[string]string{
-			"Cadence": "ldrchaos -audit, conformance.Spec.AuditMS: scenario.BuildInstrumented copies Config.AuditCadence",
+			"Cadence": "conformance.Spec.AuditMS: scenario.BuildInstrumented copies Config.AuditCadence",
 			"Until":   "-simtime: scenario.BuildInstrumented; an hour in benchmark/drivers.go",
 		}},
 		{adversary.Compromise{}, nil, map[string]string{

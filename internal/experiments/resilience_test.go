@@ -20,7 +20,7 @@ import (
 func TestChaosJournalResumeByteIdentical(t *testing.T) {
 	base := tiny(scenario.LDR, scenario.AODV)
 	base.SimTime = 12 * time.Second
-	base.FaultProfiles = []string{"reboot"}
+	base.Profiles = []string{"reboot"}
 	base.Workers = 2
 
 	ref := render(t, base, experiments.Chaos)

@@ -229,6 +229,15 @@ func TestResumeCommand(t *testing.T) {
 	if want := "ldrbench -out 'my dir/out.txt' -resume"; got != want {
 		t.Fatalf("ResumeCommand = %q, want %q", got, want)
 	}
+	// An explicit -resume=<v> of either spelling becomes a bare -resume:
+	// kept as -resume=false, the line would be refused by the non-empty
+	// journal it is meant to resume.
+	for _, form := range []string{"-resume=false", "--resume=false", "-resume=0", "-resume=true", "--resume=1"} {
+		got = ResumeCommand([]string{"ldrbench", form, "-journal", "/tmp/j"})
+		if want := "ldrbench -resume -journal /tmp/j"; got != want {
+			t.Fatalf("ResumeCommand with %s = %q, want %q", form, got, want)
+		}
+	}
 }
 
 func TestCellDeadlineScaling(t *testing.T) {

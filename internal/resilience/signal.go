@@ -36,15 +36,18 @@ func HandleSignals(j *Journal, out io.Writer) {
 }
 
 // ResumeCommand renders the exact command line that resumes the current
-// invocation: the original arguments with -resume appended if absent.
-// Arguments containing whitespace are quoted so the line can be pasted
-// into a shell verbatim.
+// invocation: the original arguments with -resume appended if absent. A
+// -resume=<v> or --resume=<v> argument, whatever its value, becomes a
+// bare -resume. Arguments containing whitespace are quoted so the line
+// can be pasted into a shell verbatim.
 func ResumeCommand(args []string) string {
 	hasResume := false
 	quoted := make([]string, 0, len(args)+1)
 	for i, a := range args {
-		if i > 0 && (a == "-resume" || a == "--resume" ||
-			strings.HasPrefix(a, "-resume=") || strings.HasPrefix(a, "--resume=")) {
+		if i > 0 && (strings.HasPrefix(a, "-resume=") || strings.HasPrefix(a, "--resume=")) {
+			a = "-resume"
+		}
+		if i > 0 && (a == "-resume" || a == "--resume") {
 			hasResume = true
 		}
 		if strings.ContainsAny(a, " \t'\"") {

@@ -14,7 +14,7 @@ import (
 // failure manifest next to the records. Any other error (including nil)
 // passes through untouched, so callers can end with
 //
-//	return sweep.ReportFailures(os.Stderr, "ldrchaos", j, "chaos", prog.Total(), err)
+//	return sweep.ReportFailures(os.Stderr, "ldrbench", j, "chaos", prog.Total(), err)
 //
 // and keep fail-fast behavior identical.
 func ReportFailures(w io.Writer, prog string, j *resilience.Journal, scope string, cells int, err error) error {
