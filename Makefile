@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check ci-quick ci-full build test vet flags-check race fuzz-smoke fuzz-radio chaos adversary modelcheck modelcheck-smoke modelcheck-seed resume-smoke bench bench-sweep bench-smoke bench-chaos bench-adversary bench-modelcheck bench-gate bench-all bench-compare loc profile profile-cell examples experiments clean
+.PHONY: all check ci-quick ci-full build test vet flags-check race fuzz-smoke fuzz-radio chaos adversary modelcheck modelcheck-smoke modelcheck-seed resume-smoke bench-smoke bench-gate bench-all bench-compare loc profile profile-cell examples experiments experiments-full clean
 
 all: check
 
@@ -49,9 +49,8 @@ race:
 # keeps positions) against brute force and the scan that looked every node
 # up, of the radio's batched, bitset-tracked and addressed delivery
 # against per-receiver events, of LoadSpec on hostile seed files, of the
-# journal's Open and Put on hostile record files, and of benchjson's parse
-# on hostile `go test` output (a failing input lands in the package's
-# testdata/fuzz/ and then fails plain `go test` too).
+# journal's Open and Put on hostile record files (a failing input lands in
+# the package's testdata/fuzz/ and then fails plain `go test` too).
 fuzz-smoke:
 	$(GO) test -race -timeout 30m ./internal/conformance/ -run 'TestRegressionSeeds|FuzzScenario'
 	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzScenario -fuzztime 20s
@@ -62,7 +61,6 @@ fuzz-smoke:
 	$(GO) test ./internal/radio -run '^$$' -fuzz FuzzBatchedDelivery -fuzztime 20s
 	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzLoadSpec -fuzztime 20s
 	$(GO) test ./internal/resilience -run '^$$' -fuzz FuzzJournalRecord -fuzztime 20s
-	$(GO) test ./cmd/benchjson -run '^$$' -fuzz FuzzParse -fuzztime 20s
 
 # Heterogeneous-radio fuzz axis (nightly): the one-way-link and
 # uneven-placement regressions under the race detector, then 5 min of
@@ -126,13 +124,6 @@ modelcheck-seed:
 	$(GO) run ./cmd/ldrcheck -protocol aodv -resets 1 -drops 1 -expect-violation \
 		-emit internal/modelcheck/testdata/aodv-line3-loop.json -q
 
-# Exploration throughput (states/sec, trans/sec) and exact state counts,
-# recorded as BENCH_modelcheck.json and gated against the committed
-# baseline: >10% B/op or allocs/op regression fails the target.
-bench-modelcheck:
-	$(GO) test -run '^$$' -bench 'CheckLDRLine3|CheckAODVLine3' -benchtime 2x -benchmem \
-		./internal/modelcheck/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_modelcheck.json -maxregress 10
-
 # The Byzantine-node suite under the race detector: LDR's loop-freedom
 # property under every attack profile, the committed AODV forged-seqno
 # loop regression seed, attack accounting, storm suppression, and
@@ -140,40 +131,15 @@ bench-modelcheck:
 adversary:
 	$(GO) test -race -timeout 60m ./internal/adversary/ -run .
 
-# Attack impact at paper scale (delivery under attack vs baseline,
-# control amplification, accounted adversary drops, NDC rejections),
-# recorded as BENCH_adversary.json.
-bench-adversary:
-	$(GO) test -run '^$$' -bench AttackImpact -benchtime 2x \
-		./internal/adversary/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_adversary.json
-
-# Audit-hook overhead on the 50-node scenario (the <10% acceptance bar),
-# recorded as BENCH_chaos.json.
-bench-chaos:
-	$(GO) test -run '^$$' -bench AuditOverhead -benchtime 3x \
-		./internal/fault/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_chaos.json
-
-# Sweep, radio and OLSR hot-path benchmarks, recorded as BENCH_sweep.json
-# (cells/sec, ns/op, B/op, allocs/op per benchmark).
-BENCH_SWEEP = -bench 'Sweep|Transmit|Neighbors|Recompute100|SelectMPRs100' -benchmem \
-	./internal/sweep/ ./internal/radio/ ./internal/olsr/
-bench:
-	$(GO) test -run '^$$' $(BENCH_SWEEP) | tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_sweep.json
-
-# Same benchmarks, gated against the committed BENCH_sweep.json: any
-# benchmark whose B/op or allocs/op regressed more than 10% fails the
-# target (non-zero exit) and leaves the committed baseline untouched.
-bench-sweep:
-	$(GO) test -run '^$$' $(BENCH_SWEEP) | tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_sweep.json -maxregress 10
-
 # Fast allocation-regression smoke: the zero-alloc guards on the event
 # loop, the radio's fault-delayed delivery, MAC queue and RTS/CTS
 # exchange, LDR round trip, LDR's and AODV's warm model-state
-# save/encode/restore and OLSR's warm link-state paths, plus a single tiny
+# save/encode/restore and OLSR's warm link-state paths, the model
+# checker's warm state key and allocations per state, plus a single tiny
 # sweep cell.
 # Part of `make check` so steady-state allocation creep fails CI quickly.
 bench-smoke:
-	$(GO) test -run 'Alloc|ZeroAlloc' ./internal/sim/ ./internal/radio/ ./internal/mac/ ./internal/core/ ./internal/aodv/ ./internal/routing/... ./internal/olsr/
+	$(GO) test -run 'Alloc|ZeroAlloc' ./internal/sim/ ./internal/radio/ ./internal/mac/ ./internal/core/ ./internal/aodv/ ./internal/routing/... ./internal/olsr/ ./internal/modelcheck/
 	$(GO) test -run '^$$' -bench 'ScheduleTransient|SweepSerial' -benchtime 10x \
 		./internal/sim/ ./internal/sweep/
 
@@ -208,15 +174,6 @@ profile-cell:
 	profiles/$(PROFILE_CMD) $(PROFILE_CELL) -simtime $(SIMTIME) -cpuprofile profiles/cell.cpu.pprof
 	$(GO) tool pprof -top -nodecount 30 profiles/$(PROFILE_CMD) profiles/cell.cpu.pprof
 
-# CI's bench-gate job. Two families are gated against their committed
-# BENCH_*.json baseline (sweep/radio/OLSR and modelcheck: a >10% B/op or
-# allocs/op regression fails the target and leaves the baseline
-# untouched). The adversary and chaos families record delivery, overhead
-# and ns/op figures only — no B/op or allocs/op, so there is nothing for
-# -maxregress to compare — and are re-run here so that they still build,
-# run and pass their own in-benchmark assertions; they gate nothing else.
-bench-gate: bench-sweep bench-modelcheck bench-adversary bench-chaos
-
 # One benchmark per paper table/figure plus the engine and coordination
 # benches, at reduced scale.
 bench-all:
@@ -226,8 +183,8 @@ bench-all:
 # (benchmark/, BENCHMARK.json) on BASE, unpacked with `git archive` into a
 # temporary directory (under TMPDIR; nothing is added to .git), and on
 # this tree, then compare — scenario.digest and every exact counter must
-# match, every end-to-end metric must stay inside its bound. No CI job
-# gates on it: a deliberate behaviour fix legitimately moves the digest.
+# match, every end-to-end metric must stay inside its bound. bench-gate
+# below is what CI runs on it.
 #   make bench-compare BASE=<ref> [SEED=1] [SCALE=full|tiny]
 SEED ?= 1
 SCALE ?= full
@@ -238,6 +195,18 @@ bench-compare:
 	(cd "$$d/base" && $(GO) run ./benchmark -workload all -seed $(SEED) -scale $(SCALE) -out "$$d/base.json") && \
 	$(GO) run ./benchmark -workload all -seed $(SEED) -scale $(SCALE) -out "$$d/head.json" && \
 	$(GO) run ./benchmark -compare "$$d/base.json" "$$d/head.json"
+
+# The pull-request tier's benchmark gate (CI's bench-gate job):
+# bench-compare at full scale, its FAIL lines sorted by
+# scripts/bench-gate.sh. A moved scenario.digest or counter, a failed op,
+# or alloc_mb, delivery_pct or ctrl_per_delivered out of bounds fails;
+# the clocks and peak_rss_mb print and pass. A digest or counter change
+# passes when a line added to CHANGES.md since BASE says
+# "Behaviour change:".
+#   make bench-gate BASE=<ref> [SEED=1]
+bench-gate:
+	@test -n "$(BASE)" || { echo "usage: make bench-gate BASE=<ref> [SEED=1]" >&2; exit 2; }
+	@MAKE="$(MAKE)" sh scripts/bench-gate.sh "$(BASE)"
 
 # Non-test, non-generated Go lines per package: ROADMAP aim 2 counts net
 # deleted lines as a success metric, and this is the count it means.

@@ -1,8 +1,10 @@
 package modelcheck
 
-// Exploration-throughput benchmarks, recorded as BENCH_modelcheck.json
-// by `make bench-modelcheck`. Check splits a layer across GOMAXPROCS
-// workers only if it fills four rounds (modelcheck.go), and no layer of
+// Exploration-throughput benchmarks: states/sec, trans/sec and exact state
+// counts of the 3-node lines (what LDR's search allocates on both 3-node
+// graphs is gated end to end by the modelcheck3 workload of `make
+// bench-gate`). Check splits a layer across GOMAXPROCS workers only if
+// it fills four rounds (modelcheck.go), and no layer of
 // the 3-node line does, so both run on one world at any GOMAXPROCS: they
 // measure the one-worker search. A transition is one apply, one loop check,
 // one state key and one in-place restore (snapshot.go), each of the
@@ -53,4 +55,28 @@ func BenchmarkCheckLDRLine3(b *testing.B) {
 func BenchmarkCheckAODVLine3(b *testing.B) {
 	// Stops at the first violation, so this measures time-to-witness.
 	benchCheck(b, "aodv", Options{MaxDepth: 12, MaxResets: 1, MaxDrops: 1})
+}
+
+// TestSearchAllocsPerState bounds what the search allocates per state
+// on the LDR 3-node line: 3.67 measured, 4.04 under -race; the layers
+// never split, so the count does not depend on GOMAXPROCS. One more
+// allocation per expanded state, however small, fails it; the modelcheck3
+// workload's alloc_mb (`make bench-gate`) counts bytes, and an 8-byte one
+// moves it 1.3 %, inside its 8 % bound.
+func TestSearchAllocsPerState(t *testing.T) {
+	g, err := NamedTopology("line3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var states int
+	allocs := testing.AllocsPerRun(1, func() {
+		res, err := Check(&Scenario{Graph: g, Protocol: "ldr", Seed: 1}, Options{MaxDepth: 12, MaxResets: 1, MaxDrops: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		states = res.States
+	})
+	if perState := allocs / float64(states); perState > 4.25 {
+		t.Errorf("the search allocates %.2f times per state (%v over %d states), want at most 4.25", perState, allocs, states)
+	}
 }
