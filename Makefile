@@ -47,7 +47,7 @@ race:
 # on-demand duplicate cache, buffers and discoveries against the map
 # implementations they replaced, of the radio's receiver scan (which
 # keeps positions) against brute force and the scan that looked every node
-# up, of the radio's batched, bitset-tracked and addressed delivery
+# up, on a moving and on a resting schedule, of the radio's batched, bitset-tracked and addressed delivery
 # against per-receiver events, of LoadSpec on hostile seed files, of the
 # journal's Open and Put on hostile record files (a failing input lands in
 # the package's testdata/fuzz/ and then fails plain `go test` too).
@@ -58,6 +58,7 @@ fuzz-smoke:
 	$(GO) test ./internal/olsr -run '^$$' -fuzz FuzzOLSRState -fuzztime 20s
 	$(GO) test ./internal/routing/ondemand -run '^$$' -fuzz FuzzOnDemandState -fuzztime 20s
 	$(GO) test ./internal/radio -run '^$$' -fuzz FuzzReceiverSet -fuzztime 20s
+	$(GO) test ./internal/radio -run '^$$' -fuzz FuzzRestingReceiverSet -fuzztime 20s
 	$(GO) test ./internal/radio -run '^$$' -fuzz FuzzBatchedDelivery -fuzztime 20s
 	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzLoadSpec -fuzztime 20s
 	$(GO) test ./internal/resilience -run '^$$' -fuzz FuzzJournalRecord -fuzztime 20s
@@ -155,19 +156,25 @@ profile:
 # CPU profile of one cell — "where did the cell go" without a throwaway
 # main.go. The defaults are the dense100 OLSR cell of the repository
 # benchmark; the paper's terrain follows NODES (1500×300 m at 50,
-# 2200×600 m at 100). With FAULT set it is the audited chaos cells of that
-# fault profile and PROTO instead (50 nodes, pause 0 and static, serial),
-# through `ldrbench -exp chaos`. Prints the top of the profile and leaves the binary
-# and the profile in profiles/ for `go tool pprof -list`.
+# 2200×600 m at 100), and FLOWS and PAUSE set the load and the waypoint
+# pause. The second line below is the congested50 LDR cell: 30 flows on a
+# network that pauses for the whole run. With FAULT set it is the audited
+# chaos cells of that fault profile and PROTO instead (50 nodes, 10 flows,
+# pause 0 and static, serial), through `ldrbench -exp chaos`. Prints the
+# top of the profile and leaves the binary and the profile in profiles/
+# for `go tool pprof -list`.
 #   make profile-cell PROTO=olsr NODES=100 SIMTIME=330s
+#   make profile-cell PROTO=ldr NODES=50 FLOWS=30 PAUSE=240s SIMTIME=240s
 #   make profile-cell FAULT=lossy PROTO=ldr SIMTIME=30s
 PROTO ?= olsr
 NODES ?= 100
+FLOWS ?= 10
+PAUSE ?= 0s
 SIMTIME ?= 330s
 FAULT ?=
 PROFILE_CMD = $(if $(FAULT),ldrbench,ldrsim)
 PROFILE_CELL = $(if $(FAULT),-exp chaos -profiles $(FAULT) -protocols $(PROTO) -trials 1 -workers 1,\
-	-proto $(PROTO) -nodes $(NODES) $(if $(filter 100,$(NODES)),-width 2200 -height 600) -flows 10 -pause 0s)
+	-proto $(PROTO) -nodes $(NODES) $(if $(filter 100,$(NODES)),-width 2200 -height 600) -flows $(FLOWS) -pause $(PAUSE))
 profile-cell:
 	mkdir -p profiles
 	$(GO) build -o profiles/$(PROFILE_CMD) ./cmd/$(PROFILE_CMD)

@@ -50,6 +50,9 @@ func (w *Warped) SpeedBound() float64 { return w.inner.SpeedBound() * w.warp.Str
 // LegEnd implements Model: a warp draws nothing of its own.
 func (w *Warped) LegEnd(id int) time.Duration { return w.inner.LegEnd(id) }
 
+// StillFrom implements Model: a warp moves a still node nowhere.
+func (w *Warped) StillFrom(id int) time.Duration { return w.inner.StillFrom(id) }
+
 // GradientWarp concentrates nodes toward the x = 0 edge: a uniform
 // x-coordinate u·W maps to u²·W, giving a density that falls off as
 // 1/√x across the terrain — dense near one edge, sparse at the far end.

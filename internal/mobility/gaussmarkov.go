@@ -96,6 +96,9 @@ func (g *GaussMarkov) LegEnd(id int) time.Duration {
 	return time.Duration(g.nodes[id].step+1)*gmStep - time.Nanosecond
 }
 
+// StillFrom implements Model: a Gauss-Markov node never rests.
+func (g *GaussMarkov) StillFrom(int) time.Duration { return Forever }
+
 // Position implements Model.
 func (g *GaussMarkov) Position(id int, at time.Duration) Point {
 	st := &g.nodes[id]

@@ -124,6 +124,9 @@ func (m *Manhattan) SpeedBound() float64 { return m.cfg.MaxSpeed }
 // LegEnd implements Model: Position draws the next leg only past the pause.
 func (m *Manhattan) LegEnd(id int) time.Duration { return m.nodes[id].pauseUntil }
 
+// StillFrom implements Model: a node pauses at the intersection it reached.
+func (m *Manhattan) StillFrom(id int) time.Duration { return m.nodes[id].segEnd }
+
 // Position implements Model.
 func (m *Manhattan) Position(id int, at time.Duration) Point {
 	st := &m.nodes[id]

@@ -36,6 +36,11 @@ func (p Point) Dist(q Point) float64 {
 // within Slack(SpeedBound(), t2-t1) of Position(id, t1). Past LegEnd the
 // caller has to ask, which is also what keeps every stream where asking at
 // every instant would have left it.
+//
+// StillFrom extends the promise: after Position(id, t1), for every t2 in
+// [StillFrom(id), LegEnd(id)] at or after t1, Position(id, t2) is one
+// bit-identical point and draws nothing. A caller that has asked for every
+// node therefore knows a span through which none of them moves.
 type Model interface {
 	// Position returns the position of node id at virtual time at.
 	Position(id int, at time.Duration) Point
@@ -47,6 +52,10 @@ type Model interface {
 	// LegEnd returns the last instant of the leg node id's latest Position
 	// query left it on; Forever when its trajectory needs no further draw.
 	LegEnd(id int) time.Duration
+	// StillFrom returns the first instant from which node id sits still
+	// through LegEnd(id), on the leg its latest Position query left it on;
+	// after LegEnd(id) when it does not come to rest on that leg.
+	StillFrom(id int) time.Duration
 }
 
 // Forever is the LegEnd of a node whose trajectory is fixed for good.
@@ -148,6 +157,9 @@ func (w *Waypoint) SpeedBound() float64 { return w.cfg.MaxSpeed }
 // LegEnd implements Model: Position draws the next leg only past the pause.
 func (w *Waypoint) LegEnd(id int) time.Duration { return w.nodes[id].pauseUntil }
 
+// StillFrom implements Model: a node pauses at the waypoint it reached.
+func (w *Waypoint) StillFrom(id int) time.Duration { return w.nodes[id].segEnd }
+
 // Position implements Model.
 func (w *Waypoint) Position(id int, at time.Duration) Point {
 	st := &w.nodes[id]
@@ -206,6 +218,9 @@ func (s *Static) SpeedBound() float64 { return 0 }
 
 // LegEnd implements Model.
 func (s *Static) LegEnd(int) time.Duration { return Forever }
+
+// StillFrom implements Model: a static node rests from the start.
+func (s *Static) StillFrom(int) time.Duration { return 0 }
 
 // Position implements Model.
 func (s *Static) Position(id int, _ time.Duration) Point { return s.pts[id] }
@@ -275,6 +290,17 @@ func (s *Script) SpeedBound() float64 { return s.bound }
 
 // LegEnd implements Model: a script draws nothing.
 func (s *Script) LegEnd(int) time.Duration { return Forever }
+
+// StillFrom implements Model: a node holds its last position after its
+// last leg. Arriving there at the last leg's At is an interpolation, which
+// may round a coordinate, so the rest starts a nanosecond later.
+func (s *Script) StillFrom(id int) time.Duration {
+	track := s.tracks[id]
+	if len(track) < 2 {
+		return 0
+	}
+	return track[len(track)-1].At + time.Nanosecond
+}
 
 // Position implements Model.
 func (s *Script) Position(id int, at time.Duration) Point {

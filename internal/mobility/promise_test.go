@@ -9,6 +9,77 @@ import (
 	"github.com/manetlab/ldr/internal/rng"
 )
 
+// promiseTerrain is the terrain of the promise tests' models.
+var promiseTerrain = mobility.Terrain{Width: 1500, Height: 300}
+
+// promiseModel is one model the promise tests hold to the Model contract.
+type promiseModel struct {
+	name  string
+	mk    func(*rng.Source) mobility.Model
+	bound float64 // SpeedBound of the unwarped model
+	draws bool    // a query past LegEnd draws
+	exact bool    // some leg runs at exactly the bound, so the nanosecond shows
+	rests bool    // some node sits still for a while on a leg it draws
+}
+
+// promiseScript is three scripted nodes: one that drives, stops, drives on
+// and stays, one that never moves, and one that waits and then covers
+// 1200 m in jump (an infinite speed when jump is 0).
+func promiseScript(jump time.Duration) func(*rng.Source) mobility.Model {
+	return func(*rng.Source) mobility.Model {
+		return mobility.NewScript([][]mobility.ScriptLeg{
+			{{At: 0, Pos: mobility.Point{X: 10, Y: 10}}, {At: 40 * time.Second, Pos: mobility.Point{X: 810, Y: 10}}, // 20 m/s
+				{At: 50 * time.Second, Pos: mobility.Point{X: 810, Y: 10}}, {At: 90 * time.Second, Pos: mobility.Point{X: 700, Y: 290}}},
+			{{At: 5 * time.Second, Pos: mobility.Point{X: 1400, Y: 200}}},
+			{{At: 0, Pos: mobility.Point{X: 3, Y: 4}}, {At: 30 * time.Second, Pos: mobility.Point{X: 3, Y: 4}},
+				{At: 30*time.Second + jump, Pos: mobility.Point{X: 1203, Y: 4}}},
+		})
+	}
+}
+
+func promiseModels() []promiseModel {
+	tr := promiseTerrain
+	waypoint := func(minSpeed, maxSpeed float64, pause time.Duration) func(*rng.Source) mobility.Model {
+		return func(src *rng.Source) mobility.Model {
+			return mobility.NewWaypoint(6, mobility.WaypointConfig{Terrain: tr, MinSpeed: minSpeed, MaxSpeed: maxSpeed, Pause: pause}, src)
+		}
+	}
+	return []promiseModel{
+		{"waypoint", waypoint(1, 20, 0), 20, true, false, false},
+		{"waypoint-pause", waypoint(1, 20, 2*time.Second), 20, true, false, true},
+		{"waypoint-fixed-speed", waypoint(20, 20, 0), 20, true, true, false},
+		{"manhattan", func(src *rng.Source) mobility.Model {
+			return mobility.NewManhattan(6, mobility.ManhattanConfig{Terrain: tr, MinSpeed: 1, MaxSpeed: 20, Pause: time.Second}, src)
+		}, 20, true, false, true},
+		{"manhattan-fixed-speed", func(src *rng.Source) mobility.Model {
+			return mobility.NewManhattan(6, mobility.ManhattanConfig{Terrain: tr, MinSpeed: 7, MaxSpeed: 7}, src)
+		}, 7, true, true, false},
+		{"gaussmarkov", func(src *rng.Source) mobility.Model {
+			return mobility.NewGaussMarkov(6, mobility.GaussMarkovConfig{Terrain: tr, MeanSpeed: 10, MaxSpeed: 20}, src)
+		}, 20, true, false, false},
+		{"static", func(*rng.Source) mobility.Model { return mobility.Grid(6, 3, 200) }, 0, false, false, true},
+		{"script", promiseScript(60 * time.Second), 20, false, false, true},
+		{"script-jump", promiseScript(0), math.Inf(1), false, false, true},
+	}
+}
+
+// promiseWarp is a warp the promise tests apply to every model; k is its
+// Stretch.
+type promiseWarp struct {
+	name string
+	wrap func(mobility.Model) mobility.Model
+	k    float64
+}
+
+func promiseWarps() []promiseWarp {
+	tr := promiseTerrain
+	return []promiseWarp{
+		{"plain", func(m mobility.Model) mobility.Model { return m }, 1},
+		{"gradient", func(m mobility.Model) mobility.Model { return mobility.NewWarped(m, mobility.GradientWarp(tr)) }, 2},
+		{"hotspot", func(m mobility.Model) mobility.Model { return mobility.NewWarped(m, mobility.HotspotWarp(tr)) }, 3},
+	}
+}
+
 // TestKeptPositionPromise is the Model contract the radio's receiver scan
 // rests on, for every model alone and under both warps: after
 // Position(id, t1), through LegEnd(id), a query draws from no random stream
@@ -16,55 +87,7 @@ import (
 // in fact within SpeedBound()·(t2-t1+1 ns), the nanosecond being the
 // truncation of a leg's duration, which the fixed-speed rows show is used.
 func TestKeptPositionPromise(t *testing.T) {
-	tr := mobility.Terrain{Width: 1500, Height: 300}
-	waypoint := func(minSpeed, maxSpeed float64, pause time.Duration) func(*rng.Source) mobility.Model {
-		return func(src *rng.Source) mobility.Model {
-			return mobility.NewWaypoint(6, mobility.WaypointConfig{Terrain: tr, MinSpeed: minSpeed, MaxSpeed: maxSpeed, Pause: pause}, src)
-		}
-	}
-	script := func(jump time.Duration) func(*rng.Source) mobility.Model {
-		return func(*rng.Source) mobility.Model {
-			return mobility.NewScript([][]mobility.ScriptLeg{
-				{{At: 0, Pos: mobility.Point{X: 10, Y: 10}}, {At: 40 * time.Second, Pos: mobility.Point{X: 810, Y: 10}}, // 20 m/s
-					{At: 50 * time.Second, Pos: mobility.Point{X: 810, Y: 10}}, {At: 90 * time.Second, Pos: mobility.Point{X: 700, Y: 290}}},
-				{{At: 5 * time.Second, Pos: mobility.Point{X: 1400, Y: 200}}},
-				{{At: 0, Pos: mobility.Point{X: 3, Y: 4}}, {At: 30 * time.Second, Pos: mobility.Point{X: 3, Y: 4}},
-					{At: 30*time.Second + jump, Pos: mobility.Point{X: 1203, Y: 4}}},
-			})
-		}
-	}
-	models := []struct {
-		name  string
-		mk    func(*rng.Source) mobility.Model
-		bound float64 // SpeedBound of the unwarped model
-		draws bool    // a query past LegEnd draws
-		exact bool    // some leg runs at exactly the bound, so the nanosecond shows
-	}{
-		{"waypoint", waypoint(1, 20, 0), 20, true, false},
-		{"waypoint-pause", waypoint(1, 20, 2*time.Second), 20, true, false},
-		{"waypoint-fixed-speed", waypoint(20, 20, 0), 20, true, true},
-		{"manhattan", func(src *rng.Source) mobility.Model {
-			return mobility.NewManhattan(6, mobility.ManhattanConfig{Terrain: tr, MinSpeed: 1, MaxSpeed: 20, Pause: time.Second}, src)
-		}, 20, true, false},
-		{"manhattan-fixed-speed", func(src *rng.Source) mobility.Model {
-			return mobility.NewManhattan(6, mobility.ManhattanConfig{Terrain: tr, MinSpeed: 7, MaxSpeed: 7}, src)
-		}, 7, true, true},
-		{"gaussmarkov", func(src *rng.Source) mobility.Model {
-			return mobility.NewGaussMarkov(6, mobility.GaussMarkovConfig{Terrain: tr, MeanSpeed: 10, MaxSpeed: 20}, src)
-		}, 20, true, false},
-		{"static", func(*rng.Source) mobility.Model { return mobility.Grid(6, 3, 200) }, 0, false, false},
-		{"script", script(60 * time.Second), 20, false, false},
-		{"script-jump", script(0), math.Inf(1), false, false},
-	}
-	warps := []struct {
-		name string
-		wrap func(mobility.Model) mobility.Model
-		k    float64
-	}{
-		{"plain", func(m mobility.Model) mobility.Model { return m }, 1},
-		{"gradient", func(m mobility.Model) mobility.Model { return mobility.NewWarped(m, mobility.GradientWarp(tr)) }, 2},
-		{"hotspot", func(m mobility.Model) mobility.Model { return mobility.NewWarped(m, mobility.HotspotWarp(tr)) }, 3},
-	}
+	models, warps := promiseModels(), promiseWarps()
 	for _, mc := range models {
 		for _, wc := range warps {
 			t.Run(mc.name+"/"+wc.name, func(t *testing.T) {
@@ -124,6 +147,77 @@ func TestKeptPositionPromise(t *testing.T) {
 					t.Errorf("no leg ran ahead of SpeedBound (%v m): the nanosecond in Slack is not exercised", ahead)
 				}
 			})
+		}
+	}
+}
+
+// TestStillFromPromise is the promise a resting network's reused receiver
+// sets stand on, for every model alone and under both warps: after
+// Position(id, t1), from StillFrom(id) (or t1, if later) through
+// LegEnd(id), a query draws from no random stream and finds the node at
+// one bit-identical point. A Gauss-Markov node never rests, and a scripted
+// node rests at its last position for good from just after its last leg.
+func TestStillFromPromise(t *testing.T) {
+	for _, mc := range promiseModels() {
+		for _, wc := range promiseWarps() {
+			t.Run(mc.name+"/"+wc.name, func(t *testing.T) {
+				src := rng.New(11)
+				m := wc.wrap(mc.mk(src))
+				r := rng.New(12)
+				var rested time.Duration
+				for id := 0; id < m.NumNodes(); id++ {
+					var t1 time.Duration
+					for t1 < 400*time.Second {
+						p1 := m.Position(id, t1)
+						from, end, before := m.StillFrom(id), m.LegEnd(id), src.Draws()
+						if from <= end {
+							if mc.name == "gaussmarkov" {
+								t.Fatalf("node %d: a Gauss-Markov node rests from %v through %v", id, from, end)
+							}
+							// The rest from its first instant at or after t1, up
+							// to a hundred seconds of it.
+							a := max(from, t1)
+							last := min(end, a+100*time.Second)
+							p := m.Position(id, a)
+							if a == t1 && p != p1 {
+								t.Fatalf("node %d: %v, then %v at the same instant %v", id, p1, p, t1)
+							}
+							for _, t2 := range []time.Duration{a + time.Duration(r.Float64()*float64(last-a)), last} {
+								if q := m.Position(id, t2); q != p {
+									t.Fatalf("node %d: at %v, resting from %v through %v; at %v, %v", id, p, from, end, t2, q)
+								}
+							}
+							if src.Draws() != before {
+								t.Fatalf("node %d: a query in the rest from %v through %v drew", id, from, end)
+							}
+							rested += last - a
+						}
+						if end == mobility.Forever {
+							t1 += time.Duration(1 + r.Intn(int(30*time.Second)))
+						} else {
+							t1 = end + 1
+						}
+					}
+				}
+				if mc.rests && rested == 0 {
+					t.Errorf("no node rested for a moment: the promise was not exercised")
+				}
+			})
+		}
+	}
+
+	// The last leg of a script ends in an interpolation that may round; a
+	// nanosecond later the node is at the leg's position, for good.
+	s := promiseScript(60 * time.Second)(nil)
+	for id, last := range []mobility.ScriptLeg{
+		{At: 90 * time.Second, Pos: mobility.Point{X: 700, Y: 290}},
+		{At: 5 * time.Second, Pos: mobility.Point{X: 1400, Y: 200}},
+		{At: 90 * time.Second, Pos: mobility.Point{X: 1203, Y: 4}},
+	} {
+		after := last.At + time.Nanosecond
+		if p := s.Position(id, after); p != last.Pos || s.StillFrom(id) > after || s.LegEnd(id) != mobility.Forever {
+			t.Errorf("script node %d: at %v it is at %v, resting from %v through %v; want %v from %v on",
+				id, after, p, s.StillFrom(id), s.LegEnd(id), last.Pos, after)
 		}
 	}
 }

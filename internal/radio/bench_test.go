@@ -13,13 +13,18 @@ import (
 // benchMedium builds an n-node random-waypoint medium on the paper's
 // terrain for that many nodes (speeds 1–20 m/s, constant motion), with
 // every node attached.
-func benchMedium(n int) (*sim.Simulator, *radio.Medium) {
+func benchMedium(n int) (*sim.Simulator, *radio.Medium) { return benchMediumPaused(n, 0) }
+
+// benchMediumPaused is benchMedium with every waypoint followed by a pause;
+// the nodes start with one, so a pause longer than the run is a network
+// at rest.
+func benchMediumPaused(n int, pause time.Duration) (*sim.Simulator, *radio.Medium) {
 	s := sim.New()
 	terrain := mobility.Terrain{Width: 1500, Height: 300}
 	if n > 50 {
 		terrain = mobility.Terrain{Width: 2200, Height: 600}
 	}
-	model := mobility.NewWaypoint(n, mobility.WaypointConfig{Terrain: terrain, MinSpeed: 1, MaxSpeed: 20}, rng.New(1))
+	model := mobility.NewWaypoint(n, mobility.WaypointConfig{Terrain: terrain, MinSpeed: 1, MaxSpeed: 20, Pause: pause}, rng.New(1))
 	m := radio.New(s, model, radio.DefaultConfig())
 	for i := 0; i < n; i++ {
 		m.Attach(i, func(int, any) {})
@@ -100,6 +105,18 @@ func BenchmarkNeighbors(b *testing.B) {
 // BenchmarkTransmit50 is BenchmarkTransmit on the paper's 50-node strip.
 func BenchmarkTransmit50(b *testing.B) {
 	s, m := benchMedium(50)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m.Transmit(i%50, 4096+512*8, nil)
+		s.RunAll()
+	}
+}
+
+// BenchmarkTransmitResting50 is BenchmarkTransmit50 on a network at rest
+// (the pause outlasts the run): after each sender's first frame, the
+// receiver sets are the ones that frame scanned.
+func BenchmarkTransmitResting50(b *testing.B) {
+	s, m := benchMediumPaused(50, mobility.Forever)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.Transmit(i%50, 4096+512*8, nil)

@@ -183,6 +183,17 @@ func (m *Medium) CheckSets() error {
 	return nil
 }
 
+// Scans returns how many frames ran the receiver scan rather than reusing
+// a rest epoch's sets.
+func (m *Medium) Scans() uint64 { return m.scans }
+
+// RestEpoch returns the number of the latest rest epoch and whether the
+// current instant is inside it, as the last Transmit left them.
+func (m *Medium) RestEpoch() (uint64, bool) {
+	now := m.sim.Now()
+	return m.epoch, now >= m.restFrom && now <= m.restTo
+}
+
 // Receiver returns the callback attached for node id, so a test can wrap
 // what a MAC registered.
 func (m *Medium) Receiver(id int) ReceiverFunc { return m.nodes[id].rx }

@@ -28,6 +28,7 @@ type lazyCase struct {
 	name  string
 	cfg   radio.Config
 	model func(src *rng.Source) mobility.Model // a fresh, identical model on every call
+	rests bool                                 // no node moves for part of the run
 }
 
 var lazyTerrain = mobility.Terrain{Width: 2400, Height: 1500}
@@ -57,20 +58,68 @@ func lazyWarped(inner func(*rng.Source) mobility.Model, warp mobility.Warp) func
 	return func(src *rng.Source) mobility.Model { return mobility.NewWarped(inner(src), warp) }
 }
 
+// lazyStatic scatters n nodes that never move.
+func lazyStatic(n int) func(*rng.Source) mobility.Model {
+	return func(src *rng.Source) mobility.Model {
+		pts := make([]mobility.Point, n)
+		for i := range pts {
+			pts[i] = mobility.Point{X: src.Float64() * lazyTerrain.Width, Y: src.Float64() * lazyTerrain.Height}
+		}
+		return mobility.NewStatic(pts)
+	}
+}
+
+// lazyScript gives every fifth of n nodes one position for good; the
+// others wait up to 300 s, drive at 10–20 m/s, stop for up to 200 s,
+// drive on and stay. The last of them arrives within about 1000 s.
+func lazyScript(n int) func(*rng.Source) mobility.Model {
+	return func(src *rng.Source) mobility.Model {
+		point := func() mobility.Point {
+			return mobility.Point{X: src.Float64() * lazyTerrain.Width, Y: src.Float64() * lazyTerrain.Height}
+		}
+		tracks := make([][]mobility.ScriptLeg, n)
+		for i := range tracks {
+			at := time.Duration(src.Float64() * float64(300*time.Second))
+			tracks[i] = []mobility.ScriptLeg{{At: at, Pos: point()}}
+			if i%5 == 0 {
+				continue
+			}
+			for leg := 0; leg < 2; leg++ {
+				from, to := tracks[i][len(tracks[i])-1].Pos, point()
+				at += time.Duration(from.Dist(to) / src.Range(10, 20) * float64(time.Second))
+				tracks[i] = append(tracks[i], mobility.ScriptLeg{At: at, Pos: to})
+				if leg == 0 {
+					at += time.Duration(src.Float64() * float64(200*time.Second))
+					tracks[i] = append(tracks[i], mobility.ScriptLeg{At: at, Pos: to})
+				}
+			}
+		}
+		return mobility.NewScript(tracks)
+	}
+}
+
 func lazyCases() []lazyCase {
 	const n = 40
 	gradient, hotspot := mobility.GradientWarp(lazyTerrain), mobility.HotspotWarp(lazyTerrain)
 	return []lazyCase{
-		{"waypoint", radio.DefaultConfig(), lazyWaypoint(n, 1, 20, 0)},
-		{"waypoint-fast", radio.DefaultConfig(), lazyWaypoint(n, 20, 20, 0)},
-		{"waypoint-pause", mixedConfig(), lazyWaypoint(n, 1, 20, 3*time.Second)},
-		{"waypoint-long-pause", radio.DefaultConfig(), lazyWaypoint(n, 5, 20, 90*time.Second)},
-		{"manhattan", radio.DefaultConfig(), lazyManhattan(n, 20, 0)},
-		{"manhattan-pause", mixedConfig(), lazyManhattan(n, 20, 2*time.Second)},
-		{"gaussmarkov", mixedConfig(), lazyGaussMarkov(n, 20)},
-		{"gradient", radio.DefaultConfig(), lazyWarped(lazyWaypoint(n, 1, 20, 0), gradient)},
-		{"hotspot", mixedConfig(), lazyWarped(lazyWaypoint(n, 1, 20, time.Second), hotspot)},
-		{"hotspot-gaussmarkov", radio.DefaultConfig(), lazyWarped(lazyGaussMarkov(n, 20), hotspot)},
+		{"waypoint", radio.DefaultConfig(), lazyWaypoint(n, 1, 20, 0), false},
+		{"waypoint-fast", radio.DefaultConfig(), lazyWaypoint(n, 20, 20, 0), false},
+		{"waypoint-pause", mixedConfig(), lazyWaypoint(n, 1, 20, 3*time.Second), false},
+		{"waypoint-long-pause", radio.DefaultConfig(), lazyWaypoint(n, 5, 20, 90*time.Second), false},
+		{"manhattan", radio.DefaultConfig(), lazyManhattan(n, 20, 0), false},
+		{"manhattan-pause", mixedConfig(), lazyManhattan(n, 20, 2*time.Second), false},
+		{"gaussmarkov", mixedConfig(), lazyGaussMarkov(n, 20), false},
+		{"gradient", radio.DefaultConfig(), lazyWarped(lazyWaypoint(n, 1, 20, 0), gradient), false},
+		{"hotspot", mixedConfig(), lazyWarped(lazyWaypoint(n, 1, 20, time.Second), hotspot), false},
+		{"hotspot-gaussmarkov", radio.DefaultConfig(), lazyWarped(lazyGaussMarkov(n, 20), hotspot), false},
+		// Resting networks. A pause longer than the run (about 2000 s of
+		// lazyGaps) is a static network that drew its places; a 400 s pause
+		// at 10–20 m/s rests, moves, then rests again until the first node
+		// to have arrived leaves while the others still rest.
+		{"waypoint-resting", mixedConfig(), lazyWaypoint(n, 1, 20, time.Hour), true},
+		{"waypoint-rest-epochs", radio.DefaultConfig(), lazyWaypoint(n, 10, 20, 400*time.Second), true},
+		{"script-stop", radio.DefaultConfig(), lazyScript(n), true},
+		{"static", mixedConfig(), lazyStatic(n), true},
 	}
 }
 
@@ -99,6 +148,7 @@ var lazyGaps = []time.Duration{
 type lazyStats struct {
 	lookups, refLookups int
 	decoded, sensed     int
+	scans               uint64 // receiver scans in the medium under test
 }
 
 // runLazy drives frames transmissions from script-chosen sources over
@@ -107,7 +157,11 @@ type lazyStats struct {
 // and re-attached and links severed and healed along the way, and checks
 // after every frame the decoded set, the mid-flight Busy set and the
 // position of the model's random streams. pick(k, n) chooses frame k's
-// sender and gap(k) the time to the next frame.
+// sender and gap(k) the time to the next frame. When c rests, the first
+// half of the run cuts no link, since a cut installs faults and ends the
+// reuse of rest-epoch receiver sets for good, and detaches or re-attaches
+// a node every 20 frames instead of every 5, so that senders repeat inside
+// an epoch.
 func runLazy(t *testing.T, c lazyCase, seed int64, frames int, pick func(k, n int) int, gap func(k int) time.Duration) lazyStats {
 	t.Helper()
 	type world struct {
@@ -152,7 +206,12 @@ func runLazy(t *testing.T, c lazyCase, seed int64, frames int, pick func(k, n in
 	for k := 0; k < frames; k++ {
 		src := pick(k, n)
 		// Every few frames a node goes deaf for a while, or a link is cut.
-		if node := (k * 7) % n; k%5 == 1 {
+		quiet := c.rests && k < frames/2
+		every := 5
+		if quiet {
+			every = 20
+		}
+		if node := (k * 7) % n; k%every == 1 {
 			attached[node] = !attached[node]
 			for _, w := range worlds {
 				if attached[node] {
@@ -162,7 +221,7 @@ func runLazy(t *testing.T, c lazyCase, seed int64, frames int, pick func(k, n in
 				}
 			}
 		}
-		if a, b := (k*3)%n, (k*11+1)%n; k%4 == 2 && a != b {
+		if a, b := (k*3)%n, (k*11+1)%n; !quiet && k%4 == 2 && a != b {
 			down[[2]int{a, b}] = !blocked(a, b)
 			if !down[[2]int{a, b}] {
 				delete(down, [2]int{b, a})
@@ -205,6 +264,7 @@ func runLazy(t *testing.T, c lazyCase, seed int64, frames int, pick func(k, n in
 		at += gap(k)
 	}
 	st.lookups, st.refLookups = got.model.calls, ref.model.calls
+	st.scans = got.m.Scans()
 	return st
 }
 
@@ -224,6 +284,9 @@ func TestLazyScanMatchesBruteForce(t *testing.T) {
 				// The point of the exercise: most nodes are not looked up.
 				if st.lookups*2 > st.refLookups {
 					t.Errorf("%d position lookups, %d when every node is looked up: nothing was kept", st.lookups, st.refLookups)
+				}
+				if c.rests && st.scans >= frames {
+					t.Errorf("%d scans for %d frames: no frame reused a rest epoch's receiver sets", st.scans, frames)
 				}
 			})
 		}
@@ -267,38 +330,60 @@ func FuzzReceiverSet(f *testing.F) {
 	f.Add(int64(4), uint8(3), uint8(20), uint16(300), false, []byte{17, 140, 33, 254, 8, 8, 201})
 	f.Add(int64(5), uint8(4), uint8(1), uint16(60000), false, []byte{255, 255, 0, 255})
 	f.Fuzz(func(t *testing.T, seed int64, kind, maxSpeed uint8, pauseMs uint16, mixed bool, script []byte) {
-		if len(script) == 0 {
-			return
-		}
-		if len(script) > 200 {
-			script = script[:200]
-		}
-		speed := 1 + float64(maxSpeed%60)
-		pause := time.Duration(pauseMs) * time.Millisecond
-		c := lazyCase{name: "fuzz", cfg: radio.DefaultConfig()}
-		if mixed {
-			c.cfg = mixedConfig()
-		}
-		const n = 24
-		c.model = [...]func(*rng.Source) mobility.Model{
-			lazyWaypoint(n, 1, speed, pause),
-			lazyManhattan(n, speed, pause),
-			lazyGaussMarkov(n, speed),
-			lazyWarped(lazyWaypoint(n, speed, speed, pause), mobility.HotspotWarp(lazyTerrain)),
-			lazyWarped(lazyWaypoint(n, 1, speed, pause), mobility.GradientWarp(lazyTerrain)),
-		}[kind%5]
-		// A script byte is a sender and a silence: 3 ms to 130 ms in steps, or
-		// for the top values seconds to a minute.
-		gap := func(k int) time.Duration {
-			switch b := script[k]; {
-			case b >= 250:
-				return time.Duration(b-249) * 10 * time.Second
-			case b >= 200:
-				return time.Duration(b-199) * 100 * time.Millisecond
-			default:
-				return 3*time.Millisecond + time.Duration(b)*time.Millisecond/2
-			}
-		}
-		runLazy(t, c, seed, len(script), func(k, n int) int { return int(script[k]) % n }, gap)
+		fuzzReceiverSet(t, false, seed, kind, maxSpeed, pauseMs, mixed, script)
 	})
+}
+
+// FuzzRestingReceiverSet is FuzzReceiverSet on runLazy's resting schedule:
+// no link cut in the first half of the script and fewer attachment
+// changes, so that rest epochs last and senders repeat inside them.
+func FuzzRestingReceiverSet(f *testing.F) {
+	// A network at rest for the whole script, senders repeating; rests
+	// ending mid-script, between frames of one sender.
+	f.Add(int64(6), uint8(0), uint8(20), uint16(65535), false,
+		[]byte{3, 27, 3, 51, 27, 9, 3, 75, 51, 9, 27, 3, 99, 3, 51, 75, 9, 27, 3, 51, 123, 3, 27, 9, 51, 3, 75, 27, 3, 9})
+	f.Add(int64(7), uint8(3), uint8(15), uint16(20000), true,
+		[]byte{5, 29, 5, 53, 29, 5, 252, 5, 29, 53, 5, 29, 253, 5, 29, 53, 5, 200, 29, 5, 53, 29, 5, 250, 5, 29})
+	f.Add(int64(8), uint8(1), uint8(20), uint16(30000), false,
+		[]byte{2, 26, 2, 50, 26, 2, 251, 2, 26, 50, 2, 254, 2, 26, 50, 26, 2, 2, 26})
+	f.Fuzz(func(t *testing.T, seed int64, kind, maxSpeed uint8, pauseMs uint16, mixed bool, script []byte) {
+		fuzzReceiverSet(t, true, seed, kind, maxSpeed, pauseMs, mixed, script)
+	})
+}
+
+// fuzzReceiverSet runs one fuzz input through runLazy.
+func fuzzReceiverSet(t *testing.T, rests bool, seed int64, kind, maxSpeed uint8, pauseMs uint16, mixed bool, script []byte) {
+	if len(script) == 0 {
+		return
+	}
+	if len(script) > 200 {
+		script = script[:200]
+	}
+	speed := 1 + float64(maxSpeed%60)
+	pause := time.Duration(pauseMs) * time.Millisecond
+	c := lazyCase{name: "fuzz", cfg: radio.DefaultConfig(), rests: rests}
+	if mixed {
+		c.cfg = mixedConfig()
+	}
+	const n = 24
+	c.model = [...]func(*rng.Source) mobility.Model{
+		lazyWaypoint(n, 1, speed, pause),
+		lazyManhattan(n, speed, pause),
+		lazyGaussMarkov(n, speed),
+		lazyWarped(lazyWaypoint(n, speed, speed, pause), mobility.HotspotWarp(lazyTerrain)),
+		lazyWarped(lazyWaypoint(n, 1, speed, pause), mobility.GradientWarp(lazyTerrain)),
+	}[kind%5]
+	// A script byte is a sender and a silence: 3 ms to 130 ms in steps, or
+	// for the top values seconds to a minute.
+	gap := func(k int) time.Duration {
+		switch b := script[k]; {
+		case b >= 250:
+			return time.Duration(b-249) * 10 * time.Second
+		case b >= 200:
+			return time.Duration(b-199) * 100 * time.Millisecond
+		default:
+			return 3*time.Millisecond + time.Duration(b)*time.Millisecond/2
+		}
+	}
+	runLazy(t, c, seed, len(script), func(k, n int) int { return int(script[k]) % n }, gap)
 }

@@ -24,6 +24,12 @@
 // set is the one asking for every position at every frame gives. The scan
 // is O(N) per frame; every experiment in this repository runs at most 100
 // nodes (EXPERIMENTS.md records where a spatial index would start to pay).
+// While the network rests it is not even that: mobility.Model.StillFrom
+// names a span through which no node moves, and inside it a sender's
+// frames after its first copy the sets that one scanned — a word or two
+// instead of a visit per node. Static networks, and the paper's long
+// pauses, rest for most of a run. Attach ends such a span, and a medium
+// with faults installed scans every frame.
 //
 // A transmission costs the event queue three events however many nodes
 // hear it: the sender's end-of-airtime idle check, one event in which the
@@ -177,6 +183,19 @@ type Medium struct {
 	// to a single pointer test.
 	flt *faults
 
+	// A rest epoch is a span [restFrom, restTo] through which no attached
+	// node moves. Inside the current one, number epoch, a sender's receiver
+	// sets are those its first frame scanned: rest holds them, words
+	// sensed bits then as many decodable bits per sender, and restTag[src]
+	// is the epoch they were scanned in (0, none). restTo < now means the
+	// epoch is over and the next frame looks again (see rests).
+	restFrom, restTo time.Duration
+	epoch            uint64
+	rest             []uint64
+	restTag          []uint64
+	// scans counts receiver scans, for tests.
+	scans uint64
+
 	// Transmissions counts frames put on the air, for diagnostics.
 	Transmissions uint64
 	// Corrupted counts per-receiver receptions lost to collisions.
@@ -248,6 +267,7 @@ func New(s *sim.Simulator, model mobility.Model, cfg Config) *Medium {
 		m.txRange[i], m.csRange[i] = cl.Range, cl.CSRange
 		m.kept[i].at, m.kept[i].legEnd = -1, -1
 	}
+	m.restTo = -1
 	m.startFn = m.startAll
 	m.endFn = m.endAll
 	m.idleFn = m.idleAt
@@ -261,9 +281,11 @@ func (m *Medium) Config() Config { return m.cfg }
 // tools (e.g. the topology oracle).
 func (m *Medium) Model() mobility.Model { return m.model }
 
-// Attach registers the frame-delivery callback for a node.
+// Attach registers the frame-delivery callback for a node. It ends the
+// rest epoch: who is attached is part of every receiver set.
 func (m *Medium) Attach(id int, rx ReceiverFunc) {
 	m.nodes[id].rx = rx
+	m.restTo = -1
 }
 
 // position returns node id's position at the current instant, computing
@@ -335,6 +357,10 @@ func (m *Medium) AirTime(bits int) time.Duration {
 // past a leg's end. A model with no speed bound has infinite slack and
 // every node is measured.
 //
+// While no node moves (a rest epoch, see rests) and no fault has been
+// installed, a sender's frames reuse the sets its first frame in the
+// epoch found, which are the sets a scan would find again.
+//
 // The whole receiver set rides on two events: one at now+PropDelay that
 // starts the signal at every receiver in ascending id, one at
 // now+PropDelay+air that ends it at every receiver in the same order.
@@ -364,14 +390,42 @@ func (m *Medium) Transmit(src, bits int, payload any) time.Duration {
 	}
 	m.sim.ScheduleTransient(air, m.idleFn, nil, uint64(src))
 
-	srcPos := m.position(src)
-	txR, csR := m.txRange[src], m.csRange[src]
-	tx2, cs2 := txR*txR, csR*csR
 	tx := m.txPool.Get()
 	if tx.sensed == nil {
 		tx.sensed, tx.decodable = make([]uint64, len(m.clean)), make([]uint64, len(m.clean))
 	}
+	if m.flt == nil && m.nodes[src].rx != nil && m.rests(now) {
+		m.restSets(src, tx)
+	} else {
+		m.scan(src, tx)
+	}
 	var heard uint64
+	for _, w := range tx.sensed {
+		heard |= w
+	}
+	if heard == 0 {
+		m.txPool.Put(tx)
+		return air
+	}
+	tx.from, tx.to = int32(src), -1
+	if a, ok := payload.(Addressed); ok {
+		tx.to = int32(max(a.Addressee(), -1))
+	}
+	tx.payload = payload
+	ref(payload) // the receptions read the payload until they end
+	m.sim.ScheduleTransient(PropDelay, m.startFn, tx, 0)
+	m.sim.ScheduleTransient(PropDelay+air, m.endFn, tx, 0)
+	return air
+}
+
+// scan sets tx's bits for every node that senses and that can decode a
+// frame src sends now (see Transmit).
+func (m *Medium) scan(src int, tx *transmission) {
+	m.scans++
+	now := m.sim.Now()
+	srcPos := m.position(src)
+	txR, csR := m.txRange[src], m.csRange[src]
+	tx2, cs2 := txR*txR, csR*csR
 	for i := range m.nodes {
 		if i == src || m.nodes[i].rx == nil {
 			continue
@@ -396,24 +450,57 @@ func (m *Medium) Transmit(src, bits int, payload any) time.Duration {
 		}
 		// Both bits are written whether or not the node hears the frame:
 		// whether it does is a coin toss no branch predictor wins.
-		s, d := bit(sensed), bit(decodable)
-		tx.sensed[i>>6] |= s << (i & 63)
-		tx.decodable[i>>6] |= d << (i & 63)
-		heard |= s
+		tx.sensed[i>>6] |= bit(sensed) << (i & 63)
+		tx.decodable[i>>6] |= bit(decodable) << (i & 63)
 	}
-	if heard == 0 {
-		m.txPool.Put(tx)
-		return air
+}
+
+// rests reports whether now is inside a rest epoch, looking for the next
+// one past the end of the last.
+func (m *Medium) rests(now time.Duration) bool {
+	if now > m.restTo {
+		m.nextRest()
 	}
-	tx.from, tx.to = int32(src), -1
-	if a, ok := payload.(Addressed); ok {
-		tx.to = int32(max(a.Addressee(), -1))
+	return now >= m.restFrom && now <= m.restTo
+}
+
+// nextRest asks for every attached node once: all of them sit still from
+// the latest StillFrom through the earliest LegEnd, and when that span is
+// not empty it is the next rest epoch. Either way nothing is looked at
+// again before that LegEnd, since no node's leg can change sooner.
+func (m *Medium) nextRest() {
+	from, to := time.Duration(0), mobility.Forever
+	for i := range m.nodes {
+		if m.nodes[i].rx == nil {
+			continue
+		}
+		m.position(i)
+		from, to = max(from, m.model.StillFrom(i)), min(to, m.kept[i].legEnd)
 	}
-	tx.payload = payload
-	ref(payload) // the receptions read the payload until they end
-	m.sim.ScheduleTransient(PropDelay, m.startFn, tx, 0)
-	m.sim.ScheduleTransient(PropDelay+air, m.endFn, tx, 0)
-	return air
+	m.restFrom, m.restTo = from, to
+	if from <= to {
+		m.epoch++
+		if m.rest == nil {
+			m.rest, m.restTag = make([]uint64, 2*len(m.clean)*len(m.nodes)), make([]uint64, len(m.nodes))
+		}
+	}
+}
+
+// restSets sets tx's bits from src's receiver sets of this rest epoch,
+// scanning for them on src's first frame in it. No position changes in an
+// epoch, so they are the sets the scan would find.
+func (m *Medium) restSets(src int, tx *transmission) {
+	words := len(m.clean)
+	sets := m.rest[2*words*src : 2*words*(src+1)]
+	if m.restTag[src] == m.epoch {
+		copy(tx.sensed, sets[:words])
+		copy(tx.decodable, sets[words:])
+		return
+	}
+	m.scan(src, tx)
+	copy(sets, tx.sensed)
+	copy(sets[words:], tx.decodable)
+	m.restTag[src] = m.epoch
 }
 
 // bit is 1 for true, without a branch.

@@ -37,6 +37,7 @@ func TestResultsDocMatchesJournals(t *testing.T) {
 		trials    int
 		simtime   time.Duration
 	}{
+		{"results/paper/fig2.txt", "fig2", 10, 900 * time.Second},
 		{"results/paper/fig7.txt", "fig7", 10, 900 * time.Second},
 	} {
 		want, err := os.ReadFile(r.file)
