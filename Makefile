@@ -155,8 +155,8 @@ profile:
 
 # CPU profile of one cell — "where did the cell go" without a throwaway
 # main.go. The defaults are the dense100 OLSR cell of the repository
-# benchmark; the paper's terrain follows NODES (1500×300 m at 50,
-# 2200×600 m at 100), and FLOWS and PAUSE set the load and the waypoint
+# benchmark; ldrsim's cell takes the paper's terrain for NODES (1500×300 m
+# at 50, 2200×600 m at 100), and FLOWS and PAUSE set the load and the waypoint
 # pause. The second line below is the congested50 LDR cell: 30 flows on a
 # network that pauses for the whole run. With FAULT set it is the audited
 # chaos cells of that fault profile and PROTO instead (50 nodes, 10 flows,
@@ -174,7 +174,7 @@ SIMTIME ?= 330s
 FAULT ?=
 PROFILE_CMD = $(if $(FAULT),ldrbench,ldrsim)
 PROFILE_CELL = $(if $(FAULT),-exp chaos -profiles $(FAULT) -protocols $(PROTO) -trials 1 -workers 1,\
-	-proto $(PROTO) -nodes $(NODES) $(if $(filter 100,$(NODES)),-width 2200 -height 600) -flows $(FLOWS) -pause $(PAUSE))
+	-proto $(PROTO) -nodes $(NODES) -flows $(FLOWS) -pause $(PAUSE))
 profile-cell:
 	mkdir -p profiles
 	$(GO) build -o profiles/$(PROFILE_CMD) ./cmd/$(PROFILE_CMD)

@@ -1,19 +1,23 @@
 // Command ldrsim runs one ad hoc network simulation and prints its
-// metrics. It is the exploration tool; cmd/ldrbench regenerates the
-// paper's tables and figures.
-//
-// Usage:
+// metrics; cmd/ldrbench regenerates the paper's tables and figures.
 //
 //	ldrsim -proto ldr -nodes 50 -flows 10 -pause 60s -simtime 300s -seed 1
 //
-// With -trials N (N > 1) the same scenario is run across seeds
-// seed..seed+N-1, fanned out over -workers goroutines, and reported as
-// one line per seed plus a mean ± 95% CI summary.
+// The cell is built by experiments.Options.Cell, as every ldrbench cell
+// is: 2200×600 m at 100 nodes and 1500×300 m otherwise, unless -width
+// and -height say otherwise. With -trials N (N > 1) it runs seeds
+// seed..seed+N-1 over -workers goroutines and prints one line per seed
+// plus a mean ± 95% CI summary.
+//
+// A single run can be watched without changing it: -interval dumps every
+// node's route toward -dest (with LDR's labels) and checks loop freedom
+// live, and -packets prints the last delivered packets' hop paths. The
+// report after them is the unwatched run's.
 //
 // Flags are validated before anything runs: nonsensical values
 // (-trials 0, -workers -1, zero nodes, an unknown protocol, a stray
-// positional argument) are rejected with a clear error rather than
-// silently misbehaving.
+// positional argument, a flag that would do nothing) are rejected with
+// a clear error rather than silently misbehaving.
 //
 // ^C does not kill the simulation mid-event: the run stops at its next
 // event boundary and the metrics accumulated so far are printed, with the
@@ -25,11 +29,12 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	"github.com/manetlab/ldr/internal/cli"
-	"github.com/manetlab/ldr/internal/mobility"
+	"github.com/manetlab/ldr/internal/experiments"
 	"github.com/manetlab/ldr/internal/scenario"
 	"github.com/manetlab/ldr/internal/stats"
 	"github.com/manetlab/ldr/internal/sweep"
@@ -43,36 +48,34 @@ func run() error {
 	shared.Bind(flag.CommandLine)
 	var prof cli.Profile
 	prof.Bind(flag.CommandLine)
-	cell := cli.Cell{Proto: "ldr", Nodes: 50, Flows: 10, Pause: 60 * time.Second}
-	cell.Bind(flag.CommandLine)
-	var (
-		width  = flag.Float64("width", 1500, "terrain width (m)")
-		height = flag.Float64("height", 300, "terrain height (m)")
-		speed  = flag.Float64("maxspeed", 20, "maximum node speed (m/s)")
-	)
+	cell := cellFlags{proto: "ldr", nodes: 50, flows: 10, pause: 60 * time.Second, maxSpeed: 20}
+	cell.bind(flag.CommandLine)
+	var w watch
+	w.bind(flag.CommandLine)
 	if err := cli.Parse(
 		"Run one ad hoc network simulation (or -trials seeds of it) and print\n"+
-			"its metrics. cmd/ldrbench regenerates the paper's tables, and with\n"+
-			"-exp chaos or adversary runs the fault-injection or Byzantine-node suite.",
+			"its metrics, optionally dumping the routes toward -dest every -interval\n"+
+			"with live loop-freedom checks. cmd/ldrbench regenerates the paper's\n"+
+			"tables, and with -exp chaos or adversary runs the fault-injection or\n"+
+			"Byzantine-node suite.",
 		"ldrsim -proto ldr -nodes 50 -flows 10 -pause 60s -simtime 300s -seed 1",
 		"ldrsim -proto aodv -trials 10 -workers 4",
 		"ldrsim -proto ldr -mobility manhattan -traffic bursty",
 		"ldrsim -proto olsr -radio asym -density gradient  # one-way links, uneven placement",
-		"ldrsim -proto olsr -nodes 100 -width 2200 -height 600 -pause 0s -cpuprofile cell.pprof  # make profile-cell",
+		"ldrsim -proto olsr -nodes 100 -pause 0s -cpuprofile cell.pprof  # make profile-cell",
+		"ldrsim -proto ldr -nodes 20 -flows 5 -simtime 60s -dest 3 -interval 5s  # route dumps, live loopcheck",
+		"ldrsim -proto aodv -nodes 20 -flows 5 -simtime 60s -packets 10         # the last 10 delivered paths",
 	); err != nil {
 		return err
 	}
 	if err := shared.Validate(); err != nil {
 		return err
 	}
-	if err := cell.Validate(); err != nil {
+	if err := cell.validate(); err != nil {
 		return err
 	}
-	if *width <= 0 || *height <= 0 {
-		return fmt.Errorf("terrain must be positive (got %.0f x %.0f m)", *width, *height)
-	}
-	if *speed <= 0 {
-		return fmt.Errorf("-maxspeed must be positive (got %.1f)", *speed)
+	if err := w.validate(cell.nodes, shared.Trials); err != nil {
+		return err
 	}
 
 	stop, err := prof.Start()
@@ -94,21 +97,17 @@ func run() error {
 		ctl.Interrupt()
 	}()
 
-	cfg := cell.Config(shared.Seed)
-	cfg.Terrain = mobility.Terrain{Width: *width, Height: *height}
-	cfg.MaxSpeed = *speed
-	cfg.SimTime = shared.SimTime
-	shared.Axes.Apply(&cfg)
-
+	cfg := cell.config(shared)
 	if shared.Trials > 1 {
 		return runTrials(cfg, shared.Trials, shared.Workers, ctl)
 	}
 
 	start := time.Now()
-	res, err := scenario.RunWithControl(cfg, ctl)
+	res, err := scenario.RunWithControl(cfg, w.observer(cfg.SimTime), ctl)
 	if err != nil {
 		return err
 	}
+	w.printPaths()
 	c := res.Collector
 
 	fmt.Printf("protocol         %s\n", cfg.Protocol)
@@ -129,12 +128,79 @@ func run() error {
 	if c.SeqnoCount > 0 {
 		fmt.Printf("mean dest seqno  %.2f\n", c.MeanSeqno())
 	}
-	fmt.Printf("sim events       %d (%.1fs wall)\n", res.Events, time.Since(start).Seconds())
+	fmt.Printf("sim events       %d (%.1fs wall)\n", res.Events-w.dumps, time.Since(start).Seconds())
 	if res.Interrupted {
 		fmt.Printf("INTERRUPTED      metrics cover only the simulated time reached; re-run with -seed %d for the full %v\n",
 			cfg.Seed, cfg.SimTime)
 	}
 	return nil
+}
+
+// cellFlags is -proto, -nodes, -flows, -pause, the terrain and -maxspeed:
+// the one cell ldrsim runs.
+type cellFlags struct {
+	proto         string
+	nodes, flows  int
+	pause         time.Duration
+	width, height float64 // 0: the cell's own terrain
+	maxSpeed      float64
+}
+
+// cellProtocols are the names -proto's help lists. validate asks
+// scenario.Factory, so a protocol registered at run time is accepted too.
+var cellProtocols = []scenario.ProtocolName{
+	scenario.LDR, scenario.AODV, scenario.DSR, scenario.DSR7, scenario.OLSR, scenario.OLSRJ,
+}
+
+func (c *cellFlags) bind(fs *flag.FlagSet) {
+	names := make([]string, len(cellProtocols))
+	for i, p := range cellProtocols {
+		names[i] = string(p)
+	}
+	fs.StringVar(&c.proto, "proto", c.proto, "routing protocol: "+strings.Join(names, "|"))
+	fs.IntVar(&c.nodes, "nodes", c.nodes, "number of nodes (≥ 2)")
+	fs.IntVar(&c.flows, "flows", c.flows, "concurrent CBR flows (≥ 1)")
+	fs.DurationVar(&c.pause, "pause", c.pause, "random-waypoint pause time (≥ 0)")
+	fs.Float64Var(&c.width, "width", 0, "terrain width (m); default the paper's for -nodes: 1500, or 2200 at 100 nodes")
+	fs.Float64Var(&c.height, "height", 0, "terrain height (m); default the paper's for -nodes: 300, or 600 at 100 nodes")
+	fs.Float64Var(&c.maxSpeed, "maxspeed", c.maxSpeed, "maximum node speed (m/s)")
+}
+
+func (c *cellFlags) validate() error {
+	if _, err := scenario.Factory(scenario.ProtocolName(c.proto), nil); err != nil {
+		return err
+	}
+	if c.nodes < 2 {
+		return fmt.Errorf("-nodes must be at least 2 (got %d)", c.nodes)
+	}
+	if c.flows < 1 {
+		return fmt.Errorf("-flows must be at least 1 (got %d)", c.flows)
+	}
+	if c.pause < 0 {
+		return fmt.Errorf("-pause must not be negative (got %v)", c.pause)
+	}
+	if c.width < 0 || c.height < 0 {
+		return fmt.Errorf("-width and -height must not be negative (got %.0f x %.0f m; 0 is the cell's own)", c.width, c.height)
+	}
+	if c.maxSpeed <= 0 {
+		return fmt.Errorf("-maxspeed must be positive (got %.1f)", c.maxSpeed)
+	}
+	return nil
+}
+
+// config is the cell as ldrbench builds it, at the shared flags' run
+// length and axes, with the terrain and speed flags applied.
+func (c *cellFlags) config(s cli.Scale) scenario.Config {
+	o := experiments.Options{SimTime: s.SimTime, Axes: s.Axes}
+	cfg := o.Cell(scenario.ProtocolName(c.proto), c.nodes, c.flows, c.pause, s.Seed)
+	if c.width > 0 {
+		cfg.Terrain.Width = c.width
+	}
+	if c.height > 0 {
+		cfg.Terrain.Height = c.height
+	}
+	cfg.MaxSpeed = c.maxSpeed
+	return cfg
 }
 
 // runTrials runs the scenario across consecutive seeds in parallel and

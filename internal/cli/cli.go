@@ -1,11 +1,12 @@
-// Package cli binds, once, every flag two or more commands share, and
-// ldrbench's experiment surface, and turns the parsed values into the
-// options the harnesses take. A command
-// presets its defaults on the struct for its flag groups, calls Bind,
-// declares its own flags beside them, calls Parse, checks its own flags,
-// and then asks for options — which validates the shared flags before
-// the journal is opened or the signal handler installed, so a rejected
-// command line leaves nothing behind.
+// Package cli binds, once, the flags ldrsim and ldrbench share — Scale
+// (-seed, -workers, -trials, -simtime and the scenario axes) and Profile
+// (-cpuprofile, -memprofile) — and ldrbench's experiment surface,
+// Experiment, and turns the parsed values into the options the harnesses
+// take. A command presets its defaults on the struct for its flag
+// groups, calls Bind, declares its own flags beside them, calls Parse,
+// checks its own flags, and then asks for options — which validates the
+// shared flags before the journal is opened or the signal handler
+// installed, so a rejected command line leaves nothing behind.
 package cli
 
 import (
@@ -130,86 +131,21 @@ func (p *Profile) Start() (stop func(), err error) {
 	}, nil
 }
 
-// Run is -seed and -workers, which every scenario-running command
-// takes. Every group's Bind uses the fields' current values as defaults.
-type Run struct {
+// Scale is -seed, -workers, -trials, -simtime and the scenario axes:
+// one scenario shape repeated across seeds (ldrsim, ldrbench). Bind
+// uses the fields' current values as defaults.
+type Scale struct {
 	Seed    int64
 	Workers int
-}
-
-func (r *Run) Bind(fs *flag.FlagSet) {
-	fs.Int64Var(&r.Seed, "seed", r.Seed, "base random seed")
-	fs.IntVar(&r.Workers, "workers", r.Workers,
-		"concurrent cells; 0 = GOMAXPROCS, 1 = serial (output is identical either way)")
-}
-
-func (r *Run) Validate() error {
-	if r.Workers < 0 {
-		return fmt.Errorf("-workers must be ≥ 0 (got %d; 0 means GOMAXPROCS)", r.Workers)
-	}
-	return nil
-}
-
-// Cell is -proto, -nodes, -flows and -pause: the one cell ldrsim and
-// ldrtrace run.
-type Cell struct {
-	Proto string
-	Nodes int
-	Flows int
-	Pause time.Duration
-}
-
-// cellProtocols are the names -proto's help lists. Validate asks
-// scenario.Factory, so a protocol registered at run time is accepted too.
-var cellProtocols = []scenario.ProtocolName{
-	scenario.LDR, scenario.AODV, scenario.DSR, scenario.DSR7, scenario.OLSR, scenario.OLSRJ,
-}
-
-func (c *Cell) Bind(fs *flag.FlagSet) {
-	names := make([]string, len(cellProtocols))
-	for i, p := range cellProtocols {
-		names[i] = string(p)
-	}
-	fs.StringVar(&c.Proto, "proto", c.Proto, "routing protocol: "+strings.Join(names, "|"))
-	fs.IntVar(&c.Nodes, "nodes", c.Nodes, "number of nodes (≥ 2)")
-	fs.IntVar(&c.Flows, "flows", c.Flows, "concurrent CBR flows (≥ 1)")
-	fs.DurationVar(&c.Pause, "pause", c.Pause, "random-waypoint pause time (≥ 0)")
-}
-
-func (c *Cell) Validate() error {
-	if _, err := scenario.Factory(scenario.ProtocolName(c.Proto), nil); err != nil {
-		return err
-	}
-	if c.Nodes < 2 {
-		return fmt.Errorf("-nodes must be at least 2 (got %d)", c.Nodes)
-	}
-	if c.Flows < 1 {
-		return fmt.Errorf("-flows must be at least 1 (got %d)", c.Flows)
-	}
-	if c.Pause < 0 {
-		return fmt.Errorf("-pause must not be negative (got %v)", c.Pause)
-	}
-	return nil
-}
-
-// Config is the paper's 50-node scenario skeleton resized to the cell.
-func (c *Cell) Config(seed int64) scenario.Config {
-	cfg := scenario.Nodes50(scenario.ProtocolName(c.Proto), c.Flows, c.Pause, seed)
-	cfg.Nodes = c.Nodes
-	return cfg
-}
-
-// Scale adds -trials, -simtime and the scenario axes: one scenario shape
-// repeated across seeds (ldrsim, ldrbench).
-type Scale struct {
-	Run
 	Trials  int
 	SimTime time.Duration
 	scenario.Axes
 }
 
 func (s *Scale) Bind(fs *flag.FlagSet) {
-	s.Run.Bind(fs)
+	fs.Int64Var(&s.Seed, "seed", s.Seed, "base random seed")
+	fs.IntVar(&s.Workers, "workers", s.Workers,
+		"concurrent cells; 0 = GOMAXPROCS, 1 = serial (output is identical either way)")
 	fs.IntVar(&s.Trials, "trials", s.Trials, "trials (seeds seed..seed+trials-1) per configuration, ≥ 1; paper: 10")
 	fs.DurationVar(&s.SimTime, "simtime", s.SimTime, "simulated time per run, > 0; paper: 900s")
 	s.Axes.Bind(fs)
@@ -222,8 +158,8 @@ func (s *Scale) Validate() error {
 	if s.SimTime <= 0 {
 		return fmt.Errorf("-simtime must be positive (got %v)", s.SimTime)
 	}
-	if err := s.Run.Validate(); err != nil {
-		return err
+	if s.Workers < 0 {
+		return fmt.Errorf("-workers must be ≥ 0 (got %d; 0 means GOMAXPROCS)", s.Workers)
 	}
 	return s.Axes.Validate()
 }

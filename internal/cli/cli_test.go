@@ -78,34 +78,6 @@ func TestRejectedCommandLineLeavesNothingBehind(t *testing.T) {
 	if _, err := bound(t, "-resume").Options(); err == nil {
 		t.Error("-resume without -journal accepted")
 	}
-	// The cell flags of ldrsim and ldrtrace: both commands call Validate
-	// before they create anything (cmd/ldrsim's test runs the command).
-	for _, bad := range [][]string{
-		{"-proto", "nope"},
-		{"-nodes", "1"},
-		{"-flows", "0"},
-		{"-pause", "-1s"},
-	} {
-		cell := Cell{Proto: "ldr", Nodes: 50, Flows: 10}
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		cell.Bind(fs)
-		if err := fs.Parse(bad); err != nil {
-			t.Fatal(err)
-		}
-		if err := cell.Validate(); err == nil {
-			t.Errorf("%v: accepted", bad)
-		}
-	}
-}
-
-// TestCellHelpListsWhatFactoryResolves: every protocol -proto's help
-// names is one scenario.Factory builds.
-func TestCellHelpListsWhatFactoryResolves(t *testing.T) {
-	for _, p := range cellProtocols {
-		if err := (&Cell{Proto: string(p), Nodes: 2, Flows: 1}).Validate(); err != nil {
-			t.Errorf("-proto help lists %q: %v", p, err)
-		}
-	}
 }
 
 // TestReadmeDocumentsEverySharedFlag checks README's flag reference

@@ -357,30 +357,28 @@ type Report struct {
 // Check runs one scenario under the conservation harness and reports
 // every violation it detected.
 func Check(cfg scenario.Config, cc CheckConfig) (Report, error) {
-	nw, gen, _, err := scenario.BuildInstrumented(cfg)
+	var h *Harness
+	res, err := scenario.RunWithControl(cfg, func(nw *routing.Network, _ *scenario.Instruments) {
+		h = NewHarness(nw)
+		if len(cc.Tracers) == 0 {
+			nw.SetTracer(h.Ledger())
+		} else {
+			nw.SetTracer(append(routing.MultiTracer{h.Ledger()}, cc.Tracers...))
+		}
+		if cc.Cadence > 0 {
+			h.Schedule(cc.Cadence, cfg.SimTime)
+		}
+	})
 	if err != nil {
 		return Report{}, err
 	}
-	h := NewHarness(nw)
-	if len(cc.Tracers) == 0 {
-		nw.SetTracer(h.Ledger())
-	} else {
-		nw.SetTracer(append(routing.MultiTracer{h.Ledger()}, cc.Tracers...))
-	}
-	if cc.Cadence > 0 {
-		h.Schedule(cc.Cadence, cfg.SimTime)
-	}
-	nw.Start()
-	gen.Start()
-	nw.Sim.Run(cfg.SimTime + 2*time.Second)
-	nw.Stop()
 	h.Finish()
 	return Report{
 		Config:     cfg,
-		Collector:  nw.Collector,
+		Collector:  res.Collector,
 		Violations: h.led.Violations(),
 		Total:      h.led.ViolationTotal(),
 		Checks:     h.Checks,
-		Events:     nw.Sim.EventsFired(),
+		Events:     res.Events,
 	}, nil
 }

@@ -63,11 +63,11 @@ func TestGoldenFingerprints(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		log, nw, err := capture(cfg)
+		log, col, err := capture(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		blob, err := json.Marshal(nw.Collector)
+		blob, err := json.Marshal(col)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

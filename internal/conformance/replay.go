@@ -169,30 +169,30 @@ func Capture(cfg scenario.Config) (*Log, error) {
 	return log, err
 }
 
-// capture is Capture that also hands back the finished network, for
-// tests that pin the collector beside the fingerprint.
-func capture(cfg scenario.Config) (*Log, *routing.Network, error) {
-	nw, gen, inst, err := scenario.BuildInstrumented(cfg)
+// capture is Capture that also hands back the run's collector, for
+// tests that pin it beside the fingerprint.
+func capture(cfg scenario.Config) (*Log, *metrics.Collector, error) {
+	log := &Log{}
+	var nw *routing.Network
+	var inst *scenario.Instruments
+	res, err := scenario.RunWithControl(cfg, func(n *routing.Network, i *scenario.Instruments) {
+		nw, inst = n, i
+		nw.SetTracer(log)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	log := &Log{}
-	nw.SetTracer(log)
-	nw.Start()
-	gen.Start()
-	nw.Sim.Run(cfg.SimTime + 2*time.Second)
-	nw.Stop()
-	col := nw.Collector
+	col := res.Collector
 	log.Fingerprint = Fingerprint{
 		TraceEvents: uint64(log.count),
-		SimEvents:   nw.Sim.EventsFired(),
+		SimEvents:   res.Events,
 		RNGDraws:    nw.Root.Draws() + inst.Root.Draws(),
 		Initiated:   col.DataInitiated,
 		Delivered:   col.DataDelivered,
 		Dropped:     col.DataDropped,
 		Transmitted: col.DataTransmitted,
 	}
-	return log, nw, nil
+	return log, col, nil
 }
 
 // Divergence describes where two logs first disagree. Index is the

@@ -40,7 +40,7 @@ func runTable[T any](o Options, scope string, measure func(scenario.Result) T, s
 	so := sweep.Options{Workers: o.Workers, Progress: o.Progress, Exec: o.Exec}
 	so.Exec.Scope = scope
 	ms, err := sweep.RunCells(cfgs, so, func(i int, ctl *scenario.Control) (T, error) {
-		res, err := scenario.RunWithControl(cfgs[i], ctl, o.Exec.Control)
+		res, err := scenario.RunWithControl(cfgs[i], nil, ctl, o.Exec.Control)
 		if err != nil {
 			var zero T
 			return zero, err

@@ -348,20 +348,30 @@ func (cfg Config) checkNodes() error {
 
 // Run executes the scenario to completion and returns its metrics.
 func Run(cfg Config) (Result, error) {
-	return RunWithControl(cfg)
+	return RunWithControl(cfg, nil)
 }
 
-// RunWithControl is Run with zero or more Controls bound to the run's
-// simulator, so signal handlers and sweep watchdogs can stop it at an
-// event boundary. Nil controls are ignored. An interrupted run is not an
-// error: it returns the partial Result with Interrupted set.
-func RunWithControl(cfg Config, ctls ...*Control) (Result, error) {
+// Observer sees a run's network and instruments once they are built and
+// before the network starts: it may install a tracer or schedule
+// read-only inspections, and it keeps both for after the run.
+type Observer func(*routing.Network, *Instruments)
+
+// RunWithControl is Run with an optional observer and zero or more
+// Controls bound to the run's simulator, so signal handlers and sweep
+// watchdogs can stop it at an event boundary. It is the one run loop:
+// build, observe, start, run to SimTime plus a two-second drain, report
+// sequence numbers, stop. Nil controls are ignored. An interrupted run
+// is not an error: it returns the partial Result with Interrupted set.
+func RunWithControl(cfg Config, observe Observer, ctls ...*Control) (Result, error) {
 	nw, gen, inst, err := BuildInstrumented(cfg)
 	if err != nil {
 		return Result{}, err
 	}
 	for _, c := range ctls {
 		c.Bind(nw.Sim)
+	}
+	if observe != nil {
+		observe(nw, inst)
 	}
 	nw.Start()
 	gen.Start()

@@ -314,7 +314,7 @@ func Run(cfgs []scenario.Config, opt Options) ([]scenario.Result, error) {
 		opt.Exec.Scope = "result"
 	}
 	out, err := RunCells(cfgs, opt, func(i int, ctl *scenario.Control) (scenario.Result, error) {
-		return scenario.RunWithControl(cfgs[i], ctl, opt.Exec.Control)
+		return scenario.RunWithControl(cfgs[i], nil, ctl, opt.Exec.Control)
 	})
 	for i := range out {
 		if out[i].Collector != nil {

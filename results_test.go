@@ -38,6 +38,8 @@ func TestResultsDocMatchesJournals(t *testing.T) {
 		simtime   time.Duration
 	}{
 		{"results/paper/fig2.txt", "fig2", 10, 900 * time.Second},
+		{"results/paper/fig3.txt", "fig3", 10, 900 * time.Second},
+		{"results/paper/fig6.txt", "fig6", 10, 900 * time.Second},
 		{"results/paper/fig7.txt", "fig7", 10, 900 * time.Second},
 	} {
 		want, err := os.ReadFile(r.file)
