@@ -7,12 +7,10 @@
 //	ldrbench -exp table1 -simtime 900s -trials 10   # the paper's full setup
 //
 // Experiments: the names in experiments.Registry, or "all" for the paper
-// set. The extras (modelcheck, mobility, radio, chaos, adversary) run
-// only when named — the bounded model-check sweep is exhaustive rather
-// than statistical, the mobility and radio comparisons come from the
-// follow-on literature, and chaos and adversary are the fault-injection
-// and Byzantine-node suites. See also cmd/ldrcheck for the budget-tunable
-// model-check front end.
+// set. The extras (mobility, radio, chaos, adversary) run only when
+// named — the mobility and radio comparisons come from the follow-on
+// literature, and chaos and adversary are the fault-injection and
+// Byzantine-node suites. The bounded model check is cmd/ldrcheck.
 //
 // Chaos runs every protocol under every fault profile — node crash and
 // reboot with volatile state loss, link flapping, partitions, lossy

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -20,7 +21,8 @@ func runWith(t *testing.T, args ...string) error {
 
 // TestExitStatus covers the command's four verdicts. A run cut short by
 // -max-states used to print TRUNCATED and exit 0, so a sweep that proved
-// nothing for a cell passed `make modelcheck`.
+// nothing for a cell passed `make modelcheck`; with -expect-violation it
+// still did while another cell had found its violation.
 func TestExitStatus(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -36,6 +38,8 @@ func TestExitStatus(t *testing.T) {
 		// it still reaches is a violation.
 		{"violation past the cap", []string{"-protocol", "aodv", "-max-states", "2000"}, "1 violating topology"},
 		{"expected violation past the cap", []string{"-protocol", "aodv", "-max-states", "2000", "-expect-violation"}, ""},
+		{"expected violation, another cell truncated", []string{"-protocol", "aodv", "-topology", "sweep3", "-max-states", "3000", "-expect-violation"},
+			"aodv on n3-1 {0-1 0-2 1-2}: truncated"},
 	} {
 		tc.args = append(tc.args, "-resets", "1", "-drops", "1")
 		err := runWith(t, tc.args...)
@@ -69,4 +73,47 @@ func TestFlowsMustBeExact(t *testing.T) {
 	if err := runWith(t, "-flows", "0>2, 1>0", "-depth", "1"); err != nil {
 		t.Errorf("-flows \"0>2, 1>0\": %v, want exit 0", err)
 	}
+}
+
+// TestOutputIsDeterministic: the -q result lines are the model check's
+// regression oracle, so they carry no wall-clock figure and do not depend
+// on how many workers expand a layer.
+func TestOutputIsDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var outs []string
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		out := captureStdout(t, func() error {
+			return runWith(t, "-topology", "sweep3", "-resets", "1", "-drops", "1")
+		})
+		if strings.Count(out, "\n") != 2 || strings.Count(out, " ok\n") != 2 {
+			t.Fatalf("GOMAXPROCS %d: want two clean result lines, got:\n%s", procs, out)
+		}
+		outs = append(outs, out)
+	}
+	if outs[0] != outs[1] {
+		t.Errorf("stdout differs between GOMAXPROCS 1 and 2:\n%s\n%s", outs[0], outs[1])
+	}
+}
+
+// captureStdout returns what run writes to standard output.
+func captureStdout(t *testing.T, run func() error) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old := os.Stdout
+	os.Stdout = f
+	err = run()
+	os.Stdout = old
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }

@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"github.com/manetlab/ldr/internal/loopcheck"
+	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 	"github.com/manetlab/ldr/internal/scenario"
-	"github.com/manetlab/ldr/internal/topology"
 )
 
 // watch is -interval, -dest and -packets: read-only observation of a
@@ -73,9 +73,9 @@ func (w *watch) observer(until time.Duration) scenario.Observer {
 // check at this instant.
 func (w *watch) dump(nw *routing.Network) {
 	now := nw.Sim.Now()
-	g := topology.SnapshotRanges(nw.Medium.Model(), now, nw.Medium.TxRanges())
+	components, reachable := connectivity(nw.Medium)
 	fmt.Printf("--- t=%v routes toward node %d (graph: %d components, %.0f%% pairs reachable) ---\n",
-		now.Round(time.Millisecond), w.dest, g.Components(), 100*g.ReachableFraction())
+		now.Round(time.Millisecond), w.dest, components, 100*reachable)
 	printSuccessors(nw, routing.NodeID(w.dest))
 	if vs := loopcheck.Check(nw.Nodes); len(vs) > 0 {
 		for _, v := range vs {
@@ -84,6 +84,40 @@ func (w *watch) dump(nw *routing.Network) {
 	} else {
 		fmt.Println("  invariants: OK (loop-free, ordering criterion holds)")
 	}
+}
+
+// connectivity returns the medium's graph of usable links at this
+// instant — pairs that can decode each other, so a one-way pair is no
+// link — as its number of connected components and the fraction of
+// ordered node pairs that share one: an upper bound on any protocol's
+// delivery ratio for uniformly chosen flows.
+func connectivity(m *radio.Medium) (components int, reachable float64) {
+	n := m.Model().NumNodes()
+	if n < 2 {
+		return n, 1
+	}
+	seen := make([]bool, n)
+	var queue, nbrs []int
+	pairs := 0
+	for start := range seen {
+		if seen[start] {
+			continue
+		}
+		seen[start] = true
+		queue = append(queue[:0], start)
+		for k := 0; k < len(queue); k++ {
+			nbrs = m.NeighborsAppend(queue[k], nbrs[:0])
+			for _, nb := range nbrs {
+				if !seen[nb] {
+					seen[nb] = true
+					queue = append(queue, nb)
+				}
+			}
+		}
+		pairs += len(queue) * (len(queue) - 1)
+		components++
+	}
+	return components, float64(pairs) / float64(n*(n-1))
 }
 
 // printPaths reconstructs and prints the hop sequences of the last

@@ -14,7 +14,8 @@
 // fans the cells out across Options.Workers goroutines via
 // internal/sweep and renders serially in enumeration order — so the
 // output is byte-identical whatever the worker count. Registry names the
-// experiments cmd/ldrbench dispatches on.
+// experiments cmd/ldrbench dispatches on. The bounded model check is not
+// an experiment: cmd/ldrcheck is its one front end.
 package experiments
 
 import (
@@ -186,15 +187,13 @@ func paper() []Experiment {
 }
 
 // Registry lists every experiment: the paper set, "all" (that set in
-// one run), then the ones that run only when named — modelcheck is
-// bounded-exhaustive rather than statistical (minutes on one core), the
-// mobility and radio comparisons come from the follow-on literature, and
-// chaos and adversary sweep fault and attack profiles under the
-// continuous invariant audit.
+// one run), then the ones that run only when named — the mobility and
+// radio comparisons come from the follow-on literature, and chaos and
+// adversary sweep fault and attack profiles under the continuous
+// invariant audit.
 func Registry() []Experiment {
 	return append(paper(),
 		Experiment{Name: "all", Run: all},
-		Experiment{Name: "modelcheck", Run: ModelCheck},
 		Experiment{Name: "mobility", Run: Mobility},
 		Experiment{Name: "radio", Run: Radio},
 		Experiment{Name: "chaos", Run: Chaos, Profiles: fault.ProfileNames(), Scope: "chaos"},

@@ -142,8 +142,7 @@ type Collector struct {
 	Latency LatencyHistogram `json:"latency"`
 
 	// Path-length accounting for delivered packets: HopsSum/DataDelivered
-	// is the mean path length, comparable against the topology oracle's
-	// shortest paths for a stretch measure.
+	// is the mean path length.
 	HopsSum uint64 `json:"hops_sum"`
 
 	// Destination sequence number samples (Fig. 7). Protocols that use

@@ -214,16 +214,6 @@ func traceOf(trace []Action, recs []rec, idx int32) ([]Action, used) {
 	return trace, u
 }
 
-// Supports reports whether the named protocol implements the state
-// hooks (routing.ModelStater) the checker requires. DSR and OLSR do
-// not; sweeps skip them.
-func Supports(protocol string) bool {
-	g := Graph{N: 2, Edges: [][2]int{{0, 1}}, Name: "pair"}
-	sc := &Scenario{Graph: g, Protocol: protocol, Seed: 1, Flows: []Flow{{Src: 0, Dst: 1}}}
-	_, err := newWorld(sc, new(sync.Mutex))
-	return err == nil
-}
-
 // Check explores the scenario's bounded state space breadth-first and
 // returns the first invariant violation found (at minimal action depth)
 // or the exhaustive count of clean reachable states. sc is not written:

@@ -71,14 +71,6 @@ func TestLayoutsRealizeSweepDomain(t *testing.T) {
 	}
 }
 
-func TestSupports(t *testing.T) {
-	for name, want := range map[string]bool{"ldr": true, "aodv": true, "dsr": false, "olsr": false} {
-		if got := Supports(name); got != want {
-			t.Errorf("Supports(%q) = %v, want %v", name, got, want)
-		}
-	}
-}
-
 func TestCheckRejectsUnsupportedProtocol(t *testing.T) {
 	g, _ := NamedTopology("line3")
 	_, err := Check(&Scenario{Graph: g, Protocol: "dsr", Seed: 1}, Options{MaxDepth: 2})

@@ -278,7 +278,7 @@ func New(s *sim.Simulator, model mobility.Model, cfg Config) *Medium {
 func (m *Medium) Config() Config { return m.cfg }
 
 // Model exposes the mobility model driving node positions, for analysis
-// tools (e.g. the topology oracle).
+// tools.
 func (m *Medium) Model() mobility.Model { return m.model }
 
 // Attach registers the frame-delivery callback for a node. It ends the
@@ -632,11 +632,6 @@ func (m *Medium) checkIdle(id int) {
 // TxRange returns node id's decodable transmit range in meters.
 func (m *Medium) TxRange(id int) float64 { return m.txRange[id] }
 
-// TxRanges returns every node's decodable transmit range, indexed by node
-// id. The slice is the medium's own — callers must not mutate it. It
-// feeds the topology oracle's per-node connectivity snapshots.
-func (m *Medium) TxRanges() []float64 { return m.txRange }
-
 // InRangeFrom reports whether dst can currently decode src's
 // transmissions. The predicate is directional: with mixed transmit-power
 // classes InRangeFrom(a, b) says nothing about InRangeFrom(b, a).
@@ -683,9 +678,9 @@ func (m *Medium) Neighbors(id int) []int {
 
 // NeighborsAppend appends the nodes id currently shares a usable link
 // with to out (in ascending id order) and returns the extended slice,
-// allowing callers that poll connectivity (loop checkers, topology
-// oracles) to reuse one buffer across calls instead of allocating per
-// query.
+// allowing callers that poll connectivity (ldrsim's connectivity header
+// walks the whole graph) to reuse one buffer across calls instead of
+// allocating per query.
 func (m *Medium) NeighborsAppend(id int, out []int) []int {
 	p := m.position(id)
 	for i := range m.nodes {

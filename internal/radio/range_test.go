@@ -412,9 +412,6 @@ func TestDirectionalQueriesMixedRanges(t *testing.T) {
 	if got, want := m.TxRange(0), 400.0; got != want {
 		t.Errorf("TxRange(0) = %v, want %v", got, want)
 	}
-	if got := m.TxRanges(); len(got) != 2 || got[1] != 150 {
-		t.Errorf("TxRanges() = %v, want [400 150]", got)
-	}
 
 	// Randomized cross-check of the directional sets against the oracle.
 	mcfg := mixedConfig()

@@ -98,8 +98,9 @@ func TestChaosLDRAllOptionsOrderingCriterion(t *testing.T) {
 	}
 }
 
-// TestDeliveryBoundedByReachability sanity-checks the metrics against the
-// topology oracle: nothing can beat physics.
+// TestDeliveryBoundedByReachability sanity-checks the metrics against
+// physics: nothing is delivered that was not sent, and no path is shorter
+// than one hop or longer than the TTL budget.
 func TestDeliveryBoundedByReachability(t *testing.T) {
 	cfg := scenario.Nodes50(scenario.LDR, 5, 30*time.Second, 9)
 	cfg.Nodes = 20
@@ -109,9 +110,6 @@ func TestDeliveryBoundedByReachability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Sample the reachable fraction over the run using the same mobility
-	// the network sees (query through the medium's model via snapshots of
-	// node positions — rebuild the model from the scenario for the oracle).
 	nw.Start()
 	gen.Start()
 	nw.Sim.Run(cfg.SimTime)

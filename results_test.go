@@ -39,8 +39,11 @@ func TestResultsDocMatchesJournals(t *testing.T) {
 	}{
 		{"results/paper/fig2.txt", "fig2", 10, 900 * time.Second},
 		{"results/paper/fig3.txt", "fig3", 10, 900 * time.Second},
+		{"results/paper/fig4.txt", "fig4", 10, 900 * time.Second},
+		{"results/paper/fig5.txt", "fig5", 10, 900 * time.Second},
 		{"results/paper/fig6.txt", "fig6", 10, 900 * time.Second},
 		{"results/paper/fig7.txt", "fig7", 10, 900 * time.Second},
+		{"results/paper/table1.txt", "table1", 10, 900 * time.Second},
 	} {
 		want, err := os.ReadFile(r.file)
 		if err != nil {
