@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -161,7 +162,10 @@ func TestCaptureWorkerInvariance(t *testing.T) {
 // Receivers are now visited in ascending node id, a function of the
 // scenario alone, and there is no setting left to vary, so the test pins
 // the one answer id order yields; only a deliberate change to the
-// reception order, the fault draws or LDR itself may move it.
+// reception order, the fault draws or LDR itself may move it. Beside the
+// fingerprint it pins the hashes of the collector's JSON and of the whole
+// trace, so an engine change that only removes events (SimEvents) shows
+// that it moved nothing else.
 func TestLossyTraceHasOneAnswer(t *testing.T) {
 	cfg := scenario.Nodes50(scenario.LDR, 10, 0, 3)
 	cfg.SimTime = 60 * time.Second
@@ -170,16 +174,25 @@ func TestLossyTraceHasOneAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.FaultPlan = &plan
-	log, err := Capture(cfg)
+	log, col, err := capture(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Fingerprint{
-		TraceEvents: 7458, SimEvents: 2026866, RNGDraws: 3778993,
-		Initiated: 2360, Delivered: 221, Dropped: 1976, Transmitted: 2901,
+	blob, err := json.Marshal(col)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if log.Fingerprint != want {
-		t.Errorf("lossy cell diverged from the id-order run:\n got  %+v\n want %+v", log.Fingerprint, want)
+	got := goldenCell{Fingerprint: log.Fingerprint, Collector: sha256Hex(blob), Trace: sha256Hex(log.Bytes())}
+	want := goldenCell{
+		Fingerprint: Fingerprint{
+			TraceEvents: 7458, SimEvents: 2026866, RNGDraws: 3778993,
+			Initiated: 2360, Delivered: 221, Dropped: 1976, Transmitted: 2901,
+		},
+		Collector: "4d97c4b43c517c7f882a1128045a7244f3314938641c251df495a49961f34210",
+		Trace:     "d2aa93362f10c2b1dad514d69a47f7cb6a7d18ae597a35ba0862a264bacb2f4d",
+	}
+	if got != want {
+		t.Errorf("lossy cell diverged from the id-order run:\n got  %+v\n want %+v", got, want)
 	}
 }
 
