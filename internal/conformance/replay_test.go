@@ -185,7 +185,7 @@ func TestLossyTraceHasOneAnswer(t *testing.T) {
 	got := goldenCell{Fingerprint: log.Fingerprint, Collector: sha256Hex(blob), Trace: sha256Hex(log.Bytes())}
 	want := goldenCell{
 		Fingerprint: Fingerprint{
-			TraceEvents: 7458, SimEvents: 2026866, RNGDraws: 3778993,
+			TraceEvents: 7458, SimEvents: 1288175, RNGDraws: 3778993,
 			Initiated: 2360, Delivered: 221, Dropped: 1976, Transmitted: 2901,
 		},
 		Collector: "4d97c4b43c517c7f882a1128045a7244f3314938641c251df495a49961f34210",

@@ -65,6 +65,9 @@ type Checker struct {
 // on first use.
 func NewChecker() *Checker { return &Checker{} }
 
+// resize readies the matrix for a check over n nodes. A route is only ever
+// written into a used destination's row, so clearing those rows clears
+// everything the last check wrote.
 func (c *Checker) resize(n int) {
 	if c.n != n {
 		c.n = n
@@ -73,11 +76,11 @@ func (c *Checker) resize(n int) {
 		c.state = make([]uint8, n)
 		return
 	}
-	for i := range c.succ {
-		c.succ[i] = hop{}
-	}
-	for i := range c.dstUsed {
-		c.dstUsed[i] = false
+	for dst, used := range c.dstUsed {
+		if used {
+			clear(c.succ[dst*n : dst*n+n])
+			c.dstUsed[dst] = false
+		}
 	}
 }
 

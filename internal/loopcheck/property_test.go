@@ -2,6 +2,8 @@ package loopcheck_test
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -67,5 +69,54 @@ func TestDetectorAgreesWithNaiveOracle(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 1500, Rand: rand.New(rand.NewSource(13))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReusedCheckerMatchesFresh runs a random sequence of table sets
+// through one Checker and each set through a fresh one as well: the
+// reused Checker must report the same violations every time. Each set
+// names its own destinations, so the sequence keeps retiring
+// destinations the check before it used.
+func TestReusedCheckerMatchesFresh(t *testing.T) {
+	const n, checks = 6, 3000
+	r := rand.New(rand.NewSource(29))
+	reused := loopcheck.NewChecker()
+	var prev []routing.NodeID
+	retired, flagged := 0, 0
+	for k := 0; k < checks; k++ {
+		// One or two destinations per set, and a route at each other node
+		// with probability 2/3: long chains, loops and ordering breaches.
+		dsts := []routing.NodeID{routing.NodeID(r.Intn(n))}
+		if d := routing.NodeID(r.Intn(n)); r.Intn(2) == 0 && d != dsts[0] {
+			dsts = append(dsts, d)
+		}
+		tables := make([][]routing.RouteEntry, n)
+		for id := range tables {
+			for _, dst := range dsts {
+				if int(dst) == id || r.Intn(3) == 0 {
+					continue
+				}
+				tables[id] = append(tables[id], routing.RouteEntry{
+					Dst: dst, Next: routing.NodeID(r.Intn(n)), Valid: r.Intn(8) != 0,
+					SeqNo: uint64(r.Intn(3)), FD: r.Intn(4),
+				})
+			}
+		}
+		for _, dst := range prev {
+			if !slices.Contains(dsts, dst) {
+				retired++
+			}
+		}
+		prev = dsts
+		got, want := reused.CheckTables(tables), loopcheck.NewChecker().CheckTables(tables)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("check %d over %v: reused Checker reports %+v, a fresh one %+v", k, tables, got, want)
+		}
+		if len(want) > 0 {
+			flagged++
+		}
+	}
+	if retired < checks/4 || flagged < checks/10 || flagged > checks*9/10 {
+		t.Errorf("%d destinations retired, %d of %d checks flagged: the sequence is too tame", retired, flagged, checks)
 	}
 }

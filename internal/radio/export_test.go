@@ -13,15 +13,18 @@ import (
 // keeps a count of the signals it senses and the list of every decodable
 // reception in the air with a corrupted mark on each, searched when one
 // ends; carrier sense and idle waiters (Busy, NotifyIdle) read that count.
-// Every clean reception is delivered, addressed or not. The counters, the
-// nodes' own transmit times and the delivery (deliverFaulty) are the
-// medium's; a world driven through a PerReceiver calls none of
-// Medium.Transmit, Busy and NotifyIdle.
+// Without delivery faults every clean reception is delivered, addressed or
+// not. With them, a foreign one (foreignAt) makes its draws (refDraws) and
+// is handed to nobody; any other goes through the medium's deliverFaulty.
+// The counters and the nodes' own transmit times are the medium's; a world
+// driven through a PerReceiver calls none of Medium.Transmit, Busy and
+// NotifyIdle.
 type PerReceiver struct {
 	m       *Medium
 	signals []int             // per node: signals sensed there
 	active  [][]*refReception // per node: decodable receptions in the air there
 	onIdle  [][]idleWait      // per node: waiters for an idle channel
+	foreign int               // foreign clean receptions under delivery faults
 }
 
 // refReception is one receiver's record of one transmission.
@@ -69,6 +72,10 @@ func (r *PerReceiver) Transmit(src, bits int, payload any) time.Duration {
 	}
 	return air
 }
+
+// Foreign returns how many foreign clean receptions made their fault
+// draws without a callback.
+func (r *PerReceiver) Foreign() int { return r.foreign }
 
 // Busy is the reference for Medium.Busy.
 func (r *PerReceiver) Busy(id int) bool {
@@ -134,10 +141,14 @@ func (r *PerReceiver) signalEnd(arg any, _ uint64) {
 			}
 		}
 		if !rc.corrupted && m.nodes[rc.dst].txUntil <= m.sim.Now() && st.rx != nil {
-			if f := m.flt; f != nil && f.src != nil {
-				m.deliverFaulty(f, rc.from, rc.dst, rc.payload)
-			} else {
+			switch f := m.flt; {
+			case f == nil || f.src == nil:
 				st.rx(rc.from, rc.payload)
+			case foreignAt(rc.payload, rc.dst):
+				r.foreign++
+				refDraws(m, f)
+			default:
+				m.deliverFaulty(f, rc.from, rc.dst, rc.payload, false)
 			}
 		}
 	}
@@ -201,9 +212,9 @@ func (m *Medium) Receiver(id int) ReceiverFunc { return m.nodes[id].rx }
 // ReferenceFaults is the delivery-fault hook handOff and the pooled
 // deferred record are checked against: every delayed copy is a heap
 // closure handed to Schedule, and the census registry is a map keyed by a
-// running number. Drop, dup and delay draws, FaultStats, the payload
-// reference per deferred copy and the receiver re-read at fire time are
-// as in deliverFaulty.
+// running number. Drop, dup and delay draws (refDraws), FaultStats, the
+// payload reference per deferred copy, the receiver re-read at fire time
+// and a foreign copy handed to nobody are as in deliverFaulty.
 type ReferenceFaults struct {
 	m       *Medium
 	pending map[uint64]any
@@ -243,24 +254,14 @@ func (r *ReferenceFaults) endAll(arg any, _ uint64) {
 
 func (r *ReferenceFaults) deliver(f *faults, from, dst int, payload any) {
 	m := r.m
-	copies := 1
-	if f.drop > 0 && f.src.Float64() < f.drop {
-		copies = 0
-		m.FaultStats.Dropped++
-	} else if f.dup > 0 && f.src.Float64() < f.dup {
-		copies = 2
-		m.FaultStats.Duplicated++
-	}
-	for c := 0; c < copies; c++ {
-		var delay time.Duration
-		if f.delayMax > 0 {
-			delay = time.Duration(f.src.Float64() * float64(f.delayMax))
+	for _, delay := range refDraws(m, f) {
+		if foreignAt(payload, dst) {
+			continue
 		}
 		if delay <= 0 {
 			m.nodes[dst].rx(from, payload)
 			continue
 		}
-		m.FaultStats.Delayed++
 		key := r.seq
 		r.seq++
 		r.pending[key] = payload
@@ -273,6 +274,38 @@ func (r *ReferenceFaults) deliver(f *faults, from, dst int, payload any) {
 			unref(payload)
 		})
 	}
+}
+
+// foreignAt is the addressee rule as the references apply it: payload
+// names an addressee, and it is not dst.
+func foreignAt(payload any, dst int) bool {
+	a, ok := payload.(Addressed)
+	return ok && a.Addressee() >= 0 && a.Addressee() != dst
+}
+
+// refDraws makes the delivery-fault draws for one clean reception and
+// counts them in FaultStats: one for drop, one for dup, then one delay per
+// copy. It returns the copies' delays, none for a dropped frame and two
+// for a duplicated one.
+func refDraws(m *Medium, f *faults) []time.Duration {
+	copies := 1
+	if f.drop > 0 && f.src.Float64() < f.drop {
+		copies = 0
+		m.FaultStats.Dropped++
+	} else if f.dup > 0 && f.src.Float64() < f.dup {
+		copies = 2
+		m.FaultStats.Duplicated++
+	}
+	delays := make([]time.Duration, copies)
+	for c := range delays {
+		if f.delayMax > 0 {
+			delays[c] = time.Duration(f.src.Float64() * float64(f.delayMax))
+		}
+		if delays[c] > 0 {
+			m.FaultStats.Delayed++
+		}
+	}
+	return delays
 }
 
 // ForEachPendingDelivery is Medium.ForEachPendingDelivery over the

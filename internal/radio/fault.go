@@ -5,12 +5,17 @@
 //
 // Blackouts and partitions act at the physical layer: a blocked receiver
 // gets neither the decodable frame nor its interference energy, exactly
-// as if an obstacle absorbed the signal. Delivery faults act at the
-// radio/MAC boundary instead — the frame occupies the channel normally
-// (it collides, it defers other senders) and is then dropped, duplicated,
-// or delayed at the moment it would be handed to the receiver's MAC. A
-// delayed copy is a pooled record on a transient event (see deferred), so
-// a warm lossy medium allocates nothing per delivery.
+// as if an obstacle absorbed the signal. They are the only faults that
+// change who hears a frame, so only while one is installed does a
+// resting network scan every frame (see Transmit). Delivery faults act at
+// the radio/MAC boundary instead — the frame occupies the channel
+// normally (it collides, it defers other senders) and is then dropped,
+// duplicated, or delayed at the moment it would be handed to the
+// receiver's MAC. Every clean reception draws its faults, in id order; a
+// copy of an Addressed frame at another node is drawn and counted but not
+// handed over, since a MAC would drop it. A delayed copy is a pooled
+// record on a transient event (see deferred), so a warm lossy medium
+// allocates nothing per delivery.
 
 package radio
 
@@ -23,8 +28,12 @@ import (
 
 // faults bundles every active fault hook; see the file comment.
 type faults struct {
-	linkDown map[uint64]struct{} // severed undirected node pairs
-	part     []int32             // partition cell per node; nil = healed
+	// linkDown holds one row of len(Medium.clean) words per node: bit b of
+	// row a is set while the a↔b link is severed, in both rows, so a scan
+	// reads the sender's row. cuts counts the severed pairs.
+	linkDown []uint64
+	cuts     int
+	part     []int32 // partition cell per node; nil = healed
 
 	drop     float64       // P(frame silently lost at delivery)
 	dup      float64       // P(frame delivered twice)
@@ -64,27 +73,33 @@ func (m *Medium) faultState() *faults {
 	return m.flt
 }
 
-// pairKey canonicalizes an undirected node pair into one map key.
-func pairKey(a, b int) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	return uint64(uint32(a))<<32 | uint64(uint32(b))
-}
-
 // SetLinkDown severs (down=true) or heals (down=false) the radio link
 // between nodes a and b in both directions. While severed, no signal —
-// decodable or interfering — crosses the pair.
+// decodable or interfering — crosses the pair. Severing a severed pair or
+// healing a healed one changes nothing.
 func (m *Medium) SetLinkDown(a, b int, down bool) {
 	f := m.faultState()
 	if f.linkDown == nil {
-		f.linkDown = make(map[uint64]struct{})
+		f.linkDown = make([]uint64, len(m.nodes)*len(m.clean))
 	}
+	if m.cut(a, b) == down {
+		return
+	}
+	words := len(m.clean)
+	f.linkDown[a*words+b>>6] ^= 1 << (b & 63)
+	f.linkDown[b*words+a>>6] ^= 1 << (a & 63)
 	if down {
-		f.linkDown[pairKey(a, b)] = struct{}{}
+		f.cuts++
 	} else {
-		delete(f.linkDown, pairKey(a, b))
+		f.cuts--
 	}
+}
+
+// cut reports whether the a↔b link is severed. Only called with m.flt
+// non-nil.
+func (m *Medium) cut(a, b int) bool {
+	f := m.flt
+	return f.cuts > 0 && f.linkDown[a*len(m.clean)+b>>6]>>(b&63)&1 != 0
 }
 
 // SetPartition splits the network into cells: cells[i] is node i's cell
@@ -120,25 +135,26 @@ func (m *Medium) ClearDeliveryFaults() {
 	}
 }
 
+// severed reports whether a link cut or a partition is installed: the
+// only faults that change who hears a frame.
+func (m *Medium) severed() bool {
+	f := m.flt
+	return f != nil && (f.cuts > 0 || f.part != nil)
+}
+
 // blocked reports whether the a↔b link is currently severed by a
 // blackout or partition. Only called with m.flt non-nil.
 func (m *Medium) blocked(a, b int) bool {
 	f := m.flt
-	if f.part != nil && f.part[a] != f.part[b] {
-		return true
-	}
-	if len(f.linkDown) > 0 {
-		if _, ok := f.linkDown[pairKey(a, b)]; ok {
-			return true
-		}
-	}
-	return false
+	return f.part != nil && f.part[a] != f.part[b] || m.cut(a, b)
 }
 
 // deliverFaulty applies the delivery-fault draws to one decodable,
 // uncorrupted reception and invokes the receiver zero, one, or two
-// times: one draw for drop, one for dup, then one delay per copy.
-func (m *Medium) deliverFaulty(f *faults, from, dst int, payload any) {
+// times: one draw for drop, one for dup, then one delay per copy. A
+// foreign reception, an Addressed frame at another node, makes the same
+// draws and counts but invokes nothing and defers nothing.
+func (m *Medium) deliverFaulty(f *faults, from, dst int, payload any, foreign bool) {
 	copies := 1
 	if f.drop > 0 && f.src.Float64() < f.drop {
 		copies = 0
@@ -152,19 +168,23 @@ func (m *Medium) deliverFaulty(f *faults, from, dst int, payload any) {
 		if f.delayMax > 0 {
 			delay = time.Duration(f.src.Float64() * float64(f.delayMax))
 		}
-		if delay <= 0 {
-			m.nodes[dst].rx(from, payload)
-			continue
+		if delay > 0 {
+			m.FaultStats.Delayed++
 		}
-		m.FaultStats.Delayed++
-		d := f.pool.Get()
-		d.from, d.dst, d.payload = int32(from), int32(dst), payload
-		d.slot = int32(len(f.pending))
-		f.pending = append(f.pending, d)
-		// The deferred delivery outlives the reception, so it holds its own
-		// payload reference until the hand-off fires.
-		ref(d.payload)
-		m.sim.ScheduleTransient(delay, f.handOffFn, d, 0)
+		switch {
+		case foreign: // drawn and counted; its MAC would drop it
+		case delay <= 0:
+			m.nodes[dst].rx(from, payload)
+		default:
+			d := f.pool.Get()
+			d.from, d.dst, d.payload = int32(from), int32(dst), payload
+			d.slot = int32(len(f.pending))
+			f.pending = append(f.pending, d)
+			// The deferred delivery outlives the reception, so it holds its
+			// own payload reference until the hand-off fires.
+			ref(d.payload)
+			m.sim.ScheduleTransient(delay, f.handOffFn, d, 0)
+		}
 	}
 }
 

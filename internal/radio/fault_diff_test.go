@@ -279,3 +279,96 @@ func TestDelayedDeliveryZeroAlloc(t *testing.T) {
 			m.FaultStats.Delayed-before, b.refs)
 	}
 }
+
+// letterBeacon is a reference-counted beacon for one node.
+type letterBeacon struct {
+	*beacon
+	to int
+}
+
+func (l letterBeacon) Addressee() int { return l.to }
+
+// TestFaultedForeignReceptionDrawsButIsNotDelivered sends the same frames
+// under the same delivery faults twice, once for node 2 and once for
+// everyone. Nodes 1 and 3 decode both; their receptions of the letter draw
+// exactly what their receptions of the broadcast draw, in id order, so
+// node 2 sees the same copies at the same instants. But only node 2 gets a
+// callback, and only its delayed copies become deferred deliveries.
+func TestFaultedForeignReceptionDrawsButIsNotDelivered(t *testing.T) {
+	type world struct {
+		r       *rig
+		faults  *rng.Source
+		b       *beacon
+		at2     []time.Duration // instants of node 2's callbacks
+		pending int             // most deliveries deferred at once
+	}
+	run := func(to int) *world {
+		w := &world{r: newRig([]mobility.Point{{X: 0}, {X: 100}, {X: 200}, {X: 250}}), faults: rng.New(21), b: &beacon{}}
+		rx2 := w.r.m.Receiver(2)
+		w.r.m.Attach(2, func(from int, payload any) {
+			w.at2 = append(w.at2, w.r.s.Now())
+			rx2(from, payload)
+		})
+		w.r.m.SetDeliveryFaults(0.1, 0.2, 3*time.Millisecond, w.faults)
+		var payload any = letterBeacon{w.b, to}
+		for k := 0; k < 200; k++ {
+			w.r.s.At(time.Duration(k)*10*time.Millisecond, func() { w.r.m.Transmit(0, 1000, payload) })
+			w.r.s.At(time.Duration(k)*10*time.Millisecond+time.Millisecond, func() { w.pending = max(w.pending, pendingCount(w.r.m)) })
+		}
+		w.r.s.RunAll()
+		return w
+	}
+	letter, broadcast := run(2), run(-1)
+	if len(letter.r.received[1]) != 0 || len(letter.r.received[3]) != 0 || len(broadcast.r.received[1]) == 0 || len(broadcast.r.received[3]) == 0 {
+		t.Errorf("nodes 1 and 3 got %d and %d copies of the letter, %d and %d of the broadcast; want none of the letter",
+			len(letter.r.received[1]), len(letter.r.received[3]), len(broadcast.r.received[1]), len(broadcast.r.received[3]))
+	}
+	if fmt.Sprint(letter.at2) != fmt.Sprint(broadcast.at2) || len(letter.at2) == 0 {
+		t.Errorf("node 2's copies at %v for the letter, at %v for the broadcast; want the same", letter.at2, broadcast.at2)
+	}
+	if letter.faults.Draws() != broadcast.faults.Draws() || letter.r.m.FaultStats != broadcast.r.m.FaultStats {
+		t.Errorf("letter: %d draws, faults %+v; broadcast: %d draws, faults %+v; want the same",
+			letter.faults.Draws(), letter.r.m.FaultStats, broadcast.faults.Draws(), broadcast.r.m.FaultStats)
+	}
+	// Node 2 holds at most a duplicated pair; the broadcast defers more.
+	if letter.pending > 2 || broadcast.pending <= 2 {
+		t.Errorf("at most %d deliveries deferred at once for the letter, %d for the broadcast; want 2 and more", letter.pending, broadcast.pending)
+	}
+	if got, all := letter.r.s.EventsFired(), broadcast.r.s.EventsFired(); got >= all {
+		t.Errorf("the letters fired %d events, the broadcasts %d; the foreign copies were deferred", got, all)
+	}
+	for _, w := range []*world{letter, broadcast} {
+		if w.b.refs != 0 {
+			t.Errorf("%d references left on the beacon", w.b.refs)
+		}
+	}
+}
+
+// TestFaultedForeignReceptionZeroAlloc pins a warm foreign reception under
+// delivery faults at zero heap allocations: it draws and counts, and
+// defers nothing.
+func TestFaultedForeignReceptionZeroAlloc(t *testing.T) {
+	s := sim.New()
+	m := radio.New(s, mobility.NewStatic([]mobility.Point{{X: 0}, {X: 100}, {X: 200}, {X: 250}}), radio.DefaultConfig())
+	for i := 0; i < 4; i++ {
+		m.Attach(i, func(int, any) {})
+	}
+	m.SetDeliveryFaults(0.05, 0.3, 2*time.Millisecond, rng.New(12))
+	b := &beacon{}
+	var payload any = letterBeacon{b, 3}
+	cycle := func() {
+		m.Transmit(0, 800, payload)
+		s.RunAll()
+	}
+	for i := 0; i < 64; i++ {
+		cycle()
+	}
+	before := m.FaultStats.Delayed
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Errorf("a warm foreign reception under faults allocates %.2f per frame, want 0", avg)
+	}
+	if m.FaultStats.Delayed-before < 400 || b.refs != 0 {
+		t.Errorf("%d copies delayed in the measured frames, %d references left; want hundreds and 0",
+			m.FaultStats.Delayed-before, b.refs)
+	}
+}

@@ -158,10 +158,9 @@ type lazyStats struct {
 // after every frame the decoded set, the mid-flight Busy set and the
 // position of the model's random streams. pick(k, n) chooses frame k's
 // sender and gap(k) the time to the next frame. When c rests, the first
-// half of the run cuts no link, since a cut installs faults and ends the
-// reuse of rest-epoch receiver sets for good, and detaches or re-attaches
-// a node every 20 frames instead of every 5, so that senders repeat inside
-// an epoch.
+// half of the run cuts no link, since every frame scans while a link is
+// cut, and detaches or re-attaches a node every 20 frames instead of every
+// 5, so that senders repeat inside an epoch.
 func runLazy(t *testing.T, c lazyCase, seed int64, frames int, pick func(k, n int) int, gap func(k int) time.Duration) lazyStats {
 	t.Helper()
 	type world struct {

@@ -28,8 +28,9 @@
 // names a span through which no node moves, and inside it a sender's
 // frames after its first copy the sets that one scanned — a word or two
 // instead of a visit per node. Static networks, and the paper's long
-// pauses, rest for most of a run. Attach ends such a span, and a medium
-// with faults installed scans every frame.
+// pauses, rest for most of a run. Attach ends such a span, and while a
+// link is cut or the network partitioned every frame scans; drop, dup and
+// delay faults never change who hears a frame, so they keep the reuse.
 //
 // A transmission costs the event queue three events however many nodes
 // hear it: the sender's end-of-airtime idle check, one event in which the
@@ -42,8 +43,10 @@
 // a still-decodable reception (clean) and the nodes with an idle waiter.
 // A start and an end are word operations on these sets and visit only the
 // nodes where something happens. A payload that names its addressee
-// (Addressed) ends with a callback there alone while no delivery faults
-// are installed: a MAC drops a data frame or ACK meant for another node.
+// (Addressed) ends with a callback there alone: a MAC drops a data frame
+// or ACK meant for another node. Under delivery faults every clean
+// reception still draws its faults, in id order, but only the addressee's
+// copies are handed over or deferred.
 package radio
 
 import (
@@ -91,7 +94,7 @@ func DefaultConfig() Config { return Config{} }
 // ReceiverFunc is invoked for every frame successfully decoded at a node.
 // Addressing and ACKing are the MAC's concern; the radio delivers any
 // uncorrupted frame that arrives within decodable range (an Addressed one
-// only at its addressee, while no delivery faults are installed).
+// only at its addressee, with or without delivery faults).
 type ReceiverFunc func(from int, payload any)
 
 // Releasable is implemented by payloads whose lifetime is reference
@@ -121,10 +124,12 @@ func unref(payload any) {
 	}
 }
 
-// Addressed is implemented by payloads meant for one node: while no
-// delivery faults are installed, a clean reception of one ends with a
-// callback at its addressee only, and unseen elsewhere. A negative
-// Addressee means every node that decodes the frame.
+// Addressed is implemented by payloads meant for one node: a clean
+// reception of one ends with a callback at its addressee only, and unseen
+// elsewhere. Under delivery faults a reception elsewhere still makes its
+// fault draws, so the stream is drawn as if every node got the frame, but
+// it is neither handed over nor deferred. A negative Addressee means every
+// node that decodes the frame.
 type Addressed interface {
 	Addressee() int
 }
@@ -357,9 +362,12 @@ func (m *Medium) AirTime(bits int) time.Duration {
 // past a leg's end. A model with no speed bound has infinite slack and
 // every node is measured.
 //
-// While no node moves (a rest epoch, see rests) and no fault has been
-// installed, a sender's frames reuse the sets its first frame in the
-// epoch found, which are the sets a scan would find again.
+// While no node moves (a rest epoch, see rests) and no link is cut or
+// partition installed, a sender's frames reuse the sets its first frame in
+// the epoch found, which are the sets a scan would find again. Delivery
+// faults act after the sets are found, so they do not end the reuse; a cut
+// could hide a node from the scan, so nextRest is not asked then either,
+// which would look that node up.
 //
 // The whole receiver set rides on two events: one at now+PropDelay that
 // starts the signal at every receiver in ascending id, one at
@@ -394,7 +402,7 @@ func (m *Medium) Transmit(src, bits int, payload any) time.Duration {
 	if tx.sensed == nil {
 		tx.sensed, tx.decodable = make([]uint64, len(m.clean)), make([]uint64, len(m.clean))
 	}
-	if m.flt == nil && m.nodes[src].rx != nil && m.rests(now) {
+	if !m.severed() && m.nodes[src].rx != nil && m.rests(now) {
 		m.restSets(src, tx)
 	} else {
 		m.scan(src, tx)
@@ -426,11 +434,12 @@ func (m *Medium) scan(src int, tx *transmission) {
 	srcPos := m.position(src)
 	txR, csR := m.txRange[src], m.csRange[src]
 	tx2, cs2 := txR*txR, csR*csR
+	severed := m.severed()
 	for i := range m.nodes {
 		if i == src || m.nodes[i].rx == nil {
 			continue
 		}
-		if m.flt != nil && m.blocked(src, i) {
+		if severed && m.blocked(src, i) {
 			m.FaultStats.Blocked++
 			continue
 		}
@@ -543,8 +552,10 @@ func (m *Medium) startAll(arg any, _ uint64) {
 // endAll is the pre-bound transient callback for a transmission's signal
 // ending at its receivers: in ascending id, each node the end has
 // something to do at (nextEnd) gets its reception, then its idle check,
-// as one end event per receiver would have it. The frame leaves the air
-// first, but counts as sensed (Busy) where the end has not been yet.
+// as one end event per receiver would have it. Under delivery faults a
+// reception of an Addressed frame at another node is foreign: it makes
+// its draws and is handed to nobody. The frame leaves the air first, but
+// counts as sensed (Busy) where the end has not been yet.
 func (m *Medium) endAll(arg any, _ uint64) {
 	tx := arg.(*transmission)
 	i, last := slices.Index(m.active, tx), len(m.active)-1
@@ -554,7 +565,7 @@ func (m *Medium) endAll(arg any, _ uint64) {
 	for j, clean := m.nextEnd(tx); j >= 0; j, clean = m.nextEnd(tx) {
 		if clean && m.nodes[j].rx != nil {
 			if f := m.flt; f != nil && f.src != nil {
-				m.deliverFaulty(f, int(tx.from), j, tx.payload)
+				m.deliverFaulty(f, int(tx.from), j, tx.payload, tx.to >= 0 && j != int(tx.to))
 			} else {
 				m.nodes[j].rx(int(tx.from), tx.payload)
 			}
@@ -565,11 +576,12 @@ func (m *Medium) endAll(arg any, _ uint64) {
 }
 
 // nextEnd moves tx's end past m.passed to the next node it has something
-// to do at, and reports whether that node gets the frame. Those are the
-// nodes holding a clean reception of tx — only its addressee, if it has
-// one and no delivery faults are installed — and the nodes sensing it
-// that have an idle waiter; both sets are read afresh on every call,
-// because a callback may transmit or register a waiter. Every clean
+// to do at, and reports whether that node holds a clean reception of tx.
+// Those are the nodes holding one — only its addressee, if it has one and
+// no delivery faults are installed; with them every one, since each draws
+// its faults (endAll hands a foreign one to nobody) — and the nodes
+// sensing it that have an idle waiter; both sets are read afresh on every
+// call, because a callback may transmit or register a waiter. Every clean
 // reception of tx the end reaches on the way, the next node's included,
 // ends there.
 func (m *Medium) nextEnd(tx *transmission) (int, bool) {

@@ -1,6 +1,7 @@
 package radio_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -115,35 +116,115 @@ func TestAttachEndsTheRestEpoch(t *testing.T) {
 }
 
 // TestLinkDownChangesARestingSendersSet severs and heals a link between
-// two frames of one sender in a static network. A link cut installs a
-// fault, after which every frame scans.
+// frames of one sender in a static network. A frame scans while a link is
+// cut, since a cut changes who hears it; once the link heals, the sender's
+// frames reuse the sets its first frame of the epoch scanned.
 func TestLinkDownChangesARestingSendersSet(t *testing.T) {
 	r := newRig([]mobility.Point{{X: 0}, {X: 200}, {X: 250}})
-	for k, down := range []bool{false, false, true, false} {
+	for k, c := range []struct {
+		down  bool
+		scans uint64
+	}{{false, 1}, {false, 0}, {true, 1}, {true, 1}, {false, 0}, {false, 0}} {
 		if k > 1 {
-			r.m.SetLinkDown(0, 1, down)
+			r.m.SetLinkDown(0, 1, c.down)
 		}
 		at := time.Duration(k) * 10 * time.Millisecond
 		r.s.Run(at)
+		before := r.m.Scans()
 		r.m.Transmit(0, 1000, k)
+		if got := r.m.Scans() - before; got != c.scans {
+			t.Errorf("frame %d with the link down %v: %d scans, want %d", k, c.down, got, c.scans)
+		}
 		r.s.Run(at + radio.PropDelay + time.Nanosecond)
-		if r.m.Busy(1) == down {
-			t.Errorf("frame %d: Busy(1) = %v with the link down %v", k, down, down)
+		if r.m.Busy(1) == c.down {
+			t.Errorf("frame %d: Busy(1) = %v with the link down %v", k, c.down, c.down)
 		}
 		r.s.RunAll()
-		if got := len(r.received[1]) > 0 && r.received[1][len(r.received[1])-1] == k; got == down {
-			t.Errorf("frame %d: node 1 received it %v with the link down %v (received %v)", k, got, down, r.received[1])
+		if got := len(r.received[1]) > 0 && r.received[1][len(r.received[1])-1] == k; got == c.down {
+			t.Errorf("frame %d: node 1 received it %v with the link down %v (received %v)", k, got, c.down, r.received[1])
 		}
 		if len(r.received[2]) != k+1 {
 			t.Errorf("frame %d: node 2 received %v", k, r.received[2])
 		}
 	}
-	if r.m.FaultStats.Blocked != 1 {
-		t.Errorf("FaultStats.Blocked = %d, want 1", r.m.FaultStats.Blocked)
+	if r.m.FaultStats.Blocked != 2 {
+		t.Errorf("FaultStats.Blocked = %d, want 2", r.m.FaultStats.Blocked)
 	}
-	if got := r.m.Scans(); got != 3 {
-		t.Errorf("%d scans: want the first frame's, and one per frame once a fault is installed (3)", got)
+}
+
+// TestDeliveryFaultsKeepTheRestEpoch sends frames from every node of a
+// static network with delivery faults on, then after they are cleared.
+// Drop, dup and delay never change who hears a frame, so each sender scans
+// once for the whole run and every frame is heard where a fault-free one
+// would be: the same fault draws as in a medium that scans every frame.
+func TestDeliveryFaultsKeepTheRestEpoch(t *testing.T) {
+	const n = 30
+	pts := staticPts(8, n)
+	far := farthest(pts, 0)
+	if d := pts[0].Dist(pts[far]); d <= radio.DefaultCSRange {
+		t.Fatalf("the farthest node is %.0f m away, within carrier sense", d)
 	}
+	type world struct {
+		s     *sim.Simulator
+		m     *radio.Medium
+		heard []int // per node: frames it decoded before the faults were cleared
+	}
+	mk := func(cut bool) *world {
+		w := &world{s: sim.New(), heard: make([]int, n)}
+		w.m = radio.New(w.s, mobility.NewStatic(pts), radio.DefaultConfig())
+		for i := 0; i < n; i++ {
+			w.m.Attach(i, func(int, any) { w.heard[i]++ })
+		}
+		w.m.SetDeliveryFaults(0.1, 0.1, 2*time.Millisecond, rng.New(9))
+		if cut {
+			// A cut between two nodes out of carrier-sense range changes no
+			// receiver set but keeps every frame scanning.
+			w.m.SetLinkDown(0, far, true)
+		}
+		return w
+	}
+	got, ref := mk(false), mk(true)
+	r := rng.New(10)
+	const frames = 600
+	for k := 0; k < 2*frames; k++ {
+		src, at := r.Intn(n), time.Duration(k)*5*time.Millisecond
+		for _, w := range []*world{got, ref} {
+			if k == frames {
+				w.m.ClearDeliveryFaults()
+			}
+			w.s.Run(at)
+			w.m.Transmit(src, 1000, k)
+		}
+		if k == frames-1 {
+			for _, w := range []*world{got, ref} {
+				w.s.RunAll()
+			}
+			want := ref.m.FaultStats
+			want.Blocked = 0 // the cut pair, counted at each of its frames
+			if got.m.Scans() != n || got.m.FaultStats != want || fmt.Sprint(got.heard) != fmt.Sprint(ref.heard) {
+				t.Fatalf("with delivery faults: %d scans for %d senders, faults %+v, heard %v; a medium that scans every frame: faults %+v, heard %v",
+					got.m.Scans(), n, got.m.FaultStats, got.heard, ref.m.FaultStats, ref.heard)
+			}
+		}
+	}
+	got.s.RunAll()
+	if got.m.Scans() != n {
+		t.Errorf("%d scans after the faults were cleared, want still %d (one per sender)", got.m.Scans(), n)
+	}
+	if ref.m.Scans() != 2*frames {
+		t.Errorf("the medium with a link cut scanned %d of %d frames, want every one", ref.m.Scans(), 2*frames)
+	}
+}
+
+// farthest returns the node farthest from node i.
+func farthest(pts []mobility.Point, i int) int {
+	far := i
+	for j := range pts {
+		if pts[i].Dist(pts[j]) > pts[i].Dist(pts[far]) {
+			far = j
+		}
+	}
+	return far
 }
 
 // TestTransmitRestingZeroAlloc pins a warm frame that reuses its sender's
