@@ -365,9 +365,9 @@ func (m *Medium) AirTime(bits int) time.Duration {
 // While no node moves (a rest epoch, see rests) and no link is cut or
 // partition installed, a sender's frames reuse the sets its first frame in
 // the epoch found, which are the sets a scan would find again. Delivery
-// faults act after the sets are found, so they do not end the reuse; a cut
-// could hide a node from the scan, so nextRest is not asked then either,
-// which would look that node up.
+// faults act after the sets are found, so they do not end the reuse. While
+// a cut is installed nextRest is not asked either: it looks up every
+// attached node, and the scan skips one the cut hides.
 //
 // The whole receiver set rides on two events: one at now+PropDelay that
 // starts the signal at every receiver in ascending id, one at
