@@ -130,10 +130,12 @@ func BenchmarkAblation(b *testing.B) {
 	for _, v := range experiments.Variants() {
 		v := v
 		b.Run(v.Name, func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			v.Mutate(&cfg)
 			sc := cell(ldr.ProtoLDR, 50, 10, 0)
-			sc.LDRConfig = &cfg
+			if v.Mutate != nil {
+				cfg := core.DefaultConfig()
+				v.Mutate(&cfg)
+				sc.LDRConfig = &cfg
+			}
 			runCell(b, sc)
 		})
 	}

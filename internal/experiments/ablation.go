@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"io"
+	"strings"
 
 	"github.com/manetlab/ldr/internal/core"
 	"github.com/manetlab/ldr/internal/routing/ondemand"
@@ -9,7 +11,8 @@ import (
 )
 
 // LDRVariant is one ablation point: an LDR configuration with a single
-// optimization removed (or, for the OLSR row, the jitter queue toggled).
+// optimization removed or the multipath extension added. Mutate is nil
+// for ldr-full, which runs the defaults.
 type LDRVariant struct {
 	Name   string
 	Mutate func(*core.Config)
@@ -19,7 +22,7 @@ type LDRVariant struct {
 // calls out explicitly.
 func Variants() []LDRVariant {
 	return []LDRVariant{
-		{Name: "ldr-full", Mutate: func(*core.Config) {}},
+		{Name: "ldr-full"},
 		{Name: "no-multi-rrep", Mutate: func(c *core.Config) { c.MultipleRREPs = false }},
 		{Name: "no-req-as-err", Mutate: func(c *core.Config) { c.RequestAsError = false }},
 		{Name: "no-reduced-dist", Mutate: func(c *core.Config) { c.ReducedDistance = false }},
@@ -38,28 +41,72 @@ func Variants() []LDRVariant {
 	}
 }
 
-// Ablation measures each LDR variant (plus OLSR with and without the FIFO
-// jitter queue) on the 50-node, 10-flow, constant-motion scenario — the
-// regime where discovery efficiency matters most.
+// edit stamps the variant on a cell. ldr-full leaves LDRConfig nil, so
+// its cells are the figures' own LDR cells, journal keys included.
+func (v LDRVariant) edit(cfg *scenario.Config) {
+	if v.Mutate == nil {
+		return
+	}
+	c := core.DefaultConfig()
+	v.Mutate(&c)
+	cfg.LDRConfig = &c
+}
+
+// ablationCells are the three pause-0 cells the ablation runs: the light
+// one of Fig. 2 and the loaded ones of Figs. 3 and 5, where on-demand
+// overhead grows with load.
+var ablationCells = []struct{ nodes, flows int }{{50, 10}, {50, 30}, {100, 30}}
+
+// Ablation measures each LDR variant against ldr-full, with AODV as the
+// reference, at pause 0 in each of ablationCells. Every arm prints mean ±
+// CI, then its paired Δ against ldr-full over the same seeds. The
+// 50-node, 10-flow section also runs OLSR with and without the FIFO
+// jitter queue and LDR with RTS/CTS. ldr-full, AODV and OLSR are the
+// figures' cells, so a journal that holds Figs. 2, 3 and 5 serves them.
 func Ablation(o Options) error {
 	o = o.Defaults()
 	cols := []column{colDelivery, colLatency, colNetLoad, colRREQLoad}
-	sec := section[runMetrics]{header: ciHeader(fmt.Sprintf(
-		"\nAblation — 50 nodes, 10 flows, pause 0 s, %v sim, %d trials\n", o.SimTime, o.Trials), "variant", 16, cols)}
-	addRow := func(name string, proto scenario.ProtocolName, edit ...func(*scenario.Config)) {
-		sec.rows = append(sec.rows, ciRow(name, 16, cols, o.trials(proto, 50, 10, 0, edit...)))
+	type arm struct {
+		name  string
+		proto scenario.ProtocolName
+		edit  []func(*scenario.Config)
 	}
-
-	for _, v := range Variants() {
-		ldrCfg := core.DefaultConfig()
-		v.Mutate(&ldrCfg)
-		addRow(v.Name, scenario.LDR, func(cfg *scenario.Config) { cfg.LDRConfig = &ldrCfg })
+	var secs []section[runMetrics]
+	for _, c := range ablationCells {
+		var arms []arm
+		for _, v := range Variants() {
+			arms = append(arms, arm{v.Name, scenario.LDR, []func(*scenario.Config){v.edit}})
+		}
+		arms = append(arms, arm{"aodv", scenario.AODV, nil})
+		if c.nodes == 50 && c.flows == 10 {
+			arms = append(arms, arm{"olsr", scenario.OLSR, nil}, arm{"olsr-nojitter", scenario.OLSRJ, nil},
+				// MAC-level ablation: LDR with RTS/CTS virtual carrier sensing.
+				arm{"ldr+rtscts", scenario.LDR, []func(*scenario.Config){func(cfg *scenario.Config) { cfg.RTSCTS = true }}})
+		}
+		var cells []scenario.Config
+		for _, a := range arms {
+			cells = append(cells, o.trials(a.proto, c.nodes, c.flows, 0, a.edit...)...)
+		}
+		// Every arm is paired with ldr-full, so the cell is one row.
+		body := row[runMetrics]{cells, func(w io.Writer, ms []runMetrics) {
+			bs := blocks(cells, ms, o.Trials)
+			for i, a := range arms {
+				line := fmt.Sprintf("%-16s", a.name)
+				for _, col := range cols {
+					line += fmt.Sprintf(" %-23s", ci(summarize(bs[i].ms, col.get)))
+				}
+				fmt.Fprintln(w, strings.TrimRight(line, " "))
+				if i > 0 {
+					deltaLine(w, "  Δ ldr-full", 16, cols, bs[i], bs[0])
+				}
+			}
+		}}
+		header := fmt.Sprintf("\nAblation — %d nodes, %d flows, pause 0 s, %v sim, %d trials (Δ: arm − ldr-full, paired by seed; k/n seeds above)\n%-16s",
+			c.nodes, c.flows, o.SimTime, o.Trials, "variant")
+		for _, col := range cols {
+			header += fmt.Sprintf(" %15s%8s", col.name, "")
+		}
+		secs = append(secs, section[runMetrics]{header: strings.TrimRight(header, " ") + "\n", rows: []row[runMetrics]{body}})
 	}
-	for _, proto := range []scenario.ProtocolName{scenario.OLSR, scenario.OLSRJ} {
-		addRow(string(proto), proto)
-	}
-	// MAC-level ablation: LDR with RTS/CTS virtual carrier sensing.
-	addRow("ldr+rtscts", scenario.LDR, func(cfg *scenario.Config) { cfg.RTSCTS = true })
-
-	return runTable(o, "metrics", measureRun, []section[runMetrics]{sec})
+	return runTable(o, "metrics", measureRun, secs)
 }

@@ -29,7 +29,9 @@ func TestEveryOptionHasAUser(t *testing.T) {
 	var ablated []any
 	for _, v := range experiments.Variants() {
 		c := core.DefaultConfig()
-		v.Mutate(&c)
+		if v.Mutate != nil {
+			v.Mutate(&c)
+		}
 		ablated = append(ablated, c)
 	}
 	var radios []any

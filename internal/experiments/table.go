@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"github.com/manetlab/ldr/internal/scenario"
 	"github.com/manetlab/ldr/internal/stats"
@@ -109,4 +110,59 @@ func ciLine(w io.Writer, label string, width int, cols []column, ms []runMetrics
 // ciRow is the common row: a labelled block of cells printed by ciLine.
 func ciRow(label string, width int, cols []column, cells []scenario.Config) row[runMetrics] {
 	return row[runMetrics]{cells, func(w io.Writer, ms []runMetrics) { ciLine(w, label, width, cols, ms) }}
+}
+
+// delta prints a paired difference the way ci prints a summary, with its
+// sign count: "Δ ±ci (k/n)", k of the n seeds having the first arm higher.
+func delta(p stats.Pair) string {
+	return fmt.Sprintf("%+8.2f ±%5.2f (%d/%d)", p.Mean, p.CI95, p.Above, p.N)
+}
+
+// block is one arm of a row: its cells, one per trial, and their payloads.
+type block struct {
+	cells []scenario.Config
+	ms    []runMetrics
+}
+
+// blocks cuts a row's cells and payloads into arms of n cells each.
+func blocks(cells []scenario.Config, ms []runMetrics, n int) []block {
+	var bs []block
+	for i := 0; i < len(cells); i += n {
+		bs = append(bs, block{cells[i : i+n], ms[i : i+n]})
+	}
+	return bs
+}
+
+// minus is a's paired difference from b in one column. Every cell of a
+// is paired with the cell of b at the same position, which must have
+// the same seed, node count, flow count and pause: the seed fixes the
+// mobility and traffic both arms ran under. A pairing out of step is a
+// table built wrong, so it panics. Both arms are cells of the one table,
+// so a partner missing from the journal fails the table like any
+// missing record.
+func (a block) minus(b block, get func(runMetrics) float64) stats.Pair {
+	if len(a.cells) != len(b.cells) {
+		panic(fmt.Sprintf("experiments: pairing %d cells with %d", len(a.cells), len(b.cells)))
+	}
+	xs, ys := make([]float64, len(a.ms)), make([]float64, len(b.ms))
+	for i, c := range a.cells {
+		d := b.cells[i]
+		if c.Seed != d.Seed || c.Nodes != d.Nodes || c.Flows != d.Flows || c.PauseTime != d.PauseTime {
+			panic(fmt.Sprintf("experiments: cell %d pairs seed %d (%d n, %d f, pause %v) with seed %d (%d n, %d f, pause %v)",
+				i, c.Seed, c.Nodes, c.Flows, c.PauseTime, d.Seed, d.Nodes, d.Flows, d.PauseTime))
+		}
+		xs[i], ys[i] = get(a.ms[i]), get(b.ms[i])
+	}
+	p, _ := stats.Paired(xs, ys) // equal lengths, checked above
+	return p
+}
+
+// deltaLine prints a label, then a's paired difference from b in every
+// column, in the columns ciLine uses widened to fit the sign count.
+func deltaLine(w io.Writer, label string, width int, cols []column, a, b block) {
+	line := fmt.Sprintf("%-*s", width, label)
+	for _, c := range cols {
+		line += fmt.Sprintf(" %-23s", delta(a.minus(b, c.get)))
+	}
+	fmt.Fprintln(w, strings.TrimRight(line, " "))
 }

@@ -3,7 +3,10 @@
 // the error bars and ± columns of the paper's Table 1 and figures.
 package stats
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Summary is the mean and the half-width of the 95% confidence interval
 // of a sample.
@@ -81,4 +84,31 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
+}
+
+// Pair is the paired comparison of two samples measured on the same
+// seeds: the Summary of the per-seed differences a[i] − b[i], and how
+// many of them are positive (a ahead of b on Above of N seeds).
+type Pair struct {
+	Summary
+	Above int
+}
+
+// Paired compares a with b seed by seed: a[i] and b[i] must come from
+// the same seed, so the difference cancels what the seed fixes (in this
+// repo, the mobility and the traffic). The CI is Summarize's Student t
+// interval over the n differences, with n − 1 degrees of freedom.
+func Paired(a, b []float64) (Pair, error) {
+	if len(a) != len(b) {
+		return Pair{}, fmt.Errorf("stats: paired samples of %d and %d values", len(a), len(b))
+	}
+	d := make([]float64, len(a))
+	var above int
+	for i := range a {
+		d[i] = a[i] - b[i]
+		if d[i] > 0 {
+			above++
+		}
+	}
+	return Pair{Summarize(d), above}, nil
 }

@@ -97,3 +97,37 @@ func TestCIShrinksWithSampleSize(t *testing.T) {
 		t.Fatalf("CI did not shrink with more data: %v -> %v", small.CI95, big.CI95)
 	}
 }
+
+func TestPaired(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		a, b       []float64
+		mean, ci   float64
+		above, n   int
+		unpairable bool
+	}{
+		// Differences 1, 2, 3, 2: mean 2, SD sqrt(2/3), CI t(3)·SD/2.
+		{name: "known", a: []float64{3, 5, 7, 6}, b: []float64{2, 3, 4, 4},
+			mean: 2, ci: 3.182 * math.Sqrt(2.0/3) / 2, above: 4, n: 4},
+		// Mixed signs: differences −1, 1, −2: one of three above.
+		{name: "mixed", a: []float64{1, 3, 0}, b: []float64{2, 2, 2},
+			mean: -2.0 / 3, ci: 4.303 * math.Sqrt(7.0/3) / math.Sqrt(3), above: 1, n: 3},
+		{name: "one pair", a: []float64{5}, b: []float64{2}, mean: 3, ci: 0, above: 1, n: 1},
+		{name: "all equal", a: []float64{4, 4, 4}, b: []float64{4, 4, 4}, mean: 0, ci: 0, above: 0, n: 3},
+		{name: "unequal lengths", a: []float64{1, 2}, b: []float64{1}, unpairable: true},
+	} {
+		p, err := stats.Paired(c.a, c.b)
+		if c.unpairable {
+			if err == nil {
+				t.Errorf("%s: Paired accepted %d and %d values", c.name, len(c.a), len(c.b))
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if p.N != c.n || p.Above != c.above || math.Abs(p.Mean-c.mean) > 1e-12 || math.Abs(p.CI95-c.ci) > 1e-9 {
+			t.Errorf("%s: got %+v, want mean %v ci %v above %d/%d", c.name, p, c.mean, c.ci, c.above, c.n)
+		}
+	}
+}

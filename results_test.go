@@ -45,6 +45,7 @@ func TestResultsDocMatchesJournals(t *testing.T) {
 		{"results/paper/fig7.txt", "fig7", 10, 900 * time.Second},
 		{"results/paper/table1.txt", "table1", 10, 900 * time.Second},
 		{"results/paper/chaos.txt", "chaos", 10, 900 * time.Second},
+		{"results/paper/ablation.txt", "ablation", 10, 900 * time.Second},
 	} {
 		want, err := os.ReadFile(r.file)
 		if err != nil {
