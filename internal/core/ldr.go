@@ -19,7 +19,6 @@ type Config struct {
 	TTLStart int // expanding-ring initial TTL (the no-ring ablation floods at once)
 
 	MultipleRREPs   bool // relay later RREPs carrying stronger invariants
-	RequestAsError  bool // treat a successor's RREQ as evidence of a broken route
 	ReducedDistance bool // advertise an answering distance below fd
 	MinLifetime     bool // do not answer with a nearly expired route
 	OptimalTTL      bool // derive the initial ring TTL from known distance
@@ -42,7 +41,6 @@ func DefaultConfig() Config {
 		TTLStart: ondemand.TTLStart,
 
 		MultipleRREPs:   true,
-		RequestAsError:  true,
 		ReducedDistance: true,
 		MinLifetime:     true,
 		OptimalTTL:      true,
@@ -417,11 +415,9 @@ func (l *LDR) handleRREQ(from routing.NodeID, q RREQ) {
 
 	// Request-as-error: a solicitation from our own successor for the very
 	// destination it serves means its route is gone.
-	if l.cfg.RequestAsError {
-		if e := l.routes.get(q.Dst); e != nil && e.valid && e.next == from {
-			if !q.HaveDstSeq || q.AnsDist > e.dist-1 {
-				e.invalidate()
-			}
+	if e := l.routes.get(q.Dst); e != nil && e.valid && e.next == from {
+		if !q.HaveDstSeq || q.AnsDist > e.dist-1 {
+			e.invalidate()
 		}
 	}
 

@@ -389,11 +389,9 @@ func (l *refLDR) handleRREQ(from routing.NodeID, q RREQ) {
 		q.N = true
 	}
 
-	if l.cfg.RequestAsError {
-		if e := l.routes[q.Dst]; e != nil && e.valid && e.next == from {
-			if !q.HaveDstSeq || q.AnsDist > e.dist-1 {
-				e.invalidate()
-			}
+	if e := l.routes[q.Dst]; e != nil && e.valid && e.next == from {
+		if !q.HaveDstSeq || q.AnsDist > e.dist-1 {
+			e.invalidate()
 		}
 	}
 

@@ -21,39 +21,31 @@ func primeRoute(nw *routing.Network, dst int) {
 // proves B lost its route, so A must invalidate (the paper's
 // "request as error" optimization).
 func TestRequestAsErrorInvalidatesRoute(t *testing.T) {
-	for _, enabled := range []bool{true, false} {
-		cfg := core.DefaultConfig()
-		cfg.RequestAsError = enabled
-		nw := buildNet(mobility.Line(3, 250), 2, cfg)
-		nw.Start()
-		primeRoute(nw, 2) // 0 → 1 → 2
+	nw := buildNet(mobility.Line(3, 250), 2, core.DefaultConfig())
+	nw.Start()
+	primeRoute(nw, 2) // 0 → 1 → 2
 
-		p := ldrAt(nw, 0)
-		if _, _, ok := p.RouteTo(2); !ok {
-			t.Fatal("setup: node 0 has no route to 2")
-		}
-		// Craft node 1's solicitation for destination 2 as node 0 hears it.
-		nw.Sim.Schedule(0, func() {
-			p.HandleControl(1, &core.RREQ{
-				Dst:        2,
-				HaveDstSeq: false,
-				Origin:     1,
-				OriginSeq:  core.NewSeqno(1, 0),
-				ReqID:      99,
-				FD:         core.Infinity,
-				AnsDist:    core.Infinity,
-				TTL:        3,
-			})
+	p := ldrAt(nw, 0)
+	if _, _, ok := p.RouteTo(2); !ok {
+		t.Fatal("setup: node 0 has no route to 2")
+	}
+	// Craft node 1's solicitation for destination 2 as node 0 hears it.
+	nw.Sim.Schedule(0, func() {
+		p.HandleControl(1, &core.RREQ{
+			Dst:        2,
+			HaveDstSeq: false,
+			Origin:     1,
+			OriginSeq:  core.NewSeqno(1, 0),
+			ReqID:      99,
+			FD:         core.Infinity,
+			AnsDist:    core.Infinity,
+			TTL:        3,
 		})
-		nw.Sim.Run(600 * time.Millisecond)
+	})
+	nw.Sim.Run(600 * time.Millisecond)
 
-		_, _, ok := p.RouteTo(2)
-		if enabled && ok {
-			t.Fatal("request-as-error enabled but the route via the soliciting successor survived")
-		}
-		if !enabled && !ok {
-			t.Fatal("request-as-error disabled but the route was invalidated anyway")
-		}
+	if _, _, ok := p.RouteTo(2); ok {
+		t.Fatal("the route via the soliciting successor survived")
 	}
 }
 

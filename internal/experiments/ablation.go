@@ -24,7 +24,6 @@ func Variants() []LDRVariant {
 	return []LDRVariant{
 		{Name: "ldr-full"},
 		{Name: "no-multi-rrep", Mutate: func(c *core.Config) { c.MultipleRREPs = false }},
-		{Name: "no-req-as-err", Mutate: func(c *core.Config) { c.RequestAsError = false }},
 		{Name: "no-reduced-dist", Mutate: func(c *core.Config) { c.ReducedDistance = false }},
 		{Name: "no-min-lifetime", Mutate: func(c *core.Config) { c.MinLifetime = false }},
 		{Name: "no-optimal-ttl", Mutate: func(c *core.Config) { c.OptimalTTL = false }},

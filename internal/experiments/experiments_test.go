@@ -57,7 +57,7 @@ func TestVariantsCoverEveryOptimization(t *testing.T) {
 		names[v.Name] = true
 	}
 	for _, want := range []string{
-		"ldr-full", "no-multi-rrep", "no-req-as-err", "no-reduced-dist",
+		"ldr-full", "no-multi-rrep", "no-reduced-dist",
 		"no-min-lifetime", "no-optimal-ttl", "no-ring",
 	} {
 		if !names[want] {

@@ -50,7 +50,6 @@ func TestEveryOptionHasAUser(t *testing.T) {
 		{core.DefaultConfig(), ablated, map[string]string{
 			"TTLStart":        "ablation row no-ring",
 			"MultipleRREPs":   "ablation row no-multi-rrep",
-			"RequestAsError":  "ablation row no-req-as-err",
 			"ReducedDistance": "ablation row no-reduced-dist",
 			"MinLifetime":     "ablation row no-min-lifetime",
 			"OptimalTTL":      "ablation rows no-optimal-ttl, no-ring",

@@ -14,8 +14,8 @@ import (
 // protocol — its cheapest cell in results/paper — and requires the
 // journal's payload byte for byte. A journal key hashes the cell's
 // config, not the code that ran it, so a protocol change that leaves the
-// journal alone would otherwise re-render stale tables green. About 5 s
-// on one core.
+// journal alone would otherwise re-render stale tables green. About 6 s
+// on one core of a 2-vCPU Xeon.
 func TestPaperRecordsAreFresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates six 900 s cells")

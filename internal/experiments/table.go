@@ -107,11 +107,6 @@ func ciLine(w io.Writer, label string, width int, cols []column, ms []runMetrics
 	fmt.Fprintln(w)
 }
 
-// ciRow is the common row: a labelled block of cells printed by ciLine.
-func ciRow(label string, width int, cols []column, cells []scenario.Config) row[runMetrics] {
-	return row[runMetrics]{cells, func(w io.Writer, ms []runMetrics) { ciLine(w, label, width, cols, ms) }}
-}
-
 // delta prints a paired difference the way ci prints a summary, with its
 // sign count: "Δ ±ci (k/n)", k of the n seeds having the first arm higher.
 func delta(p stats.Pair) string {
@@ -133,32 +128,29 @@ func blocks(cells []scenario.Config, ms []runMetrics, n int) []block {
 	return bs
 }
 
-// minus is a's paired difference from b in one column. Every cell of a
-// is paired with the cell of b at the same position, which must have
-// the same seed, node count, flow count and pause: the seed fixes the
-// mobility and traffic both arms ran under. A pairing out of step is a
-// table built wrong, so it panics. Both arms are cells of the one table,
-// so a partner missing from the journal fails the table like any
-// missing record.
+// minus is a's paired difference from b in one column. Each cell of a
+// is paired with b's at the same position, which must differ only in
+// the arm: same seed (which fixes the mobility and traffic), nodes,
+// flows and pause. A pairing out of step is a table built wrong, so it
+// panics. Both arms are cells of the one table, so a partner missing
+// from the journal fails the table like any missing record.
 func (a block) minus(b block, get func(runMetrics) float64) stats.Pair {
-	if len(a.cells) != len(b.cells) {
-		panic(fmt.Sprintf("experiments: pairing %d cells with %d", len(a.cells), len(b.cells)))
-	}
 	xs, ys := make([]float64, len(a.ms)), make([]float64, len(b.ms))
 	for i, c := range a.cells {
-		d := b.cells[i]
-		if c.Seed != d.Seed || c.Nodes != d.Nodes || c.Flows != d.Flows || c.PauseTime != d.PauseTime {
-			panic(fmt.Sprintf("experiments: cell %d pairs seed %d (%d n, %d f, pause %v) with seed %d (%d n, %d f, pause %v)",
-				i, c.Seed, c.Nodes, c.Flows, c.PauseTime, d.Seed, d.Nodes, d.Flows, d.PauseTime))
+		if d := b.cells[i]; c.Seed != d.Seed || c.Nodes != d.Nodes || c.Flows != d.Flows || c.PauseTime != d.PauseTime {
+			panic(fmt.Sprintf("experiments: paired cells %d differ beyond their arm (seeds %d and %d)", i, c.Seed, d.Seed))
 		}
 		xs[i], ys[i] = get(a.ms[i]), get(b.ms[i])
 	}
-	p, _ := stats.Paired(xs, ys) // equal lengths, checked above
+	p, err := stats.Paired(xs, ys)
+	if err != nil {
+		panic(err)
+	}
 	return p
 }
 
 // deltaLine prints a label, then a's paired difference from b in every
-// column, in the columns ciLine uses widened to fit the sign count.
+// column, each padded to fit the sign count.
 func deltaLine(w io.Writer, label string, width int, cols []column, a, b block) {
 	line := fmt.Sprintf("%-*s", width, label)
 	for _, c := range cols {
