@@ -161,15 +161,18 @@ profile:
 	@echo "inspect: go tool pprof -top profiles/ldrbench.mem.pprof"
 
 # CPU profile of one cell — "where did the cell go" without a throwaway
-# main.go. The defaults are the dense100 OLSR cell of the repository
-# benchmark; ldrsim's cell takes the paper's terrain for NODES (1500×300 m
-# at 50, 2200×600 m at 100), and FLOWS and PAUSE set the load and the waypoint
-# pause. The second line below is the congested50 LDR cell: 30 flows on a
-# network that pauses for the whole run. With FAULT set it is the audited
-# chaos cells of that fault profile and PROTO instead (50 nodes, 10 flows,
-# pause 0 and static, serial), through `ldrbench -exp chaos`. Prints the
-# top of the profile and leaves the binary and the profile in profiles/
-# for `go tool pprof -list`.
+# main.go. The defaults run OLSR on the repository benchmark's dense100
+# cell (100 nodes, 10 flows, pause 0, 330 s) at ldrsim's seed, 1: that is
+# the benchmark's dense100 LDR seed, while its OLSR cell runs scenario
+# seed 2 (cell i of a workload runs seed 1+i). ldrsim's cell takes the
+# paper's terrain for NODES (1500×300 m at 50, 2200×600 m at 100), and
+# FLOWS and PAUSE set the load and the waypoint pause. The second line
+# below is the congested50 LDR cell: 30 flows on a network that pauses
+# for the whole run. With FAULT set it is the audited chaos cells of that
+# fault profile and PROTO instead (50 nodes, 10 flows, pause 0 and static,
+# serial), through `ldrbench -exp chaos`. Prints the top of the profile
+# and leaves the binary and the profile in profiles/ for
+# `go tool pprof -list`.
 #   make profile-cell PROTO=olsr NODES=100 SIMTIME=330s
 #   make profile-cell PROTO=ldr NODES=50 FLOWS=30 PAUSE=240s SIMTIME=240s
 #   make profile-cell FAULT=lossy PROTO=ldr SIMTIME=30s

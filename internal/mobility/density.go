@@ -50,8 +50,8 @@ func (w *Warped) SpeedBound() float64 { return w.inner.SpeedBound() * w.warp.Str
 // LegEnd implements Model: a warp draws nothing of its own.
 func (w *Warped) LegEnd(id int) time.Duration { return w.inner.LegEnd(id) }
 
-// StillFrom implements Model: a warp moves a still node nowhere.
-func (w *Warped) StillFrom(id int) time.Duration { return w.inner.StillFrom(id) }
+// Piece implements Model: a warp bends straight pieces, so it names none.
+func (w *Warped) Piece(int, time.Duration) (Piece, bool) { return Piece{}, false }
 
 // GradientWarp concentrates nodes toward the x = 0 edge: a uniform
 // x-coordinate u·W maps to u²·W, giving a density that falls off as

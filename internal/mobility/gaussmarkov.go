@@ -96,8 +96,12 @@ func (g *GaussMarkov) LegEnd(id int) time.Duration {
 	return time.Duration(g.nodes[id].step+1)*gmStep - time.Nanosecond
 }
 
-// StillFrom implements Model: a Gauss-Markov node never rests.
-func (g *GaussMarkov) StillFrom(int) time.Duration { return Forever }
+// Piece implements Model: the current step, from its boundary position
+// toward the next.
+func (g *GaussMarkov) Piece(id int, _ time.Duration) (Piece, bool) {
+	st, dt := &g.nodes[id], gmStep.Seconds()
+	return Piece{V: Point{X: (st.next.X - st.pos.X) / dt, Y: (st.next.Y - st.pos.Y) / dt}, End: g.LegEnd(id)}, true
+}
 
 // Position implements Model.
 func (g *GaussMarkov) Position(id int, at time.Duration) Point {

@@ -124,8 +124,12 @@ func (m *Manhattan) SpeedBound() float64 { return m.cfg.MaxSpeed }
 // LegEnd implements Model: Position draws the next leg only past the pause.
 func (m *Manhattan) LegEnd(id int) time.Duration { return m.nodes[id].pauseUntil }
 
-// StillFrom implements Model: a node pauses at the intersection it reached.
-func (m *Manhattan) StillFrom(id int) time.Duration { return m.nodes[id].segEnd }
+// Piece implements Model: the street segment, then the pause at the
+// intersection it reaches.
+func (m *Manhattan) Piece(id int, t time.Duration) (Piece, bool) {
+	st := &m.nodes[id]
+	return segmentPiece(st.from, st.to, st.segStart, st.segEnd, st.pauseUntil, t), true
+}
 
 // Position implements Model.
 func (m *Manhattan) Position(id int, at time.Duration) Point {

@@ -37,10 +37,11 @@ func (p Point) Dist(q Point) float64 {
 // caller has to ask, which is also what keeps every stream where asking at
 // every instant would have left it.
 //
-// StillFrom extends the promise: after Position(id, t1), for every t2 in
-// [StillFrom(id), LegEnd(id)] at or after t1, Position(id, t2) is one
-// bit-identical point and draws nothing. A caller that has asked for every
-// node therefore knows a span through which none of them moves.
+// Piece sharpens the promise for a model whose nodes move in straight
+// pieces: after Position(id, t1), Piece(id, t1) draws nothing, and for
+// every t2 in [t1, End] Position(id, t2) lies within Margin of the line
+// Position(id, t1) + V·(t2-t1). A caller that knows two nodes' pieces
+// therefore knows their distance until the earlier End.
 type Model interface {
 	// Position returns the position of node id at virtual time at.
 	Position(id int, at time.Duration) Point
@@ -52,10 +53,30 @@ type Model interface {
 	// LegEnd returns the last instant of the leg node id's latest Position
 	// query left it on; Forever when its trajectory needs no further draw.
 	LegEnd(id int) time.Duration
-	// StillFrom returns the first instant from which node id sits still
-	// through LegEnd(id), on the leg its latest Position query left it on;
-	// after LegEnd(id) when it does not come to rest on that leg.
-	StillFrom(id int) time.Duration
+	// Piece returns the straight piece node id is on at t, the instant of
+	// its latest Position query: a Waypoint or Manhattan segment or pause,
+	// a Gauss-Markov step, a Script leg, or forever for a Static node. It
+	// ends no later than LegEnd(id). ok is false when the model cannot name
+	// one (Warped); then SpeedBound is all a caller has.
+	Piece(id int, t time.Duration) (p Piece, ok bool)
+}
+
+// Piece is a straight piece of a node's trajectory: from where the node is
+// at the instant it was asked for, it moves at V (m/s along each axis)
+// through End.
+type Piece struct {
+	V   Point
+	End time.Duration
+}
+
+// segmentPiece is the piece at t of a leg that moves from `from` at start
+// to `to` at arrive and rests there through rest.
+func segmentPiece(from, to Point, start, arrive, rest, t time.Duration) Piece {
+	if t >= arrive || arrive == start {
+		return Piece{End: rest}
+	}
+	dt := (arrive - start).Seconds()
+	return Piece{V: Point{X: (to.X - from.X) / dt, Y: (to.Y - from.Y) / dt}, End: arrive}
 }
 
 // Forever is the LegEnd of a node whose trajectory is fixed for good.
@@ -157,8 +178,12 @@ func (w *Waypoint) SpeedBound() float64 { return w.cfg.MaxSpeed }
 // LegEnd implements Model: Position draws the next leg only past the pause.
 func (w *Waypoint) LegEnd(id int) time.Duration { return w.nodes[id].pauseUntil }
 
-// StillFrom implements Model: a node pauses at the waypoint it reached.
-func (w *Waypoint) StillFrom(id int) time.Duration { return w.nodes[id].segEnd }
+// Piece implements Model: the segment toward the waypoint, then the pause
+// there.
+func (w *Waypoint) Piece(id int, t time.Duration) (Piece, bool) {
+	st := &w.nodes[id]
+	return segmentPiece(st.from, st.to, st.segStart, st.segEnd, st.pauseUntil, t), true
+}
 
 // Position implements Model.
 func (w *Waypoint) Position(id int, at time.Duration) Point {
@@ -219,8 +244,8 @@ func (s *Static) SpeedBound() float64 { return 0 }
 // LegEnd implements Model.
 func (s *Static) LegEnd(int) time.Duration { return Forever }
 
-// StillFrom implements Model: a static node rests from the start.
-func (s *Static) StillFrom(int) time.Duration { return 0 }
+// Piece implements Model: a static node rests for good.
+func (s *Static) Piece(int, time.Duration) (Piece, bool) { return Piece{End: Forever}, true }
 
 // Position implements Model.
 func (s *Static) Position(id int, _ time.Duration) Point { return s.pts[id] }
@@ -291,15 +316,22 @@ func (s *Script) SpeedBound() float64 { return s.bound }
 // LegEnd implements Model: a script draws nothing.
 func (s *Script) LegEnd(int) time.Duration { return Forever }
 
-// StillFrom implements Model: a node holds its last position after its
-// last leg. Arriving there at the last leg's At is an interpolation, which
-// may round a coordinate, so the rest starts a nanosecond later.
-func (s *Script) StillFrom(id int) time.Duration {
+// Piece implements Model: the leg the node is on, the wait before the
+// first, or its last position for good.
+func (s *Script) Piece(id int, t time.Duration) (Piece, bool) {
 	track := s.tracks[id]
 	if len(track) < 2 {
-		return 0
+		return Piece{End: Forever}, true
 	}
-	return track[len(track)-1].At + time.Nanosecond
+	if t <= track[0].At {
+		return Piece{End: track[0].At}, true
+	}
+	for i := 1; i < len(track); i++ {
+		if a, b := track[i-1], track[i]; t <= b.At {
+			return segmentPiece(a.Pos, b.Pos, a.At, b.At, b.At, t), true
+		}
+	}
+	return Piece{End: Forever}, true
 }
 
 // Position implements Model.

@@ -19,6 +19,7 @@ type promiseModel struct {
 	bound float64 // SpeedBound of the unwarped model
 	draws bool    // a query past LegEnd draws
 	exact bool    // some leg runs at exactly the bound, so the nanosecond shows
+	split bool    // some leg holds a piece that ends before the leg does
 	rests bool    // some node sits still for a while on a leg it draws
 }
 
@@ -45,21 +46,21 @@ func promiseModels() []promiseModel {
 		}
 	}
 	return []promiseModel{
-		{"waypoint", waypoint(1, 20, 0), 20, true, false, false},
-		{"waypoint-pause", waypoint(1, 20, 2*time.Second), 20, true, false, true},
-		{"waypoint-fixed-speed", waypoint(20, 20, 0), 20, true, true, false},
+		{"waypoint", waypoint(1, 20, 0), 20, true, false, false, false},
+		{"waypoint-pause", waypoint(1, 20, 2*time.Second), 20, true, false, true, true},
+		{"waypoint-fixed-speed", waypoint(20, 20, 0), 20, true, true, false, false},
 		{"manhattan", func(src *rng.Source) mobility.Model {
 			return mobility.NewManhattan(6, mobility.ManhattanConfig{Terrain: tr, MinSpeed: 1, MaxSpeed: 20, Pause: time.Second}, src)
-		}, 20, true, false, true},
+		}, 20, true, false, true, true},
 		{"manhattan-fixed-speed", func(src *rng.Source) mobility.Model {
 			return mobility.NewManhattan(6, mobility.ManhattanConfig{Terrain: tr, MinSpeed: 7, MaxSpeed: 7}, src)
-		}, 7, true, true, false},
+		}, 7, true, true, false, false},
 		{"gaussmarkov", func(src *rng.Source) mobility.Model {
 			return mobility.NewGaussMarkov(6, mobility.GaussMarkovConfig{Terrain: tr, MeanSpeed: 10, MaxSpeed: 20}, src)
-		}, 20, true, false, false},
-		{"static", func(*rng.Source) mobility.Model { return mobility.Grid(6, 3, 200) }, 0, false, false, true},
-		{"script", promiseScript(60 * time.Second), 20, false, false, true},
-		{"script-jump", promiseScript(0), math.Inf(1), false, false, true},
+		}, 20, true, false, false, false},
+		{"static", func(*rng.Source) mobility.Model { return mobility.Grid(6, 3, 200) }, 0, false, false, false, true},
+		{"script", promiseScript(60 * time.Second), 20, false, false, true, true},
+		{"script-jump", promiseScript(0), math.Inf(1), false, false, true, true},
 	}
 }
 
@@ -151,51 +152,133 @@ func TestKeptPositionPromise(t *testing.T) {
 	}
 }
 
-// TestStillFromPromise is the promise a resting network's reused receiver
-// sets stand on, for every model alone and under both warps: after
-// Position(id, t1), from StillFrom(id) (or t1, if later) through
-// LegEnd(id), a query draws from no random stream and finds the node at
-// one bit-identical point. A Gauss-Markov node never rests, and a scripted
-// node rests at its last position for good from just after its last leg.
-func TestStillFromPromise(t *testing.T) {
+// TestMotionPromise is the promise the radio's horizons stand on, for
+// every model alone and under both warps: after Position(id, t1),
+// Piece(id, t1) draws from no random stream and ends no later than
+// LegEnd(id), and through its End every Position(id, t2) lies within
+// Margin of the line Position(id, t1) + V·(t2-t1). A warp bends lines, so
+// it names no piece.
+func TestMotionPromise(t *testing.T) {
 	for _, mc := range promiseModels() {
 		for _, wc := range promiseWarps() {
 			t.Run(mc.name+"/"+wc.name, func(t *testing.T) {
 				src := rng.New(11)
 				m := wc.wrap(mc.mk(src))
 				r := rng.New(12)
+				moved, split := 0, 0
+				for id := 0; id < m.NumNodes(); id++ {
+					var t1 time.Duration
+					for t1 < 400*time.Second {
+						p1 := m.Position(id, t1)
+						before := src.Draws()
+						piece, ok := m.Piece(id, t1)
+						end := m.LegEnd(id)
+						if src.Draws() != before {
+							t.Fatalf("node %d: reading its piece at %v drew", id, t1)
+						}
+						if ok != (wc.k == 1) {
+							t.Fatalf("node %d: Piece reports a piece %v; want one from a plain model and none under a warp", id, ok)
+						}
+						if !ok {
+							t1 += time.Duration(1 + r.Intn(int(30*time.Second)))
+							continue
+						}
+						if piece.End < t1 || piece.End > end {
+							t.Fatalf("node %d: at %v on a piece through %v, on a leg through %v", id, t1, piece.End, end)
+						}
+						// A few instants on the piece, the last of them its end.
+						last := min(piece.End, t1+100*time.Second)
+						for _, t2 := range []time.Duration{t1, t1 + time.Duration(r.Float64()*float64(last-t1)), last} {
+							dt := (t2 - t1).Seconds()
+							want := mobility.Point{X: p1.X + piece.V.X*dt, Y: p1.Y + piece.V.Y*dt}
+							if d := m.Position(id, t2).Dist(want); d > mobility.Margin {
+								t.Fatalf("node %d: at %v %v m off the line of its piece from %v through %v, %+v", id, t2, d, t1, piece.End, piece)
+							}
+						}
+						if src.Draws() != before {
+							t.Fatalf("node %d: a query on its piece from %v through %v drew", id, t1, piece.End)
+						}
+						if piece.V != (mobility.Point{}) {
+							moved++
+						}
+						if piece.End < end {
+							split++
+						}
+						if piece.End == mobility.Forever {
+							t1 += time.Duration(1 + r.Intn(int(30*time.Second)))
+						} else {
+							t1 = piece.End + 1
+						}
+					}
+				}
+				if wc.k == 1 && (mc.bound > 0) != (moved > 0) {
+					t.Errorf("%d pieces moved; a model bounded at %v m/s should move", moved, mc.bound)
+				}
+				if wc.k == 1 && mc.split != (split > 0) {
+					t.Errorf("%d pieces ended before their leg; expected some: %v", split, mc.split)
+				}
+			})
+		}
+	}
+
+	// A scripted jump ends a piece at its instant; a nanosecond later the
+	// node is where it jumped to, for good.
+	s := promiseScript(0)(nil)
+	jump := 30 * time.Second
+	s.Position(2, jump)
+	if p, _ := s.Piece(2, jump); p.End != jump || p.V != (mobility.Point{}) {
+		t.Errorf("script node 2 before its jump: piece %+v, want still through %v", p, jump)
+	}
+	if q := s.Position(2, jump+1); q != (mobility.Point{X: 1203, Y: 4}) {
+		t.Errorf("script node 2 after its jump at %v", q)
+	}
+	if p, _ := s.Piece(2, jump+1); p.End != mobility.Forever || p.V != (mobility.Point{}) {
+		t.Errorf("script node 2 after its jump: piece %+v, want still for good", p)
+	}
+}
+
+// TestStillFromPromise is the still half of the piece promise, for every
+// model alone and under both warps: after Position(id, t1), when the
+// plain model's Piece(id, t1) has no velocity, every query through the
+// piece's End draws from no random stream and finds the node at one
+// bit-identical point, warped or not. A Gauss-Markov node is never still,
+// and a scripted node is still at its last position for good from just
+// after its last leg.
+func TestStillFromPromise(t *testing.T) {
+	for _, mc := range promiseModels() {
+		for _, wc := range promiseWarps() {
+			t.Run(mc.name+"/"+wc.name, func(t *testing.T) {
+				src := rng.New(11)
+				inner := mc.mk(src)
+				m := wc.wrap(inner)
+				r := rng.New(12)
 				var rested time.Duration
 				for id := 0; id < m.NumNodes(); id++ {
 					var t1 time.Duration
 					for t1 < 400*time.Second {
 						p1 := m.Position(id, t1)
-						from, end, before := m.StillFrom(id), m.LegEnd(id), src.Draws()
-						if from <= end {
+						before := src.Draws()
+						piece, _ := inner.Piece(id, t1)
+						if piece.V == (mobility.Point{}) {
 							if mc.name == "gaussmarkov" {
-								t.Fatalf("node %d: a Gauss-Markov node rests from %v through %v", id, from, end)
+								t.Fatalf("node %d: a Gauss-Markov node is still from %v through %v", id, t1, piece.End)
 							}
-							// The rest from its first instant at or after t1, up
-							// to a hundred seconds of it.
-							a := max(from, t1)
-							last := min(end, a+100*time.Second)
-							p := m.Position(id, a)
-							if a == t1 && p != p1 {
-								t.Fatalf("node %d: %v, then %v at the same instant %v", id, p1, p, t1)
-							}
-							for _, t2 := range []time.Duration{a + time.Duration(r.Float64()*float64(last-a)), last} {
-								if q := m.Position(id, t2); q != p {
-									t.Fatalf("node %d: at %v, resting from %v through %v; at %v, %v", id, p, from, end, t2, q)
+							// Up to a hundred seconds of the still piece.
+							last := min(piece.End, t1+100*time.Second)
+							for _, t2 := range []time.Duration{t1, t1 + time.Duration(r.Float64()*float64(last-t1)), last} {
+								if q := m.Position(id, t2); q != p1 {
+									t.Fatalf("node %d: at %v, still from %v through %v; at %v, %v", id, p1, t1, piece.End, t2, q)
 								}
 							}
 							if src.Draws() != before {
-								t.Fatalf("node %d: a query in the rest from %v through %v drew", id, from, end)
+								t.Fatalf("node %d: a query on the still piece from %v through %v drew", id, t1, piece.End)
 							}
-							rested += last - a
+							rested += last - t1
 						}
-						if end == mobility.Forever {
+						if piece.End == mobility.Forever {
 							t1 += time.Duration(1 + r.Intn(int(30*time.Second)))
 						} else {
-							t1 = end + 1
+							t1 = piece.End + 1
 						}
 					}
 				}
@@ -215,9 +298,11 @@ func TestStillFromPromise(t *testing.T) {
 		{At: 90 * time.Second, Pos: mobility.Point{X: 1203, Y: 4}},
 	} {
 		after := last.At + time.Nanosecond
-		if p := s.Position(id, after); p != last.Pos || s.StillFrom(id) > after || s.LegEnd(id) != mobility.Forever {
-			t.Errorf("script node %d: at %v it is at %v, resting from %v through %v; want %v from %v on",
-				id, after, p, s.StillFrom(id), s.LegEnd(id), last.Pos, after)
+		p := s.Position(id, after)
+		piece, _ := s.Piece(id, after)
+		if p != last.Pos || piece != (mobility.Piece{End: mobility.Forever}) || s.LegEnd(id) != mobility.Forever {
+			t.Errorf("script node %d: at %v it is at %v on piece %+v, leg through %v; want still at %v for good",
+				id, after, p, piece, s.LegEnd(id), last.Pos)
 		}
 	}
 }

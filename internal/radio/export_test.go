@@ -194,16 +194,9 @@ func (m *Medium) CheckSets() error {
 	return nil
 }
 
-// Scans returns how many frames ran the receiver scan rather than reusing
-// a rest epoch's sets.
-func (m *Medium) Scans() uint64 { return m.scans }
-
-// RestEpoch returns the number of the latest rest epoch and whether the
-// current instant is inside it, as the last Transmit left them.
-func (m *Medium) RestEpoch() (uint64, bool) {
-	now := m.sim.Now()
-	return m.epoch, now >= m.restFrom && now <= m.restTo
-}
+// Decisions returns how many sender-receiver pairs were decided from
+// positions rather than copied from a sender's sets.
+func (m *Medium) Decisions() uint64 { return m.decided }
 
 // Receiver returns the callback attached for node id, so a test can wrap
 // what a MAC registered.

@@ -6,16 +6,16 @@
 // Blackouts and partitions act at the physical layer: a blocked receiver
 // gets neither the decodable frame nor its interference energy, exactly
 // as if an obstacle absorbed the signal. They are the only faults that
-// change who hears a frame, so only while one is installed does a
-// resting network scan every frame (see Transmit). Delivery faults act at
-// the radio/MAC boundary instead — the frame occupies the channel
-// normally (it collides, it defers other senders) and is then dropped,
-// duplicated, or delayed at the moment it would be handed to the
-// receiver's MAC. Every clean reception draws its faults, in id order; a
-// copy of an Addressed frame at another node is drawn and counted but not
-// handed over, since a MAC would drop it. A delayed copy is a pooled
-// record on a transient event (see deferred), so a warm lossy medium
-// allocates nothing per delivery.
+// change who hears a frame, so only while one is installed is every
+// frame decided node by node instead of from its sender's sets (see
+// Transmit). Delivery faults act at the radio/MAC boundary instead — the
+// frame occupies the channel normally (it collides, it defers other
+// senders) and is then dropped, duplicated, or delayed at the moment it
+// would be handed to the receiver's MAC. Every clean reception draws its
+// faults, in id order; a copy of an Addressed frame at another node is
+// drawn and counted but not handed over, since a MAC would drop it. A
+// delayed copy is a pooled record on a transient event (see deferred), so
+// a warm lossy medium allocates nothing per delivery.
 
 package radio
 

@@ -1,6 +1,7 @@
 package radio_test
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -12,16 +13,17 @@ import (
 	"github.com/manetlab/ldr/internal/sim"
 )
 
-// Transmit decides most nodes from a position it kept, looking a node up
-// only when the motion since could change the answer or the node's leg has
-// ended. These tests pin that this is unobservable: who decodes a frame and
-// who senses it equal the brute-force oracle's sets from an independent
-// model instance, and the mobility streams stand, after every frame, where
-// looking every node up at every frame leaves them (radio.PerReceiver, the
-// scan as it was, over a third instance). The cases are the ones the old
-// scan never needed: kept positions seconds to a minute old, legs ending
-// between frames, every model and warp, nodes detached and re-attached,
-// links severed and healed.
+// Transmit copies a sender's receiver sets until a pair's horizon passes,
+// and while a link is cut decides each node from a position it kept,
+// looking a node up only when the motion since could change the answer or
+// the node's leg has ended. These tests pin that this is unobservable: who
+// decodes a frame and who senses it equal the brute-force oracle's sets
+// from an independent model instance, and the mobility streams stand,
+// after every frame, where looking every node up at every frame leaves
+// them (radio.PerReceiver, the scan as it was, over a third instance). The
+// cases are the ones a per-frame scan never needed: sets and kept
+// positions seconds to a minute old, legs ending between frames, every
+// model and warp, nodes detached and re-attached, links severed and healed.
 
 // lazyCase is one mobility model and radio configuration to drive.
 type lazyCase struct {
@@ -135,9 +137,9 @@ func (c *countingModel) Position(id int, at time.Duration) mobility.Point {
 }
 
 // lazyGaps is the spacing of frames: bursts a few milliseconds apart, so
-// that most nodes are decided from a kept position, between silences of
-// 5 s and 60 s, after which every kept position is up to 100 m or 1200 m
-// stale at 20 m/s and several legs old.
+// that most pairs are copied from a sender's sets, between silences of
+// 5 s and 60 s, after which every horizon and kept position is up to
+// 100 m or 1200 m stale at 20 m/s and several legs old.
 var lazyGaps = []time.Duration{
 	5 * time.Millisecond, 20 * time.Millisecond, 5 * time.Second, 7 * time.Millisecond,
 	300 * time.Millisecond, 5 * time.Millisecond, 60 * time.Second, 11 * time.Millisecond,
@@ -148,8 +150,24 @@ var lazyGaps = []time.Duration{
 type lazyStats struct {
 	lookups, refLookups int
 	decoded, sensed     int
-	scans               uint64 // receiver scans in the medium under test
+	decisions           uint64 // pair decisions in the medium under test
+	pairs               int    // frames × receivers
+	copies              int    // frames that decided no pair
 }
+
+// lazySchedule is how runLazy churns the medium around its frames.
+type lazySchedule int
+
+const (
+	// churn detaches or re-attaches a node every 5 frames and cuts or
+	// heals a link every 4, the cuts piling up for the rest of the run:
+	// nearly every frame decides its pairs from kept positions.
+	churn lazySchedule = iota
+	// bursts changes attachment every 20 frames, cuts a link or two late
+	// in every 40 and heals them all at the 40th: in between, senders'
+	// sets last and most frames copy them.
+	bursts
+)
 
 // runLazy drives frames transmissions from script-chosen sources over
 // three instances of c's model built from the same seed — the medium under
@@ -157,11 +175,11 @@ type lazyStats struct {
 // and re-attached and links severed and healed along the way, and checks
 // after every frame the decoded set, the mid-flight Busy set and the
 // position of the model's random streams. pick(k, n) chooses frame k's
-// sender and gap(k) the time to the next frame. When c rests, the first
-// half of the run cuts no link, since every frame scans while a link is
-// cut, and detaches or re-attaches a node every 20 frames instead of every
-// 5, so that senders repeat inside an epoch.
-func runLazy(t *testing.T, c lazyCase, seed int64, frames int, pick func(k, n int) int, gap func(k int) time.Duration) lazyStats {
+// sender and gap(k) the time to the next frame, and sched the churn.
+// When c rests, the first half of the run cuts no link, since every frame
+// decides its pairs while a link is cut, and changes attachment every 20
+// frames (churn) or 40 (bursts), so that senders' sets last.
+func runLazy(t *testing.T, c lazyCase, sched lazySchedule, seed int64, frames int, pick func(k, n int) int, gap func(k int) time.Duration) lazyStats {
 	t.Helper()
 	type world struct {
 		src      *rng.Source
@@ -206,9 +224,25 @@ func runLazy(t *testing.T, c lazyCase, seed int64, frames int, pick func(k, n in
 		src := pick(k, n)
 		// Every few frames a node goes deaf for a while, or a link is cut.
 		quiet := c.rests && k < frames/2
-		every := 5
+		every, cuts := 5, k%4 == 2
 		if quiet {
 			every = 20
+		}
+		if sched == bursts {
+			every, cuts = 20, k%40 >= 37
+			if quiet {
+				every = 40
+			}
+		}
+		if sched == bursts && k%40 == 0 {
+			for p, cut := range down {
+				for _, w := range worlds {
+					if cut {
+						w.m.SetLinkDown(p[0], p[1], false)
+					}
+				}
+			}
+			clear(down)
 		}
 		if node := (k * 7) % n; k%every == 1 {
 			attached[node] = !attached[node]
@@ -220,7 +254,7 @@ func runLazy(t *testing.T, c lazyCase, seed int64, frames int, pick func(k, n in
 				}
 			}
 		}
-		if a, b := (k*3)%n, (k*11+1)%n; !quiet && k%4 == 2 && a != b {
+		if a, b := (k*3)%n, (k*11+1)%n; !quiet && cuts && a != b {
 			down[[2]int{a, b}] = !blocked(a, b)
 			if !down[[2]int{a, b}] {
 				delete(down, [2]int{b, a})
@@ -229,11 +263,15 @@ func runLazy(t *testing.T, c lazyCase, seed int64, frames int, pick func(k, n in
 				w.m.SetLinkDown(a, b, blocked(a, b))
 			}
 		}
+		before := got.m.Decisions()
 		for _, w := range worlds {
 			clear(w.decoded)
 			w.s.Run(at)
 			w.transmit(src, bits, k)
 			w.s.Run(at + radio.PropDelay + time.Nanosecond)
+		}
+		if got.m.Decisions() == before {
+			st.copies++
 		}
 		inRange, senses := oracleSets(oracle, c.cfg, src, at)
 		hears := func(i int) bool { return attached[i] && !blocked(src, i) }
@@ -263,31 +301,52 @@ func runLazy(t *testing.T, c lazyCase, seed int64, frames int, pick func(k, n in
 		at += gap(k)
 	}
 	st.lookups, st.refLookups = got.model.calls, ref.model.calls
-	st.scans = got.m.Scans()
+	st.pairs = frames * (n - 1)
+	st.decisions = got.m.Decisions()
 	return st
 }
 
+// TestLazyScanMatchesBruteForce runs every case on both schedules: on
+// churn a new random sender per frame, on bursts a sender holding the
+// channel until a silence of a second or more.
 func TestLazyScanMatchesBruteForce(t *testing.T) {
 	for _, c := range lazyCases() {
-		for seed := int64(1); seed <= 2; seed++ {
-			c, seed := c, seed
-			t.Run(fmt.Sprintf("%s-%d", c.name, seed), func(t *testing.T) {
-				r := rng.New(500 + seed)
-				const frames = 360
-				st := runLazy(t, c, seed, frames,
-					func(_, n int) int { return r.Intn(n) },
-					func(k int) time.Duration { return lazyGaps[k%len(lazyGaps)] })
-				if st.decoded < frames || st.sensed < 2*frames {
-					t.Errorf("scenario too tame: %d decoded, %d sensed over %d frames", st.decoded, st.sensed, frames)
+		for _, sched := range []lazySchedule{churn, bursts} {
+			for seed := int64(1); seed <= 2; seed++ {
+				c, sched, seed := c, sched, seed
+				name := fmt.Sprintf("%s-%d", c.name, seed)
+				if sched == bursts {
+					name += "-bursts"
 				}
-				// The point of the exercise: most nodes are not looked up.
-				if st.lookups*2 > st.refLookups {
-					t.Errorf("%d position lookups, %d when every node is looked up: nothing was kept", st.lookups, st.refLookups)
-				}
-				if c.rests && st.scans >= frames {
-					t.Errorf("%d scans for %d frames: no frame reused a rest epoch's receiver sets", st.scans, frames)
-				}
-			})
+				t.Run(name, func(t *testing.T) {
+					r := rng.New(500 + seed)
+					const frames = 360
+					src := 0
+					st := runLazy(t, c, sched, seed, frames,
+						func(k, n int) int {
+							if sched == churn || k == 0 || lazyGaps[(k-1)%len(lazyGaps)] >= time.Second {
+								src = r.Intn(n)
+							}
+							return src
+						},
+						func(k int) time.Duration { return lazyGaps[k%len(lazyGaps)] })
+					if st.decoded < frames || st.sensed < 2*frames {
+						t.Errorf("scenario too tame: %d decoded, %d sensed over %d frames", st.decoded, st.sensed, frames)
+					}
+					// The point of the exercise: most nodes are not looked up,
+					// a resting network's senders reuse their sets, and in
+					// bursts most pairs are copied.
+					if st.lookups*2 > st.refLookups {
+						t.Errorf("%d position lookups, %d when every node is looked up: nothing was kept", st.lookups, st.refLookups)
+					}
+					if c.rests && st.copies == 0 {
+						t.Errorf("every one of %d frames decided a pair: no sender reused its sets", frames)
+					}
+					if sched == bursts && st.decisions*2 >= uint64(st.pairs) {
+						t.Errorf("%d pairs decided of %d frames × receivers: the sets were not reused", st.decisions, st.pairs)
+					}
+				})
+			}
 		}
 	}
 }
@@ -328,6 +387,12 @@ func FuzzReceiverSet(f *testing.F) {
 	f.Add(int64(3), uint8(2), uint8(12), uint16(0), true, []byte{250, 1, 1, 1, 251, 2, 2, 252})
 	f.Add(int64(4), uint8(3), uint8(20), uint16(300), false, []byte{17, 140, 33, 254, 8, 8, 201})
 	f.Add(int64(5), uint8(4), uint8(1), uint16(60000), false, []byte{255, 255, 0, 255})
+	// One sender repeating 3-10 ms apart across leg ends: every waypoint's
+	// first pause ends at 40 ms; a Gauss-Markov step ends at 1 s; street
+	// segments at up to 60 m/s end from about 2.5 s on.
+	f.Add(int64(9), uint8(0), uint8(20), uint16(40), false, bytes.Repeat([]byte{5}, 30))
+	f.Add(int64(10), uint8(2), uint8(20), uint16(0), true, append(bytes.Repeat([]byte{200}, 9), bytes.Repeat([]byte{8}, 25)...))
+	f.Add(int64(11), uint8(1), uint8(59), uint16(0), false, append(bytes.Repeat([]byte{203}, 5), bytes.Repeat([]byte{11}, 180)...))
 	f.Fuzz(func(t *testing.T, seed int64, kind, maxSpeed uint8, pauseMs uint16, mixed bool, script []byte) {
 		fuzzReceiverSet(t, false, seed, kind, maxSpeed, pauseMs, mixed, script)
 	})
@@ -335,7 +400,7 @@ func FuzzReceiverSet(f *testing.F) {
 
 // FuzzRestingReceiverSet is FuzzReceiverSet on runLazy's resting schedule:
 // no link cut in the first half of the script and fewer attachment
-// changes, so that rest epochs last and senders repeat inside them.
+// changes, so that senders' sets last and senders repeat inside them.
 func FuzzRestingReceiverSet(f *testing.F) {
 	// A network at rest for the whole script, senders repeating; rests
 	// ending mid-script, between frames of one sender.
@@ -345,12 +410,16 @@ func FuzzRestingReceiverSet(f *testing.F) {
 		[]byte{5, 29, 5, 53, 29, 5, 252, 5, 29, 53, 5, 29, 253, 5, 29, 53, 5, 200, 29, 5, 53, 29, 5, 250, 5, 29})
 	f.Add(int64(8), uint8(1), uint8(20), uint16(30000), false,
 		[]byte{2, 26, 2, 50, 26, 2, 251, 2, 26, 50, 2, 254, 2, 26, 50, 26, 2, 2, 26})
+	// One sender repeating 3-10 ms apart as the first pause ends at 30 ms,
+	// and across the Gauss-Markov step that ends at 2 s.
+	f.Add(int64(12), uint8(0), uint8(20), uint16(30), true, bytes.Repeat([]byte{7}, 40))
+	f.Add(int64(13), uint8(2), uint8(30), uint16(0), false, append([]byte{209, 208}, bytes.Repeat([]byte{4}, 40)...))
 	f.Fuzz(func(t *testing.T, seed int64, kind, maxSpeed uint8, pauseMs uint16, mixed bool, script []byte) {
 		fuzzReceiverSet(t, true, seed, kind, maxSpeed, pauseMs, mixed, script)
 	})
 }
 
-// fuzzReceiverSet runs one fuzz input through runLazy.
+// fuzzReceiverSet runs one fuzz input through runLazy on both schedules.
 func fuzzReceiverSet(t *testing.T, rests bool, seed int64, kind, maxSpeed uint8, pauseMs uint16, mixed bool, script []byte) {
 	if len(script) == 0 {
 		return
@@ -384,5 +453,7 @@ func fuzzReceiverSet(t *testing.T, rests bool, seed int64, kind, maxSpeed uint8,
 			return 3*time.Millisecond + time.Duration(b)*time.Millisecond/2
 		}
 	}
-	runLazy(t, c, seed, len(script), func(k, n int) int { return int(script[k]) % n }, gap)
+	for _, sched := range []lazySchedule{churn, bursts} {
+		runLazy(t, c, sched, seed, len(script), func(k, n int) int { return int(script[k]) % n }, gap)
+	}
 }

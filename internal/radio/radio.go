@@ -15,22 +15,22 @@
 // The paper's simulations use "the MAC layer with a 275 m transmission
 // range" at 2 Mb/s; those are the defaults here.
 //
-// Receiver lookup is one exact scan over the nodes in ascending id, so a
-// transmission's receptions — and every collision mark, MAC rx and
-// delivery-fault draw they cause — are in id order by construction. The
-// scan keeps each node's last computed position and asks the mobility
-// model again only when the motion since could change how the node hears
-// the frame, or when the node's leg has ended (see Transmit); the receiver
-// set is the one asking for every position at every frame gives. The scan
-// is O(N) per frame; every experiment in this repository runs at most 100
-// nodes (EXPERIMENTS.md records where a spatial index would start to pay).
-// While the network rests it is not even that: mobility.Model.StillFrom
-// names a span through which no node moves, and inside it a sender's
-// frames after its first copy the sets that one scanned — a word or two
-// instead of a visit per node. Static networks, and the paper's long
-// pauses, rest for most of a run. Attach ends such a span, and while a
-// link is cut or the network partitioned every frame scans; drop, dup and
-// delay faults never change who hears a frame, so they keep the reuse.
+// A frame's receivers are bitsets indexed by node id, so a transmission's
+// receptions — and every collision mark, MAC rx and delivery-fault draw
+// they cause — are in id order by construction. Each sender keeps its
+// receiver sets, and for every other node a horizon: the last instant
+// through which the straight pieces both nodes are on (mobility.Piece)
+// keep their distance clear of the sender's two ranges. A frame up to the
+// sender's earliest horizon copies the sets, a word or two; a later one
+// re-decides only the pairs whose horizon has passed, from exact
+// positions. A horizon ends no later than either node's leg, so the
+// mobility model is asked past a leg's end at the same frame as if every
+// node were looked up at every frame, and its streams stand where that
+// would leave them. Attach invalidates every sender's sets. While a link
+// is cut or the network partitioned, and for a detached sender, every
+// frame is decided by a scan over the nodes from kept positions instead
+// (see Transmit); drop, dup and delay faults never change who hears a
+// frame, so they keep the sets.
 //
 // A transmission costs the event queue three events however many nodes
 // hear it: the sender's end-of-airtime idle check, one event in which the
@@ -50,6 +50,7 @@
 package radio
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 	"time"
@@ -162,9 +163,26 @@ type Medium struct {
 	csRange []float64
 
 	// kept[i] is the last position computed for node i; bound is
-	// model.SpeedBound().
+	// model.SpeedBound(), and lines whether the model names the straight
+	// pieces its nodes are on (mobility.Model.Piece), the same for every
+	// node and instant.
 	kept  []keptPos
 	bound float64
+	lines bool
+
+	// Each attached sender's receiver sets, for frames while no link is
+	// cut and no partition installed (see fill): sets holds per sender
+	// words sensed bits then as many decodable bits, and horizon[src*n+i]
+	// the last instant through which pair (src, i)'s bits stand, in whole
+	// milliseconds rounded down (half the memory of a Duration).
+	// senders[src] holds src's earliest horizon and the Attach generation
+	// its sets are for. Allocated by the first frame.
+	sets    []uint64
+	horizon []uint32
+	senders []senderSets
+	gen     uint64
+	// decided counts the pairs decided from positions, for tests.
+	decided uint64
 
 	txPool runpool.Pool[transmission]
 
@@ -188,19 +206,6 @@ type Medium struct {
 	// to a single pointer test.
 	flt *faults
 
-	// A rest epoch is a span [restFrom, restTo] through which no attached
-	// node moves. Inside the current one, number epoch, a sender's receiver
-	// sets are those its first frame scanned: rest holds them, words
-	// sensed bits then as many decodable bits per sender, and restTag[src]
-	// is the epoch they were scanned in (0, none). restTo < now means the
-	// epoch is over and the next frame looks again (see rests).
-	restFrom, restTo time.Duration
-	epoch            uint64
-	rest             []uint64
-	restTag          []uint64
-	// scans counts receiver scans, for tests.
-	scans uint64
-
 	// Transmissions counts frames put on the air, for diagnostics.
 	Transmissions uint64
 	// Corrupted counts per-receiver receptions lost to collisions.
@@ -210,11 +215,23 @@ type Medium struct {
 }
 
 // keptPos is a node's position at virtual time at. Through legEnd the
-// model promises the node is within mobility.Slack(bound, now-at) of it
-// (mobility.Model); legEnd starts at -1, nothing kept yet.
+// model promises the node is within mobility.Slack(bound, now-at) of it,
+// and when the model names pieces, through end (the piece's end, or legEnd
+// if that is sooner) within mobility.Margin of the line on from it at
+// velocity v (mobility.Model); legEnd and end start at -1, nothing kept
+// yet.
 type keptPos struct {
 	mobility.Point
-	at, legEnd time.Duration
+	v               mobility.Point
+	at, legEnd, end time.Duration
+}
+
+// senderSets is what a sender's sets are good for: through until, for
+// Attach generation gen. A sender attaches only after an Attach, so the
+// zero value is stale.
+type senderSets struct {
+	gen   uint64
+	until time.Duration
 }
 
 type nodeState struct {
@@ -270,9 +287,8 @@ func New(s *sim.Simulator, model mobility.Model, cfg Config) *Medium {
 	for i := 0; i < n; i++ {
 		cl := cfg.Classes[i%len(cfg.Classes)]
 		m.txRange[i], m.csRange[i] = cl.Range, cl.CSRange
-		m.kept[i].at, m.kept[i].legEnd = -1, -1
+		m.kept[i].at, m.kept[i].legEnd, m.kept[i].end = -1, -1, -1
 	}
-	m.restTo = -1
 	m.startFn = m.startAll
 	m.endFn = m.endAll
 	m.idleFn = m.idleAt
@@ -286,19 +302,30 @@ func (m *Medium) Config() Config { return m.cfg }
 // tools.
 func (m *Medium) Model() mobility.Model { return m.model }
 
-// Attach registers the frame-delivery callback for a node. It ends the
-// rest epoch: who is attached is part of every receiver set.
+// Attach registers the frame-delivery callback for a node. It
+// invalidates every sender's sets: who is attached is part of each.
 func (m *Medium) Attach(id int, rx ReceiverFunc) {
 	m.nodes[id].rx = rx
-	m.restTo = -1
+	m.gen++
 }
 
 // position returns node id's position at the current instant, computing
-// it at most once per instant, and keeps it.
+// it at most once per instant, and keeps it with the piece it is on. A
+// node on a still piece is where it was kept through the piece's end
+// (mobility.Model), so it is not looked up again.
 func (m *Medium) position(id int) mobility.Point {
 	k, now := &m.kept[id], m.sim.Now()
+	if k.at != now && m.lines && k.v == (mobility.Point{}) && now <= k.end {
+		k.at = now
+	}
 	if k.at != now {
-		*k = keptPos{m.model.Position(id, now), now, m.model.LegEnd(id)}
+		p := m.model.Position(id, now)
+		legEnd := m.model.LegEnd(id)
+		var piece mobility.Piece
+		if piece, m.lines = m.model.Piece(id, now); !m.lines {
+			piece.End = legEnd
+		}
+		*k = keptPos{p, piece.V, now, legEnd, min(piece.End, legEnd)}
 	}
 	return k.Point
 }
@@ -352,22 +379,21 @@ func (m *Medium) AirTime(bits int) time.Duration {
 //
 // How a node hears the frame — not at all, sensed only, decodable — is
 // what comparing its exact distance from src with the sender's two ranges
-// says. Most nodes are decided from the position kept for them: the node is
-// within slack of it (mobility.Slack), so when the kept distance is more
-// than slack away from both ranges it falls on the same side of both as
-// the exact one, and comparing squares gives the answer without a root.
-// Only a node that could be on the other side of a range, or whose leg has
-// ended, is looked up and measured — which also keeps the mobility streams
-// where looking every node up would leave them, since a model draws only
-// past a leg's end. A model with no speed bound has infinite slack and
-// every node is measured.
+// says. While no link is cut and no partition installed, an attached
+// sender's sets answer that (see fill): each pair's answer stands through
+// its horizon, and only pairs past theirs are measured again. Delivery
+// faults act after the sets are found, so they keep them.
 //
-// While no node moves (a rest epoch, see rests) and no link is cut or
-// partition installed, a sender's frames reuse the sets its first frame in
-// the epoch found, which are the sets a scan would find again. Delivery
-// faults act after the sets are found, so they do not end the reuse. While
-// a cut is installed nextRest is not asked either: it looks up every
-// attached node, and the scan skips one the cut hides.
+// Otherwise the frame is decided by scan, one visit per node, most from
+// the position kept for it: the node is within slack of it
+// (mobility.Slack), so when the kept distance is more than slack away from
+// both ranges it falls on the same side of both as the exact one, and
+// comparing squares gives the answer without a root. Only a node that
+// could be on the other side of a range, or whose leg has ended, is looked
+// up and measured — which also keeps the mobility streams where looking
+// every node up would leave them, since a model draws only past a leg's
+// end. A model with no speed bound has infinite slack and every node is
+// measured. A node the cut hides is skipped before it is looked at.
 //
 // The whole receiver set rides on two events: one at now+PropDelay that
 // starts the signal at every receiver in ascending id, one at
@@ -402,10 +428,10 @@ func (m *Medium) Transmit(src, bits int, payload any) time.Duration {
 	if tx.sensed == nil {
 		tx.sensed, tx.decodable = make([]uint64, len(m.clean)), make([]uint64, len(m.clean))
 	}
-	if !m.severed() && m.nodes[src].rx != nil && m.rests(now) {
-		m.restSets(src, tx)
-	} else {
+	if m.severed() || m.nodes[src].rx == nil {
 		m.scan(src, tx)
+	} else {
+		m.fill(src, tx)
 	}
 	var heard uint64
 	for _, w := range tx.sensed {
@@ -429,7 +455,6 @@ func (m *Medium) Transmit(src, bits int, payload any) time.Duration {
 // scan sets tx's bits for every node that senses and that can decode a
 // frame src sends now (see Transmit).
 func (m *Medium) scan(src int, tx *transmission) {
-	m.scans++
 	now := m.sim.Now()
 	srcPos := m.position(src)
 	txR, csR := m.txRange[src], m.csRange[src]
@@ -443,6 +468,7 @@ func (m *Medium) scan(src int, tx *transmission) {
 			m.FaultStats.Blocked++
 			continue
 		}
+		m.decided++
 		k := &m.kept[i]
 		dx, dy := srcPos.X-k.X, srcPos.Y-k.Y
 		d2 := dx*dx + dy*dy
@@ -464,52 +490,113 @@ func (m *Medium) scan(src int, tx *transmission) {
 	}
 }
 
-// rests reports whether now is inside a rest epoch, looking for the next
-// one past the end of the last.
-func (m *Medium) rests(now time.Duration) bool {
-	if now > m.restTo {
-		m.nextRest()
+// guard is how far a pair's distance along the two nodes' lines must stay
+// from a range for the pair's answer to stand: mobility.Margin for each
+// node's promise, and one more for the arithmetic of the horizon.
+const guard = 3 * mobility.Margin
+
+// far is a horizon's farthest reach, in nanoseconds (31 years), so that
+// the instant fits a Duration; no run gets there.
+const far = 1e18
+
+// fill sets tx's bits from src's receiver sets, first re-deciding the
+// pairs whose horizon has passed, every pair after an Attach. Until its
+// earliest horizon a sender's frame is a copy.
+func (m *Medium) fill(src int, tx *transmission) {
+	n, words := len(m.nodes), len(m.clean)
+	if m.senders == nil {
+		m.sets = make([]uint64, 2*words*n)
+		m.horizon = make([]uint32, n*n)
+		m.senders = make([]senderSets, n)
 	}
-	return now >= m.restFrom && now <= m.restTo
+	sets := m.sets[2*words*src : 2*words*(src+1)]
+	if st := &m.senders[src]; st.gen != m.gen || m.sim.Now() > st.until {
+		m.refresh(src, sets)
+	}
+	copy(tx.sensed, sets[:words])
+	copy(tx.decodable, sets[words:])
 }
 
-// nextRest asks for every attached node once: all of them sit still from
-// the latest StillFrom through the earliest LegEnd, and when that span is
-// not empty it is the next rest epoch. Either way nothing is looked at
-// again before that LegEnd, since no node's leg can change sooner.
-func (m *Medium) nextRest() {
-	from, to := time.Duration(0), mobility.Forever
+// refresh decides every attached pair (src, i) whose horizon has passed,
+// every one after an Attach, from both nodes' exact positions, as the
+// scan that looks every node up would, and gives it a new horizon; then
+// src's sets stand through the earliest of its horizons and its own
+// piece's end.
+func (m *Medium) refresh(src int, sets []uint64) {
+	now, n, words := m.sim.Now(), len(m.nodes), len(m.clean)
+	st, h := &m.senders[src], m.horizon[n*src:n*(src+1)]
+	all := st.gen != m.gen
+	if all {
+		clear(sets)
+		st.gen = m.gen
+	}
+	p, ks := m.position(src), &m.kept[src]
+	txR, csR := m.txRange[src], m.csRange[src]
+	until := ks.end
 	for i := range m.nodes {
-		if m.nodes[i].rx == nil {
+		if i == src || m.nodes[i].rx == nil {
 			continue
 		}
-		m.position(i)
-		from, to = max(from, m.model.StillFrom(i)), min(to, m.kept[i].legEnd)
-	}
-	m.restFrom, m.restTo = from, to
-	if from <= to {
-		m.epoch++
-		if m.rest == nil {
-			m.rest, m.restTag = make([]uint64, 2*len(m.clean)*len(m.nodes)), make([]uint64, len(m.nodes))
+		if all || time.Duration(h[i])*time.Millisecond < now {
+			m.decided++
+			d := p.Dist(m.position(i))
+			w, b := i>>6, uint64(1)<<(i&63)
+			sets[w] = sets[w]&^b | bit(d <= csR)<<(i&63)
+			sets[words+w] = sets[words+w]&^b | bit(d <= txR)<<(i&63)
+			h[i] = uint32(min(m.horizonOf(ks, &m.kept[i], d, txR, csR)/time.Millisecond, math.MaxUint32))
 		}
+		until = min(until, time.Duration(h[i])*time.Millisecond)
 	}
+	st.until = until
 }
 
-// restSets sets tx's bits from src's receiver sets of this rest epoch,
-// scanning for them on src's first frame in it. No position changes in an
-// epoch, so they are the sets the scan would find.
-func (m *Medium) restSets(src int, tx *transmission) {
-	words := len(m.clean)
-	sets := m.rest[2*words*src : 2*words*(src+1)]
-	if m.restTag[src] == m.epoch {
-		copy(tx.sensed, sets[:words])
-		copy(tx.decodable, sets[words:])
-		return
+// horizonOf returns the last instant through which a sender kept as s and
+// a receiver kept as r, both now and d apart, stay on the sides of the
+// ranges txR and csR they are on: their distance along their pieces' lines
+// keeps more than guard from both, until the earlier piece ends. A model
+// that names no pieces has only its speed bound: each node may move
+// bound·(t+1 ns) + Margin in time t (mobility.Slack).
+func (m *Medium) horizonOf(s, r *keptPos, d, txR, csR float64) time.Duration {
+	now, end := s.at, min(s.end, r.end)
+	gap := min(math.Abs(d-txR), math.Abs(d-csR)) - guard
+	if gap <= 0 {
+		return now
 	}
-	m.scan(src, tx)
-	copy(sets, tx.sensed)
-	copy(sets[words:], tx.decodable)
-	m.restTag[src] = m.epoch
+	var tau float64 // seconds
+	if m.lines {
+		dx, dy, vx, vy := r.X-s.X, r.Y-s.Y, r.v.X-s.v.X, r.v.Y-s.v.Y
+		a, b, c := vx*vx+vy*vy, dx*vx+dy*vy, dx*dx+dy*dy
+		tau = min(reach(a, b, c, d, txR), reach(a, b, c, d, csR))
+	} else {
+		tau = gap/(2*m.bound) - 1e-9
+	}
+	if dt := tau * 1e9; dt > 0 {
+		return min(end, now+time.Duration(min(dt, far)))
+	}
+	return now
+}
+
+// reach returns the first τ ≥ 0, in seconds, at which |Δp + Δv·τ| comes
+// within guard of r, +Inf if it never does, given a = |Δv|², b = Δp·Δv,
+// c = |Δp|² and d = |Δp| more than guard from r. The distance is a convex
+// function of τ: from outside r it must fall to r + guard, the smaller
+// root, and from inside rise to r - guard, the larger; each root is taken
+// in the form that subtracts nothing close to it.
+func reach(a, b, c, d, r float64) float64 {
+	if d > r {
+		q := c - (r+guard)*(r+guard)
+		disc := b*b - a*q
+		if b >= 0 || disc < 0 {
+			return math.Inf(1)
+		}
+		return q / (math.Sqrt(disc) - b)
+	}
+	q := (r-guard)*(r-guard) - c
+	disc := b*b + a*q
+	if b >= 0 {
+		return q / (b + math.Sqrt(disc))
+	}
+	return (math.Sqrt(disc) - b) / a
 }
 
 // bit is 1 for true, without a branch.

@@ -67,6 +67,17 @@ func oracleSets(model mobility.Model, cfg radio.Config, src int, at time.Duratio
 // be two independently constructed but identical mobility models.
 func checkTransmits(t *testing.T, model, oracle mobility.Model, cfg radio.Config, srcs []int, gap time.Duration) {
 	t.Helper()
+	ats := make([]time.Duration, len(srcs))
+	for k := range ats {
+		ats[k] = time.Duration(k) * gap
+	}
+	checkTransmitsAt(t, model, oracle, cfg, srcs, ats, 8192) // ≈4 ms airtime at 2 Mb/s
+}
+
+// checkTransmitsAt is checkTransmits with frame k of the given size sent
+// at ats[k]; the instants must ascend, each past the last frame's end.
+func checkTransmitsAt(t *testing.T, model, oracle mobility.Model, cfg radio.Config, srcs []int, ats []time.Duration, bits int) {
+	t.Helper()
 	s := sim.New()
 	m := radio.New(s, model, cfg)
 	n := model.NumNodes()
@@ -77,15 +88,15 @@ func checkTransmits(t *testing.T, model, oracle mobility.Model, cfg radio.Config
 		m.Attach(i, func(from int, payload any) { decoded[i] = true })
 	}
 
-	const bits = 8192 // ≈4 ms airtime at 2 Mb/s, well under gap
 	air := m.AirTime(bits)
-	if air+radio.PropDelay >= gap {
-		t.Fatalf("frames overlap: air %v ≥ gap %v", air, gap)
+	for k := 1; k < len(ats); k++ {
+		if ats[k-1]+air+radio.PropDelay >= ats[k] {
+			t.Fatalf("frames %d and %d overlap: sent at %v and %v, air %v", k-1, k, ats[k-1], ats[k], air)
+		}
 	}
 
 	for k, src := range srcs {
-		k, src := k, src
-		at := time.Duration(k) * gap
+		k, src, at := k, src, ats[k]
 		s.At(at, func() {
 			for i := range decoded {
 				delete(decoded, i)
