@@ -225,15 +225,16 @@ bench-gate:
 	@test -n "$(BASE)" || { echo "usage: make bench-gate BASE=<ref> [SEED=1]" >&2; exit 2; }
 	@MAKE="$(MAKE)" sh scripts/bench-gate.sh "$(BASE)"
 
-# Non-test, non-generated Go lines per package: ROADMAP aim 2 counts net
-# deleted lines as a success metric, and this is the count it means.
+# Non-test, non-generated Go lines per package, then their total: ROADMAP
+# aim 2 counts net deleted lines as a success metric, and this is the
+# count it means.
 loc:
 	@$(GO) list -f '{{.ImportPath}} {{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./... | \
 	while read pkg files; do \
 		[ -n "$$files" ] || continue; \
 		n=$$(grep -L '^// Code generated .* DO NOT EDIT' $$files | xargs cat | wc -l); \
 		printf '%6d %s\n' $$n $$pkg; \
-	done
+	done | awk '{ print; t += $$1 } END { printf "%6d total\n", t }'
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -335,15 +335,6 @@ func (h *Harness) CheckNow() {
 // ones are not.
 func (h *Harness) Finish() { h.CheckNow() }
 
-// CheckConfig parameterizes Check.
-type CheckConfig struct {
-	// Cadence between mid-run audits; zero audits only at end of run.
-	Cadence time.Duration
-	// Tracers are additional tracers to run alongside the ledger (a
-	// replay log, say).
-	Tracers []routing.Tracer
-}
-
 // Report is the outcome of a checked run.
 type Report struct {
 	Config     scenario.Config
@@ -354,19 +345,16 @@ type Report struct {
 	Events     uint64      // simulator events executed
 }
 
-// Check runs one scenario under the conservation harness and reports
-// every violation it detected.
-func Check(cfg scenario.Config, cc CheckConfig) (Report, error) {
+// Check runs one scenario under the conservation harness, auditing
+// every cadence (zero audits only at end of run), and reports every
+// violation it detected.
+func Check(cfg scenario.Config, cadence time.Duration) (Report, error) {
 	var h *Harness
 	res, err := scenario.RunWithControl(cfg, func(nw *routing.Network, _ *scenario.Instruments) {
 		h = NewHarness(nw)
-		if len(cc.Tracers) == 0 {
-			nw.SetTracer(h.Ledger())
-		} else {
-			nw.SetTracer(append(routing.MultiTracer{h.Ledger()}, cc.Tracers...))
-		}
-		if cc.Cadence > 0 {
-			h.Schedule(cc.Cadence, cfg.SimTime)
+		nw.SetTracer(h.Ledger())
+		if cadence > 0 {
+			h.Schedule(cadence, cfg.SimTime)
 		}
 	})
 	if err != nil {

@@ -170,7 +170,7 @@ func CheckSpec(s Spec) (Report, error) {
 	if s.AuditMS > 0 {
 		cadence = time.Duration(s.AuditMS) * time.Millisecond
 	}
-	return Check(cfg, CheckConfig{Cadence: cadence})
+	return Check(cfg, cadence)
 }
 
 // violates decides whether a report fails the harness's invariants:

@@ -14,12 +14,13 @@ import (
 	"github.com/manetlab/ldr/internal/olsr"
 	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/scenario"
+	"github.com/manetlab/ldr/internal/sweep"
 	"github.com/manetlab/ldr/internal/traffic"
 )
 
 // TestEveryOptionHasAUser requires every field of the protocol Config
-// structs, and of the structs that configure the layers under and beside
-// the protocols, to be listed with the experiment row, factory or
+// structs, of the structs that configure the layers under and beside the
+// protocols, and of the sweep's execution options, to be listed with the experiment row, factory or
 // production site that gives it a non-default value, so that a new knob
 // is a deliberate entry here rather than drift: a value nothing varies is
 // a package constant, not a field. Where the off-default configurations
@@ -94,6 +95,14 @@ func TestEveryOptionHasAUser(t *testing.T) {
 		{fault.AuditConfig{}, nil, map[string]string{
 			"Cadence": "conformance.Spec.AuditMS: scenario.BuildInstrumented copies Config.AuditCadence",
 			"Until":   "-simtime: scenario.BuildInstrumented; an hour in benchmark/drivers.go",
+		}},
+		{sweep.ExecOptions{}, nil, map[string]string{
+			"Journal":     "-journal: cli.Experiment.open",
+			"Scope":       "each table's scope: experiments/table.go, and Registry's chaos and adversary",
+			"CellTimeout": "-cell-timeout: cli.Experiment.open",
+			"KeepGoing":   "-keep-going: cli.Experiment.open",
+			"OnFailure":   "-journal: cli.Experiment.open installs conformance.QuarantineEmitter",
+			"Control":     "ldrsim's ^C: cmd/ldrsim binds its Control to every cell",
 		}},
 		{adversary.Compromise{}, nil, map[string]string{
 			"Behavior":    "adversary/profiles.go: one per profile",

@@ -11,11 +11,12 @@ import (
 
 // Table1 reproduces the paper's Table 1: for each flow count, every
 // metric averaged over all pause times and both the 50- and 100-node
-// scenarios, reported as mean ± 95% CI per protocol.
+// scenarios, reported as mean ± 95% CI per protocol, then LDR's paired
+// difference from each other protocol and OLSR's from AODV.
 func Table1(o Options) error {
 	o = o.Defaults()
 	cols := []column{colDelivery, colLatency, colNetLoad, colRREQLoad, colRREPInit, colRREPRecv}
-	ref := slices.Index(o.Protocols, scenario.LDR)
+	ps := pairs(o.Protocols, scenario.LDR)
 	var secs []section[runMetrics]
 	for _, flows := range []int{10, 30} {
 		var cells []scenario.Config
@@ -26,17 +27,15 @@ func Table1(o Options) error {
 				}
 			}
 		}
-		// LDR's paired lines need every protocol's cells, so the section
+		// The paired lines need every protocol's cells, so the section
 		// is one row that prints a line per protocol, then the pairs.
 		body := row[runMetrics]{cells, func(w io.Writer, ms []runMetrics) {
 			bs := blocks(cells, ms, len(cells)/len(o.Protocols))
 			for i, proto := range o.Protocols {
 				ciLine(w, string(proto), 8, cols, bs[i].ms)
 			}
-			for i, proto := range o.Protocols {
-				if ref >= 0 && i != ref {
-					deltaLine(w, pairLabel(o.Protocols[ref], proto), 12, cols, bs[ref], bs[i])
-				}
+			for _, p := range ps {
+				deltaLine(w, pairLabel(o.Protocols[p.a], o.Protocols[p.b]), 12, cols, bs[p.a], bs[p.b])
 			}
 		}}
 		secs = append(secs, section[runMetrics]{header: ciHeader(fmt.Sprintf(
@@ -44,6 +43,28 @@ func Table1(o Options) error {
 			flows, o.Trials, o.SimTime), "proto", 8, cols), rows: []row[runMetrics]{body}})
 	}
 	return runTable(o, "metrics", measureRun, secs)
+}
+
+// pair is a paired difference a − b between two arms of a table, by
+// their index.
+type pair struct{ a, b int }
+
+// pairs is ref − X for every other protocol X of protos (none when ref
+// does not run), then OLSR − AODV when both run, the pair the verdicts
+// quote beside LDR's, as indices into protos.
+func pairs(protos []scenario.ProtocolName, ref scenario.ProtocolName) []pair {
+	var ps []pair
+	if r := slices.Index(protos, ref); r >= 0 {
+		for i := range protos {
+			if i != r {
+				ps = append(ps, pair{r, i})
+			}
+		}
+	}
+	if o, a := slices.Index(protos, scenario.OLSR), slices.Index(protos, scenario.AODV); o >= 0 && a >= 0 {
+		ps = append(ps, pair{o, a})
+	}
+	return ps
 }
 
 // pairLabel names a paired difference: "LDR − AODV" is LDR's lead over
@@ -60,9 +81,9 @@ type series struct {
 }
 
 // figure is Figs. 2–7: one metric against pause time, a row per pause
-// and a mean ± CI column per series. With ref ≥ 0 each row is followed
-// by curve ref's paired difference from every other curve.
-func figure(o Options, title string, nodes int, curves []series, ref int, metric func(runMetrics) float64) error {
+// and a mean ± CI column per series. Each row is followed by the paired
+// differences ps between curves, a line for each curve they start from.
+func figure(o Options, title string, nodes int, curves []series, ps []pair, metric func(runMetrics) float64) error {
 	header := title + fmt.Sprintf("%-8s", "pause_s")
 	for _, c := range curves {
 		header += fmt.Sprintf(" %18s", c.name)
@@ -81,16 +102,14 @@ func figure(o Options, title string, nodes int, curves []series, ref int, metric
 				fmt.Fprintf(w, "    %7.2f ±%5.2f", s.Mean, s.CI95)
 			}
 			fmt.Fprintln(w)
-			if ref < 0 {
-				return
-			}
 			line := fmt.Sprintf("%-8s", "")
-			for i, c := range curves {
-				if i != ref {
-					line += fmt.Sprintf("   %s: %s", pairLabel(curves[ref].proto, c.proto), strings.TrimSpace(delta(bs[ref].minus(bs[i], metric))))
+			for k, p := range ps {
+				line += fmt.Sprintf("   %s: %s", pairLabel(curves[p.a].proto, curves[p.b].proto), strings.TrimSpace(delta(bs[p.a].minus(bs[p.b], metric))))
+				if k == len(ps)-1 || ps[k+1].a != p.a {
+					fmt.Fprintln(w, line)
+					line = fmt.Sprintf("%-8s", "")
 				}
 			}
-			fmt.Fprintln(w, line)
 		}})
 	}
 	return runTable(o, "metrics", measureRun, []section[runMetrics]{sec})
@@ -98,13 +117,14 @@ func figure(o Options, title string, nodes int, curves []series, ref int, metric
 
 // DeliveryFigure reproduces Figs. 2–5: delivery ratio vs pause time for
 // one (node count, flow count) cell, one series per protocol, each row
-// followed by LDR's paired difference from the others.
+// followed by LDR's paired difference from the others and OLSR's from
+// AODV.
 func DeliveryFigure(o Options, id string, nodes, flows int) error {
 	return deliveryFigure(o, id, nodes, flows, scenario.LDR)
 }
 
-// deliveryFigure is DeliveryFigure with ref's paired differences (none
-// when ref is not among the protocols).
+// deliveryFigure is DeliveryFigure with ref's paired differences in
+// place of LDR's.
 func deliveryFigure(o Options, id string, nodes, flows int, ref scenario.ProtocolName) error {
 	o = o.Defaults()
 	curves := make([]series, len(o.Protocols))
@@ -112,7 +132,7 @@ func deliveryFigure(o Options, id string, nodes, flows int, ref scenario.Protoco
 		curves[i] = series{string(proto), proto, flows}
 	}
 	return figure(o, fmt.Sprintf("\n%s — delivery ratio vs pause time (%d nodes, %d flows, %v sim, %d trials)\n",
-		id, nodes, flows, o.SimTime, o.Trials), nodes, curves, slices.Index(o.Protocols, ref), colDelivery.get)
+		id, nodes, flows, o.SimTime, o.Trials), nodes, curves, pairs(o.Protocols, ref), colDelivery.get)
 }
 
 // Fig6 reproduces the QualNet cross-check: the Fig. 3 scenario (50 nodes,
@@ -134,5 +154,5 @@ func Fig7(o Options) error {
 		o.SimTime, o.Trials), 50, []series{
 		{"ldr-10f", scenario.LDR, 10}, {"aodv-10f", scenario.AODV, 10},
 		{"ldr-30f", scenario.LDR, 30}, {"aodv-30f", scenario.AODV, 30},
-	}, -1, func(m runMetrics) float64 { return m.Seqno })
+	}, nil, func(m runMetrics) float64 { return m.Seqno })
 }

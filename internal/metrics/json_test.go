@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 )
@@ -94,5 +95,42 @@ func TestCollectorJSONRoundTrip(t *testing.T) {
 	}
 	if string(blob) != string(blob2) {
 		t.Fatal("re-encoding a decoded collector changed the bytes")
+	}
+}
+
+// TestLatencyHistogramRejectsHostileJSON: a journaled histogram whose
+// bucket count is not the build's, or whose total is not the sum of its
+// counts, fails to decode instead of skewing Percentile; the histograms
+// MarshalJSON writes, empty or not, still round-trip.
+func TestLatencyHistogramRejectsHostileJSON(t *testing.T) {
+	var full LatencyHistogram
+	for i := 0; i < 100; i++ {
+		full.Observe(time.Duration(i*i) * time.Millisecond)
+	}
+	for _, h := range []*LatencyHistogram{{}, &full} {
+		blob, err := json.Marshal(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got LatencyHistogram
+		if err := json.Unmarshal(blob, &got); err != nil || got != *h {
+			t.Fatalf("%s: round-trip gave %+v, %v", blob, got, err)
+		}
+	}
+
+	zeros := func(n int) string { return strings.TrimSuffix(strings.Repeat("0,", n), ",") }
+	for _, c := range []struct{ name, blob string }{
+		{"no counts", `{"total":0,"max":0}`},
+		{"null", `null`},
+		{"one bucket short", `{"counts":[` + zeros(numLatencyBuckets) + `],"total":0,"max":0}`},
+		{"one bucket over", `{"counts":[` + zeros(numLatencyBuckets+2) + `],"total":0,"max":0}`},
+		{"total above the counts", `{"counts":[3,` + zeros(numLatencyBuckets) + `],"total":4,"max":1000000}`},
+		{"total below the counts", `{"counts":[3,` + zeros(numLatencyBuckets) + `],"total":2,"max":1000000}`},
+		{"counts overflow", `{"counts":[18446744073709551615,1,` + zeros(numLatencyBuckets-1) + `],"total":0,"max":0}`},
+	} {
+		var h LatencyHistogram
+		if err := json.Unmarshal([]byte(c.blob), &h); err == nil {
+			t.Errorf("%s: %s decoded to %+v, want an error", c.name, c.blob, h)
+		}
 	}
 }

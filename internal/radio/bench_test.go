@@ -75,7 +75,7 @@ func benchTransmitAddressed(b *testing.B, n int) {
 	payloads := make([]any, n) // boxed once, so sending one allocates nothing
 	for i := range payloads {
 		to := (i + 1) % n
-		if near := m.ReachableFrom(i); len(near) > 0 {
+		if near := m.NeighborsAppend(i, nil); len(near) > 0 {
 			to = near[len(near)/2]
 		}
 		payloads[i] = unicast(to)

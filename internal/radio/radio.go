@@ -407,10 +407,10 @@ func (m *Medium) AirTime(bits int) time.Duration {
 // all of it. Every MAC rx, idle waiter, collision mark and delivery-fault
 // draw therefore happens at the same virtual time in the same order
 // (pinned by TestBatchedDeliveryMatchesPerReceiverEvents). The two things
-// that do differ: sim.Halt and sim.Interrupt take effect between
-// transmissions, not between receivers, and a zero-airtime frame starts
-// everywhere before it ends anywhere, where per-receiver events would
-// alternate — no caller transmits zero bits.
+// that do differ: sim.Interrupt takes effect between transmissions, not
+// between receivers, and a zero-airtime frame starts everywhere before it
+// ends anywhere, where per-receiver events would alternate — no caller
+// transmits zero bits.
 func (m *Medium) Transmit(src, bits int, payload any) time.Duration {
 	now := m.sim.Now()
 	air := m.AirTime(bits)
@@ -726,53 +726,6 @@ func (m *Medium) checkIdle(id int) {
 		w.w.ChannelIdle(w.u)
 	}
 	st.idleSpare = cbs[:0]
-}
-
-// TxRange returns node id's decodable transmit range in meters.
-func (m *Medium) TxRange(id int) float64 { return m.txRange[id] }
-
-// InRangeFrom reports whether dst can currently decode src's
-// transmissions. The predicate is directional: with mixed transmit-power
-// classes InRangeFrom(a, b) says nothing about InRangeFrom(b, a).
-func (m *Medium) InRangeFrom(src, dst int) bool {
-	return m.position(src).Dist(m.position(dst)) <= m.txRange[src]
-}
-
-// InRange reports whether two nodes can currently decode each other — a
-// usable link, since unicast data needs the return direction for the MAC
-// ACK. With uniform ranges this is the classic symmetric disk predicate.
-func (m *Medium) InRange(a, b int) bool {
-	d := m.position(a).Dist(m.position(b))
-	return d <= m.txRange[a] && d <= m.txRange[b]
-}
-
-// ReachableFrom returns the nodes that can currently decode id's
-// transmissions (id's out-neighbors), in ascending id order. With
-// heterogeneous classes this is NOT the set id can hear from.
-func (m *Medium) ReachableFrom(id int) []int {
-	return m.ReachableFromAppend(id, nil)
-}
-
-// ReachableFromAppend appends id's out-neighbors to out (in ascending id
-// order) and returns the extended slice.
-func (m *Medium) ReachableFromAppend(id int, out []int) []int {
-	p := m.position(id)
-	for i := range m.nodes {
-		if i == id {
-			continue
-		}
-		if p.Dist(m.position(i)) <= m.txRange[id] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Neighbors returns the nodes id currently shares a usable (mutually
-// decodable) link with, in ascending id order. It is an observability
-// helper for analysis tools, not a protocol input.
-func (m *Medium) Neighbors(id int) []int {
-	return m.NeighborsAppend(id, nil)
 }
 
 // NeighborsAppend appends the nodes id currently shares a usable link

@@ -1,6 +1,7 @@
 package radio_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -189,13 +190,31 @@ func TestAirTime(t *testing.T) {
 	}
 }
 
+// TestNeighborsAndInRange: on the 275 m unit disk a frame from node 0
+// is decoded at 200 m and not at 400 m, and NeighborsAppend lists the
+// mutual links the oracle finds.
 func TestNeighborsAndInRange(t *testing.T) {
-	r := newRig([]mobility.Point{{X: 0}, {X: 200}, {X: 400}, {X: 1000}})
-	if !r.m.InRange(0, 1) || r.m.InRange(0, 2) {
-		t.Fatal("InRange wrong for 275 m unit disk")
+	pts := []mobility.Point{{X: 0}, {X: 200}, {X: 400}, {X: 1000}}
+	r := newRig(pts)
+	r.m.Transmit(0, 1000, "x")
+	r.s.RunAll()
+	if len(r.received[1]) != 1 || len(r.received[2]) != 0 {
+		t.Fatalf("node 1 (200 m) decoded %v, node 2 (400 m) %v: wrong for the 275 m unit disk", r.received[1], r.received[2])
 	}
-	n := r.m.Neighbors(1)
-	if len(n) != 2 || n[0] != 0 || n[1] != 2 {
-		t.Fatalf("Neighbors(1) = %v, want [0 2]", n)
+	if n := r.m.NeighborsAppend(1, nil); len(n) != 2 || n[0] != 0 || n[1] != 2 {
+		t.Fatalf("NeighborsAppend(1) = %v, want [0 2]", n)
+	}
+	oracle := mobility.NewStatic(pts)
+	for id := range pts {
+		inRange, _ := oracleSets(oracle, radio.DefaultConfig(), id, 0)
+		var want []int
+		for v := range pts {
+			if inRange[v] {
+				want = append(want, v)
+			}
+		}
+		if got := r.m.NeighborsAppend(id, nil); !slices.Equal(got, want) {
+			t.Errorf("NeighborsAppend(%d) = %v, oracle %v", id, got, want)
+		}
 	}
 }

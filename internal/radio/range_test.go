@@ -2,6 +2,7 @@ package radio_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -387,11 +388,10 @@ func TestNeighborsMatchesBruteForce(t *testing.T) {
 	s.RunAll()
 }
 
-// TestDirectionalQueriesMixedRanges pins the directional query API on a
-// hand-placed asymmetric pair and cross-checks ReachableFrom/Neighbors
-// against the brute-force oracle under mixed classes: ReachableFrom is
-// the transmitter-range set, Neighbors only keeps mutually decodable
-// links.
+// TestDirectionalQueriesMixedRanges pins one-way links on a hand-placed
+// asymmetric pair and cross-checks them against the brute-force oracle
+// under mixed classes: who decodes a frame is the transmitter-range set,
+// NeighborsAppend keeps only mutually decodable links.
 func TestDirectionalQueriesMixedRanges(t *testing.T) {
 	cfg := radio.Config{Classes: []radio.Class{
 		{Range: 400, CSRange: 800}, // node 0: long
@@ -401,56 +401,54 @@ func TestDirectionalQueriesMixedRanges(t *testing.T) {
 	pts := []mobility.Point{{X: 0, Y: 0}, {X: 250, Y: 0}}
 	s := sim.New()
 	m := radio.New(s, mobility.NewStatic(pts), cfg)
+	var decoded [2]bool
+	for i := range decoded {
+		i := i
+		m.Attach(i, func(int, any) { decoded[i] = true })
+	}
+	m.Transmit(0, 1000, "long")
+	s.RunAll()
+	if !decoded[1] {
+		t.Error("node 1 did not decode node 0: the long-range node should reach the short one")
+	}
+	decoded = [2]bool{}
+	m.Transmit(1, 1000, "short")
+	s.RunAll()
+	if decoded[0] {
+		t.Error("node 0 decoded node 1: the short-range node must not reach back")
+	}
+	for id := range pts {
+		if got := m.NeighborsAppend(id, nil); len(got) != 0 {
+			t.Errorf("NeighborsAppend(%d) = %v, want [] (the link is one-way)", id, got)
+		}
+	}
 
-	if !m.InRangeFrom(0, 1) {
-		t.Error("InRangeFrom(0,1): long-range node should reach the short one")
-	}
-	if m.InRangeFrom(1, 0) {
-		t.Error("InRangeFrom(1,0): short-range node must not reach back")
-	}
-	if m.InRange(0, 1) || m.InRange(1, 0) {
-		t.Error("InRange: a one-way pair is not a usable link")
-	}
-	if got := m.ReachableFrom(0); len(got) != 1 || got[0] != 1 {
-		t.Errorf("ReachableFrom(0) = %v, want [1]", got)
-	}
-	if got := m.ReachableFrom(1); len(got) != 0 {
-		t.Errorf("ReachableFrom(1) = %v, want []", got)
-	}
-	if got := m.Neighbors(0); len(got) != 0 {
-		t.Errorf("Neighbors(0) = %v, want [] (link is one-way)", got)
-	}
-	if got, want := m.TxRange(0), 400.0; got != want {
-		t.Errorf("TxRange(0) = %v, want %v", got, want)
-	}
-
-	// Randomized cross-check of the directional sets against the oracle.
+	// Randomized cross-check of both sets against the oracle: every node
+	// sends once, and its mutual set is the oracle's in-range pairs that
+	// reach back.
 	mcfg := mixedConfig()
 	r := rng.New(23)
 	rpts := make([]mobility.Point, 50)
+	srcs := make([]int, len(rpts))
 	for i := range rpts {
 		rpts[i] = mobility.Point{X: r.Float64() * 3000, Y: r.Float64() * 2000}
+		srcs[i] = i
 	}
-	s2 := sim.New()
-	m2 := radio.New(s2, mobility.NewStatic(rpts), mcfg)
+	checkTransmits(t, mobility.NewStatic(rpts), mobility.NewStatic(rpts), mcfg, srcs, 10*time.Millisecond)
+	m2 := radio.New(sim.New(), mobility.NewStatic(rpts), mcfg)
 	oracle := mobility.NewStatic(rpts)
 	var buf []int
-	for id := 0; id < len(rpts); id++ {
+	for id := range rpts {
 		inRange, _ := oracleSets(oracle, mcfg, id, 0)
-		buf = m2.ReachableFromAppend(id, buf[:0])
-		if len(buf) != len(inRange) {
-			t.Errorf("ReachableFrom(%d): %d entries, oracle %d", id, len(buf), len(inRange))
-		}
-		for _, v := range buf {
-			if !inRange[v] {
-				t.Errorf("ReachableFrom(%d) contains %d, oracle disagrees", id, v)
+		var mutual []int
+		for v := range rpts {
+			if back, _ := oracleSets(oracle, mcfg, v, 0); inRange[v] && back[id] {
+				mutual = append(mutual, v)
 			}
 		}
-		for _, v := range m2.Neighbors(id) {
-			back, _ := oracleSets(oracle, mcfg, v, 0)
-			if !inRange[v] || !back[id] {
-				t.Errorf("Neighbors(%d) contains %d but the link is not mutual", id, v)
-			}
+		buf = m2.NeighborsAppend(id, buf[:0])
+		if !slices.Equal(buf, mutual) {
+			t.Errorf("NeighborsAppend(%d) = %v, oracle's mutual links %v", id, buf, mutual)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package resilience
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -37,9 +36,7 @@ type CellTimeout struct {
 	LastBeat time.Duration    // age of the worker's last Progress heartbeat when the watchdog fired
 
 	// Abandoned means the cell never reached an event boundary within the
-	// grace period and its goroutine was leaked. Abandoned timeouts are
-	// not retryable: the leaked goroutine may still be running, so
-	// re-entering the cell could race it.
+	// grace period and its goroutine was leaked: it may still be running.
 	Abandoned bool
 }
 
@@ -50,16 +47,6 @@ func (e *CellTimeout) Error() string {
 	}
 	return fmt.Sprintf("cell %d exceeded %v watchdog deadline, %s (last heartbeat %v ago)",
 		e.Index, e.Deadline, state, e.LastBeat.Round(time.Millisecond))
-}
-
-// Transient reports whether err is a failure class worth retrying
-// deterministically from the same seed: today, a watchdog timeout whose
-// cell honored the interrupt. Panics and plain errors are deterministic
-// for a deterministic simulator, so retrying them would only repeat the
-// failure; abandoned timeouts would race the leaked goroutine.
-func Transient(err error) bool {
-	var t *CellTimeout
-	return errors.As(err, &t) && !t.Abandoned
 }
 
 // CellDeadline scales a base per-cell wall-clock budget by the cell's

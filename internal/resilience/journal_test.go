@@ -194,7 +194,7 @@ func TestManifestRoundTrip(t *testing.T) {
 		Cells: 8,
 		Failures: []FailureRecord{
 			{Index: 3, Key: "abc", Kind: "panic", Error: "cell 3 panicked: boom", Stack: "goroutine 1 ...", Repro: "repro-abc.json"},
-			{Index: 5, Kind: "timeout", Error: "cell 5 exceeded 2s watchdog deadline", Retries: 2},
+			{Index: 5, Kind: "timeout", Error: "cell 5 exceeded 2s watchdog deadline"},
 		},
 	}
 	path, err := WriteManifest(dir, m)
@@ -211,6 +211,9 @@ func TestManifestRoundTrip(t *testing.T) {
 	if got.Scope != m.Scope || got.Cells != m.Cells || len(got.Failures) != 2 ||
 		got.Failures[0] != m.Failures[0] || got.Failures[1] != m.Failures[1] {
 		t.Fatalf("manifest round-trip mismatch: %+v", got)
+	}
+	if Kind(&CellPanic{}) != "panic" || Kind(&CellTimeout{}) != "timeout" || Kind(os.ErrNotExist) != "error" {
+		t.Fatal("Kind misclassified")
 	}
 }
 
@@ -250,21 +253,6 @@ func TestCellDeadlineScaling(t *testing.T) {
 	big := CellDeadline(base, 100, 30)  // scale 1+4+3 = 8
 	if small != base || paper != 4*base || big != 8*base {
 		t.Fatalf("deadlines = %v, %v, %v", small, paper, big)
-	}
-}
-
-func TestTransientClassification(t *testing.T) {
-	if !Transient(&CellTimeout{Deadline: time.Second}) {
-		t.Fatal("interrupted timeout should be transient")
-	}
-	if Transient(&CellTimeout{Deadline: time.Second, Abandoned: true}) {
-		t.Fatal("abandoned timeout must not be retried")
-	}
-	if Transient(&CellPanic{Value: "boom"}) {
-		t.Fatal("panics are deterministic; never transient")
-	}
-	if Kind(&CellPanic{}) != "panic" || Kind(&CellTimeout{}) != "timeout" || Kind(os.ErrNotExist) != "error" {
-		t.Fatal("Kind misclassified")
 	}
 }
 

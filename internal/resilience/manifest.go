@@ -15,13 +15,12 @@ const ManifestName = "manifest.json"
 
 // FailureRecord is one failed cell in a sweep's failure manifest.
 type FailureRecord struct {
-	Index   int    `json:"index"`
-	Key     string `json:"key,omitempty"`   // spec hash, when journaled
-	Kind    string `json:"kind"`            // "panic", "timeout", or "error"
-	Error   string `json:"error"`           // the failure's Error() text
-	Stack   string `json:"stack,omitempty"` // captured stack for panics
-	Repro   string `json:"repro,omitempty"` // auto-emitted reproducer path
-	Retries int    `json:"retries,omitempty"`
+	Index int    `json:"index"`
+	Key   string `json:"key,omitempty"`   // spec hash, when journaled
+	Kind  string `json:"kind"`            // "panic", "timeout", or "error"
+	Error string `json:"error"`           // the failure's Error() text
+	Stack string `json:"stack,omitempty"` // captured stack for panics
+	Repro string `json:"repro,omitempty"` // auto-emitted reproducer path
 }
 
 // Manifest summarizes a degraded sweep: which cells were quarantined and

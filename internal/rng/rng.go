@@ -99,11 +99,6 @@ func (r *Source) Uint64() uint64 {
 	return result
 }
 
-// Int63 returns a non-negative random 63-bit integer.
-func (r *Source) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *Source) Intn(n int) int {
 	if n <= 0 {

@@ -60,18 +60,6 @@ func (nw *Network) SetTracer(t Tracer) {
 // SetTracer installs a tracer on this node (nil disables).
 func (n *Node) SetTracer(t Tracer) { n.tracer = t }
 
-// MultiTracer fans every event out to each member in order, letting
-// independent consumers (a conservation ledger and a replay log, say)
-// observe one run without knowing about each other.
-type MultiTracer []Tracer
-
-// Trace implements Tracer.
-func (m MultiTracer) Trace(ev TraceEvent) {
-	for _, t := range m {
-		t.Trace(ev)
-	}
-}
-
 func (n *Node) trace(kind TraceEventKind, pkt *DataPacket, next NodeID, reason DropReason) {
 	if n.tracer == nil {
 		return

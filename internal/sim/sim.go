@@ -87,12 +87,11 @@ func (t Timer) Cancel() {
 
 // Simulator is a discrete-event simulation engine.
 type Simulator struct {
-	now    time.Duration
-	queue  eventQueue
-	seq    uint64
-	fired  uint64
-	halted bool
-	pool   runpool.Pool[Event] // recycled events, transient and timed alike
+	now   time.Duration
+	queue eventQueue
+	seq   uint64
+	fired uint64
+	pool  runpool.Pool[Event] // recycled events, transient and timed alike
 
 	// interrupted is the only cross-goroutine door into the engine: other
 	// goroutines (signal handlers, sweep watchdogs) may set it at any time,
@@ -201,11 +200,8 @@ func (s *Simulator) ScheduleTransient(delay time.Duration, fn func(any, uint64),
 }
 
 // Step executes the next event, advancing the clock. It returns false if
-// the queue is empty or the simulator has been halted.
+// the queue is empty.
 func (s *Simulator) Step() bool {
-	if s.halted {
-		return false
-	}
 	ev := s.queue.min()
 	if ev == nil {
 		return false
@@ -233,12 +229,12 @@ func (s *Simulator) fire(ev *Event) {
 }
 
 // Run executes events until the clock would pass `until`, the queue
-// drains, Halt is called, or Interrupt is observed. Events scheduled
-// exactly at `until` still fire. The clock is left at min(until, time of
-// last event) — or wherever the last event left it if the run was
-// interrupted, so partial metrics report the virtual time they cover.
+// drains, or Interrupt is observed. Events scheduled exactly at `until`
+// still fire. The clock is left at min(until, time of last event) — or
+// wherever the last event left it if the run was interrupted, so partial
+// metrics report the virtual time they cover.
 func (s *Simulator) Run(until time.Duration) {
-	for !s.halted && !s.interrupted.Load() {
+	for !s.interrupted.Load() {
 		ev := s.queue.min()
 		if ev == nil || ev.at > until {
 			break
@@ -254,24 +250,17 @@ func (s *Simulator) Run(until time.Duration) {
 	}
 }
 
-// RunAll executes events until the queue drains, Halt is called, or
-// Interrupt is observed.
+// RunAll executes events until the queue drains or Interrupt is
+// observed.
 func (s *Simulator) RunAll() {
 	for !s.interrupted.Load() && s.Step() {
 	}
 }
 
-// Halt stops the run loop after the current event returns. Subsequent
-// Step and Run calls do nothing until Resume is called.
-func (s *Simulator) Halt() { s.halted = true }
-
-// Resume clears a Halt.
-func (s *Simulator) Resume() { s.halted = false }
-
-// Interrupt asks the run loop to stop at the next event boundary. Unlike
-// Halt it is safe to call from any goroutine — signal handlers and sweep
-// watchdogs use it to end a run cooperatively without tearing shared
-// state. The current event always finishes; no event is cut in half.
+// Interrupt asks the run loop to stop at the next event boundary. It is
+// safe to call from any goroutine — signal handlers and sweep watchdogs
+// use it to end a run cooperatively without tearing shared state. The
+// current event always finishes; no event is cut in half.
 func (s *Simulator) Interrupt() { s.interrupted.Store(true) }
 
 // Interrupted reports whether Interrupt has been called. Safe for

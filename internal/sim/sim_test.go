@@ -138,19 +138,17 @@ func TestNegativeDelayClampsToNow(t *testing.T) {
 	s.RunAll()
 }
 
-func TestHaltStopsRun(t *testing.T) {
+// TestInterruptStopsRun: an event that interrupts the simulator is the
+// last one Run and RunAll fire, and the clock stays at it.
+func TestInterruptStopsRun(t *testing.T) {
 	s := sim.New()
 	fired := 0
-	s.Schedule(1, func() { fired++; s.Halt() })
+	s.Schedule(1, func() { fired++; s.Interrupt() })
 	s.Schedule(2, func() { fired++ })
+	s.Run(time.Second)
 	s.RunAll()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (halted after first)", fired)
-	}
-	s.Resume()
-	s.RunAll()
-	if fired != 2 {
-		t.Fatalf("fired = %d after resume, want 2", fired)
+	if fired != 1 || s.Now() != 1 || !s.Interrupted() {
+		t.Fatalf("fired = %d at %v, interrupted %v; want 1 at 1ns, interrupted", fired, s.Now(), s.Interrupted())
 	}
 }
 

@@ -47,14 +47,6 @@ func Summarize(xs []float64) Summary {
 	}
 }
 
-// Overlaps reports whether the 95% confidence intervals of two summaries
-// overlap — the paper's criterion for "statistically identical".
-func (s Summary) Overlaps(o Summary) bool {
-	lo1, hi1 := s.Mean-s.CI95, s.Mean+s.CI95
-	lo2, hi2 := o.Mean-o.CI95, o.Mean+o.CI95
-	return lo1 <= hi2 && lo2 <= hi1
-}
-
 // tCritical returns the two-tailed 97.5th percentile of the Student t
 // distribution with df degrees of freedom.
 func tCritical(df int) float64 {

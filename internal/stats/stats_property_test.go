@@ -75,57 +75,3 @@ func TestTCriticalTableBoundary(t *testing.T) {
 		t.Fatalf("tCritical(0) = %v, want NaN (undefined)", got)
 	}
 }
-
-// TestOverlapsDegenerateIntervals: N=1 summaries have CI95 == 0, so
-// their "interval" is a point. Two points overlap only when equal, and
-// a point overlaps a wide interval exactly when it lies inside it.
-func TestOverlapsDegenerateIntervals(t *testing.T) {
-	point := func(v float64) Summary { return Summarize([]float64{v}) }
-	a, b := point(5), point(5)
-	if a.CI95 != 0 || a.N != 1 {
-		t.Fatalf("Summarize of one value = %+v, want N 1, CI95 0", a)
-	}
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Fatal("equal point intervals must overlap")
-	}
-	c := point(5.000001)
-	if a.Overlaps(c) || c.Overlaps(a) {
-		t.Fatal("distinct point intervals must not overlap")
-	}
-	wide := Summary{N: 3, Mean: 4, CI95: 2} // interval [2, 6]
-	if !a.Overlaps(wide) || !wide.Overlaps(a) {
-		t.Fatal("point 5 must overlap interval [2,6]")
-	}
-	outside := point(7)
-	if outside.Overlaps(wide) || wide.Overlaps(outside) {
-		t.Fatal("point 7 must not overlap interval [2,6]")
-	}
-	edge := point(6)
-	if !edge.Overlaps(wide) || !wide.Overlaps(edge) {
-		t.Fatal("point 6 on the closed boundary of [2,6] must overlap")
-	}
-}
-
-// TestOverlapsIsSymmetric: Overlaps(a,b) == Overlaps(b,a) for arbitrary
-// finite summaries.
-func TestOverlapsIsSymmetric(t *testing.T) {
-	prop := func(m1, w1, m2, w2 float64) bool {
-		mk := func(m, w float64) Summary {
-			if math.IsNaN(m) || math.IsInf(m, 0) {
-				m = 0
-			}
-			if math.IsNaN(w) || math.IsInf(w, 0) {
-				w = 0
-			}
-			return Summary{N: 2, Mean: math.Mod(m, 1e12), CI95: math.Abs(math.Mod(w, 1e12))}
-		}
-		a, b := mk(m1, w1), mk(m2, w2)
-		return a.Overlaps(b) == b.Overlaps(a)
-	}
-	if err := quick.Check(prop, &quick.Config{
-		MaxCount: 2000,
-		Rand:     rand.New(rand.NewSource(2)),
-	}); err != nil {
-		t.Fatal(err)
-	}
-}

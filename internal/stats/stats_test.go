@@ -51,21 +51,6 @@ func TestLargeSampleUsesNormalCritical(t *testing.T) {
 	}
 }
 
-func TestOverlaps(t *testing.T) {
-	a := stats.Summary{Mean: 10, CI95: 2} // [8, 12]
-	b := stats.Summary{Mean: 13, CI95: 2} // [11, 15] — overlaps
-	c := stats.Summary{Mean: 20, CI95: 1} // [19, 21] — disjoint
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Fatal("overlapping intervals reported disjoint")
-	}
-	if a.Overlaps(c) || c.Overlaps(a) {
-		t.Fatal("disjoint intervals reported overlapping")
-	}
-	if !a.Overlaps(a) {
-		t.Fatal("interval does not overlap itself")
-	}
-}
-
 func TestMeanBetweenMinAndMax(t *testing.T) {
 	f := func(xs []float64) bool {
 		if len(xs) == 0 {

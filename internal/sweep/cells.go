@@ -36,11 +36,15 @@ const (
 	cellAbandoned
 )
 
+// maxGrace caps how long an interrupted cell may take to reach an event
+// boundary before it is abandoned; a cell's grace is its own deadline
+// when that is shorter.
+const maxGrace = 5 * time.Second
+
 // RunCells executes run(i, ctl) for every config across the worker pool
 // and collects the results positionally, layering on the resilience
 // options: journal lookup/commit and in-sweep dedup (Exec.Journal),
-// per-cell watchdog deadlines (Exec.CellTimeout), panic quarantine,
-// and bounded retry of transient failures (Exec.Retries).
+// per-cell watchdog deadlines (Exec.CellTimeout) and panic quarantine.
 //
 // run receives a per-cell Control; implementations that simulate must
 // bind it (scenario.RunWithControl does) so the watchdog can interrupt
@@ -81,7 +85,7 @@ func RunCells[T any](cfgs []scenario.Config, opt Options, run func(i int, ctl *s
 			if blob, ok := exec.Journal.Get(key); ok {
 				v, derr := decodeCell[T](blob)
 				if derr != nil {
-					return cellFailure(opt, i, key, &cfgs[i], 0,
+					return cellFailure(opt, i, key, &cfgs[i],
 						fmt.Errorf("journal payload does not decode (wrong -journal directory or scope?): %w", derr))
 				}
 				out[i] = v
@@ -94,12 +98,12 @@ func RunCells[T any](cfgs []scenario.Config, opt Options, run func(i int, ctl *s
 			if sh.leader != i {
 				<-sh.done
 				if sh.err != nil {
-					return cellFailure(opt, i, key, &cfgs[i], 0,
+					return cellFailure(opt, i, key, &cfgs[i],
 						fmt.Errorf("shares spec with failed cell %d: %w", sh.leader, sh.err))
 				}
 				v, derr := decodeCell[T](sh.blob)
 				if derr != nil {
-					return cellFailure(opt, i, key, &cfgs[i], 0, derr)
+					return cellFailure(opt, i, key, &cfgs[i], derr)
 				}
 				out[i] = v
 				if opt.Progress != nil {
@@ -109,7 +113,7 @@ func RunCells[T any](cfgs []scenario.Config, opt Options, run func(i int, ctl *s
 			}
 		}
 
-		v, retries, err := runRetried(cfgs, opt, run, i, w)
+		v, err := runWatched(cfgs, opt, run, i, w)
 		var blob []byte
 		if err == nil && journaled && !exec.Control.Interrupted() {
 			// Encode-then-fsync before publishing to followers or the
@@ -128,7 +132,7 @@ func RunCells[T any](cfgs []scenario.Config, opt Options, run func(i int, ctl *s
 			close(sh.done)
 		}
 		if err != nil {
-			return cellFailure(opt, i, key, &cfgs[i], retries, err)
+			return cellFailure(opt, i, key, &cfgs[i], err)
 		}
 		out[i] = v
 		return nil
@@ -151,43 +155,15 @@ func RunCells[T any](cfgs []scenario.Config, opt Options, run func(i int, ctl *s
 	return out, nil
 }
 
-// runRetried runs one cell through the watchdog, re-running transient
-// failures (honored watchdog timeouts) with doubling backoff, up to
-// Exec.Retries times. Retries re-run from the same seed, so a retry that
-// succeeds is byte-identical to the run that would have finished.
-func runRetried[T any](cfgs []scenario.Config, opt Options, run func(int, *scenario.Control) (T, error), i, w int) (T, int, error) {
-	exec := opt.Exec
-	attempts := 0
-	for {
-		v, err := runWatched(cfgs, opt, run, i, w)
-		if err == nil || attempts >= exec.Retries || !resilience.Transient(err) {
-			return v, attempts, err
-		}
-		attempts++
-		if opt.Progress != nil {
-			opt.Progress.retried.Add(1)
-		}
-		backoff := exec.RetryBackoff
-		if backoff <= 0 {
-			backoff = 250 * time.Millisecond
-		}
-		if shift := attempts - 1; shift > 0 && shift < 16 {
-			backoff <<= shift
-		}
-		time.Sleep(backoff)
-	}
-}
-
 // runWatched runs one cell under its scaled watchdog deadline. On
 // expiry the cell is interrupted cooperatively (its simulator stops at
-// the next event boundary); a cell that ignores the interrupt past the
-// grace period is abandoned — its goroutine leaks, but the commit CAS
+// the next event boundary); a cell that ignores the interrupt for its
+// deadline again (at most maxGrace) is abandoned — its goroutine leaks, but the commit CAS
 // guarantees it can never publish a result afterwards.
 func runWatched[T any](cfgs []scenario.Config, opt Options, run func(int, *scenario.Control) (T, error), i, w int) (T, error) {
-	exec := opt.Exec
-	deadline := resilience.CellDeadline(exec.CellTimeout, cfgs[i].Nodes, cfgs[i].Flows)
+	deadline := resilience.CellDeadline(opt.Exec.CellTimeout, cfgs[i].Nodes, cfgs[i].Flows)
 	ctl := scenario.NewControl()
-	if exec.Control.Interrupted() {
+	if opt.Exec.Control.Interrupted() {
 		ctl.Interrupt()
 	}
 	if deadline <= 0 {
@@ -223,10 +199,7 @@ func runWatched[T any](cfgs []scenario.Config, opt Options, run func(int, *scena
 		}
 	}
 	ctl.Interrupt()
-	grace := exec.Grace
-	if grace <= 0 {
-		grace = 5 * time.Second
-	}
+	grace := min(deadline, maxGrace)
 	to := &resilience.CellTimeout{Index: i, Deadline: deadline, LastBeat: beatAge}
 	gt := time.NewTimer(grace)
 	defer gt.Stop()
@@ -259,7 +232,7 @@ func runCellSafe[T any](run func(int, *scenario.Control) (T, error), i int, ctl 
 
 // cellFailure enriches a cell's error with its identity, fires the
 // failure hook (quarantine emitters), and wraps it for the failure set.
-func cellFailure(opt Options, i int, key string, cfg *scenario.Config, retries int, err error) error {
+func cellFailure(opt Options, i int, key string, cfg *scenario.Config, err error) error {
 	if p, ok := asPanic(err); ok {
 		p.Index, p.Key, p.Spec = i, key, cfg
 	}
@@ -267,7 +240,7 @@ func cellFailure(opt Options, i int, key string, cfg *scenario.Config, retries i
 	if errors.As(err, &t) {
 		t.Index, t.Key, t.Spec = i, key, cfg
 	}
-	ce := &CellError{Index: i, Key: key, Spec: cfg, Retries: retries, Err: err}
+	ce := &CellError{Index: i, Key: key, Spec: cfg, Err: err}
 	if opt.Exec.OnFailure != nil {
 		opt.Exec.OnFailure(ce)
 		if ce.Repro != "" {

@@ -42,10 +42,12 @@ func TestEachCancellationProperty(t *testing.T) {
 				injected[i] = true
 			}
 
-			// Fail-fast arm: lowest-indexed error, started == done.
-			var prog sweep.Progress
-			var inFlight, maxInFlight atomic.Int64
-			err := sweep.Each(n, sweep.Options{Workers: workers, Progress: &prog}, func(i int) error {
+			// Fail-fast arm: lowest-indexed error, every claimed cell
+			// finished.
+			var claimed, finished, inFlight, maxInFlight atomic.Int64
+			err := sweep.Each(n, sweep.Options{Workers: workers}, func(i int) error {
+				claimed.Add(1)
+				defer finished.Add(1)
 				cur := inFlight.Add(1)
 				for {
 					prev := maxInFlight.Load()
@@ -65,9 +67,9 @@ func TestEachCancellationProperty(t *testing.T) {
 			if inFlight.Load() != 0 {
 				t.Fatalf("workers=%d first=%d: %d cells still in flight after Each returned", workers, first, inFlight.Load())
 			}
-			if prog.Started() != prog.Done() {
-				t.Fatalf("workers=%d first=%d: started %d != done %d (in-flight cells did not drain)",
-					workers, first, prog.Started(), prog.Done())
+			if claimed.Load() != finished.Load() {
+				t.Fatalf("workers=%d first=%d: claimed %d != finished %d (in-flight cells did not drain)",
+					workers, first, claimed.Load(), finished.Load())
 			}
 
 			// Keep-going arm: every cell runs; the failure set is exactly
@@ -240,12 +242,13 @@ func TestRunCellsDedupSharesExecution(t *testing.T) {
 }
 
 // TestRunCellsWatchdogInterrupts: a hung cell that honors the interrupt
-// is reported as a transient CellTimeout carrying the cell's spec.
+// within its grace (its deadline again) is reported as a CellTimeout
+// carrying the cell's spec, and is not abandoned.
 func TestRunCellsWatchdogInterrupts(t *testing.T) {
 	cfgs := syntheticCells(3)
 	_, err := sweep.RunCells(cfgs, sweep.Options{
 		Workers: 2,
-		Exec:    sweep.ExecOptions{CellTimeout: 30 * time.Millisecond, Grace: 2 * time.Second},
+		Exec:    sweep.ExecOptions{CellTimeout: 200 * time.Millisecond},
 	}, func(i int, ctl *scenario.Control) (int, error) {
 		if i != 1 {
 			return i, nil
@@ -259,23 +262,23 @@ func TestRunCellsWatchdogInterrupts(t *testing.T) {
 	if !errors.As(err, &to) {
 		t.Fatalf("err = %T %v, want CellTimeout", err, err)
 	}
-	if to.Index != 1 || to.Abandoned || to.Spec == nil || to.Spec.Seed != cfgs[1].Seed {
+	if to.Index != 1 || to.Spec == nil || to.Spec.Seed != cfgs[1].Seed {
 		t.Fatalf("timeout not enriched: %+v", to)
 	}
-	if !resilience.Transient(err) {
-		t.Fatal("honored timeout should be transient")
+	if to.Abandoned {
+		t.Fatal("cell honored the interrupt but was abandoned")
 	}
 }
 
 // TestRunCellsWatchdogAbandons: a cell that ignores the interrupt past
-// the grace period is abandoned and marked non-retryable.
+// the grace period (its deadline again) is abandoned.
 func TestRunCellsWatchdogAbandons(t *testing.T) {
 	cfgs := syntheticCells(1)
 	release := make(chan struct{})
 	defer close(release)
 	_, err := sweep.RunCells(cfgs, sweep.Options{
 		Workers: 1,
-		Exec:    sweep.ExecOptions{CellTimeout: 20 * time.Millisecond, Grace: 20 * time.Millisecond},
+		Exec:    sweep.ExecOptions{CellTimeout: 20 * time.Millisecond},
 	}, func(i int, _ *scenario.Control) (int, error) {
 		<-release // never honors the interrupt
 		return 7, nil
@@ -286,44 +289,6 @@ func TestRunCellsWatchdogAbandons(t *testing.T) {
 	}
 	if !to.Abandoned {
 		t.Fatal("cell ignored the interrupt but was not abandoned")
-	}
-	if resilience.Transient(err) {
-		t.Fatal("abandoned timeouts must not be retryable")
-	}
-}
-
-// TestRunCellsRetryTransient: a cell that times out once and then
-// completes is retried from the same seed and succeeds.
-func TestRunCellsRetryTransient(t *testing.T) {
-	cfgs := syntheticCells(1)
-	var attempts atomic.Int64
-	var prog sweep.Progress
-	out, err := sweep.RunCells(cfgs, sweep.Options{
-		Workers:  1,
-		Progress: &prog,
-		Exec: sweep.ExecOptions{
-			CellTimeout:  30 * time.Millisecond,
-			Grace:        2 * time.Second,
-			Retries:      2,
-			RetryBackoff: time.Millisecond,
-		},
-	}, func(i int, ctl *scenario.Control) (int, error) {
-		if attempts.Add(1) == 1 {
-			for !ctl.Interrupted() {
-				time.Sleep(time.Millisecond)
-			}
-			return 0, nil
-		}
-		return 42, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 42 {
-		t.Fatalf("out[0] = %d", out[0])
-	}
-	if attempts.Load() != 2 || prog.Retried() != 1 {
-		t.Fatalf("attempts=%d retried=%d, want 2/1", attempts.Load(), prog.Retried())
 	}
 }
 
@@ -382,8 +347,9 @@ func TestRunCellsPanicQuarantine(t *testing.T) {
 	}
 }
 
-// TestProgressStalled: a worker stuck mid-cell shows up in Stalled;
-// idle and lively workers do not.
+// TestProgressStalled: a worker stuck mid-cell reports that cell in
+// WorkerCell while the others finish the sweep; after the sweep no
+// worker reports a cell.
 func TestProgressStalled(t *testing.T) {
 	var prog sweep.Progress
 	block := make(chan struct{})
@@ -397,19 +363,26 @@ func TestProgressStalled(t *testing.T) {
 		})
 	}()
 
+	// running lists the cells the workers report, in worker order.
+	running := func() []int {
+		var cells []int
+		for w := 0; w < prog.Workers(); w++ {
+			if cell, ok := prog.WorkerCell(w); ok {
+				cells = append(cells, cell)
+			}
+		}
+		return cells
+	}
 	deadline := time.After(5 * time.Second)
 	for {
-		stalled := prog.Stalled(50 * time.Millisecond)
-		if len(stalled) == 1 {
-			w := stalled[0]
-			if cell, ok := prog.WorkerCell(w); !ok || cell != 0 {
-				t.Fatalf("stalled worker %d running cell %v, want 0", w, cell)
-			}
+		// The other worker runs cells 1-3 and goes idle; the blocked
+		// one stays on cell 0.
+		if cells := running(); len(cells) == 1 && cells[0] == 0 {
 			break
 		}
 		select {
 		case <-deadline:
-			t.Fatal("blocked worker never reported stalled")
+			t.Fatalf("workers report cells %v, want only the blocked cell 0", running())
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
@@ -417,8 +390,8 @@ func TestProgressStalled(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if len(prog.Stalled(0)) != 0 {
-		t.Fatal("idle workers reported stalled after the sweep")
+	if cells := running(); len(cells) != 0 {
+		t.Fatalf("workers report cells %v after the sweep", cells)
 	}
 	if prog.Workers() != 2 {
 		t.Fatalf("Workers = %d", prog.Workers())

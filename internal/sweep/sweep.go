@@ -22,8 +22,7 @@
 //
 // RunCells layers crash-safety on top (see internal/resilience): a
 // content-addressed journal that lets a killed sweep resume where it
-// stopped, per-cell watchdog deadlines, panic quarantine, and bounded
-// retry of transient failures.
+// stopped, per-cell watchdog deadlines and panic quarantine.
 package sweep
 
 import (
@@ -49,8 +48,8 @@ type Options struct {
 	// ticker).
 	Progress *Progress
 	// Exec holds the execution-resilience options: journaling, per-cell
-	// watchdogs, quarantine, and retry. The zero value preserves the
-	// original fail-fast, unjournaled behavior.
+	// watchdogs and quarantine. The zero value preserves the original
+	// fail-fast, unjournaled behavior.
 	Exec ExecOptions
 }
 
@@ -71,28 +70,20 @@ type ExecOptions struct {
 	// CellTimeout, when positive, arms a wall-clock watchdog per cell,
 	// scaled by cell size (resilience.CellDeadline). An expired cell is
 	// interrupted at its next event boundary and reported as a typed
-	// *resilience.CellTimeout.
+	// *resilience.CellTimeout. An interrupted cell gets its deadline
+	// again, at most maxGrace, to reach that boundary before its
+	// goroutine is abandoned.
 	CellTimeout time.Duration
-	// Grace is how long an interrupted cell may take to reach an event
-	// boundary before its goroutine is abandoned (default 5s).
-	Grace time.Duration
 
 	// KeepGoing finishes the sweep despite cell failures and returns the
 	// whole failure set as a Failures error alongside the partial
 	// results; false preserves the first-error-abort semantics.
 	KeepGoing bool
 
-	// Retries is how many times a transient failure (an honored watchdog
-	// timeout) is re-run, deterministically from the same seed, before
-	// being reported. RetryBackoff is the first wait between attempts,
-	// doubling each retry (default 250ms).
-	Retries      int
-	RetryBackoff time.Duration
-
-	// OnFailure, when non-nil, is called once per definitively failed
-	// cell (after retries), concurrently from worker goroutines. The
-	// quarantine emitter uses it to write reproducer specs; hooks may set
-	// the CellError's Repro field to record what they wrote.
+	// OnFailure, when non-nil, is called once per failed cell,
+	// concurrently from worker goroutines. The quarantine emitter uses it
+	// to write reproducer specs; hooks may set the CellError's Repro
+	// field to record what they wrote.
 	OnFailure func(*CellError)
 
 	// Control, when non-nil, is a sweep-wide stop switch: once
@@ -128,24 +119,15 @@ type workerBeat struct {
 // safe for concurrent use. A Progress may be reused across sequential
 // sweeps; each sweep resets the counters and the per-worker heartbeats.
 type Progress struct {
-	total   atomic.Int64
-	started atomic.Int64
-	done    atomic.Int64
-	failed  atomic.Int64
-	loaded  atomic.Int64
-	retried atomic.Int64
+	total  atomic.Int64
+	failed atomic.Int64
+	loaded atomic.Int64
 
 	beats atomic.Pointer[[]workerBeat]
 }
 
 // Total returns the number of cells in the sweep.
 func (p *Progress) Total() int { return int(p.total.Load()) }
-
-// Started returns the number of cells claimed by workers so far.
-func (p *Progress) Started() int { return int(p.started.Load()) }
-
-// Done returns the number of cells finished (successfully or not).
-func (p *Progress) Done() int { return int(p.done.Load()) }
 
 // Failed returns the number of cells that returned an error.
 func (p *Progress) Failed() int { return int(p.failed.Load()) }
@@ -154,8 +136,10 @@ func (p *Progress) Failed() int { return int(p.failed.Load()) }
 // deduped twin cell) instead of executed.
 func (p *Progress) Loaded() int { return int(p.loaded.Load()) }
 
-// Retried returns the number of transient-failure re-runs so far.
-func (p *Progress) Retried() int { return int(p.retried.Load()) }
+// Retried returns 0: a sweep does not re-run a failed cell. It stays
+// only because the frozen benchmark reads it for its sweep.retried
+// counter; ROADMAP item 10(a) deletes it with the next benchmark change.
+func (p *Progress) Retried() int { return 0 }
 
 // Workers returns the size of the worker pool of the current (or most
 // recent) sweep, zero before any sweep ran.
@@ -190,33 +174,11 @@ func (p *Progress) WorkerCell(w int) (int, bool) {
 	return int(c - 1), true
 }
 
-// Stalled returns the ids of workers that are mid-cell and have not
-// heartbeat within d — the liveness signal that separates a wedged
-// worker from a merely slow sweep. Workers idle between cells are never
-// stalled.
-func (p *Progress) Stalled(d time.Duration) []int {
-	b := p.beats.Load()
-	if b == nil {
-		return nil
-	}
-	cutoff := time.Now().Add(-d).UnixNano()
-	var out []int
-	for w := range *b {
-		if (*b)[w].cell.Load() != 0 && (*b)[w].at.Load() < cutoff {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
 // reset prepares the counters and heartbeat slots for a new sweep.
 func (p *Progress) reset(total, workers int) {
 	p.total.Store(int64(total))
-	p.started.Store(0)
-	p.done.Store(0)
 	p.failed.Store(0)
 	p.loaded.Store(0)
-	p.retried.Store(0)
 	b := make([]workerBeat, workers)
 	now := time.Now().UnixNano()
 	for i := range b {
@@ -238,14 +200,13 @@ func (p *Progress) beat(w, cell int) {
 
 // CellError is one failed sweep cell: the index, the underlying error,
 // and — when the sweep was journaled or quarantined — the spec hash,
-// config, reproducer path, and retry count.
+// config and reproducer path.
 type CellError struct {
-	Index   int
-	Key     string           // spec hash, when journaled
-	Spec    *scenario.Config // the cell's config, when run via RunCells
-	Repro   string           // reproducer path, when a quarantine hook wrote one
-	Retries int              // transient re-runs consumed before giving up
-	Err     error
+	Index int
+	Key   string           // spec hash, when journaled
+	Spec  *scenario.Config // the cell's config, when run via RunCells
+	Repro string           // reproducer path, when a quarantine hook wrote one
+	Err   error
 }
 
 // Error reports the cell's failure; typed panic/timeout errors already
@@ -274,27 +235,17 @@ func (fs Failures) Error() string {
 	return fmt.Sprintf("%d sweep cell(s) failed; first: %v", len(fs), fs[0])
 }
 
-// Unwrap exposes every cell error to errors.Is/As.
-func (fs Failures) Unwrap() []error {
-	out := make([]error, len(fs))
-	for i, ce := range fs {
-		out[i] = ce
-	}
-	return out
-}
-
 // Manifest converts the failure set into a persistable failure manifest
 // for the sweep's journal directory.
 func (fs Failures) Manifest(scope string, cells int) resilience.Manifest {
 	m := resilience.Manifest{Scope: scope, Cells: cells}
 	for _, ce := range fs {
 		rec := resilience.FailureRecord{
-			Index:   ce.Index,
-			Key:     ce.Key,
-			Kind:    resilience.Kind(ce.Err),
-			Error:   ce.Error(),
-			Repro:   ce.Repro,
-			Retries: ce.Retries,
+			Index: ce.Index,
+			Key:   ce.Key,
+			Kind:  resilience.Kind(ce.Err),
+			Error: ce.Error(),
+			Repro: ce.Repro,
 		}
 		if p, ok := asPanic(ce.Err); ok {
 			rec.Stack = p.Stack
@@ -351,9 +302,6 @@ func eachWorker(n int, opt Options, fn func(i, w int) error) error {
 				if i >= n {
 					return
 				}
-				if opt.Progress != nil {
-					opt.Progress.started.Add(1)
-				}
 				err := runIndex(opt, fn, i, w)
 				if err != nil {
 					mu.Lock()
@@ -389,7 +337,6 @@ func runIndex(opt Options, fn func(i, w int) error, i, w int) error {
 		if err != nil {
 			opt.Progress.failed.Add(1)
 		}
-		opt.Progress.done.Add(1)
 		opt.Progress.beat(w, -1)
 	}
 	return err

@@ -83,9 +83,8 @@ func TestEachVisitsEveryIndexOnce(t *testing.T) {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
 			}
 		}
-		if prog.Total() != n || prog.Done() != n || prog.Started() != n || prog.Failed() != 0 {
-			t.Fatalf("workers=%d: progress = total %d started %d done %d failed %d",
-				workers, prog.Total(), prog.Started(), prog.Done(), prog.Failed())
+		if prog.Total() != n || prog.Failed() != 0 {
+			t.Fatalf("workers=%d: progress = total %d failed %d", workers, prog.Total(), prog.Failed())
 		}
 	}
 }
@@ -151,7 +150,8 @@ func TestEachConcurrentStress(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				_ = prog.Done() + prog.Started() + prog.Total()
+				cell, _ := prog.WorkerCell(0)
+				_ = cell + prog.Total() + prog.Failed() + prog.Loaded() + prog.Workers()
 			}
 		}
 	}()
