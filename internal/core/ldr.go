@@ -512,8 +512,14 @@ func (l *LDR) updateInvariants(q RREQ, e *entry) RREQ {
 }
 
 // forwardUnicastRREQ sends the reset leg toward the destination along the
-// successor path. If the route evaporated, the leg dies and the origin's
-// retry timer recovers.
+// successor path; if this node's route evaporated, the leg ends here and
+// the origin's retry timer recovers. At the next hop the leg does not
+// always stay a leg: a node already engaged in the computation forwards it
+// here again, but one that is not takes it as a fresh solicitation
+// (handleRREQ) — it replies if SDC holds without T, starts a leg of its
+// own if SDC holds with T, and otherwise relays it as a flood with D
+// still set, after one jitter draw
+// (TestResetLegAtUnengagedNodeFloods).
 func (l *LDR) forwardUnicastRREQ(q RREQ) {
 	now := l.node.Now()
 	e := l.routes.get(q.Dst)

@@ -1,0 +1,108 @@
+package core_test
+
+import (
+	"testing"
+	"time"
+
+	"github.com/manetlab/ldr/internal/core"
+	"github.com/manetlab/ldr/internal/mac"
+	"github.com/manetlab/ldr/internal/metrics"
+	"github.com/manetlab/ldr/internal/mobility"
+	"github.com/manetlab/ldr/internal/radio"
+	"github.com/manetlab/ldr/internal/rng"
+	"github.com/manetlab/ldr/internal/routing"
+	"github.com/manetlab/ldr/internal/routing/ondemand"
+)
+
+// rreqTap records the RREQs a node hears, with the sender; it sends
+// nothing.
+type rreqTap struct {
+	heard []core.RREQ
+	from  []routing.NodeID
+}
+
+func (*rreqTap) Start()                                         {}
+func (*rreqTap) Stop()                                          {}
+func (*rreqTap) Originate(*routing.DataPacket)                  {}
+func (*rreqTap) HandleData(routing.NodeID, *routing.DataPacket) {}
+func (r *rreqTap) HandleControl(from routing.NodeID, msg routing.Message) {
+	if q, ok := msg.(*core.RREQ); ok {
+		r.heard = append(r.heard, *q)
+		r.from = append(r.from, from)
+	}
+}
+
+// TestResetLegAtUnengagedNodeFloods pins what a unicast reset leg (an
+// RREQ with D set) does at a node that has not yet seen the computation
+// and fails SDC there, having no route to the destination: the leg does
+// not die. The node takes it as a fresh solicitation and relays it as a
+// broadcast flood with D still set — TTL one lower, Dist one higher, N
+// set for want of a route to the origin, T and the destination labels
+// untouched — after one jitter draw from its own stream and nothing else.
+// Node 1 runs LDR on a line of nodes 200 m apart; its neighbors 0 and 2
+// only listen, and the destination, node 3, is out of its range.
+func TestResetLegAtUnengagedNodeFloods(t *testing.T) {
+	taps := map[routing.NodeID]*rreqTap{}
+	nw := routing.NewNetwork(4, mobility.Line(4, 200), radio.DefaultConfig(), mac.DefaultConfig(), 1,
+		func(n *routing.Node) routing.Protocol {
+			if n.ID() == 1 {
+				return core.New(n, core.DefaultConfig())
+			}
+			taps[n.ID()] = &rreqTap{}
+			return taps[n.ID()]
+		})
+	nw.Start()
+	relay := ldrAt(nw, 1)
+	src := nw.Nodes[1].RNG()
+
+	leg := core.RREQ{
+		Dst: 3, DstSeq: core.NewSeqno(1, 4), HaveDstSeq: true,
+		Origin: 0, OriginSeq: core.NewSeqno(1, 2), ReqID: 7,
+		FD: 2, AnsDist: 2, Dist: 3, TTL: 5,
+		T: true, D: true,
+	}
+	const at = time.Second
+	var state [4]uint64
+	var draws uint64
+	nw.Sim.At(at, func() {
+		state, draws = src.State(), src.Draws()
+		relay.HandleControl(0, &leg)
+		draws = src.Draws() - draws
+	})
+	nw.Sim.Run(at)
+	if draws != 1 {
+		t.Fatalf("handling the leg drew %d random words, want 1 (the relay jitter)", draws)
+	}
+	replay := rng.New(0)
+	replay.SetState(state)
+	jitter := time.Duration(replay.Float64() * float64(ondemand.BroadcastJitter))
+	if replay.State() != src.State() {
+		t.Fatal("the draw is not the jitter's Float64")
+	}
+
+	sent := func() uint64 { return nw.Collector.ControlTransmitted(metrics.RREQ) }
+	nw.Sim.Run(at + jitter - 1)
+	if n := sent(); n != 0 {
+		t.Fatalf("%d RREQs sent before the jitter of %v ran out", n, jitter)
+	}
+	nw.Sim.Run(at + jitter)
+	if n := sent(); n != 1 {
+		t.Fatalf("%d RREQs sent when the jitter of %v ran out, want the one relay", n, jitter)
+	}
+	nw.Sim.Run(at + time.Second)
+
+	want := leg
+	want.TTL, want.Dist, want.N = leg.TTL-1, leg.Dist+1, true
+	for _, id := range []routing.NodeID{0, 2} {
+		tap := taps[id]
+		if len(tap.heard) != 1 || tap.from[0] != 1 || tap.heard[0] != want {
+			t.Fatalf("node %d heard %+v from %v, want one broadcast from 1: %+v", id, tap.heard, tap.from, want)
+		}
+	}
+	if n := len(taps[3].heard); n != 0 {
+		t.Fatalf("node 3, out of range, heard %d RREQs", n)
+	}
+	if n := nw.Collector.ControlInitiated(metrics.RREP); n != 0 {
+		t.Fatalf("the relay answered the leg with %d RREPs", n)
+	}
+}

@@ -61,9 +61,20 @@ func rig(mk func(*routing.Node) routing.Protocol) (*routing.Network, *listener) 
 // (tuples) and everything emitted; on steps whose opcode has the top bit set, also on
 // RouteTo for every id and on AppendTable, which recompute as a side
 // effect — leaving the other steps to check that a table nobody read is
-// stale in the same way on both sides.
+// stale in the same way on both sides. The bit rows and expiry bounds
+// must also keep their promises after every step (checkBounds).
+//
+// The ids in play are 0–9 and 60–69, so a bit row spans two words; 0 is
+// the instance under test. The rig has two nodes, so the rows start one
+// word wide and grow widens them once an id of 64 or more arrives.
 func driveBoth(t testing.TB, data []byte) {
-	const ids = 10 // node ids in play; 0 is the instance under test
+	const span, top = 20, 69 // ids drawn; the largest
+	wide := func(b byte) routing.NodeID {
+		if b >= 10 {
+			return routing.NodeID(b) + 50
+		}
+		return routing.NodeID(b)
+	}
 	var flat *OLSR
 	var ref *refOLSR
 	fnw, ftap := rig(func(n *routing.Node) routing.Protocol {
@@ -99,7 +110,7 @@ func driveBoth(t testing.TB, data []byte) {
 	// turn symmetric and selector lists name us.
 	id := func() routing.NodeID {
 		if b := next(); b < 224 {
-			return routing.NodeID(b % ids)
+			return wide(b % span)
 		}
 		return 0
 	}
@@ -109,7 +120,7 @@ func driveBoth(t testing.TB, data []byte) {
 		var desc string
 		switch op % 16 {
 		case 0, 1, 2, 3, 4, 5, 6:
-			from := routing.NodeID(1 + next()%(ids-1))
+			from := wide(1 + next()%(span-1))
 			h := &Hello{Origin: from}
 			for n := next() % 7; n > 0; n-- {
 				h.Neighbors = append(h.Neighbors, HelloNeighbor{ID: id(), Code: LinkCode(1 + next()%3)})
@@ -118,7 +129,7 @@ func driveBoth(t testing.TB, data []byte) {
 			flat.HandleControl(from, h)
 			ref.HandleControl(from, h)
 		case 7, 8, 9, 10:
-			from := routing.NodeID(1 + next()%(ids-1))
+			from := wide(1 + next()%(span-1))
 			b := next()
 			tc := &TC{Origin: id(), Seq: uint16(b % 8), ANSN: ansns[int(b/8)%len(ansns)], TTL: 1 + int(b/64)}
 			for n := next() % 6; n > 0; n-- {
@@ -164,6 +175,9 @@ func driveBoth(t testing.TB, data []byte) {
 		if got, want := flat.MPRs(), ref.MPRs(); !slices.Equal(got, want) {
 			fail("MPRs", got, want)
 		}
+		if err := checkBounds(flat, fnw.Sim.Now(), flat.sweeper.Time()-time.Second); err != nil {
+			t.Fatalf("step %d (%s): %v", step, desc, err)
+		}
 		if !slices.Equal(ftap.heard, rtap.heard) {
 			fail("emitted", ftap.heard, rtap.heard)
 		}
@@ -174,7 +188,7 @@ func driveBoth(t testing.TB, data []byte) {
 		if op < 128 {
 			continue
 		}
-		for id := routing.NodeID(-1); id < ids+2; id++ {
+		for id := routing.NodeID(-1); id < top+2; id++ {
 			gn, gh, gok := flat.RouteTo(id)
 			wn, wh, wok := ref.RouteTo(id)
 			if gn != wn || gh != wh || gok != wok {
@@ -193,6 +207,66 @@ func driveBoth(t testing.TB, data []byte) {
 	if string(got) != string(want) {
 		t.Fatalf("collectors differ:\n flat %s\n ref  %s", got, want)
 	}
+}
+
+// checkBounds checks what the bit rows and expiry bounds promise at now,
+// the last sweep having run at swept: no two-hop or duplicate tuple
+// expires before its list's bound, and a bound of 0 covers an empty list;
+// none with expiry ≤ swept survives; a two-hop row whose bound has not
+// passed holds exactly the keys of its live tuples, and a dests row
+// exactly the dests.
+func checkBounds(o *OLSR, now, swept time.Duration) error {
+	list := func(what string, id int, ts []held, due time.Duration) error {
+		for _, h := range ts {
+			if due == 0 || h.expiry < due || h.expiry <= swept {
+				return fmt.Errorf("%s list %d: tuple %+v against bound %v, swept at %v", what, id, h, due, swept)
+			}
+		}
+		return nil
+	}
+	for id := range o.nbrs {
+		l := &o.nbrs[id]
+		if err := list("two-hop", id, l.twoHop, l.twoHopDue); err != nil {
+			return err
+		}
+		if passed(l.rowDue, now) {
+			continue
+		}
+		var live []int32
+		for _, h := range l.twoHop {
+			if h.expiry > now {
+				live = append(live, h.key)
+			}
+		}
+		if got := rowIDs(o.row(o.twoHopRows, int32(id))); !slices.Equal(got, live) {
+			return fmt.Errorf("two-hop row %d = %v at %v (bound %v), live tuples %v", id, got, now, l.rowDue, live)
+		}
+	}
+	for id := range o.origs {
+		og := &o.origs[id]
+		if err := list("duplicate", id, og.dup, og.dupDue); err != nil {
+			return err
+		}
+		want := slices.Clone(og.dests)
+		slices.Sort(want)
+		want = slices.Compact(want)
+		if got := rowIDs(o.row(o.destRows, int32(id))); !slices.Equal(got, want) {
+			return fmt.Errorf("dests row %d = %v, dests %v", id, got, og.dests)
+		}
+	}
+	return nil
+}
+
+// rowIDs lists the ids a bit row holds, ascending.
+func rowIDs(row []uint64) (ids []int32) {
+	for i, w := range row {
+		for b := 0; b < 64; b++ {
+			if w&(1<<b) != 0 {
+				ids = append(ids, int32(i*64+b))
+			}
+		}
+	}
+	return ids
 }
 
 // tuple is one stored fact: a link (x packs symmetric and isMPR), two-hop,
@@ -319,8 +393,8 @@ func FuzzOLSRState(f *testing.F) {
 // warm100 is node 0 of a 100-node strip (20 × 5 grid, node id at cell
 // (id+50) mod 100 so that node 0 sits in the middle, links between nodes
 // within √5 cells) that has heard a HELLO from every neighbor and a TC
-// from every other node: the link state of one dense100 node, for the
-// allocation guards and the benchmarks.
+// from every other node: the link state of one dense100 node, bit rows
+// of two words, for the allocation guards and the benchmarks.
 func warm100(tb testing.TB) *OLSR {
 	near := func(a, b int) bool {
 		ca, cb := (a+50)%100, (b+50)%100
@@ -336,10 +410,13 @@ func warm100(tb testing.TB) *OLSR {
 		return ids
 	}
 	var o *OLSR
-	routing.NewNetwork(1, mobility.Line(1, 250), radio.DefaultConfig(), mac.DefaultConfig(), 1,
+	routing.NewNetwork(100, mobility.Line(100, 250), radio.DefaultConfig(), mac.DefaultConfig(), 1,
 		func(n *routing.Node) routing.Protocol {
-			o = New(n, DefaultConfig())
-			return o
+			p := New(n, DefaultConfig())
+			if n.ID() == 0 {
+				o = p
+			}
+			return p
 		})
 	for _, n := range neighborsOf(0) {
 		h := &Hello{Origin: n}
@@ -355,11 +432,15 @@ func warm100(tb testing.TB) *OLSR {
 	if n := len(o.AppendTable(nil)); n != 99 {
 		tb.Fatalf("warm100 routes to %d of 99 nodes", n)
 	}
+	if o.words != 2 || len(o.twoHopRows) != 200 {
+		tb.Fatalf("warm100 has %d rows of %d words, want 100 of 2", len(o.twoHopRows)/max(o.words, 1), o.words)
+	}
 	return o
 }
 
 // TestSteadyStateAllocs: once the slices have grown to the network's
-// size, nothing on the periodic or per-message paths allocates.
+// size, on the first message, nothing on the periodic or per-message
+// paths allocates.
 func TestSteadyStateAllocs(t *testing.T) {
 	o := warm100(t)
 	hello := &Hello{Origin: 1, Neighbors: []HelloNeighbor{{ID: 0, Code: LinkSym}}}

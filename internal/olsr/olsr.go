@@ -18,6 +18,7 @@
 package olsr
 
 import (
+	"math/bits"
 	"slices"
 	"time"
 
@@ -104,11 +105,17 @@ const (
 	tcWirePerSel    = 4
 )
 
-// All link state is held in slices indexed by NodeID and grown on first
-// sight (grow): every id in this repository is a small non-negative
-// integer, a Network numbers its nodes 0..n-1. The zero value of each
-// record means "no such tuple", so growing and Reset are plain zeroing.
-// Ids stored inside the records are int32 to halve what they occupy.
+// All link state is held in slices indexed by NodeID, sized by grow on
+// the first message to routing.Node.NumNodes: every id in this repository
+// is a small non-negative integer, a Network numbers its nodes 0..n-1 (a
+// test may name a larger id, and grow covers that too). The zero value of
+// each record means "no such tuple", so Reset is plain zeroing. Ids
+// stored inside the records are int32 to halve what they occupy.
+//
+// Beside the tuple lists, which carry the expiries and which emission
+// reads, each neighbor's two-hop keys and each originator's dests are
+// also a bit row, one bit per id, so recompute and recomputeMPRs take 64
+// ids a word. A row is edited wherever its list is.
 
 // neighbor is the link tuple toward one one-hop neighbor and the two-hop
 // tuples learned from its HELLOs, which live and die with the link.
@@ -118,6 +125,10 @@ type neighbor struct {
 	isMPR     bool // we selected this neighbor as MPR
 	expiry    time.Duration
 	twoHop    []held // by node id, ascending, never ours; released with the link
+	// twoHopDue is the twoHop list's expiry bound (defined at earlier):
+	// the sweep skips the list until then. rowDue is the two-hop row's:
+	// before it, the row holds exactly the keys of the live tuples.
+	twoHopDue, rowDue time.Duration
 }
 
 // held is a tuple that is nothing but a key and an expiry: a two-hop
@@ -128,21 +139,31 @@ type held struct {
 	expiry time.Duration
 }
 
+// An expiry bound is the earliest instant at which something it covers
+// may expire, or 0 if nothing can: it is never later than an expiry it
+// covers, so a list whose bound has not passed holds no expired tuple.
+// earlier lowers bound due to cover a tuple expiring at t.
+func earlier(due, t time.Duration) time.Duration {
+	if due == 0 || t < due {
+		return t
+	}
+	return due
+}
+
+// passed reports whether something bound due covers may have expired.
+func passed(due, now time.Duration) bool { return due != 0 && due <= now }
+
 // dropExpired removes, in place, the tuples whose holding time has run
-// out. Most sweeps find none, so nothing is written until one is found.
-func dropExpired(ts []held, now time.Duration) []held {
-	for i := range ts {
-		if ts[i].expiry <= now {
-			live := ts[:i]
-			for _, t := range ts[i+1:] {
-				if t.expiry > now {
-					live = append(live, t)
-				}
-			}
-			return live
+// out, and returns the rest with their expiry bound.
+func dropExpired(ts []held, now time.Duration) ([]held, time.Duration) {
+	live, due := ts[:0], time.Duration(0)
+	for _, t := range ts {
+		if t.expiry > now {
+			live = append(live, t)
+			due = earlier(due, t.expiry)
 		}
 	}
-	return ts
+	return live, due
 }
 
 // originator is what one TC originator has told us: its topology set and
@@ -150,14 +171,15 @@ func dropExpired(ts []held, now time.Duration) []held {
 // shares the TC's ANSN and expiry and a fresh TC replaces the whole set,
 // so the set is one record: the last hop is the index, dests the
 // advertised selectors other than us in the order the TC listed them
-// (recompute does not care, see there). No dests means the originator has
-// no tuples here, and ansn is then meaningless: a TC is stale only against
-// tuples that exist.
+// (recompute does not care, see there), and its bit row the same ids.
+// No dests means the originator has no tuples here, and ansn is then
+// meaningless: a TC is stale only against tuples that exist.
 type originator struct {
 	ansn   uint16
 	expiry time.Duration
-	dests  []int32 // released when the set expires
-	dup    []held  // by sequence number, in arrival order
+	dests  []int32       // released when the set expires
+	dup    []held        // by sequence number, in arrival order
+	dupDue time.Duration // expiry bound on dup: the sweep skips it until then
 }
 
 // route is one routing-table entry; hops == 0 means no route.
@@ -176,10 +198,16 @@ type OLSR struct {
 	origs    []originator
 	routes   []route
 
+	// The bit rows: row id of twoHopRows is neighbor id's two-hop keys,
+	// row id of destRows originator id's dests; each is words long.
+	words      int
+	twoHopRows []uint64
+	destRows   []uint64
+
 	// Scratch reused across calls, so a warm recompute or MPR selection
 	// allocates nothing.
-	ids     []int32 // recompute's queue; recomputeMPRs' symmetric neighbors
-	reached []int32 // recomputeMPRs' per-id coverage counts
+	ids     []int32  // recompute's queue; recomputeMPRs' symmetric neighbors
+	scratch []uint64 // three rows: recompute's reached set; recomputeMPRs' sets
 
 	dirty      bool
 	ansn       uint16
@@ -212,19 +240,69 @@ func New(node *routing.Node, cfg Config) *OLSR {
 	return o
 }
 
-// grow extends every id-indexed slice to cover id. It may move them, so
-// callers grow to the largest id of a message before taking any pointer
-// into them.
+// grow extends every id-indexed slice to cover id and every node of the
+// network, so in a network it allocates once, on the first message. It
+// may move them, so callers grow to the largest id of a message before
+// taking any pointer into them.
 func (o *OLSR) grow(id routing.NodeID) {
-	n := int(id) + 1
-	if n <= len(o.nbrs) {
+	if int(id) < len(o.nbrs) {
 		return
 	}
-	o.nbrs = append(o.nbrs, make([]neighbor, n-len(o.nbrs))...)
-	o.selUntil = append(o.selUntil, make([]time.Duration, n-len(o.selUntil))...)
-	o.origs = append(o.origs, make([]originator, n-len(o.origs))...)
-	o.routes = append(o.routes, make([]route, n-len(o.routes))...)
-	o.reached = append(o.reached, make([]int32, n-len(o.reached))...)
+	n := o.node.NumNodes()
+	o.nbrs = routing.Grow(o.nbrs, id, n)
+	o.selUntil = routing.Grow(o.selUntil, id, n)
+	o.origs = routing.Grow(o.origs, id, n)
+	o.routes = routing.Grow(o.routes, id, n)
+	n = len(o.nbrs)
+	o.ids = make([]int32, 0, n)
+	w := (n + 63) / 64
+	o.twoHopRows = widen(o.twoHopRows, o.words, w, n)
+	o.destRows = widen(o.destRows, o.words, w, n)
+	o.scratch = make([]uint64, 3*w)
+	o.words = w
+}
+
+// widen copies rows of old words each into n rows of w words.
+func widen(rows []uint64, old, w, n int) []uint64 {
+	out := make([]uint64, n*w)
+	for r := 0; r*old < len(rows); r++ {
+		copy(out[r*w:], rows[r*old:(r+1)*old])
+	}
+	return out
+}
+
+// row returns row id of rows.
+func (o *OLSR) row(rows []uint64, id int32) []uint64 {
+	i := int(id) * o.words
+	return rows[i : i+o.words : i+o.words]
+}
+
+func setBit(row []uint64, id int32) { row[id>>6] |= 1 << (id & 63) }
+
+// refreshRows brings every two-hop row up to now, rebuilding from its
+// list a row one of whose keys may have expired.
+func (o *OLSR) refreshRows(now time.Duration) {
+	for id := range o.nbrs {
+		l := &o.nbrs[id]
+		if !passed(l.rowDue, now) {
+			continue
+		}
+		row := o.row(o.twoHopRows, int32(id))
+		clear(row)
+		l.rowDue = 0
+		for _, h := range l.twoHop {
+			if h.expiry > now {
+				setBit(row, h.key)
+				l.rowDue = earlier(l.rowDue, h.expiry)
+			}
+		}
+	}
+}
+
+// dropLink removes the link tuple toward id and the two-hop tuples under it.
+func (o *OLSR) dropLink(id int) {
+	o.nbrs[id] = neighbor{}
+	clear(o.row(o.twoHopRows, int32(id)))
 }
 
 // Start implements routing.Protocol: begins the HELLO/TC emission cycle,
@@ -262,6 +340,8 @@ func (o *OLSR) Reset() {
 	o.nSel = 0
 	clear(o.origs)
 	clear(o.routes)
+	clear(o.twoHopRows)
+	clear(o.destRows)
 	o.dirty = false
 	o.queue.reset()
 }
@@ -341,7 +421,8 @@ func (o *OLSR) sweep() {
 }
 
 // expire removes the links, two-hop tuples, selectors, topology sets and
-// duplicate tuples whose holding time has run out.
+// duplicate tuples whose holding time has run out. A two-hop or duplicate
+// list whose expiry bound has not passed is not looked at.
 func (o *OLSR) expire(now time.Duration) {
 	for id := range o.nbrs {
 		l := &o.nbrs[id]
@@ -349,13 +430,17 @@ func (o *OLSR) expire(now time.Duration) {
 			continue
 		}
 		if l.expiry <= now {
-			*l = neighbor{}
+			o.dropLink(id)
 			o.dirty = true
 			continue
 		}
-		if live := dropExpired(l.twoHop, now); len(live) != len(l.twoHop) {
-			l.twoHop = live
-			o.dirty = true
+		if passed(l.twoHopDue, now) {
+			live, due := dropExpired(l.twoHop, now)
+			if len(live) != len(l.twoHop) {
+				l.twoHop = live
+				o.dirty = true
+			}
+			l.twoHopDue = due
 		}
 	}
 	for id, until := range o.selUntil {
@@ -369,9 +454,12 @@ func (o *OLSR) expire(now time.Duration) {
 		og := &o.origs[id]
 		if len(og.dests) > 0 && og.expiry <= now {
 			og.dests = nil
+			clear(o.row(o.destRows, int32(id)))
 			o.dirty = true
 		}
-		og.dup = dropExpired(og.dup, now)
+		if passed(og.dupDue, now) {
+			og.dup, og.dupDue = dropExpired(og.dup, now)
+		}
 	}
 }
 
@@ -434,6 +522,8 @@ func (o *OLSR) handleHello(from routing.NodeID, h *Hello) {
 	// A HELLO lists them ascending, as the set is kept, so one cursor walks
 	// both; an entry out of order just sends the cursor back to the start.
 	if l.symmetric {
+		expiry := now + neighborHold
+		row := o.row(o.twoHopRows, int32(from))
 		i := 0
 		for _, n := range h.Neighbors {
 			if n.ID == me || n.Code == LinkAsym {
@@ -450,9 +540,11 @@ func (o *OLSR) handleHello(from routing.NodeID, h *Hello) {
 				l.twoHop = slices.Insert(l.twoHop, i, held{key: id})
 				o.dirty = true
 			}
-			l.twoHop[i].expiry = now + neighborHold
+			l.twoHop[i].expiry = expiry
+			setBit(row, id)
 			i++
 		}
+		l.twoHopDue, l.rowDue = earlier(l.twoHopDue, expiry), earlier(l.rowDue, expiry)
 	}
 }
 
@@ -481,6 +573,7 @@ func (o *OLSR) handleTC(from routing.NodeID, tc *TC) {
 	}
 	if !isDup {
 		og.dup = append(og.dup, held{key: int32(tc.Seq), expiry: now + dupHold})
+		og.dupDue = earlier(og.dupDue, now+dupHold)
 		// Discard stale information per ANSN (RFC 3626 §9.5 step 2): the
 		// comparison is against the set this originator last advertised
 		// (T_last_addr == originator), never against the counters of other
@@ -494,9 +587,12 @@ func (o *OLSR) handleTC(from routing.NodeID, tc *TC) {
 			og = &o.origs[tc.Origin]
 			og.ansn, og.expiry = tc.ANSN, now+topologyHold
 			og.dests = og.dests[:0]
+			row := o.row(o.destRows, int32(tc.Origin))
+			clear(row)
 			for _, sel := range tc.Selectors {
 				if sel != me {
 					og.dests = append(og.dests, int32(sel))
+					setBit(row, int32(sel))
 				}
 			}
 			o.dirty = true
@@ -542,81 +638,75 @@ func seqGreater(a, b uint16) bool {
 // take the neighbor covering the most uncovered two-hop nodes.
 func (o *OLSR) recomputeMPRs() {
 	now := o.node.Now()
-	// reached[id] is -1 for a symmetric neighbor, which is never a strict
-	// two-hop node; otherwise the number of symmetric neighbors whose live
-	// two-hop tuples reach id, zeroed once an MPR covers it.
-	reached := o.reached
-	clear(reached)
-	sym := o.ids[:0] // the symmetric neighbors, ascending
+	w := o.words
+	// sym is the symmetric neighbors, never strict two-hop nodes; once and
+	// twice the other ids that the live two-hop tuples of at least one and
+	// of at least two symmetric neighbors reach.
+	sym, once, twice := o.scratch[:w], o.scratch[w:2*w], o.scratch[2*w:]
+	clear(o.scratch)
+	ids := o.ids[:0] // the symmetric neighbors, ascending
 	for n := range o.nbrs {
 		l := &o.nbrs[n]
 		l.isMPR = false
 		if l.symmetric {
-			sym = append(sym, int32(n))
-			reached[n] = -1
+			ids = append(ids, int32(n))
+			setBit(sym, int32(n))
 		}
 	}
-	o.ids = sym[:0]
-	uncovered := 0
-	for _, n := range sym {
-		for _, h := range o.nbrs[n].twoHop {
-			if h.expiry > now && reached[h.key] >= 0 {
-				if reached[h.key] == 0 {
-					uncovered++
-				}
-				reached[h.key]++
-			}
+	o.ids = ids[:0]
+	o.refreshRows(now)
+	for _, n := range ids {
+		for i, r := range o.row(o.twoHopRows, n) {
+			r &^= sym[i]
+			twice[i] |= once[i] & r
+			once[i] |= r
 		}
 	}
 	// Mandatory: sole providers. All of them are found before any covers,
-	// because covering zeroes the counts the search reads.
-	for _, n := range sym {
-		l := &o.nbrs[n]
-		for _, h := range l.twoHop {
-			if h.expiry > now && reached[h.key] == 1 {
-				l.isMPR = true
+	// because covering shrinks once, which the search reads.
+	for _, n := range ids {
+		for i, r := range o.row(o.twoHopRows, n) {
+			if r&once[i]&^twice[i] != 0 {
+				o.nbrs[n].isMPR = true
 				break
 			}
 		}
 	}
-	cover := func(l *neighbor) {
-		for _, h := range l.twoHop {
-			if h.expiry > now && reached[h.key] > 0 {
-				reached[h.key] = 0
-				uncovered--
-			}
-		}
-	}
-	for _, n := range sym {
-		if l := &o.nbrs[n]; l.isMPR {
-			cover(l)
+	uncovered := once // covered ids leave it from here on
+	for _, n := range ids {
+		if o.nbrs[n].isMPR {
+			andNot(uncovered, o.row(o.twoHopRows, n))
 		}
 	}
 	// Greedy: highest coverage first; the ascending walk breaks ties by
 	// lowest ID.
-	for uncovered > 0 {
-		var best *neighbor
-		bestCount := 0
-		for _, n := range sym {
-			l := &o.nbrs[n]
-			if l.isMPR {
+	for slices.ContainsFunc(uncovered, nonZero) {
+		best, bestCount := int32(-1), 0
+		for _, n := range ids {
+			if o.nbrs[n].isMPR {
 				continue
 			}
 			c := 0
-			for _, h := range l.twoHop {
-				if h.expiry > now && reached[h.key] > 0 {
-					c++
-				}
+			for i, r := range o.row(o.twoHopRows, n) {
+				c += bits.OnesCount64(r & uncovered[i])
 			}
 			if c > bestCount {
-				best, bestCount = l, c
+				best, bestCount = n, c
 			}
 		}
-		if best == nil {
+		if best < 0 {
 			break
 		}
-		best.isMPR = true
-		cover(best)
+		o.nbrs[best].isMPR = true
+		andNot(uncovered, o.row(o.twoHopRows, best))
+	}
+}
+
+func nonZero(w uint64) bool { return w != 0 }
+
+func andNot(dst, row []uint64) {
+	for i, r := range row {
+		dst[i] &^= r
 	}
 }
 
@@ -630,37 +720,42 @@ func (o *OLSR) recomputeMPRs() {
 // symmetric neighbors in ascending id order is what fixes it: the nodes
 // at each distance then sit in the queue in runs of ascending first hop,
 // so a node takes the lowest-id first hop among its shortest paths
-// whatever order one node's own edges are walked in, and neither edge list
-// needs sorting or merging. TestFlatStateMatchesMapReference checks this
-// against a reference that sorts every expansion.
+// whatever order one node's own edges are walked in. Every node one
+// expansion reaches gets the same route, so an expansion takes the
+// node's two-hop and topology rows together, less what is reached, a
+// word at a time. TestFlatStateMatchesMapReference checks this against a
+// reference that sorts every expansion.
 func (o *OLSR) recompute() {
 	now := o.node.Now()
 	clear(o.routes)
+	reached := o.scratch[:o.words]
+	clear(reached)
+	o.refreshRows(now)
 	queue := o.ids[:0]
 	for n := range o.nbrs {
 		if o.nbrs[n].symmetric {
 			o.routes[n] = route{next: int32(n), hops: 1}
 			queue = append(queue, int32(n))
+			setBit(reached, int32(n))
 		}
 	}
 	for head := 0; head < len(queue); head++ {
 		cur := queue[head]
 		via := route{next: o.routes[cur].next, hops: o.routes[cur].hops + 1}
-		// Two-hop tuples extend one hop past direct neighbors. Neither edge
-		// list can name us: handleHello and handleTC leave our id out.
-		for _, h := range o.nbrs[cur].twoHop {
-			if h.expiry > now && o.routes[h.key].hops == 0 {
-				o.routes[h.key] = via
-				queue = append(queue, h.key)
+		// Neither row can name us: handleHello and handleTC leave our id out.
+		two := o.row(o.twoHopRows, cur)
+		dests := o.row(o.destRows, cur)
+		live := o.origs[cur].expiry > now
+		for i, r := range two {
+			if live {
+				r |= dests[i]
 			}
-		}
-		// Topology tuples: lastHop → dest edges from TCs.
-		if og := &o.origs[cur]; og.expiry > now {
-			for _, to := range og.dests {
-				if o.routes[to].hops == 0 {
-					o.routes[to] = via
-					queue = append(queue, to)
-				}
+			r &^= reached[i]
+			reached[i] |= r
+			for ; r != 0; r &= r - 1 {
+				id := int32(i<<6 + bits.TrailingZeros64(r))
+				o.routes[id] = via
+				queue = append(queue, id)
 			}
 		}
 	}
@@ -727,7 +822,7 @@ func (o *OLSR) DataFailed(next routing.NodeID, pkt *routing.DataPacket) {
 // HELLO hold time, then retries the packet once over a recomputed table.
 func (o *OLSR) linkFailure(next routing.NodeID, pkt *routing.DataPacket) {
 	if int(next) < len(o.nbrs) {
-		o.nbrs[next] = neighbor{}
+		o.dropLink(int(next))
 	}
 	o.dirty = true
 	if alt, _, ok := o.lookup(pkt.Dst); ok && alt != next {
