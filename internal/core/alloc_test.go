@@ -12,15 +12,15 @@ import (
 // ldrRoundTripAllocCeiling bounds one full LDR round trip on a warm
 // 3-node chain: an expired route, a fresh RREQ flood, the destination's
 // RREP, and the queued data packet's delivery. Discovery legitimately
-// allocates six objects per round: the discovery's timer closure, the
-// buffered packet's queue, the two RREPs' failure closures, the one
-// relay's closure and the test's own scheduling closure; the duplicate
-// caches and the discovery table reuse their slots. AllocsPerRun reports
-// a whole number, so with half an allocation of margin one more object
-// per round fails: the relayed RREQ boxed or drawn outside the pool
-// again, a per-packet copy of a message, or a cache entry or discovery
-// record on the heap again.
-const ldrRoundTripAllocCeiling = 6.5
+// allocates five objects per round: the discovery's timer closure, the
+// buffered packet's queue, the two RREPs' failure closures and the test's
+// own scheduling closure; the duplicate caches, the discovery table and
+// the relay's wait reuse their slots. AllocsPerRun reports a whole number,
+// so with half an allocation of margin one more object per round fails:
+// the relay's wait a closure again, the relayed RREQ boxed or drawn
+// outside the pool again, a per-packet copy of a message, or a cache entry
+// or discovery record on the heap again.
+const ldrRoundTripAllocCeiling = 5.5
 
 // TestLDRRREQRoundTripAllocBound runs repeated discovery+delivery rounds
 // and fails when a round's average heap allocations exceed the ceiling.

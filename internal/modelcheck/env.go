@@ -144,7 +144,7 @@ type world struct {
 	adj     []bool  // n*n adjacency matrix
 	nw      *routing.Network
 	pending [][]linkMsg // n*n directed slots; only adjacent pairs used
-	micro   []func()    // empty between actions
+	micro   []microtask // empty between actions
 
 	// Each node's protocol under the interfaces the engine calls, asserted
 	// once. vresetters is nil when the protocol has no volatile reset.
@@ -313,10 +313,17 @@ func (w *world) ModelSendData(from, next routing.NodeID, pkt *routing.DataPacket
 // microtasks, long timers are dropped. Parking them on the node's
 // never-advanced simulator would grow that queue by one closure per
 // discovery attempt for as long as the world lives.
-func (w *world) ModelSchedule(delay time.Duration, fn func()) {
+func (w *world) ModelSchedule(delay time.Duration, fn func(any, uint64), arg any, u uint64) {
 	if delay <= microDelayMax {
-		w.micro = append(w.micro, fn)
+		w.micro = append(w.micro, microtask{fn, arg, u})
 	}
+}
+
+// microtask is one queued immediate timer: fn(arg, u).
+type microtask struct {
+	fn  func(any, uint64)
+	arg any
+	u   uint64
 }
 
 // drain runs queued microtasks FIFO until quiescence.
@@ -325,9 +332,9 @@ func (w *world) drain() {
 		if i > microCap {
 			panic("modelcheck: microtask cascade did not quiesce")
 		}
-		fn := w.micro[i]
-		w.micro[i] = nil
-		fn()
+		t := w.micro[i]
+		w.micro[i] = microtask{}
+		t.fn(t.arg, t.u)
 	}
 	w.micro = w.micro[:0]
 }

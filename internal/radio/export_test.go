@@ -2,7 +2,6 @@ package radio
 
 import (
 	"fmt"
-	"slices"
 	"time"
 )
 
@@ -157,11 +156,21 @@ func (r *PerReceiver) signalEnd(arg any, _ uint64) {
 }
 
 // CheckSets reports the first way the medium's node bitsets disagree,
-// between events, with what they stand for: a waiter bit is set exactly
-// where idle waiters are registered, and a clean bit only where one frame
-// in the air is sensed, that frame is decodable there, and the node is not
+// between events, with what they stand for: each air word is the OR of
+// the frames in the air's sensed words, a waiter bit is set exactly where
+// idle waiters are registered, and a clean bit only where one frame in the
+// air is sensed, that frame is decodable there, and the node is not
 // transmitting. No bit is set beyond the last node.
 func (m *Medium) CheckSets() error {
+	for w := range m.air {
+		var air uint64
+		for _, tx := range m.active {
+			air |= tx.sensed[w]
+		}
+		if m.air[w] != air {
+			return fmt.Errorf("air word %d is %#x, the frames in the air sense %#x", w, m.air[w], air)
+		}
+	}
 	for i := 0; i < len(m.clean)*64; i++ {
 		w, b := i>>6, uint64(1)<<(i&63)
 		waiting, clean := m.waiters[w]&b != 0, m.clean[w]&b != 0
@@ -228,10 +237,7 @@ func (m *Medium) UseReferenceFaults() *ReferenceFaults {
 func (r *ReferenceFaults) endAll(arg any, _ uint64) {
 	m := r.m
 	tx := arg.(*transmission)
-	i, last := slices.Index(m.active, tx), len(m.active)-1
-	m.active[i], m.active[last] = m.active[last], nil
-	m.active = m.active[:last]
-	m.ending, m.passed = tx, -1
+	m.leave(tx)
 	for j, clean := m.nextEnd(tx); j >= 0; j, clean = m.nextEnd(tx) {
 		if clean && m.nodes[j].rx != nil {
 			if f := m.flt; f != nil && f.src != nil {

@@ -39,8 +39,9 @@
 // and one end event per receiver).
 //
 // A transmission carries the bitsets of the nodes that sense it and that
-// can decode it; the medium keeps the frames in the air, the nodes holding
-// a still-decodable reception (clean) and the nodes with an idle waiter.
+// can decode it; the medium keeps the frames in the air, the nodes that
+// sense one of them (air), the nodes holding a still-decodable reception
+// (clean) and the nodes with an idle waiter.
 // A start and an end are word operations on these sets and visit only the
 // nodes where something happens. A payload that names its addressee
 // (Addressed) ends with a callback there alone: a MAC drops a data frame
@@ -186,11 +187,13 @@ type Medium struct {
 
 	txPool runpool.Pool[transmission]
 
-	// The frames in the air, and one bit per node: clean marks a node
+	// The frames in the air, and one bit per node: air marks a node that
+	// senses one of them (the OR of their sensed sets), clean a node
 	// holding a reception it can still decode, waiters a node with an idle
 	// waiter. While a frame's end walks its nodes it is ending, out of
-	// active, and has reached every node up to passed.
+	// active and air, and has reached every node up to passed.
 	active  []*transmission
+	air     []uint64
 	clean   []uint64
 	waiters []uint64
 	ending  *transmission
@@ -281,6 +284,7 @@ func New(s *sim.Simulator, model mobility.Model, cfg Config) *Medium {
 		csRange: make([]float64, n),
 		kept:    make([]keptPos, n),
 		bound:   model.SpeedBound(),
+		air:     make([]uint64, (n+63)/64),
 		clean:   make([]uint64, (n+63)/64),
 		waiters: make([]uint64, (n+63)/64),
 	}
@@ -336,15 +340,10 @@ func (m *Medium) Busy(id int) bool {
 	if m.nodes[id].txUntil > m.sim.Now() {
 		return true
 	}
+	// A frame in the air senses the node, or the frame whose end is being
+	// walked does where the walk has not yet been.
 	w, b := id>>6, uint64(1)<<(id&63)
-	for _, tx := range m.active {
-		if tx.sensed[w]&b != 0 {
-			return true
-		}
-	}
-	// The frame whose end is being walked is still in the air where the
-	// walk has not yet been.
-	return m.ending != nil && id > m.passed && m.ending.sensed[w]&b != 0
+	return m.air[w]&b != 0 || m.ending != nil && id > m.passed && m.ending.sensed[w]&b != 0
 }
 
 // NotifyIdle registers a one-shot waiter invoked (as w.ChannelIdle(u))
@@ -619,10 +618,8 @@ func (m *Medium) startAll(arg any, _ uint64) {
 		if sensed == 0 {
 			continue
 		}
-		var others uint64
-		for _, o := range m.active {
-			others |= o.sensed[w]
-		}
+		others := m.air[w]
+		m.air[w] |= sensed
 		m.Corrupted += uint64(bits.OnesCount64(m.clean[w]&sensed) + bits.OnesCount64(tx.decodable[w]&others))
 		m.clean[w] &^= sensed
 		for alone := tx.decodable[w] &^ others; alone != 0; alone &= alone - 1 {
@@ -645,10 +642,7 @@ func (m *Medium) startAll(arg any, _ uint64) {
 // counts as sensed (Busy) where the end has not been yet.
 func (m *Medium) endAll(arg any, _ uint64) {
 	tx := arg.(*transmission)
-	i, last := slices.Index(m.active, tx), len(m.active)-1
-	m.active[i], m.active[last] = m.active[last], nil
-	m.active = m.active[:last]
-	m.ending, m.passed = tx, -1
+	m.leave(tx)
 	for j, clean := m.nextEnd(tx); j >= 0; j, clean = m.nextEnd(tx) {
 		if clean && m.nodes[j].rx != nil {
 			if f := m.flt; f != nil && f.src != nil {
@@ -660,6 +654,26 @@ func (m *Medium) endAll(arg any, _ uint64) {
 		m.checkIdle(j)
 	}
 	m.retire(tx)
+}
+
+// leave takes tx out of the air as its end starts its walk: out of
+// active, and out of air, whose words tx was sensed in are rebuilt from
+// the frames that remain.
+func (m *Medium) leave(tx *transmission) {
+	i, last := slices.Index(m.active, tx), len(m.active)-1
+	m.active[i], m.active[last] = m.active[last], nil
+	m.active = m.active[:last]
+	for w, sensed := range tx.sensed {
+		if sensed == 0 {
+			continue
+		}
+		var air uint64
+		for _, o := range m.active {
+			air |= o.sensed[w]
+		}
+		m.air[w] = air
+	}
+	m.ending, m.passed = tx, -1
 }
 
 // nextEnd moves tx's end past m.passed to the next node it has something

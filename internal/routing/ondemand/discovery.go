@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/manetlab/ldr/internal/routing"
+	"github.com/manetlab/ldr/internal/runpool"
 	"github.com/manetlab/ldr/internal/sim"
 )
 
@@ -134,6 +135,14 @@ type Discoveries struct {
 	active  []Discovery // indexed by destination, grown on first Solicit
 	nextID  uint32
 	stopped bool
+	relays  runpool.Pool[relay] // records of floods waiting out their jitter
+}
+
+// relay is one flood waiting out its jitter: what the relay event
+// carries.
+type relay struct {
+	ds *Discoveries
+	m  routing.Message
 }
 
 // NewDiscoveries returns an empty table whose attempts are sent by req.
@@ -199,11 +208,21 @@ func (ds *Discoveries) Finish(dst routing.NodeID) {
 // pooled message to send; it belongs to the wait until then.
 func (ds *Discoveries) Relay(m routing.Message) {
 	jitter := time.Duration(ds.node.RNG().Float64() * float64(BroadcastJitter))
-	ds.node.Schedule(jitter, func() {
-		if !ds.stopped {
-			ds.node.SendControl(routing.BroadcastID, m, nil)
-		}
-	})
+	r := ds.relays.Get()
+	r.ds, r.m = ds, m
+	ds.node.ScheduleTransient(jitter, relayNow, r, 0)
+}
+
+// relayNow ends a relay's wait; package-level so scheduling it allocates
+// no closure.
+func relayNow(arg any, _ uint64) {
+	r := arg.(*relay)
+	ds, m := r.ds, r.m
+	r.m = nil
+	ds.relays.Put(r)
+	if !ds.stopped {
+		ds.node.SendControl(routing.BroadcastID, m, nil)
+	}
 }
 
 // Stopped reports whether Stop has been called.

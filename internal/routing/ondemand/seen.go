@@ -1,7 +1,6 @@
 package ondemand
 
 import (
-	"cmp"
 	"encoding/binary"
 	"slices"
 	"time"
@@ -44,13 +43,44 @@ type seenEntry[V any] struct {
 }
 
 // find returns where id is, or would be inserted, in an origin's list.
+// An origin's request IDs rise, so the newest entry is tried first: a
+// later copy of the latest flood, or the next one, is settled there.
 func find[V any](l []seenEntry[V], id uint32) (int, bool) {
-	return slices.BinarySearchFunc(l, id, func(e seenEntry[V], id uint32) int { return cmp.Compare(e.id, id) })
+	n := len(l)
+	if n == 0 || l[n-1].id < id {
+		return n, false
+	}
+	if l[n-1].id == id {
+		return n - 1, true
+	}
+	lo, hi := 0, n-1
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if l[h].id < id {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, l[lo].id == id
 }
 
-// live drops the entries of l that are dead at now, in place.
+// live drops the entries of l that are dead at now, in place, and clears
+// the slots they leave behind, so a dropped entry pins nothing and shares
+// no storage with a live one.
 func live[V any](l []seenEntry[V], now time.Duration) []seenEntry[V] {
-	return slices.DeleteFunc(l, func(e seenEntry[V]) bool { return e.expires <= now })
+	k := 0
+	for k < len(l) && l[k].expires > now {
+		k++
+	}
+	for i := k + 1; i < len(l); i++ {
+		if l[i].expires > now {
+			l[k] = l[i]
+			k++
+		}
+	}
+	clear(l[k:])
+	return l[:k]
 }
 
 // Get returns what is kept for key, or nil when key was not first seen

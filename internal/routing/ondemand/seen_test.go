@@ -71,6 +71,20 @@ func compareReqKey(a, b ReqKey) int {
 	return cmp.Or(cmp.Compare(a.Origin, b.Origin), cmp.Compare(a.ID, b.ID))
 }
 
+// spareHoldsNothing reports the first list whose storage past its length
+// still holds an entry: a dropped entry must pin nothing, nor share a live
+// one's storage for a restore to write through.
+func (c *Seen[V]) spareHoldsNothing() error {
+	for o, l := range c.byOrigin {
+		for i, e := range l[len(l):cap(l)] {
+			if !reflect.ValueOf(e).IsZero() {
+				return fmt.Errorf("origin %d: spare slot %d holds %+v", o, len(l)+i, e)
+			}
+		}
+	}
+	return nil
+}
+
 // TestSeenMatchesTimerDrivenCache drives Seen and the timer-driven
 // reference through random scripts of arrivals, crashes and clock
 // advances on a real simulator. An arrival runs after every timer due at
@@ -79,10 +93,15 @@ func compareReqKey(a, b ReqKey) int {
 // order by advancing the clock with Run and then acting. Both caches must
 // agree on seen or not seen at every arrival, at one nanosecond before an
 // entry's expiry and at the expiry itself included, and on the engaged
-// state a seen arrival finds; and Seen may lag the reference, which holds
-// exactly the live entries, by no more than what its comment allows.
+// state a seen arrival finds; Seen may lag the reference, which holds
+// exactly the live entries, by no more than what its comment allows; and
+// no list keeps a dropped entry in its spare storage. Keys come in two
+// schedules: any of a few IDs at random, and IDs as a network sends them —
+// each origin's mostly the newest again or the next one, an older one
+// now and then, restarting from 1 after a Reset.
 func TestSeenMatchesTimerDrivenCache(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
+	for seed := int64(1); seed <= 16; seed++ {
+		rising := seed > 8 // seeds 9 to 16 take the network's schedule
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			rnd := rand.New(rand.NewSource(seed))
 			s := sim.New()
@@ -114,6 +133,9 @@ func TestSeenMatchesTimerDrivenCache(t *testing.T) {
 					if c.held() > recent || c.held() < len(ref.m) {
 						t.Fatalf("at %v: %d entries held, %d live, %d added within two cache lives", now, c.held(), len(ref.m), recent)
 					}
+					if err := c.spareHoldsNothing(); err != nil {
+						t.Fatalf("at %v: %v", now, err)
+					}
 					most = max(most, c.held()-len(ref.m))
 					return
 				}
@@ -131,8 +153,19 @@ func TestSeenMatchesTimerDrivenCache(t *testing.T) {
 					got.altHops, want.altHops = append(got.altHops, hop), append(want.altHops, hop)
 				}
 			}
-			randomKey := func() ReqKey {
-				return ReqKey{Origin: routing.NodeID(rnd.Intn(4)), ID: uint32(rnd.Intn(12))}
+			var newest [4]uint32 // per origin, the highest ID sent since the last Reset
+			nextKey := func() ReqKey {
+				o := rnd.Intn(len(newest))
+				if !rising {
+					return ReqKey{Origin: routing.NodeID(o), ID: uint32(rnd.Intn(12))}
+				}
+				switch r := rnd.Intn(10); {
+				case r < 4 || newest[o] == 0:
+					newest[o]++
+				case r == 9 && newest[o] > 1:
+					return ReqKey{Origin: routing.NodeID(o), ID: newest[o] - 1 - uint32(rnd.Intn(int(min(newest[o]-1, 6))))}
+				}
+				return ReqKey{Origin: routing.NodeID(o), ID: newest[o]}
 			}
 
 			for step := 0; step < 4000; step++ {
@@ -141,6 +174,7 @@ func TestSeenMatchesTimerDrivenCache(t *testing.T) {
 					c.Reset()
 					ref.Reset()
 					adds = adds[:0]
+					newest = [4]uint32{}
 				case r < 12 && len(ref.m) > 0:
 					// The same key just inside and exactly at the end of its life.
 					keys := make([]ReqKey, 0, len(ref.m))
@@ -168,7 +202,7 @@ func TestSeenMatchesTimerDrivenCache(t *testing.T) {
 					s.Run(s.Now() + RREQCacheLife + time.Duration(rnd.Int63n(int64(2*RREQCacheLife))))
 				default:
 					s.Run(s.Now() + time.Duration(rnd.Int63n(int64(RREQCacheLife/4))))
-					arrive(randomKey())
+					arrive(nextKey())
 				}
 			}
 			if boundary < 50 || dups < 500 || fresh < 500 || most == 0 {

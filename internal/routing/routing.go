@@ -216,10 +216,12 @@ type ModelEnv interface {
 	// receives an unpooled deep copy owning a fresh reference chain; the
 	// sender's own reference has already been released.
 	ModelSendData(from, next NodeID, pkt *DataPacket)
-	// ModelSchedule takes over a protocol timer: the environment runs fn
-	// as an immediate microtask or never. Either way the protocol gets the
-	// zero Timer, which is safely cancellable and never pending.
-	ModelSchedule(delay time.Duration, fn func())
+	// ModelSchedule takes over a protocol timer: the environment runs
+	// fn(arg, u) as an immediate microtask or never. Either way the
+	// protocol gets the zero Timer, which is safely cancellable and never
+	// pending. The shape is sim.ScheduleTransient's, so a pooled wait
+	// costs the environment no closure either.
+	ModelSchedule(delay time.Duration, fn func(any, uint64), arg any, u uint64)
 }
 
 // Resetter is implemented by protocols whose volatile state can be wiped
@@ -316,10 +318,24 @@ func (n *Node) Now() time.Duration { return n.sim.Now() }
 // Schedule runs fn after delay of virtual time.
 func (n *Node) Schedule(delay time.Duration, fn func()) sim.Timer {
 	if n.menv != nil {
-		n.menv.ModelSchedule(delay, fn)
+		n.menv.ModelSchedule(delay, callFunc, fn, 0)
 		return sim.Timer{}
 	}
 	return n.sim.Schedule(delay, fn)
+}
+
+// callFunc runs a Schedule callback handed to ModelSchedule as its arg.
+func callFunc(arg any, _ uint64) { arg.(func())() }
+
+// ScheduleTransient runs fn(arg, u) after delay of virtual time, as
+// sim.ScheduleTransient does: no handle, and no closure for a caller that
+// passes a pooled record.
+func (n *Node) ScheduleTransient(delay time.Duration, fn func(any, uint64), arg any, u uint64) {
+	if n.menv != nil {
+		n.menv.ModelSchedule(delay, fn, arg, u)
+		return
+	}
+	n.sim.ScheduleTransient(delay, fn, arg, u)
 }
 
 // SetModelEnv diverts this node's transport and timers to a model
