@@ -160,8 +160,8 @@ profile:
 	@echo "profiles written: profiles/ldrbench.cpu.pprof profiles/ldrbench.mem.pprof"
 	@echo "inspect: go tool pprof -top profiles/ldrbench.mem.pprof"
 
-# CPU profile of one cell — "where did the cell go" without a throwaway
-# main.go. The defaults run OLSR on the repository benchmark's dense100
+# CPU and allocation profiles of one cell — "where did the cell go"
+# without a throwaway main.go. The defaults run OLSR on the repository benchmark's dense100
 # cell (100 nodes, 10 flows, pause 0, 330 s) at ldrsim's seed, 1: that is
 # the benchmark's dense100 LDR seed, while its OLSR cell runs scenario
 # seed 2 (cell i of a workload runs seed 1+i). ldrsim's cell takes the
@@ -170,9 +170,11 @@ profile:
 # below is the congested50 LDR cell: 30 flows on a network that pauses
 # for the whole run. With FAULT set it is the audited chaos cells of that
 # fault profile and PROTO instead (50 nodes, 10 flows, pause 0 and static,
-# serial), through `ldrbench -exp chaos`. Prints the top of the profile
-# and leaves the binary and the profile in profiles/ for
-# `go tool pprof -list`.
+# serial), through `ldrbench -exp chaos`. Prints the top of the CPU
+# profile, then the top 15 of the allocation profile by bytes allocated
+# over the run (alloc_space: a cost the CPU profile shows only as a few
+# per cent of mallocgc and GC), and leaves the binary and both profiles
+# in profiles/ for `go tool pprof -list`.
 #   make profile-cell PROTO=olsr NODES=100 SIMTIME=330s
 #   make profile-cell PROTO=ldr NODES=50 FLOWS=30 PAUSE=240s SIMTIME=240s
 #   make profile-cell FAULT=lossy PROTO=ldr SIMTIME=30s
@@ -188,8 +190,9 @@ PROFILE_CELL = $(if $(FAULT),-exp chaos -profiles $(FAULT) -protocols $(PROTO) -
 profile-cell:
 	mkdir -p profiles
 	$(GO) build -o profiles/$(PROFILE_CMD) ./cmd/$(PROFILE_CMD)
-	profiles/$(PROFILE_CMD) $(PROFILE_CELL) -simtime $(SIMTIME) -cpuprofile profiles/cell.cpu.pprof
+	profiles/$(PROFILE_CMD) $(PROFILE_CELL) -simtime $(SIMTIME) -cpuprofile profiles/cell.cpu.pprof -memprofile profiles/cell.mem.pprof
 	$(GO) tool pprof -top -nodecount 30 profiles/$(PROFILE_CMD) profiles/cell.cpu.pprof
+	$(GO) tool pprof -top -nodecount 15 -sample_index alloc_space profiles/$(PROFILE_CMD) profiles/cell.mem.pprof
 
 # One benchmark per paper table/figure plus the engine and coordination
 # benches, at reduced scale.

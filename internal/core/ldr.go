@@ -354,19 +354,21 @@ func (l *LDR) HandleControl(from routing.NodeID, msg routing.Message) {
 	if l.Stopped() {
 		return
 	}
+	// A received message is read-only: every receiver of a broadcast gets
+	// the same one. What a handler relays it writes into a pooled copy.
 	switch m := msg.(type) {
 	case *RREQ:
-		l.handleRREQ(from, *m)
+		l.handleRREQ(from, m)
 	case *RREP:
-		l.handleRREP(from, *m)
+		l.handleRREP(from, m)
 	case *RERR:
-		l.handleRERR(from, *m)
+		l.handleRERR(from, m)
 	}
 }
 
 // handleRREQ implements Procedure 2 (Relay Solicitation) together with
 // the destination behaviour and SDC replies.
-func (l *LDR) handleRREQ(from routing.NodeID, q RREQ) {
+func (l *LDR) handleRREQ(from routing.NodeID, q *RREQ) {
 	me := l.node.ID()
 	if q.Origin == me {
 		return
@@ -384,10 +386,12 @@ func (l *LDR) handleRREQ(from routing.NodeID, q RREQ) {
 		// loop-free successor graph rather than the flood tree.
 		if q.D && !st.unicastFwd && !st.replied && q.Dst != me {
 			st.unicastFwd = true
-			l.forwardUnicastRREQ(q)
+			m := l.rreqPool.Get()
+			*m = *q
+			l.forwardUnicastRREQ(m)
 		} else if q.D && q.Dst == me && !st.replied {
 			st.replied = true
-			l.destinationReply(q, st)
+			l.destinationReply(q, q.N, st)
 		} else if l.cfg.Multipath && q.Dst == me && st.replied {
 			// Multipath extension: a duplicate copy that arrived over a
 			// different last hop reveals a node-disjoint reverse branch.
@@ -405,12 +409,13 @@ func (l *LDR) handleRREQ(from routing.NodeID, q RREQ) {
 	// the successor path toward the destination, so its Dist describes
 	// the original flood path, not the state of the neighbor relaying it
 	// — installing a route from it would break the ordering criterion.
-	reverseOK := false
+	// n is the N bit this node answers or relays with.
+	reverseOK, n := false, q.N
 	if !q.D {
 		reverseOK = l.acceptAdvertisement(q.Origin, q.OriginSeq, q.Dist, from)
 	}
 	if !reverseOK && !l.routes.get(q.Origin).active(now) {
-		q.N = true
+		n = true
 	}
 
 	// Request-as-error: a solicitation from our own successor for the very
@@ -423,7 +428,7 @@ func (l *LDR) handleRREQ(from routing.NodeID, q RREQ) {
 
 	if q.Dst == me {
 		st.replied = true
-		l.destinationReply(q, st)
+		l.destinationReply(q, n, st)
 		return
 	}
 
@@ -431,27 +436,36 @@ func (l *LDR) handleRREQ(from routing.NodeID, q RREQ) {
 	if l.sdc(e, q, now) {
 		if !q.T {
 			st.replied = true
-			l.sendReply(q, e, st, now)
+			l.sendReply(q, n, e, st, now)
 			return
 		}
 		// SDC holds but a reset is required: unicast the request the rest
 		// of the way so the destination can raise its sequence number.
 		st.unicastFwd = true
-		uq := l.updateInvariants(q, e)
-		uq.D = true
-		uq.TTL = e.dist + localAddTTL
-		l.forwardUnicastRREQ(uq)
+		m := l.relayed(q, n, e)
+		m.D = true
+		m.TTL = e.dist + localAddTTL
+		l.forwardUnicastRREQ(m)
 		return
 	}
 
 	// Relay the flood.
-	q.TTL--
-	if q.TTL <= 0 {
+	if q.TTL <= 1 {
 		return
 	}
-	m := l.rreqPool.Get()
-	*m = l.updateInvariants(q, e)
+	m := l.relayed(q, n, e)
+	m.TTL--
 	l.Relay(m)
+}
+
+// relayed returns q as this node relays it, in a pooled message: with
+// the N bit n and the invariants updated by e.
+func (l *LDR) relayed(q *RREQ, n bool, e *entry) *RREQ {
+	m := l.rreqPool.Get()
+	*m = *q
+	m.N = n
+	l.updateInvariants(m, e)
+	return m
 }
 
 // sdc evaluates the Start Distance Condition at this node for a
@@ -462,7 +476,7 @@ func (l *LDR) handleRREQ(from routing.NodeID, q RREQ) {
 //
 // plus the minimum-lifetime optimization: nearly expired routes do not
 // answer.
-func (l *LDR) sdc(e *entry, q RREQ, now time.Duration) bool {
+func (l *LDR) sdc(e *entry, q *RREQ, now time.Duration) bool {
 	if !e.active(now) {
 		return false
 	}
@@ -478,14 +492,14 @@ func (l *LDR) sdc(e *entry, q RREQ, now time.Duration) bool {
 	return e.seq == q.DstSeq && e.dist < q.AnsDist
 }
 
-// updateInvariants applies equations (5)–(8) to produce the relayed
+// updateInvariants applies equations (5)–(8) to q, the relayed
 // solicitation: the sequence number and feasible distance are strengthened
 // with this node's state, the traversed distance grows by the link cost,
 // and the T bit tracks FDC.
-func (l *LDR) updateInvariants(q RREQ, e *entry) RREQ {
+func (l *LDR) updateInvariants(q *RREQ, e *entry) {
 	q.Dist++ // eq. (7): the reverse-path advertisement grew one hop
 	if e == nil {
-		return q
+		return
 	}
 	switch {
 	case !q.HaveDstSeq || e.seq > q.DstSeq:
@@ -508,7 +522,6 @@ func (l *LDR) updateInvariants(q RREQ, e *entry) RREQ {
 	}
 	// e.seq < q.DstSeq leaves the solicitation untouched: our stale state
 	// cannot constrain a newer-numbered path.
-	return q
 }
 
 // forwardUnicastRREQ sends the reset leg toward the destination along the
@@ -519,23 +532,22 @@ func (l *LDR) updateInvariants(q RREQ, e *entry) RREQ {
 // (handleRREQ) — it replies if SDC holds without T, starts a leg of its
 // own if SDC holds with T, and otherwise relays it as a flood with D
 // still set, after one jitter draw
-// (TestResetLegAtUnengagedNodeFloods).
-func (l *LDR) forwardUnicastRREQ(q RREQ) {
-	now := l.node.Now()
-	e := l.routes.get(q.Dst)
-	if !e.active(now) {
+// (TestResetLegAtUnengagedNodeFloods). m is a pooled message the call
+// takes over: it is sent, or returned to the pool.
+func (l *LDR) forwardUnicastRREQ(m *RREQ) {
+	e := l.routes.get(m.Dst)
+	m.TTL--
+	if !e.active(l.node.Now()) || m.TTL <= 0 {
+		l.rreqPool.Put(m)
 		return
 	}
-	q.TTL--
-	if q.TTL <= 0 {
-		return
-	}
-	l.sendRREQ(e.next, q)
+	l.node.SendControl(e.next, m, nil)
 }
 
 // destinationReply implements the destination's reset duty: raise the
-// sequence number when the path needs resetting, then answer.
-func (l *LDR) destinationReply(q RREQ, st *reqState) {
+// sequence number when the path needs resetting, then answer with the N
+// bit n.
+func (l *LDR) destinationReply(q *RREQ, n bool, st *reqState) {
 	now := l.node.Now()
 	if q.T && q.HaveDstSeq && l.ownSeq <= q.DstSeq {
 		// Only the destination may do this (eq. 8 discussion; the reply
@@ -546,11 +558,12 @@ func (l *LDR) destinationReply(q RREQ, st *reqState) {
 		// only across reboots); jump past it before answering.
 		l.ownSeq = NewSeqno(q.DstSeq.Timestamp(), q.DstSeq.Counter()).Next(now)
 	}
-	l.replyAsDestination(q, st.lastHop)
+	l.replyAsDestination(q, n, st.lastHop)
 }
 
-// replyAsDestination answers q with this node's own labels, toward to.
-func (l *LDR) replyAsDestination(q RREQ, to routing.NodeID) {
+// replyAsDestination answers q with this node's own labels and the N bit
+// n, toward to.
+func (l *LDR) replyAsDestination(q *RREQ, n bool, to routing.NodeID) {
 	l.node.Metrics().CountControlInitiate(metrics.RREP)
 	l.sendRREP(to, RREP{
 		Dst:      l.node.ID(),
@@ -559,13 +572,13 @@ func (l *LDR) replyAsDestination(q RREQ, to routing.NodeID) {
 		ReqID:    q.ReqID,
 		Dist:     0,
 		Lifetime: ondemand.ActiveRouteTimeout,
-		N:        q.N,
+		N:        n,
 	})
 }
 
 // maybeAltReply sends an additional destination RREP along an alternate
 // reverse hop for the same computation (multipath extension).
-func (l *LDR) maybeAltReply(q RREQ, st *reqState, from routing.NodeID) {
+func (l *LDR) maybeAltReply(q *RREQ, st *reqState, from routing.NodeID) {
 	if from == st.lastHop || len(st.altHops) >= maxAltSuccessors {
 		return
 	}
@@ -574,12 +587,12 @@ func (l *LDR) maybeAltReply(q RREQ, st *reqState, from routing.NodeID) {
 		return
 	}
 	st.altHops = slices.Insert(st.altHops, i, from)
-	l.replyAsDestination(q, from)
+	l.replyAsDestination(q, q.N, from)
 }
 
-// sendReply issues an SDC advertisement from an intermediate node engaged
-// in q's computation as st.
-func (l *LDR) sendReply(q RREQ, e *entry, st *reqState, now time.Duration) {
+// sendReply issues an SDC advertisement with the N bit n from an
+// intermediate node engaged in q's computation as st.
+func (l *LDR) sendReply(q *RREQ, n bool, e *entry, st *reqState, now time.Duration) {
 	p := RREP{
 		Dst:      q.Dst,
 		DstSeq:   e.seq,
@@ -587,14 +600,14 @@ func (l *LDR) sendReply(q RREQ, e *entry, st *reqState, now time.Duration) {
 		ReqID:    q.ReqID,
 		Dist:     e.dist,
 		Lifetime: e.expiry - now,
-		N:        q.N,
+		N:        n,
 	}
 	l.node.Metrics().CountControlInitiate(metrics.RREP)
 	l.sendRREP(st.lastHop, p)
 }
 
 // handleRREP implements Procedure 4 (Relay Advertisement).
-func (l *LDR) handleRREP(from routing.NodeID, p RREP) {
+func (l *LDR) handleRREP(from routing.NodeID, p *RREP) {
 	me := l.node.ID()
 	now := l.node.Now()
 
@@ -661,7 +674,7 @@ func (l *LDR) handleRREP(from routing.NodeID, p RREP) {
 
 // handleRERR invalidates routes whose next hop reported them broken and
 // propagates the error for entries that actually changed.
-func (l *LDR) handleRERR(from routing.NodeID, e RERR) {
+func (l *LDR) handleRERR(from routing.NodeID, e *RERR) {
 	if !l.AllowRERR(from, l.node.Now()) {
 		return
 	}

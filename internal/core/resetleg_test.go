@@ -106,3 +106,54 @@ func TestResetLegAtUnengagedNodeFloods(t *testing.T) {
 		t.Fatalf("the relay answered the leg with %d RREPs", n)
 	}
 }
+
+// TestEngagedNodeForwardsTheLeg: a node already engaged in a computation,
+// which has since learned a route to the destination, forwards the reset
+// leg along it — TTL one lower, every other field as received — and
+// leaves the leg it was handed as it was. Node 1 runs LDR on the line of
+// TestResetLegAtUnengagedNodeFloods: it relays node 0's flood for 3
+// without a route, learns one via 2 from a flood 3 originated, then gets
+// 0's leg.
+func TestEngagedNodeForwardsTheLeg(t *testing.T) {
+	taps := map[routing.NodeID]*rreqTap{}
+	nw := routing.NewNetwork(4, mobility.Line(4, 200), radio.DefaultConfig(), mac.DefaultConfig(), 1,
+		func(n *routing.Node) routing.Protocol {
+			if n.ID() == 1 {
+				return core.New(n, core.DefaultConfig())
+			}
+			taps[n.ID()] = &rreqTap{}
+			return taps[n.ID()]
+		})
+	nw.Start()
+	relay := ldrAt(nw, 1)
+	flood := core.RREQ{Dst: 3, Origin: 0, OriginSeq: core.NewSeqno(1, 2), ReqID: 7, Dist: 1, TTL: 5}
+	fromThree := core.RREQ{Dst: 2, Origin: 3, OriginSeq: core.NewSeqno(1, 4), ReqID: 1, Dist: 1, TTL: 5}
+	leg := core.RREQ{
+		Dst: 3, DstSeq: core.NewSeqno(1, 4), HaveDstSeq: true,
+		Origin: 0, OriginSeq: core.NewSeqno(1, 2), ReqID: 7,
+		FD: 2, AnsDist: 2, Dist: 3, TTL: 5,
+		T: true, D: true,
+	}
+	handed := leg
+	nw.Sim.At(time.Second, func() {
+		relay.HandleControl(0, &flood)
+		relay.HandleControl(2, &fromThree)
+		relay.HandleControl(0, &leg)
+	})
+	nw.Sim.Run(2 * time.Second)
+
+	if leg != handed {
+		t.Fatalf("the leg handed to node 1 became %+v, was %+v", leg, handed)
+	}
+	want := leg
+	want.TTL--
+	var legs []core.RREQ
+	for _, q := range taps[2].heard {
+		if q.D {
+			legs = append(legs, q)
+		}
+	}
+	if len(legs) != 1 || legs[0] != want {
+		t.Fatalf("node 2 heard legs %+v, want the one forwarded %+v", legs, want)
+	}
+}

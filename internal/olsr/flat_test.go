@@ -210,49 +210,51 @@ func driveBoth(t testing.TB, data []byte) {
 	}
 }
 
-// checkBounds checks what the bit rows and expiry bounds promise at now,
-// the last sweep having run at swept: no two-hop or duplicate tuple
-// expires before its list's bound, and a bound of 0 covers an empty list;
-// none with expiry ≤ swept survives; a two-hop row whose bound has not
-// passed holds exactly the keys of its live tuples, and a dests row
-// exactly the dests.
+// checkBounds checks what the bit rows, generations and expiry bounds
+// promise at now, the last sweep having run at swept: generations are
+// stored oldest first, each with a key, and none with expiry ≤ swept
+// survives; a two-hop row whose bound has not passed holds exactly the
+// keys of the live generations, none of which expires before the bound;
+// no duplicate tuple expires before its list's bound, a bound of 0
+// covers an empty list, and none with expiry ≤ swept survives; a dests
+// row has an id exactly when its originator has a topology set.
 func checkBounds(o *OLSR, now, swept time.Duration) error {
-	list := func(what string, id int, ts []held, due time.Duration) error {
-		for _, h := range ts {
-			if due == 0 || h.expiry < due || h.expiry <= swept {
-				return fmt.Errorf("%s list %d: tuple %+v against bound %v, swept at %v", what, id, h, due, swept)
-			}
-		}
-		return nil
-	}
 	for id := range o.nbrs {
 		l := &o.nbrs[id]
-		if err := list("two-hop", id, l.twoHop, l.twoHopDue); err != nil {
-			return err
+		if len(l.gens)%(o.words+1) != 0 {
+			return fmt.Errorf("neighbor %d: %d generation words at %d words a row", id, len(l.gens), o.words)
+		}
+		var prev time.Duration
+		live := make([]uint64, o.words)
+		for g := 0; g*(o.words+1) < len(l.gens); g++ {
+			expiry, r := o.gen(l, g)
+			if expiry < prev || expiry <= swept || len(rowIDs(r)) == 0 {
+				return fmt.Errorf("neighbor %d generation %d: expiry %v after %v, swept at %v, keys %v", id, g, expiry, prev, swept, rowIDs(r))
+			}
+			prev = expiry
+			if expiry > now {
+				if !passed(l.rowDue, now) && (l.rowDue == 0 || expiry < l.rowDue) {
+					return fmt.Errorf("neighbor %d generation %d expires at %v, before the row's bound %v", id, g, expiry, l.rowDue)
+				}
+				or(live, r)
+			}
 		}
 		if passed(l.rowDue, now) {
 			continue
 		}
-		var live []int32
-		for _, h := range l.twoHop {
-			if h.expiry > now {
-				live = append(live, h.key)
-			}
-		}
-		if got := rowIDs(o.row(o.twoHopRows, int32(id))); !slices.Equal(got, live) {
-			return fmt.Errorf("two-hop row %d = %v at %v (bound %v), live tuples %v", id, got, now, l.rowDue, live)
+		if got, want := rowIDs(o.row(o.twoHopRows, int32(id))), rowIDs(live); !slices.Equal(got, want) {
+			return fmt.Errorf("two-hop row %d = %v at %v (bound %v), live generations %v", id, got, now, l.rowDue, want)
 		}
 	}
 	for id := range o.origs {
 		og := &o.origs[id]
-		if err := list("duplicate", id, og.dup, og.dupDue); err != nil {
-			return err
+		for _, h := range og.dup {
+			if og.dupDue == 0 || h.expiry < og.dupDue || h.expiry <= swept {
+				return fmt.Errorf("duplicate list %d: tuple %+v against bound %v, swept at %v", id, h, og.dupDue, swept)
+			}
 		}
-		want := slices.Clone(og.dests)
-		slices.Sort(want)
-		want = slices.Compact(want)
-		if got := rowIDs(o.row(o.destRows, int32(id))); !slices.Equal(got, want) {
-			return fmt.Errorf("dests row %d = %v, dests %v", id, got, og.dests)
+		if got := rowIDs(o.row(o.destRows, int32(id))); og.topo != (len(got) > 0) {
+			return fmt.Errorf("dests row %d = %v with a topology set %v", id, got, og.topo)
 		}
 	}
 	return nil
@@ -305,8 +307,17 @@ func tuples(o *OLSR) []tuple {
 		if l.link {
 			out = append(out, tuple{"link", id, 0, flags(l.symmetric, l.isMPR), l.expiry})
 		}
-		for _, h := range l.twoHop {
-			out = append(out, tuple{"twohop", id, int(h.key), 0, h.expiry})
+		// A two-hop tuple is a key with the latest expiry of the
+		// generations listing it; they are stored oldest first.
+		latest := map[int32]time.Duration{}
+		for g := 0; g*(o.words+1) < len(l.gens); g++ {
+			expiry, r := o.gen(&l, g)
+			for _, k := range rowIDs(r) {
+				latest[k] = expiry
+			}
+		}
+		for k, until := range latest {
+			out = append(out, tuple{"twohop", id, int(k), 0, until})
 		}
 	}
 	for id, until := range o.selUntil {
@@ -315,7 +326,7 @@ func tuples(o *OLSR) []tuple {
 		}
 	}
 	for id, og := range o.origs {
-		for _, dst := range og.dests {
+		for _, dst := range rowIDs(o.row(o.destRows, int32(id))) {
 			out = append(out, tuple{"topology", id, int(dst), int(og.ansn), og.expiry})
 		}
 		for _, d := range og.dup {
@@ -327,7 +338,7 @@ func tuples(o *OLSR) []tuple {
 			out = append(out, tuple{"route", dst, int(r.next), int(r.hops), 0})
 		}
 	}
-	return slices.Compact(sortTuples(out)) // a TC may list a selector twice
+	return sortTuples(out)
 }
 
 func refTuples(o *refOLSR) []tuple {
@@ -385,6 +396,10 @@ func FuzzOLSRState(f *testing.F) {
 	// Symmetric neighbor 1 reaching 5; 5 advertises 7; data to 7 fails at
 	// the MAC and takes the link to 1 with it.
 	f.Add([]byte{128, 0, 2, 255, 1, 5, 1, 135, 0, 9, 5, 1, 7, 142, 7, 139, 5, 0})
+	// Neighbor 1 lists 5 and 6, then, 2 s on, 6 and then 5; the table is
+	// read; the sweep at 6 s drops the first generation, whose keys the
+	// other two still list: nothing changed, so the table stays clean.
+	f.Add([]byte{0, 0, 3, 255, 1, 5, 1, 6, 1, 11, 6, 0, 0, 0, 2, 255, 1, 6, 1, 0, 0, 2, 255, 1, 5, 1, 139, 0, 0, 11, 0, 203})
 	for seed := int64(100); seed < 104; seed++ {
 		f.Add(randomScript(seed, maxScript))
 	}
@@ -443,26 +458,45 @@ func warm100(tb testing.TB) *OLSR {
 
 // TestSteadyStateAllocs: once the slices have grown to the network's
 // size, on the first message, nothing on the periodic or per-message
-// paths allocates.
+// paths allocates, not even where a link, a topology set or the whole
+// state was dropped: their storage is kept for the next message.
 func TestSteadyStateAllocs(t *testing.T) {
 	o := warm100(t)
 	hello := &Hello{Origin: 1, Neighbors: []HelloNeighbor{{ID: 0, Code: LinkSym}}}
-	for _, n := range o.nbrs[1].twoHop {
-		hello.Neighbors = append(hello.Neighbors, HelloNeighbor{ID: routing.NodeID(n.key), Code: LinkSym})
+	for _, id := range rowIDs(o.row(o.twoHopRows, 1)) {
+		hello.Neighbors = append(hello.Neighbors, HelloNeighbor{ID: routing.NodeID(id), Code: LinkSym})
 	}
 	tc := &TC{Origin: 3, Seq: 2, ANSN: 2, Selectors: []routing.NodeID{2, 4, 23, 24}, TTL: 1}
-	for name, fn := range map[string]func(){
-		"recompute":     func() { o.recompute() },
-		"recomputeMPRs": o.recomputeMPRs,
-		"expire":        func() { o.expire(o.node.Now()) },
-		"HELLO":         func() { o.HandleControl(1, hello) },
-		"TC": func() {
+	now := o.node.Now()
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"recompute", func() { o.recompute() }},
+		{"recomputeMPRs", o.recomputeMPRs},
+		{"expire", func() { o.expire(now) }},
+		{"HELLO", func() { o.HandleControl(1, hello) }},
+		{"TC", func() {
 			o.origs[3].dup = o.origs[3].dup[:0] // not a duplicate: replaces the set
 			o.HandleControl(1, tc)
-		},
+		}},
+		{"HELLO after dropLink", func() {
+			o.dropLink(1)
+			o.HandleControl(1, hello)
+		}},
+		{"TC after its set expired", func() {
+			og := &o.origs[3]
+			og.expiry, og.dup = now, og.dup[:0]
+			o.expire(now)
+			o.HandleControl(1, tc)
+		}},
+		{"HELLO after Reset", func() { // last: it empties the state
+			o.Reset()
+			o.HandleControl(1, hello)
+		}},
 	} {
-		if n := testing.AllocsPerRun(50, fn); n != 0 {
-			t.Errorf("%s allocates %.1f times per call on warm state", name, n)
+		if n := testing.AllocsPerRun(50, c.fn); n != 0 {
+			t.Errorf("%s allocates %.1f times per call on warm state", c.name, n)
 		}
 	}
 }
@@ -482,5 +516,40 @@ func BenchmarkSelectMPRs100(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o.recomputeMPRs()
+	}
+}
+
+// TestJitterQueueKeepsOrderAndStorage: the jitter queue sends in push
+// order, and once drained it refills the array it had rather than
+// growing a new one every cap messages.
+func TestJitterQueueKeepsOrderAndStorage(t *testing.T) {
+	tap := &listener{}
+	var o *OLSR
+	nw := routing.NewNetwork(2, mobility.Line(2, 100), radio.DefaultConfig(), mac.DefaultConfig(), 1,
+		func(n *routing.Node) routing.Protocol {
+			if n.ID() == 0 {
+				o = New(n, DefaultConfig())
+				return o
+			}
+			return tap
+		})
+	var storage *routing.Message
+	for round := 0; round < 20; round++ {
+		var want []string
+		for i := 0; i < 3; i++ {
+			tc := &TC{Origin: 0, Seq: uint16(3*round + i), TTL: 1}
+			want = append(want, fmt.Sprintf("%+v", *tc))
+			o.queue.push(tc)
+		}
+		if round == 0 {
+			storage = &o.queue.queue[0]
+		} else if &o.queue.queue[0] != storage {
+			t.Fatalf("round %d: the queue moved to new storage", round)
+		}
+		nw.Sim.Run(nw.Sim.Now() + time.Second)
+		if !slices.Equal(tap.heard, want) {
+			t.Fatalf("round %d: sent %v, pushed %v", round, tap.heard, want)
+		}
+		tap.heard = tap.heard[:0]
 	}
 }

@@ -109,31 +109,38 @@ const (
 // the first message to routing.Node.NumNodes: every id in this repository
 // is a small non-negative integer, a Network numbers its nodes 0..n-1 (a
 // test may name a larger id, and grow covers that too). The zero value of
-// each record means "no such tuple", so Reset is plain zeroing. Ids
-// stored inside the records are int32 to halve what they occupy.
+// each record means "no such tuple", so Reset is plain zeroing, less the
+// storage a record keeps for reuse. Ids stored inside the records are
+// int32 to halve what they occupy.
 //
-// Beside the tuple lists, which carry the expiries and which emission
-// reads, each neighbor's two-hop keys and each originator's dests are
-// also a bit row, one bit per id, so recompute and recomputeMPRs take 64
-// ids a word. A row is edited wherever its list is.
+// Sets of ids are bit rows, one bit per id, so recompute and
+// recomputeMPRs take 64 ids a word: each neighbor's two-hop keys, each
+// originator's topology set, and each HELLO generation (see neighbor).
 
 // neighbor is the link tuple toward one one-hop neighbor and the two-hop
 // tuples learned from its HELLOs, which live and die with the link.
+//
+// The two-hop tuples are kept as generations, one per HELLO that listed
+// any: the HELLO's expiry and the bit row of the ids it listed, less ours
+// and Asym entries. A key is held while a stored generation lists it, and
+// its expiry is the latest such generation's. gens stores them oldest
+// first, so their expiries ascend, each as words+1 words: the expiry,
+// then the row. A HELLO drops the generations its own row covers, whose
+// keys it re-lists with a later expiry, so a neighbor whose neighborhood
+// stands still holds one.
 type neighbor struct {
 	link      bool // a HELLO was heard within neighborHold
 	symmetric bool
 	isMPR     bool // we selected this neighbor as MPR
 	expiry    time.Duration
-	twoHop    []held // by node id, ascending, never ours; released with the link
-	// twoHopDue is the twoHop list's expiry bound (defined at earlier):
-	// the sweep skips the list until then. rowDue is the two-hop row's:
-	// before it, the row holds exactly the keys of the live tuples.
-	twoHopDue, rowDue time.Duration
+	gens      []uint64 // kept, emptied, with the link
+	// rowDue is the two-hop row's expiry bound (defined at earlier):
+	// before it, the row holds exactly the keys of the live generations.
+	rowDue time.Duration
 }
 
-// held is a tuple that is nothing but a key and an expiry: a two-hop
-// tuple under its neighbor (key: the two-hop node's id) or a duplicate
-// tuple under its originator (key: the message sequence number).
+// held is a duplicate tuple: the sequence number of a message from its
+// originator and the instant the tuple expires.
 type held struct {
 	key    int32
 	expiry time.Duration
@@ -169,15 +176,14 @@ func dropExpired(ts []held, now time.Duration) ([]held, time.Duration) {
 // originator is what one TC originator has told us: its topology set and
 // the duplicate tuples of its recent messages. Every tuple a TC installs
 // shares the TC's ANSN and expiry and a fresh TC replaces the whole set,
-// so the set is one record: the last hop is the index, dests the
-// advertised selectors other than us in the order the TC listed them
-// (recompute does not care, see there), and its bit row the same ids.
-// No dests means the originator has no tuples here, and ansn is then
-// meaningless: a TC is stale only against tuples that exist.
+// so the set is one record: the last hop is the index, the destinations
+// its row of destRows (the advertised selectors other than us). Without
+// topo the originator has no tuples here, and ansn is then meaningless: a
+// TC is stale only against tuples that exist.
 type originator struct {
 	ansn   uint16
+	topo   bool // the topology set is not empty
 	expiry time.Duration
-	dests  []int32       // released when the set expires
 	dup    []held        // by sequence number, in arrival order
 	dupDue time.Duration // expiry bound on dup: the sweep skips it until then
 }
@@ -199,7 +205,7 @@ type OLSR struct {
 	routes   []route
 
 	// The bit rows: row id of twoHopRows is neighbor id's two-hop keys,
-	// row id of destRows originator id's dests; each is words long.
+	// row id of destRows originator id's topology set; each is words long.
 	words      int
 	twoHopRows []uint64
 	destRows   []uint64
@@ -258,6 +264,12 @@ func (o *OLSR) grow(id routing.NodeID) {
 	w := (n + 63) / 64
 	o.twoHopRows = widen(o.twoHopRows, o.words, w, n)
 	o.destRows = widen(o.destRows, o.words, w, n)
+	if w != o.words {
+		for id := range o.nbrs {
+			l := &o.nbrs[id]
+			l.gens = widen(l.gens, o.words+1, w+1, len(l.gens)/(o.words+1))
+		}
+	}
 	o.scratch = make([]uint64, 3*w)
 	o.words = w
 }
@@ -279,8 +291,14 @@ func (o *OLSR) row(rows []uint64, id int32) []uint64 {
 
 func setBit(row []uint64, id int32) { row[id>>6] |= 1 << (id & 63) }
 
-// refreshRows brings every two-hop row up to now, rebuilding from its
-// list a row one of whose keys may have expired.
+// gen returns generation g of l: its expiry and its row.
+func (o *OLSR) gen(l *neighbor, g int) (time.Duration, []uint64) {
+	i := g * (o.words + 1)
+	return time.Duration(l.gens[i]), l.gens[i+1 : i+1+o.words : i+1+o.words]
+}
+
+// refreshRows brings every two-hop row up to now, rebuilding from the
+// generations a row one of whose keys may have expired.
 func (o *OLSR) refreshRows(now time.Duration) {
 	for id := range o.nbrs {
 		l := &o.nbrs[id]
@@ -290,18 +308,21 @@ func (o *OLSR) refreshRows(now time.Duration) {
 		row := o.row(o.twoHopRows, int32(id))
 		clear(row)
 		l.rowDue = 0
-		for _, h := range l.twoHop {
-			if h.expiry > now {
-				setBit(row, h.key)
-				l.rowDue = earlier(l.rowDue, h.expiry)
+		for g := len(l.gens)/(o.words+1) - 1; g >= 0; g-- {
+			expiry, r := o.gen(l, g)
+			if expiry <= now {
+				break
 			}
+			or(row, r)
+			l.rowDue = expiry
 		}
 	}
 }
 
-// dropLink removes the link tuple toward id and the two-hop tuples under it.
+// dropLink removes the link tuple toward id and the two-hop tuples under
+// it, keeping the generations' storage.
 func (o *OLSR) dropLink(id int) {
-	o.nbrs[id] = neighbor{}
+	o.nbrs[id] = neighbor{gens: o.nbrs[id].gens[:0]}
 	clear(o.row(o.twoHopRows, int32(id)))
 }
 
@@ -335,12 +356,13 @@ func (o *OLSR) Reset() {
 	o.tcTimer.Cancel()
 	o.sweeper.Cancel()
 	o.helloTimer, o.tcTimer, o.sweeper = sim.Timer{}, sim.Timer{}, sim.Timer{}
-	clear(o.nbrs)
+	for id := range o.nbrs {
+		o.dropLink(id)
+	}
 	clear(o.selUntil)
 	o.nSel = 0
 	clear(o.origs)
 	clear(o.routes)
-	clear(o.twoHopRows)
 	clear(o.destRows)
 	o.dirty = false
 	o.queue.reset()
@@ -420,8 +442,8 @@ func (o *OLSR) sweep() {
 	o.sweeper = o.node.Schedule(time.Second, o.sweep)
 }
 
-// expire removes the links, two-hop tuples, selectors, topology sets and
-// duplicate tuples whose holding time has run out. A two-hop or duplicate
+// expire removes the links, two-hop generations, selectors, topology
+// sets and duplicate tuples whose holding time has run out. A duplicate
 // list whose expiry bound has not passed is not looked at.
 func (o *OLSR) expire(now time.Duration) {
 	for id := range o.nbrs {
@@ -434,14 +456,7 @@ func (o *OLSR) expire(now time.Duration) {
 			o.dirty = true
 			continue
 		}
-		if passed(l.twoHopDue, now) {
-			live, due := dropExpired(l.twoHop, now)
-			if len(live) != len(l.twoHop) {
-				l.twoHop = live
-				o.dirty = true
-			}
-			l.twoHopDue = due
-		}
+		o.expireGens(l, now)
 	}
 	for id, until := range o.selUntil {
 		if until != 0 && until <= now {
@@ -452,8 +467,8 @@ func (o *OLSR) expire(now time.Duration) {
 	}
 	for id := range o.origs {
 		og := &o.origs[id]
-		if len(og.dests) > 0 && og.expiry <= now {
-			og.dests = nil
+		if og.topo && og.expiry <= now {
+			og.topo = false
 			clear(o.row(o.destRows, int32(id)))
 			o.dirty = true
 		}
@@ -519,33 +534,75 @@ func (o *OLSR) handleHello(from routing.NodeID, h *Hello) {
 	}
 
 	// Two-hop neighborhood: symmetric neighbors of a symmetric neighbor.
-	// A HELLO lists them ascending, as the set is kept, so one cursor walks
-	// both; an entry out of order just sends the cursor back to the start.
 	if l.symmetric {
-		expiry := now + neighborHold
-		row := o.row(o.twoHopRows, int32(from))
-		i := 0
-		for _, n := range h.Neighbors {
-			if n.ID == me || n.Code == LinkAsym {
-				continue
-			}
-			id := int32(n.ID)
-			if i > 0 && l.twoHop[i-1].key >= id {
-				i = 0
-			}
-			for i < len(l.twoHop) && l.twoHop[i].key < id {
-				i++
-			}
-			if i == len(l.twoHop) || l.twoHop[i].key != id {
-				l.twoHop = slices.Insert(l.twoHop, i, held{key: id})
-				o.dirty = true
-			}
-			l.twoHop[i].expiry = expiry
-			setBit(row, id)
-			i++
-		}
-		l.twoHopDue, l.rowDue = earlier(l.twoHopDue, expiry), earlier(l.rowDue, expiry)
+		o.addGen(l, int32(from), h, now+neighborHold)
 	}
+}
+
+// addGen stores the generation of h, a HELLO from neighbor id (l),
+// expiring at expiry: the ids h lists, less ours and Asym entries, if
+// any. A key no stored generation lists, expired ones not yet swept
+// included, is new and makes the table dirty; a stored generation whose
+// keys h lists all is superseded and dropped.
+func (o *OLSR) addGen(l *neighbor, id int32, h *Hello, expiry time.Duration) {
+	w, s, n := o.words, o.words+1, len(l.gens)
+	l.gens = slices.Grow(l.gens, s)[:n+s]
+	l.gens[n] = uint64(expiry)
+	r := l.gens[n+1 : n+s]
+	clear(r)
+	me := o.node.ID()
+	for _, nb := range h.Neighbors {
+		if nb.ID != me && nb.Code != LinkAsym {
+			setBit(r, int32(nb.ID))
+		}
+	}
+	if !slices.ContainsFunc(r, nonZero) {
+		l.gens = l.gens[:n]
+		return
+	}
+	fresh := o.scratch[:w] // r's keys no stored generation lists
+	copy(fresh, r)
+	kept := 0
+	for g := 0; g*s < n; g++ {
+		_, old := o.gen(l, g)
+		andNot(fresh, old)
+		if !subset(old, r) {
+			copy(l.gens[kept*s:], l.gens[g*s:(g+1)*s])
+			kept++
+		}
+	}
+	if slices.ContainsFunc(fresh, nonZero) {
+		o.dirty = true
+	}
+	l.gens = l.gens[:kept*s+copy(l.gens[kept*s:], l.gens[n:])]
+	or(o.row(o.twoHopRows, id), r)
+	l.rowDue = earlier(l.rowDue, expiry)
+}
+
+// expireGens drops l's expired generations, the oldest ones; the table is
+// dirty if a key went with them, one that no remaining generation lists.
+func (o *OLSR) expireGens(l *neighbor, now time.Duration) {
+	s := o.words + 1
+	k := 0 // expired generations
+	for k*s < len(l.gens) && time.Duration(l.gens[k*s]) <= now {
+		k++
+	}
+	if k == 0 {
+		return
+	}
+	lost := o.scratch[:o.words]
+	clear(lost)
+	for g := 0; g*s < len(l.gens); g++ {
+		if _, r := o.gen(l, g); g < k {
+			or(lost, r)
+		} else {
+			andNot(lost, r)
+		}
+	}
+	if slices.ContainsFunc(lost, nonZero) {
+		o.dirty = true
+	}
+	l.gens = l.gens[:copy(l.gens, l.gens[k*s:])]
 }
 
 func (o *OLSR) handleTC(from routing.NodeID, tc *TC) {
@@ -578,21 +635,20 @@ func (o *OLSR) handleTC(from routing.NodeID, tc *TC) {
 		// comparison is against the set this originator last advertised
 		// (T_last_addr == originator), never against the counters of other
 		// nodes that advertise it as a selector.
-		if len(og.dests) == 0 || !seqGreater(og.ansn, tc.ANSN) {
+		if !og.topo || !seqGreater(og.ansn, tc.ANSN) {
 			top := tc.Origin
 			for _, sel := range tc.Selectors {
 				top = max(top, sel)
 			}
 			o.grow(top)
 			og = &o.origs[tc.Origin]
-			og.ansn, og.expiry = tc.ANSN, now+topologyHold
-			og.dests = og.dests[:0]
+			og.ansn, og.expiry, og.topo = tc.ANSN, now+topologyHold, false
 			row := o.row(o.destRows, int32(tc.Origin))
 			clear(row)
 			for _, sel := range tc.Selectors {
 				if sel != me {
-					og.dests = append(og.dests, int32(sel))
 					setBit(row, int32(sel))
+					og.topo = true
 				}
 			}
 			o.dirty = true
@@ -708,6 +764,22 @@ func andNot(dst, row []uint64) {
 	for i, r := range row {
 		dst[i] &^= r
 	}
+}
+
+func or(dst, row []uint64) {
+	for i, r := range row {
+		dst[i] |= r
+	}
+}
+
+// subset reports whether every id of row a is in row b.
+func subset(a, b []uint64) bool {
+	for i, r := range a {
+		if r&^b[i] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // --- routing table (shortest path over the partial topology graph) ---
@@ -905,8 +977,12 @@ func (q *jitterQueue) kick() {
 	}
 	q.busy = true
 	jitter := time.Duration(q.o.node.RNG().Float64() * float64(maxJitter))
-	q.o.node.Schedule(jitter, q.pop)
+	q.o.node.ScheduleTransient(jitter, popNow, q, 0)
 }
+
+// popNow ends a jitter wait; package-level so scheduling it allocates no
+// closure.
+func popNow(q any, _ uint64) { q.(*jitterQueue).pop() }
 
 // reset drops all queued messages (crash path), counting each as a
 // pre-transmission control drop so the conformance ledger can still
@@ -927,9 +1003,10 @@ func (q *jitterQueue) pop() {
 	if q.o.stopped || len(q.queue) == 0 {
 		return
 	}
+	// Shift rather than re-slice from the front, so the storage is reused
+	// rather than regrown every cap messages.
 	msg := q.queue[0]
-	q.queue[0] = nil
-	q.queue = q.queue[1:]
+	q.queue = slices.Delete(q.queue, 0, 1)
 	q.o.node.SendControl(routing.BroadcastID, msg, nil)
 	q.kick()
 }
