@@ -25,7 +25,6 @@ var testOnly = map[string]struct{ users, why string }{
 	"conformance.CheckSpec":             {"FuzzScenario, TestAsymAckExhaustAccounted", "oracle tooling: runs a spec under the conservation harness"},
 	"conformance.Ledger.ViolationCount": {"TestLedgerFlagsLifecycleViolations", "oracle tooling: the exact count of one violation kind"},
 
-	"core.LDR.AltSuccessors":         {"TestMultipathRecordsAlternateSuccessors", "ROADMAP item 1: the alternates a multipath forwarding change would read"},
 	"sweep.Each":                     {"TestEachCancellationProperty, TestConservationMatrix", "the worker pool RunCells is built on, for checks that journal nothing"},
 	"sweep.CellError.Unwrap":         {"TestRunCellsWatchdogInterrupts, TestRunCellsWatchdogAbandons", "errors.As reaches it: a fail-fast sweep returns a *CellError around the CellTimeout or CellPanic"},
 	"dsr.DSR.CachedRoute":            {"TestDSRDiscoversFullSourceRoute, TestBrokenLinkPurgedEverywhereViaRERR", "the only view of a DSR route cache"},

@@ -155,7 +155,7 @@ func (a *refAODV) SaveModelState(store any) any {
 		s.routes[i].key = dst
 		copyRefEntry(&s.routes[i].val, a.routes[dst])
 	}
-	a.reqSeen.SaveState(&s.reqSeen, nil)
+	a.reqSeen.SaveState(&s.reqSeen)
 	a.SaveDiscoveryState(&s.disc)
 	a.SaveLimitsState(&s.limits)
 	return s
@@ -177,7 +177,7 @@ func (a *refAODV) RestoreModelState(store any) {
 			delete(a.routes, dst)
 		}
 	}
-	a.reqSeen.RestoreState(&s.reqSeen, nil)
+	a.reqSeen.RestoreState(&s.reqSeen)
 	a.RestoreDiscoveryState(&s.disc)
 	a.RestoreLimitsState(&s.limits)
 }

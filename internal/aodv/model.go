@@ -87,7 +87,7 @@ func (a *AODV) SaveModelState(store any) any {
 	}
 	s.ownSeq = a.ownSeq
 	copyTable(&s.routes, a.routes)
-	a.reqSeen.SaveState(&s.reqSeen, nil)
+	a.reqSeen.SaveState(&s.reqSeen)
 	a.SaveDiscoveryState(&s.disc)
 	a.SaveLimitsState(&s.limits)
 	return s
@@ -98,7 +98,7 @@ func (a *AODV) RestoreModelState(store any) {
 	s := store.(*modelState)
 	a.ownSeq = s.ownSeq
 	copyTable(&a.routes, s.routes)
-	a.reqSeen.RestoreState(&s.reqSeen, nil)
+	a.reqSeen.RestoreState(&s.reqSeen)
 	a.RestoreDiscoveryState(&s.disc)
 	a.RestoreLimitsState(&s.limits)
 }

@@ -56,18 +56,16 @@ func TestLDRRREQRoundTripAllocBound(t *testing.T) {
 
 // TestModelStateZeroAlloc: once warm, an LDR instance that buffers no
 // data saves, encodes and restores its state without allocating — here
-// with routes, alternates and engaged state with alternate reverse hops,
-// alternated with the empty state a volatile reset leaves.
+// with routes and engaged state, alternated with the empty state a
+// volatile reset leaves.
 func TestModelStateZeroAlloc(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.Multipath = true
 	// A diamond: 0 reaches 3 through 1 and through 2.
-	nw := buildNet(mobility.NewStatic([]mobility.Point{{X: 0}, {X: 200, Y: 100}, {X: 200, Y: -100}, {X: 400}}), 3, cfg)
+	nw := buildNet(mobility.NewStatic([]mobility.Point{{X: 0}, {X: 200, Y: 100}, {X: 200, Y: -100}, {X: 400}}), 3, core.DefaultConfig())
 	nw.Start()
 	keepTraffic(nw, 0, 3, 0, time.Second, 100*time.Millisecond)
 	nw.Sim.Run(2 * time.Second)
-	if len(ldrAt(nw, 0).AltSuccessors(3)) == 0 {
-		t.Fatal("node 0 holds no alternate toward 3; the state should exercise them")
+	if _, _, ok := ldrAt(nw, 0).RouteTo(3); !ok {
+		t.Fatal("node 0 holds no route toward 3; the state should exercise one")
 	}
 	for id := range nw.Nodes {
 		l := ldrAt(nw, id)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"time"
 
 	"github.com/manetlab/ldr/internal/metrics"
@@ -11,10 +10,9 @@ import (
 )
 
 // Config holds what an experiment varies about LDR: the paper's §4
-// optimizations and the multipath extension, each switched by an ablation
-// row, and the first ring's radius. Every other timer and bound is a
-// constant (below, and in package ondemand). The zero value is not valid;
-// use DefaultConfig.
+// optimizations, each switched by an ablation row, and the first ring's
+// radius. Every other timer and bound is a constant (below, and in
+// package ondemand). The zero value is not valid; use DefaultConfig.
 type Config struct {
 	TTLStart int // expanding-ring initial TTL (the no-ring ablation floods at once)
 
@@ -22,11 +20,6 @@ type Config struct {
 	ReducedDistance bool // advertise an answering distance below fd
 	MinLifetime     bool // do not answer with a nearly expired route
 	OptimalTTL      bool // derive the initial ring TTL from known distance
-
-	// Multipath keeps up to maxAltSuccessors additional loop-free
-	// successors per destination and fails over to them on link breaks
-	// without rediscovery (the labeled-distance multipath extension).
-	Multipath bool
 }
 
 const (
@@ -44,8 +37,6 @@ func DefaultConfig() Config {
 		ReducedDistance: true,
 		MinLifetime:     true,
 		OptimalTTL:      true,
-
-		Multipath: false, // the paper's LDR is single-path
 	}
 }
 
@@ -60,8 +51,6 @@ type reqState struct {
 	relayed     bool // at least one RREP relayed
 	unicastFwd  bool // the unicast reset leg has passed through here
 	replied     bool // this node answered (destination or SDC reply)
-
-	altHops []routing.NodeID // multipath: extra reverse hops already answered, ascending
 }
 
 // LDR is one node's instance of the labeled distance routing protocol.
@@ -112,9 +101,9 @@ func New(node *routing.Node, cfg Config) *LDR {
 func (l *LDR) Start() {}
 
 // Reset implements routing.Resetter: a crash discards everything volatile
-// — successors, alternates, the engaged-computation cache, buffered data,
-// and every active discovery — but persists the label store: the node's
-// own sequence number AND the (sn, fd) labels of every known destination.
+// — successors, the engaged-computation cache, buffered data, and every
+// active discovery — but persists the label store: the node's own
+// sequence number AND the (sn, fd) labels of every known destination.
 // §5 of the paper keeps the own number in stable storage (its timestamp
 // component makes even that cheap: a reboot with a fresh counter and a
 // newer timestamp still compares higher), and the per-destination labels
@@ -133,7 +122,6 @@ func (l *LDR) Reset() {
 	l.Limits.Reset()
 	for i := range l.routes {
 		l.routes[i].invalidate()
-		l.routes[i].alts = nil
 	}
 	l.reqSeen.Reset()
 }
@@ -225,9 +213,9 @@ func (l *LDR) sendRREP(to routing.NodeID, p RREP) {
 // recorded from a broadcast RREQ, which needs no return link, so on a
 // one-way link the reply dies after its MAC retries and the reverse path
 // is known-dead. Run the same route-state transitions a data-plane link
-// break triggers — drop fallback successors via next, fail over or
-// invalidate with a RERR — minus the packet salvage (there is no data
-// packet here). Labels are untouched, so NDC feasibility is unaffected.
+// break triggers — invalidate with a RERR — minus the packet salvage
+// (there is no data packet here). Labels are untouched, so NDC
+// feasibility is unaffected.
 func (l *LDR) rrepFailed(next routing.NodeID) {
 	if l.Stopped() {
 		return
@@ -236,19 +224,14 @@ func (l *LDR) rrepFailed(next routing.NodeID) {
 }
 
 // invalidateVia runs the route-state transitions of a broken link to
-// next: fallback successors through it are dropped, and every route
-// through it fails over to an alternate or is invalidated (keeping sn and
-// fd — LDR's reset discipline means no sequence numbers are touched) and
-// reported in one RERR, in ascending destination order.
+// next: every route through it is invalidated (keeping sn and fd — LDR's
+// reset discipline means no sequence numbers are touched) and reported in
+// one RERR, in ascending destination order.
 func (l *LDR) invalidateVia(next routing.NodeID) {
 	broken := l.rerrBuf[:0]
 	for dst := range l.routes {
 		e := &l.routes[dst]
-		e.dropAlt(next)
 		if e.valid && e.next == next {
-			if l.cfg.Multipath && e.promoteAlt(l.node.Now()) {
-				continue // failover without rediscovery or RERR
-			}
 			e.invalidate()
 			broken = append(broken, RERRDest{Dst: routing.NodeID(dst), Seq: e.seq})
 		}
@@ -266,11 +249,6 @@ func (l *LDR) DataFailed(next routing.NodeID, pkt *routing.DataPacket) {
 		return
 	}
 	l.invalidateVia(next)
-	if e := l.routes.get(pkt.Dst); l.cfg.Multipath && e.active(l.node.Now()) {
-		// A fallback successor took over; resend along it immediately.
-		l.sendOrQueue(pkt)
-		return
-	}
 	if pkt.Src == l.node.ID() {
 		// Buffer the packet and reacquire the route.
 		l.Push(pkt)
@@ -392,12 +370,6 @@ func (l *LDR) handleRREQ(from routing.NodeID, q *RREQ) {
 		} else if q.D && q.Dst == me && !st.replied {
 			st.replied = true
 			l.destinationReply(q, q.N, st)
-		} else if l.cfg.Multipath && q.Dst == me && st.replied {
-			// Multipath extension: a duplicate copy that arrived over a
-			// different last hop reveals a node-disjoint reverse branch.
-			// Answer it too (bounded by MaxAltSuccessors) so upstream
-			// nodes can learn loop-free alternates.
-			l.maybeAltReply(q, st, from)
 		}
 		return
 	}
@@ -545,8 +517,8 @@ func (l *LDR) forwardUnicastRREQ(m *RREQ) {
 }
 
 // destinationReply implements the destination's reset duty: raise the
-// sequence number when the path needs resetting, then answer with the N
-// bit n.
+// sequence number when the path needs resetting, then answer with its
+// own labels and the N bit n.
 func (l *LDR) destinationReply(q *RREQ, n bool, st *reqState) {
 	now := l.node.Now()
 	if q.T && q.HaveDstSeq && l.ownSeq <= q.DstSeq {
@@ -558,14 +530,8 @@ func (l *LDR) destinationReply(q *RREQ, n bool, st *reqState) {
 		// only across reboots); jump past it before answering.
 		l.ownSeq = NewSeqno(q.DstSeq.Timestamp(), q.DstSeq.Counter()).Next(now)
 	}
-	l.replyAsDestination(q, n, st.lastHop)
-}
-
-// replyAsDestination answers q with this node's own labels and the N bit
-// n, toward to.
-func (l *LDR) replyAsDestination(q *RREQ, n bool, to routing.NodeID) {
 	l.node.Metrics().CountControlInitiate(metrics.RREP)
-	l.sendRREP(to, RREP{
+	l.sendRREP(st.lastHop, RREP{
 		Dst:      l.node.ID(),
 		DstSeq:   l.ownSeq,
 		Origin:   q.Origin,
@@ -574,20 +540,6 @@ func (l *LDR) replyAsDestination(q *RREQ, n bool, to routing.NodeID) {
 		Lifetime: ondemand.ActiveRouteTimeout,
 		N:        n,
 	})
-}
-
-// maybeAltReply sends an additional destination RREP along an alternate
-// reverse hop for the same computation (multipath extension).
-func (l *LDR) maybeAltReply(q *RREQ, st *reqState, from routing.NodeID) {
-	if from == st.lastHop || len(st.altHops) >= maxAltSuccessors {
-		return
-	}
-	i, found := slices.BinarySearch(st.altHops, from)
-	if found {
-		return
-	}
-	st.altHops = slices.Insert(st.altHops, i, from)
-	l.replyAsDestination(q, q.N, from)
 }
 
 // sendReply issues an SDC advertisement with the N bit n from an
@@ -684,11 +636,7 @@ func (l *LDR) handleRERR(from routing.NodeID, e *RERR) {
 		if ent == nil {
 			continue
 		}
-		ent.dropAlt(from)
 		if ent.valid && ent.next == from && ent.seq <= u.Seq {
-			if l.cfg.Multipath && ent.promoteAlt(l.node.Now()) {
-				continue
-			}
 			ent.invalidate()
 			propagate = append(propagate, RERRDest{Dst: u.Dst, Seq: ent.seq})
 		}
@@ -737,11 +685,6 @@ func (l *LDR) acceptAdvertisement(dst routing.NodeID, advSeq Seqno, advDist int,
 	// sequence number, keep the current successor unless the newcomer is
 	// strictly shorter.
 	if e.active(now) && advSeq == e.seq && via != e.next && advDist+1 >= e.dist {
-		if l.cfg.Multipath {
-			// The advertisement is loop-free even though it loses the
-			// primary selection: remember it as a fallback successor.
-			e.rememberAlt(via, advSeq, advDist, now)
-		}
 		return false
 	}
 	e.update(advSeq, advDist, via, 1, now, ondemand.ActiveRouteTimeout)

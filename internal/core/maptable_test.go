@@ -64,21 +64,8 @@ func (l *refLDR) ResetVolatile() {
 	l.ownSeq = NewSeqno(1, 0)
 }
 
-func (l *refLDR) AltSuccessors(dst routing.NodeID) []routing.NodeID {
-	e := l.routes[dst]
-	if e == nil {
-		return nil
-	}
-	out := make([]routing.NodeID, 0, len(e.alts))
-	for _, a := range e.alts {
-		out = append(out, a.next)
-	}
-	return out
-}
-
 // AppendModelState is the encoding as it was: the map's rows sorted by
-// destination, and each engaged record's altHops, kept in arrival order,
-// sorted as a set.
+// destination.
 func (l *refLDR) AppendModelState(out []byte) []byte {
 	out = append(out, 'L')
 	out = binary.AppendUvarint(out, uint64(l.ownSeq))
@@ -97,19 +84,8 @@ func (l *refLDR) AppendModelState(out []byte) []byte {
 		out = binary.AppendVarint(out, int64(e.fd))
 		out = binary.AppendVarint(out, int64(e.next))
 		out = binary.AppendVarint(out, int64(e.expiry))
-		out = binary.AppendUvarint(out, uint64(len(e.alts)))
-		for _, a := range e.alts {
-			out = binary.AppendVarint(out, int64(a.next))
-			out = binary.AppendVarint(out, int64(a.advDist))
-			out = binary.AppendVarint(out, int64(a.heard))
-		}
 	}
-	out = l.reqSeen.AppendState(out, l.node.Now(), func(out []byte, st *reqState) []byte {
-		sorted := *st
-		sorted.altHops = slices.Clone(st.altHops)
-		slices.Sort(sorted.altHops)
-		return appendReqState(out, &sorted)
-	})
+	out = l.reqSeen.AppendState(out, l.node.Now(), appendReqState)
 	return l.AppendDiscoveryState(out)
 }
 
@@ -135,12 +111,11 @@ func (l *refLDR) SaveModelState(store any) any {
 	s.routes = routing.Resize(s.routes, len(l.routes))
 	i := 0
 	for dst, e := range l.routes {
-		s.routes[i].key = dst
-		copyEntry(&s.routes[i].val, e)
+		s.routes[i] = refSaved{dst, *e}
 		i++
 	}
 	slices.SortFunc(s.routes, func(a, b refSaved) int { return cmp.Compare(a.key, b.key) })
-	l.reqSeen.SaveState(&s.reqSeen, copyReqState)
+	l.reqSeen.SaveState(&s.reqSeen)
 	l.SaveDiscoveryState(&s.disc)
 	l.SaveLimitsState(&s.limits)
 	return s
@@ -155,14 +130,14 @@ func (l *refLDR) RestoreModelState(store any) {
 			e = new(entry)
 			l.routes[s.routes[i].key] = e
 		}
-		copyEntry(e, &s.routes[i].val)
+		*e = s.routes[i].val
 	}
 	for dst := range l.routes {
 		if _, ok := slices.BinarySearchFunc(s.routes, dst, func(r refSaved, k routing.NodeID) int { return cmp.Compare(r.key, k) }); !ok {
 			delete(l.routes, dst)
 		}
 	}
-	l.reqSeen.RestoreState(&s.reqSeen, copyReqState)
+	l.reqSeen.RestoreState(&s.reqSeen)
 	l.RestoreDiscoveryState(&s.disc)
 	l.RestoreLimitsState(&s.limits)
 }
@@ -172,7 +147,6 @@ func (l *refLDR) Reset() {
 	l.Limits.Reset()
 	for _, e := range l.routes {
 		e.invalidate()
-		e.alts = nil
 	}
 	l.reqSeen.Reset()
 }
@@ -255,11 +229,7 @@ func (l *refLDR) rrepFailed(next routing.NodeID) {
 func (l *refLDR) invalidateVia(next routing.NodeID) {
 	broken := l.rerrBuf[:0]
 	for dst, e := range l.routes {
-		e.dropAlt(next)
 		if e.valid && e.next == next {
-			if l.cfg.Multipath && e.promoteAlt(l.node.Now()) {
-				continue // failover without rediscovery or RERR
-			}
 			e.invalidate()
 			broken = append(broken, RERRDest{Dst: dst, Seq: e.seq})
 		}
@@ -273,10 +243,6 @@ func (l *refLDR) DataFailed(next routing.NodeID, pkt *routing.DataPacket) {
 		return
 	}
 	l.invalidateVia(next)
-	if e := l.routes[pkt.Dst]; l.cfg.Multipath && e.active(l.node.Now()) {
-		l.sendOrQueue(pkt)
-		return
-	}
 	if pkt.Src == l.node.ID() {
 		l.Push(pkt)
 		l.Solicit(pkt.Dst, l.initialTTL(pkt.Dst))
@@ -373,8 +339,6 @@ func (l *refLDR) handleRREQ(from routing.NodeID, q RREQ) {
 		} else if q.D && q.Dst == me && !st.replied {
 			st.replied = true
 			l.destinationReply(q, st)
-		} else if l.cfg.Multipath && q.Dst == me && st.replied {
-			l.maybeAltReply(q, st, from)
 		}
 		return
 	}
@@ -484,12 +448,8 @@ func (l *refLDR) destinationReply(q RREQ, st *reqState) {
 	} else if q.HaveDstSeq && q.DstSeq > l.ownSeq {
 		l.ownSeq = NewSeqno(q.DstSeq.Timestamp(), q.DstSeq.Counter()).Next(now)
 	}
-	l.replyAsDestination(q, st.lastHop)
-}
-
-func (l *refLDR) replyAsDestination(q RREQ, to routing.NodeID) {
 	l.node.Metrics().CountControlInitiate(metrics.RREP)
-	l.sendRREP(to, RREP{
+	l.sendRREP(st.lastHop, RREP{
 		Dst:      l.node.ID(),
 		DstSeq:   l.ownSeq,
 		Origin:   q.Origin,
@@ -498,19 +458,6 @@ func (l *refLDR) replyAsDestination(q RREQ, to routing.NodeID) {
 		Lifetime: ondemand.ActiveRouteTimeout,
 		N:        q.N,
 	})
-}
-
-func (l *refLDR) maybeAltReply(q RREQ, st *reqState, from routing.NodeID) {
-	if from == st.lastHop || len(st.altHops) >= maxAltSuccessors {
-		return
-	}
-	for _, h := range st.altHops {
-		if h == from {
-			return
-		}
-	}
-	st.altHops = append(st.altHops, from)
-	l.replyAsDestination(q, from)
 }
 
 func (l *refLDR) sendReply(q RREQ, e *entry, st *reqState, now time.Duration) {
@@ -593,11 +540,7 @@ func (l *refLDR) handleRERR(from routing.NodeID, e RERR) {
 		if ent == nil {
 			continue
 		}
-		ent.dropAlt(from)
 		if ent.valid && ent.next == from && ent.seq <= u.Seq {
-			if l.cfg.Multipath && ent.promoteAlt(l.node.Now()) {
-				continue
-			}
 			ent.invalidate()
 			propagate = append(propagate, RERRDest{Dst: u.Dst, Seq: ent.seq})
 		}
@@ -632,9 +575,6 @@ func (l *refLDR) acceptAdvertisement(dst routing.NodeID, advSeq Seqno, advDist i
 		return false
 	}
 	if e.active(now) && advSeq == e.seq && via != e.next && advDist+1 >= e.dist {
-		if l.cfg.Multipath {
-			e.rememberAlt(via, advSeq, advDist, now)
-		}
 		return false
 	}
 	e.update(advSeq, advDist, via, 1, now, ondemand.ActiveRouteTimeout)
@@ -737,12 +677,11 @@ func tableRig(mk func(*routing.Node) routing.Protocol) (*routing.Network, *[]str
 // driveTables interprets data as a script — RREQs, RREPs and RERRs from
 // any neighbour with labels drawn from a small domain (so that they
 // collide with what is stored), data originated, relayed, delivered and
-// failed at the MAC, clock advances across route, cache and alternate
-// lifetimes, crashes with and without stable storage, and saves followed,
-// after any steps, by a restore — and plays it to LDR and to refLDR, each
-// node 0 of its own rig, Multipath on or off by the first byte. After
-// every step the two must agree on everything emitted, the table, every
-// route, feasible distance and alternate list, the own sequence number
+// failed at the MAC, clock advances across route and cache lifetimes,
+// crashes with and without stable storage, and saves followed, after any
+// steps, by a restore — and plays it to LDR and to refLDR, each node 0 of
+// its own rig. After every step the two must agree on everything emitted,
+// the table, every route and feasible distance, the own sequence number
 // and the model-state encoding; at the end on the collectors and the
 // reported sequence numbers.
 func driveTables(t testing.TB, data []byte) {
@@ -755,7 +694,6 @@ func driveTables(t testing.TB, data []byte) {
 		return b
 	}
 	cfg := DefaultConfig()
-	cfg.Multipath = next()%2 == 1
 	var got *LDR
 	var want *refLDR
 	gnw, gheard := tableRig(func(n *routing.Node) routing.Protocol { got = New(n, cfg); return got })
@@ -774,7 +712,7 @@ func driveTables(t testing.TB, data []byte) {
 	}
 	bit := func() bool { return next()%2 == 1 }
 	advances := [...]time.Duration{time.Millisecond, 20 * time.Millisecond, 200 * time.Millisecond, time.Second,
-		ondemand.ActiveRouteTimeout / 3, ondemand.ActiveRouteTimeout, ondemand.RREQCacheLife, altLifetime + time.Millisecond}
+		ondemand.ActiveRouteTimeout / 3, ondemand.ActiveRouteTimeout, ondemand.RREQCacheLife}
 	var gsaved, wsaved any
 	var pktID uint64
 
@@ -786,7 +724,7 @@ func driveTables(t testing.TB, data []byte) {
 			from := neighbour()
 			dst := id()
 			if next() < 64 {
-				dst = 0 // a request for us, so that copies over other hops meet a reply
+				dst = 0 // a request for us, so that later copies meet an engaged destination
 			}
 			q := RREQ{Dst: dst, Origin: id(), OriginSeq: seq(), ReqID: uint32(next() % 4), HaveDstSeq: bit(), DstSeq: seq(),
 				FD: dist(), AnsDist: dist(), Dist: dist(), TTL: 1 + int(next()%6), T: bit(), N: bit(), D: bit()}
@@ -874,9 +812,6 @@ func driveTables(t testing.TB, data []byte) {
 			}
 			if g, w := got.FeasibleDistance(dst), want.FeasibleDistance(dst); g != w {
 				fail(fmt.Sprintf("FeasibleDistance(%d)", dst), g, w)
-			}
-			if g, w := got.AltSuccessors(dst), want.AltSuccessors(dst); !slices.Equal(g, w) {
-				fail(fmt.Sprintf("AltSuccessors(%d)", dst), g, w)
 			}
 		}
 		if got.OwnSeq() != want.ownSeq {

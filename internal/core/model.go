@@ -39,10 +39,8 @@ func (l *LDR) ResetVolatile() {
 // ascending key order, which is the order it is stored in: own sequence
 // number, the full routing table (invalid entries included — their labels
 // persist and gate NDC), the engaged-computation cache, buffered data,
-// active discoveries, and the request-ID counter. An entry's alternates
-// are emitted in slice order: rememberAlt and promoteAlt break ties in
-// advertised distance by position, so their order is state. Expiry times
-// are included verbatim: the model runs at a frozen clock, so they are
+// active discoveries, and the request-ID counter. Expiry times are
+// included verbatim: the model runs at a frozen clock, so they are
 // deterministic durations, and AODV-style lifetime propagation makes them
 // behaviour-relevant in general. The per-neighbor rate limiters are
 // deliberately omitted (their buckets cannot empty within any bounded
@@ -70,12 +68,6 @@ func (l *LDR) AppendModelState(out []byte) []byte {
 		out = binary.AppendVarint(out, int64(e.fd))
 		out = binary.AppendVarint(out, int64(e.next))
 		out = binary.AppendVarint(out, int64(e.expiry))
-		out = binary.AppendUvarint(out, uint64(len(e.alts)))
-		for _, a := range e.alts {
-			out = binary.AppendVarint(out, int64(a.next))
-			out = binary.AppendVarint(out, int64(a.advDist))
-			out = binary.AppendVarint(out, int64(a.heard))
-		}
 	}
 
 	out = l.reqSeen.AppendState(out, l.node.Now(), appendReqState)
@@ -88,12 +80,7 @@ func appendReqState(out []byte, st *reqState) []byte {
 	out = appendBool(out, st.unicastFwd)
 	out = appendBool(out, st.replied)
 	out = binary.AppendUvarint(out, uint64(st.relayedSeq))
-	out = binary.AppendVarint(out, int64(st.relayedDist))
-	out = binary.AppendUvarint(out, uint64(len(st.altHops)))
-	for _, h := range st.altHops {
-		out = binary.AppendVarint(out, int64(h))
-	}
-	return out
+	return binary.AppendVarint(out, int64(st.relayedDist))
 }
 
 // modelState is an LDR instance's saved state: every field a handler,
@@ -107,27 +94,11 @@ type modelState struct {
 	limits  ondemand.LimitsState
 }
 
-// copyTable makes dst an entry-for-entry copy of src, length included,
-// reusing dst's storage.
+// copyTable makes dst a copy of src, length included, reusing dst's
+// storage.
 func copyTable(dst *table, src table) {
 	*dst = routing.Resize(*dst, len(src))
-	for i := range src {
-		copyEntry(&(*dst)[i], &src[i])
-	}
-}
-
-// copyEntry and copyReqState deep-copy a table row and an engaged-state
-// record, reusing dst's slice storage.
-func copyEntry(dst, src *entry) {
-	alts := dst.alts
-	*dst = *src
-	dst.alts = append(alts[:0], src.alts...)
-}
-
-func copyReqState(dst, src *reqState) {
-	hops := dst.altHops
-	*dst = *src
-	dst.altHops = append(hops[:0], src.altHops...)
+	copy(*dst, src)
 }
 
 // SaveModelState implements routing.ModelStater.
@@ -138,7 +109,7 @@ func (l *LDR) SaveModelState(store any) any {
 	}
 	s.ownSeq = l.ownSeq
 	copyTable(&s.routes, l.routes)
-	l.reqSeen.SaveState(&s.reqSeen, copyReqState)
+	l.reqSeen.SaveState(&s.reqSeen)
 	l.SaveDiscoveryState(&s.disc)
 	l.SaveLimitsState(&s.limits)
 	return s
@@ -149,7 +120,7 @@ func (l *LDR) RestoreModelState(store any) {
 	s := store.(*modelState)
 	l.ownSeq = s.ownSeq
 	copyTable(&l.routes, s.routes)
-	l.reqSeen.RestoreState(&s.reqSeen, copyReqState)
+	l.reqSeen.RestoreState(&s.reqSeen)
 	l.RestoreDiscoveryState(&s.disc)
 	l.RestoreLimitsState(&s.limits)
 }

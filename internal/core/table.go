@@ -20,8 +20,7 @@ type entry struct {
 	dist   int
 	fd     int
 	next   routing.NodeID
-	expiry time.Duration  // lifetime bound while valid
-	alts   []altSuccessor // loop-free fallback successors (multipath mode)
+	expiry time.Duration // lifetime bound while valid
 	valid  bool
 	known  bool // the slot holds an entry
 }
@@ -86,9 +85,6 @@ func (e *entry) update(advSeq Seqno, advDist int, via routing.NodeID, linkCost i
 	d := advDist + linkCost
 	if advSeq > e.seq {
 		e.fd = d
-		// Alternates were validated against the old sequence number's
-		// feasible distance; their labels are incomparable after a reset.
-		e.alts = nil
 	} else if d < e.fd {
 		e.fd = d
 	}

@@ -11,8 +11,8 @@ import (
 )
 
 // LDRVariant is one ablation point: an LDR configuration with a single
-// optimization removed or the multipath extension added. Mutate is nil
-// for ldr-full, which runs the defaults.
+// optimization removed. Mutate is nil for ldr-full, which runs the
+// defaults.
 type LDRVariant struct {
 	Name   string
 	Mutate func(*core.Config)
@@ -31,11 +31,6 @@ func Variants() []LDRVariant {
 			// Disable the expanding ring: first attempt floods network-wide.
 			c.TTLStart = ondemand.NetDiameter
 			c.OptimalTTL = false
-		}},
-		{Name: "ldr+multipath", Mutate: func(c *core.Config) {
-			// Extension: loop-free alternate successors with instant
-			// failover (the labeled-distance multipath direction).
-			c.Multipath = true
 		}},
 	}
 }

@@ -85,7 +85,7 @@ func TestAblationRendersEveryVariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, row := range []string{"ldr-full", "no-ring", "ldr+multipath", "olsr-nojitter", "ldr+rtscts"} {
+	for _, row := range []string{"ldr-full", "no-ring", "olsr-nojitter", "ldr+rtscts"} {
 		if !strings.Contains(out, row) {
 			t.Fatalf("ablation output missing row %q:\n%s", row, out)
 		}

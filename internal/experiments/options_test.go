@@ -54,7 +54,6 @@ func TestEveryOptionHasAUser(t *testing.T) {
 			"ReducedDistance": "ablation row no-reduced-dist",
 			"MinLifetime":     "ablation row no-min-lifetime",
 			"OptimalTTL":      "ablation rows no-optimal-ttl, no-ring",
-			"Multipath":       "ablation row ldr+multipath",
 		}},
 		{dsr.DefaultConfig(), []any{dsr.Draft7Config()}, map[string]string{
 			"DraftVariant": "Fig. 6: scenario.Factory(DSR7) runs Draft7Config",

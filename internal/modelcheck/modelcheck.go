@@ -35,7 +35,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/manetlab/ldr/internal/core"
 	"github.com/manetlab/ldr/internal/loopcheck"
 	"github.com/manetlab/ldr/internal/routing"
 )
@@ -44,11 +43,10 @@ import (
 // ordered list of data flows the checker may originate (each at most
 // once, in order, at any point in the schedule).
 type Scenario struct {
-	Graph     Graph
-	Protocol  string // "ldr" or "aodv" (any scenario.Factory name with ModelStater support)
-	LDRConfig *core.Config
-	Flows     []Flow
-	Seed      int64 // per-node RNG seed; only jitter draws consume it
+	Graph    Graph
+	Protocol string // "ldr" or "aodv" (any scenario.Factory name with ModelStater support)
+	Flows    []Flow
+	Seed     int64 // per-node RNG seed; only jitter draws consume it
 }
 
 // DefaultFlows is the standard sweep workload: every node except the

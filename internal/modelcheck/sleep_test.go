@@ -8,8 +8,6 @@ import (
 	"slices"
 	"testing"
 	"time"
-
-	"github.com/manetlab/ldr/internal/core"
 )
 
 // keysOf takes, on a fresh cursor, the key of every state in an arena of
@@ -40,28 +38,23 @@ type reductionCell struct {
 }
 
 func (c reductionCell) name() string {
-	name := fmt.Sprintf("%s/%s/%+v", c.sc.Protocol, c.sc.Graph.Name, c.opts)
-	if c.sc.LDRConfig != nil {
-		name += "/multipath"
-	}
-	return name
+	return fmt.Sprintf("%s/%s/%+v", c.sc.Protocol, c.sc.Graph.Name, c.opts)
 }
 
 // reductionCells are the four pinned explorations (the reference keeps
 // their pinned triples), every connected 3- and 4-node graph under both
 // protocols with a loss and a crash or a duplicate and a volatile crash at
-// depth 8, LDR with Multipath on two 3-node graphs and on K2,3 (which must
-// come out clean), the AODV line cut short by the state cap, and K4 with a
-// custom flow.
+// depth 8, the triangle at depth 12, the AODV line cut short by the state
+// cap, K4 with a custom flow, and K2,3. Every LDR cell must come out
+// clean but those with a volatile crash, which wipes the labels §5 keeps
+// in stable storage and so may break the ordering.
 //
-// K2,3 (0–{1,2,3}–4, the one flow 0→4) is the first graph on which an
-// entry holds two alternates. Without a fault the search closes at depth
-// 18 with 4,234 states; with one crash, bounded at depth 16, it finds
-// 50,438. An encoding that sorted the alternates merged states in which
-// promoteAlt picks different successors, and visited only 4,018 and
-// 49,304.
+// K2,3 (0–{1,2,3}–4, the one flow 0→4) is the only 5-node cell: three
+// disjoint two-hop paths, so floods and replies race over each. Without a
+// fault the search closes at depth 14 with 778 states; with one crash,
+// bounded at depth 16, it finds 10,427.
 func reductionCells(t *testing.T) []reductionCell {
-	newScenario := func(topo, proto string, flows []Flow, cfg *core.Config) *Scenario {
+	newScenario := func(topo, proto string, flows []Flow) *Scenario {
 		g, err := NamedTopology(topo)
 		if err != nil {
 			t.Fatal(err)
@@ -69,32 +62,29 @@ func reductionCells(t *testing.T) []reductionCell {
 		if flows == nil {
 			flows = DefaultFlows(g)
 		}
-		return &Scenario{Graph: g, Protocol: proto, LDRConfig: cfg, Flows: flows, Seed: 1}
+		return &Scenario{Graph: g, Protocol: proto, Flows: flows, Seed: 1}
 	}
 	cells := []reductionCell{
-		{newScenario("line3", "ldr", nil, nil), Options{MaxDepth: 12, MaxResets: 1, MaxDrops: 1}, [3]int{7428, 26251, 12}},
-		{newScenario("line3", "ldr", nil, nil), Options{MaxDepth: 12, MaxVResets: 1}, [3]int{2521, 7442, 12}},
-		{newScenario("n4-1", "ldr", nil, nil), Options{MaxDepth: 10, MaxResets: 1}, [3]int{14056, 45854, 10}},
-		{newScenario("line3", "aodv", nil, nil), Options{MaxDepth: 12, MaxResets: 1, MaxDrops: 1}, [3]int{2506, 6477, 8}},
+		{newScenario("line3", "ldr", nil), Options{MaxDepth: 12, MaxResets: 1, MaxDrops: 1}, [3]int{7428, 26251, 12}},
+		{newScenario("line3", "ldr", nil), Options{MaxDepth: 12, MaxVResets: 1}, [3]int{2521, 7442, 12}},
+		{newScenario("n4-1", "ldr", nil), Options{MaxDepth: 10, MaxResets: 1}, [3]int{14056, 45854, 10}},
+		{newScenario("line3", "aodv", nil), Options{MaxDepth: 12, MaxResets: 1, MaxDrops: 1}, [3]int{2506, 6477, 8}},
 	}
 	for _, sc := range sweepScenarios(t) {
 		cells = append(cells,
 			reductionCell{sc: sc, opts: Options{MaxDepth: 8, MaxDrops: 1, MaxResets: 1}},
 			reductionCell{sc: sc, opts: Options{MaxDepth: 8, MaxDups: 1, MaxVResets: 1}})
 	}
-	multipath := core.DefaultConfig()
-	multipath.Multipath = true
 	k23 := &Scenario{
 		Graph:    Graph{N: 5, Edges: [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 4}, {2, 4}, {3, 4}}, Name: "k23"},
-		Protocol: "ldr", LDRConfig: &multipath, Flows: []Flow{{Src: 0, Dst: 4}}, Seed: 1,
+		Protocol: "ldr", Flows: []Flow{{Src: 0, Dst: 4}}, Seed: 1,
 	}
 	return append(cells,
-		reductionCell{sc: newScenario("line3", "ldr", nil, &multipath), opts: Options{MaxDepth: 12, MaxResets: 1, MaxDrops: 1}},
-		reductionCell{sc: newScenario("n3-1", "ldr", nil, &multipath), opts: Options{MaxDepth: 12, MaxResets: 1, MaxDrops: 1}},
-		reductionCell{sc: newScenario("line3", "aodv", nil, nil), opts: Options{MaxDepth: 12, MaxResets: 1, MaxDrops: 1, MaxStates: 1000}},
-		reductionCell{sc: newScenario("n4-5", "ldr", []Flow{{Src: 0, Dst: 1}}, nil), opts: Options{MaxDepth: 9, MaxResets: 1, MaxDrops: 1}},
-		reductionCell{sc: k23, opts: Options{MaxDepth: 18}, ref: [3]int{4234, 15316, 18}},
-		reductionCell{sc: k23, opts: Options{MaxDepth: 16, MaxResets: 1}, ref: [3]int{50438, 199273, 16}},
+		reductionCell{sc: newScenario("n3-1", "ldr", nil), opts: Options{MaxDepth: 12, MaxResets: 1, MaxDrops: 1}},
+		reductionCell{sc: newScenario("line3", "aodv", nil), opts: Options{MaxDepth: 12, MaxResets: 1, MaxDrops: 1, MaxStates: 1000}},
+		reductionCell{sc: newScenario("n4-5", "ldr", []Flow{{Src: 0, Dst: 1}}), opts: Options{MaxDepth: 9, MaxResets: 1, MaxDrops: 1}},
+		reductionCell{sc: k23, opts: Options{MaxDepth: 18}, ref: [3]int{778, 2584, 14}},
+		reductionCell{sc: k23, opts: Options{MaxDepth: 16, MaxResets: 1}, ref: [3]int{10427, 41194, 16}},
 	)
 }
 
@@ -136,8 +126,8 @@ func TestReductionKeepsEveryState(t *testing.T) {
 		case got.Violation != nil && !slices.Equal(got.Violation.Trace, want.Violation.Trace):
 			t.Errorf("%s: witness %v, the reference's is %v", name, got.Violation.Trace, want.Violation.Trace)
 		}
-		if c.sc.LDRConfig != nil && (got.Violation != nil || got.Truncated) {
-			t.Errorf("%s: Multipath LDR is not clean: violation %v, truncated %v", name, got.Violation, got.Truncated)
+		if c.sc.Protocol == "ldr" && c.opts.MaxVResets == 0 && (got.Violation != nil || got.Truncated) {
+			t.Errorf("%s: LDR is not clean: violation %v, truncated %v", name, got.Violation, got.Truncated)
 		}
 
 		// Equal arenas are the same traces, so the same keys at the same

@@ -265,12 +265,12 @@ func modelStateFields(t *testing.T) map[reflect.Type]fieldLists {
 		ldr: {
 			[]string{"ownSeq", "routes", "reqSeen", "Discoveries", "Limits"},
 			[]string{"node", "cfg", "rreqPool", "rrepPool", "rerrPool", "rerrBuf"}},
-		field(ldr, "routes").Elem(): { // core.entry; alts is deep-copied
-			[]string{"known", "seq", "dist", "fd", "next", "valid", "expiry", "alts"}, nil},
+		field(ldr, "routes").Elem(): { // core.entry
+			[]string{"known", "seq", "dist", "fd", "next", "valid", "expiry"}, nil},
 		ldrSeen:      {[]string{"byOrigin", "sweepAt"}, nil},
 		ldrSeenEntry: {[]string{"id", "expires", "val"}, nil},
-		field(ldrSeenEntry, "val"): { // core.reqState; altHops is deep-copied
-			[]string{"lastHop", "relayed", "relayedSeq", "relayedDist", "unicastFwd", "replied", "altHops"}, nil},
+		field(ldrSeenEntry, "val"): { // core.reqState
+			[]string{"lastHop", "relayed", "relayedSeq", "relayedDist", "unicastFwd", "replied"}, nil},
 		av: {
 			[]string{"ownSeq", "routes", "reqSeen", "Discoveries", "Limits"},
 			[]string{"node", "rreqPool", "rrepPool", "rerrPool", "rerrBuf"}},

@@ -23,17 +23,12 @@ type saved[K comparable, V any] struct {
 }
 
 // savePtrMap copies a map of pointers into dst's storage in ascending key
-// order, the pointed-to values copied with cp (nil assigns).
-func savePtrMap[K comparable, V any](dst []saved[K, V], m map[K]*V, cmpKey func(a, b K) int, cp func(dst, src *V)) []saved[K, V] {
+// order, the pointed-to values copied by assignment.
+func savePtrMap[K comparable, V any](dst []saved[K, V], m map[K]*V, cmpKey func(a, b K) int) []saved[K, V] {
 	dst = routing.Resize(dst, len(m))
 	i := 0
 	for k, v := range m {
-		dst[i].key = k
-		if cp == nil {
-			dst[i].val = *v
-		} else {
-			cp(&dst[i].val, v)
-		}
+		dst[i] = saved[K, V]{k, *v}
 		i++
 	}
 	slices.SortFunc(dst, func(a, b saved[K, V]) int { return cmpKey(a.key, b.key) })
@@ -41,18 +36,14 @@ func savePtrMap[K comparable, V any](dst []saved[K, V], m map[K]*V, cmpKey func(
 }
 
 // restorePtrMap makes m hold exactly the entries savePtrMap copied out.
-func restorePtrMap[K comparable, V any](m map[K]*V, src []saved[K, V], cmpKey func(a, b K) int, cp func(dst, src *V)) {
+func restorePtrMap[K comparable, V any](m map[K]*V, src []saved[K, V], cmpKey func(a, b K) int) {
 	for i := range src {
 		p := m[src[i].key]
 		if p == nil {
 			p = new(V)
 			m[src[i].key] = p
 		}
-		if cp == nil {
-			*p = src[i].val
-		} else {
-			cp(p, &src[i].val)
-		}
+		*p = src[i].val
 	}
 	for k := range m {
 		if _, ok := slices.BinarySearchFunc(src, k, func(e saved[K, V], k K) int { return cmpKey(e.key, k) }); !ok {
@@ -125,23 +116,16 @@ type refSeenState[V any] struct {
 	sweepAt time.Duration
 }
 
-func refEntryCopier[V any](cp func(dst, src *V)) func(dst, src *refSeenEntry[V]) {
-	return func(dst, src *refSeenEntry[V]) {
-		dst.expires = src.expires
-		cp(&dst.val, &src.val)
-	}
-}
-
-func (c *refSeen[V]) save(s *refSeenState[V], cp func(dst, src *V)) {
-	s.entries = savePtrMap(s.entries, c.m, compareReqKey, refEntryCopier(cp))
+func (c *refSeen[V]) save(s *refSeenState[V]) {
+	s.entries = savePtrMap(s.entries, c.m, compareReqKey)
 	s.sweepAt = c.sweepAt
 }
 
-func (c *refSeen[V]) restore(s *refSeenState[V], cp func(dst, src *V)) {
+func (c *refSeen[V]) restore(s *refSeenState[V]) {
 	if c.m == nil {
 		c.m = make(map[ReqKey]*refSeenEntry[V])
 	}
-	restorePtrMap(c.m, s.entries, compareReqKey, refEntryCopier(cp))
+	restorePtrMap(c.m, s.entries, compareReqKey)
 	c.sweepAt = s.sweepAt
 }
 
@@ -313,7 +297,7 @@ func (ds *refDiscoveries) save(s *refDiscoveryState) {
 			i++
 		}
 	}
-	s.active = savePtrMap(s.active, ds.active, cmp.Compare[routing.NodeID], nil)
+	s.active = savePtrMap(s.active, ds.active, cmp.Compare[routing.NodeID])
 	s.nextID, s.stopped = ds.nextID, ds.stopped
 }
 
@@ -328,6 +312,6 @@ func (ds *refDiscoveries) restore(s *refDiscoveryState) {
 		}
 		ds.q[sq.dst], pkts = q, pkts[sq.n:]
 	}
-	restorePtrMap(ds.active, s.active, cmp.Compare[routing.NodeID], nil)
+	restorePtrMap(ds.active, s.active, cmp.Compare[routing.NodeID])
 	ds.nextID, ds.stopped = s.nextID, s.stopped
 }

@@ -163,29 +163,20 @@ func (c *Seen[V]) Reset() {
 type SeenState[V any] struct{ c Seen[V] }
 
 // SaveState copies the cache into s's storage, for the embedding
-// protocol's SaveModelState. cp deep-copies a V into dst, reusing what dst
-// holds and sharing nothing with src; nil assigns.
-func (c *Seen[V]) SaveState(s *SeenState[V], cp func(dst, src *V)) { s.c.copyFrom(c, cp) }
+// protocol's SaveModelState. A V is copied by assignment, so it must hold
+// no storage of its own.
+func (c *Seen[V]) SaveState(s *SeenState[V]) { s.c.copyFrom(c) }
 
-// RestoreState puts back what SaveState copied out of this cache, with
-// the same cp.
-func (c *Seen[V]) RestoreState(s *SeenState[V], cp func(dst, src *V)) { c.copyFrom(&s.c, cp) }
+// RestoreState puts back what SaveState copied out of this cache.
+func (c *Seen[V]) RestoreState(s *SeenState[V]) { c.copyFrom(&s.c) }
 
 // copyFrom makes c an entry-for-entry copy of src, list lengths included,
 // in the storage c already holds.
-func (c *Seen[V]) copyFrom(src *Seen[V], cp func(dst, src *V)) {
+func (c *Seen[V]) copyFrom(src *Seen[V]) {
 	c.byOrigin = routing.Resize(c.byOrigin, len(src.byOrigin))
 	for o, sl := range src.byOrigin {
-		l := routing.Resize(c.byOrigin[o], len(sl))
-		for i := range sl {
-			l[i].id, l[i].expires = sl[i].id, sl[i].expires
-			if cp == nil {
-				l[i].val = sl[i].val
-			} else {
-				cp(&l[i].val, &sl[i].val)
-			}
-		}
-		c.byOrigin[o] = l
+		c.byOrigin[o] = routing.Resize(c.byOrigin[o], len(sl))
+		copy(c.byOrigin[o], sl)
 	}
 	c.sweepAt = src.sweepAt
 }

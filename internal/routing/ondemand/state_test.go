@@ -15,19 +15,8 @@ import (
 	"github.com/manetlab/ldr/internal/routing"
 )
 
-// copyEngaged deep-copies an engaged record, reusing dst's storage.
-func copyEngaged(dst, src *engaged) {
-	hops := dst.altHops
-	*dst = *src
-	dst.altHops = append(hops[:0], src.altHops...)
-}
-
 func appendEngaged(out []byte, e *engaged) []byte {
 	out = binary.AppendVarint(out, int64(e.lastHop))
-	out = binary.AppendUvarint(out, uint64(len(e.altHops)))
-	for _, h := range e.altHops {
-		out = binary.AppendVarint(out, int64(h))
-	}
 	return fmt.Appendf(out, "%v%v", e.replied, e.unicastFwd)
 }
 
@@ -194,13 +183,10 @@ func driveOnDemand(t testing.TB, data []byte) {
 			if fmt.Sprint(*g) != fmt.Sprint(*w) {
 				fail(desc, "engaged state", *g, *w)
 			}
-			switch hop := id(); next() % 3 {
-			case 0:
+			if next()%2 == 0 {
 				g.replied, w.replied = true, true
-			case 1:
+			} else {
 				g.unicastFwd, w.unicastFwd = true, true
-			case 2:
-				g.altHops, w.altHops = append(g.altHops, hop), append(w.altHops, hop)
 			}
 		case 4:
 			if next()%4 == 0 {
@@ -286,8 +272,8 @@ func driveOnDemand(t testing.TB, data []byte) {
 				desc = "save"
 				got.SaveDiscoveryState(&gsave)
 				want.save(&wsave)
-				got.seen.SaveState(&gseen, copyEngaged)
-				want.seen.save(&wseen, copyEngaged)
+				got.seen.SaveState(&gseen)
+				want.seen.save(&wseen)
 				haveSave = true
 				break
 			}
@@ -304,8 +290,8 @@ func driveOnDemand(t testing.TB, data []byte) {
 			}
 			got.RestoreDiscoveryState(&gsave)
 			want.restore(&wsave)
-			got.seen.RestoreState(&gseen, copyEngaged)
-			want.seen.restore(&wseen, copyEngaged)
+			got.seen.RestoreState(&gseen)
+			want.seen.restore(&wseen)
 		}
 
 		now = gnw.Sim.Now()

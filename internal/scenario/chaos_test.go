@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/manetlab/ldr/internal/core"
 	"github.com/manetlab/ldr/internal/loopcheck"
 	"github.com/manetlab/ldr/internal/scenario"
 )
@@ -69,15 +68,14 @@ func TestOLSRToleratesTransientLoops(t *testing.T) {
 	}
 }
 
-// TestChaosLDRMultipathOrderingCriterion also enforces the full ordering
-// criterion (not just acyclicity) for LDR with every extension enabled.
+// TestChaosLDRAllOptionsOrderingCriterion also enforces the full ordering
+// criterion (not just acyclicity) for LDR with every optimization enabled,
+// its default configuration.
 func TestChaosLDRAllOptionsOrderingCriterion(t *testing.T) {
-	ldrCfg := defaultLDRAllOptions()
 	for seed := int64(4); seed <= 6; seed++ {
 		cfg := scenario.Nodes50(scenario.LDR, 8, 0, seed)
 		cfg.Nodes = 25
 		cfg.SimTime = 45 * time.Second
-		cfg.LDRConfig = &ldrCfg
 		nw, gen, err := scenario.Build(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -125,12 +123,4 @@ func TestDeliveryBoundedByReachability(t *testing.T) {
 	if h := nw.Collector.MeanHops(); h < 1 || h > 64 {
 		t.Fatalf("mean hops = %v, outside [1, 64]", h)
 	}
-}
-
-// defaultLDRAllOptions enables every optimization plus the multipath
-// extension — the widest invariant surface.
-func defaultLDRAllOptions() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Multipath = true
-	return cfg
 }
