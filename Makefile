@@ -102,12 +102,14 @@ resume-smoke:
 # without a violation fails its line. Then make the checker rediscover
 # the van Glabbeek AODV loop from scratch and replay both a fresh witness
 # and the committed seed to a real routing loop under the full MAC/radio
-# simulator.
+# simulator. The n4-4 line is the falsifiability control: LDR without its
+# §5 stable storage (one volatile crash) must break the ordering.
 modelcheck:
 	$(GO) run ./cmd/ldrcheck -q -protocol ldr -topology sweep3 -resets 1 -drops 1
 	$(GO) run ./cmd/ldrcheck -q -protocol aodv -topology sweep3 -resets 1 -drops 1 -expect-violation
 	$(GO) run ./cmd/ldrcheck -q -protocol ldr -topology sweep4 -depth 10 -resets 1
 	$(GO) run ./cmd/ldrcheck -q -protocol aodv -topology sweep4 -depth 10 -resets 1 -expect-violation
+	$(GO) run ./cmd/ldrcheck -q -protocol ldr -topology n4-4 -vresets 1 -expect-violation
 	$(GO) run ./cmd/ldrcheck -protocol aodv -resets 1 -drops 1 -expect-violation -emit /tmp/aodv-line3-loop.json -q
 	$(GO) test ./internal/modelcheck/ -run 'TestAODVLine3Violation|TestWitnessBridge' -v
 

@@ -110,9 +110,9 @@ func (l *LDR) Start() {}
 // belong there with it, because they ARE the loop-freedom invariant:
 // neighbors that chose this node as successor did so against its old
 // labels, and a relay that re-learned routes from scratch could accept an
-// equal-sequence-number route whose feasible distance has regressed —
-// under lossy channels (where the request-as-error RREQ can miss the
-// upstream node) that regression re-creates exactly the post-reboot loop
+// equal-sequence-number route whose feasible distance has regressed: the
+// model checker finds that ordering breach after one crash without the
+// labels (ResetVolatile), the history loss behind the post-reboot loop
 // AODV exhibits (see internal/fault). Keeping the labels makes every
 // post-reboot acceptance pass NDC against pre-crash state, so the global
 // ordering criterion survives the crash. The request-ID counter also

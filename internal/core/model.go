@@ -22,10 +22,14 @@ var (
 // number and the per-destination (sn, fd) labels is what keeps
 // post-reboot acceptances ordered; wiping them puts LDR in the volatile
 // regime in which AODV loops, and this hook lets the model checker
-// explore that regime directly. (Within the budgets explored so far the
-// request-as-error discipline still prevents the van Glabbeek
-// construction even without stable storage — the stale-route reply that
-// seeds AODV's loop is answered with an RERR leg here.) The request-ID
+// explore that regime directly. There LDR loses the ordering criterion:
+// on the 4-node graph n4-4, one volatile crash of a relay whose
+// downstream neighbor routes through it at distance 2 lets the relay
+// re-learn the route from another neighbor's request at that same
+// distance and sequence number, so the neighbor's successor is no longer
+// below it — a 6-step schedule among 961 states (`ldrcheck -protocol ldr
+// -topology n4-4 -vresets 1`, pinned in `make modelcheck`). On the 3-node
+// line the checker finds no violation within its budgets. The request-ID
 // counter survives for the same simulation-artifact reason it survives
 // Reset.
 func (l *LDR) ResetVolatile() {

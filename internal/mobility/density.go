@@ -47,11 +47,12 @@ func (w *Warped) Position(id int, at time.Duration) Point {
 // SpeedBound implements Model.
 func (w *Warped) SpeedBound() float64 { return w.inner.SpeedBound() * w.warp.Stretch }
 
-// LegEnd implements Model: a warp draws nothing of its own.
-func (w *Warped) LegEnd(id int) time.Duration { return w.inner.LegEnd(id) }
-
-// Piece implements Model: a warp bends straight pieces, so it names none.
-func (w *Warped) Piece(int, time.Duration) (Piece, bool) { return Piece{}, false }
+// Piece implements Model: a warp bends straight pieces, so it names none,
+// and draws nothing of its own, so the inner piece's End holds.
+func (w *Warped) Piece(id int, t time.Duration) (Piece, bool) {
+	p, _ := w.inner.Piece(id, t)
+	return Piece{End: p.End}, false
+}
 
 // GradientWarp concentrates nodes toward the x = 0 edge: a uniform
 // x-coordinate u·W maps to u²·W, giving a density that falls off as

@@ -90,17 +90,12 @@ func (g *GaussMarkov) NumNodes() int { return len(g.nodes) }
 // reflecting off the boundary lengthens no step.
 func (g *GaussMarkov) SpeedBound() float64 { return g.cfg.MaxSpeed }
 
-// LegEnd implements Model: the velocity is re-drawn at the next step
-// boundary.
-func (g *GaussMarkov) LegEnd(id int) time.Duration {
-	return time.Duration(g.nodes[id].step+1)*gmStep - time.Nanosecond
-}
-
 // Piece implements Model: the current step, from its boundary position
-// toward the next.
+// toward the next; the velocity is re-drawn at the next step boundary.
 func (g *GaussMarkov) Piece(id int, _ time.Duration) (Piece, bool) {
 	st, dt := &g.nodes[id], gmStep.Seconds()
-	return Piece{V: Point{X: (st.next.X - st.pos.X) / dt, Y: (st.next.Y - st.pos.Y) / dt}, End: g.LegEnd(id)}, true
+	end := time.Duration(st.step+1)*gmStep - time.Nanosecond
+	return Piece{V: Point{X: (st.next.X - st.pos.X) / dt, Y: (st.next.Y - st.pos.Y) / dt}, End: end}, true
 }
 
 // Position implements Model.

@@ -121,11 +121,9 @@ func (m *Manhattan) NumNodes() int { return len(m.nodes) }
 // SpeedBound implements Model: no street's speed class exceeds 1.
 func (m *Manhattan) SpeedBound() float64 { return m.cfg.MaxSpeed }
 
-// LegEnd implements Model: Position draws the next leg only past the pause.
-func (m *Manhattan) LegEnd(id int) time.Duration { return m.nodes[id].pauseUntil }
-
 // Piece implements Model: the street segment, then the pause at the
-// intersection it reaches.
+// intersection it reaches; Position draws the next leg only past the
+// pause.
 func (m *Manhattan) Piece(id int, t time.Duration) (Piece, bool) {
 	st := &m.nodes[id]
 	return segmentPiece(st.from, st.to, st.segStart, st.segEnd, st.pauseUntil, t), true

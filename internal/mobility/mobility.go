@@ -30,18 +30,18 @@ func (p Point) Dist(q Point) float64 {
 // non-decreasing times per node; the simulator guarantees this because all
 // queries happen at the current virtual time.
 //
-// SpeedBound and LegEnd are a promise that lets a caller keep a position
-// instead of asking again: after Position(id, t1), for every t2 in
-// [t1, LegEnd(id)], Position(id, t2) draws from no random stream and lies
-// within Slack(SpeedBound(), t2-t1) of Position(id, t1). Past LegEnd the
-// caller has to ask, which is also what keeps every stream where asking at
-// every instant would have left it.
-//
-// Piece sharpens the promise for a model whose nodes move in straight
-// pieces: after Position(id, t1), Piece(id, t1) draws nothing, and for
-// every t2 in [t1, End] Position(id, t2) lies within Margin of the line
-// Position(id, t1) + V·(t2-t1). A caller that knows two nodes' pieces
-// therefore knows their distance until the earlier End.
+// Piece and SpeedBound are a promise that lets a caller keep a position
+// instead of asking again: after Position(id, t1), Piece(id, t1) draws
+// nothing, and for every t2 in [t1, End] Position(id, t2) draws from no
+// random stream and lies within SpeedBound()·(t2-t1+1 ns) + Margin of
+// Position(id, t1): the nanosecond because Waypoint and Manhattan truncate
+// a leg's duration to whole nanoseconds, so a node runs up to a nanosecond
+// of travel ahead of its drawn speed. Past End the caller has to ask,
+// which is also what keeps every stream where asking at every instant
+// would have left it. When the model names the piece's line (ok),
+// Position(id, t2) also lies within Margin of Position(id, t1) +
+// V·(t2-t1), so a caller that knows two nodes' pieces knows their distance
+// until the earlier End.
 type Model interface {
 	// Position returns the position of node id at virtual time at.
 	Position(id int, at time.Duration) Point
@@ -50,14 +50,11 @@ type Model interface {
 	// SpeedBound returns a speed in m/s that no node exceeds at any time,
 	// +Inf when the model cannot name one.
 	SpeedBound() float64
-	// LegEnd returns the last instant of the leg node id's latest Position
-	// query left it on; Forever when its trajectory needs no further draw.
-	LegEnd(id int) time.Duration
 	// Piece returns the straight piece node id is on at t, the instant of
 	// its latest Position query: a Waypoint or Manhattan segment or pause,
-	// a Gauss-Markov step, a Script leg, or forever for a Static node. It
-	// ends no later than LegEnd(id). ok is false when the model cannot name
-	// one (Warped); then SpeedBound is all a caller has.
+	// a Gauss-Markov step, a Script leg, or forever for a Static node. ok
+	// is false when the model bends its pieces (Warped): then End still
+	// holds and V is zero, and SpeedBound is all a caller has of the motion.
 	Piece(id int, t time.Duration) (p Piece, ok bool)
 }
 
@@ -79,26 +76,15 @@ func segmentPiece(from, to Point, start, arrive, rest, t time.Duration) Piece {
 	return Piece{V: Point{X: (to.X - from.X) / dt, Y: (to.Y - from.Y) / dt}, End: arrive}
 }
 
-// Forever is the LegEnd of a node whose trajectory is fixed for good.
+// Forever is the End of a piece that lasts for good.
 const Forever = time.Duration(math.MaxInt64)
 
-// Margin is the part of Slack that does not grow with time, in meters: a
-// micrometre, six orders of magnitude above the rounding of a coordinate
-// on any terrain used here. It is what sends a comparison of squared
-// distances that floating point could decide either way back to the exact
-// computation, also for nodes that never move.
+// Margin is how far a node may stray from the line or the bound a Model
+// promises, in meters: a micrometre, six orders of magnitude above the
+// rounding of a coordinate on any terrain used here. It is what sends a
+// comparison of distances that floating point could decide either way
+// back to the exact computation, also for nodes that never move.
 const Margin = 1e-6
-
-// Slack bounds how far a node can be, dt into a leg, from where it was:
-// bound meters per second, for one nanosecond longer than dt, plus Margin.
-// The nanosecond is real: Waypoint and Manhattan truncate a leg's duration
-// to whole nanoseconds, so a node covers its leg in up to a nanosecond less
-// than its drawn speed allows and runs ahead of SpeedBound by up to one
-// nanosecond of travel (20 nm at 20 m/s). An infinite bound gives an
-// infinite slack.
-func Slack(bound float64, dt time.Duration) float64 {
-	return bound*float64(dt+time.Nanosecond)*1e-9 + Margin
-}
 
 // Terrain is the rectangular simulation area, in meters.
 type Terrain struct {
@@ -175,11 +161,8 @@ func (w *Waypoint) NumNodes() int { return len(w.nodes) }
 // SpeedBound implements Model: every leg's speed is drawn at or below it.
 func (w *Waypoint) SpeedBound() float64 { return w.cfg.MaxSpeed }
 
-// LegEnd implements Model: Position draws the next leg only past the pause.
-func (w *Waypoint) LegEnd(id int) time.Duration { return w.nodes[id].pauseUntil }
-
 // Piece implements Model: the segment toward the waypoint, then the pause
-// there.
+// there; Position draws the next leg only past the pause.
 func (w *Waypoint) Piece(id int, t time.Duration) (Piece, bool) {
 	st := &w.nodes[id]
 	return segmentPiece(st.from, st.to, st.segStart, st.segEnd, st.pauseUntil, t), true
@@ -240,9 +223,6 @@ func (s *Static) NumNodes() int { return len(s.pts) }
 
 // SpeedBound implements Model.
 func (s *Static) SpeedBound() float64 { return 0 }
-
-// LegEnd implements Model.
-func (s *Static) LegEnd(int) time.Duration { return Forever }
 
 // Piece implements Model: a static node rests for good.
 func (s *Static) Piece(int, time.Duration) (Piece, bool) { return Piece{End: Forever}, true }
@@ -312,9 +292,6 @@ func (s *Script) NumNodes() int { return len(s.tracks) }
 // SpeedBound implements Model: the fastest scripted leg, +Inf if a track
 // jumps.
 func (s *Script) SpeedBound() float64 { return s.bound }
-
-// LegEnd implements Model: a script draws nothing.
-func (s *Script) LegEnd(int) time.Duration { return Forever }
 
 // Piece implements Model: the leg the node is on, the wait before the
 // first, or its last position for good.

@@ -17,9 +17,9 @@ type promiseModel struct {
 	name  string
 	mk    func(*rng.Source) mobility.Model
 	bound float64 // SpeedBound of the unwarped model
-	draws bool    // a query past LegEnd draws
+	draws bool    // a query past a piece's End may draw
 	exact bool    // some leg runs at exactly the bound, so the nanosecond shows
-	split bool    // some leg holds a piece that ends before the leg does
+	split bool    // some piece ends before the node's next draw
 	rests bool    // some node sits still for a while on a leg it draws
 }
 
@@ -81,12 +81,21 @@ func promiseWarps() []promiseWarp {
 	}
 }
 
-// TestKeptPositionPromise is the Model contract the radio's receiver scan
-// rests on, for every model alone and under both warps: after
-// Position(id, t1), through LegEnd(id), a query draws from no random stream
-// and finds the node within Slack(SpeedBound(), t2-t1) of where it was —
-// in fact within SpeedBound()·(t2-t1+1 ns), the nanosecond being the
+// slack bounds how far a node can be, dt after a query, from where it
+// was: bound meters per second, for one nanosecond longer than dt, plus
+// Margin (the Model contract).
+func slack(bound float64, dt time.Duration) float64 {
+	return bound*float64(dt+time.Nanosecond)*1e-9 + mobility.Margin
+}
+
+// TestKeptPositionPromise is the Model contract a kept position rests on,
+// for every model alone and under both warps: after Position(id, t1),
+// through Piece(id, t1)'s End, a query draws from no random stream and
+// finds the node within slack(SpeedBound(), t2-t1) of where it was — in
+// fact within SpeedBound()·(t2-t1+1 ns), the nanosecond being the
 // truncation of a leg's duration, which the fixed-speed rows show is used.
+// A query just past End draws in a model that draws, except where the
+// piece ends before the leg does.
 func TestKeptPositionPromise(t *testing.T) {
 	models, warps := promiseModels(), promiseWarps()
 	for _, mc := range models {
@@ -99,24 +108,26 @@ func TestKeptPositionPromise(t *testing.T) {
 					t.Fatalf("SpeedBound() = %v, want %v × %v", bound, mc.bound, wc.k)
 				}
 				r := rng.New(12)
-				ahead, pastEnd := 0.0, 0
+				ahead, pastEnd, split := 0.0, 0, 0
 				for id := 0; id < m.NumNodes(); id++ {
 					var t1 time.Duration
 					for t1 < 400*time.Second {
 						p1 := m.Position(id, t1)
-						end, before := m.LegEnd(id), src.Draws()
+						before := src.Draws()
+						piece, _ := m.Piece(id, t1)
+						end := piece.End
 						if end < t1 {
-							t.Fatalf("node %d: LegEnd %v before the query at %v that set it", id, end, t1)
+							t.Fatalf("node %d: piece through %v, before the query at %v that set it", id, end, t1)
 						}
-						// A few instants inside the leg, the last of them its end.
+						// A few instants on the piece, the last of them its end.
 						last := min(end, t1+100*time.Second)
 						for _, t2 := range []time.Duration{t1, t1 + time.Duration(r.Float64()*float64(last-t1)), last} {
 							d := p1.Dist(m.Position(id, t2))
 							if src.Draws() != before {
-								t.Fatalf("node %d: Position at %v drew, LegEnd promised none through %v", id, t2, end)
+								t.Fatalf("node %d: Position at %v drew, its piece promised none through %v", id, t2, end)
 							}
-							if d > mobility.Slack(bound, t2-t1) {
-								t.Fatalf("node %d: moved %v m from %v to %v, Slack allows %v", id, d, t1, t2, mobility.Slack(bound, t2-t1))
+							if d > slack(bound, t2-t1) {
+								t.Fatalf("node %d: moved %v m from %v to %v, slack allows %v", id, d, t1, t2, slack(bound, t2-t1))
 							}
 							if !math.IsInf(bound, 1) {
 								ahead = max(ahead, d-bound*(t2-t1).Seconds())
@@ -126,18 +137,21 @@ func TestKeptPositionPromise(t *testing.T) {
 							t1 += time.Duration(1 + r.Intn(int(30*time.Second)))
 							continue
 						}
-						// The first instant past the leg is the next query.
+						// The first instant past the piece is the next query.
 						t1 = end + 1
 						m.Position(id, t1)
 						if src.Draws() != before {
 							pastEnd++
-						} else if mc.draws {
-							t.Fatalf("node %d: LegEnd %v, yet Position a nanosecond later drew nothing", id, end)
+						} else {
+							split++
 						}
 					}
 				}
 				if mc.draws == (pastEnd == 0) {
-					t.Errorf("%d queries past a LegEnd drew; draws expected: %v", pastEnd, mc.draws)
+					t.Errorf("%d queries past a piece's End drew; draws expected: %v", pastEnd, mc.draws)
+				}
+				if mc.draws && mc.split != (split > 0) {
+					t.Errorf("%d queries past a piece's End drew nothing; expected some: %v", split, mc.split)
 				}
 				// Rounding aside, a node is never more than a nanosecond of
 				// travel ahead of its bound, and on a leg at the bound it is ahead.
@@ -145,7 +159,7 @@ func TestKeptPositionPromise(t *testing.T) {
 					t.Errorf("a node ran %v m ahead of SpeedBound, more than a nanosecond of travel (%v m)", ahead, limit)
 				}
 				if mc.exact && wc.k == 1 && ahead <= 1e-12 {
-					t.Errorf("no leg ran ahead of SpeedBound (%v m): the nanosecond in Slack is not exercised", ahead)
+					t.Errorf("no leg ran ahead of SpeedBound (%v m): the nanosecond in slack is not exercised", ahead)
 				}
 			})
 		}
@@ -154,10 +168,9 @@ func TestKeptPositionPromise(t *testing.T) {
 
 // TestMotionPromise is the promise the radio's horizons stand on, for
 // every model alone and under both warps: after Position(id, t1),
-// Piece(id, t1) draws from no random stream and ends no later than
-// LegEnd(id), and through its End every Position(id, t2) lies within
-// Margin of the line Position(id, t1) + V·(t2-t1). A warp bends lines, so
-// it names no piece.
+// Piece(id, t1) draws from no random stream, and through its End every
+// Position(id, t2) lies within Margin of the line Position(id, t1) +
+// V·(t2-t1). A warp bends lines, so it names no piece.
 func TestMotionPromise(t *testing.T) {
 	for _, mc := range promiseModels() {
 		for _, wc := range promiseWarps() {
@@ -165,14 +178,13 @@ func TestMotionPromise(t *testing.T) {
 				src := rng.New(11)
 				m := wc.wrap(mc.mk(src))
 				r := rng.New(12)
-				moved, split := 0, 0
+				moved := 0
 				for id := 0; id < m.NumNodes(); id++ {
 					var t1 time.Duration
 					for t1 < 400*time.Second {
 						p1 := m.Position(id, t1)
 						before := src.Draws()
 						piece, ok := m.Piece(id, t1)
-						end := m.LegEnd(id)
 						if src.Draws() != before {
 							t.Fatalf("node %d: reading its piece at %v drew", id, t1)
 						}
@@ -183,8 +195,8 @@ func TestMotionPromise(t *testing.T) {
 							t1 += time.Duration(1 + r.Intn(int(30*time.Second)))
 							continue
 						}
-						if piece.End < t1 || piece.End > end {
-							t.Fatalf("node %d: at %v on a piece through %v, on a leg through %v", id, t1, piece.End, end)
+						if piece.End < t1 {
+							t.Fatalf("node %d: at %v on a piece through %v", id, t1, piece.End)
 						}
 						// A few instants on the piece, the last of them its end.
 						last := min(piece.End, t1+100*time.Second)
@@ -201,9 +213,6 @@ func TestMotionPromise(t *testing.T) {
 						if piece.V != (mobility.Point{}) {
 							moved++
 						}
-						if piece.End < end {
-							split++
-						}
 						if piece.End == mobility.Forever {
 							t1 += time.Duration(1 + r.Intn(int(30*time.Second)))
 						} else {
@@ -213,9 +222,6 @@ func TestMotionPromise(t *testing.T) {
 				}
 				if wc.k == 1 && (mc.bound > 0) != (moved > 0) {
 					t.Errorf("%d pieces moved; a model bounded at %v m/s should move", moved, mc.bound)
-				}
-				if wc.k == 1 && mc.split != (split > 0) {
-					t.Errorf("%d pieces ended before their leg; expected some: %v", split, mc.split)
 				}
 			})
 		}
@@ -300,27 +306,9 @@ func TestStillFromPromise(t *testing.T) {
 		after := last.At + time.Nanosecond
 		p := s.Position(id, after)
 		piece, _ := s.Piece(id, after)
-		if p != last.Pos || piece != (mobility.Piece{End: mobility.Forever}) || s.LegEnd(id) != mobility.Forever {
-			t.Errorf("script node %d: at %v it is at %v on piece %+v, leg through %v; want still at %v for good",
-				id, after, p, piece, s.LegEnd(id), last.Pos)
-		}
-	}
-}
-
-// TestSlack pins the three terms of Slack.
-func TestSlack(t *testing.T) {
-	for _, c := range []struct {
-		bound float64
-		dt    time.Duration
-		want  float64
-	}{
-		{0, time.Hour, mobility.Margin},
-		{20, 0, 20e-9 + mobility.Margin},
-		{20, 5 * time.Second, 100 + 20e-9 + mobility.Margin},
-		{math.Inf(1), 0, math.Inf(1)},
-	} {
-		if got := mobility.Slack(c.bound, c.dt); math.Abs(got-c.want) > 1e-12 && got != c.want {
-			t.Errorf("Slack(%v, %v) = %v, want %v", c.bound, c.dt, got, c.want)
+		if p != last.Pos || piece != (mobility.Piece{End: mobility.Forever}) {
+			t.Errorf("script node %d: at %v it is at %v on piece %+v; want still at %v for good",
+				id, after, p, piece, last.Pos)
 		}
 	}
 }

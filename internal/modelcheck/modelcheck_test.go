@@ -159,9 +159,9 @@ func TestLDRLine3Clean(t *testing.T) {
 
 // TestLDRVolatileLine3Clean explores the regime the paper's §5 storage
 // prescription exists for: a crash that wipes the stable store too.
-// Within these budgets LDR still holds its invariants — the
-// request-as-error rule blocks the stale-route reply that seeds AODV's
-// loop — which the checker verifies rather than assumes.
+// Within these budgets LDR still holds its invariants on the 3-node line,
+// which the checker verifies rather than assumes; on the 4-node graph
+// n4-4 it does not (`make modelcheck` pins that violation).
 func TestLDRVolatileLine3Clean(t *testing.T) {
 	g, _ := NamedTopology("line3")
 	sc := &Scenario{Graph: g, Protocol: "ldr", Seed: 1}

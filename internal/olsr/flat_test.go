@@ -468,6 +468,12 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	tc := &TC{Origin: 3, Seq: 2, ANSN: 2, Selectors: []routing.NodeID{2, 4, 23, 24}, TTL: 1}
 	now := o.node.Now()
+	// Node 1 selecting node 0 as its MPR gives the TC tick a TC to send.
+	mpr := &Hello{Origin: 1, Neighbors: slices.Clone(hello.Neighbors)}
+	mpr.Neighbors[0].Code = LinkMPR
+	if o.HandleControl(1, mpr); o.nSel == 0 {
+		t.Fatal("node 1's HELLO naming node 0 its MPR left node 0 without selectors")
+	}
 	for _, c := range []struct {
 		name string
 		fn   func()
@@ -489,6 +495,23 @@ func TestSteadyStateAllocs(t *testing.T) {
 			og.expiry, og.dup = now, og.dup[:0]
 			o.expire(now)
 			o.HandleControl(1, tc)
+		}},
+		// A timer tick re-arms its timer; cancelling it and dropping the
+		// queued message hands the event and the message back for the next.
+		{"hello tick", func() {
+			o.sendHello()
+			o.helloTimer.Cancel()
+			o.queue.reset()
+		}},
+		{"TC tick", func() {
+			o.HandleControl(1, mpr)
+			o.sendTC()
+			o.tcTimer.Cancel()
+			o.queue.reset()
+		}},
+		{"sweep tick", func() {
+			o.sweep()
+			o.sweeper.Cancel()
 		}},
 		{"HELLO after Reset", func() { // last: it empties the state
 			o.Reset()

@@ -222,7 +222,12 @@ type OLSR struct {
 	tcTimer    sim.Timer
 	sweeper    sim.Timer
 	queue      *jitterQueue
-	stopped    bool
+
+	// The timers' callbacks, bound once in New, so that re-arming a timer
+	// allocates no closure.
+	helloFn, tcFn, sweepFn func()
+
+	stopped bool
 
 	// Run-local message pools: wire messages are pooled pointers recycled
 	// by the sending node once the MAC releases the frame.
@@ -243,6 +248,7 @@ var (
 func New(node *routing.Node, cfg Config) *OLSR {
 	o := &OLSR{node: node, cfg: cfg}
 	o.queue = newJitterQueue(o)
+	o.helloFn, o.tcFn, o.sweepFn = o.sendHello, o.sendTC, o.sweep
 	return o
 }
 
@@ -331,9 +337,9 @@ func (o *OLSR) dropLink(id int) {
 func (o *OLSR) Start() {
 	helloPhase := time.Duration(o.node.RNG().Float64() * float64(helloInterval))
 	tcPhase := helloInterval + time.Duration(o.node.RNG().Float64()*float64(tcInterval))
-	o.helloTimer = o.node.Schedule(helloPhase, o.sendHello)
-	o.tcTimer = o.node.Schedule(tcPhase, o.sendTC)
-	o.sweeper = o.node.Schedule(time.Second, o.sweep)
+	o.helloTimer = o.node.Schedule(helloPhase, o.helloFn)
+	o.tcTimer = o.node.Schedule(tcPhase, o.tcFn)
+	o.sweeper = o.node.Schedule(time.Second, o.sweepFn)
 }
 
 // Stop implements routing.Protocol.
@@ -404,7 +410,7 @@ func (o *OLSR) sendHello() {
 	}
 	o.node.Metrics().CountControlInitiate(metrics.Hello)
 	o.queue.push(h)
-	o.helloTimer = o.node.Schedule(helloInterval, o.sendHello)
+	o.helloTimer = o.node.Schedule(helloInterval, o.helloFn)
 }
 
 func (o *OLSR) sendTC() {
@@ -430,7 +436,7 @@ func (o *OLSR) sendTC() {
 		o.node.Metrics().CountControlInitiate(metrics.TC)
 		o.queue.push(tc)
 	}
-	o.tcTimer = o.node.Schedule(tcInterval, o.sendTC)
+	o.tcTimer = o.node.Schedule(tcInterval, o.tcFn)
 }
 
 // sweep is the once-per-second expiry tick.
@@ -439,7 +445,7 @@ func (o *OLSR) sweep() {
 		return
 	}
 	o.expire(o.node.Now())
-	o.sweeper = o.node.Schedule(time.Second, o.sweep)
+	o.sweeper = o.node.Schedule(time.Second, o.sweepFn)
 }
 
 // expire removes the links, two-hop generations, selectors, topology

@@ -6,12 +6,11 @@
 // Blackouts and partitions act at the physical layer: a blocked receiver
 // gets neither the decodable frame nor its interference energy, exactly
 // as if an obstacle absorbed the signal. They are the only faults that
-// change who hears a frame, so only while one is installed is every
-// frame decided node by node instead of from its sender's sets (see
-// Transmit). Delivery faults act at the radio/MAC boundary instead — the
-// frame occupies the channel normally (it collides, it defers other
-// senders) and is then dropped, duplicated, or delayed at the moment it
-// would be handed to the receiver's MAC. Every clean reception draws its
+// change who hears a frame: a frame copies its sender's sets without the
+// nodes they hide (hidden, fill). Delivery faults act at the radio/MAC
+// boundary instead — the frame occupies the channel normally (it
+// collides, it defers other senders) and is then dropped, duplicated, or
+// delayed at the moment it would be handed to the receiver's MAC. Every clean reception draws its
 // faults, in id order; a copy of an Addressed frame at another node is
 // drawn and counted but not handed over, since a MAC would drop it. A
 // delayed copy is a pooled record on a transient event (see deferred), so
@@ -29,11 +28,12 @@ import (
 // faults bundles every active fault hook; see the file comment.
 type faults struct {
 	// linkDown holds one row of len(Medium.clean) words per node: bit b of
-	// row a is set while the a↔b link is severed, in both rows, so a scan
-	// reads the sender's row. cuts counts the severed pairs.
+	// row a is set while the a↔b link is severed, in both rows. cuts
+	// counts the severed pairs.
 	linkDown []uint64
 	cuts     int
-	part     []int32 // partition cell per node; nil = healed
+	part     []int32  // partition cell per node; nil = healed
+	hide     []uint64 // hidden's result, one bit per node
 
 	drop     float64       // P(frame silently lost at delivery)
 	dup      float64       // P(frame delivered twice)
@@ -135,11 +135,25 @@ func (m *Medium) ClearDeliveryFaults() {
 	}
 }
 
-// severed reports whether a link cut or a partition is installed: the
-// only faults that change who hears a frame.
-func (m *Medium) severed() bool {
+// hidden returns the attached nodes other than src that a link cut or
+// the partition hides from src, one bit each, and counts them in
+// FaultStats.Blocked; nil while neither is installed.
+func (m *Medium) hidden(src int) []uint64 {
 	f := m.flt
-	return f != nil && (f.cuts > 0 || f.part != nil)
+	if f == nil || f.cuts == 0 && f.part == nil {
+		return nil
+	}
+	if f.hide == nil {
+		f.hide = make([]uint64, len(m.clean))
+	}
+	clear(f.hide)
+	for i := range m.nodes {
+		if i != src && m.nodes[i].rx != nil && m.blocked(src, i) {
+			f.hide[i>>6] |= 1 << (i & 63)
+			m.FaultStats.Blocked++
+		}
+	}
+	return f.hide
 }
 
 // blocked reports whether the a↔b link is currently severed by a

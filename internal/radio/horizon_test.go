@@ -54,8 +54,8 @@ func TestStillNetworkDecidesEachPairOncePerLeg(t *testing.T) {
 			}
 			oracle := c.model()
 			r := rng.New(5)
-			// Per sender: the leg ends of every node at its last frame, when
-			// every node was still then.
+			// Per sender: the ends of every node's piece at its last frame,
+			// when every node was still then (a still piece ends with its leg).
 			stillAt := map[int][]time.Duration{}
 			senders := map[int]bool{}
 			still, reused := 0, 0
@@ -75,7 +75,7 @@ func TestStillNetworkDecidesEachPairOncePerLeg(t *testing.T) {
 				for i := range legs {
 					oracle.Position(i, s.Now())
 					p, _ := oracle.Piece(i, s.Now())
-					legs[i], moving = oracle.LegEnd(i), moving || p.V != (mobility.Point{})
+					legs[i], moving = p.End, moving || p.V != (mobility.Point{})
 				}
 				last := stillAt[src]
 				delete(stillAt, src)
@@ -147,15 +147,15 @@ func TestAttachInvalidatesEverySendersSets(t *testing.T) {
 }
 
 // TestLinkDownChangesARestingSendersSet severs and heals a link between
-// frames of one sender in a static network. A frame is decided per node
-// while a link is cut, since a cut changes who hears it; once the link
-// heals, the sender's frames reuse the sets its first frame decided.
+// frames of one sender in a static network. The cut hides the node from
+// the sender's frames, carrier sense included, without deciding any pair:
+// the sets its first frame decided stand through the cut and the heal.
 func TestLinkDownChangesARestingSendersSet(t *testing.T) {
 	r := newRig([]mobility.Point{{X: 0}, {X: 200}, {X: 250}})
 	for k, c := range []struct {
 		down      bool
 		decisions uint64
-	}{{false, 2}, {false, 0}, {true, 1}, {true, 1}, {false, 0}, {false, 0}} {
+	}{{false, 2}, {false, 0}, {true, 0}, {true, 0}, {false, 0}, {false, 0}} {
 		if k > 1 {
 			r.m.SetLinkDown(0, 1, c.down)
 		}
@@ -187,59 +187,48 @@ func TestLinkDownChangesARestingSendersSet(t *testing.T) {
 // network with delivery faults on, then after they are cleared. Drop, dup
 // and delay never change who hears a frame, so each sender decides each
 // pair once for the whole run, and every frame is heard where a fault-free
-// one would be: the same fault draws as in a medium that decides every
-// pair of every frame.
+// one would be: the same fault draws as radio.PerReceiver makes, which
+// measures every pair of every frame.
 func TestDeliveryFaultsKeepTheSets(t *testing.T) {
 	const n = 30
 	pts := staticPts(8, n)
-	far := farthest(pts, 0)
-	if d := pts[0].Dist(pts[far]); d <= radio.DefaultCSRange {
-		t.Fatalf("the farthest node is %.0f m away, within carrier sense", d)
-	}
 	type world struct {
-		s     *sim.Simulator
-		m     *radio.Medium
-		heard []int // per node: frames it decoded before the faults were cleared
+		s        *sim.Simulator
+		m        *radio.Medium
+		transmit func(src, bits int, payload any) time.Duration
+		heard    []int // per node: frames it decoded before the faults were cleared
 	}
-	mk := func(cut bool) *world {
+	mk := func(reference bool) *world {
 		w := &world{s: sim.New(), heard: make([]int, n)}
 		w.m = radio.New(w.s, mobility.NewStatic(pts), radio.DefaultConfig())
+		w.transmit = w.m.Transmit
+		if reference {
+			w.transmit = w.m.PerReceiver().Transmit
+		}
 		for i := 0; i < n; i++ {
 			w.m.Attach(i, func(int, any) { w.heard[i]++ })
 		}
 		w.m.SetDeliveryFaults(0.1, 0.1, 2*time.Millisecond, rng.New(9))
-		if cut {
-			// A cut between two nodes out of carrier-sense range changes no
-			// receiver set but has every frame decided per node.
-			w.m.SetLinkDown(0, far, true)
-		}
 		return w
 	}
 	got, ref := mk(false), mk(true)
 	r := rng.New(10)
 	const frames = 600
-	var perFrame uint64 // pairs a medium deciding every frame decides: all but the cut one
 	for k := 0; k < 2*frames; k++ {
 		src, at := r.Intn(n), time.Duration(k)*5*time.Millisecond
-		perFrame += n - 1
-		if src == 0 || src == far {
-			perFrame--
-		}
 		for _, w := range []*world{got, ref} {
 			if k == frames {
 				w.m.ClearDeliveryFaults()
 			}
 			w.s.Run(at)
-			w.m.Transmit(src, 1000, k)
+			w.transmit(src, 1000, k)
 		}
 		if k == frames-1 {
 			for _, w := range []*world{got, ref} {
 				w.s.RunAll()
 			}
-			want := ref.m.FaultStats
-			want.Blocked = 0 // the cut pair, counted at each of its frames
-			if got.m.Decisions() != n*(n-1) || got.m.FaultStats != want || fmt.Sprint(got.heard) != fmt.Sprint(ref.heard) {
-				t.Fatalf("with delivery faults: %d pairs decided for %d senders, faults %+v, heard %v; a medium deciding every frame: faults %+v, heard %v",
+			if got.m.Decisions() != n*(n-1) || got.m.FaultStats != ref.m.FaultStats || fmt.Sprint(got.heard) != fmt.Sprint(ref.heard) {
+				t.Fatalf("with delivery faults: %d pairs decided for %d senders, faults %+v, heard %v; per receiver: faults %+v, heard %v",
 					got.m.Decisions(), n, got.m.FaultStats, got.heard, ref.m.FaultStats, ref.heard)
 			}
 		}
@@ -248,20 +237,6 @@ func TestDeliveryFaultsKeepTheSets(t *testing.T) {
 	if got.m.Decisions() != n*(n-1) {
 		t.Errorf("%d pairs decided after the faults were cleared, want still %d (each once)", got.m.Decisions(), n*(n-1))
 	}
-	if ref.m.Decisions() != perFrame {
-		t.Errorf("the medium with a link cut decided %d pairs, want %d: every pair of every frame", ref.m.Decisions(), perFrame)
-	}
-}
-
-// farthest returns the node farthest from node i.
-func farthest(pts []mobility.Point, i int) int {
-	far := i
-	for j := range pts {
-		if pts[i].Dist(pts[j]) > pts[i].Dist(pts[far]) {
-			far = j
-		}
-	}
-	return far
 }
 
 // TestTransmitRestingZeroAlloc pins a warm frame that copies its sender's
@@ -305,35 +280,6 @@ func TestTransmitMovingZeroAlloc(t *testing.T) {
 	}
 	if got := m.Decisions() - decided; got == 0 || got >= 201*49 {
 		t.Errorf("%d pairs decided in 201 frames of 49 receivers: want some, and fewer than all", got)
-	}
-}
-
-// TestDetachedSenderScansEveryFrame has a detached node drive past two
-// static ones and transmit at either end. A detached sender keeps no sets:
-// each of its frames decides every attached node, and reaches the node it
-// is near.
-func TestDetachedSenderScansEveryFrame(t *testing.T) {
-	s := sim.New()
-	m := radio.New(s, mobility.NewScript([][]mobility.ScriptLeg{
-		{{At: 0, Pos: mobility.Point{X: 0}}, {At: 50 * time.Second, Pos: mobility.Point{X: 1000}}},
-		{{Pos: mobility.Point{X: 100}}},
-		{{Pos: mobility.Point{X: 900}}},
-	}), radio.DefaultConfig())
-	got := map[int][]int{} // frame → nodes that decoded it
-	for i := 1; i < 3; i++ {
-		m.Attach(i, func(_ int, payload any) { got[payload.(int)] = append(got[payload.(int)], i) })
-	}
-	for k, at := range []time.Duration{0, 50 * time.Second} {
-		s.Run(at)
-		before := m.Decisions()
-		m.Transmit(0, 1000, k)
-		if d := m.Decisions() - before; d != 2 {
-			t.Errorf("frame %d: %d pairs decided, want both attached nodes", k, d)
-		}
-		s.RunAll()
-	}
-	if len(got[0]) != 1 || got[0][0] != 1 || len(got[1]) != 1 || got[1][0] != 2 {
-		t.Errorf("frames decoded by %v; want frame 0 by node 1 alone, frame 1 by node 2 alone", got)
 	}
 }
 

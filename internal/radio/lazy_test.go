@@ -13,17 +13,18 @@ import (
 	"github.com/manetlab/ldr/internal/sim"
 )
 
-// Transmit copies a sender's receiver sets until a pair's horizon passes,
-// and while a link is cut decides each node from a position it kept,
-// looking a node up only when the motion since could change the answer or
-// the node's leg has ended. These tests pin that this is unobservable: who
-// decodes a frame and who senses it equal the brute-force oracle's sets
-// from an independent model instance, and the mobility streams stand,
-// after every frame, where looking every node up at every frame leaves
-// them (radio.PerReceiver, the scan as it was, over a third instance). The
-// cases are the ones a per-frame scan never needed: sets and kept
-// positions seconds to a minute old, legs ending between frames, every
-// model and warp, nodes detached and re-attached, links severed and healed.
+// Transmit copies a sender's receiver sets, looking a node up only when
+// its pair's horizon has passed, and leaves out of the copy the nodes a
+// link cut or a partition hides. These tests pin that this is
+// unobservable: who decodes a frame and who senses it equal the
+// brute-force oracle's sets from an independent model instance and
+// radio.PerReceiver's (the scan that looks every node up, over a third
+// instance), and the mobility streams and fault counters stand, after
+// every frame, where PerReceiver leaves them. The cases are the ones a
+// per-frame scan never needed: sets and kept positions seconds to a minute
+// old, legs ending between frames, every model and warp, nodes detached
+// and re-attached, links severed and healed, partitions installed and
+// healed.
 
 // lazyCase is one mobility model and radio configuration to drive.
 type lazyCase struct {
@@ -159,27 +160,30 @@ type lazyStats struct {
 type lazySchedule int
 
 const (
-	// churn detaches or re-attaches a node every 5 frames and cuts or
-	// heals a link every 4, the cuts piling up for the rest of the run:
-	// nearly every frame decides its pairs from kept positions.
+	// churn detaches or re-attaches a node every 5 frames, cuts or heals
+	// a link every 4, the cuts piling up for the rest of the run, and
+	// installs or heals a partition every 15.
 	churn lazySchedule = iota
 	// bursts changes attachment every 20 frames, cuts a link or two late
-	// in every 40 and heals them all at the 40th: in between, senders'
-	// sets last and most frames copy them.
+	// in every 40 and heals them all at the 40th, and partitions the
+	// network for frames 13 to 30 of every 40: in between, senders' sets
+	// last and most frames copy them.
 	bursts
 )
 
 // runLazy drives frames transmissions from script-chosen sources over
 // three instances of c's model built from the same seed — the medium under
 // test, the per-receiver reference and the oracle — with nodes detached
-// and re-attached and links severed and healed along the way, and checks
-// after every frame the decoded set, the mid-flight Busy set and the
-// position of the model's random streams. pick(k, n) chooses frame k's
-// sender and gap(k) the time to the next frame, and sched the churn.
-// When c rests, the first half of the run cuts no link, since every frame
-// decides its pairs while a link is cut, and changes attachment every 20
+// and re-attached, links severed and healed and the network partitioned
+// and healed along the way, and checks after every frame the decoded set
+// and the mid-flight Busy set against both the oracle and the reference,
+// and FaultStats and the position of the model's random streams against
+// the reference. pick(k, n) chooses frame k's sender and gap(k) the time
+// to the next frame, sched the churn, and split, if not nil, the frames
+// that also install a partition or heal the one installed. When c rests,
+// the first half of the run cuts no link and changes attachment every 20
 // frames (churn) or 40 (bursts), so that senders' sets last.
-func runLazy(t *testing.T, c lazyCase, sched lazySchedule, seed int64, frames int, pick func(k, n int) int, gap func(k int) time.Duration) lazyStats {
+func runLazy(t *testing.T, c lazyCase, sched lazySchedule, seed int64, frames int, pick func(k, n int) int, gap func(k int) time.Duration, split func(k int) bool) lazyStats {
 	t.Helper()
 	type world struct {
 		src      *rng.Source
@@ -187,6 +191,7 @@ func runLazy(t *testing.T, c lazyCase, sched lazySchedule, seed int64, frames in
 		s        *sim.Simulator
 		m        *radio.Medium
 		transmit func(src, bits int, payload any) time.Duration
+		busy     func(id int) bool
 		decoded  map[int]bool
 		rx       []radio.ReceiverFunc
 	}
@@ -194,9 +199,10 @@ func runLazy(t *testing.T, c lazyCase, sched lazySchedule, seed int64, frames in
 		w := &world{src: rng.New(seed), s: sim.New(), decoded: map[int]bool{}}
 		w.model = &countingModel{Model: c.model(w.src)}
 		w.m = radio.New(w.s, w.model, c.cfg)
-		w.transmit = w.m.Transmit
+		w.transmit, w.busy = w.m.Transmit, w.m.Busy
 		if reference {
-			w.transmit = w.m.PerReceiver().Transmit
+			pr := w.m.PerReceiver()
+			w.transmit, w.busy = pr.Transmit, pr.Busy
 		}
 		for i := 0; i < w.model.NumNodes(); i++ {
 			i := i
@@ -215,7 +221,9 @@ func runLazy(t *testing.T, c lazyCase, sched lazySchedule, seed int64, frames in
 		attached[i] = true
 	}
 	down := map[[2]int]bool{}
-	blocked := func(a, b int) bool { return down[[2]int{a, b}] || down[[2]int{b, a}] }
+	cut := func(a, b int) bool { return down[[2]int{a, b}] || down[[2]int{b, a}] }
+	var cells []int // the partition installed; nil, none
+	blocked := func(a, b int) bool { return cut(a, b) || cells != nil && cells[a] != cells[b] }
 
 	const bits = 4096 // ≈ 2 ms airtime, under the shortest gap
 	var st lazyStats
@@ -255,12 +263,27 @@ func runLazy(t *testing.T, c lazyCase, sched lazySchedule, seed int64, frames in
 			}
 		}
 		if a, b := (k*3)%n, (k*11+1)%n; !quiet && cuts && a != b {
-			down[[2]int{a, b}] = !blocked(a, b)
+			down[[2]int{a, b}] = !cut(a, b)
 			if !down[[2]int{a, b}] {
 				delete(down, [2]int{b, a})
 			}
 			for _, w := range worlds {
-				w.m.SetLinkDown(a, b, blocked(a, b))
+				w.m.SetLinkDown(a, b, cut(a, b))
+			}
+		}
+		// A partition into three cells, a different one each time.
+		toggle := sched == churn && k%15 == 7 || sched == bursts && (k%40 == 13 || k%40 == 31)
+		if toggle || split != nil && split(k) {
+			if cells == nil {
+				cells = make([]int, n)
+				for i := range cells {
+					cells[i] = (i*7 + k) % 3
+				}
+			} else {
+				cells = nil
+			}
+			for _, w := range worlds {
+				w.m.SetPartition(cells)
 			}
 		}
 		before := got.m.Decisions()
@@ -279,8 +302,8 @@ func runLazy(t *testing.T, c lazyCase, sched lazySchedule, seed int64, frames in
 			if i == src {
 				continue
 			}
-			if want := senses[i] && hears(i); got.m.Busy(i) != want {
-				t.Errorf("frame %d t=%v src=%d: Busy(%d)=%v, oracle carrier-sense says %v", k, at, src, i, !want, want)
+			if want := senses[i] && hears(i); got.busy(i) != want || ref.busy(i) != want {
+				t.Errorf("frame %d t=%v src=%d: Busy(%d)=%v, per receiver %v, oracle carrier-sense says %v", k, at, src, i, got.busy(i), ref.busy(i), want)
 			} else if want {
 				st.sensed++
 			}
@@ -289,11 +312,14 @@ func runLazy(t *testing.T, c lazyCase, sched lazySchedule, seed int64, frames in
 			w.s.RunAll()
 		}
 		for i := 0; i < n; i++ {
-			if want := i != src && inRange[i] && hears(i); got.decoded[i] != want {
-				t.Errorf("frame %d t=%v src=%d: decoded[%d]=%v, oracle in-range says %v", k, at, src, i, !want, want)
+			if want := i != src && inRange[i] && hears(i); got.decoded[i] != want || ref.decoded[i] != want {
+				t.Errorf("frame %d t=%v src=%d: decoded[%d]=%v, per receiver %v, oracle in-range says %v", k, at, src, i, got.decoded[i], ref.decoded[i], want)
 			} else if want {
 				st.decoded++
 			}
+		}
+		if got.m.FaultStats != ref.m.FaultStats {
+			t.Fatalf("frame %d t=%v: FaultStats %+v, per receiver %+v", k, at, got.m.FaultStats, ref.m.FaultStats)
 		}
 		if g, r := got.src.Draws(), ref.src.Draws(); g != r {
 			t.Fatalf("frame %d t=%v: mobility streams at %d draws, %d when every node is looked up at every frame", k, at, g, r)
@@ -329,14 +355,16 @@ func TestLazyScanMatchesBruteForce(t *testing.T) {
 							}
 							return src
 						},
-						func(k int) time.Duration { return lazyGaps[k%len(lazyGaps)] })
+						func(k int) time.Duration { return lazyGaps[k%len(lazyGaps)] }, nil)
 					if st.decoded < frames || st.sensed < 2*frames {
 						t.Errorf("scenario too tame: %d decoded, %d sensed over %d frames", st.decoded, st.sensed, frames)
 					}
-					// The point of the exercise: most nodes are not looked up,
-					// a resting network's senders reuse their sets, and in
-					// bursts most pairs are copied.
-					if st.lookups*2 > st.refLookups {
+					// The point of the exercise: in bursts and in a resting
+					// network most nodes are not looked up, a resting network's
+					// senders reuse their sets, and in bursts most pairs are
+					// copied. On churn a sender's last frame is seconds old, so
+					// a moving network looks most nodes up again.
+					if (sched == bursts || c.rests) && st.lookups*2 > st.refLookups {
 						t.Errorf("%d position lookups, %d when every node is looked up: nothing was kept", st.lookups, st.refLookups)
 					}
 					if c.rests && st.copies == 0 {
@@ -442,7 +470,8 @@ func fuzzReceiverSet(t *testing.T, rests bool, seed int64, kind, maxSpeed uint8,
 		lazyWarped(lazyWaypoint(n, 1, speed, pause), mobility.GradientWarp(lazyTerrain)),
 	}[kind%5]
 	// A script byte is a sender and a silence: 3 ms to 130 ms in steps, or
-	// for the top values seconds to a minute.
+	// for the top values seconds to a minute. A byte from 240 to 249 also
+	// installs a partition before its frame, or heals the one installed.
 	gap := func(k int) time.Duration {
 		switch b := script[k]; {
 		case b >= 250:
@@ -454,6 +483,7 @@ func fuzzReceiverSet(t *testing.T, rests bool, seed int64, kind, maxSpeed uint8,
 		}
 	}
 	for _, sched := range []lazySchedule{churn, bursts} {
-		runLazy(t, c, sched, seed, len(script), func(k, n int) int { return int(script[k]) % n }, gap)
+		runLazy(t, c, sched, seed, len(script), func(k, n int) int { return int(script[k]) % n }, gap,
+			func(k int) bool { return script[k] >= 240 && script[k] < 250 })
 	}
 }

@@ -26,11 +26,10 @@
 // positions. A horizon ends no later than either node's leg, so the
 // mobility model is asked past a leg's end at the same frame as if every
 // node were looked up at every frame, and its streams stand where that
-// would leave them. Attach invalidates every sender's sets. While a link
-// is cut or the network partitioned, and for a detached sender, every
-// frame is decided by a scan over the nodes from kept positions instead
-// (see Transmit); drop, dup and delay faults never change who hears a
-// frame, so they keep the sets.
+// would leave them. Attach invalidates every sender's sets. A link cut or
+// a partition masks the nodes it hides out of a copy, and a hidden pair is
+// not decided until the first frame after the heal (see fill); drop, dup
+// and delay faults never change who hears a frame, so they keep the sets.
 //
 // A transmission costs the event queue three events however many nodes
 // hear it: the sender's end-of-airtime idle check, one event in which the
@@ -164,15 +163,14 @@ type Medium struct {
 	csRange []float64
 
 	// kept[i] is the last position computed for node i; bound is
-	// model.SpeedBound(), and lines whether the model names the straight
-	// pieces its nodes are on (mobility.Model.Piece), the same for every
-	// node and instant.
+	// model.SpeedBound(), and lines whether the model names the lines its
+	// nodes move on (mobility.Model.Piece's ok), the same for every node
+	// and instant.
 	kept  []keptPos
 	bound float64
 	lines bool
 
-	// Each attached sender's receiver sets, for frames while no link is
-	// cut and no partition installed (see fill): sets holds per sender
+	// Each sender's receiver sets (see fill): sets holds per sender
 	// words sensed bits then as many decodable bits, and horizon[src*n+i]
 	// the last instant through which pair (src, i)'s bits stand, in whole
 	// milliseconds rounded down (half the memory of a Duration).
@@ -217,16 +215,15 @@ type Medium struct {
 	FaultStats FaultStats
 }
 
-// keptPos is a node's position at virtual time at. Through legEnd the
-// model promises the node is within mobility.Slack(bound, now-at) of it,
-// and when the model names pieces, through end (the piece's end, or legEnd
-// if that is sooner) within mobility.Margin of the line on from it at
-// velocity v (mobility.Model); legEnd and end start at -1, nothing kept
-// yet.
+// keptPos is a node's position at virtual time at and the piece it is on:
+// through end the model draws nothing for the node, and when the model
+// names lines (Medium.lines), the node is within mobility.Margin of the
+// line on from the position at velocity v (mobility.Model); end starts at
+// -1, nothing kept yet.
 type keptPos struct {
 	mobility.Point
-	v               mobility.Point
-	at, legEnd, end time.Duration
+	v       mobility.Point
+	at, end time.Duration
 }
 
 // senderSets is what a sender's sets are good for: through until, for
@@ -291,7 +288,7 @@ func New(s *sim.Simulator, model mobility.Model, cfg Config) *Medium {
 	for i := 0; i < n; i++ {
 		cl := cfg.Classes[i%len(cfg.Classes)]
 		m.txRange[i], m.csRange[i] = cl.Range, cl.CSRange
-		m.kept[i].at, m.kept[i].legEnd, m.kept[i].end = -1, -1, -1
+		m.kept[i].at, m.kept[i].end = -1, -1
 	}
 	m.startFn = m.startAll
 	m.endFn = m.endAll
@@ -324,12 +321,9 @@ func (m *Medium) position(id int) mobility.Point {
 	}
 	if k.at != now {
 		p := m.model.Position(id, now)
-		legEnd := m.model.LegEnd(id)
 		var piece mobility.Piece
-		if piece, m.lines = m.model.Piece(id, now); !m.lines {
-			piece.End = legEnd
-		}
-		*k = keptPos{p, piece.V, now, legEnd, min(piece.End, legEnd)}
+		piece, m.lines = m.model.Piece(id, now)
+		*k = keptPos{p, piece.V, now, piece.End}
 	}
 	return k.Point
 }
@@ -378,21 +372,10 @@ func (m *Medium) AirTime(bits int) time.Duration {
 //
 // How a node hears the frame — not at all, sensed only, decodable — is
 // what comparing its exact distance from src with the sender's two ranges
-// says. While no link is cut and no partition installed, an attached
-// sender's sets answer that (see fill): each pair's answer stands through
-// its horizon, and only pairs past theirs are measured again. Delivery
+// says. The sender's sets answer that (see fill): each pair's answer
+// stands through its horizon, and only pairs past theirs are measured
+// again. A link cut or a partition hides nodes from the copy; delivery
 // faults act after the sets are found, so they keep them.
-//
-// Otherwise the frame is decided by scan, one visit per node, most from
-// the position kept for it: the node is within slack of it
-// (mobility.Slack), so when the kept distance is more than slack away from
-// both ranges it falls on the same side of both as the exact one, and
-// comparing squares gives the answer without a root. Only a node that
-// could be on the other side of a range, or whose leg has ended, is looked
-// up and measured — which also keeps the mobility streams where looking
-// every node up would leave them, since a model draws only past a leg's
-// end. A model with no speed bound has infinite slack and every node is
-// measured. A node the cut hides is skipped before it is looked at.
 //
 // The whole receiver set rides on two events: one at now+PropDelay that
 // starts the signal at every receiver in ascending id, one at
@@ -427,11 +410,7 @@ func (m *Medium) Transmit(src, bits int, payload any) time.Duration {
 	if tx.sensed == nil {
 		tx.sensed, tx.decodable = make([]uint64, len(m.clean)), make([]uint64, len(m.clean))
 	}
-	if m.severed() || m.nodes[src].rx == nil {
-		m.scan(src, tx)
-	} else {
-		m.fill(src, tx)
-	}
+	m.fill(src, tx)
 	var heard uint64
 	for _, w := range tx.sensed {
 		heard |= w
@@ -451,44 +430,6 @@ func (m *Medium) Transmit(src, bits int, payload any) time.Duration {
 	return air
 }
 
-// scan sets tx's bits for every node that senses and that can decode a
-// frame src sends now (see Transmit).
-func (m *Medium) scan(src int, tx *transmission) {
-	now := m.sim.Now()
-	srcPos := m.position(src)
-	txR, csR := m.txRange[src], m.csRange[src]
-	tx2, cs2 := txR*txR, csR*csR
-	severed := m.severed()
-	for i := range m.nodes {
-		if i == src || m.nodes[i].rx == nil {
-			continue
-		}
-		if severed && m.blocked(src, i) {
-			m.FaultStats.Blocked++
-			continue
-		}
-		m.decided++
-		k := &m.kept[i]
-		dx, dy := srcPos.X-k.X, srcPos.Y-k.Y
-		d2 := dx*dx + dy*dy
-		sensed, decodable := d2 <= cs2, d2 <= tx2
-		// The kept distance is within slack of a range r when
-		// (r-slack)² ≤ d2 ≤ (r+slack)², which for slack ≤ r is
-		// (d2 - r² - slack²)² ≤ 4·r²·slack².
-		slack := mobility.Slack(m.bound, now-k.at)
-		s2 := slack * slack
-		if t, c := d2-s2-tx2, d2-s2-cs2; now > k.legEnd || slack > txR ||
-			t*t <= 4*tx2*s2 || c*c <= 4*cs2*s2 {
-			d := srcPos.Dist(m.position(i))
-			sensed, decodable = d <= csR, d <= txR
-		}
-		// Both bits are written whether or not the node hears the frame:
-		// whether it does is a coin toss no branch predictor wins.
-		tx.sensed[i>>6] |= bit(sensed) << (i & 63)
-		tx.decodable[i>>6] |= bit(decodable) << (i & 63)
-	}
-}
-
 // guard is how far a pair's distance along the two nodes' lines must stay
 // from a range for the pair's answer to stand: mobility.Margin for each
 // node's promise, and one more for the arithmetic of the horizon.
@@ -499,7 +440,8 @@ const guard = 3 * mobility.Margin
 const far = 1e18
 
 // fill sets tx's bits from src's receiver sets, first re-deciding the
-// pairs whose horizon has passed, every pair after an Attach. Until its
+// pairs whose horizon has passed, every pair after an Attach, and leaves
+// out the nodes a link cut or the partition hides from src. Until its
 // earliest horizon a sender's frame is a copy.
 func (m *Medium) fill(src int, tx *transmission) {
 	n, words := len(m.nodes), len(m.clean)
@@ -508,20 +450,29 @@ func (m *Medium) fill(src int, tx *transmission) {
 		m.horizon = make([]uint32, n*n)
 		m.senders = make([]senderSets, n)
 	}
+	hid := m.hidden(src)
 	sets := m.sets[2*words*src : 2*words*(src+1)]
 	if st := &m.senders[src]; st.gen != m.gen || m.sim.Now() > st.until {
-		m.refresh(src, sets)
+		m.refresh(src, sets, hid)
 	}
 	copy(tx.sensed, sets[:words])
 	copy(tx.decodable, sets[words:])
+	for w, h := range hid {
+		tx.sensed[w] &^= h
+		tx.decodable[w] &^= h
+	}
 }
 
 // refresh decides every attached pair (src, i) whose horizon has passed,
-// every one after an Attach, from both nodes' exact positions, as the
-// scan that looks every node up would, and gives it a new horizon; then
+// every one after an Attach, from both nodes' exact positions, as looking
+// every node up at every frame would, and gives it a new horizon; then
 // src's sets stand through the earliest of its horizons and its own
-// piece's end.
-func (m *Medium) refresh(src int, sets []uint64) {
+// piece's end. A pair whose node is in hid is neither looked up nor
+// decided, as looking up every node that can hear the frame would not
+// look it up either: its horizon is left passed (after an Attach, 0,
+// passed for every frame after time 0), so the first frame after the
+// heal decides it.
+func (m *Medium) refresh(src int, sets, hid []uint64) {
 	now, n, words := m.sim.Now(), len(m.nodes), len(m.clean)
 	st, h := &m.senders[src], m.horizon[n*src:n*(src+1)]
 	all := st.gen != m.gen
@@ -536,10 +487,15 @@ func (m *Medium) refresh(src int, sets []uint64) {
 		if i == src || m.nodes[i].rx == nil {
 			continue
 		}
-		if all || time.Duration(h[i])*time.Millisecond < now {
+		w, b := i>>6, uint64(1)<<(i&63)
+		switch {
+		case hid != nil && hid[w]&b != 0:
+			if all {
+				h[i] = 0
+			}
+		case all || time.Duration(h[i])*time.Millisecond < now:
 			m.decided++
 			d := p.Dist(m.position(i))
-			w, b := i>>6, uint64(1)<<(i&63)
 			sets[w] = sets[w]&^b | bit(d <= csR)<<(i&63)
 			sets[words+w] = sets[words+w]&^b | bit(d <= txR)<<(i&63)
 			h[i] = uint32(min(m.horizonOf(ks, &m.kept[i], d, txR, csR)/time.Millisecond, math.MaxUint32))
@@ -553,8 +509,9 @@ func (m *Medium) refresh(src int, sets []uint64) {
 // a receiver kept as r, both now and d apart, stay on the sides of the
 // ranges txR and csR they are on: their distance along their pieces' lines
 // keeps more than guard from both, until the earlier piece ends. A model
-// that names no pieces has only its speed bound: each node may move
-// bound·(t+1 ns) + Margin in time t (mobility.Slack).
+// that names no lines has only its speed bound: each node may move
+// bound·(t+1 ns) + mobility.Margin in time t, the nanosecond because
+// Waypoint and Manhattan truncate a leg's duration to whole nanoseconds.
 func (m *Medium) horizonOf(s, r *keptPos, d, txR, csR float64) time.Duration {
 	now, end := s.at, min(s.end, r.end)
 	gap := min(math.Abs(d-txR), math.Abs(d-csR)) - guard
