@@ -49,7 +49,8 @@ race:
 # keeps positions) against brute force and the scan that looked every node
 # up, on a moving and on a resting schedule, of the radio's batched, bitset-tracked and addressed delivery
 # against per-receiver events, of LoadSpec on hostile seed files, of the
-# journal's Open and Put on hostile record files (a failing input lands in
+# journal's Open and Put on hostile record files, of the collector's
+# per-source fate rows against the map ledger they replaced (a failing input lands in
 # the package's testdata/fuzz/ and then fails plain `go test` too).
 fuzz-smoke:
 	$(GO) test -race -timeout 30m ./internal/conformance/ -run 'TestRegressionSeeds|FuzzScenario'
@@ -62,6 +63,7 @@ fuzz-smoke:
 	$(GO) test ./internal/radio -run '^$$' -fuzz FuzzBatchedDelivery -fuzztime 20s
 	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzLoadSpec -fuzztime 20s
 	$(GO) test ./internal/resilience -run '^$$' -fuzz FuzzJournalRecord -fuzztime 20s
+	$(GO) test ./internal/metrics -run '^$$' -fuzz FuzzFateRows -fuzztime 20s
 
 # Heterogeneous-radio fuzz axis (nightly): the one-way-link and
 # uneven-placement regressions under the race detector, then 5 min of

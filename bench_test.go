@@ -14,7 +14,6 @@ import (
 	"time"
 
 	ldr "github.com/manetlab/ldr"
-	"github.com/manetlab/ldr/internal/core"
 	"github.com/manetlab/ldr/internal/experiments"
 	"github.com/manetlab/ldr/internal/scenario"
 )
@@ -131,11 +130,7 @@ func BenchmarkAblation(b *testing.B) {
 		v := v
 		b.Run(v.Name, func(b *testing.B) {
 			sc := cell(ldr.ProtoLDR, 50, 10, 0)
-			if v.Mutate != nil {
-				cfg := core.DefaultConfig()
-				v.Mutate(&cfg)
-				sc.LDRConfig = &cfg
-			}
+			v.Edit(&sc)
 			runCell(b, sc)
 		})
 	}

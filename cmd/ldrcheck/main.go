@@ -70,7 +70,7 @@ func run() error {
 	); err != nil {
 		return err
 	}
-	if _, err := scenario.Factory(scenario.ProtocolName(*proto), nil); err != nil {
+	if _, err := scenario.Factory(scenario.Config{Protocol: scenario.ProtocolName(*proto)}); err != nil {
 		return err
 	}
 	if *depth < 1 {

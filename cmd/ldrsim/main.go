@@ -167,7 +167,7 @@ func (c *cellFlags) bind(fs *flag.FlagSet) {
 }
 
 func (c *cellFlags) validate() error {
-	if _, err := scenario.Factory(scenario.ProtocolName(c.proto), nil); err != nil {
+	if _, err := scenario.Factory(scenario.Config{Protocol: scenario.ProtocolName(c.proto)}); err != nil {
 		return err
 	}
 	if c.nodes < 2 {

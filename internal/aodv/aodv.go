@@ -295,13 +295,9 @@ func (a *AODV) DataFailed(next routing.NodeID, pkt *routing.DataPacket) {
 
 func (a *AODV) initialTTL(dst routing.NodeID) int {
 	if e := a.route(dst); e != nil && e.hops > 0 {
-		ttl := e.hops + ondemand.TTLIncrement
-		if ttl > ondemand.NetDiameter {
-			ttl = ondemand.NetDiameter
-		}
-		return ttl
+		return min(max(e.hops+ondemand.TTLIncrement, a.RingStart), ondemand.NetDiameter)
 	}
-	return ondemand.TTLStart
+	return a.RingStart
 }
 
 // SendRequest implements ondemand.Requester: one RREQ for dst, answered

@@ -288,12 +288,15 @@ func (a *refAODV) DataFailed(next routing.NodeID, pkt *routing.DataPacket) {
 func (a *refAODV) initialTTL(dst routing.NodeID) int {
 	if e := a.routes[dst]; e != nil && e.hops > 0 {
 		ttl := e.hops + ondemand.TTLIncrement
+		if ttl < a.RingStart {
+			ttl = a.RingStart
+		}
 		if ttl > ondemand.NetDiameter {
 			ttl = ondemand.NetDiameter
 		}
 		return ttl
 	}
-	return ondemand.TTLStart
+	return a.RingStart
 }
 
 func (a *refAODV) SendRequest(dst routing.NodeID, d *ondemand.Discovery) time.Duration {
@@ -601,10 +604,16 @@ func driveTables(t testing.TB, data []byte) {
 		data = data[1:]
 		return b
 	}
+	// The first byte picks the ring's start: the default, or the
+	// ablation's aodv-no-ring.
+	ring := ondemand.TTLStart
+	if next()%2 == 1 {
+		ring = ondemand.NetDiameter
+	}
 	var got *AODV
 	var want *refAODV
-	gnw, gheard := tableRig(func(n *routing.Node) routing.Protocol { got = New(n); return got })
-	wnw, wheard := tableRig(func(n *routing.Node) routing.Protocol { want = newRefAODV(n); return want })
+	gnw, gheard := tableRig(func(n *routing.Node) routing.Protocol { got = New(n); got.RingStart = ring; return got })
+	wnw, wheard := tableRig(func(n *routing.Node) routing.Protocol { want = newRefAODV(n); want.RingStart = ring; return want })
 	nodes := routing.NodeID(len(gnw.Nodes))
 
 	id := func() routing.NodeID { return routing.NodeID(next()) % nodes }

@@ -200,7 +200,7 @@ func (e *Experiment) Bind(fs *flag.FlagSet) {
 func (e *Experiment) open() (sweep.ExecOptions, error) {
 	var err error
 	e.Protocols, err = List(e.protocols, func(name string) error {
-		_, err := scenario.Factory(scenario.ProtocolName(name), nil)
+		_, err := scenario.Factory(scenario.Config{Protocol: scenario.ProtocolName(name)})
 		return err
 	})
 	if err != nil {

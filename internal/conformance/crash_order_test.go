@@ -23,7 +23,7 @@ import (
 func TestCrashDropOrder(t *testing.T) {
 	want := []routing.NodeID{1, 2, 3, 4, 5, 6, 7}
 	for _, proto := range []scenario.ProtocolName{scenario.LDR, scenario.AODV, scenario.DSR} {
-		factory, err := scenario.Factory(proto, nil)
+		factory, err := scenario.Factory(scenario.Config{Protocol: proto})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -104,7 +104,7 @@ func (s Spec) Config() (scenario.Config, error) {
 		SimTime:   simTime,
 		Seed:      s.Seed,
 	}
-	if _, err := scenario.Factory(cfg.Protocol, nil); err != nil {
+	if _, err := scenario.Factory(cfg); err != nil {
 		return scenario.Config{}, err
 	}
 	axes := scenario.Axes{Mobility: s.Mobility, TrafficPattern: s.Traffic, Radio: s.Radio, Density: s.Density}

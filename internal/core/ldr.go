@@ -10,17 +10,37 @@ import (
 )
 
 // Config holds what an experiment varies about LDR: the paper's §4
-// optimizations, each switched by an ablation row, and the first ring's
-// radius. Every other timer and bound is a constant (below, and in
-// package ondemand). The zero value is not valid; use DefaultConfig.
+// optimizations and the reset leg, each switched by an ablation row.
+// Every other timer and bound is a constant (below, and in package
+// ondemand); the first ring's radius is ondemand.Discoveries.RingStart,
+// which LDR shares with AODV. The zero value is not valid; use
+// DefaultConfig.
 type Config struct {
-	TTLStart int // expanding-ring initial TTL (the no-ring ablation floods at once)
-
 	MultipleRREPs   bool // relay later RREPs carrying stronger invariants
 	ReducedDistance bool // advertise an answering distance below fd
 	MinLifetime     bool // do not answer with a nearly expired route
 	OptimalTTL      bool // derive the initial ring TTL from known distance
+
+	ResetLeg ResetLeg // what a relay whose SDC holds with T set does
 }
+
+// ResetLeg is what becomes of a solicitation at a relay whose SDC holds
+// but whose T bit demands a path reset only the destination can make.
+type ResetLeg uint8
+
+const (
+	// LegFloods sends the unicast reset leg (D set) along the successor
+	// path. A node that has not seen the computation takes the leg as a
+	// fresh solicitation and, when it cannot answer or forward it, relays
+	// it as a flood with D still set (TestResetLegAtUnengagedNodeFloods).
+	LegFloods ResetLeg = iota
+	// LegDies sends the leg too, but a node that cannot answer or forward
+	// it drops it, and the origin's ring retries.
+	LegDies
+	// NoLeg sends no leg: the relay relays the flood as a relay without
+	// a route would, T as its labels leave it.
+	NoLeg
+)
 
 const (
 	localAddTTL   = 2   // slack added to distance-derived TTLs
@@ -31,8 +51,6 @@ const (
 // experiments, with all optimizations enabled.
 func DefaultConfig() Config {
 	return Config{
-		TTLStart: ondemand.TTLStart,
-
 		MultipleRREPs:   true,
 		ReducedDistance: true,
 		MinLifetime:     true,
@@ -266,15 +284,9 @@ func (l *LDR) initialTTL(dst routing.NodeID) int {
 	e := l.routes.get(dst)
 	if l.cfg.OptimalTTL && e != nil && e.dist < Infinity {
 		ttl := e.dist - l.answerDist(e) + localAddTTL
-		if ttl < l.cfg.TTLStart {
-			ttl = l.cfg.TTLStart
-		}
-		if ttl > ondemand.NetDiameter {
-			ttl = ondemand.NetDiameter
-		}
-		return ttl
+		return min(max(ttl, l.RingStart), ondemand.NetDiameter)
 	}
-	return l.cfg.TTLStart
+	return l.RingStart
 }
 
 // answerDist computes the answering distance carried in a RREQ: the
@@ -411,18 +423,22 @@ func (l *LDR) handleRREQ(from routing.NodeID, q *RREQ) {
 			l.sendReply(q, n, e, st, now)
 			return
 		}
-		// SDC holds but a reset is required: unicast the request the rest
-		// of the way so the destination can raise its sequence number.
-		st.unicastFwd = true
-		m := l.relayed(q, n, e)
-		m.D = true
-		m.TTL = e.dist + localAddTTL
-		l.forwardUnicastRREQ(m)
-		return
+		if l.cfg.ResetLeg != NoLeg {
+			// SDC holds but a reset is required: unicast the request the
+			// rest of the way so the destination can raise its sequence
+			// number.
+			st.unicastFwd = true
+			m := l.relayed(q, n, e)
+			m.D = true
+			m.TTL = e.dist + localAddTTL
+			l.forwardUnicastRREQ(m)
+			return
+		}
 	}
 
-	// Relay the flood.
-	if q.TTL <= 1 {
+	// Relay the flood: a leg this node can neither answer nor forward
+	// floods on with D set, or dies under LegDies.
+	if q.TTL <= 1 || q.D && l.cfg.ResetLeg == LegDies {
 		return
 	}
 	m := l.relayed(q, n, e)

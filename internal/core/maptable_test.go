@@ -255,15 +255,15 @@ func (l *refLDR) initialTTL(dst routing.NodeID) int {
 	e := l.routes[dst]
 	if l.cfg.OptimalTTL && e != nil && e.dist < Infinity {
 		ttl := e.dist - l.answerDist(e) + localAddTTL
-		if ttl < l.cfg.TTLStart {
-			ttl = l.cfg.TTLStart
+		if ttl < l.RingStart {
+			ttl = l.RingStart
 		}
 		if ttl > ondemand.NetDiameter {
 			ttl = ondemand.NetDiameter
 		}
 		return ttl
 	}
-	return l.cfg.TTLStart
+	return l.RingStart
 }
 
 func (l *refLDR) answerDist(e *entry) int {
@@ -372,16 +372,18 @@ func (l *refLDR) handleRREQ(from routing.NodeID, q RREQ) {
 			l.sendReply(q, e, st, now)
 			return
 		}
-		st.unicastFwd = true
-		uq := l.updateInvariants(q, e)
-		uq.D = true
-		uq.TTL = e.dist + localAddTTL
-		l.forwardUnicastRREQ(uq)
-		return
+		if l.cfg.ResetLeg != NoLeg {
+			st.unicastFwd = true
+			uq := l.updateInvariants(q, e)
+			uq.D = true
+			uq.TTL = e.dist + localAddTTL
+			l.forwardUnicastRREQ(uq)
+			return
+		}
 	}
 
 	q.TTL--
-	if q.TTL <= 0 {
+	if q.TTL <= 0 || q.D && l.cfg.ResetLeg == LegDies {
 		return
 	}
 	m := l.rreqPool.Get()
@@ -693,11 +695,19 @@ func driveTables(t testing.TB, data []byte) {
 		data = data[1:]
 		return b
 	}
+	// The first byte picks the reset leg and the ring's start: the
+	// ablation's arms as well as the defaults.
 	cfg := DefaultConfig()
+	b := next()
+	cfg.ResetLeg = [...]ResetLeg{LegFloods, LegDies, NoLeg}[b%3]
+	ring := ondemand.TTLStart
+	if b&4 != 0 {
+		ring = ondemand.NetDiameter
+	}
 	var got *LDR
 	var want *refLDR
-	gnw, gheard := tableRig(func(n *routing.Node) routing.Protocol { got = New(n, cfg); return got })
-	wnw, wheard := tableRig(func(n *routing.Node) routing.Protocol { want = newRefLDR(n, cfg); return want })
+	gnw, gheard := tableRig(func(n *routing.Node) routing.Protocol { got = New(n, cfg); got.RingStart = ring; return got })
+	wnw, wheard := tableRig(func(n *routing.Node) routing.Protocol { want = newRefLDR(n, cfg); want.RingStart = ring; return want })
 	nodes := routing.NodeID(len(gnw.Nodes))
 
 	id := func() routing.NodeID { return routing.NodeID(next()) % nodes }

@@ -1,6 +1,7 @@
 package experiments_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -51,14 +52,24 @@ func TestFig7ReportsSeqnos(t *testing.T) {
 	}
 }
 
+// TestVariantsCoverEveryOptimization also requires every variant but
+// ldr-full to change the cell it edits: an arm whose edit a caller drops
+// would run ldr-full under another name.
 func TestVariantsCoverEveryOptimization(t *testing.T) {
 	names := make(map[string]bool)
 	for _, v := range experiments.Variants() {
 		names[v.Name] = true
+		def := tiny().Cell(scenario.LDR, 50, 10, 0, 1)
+		cell := def
+		v.Edit(&cell)
+		if edited := !reflect.DeepEqual(cell, def); edited != (v.Name != "ldr-full") {
+			t.Errorf("variant %s: edit changes the cell = %v", v.Name, edited)
+		}
 	}
 	for _, want := range []string{
 		"ldr-full", "no-multi-rrep", "no-reduced-dist",
 		"no-min-lifetime", "no-optimal-ttl", "no-ring",
+		"no-reset-leg", "leg-dies",
 	} {
 		if !names[want] {
 			t.Fatalf("ablation variant %q missing", want)

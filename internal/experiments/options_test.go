@@ -29,11 +29,11 @@ import (
 func TestEveryOptionHasAUser(t *testing.T) {
 	var ablated []any
 	for _, v := range experiments.Variants() {
-		c := core.DefaultConfig()
-		if v.Mutate != nil {
-			v.Mutate(&c)
+		var sc scenario.Config
+		v.Edit(&sc)
+		if sc.LDRConfig != nil {
+			ablated = append(ablated, *sc.LDRConfig)
 		}
-		ablated = append(ablated, c)
 	}
 	var radios []any
 	for _, name := range scenario.Radios() {
@@ -49,11 +49,11 @@ func TestEveryOptionHasAUser(t *testing.T) {
 		users map[string]string
 	}{
 		{core.DefaultConfig(), ablated, map[string]string{
-			"TTLStart":        "ablation row no-ring",
 			"MultipleRREPs":   "ablation row no-multi-rrep",
 			"ReducedDistance": "ablation row no-reduced-dist",
 			"MinLifetime":     "ablation row no-min-lifetime",
-			"OptimalTTL":      "ablation rows no-optimal-ttl, no-ring",
+			"OptimalTTL":      "ablation row no-optimal-ttl",
+			"ResetLeg":        "ablation rows no-reset-leg, leg-dies",
 		}},
 		{dsr.DefaultConfig(), []any{dsr.Draft7Config()}, map[string]string{
 			"DraftVariant": "Fig. 6: scenario.Factory(DSR7) runs Draft7Config",

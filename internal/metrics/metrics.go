@@ -106,12 +106,6 @@ const (
 	FateDropped
 )
 
-// packetKey identifies a data packet network-wide.
-type packetKey struct {
-	src int32
-	id  uint64
-}
-
 // Collector accumulates the counters for one simulation run. Its JSON
 // form is the journal's cell record (internal/resilience) and what the
 // repository benchmark hashes into its digest, so field order and names
@@ -181,30 +175,44 @@ type Collector struct {
 	RERRSuppressed        uint64 `json:"rerr_suppressed"`        // RERRs discarded by receive damping
 
 	// DropByReason is indexed by DropReason (read it through DroppedBy);
-	// InFlightCount is the gauge behind InFlight. The per-packet fates map
-	// is not serialized: it exists to dedup terminal events during the run
-	// and is dead weight once the run has ended, so a journaled collector
-	// reports FateNone for every packet.
-	DropByReason  [numReasons]uint64       `json:"drop_by_reason"`
-	fates         map[packetKey]PacketFate `json:"-"`
-	InFlightCount int64                    `json:"in_flight"` // initiated packets with no terminal event yet
+	// InFlightCount is the gauge behind InFlight. fates holds one row per
+	// source, indexed by packet ID: IDs are per-source counters issued
+	// from 1 upward, so a row is dense and grows by append, and an ID
+	// past the end of its row has FateNone. The rows are not serialized:
+	// they exist to dedup terminal events during the run and are dead
+	// weight once the run has ended, so a journaled collector reports
+	// FateNone for every packet.
+	DropByReason  [numReasons]uint64 `json:"drop_by_reason"`
+	fates         [][]PacketFate     `json:"-"`
+	InFlightCount int64              `json:"in_flight"` // initiated packets with no terminal event yet
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
 
 func (c *Collector) fate(src int, id uint64) PacketFate {
-	if c.fates == nil {
+	if src >= len(c.fates) || id >= uint64(len(c.fates[src])) {
 		return FateNone
 	}
-	return c.fates[packetKey{src: int32(src), id: id}]
+	return c.fates[src][id]
 }
 
+// setFate records f for (src, id), growing src's row to cover id. The
+// row grows by append, one element at a time, so recording the next ID
+// of a source allocates only when the row's capacity runs out.
 func (c *Collector) setFate(src int, id uint64, f PacketFate) {
-	if c.fates == nil {
-		c.fates = make(map[packetKey]PacketFate)
+	for src >= len(c.fates) {
+		c.fates = append(c.fates, nil)
 	}
-	c.fates[packetKey{src: int32(src), id: id}] = f
+	row := c.fates[src]
+	if id < uint64(len(row)) {
+		row[id] = f
+		return
+	}
+	for uint64(len(row)) < id {
+		row = append(row, FateNone)
+	}
+	c.fates[src] = append(row, f)
 }
 
 // NoteInitiated records the origination of data packet (src, id) and

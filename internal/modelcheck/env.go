@@ -181,7 +181,7 @@ var _ routing.ModelEnv = (*world)(nil)
 // byte-identical worlds. A protocol without the checker's state hooks is
 // an error. The protocol code runs under handlers.
 func newWorld(sc *Scenario, handlers *sync.Mutex) (*world, error) {
-	factory, err := scenario.Factory(scenario.ProtocolName(sc.Protocol), nil)
+	factory, err := scenario.Factory(scenario.Config{Protocol: scenario.ProtocolName(sc.Protocol)})
 	if err != nil {
 		return nil, err
 	}

@@ -280,7 +280,7 @@ func modelStateFields(t *testing.T) map[reflect.Type]fieldLists {
 			[]string{"seq", "haveSeq", "hops", "next", "valid", "expiry", "precursors"}, nil},
 		reflect.TypeFor[ondemand.Discoveries](): {
 			[]string{"Pending", "active", "nextID", "stopped"},
-			[]string{"req", "relays"}},
+			[]string{"RingStart", "req", "relays"}},
 		reflect.TypeFor[ondemand.Pending](): {
 			[]string{"q"},
 			[]string{"node"}},

@@ -413,7 +413,11 @@ func FuzzOLSRState(f *testing.F) {
 // within √5 cells) that has heard a HELLO from every neighbor and a TC
 // from every other node: the link state of one dense100 node, bit rows
 // of two words, for the allocation guards and the benchmarks.
-func warm100(tb testing.TB) *OLSR {
+func warm100(tb testing.TB) *OLSR { return warmGrid(tb, true) }
+
+// warmGrid is warm100, or with withTCs false only its links: node 0 has
+// heard no TC.
+func warmGrid(tb testing.TB, withTCs bool) *OLSR {
 	near := func(a, b int) bool {
 		ca, cb := (a+50)%100, (b+50)%100
 		dx, dy := ca%20-cb%20, ca/20-cb/20
@@ -442,6 +446,9 @@ func warm100(tb testing.TB) *OLSR {
 			h.Neighbors = append(h.Neighbors, HelloNeighbor{ID: nn, Code: LinkSym})
 		}
 		o.HandleControl(n, h)
+	}
+	if !withTCs {
+		return o
 	}
 	for a := 1; a < 100; a++ {
 		o.HandleControl(1, &TC{Origin: routing.NodeID(a), Seq: 1, ANSN: 1, Selectors: neighborsOf(a), TTL: 1})
@@ -513,14 +520,64 @@ func TestSteadyStateAllocs(t *testing.T) {
 			o.sweep()
 			o.sweeper.Cancel()
 		}},
-		{"HELLO after Reset", func() { // last: it empties the state
+		{"HELLO after Reset", func() { // last two: they empty the state
 			o.Reset()
 			o.HandleControl(1, hello)
+		}},
+		{"TC after Reset", func() {
+			o.Reset()
+			o.HandleControl(1, hello)
+			o.HandleControl(1, tc)
 		}},
 	} {
 		if n := testing.AllocsPerRun(50, c.fn); n != 0 {
 			t.Errorf("%s allocates %.1f times per call on warm state", c.name, n)
 		}
+	}
+
+	// TCs from originators a node has never heard, once its spare
+	// duplicate storage is warm: after originators 1–33 it holds shares
+	// for 34–64, so hearing 34–63 cuts them from the spare and allocates
+	// nothing. Each run hears fifteen, so the count is not averaged away.
+	unheard := warmGrid(t, false)
+	fresh := &TC{Seq: 1, ANSN: 1, Selectors: tc.Selectors, TTL: 1}
+	for fresh.Origin = 1; fresh.Origin <= 33; fresh.Origin++ {
+		unheard.HandleControl(1, fresh)
+	}
+	if n := testing.AllocsPerRun(1, func() {
+		for range 15 {
+			unheard.HandleControl(1, fresh)
+			fresh.Origin++
+		}
+	}); n != 0 {
+		t.Errorf("TCs from 15 new originators allocate %.0f times on a warm spare", n)
+	}
+}
+
+// TestDupStorageFollowsHeardOriginators: a node's duplicate storage is
+// cut from a spare that is refilled by doubling, so a node that hears one
+// originator holds minDupShares shares, not one per node of the network,
+// and hearing all 99 allocates once per refill.
+func TestDupStorageFollowsHeardOriginators(t *testing.T) {
+	o := warmGrid(t, false)
+	tc := &TC{Origin: 1, Seq: 1, ANSN: 1, Selectors: []routing.NodeID{2}, TTL: 1}
+	o.HandleControl(1, tc)
+	if got, want := len(o.dupSpare)+cap(o.origs[1].dup), minDupShares*dupStride; got != want {
+		t.Fatalf("after one originator the node holds %d duplicate tuples, want %d", got, want)
+	}
+	// 4, 4, 8, 16, 32 shares, then the 36 originators still without one.
+	const refills = 6
+	grids := []*OLSR{warmGrid(t, false), warmGrid(t, false)}
+	hearAll := func() {
+		g := grids[0]
+		grids = grids[1:]
+		for a := 1; a < 100; a++ {
+			tc.Origin = routing.NodeID(a)
+			g.HandleControl(1, tc)
+		}
+	}
+	if n := testing.AllocsPerRun(1, hearAll); n != refills {
+		t.Fatalf("hearing 99 new originators allocated %.0f times, want %d", n, refills)
 	}
 }
 

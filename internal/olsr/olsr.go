@@ -139,6 +139,18 @@ type neighbor struct {
 	rowDue time.Duration
 }
 
+// dupStride is each originator's share of a node's duplicate-set
+// storage, in tuples. An originator sends a TC every tcInterval and a
+// tuple is held dupHold, so about seven are live at once: in three
+// 100-node, 330 s runs and one 50-node, 650 s run at pause 0, 3 of
+// 933,697 appends made a list longer than eight, and none one longer
+// than nine. A list that outgrows its share moves to an array of its own.
+const dupStride = 8
+
+// minDupShares is the fewest shares a refill of a node's spare duplicate
+// storage holds (takeDups).
+const minDupShares = 4
+
 // held is a duplicate tuple: the sequence number of a message from its
 // originator and the instant the tuple expires.
 type held struct {
@@ -184,7 +196,7 @@ type originator struct {
 	ansn   uint16
 	topo   bool // the topology set is not empty
 	expiry time.Duration
-	dup    []held        // by sequence number, in arrival order
+	dup    []held        // by sequence number, in arrival order (takeDups)
 	dupDue time.Duration // expiry bound on dup: the sweep skips it until then
 }
 
@@ -203,6 +215,11 @@ type OLSR struct {
 	nSel     int             // live selector tuples
 	origs    []originator
 	routes   []route
+
+	// Duplicate-set storage not yet given out, and the number of
+	// originators given a share of it (takeDups).
+	dupSpare []held
+	nDups    int
 
 	// The bit rows: row id of twoHopRows is neighbor id's two-hop keys,
 	// row id of destRows originator id's topology set; each is words long.
@@ -278,6 +295,21 @@ func (o *OLSR) grow(id routing.NodeID) {
 	}
 	o.scratch = make([]uint64, 3*w)
 	o.words = w
+}
+
+// takeDups gives og, at its first TC, its dupStride share of the node's
+// duplicate storage, cut from the spare. An empty spare is refilled with
+// as many shares as have been given out (at least minDupShares, and no
+// more than there are originators still without one), so the storage
+// follows the originators a node hears, and hearing n of them allocates
+// about log2 n times.
+func (o *OLSR) takeDups(og *originator) {
+	if len(o.dupSpare) == 0 {
+		o.dupSpare = make([]held, min(max(o.nDups, minDupShares), len(o.origs)-o.nDups)*dupStride)
+	}
+	og.dup = o.dupSpare[:0:dupStride]
+	o.dupSpare = o.dupSpare[dupStride:]
+	o.nDups++
 }
 
 // widen copies rows of old words each into n rows of w words.
@@ -367,7 +399,9 @@ func (o *OLSR) Reset() {
 	}
 	clear(o.selUntil)
 	o.nSel = 0
-	clear(o.origs)
+	for id := range o.origs {
+		o.origs[id] = originator{dup: o.origs[id].dup[:0]}
+	}
 	clear(o.routes)
 	clear(o.destRows)
 	o.dirty = false
@@ -625,6 +659,9 @@ func (o *OLSR) handleTC(from routing.NodeID, tc *TC) {
 
 	o.grow(tc.Origin)
 	og := &o.origs[tc.Origin]
+	if cap(og.dup) == 0 {
+		o.takeDups(og)
+	}
 
 	isDup := false
 	for i := range og.dup {

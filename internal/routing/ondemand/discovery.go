@@ -131,6 +131,12 @@ type Requester interface {
 type Discoveries struct {
 	Pending
 
+	// RingStart is the TTL of a first attempt that knows nothing better
+	// (NewDiscoveries sets TTLStart). An experiment sets it for LDR and
+	// AODV alike: NetDiameter floods at once, with no ring. DSR's ring,
+	// RFC 4728's, does not read it.
+	RingStart int
+
 	req     Requester
 	active  []Discovery // indexed by destination, grown on first Solicit
 	nextID  uint32
@@ -147,7 +153,7 @@ type relay struct {
 
 // NewDiscoveries returns an empty table whose attempts are sent by req.
 func NewDiscoveries(node *routing.Node, req Requester) Discoveries {
-	return Discoveries{Pending: Pending{node: node}, req: req}
+	return Discoveries{Pending: Pending{node: node}, RingStart: TTLStart, req: req}
 }
 
 // running returns dst's active computation, or nil.

@@ -149,6 +149,13 @@ type Config struct {
 	// (used by the ablation benchmarks). Nil selects the defaults.
 	LDRConfig *core.Config
 
+	// RingStart overrides the first ring's TTL of LDR's and AODV's
+	// expanding-ring search (ondemand.Discoveries.RingStart); 0 keeps
+	// ondemand.TTLStart. The ablation's no-ring arms set NetDiameter: the
+	// first attempt floods at once. It is left out of the encoding when
+	// 0, so the journal keys of every other cell stay as they were.
+	RingStart int `json:",omitempty"`
+
 	// FaultPlan, when non-nil, runs the scenario under fault injection:
 	// node crash/reboot cycles, link blackouts, partitions, and
 	// message-level delivery faults (see internal/fault). The injector
@@ -265,7 +272,7 @@ func BuildInstrumented(cfg Config) (*routing.Network, *traffic.Generator, *Instr
 	if err := cfg.checkNodes(); err != nil {
 		return nil, nil, nil, err
 	}
-	factory, err := Factory(cfg.Protocol, cfg.LDRConfig)
+	factory, err := Factory(cfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -460,18 +467,31 @@ func buildMovement(cfg Config, src *rng.Source) (mobility.Model, error) {
 	}
 }
 
-// Factory returns the protocol constructor for a name. ldrCfg overrides
-// the LDR configuration and may be nil.
-func Factory(name ProtocolName, ldrCfg *core.Config) (routing.ProtocolFactory, error) {
-	switch name {
+// Factory returns the constructor of cfg's Protocol, with its LDRConfig
+// and RingStart applied; the other fields are not read.
+func Factory(cfg Config) (routing.ProtocolFactory, error) {
+	ring := cfg.RingStart
+	switch name := cfg.Protocol; name {
 	case LDR:
-		cfg := core.DefaultConfig()
-		if ldrCfg != nil {
-			cfg = *ldrCfg
+		ldr := core.DefaultConfig()
+		if cfg.LDRConfig != nil {
+			ldr = *cfg.LDRConfig
 		}
-		return func(n *routing.Node) routing.Protocol { return core.New(n, cfg) }, nil
+		return func(n *routing.Node) routing.Protocol {
+			l := core.New(n, ldr)
+			if ring != 0 {
+				l.RingStart = ring
+			}
+			return l
+		}, nil
 	case AODV:
-		return func(n *routing.Node) routing.Protocol { return aodv.New(n) }, nil
+		return func(n *routing.Node) routing.Protocol {
+			a := aodv.New(n)
+			if ring != 0 {
+				a.RingStart = ring
+			}
+			return a
+		}, nil
 	case DSR:
 		return func(n *routing.Node) routing.Protocol { return dsr.New(n, dsr.DefaultConfig()) }, nil
 	case DSR7:

@@ -64,15 +64,38 @@ type Config struct {
 	Stop    time.Duration // no packets are originated after this time
 }
 
-// Generator drives the CBR flows over a network.
+// Generator drives the flows over a network. Each concurrent flow has one
+// record for the whole run: a flow that ends hands its record to its
+// replacement, and every event of a flow is one sim.ScheduleTransient of
+// the package-level step with the generator and the record's index, so a
+// warm flow allocates nothing per packet.
 type Generator struct {
 	sim   *sim.Simulator
 	nodes []*routing.Node
 	cfg   Config
 	rng   *rng.Source
+	flows []flow
 
 	FlowsStarted int
 }
+
+// flow is one concurrent flow's record: its endpoints and lifetime, and
+// what its next event does.
+type flow struct {
+	src, dst int
+	end      time.Duration // the flow ends at its first event at or after end
+	burstEnd time.Duration // Bursty: the current on period ends here
+	next     phase
+}
+
+// phase is what a flow's next event does.
+type phase uint8
+
+const (
+	starting phase = iota // draw endpoints and a lifetime (startFlow)
+	sending               // originate one packet, or end the flow or the burst
+	waking                // Bursty: an off period is over (burstOff)
+)
 
 // NewGenerator builds a generator. Call Start to install the flows.
 func NewGenerator(s *sim.Simulator, nodes []*routing.Node, cfg Config, src *rng.Source) *Generator {
@@ -83,13 +106,41 @@ func NewGenerator(s *sim.Simulator, nodes []*routing.Node, cfg Config, src *rng.
 // times are staggered across the first flow interval to avoid the
 // synchronized-origination artifact of starting all flows at once.
 func (g *Generator) Start() {
-	for i := 0; i < g.cfg.Flows; i++ {
+	g.flows = make([]flow, g.cfg.Flows)
+	for i := range g.flows {
 		stagger := time.Duration(g.rng.Float64() * float64(Interval))
-		g.sim.At(Start+stagger, g.startFlow)
+		g.sim.ScheduleTransient(Start+stagger-g.sim.Now(), step, g, uint64(i))
 	}
 }
 
-func (g *Generator) startFlow() {
+// step runs flow i's next event.
+func step(arg any, i uint64) {
+	g := arg.(*Generator)
+	f := &g.flows[i]
+	now := g.sim.Now()
+	switch {
+	case f.next == starting, now >= f.end:
+		// A first flow, or one that is over: keep the offered load
+		// constant with a fresh flow in the record.
+		g.startFlow(f, i)
+	case f.next == waking:
+		g.burstOn(f, i)
+	case g.cfg.Pattern == Bursty && now >= f.burstEnd:
+		g.burstOff(f, i)
+	default:
+		g.send(f, i)
+	}
+}
+
+// later schedules flow i's next event, a phase p, after delay.
+func (g *Generator) later(f *flow, i uint64, p phase, delay time.Duration) {
+	f.next = p
+	g.sim.ScheduleTransient(delay, step, g, i)
+}
+
+// startFlow draws flow record f's endpoints and lifetime and sends its
+// first packet.
+func (g *Generator) startFlow(f *flow, i uint64) {
 	now := g.sim.Now()
 	if now >= g.cfg.Stop {
 		return
@@ -104,81 +155,52 @@ func (g *Generator) startFlow() {
 	if end > g.cfg.Stop {
 		end = g.cfg.Stop
 	}
+	*f = flow{src: src, dst: dst, end: end, next: sending}
 	g.FlowsStarted++
-	switch g.cfg.Pattern {
-	case Bursty:
-		g.burstOn(src, dst, end)
-	case RequestResponse:
-		g.reqTick(src, dst, end)
-	default:
-		g.tick(src, dst, end)
-	}
-}
-
-func (g *Generator) tick(src, dst int, end time.Duration) {
-	now := g.sim.Now()
-	if now >= end {
-		// Flow over; keep the offered load constant with a fresh flow.
-		g.startFlow()
+	if g.cfg.Pattern == Bursty {
+		g.burstOn(f, i)
 		return
 	}
-	g.nodes[src].OriginateData(routing.NodeID(dst), PacketBytes)
-	g.sim.Schedule(Interval, func() { g.tick(src, dst, end) })
+	step(g, i)
+}
+
+// send originates one packet of the flow and schedules the next; under
+// RequestResponse the destination's reply is scheduled first.
+func (g *Generator) send(f *flow, i uint64) {
+	g.nodes[f.src].OriginateData(routing.NodeID(f.dst), PacketBytes)
+	if g.cfg.Pattern == RequestResponse {
+		g.sim.ScheduleTransient(ResponseDelay, reply, g, uint64(f.dst)<<32|uint64(f.src))
+	}
+	g.later(f, i, sending, Interval)
 }
 
 // burstOn begins an on period: pick its exponential length, then send at
 // the CBR interval until it expires, after which burstOff idles the flow.
-func (g *Generator) burstOn(src, dst int, end time.Duration) {
-	burstEnd := g.sim.Now() + time.Duration(g.rng.ExpFloat64()*float64(MeanBurst))
-	if burstEnd > end {
-		burstEnd = end
+func (g *Generator) burstOn(f *flow, i uint64) {
+	f.burstEnd = g.sim.Now() + time.Duration(g.rng.ExpFloat64()*float64(MeanBurst))
+	if f.burstEnd > f.end {
+		f.burstEnd = f.end
 	}
-	g.burstTick(src, dst, end, burstEnd)
-}
-
-func (g *Generator) burstTick(src, dst int, end, burstEnd time.Duration) {
-	now := g.sim.Now()
-	if now >= end {
-		g.startFlow()
-		return
-	}
-	if now >= burstEnd {
-		g.burstOff(src, dst, end)
-		return
-	}
-	g.nodes[src].OriginateData(routing.NodeID(dst), PacketBytes)
-	g.sim.Schedule(Interval, func() { g.burstTick(src, dst, end, burstEnd) })
+	f.next = sending
+	step(g, i)
 }
 
 // burstOff idles the flow for an exponential gap, long enough for routes
 // to go stale, then starts the next burst.
-func (g *Generator) burstOff(src, dst int, end time.Duration) {
+func (g *Generator) burstOff(f *flow, i uint64) {
 	gap := time.Duration(g.rng.ExpFloat64() * float64(MeanGap))
-	g.sim.Schedule(gap, func() {
-		if g.sim.Now() >= end {
-			g.startFlow()
-			return
-		}
-		g.burstOn(src, dst, end)
-	})
+	g.later(f, i, waking, gap)
 }
 
-// reqTick originates one request and schedules the destination's reply.
-// The reply fires whether or not the request is ever delivered: the
-// generator models the application layer, and coupling origination events
-// to delivery outcomes would make the workload depend on routing behavior
-// (breaking replay determinism across protocols and fault schedules).
-func (g *Generator) reqTick(src, dst int, end time.Duration) {
-	now := g.sim.Now()
-	if now >= end {
-		g.startFlow()
-		return
+// reply originates a RequestResponse reply from the request's destination
+// (the high half of u) to its source (the low half). It fires whether or
+// not the request is ever delivered: the generator models the application
+// layer, and coupling origination events to delivery outcomes would make
+// the workload depend on routing behavior (breaking replay determinism
+// across protocols and fault schedules).
+func reply(arg any, u uint64) {
+	g := arg.(*Generator)
+	if g.sim.Now() < g.cfg.Stop {
+		g.nodes[u>>32].OriginateData(routing.NodeID(uint32(u)), ResponseBytes)
 	}
-	g.nodes[src].OriginateData(routing.NodeID(dst), PacketBytes)
-	g.sim.Schedule(ResponseDelay, func() {
-		if g.sim.Now() < g.cfg.Stop {
-			g.nodes[dst].OriginateData(routing.NodeID(src), ResponseBytes)
-		}
-	})
-	g.sim.Schedule(Interval, func() { g.reqTick(src, dst, end) })
 }

@@ -205,3 +205,40 @@ func TestPatternsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// loopbackProtocol delivers every packet at its origin, so a tick runs
+// the collector's whole ledger for the packet and nothing else.
+type loopbackProtocol struct {
+	sinkProtocol
+	node *routing.Node
+}
+
+func (p *loopbackProtocol) Originate(pkt *routing.DataPacket) { p.node.DeliverLocal(pkt) }
+
+// TestWarmCBRTickAllocatesNothing: once the flow records, the event pool,
+// the packet pool and the collector's fate rows are warm, a CBR tick
+// allocates nothing: the origination with its NoteInitiated, the delivery
+// with its NoteDelivered, and the flow's next event. AllocsPerRun averages
+// over its runs, so a fate row's rare doubling reads as zero, and an
+// allocation on every tick (a closure per event, a map insertion per
+// packet) reads as at least one.
+func TestWarmCBRTickAllocatesNothing(t *testing.T) {
+	nw := routing.NewNetwork(4, mobility.Line(4, 100), radio.DefaultConfig(), mac.DefaultConfig(), 1,
+		func(node *routing.Node) routing.Protocol { return &loopbackProtocol{node: node} })
+	gen := traffic.NewGenerator(nw.Sim, nw.Nodes, traffic.Config{Flows: 3, Stop: time.Hour}, rng.New(1))
+	gen.Start()
+	at := 30 * time.Second
+	nw.Sim.Run(at)
+	tick := func() {
+		at += traffic.Interval
+		nw.Sim.Run(at)
+	}
+	if n := testing.AllocsPerRun(200, tick); n != 0 {
+		t.Fatalf("a warm CBR tick allocates %v times, want 0", n)
+	}
+	c := nw.Collector
+	if c.DataInitiated < 3*4*50 || c.DataDelivered != c.DataInitiated || c.DuplicateDeliveries != 0 {
+		t.Fatalf("initiated %d, delivered %d, duplicates %d: every tick should deliver its packet once",
+			c.DataInitiated, c.DataDelivered, c.DuplicateDeliveries)
+	}
+}
