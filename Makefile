@@ -39,7 +39,7 @@ race:
 
 # Bounded conformance fuzz: replay the committed regression seeds and
 # FuzzScenario's seed corpus (every protocol × fault profile, and each
-# non-default radio and density) under the race detector, then 20 s of
+# non-default radio) under the race detector, then 20 s of
 # native fuzzing of FuzzScenario, whose failing input is minimised toward
 # the default axes and fewest flows. Then 20 s each of native fuzzing of
 # the event queue against its scan-for-minimum model, of OLSR's
@@ -65,10 +65,9 @@ fuzz-smoke:
 	$(GO) test ./internal/resilience -run '^$$' -fuzz FuzzJournalRecord -fuzztime 20s
 	$(GO) test ./internal/metrics -run '^$$' -fuzz FuzzFateRows -fuzztime 20s
 
-# Heterogeneous-radio fuzz axis (nightly): the one-way-link and
-# uneven-placement regressions under the race detector, then 5 min of
-# FuzzScenario, whose corpus holds the mixed/asym radio and
-# gradient/hotspot density seeds, so the MAC ACK-exhaustion and
+# Heterogeneous-radio fuzz axis (nightly): the one-way-link regressions
+# under the race detector, then 5 min of FuzzScenario, whose corpus holds
+# the mixed and asym radio seeds, so the MAC ACK-exhaustion and
 # hello-gating paths stay under continuous conservation/census audit.
 fuzz-radio:
 	$(GO) test -race -timeout 30m ./internal/conformance/ -run 'TestHeteroRadioChaosClean|TestAsymAckExhaustAccounted|TestOLSRAsymNoBlackhole'

@@ -71,14 +71,13 @@ func run() error {
 		"ldrbench -exp table1 -simtime 900s -trials 10   # the paper's full setup",
 		"ldrbench -exp fig3 -protocols ldr,aodv",
 		"ldrbench -exp mobility                          # waypoint vs manhattan vs gaussmarkov",
-		"ldrbench -exp table1 -traffic bursty",
-		"ldrbench -exp radio                             # uniform vs mixed vs asym power, density profiles",
-		"ldrbench -exp fig3 -radio asym -density gradient",
+		"ldrbench -exp radio                             # uniform vs mixed vs asym power",
+		"ldrbench -exp fig3 -radio asym",
 		"ldrbench -exp table1 -journal /tmp/t1.journal           # kill-safe; ^C prints the resume command",
 		"ldrbench -exp table1 -journal /tmp/t1.journal -resume   # continue a killed sweep",
 		"ldrbench -exp all -journal DIR -cell-timeout 2m -keep-going",
 		"ldrbench -exp chaos -profiles reboot,mayhem -simtime 120s -trials 5",
-		"ldrbench -exp chaos -profiles mayhem -radio mixed -density gradient -simtime 120s  # one-way links under faults",
+		"ldrbench -exp chaos -profiles mayhem -radio mixed -simtime 120s  # one-way links under faults",
 		"ldrbench -exp adversary -profiles seqno-forge,storm -protocols ldr,aodv -simtime 120s",
 		"ldrbench -exp chaos -simtime 120s -journal DIR -cell-timeout 2m -keep-going      # quarantine wedged/panicking cells",
 		"ldrbench -exp chaos -profiles lossy -protocols ldr -trials 1 -workers 1 -cpuprofile cell.pprof  # make profile-cell FAULT=lossy",

@@ -58,9 +58,7 @@ func TestRejectedCommandLineLeavesNothingBehind(t *testing.T) {
 	for _, bad := range [][]string{
 		{"-protocols", "ldr,nope"},
 		{"-mobility", "teleport"},
-		{"-traffic", "x"},
 		{"-radio", "x"},
-		{"-density", "x"},
 		{"-trials", "0"},
 		{"-simtime", "0s"},
 		{"-workers", "-1"},

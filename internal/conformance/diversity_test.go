@@ -8,26 +8,26 @@ import (
 	"github.com/manetlab/ldr/internal/sweep"
 )
 
-// TestDiversityByteIdenticalAcrossWorkers: the new mobility models and
-// traffic patterns must keep the replay guarantee the rest of the suite
+// TestDiversityByteIdenticalAcrossWorkers: the mobility models and radio
+// profiles must keep the replay guarantee the rest of the suite
 // relies on — same spec, same trace, at any worker count (the
 // TestPoolRecyclingByteIdentical capture-diff pattern applied to the
 // scenario-diversity axes).
 func TestDiversityByteIdenticalAcrossWorkers(t *testing.T) {
 	specs := []Spec{
 		{Protocol: "ldr", Nodes: 12, Flows: 3, SimTimeSec: 6, Seed: 31,
-			Profile: "reboot", Mobility: scenario.Manhattan, Traffic: "bursty"},
+			Profile: "reboot", Mobility: scenario.Manhattan},
 		{Protocol: "aodv", Nodes: 12, Flows: 3, SimTimeSec: 6, Seed: 32,
-			Profile: "mayhem", Mobility: scenario.GaussMarkov, Traffic: "reqresp"},
+			Profile: "mayhem", Mobility: scenario.GaussMarkov},
 		{Protocol: "ldr", Nodes: 12, Flows: 3, SimTimeSec: 6, Seed: 33,
 			Profile: "none", Mobility: scenario.GaussMarkov},
 		{Protocol: "dsr", Nodes: 12, Flows: 3, SimTimeSec: 6, Seed: 34,
-			Profile: "none", Mobility: scenario.Manhattan, Traffic: "reqresp"},
+			Profile: "none", Mobility: scenario.Manhattan},
 		{Protocol: "ldr", Nodes: 12, Flows: 3, SimTimeSec: 6, Seed: 35,
-			Profile: "reboot", Radio: scenario.RadioMixed, Density: scenario.DensityGradient},
+			Profile: "reboot", Radio: scenario.RadioMixed},
 		{Protocol: "aodv", Nodes: 12, Flows: 3, SimTimeSec: 6, Seed: 36,
-			Profile: "none", Mobility: scenario.GaussMarkov, Traffic: "bursty",
-			Radio: scenario.RadioAsym, Density: scenario.DensityHotspot},
+			Profile: "none", Mobility: scenario.GaussMarkov,
+			Radio: scenario.RadioAsym},
 		{Protocol: "olsr", Nodes: 12, Flows: 3, SimTimeSec: 6, Seed: 37,
 			Profile: "none", Radio: scenario.RadioAsym},
 	}
@@ -63,10 +63,10 @@ func TestDiversityByteIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestLDRCleanAcrossDiversityMatrix: the paper's loop-freedom claim must
-// survive every new mobility × traffic × fault combination — and every
-// radio × density combination, where one-way links starve hello
-// exchanges and route replies — and every run must still satisfy
-// conservation and the vanished-packet census.
+// survive every mobility × fault combination — and every radio × fault
+// combination, where one-way links starve hello exchanges and route
+// replies — and every run must still satisfy conservation and the
+// vanished-packet census.
 func TestLDRCleanAcrossDiversityMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix run in full mode only")
@@ -88,34 +88,30 @@ func TestLDRCleanAcrossDiversityMatrix(t *testing.T) {
 		}
 	}
 	for _, mob := range scenario.Mobilities() {
-		for _, traf := range []string{"cbr", "bursty", "reqresp"} {
-			for _, profile := range []string{"none", "reboot"} {
-				check(Spec{
-					Protocol: "ldr", Nodes: 15, Flows: 3,
-					SimTimeSec: 8, Seed: 41, Profile: profile,
-					Mobility: mob, Traffic: traf,
-					AuditMS: 100,
-				})
-			}
+		for _, profile := range []string{"none", "reboot"} {
+			check(Spec{
+				Protocol: "ldr", Nodes: 15, Flows: 3,
+				SimTimeSec: 8, Seed: 41, Profile: profile,
+				Mobility: mob,
+				AuditMS:  100,
+			})
 		}
 	}
 	for _, rad := range scenario.Radios() {
-		for _, dens := range scenario.Densities() {
-			for _, profile := range []string{"none", "reboot"} {
-				check(Spec{
-					Protocol: "ldr", Nodes: 15, Flows: 3,
-					SimTimeSec: 8, Seed: 42, Profile: profile,
-					Radio: rad, Density: dens,
-					AuditMS: 100,
-				})
-			}
+		for _, profile := range []string{"none", "reboot"} {
+			check(Spec{
+				Protocol: "ldr", Nodes: 15, Flows: 3,
+				SimTimeSec: 8, Seed: 42, Profile: profile,
+				Radio:   rad,
+				AuditMS: 100,
+			})
 		}
 	}
 }
 
 // TestHeteroRadioChaosClean: the acceptance scenario for the
-// heterogeneous-radio work — mixed transmit-power classes over a
-// density-gradient placement, under the mayhem fault profile, must
+// heterogeneous-radio work — mixed transmit-power classes under the
+// mayhem fault profile — must
 // finish with zero conservation or census violations and zero LDR
 // loop violations even though many links are one-way.
 func TestHeteroRadioChaosClean(t *testing.T) {
@@ -125,7 +121,7 @@ func TestHeteroRadioChaosClean(t *testing.T) {
 	s := Spec{
 		Protocol: "ldr", Nodes: 25, Flows: 5,
 		SimTimeSec: 12, Seed: 61, Profile: "mayhem",
-		Radio: scenario.RadioMixed, Density: scenario.DensityGradient,
+		Radio:   scenario.RadioMixed,
 		AuditMS: 100,
 	}
 	r, err := CheckSpec(s)

@@ -7,20 +7,19 @@ import (
 	"github.com/manetlab/ldr/internal/adversary"
 	"github.com/manetlab/ldr/internal/fault"
 	"github.com/manetlab/ldr/internal/scenario"
-	"github.com/manetlab/ldr/internal/traffic"
 )
 
 // specFromScript reads one byte per scenario axis, in a fixed order:
 // protocol, nodes (8–20), flows (1–8), simtime (2–12 s), a 16-bit seed
-// (two bytes), fault profile, adversary, mobility, traffic, radio,
-// density, pause (0–30 s) and audit cadence (50–199 ms). A missing byte
+// (two bytes), fault profile, adversary, mobility, radio, pause (0–30 s)
+// and audit cadence (50–199 ms). A missing byte
 // reads as 0, and 0 is each axis's minimum or the first entry of its name
 // list, which is its default. So the engine's minimiser, which cuts the
 // tail and then removes bytes, drops faults and the adversary, resets the
 // axes and cuts flows. Its last pass writes printable bytes, '0' first,
 // so '0' reads as 0 too.
 func specFromScript(script []byte) Spec {
-	b := make([]byte, 14)
+	b := make([]byte, 12)
 	copy(b, script)
 	for i := range b {
 		if b[i] == '0' {
@@ -37,11 +36,9 @@ func specFromScript(script []byte) Spec {
 		Profile:    pick(fault.ProfileNames(), b[6]),
 		Adversary:  pick(adversary.ProfileNames(), b[7]),
 		Mobility:   pick(scenario.Mobilities(), b[8]),
-		Traffic:    pick(scenario.Traffics(), b[9]),
-		Radio:      pick(scenario.Radios(), b[10]),
-		Density:    pick(scenario.Densities(), b[11]),
-		PauseSec:   float64(int(b[12]) % 31),
-		AuditMS:    50 + int(b[13])%150,
+		Radio:      pick(scenario.Radios(), b[9]),
+		PauseSec:   float64(int(b[10]) % 31),
+		AuditMS:    50 + int(b[11])%150,
 	}
 }
 
@@ -50,24 +47,20 @@ func specFromScript(script []byte) Spec {
 // packet ledger, a delivery ratio above one, or, for LDR only, a loop.
 // The failure message holds the spec in the committed-seed format, ready
 // to move into testdata/. Plain `go test` runs one seed per protocol ×
-// fault profile, which between them draw every adversary, mobility and
-// traffic pattern, and one per non-default radio and density;
-// `make fuzz-smoke` fuzzes for 20 s.
+// fault profile, which between them draw every adversary and mobility,
+// and one per non-default radio; `make fuzz-smoke` fuzzes for 20 s.
 func FuzzScenario(f *testing.F) {
-	// Seed i: nodes 8 + i mod 13, 3 flows, 6 s, seed i, and adversary,
-	// mobility and traffic i mod their lists.
+	// Seed i: nodes 8 + i mod 13, 3 flows, 6 s, seed i, and adversary
+	// and mobility i mod their lists.
 	i := 0
 	for p := range scenario.AllProtocols {
 		for fp := range fault.ProfileNames() {
-			f.Add([]byte{byte(p), byte(i), 2, 4, 0, byte(i), byte(fp), byte(i), byte(i), byte(i)})
+			f.Add([]byte{byte(p), byte(i), 2, 4, 0, byte(i), byte(fp), byte(i), byte(i)})
 			i++
 		}
 	}
 	for r := 1; r < len(scenario.Radios()); r++ {
-		f.Add([]byte{0, 4, 2, 4, 0, 1, 0, 0, 0, 0, byte(r)})
-	}
-	for d := 1; d < len(scenario.Densities()); d++ {
-		f.Add([]byte{0, 4, 2, 4, 0, 1, 0, 0, 0, 0, 0, byte(d)})
+		f.Add([]byte{0, 4, 2, 4, 0, 1, 0, 0, 0, byte(r)})
 	}
 	f.Fuzz(func(t *testing.T, script []byte) {
 		s := specFromScript(script)
@@ -97,9 +90,9 @@ func FuzzScenario(f *testing.F) {
 // with its default fails here.
 func TestEmptyScriptIsTheDefaultScenario(t *testing.T) {
 	want := Spec{Protocol: string(scenario.LDR), Nodes: 8, Flows: 1, SimTimeSec: 2,
-		Profile: "none", Adversary: "none", Mobility: scenario.Waypoint, Traffic: string(traffic.CBR),
-		Radio: scenario.RadioUniform, Density: scenario.DensityUniform, AuditMS: 50}
-	for _, script := range [][]byte{nil, []byte("00000000000000")} {
+		Profile: "none", Adversary: "none", Mobility: scenario.Waypoint,
+		Radio: scenario.RadioUniform, AuditMS: 50}
+	for _, script := range [][]byte{nil, []byte("000000000000")} {
 		if got := specFromScript(script); got != want {
 			t.Errorf("script %q reads as %+v, want %+v", script, got, want)
 		}

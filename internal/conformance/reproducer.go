@@ -42,9 +42,7 @@ func SpecFromConfig(cfg scenario.Config) (Spec, error) {
 		SimTimeSec: cfg.SimTime.Seconds(),
 		Seed:       cfg.Seed,
 		Mobility:   cfg.Mobility,
-		Traffic:    string(cfg.TrafficPattern),
 		Radio:      cfg.Radio,
-		Density:    cfg.Density,
 		TerrainW:   cfg.Terrain.Width,
 		TerrainH:   cfg.Terrain.Height,
 		MinSpeed:   cfg.MinSpeed,

@@ -14,7 +14,6 @@ import (
 	"github.com/manetlab/ldr/internal/fault"
 	"github.com/manetlab/ldr/internal/mobility"
 	"github.com/manetlab/ldr/internal/scenario"
-	"github.com/manetlab/ldr/internal/traffic"
 )
 
 // Spec is a serializable scenario: everything needed to rebuild a
@@ -29,9 +28,7 @@ type Spec struct {
 	Profile    string  `json:"profile"`             // fault.ProfileNames entry
 	Adversary  string  `json:"adversary,omitempty"` // adversary.ProfileNames entry
 	Mobility   string  `json:"mobility,omitempty"`  // scenario.Mobilities entry ("" → waypoint)
-	Traffic    string  `json:"traffic,omitempty"`   // traffic pattern ("" → cbr)
 	Radio      string  `json:"radio,omitempty"`     // scenario.Radios entry ("" → uniform disk)
-	Density    string  `json:"density,omitempty"`   // scenario.Densities entry ("" → uniform placement)
 	AuditMS    int     `json:"audit_ms"`
 	Note       string  `json:"note,omitempty"`
 
@@ -61,14 +58,8 @@ func (s Spec) String() string {
 	if s.Mobility != "" && s.Mobility != scenario.Waypoint {
 		axes += " mobility=" + s.Mobility
 	}
-	if s.Traffic != "" && s.Traffic != string(traffic.CBR) {
-		axes += " traffic=" + s.Traffic
-	}
 	if s.Radio != "" && s.Radio != scenario.RadioUniform {
 		axes += " radio=" + s.Radio
-	}
-	if s.Density != "" && s.Density != scenario.DensityUniform {
-		axes += " density=" + s.Density
 	}
 	return fmt.Sprintf("%s/%s%s nodes=%d flows=%d pause=%.0fs sim=%.0fs seed=%d%s",
 		s.Protocol, s.Profile, adv, s.Nodes, s.Flows, s.PauseSec, s.SimTimeSec, s.Seed, axes)
@@ -107,7 +98,7 @@ func (s Spec) Config() (scenario.Config, error) {
 	if _, err := scenario.Factory(cfg); err != nil {
 		return scenario.Config{}, err
 	}
-	axes := scenario.Axes{Mobility: s.Mobility, TrafficPattern: s.Traffic, Radio: s.Radio, Density: s.Density}
+	axes := scenario.Axes{Mobility: s.Mobility, Radio: s.Radio}
 	if err := axes.Validate(); err != nil {
 		return scenario.Config{}, fmt.Errorf("conformance: %w", err)
 	}

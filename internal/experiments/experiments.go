@@ -51,11 +51,10 @@ type Options struct {
 	Profiles []string
 
 	// Axes apply the scenario-diversity axes to every cell of the
-	// experiment being run (the zero value is the paper's waypoint + CBR
-	// + uniform-disk + uniform-placement + constant-timeout setup), so
-	// every table composes with the newer models. The Mobility
-	// experiment sweeps models itself and overrides Axes.Mobility; the
-	// Radio experiment likewise sweeps radio and density profiles.
+	// experiment being run (the zero value is the paper's waypoint +
+	// uniform-disk setup), so every table composes with the newer models.
+	// The Mobility experiment sweeps models itself and overrides
+	// Axes.Mobility; the Radio experiment likewise sweeps radio profiles.
 	scenario.Axes
 
 	// Progress, when non-nil, receives live cell counters for the sweep

@@ -71,7 +71,7 @@ func TestRenderGolden(t *testing.T) {
 		{name: "adversary", fn: experiments.Adversary, scope: "adversary", first: audited},
 		// Ablation once ignored the scenario axes; pin that it no longer does.
 		{name: "ablation+axes", fn: func(o experiments.Options) error {
-			o.Axes = scenario.Axes{Mobility: scenario.Manhattan, TrafficPattern: "bursty", Radio: scenario.RadioAsym}
+			o.Axes = scenario.Axes{Mobility: scenario.Manhattan, Radio: scenario.RadioAsym}
 			return experiments.Ablation(o)
 		}},
 	} {

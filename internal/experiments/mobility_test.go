@@ -34,7 +34,7 @@ func TestMobilityComposesWithDiversityAxes(t *testing.T) {
 	var buf strings.Builder
 	o := tiny(scenario.LDR)
 	o.Out = &buf
-	o.TrafficPattern = "bursty"
+	o.Radio = scenario.RadioAsym
 	if err := experiments.Mobility(o); err != nil {
 		t.Fatal(err)
 	}

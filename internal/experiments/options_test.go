@@ -70,26 +70,25 @@ func TestEveryOptionHasAUser(t *testing.T) {
 			"Classes": "-radio mixed|asym: scenario.BuildInstrumented passes RadioClasses",
 		}},
 		{traffic.Config{}, nil, map[string]string{
-			"Pattern": "-traffic bursty|reqresp: scenario.BuildInstrumented copies Config.TrafficPattern",
-			"Flows":   "the 10- and 30-flow tables: scenario.BuildInstrumented copies Config.Flows",
-			"Stop":    "-simtime: scenario.BuildInstrumented copies Config.SimTime",
+			"Flows": "the 10- and 30-flow tables: scenario.BuildInstrumented copies Config.Flows",
+			"Stop":  "-simtime: scenario.BuildInstrumented copies Config.SimTime",
 		}},
 		{mobility.WaypointConfig{}, nil, map[string]string{
-			"Terrain":  "50- and 100-node terrains: scenario.buildMovement",
-			"MinSpeed": "scenario.buildMovement copies Config.MinSpeed (conformance.Spec draws it)",
-			"MaxSpeed": "ldrsim -maxspeed: scenario.buildMovement",
-			"Pause":    "the pause-time sweep: scenario.buildMovement",
+			"Terrain":  "50- and 100-node terrains: scenario.buildMobility",
+			"MinSpeed": "scenario.buildMobility copies Config.MinSpeed (conformance.Spec draws it)",
+			"MaxSpeed": "ldrsim -maxspeed: scenario.buildMobility",
+			"Pause":    "the pause-time sweep: scenario.buildMobility",
 		}},
 		{mobility.ManhattanConfig{}, nil, map[string]string{
-			"Terrain":  "50- and 100-node terrains: scenario.buildMovement",
-			"MinSpeed": "scenario.buildMovement copies Config.MinSpeed (conformance.Spec draws it)",
-			"MaxSpeed": "ldrsim -maxspeed: scenario.buildMovement",
-			"Pause":    "the pause-time sweep: scenario.buildMovement",
+			"Terrain":  "50- and 100-node terrains: scenario.buildMobility",
+			"MinSpeed": "scenario.buildMobility copies Config.MinSpeed (conformance.Spec draws it)",
+			"MaxSpeed": "ldrsim -maxspeed: scenario.buildMobility",
+			"Pause":    "the pause-time sweep: scenario.buildMobility",
 		}},
 		{mobility.GaussMarkovConfig{}, nil, map[string]string{
-			"Terrain":   "50- and 100-node terrains: scenario.buildMovement",
-			"MeanSpeed": "scenario.buildMovement: the middle of Config.MinSpeed and MaxSpeed",
-			"MaxSpeed":  "ldrsim -maxspeed: scenario.buildMovement",
+			"Terrain":   "50- and 100-node terrains: scenario.buildMobility",
+			"MeanSpeed": "scenario.buildMobility: the middle of Config.MinSpeed and MaxSpeed",
+			"MaxSpeed":  "ldrsim -maxspeed: scenario.buildMobility",
 		}},
 		{fault.AuditConfig{}, nil, map[string]string{
 			"Cadence": "conformance.Spec.AuditMS: scenario.BuildInstrumented copies Config.AuditCadence",

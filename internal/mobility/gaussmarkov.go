@@ -86,16 +86,12 @@ func NewGaussMarkov(n int, cfg GaussMarkovConfig, src *rng.Source) *GaussMarkov 
 // NumNodes implements Model.
 func (g *GaussMarkov) NumNodes() int { return len(g.nodes) }
 
-// SpeedBound implements Model: the evolved speed is clamped to it, and
-// reflecting off the boundary lengthens no step.
-func (g *GaussMarkov) SpeedBound() float64 { return g.cfg.MaxSpeed }
-
 // Piece implements Model: the current step, from its boundary position
 // toward the next; the velocity is re-drawn at the next step boundary.
-func (g *GaussMarkov) Piece(id int, _ time.Duration) (Piece, bool) {
+func (g *GaussMarkov) Piece(id int, _ time.Duration) Piece {
 	st, dt := &g.nodes[id], gmStep.Seconds()
 	end := time.Duration(st.step+1)*gmStep - time.Nanosecond
-	return Piece{V: Point{X: (st.next.X - st.pos.X) / dt, Y: (st.next.Y - st.pos.Y) / dt}, End: end}, true
+	return Piece{V: Point{X: (st.next.X - st.pos.X) / dt, Y: (st.next.Y - st.pos.Y) / dt}, End: end}
 }
 
 // Position implements Model.

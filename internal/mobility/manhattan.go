@@ -118,15 +118,12 @@ func NewManhattan(n int, cfg ManhattanConfig, src *rng.Source) *Manhattan {
 // NumNodes implements Model.
 func (m *Manhattan) NumNodes() int { return len(m.nodes) }
 
-// SpeedBound implements Model: no street's speed class exceeds 1.
-func (m *Manhattan) SpeedBound() float64 { return m.cfg.MaxSpeed }
-
 // Piece implements Model: the street segment, then the pause at the
 // intersection it reaches; Position draws the next leg only past the
 // pause.
-func (m *Manhattan) Piece(id int, t time.Duration) (Piece, bool) {
+func (m *Manhattan) Piece(id int, t time.Duration) Piece {
 	st := &m.nodes[id]
-	return segmentPiece(st.from, st.to, st.segStart, st.segEnd, st.pauseUntil, t), true
+	return segmentPiece(st.from, st.to, st.segStart, st.segEnd, st.pauseUntil, t)
 }
 
 // Position implements Model.

@@ -30,32 +30,22 @@ func (p Point) Dist(q Point) float64 {
 // non-decreasing times per node; the simulator guarantees this because all
 // queries happen at the current virtual time.
 //
-// Piece and SpeedBound are a promise that lets a caller keep a position
-// instead of asking again: after Position(id, t1), Piece(id, t1) draws
-// nothing, and for every t2 in [t1, End] Position(id, t2) draws from no
-// random stream and lies within SpeedBound()·(t2-t1+1 ns) + Margin of
-// Position(id, t1): the nanosecond because Waypoint and Manhattan truncate
-// a leg's duration to whole nanoseconds, so a node runs up to a nanosecond
-// of travel ahead of its drawn speed. Past End the caller has to ask,
-// which is also what keeps every stream where asking at every instant
-// would have left it. When the model names the piece's line (ok),
-// Position(id, t2) also lies within Margin of Position(id, t1) +
-// V·(t2-t1), so a caller that knows two nodes' pieces knows their distance
-// until the earlier End.
+// Piece is a promise that lets a caller keep a position instead of asking
+// again: after Position(id, t1), Piece(id, t1) draws nothing, and for
+// every t2 in [t1, End] Position(id, t2) draws from no random stream and
+// lies within Margin of Position(id, t1) + V·(t2-t1), so a caller that
+// knows two nodes' pieces knows their distance until the earlier End.
+// Past End the caller has to ask, which is also what keeps every stream
+// where asking at every instant would have left it.
 type Model interface {
 	// Position returns the position of node id at virtual time at.
 	Position(id int, at time.Duration) Point
 	// NumNodes returns the number of nodes the model covers.
 	NumNodes() int
-	// SpeedBound returns a speed in m/s that no node exceeds at any time,
-	// +Inf when the model cannot name one.
-	SpeedBound() float64
 	// Piece returns the straight piece node id is on at t, the instant of
 	// its latest Position query: a Waypoint or Manhattan segment or pause,
-	// a Gauss-Markov step, a Script leg, or forever for a Static node. ok
-	// is false when the model bends its pieces (Warped): then End still
-	// holds and V is zero, and SpeedBound is all a caller has of the motion.
-	Piece(id int, t time.Duration) (p Piece, ok bool)
+	// a Gauss-Markov step, a Script leg, or forever for a Static node.
+	Piece(id int, t time.Duration) Piece
 }
 
 // Piece is a straight piece of a node's trajectory: from where the node is
@@ -79,11 +69,11 @@ func segmentPiece(from, to Point, start, arrive, rest, t time.Duration) Piece {
 // Forever is the End of a piece that lasts for good.
 const Forever = time.Duration(math.MaxInt64)
 
-// Margin is how far a node may stray from the line or the bound a Model
-// promises, in meters: a micrometre, six orders of magnitude above the
-// rounding of a coordinate on any terrain used here. It is what sends a
-// comparison of distances that floating point could decide either way
-// back to the exact computation, also for nodes that never move.
+// Margin is how far a node may stray from the line a Model promises, in
+// meters: a micrometre, six orders of magnitude above the rounding of a
+// coordinate on any terrain used here. It is what sends a comparison of
+// distances that floating point could decide either way back to the
+// exact computation, also for nodes that never move.
 const Margin = 1e-6
 
 // Terrain is the rectangular simulation area, in meters.
@@ -158,14 +148,11 @@ func NewWaypoint(n int, cfg WaypointConfig, src *rng.Source) *Waypoint {
 // NumNodes implements Model.
 func (w *Waypoint) NumNodes() int { return len(w.nodes) }
 
-// SpeedBound implements Model: every leg's speed is drawn at or below it.
-func (w *Waypoint) SpeedBound() float64 { return w.cfg.MaxSpeed }
-
 // Piece implements Model: the segment toward the waypoint, then the pause
 // there; Position draws the next leg only past the pause.
-func (w *Waypoint) Piece(id int, t time.Duration) (Piece, bool) {
+func (w *Waypoint) Piece(id int, t time.Duration) Piece {
 	st := &w.nodes[id]
-	return segmentPiece(st.from, st.to, st.segStart, st.segEnd, st.pauseUntil, t), true
+	return segmentPiece(st.from, st.to, st.segStart, st.segEnd, st.pauseUntil, t)
 }
 
 // Position implements Model.
@@ -221,11 +208,8 @@ func NewStatic(pts []Point) *Static {
 // NumNodes implements Model.
 func (s *Static) NumNodes() int { return len(s.pts) }
 
-// SpeedBound implements Model.
-func (s *Static) SpeedBound() float64 { return 0 }
-
 // Piece implements Model: a static node rests for good.
-func (s *Static) Piece(int, time.Duration) (Piece, bool) { return Piece{End: Forever}, true }
+func (s *Static) Piece(int, time.Duration) Piece { return Piece{End: Forever} }
 
 // Position implements Model.
 func (s *Static) Position(id int, _ time.Duration) Point { return s.pts[id] }
@@ -258,7 +242,6 @@ func Grid(n, cols int, spacing float64) *Static {
 // the paper's Figure 1 example and for partition/heal demonstrations.
 type Script struct {
 	tracks [][]ScriptLeg
-	bound  float64 // fastest leg of any track, m/s
 }
 
 // ScriptLeg is one segment of a scripted trajectory: the node is at Pos at
@@ -273,42 +256,27 @@ var _ Model = (*Script)(nil)
 // NewScript builds a scripted model. Each track must be sorted by time and
 // non-empty; the node holds its first position before the first leg and its
 // last position after the final leg.
-func NewScript(tracks [][]ScriptLeg) *Script {
-	s := &Script{tracks: tracks}
-	for _, track := range tracks {
-		for i := 1; i < len(track); i++ {
-			// A jump in zero time is an infinite speed, also in the arithmetic.
-			if d := track[i-1].Pos.Dist(track[i].Pos); d > 0 {
-				s.bound = max(s.bound, d/(track[i].At-track[i-1].At).Seconds())
-			}
-		}
-	}
-	return s
-}
+func NewScript(tracks [][]ScriptLeg) *Script { return &Script{tracks: tracks} }
 
 // NumNodes implements Model.
 func (s *Script) NumNodes() int { return len(s.tracks) }
 
-// SpeedBound implements Model: the fastest scripted leg, +Inf if a track
-// jumps.
-func (s *Script) SpeedBound() float64 { return s.bound }
-
 // Piece implements Model: the leg the node is on, the wait before the
 // first, or its last position for good.
-func (s *Script) Piece(id int, t time.Duration) (Piece, bool) {
+func (s *Script) Piece(id int, t time.Duration) Piece {
 	track := s.tracks[id]
 	if len(track) < 2 {
-		return Piece{End: Forever}, true
+		return Piece{End: Forever}
 	}
 	if t <= track[0].At {
-		return Piece{End: track[0].At}, true
+		return Piece{End: track[0].At}
 	}
 	for i := 1; i < len(track); i++ {
 		if a, b := track[i-1], track[i]; t <= b.At {
-			return segmentPiece(a.Pos, b.Pos, a.At, b.At, b.At, t), true
+			return segmentPiece(a.Pos, b.Pos, a.At, b.At, b.At, t)
 		}
 	}
-	return Piece{End: Forever}, true
+	return Piece{End: Forever}
 }
 
 // Position implements Model.

@@ -16,7 +16,7 @@ var promiseTerrain = mobility.Terrain{Width: 1500, Height: 300}
 type promiseModel struct {
 	name  string
 	mk    func(*rng.Source) mobility.Model
-	bound float64 // SpeedBound of the unwarped model
+	bound float64 // the configured top speed, +Inf for a jump
 	draws bool    // a query past a piece's End may draw
 	exact bool    // some leg runs at exactly the bound, so the nanosecond shows
 	split bool    // some piece ends before the node's next draw
@@ -64,167 +64,133 @@ func promiseModels() []promiseModel {
 	}
 }
 
-// promiseWarp is a warp the promise tests apply to every model; k is its
-// Stretch.
-type promiseWarp struct {
-	name string
-	wrap func(mobility.Model) mobility.Model
-	k    float64
-}
-
-func promiseWarps() []promiseWarp {
-	tr := promiseTerrain
-	return []promiseWarp{
-		{"plain", func(m mobility.Model) mobility.Model { return m }, 1},
-		{"gradient", func(m mobility.Model) mobility.Model { return mobility.NewWarped(m, mobility.GradientWarp(tr)) }, 2},
-		{"hotspot", func(m mobility.Model) mobility.Model { return mobility.NewWarped(m, mobility.HotspotWarp(tr)) }, 3},
-	}
-}
-
 // slack bounds how far a node can be, dt after a query, from where it
 // was: bound meters per second, for one nanosecond longer than dt, plus
-// Margin (the Model contract).
+// Margin.
 func slack(bound float64, dt time.Duration) float64 {
 	return bound*float64(dt+time.Nanosecond)*1e-9 + mobility.Margin
 }
 
 // TestKeptPositionPromise is the Model contract a kept position rests on,
-// for every model alone and under both warps: after Position(id, t1),
-// through Piece(id, t1)'s End, a query draws from no random stream and
-// finds the node within slack(SpeedBound(), t2-t1) of where it was — in
-// fact within SpeedBound()·(t2-t1+1 ns), the nanosecond being the
+// for every model: after Position(id, t1), through Piece(id, t1)'s End, a
+// query draws from no random stream and finds the node within
+// slack(bound, t2-t1) of where it was, bound being the configured top
+// speed — in fact within bound·(t2-t1+1 ns), the nanosecond being the
 // truncation of a leg's duration, which the fixed-speed rows show is used.
 // A query just past End draws in a model that draws, except where the
 // piece ends before the leg does.
 func TestKeptPositionPromise(t *testing.T) {
-	models, warps := promiseModels(), promiseWarps()
-	for _, mc := range models {
-		for _, wc := range warps {
-			t.Run(mc.name+"/"+wc.name, func(t *testing.T) {
-				src := rng.New(11)
-				m := wc.wrap(mc.mk(src))
-				bound := m.SpeedBound()
-				if bound != mc.bound*wc.k {
-					t.Fatalf("SpeedBound() = %v, want %v × %v", bound, mc.bound, wc.k)
-				}
-				r := rng.New(12)
-				ahead, pastEnd, split := 0.0, 0, 0
-				for id := 0; id < m.NumNodes(); id++ {
-					var t1 time.Duration
-					for t1 < 400*time.Second {
-						p1 := m.Position(id, t1)
-						before := src.Draws()
-						piece, _ := m.Piece(id, t1)
-						end := piece.End
-						if end < t1 {
-							t.Fatalf("node %d: piece through %v, before the query at %v that set it", id, end, t1)
-						}
-						// A few instants on the piece, the last of them its end.
-						last := min(end, t1+100*time.Second)
-						for _, t2 := range []time.Duration{t1, t1 + time.Duration(r.Float64()*float64(last-t1)), last} {
-							d := p1.Dist(m.Position(id, t2))
-							if src.Draws() != before {
-								t.Fatalf("node %d: Position at %v drew, its piece promised none through %v", id, t2, end)
-							}
-							if d > slack(bound, t2-t1) {
-								t.Fatalf("node %d: moved %v m from %v to %v, slack allows %v", id, d, t1, t2, slack(bound, t2-t1))
-							}
-							if !math.IsInf(bound, 1) {
-								ahead = max(ahead, d-bound*(t2-t1).Seconds())
-							}
-						}
-						if end == mobility.Forever {
-							t1 += time.Duration(1 + r.Intn(int(30*time.Second)))
-							continue
-						}
-						// The first instant past the piece is the next query.
-						t1 = end + 1
-						m.Position(id, t1)
+	for _, mc := range promiseModels() {
+		t.Run(mc.name, func(t *testing.T) {
+			src := rng.New(11)
+			m := mc.mk(src)
+			bound := mc.bound
+			r := rng.New(12)
+			ahead, pastEnd, split := 0.0, 0, 0
+			for id := 0; id < m.NumNodes(); id++ {
+				var t1 time.Duration
+				for t1 < 400*time.Second {
+					p1 := m.Position(id, t1)
+					before := src.Draws()
+					end := m.Piece(id, t1).End
+					if end < t1 {
+						t.Fatalf("node %d: piece through %v, before the query at %v that set it", id, end, t1)
+					}
+					// A few instants on the piece, the last of them its end.
+					last := min(end, t1+100*time.Second)
+					for _, t2 := range []time.Duration{t1, t1 + time.Duration(r.Float64()*float64(last-t1)), last} {
+						d := p1.Dist(m.Position(id, t2))
 						if src.Draws() != before {
-							pastEnd++
-						} else {
-							split++
+							t.Fatalf("node %d: Position at %v drew, its piece promised none through %v", id, t2, end)
+						}
+						if d > slack(bound, t2-t1) {
+							t.Fatalf("node %d: moved %v m from %v to %v, slack allows %v", id, d, t1, t2, slack(bound, t2-t1))
+						}
+						if !math.IsInf(bound, 1) {
+							ahead = max(ahead, d-bound*(t2-t1).Seconds())
 						}
 					}
+					if end == mobility.Forever {
+						t1 += time.Duration(1 + r.Intn(int(30*time.Second)))
+						continue
+					}
+					// The first instant past the piece is the next query.
+					t1 = end + 1
+					m.Position(id, t1)
+					if src.Draws() != before {
+						pastEnd++
+					} else {
+						split++
+					}
 				}
-				if mc.draws == (pastEnd == 0) {
-					t.Errorf("%d queries past a piece's End drew; draws expected: %v", pastEnd, mc.draws)
-				}
-				if mc.draws && mc.split != (split > 0) {
-					t.Errorf("%d queries past a piece's End drew nothing; expected some: %v", split, mc.split)
-				}
-				// Rounding aside, a node is never more than a nanosecond of
-				// travel ahead of its bound, and on a leg at the bound it is ahead.
-				if limit := bound*1e-9 + 1e-9; !math.IsInf(bound, 1) && ahead > limit {
-					t.Errorf("a node ran %v m ahead of SpeedBound, more than a nanosecond of travel (%v m)", ahead, limit)
-				}
-				if mc.exact && wc.k == 1 && ahead <= 1e-12 {
-					t.Errorf("no leg ran ahead of SpeedBound (%v m): the nanosecond in slack is not exercised", ahead)
-				}
-			})
-		}
+			}
+			if mc.draws == (pastEnd == 0) {
+				t.Errorf("%d queries past a piece's End drew; draws expected: %v", pastEnd, mc.draws)
+			}
+			if mc.draws && mc.split != (split > 0) {
+				t.Errorf("%d queries past a piece's End drew nothing; expected some: %v", split, mc.split)
+			}
+			// Rounding aside, a node is never more than a nanosecond of
+			// travel ahead of its bound, and on a leg at the bound it is ahead.
+			if limit := bound*1e-9 + 1e-9; !math.IsInf(bound, 1) && ahead > limit {
+				t.Errorf("a node ran %v m ahead of its top speed, more than a nanosecond of travel (%v m)", ahead, limit)
+			}
+			if mc.exact && ahead <= 1e-12 {
+				t.Errorf("no leg ran ahead of its top speed (%v m): the nanosecond in slack is not exercised", ahead)
+			}
+		})
 	}
 }
 
 // TestMotionPromise is the promise the radio's horizons stand on, for
-// every model alone and under both warps: after Position(id, t1),
-// Piece(id, t1) draws from no random stream, and through its End every
-// Position(id, t2) lies within Margin of the line Position(id, t1) +
-// V·(t2-t1). A warp bends lines, so it names no piece.
+// every model: after Position(id, t1), Piece(id, t1) draws from no random
+// stream, and through its End every Position(id, t2) lies within Margin
+// of the line Position(id, t1) + V·(t2-t1).
 func TestMotionPromise(t *testing.T) {
 	for _, mc := range promiseModels() {
-		for _, wc := range promiseWarps() {
-			t.Run(mc.name+"/"+wc.name, func(t *testing.T) {
-				src := rng.New(11)
-				m := wc.wrap(mc.mk(src))
-				r := rng.New(12)
-				moved := 0
-				for id := 0; id < m.NumNodes(); id++ {
-					var t1 time.Duration
-					for t1 < 400*time.Second {
-						p1 := m.Position(id, t1)
-						before := src.Draws()
-						piece, ok := m.Piece(id, t1)
-						if src.Draws() != before {
-							t.Fatalf("node %d: reading its piece at %v drew", id, t1)
-						}
-						if ok != (wc.k == 1) {
-							t.Fatalf("node %d: Piece reports a piece %v; want one from a plain model and none under a warp", id, ok)
-						}
-						if !ok {
-							t1 += time.Duration(1 + r.Intn(int(30*time.Second)))
-							continue
-						}
-						if piece.End < t1 {
-							t.Fatalf("node %d: at %v on a piece through %v", id, t1, piece.End)
-						}
-						// A few instants on the piece, the last of them its end.
-						last := min(piece.End, t1+100*time.Second)
-						for _, t2 := range []time.Duration{t1, t1 + time.Duration(r.Float64()*float64(last-t1)), last} {
-							dt := (t2 - t1).Seconds()
-							want := mobility.Point{X: p1.X + piece.V.X*dt, Y: p1.Y + piece.V.Y*dt}
-							if d := m.Position(id, t2).Dist(want); d > mobility.Margin {
-								t.Fatalf("node %d: at %v %v m off the line of its piece from %v through %v, %+v", id, t2, d, t1, piece.End, piece)
-							}
-						}
-						if src.Draws() != before {
-							t.Fatalf("node %d: a query on its piece from %v through %v drew", id, t1, piece.End)
-						}
-						if piece.V != (mobility.Point{}) {
-							moved++
-						}
-						if piece.End == mobility.Forever {
-							t1 += time.Duration(1 + r.Intn(int(30*time.Second)))
-						} else {
-							t1 = piece.End + 1
+		t.Run(mc.name, func(t *testing.T) {
+			src := rng.New(11)
+			m := mc.mk(src)
+			r := rng.New(12)
+			moved := 0
+			for id := 0; id < m.NumNodes(); id++ {
+				var t1 time.Duration
+				for t1 < 400*time.Second {
+					p1 := m.Position(id, t1)
+					before := src.Draws()
+					piece := m.Piece(id, t1)
+					if src.Draws() != before {
+						t.Fatalf("node %d: reading its piece at %v drew", id, t1)
+					}
+					if piece.End < t1 {
+						t.Fatalf("node %d: at %v on a piece through %v", id, t1, piece.End)
+					}
+					// A few instants on the piece, the last of them its end.
+					last := min(piece.End, t1+100*time.Second)
+					for _, t2 := range []time.Duration{t1, t1 + time.Duration(r.Float64()*float64(last-t1)), last} {
+						dt := (t2 - t1).Seconds()
+						want := mobility.Point{X: p1.X + piece.V.X*dt, Y: p1.Y + piece.V.Y*dt}
+						if d := m.Position(id, t2).Dist(want); d > mobility.Margin {
+							t.Fatalf("node %d: at %v %v m off the line of its piece from %v through %v, %+v", id, t2, d, t1, piece.End, piece)
 						}
 					}
+					if src.Draws() != before {
+						t.Fatalf("node %d: a query on its piece from %v through %v drew", id, t1, piece.End)
+					}
+					if piece.V != (mobility.Point{}) {
+						moved++
+					}
+					if piece.End == mobility.Forever {
+						t1 += time.Duration(1 + r.Intn(int(30*time.Second)))
+					} else {
+						t1 = piece.End + 1
+					}
 				}
-				if wc.k == 1 && (mc.bound > 0) != (moved > 0) {
-					t.Errorf("%d pieces moved; a model bounded at %v m/s should move", moved, mc.bound)
-				}
-			})
-		}
+			}
+			if (mc.bound > 0) != (moved > 0) {
+				t.Errorf("%d pieces moved; a model bounded at %v m/s should move", moved, mc.bound)
+			}
+		})
 	}
 
 	// A scripted jump ends a piece at its instant; a nanosecond later the
@@ -232,67 +198,63 @@ func TestMotionPromise(t *testing.T) {
 	s := promiseScript(0)(nil)
 	jump := 30 * time.Second
 	s.Position(2, jump)
-	if p, _ := s.Piece(2, jump); p.End != jump || p.V != (mobility.Point{}) {
+	if p := s.Piece(2, jump); p.End != jump || p.V != (mobility.Point{}) {
 		t.Errorf("script node 2 before its jump: piece %+v, want still through %v", p, jump)
 	}
 	if q := s.Position(2, jump+1); q != (mobility.Point{X: 1203, Y: 4}) {
 		t.Errorf("script node 2 after its jump at %v", q)
 	}
-	if p, _ := s.Piece(2, jump+1); p.End != mobility.Forever || p.V != (mobility.Point{}) {
+	if p := s.Piece(2, jump+1); p.End != mobility.Forever || p.V != (mobility.Point{}) {
 		t.Errorf("script node 2 after its jump: piece %+v, want still for good", p)
 	}
 }
 
 // TestStillFromPromise is the still half of the piece promise, for every
-// model alone and under both warps: after Position(id, t1), when the
-// plain model's Piece(id, t1) has no velocity, every query through the
-// piece's End draws from no random stream and finds the node at one
-// bit-identical point, warped or not. A Gauss-Markov node is never still,
-// and a scripted node is still at its last position for good from just
-// after its last leg.
+// model: after Position(id, t1), when Piece(id, t1) has no velocity, every
+// query through the piece's End draws from no random stream and finds the
+// node at one bit-identical point. A Gauss-Markov node is never still, and
+// a scripted node is still at its last position for good from just after
+// its last leg.
 func TestStillFromPromise(t *testing.T) {
 	for _, mc := range promiseModels() {
-		for _, wc := range promiseWarps() {
-			t.Run(mc.name+"/"+wc.name, func(t *testing.T) {
-				src := rng.New(11)
-				inner := mc.mk(src)
-				m := wc.wrap(inner)
-				r := rng.New(12)
-				var rested time.Duration
-				for id := 0; id < m.NumNodes(); id++ {
-					var t1 time.Duration
-					for t1 < 400*time.Second {
-						p1 := m.Position(id, t1)
-						before := src.Draws()
-						piece, _ := inner.Piece(id, t1)
-						if piece.V == (mobility.Point{}) {
-							if mc.name == "gaussmarkov" {
-								t.Fatalf("node %d: a Gauss-Markov node is still from %v through %v", id, t1, piece.End)
-							}
-							// Up to a hundred seconds of the still piece.
-							last := min(piece.End, t1+100*time.Second)
-							for _, t2 := range []time.Duration{t1, t1 + time.Duration(r.Float64()*float64(last-t1)), last} {
-								if q := m.Position(id, t2); q != p1 {
-									t.Fatalf("node %d: at %v, still from %v through %v; at %v, %v", id, p1, t1, piece.End, t2, q)
-								}
-							}
-							if src.Draws() != before {
-								t.Fatalf("node %d: a query on the still piece from %v through %v drew", id, t1, piece.End)
-							}
-							rested += last - t1
+		t.Run(mc.name, func(t *testing.T) {
+			src := rng.New(11)
+			m := mc.mk(src)
+			r := rng.New(12)
+			var rested time.Duration
+			for id := 0; id < m.NumNodes(); id++ {
+				var t1 time.Duration
+				for t1 < 400*time.Second {
+					p1 := m.Position(id, t1)
+					before := src.Draws()
+					piece := m.Piece(id, t1)
+					if piece.V == (mobility.Point{}) {
+						if mc.name == "gaussmarkov" {
+							t.Fatalf("node %d: a Gauss-Markov node is still from %v through %v", id, t1, piece.End)
 						}
-						if piece.End == mobility.Forever {
-							t1 += time.Duration(1 + r.Intn(int(30*time.Second)))
-						} else {
-							t1 = piece.End + 1
+						// Up to a hundred seconds of the still piece.
+						last := min(piece.End, t1+100*time.Second)
+						for _, t2 := range []time.Duration{t1, t1 + time.Duration(r.Float64()*float64(last-t1)), last} {
+							if q := m.Position(id, t2); q != p1 {
+								t.Fatalf("node %d: at %v, still from %v through %v; at %v, %v", id, p1, t1, piece.End, t2, q)
+							}
 						}
+						if src.Draws() != before {
+							t.Fatalf("node %d: a query on the still piece from %v through %v drew", id, t1, piece.End)
+						}
+						rested += last - t1
+					}
+					if piece.End == mobility.Forever {
+						t1 += time.Duration(1 + r.Intn(int(30*time.Second)))
+					} else {
+						t1 = piece.End + 1
 					}
 				}
-				if mc.rests && rested == 0 {
-					t.Errorf("no node rested for a moment: the promise was not exercised")
-				}
-			})
-		}
+			}
+			if mc.rests && rested == 0 {
+				t.Errorf("no node rested for a moment: the promise was not exercised")
+			}
+		})
 	}
 
 	// The last leg of a script ends in an interpolation that may round; a
@@ -305,7 +267,7 @@ func TestStillFromPromise(t *testing.T) {
 	} {
 		after := last.At + time.Nanosecond
 		p := s.Position(id, after)
-		piece, _ := s.Piece(id, after)
+		piece := s.Piece(id, after)
 		if p != last.Pos || piece != (mobility.Piece{End: mobility.Forever}) {
 			t.Errorf("script node %d: at %v it is at %v on piece %+v; want still at %v for good",
 				id, after, p, piece, last.Pos)

@@ -74,7 +74,7 @@ func TestStillNetworkDecidesEachPairOncePerLeg(t *testing.T) {
 				legs, moving := make([]time.Duration, n), false
 				for i := range legs {
 					oracle.Position(i, s.Now())
-					p, _ := oracle.Piece(i, s.Now())
+					p := oracle.Piece(i, s.Now())
 					legs[i], moving = p.End, moving || p.V != (mobility.Point{})
 				}
 				last := stillAt[src]
@@ -286,8 +286,8 @@ func TestTransmitMovingZeroAlloc(t *testing.T) {
 // TestSetsAcrossCrossings drives scripted receivers through a sender's
 // decodable and carrier-sense circles, at several offsets from its centre
 // and one just inside the decodable circle's edge, and has one receiver
-// jump from outside carrier sense to next to the sender in zero time (an
-// infinite SpeedBound). Frames go out 1 ms apart around each crossing, in
+// jump from outside carrier sense to next to the sender in zero time.
+// Frames go out 1 ms apart around each crossing, in
 // both directions, and the sets are checked against the oracle at every
 // one. A convoy rounds it off: a sender and receivers placed on its two
 // circles, all moving at one velocity, so that along their lines the
@@ -338,9 +338,6 @@ func TestSetsAcrossCrossings(t *testing.T) {
 		}
 	}
 	model, oracle := mobility.NewScript(tracks), mobility.NewScript(tracks)
-	if !math.IsInf(model.SpeedBound(), 1) {
-		t.Fatalf("SpeedBound() = %v: the jump did not make it infinite", model.SpeedBound())
-	}
 
 	// Around each crossing, a frame from the sender every millisecond and
 	// one from the crossing node half a millisecond after each.

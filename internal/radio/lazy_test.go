@@ -22,9 +22,9 @@ import (
 // instance), and the mobility streams and fault counters stand, after
 // every frame, where PerReceiver leaves them. The cases are the ones a
 // per-frame scan never needed: sets and kept positions seconds to a minute
-// old, legs ending between frames, every model and warp, nodes detached
-// and re-attached, links severed and healed, partitions installed and
-// healed.
+// old, legs ending between frames, every model, a crowded terrain, nodes
+// detached and re-attached, links severed and healed, partitions installed
+// and healed.
 
 // lazyCase is one mobility model and radio configuration to drive.
 type lazyCase struct {
@@ -36,10 +36,18 @@ type lazyCase struct {
 
 var lazyTerrain = mobility.Terrain{Width: 2400, Height: 1500}
 
+// lazyCrowded is a terrain on which most pairs are within carrier sense
+// and many within decoding range, so receiver sets are large.
+var lazyCrowded = mobility.Terrain{Width: 700, Height: 500}
+
 func lazyWaypoint(n int, minSpeed, maxSpeed float64, pause time.Duration) func(*rng.Source) mobility.Model {
+	return lazyWaypointOn(lazyTerrain, n, minSpeed, maxSpeed, pause)
+}
+
+func lazyWaypointOn(tr mobility.Terrain, n int, minSpeed, maxSpeed float64, pause time.Duration) func(*rng.Source) mobility.Model {
 	return func(src *rng.Source) mobility.Model {
 		return mobility.NewWaypoint(n, mobility.WaypointConfig{
-			Terrain: lazyTerrain, MinSpeed: minSpeed, MaxSpeed: maxSpeed, Pause: pause}, src)
+			Terrain: tr, MinSpeed: minSpeed, MaxSpeed: maxSpeed, Pause: pause}, src)
 	}
 }
 
@@ -55,10 +63,6 @@ func lazyGaussMarkov(n int, maxSpeed float64) func(*rng.Source) mobility.Model {
 		return mobility.NewGaussMarkov(n, mobility.GaussMarkovConfig{
 			Terrain: lazyTerrain, MeanSpeed: maxSpeed / 2, MaxSpeed: maxSpeed}, src)
 	}
-}
-
-func lazyWarped(inner func(*rng.Source) mobility.Model, warp mobility.Warp) func(*rng.Source) mobility.Model {
-	return func(src *rng.Source) mobility.Model { return mobility.NewWarped(inner(src), warp) }
 }
 
 // lazyStatic scatters n nodes that never move.
@@ -103,7 +107,6 @@ func lazyScript(n int) func(*rng.Source) mobility.Model {
 
 func lazyCases() []lazyCase {
 	const n = 40
-	gradient, hotspot := mobility.GradientWarp(lazyTerrain), mobility.HotspotWarp(lazyTerrain)
 	return []lazyCase{
 		{"waypoint", radio.DefaultConfig(), lazyWaypoint(n, 1, 20, 0), false},
 		{"waypoint-fast", radio.DefaultConfig(), lazyWaypoint(n, 20, 20, 0), false},
@@ -112,9 +115,9 @@ func lazyCases() []lazyCase {
 		{"manhattan", radio.DefaultConfig(), lazyManhattan(n, 20, 0), false},
 		{"manhattan-pause", mixedConfig(), lazyManhattan(n, 20, 2*time.Second), false},
 		{"gaussmarkov", mixedConfig(), lazyGaussMarkov(n, 20), false},
-		{"gradient", radio.DefaultConfig(), lazyWarped(lazyWaypoint(n, 1, 20, 0), gradient), false},
-		{"hotspot", mixedConfig(), lazyWarped(lazyWaypoint(n, 1, 20, time.Second), hotspot), false},
-		{"hotspot-gaussmarkov", radio.DefaultConfig(), lazyWarped(lazyGaussMarkov(n, 20), hotspot), false},
+		{"crowded", radio.DefaultConfig(), lazyWaypointOn(lazyCrowded, n, 1, 20, 0), false},
+		{"crowded-pause", mixedConfig(), lazyWaypointOn(lazyCrowded, n, 1, 20, time.Second), false},
+		{"crowded-fast", radio.DefaultConfig(), lazyWaypointOn(lazyCrowded, n, 20, 20, 0), false},
 		// Resting networks. A pause longer than the run (about 2000 s of
 		// lazyGaps) is a static network that drew its places; a 400 s pause
 		// at 10–20 m/s rests, moves, then rests again until the first node
@@ -466,8 +469,8 @@ func fuzzReceiverSet(t *testing.T, rests bool, seed int64, kind, maxSpeed uint8,
 		lazyWaypoint(n, 1, speed, pause),
 		lazyManhattan(n, speed, pause),
 		lazyGaussMarkov(n, speed),
-		lazyWarped(lazyWaypoint(n, speed, speed, pause), mobility.HotspotWarp(lazyTerrain)),
-		lazyWarped(lazyWaypoint(n, 1, speed, pause), mobility.GradientWarp(lazyTerrain)),
+		lazyWaypointOn(lazyCrowded, n, speed, speed, pause),
+		lazyWaypointOn(lazyCrowded, n, 1, speed, pause),
 	}[kind%5]
 	// A script byte is a sender and a silence: 3 ms to 130 ms in steps, or
 	// for the top values seconds to a minute. A byte from 240 to 249 also

@@ -162,13 +162,8 @@ type Medium struct {
 	txRange []float64
 	csRange []float64
 
-	// kept[i] is the last position computed for node i; bound is
-	// model.SpeedBound(), and lines whether the model names the lines its
-	// nodes move on (mobility.Model.Piece's ok), the same for every node
-	// and instant.
-	kept  []keptPos
-	bound float64
-	lines bool
+	// kept[i] is the last position computed for node i.
+	kept []keptPos
 
 	// Each sender's receiver sets (see fill): sets holds per sender
 	// words sensed bits then as many decodable bits, and horizon[src*n+i]
@@ -216,10 +211,9 @@ type Medium struct {
 }
 
 // keptPos is a node's position at virtual time at and the piece it is on:
-// through end the model draws nothing for the node, and when the model
-// names lines (Medium.lines), the node is within mobility.Margin of the
-// line on from the position at velocity v (mobility.Model); end starts at
-// -1, nothing kept yet.
+// through end the model draws nothing for the node, and the node is
+// within mobility.Margin of the line on from the position at velocity v
+// (mobility.Model); end starts at -1, nothing kept yet.
 type keptPos struct {
 	mobility.Point
 	v       mobility.Point
@@ -280,7 +274,6 @@ func New(s *sim.Simulator, model mobility.Model, cfg Config) *Medium {
 		txRange: make([]float64, n),
 		csRange: make([]float64, n),
 		kept:    make([]keptPos, n),
-		bound:   model.SpeedBound(),
 		air:     make([]uint64, (n+63)/64),
 		clean:   make([]uint64, (n+63)/64),
 		waiters: make([]uint64, (n+63)/64),
@@ -316,13 +309,12 @@ func (m *Medium) Attach(id int, rx ReceiverFunc) {
 // (mobility.Model), so it is not looked up again.
 func (m *Medium) position(id int) mobility.Point {
 	k, now := &m.kept[id], m.sim.Now()
-	if k.at != now && m.lines && k.v == (mobility.Point{}) && now <= k.end {
+	if k.at != now && k.v == (mobility.Point{}) && now <= k.end {
 		k.at = now
 	}
 	if k.at != now {
 		p := m.model.Position(id, now)
-		var piece mobility.Piece
-		piece, m.lines = m.model.Piece(id, now)
+		piece := m.model.Piece(id, now)
 		*k = keptPos{p, piece.V, now, piece.End}
 	}
 	return k.Point
@@ -498,7 +490,7 @@ func (m *Medium) refresh(src int, sets, hid []uint64) {
 			d := p.Dist(m.position(i))
 			sets[w] = sets[w]&^b | bit(d <= csR)<<(i&63)
 			sets[words+w] = sets[words+w]&^b | bit(d <= txR)<<(i&63)
-			h[i] = uint32(min(m.horizonOf(ks, &m.kept[i], d, txR, csR)/time.Millisecond, math.MaxUint32))
+			h[i] = uint32(min(horizonOf(ks, &m.kept[i], d, txR, csR)/time.Millisecond, math.MaxUint32))
 		}
 		until = min(until, time.Duration(h[i])*time.Millisecond)
 	}
@@ -508,24 +500,15 @@ func (m *Medium) refresh(src int, sets, hid []uint64) {
 // horizonOf returns the last instant through which a sender kept as s and
 // a receiver kept as r, both now and d apart, stay on the sides of the
 // ranges txR and csR they are on: their distance along their pieces' lines
-// keeps more than guard from both, until the earlier piece ends. A model
-// that names no lines has only its speed bound: each node may move
-// bound·(t+1 ns) + mobility.Margin in time t, the nanosecond because
-// Waypoint and Manhattan truncate a leg's duration to whole nanoseconds.
-func (m *Medium) horizonOf(s, r *keptPos, d, txR, csR float64) time.Duration {
+// keeps more than guard from both, until the earlier piece ends.
+func horizonOf(s, r *keptPos, d, txR, csR float64) time.Duration {
 	now, end := s.at, min(s.end, r.end)
-	gap := min(math.Abs(d-txR), math.Abs(d-csR)) - guard
-	if gap <= 0 {
+	if min(math.Abs(d-txR), math.Abs(d-csR)) <= guard {
 		return now
 	}
-	var tau float64 // seconds
-	if m.lines {
-		dx, dy, vx, vy := r.X-s.X, r.Y-s.Y, r.v.X-s.v.X, r.v.Y-s.v.Y
-		a, b, c := vx*vx+vy*vy, dx*vx+dy*vy, dx*dx+dy*dy
-		tau = min(reach(a, b, c, d, txR), reach(a, b, c, d, csR))
-	} else {
-		tau = gap/(2*m.bound) - 1e-9
-	}
+	dx, dy, vx, vy := r.X-s.X, r.Y-s.Y, r.v.X-s.v.X, r.v.Y-s.v.Y
+	a, b, c := vx*vx+vy*vy, dx*vx+dy*vy, dx*dx+dy*dy
+	tau := min(reach(a, b, c, d, txR), reach(a, b, c, d, csR)) // seconds
 	if dt := tau * 1e9; dt > 0 {
 		return min(end, now+time.Duration(min(dt, far)))
 	}

@@ -9,7 +9,6 @@ package scenario
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"github.com/manetlab/ldr/internal/adversary"
@@ -94,20 +93,11 @@ func RadioClasses(name string) ([]radio.Class, error) {
 	}
 }
 
-// Density names the selectable node-placement warps (see
-// mobility.NewWarped): deterministic terrain-preserving maps over the
-// movement model's positions, so placement density changes without
-// perturbing any seeded stream.
-const (
-	DensityUniform  = "uniform"  // the movement model's own placement
-	DensityGradient = "gradient" // dense at x=0, thinning toward x=Width
-	DensityHotspot  = "hotspot"  // dense core, sparse borders
-)
-
-// Densities lists the valid density profile names.
-func Densities() []string { return []string{DensityUniform, DensityGradient, DensityHotspot} }
-
 // Config describes one simulation run.
+//
+// Config's JSON encoding is a journal key (resilience.SpecHash), so every
+// field whose zero value is the paper's setup is left out of it when zero:
+// adding such a field, or deleting one, then moves no other cell's key.
 type Config struct {
 	Protocol  ProtocolName
 	Nodes     int
@@ -124,36 +114,25 @@ type Config struct {
 	// Manhattan pauses at intersections and draws leg speeds from
 	// [MinSpeed, MaxSpeed]; Gauss-Markov reverts to the mid-range speed.
 	// Scripted Positions (below) override the model entirely.
-	Mobility string
+	Mobility string `json:",omitempty"`
 
 	// Radio selects a named heterogeneous transmit-power profile ("" or
 	// "uniform" → the paper's single 275 m disk). Non-uniform profiles
 	// assign radio.Config.Classes per node id, making links directional.
-	Radio string
-
-	// Density selects a named node-placement warp ("" or "uniform" → the
-	// movement model's own uniform placement). Warps are deterministic
-	// position maps (mobility.NewWarped), so enabling one draws no
-	// randomness. Ignored when scripted Positions pin exact coordinates.
-	Density string
-
-	// TrafficPattern selects the workload generator ("" → CBR); see
-	// internal/traffic for the bursty and request-response patterns.
-	TrafficPattern traffic.Pattern
+	Radio string `json:",omitempty"`
 
 	// RTSCTS enables the MAC's RTS/CTS virtual carrier sensing (off in
 	// the paper's setup; exposed for the MAC-level ablation).
-	RTSCTS bool
+	RTSCTS bool `json:",omitempty"`
 
 	// LDRConfig overrides the LDR configuration when Protocol == LDR
 	// (used by the ablation benchmarks). Nil selects the defaults.
-	LDRConfig *core.Config
+	LDRConfig *core.Config `json:",omitempty"`
 
 	// RingStart overrides the first ring's TTL of LDR's and AODV's
 	// expanding-ring search (ondemand.Discoveries.RingStart); 0 keeps
 	// ondemand.TTLStart. The ablation's no-ring arms set NetDiameter: the
-	// first attempt floods at once. It is left out of the encoding when
-	// 0, so the journal keys of every other cell stay as they were.
+	// first attempt floods at once.
 	RingStart int `json:",omitempty"`
 
 	// FaultPlan, when non-nil, runs the scenario under fault injection:
@@ -161,7 +140,7 @@ type Config struct {
 	// message-level delivery faults (see internal/fault). The injector
 	// draws from its own seeded stream, so adding a plan does not
 	// perturb the mobility, traffic, or MAC randomness of the run.
-	FaultPlan *fault.Plan
+	FaultPlan *fault.Plan `json:",omitempty"`
 
 	// AdversaryPlan, when non-nil, compromises nodes per the plan before
 	// the run starts: blackhole/grayhole dropping, sequence-number
@@ -169,24 +148,24 @@ type Config struct {
 	// internal/adversary). Like FaultPlan it draws from a dedicated
 	// stream (root.Split("adversary")) and composes freely with fault
 	// injection in the same run.
-	AdversaryPlan *adversary.Plan
+	AdversaryPlan *adversary.Plan `json:",omitempty"`
 
 	// AuditCadence > 0 enables the continuous invariant auditor: every
 	// routing table is snapshotted at this virtual-time period and loop/
 	// ordering violations are scored into the collector (AuditSnapshots,
 	// LoopViolations, OrderingViolations).
-	AuditCadence time.Duration
+	AuditCadence time.Duration `json:",omitempty"`
 
 	// Positions, when non-empty, replaces the random-waypoint model with
 	// static nodes at these coordinates (len must equal Nodes). Scripted
 	// replays — model-checker witnesses in particular — use it to pin the
 	// exact topology the abstract schedule assumed.
-	Positions []mobility.Point
+	Positions []mobility.Point `json:",omitempty"`
 
 	// Traffic, when non-empty, replaces the CBR generator with an explicit
 	// origination script (Flows must be 0). Each event injects one data
 	// packet at its source node at the given virtual time.
-	Traffic []TrafficEvent
+	Traffic []TrafficEvent `json:",omitempty"`
 }
 
 // TrafficEvent is one scripted data origination.
@@ -287,11 +266,8 @@ func BuildInstrumented(cfg Config) (*routing.Network, *traffic.Generator, *Instr
 		return nil, nil, nil, err
 	}
 	nw := routing.NewNetwork(cfg.Nodes, model, radio.Config{Classes: cls}, mac.Config{RTSCTSEnabled: cfg.RTSCTS}, cfg.Seed, factory)
-	if p := cfg.TrafficPattern; p != "" && !slices.Contains(traffic.Patterns(), p) {
-		return nil, nil, nil, fmt.Errorf("scenario: unknown traffic pattern %q", cfg.TrafficPattern)
-	}
 	gen := traffic.NewGenerator(nw.Sim, nw.Nodes,
-		traffic.Config{Pattern: cfg.TrafficPattern, Flows: cfg.Flows, Stop: cfg.SimTime}, root.Split("traffic"))
+		traffic.Config{Flows: cfg.Flows, Stop: cfg.SimTime}, root.Split("traffic"))
 	if len(cfg.Traffic) > 0 {
 		if cfg.Flows != 0 {
 			return nil, nil, nil, fmt.Errorf("scenario: scripted traffic requires Flows=0 (have %d)", cfg.Flows)
@@ -412,10 +388,9 @@ func RunWithControl(cfg Config, observe Observer, ctls ...*Control) (Result, err
 
 // buildMobility resolves the config's movement model. Scripted Positions
 // take precedence; otherwise the named model is parameterized from the
-// scenario's terrain and speed fields, then wrapped in the config's
-// density warp (a draw-free position map). Every model draws from the
-// same root.Split("mobility") stream, so switching models or densities
-// never perturbs the traffic, MAC, or fault randomness of the run.
+// scenario's terrain and speed fields. Every model draws from the same
+// root.Split("mobility") stream, so switching models never perturbs the
+// traffic, MAC, or fault randomness of the run.
 func buildMobility(cfg Config, src *rng.Source) (mobility.Model, error) {
 	if len(cfg.Positions) > 0 {
 		if len(cfg.Positions) != cfg.Nodes {
@@ -423,24 +398,6 @@ func buildMobility(cfg Config, src *rng.Source) (mobility.Model, error) {
 		}
 		return mobility.NewStatic(cfg.Positions), nil
 	}
-	model, err := buildMovement(cfg, src)
-	if err != nil {
-		return nil, err
-	}
-	switch cfg.Density {
-	case "", DensityUniform:
-		return model, nil
-	case DensityGradient:
-		return mobility.NewWarped(model, mobility.GradientWarp(cfg.Terrain)), nil
-	case DensityHotspot:
-		return mobility.NewWarped(model, mobility.HotspotWarp(cfg.Terrain)), nil
-	default:
-		return nil, fmt.Errorf("scenario: unknown density profile %q", cfg.Density)
-	}
-}
-
-// buildMovement resolves the named movement model itself.
-func buildMovement(cfg Config, src *rng.Source) (mobility.Model, error) {
 	switch cfg.Mobility {
 	case "", Waypoint:
 		return mobility.NewWaypoint(cfg.Nodes, mobility.WaypointConfig{

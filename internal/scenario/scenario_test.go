@@ -1,6 +1,8 @@
 package scenario_test
 
 import (
+	"encoding/json"
+	"slices"
 	"testing"
 	"time"
 
@@ -107,5 +109,28 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	}
 	if a.Events == b.Events && a.Collector.DataDelivered == b.Collector.DataDelivered {
 		t.Fatal("different seeds produced identical runs; RNG plumbing is broken")
+	}
+}
+
+// TestPaperDefaultsStayOutOfTheKey: a Config's JSON encoding is its
+// journal key, and the paper's cell encodes its nine skeleton fields and
+// nothing else, so a field whose zero value is the paper's setup can be
+// added or deleted without moving any journal key.
+func TestPaperDefaultsStayOutOfTheKey(t *testing.T) {
+	blob, err := json.Marshal(scenario.Nodes50(scenario.LDR, 10, 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(blob, &fields); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"Flows", "MaxSpeed", "MinSpeed", "Nodes", "PauseTime", "Protocol", "Seed", "SimTime", "Terrain"}
+	var got []string
+	for k := range fields {
+		got = append(got, k)
+	}
+	if slices.Sort(got); !slices.Equal(got, want) {
+		t.Errorf("Nodes50 encodes %v, want only %v:\n%s", got, want, blob)
 	}
 }

@@ -6,12 +6,6 @@
 // with a 100-second mean. When a flow ends, a replacement flow with fresh
 // random endpoints starts, keeping the offered load constant (10 flows ≈
 // 40 pkt/s aggregate, 30 flows ≈ 120 pkt/s).
-//
-// Two further patterns stress routing differently: Bursty gates each flow
-// through exponential on/off periods, so routes go cold and must be
-// re-validated when a burst starts; RequestResponse pairs every request
-// with a reverse-direction reply, exercising bidirectional route state
-// (precursor lists, reverse routes) that one-way CBR never touches.
 package traffic
 
 import (
@@ -22,46 +16,18 @@ import (
 	"github.com/manetlab/ldr/internal/sim"
 )
 
-// Pattern names a traffic generation pattern.
-type Pattern string
-
-// The supported patterns.
+// The paper's workload (§4).
 const (
-	CBR             Pattern = "cbr"     // constant bit rate (the paper's workload)
-	Bursty          Pattern = "bursty"  // exponential on/off gating of each flow
-	RequestResponse Pattern = "reqresp" // request packets answered by reverse-direction replies
-)
-
-// Patterns lists the valid pattern names, for flag validation and fuzzer
-// draws.
-func Patterns() []Pattern { return []Pattern{CBR, Bursty, RequestResponse} }
-
-// The paper's workload (§4) and the two patterns built on it.
-const (
-	PacketBytes  = 512                    // payload size (requests, CBR packets)
-	Interval     = 250 * time.Millisecond // inter-packet gap within a flow / burst: 4 pkt/s
+	PacketBytes  = 512                    // CBR packet payload size
+	Interval     = 250 * time.Millisecond // inter-packet gap within a flow: 4 pkt/s
 	MeanFlowLife = 100 * time.Second      // mean of the exponential flow length
 	Start        = time.Second            // workload warm-up offset
-
-	// Bursty: flows alternate exponential on periods (sending at Interval)
-	// and silent off periods.
-	MeanBurst = 2 * time.Second
-	MeanGap   = 3 * time.Second
-
-	// RequestResponse: each request's destination originates a
-	// ResponseBytes reply after ResponseDelay. The reply is scheduled
-	// unconditionally (an application-level model: whether the request
-	// arrived is invisible to the generator), which keeps origination
-	// events a pure function of the seed.
-	ResponseBytes = 1024
-	ResponseDelay = 30 * time.Millisecond
 )
 
 // Config is what a scenario varies about the workload.
 type Config struct {
-	Pattern Pattern       // generation pattern; "" selects CBR
-	Flows   int           // concurrent flows
-	Stop    time.Duration // no packets are originated after this time
+	Flows int           // concurrent flows
+	Stop  time.Duration // no packets are originated after this time
 }
 
 // Generator drives the flows over a network. Each concurrent flow has one
@@ -84,7 +50,6 @@ type Generator struct {
 type flow struct {
 	src, dst int
 	end      time.Duration // the flow ends at its first event at or after end
-	burstEnd time.Duration // Bursty: the current on period ends here
 	next     phase
 }
 
@@ -93,8 +58,7 @@ type phase uint8
 
 const (
 	starting phase = iota // draw endpoints and a lifetime (startFlow)
-	sending               // originate one packet, or end the flow or the burst
-	waking                // Bursty: an off period is over (burstOff)
+	sending               // originate one packet, or end the flow
 )
 
 // NewGenerator builds a generator. Call Start to install the flows.
@@ -123,10 +87,6 @@ func step(arg any, i uint64) {
 		// A first flow, or one that is over: keep the offered load
 		// constant with a fresh flow in the record.
 		g.startFlow(f, i)
-	case f.next == waking:
-		g.burstOn(f, i)
-	case g.cfg.Pattern == Bursty && now >= f.burstEnd:
-		g.burstOff(f, i)
 	default:
 		g.send(f, i)
 	}
@@ -157,50 +117,11 @@ func (g *Generator) startFlow(f *flow, i uint64) {
 	}
 	*f = flow{src: src, dst: dst, end: end, next: sending}
 	g.FlowsStarted++
-	if g.cfg.Pattern == Bursty {
-		g.burstOn(f, i)
-		return
-	}
 	step(g, i)
 }
 
-// send originates one packet of the flow and schedules the next; under
-// RequestResponse the destination's reply is scheduled first.
+// send originates one packet of the flow and schedules the next.
 func (g *Generator) send(f *flow, i uint64) {
 	g.nodes[f.src].OriginateData(routing.NodeID(f.dst), PacketBytes)
-	if g.cfg.Pattern == RequestResponse {
-		g.sim.ScheduleTransient(ResponseDelay, reply, g, uint64(f.dst)<<32|uint64(f.src))
-	}
 	g.later(f, i, sending, Interval)
-}
-
-// burstOn begins an on period: pick its exponential length, then send at
-// the CBR interval until it expires, after which burstOff idles the flow.
-func (g *Generator) burstOn(f *flow, i uint64) {
-	f.burstEnd = g.sim.Now() + time.Duration(g.rng.ExpFloat64()*float64(MeanBurst))
-	if f.burstEnd > f.end {
-		f.burstEnd = f.end
-	}
-	f.next = sending
-	step(g, i)
-}
-
-// burstOff idles the flow for an exponential gap, long enough for routes
-// to go stale, then starts the next burst.
-func (g *Generator) burstOff(f *flow, i uint64) {
-	gap := time.Duration(g.rng.ExpFloat64() * float64(MeanGap))
-	g.later(f, i, waking, gap)
-}
-
-// reply originates a RequestResponse reply from the request's destination
-// (the high half of u) to its source (the low half). It fires whether or
-// not the request is ever delivered: the generator models the application
-// layer, and coupling origination events to delivery outcomes would make
-// the workload depend on routing behavior (breaking replay determinism
-// across protocols and fault schedules).
-func reply(arg any, u uint64) {
-	g := arg.(*Generator)
-	if g.sim.Now() < g.cfg.Stop {
-		g.nodes[u>>32].OriginateData(routing.NodeID(uint32(u)), ResponseBytes)
-	}
 }
