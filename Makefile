@@ -135,10 +135,10 @@ modelcheck-seed:
 	$(GO) run ./cmd/ldrcheck -protocol aodv -resets 1 -drops 1 -expect-violation \
 		-emit internal/modelcheck/testdata/aodv-line3-loop.json -q
 
-# The Byzantine-node suite under the race detector: LDR's loop-freedom
-# property under every attack profile, the committed AODV forged-seqno
-# loop regression seed, attack accounting, storm suppression, and
-# attacked-run determinism.
+# The forged-seqno adversary suite under the race detector: LDR's
+# loop-freedom property under each adversary profile, the committed AODV
+# forged-seqno loop regression seed, accounting under forgery, the
+# receive-side flood limiter, and attacked-run determinism.
 adversary:
 	$(GO) test -race -timeout 60m ./internal/adversary/ -run .
 

@@ -25,17 +25,16 @@ var testOnly = map[string]struct{ users, why string }{
 	"conformance.CheckSpec":             {"FuzzScenario, TestAsymAckExhaustAccounted", "oracle tooling: runs a spec under the conservation harness"},
 	"conformance.Ledger.ViolationCount": {"TestLedgerFlagsLifecycleViolations", "oracle tooling: the exact count of one violation kind"},
 
-	"sweep.Each":                     {"TestEachCancellationProperty, TestConservationMatrix", "the worker pool RunCells is built on, for checks that journal nothing"},
-	"sweep.CellError.Unwrap":         {"TestRunCellsWatchdogInterrupts, TestRunCellsWatchdogAbandons", "errors.As reaches it: a fail-fast sweep returns a *CellError around the CellTimeout or CellPanic"},
-	"dsr.DSR.CachedRoute":            {"TestDSRDiscoversFullSourceRoute, TestBrokenLinkPurgedEverywhereViaRERR", "the only view of a DSR route cache"},
-	"olsr.OLSR.MPRs":                 {"TestMPRSelectionCoversTwoHopSet, TestOLSRChainMPRSelection", "the only view of a node's MPR set"},
-	"mobility.GaussMarkov.Speed":     {"TestGaussMarkovVelocityBounded", "the only view of a Gauss-Markov node's evolved speed"},
-	"mobility.Manhattan.OnStreet":    {"TestManhattanPositionsOnStreets, TestManhattanTerrainProperty", "the street invariant Manhattan positions are held to"},
-	"mobility.Grid":                  {"TestGridPlacement, TestKeptPositionPromise", "a fixed placement the mobility promise tests start from"},
-	"metrics.Collector.FateOf":       {"TestCollectorJSONRoundTrip", "the only view of one packet's recorded fate"},
-	"resilience.Journal.Corrupt":     {"TestJournalPutGetReload, TestResultsDocMatchesJournals, FuzzJournalRecord", "how many records Open skipped; the committed journal must have none"},
-	"resilience.LoadManifest":        {"TestManifestRoundTrip, TestPanicQuarantineEndToEnd", "reads back the failure manifest a keep-going run writes"},
-	"adversary.Engine.IsCompromised": {"TestExplicitVictims", "which nodes an attack took, the check on Compromise.Nodes"},
+	"sweep.Each":                  {"TestEachCancellationProperty, TestConservationMatrix", "the worker pool RunCells is built on, for checks that journal nothing"},
+	"sweep.CellError.Unwrap":      {"TestRunCellsWatchdogInterrupts, TestRunCellsWatchdogAbandons", "errors.As reaches it: a fail-fast sweep returns a *CellError around the CellTimeout or CellPanic"},
+	"dsr.DSR.CachedRoute":         {"TestDSRDiscoversFullSourceRoute, TestBrokenLinkPurgedEverywhereViaRERR", "the only view of a DSR route cache"},
+	"olsr.OLSR.MPRs":              {"TestMPRSelectionCoversTwoHopSet, TestOLSRChainMPRSelection", "the only view of a node's MPR set"},
+	"mobility.GaussMarkov.Speed":  {"TestGaussMarkovVelocityBounded", "the only view of a Gauss-Markov node's evolved speed"},
+	"mobility.Manhattan.OnStreet": {"TestManhattanPositionsOnStreets, TestManhattanTerrainProperty", "the street invariant Manhattan positions are held to"},
+	"mobility.Grid":               {"TestGridPlacement, TestKeptPositionPromise", "a fixed placement the mobility promise tests start from"},
+	"metrics.Collector.FateOf":    {"TestCollectorJSONRoundTrip", "the only view of one packet's recorded fate"},
+	"resilience.Journal.Corrupt":  {"TestJournalPutGetReload, TestResultsDocMatchesJournals, FuzzJournalRecord", "how many records Open skipped; the committed journal must have none"},
+	"resilience.LoadManifest":     {"TestManifestRoundTrip, TestPanicQuarantineEndToEnd", "reads back the failure manifest a keep-going run writes"},
 }
 
 // TestEveryExportHasAUser requires every exported function and method

@@ -20,13 +20,13 @@
 // nodes lose their sequence numbers and can pull stale routes into
 // persistent loops, while LDR's persisted destination sequence numbers
 // and feasible-distance labels keep its count at zero. Adversary runs
-// compromised nodes that blackhole data, forge sequence numbers, replay
-// stale labels and flood control storms (see internal/adversary), each
-// attacked run paired with an attack-free baseline on the same seed.
+// compromised nodes that forge inflated destination sequence numbers
+// (see internal/adversary), each attacked run paired with an
+// attack-free baseline on the same seed.
 // -profiles picks their profiles (default: all of them):
 //
 //	ldrbench -exp chaos -profiles reboot,mayhem -simtime 120s -trials 5
-//	ldrbench -exp adversary -profiles seqno-forge,storm -protocols ldr,aodv -simtime 120s
+//	ldrbench -exp adversary -profiles seqno-forge -protocols ldr,aodv -simtime 120s
 //
 // Output is deterministic: byte-identical for the same flags at any
 // -workers setting.
@@ -78,7 +78,7 @@ func run() error {
 		"ldrbench -exp all -journal DIR -cell-timeout 2m -keep-going",
 		"ldrbench -exp chaos -profiles reboot,mayhem -simtime 120s -trials 5",
 		"ldrbench -exp chaos -profiles mayhem -radio mixed -simtime 120s  # one-way links under faults",
-		"ldrbench -exp adversary -profiles seqno-forge,storm -protocols ldr,aodv -simtime 120s",
+		"ldrbench -exp adversary -profiles seqno-forge -protocols ldr,aodv -simtime 120s",
 		"ldrbench -exp chaos -simtime 120s -journal DIR -cell-timeout 2m -keep-going      # quarantine wedged/panicking cells",
 		"ldrbench -exp chaos -profiles lossy -protocols ldr -trials 1 -workers 1 -cpuprofile cell.pprof  # make profile-cell FAULT=lossy",
 	); err != nil {

@@ -33,7 +33,7 @@ func TestRejectedCommandLineLeavesNothingBehind(t *testing.T) {
 	for _, bad := range [][]string{
 		{"-exp", "chaos", "-profiles", "nope"},
 		{"-exp", "adversary", "-profiles", "nope"},
-		{"-exp", "chaos", "-profiles", "storm"}, // an adversary profile
+		{"-exp", "chaos", "-profiles", "seqno-forge"}, // an adversary profile
 		{"-exp", "table1", "-profiles", "lossy"},
 		{"-exp", "nope"},
 		{"-exp", "chaos", "-protocols", "ldr,nope"},

@@ -3,20 +3,26 @@ package adversary_test
 // Attack-property tests for the Byzantine-node subsystem: LDR's honest
 // subgraph must stay loop-free under every attack profile, the forged-
 // seqno loop AODV is known to form must reproduce from the committed
-// regression seed, every attack's packet accounting must balance, the
-// receive-side rate limiters must actually suppress storms, and attacked
-// runs must be bit-equal across repeats.
+// regression seed, every protocol's packet accounting must balance under
+// attack, the receive-side rate limiters must actually suppress a
+// neighbour's flood, and attacked runs must be bit-equal across repeats.
 
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/manetlab/ldr/internal/adversary"
+	"github.com/manetlab/ldr/internal/aodv"
 	"github.com/manetlab/ldr/internal/conformance"
+	"github.com/manetlab/ldr/internal/core"
+	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/metrics"
 	"github.com/manetlab/ldr/internal/mobility"
+	"github.com/manetlab/ldr/internal/radio"
+	"github.com/manetlab/ldr/internal/routing"
 	"github.com/manetlab/ldr/internal/scenario"
 )
 
@@ -51,8 +57,8 @@ func attackPlan(t *testing.T, profile string) *adversary.Plan {
 // TestLDRCleanUnderEveryAdversary is the headline property from the
 // paper's §5: destination-controlled sequence numbers plus the NDC
 // feasibility check keep the honest successor graph loop-free and
-// ordering-correct no matter what compromised neighbors forge, replay,
-// or flood. The conformance harness audits conservation in the same
+// ordering-correct no matter what compromised neighbors forge. The
+// conformance harness audits conservation in the same
 // runs, so attacked drops must also stay fully accounted.
 func TestLDRCleanUnderEveryAdversary(t *testing.T) {
 	for _, profile := range adversary.ProfileNames() {
@@ -128,15 +134,16 @@ func TestLDRImmuneToCommittedAODVLoop(t *testing.T) {
 }
 
 // TestConservationUnderByzantine: every protocol's packet ledger must
-// balance under the kitchen-sink profile — dropping, forging, and
-// flooding at once.
+// balance with Byzantine nodes forging seqnos — for DSR and OLSR, which
+// have no sequence number to forge, that checks the wrapper's held-data
+// and held-control delegation under the census.
 func TestConservationUnderByzantine(t *testing.T) {
 	for _, proto := range scenario.AllProtocols {
 		t.Run(string(proto), func(t *testing.T) {
 			spec := conformance.Spec{
 				Protocol: string(proto), Nodes: 25, Flows: 5,
 				SimTimeSec: 20, Seed: 2,
-				Profile: "none", Adversary: "byzantine", AuditMS: 50,
+				Profile: "none", Adversary: "seqno-forge", AuditMS: 50,
 			}
 			r, err := conformance.CheckSpec(spec)
 			if err != nil {
@@ -149,47 +156,124 @@ func TestConservationUnderByzantine(t *testing.T) {
 	}
 }
 
-// TestBlackholeDropsAccounted: every packet a blackhole eats must appear
-// as an accounted DropAdversary, and the engine's own count must agree
-// with the collector's.
-func TestBlackholeDropsAccounted(t *testing.T) {
-	for _, proto := range scenario.AllProtocols {
-		t.Run(string(proto), func(t *testing.T) {
-			res, err := scenario.Run(attackConfig(proto, 1, attackPlan(t, "blackhole")))
-			if err != nil {
-				t.Fatal(err)
-			}
-			dropped := res.Collector.DroppedBy(metrics.DropAdversary)
-			if res.Adversary.Compromised == 0 {
-				t.Fatal("blackhole profile compromised no nodes")
-			}
-			if dropped == 0 {
-				t.Errorf("%s: blackholes on 2/25 nodes ate no transit data over 20 s", proto)
-			}
-			if dropped != res.Adversary.DataDropped {
-				t.Errorf("ledger mismatch: collector counts %d adversary drops, engine counts %d",
-					dropped, res.Adversary.DataDropped)
-			}
-		})
+// floodTap is a silent neighbour that counts the route requests and
+// errors it hears.
+type floodTap struct{ rreqs, rerrs int }
+
+func (*floodTap) Start()                                         {}
+func (*floodTap) Stop()                                          {}
+func (*floodTap) Originate(*routing.DataPacket)                  {}
+func (*floodTap) HandleData(routing.NodeID, *routing.DataPacket) {}
+func (f *floodTap) HandleControl(_ routing.NodeID, msg routing.Message) {
+	switch msg.Kind() {
+	case metrics.RREQ:
+		f.rreqs++
+	case metrics.RERR:
+		f.rerrs++
 	}
 }
 
-// TestStormSuppression: the per-neighbor token buckets in LDR and AODV
-// must actually discard flood traffic — the receive-side hardening the
-// Storm behavior exists to exercise.
+// floodRig is one LDR or AODV handler under a neighbour's flood, fed
+// directly: node 1 runs the protocol, node 0 is the flooding neighbour,
+// and every other node is a silent tap in range of node 1.
+type floodRig struct {
+	install func(dst routing.NodeID)                 // a route to dst via node 0
+	rreq    func(id uint32) routing.Message          // a fresh request from node 0 for node 2
+	rerr    func(dst routing.NodeID) routing.Message // node 0 reports dst unreachable
+}
+
+// TestStormSuppression: the per-neighbour token buckets LDR and AODV
+// consult (ondemand.Limits: RREQs at 20/s with a burst of 40, RERRs at
+// 10/s with a burst of 20) must discard a flood from one neighbour. More
+// requests and errors than a burst arrive at one instant: the burst is
+// processed — each request relayed, each error invalidating its route
+// and propagating — and the excess is counted as suppressed and neither
+// relayed nor acted on.
 func TestStormSuppression(t *testing.T) {
+	const (
+		rreqBurst, rerrBurst = 40, 20
+		excess               = 5
+		n                    = 3 + rerrBurst + excess // routes to nodes 3..n-1
+	)
+	rigs := map[scenario.ProtocolName]func(*routing.Node) (routing.Protocol, floodRig){
+		scenario.LDR: func(node *routing.Node) (routing.Protocol, floodRig) {
+			l := core.New(node, core.DefaultConfig())
+			seq := core.NewSeqno(1, 1)
+			return l, floodRig{
+				install: func(dst routing.NodeID) {
+					l.HandleControl(0, &core.RREP{Dst: dst, DstSeq: seq, Origin: 2, ReqID: 1, Dist: 1, Lifetime: time.Minute})
+				},
+				rreq: func(id uint32) routing.Message {
+					return &core.RREQ{Dst: 2, Origin: 0, OriginSeq: seq, ReqID: id, FD: core.Infinity, AnsDist: core.Infinity, TTL: 8}
+				},
+				rerr: func(dst routing.NodeID) routing.Message {
+					return &core.RERR{Unreachable: []core.RERRDest{{Dst: dst, Seq: seq}}}
+				},
+			}
+		},
+		scenario.AODV: func(node *routing.Node) (routing.Protocol, floodRig) {
+			a := aodv.New(node)
+			return a, floodRig{
+				install: func(dst routing.NodeID) {
+					a.HandleControl(0, &aodv.RREP{Dst: dst, DstSeq: 1, Origin: 2, HopCount: 1, Lifetime: time.Minute})
+				},
+				rreq: func(id uint32) routing.Message {
+					return &aodv.RREQ{Dst: 2, UnknownSeq: true, Origin: 0, OriginSeq: 1, ReqID: id, TTL: 8}
+				},
+				rerr: func(dst routing.NodeID) routing.Message {
+					return &aodv.RERR{Unreachable: []aodv.RERRDest{{Dst: dst, Seq: 1}}}
+				},
+			}
+		},
+	}
 	for _, proto := range []scenario.ProtocolName{scenario.LDR, scenario.AODV} {
 		t.Run(string(proto), func(t *testing.T) {
-			res, err := scenario.Run(attackConfig(proto, 1, attackPlan(t, "storm")))
-			if err != nil {
-				t.Fatal(err)
+			var p routing.Protocol
+			var rig floodRig
+			tap := &floodTap{}
+			nw := routing.NewNetwork(n, mobility.NewStatic(make([]mobility.Point, n)), radio.DefaultConfig(), mac.DefaultConfig(), 1,
+				func(node *routing.Node) routing.Protocol {
+					switch node.ID() {
+					case 1:
+						p, rig = rigs[proto](node)
+						return p
+					case 2:
+						return tap
+					}
+					return &floodTap{}
+				})
+			nw.Start()
+			for dst := routing.NodeID(3); dst < n; dst++ {
+				rig.install(dst)
 			}
-			if res.Adversary.StormRREQs == 0 {
-				t.Fatal("storm profile flooded nothing")
+			for id := uint32(1); id <= rreqBurst+excess; id++ {
+				p.HandleControl(0, rig.rreq(id))
 			}
-			if res.Collector.RREQSuppressed == 0 {
-				t.Errorf("%s: %d forged RREQs flooded but the rate limiter suppressed none",
-					proto, res.Adversary.StormRREQs)
+			for dst := routing.NodeID(3); dst < n; dst++ {
+				p.HandleControl(0, rig.rerr(dst))
+			}
+			nw.Sim.Run(time.Second)
+
+			col := nw.Collector
+			if col.RREQSuppressed != excess || tap.rreqs != rreqBurst {
+				t.Errorf("%d requests at one instant: %d suppressed, %d relayed; want %d and %d",
+					rreqBurst+excess, col.RREQSuppressed, tap.rreqs, excess, rreqBurst)
+			}
+			if col.RERRSuppressed != excess || tap.rerrs != rerrBurst {
+				t.Errorf("%d errors at one instant: %d suppressed, %d propagated; want %d and %d",
+					rerrBurst+excess, col.RERRSuppressed, tap.rerrs, excess, rerrBurst)
+			}
+			var valid, want []routing.NodeID
+			for _, e := range p.(routing.TableSnapshotter).SnapshotTable() {
+				if e.Valid && e.Next == 0 && e.Dst >= 3 {
+					valid = append(valid, e.Dst)
+				}
+			}
+			for dst := routing.NodeID(n - excess); dst < n; dst++ {
+				want = append(want, dst)
+			}
+			if !slices.Equal(valid, want) {
+				t.Errorf("routes via the flooding neighbour after its errors: %v, want the suppressed errors' %v", valid, want)
 			}
 		})
 	}
@@ -199,7 +283,7 @@ func TestStormSuppression(t *testing.T) {
 // config — stats, delivery, control volume, and audit counters must be
 // bit-equal across repeats.
 func TestAdversaryDeterminism(t *testing.T) {
-	cfg := attackConfig(scenario.AODV, 7, attackPlan(t, "byzantine"))
+	cfg := attackConfig(scenario.AODV, 7, attackPlan(t, "seqno-forge"))
 	a, err := scenario.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -207,6 +291,9 @@ func TestAdversaryDeterminism(t *testing.T) {
 	b, err := scenario.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if a.Adversary.ForgedRREPs == 0 {
+		t.Fatal("seqno-forge forged nothing")
 	}
 	if a.Adversary != b.Adversary {
 		t.Errorf("adversary stats diverged:\n%+v\n%+v", a.Adversary, b.Adversary)
@@ -234,28 +321,26 @@ func TestProfileValidation(t *testing.T) {
 	}
 }
 
-// TestExplicitVictims: a compromise naming explicit nodes must wrap
+// TestExplicitVictims: a plan naming explicit nodes must wrap
 // exactly those nodes, regardless of the random stream.
 func TestExplicitVictims(t *testing.T) {
-	plan := adversary.Plan{Name: "explicit", Compromises: []adversary.Compromise{
-		{Behavior: adversary.Blackhole, Nodes: []int{3, 7}},
-	}}
+	plan := adversary.Plan{Name: "explicit", Nodes: []int{3, 7}}
 	cfg := attackConfig(scenario.LDR, 1, &plan)
-	nw, gen, inst, err := scenario.BuildInstrumented(cfg)
+	_, _, inst, err := scenario.BuildInstrumented(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = gen
-	_ = nw
 	eng := inst.Adversary
 	if eng == nil {
 		t.Fatal("no adversary engine installed")
 	}
-	got := eng.Compromised()
-	if len(got) != 2 || int(got[0]) != 3 || int(got[1]) != 7 {
-		t.Errorf("compromised %v, want [3 7]", got)
+	var got []int
+	for id := range cfg.Nodes {
+		if eng.IsCompromised(routing.NodeID(id)) {
+			got = append(got, id)
+		}
 	}
-	if !eng.IsCompromised(3) || eng.IsCompromised(4) {
-		t.Error("IsCompromised disagrees with the explicit victim list")
+	if !slices.Equal(got, plan.Nodes) || eng.Stats.Compromised != len(plan.Nodes) {
+		t.Errorf("compromised %v (%d counted), want %v", got, eng.Stats.Compromised, plan.Nodes)
 	}
 }

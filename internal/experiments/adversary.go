@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"github.com/manetlab/ldr/internal/adversary"
-	"github.com/manetlab/ldr/internal/metrics"
 	"github.com/manetlab/ldr/internal/scenario"
 	"github.com/manetlab/ldr/internal/stats"
 )
@@ -16,16 +15,13 @@ import (
 // integers, so the round trip is exact and resumed tables stay
 // byte-identical.
 type advMetrics struct {
-	Delivery float64 `json:"delivery"`  // %
-	CtrlTx   uint64  `json:"ctrl_tx"`   // hop-wise control transmissions (CAF numerator/denominator)
-	Loops    uint64  `json:"loops"`     // honest-subgraph successor cycles flagged by the auditor
-	Ordering uint64  `json:"ordering"`  // (seq, fd) ordering-criterion breaches
-	AdvDrops uint64  `json:"adv_drops"` // data packets blackholed/grayholed (DropAdversary)
-	Forged   uint64  `json:"forged"`    // inflated-seqno RREPs forged
-	Replayed uint64  `json:"replayed"`  // stale recorded messages re-broadcast
-	Storm    uint64  `json:"storm"`     // forged RREQs + RERRs flooded
-	FeasRej  uint64  `json:"feas_rej"`  // LDR NDC refusals of advertisements
-	Suppr    uint64  `json:"suppr"`     // RREQs + RERRs discarded by receive rate limiting
+	Delivery float64 `json:"delivery"` // %
+	CtrlTx   uint64  `json:"ctrl_tx"`  // hop-wise control transmissions (CAF numerator/denominator)
+	Loops    uint64  `json:"loops"`    // honest-subgraph successor cycles flagged by the auditor
+	Ordering uint64  `json:"ordering"` // (seq, fd) ordering-criterion breaches
+	Forged   uint64  `json:"forged"`   // inflated-seqno RREPs forged
+	FeasRej  uint64  `json:"feas_rej"` // LDR NDC refusals of advertisements
+	Suppr    uint64  `json:"suppr"`    // RREQs + RERRs discarded by receive rate limiting
 }
 
 func measureAdversary(res scenario.Result) advMetrics {
@@ -35,10 +31,7 @@ func measureAdversary(res scenario.Result) advMetrics {
 		CtrlTx:   c.TotalControlTransmitted(),
 		Loops:    c.LoopViolations,
 		Ordering: c.OrderingViolations,
-		AdvDrops: c.DroppedBy(metrics.DropAdversary),
 		Forged:   res.Adversary.ForgedRREPs,
-		Replayed: res.Adversary.Replayed,
-		Storm:    res.Adversary.StormRREQs + res.Adversary.StormRERRs,
 		FeasRej:  c.FeasibilityRejections,
 		Suppr:    c.RREQSuppressed + c.RERRSuppressed,
 	}
@@ -65,9 +58,9 @@ func Adversary(o Options) error {
 			return err
 		}
 		sec := section[advMetrics]{header: profileHeader(o, "Adversary", profile, fmt.Sprintf(
-			"%-8s %16s %16s %7s %9s %7s %8s %7s %8s %7s %6s %6s",
+			"%-8s %16s %16s %7s %7s %8s %7s %6s %6s",
 			"proto", "delivery %", "baseline %", "caf",
-			"advdrop", "forged", "replay", "storm", "feasrej", "suppr", "loops", "order"))}
+			"forged", "feasrej", "suppr", "loops", "order"))}
 		for _, proto := range o.Protocols {
 			// Baseline first, attacked second: the row consumes pairs.
 			var cells []scenario.Config
@@ -75,7 +68,7 @@ func Adversary(o Options) error {
 				base := o.Cell(proto, 50, 10, 0, seed)
 				base.AuditCadence = auditCadence
 				attacked := base
-				if len(plan.Compromises) > 0 {
+				if !plan.Empty() {
 					attacked.AdversaryPlan = &plan
 				}
 				cells = append(cells, base, attacked)
@@ -92,18 +85,14 @@ func Adversary(o Options) error {
 					}
 					agg.Loops += a.Loops
 					agg.Ordering += a.Ordering
-					agg.AdvDrops += a.AdvDrops
 					agg.Forged += a.Forged
-					agg.Replayed += a.Replayed
-					agg.Storm += a.Storm
 					agg.FeasRej += a.FeasRej
 					agg.Suppr += a.Suppr
 				}
 				delivery := func(m advMetrics) float64 { return m.Delivery }
-				fmt.Fprintf(w, "%-8s %s %s %7.2f %9d %7d %8d %7d %8d %7d %6d %6d\n", proto,
+				fmt.Fprintf(w, "%-8s %s %s %7.2f %7d %8d %7d %6d %6d\n", proto,
 					ci(summarize(attacked, delivery)), ci(summarize(baseline, delivery)), stats.Mean(cafs),
-					agg.AdvDrops, agg.Forged, agg.Replayed, agg.Storm,
-					agg.FeasRej, agg.Suppr, agg.Loops, agg.Ordering)
+					agg.Forged, agg.FeasRej, agg.Suppr, agg.Loops, agg.Ordering)
 			}})
 		}
 		secs = append(secs, sec)

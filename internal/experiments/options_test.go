@@ -102,16 +102,11 @@ func TestEveryOptionHasAUser(t *testing.T) {
 			"OnFailure":   "-journal: cli.Experiment.open installs conformance.QuarantineEmitter",
 			"Control":     "ldrsim's ^C: cmd/ldrsim binds its Control to every cell",
 		}},
-		{adversary.Compromise{}, nil, map[string]string{
-			"Behavior":    "adversary/profiles.go: one per profile",
-			"Nodes":       "explicit victims, TestExplicitVictims only — decide with the script format",
-			"Count":       "adversary/profiles.go: a tenth of the nodes",
-			"At":          "adversary/profiles.go: a tenth of the run, a fifth for byzantine's storm",
-			"PerFlow":     "nobody — its salt is the first draw of every wrapper's stream and adversary/testdata/aodv-seqno-loop.json stops looping without it; delete both with a re-searched seed",
-			"ReplayEvery": "adversary/profiles.go: replay scales it with the run",
-			"ReplayAge":   "adversary/profiles.go: replay scales it with the run",
-			"StormEvery":  "adversary/profiles.go: storm and byzantine scale it with the run",
-			"StormBurst":  "adversary/profiles.go: storm 8, byzantine 4",
+		{adversary.Plan{}, nil, map[string]string{
+			"Name":  "adversary/profiles.go: the profile's name",
+			"Nodes": "explicit victims, TestExplicitVictims only — decide with the script format",
+			"Count": "adversary/profiles.go: a tenth of the nodes",
+			"At":    "adversary/profiles.go: a tenth of the run",
 		}},
 	} {
 		def := reflect.ValueOf(c.def)

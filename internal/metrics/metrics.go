@@ -62,6 +62,9 @@ const (
 	DropMalformed
 	DropNodeDown
 	DropReset
+	// DropAdversary has no producer; its slot stays because deleting it
+	// would shift numReasons and every collector fingerprint pinned on
+	// it.
 	DropAdversary
 
 	numReasons
@@ -165,7 +168,7 @@ type Collector struct {
 
 	// Adversary-resilience counters (internal/adversary). A feasibility
 	// rejection is an advertisement LDR's NDC refused — under seqno
-	// forgery or stale-label replay these count refused forgeries; the
+	// forgery these count refused forgeries; the
 	// suppression counters tally control messages discarded by the
 	// per-neighbor rate limiters before processing. All three are
 	// receive-side events, so they never unbalance the control ledgers

@@ -6,12 +6,11 @@ import "github.com/manetlab/ldr/internal/metrics"
 // actually live in. The underlying type stays in internal/metrics (the
 // collector indexes its per-reason counters by it and cannot import this
 // package), but protocol code names reasons through these aliases so
-// there is exactly one spelling of each reason: a new cause — the
-// adversary subsystem's accounted blackhole drop, say — is added here
+// there is exactly one spelling of each reason: a new cause is added here
 // and in metrics together, never as a per-protocol string.
 type DropReason = metrics.DropReason
 
-// The drop reasons shared by all four protocols and the adversary layer.
+// The drop reasons shared by all four protocols.
 const (
 	DropOther         DropReason = metrics.DropOther
 	DropNoRoute       DropReason = metrics.DropNoRoute
@@ -21,5 +20,4 @@ const (
 	DropMalformed     DropReason = metrics.DropMalformed
 	DropNodeDown      DropReason = metrics.DropNodeDown
 	DropReset         DropReason = metrics.DropReset
-	DropAdversary     DropReason = metrics.DropAdversary
 )

@@ -143,9 +143,8 @@ type Config struct {
 	FaultPlan *fault.Plan `json:",omitempty"`
 
 	// AdversaryPlan, when non-nil, compromises nodes per the plan before
-	// the run starts: blackhole/grayhole dropping, sequence-number
-	// forgery, stale-label replay, and control storms (see
-	// internal/adversary). Like FaultPlan it draws from a dedicated
+	// the run starts: they forge inflated-seqno replies to overheard
+	// route requests (see internal/adversary). Like FaultPlan it draws from a dedicated
 	// stream (root.Split("adversary")) and composes freely with fault
 	// injection in the same run.
 	AdversaryPlan *adversary.Plan `json:",omitempty"`
@@ -283,10 +282,10 @@ func BuildInstrumented(cfg Config) (*routing.Network, *traffic.Generator, *Instr
 	}
 
 	inst := &Instruments{Root: root}
-	if cfg.AdversaryPlan != nil && len(cfg.AdversaryPlan.Compromises) > 0 {
+	if cfg.AdversaryPlan != nil && !cfg.AdversaryPlan.Empty() {
 		// Install before Start: compromising a node swaps its bound
 		// protocol for the Byzantine wrapper.
-		inst.Adversary = adversary.NewEngine(nw, *cfg.AdversaryPlan, root.Split("adversary"), cfg.SimTime)
+		inst.Adversary = adversary.NewEngine(nw, *cfg.AdversaryPlan, root.Split("adversary"))
 		inst.Adversary.Install()
 	}
 	if cfg.FaultPlan != nil {
