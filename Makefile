@@ -146,8 +146,8 @@ adversary:
 # loop, the radio's fault-delayed delivery, MAC queue and RTS/CTS
 # exchange, LDR round trip, LDR's and AODV's warm model-state
 # save/encode/restore and OLSR's warm link-state paths, the model
-# checker's warm state key and allocations per state, plus a single tiny
-# sweep cell.
+# checker's warm state key and allocations and bytes per state, plus a
+# single tiny sweep cell.
 # Part of `make check` so steady-state allocation creep fails CI quickly.
 bench-smoke:
 	$(GO) test -run 'Alloc|ZeroAlloc' ./internal/sim/ ./internal/radio/ ./internal/mac/ ./internal/core/ ./internal/aodv/ ./internal/routing/... ./internal/olsr/ ./internal/modelcheck/

@@ -32,7 +32,6 @@ var testOnly = map[string]struct{ users, why string }{
 	"mobility.GaussMarkov.Speed":  {"TestGaussMarkovVelocityBounded", "the only view of a Gauss-Markov node's evolved speed"},
 	"mobility.Manhattan.OnStreet": {"TestManhattanPositionsOnStreets, TestManhattanTerrainProperty", "the street invariant Manhattan positions are held to"},
 	"mobility.Grid":               {"TestGridPlacement, TestKeptPositionPromise", "a fixed placement the mobility promise tests start from"},
-	"metrics.Collector.FateOf":    {"TestCollectorJSONRoundTrip", "the only view of one packet's recorded fate"},
 	"resilience.Journal.Corrupt":  {"TestJournalPutGetReload, TestResultsDocMatchesJournals, FuzzJournalRecord", "how many records Open skipped; the committed journal must have none"},
 	"resilience.LoadManifest":     {"TestManifestRoundTrip, TestPanicQuarantineEndToEnd", "reads back the failure manifest a keep-going run writes"},
 }

@@ -18,6 +18,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"time"
@@ -35,14 +36,14 @@ import (
 const ringSize = 16
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "coordination:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	fmt.Printf("Repairing the link next to the destination on a %d-node ring:\n\n", ringSize)
+func run(w io.Writer) error {
+	fmt.Fprintf(w, "Repairing the link next to the destination on a %d-node ring:\n\n", ringSize)
 
 	// DUAL.
 	s := sim.New()
@@ -55,7 +56,7 @@ func run() error {
 	qBefore, rBefore, uBefore := dn.Messages["query"], dn.Messages["reply"], dn.Messages["update"]
 	dn.RemoveLink(0, 1)
 	s.RunAll()
-	fmt.Printf("%-28s %4d reliable messages (%d queries, %d replies, %d updates)\n",
+	fmt.Fprintf(w, "%-28s %4d reliable messages (%d queries, %d replies, %d updates)\n",
 		"DUAL diffusing computation:", dn.TotalMessages()-before,
 		dn.Messages["query"]-qBefore, dn.Messages["reply"]-rBefore, dn.Messages["update"]-uBefore)
 	if err := dn.CheckLoopFree(); err != nil {
@@ -78,19 +79,19 @@ func run() error {
 		rBefore := tn.Reversals
 		tn.RemoveLink(0, 1)
 		rounds := tn.Stabilize()
-		fmt.Printf("%-28s %4d node reversals over %d cascading rounds\n",
+		fmt.Fprintf(w, "%-28s %4d node reversals over %d cascading rounds\n",
 			v.name, tn.Reversals-rBefore, rounds)
 	}
 
 	// LDR over an actual wireless ring.
 	msgs, rediscoveryLatency := ldrRepair()
-	fmt.Printf("%-28s %4d wireless control transmissions, traffic restored in %v\n",
+	fmt.Fprintf(w, "%-28s %4d wireless control transmissions, traffic restored in %v\n",
 		"LDR local decision + ring:", msgs, rediscoveryLatency.Round(time.Millisecond))
 
-	fmt.Println("\nDUAL freezes the dependent subtree until every reply arrives; link")
-	fmt.Println("reversal touches a cascading region; LDR's labels let every node act")
-	fmt.Println("alone, over unreliable broadcasts, with the destination's sequence")
-	fmt.Println("number as the only reset authority.")
+	fmt.Fprintln(w, "\nDUAL freezes the dependent subtree until every reply arrives; link")
+	fmt.Fprintln(w, "reversal touches a cascading region; LDR's labels let every node act")
+	fmt.Fprintln(w, "alone, over unreliable broadcasts, with the destination's sequence")
+	fmt.Fprintln(w, "number as the only reset authority.")
 	return nil
 }
 

@@ -3,14 +3,18 @@
 //
 // Twenty-five vehicles move continuously (pause time 0, up to 20 m/s) on a
 // 1200 m × 300 m strip while five concurrent telemetry flows run between
-// random pairs. The example reproduces, in miniature, the paper's headline
-// comparison: LDR's delivery leads, AODV follows, DSR's cached source
-// routes go stale, and OLSR pays constant control overhead for its low
-// latency.
+// random pairs for two minutes. It prints each protocol's delivery ratio,
+// mean latency and control packets per delivered packet. On this seed LDR
+// and AODV deliver within a point of each other (98.6 % and 98.9 %), DSR
+// delivers 96.7 %, and OLSR, whose periodic HELLOs and TCs make the
+// heaviest network load, delivers least (92.3 %). One 120 s seed is an
+// illustration, not a verdict: the 900 s, ten-trial comparisons are the
+// tables in results/paper/.
 package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -19,14 +23,14 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "fleet:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	fmt.Printf("%-8s %12s %14s %12s %12s\n",
+func run(w io.Writer) error {
+	fmt.Fprintf(w, "%-8s %12s %14s %12s %12s\n",
 		"proto", "delivery %", "latency", "net load", "rreq load")
 	for _, proto := range scenario.AllProtocols {
 		cfg := scenario.Config{
@@ -45,11 +49,11 @@ func run() error {
 			return err
 		}
 		c := res.Collector
-		fmt.Printf("%-8s %11.1f%% %14v %12.2f %12.2f\n",
+		fmt.Fprintf(w, "%-8s %11.1f%% %14v %12.2f %12.2f\n",
 			proto, 100*c.DeliveryRatio(),
 			c.MeanLatency().Round(100*time.Microsecond),
 			c.NetworkLoad(), c.RREQLoad())
 	}
-	fmt.Println("\n(Same seed, same mobility, same traffic for every protocol.)")
+	fmt.Fprintln(w, "\n(Same seed, same mobility, same traffic for every protocol.)")
 	return nil
 }

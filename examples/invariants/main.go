@@ -18,6 +18,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -39,13 +40,13 @@ const (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "invariants:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	// Chain T(0,0) — D(250,0) — C(500,0) — B(750,0); E starts beside T at
 	// (250,100) and relocates to (1000,0), where it can reach only B.
 	tracks := [][]mobility.ScriptLeg{
@@ -75,25 +76,25 @@ func run() error {
 
 	names := map[routing.NodeID]string{nodeT: "T", nodeD: "D", nodeC: "C", nodeB: "B", nodeE: "E"}
 	dump := func(label string) {
-		fmt.Printf("\n[%s] t=%v — labels toward T (dist/fd, sn counter):\n",
+		fmt.Fprintf(w, "\n[%s] t=%v — labels toward T (dist/fd, sn counter):\n",
 			label, nw.Sim.Now().Round(time.Millisecond))
 		for _, id := range []routing.NodeID{nodeE, nodeB, nodeC, nodeD} {
 			ldr := nw.Nodes[id].Protocol().(*core.LDR)
 			if next, dist, ok := ldr.RouteTo(nodeT); ok {
-				fmt.Printf("  %s -> %s   %d/%d, sn=%d\n",
+				fmt.Fprintf(w, "  %s -> %s   %d/%d, sn=%d\n",
 					names[id], names[next], dist, ldr.FeasibleDistance(nodeT),
 					core.Seqno(seqOf(ldr, nodeT)).Counter())
 			} else {
-				fmt.Printf("  %s has no active route (fd label retained: %d)\n",
+				fmt.Fprintf(w, "  %s has no active route (fd label retained: %d)\n",
 					names[id], ldr.FeasibleDistance(nodeT))
 			}
 		}
 		if vs := loopcheck.Check(nw.Nodes); len(vs) > 0 {
 			for _, v := range vs {
-				fmt.Println("  VIOLATION:", v)
+				fmt.Fprintln(w, "  VIOLATION:", v)
 			}
 		} else {
-			fmt.Println("  loopcheck: successor graph loop-free, ordering criterion holds")
+			fmt.Fprintln(w, "  loopcheck: successor graph loop-free, ordering criterion holds")
 		}
 	}
 
@@ -102,9 +103,9 @@ func run() error {
 	nw.Sim.Run(60 * time.Second)
 
 	tNode := nw.Nodes[nodeT].Protocol().(*core.LDR)
-	fmt.Printf("\nT's own sequence number counter: %d\n", tNode.OwnSeq().Counter())
-	fmt.Println("Exactly the destination-controlled resets happened — no third party")
-	fmt.Println("ever incremented T's number (AODV would have done so on every break).")
+	fmt.Fprintf(w, "\nT's own sequence number counter: %d\n", tNode.OwnSeq().Counter())
+	fmt.Fprintln(w, "Exactly the destination-controlled resets happened — no third party")
+	fmt.Fprintln(w, "ever incremented T's number (AODV would have done so on every break).")
 	return nil
 }
 

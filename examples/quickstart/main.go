@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -17,13 +18,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "quickstart:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	// 1. Topology: ten nodes in a line, 250 m apart. The default radio
 	//    range is 275 m, so each node only hears its direct neighbors and
 	//    traffic between the ends must travel nine hops.
@@ -42,21 +43,25 @@ func run() error {
 		nw.Sim.At(at, func() { nw.Nodes[0].OriginateData(9, 512) })
 	}
 
-	// 4. Run 10 simulated seconds (completes in milliseconds of real time).
+	// 4. Just after the last packet, look at node 0's route to node 9: an
+	//    active route expires three seconds after its last use.
+	nw.Sim.At(5*time.Second, func() {
+		ldr := nw.Nodes[0].Protocol().(*core.LDR)
+		if next, dist, ok := ldr.RouteTo(9); ok {
+			fmt.Fprintf(w, "node 0 reaches node 9 via node %d in %d hops (fd=%d)\n",
+				next, dist, ldr.FeasibleDistance(9))
+		}
+	})
+
+	// 5. Run 10 simulated seconds (completes in milliseconds of real time).
 	nw.Sim.Run(10 * time.Second)
 
-	// 5. Inspect the outcome.
+	// 6. Inspect the outcome.
 	c := nw.Collector
-	fmt.Printf("delivered %d of %d packets (%.1f%%)\n",
+	fmt.Fprintf(w, "delivered %d of %d packets (%.1f%%)\n",
 		c.DataDelivered, c.DataInitiated, 100*c.DeliveryRatio())
-	fmt.Printf("mean end-to-end latency: %v\n", c.MeanLatency().Round(time.Microsecond))
-	fmt.Printf("route discovery cost: %d RREQ + %d RREP transmissions\n",
+	fmt.Fprintf(w, "mean end-to-end latency: %v\n", c.MeanLatency().Round(time.Microsecond))
+	fmt.Fprintf(w, "route discovery cost: %d RREQ + %d RREP transmissions\n",
 		c.ControlTransmitted(metrics.RREQ), c.ControlTransmitted(metrics.RREP))
-
-	ldr := nw.Nodes[0].Protocol().(*core.LDR)
-	if next, dist, ok := ldr.RouteTo(9); ok {
-		fmt.Printf("node 0 reaches node 9 via node %d in %d hops (fd=%d)\n",
-			next, dist, ldr.FeasibleDistance(9))
-	}
 	return nil
 }

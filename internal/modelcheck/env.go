@@ -20,10 +20,12 @@ package modelcheck
 // field an action can write: the protocols' (routing.ModelStater), the
 // node layer's, and the world's own. So worlds built from one scenario
 // are interchangeable, and an exploration builds one per worker
-// (modelcheck.go). They share nothing but the protocol factory, which may
-// share state across the instances it builds, so every world of an
-// exploration runs protocol code — construction, Start and each apply —
-// under one lock (handlers).
+// (modelcheck.go). They share nothing but the protocol factory. A factory
+// installed by scenario.RegisterProtocol may share state across the
+// instances it builds, so the worlds of its exploration run protocol code
+// — construction, Start and each apply — under one mutex (handlers); the
+// protocols scenario builds itself share nothing, and theirs run it under
+// a lock that does nothing (newCursor).
 //
 // Locality. An action runs the code of at most one node — deliver the
 // receiver's handler, reset and originate the named node's, drop and dup
@@ -168,7 +170,7 @@ type world struct {
 
 	lostUnicasts int // unicasts addressed to non-neighbors (sent into the void)
 
-	handlers *sync.Mutex // held while protocol code runs; one per exploration
+	handlers sync.Locker // held while protocol code runs; one per exploration
 
 	enc encoder // scratch for queued items' hashes and the cursor's keys
 }
@@ -180,7 +182,7 @@ var _ routing.ModelEnv = (*world)(nil)
 // microtask cascade drained. Deterministic: equal scenarios produce
 // byte-identical worlds. A protocol without the checker's state hooks is
 // an error. The protocol code runs under handlers.
-func newWorld(sc *Scenario, handlers *sync.Mutex) (*world, error) {
+func newWorld(sc *Scenario, handlers sync.Locker) (*world, error) {
 	factory, err := scenario.Factory(scenario.Config{Protocol: scenario.ProtocolName(sc.Protocol)})
 	if err != nil {
 		return nil, err

@@ -23,6 +23,15 @@ type exploration struct {
 	reports []Progress
 }
 
+// recsOf is the arena's states, in discovery order.
+func recsOf(arena chain[rec]) []rec {
+	recs := make([]rec, arena.len())
+	for i := range recs {
+		recs[i] = arena.at(i)
+	}
+	return recs
+}
+
 // exploreWith runs explore on sc at the given worker count, reporting
 // progress every 500 states, so that rounds end at progress points.
 func exploreWith(t *testing.T, sc *Scenario, opts Options, workers int) exploration {
@@ -37,7 +46,8 @@ func exploreWith(t *testing.T, sc *Scenario, opts Options, workers int) explorat
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.res, e.recs = explore(cur, opts.withDefaults(), workers, time.Now())
+	res, recs := explore(cur, opts.withDefaults(), workers, time.Now())
+	e.res, e.recs = res, recsOf(recs)
 	if v := e.res.Violation; v != nil {
 		spec, err := v.Spec("")
 		if err != nil {

@@ -21,10 +21,13 @@
 // one node and the few links the action wrote (snapshot.go). A worker's
 // saved states form a stack along its current path in the search tree, so
 // memory beyond the visited-key set is O(workers × depth), not O(states).
-// What the workers find is merged in discovery order by the caller, so
-// the result does not depend on how many there are (explore). Sleep sets
-// (sleep.go) leave out the transitions that can only lead back to a state
-// already found; the states found are the same.
+// Workers run protocol code at once unless a registered factory may share
+// state across its instances (env.go). What they find is merged in
+// discovery order by the caller, so the result does not depend on how
+// many there are (explore). Sleep sets (sleep.go) leave out the
+// transitions that can only lead back to a state already found; the
+// states found are the same. The arena of discovered states and the sleep
+// layers are chains (chain.go), which never move what they hold.
 package modelcheck
 
 import (
@@ -143,7 +146,7 @@ func (w *Witness) String() string {
 // arena plus the action that produced it; traces are reconstructed by
 // walking parents. Worlds are not stored per state: a worker's cursor
 // takes its world to a state's trace when it expands the state. The arena
-// is in discovery order, which is the breadth-first queue.
+// is a chain of recs in discovery order, which is the breadth-first queue.
 type rec struct {
 	parent int32
 	depth  int32
@@ -200,13 +203,14 @@ func (o Options) remaining(u used) budgets {
 // trace's storage, counting the budgets it uses on the way. (The counts
 // are not kept in rec: sixteen more bytes a state, for a loop of at most
 // depth steps per expansion.)
-func traceOf(trace []Action, recs []rec, idx int32) ([]Action, used) {
-	n := int(recs[idx].depth)
+func traceOf(trace []Action, recs *chain[rec], idx int32) ([]Action, used) {
+	r := recs.at(int(idx))
+	n := int(r.depth)
 	trace = slices.Grow(trace[:0], n)[:n]
 	var u used
-	for i := idx; recs[i].parent >= 0; i = recs[i].parent {
+	for ; r.parent >= 0; r = recs.at(int(r.parent)) {
 		n--
-		trace[n] = recs[i].action.unpack()
+		trace[n] = r.action.unpack()
 		u = u.after(trace[n])
 	}
 	return trace, u
@@ -283,7 +287,7 @@ func splits(parents, workers int) bool {
 // caller's goroutine into storage that never leaves it, so the search's
 // own state stays on the caller's stack and a small exploration starts no
 // goroutine.
-func explore(cur *cursor, opts Options, workers int, start time.Time) (*Result, []rec) {
+func explore(cur *cursor, opts Options, workers int, start time.Time) (*Result, chain[rec]) {
 	s := search{
 		opts:     opts,
 		start:    start,
@@ -298,19 +302,19 @@ func explore(cur *cursor, opts Options, workers int, start time.Time) (*Result, 
 		res.States = 1
 		res.Violation = newWitness(res.Scenario, nil, v, cur.w)
 		s.finish()
-		return res, nil
+		return res, s.recs
 	}
 
-	s.recs = []rec{{parent: -1}}
+	s.recs.push(rec{parent: -1})
 	s.visited.add(cur.key(opts.remaining(used{})))
 	res.States = 1
 
 	// The layer being expanded and the one being discovered; the initial
 	// state's sleep set is empty.
 	s.next.first = 1
-	for lo := int32(0); int(lo) < len(s.recs); {
-		hi := int32(len(s.recs))
-		res.Depth = int(s.recs[lo].depth)
+	for lo := int32(0); int(lo) < s.recs.len(); {
+		hi := int32(s.recs.len())
+		res.Depth = int(s.recs.at(int(lo)).depth)
 		if res.Depth >= opts.MaxDepth {
 			break
 		}
@@ -328,7 +332,7 @@ func explore(cur *cursor, opts Options, workers int, start time.Time) (*Result, 
 			}
 		}
 		s.this, s.next = s.next, s.this
-		s.next.reset(int32(len(s.recs)))
+		s.next.reset(int32(s.recs.len()))
 	}
 	s.finish()
 	return res, s.recs
@@ -343,11 +347,11 @@ type search struct {
 	start time.Time
 	res   *Result
 
-	recs       []rec
+	recs       chain[rec]
 	visited    keySet
 	this, next sleepLayer // the sleep sets of the layer being expanded and of the one being discovered
 
-	handlers *sync.Mutex // every world's protocol code runs under it
+	handlers sync.Locker // every world's protocol code runs under it (env.go)
 	workers  []worker    // [0] starts on the caller's cursor; the others are built on first use
 	solo     [1]chunk    // a round of one chunk, which never leaves this goroutine
 	chunks   []chunk     // a round of more, with its storage kept from round to round
@@ -369,7 +373,7 @@ type worker struct {
 // merge left it, and the chunks they fill.
 type round struct {
 	opts      Options
-	recs      []rec
+	recs      chain[rec]
 	visited   *keySet
 	sleep     sleepLayer // the sleep sets of the layer being expanded
 	truncated bool       // the state cap has refused a state, so nothing sleeps
@@ -516,7 +520,7 @@ func (r *round) expandChunk(w int, c *chunk) {
 func (wk *worker) expand(r *round, c *chunk, idx int32, resume int) bool {
 	cur := wk.cur
 	var spent used
-	wk.trace, spent = traceOf(wk.trace, r.recs, idx)
+	wk.trace, spent = traceOf(wk.trace, &r.recs, idx)
 	cur.seek(wk.trace)
 	sleep := r.sleep.of(idx)
 	wk.acts = cur.w.enabled(wk.acts[:0], r.opts.remaining(spent))
@@ -579,7 +583,7 @@ func (s *search) merge(chunks []chunk) (lo int32, resume int, done bool) {
 		wk, from := &s.workers[c.w], c.from
 		for k, e := range c.ends[:c.done] {
 			idx := c.lo + int32(k)
-			depth := s.recs[idx].depth
+			depth := s.recs.at(int(idx)).depth
 			sleep, explored := s.this.of(idx), wk.ids[from.ids:e.ids]
 			for _, cd := range wk.cands[from.cands:e.cands] {
 				if s.visited.has(cd.key) {
@@ -594,7 +598,7 @@ func (s *search) merge(chunks []chunk) (lo int32, resume int, done bool) {
 					continue
 				}
 				s.visited.add(cd.key)
-				s.recs = append(s.recs, rec{parent: idx, depth: depth + 1, action: cd.action})
+				s.recs.push(rec{parent: idx, depth: depth + 1, action: cd.action})
 				if int(depth)+1 < opts.MaxDepth {
 					s.next.add(sleep, explored[:cd.nth], explored[cd.nth])
 				}
@@ -609,7 +613,7 @@ func (s *search) merge(chunks []chunk) (lo int32, resume int, done bool) {
 			if opts.Progress != nil && (int(idx)+1)%opts.ProgressEvery == 0 {
 				opts.Progress(Progress{
 					States:      res.States,
-					Frontier:    len(s.recs) - int(idx) - 1,
+					Frontier:    s.recs.len() - int(idx) - 1,
 					Transitions: res.Transitions,
 					Depth:       int(depth),
 					Elapsed:     time.Since(s.start),

@@ -29,7 +29,7 @@ import (
 
 // refExplore is the unreduced search. Besides the result and the arena it
 // returns every discovered state's key, in discovery order.
-func refExplore(cur *cursor, opts Options, start time.Time) (*Result, []rec, []stateKey) {
+func refExplore(cur *cursor, opts Options, start time.Time) (*Result, chain[rec], []stateKey) {
 	w := cur.w
 	sc := w.sc
 	checker := loopcheck.NewChecker()
@@ -38,17 +38,18 @@ func refExplore(cur *cursor, opts Options, start time.Time) (*Result, []rec, []s
 	if v := checker.CheckTables(cur.tables()); len(v) > 0 {
 		res.States, res.Elapsed = 1, time.Since(start)
 		res.Violation = newWitness(sc, nil, v, w)
-		return res, nil, nil
+		return res, chain[rec]{}, nil
 	}
 
-	recs := []rec{{parent: -1}}
+	var recs chain[rec]
+	recs.push(rec{parent: -1})
 	keys := []stateKey{cur.key(opts.remaining(used{}))}
 	visited := map[stateKey]struct{}{keys[0]: {}}
 	res.States = 1
 
 	var trace []Action
-	for idx := int32(0); int(idx) < len(recs); idx++ {
-		depth := int(recs[idx].depth)
+	for idx := int32(0); int(idx) < recs.len(); idx++ {
+		depth := int(recs.at(int(idx)).depth)
 		if depth > res.Depth {
 			res.Depth = depth
 		}
@@ -56,7 +57,7 @@ func refExplore(cur *cursor, opts Options, start time.Time) (*Result, []rec, []s
 			continue
 		}
 		var spent used
-		trace, spent = traceOf(trace, recs, idx)
+		trace, spent = traceOf(trace, &recs, idx)
 		cur.seek(trace)
 		for _, a := range w.enabled(nil, opts.remaining(spent)) {
 			w.apply(a)
@@ -76,7 +77,7 @@ func refExplore(cur *cursor, opts Options, start time.Time) (*Result, []rec, []s
 				continue
 			}
 			visited[k] = struct{}{}
-			recs = append(recs, rec{parent: idx, depth: int32(depth + 1), action: pack(a)})
+			recs.push(rec{parent: idx, depth: int32(depth + 1), action: pack(a)})
 			keys = append(keys, k)
 			res.States++
 		}

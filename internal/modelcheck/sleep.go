@@ -83,29 +83,32 @@ func (c *cursor) id(a Action) actionID {
 // set is ids[end[k-1]:end[k]]. Two layers are live at a time, the one
 // being expanded and the one being discovered; the arena is the queue
 // order again, so no per-state index is kept. A layer whose states will
-// not be expanded holds no sets, and each of its states' is empty.
+// not be expanded holds no sets, and each of its states' is empty. The
+// sets are chains, so a layer two layers on refills the same blocks.
 type sleepLayer struct {
 	first int32 // arena index of the layer's first state
-	ids   []actionID
-	end   []int32
+	ids   chain[actionID]
+	end   chain[int32]
 }
 
 // reset empties the layer for the states from arena index first on.
 func (l *sleepLayer) reset(first int32) {
-	l.first, l.ids, l.end = first, l.ids[:0], l.end[:0]
+	l.first = first
+	l.ids.reset()
+	l.end.reset()
 }
 
 // of is the sleep set of the state at arena index idx.
 func (l *sleepLayer) of(idx int32) []actionID {
-	k := idx - l.first
-	if int(k) >= len(l.end) {
+	k := int(idx - l.first)
+	if k >= l.end.len() {
 		return nil
 	}
 	lo := int32(0)
 	if k > 0 {
-		lo = l.end[k-1]
+		lo = l.end.at(k - 1)
 	}
-	return l.ids[lo:l.end[k]]
+	return l.ids.slice(int(lo), int(l.end.at(k)))
 }
 
 // add appends the sleep set of the state the action named a leads to, from
@@ -115,9 +118,9 @@ func (l *sleepLayer) add(sleep, before []actionID, a actionID) {
 	for _, set := range [2][]actionID{sleep, before} {
 		for _, b := range set {
 			if independent(a, b) {
-				l.ids = append(l.ids, b)
+				l.ids.push(b)
 			}
 		}
 	}
-	l.end = append(l.end, int32(len(l.ids)))
+	l.end.push(int32(l.ids.len()))
 }

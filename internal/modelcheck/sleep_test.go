@@ -12,15 +12,15 @@ import (
 
 // keysOf takes, on a fresh cursor, the key of every state in an arena of
 // discovered states.
-func keysOf(t *testing.T, sc *Scenario, opts Options, recs []rec) []stateKey {
+func keysOf(t *testing.T, sc *Scenario, opts Options, recs *chain[rec]) []stateKey {
 	t.Helper()
 	cur, err := newCursor(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := make([]stateKey, len(recs))
+	keys := make([]stateKey, recs.len())
 	var trace []Action
-	for i := range recs {
+	for i := range keys {
 		var spent used
 		trace, spent = traceOf(trace, recs, int32(i))
 		cur.seek(trace)
@@ -132,16 +132,16 @@ func TestReductionKeepsEveryState(t *testing.T) {
 
 		// Equal arenas are the same traces, so the same keys at the same
 		// depths in the same order. Otherwise, whether it is only the order.
-		if !slices.Equal(recs, wantRecs) {
+		if !slices.Equal(recsOf(recs), recsOf(wantRecs)) {
 			t.Errorf("%s: the states are not found in the reference's order, through its parents", name)
-			depthOf := func(keys []stateKey, recs []rec) map[stateKey]int32 {
+			depthOf := func(keys []stateKey, recs chain[rec]) map[stateKey]int32 {
 				m := make(map[stateKey]int32, len(keys))
 				for i, k := range keys {
-					m[k] = recs[i].depth
+					m[k] = recs.at(i).depth
 				}
 				return m
 			}
-			gotDepth, wantDepth := depthOf(keysOf(t, c.sc, opts, recs), recs), depthOf(wantKeys, wantRecs)
+			gotDepth, wantDepth := depthOf(keysOf(t, c.sc, opts, &recs), recs), depthOf(wantKeys, wantRecs)
 			for k, d := range wantDepth {
 				if gd, ok := gotDepth[k]; !ok || gd != d {
 					t.Errorf("%s: state %x at depth %d in the reference, found %v at depth %d", name, k, d, ok, gd)

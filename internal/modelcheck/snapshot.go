@@ -35,6 +35,7 @@ import (
 	"sync"
 
 	"github.com/manetlab/ldr/internal/routing"
+	"github.com/manetlab/ldr/internal/scenario"
 )
 
 // nodeRec is one node's saved state, with what the search derives from it
@@ -193,14 +194,27 @@ type cursor struct {
 	scratch [][]routing.RouteEntry // storage for the tables of written nodes
 }
 
-// newCursor builds the scenario's world and saves its initial state.
+// newCursor builds the scenario's world and saves its initial state. It
+// picks the lock the exploration's worlds run protocol code under (env.go):
+// none for a protocol scenario builds itself, one mutex for a factory
+// installed by scenario.RegisterProtocol.
 func newCursor(sc *Scenario) (*cursor, error) {
-	return openCursor(sc, new(sync.Mutex))
+	var handlers sync.Locker = noLock{}
+	if !scenario.BuiltIn(scenario.ProtocolName(sc.Protocol)) {
+		handlers = new(sync.Mutex)
+	}
+	return openCursor(sc, handlers)
 }
+
+// noLock is the lock of worlds whose protocol instances share nothing.
+type noLock struct{}
+
+func (noLock) Lock()   {}
+func (noLock) Unlock() {}
 
 // openCursor is newCursor for a world whose protocol code runs under
 // handlers, the lock of an exploration's other worlds.
-func openCursor(sc *Scenario, handlers *sync.Mutex) (*cursor, error) {
+func openCursor(sc *Scenario, handlers sync.Locker) (*cursor, error) {
 	w, err := newWorld(sc, handlers)
 	if err != nil {
 		return nil, err

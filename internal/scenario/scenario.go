@@ -466,6 +466,18 @@ func Factory(cfg Config) (routing.ProtocolFactory, error) {
 	}
 }
 
+// BuiltIn reports whether Factory builds name's protocol itself, rather
+// than through a constructor installed by RegisterProtocol. The instances
+// a built-in constructor makes share no mutable state, so they may run on
+// different goroutines at once; a registered one's may share anything.
+func BuiltIn(name ProtocolName) bool {
+	switch name {
+	case LDR, AODV, DSR, DSR7, OLSR, OLSRJ:
+		return true
+	}
+	return false
+}
+
 // PauseTimes is the paper's pause-time sweep for a given simulation
 // length: 0 s (constant motion) through the full length (static).
 func PauseTimes(simTime time.Duration) []time.Duration {

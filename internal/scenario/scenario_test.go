@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/manetlab/ldr/internal/loopcheck"
+	"github.com/manetlab/ldr/internal/routing"
 	"github.com/manetlab/ldr/internal/scenario"
 )
 
@@ -132,5 +133,22 @@ func TestPaperDefaultsStayOutOfTheKey(t *testing.T) {
 	}
 	if slices.Sort(got); !slices.Equal(got, want) {
 		t.Errorf("Nodes50 encodes %v, want only %v:\n%s", got, want, blob)
+	}
+}
+
+// TestBuiltInIsWhatFactoryBuilds: BuiltIn names exactly the protocols
+// Factory knows before anything is registered, and a registered name,
+// which Factory then builds, is not one of them.
+func TestBuiltInIsWhatFactoryBuilds(t *testing.T) {
+	names := append(slices.Clone(scenario.AllProtocols), scenario.DSR7, scenario.OLSRJ, "ldr-builtin-probe")
+	for _, name := range names {
+		_, err := scenario.Factory(scenario.Config{Protocol: name})
+		if scenario.BuiltIn(name) != (err == nil) {
+			t.Errorf("%s: BuiltIn %v, Factory error %v", name, scenario.BuiltIn(name), err)
+		}
+	}
+	scenario.RegisterProtocol("ldr-builtin-probe", func(n *routing.Node) routing.Protocol { return nil })
+	if _, err := scenario.Factory(scenario.Config{Protocol: "ldr-builtin-probe"}); err != nil || scenario.BuiltIn("ldr-builtin-probe") {
+		t.Errorf("a registered protocol: Factory error %v, BuiltIn %v", err, scenario.BuiltIn("ldr-builtin-probe"))
 	}
 }
