@@ -104,29 +104,35 @@ resume-smoke:
 # the van Glabbeek AODV loop from scratch and replay both a fresh witness
 # and the committed seed to a real routing loop under the full MAC/radio
 # simulator. The n4-4 line is the falsifiability control: LDR without its
-# §5 stable storage (one volatile crash) must break the ordering.
+# §5 stable storage (one volatile crash) must break the ordering. The last
+# two lines take the crash out and give the 3-node graphs a loss and a
+# duplicate instead: both protocols must come out clean, AODV included —
+# without a crash, the untimed model has no AODV loop to find.
 modelcheck:
 	$(GO) run ./cmd/ldrcheck -q -protocol ldr -topology sweep3 -resets 1 -drops 1
 	$(GO) run ./cmd/ldrcheck -q -protocol aodv -topology sweep3 -resets 1 -drops 1 -expect-violation
 	$(GO) run ./cmd/ldrcheck -q -protocol ldr -topology sweep4 -depth 10 -resets 1
 	$(GO) run ./cmd/ldrcheck -q -protocol aodv -topology sweep4 -depth 10 -resets 1 -expect-violation
 	$(GO) run ./cmd/ldrcheck -q -protocol ldr -topology n4-4 -vresets 1 -expect-violation
+	$(GO) run ./cmd/ldrcheck -q -protocol ldr -topology sweep3 -drops 1 -dups 1
+	$(GO) run ./cmd/ldrcheck -q -protocol aodv -topology sweep3 -drops 1 -dups 1
 	$(GO) run ./cmd/ldrcheck -protocol aodv -resets 1 -drops 1 -expect-violation -emit /tmp/aodv-line3-loop.json -q
 	$(GO) test ./internal/modelcheck/ -run 'TestAODVLine3Violation|TestWitnessBridge' -v
 
-# Fast model-check smoke under the race detector: all five pinned
+# Fast model-check smoke under the race detector: all six pinned
 # explorations (LDR clean at the van Glabbeek budget, under volatile
-# resets and on the 4-node paw; the rediscovered AODV loop; the
-# committed-seed bridge replays) plus the checks the search rests on:
-# restore equals replay, an action touches one node, independent actions
-# commute, the sleep sets keep every state of the unreduced search, state
-# keys are equal iff serializations are, a warm key allocates nothing, the
-# visited table agrees with a map, and the search is the same at one, two
-# and three workers, whose handlers run one at a time and whose panics
-# reach the caller. The race detector watches the workers here.
+# resets and on the 4-node paw; AODV clean under a loss and a duplicate;
+# the rediscovered AODV loop; the committed-seed bridge replays) plus the
+# checks the search rests on: every action kind has a row in the action
+# table, restore equals replay, an action touches one node, independent
+# actions commute, the sleep sets keep every state of the unreduced search,
+# state keys are equal iff serializations are, a warm key allocates
+# nothing, the visited table agrees with a map, and the search is the same
+# at one, two and three workers, whose handlers run one at a time and
+# whose panics reach the caller. The race detector watches the workers here.
 # Part of `make check`.
 modelcheck-smoke:
-	$(GO) test -race -timeout 30m ./internal/modelcheck/ -run 'TestLDRLine3Clean|TestLDRVolatileLine3Clean|TestLDRPaw4Clean|TestAODVLine3Violation|TestWitnessBridge|TestSnapshotEqualsReplay|TestActionTouchesOneNode|TestReductionKeepsEveryState|TestIndependentActionsCommute|TestKeysDoNotCollide|TestEncoderKeyDoesNotAllocate|TestKeySetMatchesMap|TestExploreIndependentOfWorkers|TestHandlersRunOneAtATime|TestWorkerPanicReachesTheCaller|TestProgressEndsWithTheResult'
+	$(GO) test -race -timeout 30m ./internal/modelcheck/ -run 'TestLDRLine3Clean|TestLDRVolatileLine3Clean|TestLDRPaw4Clean|TestAODVLossAndDupClean|TestAODVLine3Violation|TestEveryActionKindHasARow|TestWitnessBridge|TestSnapshotEqualsReplay|TestActionTouchesOneNode|TestReductionKeepsEveryState|TestIndependentActionsCommute|TestKeysDoNotCollide|TestEncoderKeyDoesNotAllocate|TestKeySetMatchesMap|TestExploreIndependentOfWorkers|TestHandlersRunOneAtATime|TestWorkerPanicReachesTheCaller|TestProgressEndsWithTheResult'
 
 # Regenerate the committed van Glabbeek witness seed from scratch (the
 # checker re-derives the schedule; the file only changes if the witness

@@ -76,9 +76,9 @@ func run() error {
 	if *depth < 1 {
 		return fmt.Errorf("-depth must be at least 1 (got %d)", *depth)
 	}
-	for name, v := range map[string]int{"drops": *drops, "dups": *dups, "resets": *resets, "vresets": *vresets} {
+	for i, v := range []int{*drops, *dups, *resets, *vresets} { // in declaration order
 		if v < 0 {
-			return fmt.Errorf("-%s must be ≥ 0 (got %d)", name, v)
+			return fmt.Errorf("-%s must be ≥ 0 (got %d)", []string{"drops", "dups", "resets", "vresets"}[i], v)
 		}
 	}
 	if *maxStates < 0 {

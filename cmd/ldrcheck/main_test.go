@@ -19,9 +19,9 @@ func runWith(t *testing.T, args ...string) error {
 	return run()
 }
 
-// TestExitStatus covers the command's four verdicts. A run cut short by
-// -max-states used to print TRUNCATED and exit 0, so a sweep that proved
-// nothing for a cell passed `make modelcheck`.
+// TestExitStatus covers the command's four verdicts and a refused budget.
+// A run cut short by -max-states used to print TRUNCATED and exit 0, so a
+// sweep that proved nothing for a cell passed `make modelcheck`.
 func TestExitStatus(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -37,6 +37,9 @@ func TestExitStatus(t *testing.T) {
 		// it still reaches is a violation.
 		{"violation past the cap", []string{"-protocol", "aodv", "-max-states", "2000"}, "1 violating topology"},
 		{"expected violation past the cap", []string{"-protocol", "aodv", "-max-states", "2000", "-expect-violation"}, ""},
+		// Of two negative budgets the first declared is named; the check
+		// used to range over a map and name either.
+		{"negative budgets", []string{"-vresets", "-1", "-dups", "-1"}, "-dups must be ≥ 0 (got -1)"},
 	} {
 		tc.args = append(tc.args, "-resets", "1", "-drops", "1")
 		err := runWith(t, tc.args...)

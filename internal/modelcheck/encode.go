@@ -107,13 +107,16 @@ func (e *encoder) hashNode(st routing.ModelStater) stateKey {
 }
 
 // appendContext appends what a state holds besides its nodes and links:
-// origination progress and the remaining budgets.
+// origination progress and what each budgeted kind has left, in kind
+// order.
 func appendContext(out []byte, nextFlow int, b budgets) []byte {
 	out = binary.AppendUvarint(out, uint64(nextFlow))
-	out = binary.AppendUvarint(out, uint64(b.drops))
-	out = binary.AppendUvarint(out, uint64(b.dups))
-	out = binary.AppendUvarint(out, uint64(b.resets))
-	return binary.AppendUvarint(out, uint64(b.vresets))
+	for k := range kinds {
+		if kinds[k].budgeted {
+			out = binary.AppendUvarint(out, uint64(b[k]))
+		}
+	}
+	return out
 }
 
 // appendKey appends k's sixteen bytes.
@@ -191,13 +194,21 @@ func (e *encoder) encodeItem(out []byte, m linkMsg) []byte {
 	case *core.RREP:
 		return encodeCoreRREP(out, q)
 	case *core.RERR:
-		return e.encodeCoreRERR(out, q)
+		e.dests = e.dests[:0]
+		for _, u := range q.Unreachable {
+			e.dests = append(e.dests, rerrDest{u.Dst, uint64(u.Seq)})
+		}
+		return e.appendDests(append(out, 3))
 	case *aodv.RREQ:
 		return encodeAODVRREQ(out, q)
 	case *aodv.RREP:
 		return encodeAODVRREP(out, q)
 	case *aodv.RERR:
-		return e.encodeAODVRERR(out, q)
+		e.dests = e.dests[:0]
+		for _, u := range q.Unreachable {
+			e.dests = append(e.dests, rerrDest{u.Dst, uint64(u.Seq)})
+		}
+		return e.appendDests(append(out, 6))
 	}
 	panic(fmt.Sprintf("modelcheck: cannot encode message type %T", m.msg))
 }
@@ -230,14 +241,6 @@ func encodeCoreRREP(out []byte, p *core.RREP) []byte {
 	out = binary.AppendVarint(out, int64(p.Lifetime))
 	out = encFlag(out, p.N)
 	return out
-}
-
-func (e *encoder) encodeCoreRERR(out []byte, r *core.RERR) []byte {
-	e.dests = e.dests[:0]
-	for _, u := range r.Unreachable {
-		e.dests = append(e.dests, rerrDest{u.Dst, uint64(u.Seq)})
-	}
-	return e.appendDests(append(out, 3))
 }
 
 // appendDests emits e.dests as a counted list in ascending destination
@@ -273,14 +276,6 @@ func encodeAODVRREP(out []byte, p *aodv.RREP) []byte {
 	out = binary.AppendVarint(out, int64(p.HopCount))
 	out = binary.AppendVarint(out, int64(p.Lifetime))
 	return out
-}
-
-func (e *encoder) encodeAODVRERR(out []byte, r *aodv.RERR) []byte {
-	e.dests = e.dests[:0]
-	for _, u := range r.Unreachable {
-		e.dests = append(e.dests, rerrDest{u.Dst, uint64(u.Seq)})
-	}
-	return e.appendDests(append(out, 6))
 }
 
 func encFlag(out []byte, b bool) []byte {

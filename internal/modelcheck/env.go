@@ -4,7 +4,10 @@ package modelcheck
 // (built through the ordinary scenario factory), with the MAC/radio
 // transport and the timer wheel replaced by a routing.ModelEnv. Outgoing
 // messages land in per-link pending multisets; the checker's actions
-// deliver, drop, or duplicate them one at a time. Short timers (the
+// deliver, drop, or duplicate them one at a time, and crash-reboot nodes
+// and originate flows. Each kind of action is defined in one place, its
+// row of the action table (actions.go); this file applies and enumerates
+// them by what the row says. Short timers (the
 // broadcast-jitter relay delay) run as immediate FIFO microtasks drained
 // after every top-level step; long timers (discovery timeouts, cache
 // expiry) are discarded — at the model's frozen clock they are
@@ -27,18 +30,20 @@ package modelcheck
 // protocols scenario builds itself share nothing, and theirs run it under
 // a lock that does nothing (newCursor).
 //
-// Locality. An action runs the code of at most one node — deliver the
-// receiver's handler, reset and originate the named node's, drop and dup
-// nobody's — and that code writes its own node's state and appends to its
-// own out-links. The world enforces the second half (a send whose sender
-// is not the acting node panics), keeps a record of what has been written
-// since the engine last saved or restored (dirtyNodes, dirtyLinks), and
-// the engine saves, restores, encodes and table-snapshots only that.
+// Locality. An action runs the code of at most one node, its row's actor
+// — deliver the receiver's handler, reset and originate the named node's,
+// drop and dup nobody's — and that code writes its own node's state and
+// appends to its own out-links. The world enforces the second half (a
+// send whose sender is not the acting node panics), keeps a record of what
+// has been written since the engine last saved or restored (dirtyNodes,
+// dirtyLinks), and the engine saves, restores, encodes and table-snapshots
+// only that.
 // TestActionTouchesOneNode checks the first half against whole-world
 // saves.
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -48,54 +53,6 @@ import (
 	"github.com/manetlab/ldr/internal/routing"
 	"github.com/manetlab/ldr/internal/scenario"
 )
-
-// ActionKind enumerates the checker's transition types.
-type ActionKind uint8
-
-const (
-	// ActDeliver hands one pending message on a link to its receiver.
-	ActDeliver ActionKind = iota + 1
-	// ActDrop discards one pending message (link-layer loss).
-	ActDrop
-	// ActDup appends a copy of a pending message (link-layer duplication).
-	ActDup
-	// ActReset crash-reboots a node through its ordinary Resetter —
-	// whatever the protocol persists across crashes survives.
-	ActReset
-	// ActResetVolatile crash-reboots a node wiping even the protocol's
-	// stable storage (routing.VolatileResetter).
-	ActResetVolatile
-	// ActOriginate injects the scenario's next data flow at its source.
-	ActOriginate
-)
-
-// Action is one transition of the abstract model.
-type Action struct {
-	Kind     ActionKind
-	From, To routing.NodeID // directed link, for Deliver/Drop/Dup
-	Index    int            // position in that link's pending queue
-	Node     routing.NodeID // for Reset/ResetVolatile
-	Flow     int            // for Originate: index into Scenario.Flows
-}
-
-// String renders the action for witnesses and progress output.
-func (a Action) String() string {
-	switch a.Kind {
-	case ActDeliver:
-		return fmt.Sprintf("deliver %d->%d[%d]", a.From, a.To, a.Index)
-	case ActDrop:
-		return fmt.Sprintf("drop %d->%d[%d]", a.From, a.To, a.Index)
-	case ActDup:
-		return fmt.Sprintf("dup %d->%d[%d]", a.From, a.To, a.Index)
-	case ActReset:
-		return fmt.Sprintf("reset %d", a.Node)
-	case ActResetVolatile:
-		return fmt.Sprintf("reset-volatile %d", a.Node)
-	case ActOriginate:
-		return fmt.Sprintf("originate flow %d", a.Flow)
-	}
-	return fmt.Sprintf("action(%d)", a.Kind)
-}
 
 // Flow is one scripted data origination: Src sends a packet toward Dst
 // when the corresponding Originate action fires.
@@ -143,7 +100,6 @@ const microCap = 100000
 type world struct {
 	sc      *Scenario
 	nbrs    [][]int // graph adjacency, from topo
-	adj     []bool  // n*n adjacency matrix
 	nw      *routing.Network
 	pending [][]linkMsg // n*n directed slots; only adjacent pairs used
 	micro   []microtask // empty between actions
@@ -168,8 +124,6 @@ type world struct {
 	delLog  []emission // every Deliver, with the message's root slot
 	dropLog []emission // every explicit Drop, with the victim's root slot
 
-	lostUnicasts int // unicasts addressed to non-neighbors (sent into the void)
-
 	handlers sync.Locker // held while protocol code runs; one per exploration
 
 	enc encoder // scratch for queued items' hashes and the cursor's keys
@@ -191,7 +145,6 @@ func newWorld(sc *Scenario, handlers sync.Locker) (*world, error) {
 	w := &world{
 		sc:       sc,
 		nbrs:     sc.Graph.Neighbors(),
-		adj:      make([]bool, n*n),
 		pending:  make([][]linkMsg, n*n),
 		slot:     -1,
 		curRoot:  -1,
@@ -200,10 +153,6 @@ func newWorld(sc *Scenario, handlers sync.Locker) (*world, error) {
 	}
 	handlers.Lock()
 	defer handlers.Unlock()
-	for _, e := range sc.Graph.Edges {
-		w.adj[e[0]*n+e[1]] = true
-		w.adj[e[1]*n+e[0]] = true
-	}
 	// Positions are irrelevant — no frame ever reaches the radio — but the
 	// network constructor wants a mobility model.
 	w.nw = routing.NewNetwork(n, mobility.NewStatic(make([]mobility.Point, n)),
@@ -247,12 +196,9 @@ func (w *world) appendTable(buf []routing.RouteEntry, i int) []routing.RouteEntr
 	return w.tablers[i].AppendTable(buf)
 }
 
+// adjacent reports whether b is a neighbor of a, the acting node.
 func (w *world) adjacent(a, b routing.NodeID) bool {
-	n := w.sc.Graph.N
-	if int(a) < 0 || int(a) >= n || int(b) < 0 || int(b) >= n {
-		return false
-	}
-	return w.adj[int(a)*n+int(b)]
+	return slices.Contains(w.nbrs[a], int(b))
 }
 
 // sending panics unless from is the acting node: the engine's dirty-node
@@ -283,7 +229,8 @@ func (w *world) push(from, to routing.NodeID, m linkMsg) {
 // every neighbor; the message object is shared between their queue
 // entries, which is safe because received control messages are read-only
 // by contract and the protocol's pools never get the object back (no
-// frame is ever released under the model). So is the hash, taken once.
+// frame is ever released under the model). So is the hash, taken once. A
+// unicast to a node that is not a neighbor is lost.
 func (w *world) ModelSendControl(from, to routing.NodeID, msg routing.Message) {
 	w.sending(from)
 	if to == routing.BroadcastID {
@@ -295,20 +242,17 @@ func (w *world) ModelSendControl(from, to routing.NodeID, msg routing.Message) {
 	}
 	if w.adjacent(from, to) {
 		w.push(from, to, w.hashed(linkMsg{msg: msg, root: w.curRoot}))
-		return
 	}
-	w.lostUnicasts++
 }
 
 // ModelSendData implements routing.ModelEnv. The packet is already an
-// unpooled deep copy owned by the environment.
+// unpooled deep copy owned by the environment; one sent to a node that is
+// not a neighbor is lost.
 func (w *world) ModelSendData(from, next routing.NodeID, pkt *routing.DataPacket) {
 	w.sending(from)
 	if w.adjacent(from, next) {
 		w.push(from, next, w.hashed(linkMsg{pkt: pkt, root: w.curRoot}))
-		return
 	}
-	w.lostUnicasts++
 }
 
 // ModelSchedule implements routing.ModelEnv: immediate timers become
@@ -348,119 +292,68 @@ func (w *world) drain() {
 func (w *world) apply(a Action) {
 	w.handlers.Lock()
 	defer w.handlers.Unlock()
-	n := w.sc.Graph.N
+	if !a.Kind.valid() {
+		panic(fmt.Sprintf("modelcheck: unknown action %v", a))
+	}
+	row := &kinds[a.Kind]
 	w.curRoot = w.slot
 	w.actor = -1
-	switch a.Kind {
-	case ActDeliver, ActDrop, ActDup:
-		li := int(a.From)*n + int(a.To)
-		q := w.pending[li]
-		if a.Index < 0 || a.Index >= len(q) {
+	switch row.shape {
+	case onItem:
+		li := w.link(a)
+		if q := w.pending[li]; a.Index < 0 || a.Index >= len(q) {
 			panic(fmt.Sprintf("modelcheck: %v out of range (queue %d)", a, len(q)))
 		}
-		m := q[a.Index]
 		w.dirtyLinks |= 1 << li
-		switch a.Kind {
-		case ActDeliver:
-			w.act(int(a.To))
-			// The handler's own emissions inherit the delivered message's
-			// causal root: under the full simulator, delivery and reaction
-			// both happen at the root emission's instant.
-			w.curRoot = m.root
-			w.pending[li] = append(q[:a.Index], q[a.Index+1:]...)
-			w.delLog = append(w.delLog, emission{from: a.From, to: a.To, root: m.root})
-			proto := w.nw.Nodes[a.To].Protocol()
-			if m.msg != nil {
-				proto.HandleControl(a.From, m.msg)
-			} else {
-				proto.HandleData(a.From, m.pkt)
-			}
-		case ActDrop:
-			w.pending[li] = append(q[:a.Index], q[a.Index+1:]...)
-			w.dropLog = append(w.dropLog, emission{from: a.From, to: a.To, root: m.root, explicit: true})
-		case ActDup:
-			cp := m // same airing, same causal root, same hash: a radio-level duplicate
-			if m.pkt != nil {
-				cp.pkt = routing.CloneDataPacket(m.pkt)
-			}
-			w.pending[li] = append(q, cp)
-		}
-	case ActReset:
-		w.act(int(a.Node))
-		node := w.nw.Nodes[a.Node]
-		node.Crash()
-		node.SetDown(false)
-		node.Protocol().Start()
-	case ActResetVolatile:
-		if w.vresetters == nil {
-			panic(fmt.Sprintf("modelcheck: %v on protocol without VolatileResetter", a))
-		}
-		w.act(int(a.Node))
-		node := w.nw.Nodes[a.Node]
-		node.SetDown(true)
-		w.vresetters[a.Node].ResetVolatile()
-		node.SetDown(false)
-		node.Protocol().Start()
-	case ActOriginate:
+	case onFlow:
 		if a.Flow != w.nextFlow || a.Flow >= len(w.sc.Flows) {
 			panic(fmt.Sprintf("modelcheck: %v out of order (next %d of %d)", a, w.nextFlow, len(w.sc.Flows)))
 		}
-		f := w.sc.Flows[a.Flow]
-		w.nextFlow++
-		w.act(int(f.Src))
-		w.nw.Nodes[f.Src].OriginateData(f.Dst, originateBytes)
-	default:
-		panic(fmt.Sprintf("modelcheck: unknown action %v", a))
 	}
+	if i := row.actor.of(w.sc, a); i >= 0 {
+		w.act(i)
+	}
+	row.apply(w, a)
 	w.drain()
 	w.slot++
 }
 
-// originateBytes is the payload size of model-injected packets; it only
-// matters because it is part of the state encoding and of the witness's
-// scripted traffic.
-const originateBytes = 512
-
-// budgets are the remaining allowances for the fault-flavored actions.
-type budgets struct {
-	drops, dups, resets, vresets int
+// link is the pending slot of the link an action on a queued item names.
+func (w *world) link(a Action) int {
+	return int(a.From)*w.sc.Graph.N + int(a.To)
 }
 
 // enabled appends to acts every action applicable in the current state,
-// in a fixed deterministic order: delivers (links sorted by (from, to),
-// queue order), then drops, dups, resets, volatile resets, and finally
-// the next origination. The order is a pure function of the state, which
-// is what makes the search, its counts and its witnesses reproducible.
+// in a fixed deterministic order: kind by kind in table order (delivers,
+// drops, dups, resets, volatile resets, originations), a kind's actions on
+// queued items by link, sorted by (from, to), and queue position, and on
+// nodes by node. The order is a pure function of the state, which is what
+// makes the search, its counts and its witnesses reproducible.
 func (w *world) enabled(acts []Action, b budgets) []Action {
 	n := w.sc.Graph.N
-	forEachPending := func(kind ActionKind) {
-		for from := 0; from < n; from++ {
-			for to := 0; to < n; to++ {
-				for idx := range w.pending[from*n+to] {
-					acts = append(acts, Action{Kind: kind, From: routing.NodeID(from), To: routing.NodeID(to), Index: idx})
+	for k := ActDeliver; k < kindEnd; k++ {
+		row := &kinds[k]
+		if row.budgeted && b[k] <= 0 || row.offered != nil && !row.offered(w) {
+			continue
+		}
+		switch row.shape {
+		case onItem:
+			for from := 0; from < n; from++ {
+				for to := 0; to < n; to++ {
+					for idx := range w.pending[from*n+to] {
+						acts = append(acts, Action{Kind: k, From: routing.NodeID(from), To: routing.NodeID(to), Index: idx})
+					}
 				}
 			}
+		case onNode:
+			for i := 0; i < n; i++ {
+				acts = append(acts, Action{Kind: k, Node: routing.NodeID(i)})
+			}
+		case onFlow:
+			if w.nextFlow < len(w.sc.Flows) {
+				acts = append(acts, Action{Kind: k, Flow: w.nextFlow})
+			}
 		}
-	}
-	forEachPending(ActDeliver)
-	if b.drops > 0 {
-		forEachPending(ActDrop)
-	}
-	if b.dups > 0 {
-		forEachPending(ActDup)
-	}
-	if b.resets > 0 {
-		for i := 0; i < n; i++ {
-			acts = append(acts, Action{Kind: ActReset, Node: routing.NodeID(i)})
-		}
-	}
-	if b.vresets > 0 && w.vresetters != nil {
-		for i := 0; i < n; i++ {
-			acts = append(acts, Action{Kind: ActResetVolatile, Node: routing.NodeID(i)})
-		}
-	}
-	if w.nextFlow < len(w.sc.Flows) {
-		acts = append(acts, Action{Kind: ActOriginate, Flow: w.nextFlow})
 	}
 	return acts
 }

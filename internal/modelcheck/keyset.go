@@ -62,16 +62,10 @@ func (s *keySet) add(k stateKey) {
 // grow doubles the table and puts every key back.
 func (s *keySet) grow() {
 	old := s.slots
-	s.slots = make([]stateKey, max(minKeySlots, 2*len(old)))
-	mask := uint64(len(s.slots) - 1)
+	s.slots, s.n = make([]stateKey, max(minKeySlots, 2*len(old))), 0
 	for _, k := range old {
-		if k == (stateKey{}) {
-			continue
+		if k != (stateKey{}) {
+			s.add(k)
 		}
-		i := k[0] & mask
-		for s.slots[i] != (stateKey{}) {
-			i = (i + 1) & mask
-		}
-		s.slots[i] = k
 	}
 }

@@ -153,61 +153,36 @@ type rec struct {
 	action packedAction
 }
 
-// packedAction is an Action in 12 bytes, for the arena: node identifiers
-// are below maxNodes, and a queue position or a flow index is far below
-// 2^31.
+// packedAction is an Action in 8 bytes, for the arena: node identifiers
+// are below maxNodes, and v, the queue position or (by the kind's shape)
+// the flow index, is far below 2^31.
 type packedAction struct {
 	kind           ActionKind
 	from, to, node uint8
-	index, flow    int32
+	v              int32
 }
 
 func pack(a Action) packedAction {
-	return packedAction{kind: a.Kind, from: uint8(a.From), to: uint8(a.To), node: uint8(a.Node), index: int32(a.Index), flow: int32(a.Flow)}
+	return packedAction{a.Kind, uint8(a.From), uint8(a.To), uint8(a.Node), int32(a.Index + a.Flow)}
 }
 
 func (p packedAction) unpack() Action {
-	return Action{Kind: p.kind, From: routing.NodeID(p.from), To: routing.NodeID(p.to), Node: routing.NodeID(p.node), Index: int(p.index), Flow: int(p.flow)}
-}
-
-// used counts budget consumption along a trace.
-type used struct {
-	drops, dups, resets, vresets int
-}
-
-// after is u with action a's consumption added.
-func (u used) after(a Action) used {
-	switch a.Kind {
-	case ActDrop:
-		u.drops++
-	case ActDup:
-		u.dups++
-	case ActReset:
-		u.resets++
-	case ActResetVolatile:
-		u.vresets++
+	a := Action{Kind: p.kind, From: routing.NodeID(p.from), To: routing.NodeID(p.to), Node: routing.NodeID(p.node), Index: int(p.v)}
+	if kinds[p.kind].shape == onFlow {
+		a.Index, a.Flow = 0, int(p.v)
 	}
-	return u
-}
-
-func (o Options) remaining(u used) budgets {
-	return budgets{
-		drops:   o.MaxDrops - u.drops,
-		dups:    o.MaxDups - u.dups,
-		resets:  o.MaxResets - u.resets,
-		vresets: o.MaxVResets - u.vresets,
-	}
+	return a
 }
 
 // traceOf reconstructs the action trace leading to state idx into
-// trace's storage, counting the budgets it uses on the way. (The counts
-// are not kept in rec: sixteen more bytes a state, for a loop of at most
-// depth steps per expansion.)
-func traceOf(trace []Action, recs *chain[rec], idx int32) ([]Action, used) {
+// trace's storage, counting the actions of each kind on the way. (The
+// counts are not kept in rec: a word a state per budgeted kind, for a loop
+// of at most depth steps per expansion.)
+func traceOf(trace []Action, recs *chain[rec], idx int32) ([]Action, budgets) {
 	r := recs.at(int(idx))
 	n := int(r.depth)
 	trace = slices.Grow(trace[:0], n)[:n]
-	var u used
+	var u budgets
 	for ; r.parent >= 0; r = recs.at(int(r.parent)) {
 		n--
 		trace[n] = r.action.unpack()
@@ -306,7 +281,7 @@ func explore(cur *cursor, opts Options, workers int, start time.Time) (*Result, 
 	}
 
 	s.recs.push(rec{parent: -1})
-	s.visited.add(cur.key(opts.remaining(used{})))
+	s.visited.add(cur.key(opts.remaining(budgets{})))
 	res.States = 1
 
 	// The layer being expanded and the one being discovered; the initial
@@ -519,7 +494,7 @@ func (r *round) expandChunk(w int, c *chunk) {
 // ones: they were merged before the state cap refused a state.
 func (wk *worker) expand(r *round, c *chunk, idx int32, resume int) bool {
 	cur := wk.cur
-	var spent used
+	var spent budgets
 	wk.trace, spent = traceOf(wk.trace, &r.recs, idx)
 	cur.seek(wk.trace)
 	sleep := r.sleep.of(idx)

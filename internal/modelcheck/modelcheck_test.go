@@ -202,6 +202,30 @@ func TestLDRPaw4Clean(t *testing.T) {
 	wantExploration(t, res, 14056, 20017, 10)
 }
 
+// TestAODVLossAndDupClean pins the untimed verdict `make modelcheck`'s
+// `-drops 1 -dups 1` line gives AODV on the path n3-0 (node 0 in the
+// middle, so flow 1 -> 2 is relayed): with one loss and one duplicate and
+// no crash, no schedule of depth 12 makes a loop. A loop AODV makes
+// without a crash needs a timer, or the MAC's link-failure report, and the
+// model has neither.
+func TestAODVLossAndDupClean(t *testing.T) {
+	g, err := NamedTopology("n3-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Check(&Scenario{Graph: g, Protocol: "aodv", Seed: 1}, Options{MaxDepth: 12, MaxDrops: 1, MaxDups: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Violation != nil {
+		t.Fatalf("AODV violated an invariant on %s:\n%s", g, res.Violation)
+	}
+	if res.Truncated {
+		t.Fatal("exploration truncated; the verdict is not exhaustive")
+	}
+	wantExploration(t, res, 8668, 21576, 12)
+}
+
 // TestAODVLine3Violation is the checker's negative control and the
 // acceptance path in one: the checker must REdiscover the van Glabbeek
 // et al. AODV loop on the 3-node line from nothing but the protocol
@@ -304,7 +328,7 @@ func TestKeysDoNotCollide(t *testing.T) {
 		// itemOf is every item encoding met, by the hash in its actions' IDs.
 		itemOf := map[uint64]string{}
 		checker := loopcheck.NewChecker()
-		visit(opts.remaining(used{}))
+		visit(opts.remaining(budgets{}))
 		traces := [][]Action{nil}
 		depth, violated := 0, false
 	search:

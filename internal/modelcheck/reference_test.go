@@ -43,7 +43,7 @@ func refExplore(cur *cursor, opts Options, start time.Time) (*Result, chain[rec]
 
 	var recs chain[rec]
 	recs.push(rec{parent: -1})
-	keys := []stateKey{cur.key(opts.remaining(used{}))}
+	keys := []stateKey{cur.key(opts.remaining(budgets{}))}
 	visited := map[stateKey]struct{}{keys[0]: {}}
 	res.States = 1
 
@@ -56,7 +56,7 @@ func refExplore(cur *cursor, opts Options, start time.Time) (*Result, chain[rec]
 		if depth >= opts.MaxDepth {
 			continue
 		}
-		var spent used
+		var spent budgets
 		trace, spent = traceOf(trace, &recs, idx)
 		cur.seek(trace)
 		for _, a := range w.enabled(nil, opts.remaining(spent)) {
@@ -94,8 +94,8 @@ type fullSnapshot struct {
 	pending [][]linkMsg          // as world.pending; packets point into pkts
 	pkts    []routing.DataPacket // copies of the queued data packets
 
-	slot, curRoot, nextFlow, lostUnicasts int
-	delLen, dropLen                       int
+	slot, curRoot, nextFlow int
+	delLen, dropLen         int
 }
 
 // save copies the world's state into s, or into a new snapshot when s is
@@ -134,7 +134,7 @@ func (w *world) save(s *fullSnapshot) *fullSnapshot {
 		}
 		s.pending[li] = sq
 	}
-	s.slot, s.curRoot, s.nextFlow, s.lostUnicasts = w.slot, w.curRoot, w.nextFlow, w.lostUnicasts
+	s.slot, s.curRoot, s.nextFlow = w.slot, w.curRoot, w.nextFlow
 	s.delLen, s.dropLen = len(w.delLog), len(w.dropLog)
 	return s
 }
@@ -156,7 +156,7 @@ func (w *world) restore(s *fullSnapshot) {
 		}
 		w.pending[li] = q
 	}
-	w.slot, w.curRoot, w.nextFlow, w.lostUnicasts = s.slot, s.curRoot, s.nextFlow, s.lostUnicasts
+	w.slot, w.curRoot, w.nextFlow = s.slot, s.curRoot, s.nextFlow
 	w.delLog, w.dropLog = w.delLog[:s.delLen], w.dropLog[:s.dropLen]
 }
 

@@ -59,23 +59,20 @@ func independent(a, b actionID) bool {
 	return true
 }
 
-// id names action a, enabled in the world's present state.
+// id names action a, enabled in the world's present state, by its kind,
+// its shape's operand and its actor.
 func (c *cursor) id(a Action) actionID {
 	w := c.w
-	switch a.Kind {
-	case ActDeliver, ActDrop, ActDup:
-		li := int(a.From)*w.sc.Graph.N + int(a.To)
-		actor := -1
-		if a.Kind == ActDeliver {
-			actor = int(a.To)
-		}
+	row := &kinds[a.Kind]
+	actor := row.actor.of(w.sc, a)
+	switch row.shape {
+	case onItem:
+		li := w.link(a)
 		return newActionID(a.Kind, li, actor, w.pending[li][a.Index].hash[0])
-	case ActReset, ActResetVolatile:
-		return newActionID(a.Kind, -1, int(a.Node), 0)
-	case ActOriginate:
-		return newActionID(a.Kind, -1, int(w.sc.Flows[a.Flow].Src), uint64(a.Flow))
+	case onFlow:
+		return newActionID(a.Kind, -1, actor, uint64(a.Flow))
 	}
-	panic("modelcheck: no identity for " + a.String())
+	return newActionID(a.Kind, -1, actor, 0)
 }
 
 // sleepLayer holds the sleep sets of one breadth-first layer's states, from

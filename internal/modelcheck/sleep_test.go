@@ -21,7 +21,7 @@ func keysOf(t *testing.T, sc *Scenario, opts Options, recs *chain[rec]) []stateK
 	keys := make([]stateKey, recs.len())
 	var trace []Action
 	for i := range keys {
-		var spent used
+		var spent budgets
 		trace, spent = traceOf(trace, recs, int32(i))
 		cur.seek(trace)
 		keys[i] = cur.key(opts.remaining(spent))

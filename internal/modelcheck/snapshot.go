@@ -75,7 +75,7 @@ type snapshot struct {
 	// holds: what the step from its predecessor wrote.
 	wroteNodes, wroteLinks uint32
 
-	slot, curRoot, nextFlow, lostUnicasts int
+	slot, curRoot, nextFlow int
 
 	// delLog and dropLog only grow along a path, so their lengths restore
 	// them.
@@ -133,7 +133,7 @@ func (s *snapshot) save(w *world, prev *snapshot) {
 		s.links[li] = r
 	}
 	w.dirtyNodes, w.dirtyLinks = 0, 0
-	s.slot, s.curRoot, s.nextFlow, s.lostUnicasts = w.slot, w.curRoot, w.nextFlow, w.lostUnicasts
+	s.slot, s.curRoot, s.nextFlow = w.slot, w.curRoot, w.nextFlow
 	s.delLen, s.dropLen = len(w.delLog), len(w.dropLog)
 }
 
@@ -164,7 +164,7 @@ func (s *snapshot) restore(w *world) {
 		w.pending[li] = q
 	}
 	w.dirtyNodes, w.dirtyLinks = 0, 0
-	w.slot, w.curRoot, w.nextFlow, w.lostUnicasts = s.slot, s.curRoot, s.nextFlow, s.lostUnicasts
+	w.slot, w.curRoot, w.nextFlow = s.slot, s.curRoot, s.nextFlow
 	w.delLog, w.dropLog = w.delLog[:s.delLen], w.dropLog[:s.dropLen]
 }
 

@@ -35,8 +35,8 @@ func materialize(t testing.TB, sc *Scenario, trace []Action) *world {
 // walkOpts turns every fault-flavoured action on.
 var walkOpts = Options{MaxDrops: 1, MaxDups: 1, MaxResets: 1, MaxVResets: 1}
 
-func usedBy(trace []Action) used {
-	var u used
+func usedBy(trace []Action) budgets {
+	var u budgets
 	for _, a := range trace {
 		u = u.after(a)
 	}
@@ -308,13 +308,13 @@ func modelStateFields(t *testing.T) map[reflect.Type]fieldLists {
 			[]string{"Src", "Dst", "ID", "Bytes", "TTL", "SentAt", "SourceRoute", "SRIndex", "Salvaged", "Retried"},
 			[]string{"refs", "pooled"}},
 		reflect.TypeFor[world](): {
-			[]string{"pending", "slot", "curRoot", "nextFlow", "delLog", "dropLog", "lostUnicasts"},
+			[]string{"pending", "slot", "curRoot", "nextFlow", "delLog", "dropLog"},
 			// nw and the per-interface views of its protocols are saved node by
 			// node and protocol by protocol; micro is empty between actions;
 			// actor is set by every apply before anything reads it; the dirty
 			// sets say how the world differs from a saved state and are no
 			// part of one; handlers is the exploration's lock; enc is scratch.
-			[]string{"sc", "nbrs", "adj", "nw", "staters", "tablers", "vresetters", "micro", "actor", "dirtyNodes", "dirtyLinks", "handlers", "enc"}},
+			[]string{"sc", "nbrs", "nw", "staters", "tablers", "vresetters", "micro", "actor", "dirtyNodes", "dirtyLinks", "handlers", "enc"}},
 	}
 }
 
@@ -380,7 +380,7 @@ func TestEncoderKeyDoesNotAllocate(t *testing.T) {
 		if msgs == 0 || pkts == 0 {
 			t.Fatalf("%s: the state should have both kinds of pending item, has %d messages and %d packets", proto, msgs, pkts)
 		}
-		b := budgets{drops: 1}
+		b := budgets{ActDrop: 1}
 		cur.key(b)
 		if n := testing.AllocsPerRun(100, func() { cur.key(b) }); n != 0 {
 			t.Errorf("%s: a warm key allocates %v times, want 0", proto, n)

@@ -8,7 +8,7 @@ package modelcheck
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/manetlab/ldr/internal/mobility"
@@ -26,26 +26,18 @@ type Graph struct {
 // n! permutations stays trivial through n=5.
 const maxNodes = 5
 
-// bitmask packs the adjacency of g (edge (a,b) → bit a*N+b with a<b).
-func (g Graph) bitmask() uint64 {
+// bitmask packs the adjacency of g with node i renamed perm[i] (nil: as
+// it is): edge (a, b) → bit a*N+b with a < b.
+func (g Graph) bitmask(perm []int) uint64 {
 	var m uint64
 	for _, e := range g.Edges {
-		m |= 1 << uint(e[0]*g.N+e[1])
+		a, b := e[0], e[1]
+		if perm != nil {
+			a, b = perm[a], perm[b]
+		}
+		m |= 1 << uint(min(a, b)*g.N+max(a, b))
 	}
 	return m
-}
-
-// Adjacent reports whether a and b share an edge.
-func (g Graph) Adjacent(a, b int) bool {
-	if a > b {
-		a, b = b, a
-	}
-	for _, e := range g.Edges {
-		if e[0] == a && e[1] == b {
-			return true
-		}
-	}
-	return false
 }
 
 // Neighbors returns each node's sorted neighbor list.
@@ -56,7 +48,7 @@ func (g Graph) Neighbors() [][]int {
 		nb[e[1]] = append(nb[e[1]], e[0])
 	}
 	for i := range nb {
-		sort.Ints(nb[i])
+		slices.Sort(nb[i])
 	}
 	return nb
 }
@@ -99,47 +91,24 @@ func permutations(n int) [][]int {
 	return out
 }
 
-// relabel returns g with node i renamed perm[i].
-func relabel(g Graph, perm []int) Graph {
-	out := Graph{N: g.N, Name: g.Name, Edges: make([][2]int, 0, len(g.Edges))}
-	for _, e := range g.Edges {
-		a, b := perm[e[0]], perm[e[1]]
-		if a > b {
-			a, b = b, a
-		}
-		out.Edges = append(out.Edges, [2]int{a, b})
-	}
-	sort.Slice(out.Edges, func(i, j int) bool {
-		if out.Edges[i][0] != out.Edges[j][0] {
-			return out.Edges[i][0] < out.Edges[j][0]
-		}
-		return out.Edges[i][1] < out.Edges[j][1]
-	})
-	return out
-}
-
 // connected reports whether the graph is connected.
 func connected(g Graph) bool {
 	if g.N == 0 {
 		return false
 	}
 	nb := g.Neighbors()
-	seen := make([]bool, g.N)
-	stack := []int{0}
-	seen[0] = true
-	count := 1
+	seen, stack := 1, []int{0} // seen: a bit set
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, w := range nb[v] {
-			if !seen[w] {
-				seen[w] = true
-				count++
-				stack = append(stack, w)
+		for _, u := range nb[v] {
+			if seen&(1<<u) == 0 {
+				seen |= 1 << u
+				stack = append(stack, u)
 			}
 		}
 	}
-	return count == g.N
+	return seen == 1<<g.N-1
 }
 
 // ConnectedGraphs enumerates every non-isomorphic connected graph on n
@@ -170,17 +139,15 @@ func ConnectedGraphs(n int) ([]Graph, error) {
 			continue
 		}
 		// Canonical representative: minimal bitmask over all relabelings.
-		canon := g.bitmask()
+		canon := g.bitmask(nil)
 		for _, perm := range perms {
-			if m := relabel(g, perm).bitmask(); m < canon {
-				canon = m
-			}
+			canon = min(canon, g.bitmask(perm))
 		}
 		if seen[canon] {
 			continue
 		}
 		seen[canon] = true
-		if g.bitmask() != canon {
+		if g.bitmask(nil) != canon {
 			continue // keep only the class's minimal representative
 		}
 		g.Name = fmt.Sprintf("n%d-%d", n, len(out))
@@ -233,11 +200,11 @@ func NamedTopology(name string) (Graph, error) {
 		}
 		return gs[k], nil
 	}
-	names := make([]string, 0, len(namedTopologies))
+	var names []string
 	for n := range namedTopologies {
 		names = append(names, n)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return Graph{}, fmt.Errorf("modelcheck: unknown topology %q (have %s, or n<nodes>-<k>)", name, strings.Join(names, ", "))
 }
 
@@ -285,10 +252,6 @@ func Layout(g Graph) ([]mobility.Point, error) {
 		candidates = append(candidates, []mobility.Point{
 			{X: 0, Y: 0}, {X: 200, Y: 0}, {X: 100, Y: 173}, {X: 100, Y: 393},
 		})
-		// T/star with one long arm.
-		candidates = append(candidates, []mobility.Point{
-			{X: 220, Y: 220}, {X: 0, Y: 220}, {X: 440, Y: 220}, {X: 220, Y: 440},
-		})
 	}
 
 	// Candidates fix a geometric shape, not a labeling; the enumeration's
@@ -316,11 +279,12 @@ func Layout(g Graph) ([]mobility.Point, error) {
 // behaviour is unambiguous.
 func layoutMatches(g Graph, pts []mobility.Point) bool {
 	const margin = 15.0
+	adj := g.bitmask(nil)
 	for a := 0; a < g.N; a++ {
 		for b := a + 1; b < g.N; b++ {
 			dx, dy := pts[a].X-pts[b].X, pts[a].Y-pts[b].Y
 			d := math.Sqrt(dx*dx + dy*dy)
-			if g.Adjacent(a, b) {
+			if adj&(1<<uint(a*g.N+b)) != 0 {
 				if d > radio.DefaultRange-margin {
 					return false
 				}

@@ -30,7 +30,6 @@ package modelcheck
 // committed seed through the full simulator, is the arbiter.
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -69,81 +68,37 @@ func (w *Witness) Spec(note string) (conformance.Spec, error) {
 		script.Positions[i] = [2]float64{p.X, p.Y}
 	}
 
-	lastSlot := len(w.Trace) - 1
-	if lastSlot < 0 {
-		lastSlot = 0
-	}
 	for slot, a := range w.Trace {
-		switch a.Kind {
-		case ActOriginate:
-			f := w.Scenario.Flows[a.Flow]
-			script.Traffic = append(script.Traffic, conformance.ScriptTraffic{
-				AtMS: slotTime(slot).Milliseconds(),
-				Src:  int(f.Src), Dst: int(f.Dst), Bytes: originateBytes,
-			})
-		case ActReset:
-			script.Faults = append(script.Faults, conformance.ScriptFault{
-				Kind: "crash", AtMS: slotTime(slot).Milliseconds(),
-				DurationMS: crashHold.Milliseconds(), Nodes: []int{int(a.Node)},
-			})
-		case ActResetVolatile:
-			return conformance.Spec{}, fmt.Errorf(
-				"modelcheck: witness uses a volatile reset, which the fault injector cannot express")
-		}
-	}
-
-	// Per undirected link: delivered roots (must pass) vs suppressed
-	// roots (must not).
-	type linkTimes struct {
-		up   []int
-		down []emission
-	}
-	links := map[[2]int]*linkTimes{}
-	at := func(a, b int) *linkTimes {
-		if a > b {
-			a, b = b, a
-		}
-		k := [2]int{a, b}
-		if links[k] == nil {
-			links[k] = &linkTimes{}
-		}
-		return links[k]
-	}
-	for _, e := range w.delivered {
-		lt := at(int(e.from), int(e.to))
-		lt.up = append(lt.up, e.root)
-	}
-	for _, e := range w.drops {
-		lt := at(int(e.from), int(e.to))
-		lt.down = append(lt.down, e)
-	}
-	for _, e := range w.inflight {
-		lt := at(int(e.from), int(e.to))
-		lt.down = append(lt.down, e)
-	}
-
-	var keys [][2]int
-	for k := range links {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	approx := false
-	for _, k := range keys {
-		lt := links[k]
-		maxUp := -2 // below root -1, so an all-suppressed link still splits cleanly
-		for _, s := range lt.up {
-			if s > maxUp {
-				maxUp = s
+		if step := kinds[a.Kind].witness; step != nil {
+			if err := step(w.Scenario, script, slot, a); err != nil {
+				return conformance.Spec{}, err
 			}
 		}
+	}
+
+	// Per undirected link a < b, in (a, b) order: the latest delivered
+	// root (must pass; -2, below root -1, for none, so an all-suppressed
+	// link still splits cleanly) vs suppressed crossings (must not).
+	n := g.N
+	link := func(e emission) int { return min(int(e.from), int(e.to))*n + max(int(e.from), int(e.to)) }
+	maxUps, downs := make([]int, n*n), make([][]emission, n*n)
+	for li := range maxUps {
+		maxUps[li] = -2
+	}
+	for _, e := range w.delivered {
+		maxUps[link(e)] = max(maxUps[link(e)], e.root)
+	}
+	for _, list := range [][]emission{w.drops, w.inflight} {
+		for _, e := range list {
+			downs[link(e)] = append(downs[link(e)], e)
+		}
+	}
+	approx := false
+	for li, down := range downs {
+		a, b, maxUp := li/n, li%n, maxUps[li]
 		minLate := -1
 		haveLate := false
-		for _, d := range lt.down {
+		for _, d := range down {
 			if d.root > maxUp && (!haveLate || d.root < minLate) {
 				minLate, haveLate = d.root, true
 			}
@@ -155,14 +110,14 @@ func (w *Witness) Spec(note string) (conformance.Spec, error) {
 			}
 			script.Faults = append(script.Faults, conformance.ScriptFault{
 				Kind: "linkdown", AtMS: start.Milliseconds(),
-				DurationMS: -1, Nodes: []int{k[0], k[1]},
+				DurationMS: -1, Nodes: []int{a, b},
 			})
 		}
 		// Early suppressions: in-flight ones are harmless by construction
 		// (the violation state never consumed them); explicit early drops
 		// get a best-effort window and taint the spec.
 		seen := map[int]bool{}
-		for _, d := range lt.down {
+		for _, d := range down {
 			if d.root > maxUp || !d.explicit || seen[d.root] {
 				continue
 			}
@@ -171,7 +126,7 @@ func (w *Witness) Spec(note string) (conformance.Spec, error) {
 			t := slotTime(d.root)
 			script.Faults = append(script.Faults, conformance.ScriptFault{
 				Kind: "linkdown", AtMS: (t - dropWindow).Milliseconds(),
-				DurationMS: (2 * dropWindow).Milliseconds(), Nodes: []int{k[0], k[1]},
+				DurationMS: (2 * dropWindow).Milliseconds(), Nodes: []int{a, b},
 			})
 		}
 	}
@@ -180,7 +135,7 @@ func (w *Witness) Spec(note string) (conformance.Spec, error) {
 	}
 
 	sort.Slice(script.Faults, func(i, j int) bool { return script.Faults[i].AtMS < script.Faults[j].AtMS })
-	end := slotTime(lastSlot) + specTail
+	end := slotTime(max(len(w.Trace)-1, 0)) + specTail
 	return conformance.Spec{
 		Protocol:   w.Scenario.Protocol,
 		Nodes:      g.N,
