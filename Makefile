@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check ci-quick ci-full build test vet flags-check race fuzz-smoke fuzz-radio chaos adversary modelcheck modelcheck-smoke modelcheck-seed resume-smoke bench-smoke bench-gate bench-all bench-compare loc profile profile-cell examples experiments experiments-full clean
+.PHONY: all check ci-quick ci-full build test vet flags-check race fuzz-smoke fuzz-scenario chaos adversary modelcheck modelcheck-smoke modelcheck-seed resume-smoke bench-smoke bench-gate bench-all bench-compare loc profile profile-cell examples experiments experiments-full clean
 
 all: check
 
@@ -10,7 +10,7 @@ check: build vet test race fuzz-smoke adversary modelcheck-smoke bench-smoke res
 
 # Tiered CI entry points (.github/workflows/ci.yml): ci-quick gates every
 # push, ci-full gates pull requests, and the scheduled nightly job runs
-# `make chaos modelcheck fuzz-radio resume-smoke` directly.
+# `make chaos modelcheck fuzz-scenario resume-smoke` directly.
 ci-quick: build vet test flags-check
 
 ci-full: race fuzz-smoke adversary modelcheck-smoke bench-smoke resume-smoke
@@ -38,9 +38,9 @@ race:
 	$(GO) test -race -timeout 60m ./internal/sweep/ ./internal/experiments/ ./internal/scenario/
 
 # Bounded conformance fuzz: replay the committed regression seeds and
-# FuzzScenario's seed corpus (every protocol × fault profile, and each
-# non-default radio) under the race detector, then 20 s of
-# native fuzzing of FuzzScenario, whose failing input is minimised toward
+# FuzzScenario's seed corpus (every protocol × fault profile, and a pause
+# and audit cadence off their minimum) under the race detector, then 20 s
+# of native fuzzing of FuzzScenario, whose failing input is minimised toward
 # the default axes and fewest flows. Then 20 s each of native fuzzing of
 # the event queue against its scan-for-minimum model, of OLSR's
 # id-indexed link state and of the
@@ -65,12 +65,10 @@ fuzz-smoke:
 	$(GO) test ./internal/resilience -run '^$$' -fuzz FuzzJournalRecord -fuzztime 20s
 	$(GO) test ./internal/metrics -run '^$$' -fuzz FuzzFateRows -fuzztime 20s
 
-# Heterogeneous-radio fuzz axis (nightly): the one-way-link regressions
-# under the race detector, then 5 min of FuzzScenario, whose corpus holds
-# the mixed and asym radio seeds, so the MAC ACK-exhaustion and
-# hello-gating paths stay under continuous conservation/census audit.
-fuzz-radio:
-	$(GO) test -race -timeout 30m ./internal/conformance/ -run 'TestHeteroRadioChaosClean|TestAsymAckExhaustAccounted|TestOLSRAsymNoBlackhole'
+# Long scenario fuzz (nightly): 5 min of FuzzScenario, too slow for the
+# pull-request loop, so every protocol, fault profile, adversary and
+# mobility model stays under continuous conservation/census audit.
+fuzz-scenario:
 	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzScenario -fuzztime 5m
 
 # The fault-injection suite under the race detector: the van Glabbeek

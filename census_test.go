@@ -22,7 +22,7 @@ var testOnly = map[string]struct{ users, why string }{
 	"conformance.Capture":               {"TestCaptureByteIdentical, TestCaptureWorkerInvariance", "replay tooling: a run's trace, the oracle that pools and worker counts change no byte"},
 	"conformance.Diff":                  {"TestDiffPinpointsFirstDivergence, TestCaptureByteIdentical", "replay tooling: names the first event where two captures part"},
 	"conformance.LoadSpec":              {"TestLoadSpecRejectsUnknownKeys, FuzzLoadSpec", "oracle tooling: reads the committed seed specs"},
-	"conformance.CheckSpec":             {"FuzzScenario, TestAsymAckExhaustAccounted", "oracle tooling: runs a spec under the conservation harness"},
+	"conformance.CheckSpec":             {"FuzzScenario, TestAckExhaustAccounted", "oracle tooling: runs a spec under the conservation harness"},
 	"conformance.Ledger.ViolationCount": {"TestLedgerFlagsLifecycleViolations", "oracle tooling: the exact count of one violation kind"},
 
 	"sweep.Each":                  {"TestEachCancellationProperty, TestConservationMatrix", "the worker pool RunCells is built on, for checks that journal nothing"},

@@ -7,10 +7,10 @@
 //	ldrbench -exp table1 -simtime 900s -trials 10   # the paper's full setup
 //
 // Experiments: the names in experiments.Registry, or "all" for the paper
-// set. The extras (mobility, radio, chaos, adversary) run only when
-// named — the mobility and radio comparisons come from the follow-on
-// literature, and chaos and adversary are the fault-injection and
-// Byzantine-node suites. The bounded model check is cmd/ldrcheck.
+// set. The extras (mobility, chaos, adversary) run only when named — the
+// mobility comparison comes from the follow-on literature, and chaos and
+// adversary are the fault-injection and Byzantine-node suites. The bounded
+// model check is cmd/ldrcheck.
 //
 // Chaos runs every protocol under every fault profile — node crash and
 // reboot with volatile state loss, link flapping, partitions, lossy
@@ -71,13 +71,11 @@ func run() error {
 		"ldrbench -exp table1 -simtime 900s -trials 10   # the paper's full setup",
 		"ldrbench -exp fig3 -protocols ldr,aodv",
 		"ldrbench -exp mobility                          # waypoint vs manhattan vs gaussmarkov",
-		"ldrbench -exp radio                             # uniform vs mixed vs asym power",
-		"ldrbench -exp fig3 -radio asym",
+		"ldrbench -exp fig3 -mobility manhattan",
 		"ldrbench -exp table1 -journal /tmp/t1.journal           # kill-safe; ^C prints the resume command",
 		"ldrbench -exp table1 -journal /tmp/t1.journal -resume   # continue a killed sweep",
 		"ldrbench -exp all -journal DIR -cell-timeout 2m -keep-going",
 		"ldrbench -exp chaos -profiles reboot,mayhem -simtime 120s -trials 5",
-		"ldrbench -exp chaos -profiles mayhem -radio mixed -simtime 120s  # one-way links under faults",
 		"ldrbench -exp adversary -profiles seqno-forge -protocols ldr,aodv -simtime 120s",
 		"ldrbench -exp chaos -simtime 120s -journal DIR -cell-timeout 2m -keep-going      # quarantine wedged/panicking cells",
 		"ldrbench -exp chaos -profiles lossy -protocols ldr -trials 1 -workers 1 -cpuprofile cell.pprof  # make profile-cell FAULT=lossy",

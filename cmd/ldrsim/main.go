@@ -61,7 +61,6 @@ func run() error {
 		"ldrsim -proto ldr -nodes 50 -flows 10 -pause 60s -simtime 300s -seed 1",
 		"ldrsim -proto aodv -trials 10 -workers 4",
 		"ldrsim -proto ldr -mobility manhattan",
-		"ldrsim -proto olsr -radio asym  # one-way links",
 		"ldrsim -proto olsr -nodes 100 -pause 0s -cpuprofile cell.pprof  # make profile-cell",
 		"ldrsim -proto ldr -nodes 20 -flows 5 -simtime 60s -dest 3 -interval 5s  # route dumps, live loopcheck",
 		"ldrsim -proto aodv -nodes 20 -flows 5 -simtime 60s -packets 10         # the last 10 delivered paths",

@@ -86,11 +86,10 @@ func (w *watch) dump(nw *routing.Network) {
 	}
 }
 
-// connectivity returns the medium's graph of usable links at this
-// instant — pairs that can decode each other, so a one-way pair is no
-// link — as its number of connected components and the fraction of
-// ordered node pairs that share one: an upper bound on any protocol's
-// delivery ratio for uniformly chosen flows.
+// connectivity returns the medium's graph of links at this instant — the
+// pairs within range of each other — as its number of connected components
+// and the fraction of ordered node pairs that share one: an upper bound on
+// any protocol's delivery ratio for uniformly chosen flows.
 func connectivity(m *radio.Medium) (components int, reachable float64) {
 	n := m.Model().NumNodes()
 	if n < 2 {

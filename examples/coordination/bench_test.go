@@ -17,7 +17,6 @@ import (
 	"github.com/manetlab/ldr/internal/core"
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/mobility"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 	"github.com/manetlab/ldr/internal/sim"
 )
@@ -100,7 +99,7 @@ func ldrRingRepairCost(seed int64) uint64 {
 		{At: 8 * time.Second, Pos: mobility.Point{X: pts[1].X, Y: pts[1].Y + 5000}},
 	}
 	nw := routing.NewNetwork(coordRingSize, mobility.NewScript(tracks),
-		radio.DefaultConfig(), mac.DefaultConfig(), seed,
+		mac.DefaultConfig(), seed,
 		func(n *routing.Node) routing.Protocol { return core.New(n, core.DefaultConfig()) })
 	nw.Start()
 	// Node 2 streams to node 0 via node 1 until the break, then around.

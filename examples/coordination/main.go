@@ -28,7 +28,6 @@ import (
 	"github.com/manetlab/ldr/internal/core"
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/mobility"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 	"github.com/manetlab/ldr/internal/sim"
 )
@@ -115,7 +114,7 @@ func ldrRepair() (uint64, time.Duration) {
 		{At: 8 * time.Second, Pos: mobility.Point{X: pts[1].X, Y: pts[1].Y + 5000}},
 	}
 	nw := routing.NewNetwork(ringSize, mobility.NewScript(tracks),
-		radio.DefaultConfig(), mac.DefaultConfig(), 5,
+		mac.DefaultConfig(), 5,
 		func(n *routing.Node) routing.Protocol { return core.New(n, core.DefaultConfig()) })
 	nw.Start()
 	for ts := time.Second; ts < 20*time.Second; ts += 250 * time.Millisecond {

@@ -26,7 +26,6 @@ import (
 	"github.com/manetlab/ldr/internal/loopcheck"
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/mobility"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 )
 
@@ -62,7 +61,7 @@ func run(w io.Writer) error {
 	}
 	model := mobility.NewScript(tracks)
 
-	nw := routing.NewNetwork(5, model, radio.DefaultConfig(), mac.DefaultConfig(), 3,
+	nw := routing.NewNetwork(5, model, mac.DefaultConfig(), 3,
 		func(n *routing.Node) routing.Protocol {
 			return core.New(n, core.DefaultConfig())
 		})

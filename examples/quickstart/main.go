@@ -13,7 +13,6 @@ import (
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/metrics"
 	"github.com/manetlab/ldr/internal/mobility"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 )
 
@@ -31,7 +30,7 @@ func run(w io.Writer) error {
 	model := mobility.Line(10, 250)
 
 	// 2. Network: one LDR instance per node over a shared 2 Mb/s medium.
-	nw := routing.NewNetwork(10, model, radio.DefaultConfig(), mac.DefaultConfig(),
+	nw := routing.NewNetwork(10, model, mac.DefaultConfig(),
 		42 /* seed */, func(n *routing.Node) routing.Protocol {
 			return core.New(n, core.DefaultConfig())
 		})

@@ -22,7 +22,6 @@ import (
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/metrics"
 	"github.com/manetlab/ldr/internal/mobility"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 )
 
@@ -59,7 +58,7 @@ func run(w io.Writer) error {
 	}
 	model := mobility.NewScript(tracks)
 
-	nw := routing.NewNetwork(9, model, radio.DefaultConfig(), mac.DefaultConfig(), 7,
+	nw := routing.NewNetwork(9, model, mac.DefaultConfig(), 7,
 		func(n *routing.Node) routing.Protocol {
 			return core.New(n, core.DefaultConfig())
 		})

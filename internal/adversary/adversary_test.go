@@ -21,7 +21,6 @@ import (
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/metrics"
 	"github.com/manetlab/ldr/internal/mobility"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 	"github.com/manetlab/ldr/internal/scenario"
 )
@@ -231,7 +230,7 @@ func TestStormSuppression(t *testing.T) {
 			var p routing.Protocol
 			var rig floodRig
 			tap := &floodTap{}
-			nw := routing.NewNetwork(n, mobility.NewStatic(make([]mobility.Point, n)), radio.DefaultConfig(), mac.DefaultConfig(), 1,
+			nw := routing.NewNetwork(n, mobility.NewStatic(make([]mobility.Point, n)), mac.DefaultConfig(), 1,
 				func(node *routing.Node) routing.Protocol {
 					switch node.ID() {
 					case 1:

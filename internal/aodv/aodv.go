@@ -244,7 +244,7 @@ func (a *AODV) sendRREP(to routing.NodeID, p RREP) {
 
 // rrepFailed handles a MAC-failed RREP unicast toward next. Reverse
 // routes are installed from broadcast RREQs, which need no return link —
-// so on a one-way link the reply rides a route that never worked, and
+// so over a link that has failed since, the reply rides a dead route, and
 // draft AODV would lose it silently (the bidirectionality assumption the
 // AWN formalization calls out). Treat it as the link failure it is:
 // invalidate every route through next with the usual seqno bump and RERR,

@@ -8,13 +8,12 @@ import (
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/metrics"
 	"github.com/manetlab/ldr/internal/mobility"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 	"github.com/manetlab/ldr/internal/scenario"
 )
 
 func buildNet(model mobility.Model, seed int64) *routing.Network {
-	return routing.NewNetwork(model.NumNodes(), model, radio.DefaultConfig(), mac.DefaultConfig(), seed,
+	return routing.NewNetwork(model.NumNodes(), model, mac.DefaultConfig(), seed,
 		func(node *routing.Node) routing.Protocol {
 			return aodv.New(node)
 		})
@@ -38,7 +37,7 @@ func TestRouteBreakInflatesStoredSequenceNumbers(t *testing.T) {
 			{At: 5 * time.Second, Pos: mobility.Point{X: 500, Y: 3000}},
 		},
 	}
-	nw := routing.NewNetwork(3, mobility.NewScript(tracks), radio.DefaultConfig(), mac.DefaultConfig(), 4,
+	nw := routing.NewNetwork(3, mobility.NewScript(tracks), mac.DefaultConfig(), 4,
 		func(node *routing.Node) routing.Protocol {
 			return aodv.New(node)
 		})
@@ -89,7 +88,7 @@ func TestIntermediateReplySuppressedAfterBreak(t *testing.T) {
 			{At: 6 * time.Second, Pos: mobility.Point{X: 750, Y: 3000}},
 		},
 	}
-	nw := routing.NewNetwork(4, mobility.NewScript(tracks), radio.DefaultConfig(), mac.DefaultConfig(), 6,
+	nw := routing.NewNetwork(4, mobility.NewScript(tracks), mac.DefaultConfig(), 6,
 		func(node *routing.Node) routing.Protocol {
 			return aodv.New(node)
 		})

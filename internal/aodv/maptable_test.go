@@ -22,7 +22,6 @@ import (
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/metrics"
 	"github.com/manetlab/ldr/internal/mobility"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 	"github.com/manetlab/ldr/internal/routing/ondemand"
 	"github.com/manetlab/ldr/internal/runpool"
@@ -574,7 +573,7 @@ func (t *tableTap) HandleControl(from routing.NodeID, msg routing.Message) {
 func tableRig(mk func(*routing.Node) routing.Protocol) (*routing.Network, *[]string) {
 	pts := []mobility.Point{{}, {X: 100}, {X: 100, Y: 10}, {X: 100, Y: 20}, {X: 100, Y: 30}, {X: 100, Y: 40}, {X: 3000}, {X: 3000, Y: 10}}
 	heard := new([]string)
-	nw := routing.NewNetwork(len(pts), mobility.NewStatic(pts), radio.DefaultConfig(), mac.DefaultConfig(), 1,
+	nw := routing.NewNetwork(len(pts), mobility.NewStatic(pts), mac.DefaultConfig(), 1,
 		func(n *routing.Node) routing.Protocol {
 			if n.ID() == 0 {
 				return mk(n)

@@ -58,7 +58,6 @@ func TestRejectedCommandLineLeavesNothingBehind(t *testing.T) {
 	for _, bad := range [][]string{
 		{"-protocols", "ldr,nope"},
 		{"-mobility", "teleport"},
-		{"-radio", "x"},
 		{"-trials", "0"},
 		{"-simtime", "0s"},
 		{"-workers", "-1"},

@@ -163,7 +163,7 @@ func TestLoadSpecRejectsUnknownKeys(t *testing.T) {
 		}
 		loaded++
 	}
-	if loaded < 6 {
+	if loaded < 5 {
 		t.Errorf("found %d committed seeds under internal/*/testdata, want the conformance, adversary and modelcheck ones", loaded)
 	}
 

@@ -7,7 +7,6 @@ import (
 
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/mobility"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 	"github.com/manetlab/ldr/internal/scenario"
 )
@@ -29,7 +28,7 @@ func TestCrashDropOrder(t *testing.T) {
 		}
 		for run := 0; run < 20; run++ {
 			// 1 km apart: nobody hears anybody, every discovery stays open.
-			nw := routing.NewNetwork(8, mobility.Line(8, 1000), radio.DefaultConfig(), mac.DefaultConfig(), 1, factory)
+			nw := routing.NewNetwork(8, mobility.Line(8, 1000), mac.DefaultConfig(), 1, factory)
 			var log Log
 			nw.SetTracer(&log)
 			nw.Start()

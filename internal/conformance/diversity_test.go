@@ -8,9 +8,8 @@ import (
 	"github.com/manetlab/ldr/internal/sweep"
 )
 
-// TestDiversityByteIdenticalAcrossWorkers: the mobility models and radio
-// profiles must keep the replay guarantee the rest of the suite
-// relies on — same spec, same trace, at any worker count (the
+// TestDiversityByteIdenticalAcrossWorkers: the mobility models must keep
+// the replay guarantee the rest of the suite relies on — same spec, same trace, at any worker count (the
 // TestPoolRecyclingByteIdentical capture-diff pattern applied to the
 // scenario-diversity axes).
 func TestDiversityByteIdenticalAcrossWorkers(t *testing.T) {
@@ -24,12 +23,11 @@ func TestDiversityByteIdenticalAcrossWorkers(t *testing.T) {
 		{Protocol: "dsr", Nodes: 12, Flows: 3, SimTimeSec: 6, Seed: 34,
 			Profile: "none", Mobility: scenario.Manhattan},
 		{Protocol: "ldr", Nodes: 12, Flows: 3, SimTimeSec: 6, Seed: 35,
-			Profile: "reboot", Radio: scenario.RadioMixed},
+			Profile: "reboot"},
 		{Protocol: "aodv", Nodes: 12, Flows: 3, SimTimeSec: 6, Seed: 36,
-			Profile: "none", Mobility: scenario.GaussMarkov,
-			Radio: scenario.RadioAsym},
+			Profile: "none", Mobility: scenario.GaussMarkov},
 		{Protocol: "olsr", Nodes: 12, Flows: 3, SimTimeSec: 6, Seed: 37,
-			Profile: "none", Radio: scenario.RadioAsym},
+			Profile: "none"},
 	}
 	capture := func(workers int) []*Log {
 		logs := make([]*Log, len(specs))
@@ -63,10 +61,8 @@ func TestDiversityByteIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestLDRCleanAcrossDiversityMatrix: the paper's loop-freedom claim must
-// survive every mobility × fault combination — and every radio × fault
-// combination, where one-way links starve hello exchanges and route
-// replies — and every run must still satisfy conservation and the
-// vanished-packet census.
+// survive every mobility × fault combination, and every run must still
+// satisfy conservation and the vanished-packet census.
 func TestLDRCleanAcrossDiversityMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix run in full mode only")
@@ -96,42 +92,5 @@ func TestLDRCleanAcrossDiversityMatrix(t *testing.T) {
 				AuditMS:  100,
 			})
 		}
-	}
-	for _, rad := range scenario.Radios() {
-		for _, profile := range []string{"none", "reboot"} {
-			check(Spec{
-				Protocol: "ldr", Nodes: 15, Flows: 3,
-				SimTimeSec: 8, Seed: 42, Profile: profile,
-				Radio:   rad,
-				AuditMS: 100,
-			})
-		}
-	}
-}
-
-// TestHeteroRadioChaosClean: the acceptance scenario for the
-// heterogeneous-radio work — mixed transmit-power classes under the
-// mayhem fault profile — must
-// finish with zero conservation or census violations and zero LDR
-// loop violations even though many links are one-way.
-func TestHeteroRadioChaosClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos scenario in full mode only")
-	}
-	s := Spec{
-		Protocol: "ldr", Nodes: 25, Flows: 5,
-		SimTimeSec: 12, Seed: 61, Profile: "mayhem",
-		Radio:   scenario.RadioMixed,
-		AuditMS: 100,
-	}
-	r, err := CheckSpec(s)
-	if err != nil {
-		t.Fatalf("%s: %v", s, err)
-	}
-	if r.Total > 0 {
-		t.Fatalf("%s: %d conservation violations: %v", s, r.Total, r.Violations)
-	}
-	if r.Collector.LoopViolations > 0 {
-		t.Fatalf("%s: %d loop violations", s, r.Collector.LoopViolations)
 	}
 }

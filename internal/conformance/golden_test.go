@@ -15,8 +15,8 @@ var updateGolden = flag.Bool("update", false, "regenerate testdata/golden.json f
 // goldenCell is what one pinned run must reproduce: the run fingerprint
 // and the hash of the collector's canonical JSON. Both are sums and
 // counts, so they do not depend on the order of same-instant events.
-// Cells without crashes (no faults, or delivery faults only) also pin the
-// hash of the whole trace log; a crash drains the pending buffers in one
+// Cells without crashes (no faults, link flaps or delivery faults) also
+// pin the hash of the whole trace log; a crash drains the pending buffers in one
 // instant, and the order of those drops was map order when the file was
 // first generated.
 type goldenCell struct {
@@ -31,7 +31,7 @@ func sha256Hex(b []byte) string {
 }
 
 // goldenSpecs is the pinned matrix: every protocol under no faults, the
-// crash-heavy reboot profile, one-way links and the lossy channel, whose
+// crash-heavy reboot profile, flapping links and the lossy channel, whose
 // delivery faults are drawn once per clean reception. The strip is sparser
 // than Spec's default so discoveries retry, give up and rediscover.
 // Audited, so the collector also pins the loop-check counters.
@@ -46,9 +46,9 @@ func goldenSpecs() map[string]Spec {
 		reboot := base
 		reboot.Profile = "reboot"
 		specs[proto+"/reboot"] = reboot
-		asym := base
-		asym.Radio = "asym"
-		specs[proto+"/asym"] = asym
+		flap := base
+		flap.Profile = "flap"
+		specs[proto+"/flap"] = flap
 		lossy := base
 		lossy.Profile = "lossy"
 		specs[proto+"/lossy"] = lossy
@@ -77,7 +77,7 @@ func TestGoldenFingerprints(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		cell := goldenCell{Fingerprint: log.Fingerprint, Collector: sha256Hex(blob)}
-		if spec.Profile == "none" || spec.Profile == "lossy" {
+		if spec.Profile != "reboot" {
 			cell.Trace = sha256Hex(log.Bytes())
 		}
 		got[name] = cell

@@ -30,7 +30,7 @@ import (
 // Spec. Fault and adversary plans are kept when they are exactly a named
 // profile's expansion (the case for every experiment and chaos cell);
 // scripted positions and traffic round-trip through the Script form.
-// Anything the Spec format cannot carry — a custom plan, an LDR/radio
+// Anything the Spec format cannot carry — a custom plan, an LDR
 // parameter override, RTS/CTS — is recorded in Note so the reproducer
 // never silently claims more fidelity than it has.
 func SpecFromConfig(cfg scenario.Config) (Spec, error) {
@@ -42,7 +42,6 @@ func SpecFromConfig(cfg scenario.Config) (Spec, error) {
 		SimTimeSec: cfg.SimTime.Seconds(),
 		Seed:       cfg.Seed,
 		Mobility:   cfg.Mobility,
-		Radio:      cfg.Radio,
 		TerrainW:   cfg.Terrain.Width,
 		TerrainH:   cfg.Terrain.Height,
 		MinSpeed:   cfg.MinSpeed,

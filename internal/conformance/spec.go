@@ -28,7 +28,6 @@ type Spec struct {
 	Profile    string  `json:"profile"`             // fault.ProfileNames entry
 	Adversary  string  `json:"adversary,omitempty"` // adversary.ProfileNames entry
 	Mobility   string  `json:"mobility,omitempty"`  // scenario.Mobilities entry ("" → waypoint)
-	Radio      string  `json:"radio,omitempty"`     // scenario.Radios entry ("" → uniform disk)
 	AuditMS    int     `json:"audit_ms"`
 	Note       string  `json:"note,omitempty"`
 
@@ -57,9 +56,6 @@ func (s Spec) String() string {
 	axes := ""
 	if s.Mobility != "" && s.Mobility != scenario.Waypoint {
 		axes += " mobility=" + s.Mobility
-	}
-	if s.Radio != "" && s.Radio != scenario.RadioUniform {
-		axes += " radio=" + s.Radio
 	}
 	return fmt.Sprintf("%s/%s%s nodes=%d flows=%d pause=%.0fs sim=%.0fs seed=%d%s",
 		s.Protocol, s.Profile, adv, s.Nodes, s.Flows, s.PauseSec, s.SimTimeSec, s.Seed, axes)
@@ -98,11 +94,10 @@ func (s Spec) Config() (scenario.Config, error) {
 	if _, err := scenario.Factory(cfg); err != nil {
 		return scenario.Config{}, err
 	}
-	axes := scenario.Axes{Mobility: s.Mobility, Radio: s.Radio}
-	if err := axes.Validate(); err != nil {
+	if err := (scenario.Axes{Mobility: s.Mobility}).Validate(); err != nil {
 		return scenario.Config{}, fmt.Errorf("conformance: %w", err)
 	}
-	axes.Apply(&cfg)
+	cfg.Mobility = s.Mobility
 	if s.Profile != "" && s.Profile != "none" {
 		plan, err := fault.Profile(s.Profile, s.Nodes, simTime)
 		if err != nil {

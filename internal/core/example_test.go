@@ -7,7 +7,6 @@ import (
 	"github.com/manetlab/ldr/internal/core"
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/mobility"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 )
 
@@ -15,7 +14,7 @@ import (
 // route discovery, end-to-end delivery.
 func Example() {
 	model := mobility.Line(4, 250) // 250 m spacing, 275 m radio range
-	nw := routing.NewNetwork(4, model, radio.DefaultConfig(), mac.DefaultConfig(), 1,
+	nw := routing.NewNetwork(4, model, mac.DefaultConfig(), 1,
 		func(n *routing.Node) routing.Protocol {
 			return core.New(n, core.DefaultConfig())
 		})

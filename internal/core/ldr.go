@@ -228,12 +228,12 @@ func (l *LDR) sendRREP(to routing.NodeID, p RREP) {
 }
 
 // rrepFailed handles a MAC-failed RREP unicast toward next: lastHop was
-// recorded from a broadcast RREQ, which needs no return link, so on a
-// one-way link the reply dies after its MAC retries and the reverse path
-// is known-dead. Run the same route-state transitions a data-plane link
-// break triggers — invalidate with a RERR — minus the packet salvage
-// (there is no data packet here). Labels are untouched, so NDC
-// feasibility is unaffected.
+// recorded from a broadcast RREQ, which needs no return link, so over a
+// link that has failed since, the reply dies after its MAC retries and
+// the reverse path is known-dead. Run the same route-state transitions a
+// data-plane link break triggers — invalidate with a RERR — minus the
+// packet salvage (there is no data packet here). Labels are untouched, so
+// NDC feasibility is unaffected.
 func (l *LDR) rrepFailed(next routing.NodeID) {
 	if l.Stopped() {
 		return

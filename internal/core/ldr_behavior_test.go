@@ -8,14 +8,13 @@ import (
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/metrics"
 	"github.com/manetlab/ldr/internal/mobility"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/rng"
 	"github.com/manetlab/ldr/internal/routing"
 )
 
 // buildNet creates an LDR network over the given mobility model.
 func buildNet(model mobility.Model, seed int64, cfg core.Config) *routing.Network {
-	return routing.NewNetwork(model.NumNodes(), model, radio.DefaultConfig(), mac.DefaultConfig(), seed,
+	return routing.NewNetwork(model.NumNodes(), model, mac.DefaultConfig(), seed,
 		func(node *routing.Node) routing.Protocol {
 			return core.New(node, cfg)
 		})

@@ -7,7 +7,6 @@ import (
 	"github.com/manetlab/ldr/internal/core"
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/mobility"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 )
 
@@ -16,7 +15,7 @@ import (
 func lineNetwork(t *testing.T, n int, seed int64) *routing.Network {
 	t.Helper()
 	model := mobility.Line(n, 250) // range is 275 m; 250 m spacing → chain
-	return routing.NewNetwork(n, model, radio.DefaultConfig(), mac.DefaultConfig(), seed,
+	return routing.NewNetwork(n, model, mac.DefaultConfig(), seed,
 		func(node *routing.Node) routing.Protocol {
 			return core.New(node, core.DefaultConfig())
 		})

@@ -8,7 +8,6 @@ import (
 	"github.com/manetlab/ldr/internal/core"
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/mobility"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 )
 
@@ -36,7 +35,7 @@ func (r *rerrTap) HandleControl(_ routing.NodeID, msg routing.Message) {
 func TestRERRListsDestinationsAscending(t *testing.T) {
 	const n, next = 12, 11 // node 0 runs LDR; node 11 is the next hop that fails
 	tap := &rerrTap{}
-	nw := routing.NewNetwork(n, mobility.NewStatic(make([]mobility.Point, n)), radio.DefaultConfig(), mac.DefaultConfig(), 1,
+	nw := routing.NewNetwork(n, mobility.NewStatic(make([]mobility.Point, n)), mac.DefaultConfig(), 1,
 		func(node *routing.Node) routing.Protocol {
 			if node.ID() == 0 {
 				return core.New(node, core.DefaultConfig())

@@ -8,7 +8,6 @@ import (
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/metrics"
 	"github.com/manetlab/ldr/internal/mobility"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/rng"
 	"github.com/manetlab/ldr/internal/routing"
 	"github.com/manetlab/ldr/internal/routing/ondemand"
@@ -43,7 +42,7 @@ func (r *rreqTap) HandleControl(from routing.NodeID, msg routing.Message) {
 // only listen, and the destination, node 3, is out of its range.
 func TestResetLegAtUnengagedNodeFloods(t *testing.T) {
 	taps := map[routing.NodeID]*rreqTap{}
-	nw := routing.NewNetwork(4, mobility.Line(4, 200), radio.DefaultConfig(), mac.DefaultConfig(), 1,
+	nw := routing.NewNetwork(4, mobility.Line(4, 200), mac.DefaultConfig(), 1,
 		func(n *routing.Node) routing.Protocol {
 			if n.ID() == 1 {
 				return core.New(n, core.DefaultConfig())
@@ -116,7 +115,7 @@ func TestResetLegAtUnengagedNodeFloods(t *testing.T) {
 // 0's leg.
 func TestEngagedNodeForwardsTheLeg(t *testing.T) {
 	taps := map[routing.NodeID]*rreqTap{}
-	nw := routing.NewNetwork(4, mobility.Line(4, 200), radio.DefaultConfig(), mac.DefaultConfig(), 1,
+	nw := routing.NewNetwork(4, mobility.Line(4, 200), mac.DefaultConfig(), 1,
 		func(n *routing.Node) routing.Protocol {
 			if n.ID() == 1 {
 				return core.New(n, core.DefaultConfig())
@@ -162,7 +161,7 @@ func TestEngagedNodeForwardsTheLeg(t *testing.T) {
 // runs LDR with cfg, and nodes 0, 2 and 3 only listen.
 func tappedLine(cfg core.Config) (*routing.Network, *core.LDR, map[routing.NodeID]*rreqTap) {
 	taps := map[routing.NodeID]*rreqTap{}
-	nw := routing.NewNetwork(4, mobility.Line(4, 200), radio.DefaultConfig(), mac.DefaultConfig(), 1,
+	nw := routing.NewNetwork(4, mobility.Line(4, 200), mac.DefaultConfig(), 1,
 		func(n *routing.Node) routing.Protocol {
 			if n.ID() == 1 {
 				return core.New(n, cfg)

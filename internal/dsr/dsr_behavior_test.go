@@ -8,12 +8,11 @@ import (
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/metrics"
 	"github.com/manetlab/ldr/internal/mobility"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 )
 
 func buildNet(model mobility.Model, seed int64, cfg dsr.Config) *routing.Network {
-	return routing.NewNetwork(model.NumNodes(), model, radio.DefaultConfig(), mac.DefaultConfig(), seed,
+	return routing.NewNetwork(model.NumNodes(), model, mac.DefaultConfig(), seed,
 		func(node *routing.Node) routing.Protocol {
 			return dsr.New(node, cfg)
 		})

@@ -51,10 +51,10 @@ type Options struct {
 	Profiles []string
 
 	// Axes apply the scenario-diversity axes to every cell of the
-	// experiment being run (the zero value is the paper's waypoint +
-	// uniform-disk setup), so every table composes with the newer models.
-	// The Mobility experiment sweeps models itself and overrides
-	// Axes.Mobility; the Radio experiment likewise sweeps radio profiles.
+	// experiment being run (the zero value is the paper's waypoint
+	// setup), so every table composes with the newer models. The
+	// Mobility experiment sweeps models itself and overrides
+	// Axes.Mobility.
 	scenario.Axes
 
 	// Progress, when non-nil, receives live cell counters for the sweep
@@ -103,7 +103,7 @@ func (o Options) Cell(proto scenario.ProtocolName, nodes, flows int, pause time.
 	}
 	cfg.Nodes = nodes
 	cfg.SimTime = o.SimTime
-	o.Axes.Apply(&cfg)
+	cfg.Mobility = o.Mobility
 	return cfg
 }
 
@@ -186,15 +186,14 @@ func paper() []Experiment {
 }
 
 // Registry lists every experiment: the paper set, "all" (that set in
-// one run), then the ones that run only when named — the mobility and
-// radio comparisons come from the follow-on literature, and chaos and
+// one run), then the ones that run only when named — the mobility
+// comparison comes from the follow-on literature, and chaos and
 // adversary sweep fault and attack profiles under the continuous
 // invariant audit.
 func Registry() []Experiment {
 	return append(paper(),
 		Experiment{Name: "all", Run: all},
 		Experiment{Name: "mobility", Run: Mobility},
-		Experiment{Name: "radio", Run: Radio},
 		Experiment{Name: "chaos", Run: Chaos, Profiles: fault.ProfileNames(), Scope: "chaos"},
 		Experiment{Name: "adversary", Run: Adversary, Profiles: adversary.ProfileNames(), Scope: "adversary"})
 }

@@ -66,12 +66,11 @@ func TestRenderGolden(t *testing.T) {
 		{name: "fig7", fn: experiments.Fig7},
 		{name: "ablation", fn: experiments.Ablation},
 		{name: "mobility", fn: experiments.Mobility},
-		{name: "radio", fn: experiments.Radio},
 		{name: "chaos", fn: experiments.Chaos, scope: "chaos", first: faulted},
 		{name: "adversary", fn: experiments.Adversary, scope: "adversary", first: audited},
 		// Ablation once ignored the scenario axes; pin that it no longer does.
 		{name: "ablation+axes", fn: func(o experiments.Options) error {
-			o.Axes = scenario.Axes{Mobility: scenario.Manhattan, Radio: scenario.RadioAsym}
+			o.Axes = scenario.Axes{Mobility: scenario.Manhattan}
 			return experiments.Ablation(o)
 		}},
 	} {

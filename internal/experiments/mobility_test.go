@@ -29,16 +29,3 @@ func TestMobilityRendersEveryModel(t *testing.T) {
 		t.Fatalf("ranking separators: got %d:\n%s", got, out)
 	}
 }
-
-func TestMobilityComposesWithDiversityAxes(t *testing.T) {
-	var buf strings.Builder
-	o := tiny(scenario.LDR)
-	o.Out = &buf
-	o.Radio = scenario.RadioAsym
-	if err := experiments.Mobility(o); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "ranking") {
-		t.Fatalf("no output:\n%s", buf.String())
-	}
-}

@@ -35,14 +35,6 @@ func TestEveryOptionHasAUser(t *testing.T) {
 			ablated = append(ablated, *sc.LDRConfig)
 		}
 	}
-	var radios []any
-	for _, name := range scenario.Radios() {
-		cls, err := scenario.RadioClasses(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		radios = append(radios, radio.Config{Classes: cls})
-	}
 	for _, c := range []struct {
 		def   any
 		off   []any // configurations some user runs; nil when a factory closure builds them
@@ -66,9 +58,7 @@ func TestEveryOptionHasAUser(t *testing.T) {
 		{mac.DefaultConfig(), nil, map[string]string{
 			"RTSCTSEnabled": "ablation row ldr+rtscts: scenario.BuildInstrumented copies Config.RTSCTS",
 		}},
-		{radio.DefaultConfig(), radios, map[string]string{
-			"Classes": "-radio mixed|asym: scenario.BuildInstrumented passes RadioClasses",
-		}},
+		{radio.DefaultConfig(), nil, map[string]string{}}, // no fields: every medium is the paper's disk
 		{traffic.Config{}, nil, map[string]string{
 			"Flows": "the 10- and 30-flow tables: scenario.BuildInstrumented copies Config.Flows",
 			"Stop":  "-simtime: scenario.BuildInstrumented copies Config.SimTime",

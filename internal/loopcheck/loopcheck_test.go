@@ -7,7 +7,6 @@ import (
 	"github.com/manetlab/ldr/internal/loopcheck"
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/mobility"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 )
 
@@ -25,7 +24,7 @@ func (p *fakeProto) SnapshotTable() []routing.RouteEntry            { return p.t
 
 // network builds n nodes each serving the given table.
 func network(tables map[int][]routing.RouteEntry, n int) []*routing.Node {
-	nw := routing.NewNetwork(n, mobility.Line(n, 250), radio.DefaultConfig(), mac.DefaultConfig(), 1,
+	nw := routing.NewNetwork(n, mobility.Line(n, 250), mac.DefaultConfig(), 1,
 		func(node *routing.Node) routing.Protocol {
 			return &fakeProto{table: tables[int(node.ID())]}
 		})

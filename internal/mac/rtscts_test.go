@@ -14,22 +14,16 @@ import (
 // rtsRig wires MACs with RTS/CTS enabled.
 type rtsRig struct {
 	s        *sim.Simulator
+	medium   *radio.Medium
 	macs     []*mac.MAC
 	received map[int]int
 }
 
 func newRTSRig(pts []mobility.Point, enabled bool) *rtsRig {
-	return newRTSRigCS(pts, enabled, 550)
-}
-
-// newRTSRigCS allows shrinking the carrier-sense range; setting it equal
-// to the decodable range creates true hidden terminals on a 250 m chain.
-func newRTSRigCS(pts []mobility.Point, enabled bool, csRange float64) *rtsRig {
 	s := sim.New()
-	radioCfg := radio.Config{Classes: []radio.Class{{Range: radio.DefaultRange, CSRange: csRange}}}
-	medium := radio.New(s, mobility.NewStatic(pts), radioCfg)
+	medium := radio.New(s, mobility.NewStatic(pts), radio.DefaultConfig())
 	cfg := mac.Config{RTSCTSEnabled: enabled}
-	r := &rtsRig{s: s, received: make(map[int]int)}
+	r := &rtsRig{s: s, medium: medium, received: make(map[int]int)}
 	root := rng.New(7)
 	for i := range pts {
 		i := i
@@ -56,14 +50,14 @@ func TestRTSCTSUnicastSucceeds(t *testing.T) {
 }
 
 func TestRTSCTSSuppressesHiddenTerminals(t *testing.T) {
-	// Hidden terminals: with the carrier-sense range shrunk to the
-	// decodable range, nodes 0 and 2 (500 m apart) cannot sense each
-	// other but both reach node 1. Both ends pump unicast traffic at
+	// Hidden terminals: with their link cut, nodes 0 and 2 (500 m apart)
+	// neither decode nor sense each other but both reach node 1. Both ends pump unicast traffic at
 	// node 1. With basic access this collides heavily; with RTS/CTS the
 	// far end hears node 1's CTS and sets its NAV.
 	pts := []mobility.Point{{X: 0}, {X: 250}, {X: 500}}
 	load := func(enabled bool) (delivered int, retries uint64) {
-		r := newRTSRigCS(pts, enabled, 275)
+		r := newRTSRig(pts, enabled)
+		r.medium.SetLinkDown(0, 2, true)
 		r.s.Schedule(0, func() {
 			for k := 0; k < 40; k++ {
 				r.macs[0].Send(&mac.Frame{To: 1, Bytes: 512, Payload: k})
@@ -86,11 +80,12 @@ func TestRTSCTSSuppressesHiddenTerminals(t *testing.T) {
 }
 
 func TestNAVDefersThirdParty(t *testing.T) {
-	// Hidden third party: node 2 cannot sense node 0 (500 m, CS range
-	// 275 m) but hears node 1's CTS, which must set node 2's NAV and
-	// defer its transmission past the end of the 0→1 exchange.
+	// Hidden third party: node 2 cannot sense node 0 (their link is cut)
+	// but hears node 1's CTS, which must set node 2's NAV and defer its
+	// transmission past the end of the 0→1 exchange.
 	pts := []mobility.Point{{X: 0}, {X: 250}, {X: 500}}
-	r := newRTSRigCS(pts, true, 275)
+	r := newRTSRig(pts, true)
+	r.medium.SetLinkDown(0, 2, true)
 	thirdParty := &recorder{s: r.s}
 	r.s.Schedule(0, func() {
 		r.macs[0].Send(&mac.Frame{To: 1, Bytes: 512, Payload: "big"})

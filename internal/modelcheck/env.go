@@ -49,7 +49,6 @@ import (
 
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/mobility"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 	"github.com/manetlab/ldr/internal/scenario"
 )
@@ -156,7 +155,7 @@ func newWorld(sc *Scenario, handlers sync.Locker) (*world, error) {
 	// Positions are irrelevant — no frame ever reaches the radio — but the
 	// network constructor wants a mobility model.
 	w.nw = routing.NewNetwork(n, mobility.NewStatic(make([]mobility.Point, n)),
-		radio.DefaultConfig(), mac.DefaultConfig(), sc.Seed, factory)
+		mac.DefaultConfig(), sc.Seed, factory)
 	w.staters = make([]routing.ModelStater, n)
 	w.tablers = make([]routing.TableAppender, n)
 	for i, node := range w.nw.Nodes {

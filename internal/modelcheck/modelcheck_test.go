@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/manetlab/ldr/internal/conformance"
 	"github.com/manetlab/ldr/internal/loopcheck"
@@ -44,11 +45,13 @@ func TestNamedTopology(t *testing.T) {
 }
 
 // TestLayoutsRealizeSweepDomain pins the property witness replay depends
-// on: every graph in the checker's sweep domain (all connected 3- and
-// 4-node graphs) and every named 5-node shape has a unit-disk layout
-// under the simulator's default radio range.
+// on: every connected graph on 3–5 nodes and every named 5-node shape gets
+// a layout with exactly its adjacency under the simulator's default radio
+// range, all of them within a second, so a violation on any of them can
+// be emitted as a witness. The exception is n5-7, K2,3, which no unit-disk
+// layout realizes and which Layout refuses by saying so.
 func TestLayoutsRealizeSweepDomain(t *testing.T) {
-	graphs, err := SweepGraphs(3, 4)
+	graphs, err := SweepGraphs(3, 4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,15 +62,23 @@ func TestLayoutsRealizeSweepDomain(t *testing.T) {
 		}
 		graphs = append(graphs, g)
 	}
+	start := time.Now()
 	for _, g := range graphs {
 		pts, err := Layout(g)
-		if err != nil {
-			t.Errorf("Layout(%s): %v", g, err)
+		if g.Name == "n5-7" {
+			if err == nil || !strings.Contains(err.Error(), "not a unit-disk graph") {
+				t.Errorf("Layout(%s) = %v, %v; want the error that K2,3 is not a unit-disk graph", g, pts, err)
+			}
 			continue
 		}
-		if len(pts) != g.N {
-			t.Errorf("Layout(%s): %d points for %d nodes", g, len(pts), g.N)
+		if err != nil {
+			t.Errorf("Layout(%s): %v", g, err)
+		} else if len(pts) != g.N || !layoutMatches(g, pts) {
+			t.Errorf("Layout(%s) = %v, which does not realize it", g, pts)
 		}
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("%d layouts took %v, want under a second", len(graphs), took)
 	}
 }
 

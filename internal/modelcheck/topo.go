@@ -13,6 +13,7 @@ import (
 
 	"github.com/manetlab/ldr/internal/mobility"
 	"github.com/manetlab/ldr/internal/radio"
+	"github.com/manetlab/ldr/internal/rng"
 )
 
 // Graph is an undirected topology over nodes 0..N-1.
@@ -211,9 +212,9 @@ func NamedTopology(name string) (Graph, error) {
 // Layout places the graph's nodes on the plane so that adjacent pairs
 // sit within the simulator's default radio range (275 m) and
 // non-adjacent pairs sit beyond it — a unit-disk realization, needed to
-// replay an abstract witness through the full MAC/radio stack. Every
-// graph on ≤4 nodes (and the named 5-node shapes) is realizable with
-// the layouts tried here; an unrealizable graph returns an error rather
+// replay an abstract witness through the full MAC/radio stack. Fixed
+// shapes are tried first; a graph none of them fits gets a seeded
+// search (searchLayout). An unrealizable graph returns an error rather
 // than a silently wrong replay.
 func Layout(g Graph) ([]mobility.Point, error) {
 	// Candidate layouts: a line (catches paths), circles of varying
@@ -271,17 +272,72 @@ func Layout(g Graph) ([]mobility.Point, error) {
 			}
 		}
 	}
+	if a, b, ok := inducedK23(g); ok {
+		return nil, fmt.Errorf("modelcheck: %s is not a unit-disk graph: nodes %d and %d are not adjacent but share three pairwise non-adjacent neighbors (an induced K2,3)", g, a, b)
+	}
+	if pts := searchLayout(g); pts != nil {
+		return pts, nil
+	}
 	return nil, fmt.Errorf("modelcheck: no unit-disk layout found for %s", g)
 }
 
-// layoutMatches verifies pts realizes exactly g's adjacency under the
-// default radio range, with a safety margin on both sides so MAC-level
-// behaviour is unambiguous.
+// inducedK23 finds two non-adjacent nodes with three pairwise
+// non-adjacent common neighbors. No unit-disk layout has one: with a and
+// b more than a range apart, the points within range of both form a lens
+// whose every point is within range of each of its two tips, so no three
+// of them are pairwise out of range. The common neighbors are picked
+// greedily, which is exact while a pair has at most three of them, as on
+// five nodes.
+func inducedK23(g Graph) (a, b int, ok bool) {
+	nb := g.Neighbors()
+	for a := range nb {
+		for b := a + 1; b < g.N; b++ {
+			var apart []int
+			for _, c := range nb[a] {
+				if slices.Contains(nb[b], c) && !slices.ContainsFunc(apart, func(d int) bool { return slices.Contains(nb[c], d) }) {
+					apart = append(apart, c)
+				}
+			}
+			if len(apart) >= 3 && !slices.Contains(nb[a], b) {
+				return a, b, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// searchLayout places nodes 0, 1, … in turn, each at a bearing and a
+// distance under twice the range from a node placed before it, drawn from
+// a fixed seed, and keeps a draw that layoutMatches accepts among the
+// nodes placed so far. A layout that takes 500 draws starts over, and the
+// search gives up after 1,000 layouts, so the result is a pure function
+// of the graph.
+func searchLayout(g Graph) []mobility.Point {
+	src := rng.New(1)
+	for try := 0; try < 1000; try++ {
+		pts := []mobility.Point{{X: 400, Y: 400}}
+		for draw := 0; draw < 500 && len(pts) < g.N; draw++ {
+			at, ang, r := pts[src.Intn(len(pts))], 2*math.Pi*src.Float64(), 2*radio.DefaultRange*src.Float64()
+			pts = append(pts, mobility.Point{X: at.X + r*math.Cos(ang), Y: at.Y + r*math.Sin(ang)})
+			if !layoutMatches(g, pts) {
+				pts = pts[:len(pts)-1]
+			}
+		}
+		if len(pts) == g.N {
+			return pts
+		}
+	}
+	return nil
+}
+
+// layoutMatches verifies pts realizes exactly g's adjacency among the
+// first len(pts) nodes under the default radio range, with a safety
+// margin on both sides so MAC-level behaviour is unambiguous.
 func layoutMatches(g Graph, pts []mobility.Point) bool {
 	const margin = 15.0
 	adj := g.bitmask(nil)
-	for a := 0; a < g.N; a++ {
-		for b := a + 1; b < g.N; b++ {
+	for a := range pts {
+		for b := a + 1; b < len(pts); b++ {
 			dx, dy := pts[a].X-pts[b].X, pts[a].Y-pts[b].Y
 			d := math.Sqrt(dx*dx + dy*dy)
 			if adj&(1<<uint(a*g.N+b)) != 0 {

@@ -12,7 +12,6 @@ import (
 
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/mobility"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 )
 
@@ -41,7 +40,7 @@ func (l *listener) HandleControl(_ routing.NodeID, msg routing.Message) {
 // the same instants.
 func rig(mk func(*routing.Node) routing.Protocol) (*routing.Network, *listener) {
 	tap := &listener{}
-	nw := routing.NewNetwork(2, mobility.Line(2, 100), radio.DefaultConfig(), mac.DefaultConfig(), 1,
+	nw := routing.NewNetwork(2, mobility.Line(2, 100), mac.DefaultConfig(), 1,
 		func(n *routing.Node) routing.Protocol {
 			if n.ID() == 0 {
 				return mk(n)
@@ -432,7 +431,7 @@ func warmGrid(tb testing.TB, withTCs bool) *OLSR {
 		return ids
 	}
 	var o *OLSR
-	routing.NewNetwork(100, mobility.Line(100, 250), radio.DefaultConfig(), mac.DefaultConfig(), 1,
+	routing.NewNetwork(100, mobility.Line(100, 250), mac.DefaultConfig(), 1,
 		func(n *routing.Node) routing.Protocol {
 			p := New(n, DefaultConfig())
 			if n.ID() == 0 {
@@ -605,7 +604,7 @@ func BenchmarkSelectMPRs100(b *testing.B) {
 func TestJitterQueueKeepsOrderAndStorage(t *testing.T) {
 	tap := &listener{}
 	var o *OLSR
-	nw := routing.NewNetwork(2, mobility.Line(2, 100), radio.DefaultConfig(), mac.DefaultConfig(), 1,
+	nw := routing.NewNetwork(2, mobility.Line(2, 100), mac.DefaultConfig(), 1,
 		func(n *routing.Node) routing.Protocol {
 			if n.ID() == 0 {
 				o = New(n, DefaultConfig())

@@ -7,12 +7,11 @@ import (
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/mobility"
 	"github.com/manetlab/ldr/internal/olsr"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 )
 
 func chain(n int, seed int64) *routing.Network {
-	return routing.NewNetwork(n, mobility.Line(n, 250), radio.DefaultConfig(), mac.DefaultConfig(), seed,
+	return routing.NewNetwork(n, mobility.Line(n, 250), mac.DefaultConfig(), seed,
 		func(node *routing.Node) routing.Protocol {
 			return olsr.New(node, olsr.DefaultConfig())
 		})

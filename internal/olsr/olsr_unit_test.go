@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"github.com/manetlab/ldr/internal/mac"
+	"github.com/manetlab/ldr/internal/metrics"
 	"github.com/manetlab/ldr/internal/mobility"
 	"github.com/manetlab/ldr/internal/olsr"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 )
 
@@ -15,7 +15,7 @@ import (
 // hand-crafted messages (the node exists but the scenario keeps every
 // other node out of radio range, so nothing real interferes).
 func isolated(seed int64) (*routing.Network, *olsr.OLSR) {
-	nw := routing.NewNetwork(1, mobility.Line(1, 250), radio.DefaultConfig(), mac.DefaultConfig(), seed,
+	nw := routing.NewNetwork(1, mobility.Line(1, 250), mac.DefaultConfig(), seed,
 		func(node *routing.Node) routing.Protocol {
 			return olsr.New(node, olsr.DefaultConfig())
 		})
@@ -47,6 +47,39 @@ func TestLinkBecomesSymmetricOnEcho(t *testing.T) {
 		}
 	})
 	nw.Sim.Run(time.Second)
+}
+
+// TestOLSRRefusesOneWayLinks pins RFC 3626 link sensing, which gates
+// every first contact: a HELLO that does not list the receiver leaves the
+// link asymmetric, so no route crosses it and data toward the far end
+// fails at the source as no-route instead of going to a next hop that
+// cannot answer. The first HELLO from the far side that lists the
+// receiver makes the link symmetric.
+func TestOLSRRefusesOneWayLinks(t *testing.T) {
+	nw := routing.NewNetwork(3, mobility.Line(3, 1000), mac.DefaultConfig(), 1,
+		func(node *routing.Node) routing.Protocol {
+			return olsr.New(node, olsr.DefaultConfig())
+		})
+	p1 := nw.Nodes[1].Protocol().(*olsr.OLSR)
+	nw.Start()
+	nw.Sim.Schedule(0, func() {
+		p1.HandleControl(2, hello(2, 0))
+		if next, _, ok := p1.RouteTo(2); ok {
+			t.Errorf("node 1 routes to 2 via %d over a one-way link", next)
+		}
+		nw.Nodes[1].OriginateData(2, 512)
+	})
+	nw.Sim.Run(time.Second)
+	if got := nw.Collector.DroppedBy(metrics.DropNoRoute); got != 1 {
+		t.Fatalf("%d no-route drops, want the one packet sent across the one-way link", got)
+	}
+	nw.Sim.Schedule(0, func() {
+		p1.HandleControl(2, hello(2, 1))
+		if next, hops, ok := p1.RouteTo(2); !ok || next != 2 || hops != 1 {
+			t.Errorf("route to 2 once its HELLO lists node 1 = (%d,%d,%v), want (2,1,true)", next, hops, ok)
+		}
+	})
+	nw.Sim.Run(nw.Sim.Now() + time.Second)
 }
 
 func TestTwoHopRouteViaNeighborHello(t *testing.T) {

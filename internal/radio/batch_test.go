@@ -66,7 +66,6 @@ type batchWorld struct {
 	m      *radio.Medium
 	ch     channel
 	oracle mobility.Model
-	cfg    radio.Config
 	faults *rng.Source
 	log    []obs
 	sent   []sentFrame // indexed by frame number
@@ -106,7 +105,7 @@ func (w *batchWorld) send(node int, senseCarrier bool) {
 		return
 	}
 	frame := len(w.sent)
-	inRange, _ := oracleSets(w.oracle, w.cfg, node, w.s.Now())
+	inRange, _ := oracleSets(w.oracle, node, w.s.Now())
 	w.sent = append(w.sent, sentFrame{src: node, inRange: inRange})
 	w.note(node, "tx", frame, 0)
 	var payload any = frame
@@ -173,9 +172,9 @@ func (w *batchWorld) rx(node, from int, payload any) {
 
 // newBatchWorld runs a world over model through the medium (reference
 // false) or through radio.PerReceiver (reference true).
-func newBatchWorld(t *testing.T, model, oracle mobility.Model, cfg radio.Config, seed int64, reference bool, p batchParams) *batchWorld {
+func newBatchWorld(t *testing.T, model, oracle mobility.Model, seed int64, reference bool, p batchParams) *batchWorld {
 	s := sim.New()
-	w := &batchWorld{t: t, p: p, s: s, m: radio.New(s, model, cfg), oracle: oracle, cfg: cfg,
+	w := &batchWorld{t: t, p: p, s: s, m: radio.New(s, model, radio.DefaultConfig()), oracle: oracle,
 		faults: rng.New(seed), budget: 400}
 	w.ch = w.m
 	if reference {
@@ -221,11 +220,11 @@ func newBatchWorld(t *testing.T, model, oracle mobility.Model, cfg radio.Config,
 // dropped from the reference's log before comparing. With them, both make
 // every clean reception's fault draws and hand a letter to its addressee
 // alone, so the draw counts and FaultStats cover the foreign receptions.
-func compareBatched(t *testing.T, pair func() (model, oracle mobility.Model), cfg radio.Config, p batchParams) (got, want *batchWorld) {
+func compareBatched(t *testing.T, pair func() (model, oracle mobility.Model), p batchParams) (got, want *batchWorld) {
 	model, oracle := pair()
-	got = newBatchWorld(t, model, oracle, cfg, 7, false, p)
+	got = newBatchWorld(t, model, oracle, 7, false, p)
 	model, oracle = pair()
-	want = newBatchWorld(t, model, oracle, cfg, 7, true, p)
+	want = newBatchWorld(t, model, oracle, 7, true, p)
 
 	wantLog := want.log
 	if !p.faults {
@@ -271,7 +270,6 @@ func staticPts(seed int64, n int) []mobility.Point {
 func TestBatchedDeliveryMatchesPerReceiverEvents(t *testing.T) {
 	type scenario struct {
 		name string
-		cfg  radio.Config
 		p    batchParams
 		pair func() (model, oracle mobility.Model) // two identical models, fresh on every call
 	}
@@ -287,14 +285,9 @@ func TestBatchedDeliveryMatchesPerReceiverEvents(t *testing.T) {
 	lossy := batchParams{faults: true, addressed: 2, deaf: 5, bursts: 12}
 	var scenarios []scenario
 	for seed := int64(1); seed <= 4; seed++ {
-		for _, c := range []struct {
-			name string
-			cfg  radio.Config
-		}{{"uniform", radio.DefaultConfig()}, {"mixed", mixedConfig()}} {
-			scenarios = append(scenarios,
-				scenario{fmt.Sprintf("static-%s-%d", c.name, seed), c.cfg, lossy, static(seed, 45)},
-				scenario{fmt.Sprintf("moving-%s-%d", c.name, seed), c.cfg, lossy, moving(seed, 60)})
-		}
+		scenarios = append(scenarios,
+			scenario{fmt.Sprintf("static-uniform-%d", seed), lossy, static(seed, 45)},
+			scenario{fmt.Sprintf("moving-uniform-%d", seed), lossy, moving(seed, 60)})
 	}
 	// Worlds across one and more bitset words, with delivery faults and
 	// without: without them a letter ends at its addressee alone.
@@ -306,8 +299,8 @@ func TestBatchedDeliveryMatchesPerReceiverEvents(t *testing.T) {
 			}
 			for seed := int64(1); seed <= 2; seed++ {
 				scenarios = append(scenarios,
-					scenario{fmt.Sprintf("static%d-%s-%d", n, name, seed), radio.DefaultConfig(), p, static(seed, n)},
-					scenario{fmt.Sprintf("moving%d-%s-%d", n, name, seed), mixedConfig(), p, moving(seed, n)})
+					scenario{fmt.Sprintf("static%d-%s-%d", n, name, seed), p, static(seed, n)},
+					scenario{fmt.Sprintf("moving%d-%s-%d", n, name, seed), p, moving(seed, n)})
 			}
 		}
 	}
@@ -315,7 +308,7 @@ func TestBatchedDeliveryMatchesPerReceiverEvents(t *testing.T) {
 	for _, sc := range scenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			got, want := compareBatched(t, sc.pair, sc.cfg, sc.p)
+			got, want := compareBatched(t, sc.pair, sc.p)
 			if !sc.p.faults {
 				passed += got.passed
 				lost += got.lost
@@ -366,7 +359,7 @@ func FuzzBatchedDelivery(f *testing.F) {
 		if seed%2 == 0 {
 			pair = func() (model, oracle mobility.Model) { return waypointPair(n, 20, 0, seed) }
 		}
-		compareBatched(t, pair, radio.DefaultConfig(), p)
+		compareBatched(t, pair, p)
 	})
 }
 

@@ -61,10 +61,10 @@ func (r *PerReceiver) Transmit(src, bits int, payload any) time.Duration {
 			continue
 		}
 		d := srcPos.Dist(m.model.Position(i, now))
-		if d > m.csRange[src] {
+		if d > DefaultCSRange {
 			continue
 		}
-		rc := &refReception{from: src, dst: i, decodable: d <= m.txRange[src], payload: payload}
+		rc := &refReception{from: src, dst: i, decodable: d <= DefaultRange, payload: payload}
 		ref(payload)
 		m.sim.ScheduleTransient(PropDelay, r.signalStart, rc, 0)
 		m.sim.ScheduleTransient(PropDelay+air, r.signalEnd, rc, 0)

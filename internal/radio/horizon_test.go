@@ -371,7 +371,7 @@ func TestSetsAcrossCrossings(t *testing.T) {
 	changes, convoy := 0, 0
 	last := map[[2]int]bool{}
 	for k, src := range srcs {
-		inRange, senses := oracleSets(oracle, radio.DefaultConfig(), src, ats[k])
+		inRange, senses := oracleSets(oracle, src, ats[k])
 		for i := range tracks {
 			for r, set := range []map[int]bool{inRange, senses} {
 				key := [2]int{src*len(tracks) + i, r}
@@ -389,5 +389,5 @@ func TestSetsAcrossCrossings(t *testing.T) {
 	if changes < len(crossings) || convoy < 100 {
 		t.Fatalf("%d answers changed around %d crossings, %d within the convoy: the frames miss them", changes, len(crossings), convoy)
 	}
-	checkTransmitsAt(t, model, oracle, radio.DefaultConfig(), srcs, ats, 500)
+	checkTransmitsAt(t, model, oracle, srcs, ats, 500)
 }

@@ -26,10 +26,9 @@ import (
 // detached and re-attached, links severed and healed, partitions installed
 // and healed.
 
-// lazyCase is one mobility model and radio configuration to drive.
+// lazyCase is one mobility model to drive.
 type lazyCase struct {
 	name  string
-	cfg   radio.Config
 	model func(src *rng.Source) mobility.Model // a fresh, identical model on every call
 	rests bool                                 // no node moves for part of the run
 }
@@ -52,9 +51,13 @@ func lazyWaypointOn(tr mobility.Terrain, n int, minSpeed, maxSpeed float64, paus
 }
 
 func lazyManhattan(n int, maxSpeed float64, pause time.Duration) func(*rng.Source) mobility.Model {
+	return lazyManhattanOn(lazyTerrain, n, maxSpeed, pause)
+}
+
+func lazyManhattanOn(tr mobility.Terrain, n int, maxSpeed float64, pause time.Duration) func(*rng.Source) mobility.Model {
 	return func(src *rng.Source) mobility.Model {
 		return mobility.NewManhattan(n, mobility.ManhattanConfig{
-			Terrain: lazyTerrain, MinSpeed: 1, MaxSpeed: maxSpeed, Pause: pause}, src)
+			Terrain: tr, MinSpeed: 1, MaxSpeed: maxSpeed, Pause: pause}, src)
 	}
 }
 
@@ -108,24 +111,24 @@ func lazyScript(n int) func(*rng.Source) mobility.Model {
 func lazyCases() []lazyCase {
 	const n = 40
 	return []lazyCase{
-		{"waypoint", radio.DefaultConfig(), lazyWaypoint(n, 1, 20, 0), false},
-		{"waypoint-fast", radio.DefaultConfig(), lazyWaypoint(n, 20, 20, 0), false},
-		{"waypoint-pause", mixedConfig(), lazyWaypoint(n, 1, 20, 3*time.Second), false},
-		{"waypoint-long-pause", radio.DefaultConfig(), lazyWaypoint(n, 5, 20, 90*time.Second), false},
-		{"manhattan", radio.DefaultConfig(), lazyManhattan(n, 20, 0), false},
-		{"manhattan-pause", mixedConfig(), lazyManhattan(n, 20, 2*time.Second), false},
-		{"gaussmarkov", mixedConfig(), lazyGaussMarkov(n, 20), false},
-		{"crowded", radio.DefaultConfig(), lazyWaypointOn(lazyCrowded, n, 1, 20, 0), false},
-		{"crowded-pause", mixedConfig(), lazyWaypointOn(lazyCrowded, n, 1, 20, time.Second), false},
-		{"crowded-fast", radio.DefaultConfig(), lazyWaypointOn(lazyCrowded, n, 20, 20, 0), false},
+		{"waypoint", lazyWaypoint(n, 1, 20, 0), false},
+		{"waypoint-fast", lazyWaypoint(n, 20, 20, 0), false},
+		{"waypoint-pause", lazyWaypoint(n, 1, 20, 3*time.Second), false},
+		{"waypoint-long-pause", lazyWaypoint(n, 5, 20, 90*time.Second), false},
+		{"manhattan", lazyManhattan(n, 20, 0), false},
+		{"manhattan-pause", lazyManhattanOn(lazyCrowded, n, 20, 2*time.Second), false},
+		{"gaussmarkov", lazyGaussMarkov(n, 20), false},
+		{"crowded", lazyWaypointOn(lazyCrowded, n, 1, 20, 0), false},
+		{"crowded-pause", lazyWaypointOn(lazyCrowded, n, 1, 20, time.Second), false},
+		{"crowded-fast", lazyWaypointOn(lazyCrowded, n, 20, 20, 0), false},
 		// Resting networks. A pause longer than the run (about 2000 s of
 		// lazyGaps) is a static network that drew its places; a 400 s pause
 		// at 10–20 m/s rests, moves, then rests again until the first node
 		// to have arrived leaves while the others still rest.
-		{"waypoint-resting", mixedConfig(), lazyWaypoint(n, 1, 20, time.Hour), true},
-		{"waypoint-rest-epochs", radio.DefaultConfig(), lazyWaypoint(n, 10, 20, 400*time.Second), true},
-		{"script-stop", radio.DefaultConfig(), lazyScript(n), true},
-		{"static", mixedConfig(), lazyStatic(n), true},
+		{"waypoint-resting", lazyWaypoint(n, 1, 20, time.Hour), true},
+		{"waypoint-rest-epochs", lazyWaypoint(n, 10, 20, 400*time.Second), true},
+		{"script-stop", lazyScript(n), true},
+		{"static", lazyStatic(n), true},
 	}
 }
 
@@ -201,7 +204,7 @@ func runLazy(t *testing.T, c lazyCase, sched lazySchedule, seed int64, frames in
 	mk := func(reference bool) *world {
 		w := &world{src: rng.New(seed), s: sim.New(), decoded: map[int]bool{}}
 		w.model = &countingModel{Model: c.model(w.src)}
-		w.m = radio.New(w.s, w.model, c.cfg)
+		w.m = radio.New(w.s, w.model, radio.DefaultConfig())
 		w.transmit, w.busy = w.m.Transmit, w.m.Busy
 		if reference {
 			pr := w.m.PerReceiver()
@@ -299,7 +302,7 @@ func runLazy(t *testing.T, c lazyCase, sched lazySchedule, seed int64, frames in
 		if got.m.Decisions() == before {
 			st.copies++
 		}
-		inRange, senses := oracleSets(oracle, c.cfg, src, at)
+		inRange, senses := oracleSets(oracle, src, at)
 		hears := func(i int) bool { return attached[i] && !blocked(src, i) }
 		for i := 0; i < n; i++ {
 			if i == src {
@@ -390,7 +393,6 @@ func TestLazyScanMatchesBruteForce(t *testing.T) {
 // comparison it replaces. mobility.Margin is what sends these back to the
 // root.
 func TestLazyScanOnTheRangeCircles(t *testing.T) {
-	cfg := radio.DefaultConfig()
 	pts := []mobility.Point{{X: 1000, Y: 1000}}
 	straddlers := 0
 	for k := 0; k < 720; k++ {
@@ -407,25 +409,25 @@ func TestLazyScanOnTheRangeCircles(t *testing.T) {
 	if straddlers < 50 {
 		t.Fatalf("only %d of %d placements separate the squared comparison from the exact one", straddlers, len(pts)-1)
 	}
-	checkTransmits(t, mobility.NewStatic(pts), mobility.NewStatic(pts), cfg, []int{0, 0}, 100*time.Millisecond)
+	checkTransmits(t, mobility.NewStatic(pts), mobility.NewStatic(pts), []int{0, 0}, 100*time.Millisecond)
 }
 
 // FuzzReceiverSet lets the fuzzer choose the model, its speeds and pause,
-// the radio classes, the senders and the silences between frames.
+// the senders and the silences between frames.
 func FuzzReceiverSet(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(20), uint16(0), false, []byte{0, 3, 200, 7, 90, 1, 255, 4})
-	f.Add(int64(2), uint8(1), uint8(20), uint16(1500), true, []byte{9, 9, 9, 130, 2, 250, 60, 60, 5})
-	f.Add(int64(3), uint8(2), uint8(12), uint16(0), true, []byte{250, 1, 1, 1, 251, 2, 2, 252})
-	f.Add(int64(4), uint8(3), uint8(20), uint16(300), false, []byte{17, 140, 33, 254, 8, 8, 201})
-	f.Add(int64(5), uint8(4), uint8(1), uint16(60000), false, []byte{255, 255, 0, 255})
+	f.Add(int64(1), uint8(0), uint8(20), uint16(0), []byte{0, 3, 200, 7, 90, 1, 255, 4})
+	f.Add(int64(2), uint8(1), uint8(20), uint16(1500), []byte{9, 9, 9, 130, 2, 250, 60, 60, 5})
+	f.Add(int64(3), uint8(2), uint8(12), uint16(0), []byte{250, 1, 1, 1, 251, 2, 2, 252})
+	f.Add(int64(4), uint8(3), uint8(20), uint16(300), []byte{17, 140, 33, 254, 8, 8, 201})
+	f.Add(int64(5), uint8(4), uint8(1), uint16(60000), []byte{255, 255, 0, 255})
 	// One sender repeating 3-10 ms apart across leg ends: every waypoint's
 	// first pause ends at 40 ms; a Gauss-Markov step ends at 1 s; street
 	// segments at up to 60 m/s end from about 2.5 s on.
-	f.Add(int64(9), uint8(0), uint8(20), uint16(40), false, bytes.Repeat([]byte{5}, 30))
-	f.Add(int64(10), uint8(2), uint8(20), uint16(0), true, append(bytes.Repeat([]byte{200}, 9), bytes.Repeat([]byte{8}, 25)...))
-	f.Add(int64(11), uint8(1), uint8(59), uint16(0), false, append(bytes.Repeat([]byte{203}, 5), bytes.Repeat([]byte{11}, 180)...))
-	f.Fuzz(func(t *testing.T, seed int64, kind, maxSpeed uint8, pauseMs uint16, mixed bool, script []byte) {
-		fuzzReceiverSet(t, false, seed, kind, maxSpeed, pauseMs, mixed, script)
+	f.Add(int64(9), uint8(0), uint8(20), uint16(40), bytes.Repeat([]byte{5}, 30))
+	f.Add(int64(10), uint8(2), uint8(20), uint16(0), append(bytes.Repeat([]byte{200}, 9), bytes.Repeat([]byte{8}, 25)...))
+	f.Add(int64(11), uint8(1), uint8(59), uint16(0), append(bytes.Repeat([]byte{203}, 5), bytes.Repeat([]byte{11}, 180)...))
+	f.Fuzz(func(t *testing.T, seed int64, kind, maxSpeed uint8, pauseMs uint16, script []byte) {
+		fuzzReceiverSet(t, false, seed, kind, maxSpeed, pauseMs, script)
 	})
 }
 
@@ -435,23 +437,23 @@ func FuzzReceiverSet(f *testing.F) {
 func FuzzRestingReceiverSet(f *testing.F) {
 	// A network at rest for the whole script, senders repeating; rests
 	// ending mid-script, between frames of one sender.
-	f.Add(int64(6), uint8(0), uint8(20), uint16(65535), false,
+	f.Add(int64(6), uint8(0), uint8(20), uint16(65535),
 		[]byte{3, 27, 3, 51, 27, 9, 3, 75, 51, 9, 27, 3, 99, 3, 51, 75, 9, 27, 3, 51, 123, 3, 27, 9, 51, 3, 75, 27, 3, 9})
-	f.Add(int64(7), uint8(3), uint8(15), uint16(20000), true,
+	f.Add(int64(7), uint8(3), uint8(15), uint16(20000),
 		[]byte{5, 29, 5, 53, 29, 5, 252, 5, 29, 53, 5, 29, 253, 5, 29, 53, 5, 200, 29, 5, 53, 29, 5, 250, 5, 29})
-	f.Add(int64(8), uint8(1), uint8(20), uint16(30000), false,
+	f.Add(int64(8), uint8(1), uint8(20), uint16(30000),
 		[]byte{2, 26, 2, 50, 26, 2, 251, 2, 26, 50, 2, 254, 2, 26, 50, 26, 2, 2, 26})
 	// One sender repeating 3-10 ms apart as the first pause ends at 30 ms,
 	// and across the Gauss-Markov step that ends at 2 s.
-	f.Add(int64(12), uint8(0), uint8(20), uint16(30), true, bytes.Repeat([]byte{7}, 40))
-	f.Add(int64(13), uint8(2), uint8(30), uint16(0), false, append([]byte{209, 208}, bytes.Repeat([]byte{4}, 40)...))
-	f.Fuzz(func(t *testing.T, seed int64, kind, maxSpeed uint8, pauseMs uint16, mixed bool, script []byte) {
-		fuzzReceiverSet(t, true, seed, kind, maxSpeed, pauseMs, mixed, script)
+	f.Add(int64(12), uint8(0), uint8(20), uint16(30), bytes.Repeat([]byte{7}, 40))
+	f.Add(int64(13), uint8(2), uint8(30), uint16(0), append([]byte{209, 208}, bytes.Repeat([]byte{4}, 40)...))
+	f.Fuzz(func(t *testing.T, seed int64, kind, maxSpeed uint8, pauseMs uint16, script []byte) {
+		fuzzReceiverSet(t, true, seed, kind, maxSpeed, pauseMs, script)
 	})
 }
 
 // fuzzReceiverSet runs one fuzz input through runLazy on both schedules.
-func fuzzReceiverSet(t *testing.T, rests bool, seed int64, kind, maxSpeed uint8, pauseMs uint16, mixed bool, script []byte) {
+func fuzzReceiverSet(t *testing.T, rests bool, seed int64, kind, maxSpeed uint8, pauseMs uint16, script []byte) {
 	if len(script) == 0 {
 		return
 	}
@@ -460,10 +462,7 @@ func fuzzReceiverSet(t *testing.T, rests bool, seed int64, kind, maxSpeed uint8,
 	}
 	speed := 1 + float64(maxSpeed%60)
 	pause := time.Duration(pauseMs) * time.Millisecond
-	c := lazyCase{name: "fuzz", cfg: radio.DefaultConfig(), rests: rests}
-	if mixed {
-		c.cfg = mixedConfig()
-	}
+	c := lazyCase{name: "fuzz", rests: rests}
 	const n = 24
 	c.model = [...]func(*rng.Source) mobility.Model{
 		lazyWaypoint(n, 1, speed, pause),

@@ -1,15 +1,11 @@
 // Package radio models the shared wireless medium.
 //
-// The propagation model is a per-transmitter disk: a frame transmitted by
-// a node is decodable by every node within the *transmitter's* decodable
-// range and causes interference at every node within the transmitter's
-// carrier-sense range. With one class (the default) this is the classic
-// symmetric unit disk; with several (Config.Classes) links become
-// directional — a long-range node's frames reach a short-range node that
-// can never answer. Two signals overlapping
-// in time at a receiver corrupt each other, as does receiving while
-// transmitting. This reproduces the contention behaviour that drives the
-// relative protocol performance in the LDR paper without modelling an
+// The propagation model is the symmetric unit disk: a frame transmitted by
+// a node is decodable by every node within DefaultRange of it and causes
+// interference at every node within DefaultCSRange. Two signals
+// overlapping in time at a receiver corrupt each other, as does receiving
+// while transmitting. This reproduces the contention behaviour that drives
+// the relative protocol performance in the LDR paper without modelling an
 // explicit PHY.
 //
 // The paper's simulations use "the MAC layer with a 275 m transmission
@@ -20,7 +16,7 @@
 // they cause — are in id order by construction. Each sender keeps its
 // receiver sets, and for every other node a horizon: the last instant
 // through which the straight pieces both nodes are on (mobility.Piece)
-// keep their distance clear of the sender's two ranges. A frame up to the
+// keep their distance clear of the two ranges. A frame up to the
 // sender's earliest horizon copies the sets, a word or two; a later one
 // re-decides only the pairs whose horizon has passed, from exact
 // positions. A horizon ends no later than either node's leg, so the
@@ -60,16 +56,6 @@ import (
 	"github.com/manetlab/ldr/internal/sim"
 )
 
-// Class is one transmit-power class: the decodable and carrier-sense
-// ranges governing every frame sent by a node assigned to it. Reception
-// is decided by the transmitter's class alone — a weak node still hears
-// a strong one from far away — which is what makes mixed classes produce
-// genuinely one-way links.
-type Class struct {
-	Range   float64 // decodable range, meters
-	CSRange float64 // carrier-sense/interference range, meters
-}
-
 // The paper's radio: a 275 m transmission range on a 2 Mb/s channel,
 // interference out to twice the decodable range.
 const (
@@ -79,15 +65,9 @@ const (
 	PropDelay      = time.Microsecond // fixed propagation delay
 )
 
-// Config is what a scenario varies about the medium.
-type Config struct {
-	// Classes assigns transmit power: node i sends with
-	// Classes[i % len(Classes)]. The assignment is a pure function of the
-	// node id, so it draws no randomness and cannot perturb any seeded
-	// stream. Empty is the one class {DefaultRange, DefaultCSRange} — the
-	// paper's uniform disk.
-	Classes []Class
-}
+// Config is the medium's configuration. It has no fields: every medium is
+// the paper's disk.
+type Config struct{}
 
 // DefaultConfig is the paper's uniform disk.
 func DefaultConfig() Config { return Config{} }
@@ -153,14 +133,7 @@ type idleWait struct {
 type Medium struct {
 	sim   *sim.Simulator
 	model mobility.Model
-	cfg   Config
 	nodes []nodeState
-
-	// Per-node transmit ranges, resolved once from cfg.Classes, so the hot
-	// path indexes a slice instead of re-deriving class membership per
-	// frame.
-	txRange []float64
-	csRange []float64
 
 	// kept[i] is the last position computed for node i.
 	kept []keptPos
@@ -253,34 +226,18 @@ type transmission struct {
 // New builds a medium over the given mobility model. Positions are sampled
 // from the model at transmission start; a frame's receiver set is fixed at
 // that instant (frames are microseconds long, far below node motion scale).
-func New(s *sim.Simulator, model mobility.Model, cfg Config) *Medium {
-	// A private copy (the caller's slice stays untouched) with the default
-	// class filled in and carrier sense reaching at least as far as decoding.
-	cfg.Classes = append([]Class(nil), cfg.Classes...)
-	if len(cfg.Classes) == 0 {
-		cfg.Classes = []Class{{Range: DefaultRange, CSRange: DefaultCSRange}}
-	}
-	for i := range cfg.Classes {
-		if cfg.Classes[i].CSRange < cfg.Classes[i].Range {
-			cfg.Classes[i].CSRange = cfg.Classes[i].Range
-		}
-	}
+func New(s *sim.Simulator, model mobility.Model, _ Config) *Medium {
 	n := model.NumNodes()
 	m := &Medium{
 		sim:     s,
 		model:   model,
-		cfg:     cfg,
 		nodes:   make([]nodeState, n),
-		txRange: make([]float64, n),
-		csRange: make([]float64, n),
 		kept:    make([]keptPos, n),
 		air:     make([]uint64, (n+63)/64),
 		clean:   make([]uint64, (n+63)/64),
 		waiters: make([]uint64, (n+63)/64),
 	}
 	for i := 0; i < n; i++ {
-		cl := cfg.Classes[i%len(cfg.Classes)]
-		m.txRange[i], m.csRange[i] = cl.Range, cl.CSRange
 		m.kept[i].at, m.kept[i].end = -1, -1
 	}
 	m.startFn = m.startAll
@@ -290,7 +247,7 @@ func New(s *sim.Simulator, model mobility.Model, cfg Config) *Medium {
 }
 
 // Config returns the medium's configuration.
-func (m *Medium) Config() Config { return m.cfg }
+func (m *Medium) Config() Config { return Config{} }
 
 // Model exposes the mobility model driving node positions, for analysis
 // tools.
@@ -363,10 +320,9 @@ func (m *Medium) AirTime(bits int) time.Duration {
 // radio faithfully transmits (and collides) regardless.
 //
 // How a node hears the frame — not at all, sensed only, decodable — is
-// what comparing its exact distance from src with the sender's two ranges
-// says. The sender's sets answer that (see fill): each pair's answer
-// stands through its horizon, and only pairs past theirs are measured
-// again. A link cut or a partition hides nodes from the copy; delivery
+// what comparing its exact distance from src with the two ranges says.
+// The sender's sets answer that (see fill): each pair's answer stands
+// through its horizon, and only pairs past theirs are measured again. A link cut or a partition hides nodes from the copy; delivery
 // faults act after the sets are found, so they keep them.
 //
 // The whole receiver set rides on two events: one at now+PropDelay that
@@ -473,7 +429,6 @@ func (m *Medium) refresh(src int, sets, hid []uint64) {
 		st.gen = m.gen
 	}
 	p, ks := m.position(src), &m.kept[src]
-	txR, csR := m.txRange[src], m.csRange[src]
 	until := ks.end
 	for i := range m.nodes {
 		if i == src || m.nodes[i].rx == nil {
@@ -488,9 +443,9 @@ func (m *Medium) refresh(src int, sets, hid []uint64) {
 		case all || time.Duration(h[i])*time.Millisecond < now:
 			m.decided++
 			d := p.Dist(m.position(i))
-			sets[w] = sets[w]&^b | bit(d <= csR)<<(i&63)
-			sets[words+w] = sets[words+w]&^b | bit(d <= txR)<<(i&63)
-			h[i] = uint32(min(horizonOf(ks, &m.kept[i], d, txR, csR)/time.Millisecond, math.MaxUint32))
+			sets[w] = sets[w]&^b | bit(d <= DefaultCSRange)<<(i&63)
+			sets[words+w] = sets[words+w]&^b | bit(d <= DefaultRange)<<(i&63)
+			h[i] = uint32(min(horizonOf(ks, &m.kept[i], d)/time.Millisecond, math.MaxUint32))
 		}
 		until = min(until, time.Duration(h[i])*time.Millisecond)
 	}
@@ -499,16 +454,16 @@ func (m *Medium) refresh(src int, sets, hid []uint64) {
 
 // horizonOf returns the last instant through which a sender kept as s and
 // a receiver kept as r, both now and d apart, stay on the sides of the
-// ranges txR and csR they are on: their distance along their pieces' lines
-// keeps more than guard from both, until the earlier piece ends.
-func horizonOf(s, r *keptPos, d, txR, csR float64) time.Duration {
+// two ranges they are on: their distance along their pieces' lines keeps
+// more than guard from both, until the earlier piece ends.
+func horizonOf(s, r *keptPos, d float64) time.Duration {
 	now, end := s.at, min(s.end, r.end)
-	if min(math.Abs(d-txR), math.Abs(d-csR)) <= guard {
+	if min(math.Abs(d-DefaultRange), math.Abs(d-DefaultCSRange)) <= guard {
 		return now
 	}
 	dx, dy, vx, vy := r.X-s.X, r.Y-s.Y, r.v.X-s.v.X, r.v.Y-s.v.Y
 	a, b, c := vx*vx+vy*vy, dx*vx+dy*vy, dx*dx+dy*dy
-	tau := min(reach(a, b, c, d, txR), reach(a, b, c, d, csR)) // seconds
+	tau := min(reach(a, b, c, d, DefaultRange), reach(a, b, c, d, DefaultCSRange)) // seconds
 	if dt := tau * 1e9; dt > 0 {
 		return min(end, now+time.Duration(min(dt, far)))
 	}
@@ -693,7 +648,7 @@ func (m *Medium) NeighborsAppend(id int, out []int) []int {
 		if i == id {
 			continue
 		}
-		if d := p.Dist(m.position(i)); d <= m.txRange[id] && d <= m.txRange[i] {
+		if p.Dist(m.position(i)) <= DefaultRange {
 			out = append(out, i)
 		}
 	}

@@ -206,7 +206,7 @@ func TestNeighborsAndInRange(t *testing.T) {
 	}
 	oracle := mobility.NewStatic(pts)
 	for id := range pts {
-		inRange, _ := oracleSets(oracle, radio.DefaultConfig(), id, 0)
+		inRange, _ := oracleSets(oracle, id, 0)
 		var want []int
 		for v := range pts {
 			if inRange[v] {

@@ -9,7 +9,6 @@ import (
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/metrics"
 	"github.com/manetlab/ldr/internal/mobility"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 )
 
@@ -59,7 +58,7 @@ func (d *drops) Trace(ev routing.TraceEvent) {
 // discovery is ever answered — each running a stub, with drops traced.
 func isolated(n int) (*routing.Network, []*stub, *drops) {
 	stubs := make([]*stub, 0, n)
-	nw := routing.NewNetwork(n, mobility.Line(n, 1000), radio.DefaultConfig(), mac.DefaultConfig(), 1,
+	nw := routing.NewNetwork(n, mobility.Line(n, 1000), mac.DefaultConfig(), 1,
 		func(node *routing.Node) routing.Protocol {
 			s := &stub{}
 			s.Discoveries = NewDiscoveries(node, s)

@@ -11,7 +11,6 @@ import (
 
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/mobility"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 )
 
@@ -59,7 +58,7 @@ func (r *fzRef) SendRequest(dst routing.NodeID, d *Discovery) time.Duration {
 // fzRig builds ids isolated nodes with drops traced; node 0 runs mk's
 // protocol.
 func fzRig(ids int, mk func(*routing.Node) routing.Protocol) (*routing.Network, *drops) {
-	nw := routing.NewNetwork(ids, mobility.Line(ids, 1000), radio.DefaultConfig(), mac.DefaultConfig(), 1,
+	nw := routing.NewNetwork(ids, mobility.Line(ids, 1000), mac.DefaultConfig(), 1,
 		func(node *routing.Node) routing.Protocol {
 			if node.ID() == 0 {
 				return mk(node)

@@ -705,11 +705,11 @@ type ProtocolFactory func(n *Node) Protocol
 // NewNetwork creates n nodes over the given mobility model and binds a
 // protocol instance to each. Protocols are created but not started; call
 // Start to begin.
-func NewNetwork(numNodes int, model mobility.Model, radioCfg radio.Config, macCfg mac.Config, seed int64, factory ProtocolFactory) *Network {
+func NewNetwork(numNodes int, model mobility.Model, macCfg mac.Config, seed int64, factory ProtocolFactory) *Network {
 	s := sim.New()
 	root := rng.New(seed)
 	col := metrics.NewCollector()
-	medium := radio.New(s, model, radioCfg)
+	medium := radio.New(s, model, radio.DefaultConfig())
 	nw := &Network{
 		Sim:       s,
 		Medium:    medium,

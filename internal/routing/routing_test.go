@@ -7,7 +7,6 @@ import (
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/metrics"
 	"github.com/manetlab/ldr/internal/mobility"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 )
 
@@ -54,7 +53,7 @@ func build(n int) (*routing.Network, []*echoProtocol) {
 }
 
 func buildWith(n int, factory routing.ProtocolFactory) *routing.Network {
-	return routing.NewNetwork(n, mobility.Line(n, 200), radio.DefaultConfig(), mac.DefaultConfig(), 5, factory)
+	return routing.NewNetwork(n, mobility.Line(n, 200), mac.DefaultConfig(), 5, factory)
 }
 
 func TestControlBroadcastReachesNeighborsOnly(t *testing.T) {
@@ -178,7 +177,7 @@ func TestDropDataCounts(t *testing.T) {
 func TestNetworkStartStopPropagates(t *testing.T) {
 	started := 0
 	stopped := 0
-	nw := routing.NewNetwork(3, mobility.Line(3, 200), radio.DefaultConfig(), mac.DefaultConfig(), 1,
+	nw := routing.NewNetwork(3, mobility.Line(3, 200), mac.DefaultConfig(), 1,
 		func(node *routing.Node) routing.Protocol {
 			return &hookProtocol{onStart: func() { started++ }, onStop: func() { stopped++ }}
 		})

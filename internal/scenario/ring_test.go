@@ -8,7 +8,6 @@ import (
 	"github.com/manetlab/ldr/internal/core"
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/mobility"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/routing"
 	"github.com/manetlab/ldr/internal/routing/ondemand"
 	"github.com/manetlab/ldr/internal/scenario"
@@ -44,7 +43,7 @@ func TestRingStartSetsTheFirstTTL(t *testing.T) {
 				t.Fatal(err)
 			}
 			var ttls []int
-			nw := routing.NewNetwork(3, mobility.Line(3, 200), radio.DefaultConfig(), mac.DefaultConfig(), 1,
+			nw := routing.NewNetwork(3, mobility.Line(3, 200), mac.DefaultConfig(), 1,
 				func(n *routing.Node) routing.Protocol {
 					if n.ID() == 0 {
 						return f(n)

@@ -20,7 +20,6 @@ import (
 	"github.com/manetlab/ldr/internal/metrics"
 	"github.com/manetlab/ldr/internal/mobility"
 	"github.com/manetlab/ldr/internal/olsr"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/rng"
 	"github.com/manetlab/ldr/internal/routing"
 	"github.com/manetlab/ldr/internal/traffic"
@@ -53,46 +52,6 @@ const (
 // and fuzzer draws.
 func Mobilities() []string { return []string{Waypoint, Manhattan, GaussMarkov} }
 
-// Radio names the selectable transmit-power profiles. Classes are
-// assigned per node id (i % len(classes), see radio.Config.Classes), so
-// a profile is a pure function of the node count — no randomness drawn.
-const (
-	RadioUniform = "uniform" // every node at the paper's 275 m disk
-	RadioMixed   = "mixed"   // three interleaved classes around the default
-	RadioAsym    = "asym"    // alternating long/short classes, maximizing one-way links
-)
-
-// Radios lists the valid radio profile names, for flag validation and
-// fuzzer draws.
-func Radios() []string { return []string{RadioUniform, RadioMixed, RadioAsym} }
-
-// RadioClasses maps a radio profile name to its transmit-power classes;
-// nil is the medium's one default class, the uniform disk.
-func RadioClasses(name string) ([]radio.Class, error) {
-	switch name {
-	case "", RadioUniform:
-		return nil, nil
-	case RadioMixed:
-		// Weak, default, and strong radios interleaved: plenty of
-		// one-way links without stranding whole regions.
-		return []radio.Class{
-			{Range: 200, CSRange: 450},
-			{Range: 275, CSRange: 550},
-			{Range: 350, CSRange: 650},
-		}, nil
-	case RadioAsym:
-		// Every other node is a long-range transmitter the short-range
-		// half can hear but never answer — the starkest asymmetric-link
-		// regime the MAC ACK and reverse-path code must survive.
-		return []radio.Class{
-			{Range: 375, CSRange: 650},
-			{Range: 150, CSRange: 450},
-		}, nil
-	default:
-		return nil, fmt.Errorf("scenario: unknown radio profile %q", name)
-	}
-}
-
 // Config describes one simulation run.
 //
 // Config's JSON encoding is a journal key (resilience.SpecHash), so every
@@ -115,11 +74,6 @@ type Config struct {
 	// [MinSpeed, MaxSpeed]; Gauss-Markov reverts to the mid-range speed.
 	// Scripted Positions (below) override the model entirely.
 	Mobility string `json:",omitempty"`
-
-	// Radio selects a named heterogeneous transmit-power profile ("" or
-	// "uniform" → the paper's single 275 m disk). Non-uniform profiles
-	// assign radio.Config.Classes per node id, making links directional.
-	Radio string `json:",omitempty"`
 
 	// RTSCTS enables the MAC's RTS/CTS virtual carrier sensing (off in
 	// the paper's setup; exposed for the MAC-level ablation).
@@ -260,11 +214,7 @@ func BuildInstrumented(cfg Config) (*routing.Network, *traffic.Generator, *Instr
 		return nil, nil, nil, err
 	}
 
-	cls, err := RadioClasses(cfg.Radio)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	nw := routing.NewNetwork(cfg.Nodes, model, radio.Config{Classes: cls}, mac.Config{RTSCTSEnabled: cfg.RTSCTS}, cfg.Seed, factory)
+	nw := routing.NewNetwork(cfg.Nodes, model, mac.Config{RTSCTSEnabled: cfg.RTSCTS}, cfg.Seed, factory)
 	gen := traffic.NewGenerator(nw.Sim, nw.Nodes,
 		traffic.Config{Flows: cfg.Flows, Stop: cfg.SimTime}, root.Split("traffic"))
 	if len(cfg.Traffic) > 0 {

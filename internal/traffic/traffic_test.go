@@ -6,7 +6,6 @@ import (
 
 	"github.com/manetlab/ldr/internal/mac"
 	"github.com/manetlab/ldr/internal/mobility"
-	"github.com/manetlab/ldr/internal/radio"
 	"github.com/manetlab/ldr/internal/rng"
 	"github.com/manetlab/ldr/internal/routing"
 	"github.com/manetlab/ldr/internal/traffic"
@@ -25,7 +24,7 @@ func (p *sinkProtocol) Originate(pkt *routing.DataPacket)              { p.origi
 
 func testNetwork(n int) (*routing.Network, []*sinkProtocol) {
 	var sinks []*sinkProtocol
-	nw := routing.NewNetwork(n, mobility.Line(n, 100), radio.DefaultConfig(), mac.DefaultConfig(), 1,
+	nw := routing.NewNetwork(n, mobility.Line(n, 100), mac.DefaultConfig(), 1,
 		func(node *routing.Node) routing.Protocol {
 			s := &sinkProtocol{}
 			sinks = append(sinks, s)
@@ -171,7 +170,7 @@ func (p *loopbackProtocol) Originate(pkt *routing.DataPacket) { p.node.DeliverLo
 // allocation on every tick (a closure per event, a map insertion per
 // packet) reads as at least one.
 func TestWarmCBRTickAllocatesNothing(t *testing.T) {
-	nw := routing.NewNetwork(4, mobility.Line(4, 100), radio.DefaultConfig(), mac.DefaultConfig(), 1,
+	nw := routing.NewNetwork(4, mobility.Line(4, 100), mac.DefaultConfig(), 1,
 		func(node *routing.Node) routing.Protocol { return &loopbackProtocol{node: node} })
 	gen := traffic.NewGenerator(nw.Sim, nw.Nodes, traffic.Config{Flows: 3, Stop: time.Hour}, rng.New(1))
 	gen.Start()
