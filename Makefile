@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check ci-quick ci-full build test vet flags-check race fuzz-smoke fuzz-scenario chaos adversary modelcheck modelcheck-smoke modelcheck-seed resume-smoke bench-smoke bench-gate bench-all bench-compare loc profile profile-cell examples experiments experiments-full clean
+.PHONY: all check ci-quick ci-full build test vet flags-check race fuzz-smoke fuzz-scenario chaos adversary modelcheck modelcheck-smoke modelcheck-seed resume-smoke bench-smoke bench-gate bench-all bench-compare loc profile profile-cell experiments experiments-full clean
 
 all: check
 
@@ -51,23 +51,27 @@ race:
 # against per-receiver events, of LoadSpec on hostile seed files, of the
 # journal's Open and Put on hostile record files, of the collector's
 # per-source fate rows against the map ledger they replaced (a failing input lands in
-# the package's testdata/fuzz/ and then fails plain `go test` too).
+# the package's testdata/fuzz/ and then fails plain `go test` too). Those
+# nine minimise a new interesting input for at most 100 runs instead of
+# Go's default of up to 60 s, which would otherwise eat the 20 s budget
+# (FuzzLoadSpec ran 24 inputs in it); FuzzScenario keeps the default,
+# since a failing scenario minimised toward the default axes is its point.
 fuzz-smoke:
 	$(GO) test -race -timeout 30m ./internal/conformance/ -run 'TestRegressionSeeds|FuzzScenario'
 	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzScenario -fuzztime 20s
-	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEventQueue -fuzztime 20s
-	$(GO) test ./internal/olsr -run '^$$' -fuzz FuzzOLSRState -fuzztime 20s
-	$(GO) test ./internal/routing/ondemand -run '^$$' -fuzz FuzzOnDemandState -fuzztime 20s
-	$(GO) test ./internal/radio -run '^$$' -fuzz FuzzReceiverSet -fuzztime 20s
-	$(GO) test ./internal/radio -run '^$$' -fuzz FuzzRestingReceiverSet -fuzztime 20s
-	$(GO) test ./internal/radio -run '^$$' -fuzz FuzzBatchedDelivery -fuzztime 20s
-	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzLoadSpec -fuzztime 20s
-	$(GO) test ./internal/resilience -run '^$$' -fuzz FuzzJournalRecord -fuzztime 20s
-	$(GO) test ./internal/metrics -run '^$$' -fuzz FuzzFateRows -fuzztime 20s
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEventQueue -fuzztime 20s -fuzzminimizetime 100x
+	$(GO) test ./internal/olsr -run '^$$' -fuzz FuzzOLSRState -fuzztime 20s -fuzzminimizetime 100x
+	$(GO) test ./internal/routing/ondemand -run '^$$' -fuzz FuzzOnDemandState -fuzztime 20s -fuzzminimizetime 100x
+	$(GO) test ./internal/radio -run '^$$' -fuzz FuzzReceiverSet -fuzztime 20s -fuzzminimizetime 100x
+	$(GO) test ./internal/radio -run '^$$' -fuzz FuzzRestingReceiverSet -fuzztime 20s -fuzzminimizetime 100x
+	$(GO) test ./internal/radio -run '^$$' -fuzz FuzzBatchedDelivery -fuzztime 20s -fuzzminimizetime 100x
+	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzLoadSpec -fuzztime 20s -fuzzminimizetime 100x
+	$(GO) test ./internal/resilience -run '^$$' -fuzz FuzzJournalRecord -fuzztime 20s -fuzzminimizetime 100x
+	$(GO) test ./internal/metrics -run '^$$' -fuzz FuzzFateRows -fuzztime 20s -fuzzminimizetime 100x
 
 # Long scenario fuzz (nightly): 5 min of FuzzScenario, too slow for the
-# pull-request loop, so every protocol, fault profile, adversary and
-# mobility model stays under continuous conservation/census audit.
+# pull-request loop, so every protocol, fault profile and adversary stays
+# under continuous conservation/census audit.
 fuzz-scenario:
 	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzScenario -fuzztime 5m
 
@@ -245,13 +249,6 @@ loc:
 		n=$$(grep -L '^// Code generated .* DO NOT EDIT' $$files | xargs cat | wc -l); \
 		printf '%6d %s\n' $$n $$pkg; \
 	done | awk '{ print; t += $$1 } END { printf "%6d total\n", t }'
-
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/invariants
-	$(GO) run ./examples/rescue
-	$(GO) run ./examples/fleet
-	$(GO) run ./examples/coordination
 
 # Reduced-scale regeneration of every table and figure (minutes).
 experiments:

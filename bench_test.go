@@ -49,7 +49,7 @@ func cell(proto ldr.ProtocolName, nodes, flows int, pause time.Duration) ldr.Sce
 
 // BenchmarkTable1 reproduces Table 1's per-protocol summary rows: each
 // sub-benchmark is one (protocol, flow-count) cell of the paper's summary,
-// averaged here over a single mid-mobility pause time.
+// run here at one pause time (30 s, a network in frequent motion).
 func BenchmarkTable1(b *testing.B) {
 	for _, flows := range []int{10, 30} {
 		for _, proto := range scenario.AllProtocols {

@@ -7,10 +7,9 @@
 //	ldrbench -exp table1 -simtime 900s -trials 10   # the paper's full setup
 //
 // Experiments: the names in experiments.Registry, or "all" for the paper
-// set. The extras (mobility, chaos, adversary) run only when named — the
-// mobility comparison comes from the follow-on literature, and chaos and
-// adversary are the fault-injection and Byzantine-node suites. The bounded
-// model check is cmd/ldrcheck.
+// set. The extras (chaos, adversary) run only when named: they are the
+// fault-injection and Byzantine-node suites. The bounded model check is
+// cmd/ldrcheck.
 //
 // Chaos runs every protocol under every fault profile — node crash and
 // reboot with volatile state loss, link flapping, partitions, lossy
@@ -70,8 +69,6 @@ func run() error {
 			"every protocol under every -profiles entry, audited for loops throughout.",
 		"ldrbench -exp table1 -simtime 900s -trials 10   # the paper's full setup",
 		"ldrbench -exp fig3 -protocols ldr,aodv",
-		"ldrbench -exp mobility                          # waypoint vs manhattan vs gaussmarkov",
-		"ldrbench -exp fig3 -mobility manhattan",
 		"ldrbench -exp table1 -journal /tmp/t1.journal           # kill-safe; ^C prints the resume command",
 		"ldrbench -exp table1 -journal /tmp/t1.journal -resume   # continue a killed sweep",
 		"ldrbench -exp all -journal DIR -cell-timeout 2m -keep-going",

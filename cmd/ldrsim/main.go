@@ -60,7 +60,6 @@ func run() error {
 			"Byzantine-node suite.",
 		"ldrsim -proto ldr -nodes 50 -flows 10 -pause 60s -simtime 300s -seed 1",
 		"ldrsim -proto aodv -trials 10 -workers 4",
-		"ldrsim -proto ldr -mobility manhattan",
 		"ldrsim -proto olsr -nodes 100 -pause 0s -cpuprofile cell.pprof  # make profile-cell",
 		"ldrsim -proto ldr -nodes 20 -flows 5 -simtime 60s -dest 3 -interval 5s  # route dumps, live loopcheck",
 		"ldrsim -proto aodv -nodes 20 -flows 5 -simtime 60s -packets 10         # the last 10 delivered paths",
@@ -188,9 +187,9 @@ func (c *cellFlags) validate() error {
 }
 
 // config is the cell as ldrbench builds it, at the shared flags' run
-// length and axes, with the terrain and speed flags applied.
+// length, with the terrain and speed flags applied.
 func (c *cellFlags) config(s cli.Scale) scenario.Config {
-	o := experiments.Options{SimTime: s.SimTime, Axes: s.Axes}
+	o := experiments.Options{SimTime: s.SimTime}
 	cfg := o.Cell(scenario.ProtocolName(c.proto), c.nodes, c.flows, c.pause, s.Seed)
 	if c.width > 0 {
 		cfg.Terrain.Width = c.width

@@ -1,5 +1,5 @@
 // Package cli binds, once, the flags ldrsim and ldrbench share — Scale
-// (-seed, -workers, -trials, -simtime and the scenario axes) and Profile
+// (-seed, -workers, -trials, -simtime) and Profile
 // (-cpuprofile, -memprofile) — and ldrbench's experiment surface,
 // Experiment, and turns the parsed values into the options the harnesses
 // take. A command presets its defaults on the struct for its flag
@@ -131,15 +131,14 @@ func (p *Profile) Start() (stop func(), err error) {
 	}, nil
 }
 
-// Scale is -seed, -workers, -trials, -simtime and the scenario axes:
-// one scenario shape repeated across seeds (ldrsim, ldrbench). Bind
-// uses the fields' current values as defaults.
+// Scale is -seed, -workers, -trials and -simtime: one scenario shape
+// repeated across seeds (ldrsim, ldrbench). Bind uses the fields'
+// current values as defaults.
 type Scale struct {
 	Seed    int64
 	Workers int
 	Trials  int
 	SimTime time.Duration
-	scenario.Axes
 }
 
 func (s *Scale) Bind(fs *flag.FlagSet) {
@@ -148,7 +147,6 @@ func (s *Scale) Bind(fs *flag.FlagSet) {
 		"concurrent cells; 0 = GOMAXPROCS, 1 = serial (output is identical either way)")
 	fs.IntVar(&s.Trials, "trials", s.Trials, "trials (seeds seed..seed+trials-1) per configuration, ≥ 1; paper: 10")
 	fs.DurationVar(&s.SimTime, "simtime", s.SimTime, "simulated time per run, > 0; paper: 900s")
-	s.Axes.Bind(fs)
 }
 
 func (s *Scale) Validate() error {
@@ -161,7 +159,7 @@ func (s *Scale) Validate() error {
 	if s.Workers < 0 {
 		return fmt.Errorf("-workers must be ≥ 0 (got %d; 0 means GOMAXPROCS)", s.Workers)
 	}
-	return s.Axes.Validate()
+	return nil
 }
 
 // Experiment is Scale plus -protocols and the resilience flags —
@@ -244,7 +242,6 @@ func (e *Experiment) Options() (experiments.Options, error) {
 		Out:      os.Stdout,
 		BaseSeed: e.Seed,
 		Workers:  e.Workers,
-		Axes:     e.Axes,
 		Progress: &e.progress,
 		Exec:     exec,
 	}

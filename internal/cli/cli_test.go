@@ -57,7 +57,6 @@ func bound(t *testing.T, args ...string) *Experiment {
 func TestRejectedCommandLineLeavesNothingBehind(t *testing.T) {
 	for _, bad := range [][]string{
 		{"-protocols", "ldr,nope"},
-		{"-mobility", "teleport"},
 		{"-trials", "0"},
 		{"-simtime", "0s"},
 		{"-workers", "-1"},

@@ -170,7 +170,8 @@ func TestLoadSpecRejectsUnknownKeys(t *testing.T) {
 	const ok = `"protocol": "ldr", "nodes": 8, "flows": 1, "simtime_sec": 2, "seed": 1, "profile": "none"`
 	for _, c := range []struct{ name, body, want string }{
 		{"retired axis", `{` + ok + `, "adaptive": true}`, `"adaptive"`},
-		{"misspelt axis", `{` + ok + `, "mobilty": "manhattan"}`, `"mobilty"`},
+		{"deleted axis", `{` + ok + `, "mobility": "waypoint"}`, `"mobility"`},
+		{"misspelt key", `{` + ok + `, "profle": "none"}`, `"profle"`},
 		{"misspelt script key", `{` + ok + `, "script": {"postions": []}}`, `"postions"`},
 		{"trailing data", `{` + ok + `} {}`, "trailing data"},
 	} {

@@ -4,30 +4,24 @@ import (
 	"bytes"
 	"testing"
 
-	"github.com/manetlab/ldr/internal/scenario"
+	"github.com/manetlab/ldr/internal/fault"
 	"github.com/manetlab/ldr/internal/sweep"
 )
 
-// TestDiversityByteIdenticalAcrossWorkers: the mobility models must keep
-// the replay guarantee the rest of the suite relies on — same spec, same trace, at any worker count (the
-// TestPoolRecyclingByteIdentical capture-diff pattern applied to the
-// scenario-diversity axes).
+// TestDiversityByteIdenticalAcrossWorkers: every protocol, with and
+// without faults, keeps the replay guarantee the rest of the suite relies
+// on — same spec, same trace, at any worker count (the
+// TestPoolRecyclingByteIdentical capture-diff pattern applied across
+// protocols and fault profiles).
 func TestDiversityByteIdenticalAcrossWorkers(t *testing.T) {
 	specs := []Spec{
-		{Protocol: "ldr", Nodes: 12, Flows: 3, SimTimeSec: 6, Seed: 31,
-			Profile: "reboot", Mobility: scenario.Manhattan},
-		{Protocol: "aodv", Nodes: 12, Flows: 3, SimTimeSec: 6, Seed: 32,
-			Profile: "mayhem", Mobility: scenario.GaussMarkov},
-		{Protocol: "ldr", Nodes: 12, Flows: 3, SimTimeSec: 6, Seed: 33,
-			Profile: "none", Mobility: scenario.GaussMarkov},
-		{Protocol: "dsr", Nodes: 12, Flows: 3, SimTimeSec: 6, Seed: 34,
-			Profile: "none", Mobility: scenario.Manhattan},
-		{Protocol: "ldr", Nodes: 12, Flows: 3, SimTimeSec: 6, Seed: 35,
-			Profile: "reboot"},
-		{Protocol: "aodv", Nodes: 12, Flows: 3, SimTimeSec: 6, Seed: 36,
-			Profile: "none", Mobility: scenario.GaussMarkov},
-		{Protocol: "olsr", Nodes: 12, Flows: 3, SimTimeSec: 6, Seed: 37,
-			Profile: "none"},
+		{Protocol: "ldr", Nodes: 12, Flows: 3, SimTimeSec: 6, Seed: 31, Profile: "reboot"},
+		{Protocol: "aodv", Nodes: 12, Flows: 3, SimTimeSec: 6, Seed: 32, Profile: "mayhem"},
+		{Protocol: "ldr", Nodes: 12, Flows: 3, SimTimeSec: 6, Seed: 33, Profile: "none"},
+		{Protocol: "dsr", Nodes: 12, Flows: 3, SimTimeSec: 6, Seed: 34, Profile: "none"},
+		{Protocol: "ldr", Nodes: 12, Flows: 3, SimTimeSec: 6, Seed: 35, Profile: "reboot"},
+		{Protocol: "aodv", Nodes: 12, Flows: 3, SimTimeSec: 6, Seed: 36, Profile: "none"},
+		{Protocol: "olsr", Nodes: 12, Flows: 3, SimTimeSec: 6, Seed: 37, Profile: "none"},
 	}
 	capture := func(workers int) []*Log {
 		logs := make([]*Log, len(specs))
@@ -61,8 +55,8 @@ func TestDiversityByteIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestLDRCleanAcrossDiversityMatrix: the paper's loop-freedom claim must
-// survive every mobility × fault combination, and every run must still
-// satisfy conservation and the vanished-packet census.
+// survive every fault profile, and every run must still satisfy
+// conservation and the vanished-packet census.
 func TestLDRCleanAcrossDiversityMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix run in full mode only")
@@ -83,14 +77,11 @@ func TestLDRCleanAcrossDiversityMatrix(t *testing.T) {
 			t.Fatalf("%s: delivery ratio %.3f > 1", s, r.Collector.DeliveryRatio())
 		}
 	}
-	for _, mob := range scenario.Mobilities() {
-		for _, profile := range []string{"none", "reboot"} {
-			check(Spec{
-				Protocol: "ldr", Nodes: 15, Flows: 3,
-				SimTimeSec: 8, Seed: 41, Profile: profile,
-				Mobility: mob,
-				AuditMS:  100,
-			})
-		}
+	for _, profile := range fault.ProfileNames() {
+		check(Spec{
+			Protocol: "ldr", Nodes: 15, Flows: 3,
+			SimTimeSec: 8, Seed: 41, Profile: profile,
+			AuditMS: 100,
+		})
 	}
 }

@@ -11,15 +11,14 @@ import (
 
 // specFromScript reads one byte per scenario axis, in a fixed order:
 // protocol, nodes (8–20), flows (1–8), simtime (2–12 s), a 16-bit seed
-// (two bytes), fault profile, adversary, mobility, pause (0–30 s) and
-// audit cadence (50–199 ms). A missing byte
-// reads as 0, and 0 is each axis's minimum or the first entry of its name
-// list, which is its default. So the engine's minimiser, which cuts the
-// tail and then removes bytes, drops faults and the adversary, resets the
-// axes and cuts flows. Its last pass writes printable bytes, '0' first,
-// so '0' reads as 0 too.
+// (two bytes), fault profile, adversary, pause (0–30 s) and audit
+// cadence (50–199 ms). A missing byte reads as 0, and 0 is each axis's
+// minimum or the first entry of its name list, which is its default. So
+// the engine's minimiser, which cuts the tail and then removes bytes,
+// drops faults and the adversary, resets the axes and cuts flows. Its
+// last pass writes printable bytes, '0' first, so '0' reads as 0 too.
 func specFromScript(script []byte) Spec {
-	b := make([]byte, 11)
+	b := make([]byte, 10)
 	copy(b, script)
 	for i := range b {
 		if b[i] == '0' {
@@ -35,9 +34,8 @@ func specFromScript(script []byte) Spec {
 		Seed:       int64(b[4])<<8 | int64(b[5]),
 		Profile:    pick(fault.ProfileNames(), b[6]),
 		Adversary:  pick(adversary.ProfileNames(), b[7]),
-		Mobility:   pick(scenario.Mobilities(), b[8]),
-		PauseSec:   float64(int(b[9]) % 31),
-		AuditMS:    50 + int(b[10])%150,
+		PauseSec:   float64(int(b[8]) % 31),
+		AuditMS:    50 + int(b[9])%150,
 	}
 }
 
@@ -46,21 +44,21 @@ func specFromScript(script []byte) Spec {
 // packet ledger, a delivery ratio above one, or, for LDR only, a loop.
 // The failure message holds the spec in the committed-seed format, ready
 // to move into testdata/. Plain `go test` runs one seed per protocol ×
-// fault profile, which between them draw every adversary and mobility,
-// and two that draw a pause and an audit cadence off their minimum;
-// `make fuzz-smoke` fuzzes for 20 s.
+// fault profile, which between them draw every adversary, and two that
+// draw a pause and an audit cadence off their minimum; `make fuzz-smoke`
+// fuzzes for 20 s.
 func FuzzScenario(f *testing.F) {
 	// Seed i: nodes 8 + i mod 13, 3 flows, 6 s, seed i, and adversary
-	// and mobility i mod their lists.
+	// i mod its list.
 	i := 0
 	for p := range scenario.AllProtocols {
 		for fp := range fault.ProfileNames() {
-			f.Add([]byte{byte(p), byte(i), 2, 4, 0, byte(i), byte(fp), byte(i), byte(i)})
+			f.Add([]byte{byte(p), byte(i), 2, 4, 0, byte(i), byte(fp), byte(i)})
 			i++
 		}
 	}
-	f.Add([]byte{0, 4, 2, 4, 0, 1, 0, 0, 0, 20, 149})
-	f.Add([]byte{1, 4, 2, 4, 0, 2, 2, 0, 1, 5, 50})
+	f.Add([]byte{0, 4, 2, 4, 0, 1, 0, 0, 20, 149})
+	f.Add([]byte{1, 4, 2, 4, 0, 2, 2, 0, 5, 50})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		s := specFromScript(script)
 		r, err := CheckSpec(s)
@@ -89,8 +87,8 @@ func FuzzScenario(f *testing.F) {
 // with its default fails here.
 func TestEmptyScriptIsTheDefaultScenario(t *testing.T) {
 	want := Spec{Protocol: string(scenario.LDR), Nodes: 8, Flows: 1, SimTimeSec: 2,
-		Profile: "none", Adversary: "none", Mobility: scenario.Waypoint, AuditMS: 50}
-	for _, script := range [][]byte{nil, []byte("00000000000")} {
+		Profile: "none", Adversary: "none", AuditMS: 50}
+	for _, script := range [][]byte{nil, []byte("0000000000")} {
 		if got := specFromScript(script); got != want {
 			t.Errorf("script %q reads as %+v, want %+v", script, got, want)
 		}

@@ -74,6 +74,7 @@ func FuzzLoadSpec(f *testing.F) {
 	// A key the Spec no longer has, as the seed files of a deleted axis
 	// carried: an error, never a scenario without it.
 	f.Add([]byte(`{"protocol": "olsr", "nodes": 16, "flows": 4, "simtime_sec": 10, "seed": 1, "profile": "none", "radio": "asym"}`))
+	f.Add([]byte(`{"protocol": "ldr", "nodes": 12, "flows": 3, "simtime_sec": 6, "seed": 31, "profile": "reboot", "mobility": "waypoint"}`))
 	for _, c := range hostileSpecs {
 		blob, err := json.Marshal(c.spec)
 		if err != nil {

@@ -41,7 +41,6 @@ func SpecFromConfig(cfg scenario.Config) (Spec, error) {
 		PauseSec:   cfg.PauseTime.Seconds(),
 		SimTimeSec: cfg.SimTime.Seconds(),
 		Seed:       cfg.Seed,
-		Mobility:   cfg.Mobility,
 		TerrainW:   cfg.Terrain.Width,
 		TerrainH:   cfg.Terrain.Height,
 		MinSpeed:   cfg.MinSpeed,

@@ -27,7 +27,6 @@ type Spec struct {
 	Seed       int64   `json:"seed"`
 	Profile    string  `json:"profile"`             // fault.ProfileNames entry
 	Adversary  string  `json:"adversary,omitempty"` // adversary.ProfileNames entry
-	Mobility   string  `json:"mobility,omitempty"`  // scenario.Mobilities entry ("" → waypoint)
 	AuditMS    int     `json:"audit_ms"`
 	Note       string  `json:"note,omitempty"`
 
@@ -53,12 +52,8 @@ func (s Spec) String() string {
 	if s.Adversary != "" && s.Adversary != "none" {
 		adv = "+" + s.Adversary
 	}
-	axes := ""
-	if s.Mobility != "" && s.Mobility != scenario.Waypoint {
-		axes += " mobility=" + s.Mobility
-	}
-	return fmt.Sprintf("%s/%s%s nodes=%d flows=%d pause=%.0fs sim=%.0fs seed=%d%s",
-		s.Protocol, s.Profile, adv, s.Nodes, s.Flows, s.PauseSec, s.SimTimeSec, s.Seed, axes)
+	return fmt.Sprintf("%s/%s%s nodes=%d flows=%d pause=%.0fs sim=%.0fs seed=%d",
+		s.Protocol, s.Profile, adv, s.Nodes, s.Flows, s.PauseSec, s.SimTimeSec, s.Seed)
 }
 
 // Config expands the spec into a runnable scenario configuration. The
@@ -94,10 +89,6 @@ func (s Spec) Config() (scenario.Config, error) {
 	if _, err := scenario.Factory(cfg); err != nil {
 		return scenario.Config{}, err
 	}
-	if err := (scenario.Axes{Mobility: s.Mobility}).Validate(); err != nil {
-		return scenario.Config{}, fmt.Errorf("conformance: %w", err)
-	}
-	cfg.Mobility = s.Mobility
 	if s.Profile != "" && s.Profile != "none" {
 		plan, err := fault.Profile(s.Profile, s.Nodes, simTime)
 		if err != nil {

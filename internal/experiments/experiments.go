@@ -50,13 +50,6 @@ type Options struct {
 	// Chaos, adversary.ProfileNames for Adversary (nil = all of them).
 	Profiles []string
 
-	// Axes apply the scenario-diversity axes to every cell of the
-	// experiment being run (the zero value is the paper's waypoint
-	// setup), so every table composes with the newer models. The
-	// Mobility experiment sweeps models itself and overrides
-	// Axes.Mobility.
-	scenario.Axes
-
 	// Progress, when non-nil, receives live cell counters for the sweep
 	// currently running (see sweep.Progress).
 	Progress *sweep.Progress
@@ -95,7 +88,7 @@ func (o Options) Defaults() Options {
 // Cell is the one constructor every experiment's cells come from: the
 // paper's scenario skeleton for the node count (100 selects the larger
 // terrain; anything else rescales the 50-node one), stamped with the
-// experiment's run length and scenario-diversity axes.
+// experiment's run length.
 func (o Options) Cell(proto scenario.ProtocolName, nodes, flows int, pause time.Duration, seed int64) scenario.Config {
 	cfg := scenario.Nodes50(proto, flows, pause, seed)
 	if nodes == 100 {
@@ -103,7 +96,6 @@ func (o Options) Cell(proto scenario.ProtocolName, nodes, flows int, pause time.
 	}
 	cfg.Nodes = nodes
 	cfg.SimTime = o.SimTime
-	cfg.Mobility = o.Mobility
 	return cfg
 }
 
@@ -186,14 +178,12 @@ func paper() []Experiment {
 }
 
 // Registry lists every experiment: the paper set, "all" (that set in
-// one run), then the ones that run only when named — the mobility
-// comparison comes from the follow-on literature, and chaos and
+// one run), then the ones that run only when named — chaos and
 // adversary sweep fault and attack profiles under the continuous
 // invariant audit.
 func Registry() []Experiment {
 	return append(paper(),
 		Experiment{Name: "all", Run: all},
-		Experiment{Name: "mobility", Run: Mobility},
 		Experiment{Name: "chaos", Run: Chaos, Profiles: fault.ProfileNames(), Scope: "chaos"},
 		Experiment{Name: "adversary", Run: Adversary, Profiles: adversary.ProfileNames(), Scope: "adversary"})
 }

@@ -23,7 +23,7 @@ var (
 const goldenPath = "testdata/render.golden"
 
 // TestRenderGolden is the cross-commit oracle for the experiments layer:
-// every rendered byte of every statistical experiment at default axes,
+// every rendered byte of every statistical experiment,
 // plus — per journal scope — the record key of the experiment's first
 // cell and the payload journaled under it, compared against a file
 // committed from an earlier build. A refactor of the table plumbing, the
@@ -32,7 +32,7 @@ const goldenPath = "testdata/render.golden"
 // regenerates the file after a deliberate change.
 func TestRenderGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("renders ten tables (~40 s)")
+		t.Skip("renders seven tables")
 	}
 	const simTime = 8 * time.Second
 	base := experiments.Options{Trials: 2, SimTime: simTime, Workers: *goldenWorkers}
@@ -51,7 +51,6 @@ func TestRenderGolden(t *testing.T) {
 	faulted.FaultPlan = &plan
 
 	var out strings.Builder
-	body := map[string]string{} // experiment name → its rendered table
 	for _, e := range []struct {
 		name  string
 		fn    func(experiments.Options) error
@@ -65,14 +64,8 @@ func TestRenderGolden(t *testing.T) {
 		{name: "fig6", fn: experiments.Fig6},
 		{name: "fig7", fn: experiments.Fig7},
 		{name: "ablation", fn: experiments.Ablation},
-		{name: "mobility", fn: experiments.Mobility},
 		{name: "chaos", fn: experiments.Chaos, scope: "chaos", first: faulted},
 		{name: "adversary", fn: experiments.Adversary, scope: "adversary", first: audited},
-		// Ablation once ignored the scenario axes; pin that it no longer does.
-		{name: "ablation+axes", fn: func(o experiments.Options) error {
-			o.Axes = scenario.Axes{Mobility: scenario.Manhattan}
-			return experiments.Ablation(o)
-		}},
 	} {
 		o := base
 		o.Out = &out
@@ -84,11 +77,9 @@ func TestRenderGolden(t *testing.T) {
 			o.Exec = sweep.ExecOptions{Journal: j}
 		}
 		fmt.Fprintf(&out, "=== %s\n", e.name)
-		start := out.Len()
 		if err := e.fn(o); err != nil {
 			t.Fatalf("%s: %v", e.name, err)
 		}
-		body[e.name] = out.String()[start:]
 		if j == nil {
 			continue
 		}
@@ -101,10 +92,6 @@ func TestRenderGolden(t *testing.T) {
 			t.Fatalf("%s: first cell's key %s is not in the %q journal", e.name, key, e.scope)
 		}
 		fmt.Fprintf(&out, "journal %s %s %s\n", e.scope, key, payload)
-	}
-
-	if body["ablation"] == body["ablation+axes"] {
-		t.Fatal("Ablation renders the same bytes with and without the scenario axes set")
 	}
 
 	if *updateGolden {

@@ -69,17 +69,6 @@ func TestEveryOptionHasAUser(t *testing.T) {
 			"MaxSpeed": "ldrsim -maxspeed: scenario.buildMobility",
 			"Pause":    "the pause-time sweep: scenario.buildMobility",
 		}},
-		{mobility.ManhattanConfig{}, nil, map[string]string{
-			"Terrain":  "50- and 100-node terrains: scenario.buildMobility",
-			"MinSpeed": "scenario.buildMobility copies Config.MinSpeed (conformance.Spec draws it)",
-			"MaxSpeed": "ldrsim -maxspeed: scenario.buildMobility",
-			"Pause":    "the pause-time sweep: scenario.buildMobility",
-		}},
-		{mobility.GaussMarkovConfig{}, nil, map[string]string{
-			"Terrain":   "50- and 100-node terrains: scenario.buildMobility",
-			"MeanSpeed": "scenario.buildMobility: the middle of Config.MinSpeed and MaxSpeed",
-			"MaxSpeed":  "ldrsim -maxspeed: scenario.buildMobility",
-		}},
 		{fault.AuditConfig{}, nil, map[string]string{
 			"Cadence": "conformance.Spec.AuditMS: scenario.BuildInstrumented copies Config.AuditCadence",
 			"Until":   "-simtime: scenario.BuildInstrumented; an hour in benchmark/drivers.go",

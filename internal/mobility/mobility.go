@@ -43,8 +43,8 @@ type Model interface {
 	// NumNodes returns the number of nodes the model covers.
 	NumNodes() int
 	// Piece returns the straight piece node id is on at t, the instant of
-	// its latest Position query: a Waypoint or Manhattan segment or pause,
-	// a Gauss-Markov step, a Script leg, or forever for a Static node.
+	// its latest Position query: a Waypoint segment or pause, a Script
+	// leg, or forever for a Static node.
 	Piece(id int, t time.Duration) Piece
 }
 
@@ -79,11 +79,6 @@ const Margin = 1e-6
 // Terrain is the rectangular simulation area, in meters.
 type Terrain struct {
 	Width, Height float64
-}
-
-// Contains reports whether p lies within the terrain.
-func (t Terrain) Contains(p Point) bool {
-	return p.X >= 0 && p.X <= t.Width && p.Y >= 0 && p.Y <= t.Height
 }
 
 // WaypointConfig parameterizes the random waypoint model.

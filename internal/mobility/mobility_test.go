@@ -19,13 +19,18 @@ func waypointModel(n int, pause time.Duration, seed int64) *mobility.Waypoint {
 	}, rng.New(seed))
 }
 
+// inside reports whether p lies within the terrain.
+func inside(t mobility.Terrain, p mobility.Point) bool {
+	return p.X >= 0 && p.X <= t.Width && p.Y >= 0 && p.Y <= t.Height
+}
+
 func TestWaypointStaysInsideTerrain(t *testing.T) {
 	m := waypointModel(10, 0, 1)
 	terrain := mobility.Terrain{Width: 1500, Height: 300}
 	for step := 0; step < 2000; step++ {
 		at := time.Duration(step) * 500 * time.Millisecond
 		for id := 0; id < m.NumNodes(); id++ {
-			if p := m.Position(id, at); !terrain.Contains(p) {
+			if p := m.Position(id, at); !inside(terrain, p) {
 				t.Fatalf("node %d left terrain at t=%v: %+v", id, at, p)
 			}
 		}
@@ -53,6 +58,22 @@ func TestWaypointEventuallyMoves(t *testing.T) {
 	}
 	if !moved {
 		t.Fatal("no node moved within a minute despite a 1s pause time")
+	}
+}
+
+// TestWaypointQueryPatternInvariance: querying a node densely or
+// sparsely must not change where it ends up.
+func TestWaypointQueryPatternInvariance(t *testing.T) {
+	dense := waypointModel(4, time.Second, 5)
+	sparse := waypointModel(4, time.Second, 5)
+	final := 120 * time.Second
+	for id := 0; id < 4; id++ {
+		for step := 0; step < 1200; step++ {
+			dense.Position(id, time.Duration(step)*100*time.Millisecond)
+		}
+		if a, b := dense.Position(id, final), sparse.Position(id, final); a != b {
+			t.Fatalf("node %d: dense queries end at %+v, sparse at %+v", id, a, b)
+		}
 	}
 }
 
@@ -148,7 +169,7 @@ func TestWaypointTerrainProperty(t *testing.T) {
 		for step := 0; step < 100; step++ {
 			at := time.Duration(step) * time.Second
 			for id := 0; id < 3; id++ {
-				if !terrain.Contains(m.Position(id, at)) {
+				if !inside(terrain, m.Position(id, at)) {
 					return false
 				}
 			}

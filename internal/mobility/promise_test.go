@@ -49,15 +49,6 @@ func promiseModels() []promiseModel {
 		{"waypoint", waypoint(1, 20, 0), 20, true, false, false, false},
 		{"waypoint-pause", waypoint(1, 20, 2*time.Second), 20, true, false, true, true},
 		{"waypoint-fixed-speed", waypoint(20, 20, 0), 20, true, true, false, false},
-		{"manhattan", func(src *rng.Source) mobility.Model {
-			return mobility.NewManhattan(6, mobility.ManhattanConfig{Terrain: tr, MinSpeed: 1, MaxSpeed: 20, Pause: time.Second}, src)
-		}, 20, true, false, true, true},
-		{"manhattan-fixed-speed", func(src *rng.Source) mobility.Model {
-			return mobility.NewManhattan(6, mobility.ManhattanConfig{Terrain: tr, MinSpeed: 7, MaxSpeed: 7}, src)
-		}, 7, true, true, false, false},
-		{"gaussmarkov", func(src *rng.Source) mobility.Model {
-			return mobility.NewGaussMarkov(6, mobility.GaussMarkovConfig{Terrain: tr, MeanSpeed: 10, MaxSpeed: 20}, src)
-		}, 20, true, false, false, false},
 		{"static", func(*rng.Source) mobility.Model { return mobility.Grid(6, 3, 200) }, 0, false, false, false, true},
 		{"script", promiseScript(60 * time.Second), 20, false, false, true, true},
 		{"script-jump", promiseScript(0), math.Inf(1), false, false, true, true},
@@ -212,9 +203,8 @@ func TestMotionPromise(t *testing.T) {
 // TestStillFromPromise is the still half of the piece promise, for every
 // model: after Position(id, t1), when Piece(id, t1) has no velocity, every
 // query through the piece's End draws from no random stream and finds the
-// node at one bit-identical point. A Gauss-Markov node is never still, and
-// a scripted node is still at its last position for good from just after
-// its last leg.
+// node at one bit-identical point. A scripted node is still at its last
+// position for good from just after its last leg.
 func TestStillFromPromise(t *testing.T) {
 	for _, mc := range promiseModels() {
 		t.Run(mc.name, func(t *testing.T) {
@@ -229,9 +219,6 @@ func TestStillFromPromise(t *testing.T) {
 					before := src.Draws()
 					piece := m.Piece(id, t1)
 					if piece.V == (mobility.Point{}) {
-						if mc.name == "gaussmarkov" {
-							t.Fatalf("node %d: a Gauss-Markov node is still from %v through %v", id, t1, piece.End)
-						}
 						// Up to a hundred seconds of the still piece.
 						last := min(piece.End, t1+100*time.Second)
 						for _, t2 := range []time.Duration{t1, t1 + time.Duration(r.Float64()*float64(last-t1)), last} {

@@ -41,17 +41,6 @@ const (
 // AllProtocols are the paper's four protocols in presentation order.
 var AllProtocols = []ProtocolName{LDR, AODV, DSR, OLSR}
 
-// Mobility names the selectable mobility models.
-const (
-	Waypoint    = "waypoint"    // random waypoint (the paper's model)
-	Manhattan   = "manhattan"   // street-grid constrained movement
-	GaussMarkov = "gaussmarkov" // correlated-velocity smooth motion
-)
-
-// Mobilities lists the valid mobility model names, for flag validation
-// and fuzzer draws.
-func Mobilities() []string { return []string{Waypoint, Manhattan, GaussMarkov} }
-
 // Config describes one simulation run.
 //
 // Config's JSON encoding is a journal key (resilience.SpecHash), so every
@@ -67,13 +56,6 @@ type Config struct {
 	MaxSpeed  float64 // m/s
 	SimTime   time.Duration
 	Seed      int64
-
-	// Mobility selects the movement model ("" → random waypoint). The
-	// speed and pause fields above parameterize whichever model runs:
-	// Manhattan pauses at intersections and draws leg speeds from
-	// [MinSpeed, MaxSpeed]; Gauss-Markov reverts to the mid-range speed.
-	// Scripted Positions (below) override the model entirely.
-	Mobility string `json:",omitempty"`
 
 	// RTSCTS enables the MAC's RTS/CTS virtual carrier sensing (off in
 	// the paper's setup; exposed for the MAC-level ablation).
@@ -335,11 +317,11 @@ func RunWithControl(cfg Config, observe Observer, ctls ...*Control) (Result, err
 	return res, nil
 }
 
-// buildMobility resolves the config's movement model. Scripted Positions
-// take precedence; otherwise the named model is parameterized from the
-// scenario's terrain and speed fields. Every model draws from the same
-// root.Split("mobility") stream, so switching models never perturbs the
-// traffic, MAC, or fault randomness of the run.
+// buildMobility resolves the config's movement model: static nodes at
+// the scripted Positions, or else random waypoint over the scenario's
+// terrain, speeds and pause, drawing from the root.Split("mobility")
+// stream, so it never perturbs the traffic, MAC, or fault randomness of
+// the run.
 func buildMobility(cfg Config, src *rng.Source) (mobility.Model, error) {
 	if len(cfg.Positions) > 0 {
 		if len(cfg.Positions) != cfg.Nodes {
@@ -347,30 +329,12 @@ func buildMobility(cfg Config, src *rng.Source) (mobility.Model, error) {
 		}
 		return mobility.NewStatic(cfg.Positions), nil
 	}
-	switch cfg.Mobility {
-	case "", Waypoint:
-		return mobility.NewWaypoint(cfg.Nodes, mobility.WaypointConfig{
-			Terrain:  cfg.Terrain,
-			MinSpeed: cfg.MinSpeed,
-			MaxSpeed: cfg.MaxSpeed,
-			Pause:    cfg.PauseTime,
-		}, src), nil
-	case Manhattan:
-		return mobility.NewManhattan(cfg.Nodes, mobility.ManhattanConfig{
-			Terrain:  cfg.Terrain,
-			MinSpeed: cfg.MinSpeed,
-			MaxSpeed: cfg.MaxSpeed,
-			Pause:    cfg.PauseTime,
-		}, src), nil
-	case GaussMarkov:
-		return mobility.NewGaussMarkov(cfg.Nodes, mobility.GaussMarkovConfig{
-			Terrain:   cfg.Terrain,
-			MeanSpeed: (cfg.MinSpeed + cfg.MaxSpeed) / 2,
-			MaxSpeed:  cfg.MaxSpeed,
-		}, src), nil
-	default:
-		return nil, fmt.Errorf("scenario: unknown mobility model %q", cfg.Mobility)
-	}
+	return mobility.NewWaypoint(cfg.Nodes, mobility.WaypointConfig{
+		Terrain:  cfg.Terrain,
+		MinSpeed: cfg.MinSpeed,
+		MaxSpeed: cfg.MaxSpeed,
+		Pause:    cfg.PauseTime,
+	}, src), nil
 }
 
 // Factory returns the constructor of cfg's Protocol, with its LDRConfig
