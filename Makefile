@@ -102,7 +102,9 @@ resume-smoke:
 # 3-node graphs get the van Glabbeek regime, a crash and a loss in one
 # schedule; the 4-node graphs branch far wider, so they trade the loss
 # and two levels of depth for tractability. A cell cut at the state cap
-# without a violation fails its line. Then make the checker rediscover
+# without a violation fails its line, and each line says whether its
+# search was exhausted or bounded by its depth (or stopped at a
+# violation). Then make the checker rediscover
 # the van Glabbeek AODV loop from scratch and replay both a fresh witness
 # and the committed seed to a real routing loop under the full MAC/radio
 # simulator. The n4-4 line is the falsifiability control: LDR without its
@@ -129,12 +131,12 @@ modelcheck:
 # table, restore equals replay, an action touches one node, independent
 # actions commute, the sleep sets keep every state of the unreduced search,
 # state keys are equal iff serializations are, a warm key allocates
-# nothing, the visited table agrees with a map, and the search is the same
-# at one, two and three workers, whose handlers run one at a time and
-# whose panics reach the caller. The race detector watches the workers here.
-# Part of `make check`.
+# nothing, the visited table agrees with a map, every data packet has one
+# holder, and the search is the same at one, two and three workers, whose
+# handlers run one at a time and whose panics reach the caller. The race
+# detector watches the workers here. Part of `make check`.
 modelcheck-smoke:
-	$(GO) test -race -timeout 30m ./internal/modelcheck/ -run 'TestLDRLine3Clean|TestLDRVolatileLine3Clean|TestLDRPaw4Clean|TestAODVLossAndDupClean|TestAODVLine3Violation|TestEveryActionKindHasARow|TestWitnessBridge|TestSnapshotEqualsReplay|TestActionTouchesOneNode|TestReductionKeepsEveryState|TestIndependentActionsCommute|TestKeysDoNotCollide|TestEncoderKeyDoesNotAllocate|TestKeySetMatchesMap|TestExploreIndependentOfWorkers|TestHandlersRunOneAtATime|TestWorkerPanicReachesTheCaller|TestProgressEndsWithTheResult'
+	$(GO) test -race -timeout 30m ./internal/modelcheck/ -run 'TestLDRLine3Clean|TestLDRVolatileLine3Clean|TestLDRPaw4Clean|TestAODVLossAndDupClean|TestAODVLine3Violation|TestEveryActionKindHasARow|TestWitnessBridge|TestSnapshotEqualsReplay|TestActionTouchesOneNode|TestReductionKeepsEveryState|TestIndependentActionsCommute|TestKeysDoNotCollide|TestEncoderKeyDoesNotAllocate|TestKeySetMatchesMap|TestPacketsHaveOneOwner|TestExploreIndependentOfWorkers|TestHandlersRunOneAtATime|TestWorkerPanicReachesTheCaller|TestProgressEndsWithTheResult'
 
 # Regenerate the committed van Glabbeek witness seed from scratch (the
 # checker re-derives the schedule; the file only changes if the witness

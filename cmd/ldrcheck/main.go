@@ -21,7 +21,10 @@
 // like AODV under reboots), and 1 whenever an exploration hit
 // -max-states without finding a violation, with or without
 // -expect-violation: a truncated search that found nothing has proved
-// nothing. The result lines carry no wall-clock figure (the progress
+// nothing. A result line says how far its search went: "exhausted" when
+// the frontier emptied before -depth, so that no longer schedule reaches
+// another state, "bounded" when -depth cut it, and "stopped" at a
+// violation. The result lines carry no wall-clock figure (the progress
 // report on standard error does), so -q output is byte-identical from
 // run to run.
 package main
@@ -152,8 +155,8 @@ func run() error {
 			status = "VIOLATION"
 			violations++
 		}
-		fmt.Printf("%-8s %-24s states=%-8d transitions=%-9d depth=%-3d %s\n",
-			*proto, g, res.States, res.Transitions, res.Depth, status)
+		fmt.Printf("%-8s %-24s states=%-8d transitions=%-9d depth=%-3d %-9s %s\n",
+			*proto, g, res.States, res.Transitions, res.Depth, res.Completeness, status)
 		if res.Violation != nil {
 			fmt.Printf("%s\n", res.Violation)
 			if *emit != "" {

@@ -160,8 +160,12 @@ func applyDeliver(w *world, a Action) {
 func applyDrop(w *world, a Action) {
 	li := w.link(a)
 	q := w.pending[li]
-	w.dropLog = append(w.dropLog, emission{from: a.From, to: a.To, root: q[a.Index].root, explicit: true})
+	m := q[a.Index]
+	w.dropLog = append(w.dropLog, emission{from: a.From, to: a.To, root: m.root, explicit: true})
 	w.pending[li] = append(q[:a.Index], q[a.Index+1:]...)
+	if m.pkt != nil {
+		w.ModelRelease(m.pkt)
+	}
 }
 
 func applyDup(w *world, a Action) {
@@ -169,7 +173,7 @@ func applyDup(w *world, a Action) {
 	q := w.pending[li]
 	cp := q[a.Index] // same airing, same causal root, same hash: a radio-level duplicate
 	if cp.pkt != nil {
-		cp.pkt = routing.CloneDataPacket(cp.pkt)
+		cp.pkt = w.copyPacket(cp.pkt)
 	}
 	w.pending[li] = append(q, cp)
 }

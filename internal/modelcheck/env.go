@@ -125,6 +125,15 @@ type world struct {
 
 	handlers sync.Locker // held while protocol code runs; one per exploration
 
+	// free holds the world's data packets that nothing else holds. Every
+	// data packet in the world is one of the world's or a node's own
+	// pooled packet (an origination, until it is sent or restored), and
+	// has one holder: a queue, a node's buffer, the handler running or
+	// this list. Sending, duplicating and restoring take from it;
+	// delivering, dropping, restoring and the node layer's releases give
+	// back.
+	free []*routing.DataPacket
+
 	enc encoder // scratch for queued items' hashes and the cursor's keys
 }
 
@@ -244,13 +253,45 @@ func (w *world) ModelSendControl(from, to routing.NodeID, msg routing.Message) {
 	}
 }
 
-// ModelSendData implements routing.ModelEnv. The packet is already an
-// unpooled deep copy owned by the environment; one sent to a node that is
-// not a neighbor is lost.
+// ModelSendData implements routing.ModelEnv: the link queues a copy from
+// the free list, which starts fresh at the next hop (Retried clear). A
+// packet sent to a node that is not a neighbor is lost.
 func (w *world) ModelSendData(from, next routing.NodeID, pkt *routing.DataPacket) {
 	w.sending(from)
 	if w.adjacent(from, next) {
-		w.push(from, next, w.hashed(linkMsg{pkt: pkt, root: w.curRoot}))
+		cp := w.copyPacket(pkt)
+		cp.Retried = false
+		w.push(from, next, w.hashed(linkMsg{pkt: cp, root: w.curRoot}))
+	}
+}
+
+// ModelPacket implements routing.ModelEnv.
+func (w *world) ModelPacket() *routing.DataPacket {
+	if n := len(w.free); n > 0 {
+		pkt := w.free[n-1]
+		w.free = w.free[:n-1]
+		return pkt
+	}
+	return new(routing.DataPacket)
+}
+
+// ModelRelease implements routing.ModelEnv.
+func (w *world) ModelRelease(pkt *routing.DataPacket) { w.free = append(w.free, pkt) }
+
+// copyPacket returns a packet from the free list holding a deep copy of
+// pkt.
+func (w *world) copyPacket(pkt *routing.DataPacket) *routing.DataPacket {
+	cp := w.ModelPacket()
+	routing.CopyDataPacket(cp, pkt)
+	return cp
+}
+
+// releaseQueue gives the packets queued on link li back to the free list.
+func (w *world) releaseQueue(li int) {
+	for _, m := range w.pending[li] {
+		if m.pkt != nil {
+			w.ModelRelease(m.pkt)
+		}
 	}
 }
 

@@ -107,13 +107,33 @@ type Progress struct {
 
 // Result summarizes one exploration.
 type Result struct {
-	Scenario    *Scenario
-	States      int  // distinct reachable states (initial state included)
-	Transitions int  // transitions executed (successor constructions)
-	Depth       int  // deepest layer reached
-	Truncated   bool // hit MaxStates before exhausting the bounded space
-	Violation   *Witness
-	Elapsed     time.Duration
+	Scenario     *Scenario
+	States       int          // distinct reachable states (initial state included)
+	Transitions  int          // transitions executed (successor constructions)
+	Depth        int          // deepest layer reached
+	Truncated    bool         // hit MaxStates before exhausting the bounded space
+	Completeness Completeness // whether the depth bound cut the search
+	Violation    *Witness
+	Elapsed      time.Duration
+}
+
+// Completeness is how far a search went before it ended.
+type Completeness uint8
+
+const (
+	// Stopped: the search ended at a violation.
+	Stopped Completeness = iota
+	// Bounded: a state at MaxDepth was left unexpanded, so longer
+	// schedules may reach states the search did not.
+	Bounded
+	// Exhausted: the frontier emptied before the depth bound, so every
+	// state reachable within the budgets was expanded — save those the
+	// state cap refused, when the search is Truncated.
+	Exhausted
+)
+
+func (c Completeness) String() string {
+	return [...]string{Stopped: "stopped", Bounded: "bounded", Exhausted: "exhausted"}[c]
 }
 
 // Witness is a violating schedule: the minimal-length action trace from
@@ -291,7 +311,9 @@ func explore(cur *cursor, opts Options, workers int, start time.Time) (*Result, 
 		hi := int32(s.recs.len())
 		res.Depth = int(s.recs.at(int(lo)).depth)
 		if res.Depth >= opts.MaxDepth {
-			break
+			res.Completeness = Bounded
+			s.finish()
+			return res, s.recs
 		}
 		roundMax := chunkParents
 		if splits(int(hi-lo), workers) {
@@ -309,6 +331,7 @@ func explore(cur *cursor, opts Options, workers int, start time.Time) (*Result, 
 		s.this, s.next = s.next, s.this
 		s.next.reset(int32(s.recs.len()))
 	}
+	res.Completeness = Exhausted
 	s.finish()
 	return res, s.recs
 }

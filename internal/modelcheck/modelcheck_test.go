@@ -213,6 +213,45 @@ func TestLDRPaw4Clean(t *testing.T) {
 	wantExploration(t, res, 14056, 20017, 10)
 }
 
+// TestCompleteness pins what a result says of its own reach. Fault-free
+// LDR on the triangle, n3-1, runs out of new states at depth 17: at depth
+// 40 the frontier empties first, so the search is exhausted and no longer
+// schedule reaches another state; at depth 12 states are left unexpanded,
+// so it is bounded. A search that ends at a violation is neither.
+func TestCompleteness(t *testing.T) {
+	g, err := NamedTopology("n3-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		depth, states, reached int
+		want                   Completeness
+	}{
+		{40, 3591, 17, Exhausted},
+		{12, 2757, 12, Bounded},
+	} {
+		res, err := Check(&Scenario{Graph: g, Protocol: "ldr", Seed: 1}, Options{MaxDepth: tc.depth})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Violation != nil || res.Truncated {
+			t.Fatalf("depth %d: violation %v, truncated %v; want a clean search", tc.depth, res.Violation, res.Truncated)
+		}
+		if res.States != tc.states || res.Depth != tc.reached || res.Completeness != tc.want {
+			t.Errorf("depth %d: %d states to depth %d, %v; want %d to depth %d, %v",
+				tc.depth, res.States, res.Depth, res.Completeness, tc.states, tc.reached, tc.want)
+		}
+	}
+	line, _ := NamedTopology("line3")
+	res, err := Check(&Scenario{Graph: line, Protocol: "aodv", Seed: 1}, Options{MaxDepth: 12, MaxResets: 1, MaxDrops: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Violation == nil || res.Completeness != Stopped {
+		t.Errorf("AODV on line3: violation %v, %v; want a violation, stopped", res.Violation != nil, res.Completeness)
+	}
+}
+
 // TestAODVLossAndDupClean pins the untimed verdict `make modelcheck`'s
 // `-drops 1 -dups 1` line gives AODV on the path n3-0 (node 0 in the
 // middle, so flow 1 -> 2 is relayed): with one loss and one duplicate and

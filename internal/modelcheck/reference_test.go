@@ -146,12 +146,11 @@ func (w *world) restore(s *fullSnapshot) {
 		w.staters[i].RestoreModelState(s.protos[i])
 	}
 	for li, sq := range s.pending {
+		w.releaseQueue(li)
 		q := append(w.pending[li][:0], sq...)
 		for i := range q {
 			if q[i].pkt != nil {
-				cp := new(routing.DataPacket)
-				routing.CopyDataPacket(cp, q[i].pkt)
-				q[i].pkt = cp
+				q[i].pkt = w.copyPacket(q[i].pkt)
 			}
 		}
 		w.pending[li] = q

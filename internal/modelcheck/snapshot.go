@@ -26,9 +26,13 @@ package modelcheck
 //
 // Packets and messages. A handler that receives a data packet mutates it
 // (TTL, and SRIndex under source routing) and may keep the pointer in its
-// pending buffer, so every queued data packet is copied on save and again
-// on restore. Control messages are read-only once sent and never go back
-// to a pool under the model, so saved and live queues share them.
+// pending buffer, so a saved queue holds copies of its data packets, in
+// the record's own storage, and a restore gives the live queue's packets
+// back to the world's free list (env.go) and refills the queue with copies
+// taken from it: the live and saved queues share no packet, and a restore
+// allocates none once the list is warm. Control messages are read-only
+// once sent and never go back to a pool under the model, so saved and
+// live queues share them.
 
 import (
 	"math/bits"
@@ -150,14 +154,13 @@ func (s *snapshot) restore(w *world) {
 	}
 	for m := w.dirtyLinks; m != 0; m &= m - 1 {
 		li := bits.TrailingZeros32(m)
+		w.releaseQueue(li)
 		q := w.pending[li][:0]
 		if r := s.links[li]; r != nil {
 			q = append(q, r.q...)
 			for i := range q {
 				if q[i].pkt != nil {
-					cp := new(routing.DataPacket)
-					routing.CopyDataPacket(cp, q[i].pkt)
-					q[i].pkt = cp
+					q[i].pkt = w.copyPacket(q[i].pkt)
 				}
 			}
 		}

@@ -127,6 +127,122 @@ func TestSnapshotEqualsReplay(t *testing.T) {
 	}
 }
 
+// TestPacketsHaveOneOwner: every data packet a world holds has one holder.
+// On random walks that seek, apply and go back as the search does, over
+// sweep3 and K4 (n4-5), after every step no packet sits twice across the
+// live link queues, the nodes' buffers and the world's free list; none is a
+// copy in a saved record's storage, the cursor's or a protocol's; and the
+// free list holds no more packets than can be live at once — one per flow
+// and per duplicate, and the copy a send takes before it releases.
+func TestPacketsHaveOneOwner(t *testing.T) {
+	graphs, err := SweepGraphs(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k4, err := NamedTopology("n4-5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs = append(graphs, k4)
+	const walks, steps = 12, 10
+	for _, proto := range []string{"ldr", "aodv"} {
+		for _, g := range graphs {
+			sc := &Scenario{Graph: g, Protocol: proto, Seed: 1, Flows: DefaultFlows(g)}
+			t.Run(proto+"/"+g.Name, func(t *testing.T) {
+				cur, err := newCursor(sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bound := len(sc.Flows) + walkOpts.MaxDups + 1
+				check := func(trace []Action, when string) {
+					t.Helper()
+					saved := map[uintptr]bool{}
+					for _, snap := range cur.snaps {
+						savedPackets(saved, reflect.ValueOf(snap))
+					}
+					holder := map[*routing.DataPacket]string{}
+					hold := func(pkt *routing.DataPacket, where string) {
+						if prev, ok := holder[pkt]; ok {
+							t.Fatalf("%s %v: a packet is held by %s and by %s", when, trace, prev, where)
+						}
+						if saved[reflect.ValueOf(pkt).Pointer()] {
+							t.Fatalf("%s %v: %s holds a packet of a saved record", when, trace, where)
+						}
+						holder[pkt] = where
+					}
+					for li, q := range cur.w.pending {
+						for i, m := range q {
+							if m.pkt != nil {
+								hold(m.pkt, fmt.Sprintf("link %d->%d[%d]", li/g.N, li%g.N, i))
+							}
+						}
+					}
+					for i, node := range cur.w.nw.Nodes {
+						node.WalkHeldData(func(pkt *routing.DataPacket) { hold(pkt, fmt.Sprintf("node %d", i)) })
+					}
+					for i, pkt := range cur.w.free {
+						hold(pkt, fmt.Sprintf("free[%d]", i))
+					}
+					if len(cur.w.free) > bound {
+						t.Fatalf("%s %v: %d packets on the free list, want at most %d", when, trace, len(cur.w.free), bound)
+					}
+				}
+				rnd := rand.New(rand.NewSource(int64(len(g.Edges))*31 + int64(g.N)))
+				var seen [][]Action
+				for walk := 0; walk < walks; walk++ {
+					var trace []Action
+					for step := 0; step < steps; step++ {
+						if len(seen) > 0 && rnd.Intn(3) == 0 {
+							other := seen[rnd.Intn(len(seen))]
+							cur.seek(other)
+							check(other, "sought")
+						}
+						cur.seek(trace)
+						check(trace, "sought")
+						acts := cur.w.enabled(nil, walkOpts.remaining(usedBy(trace)))
+						if len(acts) == 0 {
+							break
+						}
+						a := acts[rnd.Intn(len(acts))]
+						trace = append(trace, a)
+						cur.w.apply(a)
+						check(trace, "applied")
+						cur.back()
+						check(trace[:len(trace)-1], "back at")
+						seen = append(seen, slices.Clone(trace))
+					}
+				}
+			})
+		}
+	}
+}
+
+// savedPackets adds to set the address of every data packet stored in v's
+// storage: each element of a []routing.DataPacket reached from v through
+// pointers, interfaces, structs and slices.
+func savedPackets(set map[uintptr]bool, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if !v.IsNil() {
+			savedPackets(set, v.Elem())
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			savedPackets(set, v.Field(i))
+		}
+	case reflect.Slice:
+		if v.Type().Elem() == reflect.TypeFor[routing.DataPacket]() {
+			for i := 0; i < v.Len(); i++ {
+				set[v.Index(i).UnsafeAddr()] = true
+			}
+			return
+		}
+		for i := 0; i < v.Len(); i++ {
+			savedPackets(set, v.Index(i))
+		}
+	}
+}
+
 // sameWorld compares the cursor's world with an oracle for the same trace:
 // what the search observes (serialization, key, item hashes, enabled
 // actions, tables), every saved field of the two live worlds, and their
@@ -313,8 +429,9 @@ func modelStateFields(t *testing.T) map[reflect.Type]fieldLists {
 			// node and protocol by protocol; micro is empty between actions;
 			// actor is set by every apply before anything reads it; the dirty
 			// sets say how the world differs from a saved state and are no
-			// part of one; handlers is the exploration's lock; enc is scratch.
-			[]string{"sc", "nbrs", "nw", "staters", "tablers", "vresetters", "micro", "actor", "dirtyNodes", "dirtyLinks", "handlers", "enc"}},
+			// part of one; handlers is the exploration's lock; enc is scratch;
+			// free is a free list, whose packets no state holds.
+			[]string{"sc", "nbrs", "nw", "staters", "tablers", "vresetters", "micro", "actor", "dirtyNodes", "dirtyLinks", "handlers", "enc", "free"}},
 	}
 }
 

@@ -1,9 +1,10 @@
 package routing
 
 // What a ModelStater's SaveModelState / RestoreModelState are built from:
-// the node layer's own saved state, a packet copy that reuses storage, and
-// the growth of the slices indexed by node id that protocols keep their
-// per-node state in. See ModelStater for the contract.
+// the node layer's own saved state, a packet copy that reuses storage, the
+// packets a restore takes and lets go of, and the growth of the slices
+// indexed by node id that protocols keep their per-node state in. See
+// ModelStater for the contract.
 
 // NodeModelState is the part of a Node a protocol handler, a crash or an
 // origination can change under a ModelEnv: the packet-ID counter, the
@@ -31,14 +32,32 @@ func (n *Node) RestoreModelState(s *NodeModelState) {
 
 // CopyDataPacket overwrites dst with a deep copy of src, reusing dst's
 // SourceRoute storage. dst keeps its own pool bookkeeping: a zero
-// DataPacket stays unpooled, so every release on it is a no-op, as for
-// CloneDataPacket.
+// DataPacket stays unpooled.
 func CopyDataPacket(dst, src *DataPacket) {
 	sr, refs, pooled := dst.SourceRoute, dst.refs, dst.pooled
 	*dst = *src
 	dst.SourceRoute = append(sr[:0], src.SourceRoute...)
 	dst.refs, dst.pooled = refs, pooled
 }
+
+// RestorePacket returns a deep copy of saved, a packet a SaveModelState
+// copied out, owned by the caller: under a ModelEnv an unpooled packet
+// from the environment's free list, else one from the node's own.
+func (n *Node) RestorePacket(saved *DataPacket) *DataPacket {
+	var pkt *DataPacket
+	if n.menv != nil {
+		pkt = n.menv.ModelPacket()
+	} else {
+		pkt = n.newPacket()
+	}
+	CopyDataPacket(pkt, saved)
+	return pkt
+}
+
+// ReleasePacket ends the caller's ownership of pkt with no terminal event
+// accounted: a RestoreModelState lets go of the live packets it
+// overwrites.
+func (n *Node) ReleasePacket(pkt *DataPacket) { n.release(pkt) }
 
 // Resize returns s with length n. Elements within s's capacity keep their
 // values, so a saved state's slots keep the storage they hold from one

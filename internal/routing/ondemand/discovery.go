@@ -316,20 +316,23 @@ func (ds *Discoveries) SaveDiscoveryState(s *DiscoveryState) {
 }
 
 // RestoreDiscoveryState puts back what SaveDiscoveryState copied out of
-// this table, slice lengths included. The buffered packets come back as
-// fresh unpooled copies; the ones held before are let go without a drop
-// being accounted.
+// this table, slice lengths included. The packets held before are let go
+// without a drop being accounted, and the saved ones come back as copies
+// the node hands out (routing.Node.RestorePacket), in the queues' own
+// storage.
 func (ds *Discoveries) RestoreDiscoveryState(s *DiscoveryState) {
+	for dst, q := range ds.q {
+		for _, pkt := range q {
+			ds.node.ReleasePacket(pkt)
+		}
+		ds.q[dst] = q[:0]
+	}
 	ds.q = routing.Resize(ds.q, len(s.queues))
 	pkts := s.pkts
 	for dst, n := range s.queues {
-		var q []*routing.DataPacket
-		if n > 0 {
-			q = make([]*routing.DataPacket, n)
-			for i := range q {
-				q[i] = new(routing.DataPacket)
-				routing.CopyDataPacket(q[i], &pkts[i])
-			}
+		q := ds.q[dst]
+		for i := range n {
+			q = append(q, ds.node.RestorePacket(&pkts[i]))
 		}
 		ds.q[dst], pkts = q, pkts[n:]
 	}

@@ -1,6 +1,7 @@
 package ondemand
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -16,7 +17,14 @@ import (
 
 func appendEngaged(out []byte, e *engaged) []byte {
 	out = binary.AppendVarint(out, int64(e.lastHop))
-	return fmt.Appendf(out, "%v%v", e.replied, e.unicastFwd)
+	return append(out, boolByte(e.replied), boolByte(e.unicastFwd))
+}
+
+func boolByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // fzSide and fzRef are node 0 of the two halves of the differential rig:
@@ -72,32 +80,35 @@ func fzRig(ids int, mk func(*routing.Node) routing.Protocol) (*routing.Network, 
 	return nw, &d
 }
 
-// lines renders every entry live at now, in (origin, request ID) order.
-func (c *Seen[V]) lines(now time.Duration) []string {
-	var out []string
+// liveEntry is one duplicate-cache entry live at some instant.
+type liveEntry struct {
+	key     ReqKey
+	expires time.Duration
+	val     engaged
+}
+
+// appendLive appends every entry of c live at now, in (origin, request ID)
+// order.
+func appendLive(out []liveEntry, c *Seen[engaged], now time.Duration) []liveEntry {
 	for o, l := range c.byOrigin {
 		for _, e := range l {
 			if now < e.expires {
-				out = append(out, fmt.Sprintf("%d/%d until %v: %+v", o, e.id, e.expires, e.val))
+				out = append(out, liveEntry{ReqKey{Origin: routing.NodeID(o), ID: e.id}, e.expires, e.val})
 			}
 		}
 	}
 	return out
 }
 
-func (c *refSeen[V]) lines(now time.Duration) []string {
-	var keys []ReqKey
+// appendRefLive is appendLive for the map reference.
+func appendRefLive(out []liveEntry, c *refSeen[engaged], now time.Duration) []liveEntry {
+	n := len(out)
 	for k, e := range c.m {
 		if now < e.expires {
-			keys = append(keys, k)
+			out = append(out, liveEntry{k, e.expires, e.val})
 		}
 	}
-	slices.SortFunc(keys, compareReqKey)
-	var out []string
-	for _, k := range keys {
-		e := c.m[k]
-		out = append(out, fmt.Sprintf("%d/%d until %v: %+v", k.Origin, k.ID, e.expires, e.val))
-	}
+	slices.SortFunc(out[n:], func(a, b liveEntry) int { return compareReqKey(a.key, b.key) })
 	return out
 }
 
@@ -148,39 +159,46 @@ func driveOnDemand(t testing.TB, data []byte) {
 	var gseen SeenState[engaged]
 	var wseen refSeenState[engaged]
 	haveSave := false
+	var glive, wlive []liveEntry
+	var genc, wenc []byte
+	var gheld, wheld []uint64
 
-	for step := 0; len(data) > 0; step++ {
+	// desc says what the step did; it is only called for a failure
+	// message, so that a passing step formats nothing.
+	var desc func() string
+	step := 0
+	fail := func(what string, g, w any) {
+		t.Helper()
+		t.Fatalf("step %d (%s): %s = %v, reference %v", step, desc(), what, g, w)
+	}
+	for ; len(data) > 0; step++ {
 		now := gnw.Sim.Now()
-		fail := func(desc, what string, g, w any) {
-			t.Helper()
-			t.Fatalf("step %d (%s): %s = %v, reference %v", step, desc, what, g, w)
-		}
-		var desc string
+		desc = func() string { return "nothing" }
 		switch op := next(); op % 16 {
 		case 0, 1, 2, 3:
 			key := ReqKey{Origin: id(), ID: uint32(next() % 12)}
 			g, w := got.seen.Get(key, now), want.seen.Get(key, now)
-			desc = fmt.Sprintf("arrival %v", key)
+			desc = func() string { return fmt.Sprintf("arrival %v", key) }
 			if (g == nil) != (w == nil) {
-				fail(desc, "seen", g != nil, w != nil)
+				fail("seen", g != nil, w != nil)
 			}
 			if g == nil || op%16 == 3 {
-				desc = fmt.Sprintf("add %v", key)
+				desc = func() string { return fmt.Sprintf("add %v", key) }
 				g, w = got.seen.Add(key, now), want.seen.Add(key, now)
-				if fmt.Sprint(*g) != fmt.Sprint(*w) {
-					fail(desc, "added value", *g, *w)
+				if *g != *w {
+					fail("added value", *g, *w)
 				}
 				hop := id()
 				g.lastHop, w.lastHop = hop, hop
 				for _, e := range got.seen.byOrigin[key.Origin] {
 					if e.expires <= now {
-						fail(desc, "a dead entry right after the add", e, "none")
+						fail("a dead entry right after the add", e, "none")
 					}
 				}
 				break
 			}
-			if fmt.Sprint(*g) != fmt.Sprint(*w) {
-				fail(desc, "engaged state", *g, *w)
+			if *g != *w {
+				fail("engaged state", *g, *w)
 			}
 			if next()%2 == 0 {
 				g.replied, w.replied = true, true
@@ -189,7 +207,7 @@ func driveOnDemand(t testing.TB, data []byte) {
 			}
 		case 4:
 			if next()%4 == 0 {
-				desc = "seen reset"
+				desc = func() string { return "seen reset" }
 				got.seen.Reset()
 				want.seen.Reset()
 			}
@@ -199,17 +217,17 @@ func driveOnDemand(t testing.TB, data []byte) {
 			if op%16 == 6 {
 				n += int(next() % MaxQueuedPerDest)
 			}
-			desc = fmt.Sprintf("%d packets to %d", n, dst)
+			desc = func() string { return fmt.Sprintf("%d packets to %d", n, dst) }
 			for i := 0; i < n; i++ {
 				gnw.Nodes[0].OriginateData(dst, 64)
 				wnw.Nodes[0].OriginateData(dst, 64)
 			}
 		case 7:
 			dst := id()
-			desc = fmt.Sprintf("take %d", dst)
+			desc = func() string { return fmt.Sprintf("take %d", dst) }
 			gq, wq := got.Take(dst), want.Take(dst)
-			if fmt.Sprint(pktIDs(gq)) != fmt.Sprint(pktIDs(wq)) {
-				fail(desc, "taken", pktIDs(gq), pktIDs(wq))
+			if !slices.Equal(pktIDs(gq), pktIDs(wq)) {
+				fail("taken", pktIDs(gq), pktIDs(wq))
 			}
 			for _, pkt := range gq {
 				gnw.Nodes[0].DropData(pkt, routing.DropNoRoute)
@@ -219,7 +237,7 @@ func driveOnDemand(t testing.TB, data []byte) {
 			}
 		case 8:
 			dst := id()
-			desc = fmt.Sprintf("drop %d", dst)
+			desc = func() string { return fmt.Sprintf("drop %d", dst) }
 			got.Drop(dst, routing.DropLinkBreak)
 			want.Drop(dst, routing.DropLinkBreak)
 		case 9:
@@ -227,29 +245,29 @@ func driveOnDemand(t testing.TB, data []byte) {
 			if next()%2 == 0 {
 				ttl = NetDiameter
 			}
-			desc = fmt.Sprintf("solicit %d at TTL %d", dst, ttl)
+			desc = func() string { return fmt.Sprintf("solicit %d at TTL %d", dst, ttl) }
 			got.Solicit(dst, ttl)
 			want.Solicit(dst, ttl)
 		case 10:
 			dst := id()
-			desc = fmt.Sprintf("finish %d", dst)
+			desc = func() string { return fmt.Sprintf("finish %d", dst) }
 			got.Finish(dst)
 			want.Finish(dst)
 		case 11:
 			if next()%8 == 0 {
-				desc = "stop"
+				desc = func() string { return "stop" }
 				got.Stop()
 				want.Stop()
 			}
 		case 12:
 			if next()%2 == 0 {
-				desc = "reset"
+				desc = func() string { return "reset" }
 				got.Reset()
 				want.Reset()
 			}
 		case 13:
 			d := short[next()%byte(len(short))]
-			desc = fmt.Sprintf("advance %v", d)
+			desc = func() string { return fmt.Sprintf("advance %v", d) }
 			advance(now + d)
 		case 14:
 			// To a live entry's expiry, 1 ns short of it, or a cache life on.
@@ -264,11 +282,11 @@ func driveOnDemand(t testing.TB, data []byte) {
 			if b := next(); len(exp) > 0 && b%4 != 0 {
 				to = exp[int(b/4)%len(exp)] - time.Duration(b%2)
 			}
-			desc = fmt.Sprintf("advance to %v", to)
+			desc = func() string { return fmt.Sprintf("advance to %v", to) }
 			advance(to)
 		case 15:
 			if !haveSave || next()%2 == 0 {
-				desc = "save"
+				desc = func() string { return "save" }
 				got.SaveDiscoveryState(&gsave)
 				want.save(&wsave)
 				got.seen.SaveState(&gseen)
@@ -280,7 +298,7 @@ func driveOnDemand(t testing.TB, data []byte) {
 			// armed since the save are cancelled first on both sides, or
 			// the reference, which knows its discoveries by pointer, would
 			// take one armed for a replaced discovery as its own.
-			desc = "restore"
+			desc = func() string { return "restore" }
 			for i := range got.active {
 				got.active[i].timer.Cancel()
 			}
@@ -294,38 +312,41 @@ func driveOnDemand(t testing.TB, data []byte) {
 		}
 
 		now = gnw.Sim.Now()
-		if g, w := got.seen.lines(now), want.seen.lines(now); !slices.Equal(g, w) {
-			fail(desc, "live cache entries", g, w)
+		glive, wlive = appendLive(glive[:0], &got.seen, now), appendRefLive(wlive[:0], &want.seen, now)
+		if !slices.Equal(glive, wlive) {
+			fail("live cache entries", glive, wlive)
 		}
-		if g, w := got.seen.AppendState(nil, now, appendEngaged), want.seen.appendState(nil, now, appendEngaged); string(g) != string(w) {
-			fail(desc, "cache encoding", g, w)
+		genc, wenc = got.seen.AppendState(genc[:0], now, appendEngaged), want.seen.appendState(wenc[:0], now, appendEngaged)
+		if !bytes.Equal(genc, wenc) {
+			fail("cache encoding", genc, wenc)
 		}
-		if g, w := got.AppendDiscoveryState(nil), want.AppendDiscoveryState(nil); string(g) != string(w) {
-			fail(desc, "discovery encoding", g, w)
+		genc, wenc = got.AppendDiscoveryState(genc[:0]), want.AppendDiscoveryState(wenc[:0])
+		if !bytes.Equal(genc, wenc) {
+			fail("discovery encoding", genc, wenc)
 		}
 		for dst := routing.NodeID(0); dst < ids+1; dst++ {
 			if g, w := got.Len(dst), want.Len(dst); g != w {
-				fail(desc, fmt.Sprintf("Len(%d)", dst), g, w)
+				fail(fmt.Sprintf("Len(%d)", dst), g, w)
 			}
 			g, w := got.running(dst), want.active[dst]
 			if (g == nil) != (w == nil) || g != nil && (g.ID != w.ID || g.TTL != w.TTL || g.Retries != w.Retries) {
-				fail(desc, fmt.Sprintf("discovery for %d", dst), g, w)
+				fail(fmt.Sprintf("discovery for %d", dst), g, w)
 			}
 		}
 		if got.nextID != want.nextID || got.Stopped() != want.stopped {
-			fail(desc, "(nextID, stopped)", []any{got.nextID, got.Stopped()}, []any{want.nextID, want.stopped})
+			fail("(nextID, stopped)", []any{got.nextID, got.Stopped()}, []any{want.nextID, want.stopped})
 		}
-		var gh, wh []uint64
-		got.WalkHeldData(func(p *routing.DataPacket) { gh = append(gh, uint64(p.Dst)<<32|p.ID) })
-		want.WalkHeldData(func(p *routing.DataPacket) { wh = append(wh, uint64(p.Dst)<<32|p.ID) })
-		if !slices.Equal(gh, wh) {
-			fail(desc, "held data", gh, wh)
+		gheld, wheld = gheld[:0], wheld[:0]
+		got.WalkHeldData(func(p *routing.DataPacket) { gheld = append(gheld, uint64(p.Dst)<<32|p.ID) })
+		want.WalkHeldData(func(p *routing.DataPacket) { wheld = append(wheld, uint64(p.Dst)<<32|p.ID) })
+		if !slices.Equal(gheld, wheld) {
+			fail("held data", gheld, wheld)
 		}
 		if !slices.Equal(got.sent, want.sent) {
-			fail(desc, "attempts", got.sent, want.sent)
+			fail("attempts", got.sent, want.sent)
 		}
 		if !slices.Equal(*gdrops, *wdrops) {
-			fail(desc, "drops", *gdrops, *wdrops)
+			fail("drops", *gdrops, *wdrops)
 		}
 	}
 

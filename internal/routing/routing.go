@@ -212,10 +212,18 @@ type ModelEnv interface {
 	// object belongs to the environment until consumed; it is never
 	// recycled back to the protocol's pools (the pools simply allocate).
 	ModelSendControl(from, to NodeID, msg Message)
-	// ModelSendData captures an outgoing data packet. The environment
-	// receives an unpooled deep copy owning a fresh reference chain; the
-	// sender's own reference has already been released.
+	// ModelSendData captures an outgoing data packet: the environment
+	// queues a deep copy from its free list, and pkt stays the caller's
+	// (SendData releases it right after, as a successful hand-off would).
 	ModelSendData(from, next NodeID, pkt *DataPacket)
+	// ModelPacket takes an unpooled packet from the environment's free
+	// list, or a new one, for the caller to overwrite whole: a restored
+	// buffer's packets come from here (RestorePacket).
+	ModelPacket() *DataPacket
+	// ModelRelease takes back an unpooled packet whose last owner let it
+	// go: under a ModelEnv every unpooled packet is the environment's, and
+	// the node layer returns it here when it delivers, drops or sends it.
+	ModelRelease(pkt *DataPacket)
 	// ModelSchedule takes over a protocol timer: the environment runs
 	// fn(arg, u) as an immediate microtask or never. Either way the
 	// protocol gets the zero Timer, which is safely cancellable and never
@@ -398,7 +406,9 @@ func (n *Node) copyPacket(src *DataPacket) *DataPacket {
 
 // releasePacket drops one ownership reference; the last release returns
 // the packet to the free list. Externally constructed packets (tests)
-// are never recycled.
+// are never recycled. It stays small enough to inline on the per-frame
+// path (FrameReleased), which no model reaches; what a model may reach
+// calls release.
 func (n *Node) releasePacket(pkt *DataPacket) {
 	if !pkt.pooled {
 		return
@@ -408,18 +418,15 @@ func (n *Node) releasePacket(pkt *DataPacket) {
 	}
 }
 
-// CloneDataPacket returns an unpooled deep copy of pkt starting a fresh
-// ownership chain: handing it to a protocol is safe, and every release
-// on it is a no-op (unpooled packets are never recycled). The model
-// checker's abstract transport uses it for link hand-offs and for the
-// duplicate action.
-func CloneDataPacket(pkt *DataPacket) *DataPacket {
-	cp := *pkt
-	cp.SourceRoute = append([]NodeID(nil), pkt.SourceRoute...)
-	cp.Retried = false
-	cp.refs = 1
-	cp.pooled = false
-	return &cp
+// release is releasePacket where a model may hold the packet: under a
+// ModelEnv every unpooled packet is the environment's, and goes back to
+// its free list.
+func (n *Node) release(pkt *DataPacket) {
+	if n.menv != nil && !pkt.pooled {
+		n.menv.ModelRelease(pkt)
+		return
+	}
+	n.releasePacket(pkt)
 }
 
 // SendControl transmits a control message. to may be BroadcastID. The
@@ -450,17 +457,18 @@ func (n *Node) SendControl(to NodeID, msg Message, onFail func()) {
 // SendData transmits a data packet to the next hop. A successful hand-off
 // (MAC acknowledgment, or broadcast completion) consumes the caller's
 // ownership of pkt; when the MAC exhausts its retries, ownership returns
-// to the protocol through DataFailed.
+// to the protocol through DataFailed. Under a ModelEnv every hand-off
+// succeeds at once: the environment queues a copy from its free list, and
+// pkt is released before SendData returns.
 func (n *Node) SendData(next NodeID, pkt *DataPacket) {
 	n.col.DataTransmitted++
 	n.trace(TraceForward, pkt, next, 0)
 	if n.menv != nil {
 		// Model mode: an immediate successful hand-off. The environment
-		// gets its own unpooled copy and the sender's ownership ends here,
+		// queues its own copy and the sender's ownership ends here,
 		// exactly as a successful MAC acknowledgment would end it.
-		cp := CloneDataPacket(pkt)
-		n.releasePacket(pkt)
-		n.menv.ModelSendData(n.id, next, cp)
+		n.menv.ModelSendData(n.id, next, pkt)
+		n.release(pkt)
 		return
 	}
 	if pkt.pooled {
@@ -561,7 +569,7 @@ func (n *Node) DeliverLocal(pkt *DataPacket) {
 		}
 		n.trace(TraceDeliver, pkt, n.id, 0)
 	}
-	n.releasePacket(pkt)
+	n.release(pkt)
 }
 
 // DropData records a data packet lost at this node for the given reason
@@ -573,7 +581,7 @@ func (n *Node) DropData(pkt *DataPacket, reason DropReason) {
 	if n.col.NoteDropped(int(pkt.Src), pkt.ID, reason) {
 		n.trace(TraceDrop, pkt, BroadcastID, reason)
 	}
-	n.releasePacket(pkt)
+	n.release(pkt)
 }
 
 // Crash models a node crash for the fault injector: the node powers off,
