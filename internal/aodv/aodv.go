@@ -127,6 +127,8 @@ type AODV struct {
 	rrepPool runpool.Pool[RREP]
 	rerrPool runpool.Pool[RERR]
 	rerrBuf  []RERRDest
+
+	rrepFail func(next routing.NodeID) // rrepFailed, bound once: a RREP allocates no closure
 }
 
 var (
@@ -145,6 +147,7 @@ func New(node *routing.Node) *AODV {
 		Limits: ondemand.NewLimits(node),
 	}
 	a.Discoveries = ondemand.NewDiscoveries(node, a)
+	a.rrepFail = a.rrepFailed
 	return a
 }
 
@@ -239,7 +242,7 @@ func (a *AODV) RecycleMessage(msg routing.Message) {
 func (a *AODV) sendRREP(to routing.NodeID, p RREP) {
 	m := a.rrepPool.Get()
 	*m = p
-	a.node.SendControl(to, m, func() { a.rrepFailed(to) })
+	a.node.SendControl(to, m, a.rrepFail)
 }
 
 // rrepFailed handles a MAC-failed RREP unicast toward next. Reverse

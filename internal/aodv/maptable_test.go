@@ -248,7 +248,7 @@ func (a *refAODV) RecycleMessage(msg routing.Message) {
 func (a *refAODV) sendRREP(to routing.NodeID, p RREP) {
 	m := a.rrepPool.Get()
 	*m = p
-	a.node.SendControl(to, m, func() { a.rrepFailed(to) })
+	a.node.SendControl(to, m, a.rrepFailed)
 }
 
 func (a *refAODV) rrepFailed(next routing.NodeID) {

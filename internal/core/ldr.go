@@ -91,6 +91,8 @@ type LDR struct {
 	rrepPool runpool.Pool[RREP]
 	rerrPool runpool.Pool[RERR]
 	rerrBuf  []RERRDest
+
+	rrepFail func(next routing.NodeID) // rrepFailed, bound once: a RREP allocates no closure
 }
 
 var (
@@ -111,6 +113,7 @@ func New(node *routing.Node, cfg Config) *LDR {
 		Limits: ondemand.NewLimits(node),
 	}
 	l.Discoveries = ondemand.NewDiscoveries(node, l)
+	l.rrepFail = l.rrepFailed
 	return l
 }
 
@@ -224,7 +227,7 @@ func (l *LDR) sendRREQ(to routing.NodeID, q RREQ) {
 func (l *LDR) sendRREP(to routing.NodeID, p RREP) {
 	m := l.rrepPool.Get()
 	*m = p
-	l.node.SendControl(to, m, func() { l.rrepFailed(to) })
+	l.node.SendControl(to, m, l.rrepFail)
 }
 
 // rrepFailed handles a MAC-failed RREP unicast toward next: lastHop was

@@ -215,7 +215,7 @@ func (l *refLDR) sendRREQ(to routing.NodeID, q RREQ) {
 func (l *refLDR) sendRREP(to routing.NodeID, p RREP) {
 	m := l.rrepPool.Get()
 	*m = p
-	l.node.SendControl(to, m, func() { l.rrepFailed(to) })
+	l.node.SendControl(to, m, l.rrepFailed)
 }
 
 func (l *refLDR) rrepFailed(next routing.NodeID) {

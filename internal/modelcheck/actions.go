@@ -146,12 +146,13 @@ func applyDeliver(w *world, a Action) {
 	// The handler's own emissions inherit the delivered message's causal
 	// root: under the full simulator, delivery and reaction both happen at
 	// the root emission's instant.
-	w.curRoot = m.root
+	w.curRoot = int(m.root)
 	w.pending[li] = append(q[:a.Index], q[a.Index+1:]...)
-	w.delLog = append(w.delLog, emission{from: a.From, to: a.To, root: m.root})
+	w.delLog = append(w.delLog, emission{from: a.From, to: a.To, root: w.curRoot})
 	proto := w.nw.Nodes[a.To].Protocol()
 	if m.msg != nil {
 		proto.HandleControl(a.From, m.msg)
+		w.let(m) // only now: the handler reads the message
 	} else {
 		proto.HandleData(a.From, m.pkt)
 	}
@@ -161,10 +162,12 @@ func applyDrop(w *world, a Action) {
 	li := w.link(a)
 	q := w.pending[li]
 	m := q[a.Index]
-	w.dropLog = append(w.dropLog, emission{from: a.From, to: a.To, root: m.root, explicit: true})
+	w.dropLog = append(w.dropLog, emission{from: a.From, to: a.To, root: int(m.root), explicit: true})
 	w.pending[li] = append(q[:a.Index], q[a.Index+1:]...)
 	if m.pkt != nil {
 		w.ModelRelease(m.pkt)
+	} else {
+		w.let(m)
 	}
 }
 
@@ -176,6 +179,7 @@ func applyDup(w *world, a Action) {
 		cp.pkt = w.copyPacket(cp.pkt)
 	}
 	w.pending[li] = append(q, cp)
+	w.hold(cp)
 }
 
 func applyReset(w *world, a Action) {

@@ -65,13 +65,22 @@ type Flow struct {
 // everything its handler emits happens, under the full simulator, at the
 // root action's virtual time — the whole cascade is quasi-instantaneous
 // there — so the witness builder maps roots, not emission slots, back to
-// simulator time. hash is the hash of the item's encoding, taken when it
-// was queued (encode.go).
+// simulator time. ref is msg's slot in world.msgs, where its holders are
+// counted: an allocation slot, no part of the state. hash is the hash of
+// the item's encoding, taken when it was queued (encode.go).
 type linkMsg struct {
 	msg  routing.Message
 	pkt  *routing.DataPacket
-	root int
+	root int32
+	ref  int32
 	hash stateKey
+}
+
+// msgSlot is a control message the world holds, its sender, and how many
+// holders it has.
+type msgSlot struct {
+	msg     routing.Message
+	from, n int32
 }
 
 // emission records one link crossing (delivered, dropped, or still
@@ -133,6 +142,14 @@ type world struct {
 	// delivering, dropping, restoring and the node layer's releases give
 	// back.
 	free []*routing.DataPacket
+
+	// msgs counts the holders of every control message the world has
+	// queued: a live queue entry, or an entry of a snapshot's own link
+	// record (snapshot.go). When a message's count falls to zero it goes
+	// back to its sender's pools, and its slot to freeMsgs. Both start
+	// nil, so a world that queues no message allocates neither.
+	msgs     []msgSlot
+	freeMsgs []int32
 
 	enc encoder // scratch for queued items' hashes and the cursor's keys
 }
@@ -231,25 +248,65 @@ func (w *world) push(from, to routing.NodeID, m linkMsg) {
 	li := int(from)*w.sc.Graph.N + int(to)
 	w.pending[li] = append(w.pending[li], m)
 	w.dirtyLinks |= 1 << li
+	w.hold(m)
+}
+
+// hold counts one more holder of m's message, if m is one.
+func (w *world) hold(m linkMsg) {
+	if m.msg != nil {
+		w.msgs[m.ref].n++
+	}
+}
+
+// let counts one holder of m's message fewer, if m is one, and gives the
+// message back to its sender when none is left. That runs protocol code:
+// the caller holds handlers.
+func (w *world) let(m linkMsg) {
+	if m.msg == nil {
+		return
+	}
+	if s := &w.msgs[m.ref]; s.n == 1 {
+		w.nw.Nodes[s.from].RecycleMessage(s.msg)
+		*s = msgSlot{}
+		w.freeMsgs = append(w.freeMsgs, m.ref)
+	} else {
+		s.n--
+	}
+}
+
+// track gives msg, sent by from, a slot with no holder yet.
+func (w *world) track(from routing.NodeID, msg routing.Message) int32 {
+	var ref int32
+	if n := len(w.freeMsgs); n > 0 {
+		ref = w.freeMsgs[n-1]
+		w.freeMsgs = w.freeMsgs[:n-1]
+	} else {
+		ref = int32(len(w.msgs))
+		w.msgs = append(w.msgs, msgSlot{})
+	}
+	w.msgs[ref] = msgSlot{msg: msg, from: int32(from)}
+	return ref
 }
 
 // ModelSendControl implements routing.ModelEnv. A broadcast fans out to
 // every neighbor; the message object is shared between their queue
 // entries, which is safe because received control messages are read-only
-// by contract and the protocol's pools never get the object back (no
-// frame is ever released under the model). So is the hash, taken once. A
-// unicast to a node that is not a neighbor is lost.
+// by contract, and so is the hash, taken once. The message goes back to
+// the sender's pools once no queue entry or saved record holds it (let);
+// a message queued nowhere — a unicast to a node that is not a neighbor,
+// a broadcast from a node with none — goes back at once.
 func (w *world) ModelSendControl(from, to routing.NodeID, msg routing.Message) {
 	w.sending(from)
-	if to == routing.BroadcastID {
-		m := w.hashed(linkMsg{msg: msg, root: w.curRoot})
+	switch {
+	case to == routing.BroadcastID && len(w.nbrs[from]) > 0:
+		m := w.hashed(linkMsg{msg: msg, root: int32(w.curRoot), ref: w.track(from, msg)})
 		for _, nb := range w.nbrs[from] {
 			w.push(from, routing.NodeID(nb), m)
 		}
-		return
-	}
-	if w.adjacent(from, to) {
-		w.push(from, to, w.hashed(linkMsg{msg: msg, root: w.curRoot}))
+	case to != routing.BroadcastID && w.adjacent(from, to):
+		w.push(from, to, w.hashed(linkMsg{msg: msg, root: int32(w.curRoot), ref: w.track(from, msg)}))
+	default:
+		w.nw.Nodes[from].RecycleMessage(msg)
 	}
 }
 
@@ -261,7 +318,7 @@ func (w *world) ModelSendData(from, next routing.NodeID, pkt *routing.DataPacket
 	if w.adjacent(from, next) {
 		cp := w.copyPacket(pkt)
 		cp.Retried = false
-		w.push(from, next, w.hashed(linkMsg{pkt: cp, root: w.curRoot}))
+		w.push(from, next, w.hashed(linkMsg{pkt: cp, root: int32(w.curRoot)}))
 	}
 }
 
@@ -286,11 +343,14 @@ func (w *world) copyPacket(pkt *routing.DataPacket) *routing.DataPacket {
 	return cp
 }
 
-// releaseQueue gives the packets queued on link li back to the free list.
+// releaseQueue gives the packets queued on link li back to the free list
+// and lets go of its messages. The caller holds handlers.
 func (w *world) releaseQueue(li int) {
 	for _, m := range w.pending[li] {
 		if m.pkt != nil {
 			w.ModelRelease(m.pkt)
+		} else {
+			w.let(m)
 		}
 	}
 }

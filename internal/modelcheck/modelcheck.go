@@ -654,7 +654,7 @@ func newWitness(sc *Scenario, trace []Action, v []loopcheck.Violation, w *world)
 		for to := 0; to < n; to++ {
 			for _, m := range w.pending[from*n+to] {
 				wit.inflight = append(wit.inflight, emission{
-					from: routing.NodeID(from), to: routing.NodeID(to), root: m.root,
+					from: routing.NodeID(from), to: routing.NodeID(to), root: int(m.root),
 				})
 			}
 		}

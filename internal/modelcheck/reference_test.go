@@ -87,7 +87,8 @@ func refExplore(cur *cursor, opts Options, start time.Time) (*Result, chain[rec]
 }
 
 // fullSnapshot is one saved state of a whole world. Its storage is reused
-// from one save to the next.
+// from one save to the next. Each of its queued messages counts as a
+// holder (world.msgs), as an entry of a snapshot's own record does.
 type fullSnapshot struct {
 	nodes   []routing.NodeModelState
 	protos  []any                // each protocol's routing.ModelStater store
@@ -123,17 +124,24 @@ func (w *world) save(s *fullSnapshot) *fullSnapshot {
 	}
 	s.pkts = routing.Resize(s.pkts, npkts)
 	next := 0
+	w.handlers.Lock()
 	for li, q := range w.pending {
+		for _, m := range s.pending[li] {
+			w.let(m)
+		}
 		sq := append(s.pending[li][:0], q...)
 		for i := range sq {
 			if sq[i].pkt != nil {
 				routing.CopyDataPacket(&s.pkts[next], sq[i].pkt)
 				sq[i].pkt = &s.pkts[next]
 				next++
+			} else {
+				w.hold(sq[i])
 			}
 		}
 		s.pending[li] = sq
 	}
+	w.handlers.Unlock()
 	s.slot, s.curRoot, s.nextFlow = w.slot, w.curRoot, w.nextFlow
 	s.delLen, s.dropLen = len(w.delLog), len(w.dropLog)
 	return s
@@ -145,16 +153,20 @@ func (w *world) restore(s *fullSnapshot) {
 		node.RestoreModelState(&s.nodes[i])
 		w.staters[i].RestoreModelState(s.protos[i])
 	}
+	w.handlers.Lock()
 	for li, sq := range s.pending {
 		w.releaseQueue(li)
 		q := append(w.pending[li][:0], sq...)
 		for i := range q {
 			if q[i].pkt != nil {
 				q[i].pkt = w.copyPacket(q[i].pkt)
+			} else {
+				w.hold(q[i])
 			}
 		}
 		w.pending[li] = q
 	}
+	w.handlers.Unlock()
 	w.slot, w.curRoot, w.nextFlow = s.slot, s.curRoot, s.nextFlow
 	w.delLog, w.dropLog = w.delLog[:s.delLen], w.dropLog[:s.dropLen]
 }

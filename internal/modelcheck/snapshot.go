@@ -31,8 +31,14 @@ package modelcheck
 // back to the world's free list (env.go) and refills the queue with copies
 // taken from it: the live and saved queues share no packet, and a restore
 // allocates none once the list is warm. Control messages are read-only
-// once sent and never go back to a pool under the model, so saved and
-// live queues share them.
+// once sent, so saved and live queues share them, and each entry of a
+// record of a snapshot's own counts as one holder of its message, as a
+// live queue entry does (world.msgs): a save counts the entries it copies
+// and lets go of those it overwrites, a restore lets go of the live
+// queue's and counts its refill. A message nothing holds goes back to its
+// sender's pools, so the search reuses its messages as the simulator
+// does. A record shared from a snapshot lower on the stack is counted
+// there, once.
 
 import (
 	"math/bits"
@@ -115,14 +121,20 @@ func (s *snapshot) save(w *world, prev *snapshot) {
 		r.hashOK, r.tableOK = false, false
 		s.nodes[i] = r
 	}
+	w.handlers.Lock()
 	for m := w.dirtyLinks; m != 0; m &= m - 1 {
 		li := bits.TrailingZeros32(m)
 		r := &s.ownLinks[li]
+		for _, item := range r.q {
+			w.let(item)
+		}
 		r.q = append(r.q[:0], w.pending[li]...)
 		npkts := 0
 		for _, item := range r.q {
 			if item.pkt != nil {
 				npkts++
+			} else {
+				w.hold(item)
 			}
 		}
 		r.pkts = routing.Resize(r.pkts, npkts)
@@ -136,6 +148,7 @@ func (s *snapshot) save(w *world, prev *snapshot) {
 		}
 		s.links[li] = r
 	}
+	w.handlers.Unlock()
 	w.dirtyNodes, w.dirtyLinks = 0, 0
 	s.slot, s.curRoot, s.nextFlow = w.slot, w.curRoot, w.nextFlow
 	s.delLen, s.dropLen = len(w.delLog), len(w.dropLog)
@@ -152,6 +165,7 @@ func (s *snapshot) restore(w *world) {
 		w.nw.Nodes[i].RestoreModelState(&r.node)
 		w.staters[i].RestoreModelState(r.proto)
 	}
+	w.handlers.Lock()
 	for m := w.dirtyLinks; m != 0; m &= m - 1 {
 		li := bits.TrailingZeros32(m)
 		w.releaseQueue(li)
@@ -161,11 +175,14 @@ func (s *snapshot) restore(w *world) {
 			for i := range q {
 				if q[i].pkt != nil {
 					q[i].pkt = w.copyPacket(q[i].pkt)
+				} else {
+					w.hold(q[i])
 				}
 			}
 		}
 		w.pending[li] = q
 	}
+	w.handlers.Unlock()
 	w.dirtyNodes, w.dirtyLinks = 0, 0
 	w.slot, w.curRoot, w.nextFlow = s.slot, s.curRoot, s.nextFlow
 	w.delLog, w.dropLog = w.delLog[:s.delLen], w.dropLog[:s.dropLen]

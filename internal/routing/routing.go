@@ -209,8 +209,10 @@ type ModelStater interface {
 // simulator queue. See internal/modelcheck for the only implementation.
 type ModelEnv interface {
 	// ModelSendControl captures an outgoing control message. The message
-	// object belongs to the environment until consumed; it is never
-	// recycled back to the protocol's pools (the pools simply allocate).
+	// object belongs to the environment until nothing it keeps holds the
+	// message any more; then the environment hands it back to the
+	// sender's pools through the sender's RecycleMessage, as a released
+	// frame would.
 	ModelSendControl(from, to NodeID, msg Message)
 	// ModelSendData captures an outgoing data packet: the environment
 	// queues a deep copy from its free list, and pkt stays the caller's
@@ -282,12 +284,13 @@ var _ mac.FrameHandler = (*Node)(nil)
 
 // netFrame is the payload the network layer puts in MAC frames. Exactly
 // one of data/msg is set. onFail carries the control-frame failure
-// callback (rare, cold path); data-frame failures dispatch through the
-// protocol's DataFailureHandler instead.
+// callback (rare, cold path), called with the frame's next hop; a
+// protocol binds it once, so a send allocates no closure. Data-frame
+// failures dispatch through the protocol's DataFailureHandler instead.
 type netFrame struct {
 	data   *DataPacket
 	msg    Message
-	onFail func()
+	onFail func(next NodeID)
 }
 
 // NewNode wires a node's network layer to a fresh MAC on the medium.
@@ -432,17 +435,17 @@ func (n *Node) release(pkt *DataPacket) {
 // SendControl transmits a control message. to may be BroadcastID. The
 // message is counted as one hop-wise control transmission; callers count
 // initiations themselves via the collector. onFail, which may be nil, is
-// invoked if a unicast transmission exhausts its MAC retries. The message
-// belongs to the frame until the node layer recycles it (see
+// invoked with to if a unicast transmission exhausts its MAC retries. The
+// message belongs to the frame until the node layer recycles it (see
 // MessageRecycler); callers must not reuse the same message object in a
 // second SendControl call.
-func (n *Node) SendControl(to NodeID, msg Message, onFail func()) {
+func (n *Node) SendControl(to NodeID, msg Message, onFail func(next NodeID)) {
 	n.col.CountControlTransmit(msg.Kind())
 	if n.menv != nil {
-		// Model mode: the environment owns the message from here on.
-		// onFail is dropped — the abstract transport has no MAC feedback,
-		// so unicast failures are unobservable (a soundness caveat the
-		// model checker documents).
+		// Model mode: the environment owns the message from here on, and
+		// hands it back through RecycleMessage. onFail is dropped — the
+		// abstract transport has no MAC feedback, so unicast failures are
+		// unobservable (a soundness caveat the model checker documents).
 		n.menv.ModelSendControl(n.id, to, msg)
 		return
 	}
@@ -499,7 +502,7 @@ func (n *Node) FrameFailed(f *mac.Frame) {
 			n.dataFail.DataFailed(NodeID(f.To), nf.data)
 		}
 	case nf.onFail != nil:
-		nf.onFail()
+		nf.onFail(NodeID(f.To))
 	}
 }
 
@@ -519,8 +522,8 @@ func (n *Node) FrameReleased(f *mac.Frame) {
 			n.releasePacket(nf.data)
 		}
 		n.releasePacket(nf.data) // the frame's own reference
-	} else if nf.msg != nil && n.recycler != nil {
-		n.recycler.RecycleMessage(nf.msg)
+	} else if nf.msg != nil {
+		n.RecycleMessage(nf.msg)
 	}
 	*nf = netFrame{}
 	n.nfPool.Put(nf)
@@ -528,6 +531,16 @@ func (n *Node) FrameReleased(f *mac.Frame) {
 	f.Handler = nil
 	f.Failed = false
 	n.framePool.Put(f)
+}
+
+// RecycleMessage hands msg, a control message this node sent, back to
+// its protocol's pools (MessageRecycler), if it keeps any. The caller
+// must hold no reference to msg afterwards: FrameReleased calls it when a
+// frame is gone, a ModelEnv when nothing it keeps holds the message.
+func (n *Node) RecycleMessage(msg Message) {
+	if n.recycler != nil {
+		n.recycler.RecycleMessage(msg)
+	}
 }
 
 // OriginateData creates a data packet at this node and hands it to the

@@ -78,14 +78,14 @@ func TestControlBroadcastReachesNeighborsOnly(t *testing.T) {
 func TestControlUnicastFailureCallback(t *testing.T) {
 	nw, _ := build(2)
 	nw.Start()
-	failed := false
+	failed := routing.NodeID(-1)
 	nw.Sim.Schedule(0, func() {
-		// Node 3 does not exist on the link: MAC retries then fails.
-		nw.Nodes[0].SendControl(5, testMsg{tag: 2, kind: metrics.RREP}, func() { failed = true })
+		// Node 5 does not exist on the link: MAC retries then fails.
+		nw.Nodes[0].SendControl(5, testMsg{tag: 2, kind: metrics.RREP}, func(next routing.NodeID) { failed = next })
 	})
 	nw.Sim.RunAll()
-	if !failed {
-		t.Fatal("unicast control to unreachable address did not report failure")
+	if failed != 5 {
+		t.Fatalf("unicast control to unreachable address 5 reported failure toward %d, want 5", failed)
 	}
 }
 
