@@ -223,10 +223,11 @@ profile-cell:
 	$(GO) tool pprof -top -nodecount 30 profiles/$(PROFILE_CMD) profiles/cell.cpu.pprof
 	$(GO) tool pprof -top -nodecount 15 -sample_index alloc_space profiles/$(PROFILE_CMD) profiles/cell.mem.pprof
 
-# One benchmark per paper table/figure plus the engine and coordination
-# benches, at reduced scale.
+# Every Benchmark… in the module and nothing else (-run '^$' skips the
+# tests): one per paper table/figure at reduced scale, plus the
+# per-layer benches under internal/.
 bench-all:
-	$(GO) test -bench=. -benchmem ./...
+	$(GO) test -run '^$$' -bench=. -benchmem ./...
 
 # The refactoring oracle as one command: run the repository benchmark
 # (benchmark/, BENCHMARK.json) on BASE, unpacked with `git archive` into a

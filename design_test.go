@@ -13,11 +13,12 @@ var (
 	// A test or fuzz target, optionally qualified by its package's path
 	// suffix (`modelcheck.TestX`, `cmd/ldrsim.TestY`); a trailing * names
 	// every test with that prefix.
-	pinRe     = regexp.MustCompile(`\b(?:([a-z][a-z0-9/]*)\.)?((?:Test|Fuzz)[A-Z0-9]\w*)(\*?)`)
-	makeRe    = regexp.MustCompile("`make ([a-z][a-z0-9-]*)")
-	declRe    = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
-	targetRe  = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
-	tableHead = "## Invariants, and the test that pins each"
+	pinRe      = regexp.MustCompile(`\b(?:([a-z][a-z0-9/]*)\.)?((?:Test|Fuzz)[A-Z0-9]\w*)(\*?)`)
+	makeRe     = regexp.MustCompile("`make ([a-z][a-z0-9-]*)")
+	declRe     = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
+	targetRe   = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
+	tableHead  = "## Invariants, and the test that pins each"
+	layoutHead = "## Package layout"
 )
 
 // TestDesignNamesRealTests holds DESIGN.md's invariants table to the code:
@@ -103,4 +104,111 @@ func TestDesignNamesRealTests(t *testing.T) {
 	if names < 50 {
 		t.Errorf("found only %d test names in the invariants table; is it still a table under %q?", names, tableHead)
 	}
+}
+
+// TestDesignLayoutNamesRealPackages holds DESIGN.md's package layout to
+// the tree: every path its indented block names, brace lists expanded,
+// exists, and every directory under internal/, cmd/ and examples/ that
+// holds a non-test .go file is named.
+func TestDesignLayoutNamesRealPackages(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(design), layoutHead+"\n")
+	if !ok {
+		t.Fatalf("DESIGN.md has no %q section", layoutHead)
+	}
+	var block []string
+	for _, line := range strings.Split(section, "\n") {
+		if strings.HasPrefix(line, "    ") {
+			block = append(block, line)
+		} else if len(block) > 0 {
+			break
+		}
+	}
+
+	named := map[string]bool{}
+	for _, word := range layoutWords(strings.Join(block, "\n")) {
+		for _, path := range expandBraces(word) {
+			path = strings.TrimSuffix(path, "/")
+			named[path] = true
+			if _, err := os.Stat(path); err != nil {
+				t.Errorf("the package layout names %s, which does not exist", path)
+			}
+		}
+	}
+	if len(named) < 30 {
+		t.Errorf("found only %d paths in the package layout; is it still an indented block under %q?", len(named), layoutHead)
+	}
+
+	for _, root := range []string{"internal", "cmd", "examples"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			if dir := filepath.ToSlash(filepath.Dir(path)); !named[dir] {
+				t.Errorf("the package layout does not name %s", dir)
+				named[dir] = true // one error per directory
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// layoutWords splits a layout block at whitespace outside braces, so a
+// brace list that wraps across lines stays one word.
+func layoutWords(block string) []string {
+	var words []string
+	var word strings.Builder
+	depth := 0
+	for _, r := range block {
+		switch {
+		case r == '{':
+			depth++
+		case r == '}':
+			depth--
+		case r == ' ' || r == '\n':
+			if depth == 0 && word.Len() > 0 {
+				words = append(words, word.String())
+				word.Reset()
+			}
+			continue
+		}
+		word.WriteRune(r)
+	}
+	if word.Len() > 0 {
+		words = append(words, word.String())
+	}
+	return words
+}
+
+// expandBraces expands each {a,b,…} list in word, left to right:
+// "cmd/{x,y}/" is "cmd/x/" and "cmd/y/".
+func expandBraces(word string) []string {
+	open := strings.IndexByte(word, '{')
+	if open < 0 {
+		return []string{word}
+	}
+	end := strings.IndexByte(word[open:], '}')
+	if end < 0 {
+		return []string{word}
+	}
+	end += open
+	var out []string
+	for _, alt := range strings.Split(word[open+1:end], ",") {
+		for _, rest := range expandBraces(word[end+1:]) {
+			out = append(out, word[:open]+alt+rest)
+		}
+	}
+	return out
 }
