@@ -114,8 +114,8 @@ resume-smoke:
 # without a crash, the untimed model has no AODV loop to find. The ten
 # lines after them exhaust every connected 4-node graph but K4, fault-free,
 # with two concurrent discoveries toward node 3, for both protocols: each
-# must say `exhausted ok` (about 6 s together). K4 itself takes 21–33 s
-# and 326–342 MiB a protocol, so it is a command in EXPERIMENTS.md, not a
+# must say `exhausted ok` (about 6 s together). K4 itself takes 15–23 s
+# and 234–271 MiB a protocol, so it is a command in EXPERIMENTS.md, not a
 # line here.
 modelcheck:
 	$(GO) run ./cmd/ldrcheck -q -protocol ldr -topology sweep3 -resets 1 -drops 1
@@ -146,13 +146,14 @@ modelcheck:
 # table, restore equals replay, an action touches one node, independent
 # actions commute, the sleep sets keep every state of the unreduced search,
 # state keys are equal iff serializations are, a warm key allocates
-# nothing, the visited table agrees with a map, every data packet has one
+# nothing, the visited set agrees with a map and no pattern of keys
+# grows its directory past its bound, every data packet has one
 # holder, every control message's holders are counted exactly, and the
 # search is the same at one, two and three workers, whose handlers run one
 # at a time and whose panics reach the caller. The race detector watches
 # the workers here. Part of `make check`.
 modelcheck-smoke:
-	$(GO) test -race -timeout 30m ./internal/modelcheck/ -run 'TestLDRLine3Clean|TestLDRVolatileLine3Clean|TestLDRPaw4Clean|TestAODVLossAndDupClean|TestAODVLine3Violation|TestEveryActionKindHasARow|TestWitnessBridge|TestSnapshotEqualsReplay|TestActionTouchesOneNode|TestReductionKeepsEveryState|TestIndependentActionsCommute|TestKeysDoNotCollide|TestEncoderKeyDoesNotAllocate|TestKeySetMatchesMap|TestPacketsHaveOneOwner|TestMessagesCountedExactly|TestExploreIndependentOfWorkers|TestHandlersRunOneAtATime|TestWorkerPanicReachesTheCaller|TestProgressEndsWithTheResult'
+	$(GO) test -race -timeout 30m ./internal/modelcheck/ -run 'TestLDRLine3Clean|TestLDRVolatileLine3Clean|TestLDRPaw4Clean|TestAODVLossAndDupClean|TestAODVLine3Violation|TestEveryActionKindHasARow|TestWitnessBridge|TestSnapshotEqualsReplay|TestActionTouchesOneNode|TestReductionKeepsEveryState|TestIndependentActionsCommute|TestKeysDoNotCollide|TestEncoderKeyDoesNotAllocate|TestKeySet|TestPacketsHaveOneOwner|TestMessagesCountedExactly|TestExploreIndependentOfWorkers|TestHandlersRunOneAtATime|TestWorkerPanicReachesTheCaller|TestProgressEndsWithTheResult'
 
 # Regenerate the committed van Glabbeek witness seed from scratch (the
 # checker re-derives the schedule; the file only changes if the witness
@@ -247,16 +248,17 @@ bench-compare:
 	$(GO) run ./benchmark -compare "$$d/base.json" "$$d/head.json"
 
 # The pull-request tier's benchmark gate (CI's bench-gate job):
-# bench-compare at full scale, its FAIL lines sorted by
+# bench-compare at full scale (SCALE=tiny for a seconds-long behaviour
+# check, whose clocks mean nothing), its FAIL lines sorted by
 # scripts/bench-gate.sh. A moved scenario.digest or counter, a failed op,
 # or alloc_mb, delivery_pct or ctrl_per_delivered out of bounds fails;
 # the clocks and peak_rss_mb print and pass. A digest or counter change
 # passes when a line added to CHANGES.md since BASE says
 # "Behaviour change:".
-#   make bench-gate BASE=<ref> [SEED=1]
+#   make bench-gate BASE=<ref> [SEED=1] [SCALE=full|tiny]
 bench-gate:
-	@test -n "$(BASE)" || { echo "usage: make bench-gate BASE=<ref> [SEED=1]" >&2; exit 2; }
-	@MAKE="$(MAKE)" sh scripts/bench-gate.sh "$(BASE)"
+	@test -n "$(BASE)" || { echo "usage: make bench-gate BASE=<ref> [SEED=1] [SCALE=full|tiny]" >&2; exit 2; }
+	@MAKE="$(MAKE)" SCALE="$(SCALE)" sh scripts/bench-gate.sh "$(BASE)"
 
 # Non-test, non-generated Go lines per package, then their total: ROADMAP
 # aim 2 counts net deleted lines as a success metric, and this is the

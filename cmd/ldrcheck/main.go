@@ -23,7 +23,8 @@
 // -expect-violation: a truncated search that found nothing has proved
 // nothing. A result line says how far its search went: "exhausted" when
 // the frontier emptied before -depth, so that no longer schedule reaches
-// another state, "bounded" when -depth cut it, and "stopped" at a
+// another state, "bounded" when -depth cut it, "capped" when -max-states
+// did (a capped cell without a violation fails), and "stopped" at a
 // violation. The result lines carry no wall-clock figure (the progress
 // report on standard error does), so -q output is byte-identical from
 // run to run.

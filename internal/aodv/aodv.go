@@ -218,9 +218,7 @@ func (a *AODV) sendOrQueue(pkt *routing.DataPacket) {
 }
 
 func (a *AODV) flushPending(dst routing.NodeID) {
-	for _, pkt := range a.Take(dst) {
-		a.sendOrQueue(pkt)
-	}
+	a.Flush(dst, a.sendOrQueue)
 }
 
 // RecycleMessage implements routing.MessageRecycler: the node layer hands

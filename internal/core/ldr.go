@@ -197,9 +197,7 @@ func (l *LDR) sendOrQueue(pkt *routing.DataPacket) {
 
 // flushPending drains the buffered packets for dst after a route appears.
 func (l *LDR) flushPending(dst routing.NodeID) {
-	for _, pkt := range l.Take(dst) {
-		l.sendOrQueue(pkt)
-	}
+	l.Flush(dst, l.sendOrQueue)
 }
 
 // RecycleMessage implements routing.MessageRecycler: the node layer hands

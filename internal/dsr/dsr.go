@@ -302,11 +302,11 @@ func (d *DSR) flushPending(dst routing.NodeID) {
 	if route == nil {
 		return
 	}
-	for _, pkt := range d.Take(dst) {
+	d.Flush(dst, func(pkt *routing.DataPacket) {
 		pkt.SourceRoute = append([]routing.NodeID(nil), route...)
 		pkt.SRIndex = 0
 		d.transmitAlongRoute(pkt)
-	}
+	})
 }
 
 // --- route discovery ---

@@ -112,7 +112,7 @@ type Result struct {
 	Transitions  int          // transitions executed (successor constructions)
 	Depth        int          // deepest layer reached
 	Truncated    bool         // hit MaxStates before exhausting the bounded space
-	Completeness Completeness // whether the depth bound cut the search
+	Completeness Completeness // whether the state cap or the depth bound cut the search
 	Violation    *Witness
 	Elapsed      time.Duration
 }
@@ -127,13 +127,16 @@ const (
 	// schedules may reach states the search did not.
 	Bounded
 	// Exhausted: the frontier emptied before the depth bound, so every
-	// state reachable within the budgets was expanded — save those the
-	// state cap refused, when the search is Truncated.
+	// state reachable within the budgets was expanded.
 	Exhausted
+	// Capped: the state cap refused a state (the search is Truncated) and
+	// no violation was found, so states within the budgets and the depth
+	// bound may be missing.
+	Capped
 )
 
 func (c Completeness) String() string {
-	return [...]string{Stopped: "stopped", Bounded: "bounded", Exhausted: "exhausted"}[c]
+	return [...]string{Stopped: "stopped", Bounded: "bounded", Exhausted: "exhausted", Capped: "capped"}[c]
 }
 
 // Witness is a violating schedule: the minimal-length action trace from
@@ -296,7 +299,7 @@ func explore(cur *cursor, opts Options, workers int, start time.Time) (*Result, 
 	if v := lead.checker.CheckTables(cur.tables()); len(v) > 0 {
 		res.States = 1
 		res.Violation = newWitness(res.Scenario, nil, v, cur.w)
-		s.finish()
+		s.finish(Stopped)
 		return res, s.recs
 	}
 
@@ -311,8 +314,7 @@ func explore(cur *cursor, opts Options, workers int, start time.Time) (*Result, 
 		hi := int32(s.recs.len())
 		res.Depth = int(s.recs.at(int(lo)).depth)
 		if res.Depth >= opts.MaxDepth {
-			res.Completeness = Bounded
-			s.finish()
+			s.finish(Bounded)
 			return res, s.recs
 		}
 		roundMax := chunkParents
@@ -324,15 +326,14 @@ func explore(cur *cursor, opts Options, workers int, start time.Time) (*Result, 
 			end := int32(min(int(hi), due, int(lo)+roundMax))
 			var done bool
 			if lo, resume, done = s.merge(s.expand(lo, end, resume)); done {
-				s.finish()
+				s.finish(Stopped)
 				return res, s.recs
 			}
 		}
 		s.this, s.next = s.next, s.this
 		s.next.reset(int32(s.recs.len()))
 	}
-	res.Completeness = Exhausted
-	s.finish()
+	s.finish(Exhausted)
 	return res, s.recs
 }
 
@@ -625,9 +626,15 @@ func (s *search) merge(chunks []chunk) (lo int32, resume int, done bool) {
 	return chunks[len(chunks)-1].hi, -1, false
 }
 
-// finish stamps the result's elapsed time and makes the final report.
-func (s *search) finish() {
+// finish stamps the result's completeness (c, or Capped if the state cap
+// refused a state and c is not Stopped) and its elapsed time, and makes
+// the final report.
+func (s *search) finish(c Completeness) {
 	res := s.res
+	if res.Truncated && c != Stopped {
+		c = Capped
+	}
+	res.Completeness = c
 	res.Elapsed = time.Since(s.start)
 	if s.opts.Progress != nil {
 		s.opts.Progress(Progress{

@@ -217,29 +217,32 @@ func TestLDRPaw4Clean(t *testing.T) {
 // LDR on the triangle, n3-1, runs out of new states at depth 17: at depth
 // 40 the frontier empties first, so the search is exhausted and no longer
 // schedule reaches another state; at depth 12 states are left unexpanded,
-// so it is bounded. A search that ends at a violation is neither.
+// so it is bounded. Capped at 1,000 states, it is neither: the cap, not
+// the state space, empties its frontier. A search that ends at a violation
+// is stopped, whatever the cap.
 func TestCompleteness(t *testing.T) {
 	g, err := NamedTopology("n3-1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		depth, states, reached int
-		want                   Completeness
+		depth, maxStates, states, reached int
+		want                              Completeness
 	}{
-		{40, 3591, 17, Exhausted},
-		{12, 2757, 12, Bounded},
+		{40, 0, 3591, 17, Exhausted},
+		{12, 0, 2757, 12, Bounded},
+		{40, 1000, 1000, 10, Capped},
 	} {
-		res, err := Check(&Scenario{Graph: g, Protocol: "ldr", Seed: 1}, Options{MaxDepth: tc.depth})
+		res, err := Check(&Scenario{Graph: g, Protocol: "ldr", Seed: 1}, Options{MaxDepth: tc.depth, MaxStates: tc.maxStates})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Violation != nil || res.Truncated {
-			t.Fatalf("depth %d: violation %v, truncated %v; want a clean search", tc.depth, res.Violation, res.Truncated)
+		if res.Violation != nil || res.Truncated != (tc.maxStates > 0) {
+			t.Fatalf("depth %d, cap %d: violation %v, truncated %v; want a clean search, truncated iff capped", tc.depth, tc.maxStates, res.Violation, res.Truncated)
 		}
 		if res.States != tc.states || res.Depth != tc.reached || res.Completeness != tc.want {
-			t.Errorf("depth %d: %d states to depth %d, %v; want %d to depth %d, %v",
-				tc.depth, res.States, res.Depth, res.Completeness, tc.states, tc.reached, tc.want)
+			t.Errorf("depth %d, cap %d: %d states to depth %d, %v; want %d to depth %d, %v",
+				tc.depth, tc.maxStates, res.States, res.Depth, res.Completeness, tc.states, tc.reached, tc.want)
 		}
 	}
 	line, _ := NamedTopology("line3")

@@ -54,11 +54,25 @@ func (p *Pending) Take(dst routing.NodeID) []*routing.DataPacket {
 	return q
 }
 
+// Flush takes dst's queue and hands its packets, in order, to send. If
+// send pushed none back, the queue's storage then goes back to dst, so
+// the next Push or restore does not allocate it again; it is never handed
+// back while send runs, or a packet pushed back would overwrite one not
+// yet sent.
+func (p *Pending) Flush(dst routing.NodeID, send func(*routing.DataPacket)) {
+	q := p.Take(dst)
+	for _, pkt := range q {
+		send(pkt)
+	}
+	if cap(q) > 0 && len(p.q[dst]) == 0 {
+		clear(q)
+		p.q[dst] = q[:0]
+	}
+}
+
 // Drop discards dst's queue, accounting every packet with reason.
 func (p *Pending) Drop(dst routing.NodeID, reason routing.DropReason) {
-	for _, pkt := range p.Take(dst) {
-		p.node.DropData(pkt, reason)
-	}
+	p.Flush(dst, func(pkt *routing.DataPacket) { p.node.DropData(pkt, reason) })
 }
 
 // WalkHeldData implements routing.HeldDataWalker for the embedding

@@ -255,3 +255,56 @@ func TestPushTakeAllocations(t *testing.T) {
 		t.Errorf("a warm fill-and-take cycle made %.0f allocations, want at most the 5 of slice growth", allocs)
 	}
 }
+
+// TestFlushGivesStorageBack: a queue flushed with nothing pushed back
+// keeps its storage, so a warm fill-and-flush cycle allocates nothing,
+// where fill-and-take pays the slice's growth every time. A send that
+// pushes back two packets for each it gets still gets every packet of the
+// old queue, in order, and leaves exactly what it pushed: the storage is
+// not handed back while it runs, or the pushes would overwrite packets not
+// yet sent.
+func TestFlushGivesStorageBack(t *testing.T) {
+	_, stubs, _ := isolated(2)
+	s := stubs[0]
+	pkts := make([]*routing.DataPacket, MaxQueuedPerDest/2+MaxQueuedPerDest)
+	for i := range pkts {
+		pkts[i] = &routing.DataPacket{Dst: 1, ID: uint64(i + 1)}
+	}
+	old, back := pkts[:MaxQueuedPerDest/2], pkts[MaxQueuedPerDest/2:]
+	fill := func() {
+		for _, pkt := range old {
+			s.Push(pkt)
+		}
+	}
+	fill()
+	s.Flush(1, func(*routing.DataPacket) {})
+	if allocs := testing.AllocsPerRun(50, func() {
+		fill()
+		s.Flush(1, func(*routing.DataPacket) {})
+	}); allocs != 0 {
+		t.Errorf("a warm fill-and-flush cycle made %.0f allocations, want 0", allocs)
+	}
+
+	fill()
+	var sent []*routing.DataPacket
+	s.Flush(1, func(pkt *routing.DataPacket) {
+		n := len(sent)
+		sent = append(sent, pkt)
+		s.Push(back[2*n])
+		s.Push(back[2*n+1])
+	})
+	if !slices.Equal(sent, old) {
+		t.Errorf("flush sent %v, want the queue's %v in order", ids(sent), ids(old))
+	}
+	if q := s.Take(1); !slices.Equal(q, back) {
+		t.Errorf("after the flush the queue holds %v, want the %v pushed back", ids(q), ids(back))
+	}
+}
+
+func ids(pkts []*routing.DataPacket) []uint64 {
+	out := make([]uint64, len(pkts))
+	for i, pkt := range pkts {
+		out[i] = pkt.ID
+	}
+	return out
+}

@@ -1,9 +1,10 @@
 #!/bin/sh
 # bench-gate: the pull-request tier's benchmark check.
 #
-# Runs `make bench-compare BASE=<ref> SCALE=full` (the repository
-# benchmark on <ref> and on this tree, then `benchmark -compare`) and
-# sorts the FAIL lines of the comparison:
+# Runs `make bench-compare BASE=<ref> SCALE=$SCALE` (the repository
+# benchmark on <ref> and on this tree, then `benchmark -compare`; SCALE
+# defaults to full, what CI runs) and sorts the FAIL lines of the
+# comparison:
 #   hard  scenario.digest, any counter, ops_failed, seed/scale, alloc_mb,
 #         delivery_pct, ctrl_per_delivered: one seed's simulated outcome
 #         is exact on any host, and its allocation total moves under 2 %
@@ -14,18 +15,22 @@
 # passes, when a line added to CHANGES.md since <ref> contains
 # "Behaviour change:".
 #
-#   sh scripts/bench-gate.sh <ref>      # or: make bench-gate BASE=<ref>
+# At SCALE=tiny the runs take milliseconds, so only the hard lines mean
+# anything: a seconds-long check that a refactor kept the behaviour.
+#
+#   sh scripts/bench-gate.sh <ref>      # or: make bench-gate BASE=<ref> [SCALE=tiny]
 set -eu
 
 base=${1:?usage: bench-gate.sh <ref>}
 make=${MAKE:-make}
+scale=${SCALE:-full}
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
 # bench-compare exits 1 on any FAIL line; the lines decide here. A
 # failure that printed none (a build or run error) is passed through.
 status=0
-$make --no-print-directory -s bench-compare BASE="$base" SCALE=full >"$out" || status=$?
+$make --no-print-directory -s bench-compare BASE="$base" SCALE="$scale" >"$out" || status=$?
 cat "$out"
 if [ "$status" -ne 0 ] && ! grep -q '^  FAIL' "$out"; then
     echo "bench-gate: bench-compare failed before comparing (exit $status)" >&2
